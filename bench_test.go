@@ -294,7 +294,7 @@ func BenchmarkFrontEndTypecheck(b *testing.B) {
 // fast path the acceptance criteria bound to ±5% of the seed).
 func benchForwarding(b *testing.B, observe func(*netsim.Simulator)) {
 	b.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	c := netsim.NewNode(sim, "c", netsim.MustAddr("10.0.1.1"))
@@ -344,7 +344,7 @@ func benchForwarding(b *testing.B, observe func(*netsim.Simulator)) {
 // loop above: send → forward → deliver over the same three-node
 // topology must not allocate at all.
 func TestSimulatorForwardingZeroAllocs(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	c := netsim.NewNode(sim, "c", netsim.MustAddr("10.0.1.1"))
@@ -398,7 +398,7 @@ func BenchmarkSimulatorForwardingObserved(b *testing.B) {
 // (so siftDown does real comparisons, unlike monotone insertion) and
 // drains them. Allocs/op must be 0 — events are inline heap values.
 func BenchmarkEventQueue(b *testing.B) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	fn := func() {}
 	offsets := make([]time.Duration, 256)
 	x := uint32(2463534242) // xorshift32; fixed seed keeps runs comparable
@@ -427,7 +427,7 @@ func BenchmarkEventQueue(b *testing.B) {
 // packet (four receivers share the pointer) but still must not copy it —
 // copy-on-write means the four deliveries share header and payload.
 func BenchmarkPacketFanout(b *testing.B) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	r.Forwarding = true
@@ -465,7 +465,7 @@ func BenchmarkPacketFanout(b *testing.B) {
 // above: one owned packet out four interfaces must share its header and
 // payload across all deliveries without allocating.
 func TestPacketFanoutZeroAllocs(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	r.Forwarding = true
@@ -596,7 +596,7 @@ func benchBatchedTopology(sim *netsim.Simulator, count *int) (send func(burst []
 // unbatched engine scheduled 64 heap events. 0 allocs/op, gated by
 // TestBatchedDeliveryZeroAllocs.
 func BenchmarkBatchedDelivery(b *testing.B) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	got := 0
 	send, a, dst := benchBatchedTopology(sim, &got)
 	const burst = 64
@@ -620,7 +620,7 @@ func BenchmarkBatchedDelivery(b *testing.B) {
 // TestBatchedDeliveryZeroAllocs gates the pending-ring chain: a warmed
 // burst path (ring capacity grown) must deliver without allocating.
 func TestBatchedDeliveryZeroAllocs(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	got := 0
 	send, a, dst := benchBatchedTopology(sim, &got)
 	pkts := make([]*netsim.Packet, 16)

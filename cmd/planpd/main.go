@@ -1,19 +1,21 @@
-// planpd is the ASP download daemon: it boots the live HTTP cluster
-// (client — gateway — two servers) on the real-time backend and serves
-// the protocol-management API for every node, plus the fleet rollout
-// control plane. Download the load-balancing ASP onto the running
-// gateway and watch it spread real requests:
+// planpd is the ASP download daemon: one protocol-management daemon per
+// host, onto which ASPs are downloaded. With no verb it serves the
+// built-in §3.2 demo topology (client — gateway — two servers,
+// internal/testbed/demo.json) on the real-time backend; `planpd up
+// -topo f.json` serves any topology file on the same daemon, so every
+// endpoint below exists on both. Download the load-balancing ASP onto
+// the running gateway and watch it spread real requests:
 //
 //	planpd -listen 127.0.0.1:8377 &
 //	curl -X POST --data-binary @asp/http_gateway.planp \
-//	    'http://127.0.0.1:8377/asp?verify=single'
+//	    'http://127.0.0.1:8377/node/gateway/asp?verify=single'
 //	curl -X POST 'http://127.0.0.1:8377/demo/requests?n=200'
-//	curl 'http://127.0.0.1:8377/stats'
+//	curl 'http://127.0.0.1:8377/node/gateway/stats'
 //
-// Each cluster node's API is also mounted at /node/<name>/ (gateway,
-// client, server0, server1), which is what the fleet controller
-// targets. Roll a protocol out to several nodes as a unit — two-phase,
-// with rollback on partial failure:
+// Each node's protocol-management API is mounted at /node/<name>/
+// (gateway, client, server0, server1), which is what the fleet
+// controller targets. Roll a protocol out to several nodes as a unit —
+// two-phase, with rollback on partial failure:
 //
 //	curl -X POST --data-binary @asp/audio_router.planp \
 //	    'http://127.0.0.1:8377/deploy?version=v1&nodes=gateway,server0'
@@ -26,10 +28,12 @@
 //	    -src asp/audio_router.planp -version v1
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: the HTTP listener
-// drains, then the cluster's node goroutines are quiesced and joined.
+// drains, in-flight adaptation runs finish, then the node goroutines
+// are joined.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,19 +42,16 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"planp.dev/planp/internal/adapt"
-	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/lang/diag"
-	"planp.dev/planp/internal/planpd"
-	"planp.dev/planp/internal/substrate"
 	"planp.dev/planp/internal/testbed"
 )
 
@@ -77,145 +78,66 @@ func runServe(args []string) int {
 	history := fs.String("history", "", "deployment history file (JSON lines); rollout records survive daemon restarts")
 	fs.Parse(args)
 
-	cluster, err := planpd.NewCluster(*udp)
+	demo, err := testbed.NewDemo(*listen, testbed.Options{
+		Out: os.Stdout, Logf: log.Printf, HistoryPath: *history, UDP: *udp,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	defer cluster.Close()
-	cluster.Start()
+	return serve("planpd", []plane{{demo.Daemon, demo.Handler()}})
+}
 
-	mux := http.NewServeMux()
+// plane is one assembled daemon and the control-plane handler fronting
+// it.
+type plane struct {
+	d *testbed.Daemon
+	h http.Handler
+}
 
-	// Back-compat: the bare API drives the gateway node.
-	mux.Handle("/", planpd.NewServer(cluster.Gateway, os.Stdout).Handler())
-
-	// Per-node control APIs — the fleet controller's targets.
-	nodes := []substrate.Node{cluster.Gateway, cluster.Client, cluster.Servers[0], cluster.Servers[1]}
-	for _, node := range nodes {
-		prefix := "/node/" + node.Hostname()
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, planpd.NewServer(node, os.Stdout).Handler()))
+// serve runs assembled daemons to completion, for both verbs: start
+// each daemon and its control listener, wait for SIGINT/SIGTERM (or a
+// listener failure), then shut down gracefully — drain in-flight
+// control requests, let adaptation runs finish (or be cut short at the
+// deadline and roll back) before the substrate goes away beneath them,
+// close the substrate (remote links BYE their peers on the way out).
+func serve(prog string, planes []plane) int {
+	var servers []*http.Server
+	errc := make(chan error, len(planes))
+	for _, p := range planes {
+		p.d.Start()
+		srv := &http.Server{Addr: p.d.Spec.Control, Handler: p.h}
+		servers = append(servers, srv)
+		go func() { errc <- srv.ListenAndServe() }()
+		log.Printf("%s: daemon %s on http://%s (%d nodes)",
+			prog, p.d.Spec.Name, p.d.Spec.Control, len(p.d.NodeNames()))
 	}
-
-	// The embedded fleet controller. Rollouts target the daemon's own
-	// per-node mounts unless the request names full URLs.
-	ctl := fleet.New(fleet.Config{Logf: log.Printf, HistoryPath: *history})
-	mux.Handle("/deployments", ctl.Handler())
-
-	// The adaptation controller: POST /adapt starts a self-promoting
-	// canary against the same fleet controller (so canary, promote, and
-	// rollback records all land in one history); GET /adapt watches it.
-	adaptCtl := adapt.New(adapt.Config{Fleet: ctl, Logf: log.Printf})
-	mux.Handle("/adapt", adaptCtl.Handler())
-
-	// The remote chaos control plane over the demo cluster: stage and
-	// play fault timelines (partitions, per-direction faults, clock
-	// skew) against the live links from another host.
-	chaosEng := chaos.New(cluster.Net, 1)
-	cluster.WireChaos(chaosEng)
-	mux.Handle("/chaos/", planpd.NewChaosServer(chaosEng).Handler())
-	mux.HandleFunc("/deploy", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		targets, err := parseTargets(r.URL.Query().Get("nodes"), "http://"+*listen)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		src, err := readBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec := fleet.Spec{
-			Version:           r.URL.Query().Get("version"),
-			Source:            src,
-			Engine:            r.URL.Query().Get("engine"),
-			Verify:            r.URL.Query().Get("verify"),
-			SourceName:        r.URL.Query().Get("src_name"),
-			AllowIncompatible: r.URL.Query().Get("allow_incompatible") == "true",
-		}
-		d, deployErr := ctl.Deploy(r.Context(), spec, targets)
-		status := http.StatusOK
-		resp := map[string]any{}
-		if deployErr != nil {
-			status = http.StatusConflict
-			resp["error"] = deployErr.Error()
-			// Compatibility-gate and stage rejections carry source spans;
-			// surface them structurally, like planpd's own 422 bodies.
-			if ds := diag.Of(deployErr); len(ds) > 0 {
-				status = http.StatusUnprocessableEntity
-				resp["diagnostics"] = ds
-			}
-		}
-		if d != nil {
-			resp["deployment"] = d.View()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
-	})
-
-	mux.HandleFunc("/demo/requests", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		n, err := strconv.Atoi(r.URL.Query().Get("n"))
-		if err != nil || n <= 0 || n > 1<<16 {
-			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
-			return
-		}
-		for i := 0; i < n; i++ {
-			cluster.SendRequest(uint16(10000 + i))
-		}
-		// Real-time backend: the burst is still in flight when the
-		// sends return. Settle before reading the counters so the
-		// response reflects this burst, not the previous one.
-		settled := cluster.Net.Quiesce(10 * time.Second)
-		s0, s1 := cluster.Served()
-		total, fromVirtual := cluster.Responses()
-		json.NewEncoder(w).Encode(map[string]any{
-			"sent": n, "settled": settled, "server0": s0, "server1": s1,
-			"responses": total, "from_virtual": fromVirtual,
-		})
-	})
-
-	srv := &http.Server{Addr: *listen, Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("planpd: control API on http://%s (links: %s)", *listen, linkKind(*udp))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ret := 0
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		ret = 1
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: drain in-flight control requests, then let the
-	// cluster's traffic settle before the deferred Close joins the node
-	// goroutines.
-	log.Printf("planpd: shutting down")
+	log.Printf("%s: shutting down", prog)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("planpd: HTTP shutdown: %v", err)
+	for _, srv := range servers {
+		if err := srv.Shutdown(shutCtx); err != nil {
+			log.Printf("%s: HTTP shutdown: %v", prog, err)
+		}
 	}
-	// In-flight canary runs finish (or are cut short at the deadline and
-	// roll back) before the substrate goes away beneath them.
-	if !adaptCtl.Drain(shutCtx) {
-		log.Printf("planpd: adaptation runs cut short")
+	for _, p := range planes {
+		if !p.d.Drain(shutCtx) {
+			log.Printf("%s: daemon %s: adaptation runs cut short", prog, p.d.Spec.Name)
+		}
+		p.d.Close()
 	}
-	if !cluster.Net.Quiesce(5 * time.Second) {
-		log.Printf("planpd: cluster did not quiesce; closing anyway")
-	}
-	log.Printf("planpd: bye")
-	return 0
+	return ret
 }
 
 func runDeploy(args []string) int {
@@ -240,7 +162,7 @@ func runDeploy(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	targets, err := parseTargets(*nodesFlag, *daemon)
+	targets, err := fleet.ParseTargets(*nodesFlag, nodeMount(*daemon))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -312,14 +234,14 @@ func runAdapt(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	canary, err := parseTargets(*canaryFlag, *daemon)
+	canary, err := fleet.ParseTargets(*canaryFlag, nodeMount(*daemon))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	var baseline []fleet.Target
 	if *baselineFlag != "" {
-		if baseline, err = parseTargets(*baselineFlag, *daemon); err != nil {
+		if baseline, err = fleet.ParseTargets(*baselineFlag, nodeMount(*daemon)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -395,9 +317,7 @@ func runUp(args []string) int {
 		}
 	}
 
-	var daemons []*testbed.Daemon
-	var servers []*http.Server
-	errc := make(chan error, len(names))
+	var planes []plane
 	for _, name := range names {
 		opts := testbed.Options{Out: os.Stdout, Logf: log.Printf, ProbeInterval: *probe}
 		if *history != "" {
@@ -406,46 +326,14 @@ func runUp(args []string) int {
 		d, err := testbed.NewDaemon(topo, name, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			for _, prev := range daemons {
-				prev.Close()
+			for _, prev := range planes {
+				prev.d.Close()
 			}
 			return 1
 		}
-		daemons = append(daemons, d)
-		d.Start()
-		srv := &http.Server{Addr: d.Spec.Control, Handler: d.Handler()}
-		servers = append(servers, srv)
-		go func() { errc <- srv.ListenAndServe() }()
-		log.Printf("planpd up: daemon %s on http://%s (%d nodes)",
-			d.Spec.Name, d.Spec.Control, len(topo.Nodes))
+		planes = append(planes, plane{d, d.Handler()})
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ret := 0
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, err)
-		ret = 1
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown, same sequence per daemon as the single-cluster
-	// server: drain HTTP, drain adaptation runs, close the substrate
-	// (remote links BYE their peers on the way out).
-	log.Printf("planpd up: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, srv := range servers {
-		srv.Shutdown(shutCtx)
-	}
-	for _, d := range daemons {
-		if !d.Drain(shutCtx) {
-			log.Printf("planpd up: daemon %s: adaptation runs cut short", d.Spec.Name)
-		}
-		d.Close()
-	}
-	return ret
+	return serve("planpd up", planes)
 }
 
 // runChaos drives a daemon's remote chaos control plane from the
@@ -469,46 +357,24 @@ func runChaos(args []string) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "request deadline")
 	fs.Parse(args[1:])
 
-	base := strings.TrimRight(*daemon, "/")
-	var method, url string
-	var body io.Reader
-	switch verb {
-	case "stage", "start":
-		method, url = http.MethodPost, base+"/chaos/"+verb
-		if *file != "" {
-			b, err := os.ReadFile(*file)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			body = strings.NewReader(string(b))
-		} else if verb == "start" && *name != "" {
-			url += "?name=" + *name
-		} else {
-			fmt.Fprintf(os.Stderr, "planpd chaos %s: -f is required%s\n", verb,
-				map[bool]string{true: " (or -name for a staged timeline)", false: ""}[verb == "start"])
-			return 2
-		}
-	case "stop":
-		method, url = http.MethodPost, base+"/chaos/stop"
-		sep := "?"
-		if *name != "" {
-			url += sep + "name=" + *name
-			sep = "&"
-		}
-		if *clear {
-			url += sep + "clear=1"
-		}
-	case "status":
-		method, url = http.MethodGet, base+"/chaos/status"
-	default:
-		fmt.Fprintf(os.Stderr, "planpd chaos: unknown verb %q (stage, start, stop, status)\n", verb)
+	method, target, err := chaosRequest(*daemon, verb, *name, *file != "", *clear)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+	var body io.Reader
+	if *file != "" && (verb == "stage" || verb == "start") {
+		b, err := os.ReadFile(*file)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		body = bytes.NewReader(b)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -535,49 +401,45 @@ func runChaos(args []string) int {
 	return 0
 }
 
-// parseTargets decodes a comma-separated target list. Each entry is
-// either name=url or a bare node name, which resolves to the daemon's
-// per-node mount (<daemon>/node/<name>).
-func parseTargets(spec, daemon string) ([]fleet.Target, error) {
-	if spec == "" {
-		return nil, errors.New("no target nodes given")
+// chaosRequest maps a `planpd chaos` verb and its flags to the
+// control-plane call it makes. Timeline names are operator text, so the
+// query string is built with url.Values, never by concatenation.
+func chaosRequest(daemon, verb, name string, haveFile, clear bool) (method, target string, err error) {
+	q := url.Values{}
+	method = http.MethodPost
+	switch verb {
+	case "stage", "start":
+		if !haveFile {
+			if verb == "stage" {
+				return "", "", errors.New("planpd chaos stage: -f is required")
+			}
+			if name == "" {
+				return "", "", errors.New("planpd chaos start: -f is required (or -name for a staged timeline)")
+			}
+			q.Set("name", name)
+		}
+	case "stop":
+		if name != "" {
+			q.Set("name", name)
+		}
+		if clear {
+			q.Set("clear", "1")
+		}
+	case "status":
+		method = http.MethodGet
+	default:
+		return "", "", fmt.Errorf("planpd chaos: unknown verb %q (stage, start, stop, status)", verb)
 	}
-	var targets []fleet.Target
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		if name, url, ok := strings.Cut(entry, "="); ok {
-			targets = append(targets, fleet.Target{Name: name, URL: url})
-			continue
-		}
-		if strings.Contains(entry, "://") {
-			return nil, fmt.Errorf("target %q: use name=url for explicit URLs", entry)
-		}
-		targets = append(targets, fleet.Target{
-			Name: entry,
-			URL:  strings.TrimRight(daemon, "/") + "/node/" + entry,
-		})
+	target = strings.TrimRight(daemon, "/") + "/chaos/" + verb
+	if len(q) > 0 {
+		target += "?" + q.Encode()
 	}
-	return targets, nil
+	return method, target, nil
 }
 
-func readBody(r *http.Request) (string, error) {
-	const maxSrc = 1 << 20
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSrc+1))
-	if err != nil {
-		return "", err
-	}
-	if len(body) > maxSrc {
-		return "", errors.New("protocol source too large")
-	}
-	return string(body), nil
-}
-
-func linkKind(udp bool) string {
-	if udp {
-		return "loopback-udp"
-	}
-	return "in-process"
+// nodeMount resolves bare node names in -nodes/-canary/-baseline lists
+// to the daemon's per-node mounts (<daemon>/node/<name>).
+func nodeMount(daemon string) func(name string) (string, bool) {
+	base := strings.TrimRight(daemon, "/") + "/node/"
+	return func(name string) (string, bool) { return base + name, true }
 }

@@ -108,7 +108,7 @@ func (l *eventLog) count(key string) int {
 
 func newRig(t *testing.T, n int) *rig {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	r := &rig{
 		nodes:   map[string]*netsim.Node{},
 		scripts: map[string]*statsScript{},

@@ -210,7 +210,7 @@ func TestSegmentLoadVisibleToRouter(t *testing.T) {
 func TestAdaptationComposesAcrossRouters(t *testing.T) {
 	// Two ASP routers in series: a congested second hop can only
 	// degrade further, never upgrade (degradation idempotence).
-	sim := netsim.NewSimulator(3)
+	sim := netsim.New(netsim.WithSeed(3))
 	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.1.0.1"))
 	r1 := netsim.NewNode(sim, "r1", netsim.MustAddr("10.1.0.254"))
 	r2 := netsim.NewNode(sim, "r2", netsim.MustAddr("10.2.0.254"))

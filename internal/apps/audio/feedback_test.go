@@ -9,7 +9,7 @@ import (
 )
 
 func TestFeedbackSourceAdjustsQuality(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.1"))
 	peer := netsim.NewNode(sim, "peer", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, src, peer, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -48,7 +48,7 @@ func TestFeedbackSourceAdjustsQuality(t *testing.T) {
 }
 
 func TestFeedbackClientLossAccounting(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	cl := netsim.NewNode(sim, "cl", netsim.MustAddr("10.0.0.1"))
 	srcNode := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, cl, srcNode, netsim.LinkConfig{Bandwidth: 10_000_000})

@@ -87,7 +87,7 @@ func TestControlMessageCodec(t *testing.T) {
 }
 
 func TestServerIgnoresMalformedControl(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	node := netsim.NewNode(sim, "srv", netsim.MustAddr("10.0.0.1"))
 	s := NewServer(node)
 	// Short payload and non-TCP packets must not crash or register.
@@ -100,7 +100,7 @@ func TestServerIgnoresMalformedControl(t *testing.T) {
 }
 
 func TestTeardownFromWrongClientIgnored(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	srvNode := netsim.NewNode(sim, "srv", netsim.MustAddr("10.0.0.1"))
 	c1 := netsim.NewNode(sim, "c1", netsim.MustAddr("10.0.0.2"))
 	c2 := netsim.NewNode(sim, "c2", netsim.MustAddr("10.0.0.3"))

@@ -21,7 +21,7 @@ type bed struct {
 
 func mkBed(t *testing.T, seed int64) *bed {
 	t.Helper()
-	sim := netsim.NewSimulator(seed)
+	sim := netsim.New(netsim.WithSeed(seed))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.1.1"))

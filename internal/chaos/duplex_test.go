@@ -20,7 +20,7 @@ type duplexBed struct {
 
 func mkDuplexBed(t *testing.T, seed int64) *duplexBed {
 	t.Helper()
-	sim := netsim.NewSimulator(seed)
+	sim := netsim.New(netsim.WithSeed(seed))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
 	la := netsim.Connect(sim, a, r, netsim.LinkConfig{Bandwidth: 10_000_000})

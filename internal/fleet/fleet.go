@@ -90,6 +90,35 @@ type Target struct {
 	URL  string
 }
 
+// ParseTargets decodes a comma-separated target list. Each entry is
+// either name=url, passed through, or a bare node name, mapped to its
+// control URL by resolve — a daemon's /node/<name> mount for the CLIs,
+// a lookup across the whole testbed topology for a daemon's /deploy.
+func ParseTargets(spec string, resolve func(name string) (url string, ok bool)) ([]Target, error) {
+	var targets []Target
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		name, url, explicit := strings.Cut(entry, "=")
+		if !explicit {
+			if strings.Contains(entry, "://") {
+				return nil, fmt.Errorf("target %q: use name=url for explicit URLs", entry)
+			}
+			var ok bool
+			if url, ok = resolve(entry); !ok {
+				return nil, fmt.Errorf("target %q: no such node", entry)
+			}
+		}
+		targets = append(targets, Target{Name: name, URL: url})
+	}
+	if len(targets) == 0 {
+		return nil, errors.New("no target nodes given")
+	}
+	return targets, nil
+}
+
 // Spec describes what to roll out. Engine and Verify use planpd's
 // query vocabulary ("jit"/"bytecode"/"interp", "network"/"single"/
 // "privileged"); empty means the daemon default. An empty Version gets

@@ -107,7 +107,7 @@ func (s *sleepRecorder) all() []time.Duration {
 // returns a fleet handle whose injector sits on the controller's path.
 func newTestFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	tf := &testFleet{
 		nodes:   map[string]*netsim.Node{},
 		servers: map[string]*swapServer{},

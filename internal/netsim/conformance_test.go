@@ -15,7 +15,7 @@ type simHarness struct {
 }
 
 func (h *simHarness) Build(t *testing.T, hosts []subtest.HostSpec) []substrate.Node {
-	h.sim = netsim.NewSimulator(42)
+	h.sim = netsim.New(netsim.WithSeed(42))
 	ns := make([]*netsim.Node, len(hosts))
 	for i, hs := range hosts {
 		ns[i] = netsim.NewNode(h.sim, hs.Name, hs.Addr)

@@ -8,7 +8,7 @@ import (
 // TestPerPacketCPUSerializes pins the gateway contention model: a node
 // with per-packet CPU cost caps its processing rate at 1/cost.
 func TestPerPacketCPUSerializes(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	b := NewNode(sim, "b", MustAddr("10.0.1.1"))
@@ -49,7 +49,7 @@ func TestPerPacketCPUSerializes(t *testing.T) {
 }
 
 func TestNodeLookups(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	n := NewNode(sim, "host", MustAddr("10.0.0.1"))
 	if sim.Node(n.Addr) != n || sim.NodeByName("host") != n {
 		t.Error("lookups failed")
@@ -74,7 +74,7 @@ func TestNodeLookups(t *testing.T) {
 }
 
 func TestSendToSelfDeliversLocally(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	n := NewNode(sim, "n", MustAddr("10.0.0.1"))
 	got := 0
 	n.BindUDP(9, func(*Packet) { got++ })
@@ -86,7 +86,7 @@ func TestSendToSelfDeliversLocally(t *testing.T) {
 }
 
 func TestUnroutableCountsDrop(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	n := NewNode(sim, "n", MustAddr("10.0.0.1"))
 	n.Send(NewUDP(n.Addr, MustAddr("10.9.9.9"), 1, 9, nil))
 	sim.Run()
@@ -96,7 +96,7 @@ func TestUnroutableCountsDrop(t *testing.T) {
 }
 
 func TestBindRawReceivesUnboundPorts(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	l := Connect(sim, a, b, LinkConfig{Bandwidth: 10_000_000})

@@ -14,7 +14,7 @@ import (
 // robustness experiment cannot tell "the network was cut" from "the
 // queue was full".
 func TestLinkFaultDropsDistinctFromQueueDrops(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	// A thin link with a tiny queue: a burst overflows it.
@@ -72,7 +72,7 @@ func TestLinkFaultDropsDistinctFromQueueDrops(t *testing.T) {
 // TestSegmentFaultDropsDistinct mirrors the regression on the shared
 // medium.
 func TestSegmentFaultDropsDistinct(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	seg := NewSegment(sim, "lan", LinkConfig{Bandwidth: 10_000_000})
@@ -107,7 +107,7 @@ func TestSegmentFaultDropsDistinct(t *testing.T) {
 // link medium: injected latency shifts arrival, duplication multiplies
 // delivery, corruption flips exactly one payload bit on a private copy.
 func TestFaultDelayAndDuplicate(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	l := Connect(sim, a, b, LinkConfig{Bandwidth: 10_000_000})

@@ -9,7 +9,7 @@ import (
 
 func pair(t *testing.T) (*netsim.Simulator, *netsim.Node, *netsim.Node) {
 	t.Helper()
-	sim := netsim.NewSimulator(2)
+	sim := netsim.New(netsim.WithSeed(2))
 	a := netsim.NewNode(sim, "gen", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "sink", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 100_000_000})
@@ -108,7 +108,7 @@ func TestPoissonStopAndZeroRate(t *testing.T) {
 func TestPoissonDeterminism(t *testing.T) {
 	counts := [2]int{}
 	for i := range counts {
-		sim := netsim.NewSimulator(77)
+		sim := netsim.New(netsim.WithSeed(77))
 		p := &Poisson{Rate: 300, Emit: func() { counts[i]++ }}
 		p.Start(sim, 0, 2*time.Second)
 		sim.Run()

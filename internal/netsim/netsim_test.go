@@ -9,7 +9,7 @@ import (
 
 func mk(t *testing.T) (*Simulator, *Node, *Node, *Node) {
 	t.Helper()
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	b := NewNode(sim, "b", MustAddr("10.0.1.1"))
@@ -24,7 +24,7 @@ func mk(t *testing.T) (*Simulator, *Node, *Node, *Node) {
 }
 
 func TestEventOrdering(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	var order []int
 	sim.At(3*time.Millisecond, func() { order = append(order, 3) })
 	sim.At(1*time.Millisecond, func() { order = append(order, 1) })
@@ -43,7 +43,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClock(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	fired := false
 	sim.At(5*time.Millisecond, func() { fired = true })
 	sim.RunUntil(2 * time.Millisecond)
@@ -77,7 +77,7 @@ func TestUnicastDelivery(t *testing.T) {
 }
 
 func TestDeliveryLatencyMatchesLinkModel(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	l := Connect(sim, a, b, LinkConfig{Bandwidth: 8_000_000, Delay: 2 * time.Millisecond})
@@ -111,7 +111,7 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestQueueOverflowDropsTail(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	l := Connect(sim, a, b, LinkConfig{Bandwidth: 1_000_000, QueueLimit: 2000})
@@ -134,7 +134,7 @@ func TestQueueOverflowDropsTail(t *testing.T) {
 }
 
 func TestMulticastTreeDelivery(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	src := NewNode(sim, "src", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	r.Forwarding = true
@@ -168,7 +168,7 @@ func TestMulticastTreeDelivery(t *testing.T) {
 }
 
 func TestSegmentPromiscuousCapture(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 	c := NewNode(sim, "c", MustAddr("10.0.0.3"))
@@ -269,7 +269,7 @@ func (f procFunc) Process(pkt *Packet, in substrate.Iface) bool { return f(pkt, 
 func TestSplitHorizonPreventsReflection(t *testing.T) {
 	// A router attached to one segment must not bounce a frame back out
 	// the interface it came from.
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	h := NewNode(sim, "h", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	r.Forwarding = true

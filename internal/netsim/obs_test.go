@@ -12,7 +12,7 @@ import (
 // given seed and returns the full event trace plus the metric render.
 func runObserved(t *testing.T, seed int64) (events []string, metrics string) {
 	t.Helper()
-	sim := NewSimulator(seed)
+	sim := New(WithSeed(seed))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	b := NewNode(sim, "b", MustAddr("10.0.1.1"))
@@ -113,7 +113,7 @@ func TestNodeStatsFromRegistry(t *testing.T) {
 }
 
 func TestRunMaxBudget(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	fired := 0
 	for i := 0; i < 10; i++ {
 		sim.At(time.Duration(i)*time.Millisecond, func() { fired++ })

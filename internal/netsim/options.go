@@ -1,12 +1,10 @@
 // Unified simulator construction: netsim.New(opts...) mirrors the
 // functional-options style of the public planp.NewNetwork so the two
-// layers read the same. NewSimulator(seed) remains as a thin shim for
-// existing call sites.
+// layers read the same.
 package netsim
 
 import (
 	"math/rand"
-	"os"
 
 	"planp.dev/planp/internal/obs"
 )
@@ -16,7 +14,6 @@ type config struct {
 	seed      int64
 	shards    int
 	wheel     bool
-	wheelSet  bool
 	observers []obs.Subscriber
 }
 
@@ -50,20 +47,13 @@ func WithShards(n int) Option {
 }
 
 // WithWheel enables or disables the hierarchical timing wheel in front
-// of each shard's event heap (wheel.go). The default is on, unless the
-// environment sets PLANP_NETSIM_WHEEL=off; either way pop order — and
-// therefore every deterministic experiment's output — is identical,
-// which the CI bench-smoke job verifies byte-for-byte. The knob exists
-// for that A/B check and for benchmarking the heap-only scheduler.
+// of each shard's event heap (wheel.go). The default is on; either way
+// pop order — and therefore every deterministic experiment's output —
+// is identical (TestWheelOnOffSimulationIdentical). The knob exists so
+// tests and benchmarks can run the heap-only scheduler as the reference.
 func WithWheel(on bool) Option {
-	return func(c *config) {
-		c.wheel = on
-		c.wheelSet = true
-	}
+	return func(c *config) { c.wheel = on }
 }
-
-// wheelDefault reads the environment override once per process.
-var wheelDefault = os.Getenv("PLANP_NETSIM_WHEEL") != "off"
 
 // WithObserver subscribes an observer to the simulation's event bus at
 // construction. May be given multiple times; observers fire in
@@ -75,12 +65,9 @@ func WithObserver(o obs.Subscriber) Option {
 
 // New returns a simulator configured by opts.
 func New(opts ...Option) *Simulator {
-	cfg := config{seed: 1, shards: 1}
+	cfg := config{seed: 1, shards: 1, wheel: true}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if !cfg.wheelSet {
-		cfg.wheel = wheelDefault
 	}
 	s := &Simulator{
 		seed:       cfg.seed,
@@ -104,12 +91,4 @@ func New(opts ...Option) *Simulator {
 		s.bus.Subscribe(o)
 	}
 	return s
-}
-
-// NewSimulator returns a simulator with the given RNG seed.
-//
-// Deprecated: use New(WithSeed(seed)); NewSimulator remains as a shim
-// for existing call sites and tests.
-func NewSimulator(seed int64) *Simulator {
-	return New(WithSeed(seed))
 }

@@ -73,7 +73,7 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 // TestEventQueueFIFOOnEqualTimes pins the scheduling contract directly:
 // events scheduled for the same instant pop in schedule order.
 func TestEventQueueFIFOOnEqualTimes(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
@@ -91,7 +91,7 @@ func TestEventQueueFIFOOnEqualTimes(t *testing.T) {
 // rewrite: At/After on a warmed queue must not allocate (the closure is
 // pre-created; the event is an inline heap value, not a boxed pointer).
 func TestScheduleZeroAllocs(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	fn := func() {}
 	// Grow the queue's backing array past anything the loop needs.
 	for i := 0; i < 64; i++ {
@@ -118,7 +118,7 @@ func TestScheduleZeroAllocs(t *testing.T) {
 // router reuse the packet in place instead of cloning per hop, and
 // typed receive events avoid per-transmit closures.
 func TestOwnedForwardZeroAllocs(t *testing.T) {
-	sim := NewSimulator(1)
+	sim := New(WithSeed(1))
 	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 	r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 	c := NewNode(sim, "c", MustAddr("10.0.1.1"))

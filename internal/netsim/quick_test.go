@@ -15,7 +15,7 @@ func TestPacketConservation(t *testing.T) {
 		n := int(count%60) + 1
 		size := 100 + int(sizeSel)*7
 		bw := int64(500_000) * (1 + int64(bwSel%8))
-		sim := NewSimulator(seed)
+		sim := New(WithSeed(seed))
 		a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 		r := NewNode(sim, "r", MustAddr("10.0.0.254"))
 		b := NewNode(sim, "b", MustAddr("10.0.1.1"))
@@ -46,7 +46,7 @@ func TestPacketConservation(t *testing.T) {
 func TestSegmentConservation(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
 		n := int(count%40) + 1
-		sim := NewSimulator(seed)
+		sim := New(WithSeed(seed))
 		a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 		b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 		c := NewNode(sim, "c", MustAddr("10.0.0.3"))
@@ -103,7 +103,7 @@ func TestRateMeterNeverExceedsOffered(t *testing.T) {
 // identical delivery timelines.
 func TestSimulatorDeterminism(t *testing.T) {
 	runOnce := func() []time.Duration {
-		sim := NewSimulator(99)
+		sim := New(WithSeed(99))
 		a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 		b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 		l := Connect(sim, a, b, LinkConfig{Bandwidth: 2_000_000})

@@ -257,9 +257,9 @@ func TestShardSealFreezesTopology(t *testing.T) {
 	Connect(legacy, x, y, LinkConfig{Bandwidth: 1e9})
 }
 
-// TestNewOptionsEquivalence: the unified constructor with defaults and
-// the deprecated shim build identical simulators, and WithObserver
-// matches a post-construction Subscribe.
+// TestNewOptionsEquivalence: two same-seed constructions build
+// identical simulators, and WithObserver matches a post-construction
+// Subscribe.
 func TestNewOptionsEquivalence(t *testing.T) {
 	run := func(sim *Simulator, sink *obs.CountingSink) (string, int64) {
 		if sink != nil {
@@ -278,9 +278,9 @@ func TestNewOptionsEquivalence(t *testing.T) {
 		return sim.Metrics().Render(), int64(sim.Now())
 	}
 	m1, t1 := run(New(WithSeed(42)), nil)
-	m2, t2 := run(NewSimulator(42), nil)
+	m2, t2 := run(New(WithSeed(42)), nil)
 	if m1 != m2 || t1 != t2 {
-		t.Errorf("New(WithSeed) and NewSimulator diverge: %q/%d vs %q/%d", m1, t1, m2, t2)
+		t.Errorf("two New(WithSeed(42)) simulators diverge: %q/%d vs %q/%d", m1, t1, m2, t2)
 	}
 	m3, t3 := run(New(WithSeed(99)), nil)
 	if m3 != m1 && t3 == t1 {

@@ -25,7 +25,7 @@ import (
 )
 
 // Simulator owns virtual time and the event queue(s). The zero value is
-// not usable; call New (or the NewSimulator shim).
+// not usable; call New.
 //
 // State lives on shards: shard 0 always exists and carries the legacy
 // clock, sequence counter, and seeded RNG, so a single-shard simulation

@@ -66,7 +66,7 @@ const (
 // timerQueue is the per-shard event queue: a hierarchical timing wheel
 // hybridized with the 4-ary eventQueue heap. The zero value is a valid
 // empty queue with the wheel disabled; shards enable it via the
-// simulator's wheel flag (WithWheel / PLANP_NETSIM_WHEEL).
+// simulator's wheel flag (WithWheel).
 type timerQueue struct {
 	heap    eventQueue
 	wheelOn bool

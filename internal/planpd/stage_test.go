@@ -25,7 +25,7 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 // stageNode boots one netsim node behind a control server.
 func stageNode(t *testing.T) (*netsim.Node, string) {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	node := netsim.NewNode(sim, "n0", netsim.Addr(0x0A000001))
 	srv := httptest.NewServer(NewServer(node, io.Discard).Handler())
 	t.Cleanup(srv.Close)

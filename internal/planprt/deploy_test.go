@@ -13,7 +13,7 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 
 func chain(t *testing.T) (*netsim.Simulator, []*netsim.Node) {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	var nodes []*netsim.Node
 	for i, name := range []string{"a", "r1", "r2", "b"} {
 		n := netsim.NewNode(sim, name, netsim.Addr(0x0A000001+uint32(i)))

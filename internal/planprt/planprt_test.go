@@ -122,7 +122,7 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 // host routes, mirroring §3.2's cluster front end.
 func topo(t *testing.T) (sim *netsim.Simulator, client, gw, srvA, srvB *netsim.Node) {
 	t.Helper()
-	sim = netsim.NewSimulator(42)
+	sim = netsim.New(netsim.WithSeed(42))
 	client = netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
 	gw = netsim.NewNode(sim, "gw", netsim.MustAddr("10.0.0.1"))
 	srvA = netsim.NewNode(sim, "srvA", netsim.MustAddr("10.0.0.2"))
@@ -242,7 +242,7 @@ func TestPrivilegedDownloadBypassesRejection(t *testing.T) {
 }
 
 func TestDeliverAndPrintln(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -273,7 +273,7 @@ is
 }
 
 func TestOnRemoteToSelfDeliversLocally(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -303,7 +303,7 @@ is
 
 func TestChannelTagDispatch(t *testing.T) {
 	// A tagged send is processed by the named channel at the next hop.
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})

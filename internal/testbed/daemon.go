@@ -10,7 +10,6 @@ package testbed
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,6 +43,10 @@ type Options struct {
 	// ProbeInterval overrides the cross-host links' liveness cadence
 	// (tests shrink it to detect partitions fast).
 	ProbeInterval time.Duration
+	// UDP runs daemon-local links over loopback-UDP sockets (real kernel
+	// datagrams via the substrate wire codec) instead of in-process
+	// channels.
+	UDP bool
 }
 
 // Daemon is one planpd process's slice of the testbed.
@@ -139,7 +142,16 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 		lb, bLocal := d.nodes[l.B]
 		switch {
 		case aLocal && bLocal:
-			ab, ba := rtnet.NewLink(nw, la, lb, l.Bandwidth())
+			var ab, ba substrate.FaultPort
+			if opts.UDP {
+				uab, uba, err := rtnet.NewUDPLink(nw, la, lb, l.Bandwidth())
+				if err != nil {
+					return nil, fmt.Errorf("testbed: link %q: %w", l.Name(), err)
+				}
+				ab, ba = uab, uba
+			} else {
+				ab, ba = rtnet.NewLink(nw, la, lb, l.Bandwidth())
+			}
 			retain(l.A, l.B, ab)
 			retain(l.B, l.A, ba)
 			d.Chaos.WireDuplex(l.Name(),
@@ -219,6 +231,16 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 // Node returns a local node by name (nil when the node lives on
 // another daemon).
 func (d *Daemon) Node(name string) *rtnet.Node { return d.nodes[name] }
+
+// NodeNames returns the names of the daemon's local nodes, sorted.
+func (d *Daemon) NodeNames() []string {
+	names := make([]string, 0, len(d.nodes))
+	for name := range d.nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Remotes returns the daemon's cross-host link endpoints.
 func (d *Daemon) Remotes() []*rtnet.RemoteIface { return d.remotes }
@@ -325,41 +347,16 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ResolveTargets decodes a comma-separated target list against the
-// WHOLE testbed: name=url entries pass through, bare node names
-// resolve through the topology to the owning daemon's /node mount —
-// including nodes owned by other daemons.
-func (d *Daemon) ResolveTargets(spec string) ([]fleet.Target, error) {
-	if spec == "" {
-		return nil, errors.New("no target nodes given")
-	}
-	var targets []fleet.Target
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		if name, url, ok := strings.Cut(entry, "="); ok {
-			targets = append(targets, fleet.Target{Name: name, URL: url})
-			continue
-		}
-		url, ok := d.Topo.NodeURL(entry)
-		if !ok {
-			return nil, fmt.Errorf("no node %q in topology %q", entry, d.Topo.Name)
-		}
-		targets = append(targets, fleet.Target{Name: entry, URL: url})
-	}
-	return targets, nil
-}
-
 func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	targets, err := d.ResolveTargets(r.URL.Query().Get("nodes"))
+	// Bare node names resolve through the topology to the owning
+	// daemon's /node mount — including nodes owned by other daemons.
+	targets, err := fleet.ParseTargets(r.URL.Query().Get("nodes"), d.Topo.NodeURL)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("topology %q: %v", d.Topo.Name, err), http.StatusBadRequest)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20+1))
@@ -437,17 +434,12 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	nodes := make([]string, 0, len(d.nodes))
-	for name := range d.nodes {
-		nodes = append(nodes, name)
-	}
-	sort.Strings(nodes)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
 		"testbed": d.Topo.Name,
 		"daemon":  d.Spec.Name,
 		"control": d.Spec.Control,
-		"nodes":   nodes,
+		"nodes":   d.NodeNames(),
 		"links":   d.linkStatuses(),
 	})
 }

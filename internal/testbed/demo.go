@@ -1,0 +1,127 @@
+// The §3.2 demo: the HTTP load-balancing cluster (client — gateway —
+// two servers) as a built-in topology. demo.json is an ordinary
+// topology file, so the network, routes, chaos wiring and control plane
+// all come from NewDaemon; what lives here is only the application
+// layer the topology language does not describe — the servers'
+// responders, the client's response counter, and the request driver.
+package testbed
+
+import (
+	_ "embed"
+	"net/http"
+	"strconv"
+	"sync/atomic"
+	"time"
+
+	"planp.dev/planp/internal/apps/httpd"
+	"planp.dev/planp/internal/substrate"
+)
+
+//go:embed demo.json
+var demoJSON []byte
+
+// Demo is the one-daemon §3.2 cluster. Requests address the virtual
+// server; without a gateway protocol they are forwarded clusterward and
+// die at server0 (no binding for the virtual address), which is exactly
+// the state downloading asp/http_gateway.planp onto the gateway fixes.
+type Demo struct {
+	*Daemon
+
+	served      [2]atomic.Int64
+	responses   atomic.Int64
+	fromVirtual atomic.Int64
+}
+
+// NewDemo builds the demo daemon; a non-empty control overrides the
+// topology's control address (planpd's -listen).
+func NewDemo(control string, opts Options) (*Demo, error) {
+	topo, err := ParseTopology(demoJSON)
+	if err != nil {
+		return nil, err
+	}
+	if control != "" {
+		topo.Daemons[0].Control = control
+	}
+	d, err := NewDaemon(topo, topo.Daemons[0].Name, opts)
+	if err != nil {
+		return nil, err
+	}
+	m := &Demo{Daemon: d}
+
+	// Backend servers: answer each request with a FIN-flagged response.
+	for i, name := range []string{"server0", "server1"} {
+		node := d.Node(name)
+		node.BindTCP(httpd.HTTPPort, func(req *substrate.Packet) {
+			if req.TCP == nil || req.TCP.Flags&substrate.FlagSyn == 0 {
+				return
+			}
+			m.served[i].Add(1)
+			resp := substrate.NewTCP(node.Address(), req.IP.Src,
+				httpd.HTTPPort, req.TCP.SrcPort, 0,
+				substrate.FlagAck|substrate.FlagFin, []byte("hello"))
+			node.Send(resp.Own())
+		})
+	}
+	// Client: count responses; the gateway protocol must make them
+	// appear to come from the virtual server.
+	d.Node("client").BindRaw(func(resp *substrate.Packet) {
+		m.responses.Add(1)
+		if resp.IP.Src == httpd.VirtualAddr {
+			m.fromVirtual.Add(1)
+		}
+	})
+	return m, nil
+}
+
+// SendRequest originates one request from the client to the virtual
+// server. port identifies the connection — the gateway ASP balances
+// per-connection, so distinct ports exercise the policy.
+func (m *Demo) SendRequest(port uint16) {
+	client := m.Node("client")
+	req := substrate.NewTCP(client.Address(), httpd.VirtualAddr,
+		port, httpd.HTTPPort, 0, substrate.FlagSyn, nil)
+	client.Send(req.Own())
+}
+
+// Served returns how many requests each backend server answered.
+func (m *Demo) Served() (server0, server1 int64) {
+	return m.served[0].Load(), m.served[1].Load()
+}
+
+// Responses returns (total responses at the client, responses whose
+// source was the virtual server address).
+func (m *Demo) Responses() (total, fromVirtual int64) {
+	return m.responses.Load(), m.fromVirtual.Load()
+}
+
+// Handler is the daemon's control API plus POST /demo/requests?n=N,
+// which fires N client requests and reports where they landed.
+func (m *Demo) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", m.Daemon.Handler())
+	mux.HandleFunc("/demo/requests", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		n, err := strconv.Atoi(r.URL.Query().Get("n"))
+		if err != nil || n <= 0 || n > 1<<16 {
+			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
+			return
+		}
+		for i := 0; i < n; i++ {
+			m.SendRequest(uint16(10000 + i))
+		}
+		// Real-time backend: the burst is still in flight when the sends
+		// return. Settle before reading the counters so the response
+		// reflects this burst, not the previous one.
+		settled := m.Net.Quiesce(10 * time.Second)
+		s0, s1 := m.Served()
+		total, fromVirtual := m.Responses()
+		writeJSON(w, http.StatusOK, map[string]any{
+			"sent": n, "settled": settled, "server0": s0, "server1": s1,
+			"responses": total, "from_virtual": fromVirtual,
+		})
+	})
+	return mux
+}

@@ -1,11 +1,9 @@
-package planpd
+package testbed
 
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,12 +15,12 @@ import (
 	"planp.dev/planp/internal/fleet"
 )
 
-// adaptRig is the live adaptation testbed: the §3.2 rtnet cluster with
-// chaos wired to its links, the gateway's planpd daemon behind real
-// HTTP, and an adaptation controller driving the fleet — wall-clock
+// adaptRig is the live adaptation testbed: the §3.2 demo daemon — its
+// own chaos engine over its links, its control plane behind real HTTP,
+// its adaptation controller driving its fleet controller — wall-clock
 // end to end.
 type adaptRig struct {
-	cluster *Cluster
+	cluster *Demo
 	eng     *chaos.Engine
 	targets []fleet.Target
 	fc      *fleet.Controller
@@ -31,26 +29,13 @@ type adaptRig struct {
 
 func newAdaptRig(t *testing.T) *adaptRig {
 	t.Helper()
-	cluster, err := NewCluster(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	cluster.Start()
-
-	eng := chaos.New(cluster.Net, 11)
-	cluster.WireChaos(eng)
-
-	ctlSrv := httptest.NewServer(NewServer(cluster.Gateway, io.Discard).Handler())
-	t.Cleanup(ctlSrv.Close)
-
-	fc := fleet.New(fleet.Config{})
+	cluster, gateway := startDemo(t, Options{Logf: t.Logf})
 	return &adaptRig{
 		cluster: cluster,
-		eng:     eng,
-		targets: []fleet.Target{{Name: "gateway", URL: ctlSrv.URL}},
-		fc:      fc,
-		ctl:     adapt.New(adapt.Config{Fleet: fc, Logf: t.Logf}),
+		eng:     cluster.Chaos,
+		targets: []fleet.Target{{Name: "gateway", URL: gateway}},
+		fc:      cluster.Fleet,
+		ctl:     cluster.Adapt,
 	}
 }
 

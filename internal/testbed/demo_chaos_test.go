@@ -1,8 +1,7 @@
-package planpd
+package testbed
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -22,21 +21,19 @@ import (
 // rollout brings service back. This is the wall-clock counterpart of
 // the crash scenarios in the netsim robustness suite.
 func TestGatewayCrashRedeployE2E(t *testing.T) {
-	cluster, err := NewCluster(false)
+	cluster, err := NewDemo("", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	cluster.Start()
+	eng := cluster.Chaos
 
-	eng := chaos.New(cluster.Net, 7)
-	eng.Adopt(cluster.Gateway)
-
-	// The gateway's planpd daemon. On node restart the handler is
-	// replaced with a fresh server — a restarted daemon remembers
-	// nothing about staged or active versions.
+	// The daemon's control plane. On node restart the handler is
+	// replaced with a fresh one — a restarted daemon remembers nothing
+	// about staged or active versions.
 	var mu sync.Mutex
-	handler := NewServer(cluster.Gateway, io.Discard).Handler()
+	handler := cluster.Handler()
 	ctl := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		h := handler
@@ -46,7 +43,7 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 	defer ctl.Close()
 
 	fc := fleet.New(fleet.Config{})
-	targets := []fleet.Target{{Name: "gateway", URL: ctl.URL}}
+	targets := []fleet.Target{{Name: "gateway", URL: ctl.URL + "/node/gateway"}}
 	ctx := context.Background()
 
 	drive := func(base uint16, n int) {
@@ -79,7 +76,7 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 	eng.Apply(chaos.Crash("gateway"))
 	eng.Apply(chaos.Restart("gateway"))
 	mu.Lock()
-	handler = NewServer(cluster.Gateway, io.Discard).Handler()
+	handler = cluster.Handler()
 	mu.Unlock()
 
 	drive(40000, 20)

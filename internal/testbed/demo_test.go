@@ -1,4 +1,4 @@
-package planpd
+package testbed
 
 import (
 	"encoding/json"
@@ -10,7 +10,25 @@ import (
 	"time"
 
 	"planp.dev/planp/asp"
+	"planp.dev/planp/internal/apps/httpd"
 )
+
+// startDemo boots the built-in §3.2 topology and serves its full
+// control plane over real HTTP. gateway is the gateway node's mount
+// under Daemon.Handler() — the URL operators and the fleet controller
+// address.
+func startDemo(t *testing.T, opts Options) (demo *Demo, gateway string) {
+	t.Helper()
+	demo, err := NewDemo("", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(demo.Close)
+	demo.Start()
+	ctl := httptest.NewServer(demo.Handler())
+	t.Cleanup(ctl.Close)
+	return demo, ctl.URL + "/node/gateway"
+}
 
 // driveE2E runs the full live-download story against a cluster: boot the
 // nodes, download the load-balancing ASP onto the RUNNING gateway over
@@ -18,15 +36,7 @@ import (
 // answered by both physical servers with responses masqueraded as the
 // virtual one.
 func driveE2E(t *testing.T, udp bool) {
-	cluster, err := NewCluster(udp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Start()
-
-	ctl := httptest.NewServer(NewServer(cluster.Gateway, io.Discard).Handler())
-	defer ctl.Close()
+	cluster, gateway := startDemo(t, Options{UDP: udp})
 
 	// The daemon is alive and no protocol is installed yet.
 	var health struct {
@@ -34,13 +44,13 @@ func driveE2E(t *testing.T, udp bool) {
 		Node string `json:"node"`
 		ASP  bool   `json:"asp"`
 	}
-	getJSON(t, ctl.URL+"/healthz", &health)
+	getJSONInto(t, gateway+"/healthz", &health)
 	if !health.OK || health.Node != "gateway" || health.ASP {
 		t.Fatalf("unexpected health: %+v", health)
 	}
 
 	// Download the gateway ASP onto the live node.
-	resp, err := http.Post(ctl.URL+"/asp?verify=single", "text/plain",
+	resp, err := http.Post(gateway+"/asp?verify=single", "text/plain",
 		strings.NewReader(asp.HTTPGateway))
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +60,13 @@ func driveE2E(t *testing.T, udp bool) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /asp: %d: %s", resp.StatusCode, body)
 	}
-	getJSON(t, ctl.URL+"/healthz", &health)
+	getJSONInto(t, gateway+"/healthz", &health)
 	if !health.ASP {
 		t.Fatalf("healthz does not report the installed protocol")
 	}
 
 	// A second download must be refused while one is installed.
-	resp, err = http.Post(ctl.URL+"/asp?verify=single", "text/plain",
+	resp, err = http.Post(gateway+"/asp?verify=single", "text/plain",
 		strings.NewReader(asp.HTTPGateway))
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +105,7 @@ func driveE2E(t *testing.T, udp bool) {
 		MonoNS int64            `json:"mono_ns"`
 		Stats  map[string]int64 `json:"stats"`
 	}
-	getJSON(t, ctl.URL+"/stats", &stats)
+	getJSONInto(t, gateway+"/stats", &stats)
 	if stats.Stats["node.gateway.received_pkts"] == 0 {
 		t.Fatalf("stats show no gateway traffic: %v", stats.Stats)
 	}
@@ -105,7 +115,7 @@ func driveE2E(t *testing.T, udp bool) {
 
 	// Withdraw the protocol: the cluster falls back to dumb forwarding,
 	// so new requests to the virtual address go unanswered.
-	req, _ := http.NewRequest(http.MethodDelete, ctl.URL+"/asp", nil)
+	req, _ := http.NewRequest(http.MethodDelete, gateway+"/asp", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +125,7 @@ func driveE2E(t *testing.T, udp bool) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE /asp: %d", resp.StatusCode)
 	}
-	getJSON(t, ctl.URL+"/healthz", &health)
+	getJSONInto(t, gateway+"/healthz", &health)
 	if health.ASP {
 		t.Fatalf("healthz still reports a protocol after DELETE")
 	}
@@ -142,16 +152,9 @@ func TestGatewayDownloadE2E_UDP(t *testing.T) {
 // TestInstallRejectsBrokenProtocol: the download pipeline's late
 // checking surfaces as an HTTP-level rejection, not an install.
 func TestInstallRejectsBrokenProtocol(t *testing.T) {
-	cluster, err := NewCluster(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Start()
-	ctl := httptest.NewServer(NewServer(cluster.Gateway, io.Discard).Handler())
-	defer ctl.Close()
+	cluster, gateway := startDemo(t, Options{})
 
-	resp, err := http.Post(ctl.URL+"/asp", "text/plain",
+	resp, err := http.Post(gateway+"/asp", "text/plain",
 		strings.NewReader("fun broken( : int = nonsense"))
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +164,13 @@ func TestInstallRejectsBrokenProtocol(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("broken protocol: got %d, want 422", resp.StatusCode)
 	}
-	if cluster.Gateway.CurrentProcessor() != nil {
+	if cluster.Node("gateway").CurrentProcessor() != nil {
 		t.Fatalf("broken protocol ended up installed")
 	}
 }
 
-func getJSON(t *testing.T, url string, v any) {
+// getJSONInto decodes a 200 GET response into v.
+func getJSONInto(t *testing.T, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -178,5 +182,70 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDemoTopology: `planpd serve` is a topology like any other. The
+// embedded file passes the strict decoder and validation, names exactly
+// the links the chaos docs and timelines use, and assembles into the
+// §3.2 routing: unrewritten virtual-server traffic heads clusterward
+// via server0.
+func TestDemoTopology(t *testing.T) {
+	topo, err := ParseTopology(demoJSON)
+	if err != nil {
+		t.Fatalf("embedded demo topology: %v", err)
+	}
+	if len(topo.Daemons) != 1 {
+		t.Fatalf("demo topology has %d daemons, want 1", len(topo.Daemons))
+	}
+	var links []string
+	for _, l := range topo.Links {
+		links = append(links, l.Name())
+	}
+	if got, want := strings.Join(links, " "), "client-gateway gateway-server0 gateway-server1"; got != want {
+		t.Errorf("links = %q, want %q", got, want)
+	}
+
+	demo, err := NewDemo("127.0.0.1:1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demo.Close()
+	if demo.Spec.Control != "127.0.0.1:1" {
+		t.Errorf("control = %q, want the override", demo.Spec.Control)
+	}
+	if got := strings.Join(demo.NodeNames(), " "); got != "client gateway server0 server1" {
+		t.Errorf("nodes = %q", got)
+	}
+	gw := demo.Node("gateway")
+	via0, via1 := gw.Route(httpd.Server0Addr), gw.Route(httpd.Server1Addr)
+	if via0 == nil || via1 == nil || via0 == via1 {
+		t.Fatalf("gateway routes to the servers: %v, %v (addresses must match package httpd)", via0, via1)
+	}
+	if got := gw.Route(httpd.VirtualAddr); got != via0 {
+		t.Errorf("gateway routes the virtual address via %v, want server0's interface %v", got, via0)
+	}
+}
+
+// TestDemoDeployUnknownNode: a bare node name the topology does not
+// have is refused up front, naming the topology — not turned into a
+// target URL that 404s mid-rollout.
+func TestDemoDeployUnknownNode(t *testing.T) {
+	demo, err := NewDemo("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demo.Close()
+	rec := httptest.NewRecorder()
+	demo.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+		"/deploy?nodes=gateway,nosuch", strings.NewReader(asp.HTTPGateway)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST /deploy?nodes=…,nosuch: %d, want 400", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, `"nosuch"`) || !strings.Contains(body, `topology "demo"`) {
+		t.Errorf("rejection does not name the node and the topology: %q", body)
+	}
+	if len(demo.Fleet.Deployments()) != 0 {
+		t.Error("a rollout was recorded for an unresolvable target list")
 	}
 }

@@ -207,14 +207,6 @@ func (n *Network) Run(opts ...RunOption) int {
 	return n.sim.RunBounded(cfg.deadline, cfg.maxEvents)
 }
 
-// RunFor advances the simulation by d. It is shorthand for
-// Run(WithDuration(d)).
-func (n *Network) RunFor(d time.Duration) int { return n.Run(WithDuration(d)) }
-
-// RunUntil advances the simulation to absolute time t. It is shorthand
-// for Run(WithDeadline(t)).
-func (n *Network) RunUntil(t time.Duration) int { return n.Run(WithDeadline(t)) }
-
 // NewHost adds a host node.
 func (n *Network) NewHost(name, addr string) *Node {
 	return netsim.NewNode(n.sim, name, netsim.MustAddr(addr))

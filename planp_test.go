@@ -150,11 +150,11 @@ func TestNetworkClock(t *testing.T) {
 	fired := []time.Duration{}
 	net.At(5*time.Millisecond, func() { fired = append(fired, net.Now()) })
 	net.After(10*time.Millisecond, func() { fired = append(fired, net.Now()) })
-	net.RunFor(7 * time.Millisecond)
+	net.Run(planp.WithDuration(7 * time.Millisecond))
 	if len(fired) != 1 || fired[0] != 5*time.Millisecond {
 		t.Errorf("fired %v after 7ms", fired)
 	}
-	net.RunUntil(20 * time.Millisecond)
+	net.Run(planp.WithDeadline(20 * time.Millisecond))
 	if len(fired) != 2 || fired[1] != 10*time.Millisecond {
 		t.Errorf("fired %v after 20ms", fired)
 	}
