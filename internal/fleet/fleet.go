@@ -535,33 +535,6 @@ func (c *Controller) newDeployment(spec *Spec, targets []Target) *Deployment {
 	return d
 }
 
-// specConfig maps the Spec's engine/verify vocabulary onto planprt's
-// for the controller-side precheck.
-func specConfig(spec Spec) (planprt.Config, error) {
-	var cfg planprt.Config
-	switch spec.Engine {
-	case "", "jit":
-		cfg.Engine = planprt.EngineJIT
-	case "bytecode":
-		cfg.Engine = planprt.EngineBytecode
-	case "interp":
-		cfg.Engine = planprt.EngineInterp
-	default:
-		return cfg, fmt.Errorf("fleet: unknown engine %q", spec.Engine)
-	}
-	switch spec.Verify {
-	case "", "network":
-		cfg.Verify = planprt.VerifyNetwork
-	case "single":
-		cfg.Verify = planprt.VerifySingleNode
-	case "privileged":
-		cfg.Verify = planprt.VerifyPrivileged
-	default:
-		return cfg, fmt.Errorf("fleet: unknown verify policy %q", spec.Verify)
-	}
-	return cfg, nil
-}
-
 // forEach runs fn once per node on the bounded pool and returns the
 // per-node errors (nil entries for successes).
 func (c *Controller) forEach(d *Deployment, fn func(nc *nodeClient) error) []error {
@@ -617,9 +590,10 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 		}
 		seen[t.Name] = true
 	}
-	cfg, err := specConfig(spec)
+	// The controller-side precheck compiles under the Spec's engine/verify.
+	cfg, err := planprt.ParseConfig(spec.Engine, spec.Verify)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 
 	c.ctDeploys.Inc()

@@ -608,8 +608,9 @@ func TestFleetValidation(t *testing.T) {
 		t.Error("duplicate target names must fail")
 	}
 	if _, err := c.Deploy(context.Background(),
-		Spec{Source: forwarder, Engine: "quantum"}, tf.targets); err == nil {
-		t.Error("unknown engine must fail")
+		Spec{Source: forwarder, Engine: "quantum"}, tf.targets); err == nil ||
+		!strings.Contains(err.Error(), `fleet: unknown engine "quantum"`) {
+		t.Errorf("unknown engine: err %v, want fleet: unknown engine \"quantum\"", err)
 	}
 	if len(c.Deployments()) != 0 {
 		t.Errorf("validation failures left %d records", len(c.Deployments()))

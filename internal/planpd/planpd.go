@@ -123,29 +123,13 @@ func (s *Server) readProtocol(w http.ResponseWriter, r *http.Request) (src strin
 		http.Error(w, "protocol source too large", http.StatusRequestEntityTooLarge)
 		return "", cfg, false
 	}
-	cfg = planprt.Config{Output: s.out}
-	switch e := r.URL.Query().Get("engine"); e {
-	case "", "jit":
-		cfg.Engine = planprt.EngineJIT
-	case "bytecode":
-		cfg.Engine = planprt.EngineBytecode
-	case "interp":
-		cfg.Engine = planprt.EngineInterp
-	default:
-		http.Error(w, fmt.Sprintf("unknown engine %q", e), http.StatusBadRequest)
+	q := r.URL.Query()
+	cfg, err = planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return "", cfg, false
 	}
-	switch v := r.URL.Query().Get("verify"); v {
-	case "", "network":
-		cfg.Verify = planprt.VerifyNetwork
-	case "single":
-		cfg.Verify = planprt.VerifySingleNode
-	case "privileged":
-		cfg.Verify = planprt.VerifyPrivileged
-	default:
-		http.Error(w, fmt.Sprintf("unknown verify policy %q", v), http.StatusBadRequest)
-		return "", cfg, false
-	}
+	cfg.Output = s.out
 	return string(body), cfg, true
 }
 

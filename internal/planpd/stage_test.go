@@ -85,6 +85,12 @@ func TestStageRejectsBrokenProtocol(t *testing.T) {
 	if node.Processor != nil {
 		t.Error("broken program touched the packet path")
 	}
+	// So is an engine or verify policy planprt.ParseConfig does not know.
+	for _, q := range []string{"engine=llvm", "verify=trusted"} {
+		if code, _ := call(t, http.MethodPost, base+"/asp/stage?version=v1&"+q, stageForwarder); code != http.StatusBadRequest {
+			t.Errorf("stage with %s: %d, want 400", q, code)
+		}
+	}
 	// Stage without a version label is a client error.
 	if code, _ := call(t, http.MethodPost, base+"/asp/stage", stageForwarder); code != http.StatusBadRequest {
 		t.Errorf("unlabelled stage: %d, want 400", code)

@@ -362,6 +362,36 @@ func TestUnmatchedFallsThrough(t *testing.T) {
 	}
 }
 
+// TestParseConfig pins the one engine/verify vocabulary the planpd
+// request parser and the fleet Spec precheck both read.
+func TestParseConfig(t *testing.T) {
+	cases := []struct {
+		engine, verify string
+		want           Config
+		errNames       string // non-empty: must fail, naming this value
+	}{
+		{"", "", Config{Engine: EngineJIT, Verify: VerifyNetwork}, ""},
+		{"jit", "network", Config{Engine: EngineJIT, Verify: VerifyNetwork}, ""},
+		{"bytecode", "single", Config{Engine: EngineBytecode, Verify: VerifySingleNode}, ""},
+		{"interp", "privileged", Config{Engine: EngineInterp, Verify: VerifyPrivileged}, ""},
+		{"llvm", "", Config{}, `engine "llvm"`},
+		{"JIT", "", Config{}, `engine "JIT"`},
+		{"", "trusted", Config{}, `verify policy "trusted"`},
+		{"quantum", "trusted", Config{}, `engine "quantum"`},
+	}
+	for _, tc := range cases {
+		got, err := ParseConfig(tc.engine, tc.verify)
+		switch {
+		case tc.errNames != "":
+			if err == nil || !strings.Contains(err.Error(), "unknown "+tc.errNames) {
+				t.Errorf("ParseConfig(%q, %q): err %v, want one naming unknown %s", tc.engine, tc.verify, err, tc.errNames)
+			}
+		case err != nil || got != tc.want:
+			t.Errorf("ParseConfig(%q, %q) = %+v, %v; want %+v", tc.engine, tc.verify, got, err, tc.want)
+		}
+	}
+}
+
 func TestLoadUnknownEngine(t *testing.T) {
 	if _, err := Load(balancer, Config{Engine: "llvm", Verify: VerifySingleNode}); err == nil {
 		t.Error("unknown engine must fail")

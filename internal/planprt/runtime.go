@@ -77,6 +77,36 @@ type Config struct {
 	NoCache bool
 }
 
+// ParseConfig maps the control plane's engine/verify vocabulary — the
+// planpd query parameters and the fleet Spec fields — onto a Config:
+// engine ""|"jit"|"bytecode"|"interp", verify ""|"network"|"single"|
+// "privileged"; empty means the default. The error names the unknown
+// value.
+func ParseConfig(engine, verify string) (Config, error) {
+	var cfg Config
+	switch engine {
+	case "", "jit":
+		cfg.Engine = EngineJIT
+	case "bytecode":
+		cfg.Engine = EngineBytecode
+	case "interp":
+		cfg.Engine = EngineInterp
+	default:
+		return cfg, fmt.Errorf("unknown engine %q", engine)
+	}
+	switch verify {
+	case "", "network":
+		cfg.Verify = VerifyNetwork
+	case "single":
+		cfg.Verify = VerifySingleNode
+	case "privileged":
+		cfg.Verify = VerifyPrivileged
+	default:
+		return cfg, fmt.Errorf("unknown verify policy %q", verify)
+	}
+	return cfg, nil
+}
+
 func (c *Config) fill() {
 	if c.Engine == "" {
 		c.Engine = EngineJIT

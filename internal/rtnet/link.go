@@ -1,14 +1,12 @@
-// In-process links: a duplex point-to-point link is a pair of
-// interfaces whose Send hands the packet straight to the peer node's
-// inbox. The channel send is the ownership transfer — after it, the
-// packet belongs to the receiving node's goroutine.
+// In-process links: a duplex point-to-point link is a pair of ports
+// whose transport hands the packet straight to the peer node's inbox.
+// The channel send is the ownership transfer — after it, the packet
+// belongs to the receiving node's goroutine.
 package rtnet
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -17,21 +15,13 @@ import (
 // inbox before further sends drop.
 const queueCap = 512
 
-// Iface is one direction of an in-process duplex link.
+// Iface is one direction of an in-process duplex link: a port over the
+// channel transport.
 type Iface struct {
-	node *Node // owning node
-	peer *Node
-	rev  *Iface // reverse-direction endpoint (the "in" iface at peer)
-	bw   int64  // nominal bandwidth, bits/s (reported, not enforced)
-
+	port
+	peer   *Node
+	rev    *Iface // reverse-direction endpoint (the "in" iface at peer)
 	queued atomic.Int32
-
-	mu    sync.Mutex // guards meter (RateMeter is not internally synchronized) and fault
-	meter *substrate.RateMeter
-	fault substrate.FaultFunc
-
-	drops      *obs.Counter
-	faultDrops *obs.Counter
 }
 
 // NewLink connects a and b with a duplex link of the given nominal
@@ -39,143 +29,41 @@ type Iface struct {
 // adaptation primitives, not enforced as a rate limit) and returns the
 // two endpoints (a's, b's).
 func NewLink(nw *Net, a, b *Node, bandwidthBps int64) (*Iface, *Iface) {
-	ab := &Iface{
-		node: a, peer: b, bw: bandwidthBps,
-		meter:      substrate.NewRateMeter(0),
-		drops:      nw.reg.Counter("link." + a.name + ":" + b.name + ".dropped_pkts"),
-		faultDrops: nw.reg.Counter("link." + a.name + ":" + b.name + ".fault_dropped_pkts"),
-	}
-	ba := &Iface{
-		node: b, peer: a, bw: bandwidthBps,
-		meter:      substrate.NewRateMeter(0),
-		drops:      nw.reg.Counter("link." + b.name + ":" + a.name + ".dropped_pkts"),
-		faultDrops: nw.reg.Counter("link." + b.name + ":" + a.name + ".fault_dropped_pkts"),
-	}
+	ab := &Iface{peer: b}
+	ba := &Iface{peer: a}
 	ab.rev, ba.rev = ba, ab
+	ab.setup(nw, a, b.name, bandwidthBps, ab)
+	ba.setup(nw, b, a.name, bandwidthBps, ba)
 	a.addIface(ab)
 	b.addIface(ba)
 	return ab, ba
 }
 
-// SetFault installs (or, with nil, removes) the interface's fault layer
-// (substrate.FaultPort). Safe while traffic flows.
-func (i *Iface) SetFault(f substrate.FaultFunc) {
-	i.mu.Lock()
-	i.fault = f
-	i.mu.Unlock()
-}
-
-// Send transmits pkt toward the peer node (substrate.Iface). Unowned
+// retain: a channel link takes ownership of what it is sent. Unowned
 // packets are cloned so the two nodes never share a mutable packet; an
-// owned packet's single reference moves to the peer's goroutine with
-// the channel send. Drop-tail: if this interface already has queueCap
-// packets waiting at the peer, the packet is dropped.
-func (i *Iface) Send(pkt *substrate.Packet) {
+// owned packet's single reference moves to the peer's goroutine.
+func (i *Iface) retain(pkt *substrate.Packet) *substrate.Packet {
 	if !pkt.Owned() {
-		pkt = pkt.Clone().Own()
+		return pkt.Clone()
 	}
-	i.mu.Lock()
-	f := i.fault
-	i.mu.Unlock()
-	if f == nil {
-		i.sendNow(pkt)
-		return
-	}
-	act := f(pkt)
-	if act.Drop {
-		i.dropEvent(pkt, i.faultDrops, "fault")
-		return
-	}
-	if act.Corrupt {
-		pkt = substrate.CorruptPayload(pkt, act.CorruptBit)
-	}
-	// Duplicates share the one verdict. They are cloned BEFORE the
-	// original is transmitted: once an owned packet is enqueued it
-	// belongs to the peer's goroutine, which may mutate it in place.
-	// Clones share only the immutable payload, so sending them first
-	// is safe.
-	dups := clonePackets(pkt, act.Dup)
-	if act.Delay > 0 {
-		// All copies wait out the same injected latency on a real timer.
-		i.node.net.After(act.Delay, func() {
-			for _, d := range dups {
-				i.sendNow(d)
-			}
-			i.sendNow(pkt)
-		})
-		return
-	}
-	for _, d := range dups {
-		i.sendNow(d)
-	}
-	i.sendNow(pkt)
+	return pkt
 }
 
-// clonePackets builds n independent owned clones of pkt (nil for n=0).
-func clonePackets(pkt *substrate.Packet, n int) []*substrate.Packet {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*substrate.Packet, n)
-	for k := range out {
-		out[k] = pkt.Clone()
-	}
-	return out
-}
+func (i *Iface) admit() string { return "" }
 
-// sendNow is the faultless transmission path: meter, drop-tail check,
-// enqueue at the peer.
-func (i *Iface) sendNow(pkt *substrate.Packet) {
-	sz := int64(pkt.Size())
-	now := i.node.net.Now()
-	i.mu.Lock()
-	i.meter.Add(now, sz)
-	i.mu.Unlock()
+// transmit enqueues pkt at the peer. Drop-tail: if this interface
+// already has queueCap packets waiting there, the packet is dropped.
+func (i *Iface) transmit(pkt *substrate.Packet) string {
 	if i.queued.Load() >= queueCap {
-		i.dropQueue(pkt)
-		return
+		return "queue"
 	}
 	i.queued.Add(1)
-	if !i.peer.enqueue(pkt, i.rev, &i.queued) {
+	if !i.peer.enqueue(i.retain(pkt), i.rev, &i.queued) {
 		i.queued.Add(-1)
-		i.dropQueue(pkt)
+		return "queue"
 	}
+	return ""
 }
-
-func (i *Iface) dropQueue(pkt *substrate.Packet) {
-	i.dropEvent(pkt, i.drops, "queue")
-}
-
-func (i *Iface) dropEvent(pkt *substrate.Packet, ct *obs.Counter, reason string) {
-	ct.Inc()
-	if i.node.net.bus.Active() {
-		i.node.net.bus.Publish(obs.Event{
-			Kind: obs.KindDrop, At: i.node.net.Now(),
-			Node: i.node.name + ":" + i.peer.name,
-			Src:  uint32(pkt.IP.Src), Dst: uint32(pkt.IP.Dst),
-			Size: pkt.Size(), Detail: reason,
-		})
-	}
-}
-
-// Load returns the measured outbound utilization as a percentage of the
-// link's nominal bandwidth, clamped to [0, 100] (substrate.Iface) —
-// the same contract netsim honors, so load-adaptive ASPs (the §3.1
-// audio router's 50/80% thresholds) behave identically on both
-// backends.
-func (i *Iface) Load() int64 {
-	now := i.node.net.Now()
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.meter.Utilization(now, i.bw)
-}
-
-// Bandwidth returns the link's nominal capacity in bits per second
-// (substrate.Iface).
-func (i *Iface) Bandwidth() int64 { return i.bw }
-
-// Peer returns the node at the other end (topology helpers).
-func (i *Iface) Peer() *Node { return i.peer }
 
 // Interface satisfaction.
 var (

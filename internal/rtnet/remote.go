@@ -5,6 +5,10 @@
 // of its links; packets cross hosts as UDP datagrams carrying the
 // substrate wire codec, fronted by a handshake.
 //
+// A remote link is the datagram port of datagram.go plus a session:
+// this file holds only what the session adds — the frame codec, the
+// handshake, liveness, the admission check, the goodbye.
+//
 // # Framing
 //
 // Every datagram starts with a one-byte frame type. Data frames carry
@@ -151,38 +155,29 @@ const (
 )
 
 // RemoteIface is the local endpoint of a cross-host link: the outbound
-// direction of the local node's attachment. It implements
-// substrate.Iface (Send marshals onto the socket) and
-// substrate.FaultPort (chaos degrades the outbound direction — per-
-// direction faults are the natural grain of a link whose other half
-// lives in another process).
+// direction of the local node's attachment. It is a port over the
+// datagram transport (substrate.Iface, substrate.FaultPort — chaos
+// degrades the outbound direction, the natural grain of a link whose
+// other half lives in another process) plus the session that decides
+// when the link is up.
 type RemoteIface struct {
-	node    *Node
+	dgram
 	spec    RemoteSpec
-	label   string // "<local>:<peer>" event/metric key
-	conn    *net.UDPConn
-	peerUDP *net.UDPAddr
 	session uint64
 	done    chan struct{}
 
-	mu          sync.Mutex
-	meter       *substrate.RateMeter
-	buf         []byte
-	fault       substrate.FaultFunc
+	mu          sync.Mutex // guards the session state below
 	state       string
 	peerSession uint64
 	lastHeard   time.Time
 	lastReject  *RejectError
 	closed      bool
 
-	upGauge      *obs.Gauge
-	drops        *obs.Counter
-	faultDrops   *obs.Counter
-	codecRejects *obs.Counter
-	rejectsSent  *obs.Counter
-	rejectsRecv  *obs.Counter
-	reconnects   *obs.Counter
-	goodbyes     *obs.Counter
+	upGauge     *obs.Gauge
+	rejectsSent *obs.Counter
+	rejectsRecv *obs.Counter
+	reconnects  *obs.Counter
+	goodbyes    *obs.Counter
 }
 
 // NewRemoteLink attaches local to a cross-host link endpoint described
@@ -215,29 +210,23 @@ func NewRemoteLink(nw *Net, local *Node, spec RemoteSpec) (*RemoteIface, error) 
 		return nil, fmt.Errorf("rtnet: remote link %s: %w", spec.LinkName, err)
 	}
 
-	label := local.name + ":" + spec.PeerNode
 	reg := nw.reg
 	i := &RemoteIface{
-		node: local, spec: spec, label: label,
-		conn: conn, peerUDP: paddr,
+		spec:    spec,
 		session: rand.Uint64(),
 		done:    make(chan struct{}),
-		meter:   substrate.NewRateMeter(0),
 		state:   LinkConnecting,
 
-		upGauge:      reg.Gauge("link." + label + ".up"),
-		drops:        reg.Counter("link." + label + ".dropped_pkts"),
-		faultDrops:   reg.Counter("link." + label + ".fault_dropped_pkts"),
-		codecRejects: reg.Counter("rtnet.codec_rejected"),
-		rejectsSent:  reg.Counter("rtnet.handshake_rejected"),
-		rejectsRecv:  reg.Counter("rtnet.rejected_by_peer"),
-		reconnects:   reg.Counter("rtnet.reconnects"),
-		goodbyes:     reg.Counter("rtnet.goodbyes"),
+		upGauge:     reg.Gauge("link." + local.name + ":" + spec.PeerNode + ".up"),
+		rejectsSent: reg.Counter("rtnet.handshake_rejected"),
+		rejectsRecv: reg.Counter("rtnet.rejected_by_peer"),
+		reconnects:  reg.Counter("rtnet.reconnects"),
+		goodbyes:    reg.Counter("rtnet.goodbyes"),
 	}
-	local.addIface(i)
+	i.sess = i
 	nw.register(i)
-	nw.wg.Add(2)
-	go i.read(nw)
+	i.open(nw, local, spec.PeerNode, spec.BandwidthBps, i, conn, paddr)
+	nw.wg.Add(1)
 	go i.maintain(nw)
 	return i, nil
 }
@@ -460,70 +449,77 @@ func (i *RemoteIface) maintain(nw *Net) {
 	}
 }
 
-// read drains the socket: control frames drive the link state machine,
-// data frames parse and enqueue on the owning node.
-func (i *RemoteIface) read(nw *Net) {
-	defer nw.wg.Done()
-	buf := make([]byte, maxDatagram+1)
-	for {
-		n, from, err := i.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed
+// handle runs one decoded frame from the socket through the session
+// and reports whether it is a data frame the link admits (the datagram
+// reader then enqueues its packet). Control frames drive the link state
+// machine. Data from a peer we have no live handshake with is dropped
+// (counted): after a local restart the peer must re-HELLO before its
+// packets are trusted.
+func (i *RemoteIface) handle(f remoteFrame, from *net.UDPAddr) bool {
+	if !udpAddrEqual(from, i.peerUDP) {
+		// A frame from an endpoint this link is not configured to
+		// talk to. HELLOs get a structured refusal (the sender is
+		// probably a misconfigured daemon that deserves to know);
+		// everything else is counted and ignored.
+		if f.typ == frameHello {
+			i.rejectsSent.Inc()
+			i.conn.WriteToUDP(appendRejectFrame(nil, RejectIdentity,
+				fmt.Sprintf("link %s: unexpected peer endpoint %s", i.spec.LinkName, from)), from)
+		} else {
+			i.node.net.reg.Counter("rtnet.unknown_peer").Inc()
 		}
-		f, err := parseRemoteFrame(buf[:n])
-		if err != nil {
-			i.codecRejects.Inc()
-			i.dropEvent(nil, "codec-reject")
-			continue
-		}
-		if !udpAddrEqual(from, i.peerUDP) {
-			// A frame from an endpoint this link is not configured to
-			// talk to. HELLOs get a structured refusal (the sender is
-			// probably a misconfigured daemon that deserves to know);
-			// everything else is counted and ignored.
-			if f.typ == frameHello {
-				i.rejectsSent.Inc()
-				i.conn.WriteToUDP(appendRejectFrame(nil, RejectIdentity,
-					fmt.Sprintf("link %s: unexpected peer endpoint %s", i.spec.LinkName, from)), from)
-			} else {
-				i.nodeReg().Counter("rtnet.unknown_peer").Inc()
-			}
-			continue
-		}
-		switch f.typ {
-		case frameHello:
-			i.onHello(f.hello, true)
-		case frameWelcome:
-			i.onHello(f.hello, false)
-		case frameReject:
-			rej := f.reject
-			i.rejectsRecv.Inc()
-			i.mu.Lock()
-			i.lastReject = &rej
-			i.setStateLocked(LinkDown, "rejected:"+rej.Msg)
-			i.mu.Unlock()
-		case framePing:
-			i.touch()
-			var out [9]byte
-			out[0] = framePong
-			binary.BigEndian.PutUint64(out[1:], i.session)
-			i.writeFrame(out[:])
-		case framePong:
-			i.touch()
-		case frameBye:
-			i.goodbyes.Inc()
-			i.mu.Lock()
-			if i.state != LinkDown {
-				i.setStateLocked(LinkDown, "down:goodbye")
-			}
-			i.mu.Unlock()
-		case frameData:
-			i.onData(f.data)
-		}
+		return false
 	}
+	switch f.typ {
+	case frameHello:
+		i.onHello(f.hello, true)
+	case frameWelcome:
+		i.onHello(f.hello, false)
+	case frameReject:
+		rej := f.reject
+		i.rejectsRecv.Inc()
+		i.mu.Lock()
+		i.lastReject = &rej
+		i.setStateLocked(LinkDown, "rejected:"+rej.Msg)
+		i.mu.Unlock()
+	case framePing:
+		i.touch()
+		var out [9]byte
+		out[0] = framePong
+		binary.BigEndian.PutUint64(out[1:], i.session)
+		i.writeFrame(out[:])
+	case framePong:
+		i.touch()
+	case frameBye:
+		i.goodbyes.Inc()
+		i.mu.Lock()
+		if i.state != LinkDown {
+			i.setStateLocked(LinkDown, "down:goodbye")
+		}
+		i.mu.Unlock()
+	case frameData:
+		i.mu.Lock()
+		up := i.state == LinkUp
+		if up {
+			i.lastHeard = time.Now()
+		}
+		i.mu.Unlock()
+		if !up {
+			i.drop(nil, i.drops, "no-handshake")
+		}
+		return up
+	}
+	return false
 }
 
-func (i *RemoteIface) nodeReg() *obs.Registry { return i.node.net.reg }
+// admit is the sending half of the same admission control: packets
+// offered while the link is not up are dropped and counted.
+func (i *RemoteIface) admit() string {
+	if !i.Up() {
+		return "link-down"
+	}
+	return ""
+}
 
 // touch records proof of life from the peer.
 func (i *RemoteIface) touch() {
@@ -615,33 +611,6 @@ func (i *RemoteIface) emit(kind obs.Kind, detail string) {
 	}
 }
 
-// onData parses and enqueues one wire packet from the peer. Data from
-// a peer we have no live handshake with is dropped (counted): after a
-// local restart the peer must re-HELLO before its packets are trusted.
-func (i *RemoteIface) onData(wire []byte) {
-	i.mu.Lock()
-	up := i.state == LinkUp
-	if up {
-		i.lastHeard = time.Now()
-	}
-	i.mu.Unlock()
-	if !up {
-		i.drop(nil, "no-handshake")
-		return
-	}
-	pkt, err := substrate.ParseWire(wire)
-	if err != nil {
-		i.codecRejects.Inc()
-		i.drop(nil, "codec-reject")
-		return
-	}
-	// The parse built a fresh private packet; the node may mutate it.
-	pkt.Own()
-	if !i.node.enqueue(pkt, i, nil) {
-		i.drop(pkt, "queue")
-	}
-}
-
 // Close sends the goodbye frame and shuts the endpoint down (io.Closer,
 // called by the owning network's Close). Idempotent.
 func (i *RemoteIface) Close() error {
@@ -659,137 +628,6 @@ func (i *RemoteIface) Close() error {
 	i.writeFrame([]byte{frameBye})
 	return i.conn.Close()
 }
-
-// ---------------------------------------------------------------------------
-// Data plane: substrate.Iface / substrate.FaultPort
-
-// SetFault installs (or, with nil, removes) the endpoint's fault layer
-// (substrate.FaultPort). A remote link endpoint is inherently one
-// direction, so chaos wired here degrades only local-outbound traffic —
-// the asymmetric-fault grain.
-func (i *RemoteIface) SetFault(f substrate.FaultFunc) {
-	i.mu.Lock()
-	i.fault = f
-	i.mu.Unlock()
-}
-
-// Send transmits pkt toward the remote peer (substrate.Iface). The
-// packet is fully serialized before Send returns; the caller keeps
-// ownership. Packets offered while the link is not up are dropped and
-// counted ("link-down") — the handshake is the admission control.
-func (i *RemoteIface) Send(pkt *substrate.Packet) {
-	i.mu.Lock()
-	f := i.fault
-	i.mu.Unlock()
-	if f == nil {
-		i.sendNow(pkt)
-		return
-	}
-	act := f(pkt)
-	if act.Drop {
-		i.faultDrops.Inc()
-		i.dropEvent(pkt, "fault")
-		return
-	}
-	if act.Corrupt {
-		pkt = substrate.CorruptPayload(pkt, act.CorruptBit)
-	}
-	if act.Delay > 0 {
-		// Serialize now — the caller may reuse pkt the moment Send
-		// returns; only the socket writes wait out the delay.
-		wire, err := substrate.AppendWire([]byte{frameData}, pkt)
-		if err != nil || len(wire) > maxDatagram {
-			i.drop(pkt, "oversize")
-			return
-		}
-		sz, copies := int64(len(wire)), 1+act.Dup
-		i.node.net.After(act.Delay, func() {
-			for k := 0; k < copies; k++ {
-				i.writeWire(wire, sz)
-			}
-		})
-		return
-	}
-	i.sendNow(pkt)
-	for k := 0; k < act.Dup; k++ {
-		i.sendNow(pkt)
-	}
-}
-
-// sendNow is the faultless transmission path: frame + wire-encode
-// under the lock (reusing the scratch buffer) and write the datagram.
-func (i *RemoteIface) sendNow(pkt *substrate.Packet) {
-	sz := int64(pkt.Size())
-	now := i.node.net.Now()
-	i.mu.Lock()
-	if i.state != LinkUp {
-		i.mu.Unlock()
-		i.drop(pkt, "link-down")
-		return
-	}
-	i.meter.Add(now, sz)
-	wire, err := substrate.AppendWire(append(i.buf[:0], frameData), pkt)
-	if err == nil {
-		i.buf = wire[:0]
-	}
-	if err != nil || len(wire) > maxDatagram {
-		i.mu.Unlock()
-		i.drop(pkt, "oversize")
-		return
-	}
-	_, werr := i.conn.WriteToUDP(wire, i.peerUDP)
-	i.mu.Unlock()
-	if werr != nil {
-		i.drop(pkt, "socket")
-	}
-}
-
-// writeWire sends one pre-serialized data frame (the delayed-fault
-// path).
-func (i *RemoteIface) writeWire(wire []byte, sz int64) {
-	now := i.node.net.Now()
-	i.mu.Lock()
-	up := i.state == LinkUp
-	if up {
-		i.meter.Add(now, sz)
-		i.conn.WriteToUDP(wire, i.peerUDP)
-	}
-	i.mu.Unlock()
-	if !up {
-		i.drops.Inc()
-	}
-}
-
-func (i *RemoteIface) drop(pkt *substrate.Packet, reason string) {
-	i.drops.Inc()
-	i.dropEvent(pkt, reason)
-}
-
-func (i *RemoteIface) dropEvent(pkt *substrate.Packet, reason string) {
-	if bus := i.node.net.bus; bus.Active() {
-		ev := obs.Event{
-			Kind: obs.KindDrop, At: i.node.net.Now(),
-			Node: i.label, Detail: reason,
-		}
-		if pkt != nil {
-			ev.Src, ev.Dst, ev.Size = uint32(pkt.IP.Src), uint32(pkt.IP.Dst), pkt.Size()
-		}
-		bus.Publish(ev)
-	}
-}
-
-// Load returns the measured outbound utilization as a percentage of
-// the link's nominal bandwidth (substrate.Iface).
-func (i *RemoteIface) Load() int64 {
-	now := i.node.net.Now()
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.meter.Utilization(now, i.spec.BandwidthBps)
-}
-
-// Bandwidth returns the link's nominal capacity in bits per second
-// (substrate.Iface).
-func (i *RemoteIface) Bandwidth() int64 { return i.spec.BandwidthBps }
 
 func udpAddrEqual(a, b *net.UDPAddr) bool {
 	return a.Port == b.Port && a.IP.Equal(b.IP)

@@ -73,10 +73,10 @@ func FuzzParseRemoteFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseWireDatagram drives the substrate wire decoder exactly as
-// the UDP link receive paths do (satellite: codec hardening) — any
-// input must yield a parsed packet or an error, never a panic, and a
-// parsed packet must re-encode.
+// FuzzParseWireDatagram drives the receive path's own decode step,
+// decodeDatagram, with b as the packet bytes of a data frame — any
+// input must yield an owned packet or an error, never a panic, and a
+// decoded packet must re-encode.
 func FuzzParseWireDatagram(f *testing.F) {
 	good, err := substrate.AppendWire(nil, substrate.NewUDP(0x0A000001, 0x0A000002, 9, 7, []byte("x")))
 	if err != nil {
@@ -87,15 +87,15 @@ func FuzzParseWireDatagram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) > maxDatagram {
-			return // the receive loops reject these before parsing
-		}
-		pkt, err := substrate.ParseWire(b)
+		fr, pkt, err := decodeDatagram(append([]byte{frameData}, b...))
 		if err != nil {
 			return
 		}
+		if fr.typ != frameData || pkt == nil || !pkt.Owned() {
+			t.Fatalf("data frame decoded to typ %#x, packet %v", fr.typ, pkt)
+		}
 		if _, err := substrate.AppendWire(nil, pkt); err != nil {
-			t.Fatalf("parsed packet failed to re-encode: %v", err)
+			t.Fatalf("decoded packet failed to re-encode: %v", err)
 		}
 	})
 }

@@ -10,13 +10,22 @@
 // inbox, so all packet processing on a node — including an installed
 // PLAN-P runtime and its interpreter state — is single-threaded, just
 // as on the simulator. Nodes run concurrently with each other; packets
-// cross between them over channels (NewLink) or loopback UDP sockets
-// (NewUDPLink). The packet ownership protocol doubles as the memory
-// model: an owned packet has a single live reference, and handing it to
-// a link (channel send or socket write+reparse) is the happens-before
-// edge that transfers it to the receiving node's goroutine. Unowned
-// (shared) packets are cloned at the link boundary so no two goroutines
-// ever touch the same mutable packet.
+// cross between them over links. The packet ownership protocol doubles
+// as the memory model: an owned packet has a single live reference, and
+// handing it to a link (channel send or socket write+reparse) is the
+// happens-before edge that transfers it to the receiving node's
+// goroutine. Unowned (shared) packets are cloned at the link boundary
+// so no two goroutines ever touch the same mutable packet.
+//
+// Links: a link endpoint is a port over a transport; a remote link is a
+// datagram port plus a session. The port (port.go) is the one
+// implementation of substrate.Iface and substrate.FaultPort — fault
+// verdict, rate meter, drop accounting — so send, load and drop mean
+// the same on every link. The transport moves one copy to the peer:
+// through a channel to a node in this process (NewLink, link.go), or as
+// a UDP datagram (datagram.go) to a loopback socket in this process
+// (NewUDPLink) or to another daemon (NewRemoteLink, remote.go, which
+// adds the handshake, liveness and admission on top).
 //
 // Determinism contract: rtnet is race-clean but NOT reproducible —
 // timing, interleaving, and drop behavior vary run to run. Experiments
@@ -80,13 +89,14 @@ type Net struct {
 	inflight atomic.Int64
 }
 
-// New returns an empty network. The seed feeds the Env RNG — unlike the
-// simulator's, it does not make runs reproducible (goroutine
+// New returns an empty network. The seed feeds the Env RNG (Int63n) —
+// unlike the simulator's, it does not make runs reproducible (goroutine
 // interleaving does not replay), it only makes the randomness source
-// explicit.
+// explicit: daemons given different seeds draw different streams.
 func New(seed int64) *Net {
 	return &Net{
 		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(seed)),
 		bus:    &obs.Bus{},
 		reg:    obs.NewRegistry(),
 		byAddr: map[substrate.Addr]*Node{},
@@ -144,9 +154,6 @@ func (n *Net) After(d time.Duration, fn func()) {
 func (n *Net) Int63n(v int64) int64 {
 	n.rngMu.Lock()
 	defer n.rngMu.Unlock()
-	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(1))
-	}
 	return n.rng.Int63n(v)
 }
 

@@ -51,8 +51,8 @@ type FaultFunc func(pkt *Packet) FaultAction
 
 // FaultPort is an interface that supports fault injection at
 // transmission time. Both netsim interfaces (link and segment
-// attachments) and both rtnet interface kinds (channel and loopback-UDP)
-// implement it.
+// attachments) and every rtnet link kind (one port type serves channel,
+// loopback-UDP and cross-host links) implement it.
 type FaultPort interface {
 	Iface
 	// SetFault installs f as the interface's fault layer (nil removes
