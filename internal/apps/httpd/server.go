@@ -40,9 +40,6 @@ func (s *Server) Fail() {
 	s.queue = nil
 }
 
-// Recover brings a failed server back.
-func (s *Server) Recover() { s.failed = false }
-
 // ServerConfig holds tunables; zero values take defaults calibrated so
 // one server saturates around 300 requests/s (a late-90s Apache on an
 // Ultra-1 against a mixed trace).

@@ -618,19 +618,3 @@ func (h *NodeHandle) SetClockSkew(d time.Duration) {
 		h.e.emit(obs.KindFault, h.name, fmt.Sprintf("clockskew=%s", d))
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Helpers
-
-// FaultPorts returns the node's interfaces that support fault
-// injection — a convenience for wiring every attachment of a node
-// ("cut this host off") without naming each interface.
-func FaultPorts(n substrate.Node) []substrate.FaultPort {
-	var out []substrate.FaultPort
-	for _, ifc := range n.Interfaces() {
-		if p, ok := ifc.(substrate.FaultPort); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}

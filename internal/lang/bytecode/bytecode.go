@@ -67,47 +67,10 @@ const (
 
 	OpReturn // return R[A]
 
-	// Superinstructions: peephole fusions emitted by the compiler when a
-	// value is produced and consumed by adjacent instructions (compile.go,
-	// fuseConst / fuseBranch). They change dispatch count, never
-	// semantics — the VM's differential fuzz tests pin that.
-
-	OpAddK // R[A] = R[B] + C   (C is the literal, not a register)
-	OpSubK
-	OpMulK
-
-	OpEqIK // R[A] = R[B].I == C
-	OpNeIK
-	OpLtIK
-	OpLeIK
-	OpGtIK
-	OpGeIK
-
-	// Fused compare-and-branch: jump to A when the comparison of R[B]
-	// and R[C] holds. The compiler negates the source comparison when
-	// fusing an "if" condition, so branch-false sites need one opcode.
-	OpJEqI
-	OpJNeI
-	OpJLtI
-	OpJLeI
-	OpJGtI
-	OpJGeI
-
-	// Same, with literal C.
-	OpJEqIK
-	OpJNeIK
-	OpJLtIK
-	OpJLeIK
-	OpJGtIK
-	OpJGeIK
-
-	OpJEqS // jump to A when R[B].S == R[C].S
-	OpJNeS
-
-	OpJProjF // if !R[B].Vs[C] { pc = A }  (fused Proj + JumpIfF)
+	numOps // sentinel: every Op below it has an opNames row (TestOpcodeNames)
 )
 
-var opNames = [...]string{
+var opNames = [numOps]string{
 	OpNop: "nop", OpConst: "const", OpMove: "move", OpGlobal: "global",
 	OpProj: "proj", OpTuple: "tuple", OpJump: "jump", OpJumpIfF: "jumpf",
 	OpJumpIfT: "jumpt", OpAdd: "add", OpSub: "sub", OpMul: "mul",
@@ -118,18 +81,11 @@ var opNames = [...]string{
 	OpGeS: "ges", OpCallPrim: "callprim", OpCallFun: "callfun",
 	OpSend: "send", OpRaise: "raise", OpTryPush: "trypush",
 	OpTryPop: "trypop", OpReturn: "return",
-	OpAddK: "addk", OpSubK: "subk", OpMulK: "mulk", OpEqIK: "eqik",
-	OpNeIK: "neik", OpLtIK: "ltik", OpLeIK: "leik", OpGtIK: "gtik",
-	OpGeIK: "geik", OpJEqI: "jeqi", OpJNeI: "jnei", OpJLtI: "jlti",
-	OpJLeI: "jlei", OpJGtI: "jgti", OpJGeI: "jgei", OpJEqIK: "jeqik",
-	OpJNeIK: "jneik", OpJLtIK: "jltik", OpJLeIK: "jleik",
-	OpJGtIK: "jgtik", OpJGeIK: "jgeik", OpJEqS: "jeqs", OpJNeS: "jnes",
-	OpJProjF: "jprojf",
 }
 
 // String returns the opcode mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
+	if o < numOps {
 		return opNames[o]
 	}
 	return fmt.Sprintf("op%d", uint8(o))

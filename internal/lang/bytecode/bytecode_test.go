@@ -68,6 +68,12 @@ func TestOpcodeNames(t *testing.T) {
 	if !strings.Contains(Op(250).String(), "250") {
 		t.Error("unknown opcode should render numerically")
 	}
+	// The ISA table cannot grow a hole.
+	for o := Op(0); o < numOps; o++ {
+		if opNames[o] == "" {
+			t.Errorf("opcode %d has no name", o)
+		}
+	}
 }
 
 // TestShortCircuitCompilation ensures andalso/orelse skip their RHS

@@ -79,10 +79,6 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 func (c *compiled) EngineName() string    { return "bytecode" }
 func (c *compiled) Info() *typecheck.Info { return c.info }
 
-// Shareable: code objects are read-only after compilation; the VM
-// allocates a fresh register frame per execution.
-func (c *compiled) Shareable() bool { return true }
-
 // DisasmAll renders every code object (for cmd/planp -disasm).
 func (c *compiled) DisasmAll() string {
 	var out string
@@ -103,20 +99,18 @@ func (c *compiled) DisasmAll() string {
 
 // fnCompiler compiles one expression tree into one Fn.
 type fnCompiler struct {
-	fn        *Fn
-	frameBase int // registers below this are variable slots, not temps
-	nextReg   int // next free temporary register
-	maxReg    int
-	chanIdx   map[string]int
+	fn      *Fn
+	nextReg int // next free temporary register; variable slots sit below the temporaries
+	maxReg  int
+	chanIdx map[string]int
 }
 
 func compileFn(name string, body ast.Expr, frameSize int) (*Fn, error) {
 	fc := &fnCompiler{
-		fn:        &Fn{Name: name},
-		frameBase: frameSize,
-		nextReg:   frameSize,
-		maxReg:    frameSize,
-		chanIdx:   map[string]int{},
+		fn:      &Fn{Name: name},
+		nextReg: frameSize,
+		maxReg:  frameSize,
+		chanIdx: map[string]int{},
 	}
 	res := fc.expr(body)
 	fc.emit(Instr{Op: OpReturn, A: res})
@@ -127,99 +121,6 @@ func compileFn(name string, body ast.Expr, frameSize int) (*Fn, error) {
 func (fc *fnCompiler) emit(i Instr) int {
 	fc.fn.Code = append(fc.fn.Code, i)
 	return len(fc.fn.Code) - 1
-}
-
-// setJumpTarget patches the jump at index at. OpJumpIfF/T test a
-// register in A and carry the target in B; OpJump and every fused
-// branch use A for the target (their operands live in B and C).
-func (fc *fnCompiler) setJumpTarget(at, target int) {
-	switch fc.fn.Code[at].Op {
-	case OpJumpIfF, OpJumpIfT:
-		fc.fn.Code[at].B = target
-	default:
-		fc.fn.Code[at].A = target
-	}
-}
-
-// kOps maps a register-register instruction to its literal-operand
-// superinstruction. Division and mod stay register-only so the
-// raise-on-zero paths have one shape.
-var kOps = map[Op]Op{
-	OpAdd: OpAddK, OpSub: OpSubK, OpMul: OpMulK,
-	OpEqI: OpEqIK, OpNeI: OpNeIK, OpLtI: OpLtIK,
-	OpLeI: OpLeIK, OpGtI: OpGtIK, OpGeI: OpGeIK,
-}
-
-// branchNeg maps a comparison to the fused branch that jumps when the
-// comparison is FALSE — the fusion site is "if"'s branch-to-else, so
-// the source condition is negated.
-var branchNeg = map[Op]Op{
-	OpEqI: OpJNeI, OpNeI: OpJEqI, OpLtI: OpJGeI,
-	OpLeI: OpJGtI, OpGtI: OpJLeI, OpGeI: OpJLtI,
-	OpEqIK: OpJNeIK, OpNeIK: OpJEqIK, OpLtIK: OpJGeIK,
-	OpLeIK: OpJGtIK, OpGtIK: OpJLeIK, OpGeIK: OpJLtIK,
-	OpEqS: OpJNeS, OpNeS: OpJEqS,
-}
-
-// emitK fuses "const c; op dst, b, c" into one literal-operand
-// instruction when the constant was materialized only to feed op: the
-// const must be the instruction just emitted, into a temporary (never a
-// variable slot — those outlive the expression). Returns false when the
-// shape does not match and the caller should emit the plain form.
-func (fc *fnCompiler) emitK(op Op, dst, b, c int) bool {
-	kop, ok := kOps[op]
-	if !ok {
-		return false
-	}
-	n := len(fc.fn.Code)
-	if n == 0 || c < fc.frameBase {
-		return false
-	}
-	in := fc.fn.Code[n-1]
-	if in.Op != OpConst || in.A != c {
-		return false
-	}
-	k := fc.fn.Consts[in.B].I
-	if int64(int(k)) != k {
-		return false
-	}
-	fc.fn.Code = fc.fn.Code[:n-1]
-	if in.B == len(fc.fn.Consts)-1 {
-		fc.fn.Consts = fc.fn.Consts[:in.B]
-	}
-	fc.emit(Instr{Op: kop, A: dst, B: b, C: int(k)})
-	return true
-}
-
-// branchFalse emits the jump taken when R[cond] is false, fusing the
-// instruction that produced cond when it is the one just emitted and
-// wrote a dead temporary. Replacing the producer in place is safe even
-// when an earlier jump targets its index: execution arriving there runs
-// the fused form, which has identical semantics to the producer plus
-// the branch. Conditions that flow through a Move (andalso/orelse, if-
-// and try-valued conditions) never fuse — Move is not in the tables,
-// and their destination register is live. Returns the jump's index for
-// setJumpTarget.
-func (fc *fnCompiler) branchFalse(cond int) int {
-	if n := len(fc.fn.Code); n > 0 && cond >= fc.frameBase {
-		in := fc.fn.Code[n-1]
-		if in.A == cond {
-			if j, ok := branchNeg[in.Op]; ok {
-				fc.fn.Code[n-1] = Instr{Op: j, B: in.B, C: in.C}
-				return n - 1
-			}
-			switch in.Op {
-			case OpProj:
-				fc.fn.Code[n-1] = Instr{Op: OpJProjF, B: in.B, C: in.C}
-				return n - 1
-			case OpNot:
-				// not x; jumpf  ==  jumpt x
-				fc.fn.Code[n-1] = Instr{Op: OpJumpIfT, A: in.B}
-				return n - 1
-			}
-		}
-	}
-	return fc.emit(Instr{Op: OpJumpIfF, A: cond})
 }
 
 func (fc *fnCompiler) alloc() int {
@@ -300,7 +201,7 @@ func (fc *fnCompiler) expr(e ast.Expr) int {
 		cond := fc.expr(e.Cond)
 		fc.release(mark)
 		dst := fc.alloc()
-		jf := fc.branchFalse(cond)
+		jf := fc.emit(Instr{Op: OpJumpIfF, A: cond})
 		mark = fc.mark()
 		t := fc.expr(e.Then)
 		fc.release(mark)
@@ -308,7 +209,7 @@ func (fc *fnCompiler) expr(e ast.Expr) int {
 			fc.emit(Instr{Op: OpMove, A: dst, B: t})
 		}
 		jend := fc.emit(Instr{Op: OpJump})
-		fc.setJumpTarget(jf, len(fc.fn.Code))
+		fc.fn.Code[jf].B = len(fc.fn.Code) // else entry
 		mark = fc.mark()
 		el := fc.expr(e.Else)
 		fc.release(mark)
@@ -430,7 +331,7 @@ func (fc *fnCompiler) binary(e *ast.Binary) int {
 		if r != dst {
 			fc.emit(Instr{Op: OpMove, A: dst, B: r})
 		}
-		fc.setJumpTarget(j, len(fc.fn.Code))
+		fc.fn.Code[j].B = len(fc.fn.Code)
 		return dst
 	}
 
@@ -439,34 +340,26 @@ func (fc *fnCompiler) binary(e *ast.Binary) int {
 	r := fc.expr(e.R)
 	fc.release(mark)
 	dst := fc.alloc()
-	if op, ok := arithOps[e.Op]; ok {
-		if !fc.emitK(op, dst, l, r) {
-			fc.emit(Instr{Op: op, A: dst, B: l, C: r})
-		}
-		return dst
-	}
+	var op Op
 	switch e.Op {
-	case "=", "<>":
-		eq, ne := typeEqOps(e.OperandType)
-		op := eq
-		if e.Op == "<>" {
-			op = ne
-		}
-		if !fc.emitK(op, dst, l, r) {
-			fc.emit(Instr{Op: op, A: dst, B: l, C: r})
-		}
-		return dst
+	case "=":
+		op, _ = typeEqOps(e.OperandType)
+	case "<>":
+		_, op = typeEqOps(e.OperandType)
 	case "<", "<=", ">", ">=":
 		table := ordOpsInt
 		if ast.Equal(e.OperandType, ast.StringT) {
 			table = ordOpsStr
 		}
-		if !fc.emitK(table[e.Op], dst, l, r) {
-			fc.emit(Instr{Op: table[e.Op], A: dst, B: l, C: r})
+		op = table[e.Op]
+	default:
+		var ok bool
+		if op, ok = arithOps[e.Op]; !ok {
+			panic(fmt.Sprintf("planp/bytecode: unhandled operator %s", e.Op))
 		}
-		return dst
 	}
-	panic(fmt.Sprintf("planp/bytecode: unhandled operator %s", e.Op))
+	fc.emit(Instr{Op: op, A: dst, B: l, C: r})
+	return dst
 }
 
 func (fc *fnCompiler) call(e *ast.Call) int {
@@ -502,5 +395,3 @@ func (fc *fnCompiler) call(e *ast.Call) int {
 	}
 	return dst
 }
-
-var _ = prims.Count // keep the import for the VM half of the package

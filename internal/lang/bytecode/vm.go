@@ -8,72 +8,57 @@ package bytecode
 import (
 	"fmt"
 
-	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/value"
 )
 
-// vm executes code objects for one instance. The invoke-path vm is
-// persistent: it reuses one register frame per channel body and per
-// callee fun across invocations (instances are serialized by the
-// runtime, and the language has no recursion, so a fun is never active
-// twice on one stack — the same guarantees the JIT's frame reuse leans
-// on). The handler stack is shared across nested exec frames with a
-// base marker per frame, so try/handle costs no allocation once the
-// backing array has grown.
+// vm executes code objects for one instance. It reuses one register
+// frame per channel body and per callee fun across invocations (an
+// instance is single-goroutine, and the language has no recursion, so a
+// fun is never active twice on one stack — the same guarantees the
+// JIT's frame reuse leans on). The handler stack is shared across nested
+// exec frames with a base marker per frame, so try/handle costs no
+// allocation once the backing array has grown.
 type vm struct {
 	c        *compiled
 	ctx      prims.Context
 	globals  []value.Value
 	handlers []int
 
-	// frames[i] is the reusable register file for channel body i;
-	// funFrames[i] for fun i. nil on the construction-time vm (globals
-	// and initstates run once; fresh frames keep that path simple).
+	// frames[i] is the register file for channel body i; funFrames[i]
+	// for fun i.
 	frames    [][]value.Value
 	funFrames [][]value.Value
 }
 
 func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
-	m := &vm{c: c, ctx: ctx}
-	for i, fn := range c.globals {
-		v, err := m.exec(fn, make([]value.Value, fn.NumRegs))
-		if err != nil {
-			return nil, fmt.Errorf("val %s: %w", c.info.Globals[i].Decl.Name, err)
-		}
-		m.globals = append(m.globals, v)
-	}
-	initIdx := 0
-	proto, chans, err := engine.InitStates(c.info, func(_ ast.Expr, _ int) (value.Value, error) {
-		for c.initStates[initIdx] == nil {
-			initIdx++
-		}
-		fn := c.initStates[initIdx]
-		initIdx++
-		return m.exec(fn, make([]value.Value, fn.NumRegs))
-	})
-	if err != nil {
-		return nil, err
-	}
-	rm := &vm{
+	m := &vm{
 		c:         c,
-		globals:   m.globals,
+		ctx:       ctx,
+		globals:   make([]value.Value, len(c.globals)),
 		frames:    make([][]value.Value, len(c.bodies)),
 		funFrames: make([][]value.Value, len(c.funs)),
 	}
 	for i, fn := range c.bodies {
-		rm.frames[i] = make([]value.Value, fn.NumRegs)
+		m.frames[i] = make([]value.Value, fn.NumRegs)
 	}
 	for i, fn := range c.funs {
-		rm.funFrames[i] = make([]value.Value, fn.NumRegs)
+		m.funFrames[i] = make([]value.Value, fn.NumRegs)
+	}
+	// Vals and initstates run once, each on a register file of its own.
+	once := func(fn *Fn) (value.Value, error) { return m.exec(fn, make([]value.Value, fn.NumRegs)) }
+	proto, chans, err := engine.InitStates(c.info, m.globals,
+		func(gi int) (value.Value, error) { return once(c.globals[gi]) },
+		func(ci int) (value.Value, error) { return once(c.initStates[ci]) })
+	if err != nil {
+		return nil, err
 	}
 	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (value.Value, value.Value, error) {
-		fn := c.bodies[ci]
-		frame := rm.frames[ci]
+		frame := m.frames[ci]
 		frame[0], frame[1], frame[2] = ps, ss, pkt
-		rm.ctx = ctx
-		res, err := rm.exec(fn, frame)
+		m.ctx = ctx
+		res, err := m.exec(c.bodies[ci], frame)
 		if err != nil {
 			return value.Unit, value.Unit, err
 		}
@@ -112,15 +97,7 @@ func (m *vm) exec(fn *Fn, regs []value.Value) (value.Value, error) {
 // PLAN-P exception (err != nil). It recovers panics carrying
 // value.Exception; other panics propagate (they are engine bugs).
 func (m *vm) run(fn *Fn, r []value.Value, pc int) (res value.Value, newPC int, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if ex, ok := rec.(value.Exception); ok {
-				err = ex
-				return
-			}
-			panic(rec)
-		}
-	}()
+	defer engine.Recover(&err)
 	code := fn.Code
 	for {
 		in := code[pc]
@@ -176,13 +153,6 @@ func (m *vm) run(fn *Fn, r []value.Value, pc int) (res value.Value, newPC int, e
 		case OpConcat:
 			r[in.A] = value.Str(r[in.B].S + r[in.C].S)
 
-		case OpAddK:
-			r[in.A] = value.Int(r[in.B].I + int64(in.C))
-		case OpSubK:
-			r[in.A] = value.Int(r[in.B].I - int64(in.C))
-		case OpMulK:
-			r[in.A] = value.Int(r[in.B].I * int64(in.C))
-
 		case OpEqI:
 			r[in.A] = value.Bool(r[in.B].I == r[in.C].I)
 		case OpNeI:
@@ -212,97 +182,14 @@ func (m *vm) run(fn *Fn, r []value.Value, pc int) (res value.Value, newPC int, e
 		case OpGeS:
 			r[in.A] = value.Bool(r[in.B].S >= r[in.C].S)
 
-		case OpEqIK:
-			r[in.A] = value.Bool(r[in.B].I == int64(in.C))
-		case OpNeIK:
-			r[in.A] = value.Bool(r[in.B].I != int64(in.C))
-		case OpLtIK:
-			r[in.A] = value.Bool(r[in.B].I < int64(in.C))
-		case OpLeIK:
-			r[in.A] = value.Bool(r[in.B].I <= int64(in.C))
-		case OpGtIK:
-			r[in.A] = value.Bool(r[in.B].I > int64(in.C))
-		case OpGeIK:
-			r[in.A] = value.Bool(r[in.B].I >= int64(in.C))
-
-		case OpJEqI:
-			if r[in.B].I == r[in.C].I {
-				pc = in.A
-			}
-		case OpJNeI:
-			if r[in.B].I != r[in.C].I {
-				pc = in.A
-			}
-		case OpJLtI:
-			if r[in.B].I < r[in.C].I {
-				pc = in.A
-			}
-		case OpJLeI:
-			if r[in.B].I <= r[in.C].I {
-				pc = in.A
-			}
-		case OpJGtI:
-			if r[in.B].I > r[in.C].I {
-				pc = in.A
-			}
-		case OpJGeI:
-			if r[in.B].I >= r[in.C].I {
-				pc = in.A
-			}
-
-		case OpJEqIK:
-			if r[in.B].I == int64(in.C) {
-				pc = in.A
-			}
-		case OpJNeIK:
-			if r[in.B].I != int64(in.C) {
-				pc = in.A
-			}
-		case OpJLtIK:
-			if r[in.B].I < int64(in.C) {
-				pc = in.A
-			}
-		case OpJLeIK:
-			if r[in.B].I <= int64(in.C) {
-				pc = in.A
-			}
-		case OpJGtIK:
-			if r[in.B].I > int64(in.C) {
-				pc = in.A
-			}
-		case OpJGeIK:
-			if r[in.B].I >= int64(in.C) {
-				pc = in.A
-			}
-
-		case OpJEqS:
-			if r[in.B].S == r[in.C].S {
-				pc = in.A
-			}
-		case OpJNeS:
-			if r[in.B].S != r[in.C].S {
-				pc = in.A
-			}
-
-		case OpJProjF:
-			if r[in.B].Vs[in.C].I == 0 {
-				pc = in.A
-			}
-
 		case OpCallPrim:
 			fnp := m.c.primFns[in.B]
 			r[in.A] = fnp(m.ctx, r[in.C:in.C+in.Aux])
 
 		case OpCallFun:
-			callee := m.c.funs[in.B]
-			var cframe []value.Value
-			if m.funFrames != nil {
-				cframe = m.funFrames[in.B]
-			} else {
-				cframe = make([]value.Value, callee.NumRegs)
-			}
+			cframe := m.funFrames[in.B]
 			copy(cframe, r[in.C:in.C+in.Aux])
-			v, cerr := m.exec(callee, cframe)
+			v, cerr := m.exec(m.c.funs[in.B], cframe)
 			if cerr != nil {
 				// Re-panic the original exception so the caller's
 				// handler stack sees it unchanged.

@@ -28,7 +28,12 @@ import (
 // type value.Exception.
 type InvokeFunc func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (value.Value, value.Value, error)
 
-// Compiled is a protocol prepared for execution by some engine.
+// Compiled is a protocol prepared for execution by some engine. It is
+// immutable after Compile: any number of instances, on any number of
+// goroutines (the shards of one simulation, the nodes of an rtnet
+// network, every Load that hits the program cache), may share one
+// artifact. Whatever generated code mutates lives in the Instance; each
+// instance is single-goroutine.
 type Compiled interface {
 	// EngineName identifies the engine ("interp", "bytecode", "jit").
 	EngineName() string
@@ -38,14 +43,6 @@ type Compiled interface {
 	// initstate, returning the mutable per-download state. Each
 	// download of a protocol onto a node gets its own instance.
 	NewInstance(ctx prims.Context) (*Instance, error)
-	// Shareable reports whether instances of this artifact may run on
-	// DIFFERENT simulators concurrently. An artifact whose generated
-	// code keeps any mutable state outside the Instance (the JIT's
-	// per-call-site argument buffers) must return false; the program
-	// cache then recompiles per load instead of sharing the artifact.
-	// Instances within one simulator are always fine either way — a
-	// simulation is single-threaded.
-	Shareable() bool
 }
 
 // Instance is a downloaded protocol's mutable state: the shared protocol
@@ -160,11 +157,35 @@ func DefaultProtoState(t ast.Type) (value.Value, error) {
 	}
 }
 
-// InitStates computes the initial protocol state and channel states for
-// a checked program, evaluating initstate expressions with evalInit
-// (which receives the frame size of the owning channel). Engine
-// implementations share this in their NewInstance.
-func InitStates(info *typecheck.Info, evalInit func(e ast.Expr, frameSize int) (value.Value, error)) (value.Value, []value.Value, error) {
+// Recover is every engine's exception boundary, deferred where PLAN-P
+// evaluation returns to Go (`defer engine.Recover(&err)`): a PLAN-P
+// exception unwinding as a panic becomes *err; any other panic is an
+// engine bug and keeps propagating.
+func Recover(err *error) {
+	if r := recover(); r != nil {
+		ex, ok := r.(value.Exception)
+		if !ok {
+			panic(r)
+		}
+		*err = ex
+	}
+}
+
+// InitStates runs a download's one-time initialization in language
+// order: top-level val gi (declaration order) through evalGlobal into
+// globals[gi], then the initial protocol state and every channel's
+// state, channel ci's initstate through evalInit. The engine allocates
+// globals (len(info.Globals)) and reads it while later vals evaluate —
+// a val refers to earlier ones only. A failing declaration is reported
+// by name here, once for all engines.
+func InitStates(info *typecheck.Info, globals []value.Value, evalGlobal, evalInit func(i int) (value.Value, error)) (value.Value, []value.Value, error) {
+	for gi, g := range info.Globals {
+		v, err := evalGlobal(gi)
+		if err != nil {
+			return value.Unit, nil, fmt.Errorf("val %s: %w", g.Decl.Name, err)
+		}
+		globals[gi] = v
+	}
 	proto, err := DefaultProtoState(info.ProtoState)
 	if err != nil {
 		return value.Unit, nil, fmt.Errorf("protocol state: %w", err)
@@ -172,7 +193,7 @@ func InitStates(info *typecheck.Info, evalInit func(e ast.Expr, frameSize int) (
 	chans := make([]value.Value, len(info.Channels))
 	for i, ch := range info.Channels {
 		if ch.Decl.InitState != nil {
-			v, err := evalInit(ch.Decl.InitState, ch.FrameSize)
+			v, err := evalInit(i)
 			if err != nil {
 				return value.Unit, nil, fmt.Errorf("channel %s initstate: %w", ch.Decl.Name, err)
 			}

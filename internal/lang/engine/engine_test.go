@@ -1,6 +1,9 @@
 package engine_test
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"planp.dev/planp/internal/lang/ast"
@@ -201,6 +204,95 @@ is
 				t.Errorf("proto state after failed invoke = %d, want unchanged 1", got)
 			}
 		})
+	}
+}
+
+// TestOneArtifactManyGoroutines pins the Compiled contract: one artifact,
+// one instance per goroutine, nothing shared that any of them writes. The
+// gateway exercises every per-call-site scratch shape — a fun call and
+// 1-, 2- and 3-argument primitives. Each worker drives its own packet
+// stream and must end exactly where a sequential run of that stream
+// ends; under -race a write outside the instance fails the test by
+// itself.
+func TestOneArtifactManyGoroutines(t *testing.T) {
+	const workers, packets = 8, 300
+	info := langtest.CheckSrc(t, gateway)
+	ci := langtest.FindChannel(t, info, "network")
+	drive := func(c engine.Compiled, w int) (string, error) {
+		ctx := langtest.NewCtx()
+		inst, err := c.NewInstance(ctx)
+		if err != nil {
+			return "", err
+		}
+		for i := 0; i < packets; i++ {
+			port := uint16(80)
+			if i%5 == 4 {
+				port = 22
+			}
+			pkt := langtest.TCPPacket(fmt.Sprintf("10.%d.1.%d", w, i%7), "10.0.0.100", uint16(4000+i%11), port, nil)
+			if err := inst.Invoke(ci, ctx, pkt); err != nil {
+				return "", err
+			}
+		}
+		var end strings.Builder
+		fmt.Fprintf(&end, "ps=%s conns=%d sent:", inst.Proto, inst.Chans[ci].AsTable().Len())
+		for _, s := range ctx.Sent {
+			fmt.Fprintf(&end, " %s", s.Pkt.Vs[0].AsIP().Dst)
+		}
+		return end.String(), nil
+	}
+	for name, compile := range langtest.Engines() {
+		t.Run(name, func(t *testing.T) {
+			c, err := compile(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]string, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[w], errs[w] = drive(c, w)
+				}()
+			}
+			wg.Wait()
+			for w := 0; w < workers; w++ {
+				want, err := drive(c, w)
+				if err != nil || errs[w] != nil {
+					t.Fatalf("worker %d: concurrent err %v, sequential err %v", w, errs[w], err)
+				}
+				if got[w] != want {
+					t.Errorf("worker %d ended in a different state than its sequential run:\n got %.120s\nwant %.120s", w, got[w], want)
+				}
+			}
+		})
+	}
+}
+
+// TestNewInstanceErrorsAgree pins the diagnostic every engine gives for a
+// top-level declaration that raises: the same text, naming the
+// declaration.
+func TestNewInstanceErrorsAgree(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"val", `
+val k : int = 1 / 0
+channel network(ps : int, ss : int, p : ip*udp*blob) is (deliver(p); (k, ss))
+`, "val k: planp exception: division by zero"},
+		{"initstate", `
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate (println(1 mod 0); mkTable(4)) is
+  (deliver(p); (ps, ss))
+`, "channel network initstate: planp exception: mod by zero"},
+	}
+	for _, tc := range cases {
+		for name, c := range langtest.CompileAll(t, tc.src) {
+			_, err := c.NewInstance(langtest.NewCtx())
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, failing %s: NewInstance error = %v, want %q", name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

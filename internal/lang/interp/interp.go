@@ -37,36 +37,22 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 func (c *compiled) EngineName() string    { return "interp" }
 func (c *compiled) Info() *typecheck.Info { return c.info }
 
-// Shareable: the artifact is just the read-only AST; every invocation
-// allocates its own frame and every instance its own globals.
-func (c *compiled) Shareable() bool { return true }
-
 func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
-	ev := &evaluator{info: c.info, ctx: ctx}
-	// Top-level vals evaluate in declaration order; later initializers
-	// may reference earlier globals.
-	ev.globals = make([]value.Value, 0, len(c.info.Globals))
-	for _, g := range c.info.Globals {
-		v, err := ev.evalTop(g.Decl.Init, g.FrameSize)
-		if err != nil {
-			return nil, fmt.Errorf("val %s: %w", g.Decl.Name, err)
-		}
-		ev.globals = append(ev.globals, v)
-	}
-	proto, chans, err := engine.InitStates(c.info, ev.evalTop)
+	ev := &evaluator{info: c.info, ctx: ctx, globals: make([]value.Value, len(c.info.Globals))}
+	proto, chans, err := engine.InitStates(c.info, ev.globals,
+		func(gi int) (value.Value, error) {
+			g := &c.info.Globals[gi]
+			return ev.evalTop(g.Decl.Init, g.FrameSize)
+		},
+		func(ci int) (value.Value, error) {
+			ch := &c.info.Channels[ci]
+			return ev.evalTop(ch.Decl.InitState, ch.FrameSize)
+		})
 	if err != nil {
 		return nil, err
 	}
 	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (psOut, ssOut value.Value, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ex, ok := r.(value.Exception); ok {
-					err = ex
-					return
-				}
-				panic(r)
-			}
-		}()
+		defer engine.Recover(&err)
 		ch := &c.info.Channels[ci]
 		frame := make([]value.Value, ch.FrameSize)
 		frame[0], frame[1], frame[2] = ps, ss, pkt
@@ -87,17 +73,8 @@ type evaluator struct {
 // evalTop evaluates a top-level expression (global initializer or channel
 // initstate), converting PLAN-P exceptions to errors.
 func (ev *evaluator) evalTop(e ast.Expr, frameSize int) (v value.Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ex, ok := r.(value.Exception); ok {
-				err = ex
-				return
-			}
-			panic(r)
-		}
-	}()
-	frame := make([]value.Value, frameSize)
-	return ev.eval(e, frame), nil
+	defer engine.Recover(&err)
+	return ev.eval(e, make([]value.Value, frameSize)), nil
 }
 
 // eval evaluates e in the given frame. PLAN-P exceptions propagate as

@@ -17,6 +17,13 @@
 // and load-bearing: every eval case there has a compile case here, so
 // extending the language is the paper's two-step process — add the
 // interpreter case, then mirror it here ("regenerate the specializer").
+//
+// The compiled artifact is immutable. Everything generated code writes —
+// channel frames, callee frames, primitive argument buffers — belongs to
+// the instance: the compiler only hands out [lo,hi) ranges of one
+// scratch slice that NewInstance allocates, so reuse across packets (the
+// interpreter allocates afresh, compiled code does not) is per instance
+// and one artifact serves instances on any number of goroutines.
 package jit
 
 import (
@@ -29,11 +36,12 @@ import (
 	"planp.dev/planp/internal/lang/value"
 )
 
-// machine is the per-invocation execution context threaded through
-// compiled code.
+// machine is one instance's execution context, threaded through
+// compiled code. scratch backs every range the compiler reserved.
 type machine struct {
 	ctx     prims.Context
 	globals []value.Value
+	scratch []value.Value
 }
 
 // code is a compiled expression: the specialization residue.
@@ -44,12 +52,17 @@ type compiled struct {
 	info *typecheck.Info
 
 	globalInit []code // compiled top-level val initializers
-	globalFS   []int
 	initStates []code // compiled channel initstates (nil entries allowed)
 	bodies     []code // compiled channel bodies
-	frameSizes []int
-	funBodies  []code // compiled fun bodies, indexed like info.Funs
+	frames     []span // channel frames, indexed like info.Channels
+	scratch    int    // size of an instance's scratch slice
 }
+
+// span is a compile-time reservation of per-instance scratch: the
+// artifact holds offsets, each instance the memory.
+type span struct{ lo, hi int }
+
+func (s span) of(m *machine) []value.Value { return m.scratch[s.lo:s.hi:s.hi] }
 
 var _ engine.Compiled = (*compiled)(nil)
 
@@ -66,11 +79,9 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 		cc.enterFrame(f.FrameSize, paramTypes(f.Decl.Params))
 		cc.funs[i] = cc.compile(f.Decl.Body)
 	}
-	c.funBodies = cc.funs
 	for _, g := range info.Globals {
 		cc.enterFrame(g.FrameSize, nil)
 		c.globalInit = append(c.globalInit, cc.compile(g.Decl.Init))
-		c.globalFS = append(c.globalFS, g.FrameSize)
 	}
 	for i := range info.Channels {
 		ch := &info.Channels[i]
@@ -82,8 +93,9 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 		c.initStates = append(c.initStates, init)
 		cc.enterFrame(ch.FrameSize, paramTypes(ch.Decl.Params))
 		c.bodies = append(c.bodies, cc.compile(ch.Decl.Body))
-		c.frameSizes = append(c.frameSizes, ch.FrameSize)
+		c.frames = append(c.frames, cc.reserve(ch.FrameSize))
 	}
+	c.scratch = cc.scratch
 	return c, nil
 }
 
@@ -98,66 +110,34 @@ func paramTypes(params []ast.Param) []ast.Type {
 func (c *compiled) EngineName() string    { return "jit" }
 func (c *compiled) Info() *typecheck.Info { return c.info }
 
-// Shareable: NO — specialized closures reuse per-call-site argument and
-// callee-frame buffers (see compileCall), so all instances of one
-// artifact must stay on a single simulator thread.
-func (c *compiled) Shareable() bool { return false }
-
-func (c *compiled) NewInstance(ctx prims.Context) (inst *engine.Instance, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ex, ok := r.(value.Exception); ok {
-				inst, err = nil, ex
-				return
-			}
-			panic(r)
-		}
-	}()
-	m := &machine{ctx: ctx}
-	for i, g := range c.globalInit {
-		frame := make([]value.Value, c.globalFS[i])
-		m.globals = append(m.globals, g(m, frame))
+func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
+	m := &machine{
+		ctx:     ctx,
+		globals: make([]value.Value, len(c.globalInit)),
+		scratch: make([]value.Value, c.scratch),
 	}
-	initIdx := 0
-	proto, chans, err := engine.InitStates(c.info, func(_ ast.Expr, frameSize int) (value.Value, error) {
-		// InitStates walks channels in order; consume our compiled
-		// initstates in the same order.
-		for c.initStates[initIdx] == nil {
-			initIdx++
-		}
-		g := c.initStates[initIdx]
-		initIdx++
-		frame := make([]value.Value, frameSize)
+	top := func(g code, frame []value.Value) (v value.Value, err error) {
+		defer engine.Recover(&err)
 		return g(m, frame), nil
-	})
+	}
+	// A val runs once, on a frame of its own. A channel's frame serves its
+	// initstate and then every invocation: reuse is safe because the
+	// checker guarantees definite assignment (every slot is written before
+	// it is read), and an instance is single-goroutine.
+	proto, chans, err := engine.InitStates(c.info, m.globals,
+		func(gi int) (value.Value, error) {
+			return top(c.globalInit[gi], make([]value.Value, c.info.Globals[gi].FrameSize))
+		},
+		func(ci int) (value.Value, error) { return top(c.initStates[ci], c.frames[ci].of(m)) })
 	if err != nil {
 		return nil, err
 	}
-	// Per-instance scratch state, reused across invocations: frames are
-	// safe to reuse because the checker guarantees definite assignment
-	// (every slot is written before it is read), and instances are
-	// serialized by the runtime. This is part of the specialization
-	// story — the interpreter allocates afresh on every packet, the
-	// compiled code does not.
-	rm := &machine{globals: m.globals}
-	frames := make([][]value.Value, len(c.frameSizes))
-	for i, fs := range c.frameSizes {
-		frames[i] = make([]value.Value, fs)
-	}
-	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (psOut, ssOut value.Value, ierr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ex, ok := r.(value.Exception); ok {
-					ierr = ex
-					return
-				}
-				panic(r)
-			}
-		}()
-		frame := frames[ci]
+	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (psOut, ssOut value.Value, err error) {
+		defer engine.Recover(&err)
+		frame := c.frames[ci].of(m)
 		frame[0], frame[1], frame[2] = ps, ss, pkt
-		rm.ctx = ctx
-		res := c.bodies[ci](rm, frame)
+		m.ctx = ctx
+		res := c.bodies[ci](m, frame)
 		return res.Vs[0], res.Vs[1], nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
@@ -167,9 +147,17 @@ func (c *compiled) NewInstance(ctx prims.Context) (inst *engine.Instance, err er
 // each frame slot in the compilation context, which drives the unboxed
 // specialization layer (unbox.go).
 type compiler struct {
-	info  *typecheck.Info
-	funs  []code
-	slots []ast.Type
+	info    *typecheck.Info
+	funs    []code
+	slots   []ast.Type
+	scratch int // per-instance scratch reserved so far
+}
+
+// reserve sets aside n values of every instance's scratch slice.
+func (cc *compiler) reserve(n int) span {
+	s := span{cc.scratch, cc.scratch + n}
+	cc.scratch = s.hi
+	return s
 }
 
 // compile specializes one expression: int- and bool-typed compound
@@ -526,13 +514,14 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 	}
 
 	// User fun: the callee is already compiled (declaration order), and
-	// its frame is a per-call-site buffer — safe for the same reason as
-	// the argument buffers below (no recursion means a site is never
+	// its frame is a per-call-site reservation — safe for the same reason
+	// as the argument buffers below (no recursion means a site is never
 	// active twice).
 	if e.FunIndex >= 0 {
 		body := cc.funs[e.FunIndex]
-		callee := make([]value.Value, cc.info.Funs[e.FunIndex].FrameSize)
+		site := cc.reserve(cc.info.Funs[e.FunIndex].FrameSize)
 		return func(m *machine, frame []value.Value) value.Value {
+			callee := site.of(m)
 			for i, a := range args {
 				callee[i] = a(m, frame)
 			}
@@ -542,35 +531,36 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 
 	// Primitive: the implementation pointer is captured at compile
 	// time; arity-specialized paths reuse a per-call-site argument
-	// buffer. Reuse is safe because the language has no recursion (a
-	// call site can never be active twice on one stack) and primitives
-	// do not retain their argument slice. The cost is that compiled
-	// programs are single-threaded, which the runtime guarantees.
+	// buffer in the instance's scratch. Reuse is safe because the
+	// language has no recursion (a call site can never be active twice
+	// on one stack), primitives do not retain their argument slice, and
+	// an instance is single-goroutine.
 	fn := prims.Get(e.PrimIndex).Fn
-	switch len(args) {
-	case 0:
+	if len(args) == 0 {
 		return func(m *machine, frame []value.Value) value.Value {
 			return fn(m.ctx, nil)
 		}
+	}
+	site := cc.reserve(len(args))
+	switch len(args) {
 	case 1:
 		a0 := args[0]
-		buf := make([]value.Value, 1)
 		return func(m *machine, frame []value.Value) value.Value {
+			buf := site.of(m)
 			buf[0] = a0(m, frame)
 			return fn(m.ctx, buf)
 		}
 	case 2:
 		a0, a1 := args[0], args[1]
-		buf := make([]value.Value, 2)
 		return func(m *machine, frame []value.Value) value.Value {
-			x := a0(m, frame)
+			buf := site.of(m)
+			buf[0] = a0(m, frame)
 			buf[1] = a1(m, frame)
-			buf[0] = x
 			return fn(m.ctx, buf)
 		}
 	default:
-		buf := make([]value.Value, len(args))
 		return func(m *machine, frame []value.Value) value.Value {
+			buf := site.of(m)
 			for i, a := range args {
 				buf[i] = a(m, frame)
 			}

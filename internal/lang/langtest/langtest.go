@@ -6,7 +6,6 @@
 package langtest
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -163,6 +162,3 @@ func FindChannel(t *testing.T, info *typecheck.Info, name string) int {
 	}
 	return chans[0].Index
 }
-
-// Fmt renders a value compactly for test diffs.
-func Fmt(v value.Value) string { return fmt.Sprintf("%s:%s", v.Kind, v) }

@@ -297,9 +297,6 @@ func (n *Node) AddMulticastRoute(group Addr, ifc *Iface) {
 // JoinGroup subscribes the node to a multicast group for local delivery.
 func (n *Node) JoinGroup(group Addr) { n.joined[group] = true }
 
-// LeaveGroup unsubscribes the node.
-func (n *Node) LeaveGroup(group Addr) { delete(n.joined, group) }
-
 // BindUDP delivers local UDP traffic for port to fn.
 func (n *Node) BindUDP(port uint16, fn AppFunc) {
 	n.apps[appKey{ProtoUDP, port}] = fn
@@ -532,10 +529,6 @@ func (n *Node) appLookup(k appKey) AppFunc {
 	}
 	return fn
 }
-
-// Forward applies router forwarding to pkt (TTL decrement and route
-// lookup); exported for the PLAN-P layer's fall-through path.
-func (n *Node) Forward(pkt *Packet, in *Iface) { n.forward(pkt, in) }
 
 // ---------------------------------------------------------------------------
 // substrate.Node

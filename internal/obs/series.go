@@ -42,15 +42,6 @@ func (s *Series) Len() int {
 	return len(s.points)
 }
 
-// Points returns a snapshot copy of all samples.
-func (s *Series) Points() []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
 // At returns the last sample value at or before t (0 if none).
 func (s *Series) At(t time.Duration) float64 {
 	s.mu.Lock()

@@ -5,12 +5,13 @@
 // is deterministic for a given (source, engine, verify policy), so Load
 // memoizes its result keyed by the source's SHA-256.
 //
-// Only the immutable artifacts are shared: the typechecked Info, the
-// engine.Compiled program, and the verification result. Every Load still
-// returns a FRESH *Program (installs = 0), so the single-node deployment
-// limit applies per load, and every Install still creates its own
-// engine instance and rebinds fresh per-node "asp.<node>.*" counters —
-// caching is invisible to protocol state.
+// What is shared is immutable for every engine: the typechecked Info,
+// the engine.Compiled program (see its contract — any number of
+// instances on any number of goroutines), and the verification result.
+// Every Load still returns a FRESH *Program (installs = 0), so the
+// single-node deployment limit applies per load, and every Install still
+// creates its own engine instance and rebinds fresh per-node
+// "asp.<node>.*" counters — caching is invisible to protocol state.
 //
 // The cache is guarded by a mutex because the parallel experiment
 // driver loads programs from several goroutines at once.
@@ -37,6 +38,18 @@ type cacheEntry struct {
 	compiled    engine.Compiled
 	vres        *verify.Result
 	codegenTime time.Duration
+}
+
+// program wraps the shared artifacts in a fresh Program.
+func (e *cacheEntry) program(src string, policy VerifyPolicy) *Program {
+	return &Program{
+		Source:      src,
+		Info:        e.info,
+		Compiled:    e.compiled,
+		Verify:      e.vres,
+		Policy:      policy,
+		CodegenTime: e.codegenTime,
+	}
 }
 
 var progCache = struct {

@@ -7,57 +7,41 @@ import (
 	"planp.dev/planp/internal/netsim"
 )
 
+// TestCacheSharesArtifactsAcrossLoads pins the one cache-hit path: every
+// engine's artifact is immutable, so a hit hands out the very same
+// Compiled (and front-end results) in a fresh Program.
 func TestCacheSharesArtifactsAcrossLoads(t *testing.T) {
-	ResetCache()
-	cfg := Config{Engine: EngineBytecode, Verify: VerifySingleNode}
-	p1, err := Load(balancer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Load(balancer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := CacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("cache stats = (%d hits, %d misses), want (1, 1)", hits, misses)
-	}
-	if p1 == p2 {
-		t.Error("Load must return a fresh *Program per call")
-	}
-	if p1.Compiled != p2.Compiled {
-		t.Error("cached Load should share a Shareable compiled artifact")
-	}
-	if p1.Info != p2.Info {
-		t.Error("cached Load should share the typechecked Info")
-	}
-	if p1.Verify != p2.Verify {
-		t.Error("cached Load should share the verification result")
-	}
-}
-
-// TestCacheRecompilesUnshareableArtifacts pins the JIT case: its
-// closures keep per-call-site buffers, so a cache hit must hand out a
-// fresh artifact (front-end still shared) rather than one that other
-// goroutines may be running.
-func TestCacheRecompilesUnshareableArtifacts(t *testing.T) {
-	ResetCache()
-	cfg := Config{Engine: EngineJIT, Verify: VerifySingleNode}
-	p1, err := Load(balancer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Load(balancer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := CacheStats(); hits != 1 {
-		t.Errorf("second load should hit the cache, got %d hits", hits)
-	}
-	if p1.Compiled == p2.Compiled {
-		t.Error("JIT artifacts must not be shared across loads")
-	}
-	if p1.Info != p2.Info {
-		t.Error("the front-end (Info) should still be shared")
+	for _, eng := range []EngineKind{EngineInterp, EngineBytecode, EngineJIT} {
+		t.Run(string(eng), func(t *testing.T) {
+			ResetCache()
+			cfg := Config{Engine: eng, Verify: VerifySingleNode}
+			p1, err := Load(balancer, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p2, err := Load(balancer, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, misses := CacheStats(); hits != 1 || misses != 1 {
+				t.Errorf("cache stats = (%d hits, %d misses), want (1, 1)", hits, misses)
+			}
+			if p1 == p2 {
+				t.Error("Load must return a fresh *Program per call")
+			}
+			if p1.Compiled != p2.Compiled {
+				t.Error("cached Load should share the compiled artifact")
+			}
+			if p1.Info != p2.Info {
+				t.Error("cached Load should share the typechecked Info")
+			}
+			if p1.Verify != p2.Verify {
+				t.Error("cached Load should share the verification result")
+			}
+			if p1.CodegenTime != p2.CodegenTime {
+				t.Error("a hit reports the codegen time of the compile it reuses")
+			}
+		})
 	}
 }
 

@@ -173,32 +173,7 @@ func Load(src string, cfg Config) (*Program, error) {
 	key := cacheKey{src: sha256.Sum256([]byte(src)), engine: cfg.Engine, policy: cfg.Verify}
 	if !cfg.NoCache {
 		if e := cacheGet(key); e != nil {
-			compiled, codegen := e.compiled, e.codegenTime
-			if !compiled.Shareable() {
-				// The artifact keeps execution state outside its
-				// instances (the JIT's call-site buffers), so loads that
-				// may run on different goroutines each need their own.
-				// The cached front-end (parse/check/verify) is still
-				// reused; only codegen repeats.
-				compile, err := compileWith(cfg.Engine)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				compiled, err = compile(e.info)
-				if err != nil {
-					return nil, err
-				}
-				codegen = time.Since(start)
-			}
-			return &Program{
-				Source:      src,
-				Info:        e.info,
-				Compiled:    compiled,
-				Verify:      e.vres,
-				Policy:      cfg.Verify,
-				CodegenTime: codegen,
-			}, nil
+			return e.program(src, cfg.Verify), nil
 		}
 	}
 	prog, err := parser.Parse(src)
@@ -230,18 +205,11 @@ func Load(src string, cfg Config) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	codegen := time.Since(start)
+	e := &cacheEntry{info: info, compiled: compiled, vres: vres, codegenTime: time.Since(start)}
 	if !cfg.NoCache {
-		cachePut(key, &cacheEntry{info: info, compiled: compiled, vres: vres, codegenTime: codegen})
+		cachePut(key, e)
 	}
-	return &Program{
-		Source:      src,
-		Info:        info,
-		Compiled:    compiled,
-		Verify:      vres,
-		Policy:      cfg.Verify,
-		CodegenTime: codegen,
-	}, nil
+	return e.program(src, cfg.Verify), nil
 }
 
 // Download loads src and installs it on node in one step.

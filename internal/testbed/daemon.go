@@ -242,9 +242,6 @@ func (d *Daemon) NodeNames() []string {
 	return names
 }
 
-// Remotes returns the daemon's cross-host link endpoints.
-func (d *Daemon) Remotes() []*rtnet.RemoteIface { return d.remotes }
-
 // Start launches the local node goroutines; cross-daemon handshakes
 // proceed as soon as the peer daemons come up.
 func (d *Daemon) Start() { d.Net.Start() }
