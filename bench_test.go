@@ -29,6 +29,7 @@ import (
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/apps/mpeg"
 	"planp.dev/planp/internal/experiments"
+	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/typecheck"
@@ -149,25 +150,54 @@ func BenchmarkMPEGPointToPoint4Viewers(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Engine ablation: per-packet invocation cost (§2.2, §2.4)
 
-func benchInvoke(b *testing.B, eng planprt.EngineKind, src string, pkt value.Value) {
-	b.Helper()
+// newInstance downloads src under eng onto a counting context and
+// returns the instance, the context and the network channel's index.
+func newInstance(tb testing.TB, eng planprt.EngineKind, src string) (*engine.Instance, *langtest.Sink, int) {
+	tb.Helper()
 	p, err := planprt.Load(src, planprt.Config{Engine: eng, Verify: planprt.VerifyPrivileged})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ctx := langtest.NewCtx()
+	ctx := langtest.NewSink()
 	inst, err := p.Compiled.NewInstance(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ci := p.Info.ChannelsByName("network")[0].Index
+	return inst, ctx, p.Info.ChannelsByName("network")[0].Index
+}
+
+func benchInvoke(b *testing.B, eng planprt.EngineKind, src string, pkt value.Value) {
+	b.Helper()
+	inst, ctx, ci := newInstance(b, eng, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.Sent = ctx.Sent[:0]
 		if err := inst.Invoke(ci, ctx, pkt); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if ctx.Sends == 0 {
+		b.Fatal("channel sent nothing")
+	}
+}
+
+// TestPacketPathAllocs (one per package on the packet path; CI runs them
+// by name) is the alloc gate on BenchmarkEngineJITGateway's loop: a
+// gateway invocation on a known connection allocates the rewritten IP
+// header and nothing else — no key string, no key tuple, no send tuple,
+// no result pair.
+func TestPacketPathAllocs(t *testing.T) {
+	inst, ctx, ci := newInstance(t, planprt.EngineJIT, asp.HTTPGateway)
+	pkt := gatewayPkt()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := inst.Invoke(ci, ctx, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("JIT gateway invoke allocates %.1f/op, want at most 1", n)
+	}
+	if ctx.Sends == 0 {
+		t.Fatal("gateway sent nothing")
 	}
 }
 
@@ -203,7 +233,7 @@ func BenchmarkEngineJITCompute(b *testing.B) {
 // paper's "built-in C" comparison point for the per-packet numbers.
 func BenchmarkEngineNativeGateway(b *testing.B) {
 	pkt := gatewayPkt()
-	ctx := langtest.NewCtx()
+	ctx := langtest.NewSink().Context()
 	conns := map[string]value.Host{}
 	count := int64(0)
 	serverA := langtest.MustHost("10.0.0.81")
@@ -212,7 +242,6 @@ func BenchmarkEngineNativeGateway(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.Sent = ctx.Sent[:0]
 		iph := pkt.Vs[0].AsIP()
 		tcph := pkt.Vs[1].AsTCP()
 		if iph.Dst == virtual && tcph.DstPort == 80 {

@@ -362,11 +362,12 @@ func runEngines(w io.Writer, opts Options) error {
 		tbl2.AddRow(row.eng, row.r.NsPerOp(), float64(row.r.NsPerOp())/jitNs, row.r.AllocsPerOp())
 	}
 	fmt.Fprint(w, tbl2)
-	fmt.Fprintln(w, "shape check: interp >> the two compiled engines. bytecode and jit trade places")
-	fmt.Fprintln(w, "on the gateway and differ by a fraction on the kernel (the 'vs jit' column); no")
-	fmt.Fprintln(w, "ordering between them is claimed. The paper's claim is jit vs native, first")
-	fmt.Fprintln(w, "table: JIT output as fast as in-kernel C; here the jit engine approaches the")
-	fmt.Fprintln(w, "hand-written handler.")
+	fmt.Fprintln(w, "shape check: interp >> bytecode > jit on both programs. The jit builds the")
+	fmt.Fprintln(w, "tuples its consumers only borrow (send packets, table keys, the result pair) in")
+	fmt.Fprintln(w, "per-instance scratch and runs int/bool unboxed; bytecode, the ablation, boxes.")
+	fmt.Fprintln(w, "The paper's claim is jit vs native, first table: JIT output as fast as in-kernel")
+	fmt.Fprintln(w, "C; here a jit invocation is one allocation and 2-3x the hand-written handler")
+	fmt.Fprintln(w, "(docs/PERFORMANCE.md, \"The packet path\", has the residual profile).")
 	return nil
 }
 
@@ -377,7 +378,7 @@ func benchProgram(eng planprt.EngineKind, src string, pkt value.Value) (testing.
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
-	ctx := langtest.NewCtx()
+	ctx := langtest.NewSink()
 	inst, err := p.Compiled.NewInstance(ctx)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
@@ -386,7 +387,6 @@ func benchProgram(eng planprt.EngineKind, src string, pkt value.Value) (testing.
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctx.Sent = ctx.Sent[:0]
 			if err := inst.Invoke(ci, ctx, pkt); err != nil {
 				b.Fatal(err)
 			}
@@ -409,7 +409,7 @@ func benchEngine(eng planprt.EngineKind, info *typecheck.Info, pkt value.Value) 
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
-	ctx := langtest.NewCtx()
+	ctx := langtest.NewSink()
 	inst, err := p.Compiled.NewInstance(ctx)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
@@ -418,7 +418,6 @@ func benchEngine(eng planprt.EngineKind, info *typecheck.Info, pkt value.Value) 
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctx.Sent = ctx.Sent[:0]
 			if err := inst.Invoke(ci, ctx, pkt); err != nil {
 				b.Fatal(err)
 			}
@@ -431,14 +430,13 @@ func benchEngine(eng planprt.EngineKind, info *typecheck.Info, pkt value.Value) 
 // per-packet work.
 func benchNative(b *testing.B, pkt value.Value) {
 	b.ReportAllocs()
-	ctx := langtest.NewCtx()
+	ctx := langtest.NewSink().Context()
 	conns := map[string]value.Host{}
 	count := int64(0)
 	serverA := langtest.MustHost("10.0.0.81")
 	serverB := langtest.MustHost("10.0.0.109")
 	virtual := langtest.MustHost("10.0.0.100")
 	for i := 0; i < b.N; i++ {
-		ctx.Sent = ctx.Sent[:0]
 		iph := pkt.Vs[0].AsIP()
 		tcph := pkt.Vs[1].AsTCP()
 		if iph.Dst == virtual && tcph.DstPort == 80 {

@@ -369,3 +369,54 @@ is
 		})
 	}
 }
+
+// TestSentPacketsAreOnlyLent pins the prims.Context contract from the
+// recording side: a packet handed to OnRemote/OnNeighbor/deliver is
+// borrowed for the call (the JIT builds a send's tuple literal in
+// per-instance scratch and overwrites it the next time that send runs),
+// so what langtest.Ctx recorded for the first invocation must still read
+// the same after a second one — on every engine, and identically.
+func TestSentPacketsAreOnlyLent(t *testing.T) {
+	const src = `
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p));
+   OnNeighbor(network, (#1 p, #2 p, blobCat(#3 p, #3 p)));
+   deliver((#1 p, #2 p, #3 p));
+   (ps + 1, ss))
+`
+	first := langtest.UDPPacket("10.0.0.1", "10.0.0.2", 7, 9, []byte("one"))
+	second := langtest.UDPPacket("10.0.0.3", "10.0.0.4", 8, 9, []byte("other"))
+	var ref []string
+	for name, c := range langtest.CompileAll(t, src) {
+		ctx := langtest.NewCtx()
+		inst, err := c.NewInstance(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		render := func() []string {
+			out := []string{value.EncodeKey(ctx.Delivered[0])}
+			for _, s := range ctx.Sent[:2] {
+				out = append(out, fmt.Sprint(s.Chan, s.Neighbor, value.EncodeKey(s.Pkt)))
+			}
+			return out
+		}
+		if err := inst.Invoke(0, ctx, first); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := render()
+		if err := inst.Invoke(0, ctx, second); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if after := render(); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Errorf("%s: the second invocation rewrote the first one's recorded packets:\n before %q\n after  %q", name, before, after)
+		}
+		if len(ctx.Sent) != 4 || len(ctx.Delivered) != 2 || inst.Proto.AsInt() != 2 {
+			t.Errorf("%s: %d sent, %d delivered, ps=%s", name, len(ctx.Sent), len(ctx.Delivered), inst.Proto)
+		}
+		if ref == nil {
+			ref = before
+		} else if fmt.Sprint(before) != fmt.Sprint(ref) {
+			t.Errorf("%s disagrees with another engine:\n %q\n %q", name, before, ref)
+		}
+	}
+}

@@ -70,7 +70,7 @@ var _ engine.Compiled = (*compiled)(nil)
 // operation Figure 3 of the paper times ("code generation time").
 func Compile(info *typecheck.Info) (engine.Compiled, error) {
 	c := &compiled{info: info}
-	cc := &compiler{info: info, funs: make([]code, len(info.Funs))}
+	cc := &compiler{info: info, funs: make([]code, len(info.Funs)), lent: map[*ast.TupleExpr]bool{}}
 	// Funs compile first: calls reference earlier funs only (the
 	// checker enforces declaration order), so each slot is filled
 	// before any caller is compiled.
@@ -92,6 +92,7 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 		}
 		c.initStates = append(c.initStates, init)
 		cc.enterFrame(ch.FrameSize, paramTypes(ch.Decl.Params))
+		cc.lendTail(ch.Decl.Body)
 		c.bodies = append(c.bodies, cc.compile(ch.Decl.Body))
 		c.frames = append(c.frames, cc.reserve(ch.FrameSize))
 	}
@@ -151,6 +152,38 @@ type compiler struct {
 	funs    []code
 	slots   []ast.Type
 	scratch int // per-instance scratch reserved so far
+
+	// lent holds the tuple literals whose consumer only borrows them —
+	// the packet argument of a send (prims.Context's contract), a table
+	// primitive's key, and a channel body's result pair, which invoke
+	// unpacks at once — so they are built in reserved scratch, not
+	// allocated.
+	lent map[*ast.TupleExpr]bool
+}
+
+// lend marks e, if it is a tuple literal, as borrowed by its consumer.
+func (cc *compiler) lend(e ast.Expr) {
+	if t, ok := e.(*ast.TupleExpr); ok {
+		cc.lent[t] = true
+	}
+}
+
+// lendTail lends the tuple literals in tail position of a channel body.
+func (cc *compiler) lendTail(e ast.Expr) {
+	switch e := e.(type) {
+	case *ast.Let:
+		cc.lendTail(e.Body)
+	case *ast.If:
+		cc.lendTail(e.Then)
+		cc.lendTail(e.Else)
+	case *ast.Seq:
+		cc.lendTail(e.Exprs[len(e.Exprs)-1])
+	case *ast.Try:
+		cc.lendTail(e.Body)
+		cc.lendTail(e.Handler)
+	default:
+		cc.lend(e)
+	}
 }
 
 // reserve sets aside n values of every instance's scratch slice.
@@ -304,7 +337,17 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 		for i, sub := range e.Elems {
 			codes[i] = cc.compile(sub)
 		}
-		if len(codes) == 2 { // the (ps, ss) result pair — hot path
+		if cc.lent[e] {
+			site := cc.reserve(len(codes))
+			return func(m *machine, frame []value.Value) value.Value {
+				elems := site.of(m)
+				for i, sub := range codes {
+					elems[i] = sub(m, frame)
+				}
+				return value.TupleV(elems...)
+			}
+		}
+		if len(codes) == 2 {
 			a, b := codes[0], codes[1]
 			return func(m *machine, frame []value.Value) value.Value {
 				x := a(m, frame)
@@ -495,6 +538,7 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 	if e.Name == "OnRemote" || e.Name == "OnNeighbor" {
 		cref := e.Args[0].(*ast.ChanRef)
 		name := cref.Name
+		cc.lend(e.Args[1])
 		pkt := cc.compile(e.Args[1])
 		if e.Name == "OnRemote" {
 			return func(m *machine, frame []value.Value) value.Value {
@@ -508,6 +552,11 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 		}
 	}
 
+	if e.FunIndex < 0 {
+		for _, i := range prims.Get(e.PrimIndex).Borrows {
+			cc.lend(e.Args[i])
+		}
+	}
 	args := make([]code, len(e.Args))
 	for i, a := range e.Args {
 		args[i] = cc.compile(a)

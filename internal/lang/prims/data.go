@@ -426,4 +426,9 @@ func init() {
 		ctx.Deliver(a[0])
 		return value.Unit
 	})
+
+	// A Table never keeps a key Value, and Context.Deliver only borrows
+	// its packet.
+	borrows(1, "tmem", "tget", "tput", "tdel")
+	borrows(0, "deliver")
 }

@@ -21,6 +21,11 @@ import (
 // Context is the runtime environment a primitive executes in. The ASP
 // runtime (internal/planprt) provides the real implementation; tests use
 // lightweight fakes.
+//
+// A packet value passed to OnRemote, OnNeighbor or Deliver is borrowed
+// for the duration of the call: compiled code builds the tuple in
+// per-instance scratch and overwrites it on the next execution of the
+// send. An implementation that keeps the packet must value.Clone it.
 type Context interface {
 	// OnRemote enqueues pkt for transmission, routed by the IP
 	// destination in its header tuple, to be processed by channel
@@ -69,6 +74,11 @@ type Prim struct {
 
 	// Effectful primitives may not be considered pure by analyses.
 	Effectful bool
+
+	// Borrows lists the argument positions the primitive reads during
+	// the call and never keeps: a compiler may pass a tuple built in
+	// memory it is about to reuse.
+	Borrows []int
 }
 
 var (
@@ -137,6 +147,14 @@ func mono(name string, params []ast.Type, ret ast.Type, effectful bool,
 func poly(name string, typeFn func(args []ast.Type, expected ast.Type) (ast.Type, error),
 	effectful bool, fn func(ctx Context, args []value.Value) value.Value) {
 	register(Prim{Name: name, TypeFn: typeFn, Fn: fn, Effectful: effectful})
+}
+
+// borrows records that the named primitives only borrow argument arg.
+func borrows(arg int, names ...string) {
+	for _, name := range names {
+		p := &registry[byName[name]]
+		p.Borrows = append(p.Borrows, arg)
+	}
 }
 
 func types(ts ...ast.Type) []ast.Type { return ts }

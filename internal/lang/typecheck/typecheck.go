@@ -93,9 +93,10 @@ type Info struct {
 
 	globalIdx map[string]int
 	funIdx    map[string]int
-	// chanIdx maps a channel name to the indices of its (possibly
-	// overloaded) definitions, in declaration order.
-	chanIdx map[string][]int
+	// byName maps a channel name to its (possibly overloaded)
+	// definitions, in declaration order, as pointers into Channels;
+	// packet dispatch reads it per packet.
+	byName map[string][]*Channel
 }
 
 // FunByName returns the checked function with the given name.
@@ -108,19 +109,17 @@ func (in *Info) FunByName(name string) (*Fun, bool) {
 }
 
 // ChannelsByName returns all checked channels sharing name, in
-// declaration order (overloaded channels, §2.3).
-func (in *Info) ChannelsByName(name string) []*Channel {
-	idxs := in.chanIdx[name]
-	out := make([]*Channel, len(idxs))
-	for i, ix := range idxs {
-		out[i] = &in.Channels[ix]
-	}
-	return out
-}
+// declaration order (overloaded channels, §2.3). The slice is the
+// Info's own: read it, do not modify it.
+func (in *Info) ChannelsByName(name string) []*Channel { return in.byName[name] }
 
 // checker carries the state of one Check run.
 type checker struct {
 	info *Info
+
+	// chanIdx maps a channel name to the indices in info.Channels of its
+	// definitions (indices, not pointers: Channels grows during pass 1).
+	chanIdx map[string][]int
 
 	// diags accumulates every independent error across the staged
 	// passes; checking continues past a failed declaration so one run
@@ -218,9 +217,8 @@ func Check(prog *ast.Program) (*Info, error) {
 		Prog:      prog,
 		globalIdx: map[string]int{},
 		funIdx:    map[string]int{},
-		chanIdx:   map[string][]int{},
 	}
-	c := &checker{info: info}
+	c := &checker{info: info, chanIdx: map[string][]int{}}
 
 	// Pass 1: declarations.
 	for _, d := range prog.Decls {
@@ -250,6 +248,14 @@ func Check(prog *ast.Program) (*Info, error) {
 	if len(c.diags) > 0 {
 		return nil, &Error{Diags: c.diags}
 	}
+	info.byName = make(map[string][]*Channel, len(c.chanIdx))
+	for name, idxs := range c.chanIdx {
+		chans := make([]*Channel, len(idxs))
+		for i, ix := range idxs {
+			chans[i] = &info.Channels[ix]
+		}
+		info.byName[name] = chans
+	}
 	info.Sig = ExtractSignature(info)
 	return info, nil
 }
@@ -264,7 +270,7 @@ func (c *checker) declared(name string, pos token.Pos) error {
 	if prims.Lookup(name) >= 0 {
 		return errf(pos, "%s shadows a primitive", name)
 	}
-	if len(c.info.chanIdx[name]) > 0 {
+	if len(c.chanIdx[name]) > 0 {
 		return errf(pos, "%s conflicts with a channel of the same name", name)
 	}
 	return nil
@@ -291,7 +297,7 @@ func (c *checker) checkFunDecl(d *ast.FunDecl) error {
 	if err := c.declared(d.Name, d.At); err != nil {
 		return err
 	}
-	if _, ok := c.info.chanIdx[d.Name]; ok {
+	if _, ok := c.chanIdx[d.Name]; ok {
 		return errf(d.At, "fun %s conflicts with a channel of the same name", d.Name)
 	}
 	c.resetFrame()
@@ -330,7 +336,7 @@ func (c *checker) registerChannel(d *ast.ChannelDecl) error {
 	}
 	// Overloads of the same channel name must have distinct packet types
 	// (otherwise dispatch is ambiguous).
-	for _, prev := range c.info.chanIdx[d.Name] {
+	for _, prev := range c.chanIdx[d.Name] {
 		if ast.Equal(c.info.Channels[prev].Decl.PacketType(), pktType) {
 			return errSpan(d.At, d.HeaderEnd, "channel %s redefined with the same packet type %s", d.Name, pktType)
 		}
@@ -344,7 +350,7 @@ func (c *checker) registerChannel(d *ast.ChannelDecl) error {
 			d.Name, d.ProtoState(), c.info.ProtoState)
 	}
 	idx := len(c.info.Channels)
-	c.info.chanIdx[d.Name] = append(c.info.chanIdx[d.Name], idx)
+	c.chanIdx[d.Name] = append(c.chanIdx[d.Name], idx)
 	c.info.Channels = append(c.info.Channels, Channel{Decl: d, Index: idx})
 	return nil
 }
@@ -480,7 +486,7 @@ func (c *checker) checkExpr(e ast.Expr, expected ast.Type) (ast.Type, error) {
 		if _, ok := c.info.funIdx[e.Name]; ok {
 			return nil, errf(e.At, "%s is a fun; funs are not first-class values", e.Name)
 		}
-		if len(c.info.chanIdx[e.Name]) > 0 {
+		if len(c.chanIdx[e.Name]) > 0 {
 			return nil, errf(e.At, "%s is a channel; channels may only appear as the first argument of OnRemote/OnNeighbor", e.Name)
 		}
 		return nil, errSpan(e.At, e.End(), "undefined name %s", e.Name)
@@ -744,7 +750,7 @@ func (c *checker) checkCall(e *ast.Call, expected ast.Type) (ast.Type, error) {
 	// Primitive?
 	pi := prims.Lookup(e.Name)
 	if pi < 0 {
-		if len(c.info.chanIdx[e.Name]) > 0 {
+		if len(c.chanIdx[e.Name]) > 0 {
 			return nil, errf(e.At, "channel %s cannot be called directly; use OnRemote(%s, pkt)", e.Name, e.Name)
 		}
 		return nil, errf(e.At, "undefined function %s", e.Name)
@@ -789,7 +795,7 @@ func (c *checker) checkSend(e *ast.Call) (ast.Type, error) {
 	} else {
 		return nil, errf(e.At, "%s: first argument must be a channel name", e.Name)
 	}
-	cands := c.info.chanIdx[cref.Name]
+	cands := c.chanIdx[cref.Name]
 	if len(cands) == 0 {
 		return nil, errf(e.At, "%s: %s is not a declared channel", e.Name, cref.Name)
 	}

@@ -95,38 +95,71 @@ type UDPHeader struct {
 	Len     int
 }
 
-// Table is a mutable PLAN-P hash table. It is keyed by the canonical
-// encoding of any equality value. Tables are reference values: copying a
-// Value that holds a Table aliases the same table (matching the paper's
-// use of tables as per-channel mutable state).
+// Table is a mutable PLAN-P hash table over any equality value. Tables
+// are reference values: copying a Value that holds a Table aliases the
+// same table (matching the paper's use of tables as per-channel mutable
+// state). A table keeps what it stores but never a key Value: callers
+// may pass a key built in memory they are about to reuse.
 //
 // Tables are not safe for concurrent use; the runtime serializes all
 // channel executions on a node.
 type Table struct {
-	m   map[string]Value
+	m   map[tableKey]Value
 	cap int
 }
 
+// tableKey is a key's identity in the map. A scalar (int, bool, char,
+// host) or a pair of scalars — the (host*int) connection key — is its
+// kinds in shape plus its words in a and b, so a lookup builds no
+// string; every other key has shape 0 and is its EncodeKey rendering,
+// which stays the reference the fixed-width form is tested against.
+type tableKey struct {
+	shape uint16 // scalar: its Kind; pair: first Kind<<8 | second Kind
+	a, b  int64
+	s     string
+}
+
+func isWord(k Kind) bool {
+	return k == KindInt || k == KindBool || k == KindChar || k == KindHost
+}
+
+func keyOf(v Value) tableKey {
+	if isWord(v.Kind) {
+		return tableKey{shape: uint16(v.Kind), a: v.I}
+	}
+	if v.Kind == KindTuple && len(v.Vs) == 2 && isWord(v.Vs[0].Kind) && isWord(v.Vs[1].Kind) {
+		return tableKey{shape: uint16(v.Vs[0].Kind)<<8 | uint16(v.Vs[1].Kind), a: v.Vs[0].I, b: v.Vs[1].I}
+	}
+	return tableKey{s: EncodeKey(v)}
+}
+
 // NewTable returns an empty table with a capacity hint (the paper's
-// mkTable(256) idiom).
+// mkTable(256) idiom). The hint sizes the map at the first Put: a table
+// nothing is stored in (most installs of a protocol see no traffic of
+// some channel) costs its header only.
 func NewTable(capacity int) *Table {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Table{m: make(map[string]Value, capacity), cap: capacity}
+	return &Table{cap: capacity}
 }
 
 // Put stores v under key k, replacing any previous value.
-func (t *Table) Put(k Value, v Value) { t.m[EncodeKey(k)] = v }
+func (t *Table) Put(k Value, v Value) {
+	if t.m == nil {
+		t.m = make(map[tableKey]Value, t.cap)
+	}
+	t.m[keyOf(k)] = v
+}
 
 // Get returns the value stored under k and whether it was present.
 func (t *Table) Get(k Value) (Value, bool) {
-	v, ok := t.m[EncodeKey(k)]
+	v, ok := t.m[keyOf(k)]
 	return v, ok
 }
 
 // Delete removes k from the table (a no-op if absent).
-func (t *Table) Delete(k Value) { delete(t.m, EncodeKey(k)) }
+func (t *Table) Delete(k Value) { delete(t.m, keyOf(k)) }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.m) }
@@ -315,9 +348,9 @@ func Equal(a, b Value) bool {
 	}
 }
 
-// EncodeKey renders v as a canonical string usable as a hash-table key.
-// Distinct values of the same type never collide: each component is
-// length- or tag-delimited.
+// EncodeKey renders v as a canonical string usable as a hash-table key:
+// two values share a rendering iff they are Equal (each component is
+// length- or tag-delimited, and headers render every field).
 func EncodeKey(v Value) string {
 	var sb strings.Builder
 	encodeKey(&sb, v)
@@ -351,7 +384,11 @@ func encodeKey(sb *strings.Builder, v Value) {
 		sb.WriteByte(':')
 		sb.Write(v.B)
 	case KindTuple, KindList:
-		sb.WriteByte('t')
+		if v.Kind == KindTuple {
+			sb.WriteByte('t')
+		} else {
+			sb.WriteByte('l')
+		}
 		sb.WriteString(strconv.Itoa(len(v.Vs)))
 		for _, e := range v.Vs {
 			sb.WriteByte(',')
@@ -359,16 +396,48 @@ func encodeKey(sb *strings.Builder, v Value) {
 		}
 	case KindIP:
 		h := v.AsIP()
-		fmt.Fprintf(sb, "I%d,%d,%d", uint32(h.Src), uint32(h.Dst), h.Proto)
+		sb.WriteByte('I')
+		writeFields(sb, int64(h.Src), int64(h.Dst), int64(h.Proto), int64(h.TTL), int64(h.Len), int64(h.ID))
 	case KindTCP:
 		h := v.AsTCP()
-		fmt.Fprintf(sb, "T%d,%d,%d", h.SrcPort, h.DstPort, h.Seq)
+		sb.WriteByte('T')
+		writeFields(sb, int64(h.SrcPort), int64(h.DstPort), int64(h.Seq), int64(h.Ack), int64(h.Flags), int64(h.Window))
 	case KindUDP:
 		h := v.AsUDP()
-		fmt.Fprintf(sb, "U%d,%d", h.SrcPort, h.DstPort)
+		sb.WriteByte('U')
+		writeFields(sb, int64(h.SrcPort), int64(h.DstPort), int64(h.Len))
 	default:
 		sb.WriteByte('?')
 	}
+}
+
+// writeFields renders a header: every field Equal compares, or two
+// headers that are <> would share a table entry.
+func writeFields(sb *strings.Builder, fields ...int64) {
+	for i, f := range fields {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.FormatInt(f, 10))
+	}
+}
+
+// Clone returns a copy of v that shares no slice with it: tuple and
+// list elements and blob bytes are copied (headers are immutable and
+// tables are reference values, so both stay shared). A Context that
+// keeps a packet value past the call that lent it must Clone it.
+func Clone(v Value) Value {
+	switch v.Kind {
+	case KindBlob:
+		v.B = append([]byte(nil), v.B...)
+	case KindTuple, KindList:
+		elems := make([]Value, len(v.Vs))
+		for i, e := range v.Vs {
+			elems[i] = Clone(e)
+		}
+		v.Vs = elems
+	}
+	return v
 }
 
 // String renders the value for diagnostics and the print/println

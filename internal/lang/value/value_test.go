@@ -130,9 +130,9 @@ func TestEqualImpliesEqualKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
 		v := randValue(rng, 3)
-		w := deepCopy(v)
+		w := Clone(v)
 		if !Equal(v, w) {
-			t.Fatalf("deep copy not Equal: %s", v)
+			t.Fatalf("clone not Equal: %s", v)
 		}
 		if EncodeKey(v) != EncodeKey(w) {
 			t.Fatalf("equal values, different keys: %s", v)
@@ -184,24 +184,6 @@ func randString(rng *rand.Rand) string {
 		b[i] = byte('a' + rng.Intn(26))
 	}
 	return string(b)
-}
-
-func deepCopy(v Value) Value {
-	switch v.Kind {
-	case KindBlob:
-		return Blob(append([]byte(nil), v.B...))
-	case KindTuple, KindList:
-		elems := make([]Value, len(v.Vs))
-		for i, e := range v.Vs {
-			elems[i] = deepCopy(e)
-		}
-		if v.Kind == KindTuple {
-			return TupleV(elems...)
-		}
-		return ListV(elems)
-	default:
-		return v
-	}
 }
 
 func TestTableOps(t *testing.T) {

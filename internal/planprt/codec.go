@@ -25,15 +25,40 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
+// headers backs the header values of one decoded packet; small is the
+// single allocation behind the usual packet types of up to three
+// components (ip*tcp*blob, ip*udp*blob): headers and tuple elements.
+type headers struct {
+	ip  value.IPHeader
+	tcp value.TCPHeader
+	udp value.UDPHeader
+}
+
+const smallElems = 3
+
+type small struct {
+	headers
+	elems [smallElems]value.Value
+}
+
 // Decode attempts to decode pkt as a value of packet type t. The boolean
 // reports whether the packet matches; errors are impossible (mismatch is
-// the only failure mode).
+// the only failure mode, and a t that is not a packet type — not a tuple
+// starting with ip — matches nothing). A trailing blob aliases
+// pkt.Payload: transmitted payloads are immutable.
 func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 	tup, ok := t.(ast.Tuple)
-	if !ok {
+	if !ok || len(tup.Elems) == 0 || !ast.Equal(tup.Elems[0], ast.IPT) {
 		return value.Unit, false
 	}
-	elems := make([]value.Value, 0, len(tup.Elems))
+	var d *headers
+	var elems []value.Value
+	if n := len(tup.Elems); n <= smallElems {
+		s := new(small)
+		d, elems = &s.headers, s.elems[:0]
+	} else {
+		d, elems = new(headers), make([]value.Value, 0, n)
+	}
 
 	ipLen := substrate.IPHeaderLen + len(pkt.Payload)
 	switch {
@@ -42,34 +67,36 @@ func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 	case pkt.UDP != nil:
 		ipLen += substrate.UDPHeaderLen
 	}
-	elems = append(elems, value.IP(&value.IPHeader{
+	d.ip = value.IPHeader{
 		Src:   value.Host(pkt.IP.Src),
 		Dst:   value.Host(pkt.IP.Dst),
 		Proto: pkt.IP.Proto,
 		TTL:   pkt.IP.TTL,
 		Len:   ipLen,
 		ID:    pkt.IP.ID,
-	}))
+	}
+	elems = append(elems, value.IP(&d.ip))
 
 	rest := tup.Elems[1:]
 	if len(rest) > 0 && ast.Equal(rest[0], ast.TCPT) {
 		if pkt.TCP == nil {
 			return value.Unit, false
 		}
-		h := *pkt.TCP
-		elems = append(elems, value.TCP(&value.TCPHeader{
+		h := pkt.TCP
+		d.tcp = value.TCPHeader{
 			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
 			Flags: h.Flags, Window: h.Window,
-		}))
+		}
+		elems = append(elems, value.TCP(&d.tcp))
 		rest = rest[1:]
 	} else if len(rest) > 0 && ast.Equal(rest[0], ast.UDPT) {
 		if pkt.UDP == nil {
 			return value.Unit, false
 		}
-		h := *pkt.UDP
-		elems = append(elems, value.UDP(&value.UDPHeader{
-			SrcPort: h.SrcPort, DstPort: h.DstPort, Len: substrate.UDPHeaderLen + len(pkt.Payload),
-		}))
+		d.udp = value.UDPHeader{
+			SrcPort: pkt.UDP.SrcPort, DstPort: pkt.UDP.DstPort, Len: substrate.UDPHeaderLen + len(pkt.Payload),
+		}
+		elems = append(elems, value.UDP(&d.udp))
 		rest = rest[1:]
 	}
 
@@ -132,10 +159,24 @@ func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 	return value.TupleV(elems...), true
 }
 
+// encoded is the one allocation behind an encoded packet: the packet and
+// whichever transport header it points to.
+type encoded struct {
+	pkt substrate.Packet
+	tcp substrate.TCPHeader
+	udp substrate.UDPHeader
+}
+
 // Encode converts a packet tuple value back to a simulator packet. The
 // value must have been produced by Decode or constructed under a packet
 // type the checker validated; malformed shapes return an error (engine
 // bug or adversarial program, never silent corruption).
+//
+// A payload that is one blob is not copied: the packet's Payload is the
+// blob's bytes with the capacity clipped, so an append on either side
+// cannot reach the other. Both sides are immutable — a blob because
+// every blob primitive returns a fresh one, a transmitted payload by the
+// copy-on-write rule — so the sharing is never observable.
 func Encode(v value.Value) (*substrate.Packet, error) {
 	if v.Kind != value.KindTuple || len(v.Vs) == 0 {
 		return nil, fmt.Errorf("planprt: packet value must be a tuple, got %s", v.Kind)
@@ -144,30 +185,40 @@ func Encode(v value.Value) (*substrate.Packet, error) {
 		return nil, fmt.Errorf("planprt: packet tuple must start with an ip header, got %s", v.Vs[0].Kind)
 	}
 	iph := v.Vs[0].AsIP()
-	pkt := &substrate.Packet{IP: substrate.IPHeader{
+	e := &encoded{pkt: substrate.Packet{IP: substrate.IPHeader{
 		Src:   substrate.Addr(iph.Src),
 		Dst:   substrate.Addr(iph.Dst),
 		Proto: iph.Proto,
 		TTL:   iph.TTL,
 		ID:    iph.ID,
-	}}
+	}}}
+	// The encoded packet is freshly built and referenced only by the
+	// caller, so downstream routers may forward it in place.
+	pkt := e.pkt.Own()
 
 	rest := v.Vs[1:]
 	if len(rest) > 0 && rest[0].Kind == value.KindTCP {
 		h := rest[0].AsTCP()
-		pkt.TCP = &substrate.TCPHeader{
+		e.tcp = substrate.TCPHeader{
 			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
 			Flags: h.Flags, Window: h.Window,
 		}
+		pkt.TCP = &e.tcp
 		pkt.IP.Proto = substrate.ProtoTCP
 		rest = rest[1:]
 	} else if len(rest) > 0 && rest[0].Kind == value.KindUDP {
 		h := rest[0].AsUDP()
-		pkt.UDP = &substrate.UDPHeader{SrcPort: h.SrcPort, DstPort: h.DstPort}
+		e.udp = substrate.UDPHeader{SrcPort: h.SrcPort, DstPort: h.DstPort}
+		pkt.UDP = &e.udp
 		pkt.IP.Proto = substrate.ProtoUDP
 		rest = rest[1:]
 	}
 
+	if len(rest) == 1 && rest[0].Kind == value.KindBlob {
+		b := rest[0].B
+		pkt.Payload = b[:len(b):len(b)]
+		return pkt, nil
+	}
 	var buf []byte
 	for _, ev := range rest {
 		switch ev.Kind {
@@ -199,8 +250,5 @@ func Encode(v value.Value) (*substrate.Packet, error) {
 		}
 	}
 	pkt.Payload = buf
-	// The encoded packet is freshly built and referenced only by the
-	// caller, so downstream routers may forward it in place.
-	pkt.Own()
 	return pkt, nil
 }

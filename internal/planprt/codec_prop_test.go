@@ -134,6 +134,33 @@ var fuzzTypes = []ast.Tuple{
 	{Elems: []ast.Type{ast.IPT, ast.UDPT, ast.HostT, ast.IntT}},
 }
 
+// notPacketTypes are type arguments Decode must refuse rather than trust:
+// the empty tuple used to panic (it indexed Elems[1:]), and a tuple that
+// does not start with ip was decoded as if it did.
+var notPacketTypes = []ast.Type{
+	ast.Tuple{},
+	ast.Tuple{Elems: []ast.Type{ast.BlobT}},
+	ast.Tuple{Elems: []ast.Type{ast.TCPT, ast.BlobT}},
+	ast.Tuple{Elems: []ast.Type{ast.IntT, ast.IPT, ast.BlobT}},
+	ast.BlobT,
+	nil,
+}
+
+func refusesNonPacketTypes(t *testing.T, pkt *substrate.Packet) {
+	t.Helper()
+	for _, typ := range notPacketTypes {
+		if v, ok := Decode(pkt, typ); ok || v.Kind != value.KindUnit {
+			t.Fatalf("Decode under %v = (%s, %v), want ((), false)", typ, v, ok)
+		}
+	}
+}
+
+func TestDecodeRefusesNonPacketTypes(t *testing.T) {
+	refusesNonPacketTypes(t, substrate.NewTCP(1, 2, 3, 4, 0, 0, []byte("abcd")))
+	refusesNonPacketTypes(t, substrate.NewUDP(1, 2, 3, 4, nil))
+	refusesNonPacketTypes(t, &substrate.Packet{})
+}
+
 // FuzzDecode throws arbitrary packets at Decode under every fuzz type:
 // it must never panic, and anything it accepts must survive an
 // Encode/Decode round trip with headers and payload intact.
@@ -158,6 +185,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		pkt.Payload = payload
 
+		refusesNonPacketTypes(t, pkt)
 		for _, typ := range fuzzTypes {
 			v, ok := Decode(pkt, typ)
 			if !ok {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // TestGatewayRewriteDoesNotMutateSharedPayload pins the copy-on-write
@@ -55,5 +58,79 @@ func TestGatewayRewriteDoesNotMutateSharedPayload(t *testing.T) {
 		if p.IP.Dst != srvA.Addr && p.IP.Dst != srvB.Addr {
 			t.Errorf("delivered[%d] not rewritten: %s", i, p.IP.Dst)
 		}
+		// The gateway's Encode lends the request's bytes onward instead
+		// of copying them, with nothing to append into.
+		if &p.Payload[0] != &shared[0] || cap(p.Payload) != len(p.Payload) {
+			t.Errorf("delivered[%d] payload: copied=%v, spare capacity %d", i, &p.Payload[0] != &shared[0], cap(p.Payload)-len(p.Payload))
+		}
+	}
+}
+
+var tcpBlob = ast.Tuple{Elems: []ast.Type{ast.IPT, ast.TCPT, ast.BlobT}}
+
+// TestEncodeAliasesOneBlobSafely pins what Encode's zero-copy path may
+// and may not share. A payload that is one blob IS the inbound payload's
+// bytes, but with the capacity clipped, so an append on the outbound
+// packet reallocates instead of writing into the inbound packet's spare
+// capacity; CloneMut of the outbound packet is still a private copy; and
+// a payload of several components is a fresh buffer as before.
+func TestEncodeAliasesOneBlobSafely(t *testing.T) {
+	backing := []byte("GET /index.html HTTP/1.0????")
+	in := substrate.NewTCP(1, 2, 3, 80, 0, substrate.FlagSyn, backing[:24]) // 4 bytes of spare capacity
+	v, ok := Decode(in, tcpBlob)
+	if !ok {
+		t.Fatal("decode")
+	}
+	out, err := Encode(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out.Payload[0] != &in.Payload[0] {
+		t.Error("a pass-through blob payload was copied")
+	}
+	if cap(out.Payload) != len(out.Payload) {
+		t.Fatalf("outbound payload keeps %d bytes of the inbound packet's spare capacity", cap(out.Payload)-len(out.Payload))
+	}
+	_ = append(out.Payload, "BOOM"...)
+	if string(backing[24:]) != "????" {
+		t.Fatalf("append on the outbound payload wrote into the inbound buffer: %q", backing)
+	}
+
+	mut := out.CloneMut()
+	mut.Payload[0] = 'P'
+	mut.TCP.DstPort = 8080
+	if in.Payload[0] != 'G' || out.Payload[0] != 'G' || out.TCP.DstPort != 80 {
+		t.Fatal("CloneMut of an aliasing packet is not a deep copy")
+	}
+
+	mixed, err := Encode(value.TupleV(v.Vs[0], v.Vs[1], value.Int(7), v.Vs[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte{0, 0, 0, 7}, backing[:24]...); !bytes.Equal(mixed.Payload, want) {
+		t.Fatalf("int*blob payload = %q", mixed.Payload)
+	}
+	mixed.Payload[4] = 'P'
+	if in.Payload[0] != 'G' {
+		t.Fatal("int*blob payload shares the blob's bytes")
+	}
+}
+
+// TestPacketPathAllocs (one per package on the packet path; CI runs them
+// by name): decoding a packet is one allocation (elements and both
+// headers together), and so is encoding a pass-through TCP packet
+// (packet and transport header together, payload aliased).
+func TestPacketPathAllocs(t *testing.T) {
+	in := substrate.NewTCP(1, 2, 3, 80, 0, substrate.FlagSyn, make([]byte, 512))
+	var v value.Value
+	if n := testing.AllocsPerRun(200, func() { v, _ = Decode(in, tcpBlob) }); n != 1 {
+		t.Errorf("Decode allocates %.1f/op, want 1", n)
+	}
+	var out *substrate.Packet
+	if n := testing.AllocsPerRun(200, func() { out, _ = Encode(v) }); n != 1 {
+		t.Errorf("Encode of a pass-through TCP packet allocates %.1f/op, want 1", n)
+	}
+	if out == nil || len(out.Payload) != 512 {
+		t.Fatal("encode")
 	}
 }
