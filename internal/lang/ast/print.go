@@ -194,6 +194,6 @@ func quoteChar(c byte) string {
 	case 0:
 		return `'\0'`
 	default:
-		return "'" + string(c) + "'"
+		return string([]byte{'\'', c, '\''}) // c is a byte, not a code point
 	}
 }

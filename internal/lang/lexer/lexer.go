@@ -12,6 +12,8 @@ package lexer
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/lang/token"
@@ -42,7 +44,9 @@ func New(src string) *Lexer {
 }
 
 // Scan tokenizes the whole input. It returns the token stream, always
-// terminated by an EOF token, or the first lexical error.
+// terminated by an EOF token, or the first lexical error. The parser
+// does not use it (it pulls from Next and keeps no token); it is the
+// reference the lexer tests and the parser's fuzz target compare against.
 func Scan(src string) ([]token.Token, error) {
 	lx := New(src)
 	var toks []token.Token
@@ -86,6 +90,12 @@ func (lx *Lexer) advance() byte {
 	return c
 }
 
+// skip consumes n bytes the caller knows hold no newline.
+func (lx *Lexer) skip(n int) {
+	lx.off += n
+	lx.col += n
+}
+
 func (lx *Lexer) errorf(pos token.Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
@@ -96,12 +106,16 @@ func (lx *Lexer) skipSpace() error {
 	for lx.off < len(lx.src) {
 		c := lx.peek()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.skip(1)
+		case c == '\n':
 			lx.advance()
 		case c == '-' && lx.peek2() == '-':
-			for lx.off < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+			n := strings.IndexByte(lx.src[lx.off:], '\n')
+			if n < 0 {
+				n = len(lx.src) - lx.off
 			}
+			lx.skip(n)
 		case c == '(' && lx.peek2() == '*':
 			start := lx.pos()
 			lx.advance()
@@ -139,108 +153,110 @@ func isIdentStart(c byte) bool {
 func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '\'' }
 
 // Next returns the next token, with its End span set to one column past
-// its last character.
+// its last character: the scanner stops exactly one byte past each
+// token, so the position after scanning IS the token's end.
 func (lx *Lexer) Next() (token.Token, error) {
-	t, err := lx.scan()
-	if err == nil {
-		t.End = lx.pos()
-	}
-	return t, err
-}
-
-// scan produces the next token without filling End (Next does that —
-// the scanner stops exactly one byte past each token, so the position
-// after scanning IS the token's end).
-func (lx *Lexer) scan() (token.Token, error) {
 	if err := lx.skipSpace(); err != nil {
 		return token.Token{}, err
 	}
 	pos := lx.pos()
-	if lx.off >= len(lx.src) {
-		return token.Token{Kind: token.EOF, Pos: pos}, nil
+	kind, text, err := lx.scan(pos)
+	if err != nil {
+		return token.Token{}, err
 	}
-	c := lx.peek()
+	return token.Token{Kind: kind, Text: text, Pos: pos, End: lx.pos()}, nil
+}
+
+// scan consumes the token that starts at pos, the current offset.
+func (lx *Lexer) scan(pos token.Pos) (token.Kind, string, error) {
+	if lx.off >= len(lx.src) {
+		return token.EOF, "", nil
+	}
+	c := lx.src[lx.off]
 	switch {
 	case isDigit(c):
 		return lx.scanNumber(pos)
 	case isIdentStart(c):
-		return lx.scanIdent(pos)
+		return lx.scanIdent()
 	case c == '"':
 		return lx.scanString(pos)
 	case c == '\'':
 		return lx.scanChar(pos)
 	case c == '#':
-		lx.advance()
+		lx.skip(1)
 		if lx.peek() == '"' { // SML char literal #"a"
-			t, err := lx.scanString(pos)
+			_, text, err := lx.scanString(pos)
 			if err != nil {
-				return token.Token{}, err
+				return 0, "", err
 			}
-			if len(t.Text) != 1 {
-				return token.Token{}, lx.errorf(pos, "char literal must contain exactly one character")
+			if len(text) != 1 {
+				return 0, "", lx.errorf(pos, "char literal must contain exactly one character")
 			}
-			return token.Token{Kind: token.Char, Text: t.Text, Pos: pos}, nil
+			return token.Char, text, nil
 		}
-		return token.Token{Kind: token.Hash, Pos: pos}, nil
+		return token.Hash, "", nil
 	}
 
-	lx.advance()
-	simple := func(k token.Kind) (token.Token, error) {
-		return token.Token{Kind: k, Pos: pos}, nil
-	}
+	lx.skip(1) // not a newline: skipSpace stopped here
+	kind := token.Invalid
 	switch c {
 	case '(':
-		return simple(token.LParen)
+		kind = token.LParen
 	case ')':
-		return simple(token.RParen)
+		kind = token.RParen
 	case ',':
-		return simple(token.Comma)
+		kind = token.Comma
 	case ';':
-		return simple(token.Semi)
+		kind = token.Semi
 	case ':':
-		return simple(token.Colon)
+		kind = token.Colon
 	case '*':
-		return simple(token.Star)
+		kind = token.Star
 	case '+':
-		return simple(token.Plus)
+		kind = token.Plus
 	case '-':
-		return simple(token.Minus)
+		kind = token.Minus
 	case '/':
-		return simple(token.Slash)
+		kind = token.Slash
 	case '^':
-		return simple(token.Caret)
+		kind = token.Caret
 	case '=':
+		kind = token.Eq
 		if lx.peek() == '>' {
-			lx.advance()
-			return simple(token.Arrow)
+			lx.skip(1)
+			kind = token.Arrow
 		}
-		return simple(token.Eq)
 	case '<':
+		kind = token.Less
 		if lx.peek() == '>' {
-			lx.advance()
-			return simple(token.NotEq)
+			lx.skip(1)
+			kind = token.NotEq
+		} else if lx.peek() == '=' {
+			lx.skip(1)
+			kind = token.LessEq
 		}
-		if lx.peek() == '=' {
-			lx.advance()
-			return simple(token.LessEq)
-		}
-		return simple(token.Less)
 	case '>':
+		kind = token.Greater
 		if lx.peek() == '=' {
-			lx.advance()
-			return simple(token.GreaterEq)
+			lx.skip(1)
+			kind = token.GreaterEq
 		}
-		return simple(token.Greater)
+	default:
+		// Name the whole character, not its first byte; a byte that is
+		// not UTF-8 prints as \xNN.
+		_, n := utf8.DecodeRuneInString(lx.src[lx.off-1:])
+		lx.skip(n - 1)
+		return 0, "", lx.errorf(pos, "unexpected character %q", lx.src[lx.off-n:lx.off])
 	}
-	return token.Token{}, lx.errorf(pos, "unexpected character %q", string(rune(c)))
+	return kind, "", nil
 }
 
 // scanNumber scans an integer or a dotted-quad host literal.
-func (lx *Lexer) scanNumber(pos token.Pos) (token.Token, error) {
+func (lx *Lexer) scanNumber(pos token.Pos) (token.Kind, string, error) {
 	digits := func() string {
 		start := lx.off
-		for lx.off < len(lx.src) && isDigit(lx.peek()) {
-			lx.advance()
+		for lx.off < len(lx.src) && isDigit(lx.src[lx.off]) {
+			lx.skip(1)
 		}
 		return lx.src[start:lx.off]
 	}
@@ -249,55 +265,53 @@ func (lx *Lexer) scanNumber(pos token.Pos) (token.Token, error) {
 	if lx.peek() == '.' && isDigit(lx.peek2()) {
 		parts := []string{first}
 		for lx.peek() == '.' && isDigit(lx.peek2()) {
-			lx.advance() // '.'
+			lx.skip(1) // '.'
 			parts = append(parts, digits())
 		}
 		if len(parts) != 4 {
-			return token.Token{}, lx.errorf(pos, "malformed host literal: expected 4 octets, got %d", len(parts))
+			return 0, "", lx.errorf(pos, "malformed host literal: expected 4 octets, got %d", len(parts))
 		}
 		text := parts[0] + "." + parts[1] + "." + parts[2] + "." + parts[3]
 		for _, p := range parts {
 			n, err := strconv.Atoi(p)
 			if err != nil || n > 255 {
-				return token.Token{}, lx.errorf(pos, "malformed host literal %s: octet %q out of range", text, p)
+				return 0, "", lx.errorf(pos, "malformed host literal %s: octet %q out of range", text, p)
 			}
 		}
-		return token.Token{Kind: token.HostLit, Text: text, Pos: pos}, nil
+		return token.HostLit, text, nil
 	}
 	if _, err := strconv.ParseInt(first, 10, 64); err != nil {
-		return token.Token{}, lx.errorf(pos, "integer literal %s out of range", first)
+		return 0, "", lx.errorf(pos, "integer literal %s out of range", first)
 	}
-	return token.Token{Kind: token.Int, Text: first, Pos: pos}, nil
+	return token.Int, first, nil
 }
 
-func (lx *Lexer) scanIdent(pos token.Pos) (token.Token, error) {
-	start := lx.off
-	for lx.off < len(lx.src) && isIdentCont(lx.peek()) {
-		lx.advance()
+func (lx *Lexer) scanIdent() (token.Kind, string, error) {
+	end := lx.off + 1
+	for end < len(lx.src) && isIdentCont(lx.src[end]) {
+		end++
 	}
-	text := lx.src[start:lx.off]
-	if kw, ok := token.Keywords[text]; ok {
-		return token.Token{Kind: kw, Text: text, Pos: pos}, nil
-	}
-	return token.Token{Kind: token.Ident, Text: text, Pos: pos}, nil
+	text := lx.src[lx.off:end]
+	lx.skip(len(text))
+	return token.Lookup(text), text, nil
 }
 
-func (lx *Lexer) scanString(pos token.Pos) (token.Token, error) {
-	lx.advance() // opening quote
+func (lx *Lexer) scanString(pos token.Pos) (token.Kind, string, error) {
+	lx.skip(1) // opening quote
 	var out []byte
 	for {
 		if lx.off >= len(lx.src) {
-			return token.Token{}, lx.errorf(pos, "unterminated string literal")
+			return 0, "", lx.errorf(pos, "unterminated string literal")
 		}
 		c := lx.advance()
 		switch c {
 		case '"':
-			return token.Token{Kind: token.String, Text: string(out), Pos: pos}, nil
+			return token.String, string(out), nil
 		case '\n':
-			return token.Token{}, lx.errorf(pos, "newline in string literal")
+			return 0, "", lx.errorf(pos, "newline in string literal")
 		case '\\':
 			if lx.off >= len(lx.src) {
-				return token.Token{}, lx.errorf(pos, "unterminated string literal")
+				return 0, "", lx.errorf(pos, "unterminated string literal")
 			}
 			e := lx.advance()
 			switch e {
@@ -312,7 +326,7 @@ func (lx *Lexer) scanString(pos token.Pos) (token.Token, error) {
 			case '0':
 				out = append(out, 0)
 			default:
-				return token.Token{}, lx.errorf(pos, "unknown escape \\%c", e)
+				return 0, "", lx.errorf(pos, "unknown escape \\%c", e)
 			}
 		default:
 			out = append(out, c)
@@ -320,15 +334,15 @@ func (lx *Lexer) scanString(pos token.Pos) (token.Token, error) {
 	}
 }
 
-func (lx *Lexer) scanChar(pos token.Pos) (token.Token, error) {
-	lx.advance() // opening quote
+func (lx *Lexer) scanChar(pos token.Pos) (token.Kind, string, error) {
+	lx.skip(1) // opening quote
 	if lx.off >= len(lx.src) {
-		return token.Token{}, lx.errorf(pos, "unterminated char literal")
+		return 0, "", lx.errorf(pos, "unterminated char literal")
 	}
 	c := lx.advance()
 	if c == '\\' {
 		if lx.off >= len(lx.src) {
-			return token.Token{}, lx.errorf(pos, "unterminated char literal")
+			return 0, "", lx.errorf(pos, "unterminated char literal")
 		}
 		e := lx.advance()
 		switch e {
@@ -343,11 +357,11 @@ func (lx *Lexer) scanChar(pos token.Pos) (token.Token, error) {
 		case '0':
 			c = 0
 		default:
-			return token.Token{}, lx.errorf(pos, "unknown escape \\%c", e)
+			return 0, "", lx.errorf(pos, "unknown escape \\%c", e)
 		}
 	}
 	if lx.off >= len(lx.src) || lx.advance() != '\'' {
-		return token.Token{}, lx.errorf(pos, "char literal must be closed with '")
+		return 0, "", lx.errorf(pos, "char literal must be closed with '")
 	}
-	return token.Token{Kind: token.Char, Text: string(c), Pos: pos}, nil
+	return token.Char, string([]byte{c}), nil // one byte, not its code point's encoding
 }

@@ -135,12 +135,13 @@ func TestStringErrors(t *testing.T) {
 
 func TestCharLiterals(t *testing.T) {
 	cases := map[string]byte{
-		`'a'`:  'a',
-		`'\n'`: '\n',
-		`'\''`: '\'',
-		`'\\'`: '\\',
-		`#"Z"`: 'Z',
-		`'\0'`: 0,
+		`'a'`:    'a',
+		`'\n'`:   '\n',
+		`'\''`:   '\'',
+		`'\\'`:   '\\',
+		`#"Z"`:   'Z',
+		`'\0'`:   0,
+		"'\xb0'": 0xb0, // a byte above ASCII stays that byte
 	}
 	for src, want := range cases {
 		toks, err := Scan(src)
@@ -179,6 +180,27 @@ func TestUnexpectedCharacter(t *testing.T) {
 	_, err := Scan("val x = @")
 	if err == nil || !strings.Contains(err.Error(), "@") {
 		t.Errorf("expected error naming '@', got %v", err)
+	}
+	// The message names the character, not the first byte of its
+	// encoding; a byte that is no character at all prints as an escape.
+	for src, want := range map[string]string{
+		"val x : int = é":    `1:15: unexpected character "é"`,
+		"val x : int = €uro": `1:15: unexpected character "€"`,
+		"val x : int = \xff": `1:15: unexpected character "\xff"`,
+		"val x : int = \xc3": `1:15: unexpected character "\xc3"`,
+	} {
+		if _, err := Scan(src); err == nil || err.Error() != want {
+			t.Errorf("Scan(%q) = %v, want %s", src, err, want)
+		}
+	}
+	// The whole character is consumed: a caller that reads on does not
+	// meet its continuation bytes as further errors.
+	lx := New("é x")
+	if _, err := lx.Next(); err == nil {
+		t.Fatal("é should not scan")
+	}
+	if tok, err := lx.Next(); err != nil || tok.Kind != token.Ident || tok.Pos.Col != 4 {
+		t.Errorf("after the bad character: %v at %v, %v; want identifier x at column 4", tok, tok.Pos, err)
 	}
 }
 

@@ -32,25 +32,38 @@ func (e *Error) Diagnostics() diag.List {
 	return diag.List{{Pos: e.Pos, Msg: "syntax error: " + e.Msg}}
 }
 
+// parser pulls tokens from the lexer through a one-token window: the
+// grammar is LL(1), so tok is all the lookahead there is and no token
+// outlives the step that consumes it.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lx  *lexer.Lexer
+	tok token.Token
+	// lexErr is the lexical error the window stopped at; tok is then EOF
+	// for good. Tokens are read in source order, so once set it is the
+	// first error in the source and every failure reports it (first).
+	lexErr error
+	depth  int // of parseExpr calls in progress, see maxNesting
+}
+
+func newParser(src string) *parser {
+	p := &parser{lx: lexer.New(src)}
+	p.next() // the zero token gives way to the first
+	return p
 }
 
 // Parse scans and parses a complete PLAN-P program.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Scan(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	prog := &ast.Program{}
-	for p.peek().Kind != token.EOF {
+	for p.tok.Kind != token.EOF {
 		d, err := p.parseDecl()
 		if err != nil {
-			return nil, err
+			return nil, p.first(err)
 		}
 		prog.Decls = append(prog.Decls, d)
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
 	if len(prog.Decls) == 0 {
 		return nil, &Error{Pos: token.Pos{Line: 1, Col: 1}, Msg: "empty program"}
@@ -61,33 +74,35 @@ func Parse(src string) (*ast.Program, error) {
 // ParseExpr parses a single expression (used by tests and the REPL-style
 // tooling in cmd/planp).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Scan(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.tok.Kind != token.EOF {
+		err = p.errorf(p.tok.Pos, "unexpected %s after expression", p.tok)
 	}
-	if p.peek().Kind != token.EOF {
-		return nil, p.errorf(p.peek().Pos, "unexpected %s after expression", p.peek())
+	if err = p.first(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *parser) peek() token.Token { return p.toks[p.pos] }
-func (p *parser) peekN(n int) token.Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+// first is the error to report when parsing stopped with err: the
+// lexical error, if the window hit one.
+func (p *parser) first(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
 	}
-	return p.toks[p.pos+n]
+	return err
 }
 
+// next consumes the window's token and pulls the one after it; EOF stays.
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if t.Kind != token.EOF {
-		p.pos++
+	t := p.tok
+	if t.Kind == token.EOF {
+		return t
+	}
+	var err error
+	if p.tok, err = p.lx.Next(); err != nil {
+		p.lexErr, p.tok = err, token.Token{Kind: token.EOF}
 	}
 	return t
 }
@@ -97,7 +112,7 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) error {
 }
 
 func (p *parser) expect(k token.Kind) (token.Token, error) {
-	t := p.peek()
+	t := p.tok
 	if t.Kind != k {
 		return t, p.errorf(t.Pos, "expected %s, got %s", k, t)
 	}
@@ -108,7 +123,7 @@ func (p *parser) expect(k token.Kind) (token.Token, error) {
 // Declarations
 
 func (p *parser) parseDecl() (ast.Decl, error) {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.KwVal:
 		return p.parseValDecl()
@@ -185,7 +200,7 @@ func (p *parser) parseChannelDecl() (*ast.ChannelDecl, error) {
 		return nil, p.errorf(at, "channel %s must declare exactly 3 parameters (protocol state, channel state, packet); got %d", name.Text, len(params))
 	}
 	var initState ast.Expr
-	if p.peek().Kind == token.KwInitstate {
+	if p.tok.Kind == token.KwInitstate {
 		p.next()
 		initState, err = p.parseExpr()
 		if err != nil {
@@ -210,7 +225,7 @@ func (p *parser) parseParams() ([]ast.Param, token.Pos, error) {
 		return nil, token.Pos{}, err
 	}
 	var params []ast.Param
-	if p.peek().Kind == token.RParen {
+	if p.tok.Kind == token.RParen {
 		rp := p.next()
 		return params, rp.End, nil
 	}
@@ -227,7 +242,7 @@ func (p *parser) parseParams() ([]ast.Param, token.Pos, error) {
 			return nil, token.Pos{}, err
 		}
 		params = append(params, ast.Param{Name: name.Text, Type: ty})
-		if p.peek().Kind != token.Comma {
+		if p.tok.Kind != token.Comma {
 			break
 		}
 		p.next()
@@ -248,11 +263,11 @@ func (p *parser) parseType() (ast.Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().Kind != token.Star {
+	if p.tok.Kind != token.Star {
 		return first, nil
 	}
 	elems := []ast.Type{first}
-	for p.peek().Kind == token.Star {
+	for p.tok.Kind == token.Star {
 		p.next()
 		t, err := p.parseTypeAtom()
 		if err != nil {
@@ -267,7 +282,7 @@ func (p *parser) parseType() (ast.Type, error) {
 // followed by postfix constructors "hash_table" / "list".
 func (p *parser) parseTypeAtom() (ast.Type, error) {
 	var t ast.Type
-	switch tk := p.peek(); tk.Kind {
+	switch tk := p.tok; tk.Kind {
 	case token.Ident:
 		kind, ok := ast.BaseTypes[tk.Text]
 		if !ok {
@@ -289,8 +304,8 @@ func (p *parser) parseTypeAtom() (ast.Type, error) {
 		return nil, p.errorf(tk.Pos, "expected type, got %s", tk)
 	}
 	// Postfix type constructors.
-	for p.peek().Kind == token.Ident {
-		switch p.peek().Text {
+	for p.tok.Kind == token.Ident {
+		switch p.tok.Text {
 		case "hash_table":
 			p.next()
 			t = ast.Table{Elem: t}
@@ -360,7 +375,19 @@ func opFor(t token.Token, level int) string {
 	return ""
 }
 
-func (p *parser) parseExpr() (ast.Expr, error) { return p.parseBinary(0) }
+// maxNesting bounds how deep expressions nest. planpd takes a mebibyte
+// of text from the network, and that many "(" would otherwise overflow
+// the goroutine stack, which kills the process and no recover catches.
+const maxNesting = 10000
+
+func (p *parser) parseExpr() (ast.Expr, error) {
+	if p.depth++; p.depth > maxNesting {
+		return nil, p.errorf(p.tok.Pos, "expression nested more than %d deep", maxNesting)
+	}
+	e, err := p.parseBinary(0)
+	p.depth--
+	return e, err
+}
 
 func (p *parser) parseBinary(level int) (ast.Expr, error) {
 	if level >= len(precLevels) {
@@ -371,7 +398,7 @@ func (p *parser) parseBinary(level int) (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
+		t := p.tok
 		op := opFor(t, level)
 		if op == "" {
 			return left, nil
@@ -386,7 +413,7 @@ func (p *parser) parseBinary(level int) (ast.Expr, error) {
 }
 
 func (p *parser) parseUnary() (ast.Expr, error) {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.KwNot:
 		p.next()
@@ -419,7 +446,7 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 
 // parseProj handles "#n atom" projection chains.
 func (p *parser) parseProj() (ast.Expr, error) {
-	t := p.peek()
+	t := p.tok
 	if t.Kind == token.Hash {
 		p.next()
 		idxTok, err := p.expect(token.Int)
@@ -440,7 +467,7 @@ func (p *parser) parseProj() (ast.Expr, error) {
 }
 
 func (p *parser) parseAtom() (ast.Expr, error) {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.Int:
 		p.next()
@@ -470,7 +497,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		return &ast.HostLit{Addr: addr, Text: t.Text, At: t.Pos, EndAt: t.End}, nil
 	case token.Ident:
 		p.next()
-		if p.peek().Kind == token.LParen {
+		if p.tok.Kind == token.LParen {
 			return p.parseCallArgs(t)
 		}
 		return &ast.Var{Name: t.Text, At: t.Pos, EndAt: t.End, Slot: -1, Global: -1}, nil
@@ -490,7 +517,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 func (p *parser) parseCallArgs(name token.Token) (ast.Expr, error) {
 	p.next() // (
 	call := &ast.Call{Name: name.Text, At: name.Pos, PrimIndex: -1, FunIndex: -1}
-	if p.peek().Kind == token.RParen {
+	if p.tok.Kind == token.RParen {
 		call.EndAt = p.next().End
 		return call, nil
 	}
@@ -500,7 +527,7 @@ func (p *parser) parseCallArgs(name token.Token) (ast.Expr, error) {
 			return nil, err
 		}
 		call.Args = append(call.Args, arg)
-		if p.peek().Kind != token.Comma {
+		if p.tok.Kind != token.Comma {
 			break
 		}
 		p.next()
@@ -516,7 +543,7 @@ func (p *parser) parseCallArgs(name token.Token) (ast.Expr, error) {
 func (p *parser) parseLet() (ast.Expr, error) {
 	at := p.next().Pos // let
 	var binds []ast.LetBind
-	for p.peek().Kind == token.KwVal {
+	for p.tok.Kind == token.KwVal {
 		p.next()
 		name, err := p.expect(token.Ident)
 		if err != nil {
@@ -602,20 +629,20 @@ func (p *parser) parseTry() (ast.Expr, error) {
 // (e), a sequence (e1; e2; ...), and a tuple (e1, e2, ...).
 func (p *parser) parseParen() (ast.Expr, error) {
 	at := p.next().Pos // (
-	if p.peek().Kind == token.RParen {
+	if p.tok.Kind == token.RParen {
 		return &ast.UnitLit{At: at, EndAt: p.next().End}, nil
 	}
 	first, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.RParen:
 		p.next()
 		return first, nil
 	case token.Semi:
 		exprs := []ast.Expr{first}
-		for p.peek().Kind == token.Semi {
+		for p.tok.Kind == token.Semi {
 			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
@@ -630,7 +657,7 @@ func (p *parser) parseParen() (ast.Expr, error) {
 		return &ast.Seq{Exprs: exprs, At: at, EndAt: rp.End}, nil
 	case token.Comma:
 		elems := []ast.Expr{first}
-		for p.peek().Kind == token.Comma {
+		for p.tok.Kind == token.Comma {
 			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
@@ -644,7 +671,7 @@ func (p *parser) parseParen() (ast.Expr, error) {
 		}
 		return &ast.TupleExpr{Elems: elems, At: at, EndAt: rp.End}, nil
 	default:
-		return nil, p.errorf(p.peek().Pos, "expected ')', ';' or ',' in parenthesized expression, got %s", p.peek())
+		return nil, p.errorf(p.tok.Pos, "expected ')', ';' or ',' in parenthesized expression, got %s", p.tok)
 	}
 }
 

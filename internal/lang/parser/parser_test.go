@@ -1,7 +1,10 @@
 package parser
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -163,6 +166,93 @@ func TestErrorsCarryPositions(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2:") {
 		t.Errorf("error should point at line 2: %v", err)
+	}
+}
+
+// TestFirstErrorInSourceOrder pins which error a source with several
+// reports: the first in source order, whether the lexer or the grammar
+// objects to it. (Scanning the whole text first let a stray character on
+// the last line hide a syntax error on the first.) Every row that
+// lexer.Scan rejects is rejected here too; FuzzParse holds that for any
+// input.
+func TestFirstErrorInSourceOrder(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"syntax then lexical", "val x int = 1\nval y : int = $", `1:7: syntax error: expected ':', got identifier "int"`},
+		{"lexical then syntax", "val x : int = $\nval y int = 1", `1:15: unexpected character "$"`},
+		{"lexical only", "val x : int = 1 $", `1:17: unexpected character "$"`},
+		{"lexical only, nothing else", "$", `1:1: unexpected character "$"`},
+		{"unterminated block comment at EOF", "val x : int = 1\n(* never closed", "2:1: unterminated block comment"},
+		{"lexical error inside an open construct", "val x : int = (1,\n  \"open", "2:3: unterminated string literal"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Parse(%q) = %v, want %s", c.name, c.src, err, c.want)
+		}
+	}
+	for src, want := range map[string]string{
+		"1 + $":  `1:5: unexpected character "$"`,
+		"1 2 $":  `1:3: syntax error: unexpected integer "2" after expression`,
+		"(1, 2$": `1:6: unexpected character "$"`,
+	} {
+		if _, err := ParseExpr(src); err == nil || err.Error() != want {
+			t.Errorf("ParseExpr(%q) = %v, want %s", src, err, want)
+		}
+	}
+}
+
+// TestNestingIsBounded: the largest upload planpd accepts, all of it
+// open parentheses, is a syntax error and not a dead process (a stack
+// overflow is fatal, not a panic); nesting that real or generated
+// programs reach still parses.
+func TestNestingIsBounded(t *testing.T) {
+	_, err := Parse("val x : int = " + strings.Repeat("(", 1<<20))
+	if err == nil || !strings.Contains(err.Error(), "nested more than") {
+		t.Errorf("a mebibyte of '(' = %v, want the nesting error", err)
+	}
+	deep := maxNesting - 1
+	if _, err := ParseExpr(strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep)); err != nil {
+		t.Errorf("%d levels should parse: %v", deep, err)
+	}
+}
+
+// aspSources reads every in-tree protocol, keyed by file name.
+func aspSources(t *testing.T) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "..", "asp", "*.planp"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no asp/*.planp sources: %v", err)
+	}
+	out := map[string]string{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(f)] = string(b)
+	}
+	return out
+}
+
+// TestParseAllocBytes bounds what Parse allocates by the size of its
+// input: the tree it returns and nothing that scales with the token
+// count. (A materialised token array alone was 14-56x the source.)
+func TestParseAllocBytes(t *testing.T) {
+	const runs, factor = 20, 12
+	for name, src := range aspSources(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Parse(src); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B source, %d B allocated (%.1fx)", name, len(src), per, float64(per)/float64(len(src)))
+		if per > factor*uint64(len(src)) {
+			t.Errorf("%s: Parse allocates %d B for %d B of source, more than %dx", name, per, len(src), factor)
+		}
 	}
 }
 

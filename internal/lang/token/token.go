@@ -125,28 +125,54 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps reserved words to their token kinds.
-var Keywords = map[string]Kind{
-	"val":       KwVal,
-	"fun":       KwFun,
-	"channel":   KwChannel,
-	"initstate": KwInitstate,
-	"is":        KwIs,
-	"let":       KwLet,
-	"in":        KwIn,
-	"end":       KwEnd,
-	"if":        KwIf,
-	"then":      KwThen,
-	"else":      KwElse,
-	"true":      KwTrue,
-	"false":     KwFalse,
-	"not":       KwNot,
-	"andalso":   KwAndalso,
-	"orelse":    KwOrelse,
-	"mod":       KwMod,
-	"try":       KwTry,
-	"handle":    KwHandle,
-	"raise":     KwRaise,
+// Lookup returns the keyword kind of a reserved word and Ident for any
+// other identifier. A switch, not a map: the lexer asks once per
+// identifier, and the compiler turns this into a jump on the length and
+// a comparison or two, where a map probe hashes the whole word.
+func Lookup(ident string) Kind {
+	switch ident {
+	case "val":
+		return KwVal
+	case "fun":
+		return KwFun
+	case "channel":
+		return KwChannel
+	case "initstate":
+		return KwInitstate
+	case "is":
+		return KwIs
+	case "let":
+		return KwLet
+	case "in":
+		return KwIn
+	case "end":
+		return KwEnd
+	case "if":
+		return KwIf
+	case "then":
+		return KwThen
+	case "else":
+		return KwElse
+	case "true":
+		return KwTrue
+	case "false":
+		return KwFalse
+	case "not":
+		return KwNot
+	case "andalso":
+		return KwAndalso
+	case "orelse":
+		return KwOrelse
+	case "mod":
+		return KwMod
+	case "try":
+		return KwTry
+	case "handle":
+		return KwHandle
+	case "raise":
+		return KwRaise
+	}
+	return Ident
 }
 
 // Pos is a position within a source file. Line and Col are 1-based;

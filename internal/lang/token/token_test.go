@@ -15,15 +15,29 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKeywordsTableMatchesKinds(t *testing.T) {
-	// Every keyword maps to a Kw* kind with a quoted name equal to the
-	// source spelling.
-	for word, kind := range Keywords {
-		if got := kind.String(); got != "'"+word+"'" {
-			t.Errorf("keyword %q has kind name %s", word, got)
+	// Every keyword kind (they start at KwVal) is named by its source
+	// spelling in quotes, and that spelling looks up to the kind.
+	keywords := 0
+	for kind, name := range kindNames {
+		if kind < KwVal {
+			continue
+		}
+		keywords++
+		word := strings.Trim(name, "'")
+		if name != "'"+word+"'" || word == "" {
+			t.Errorf("keyword kind %d is named %s", int(kind), name)
+		}
+		if got := Lookup(word); got != kind {
+			t.Errorf("Lookup(%q) = %s, want %s", word, got, name)
 		}
 	}
-	if len(Keywords) < 15 {
-		t.Errorf("keyword table suspiciously small: %d", len(Keywords))
+	if keywords < 15 {
+		t.Errorf("keyword table suspiciously small: %d", keywords)
+	}
+	for _, word := range []string{"", "value", "Val", "ends", "i", "initstat"} {
+		if got := Lookup(word); got != Ident {
+			t.Errorf("Lookup(%q) = %s, want an identifier", word, got)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@
 // every router, figure 8 installs the gateway per variant) repeats the
 // parse/check/verify/compile pipeline on identical input. The pipeline
 // is deterministic for a given (source, engine, verify policy), so Load
-// memoizes its result keyed by the source's SHA-256.
+// memoizes its result keyed by the source text itself: the map hashes
+// the string where it lies and compares it on a hit, so looking a
+// program up copies nothing and a digest collision cannot hand out the
+// wrong program.
 //
 // What is shared is immutable for every engine: the typechecked Info,
 // the engine.Compiled program (see its contract — any number of
@@ -18,7 +21,6 @@
 package planprt
 
 import (
-	"crypto/sha256"
 	"sync"
 	"time"
 
@@ -28,7 +30,7 @@ import (
 )
 
 type cacheKey struct {
-	src    [sha256.Size]byte
+	src    string
 	engine EngineKind
 	policy VerifyPolicy
 }

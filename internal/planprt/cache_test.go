@@ -1,6 +1,7 @@
 package planprt
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -161,5 +162,31 @@ func TestCacheConcurrentLoads(t *testing.T) {
 		if p == nil || p.Compiled == nil {
 			t.Fatal("concurrent load returned nil program")
 		}
+	}
+}
+
+// TestLoadWarmHitAllocs pins what a cache hit costs: the fresh Program
+// and nothing that grows with the source — no copy of the text to hash,
+// no digest state.
+func TestLoadWarmHitAllocs(t *testing.T) {
+	ResetCache()
+	cfg := Config{Engine: EngineJIT, Verify: VerifySingleNode}
+	if _, err := Load(balancer, cfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Load(balancer, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if hits, _ := CacheStats(); hits != runs {
+		t.Fatalf("%d cache hits in %d warm loads", hits, runs)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= uint64(len(balancer)) {
+		t.Errorf("a cache hit allocates %d B, the source is %d B: the hit path must not copy it", per, len(balancer))
 	}
 }

@@ -19,7 +19,6 @@
 package planprt
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"time"
@@ -159,7 +158,7 @@ func compileWith(kind EngineKind) (func(*typecheck.Info) (engine.Compiled, error
 }
 
 // Load parses, checks, verifies, and compiles a protocol source text.
-// Successful results are memoized by (source hash, engine, verify
+// Successful results are memoized by (source text, engine, verify
 // policy) — see cache.go — unless cfg.NoCache is set; each call still
 // returns a fresh *Program, so install accounting starts at zero.
 //
@@ -170,7 +169,7 @@ func compileWith(kind EngineKind) (func(*typecheck.Info) (engine.Compiled, error
 // Install is deferred to the activate phase.
 func Load(src string, cfg Config) (*Program, error) {
 	cfg.fill()
-	key := cacheKey{src: sha256.Sum256([]byte(src)), engine: cfg.Engine, policy: cfg.Verify}
+	key := cacheKey{src: src, engine: cfg.Engine, policy: cfg.Verify}
 	if !cfg.NoCache {
 		if e := cacheGet(key); e != nil {
 			return e.program(src, cfg.Verify), nil
