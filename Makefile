@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race verify bench bench-scale experiments clean
+.PHONY: all build test vet staticcheck race verify bench experiments clean
 
 all: verify
 
@@ -33,28 +33,13 @@ race:
 
 verify: build vet staticcheck test race
 
-# Hot-path benchmarks: the event queue, the timing wheel (on and off,
-# same load), batched link delivery, the copy-on-write fan-out, the
-# observed-vs-unobserved forwarding pair that bounds the event bus's
-# no-op overhead, and one full sweep through the parallel experiment
-# driver. Raw `go test -bench` text (benchstat-comparable) goes to
-# stdout; benchjson distills ns/op + allocs/op into BENCH_core.json,
-# preserving the pre-rewrite baseline block already in that file.
-HOT_BENCH = BenchmarkEventQueue$$|BenchmarkTimerWheel$$|BenchmarkTimerWheelOff$$|BenchmarkBatchedDelivery$$|BenchmarkPacketFanout$$|BenchmarkSimulatorForwarding$$|BenchmarkSimulatorForwardingObserved$$|BenchmarkAspbenchSweep$$
-
+# The one measurement harness: bench/planpbench, the benchmark
+# BENCHMARK.json declares. One untraced pass (end-to-end metrics) and one
+# traced pass (per-layer rungs) over every workload refresh the tracked
+# BENCH_e2e.json / BENCH_layers.json. `go test -bench` in bench_test.go
+# is for by-hand alternating pairs and writes no tracked file.
 bench:
-	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -count=3 . | $(GO) run ./cmd/benchjson -o BENCH_core.json
-
-# City-scale sharded-simulation throughput: the full metropolitan city
-# (10k+ edge routers, ~1M modeled clients) at 1 and 4 shards. Each run
-# is a single full simulation (-benchtime 1x), repeated 3x and averaged;
-# benchjson carries the events/s and pkts/s/core ReportMetric units into
-# BENCH_scale.json.
-SCALE_BENCH = BenchmarkCityScale1$$|BenchmarkCityScale4$$
-
-bench-scale:
-	$(GO) test -run '^$$' -bench '$(SCALE_BENCH)' -benchtime 1x -count=3 -timeout 30m . | $(GO) run ./cmd/benchjson -o BENCH_scale.json \
-		-note "City-scale sharded-simulation snapshot (full metropolitan city); regenerate with \`make bench-scale\`. Values are means over -count full runs; pkts/s/core divides by min(shards, GOMAXPROCS) — on a single-core machine the 4-shard gain comes from smaller per-shard heaps, not parallelism. See docs/PERFORMANCE.md."
+	scripts/bench-snapshot.sh
 
 # Regenerate every paper figure/table.
 experiments:

@@ -25,7 +25,6 @@ import (
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/apps/audio"
-	"planp.dev/planp/internal/apps/city"
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/apps/mpeg"
 	"planp.dev/planp/internal/experiments"
@@ -339,8 +338,7 @@ func benchForwarding(b *testing.B, observe func(*netsim.Simulator)) {
 	got := 0
 	c.BindUDP(9, func(*netsim.Packet) { got++ })
 	// A burst of packets is pipelined through the router per Run: the
-	// link serializes them back to back and the batched delivery ring
-	// drains them in one dispatch chain, so ns/op measures steady-state
+	// link serializes them back to back, so ns/op measures steady-state
 	// per-packet forwarding instead of per-Run turnaround (seal check,
 	// counter flush). The packets are hoisted out of the measured loop
 	// and re-owned each round (local delivery disowned them; the loop
@@ -384,9 +382,8 @@ func TestSimulatorForwardingZeroAllocs(t *testing.T) {
 	r.AddRoute(c.Addr, l2.Ifaces()[0])
 	c.SetDefaultRoute(l2.Ifaces()[1])
 	c.BindUDP(9, func(*netsim.Packet) {})
-	// Same burst shape as the benchmark so the batched-delivery chain
-	// path is what gets gated (ring growth happens in AllocsPerRun's
-	// warm-up iteration).
+	// Same burst shape as the benchmark (the event heap grows in
+	// AllocsPerRun's warm-up iteration).
 	pkts := make([]*netsim.Packet, 8)
 	for i := range pkts {
 		pkts[i] = netsim.NewUDP(a.Addr, c.Addr, 1, 9, make([]byte, 1000))
@@ -540,14 +537,14 @@ func timerLoadOffsets(n int, seed uint32) []time.Duration {
 	return offsets
 }
 
-// benchTimerLoad drives the scheduler with a dense scrambled timer
-// population — 4096 pending events across wheel levels 0 and 1 — per
-// op: schedule everything, then drain. This is the load shape where
-// heap sift traffic dominates and the wheel's O(1) slot appends win;
-// the On/Off pair quantifies the difference on identical schedules.
-func benchTimerLoad(b *testing.B, wheel bool) {
-	b.Helper()
-	sim := netsim.New(netsim.WithSeed(1), netsim.WithWheel(wheel))
+// BenchmarkTimerWheel drives the scheduler (the hierarchical timing
+// wheel, wheel.go) with a dense scrambled timer population — 4096
+// pending events across wheel levels 0 and 1 — per op: schedule
+// everything, then drain. This is the load shape where heap sift traffic
+// dominates and the wheel's O(1) slot appends win. Must run at
+// 0 allocs/op — gated by TestTimerWheelZeroAllocs.
+func BenchmarkTimerWheel(b *testing.B) {
+	sim := netsim.New(netsim.WithSeed(1))
 	fn := func() {}
 	offsets := timerLoadOffsets(4096, 2463534242)
 	for _, d := range offsets { // grow queue/slot backing arrays once
@@ -564,18 +561,11 @@ func benchTimerLoad(b *testing.B, wheel bool) {
 	}
 }
 
-// BenchmarkTimerWheel measures schedule+dispatch through the hierarchical
-// timing wheel (wheel.go); BenchmarkTimerWheelOff is the same load on
-// the bare 4-ary heap. Both must run at 0 allocs/op — gated by
-// TestTimerWheelZeroAllocs.
-func BenchmarkTimerWheel(b *testing.B)    { benchTimerLoad(b, true) }
-func BenchmarkTimerWheelOff(b *testing.B) { benchTimerLoad(b, false) }
-
 // TestTimerWheelZeroAllocs gates the steady-state wheel path: once slot
 // and heap backing arrays have grown, scheduling and draining a dense
 // timer population must not allocate.
 func TestTimerWheelZeroAllocs(t *testing.T) {
-	sim := netsim.New(netsim.WithSeed(1), netsim.WithWheel(true))
+	sim := netsim.New(netsim.WithSeed(1))
 	fn := func() {}
 	offsets := timerLoadOffsets(512, 88172645)
 	// Three warm-up rounds: the first grows each touched slot's array
@@ -598,105 +588,34 @@ func TestTimerWheelZeroAllocs(t *testing.T) {
 	}
 }
 
-// benchBatchedTopology wires the two-node link the batched-delivery
-// benchmark and its alloc gate share: a sender bursting straight to a
-// receiver, so every packet after the first rides the link's pending
-// ring and the chained dispatch in deliverBatch instead of its own heap
-// event.
-func benchBatchedTopology(sim *netsim.Simulator, count *int) (send func(burst []*netsim.Packet), a, b *netsim.Node) {
-	a = netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
-	b = netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
-	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 1_000_000_000})
+// TestLinkBurstZeroAllocs gates a link-rate burst: 16 packets serialized
+// back to back on one link, each its own delivery event, must reach the
+// receiver without allocating once the event heap has grown.
+func TestLinkBurstZeroAllocs(t *testing.T) {
+	sim := netsim.New(netsim.WithSeed(1))
+	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
+	dst := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
+	l := netsim.Connect(sim, a, dst, netsim.LinkConfig{Bandwidth: 1_000_000_000})
 	a.SetDefaultRoute(l.Ifaces()[0])
-	b.BindUDP(9, func(*netsim.Packet) { *count++ })
-	send = func(burst []*netsim.Packet) {
-		for _, pkt := range burst {
-			pkt.IP.TTL = 64
-			a.Send(pkt.Own())
-		}
-		sim.Run()
-	}
-	return send, a, b
-}
-
-// BenchmarkBatchedDelivery measures the per-packet cost of a link-rate
-// burst: 64 packets serialized back to back arrive as ONE scheduled
-// event plus 63 chained deliveries (link.go's pending ring), where the
-// unbatched engine scheduled 64 heap events. 0 allocs/op, gated by
-// TestBatchedDeliveryZeroAllocs.
-func BenchmarkBatchedDelivery(b *testing.B) {
-	sim := netsim.New(netsim.WithSeed(1))
 	got := 0
-	send, a, dst := benchBatchedTopology(sim, &got)
-	const burst = 64
-	pkts := make([]*netsim.Packet, burst)
-	for i := range pkts {
-		pkts[i] = netsim.NewUDP(a.Addr, dst.Addr, 1, 9, make([]byte, 1000))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sent := 0
-	for i := 0; i < b.N; i += burst {
-		send(pkts)
-		sent += burst
-	}
-	b.StopTimer()
-	if got != sent {
-		b.Fatalf("delivered %d of %d", got, sent)
-	}
-}
-
-// TestBatchedDeliveryZeroAllocs gates the pending-ring chain: a warmed
-// burst path (ring capacity grown) must deliver without allocating.
-func TestBatchedDeliveryZeroAllocs(t *testing.T) {
-	sim := netsim.New(netsim.WithSeed(1))
-	got := 0
-	send, a, dst := benchBatchedTopology(sim, &got)
+	dst.BindUDP(9, func(*netsim.Packet) { got++ })
 	pkts := make([]*netsim.Packet, 16)
 	for i := range pkts {
 		pkts[i] = netsim.NewUDP(a.Addr, dst.Addr, 1, 9, make([]byte, 1000))
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		send(pkts)
-	}); n != 0 {
-		t.Errorf("batched delivery allocates %.1f/op, want 0", n)
-	}
-}
-
-// benchCityScale runs the full metropolitan city (10k+ edge routers,
-// ~1M modeled clients) on the given shard count and reports engine
-// throughput: events/s over the whole run and packets/s/core, where the
-// core count is min(shards, GOMAXPROCS) — the event loops the machine
-// can actually run at once. cmd/benchjson turns these custom units into
-// BENCH_scale.json via `make bench-scale`.
-func benchCityScale(b *testing.B, shards int) {
-	cfg := city.Full
-	cfg.Shards = shards
-	// One unmeasured warm-up run: the first city in a fresh process pays
-	// for growing the allocator arena to fit the 10k-router topology,
-	// which later runs reuse. Measuring from the second run on keeps
-	// -count repetitions comparable with each other.
-	if _, err := city.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	var events, packets int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := city.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
+		for _, pkt := range pkts {
+			pkt.IP.TTL = 64
+			a.Send(pkt.Own())
 		}
-		events += int64(res.Events)
-		packets += res.Packets
+		sim.Run()
+	}); n != 0 {
+		t.Errorf("link burst allocates %.1f/op, want 0", n)
 	}
-	sec := b.Elapsed().Seconds()
-	cores := min(shards, runtime.GOMAXPROCS(0))
-	b.ReportMetric(float64(events)/sec, "events/s")
-	b.ReportMetric(float64(packets)/sec/float64(cores), "pkts/s/core")
+	if got == 0 {
+		t.Error("no packet was delivered")
+	}
 }
-
-func BenchmarkCityScale1(b *testing.B) { benchCityScale(b, 1) }
-func BenchmarkCityScale4(b *testing.B) { benchCityScale(b, 4) }
 
 // BenchmarkAspbenchSweep runs a full experiment grid through the
 // parallel driver (the MPEG viewers x mode sweep — 8 independent
@@ -713,9 +632,9 @@ func BenchmarkAspbenchSweep(b *testing.B) {
 		b.Fatal("mpeg experiment not registered")
 	}
 	opts := experiments.Options{Parallel: runtime.GOMAXPROCS(0)}
-	// Allocation count is reported (and lands in BENCH_core.json) so a
-	// driver- or substrate-level allocation regression moves a tracked
-	// number even though a full sweep can't be zero-alloc.
+	// Allocation count is reported so a driver- or substrate-level
+	// allocation regression shows in a by-hand pair even though a full
+	// sweep can't be zero-alloc.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,9 +15,10 @@
 //
 // Grid experiments run their cells on -parallel worker goroutines
 // (default GOMAXPROCS); the output is byte-identical at any width.
-// -shards runs each simulation on up to that many parallel event loops
-// (only topologies with shard boundaries — the scale experiment's city
-// — actually split); the output is byte-identical at any shard count.
+// -shards runs the scale experiment's city — the only topology that
+// declares shard boundaries — on up to that many parallel event loops;
+// no other experiment reads it, and the output is byte-identical at any
+// shard count.
 // -scale-full switches the scale experiment to the full metropolitan
 // city. -cpuprofile/-memprofile write pprof profiles of the run.
 package main
@@ -38,7 +39,7 @@ func main() {
 	exp := flag.String("exp", "", "experiment to run (or 'all')")
 	engine := flag.String("engine", "jit", "ASP engine for the experiments")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for grid experiments (1 = sequential)")
-	shards := flag.Int("shards", 1, "parallel event loops per simulation (1 = single-threaded engine)")
+	shards := flag.Int("shards", 1, "parallel event loops for -exp scale, the only experiment that reads it (1 = single-threaded engine)")
 	scaleFull := flag.Bool("scale-full", false, "run the scale experiment on the full metropolitan city (minutes of CPU)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -67,11 +67,6 @@ type Options struct {
 	Adaptation Adaptation
 	Engine     planprt.EngineKind
 	Seed       int64
-	// Shards caps the simulator's parallel event loops (default 1).
-	// The audio topology declares no shard boundaries, so any value
-	// collapses to the single-threaded engine; the knob exists so the
-	// experiment harness can sweep one setting across all scenarios.
-	Shards int
 }
 
 // NewTestbed builds the topology and installs the selected adaptation.
@@ -79,7 +74,7 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	sim := netsim.New(netsim.WithSeed(opts.Seed), netsim.WithShards(opts.Shards))
+	sim := netsim.New(netsim.WithSeed(opts.Seed))
 	src := netsim.NewNode(sim, "source", netsim.MustAddr("10.1.0.1"))
 	router := netsim.NewNode(sim, "router", netsim.MustAddr("10.1.0.254"))
 	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.2.0.1"))

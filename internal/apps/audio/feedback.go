@@ -153,7 +153,7 @@ type LocusResult struct {
 // RunLocus measures reaction to a heavy load step at stepAt for either
 // the in-router ASP ("router") or end-to-end feedback ("feedback").
 // opts.Adaptation is chosen by the mechanism and ignored if set; the
-// remaining fields (Seed, Engine, Shards) pass through to the testbed.
+// remaining fields (Seed, Engine) pass through to the testbed.
 func RunLocus(mechanism string, opts Options) (*LocusResult, error) {
 	const (
 		stepAt = 30 * time.Second

@@ -65,7 +65,7 @@ func (c *Config) fill() {
 
 // Presets. Tiny keeps unit tests fast; CI is the shard-invariance diff
 // run in continuous integration; Full is the 10k-router, ~1M-client
-// configuration BENCH_scale.json tracks.
+// configuration `planpbench -workload sim_city` runs.
 var (
 	Tiny = Config{Regions: 2, EdgesPerRegion: 6, ClientsPerEdge: 10,
 		Duration: 50 * time.Millisecond, CrossEvery: 3, AudioFanout: 4}
@@ -83,6 +83,10 @@ type Result struct {
 	Nodes   int    // nodes in the topology
 	Clients int    // modeled clients (EdgesPerRegion * ClientsPerEdge * Regions)
 	Shards  int    // effective shard count
+
+	// netsim's CriticalPath reading (zero on one shard):
+	// Events/CriticalEvents bounds the speed-up on any number of cores.
+	Windows, CriticalEvents int
 }
 
 // region holds one cluster's construction-time handles.
@@ -258,6 +262,7 @@ func Run(cfg Config) (*Result, error) {
 		Clients: cfg.Regions * cfg.EdgesPerRegion * cfg.ClientsPerEdge,
 		Shards:  sim.ShardCount(),
 	}
+	res.Windows, _, res.CriticalEvents = sim.CriticalPath()
 	var b strings.Builder
 	var totReq, totResp, totAudio, totDrop, totServed int64
 	for r, reg := range regions {

@@ -92,3 +92,23 @@ func mustRun(t *testing.T, preset Config, shards int) *Result {
 	}
 	return res
 }
+
+// TestShardCriticalPath pins the shard engine's deterministic
+// scalability reading for the CI preset: the same windows and events
+// at every shard count, and a critical path (per-window busiest shard,
+// summed) that halves as the shards double — the partition is balanced.
+// Exact integers, not timings: a change to the partitioner, the
+// lookahead or the workload's phase stagger shows up here.
+func TestShardCriticalPath(t *testing.T) {
+	for _, want := range []struct{ shards, windows, events, critical int }{
+		{1, 0, 5417, 0}, // the single-threaded engine has no windows
+		{2, 20, 5417, 2743},
+		{4, 20, 5417, 1407},
+	} {
+		got := mustRun(t, CI, want.shards)
+		if got.Windows != want.windows || got.Events != want.events || got.CriticalEvents != want.critical {
+			t.Errorf("shards=%d: windows=%d events=%d critical=%d, want %d/%d/%d", want.shards,
+				got.Windows, got.Events, got.CriticalEvents, want.windows, want.events, want.critical)
+		}
+	}
+}

@@ -69,10 +69,6 @@ type Config struct {
 	// (policy ablation); empty uses asp.HTTPGateway.
 	GatewaySource string
 	Seed          int64
-	// Shards caps the simulator's parallel event loops (default 1);
-	// the cluster topology has no shard boundaries, so it always
-	// collapses to the single-threaded engine.
-	Shards int
 }
 
 // NewTestbed wires the cluster for a variant.
@@ -83,7 +79,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Engine == "" {
 		cfg.Engine = planprt.EngineJIT
 	}
-	sim := netsim.New(netsim.WithSeed(cfg.Seed), netsim.WithShards(cfg.Shards))
+	sim := netsim.New(netsim.WithSeed(cfg.Seed))
 	c1 := netsim.NewNode(sim, "client1", netsim.MustAddr("10.0.1.1"))
 	c2 := netsim.NewNode(sim, "client2", netsim.MustAddr("10.0.1.2"))
 	gw := netsim.NewNode(sim, "gateway", netsim.MustAddr("10.0.0.1"))

@@ -40,8 +40,8 @@ type FailoverResult struct {
 // RunFailover drives the timeline: steady load against the virtual
 // address; A crashes at crashAt; the administrator reacts at adminAt;
 // the run ends at end. The variant and gateway source are fixed by the
-// scenario and overwritten in cfg; Engine, Seed, and Shards pass
-// through to the testbed.
+// scenario and overwritten in cfg; Engine and Seed pass through to
+// the testbed.
 func RunFailover(cfg Config) (*FailoverResult, error) {
 	const (
 		crashAt = 8 * time.Second

@@ -34,10 +34,6 @@ type Options struct {
 	Seed    int64
 	// Stagger is the delay between successive viewers starting.
 	Stagger time.Duration
-	// Shards caps the simulator's parallel event loops (default 1);
-	// this topology has no shard boundaries, so it always collapses
-	// to the single-threaded engine.
-	Shards int
 }
 
 // NewTestbed builds the topology and optionally deploys the ASPs.
@@ -48,7 +44,7 @@ func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.Stagger == 0 {
 		opts.Stagger = time.Second
 	}
-	sim := netsim.New(netsim.WithSeed(opts.Seed), netsim.WithShards(opts.Shards))
+	sim := netsim.New(netsim.WithSeed(opts.Seed))
 	srvNode := netsim.NewNode(sim, "videoserver", netsim.MustAddr("10.9.0.1"))
 	router := netsim.NewNode(sim, "router", netsim.MustAddr("10.9.0.254"))
 	router.Forwarding = true

@@ -22,7 +22,7 @@ func runAblationLocus(w io.Writer, opts Options) error {
 	results := make([]*audio.LocusResult, len(mechs))
 	errs := make([]error, len(mechs))
 	par.ForEach(opts.Parallel, len(mechs), func(i int) {
-		results[i], errs[i] = audio.RunLocus(mechs[i], audio.Options{Seed: 5, Shards: opts.Shards})
+		results[i], errs[i] = audio.RunLocus(mechs[i], audio.Options{Seed: 5})
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -51,7 +51,7 @@ func runAblationLocus(w io.Writer, opts Options) error {
 // the survivor.
 func runFailover(w io.Writer, opts Options) error {
 	opts.fill()
-	res, err := httpd.RunFailover(httpd.Config{Engine: opts.Engine, Seed: 3, Shards: opts.Shards})
+	res, err := httpd.RunFailover(httpd.Config{Engine: opts.Engine, Seed: 3})
 	if err != nil {
 		return err
 	}
@@ -99,7 +99,6 @@ func runAblationPolicy(w io.Writer, opts Options) error {
 			Engine:        opts.Engine,
 			ServerB:       &slowB,
 			GatewaySource: policies[i].src,
-			Shards:        opts.Shards,
 		}
 		tb, err := httpd.NewTestbed(cfg)
 		if err != nil {

@@ -104,7 +104,7 @@ type chaosAudioRow struct {
 
 func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, seed int64) (*chaosAudioRow, error) {
 	engine := opts.Engine
-	tb, err := audio.NewTestbed(audio.Options{Adaptation: mode, Engine: engine, Seed: seed, Shards: opts.Shards})
+	tb, err := audio.NewTestbed(audio.Options{Adaptation: mode, Engine: engine, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ type chaosGwRow struct {
 
 func runChaosGatewayCell(sc gwScenario, opts Options, seed int64) (*chaosGwRow, error) {
 	engine := opts.Engine
-	tb, err := httpd.NewTestbed(httpd.Config{Variant: httpd.VariantASPGW, Engine: engine, Seed: seed, Shards: opts.Shards})
+	tb, err := httpd.NewTestbed(httpd.Config{Variant: httpd.VariantASPGW, Engine: engine, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -47,11 +47,11 @@ type Options struct {
 	// Parallel is the worker-pool width for grid experiments; <= 1 runs
 	// every cell sequentially on the calling goroutine.
 	Parallel int
-	// Shards caps each simulation's parallel event loops (default 1).
-	// Drivers pass it through to every topology they build; only
-	// topologies that declare shard boundaries (the scale experiment's
-	// city) actually split, and outputs are byte-identical at any
-	// value — the regression suite diffs Shards=1 against Shards=4.
+	// Shards is the number of parallel event loops the scale experiment
+	// runs its city on (default 1). It reaches no other experiment: only
+	// the city declares shard boundaries, and its output is
+	// byte-identical at any value — the regression suite diffs
+	// Shards=1 against Shards=4.
 	Shards int
 	// ScaleFull switches the scale experiment from the CI-sized city
 	// to the full metropolitan deployment (10k+ routers, ~1M modeled
@@ -65,9 +65,6 @@ func (o *Options) fill() {
 	}
 	if o.Parallel < 1 {
 		o.Parallel = 1
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 }
 
@@ -183,7 +180,7 @@ func runFig3(w io.Writer, opts Options) error {
 
 func runFig6(w io.Writer, opts Options) error {
 	opts.fill()
-	tb, err := audio.NewTestbed(audio.Options{Adaptation: audio.AdaptASP, Engine: opts.Engine, Shards: opts.Shards})
+	tb, err := audio.NewTestbed(audio.Options{Adaptation: audio.AdaptASP, Engine: opts.Engine})
 	if err != nil {
 		return err
 	}
@@ -211,7 +208,7 @@ func runFig7(w io.Writer, opts Options) error {
 	errs := make([]error, len(rows))
 	par.Grid2(opts.Parallel, len(loads), len(modes), func(i, j int) {
 		k := i*len(modes) + j
-		rows[k], errs[k] = audio.RunFigure7(loads[i], 60*time.Second, audio.Options{Adaptation: modes[j], Engine: opts.Engine, Seed: 11, Shards: opts.Shards})
+		rows[k], errs[k] = audio.RunFigure7(loads[i], 60*time.Second, audio.Options{Adaptation: modes[j], Engine: opts.Engine, Seed: 11})
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -241,7 +238,7 @@ func runFig8(w io.Writer, opts Options) error {
 	errs := make([]error, len(pts))
 	par.Grid2(opts.Parallel, len(variants), len(sweep), func(i, j int) {
 		k := i*len(sweep) + j
-		pts[k], errs[k] = httpd.RunPoint(httpd.Config{Variant: variants[i], Engine: opts.Engine, Shards: opts.Shards}, sweep[j], 12*time.Second, 3*time.Second)
+		pts[k], errs[k] = httpd.RunPoint(httpd.Config{Variant: variants[i], Engine: opts.Engine}, sweep[j], 12*time.Second, 3*time.Second)
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -259,7 +256,7 @@ func runFig8(w io.Writer, opts Options) error {
 	sat := make([]float64, len(variants))
 	satErrs := make([]error, len(variants))
 	par.ForEach(opts.Parallel, len(variants), func(i int) {
-		sat[i], satErrs[i] = httpd.Saturation(httpd.Config{Variant: variants[i], Engine: opts.Engine, Shards: opts.Shards}, 20*time.Second)
+		sat[i], satErrs[i] = httpd.Saturation(httpd.Config{Variant: variants[i], Engine: opts.Engine}, 20*time.Second)
 	})
 	if err := firstErr(satErrs); err != nil {
 		return err
@@ -279,7 +276,7 @@ func runMPEG(w io.Writer, opts Options) error {
 	errs := make([]error, len(results))
 	par.Grid2(opts.Parallel, len(viewerCounts), len(aspModes), func(i, j int) {
 		k := i*len(aspModes) + j
-		results[k], errs[k] = mpeg.Run(mpeg.Options{Viewers: viewerCounts[i], UseASPs: aspModes[j], Engine: opts.Engine, Shards: opts.Shards}, 20*time.Second)
+		results[k], errs[k] = mpeg.Run(mpeg.Options{Viewers: viewerCounts[i], UseASPs: aspModes[j], Engine: opts.Engine}, 20*time.Second)
 	})
 	if err := firstErr(errs); err != nil {
 		return err

@@ -108,32 +108,21 @@ func TestDriversWriteOnlyToWriter(t *testing.T) {
 }
 
 // TestShardOutputMatchesSingle is the sharding acceptance gate at the
-// driver level: every deterministic experiment must produce
-// byte-identical output at Shards=1 and Shards=4. For the paper
-// experiments the topologies declare no boundaries and the engine
-// collapses to one shard, proving the option is inert there; for scale
-// the city actually splits into four event loops.
+// driver level: Options.Shards reaches the scale experiment alone (the
+// only topology that declares shard boundaries), where the city really
+// splits into four event loops and must print byte-identical output.
 func TestShardOutputMatchesSingle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every deterministic experiment twice")
-	}
-	for _, name := range deterministic {
-		if raceEnabled && slow[name] {
-			continue
+	t.Run("scale", func(t *testing.T) {
+		e := find(t, "scale")
+		var one, four bytes.Buffer
+		if err := e.Run(&one, Options{Shards: 1}); err != nil {
+			t.Fatalf("shards=1: %v", err)
 		}
-		name := name
-		t.Run(name, func(t *testing.T) {
-			e := find(t, name)
-			var one, four bytes.Buffer
-			if err := e.Run(&one, Options{Shards: 1}); err != nil {
-				t.Fatalf("shards=1: %v", err)
-			}
-			if err := e.Run(&four, Options{Shards: 4}); err != nil {
-				t.Fatalf("shards=4: %v", err)
-			}
-			if one.String() != four.String() {
-				t.Errorf("output differs between -shards 1 and -shards 4:\n%s", firstDiff(one.String(), four.String()))
-			}
-		})
-	}
+		if err := e.Run(&four, Options{Shards: 4}); err != nil {
+			t.Fatalf("shards=4: %v", err)
+		}
+		if one.String() != four.String() {
+			t.Errorf("output differs between -shards 1 and -shards 4:\n%s", firstDiff(one.String(), four.String()))
+		}
+	})
 }

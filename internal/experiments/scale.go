@@ -16,8 +16,8 @@ import (
 // Everything written here is shard-count-independent by construction
 // (per-region traffic counters, event and packet totals — never the
 // effective shard count or any wall-clock measurement): the CI scale
-// job diffs this output between -shards 1 and -shards 4, and the
-// benchmarks in bench_test.go own the throughput numbers.
+// job diffs this output between -shards 1 and -shards 4, and
+// `planpbench -workload sim_city` owns the throughput number.
 func runScale(w io.Writer, opts Options) error {
 	opts.fill()
 	cfg := city.CI

@@ -74,10 +74,6 @@ type Iface struct {
 	// peer is the other endpoint for point-to-point links (nil on
 	// segments).
 	peer *Iface
-
-	// rxDir is the link direction that delivers INTO this interface
-	// (nil on segments) — the pending-delivery ring deliverBatch drains.
-	rxDir *direction
 }
 
 // SetFault installs (or, with nil, removes) the interface's fault layer
@@ -102,36 +98,19 @@ func (i *Iface) Load() int64 {
 func (i *Iface) Send(pkt *Packet) { i.medium.Transmit(i, pkt) }
 
 // ---------------------------------------------------------------------------
-// Point-to-point link
+// The wire: one serialization resource
 
-// pending is one in-flight link delivery waiting in a direction's
-// batch ring. at and seq are the packet's ORIGINAL schedule key,
-// assigned at transmit time exactly as the unbatched engine would —
-// reusing them when the drain event is rescheduled is what keeps the
-// queue's interleaving (and therefore all output) byte-identical.
-type pending struct {
-	at  time.Duration
-	seq uint64
-	pkt *Packet
-}
-
-// direction models one direction of a duplex link.
-type direction struct {
+// wire is the state of one serialization resource — one direction of a
+// Link, or the whole of a Segment — and the one place drop-tail
+// queueing, serialization time and load metering are computed. It is
+// only ever touched by the shard of the sending node (a direction has
+// one sender; a segment's attachments share an island), so sharded runs
+// mutate it without locks.
+type wire struct {
 	busyUntil    time.Duration
 	meter        *RateMeter
 	dropped      int64 // queue-overflow drops
 	faultDropped int64 // chaos-injected drops (distinct by contract)
-
-	// Batched delivery: instead of one queue event per in-flight packet,
-	// the direction keeps its deliveries here (arrival times are
-	// monotone on the faultless path — serialization is FIFO) and the
-	// queue holds at most ONE event per direction, carrying the head's
-	// original (at, seq). Chaos-delayed copies bypass the ring (their
-	// arrivals are not monotone), as do cross-shard deliveries (the
-	// outbox is the ordering mechanism there).
-	pend     []pending
-	head     int
-	inFlight bool
 
 	// lastSize/lastTx memoize the serialization-time division for
 	// back-to-back same-size packets (every streaming workload). The
@@ -140,6 +119,39 @@ type direction struct {
 	lastSize int64
 	lastTx   time.Duration
 }
+
+// serialize queues pkt behind whatever is still waiting to finish
+// serialization and returns the time its last bit leaves the sender; ok
+// is false when the backlog exceeds queueLimit bytes and the packet is
+// tail-dropped.
+func (w *wire) serialize(sh *shard, bandwidth, queueLimit int64, from *Iface, pkt *Packet) (done time.Duration, ok bool) {
+	now := sh.now
+	backlogBits := int64(0)
+	if w.busyUntil > now {
+		backlogBits = int64(w.busyUntil-now) * bandwidth / int64(time.Second)
+	}
+	if backlogBits/8 > queueLimit {
+		w.dropped++
+		if sh.bus.Active() {
+			emitMedium(sh, obs.KindDrop, from, pkt, "queue")
+		}
+		return 0, false
+	}
+	size := int64(pkt.Size())
+	if size != w.lastSize {
+		w.lastSize = size
+		w.lastTx = time.Duration(size * 8 * int64(time.Second) / bandwidth)
+	}
+	w.busyUntil = max(now, w.busyUntil) + w.lastTx
+	w.meter.Add(now, size)
+	if sh.bus.Active() {
+		emitMedium(sh, obs.KindEnqueue, from, pkt, "")
+	}
+	return w.busyUntil, true
+}
+
+// ---------------------------------------------------------------------------
+// Point-to-point link
 
 // Link is a full-duplex point-to-point link with serialization delay,
 // propagation delay, and a drop-tail queue bounded in bytes.
@@ -150,7 +162,7 @@ type Link struct {
 	boundary   bool  // eligible shard cut (LinkConfig.ShardBoundary)
 
 	a, b *Iface
-	dirs [2]direction // 0: a->b, 1: b->a
+	dirs [2]wire // 0: a->b, 1: b->a
 }
 
 var _ Medium = (*Link)(nil)
@@ -191,7 +203,6 @@ func Connect(sim *Simulator, a, b *Node, cfg LinkConfig) *Link {
 	l.a = &Iface{Node: a, Name: fmt.Sprintf("%s->%s", a.Name, b.Name), medium: l}
 	l.b = &Iface{Node: b, Name: fmt.Sprintf("%s->%s", b.Name, a.Name), medium: l}
 	l.a.peer, l.b.peer = l.b, l.a
-	l.a.rxDir, l.b.rxDir = &l.dirs[1], &l.dirs[0] // dirs[0] is a->b: it delivers into b
 	a.addIface(l.a)
 	b.addIface(l.b)
 	sim.links = append(sim.links, l)
@@ -204,41 +215,28 @@ func (l *Link) Bandwidth() int64 { return l.bandwidth }
 // Ifaces returns the link's two interfaces in Connect argument order.
 func (l *Link) Ifaces() [2]*Iface { return [2]*Iface{l.a, l.b} }
 
-// MeterFor implements Medium.
-func (l *Link) MeterFor(from *Iface) *RateMeter {
+// dir returns the wire carrying traffic out of from.
+func (l *Link) dir(from *Iface) *wire {
 	if from == l.a {
-		return l.dirs[0].meter
+		return &l.dirs[0]
 	}
-	return l.dirs[1].meter
+	return &l.dirs[1]
 }
+
+// MeterFor implements Medium.
+func (l *Link) MeterFor(from *Iface) *RateMeter { return l.dir(from).meter }
 
 // Dropped returns the packets dropped by queue overflow in the
 // direction out of from (chaos-injected drops are counted separately;
 // see FaultDropped).
-func (l *Link) Dropped(from *Iface) int64 {
-	if from == l.a {
-		return l.dirs[0].dropped
-	}
-	return l.dirs[1].dropped
-}
+func (l *Link) Dropped(from *Iface) int64 { return l.dir(from).dropped }
 
 // FaultDropped returns the packets dropped by injected faults in the
 // direction out of from.
-func (l *Link) FaultDropped(from *Iface) int64 {
-	if from == l.a {
-		return l.dirs[0].faultDropped
-	}
-	return l.dirs[1].faultDropped
-}
+func (l *Link) FaultDropped(from *Iface) int64 { return l.dir(from).faultDropped }
 
 // faultDrop implements Medium.
-func (l *Link) faultDrop(from *Iface) {
-	if from == l.a {
-		l.dirs[0].faultDropped++
-	} else {
-		l.dirs[1].faultDropped++
-	}
-}
+func (l *Link) faultDrop(from *Iface) { l.dir(from).faultDropped++ }
 
 // Transmit implements Medium: consult the fault layer if one is
 // installed, then serialize (queueing behind earlier traffic),
@@ -263,108 +261,9 @@ func (l *Link) Transmit(from *Iface, pkt *Packet) {
 // transmit is the faultless serialization path; extra is added to the
 // propagation delay (chaos-injected latency).
 func (l *Link) transmit(from *Iface, pkt *Packet, extra time.Duration) {
-	di := 0
-	dst := l.b
-	if from == l.b {
-		di = 1
-		dst = l.a
-	}
-	dir := &l.dirs[di]
 	sh := from.Node.sh
-	now := sh.now
-
-	// Backlog is whatever is still waiting to finish serialization.
-	// Per-direction state (busyUntil, meter, drop counters) is only ever
-	// touched by the sending node's shard, so sharded runs mutate it
-	// without locks.
-	backlogBits := int64(0)
-	if dir.busyUntil > now {
-		backlogBits = int64(dir.busyUntil-now) * l.bandwidth / int64(time.Second)
-	}
-	if backlogBits/8 > l.queueLimit {
-		dir.dropped++
-		if sh.bus.Active() {
-			emitMedium(sh, obs.KindDrop, from, pkt, "queue")
-		}
-		return
-	}
-
-	start := now
-	if dir.busyUntil > start {
-		start = dir.busyUntil
-	}
-	size := int64(pkt.Size())
-	if size != dir.lastSize {
-		dir.lastSize = size
-		dir.lastTx = time.Duration(size * 8 * int64(time.Second) / l.bandwidth)
-	}
-	dir.busyUntil = start + dir.lastTx
-	dir.meter.Add(now, size)
-	if sh.bus.Active() {
-		emitMedium(sh, obs.KindEnqueue, from, pkt, "")
-	}
-
-	arrive := dir.busyUntil + l.delay + extra
-	dsh := dst.Node.sh
-	if dsh != sh {
-		// Cross-shard: the outbox is the delivery path (drained in
-		// canonical order at the next barrier; seq assigned then).
-		sh.out[dsh.id] = append(sh.out[dsh.id], xmsg{at: arrive, pkt: pkt, ifc: dst})
-		return
-	}
-	sh.seq++
-	if extra > 0 {
-		// A chaos-delayed copy may arrive out of FIFO order relative to
-		// the ring; schedule it as its own event, exactly as before.
-		sh.queue.push(event{at: arrive, seq: sh.seq, kind: evReceive, pkt: pkt, ifc: dst})
-		return
-	}
-	// Batched path: park the delivery in the direction's ring; the
-	// queue carries one event per direction, keyed by the ring head's
-	// original (at, seq).
-	dir.pend = append(dir.pend, pending{at: arrive, seq: sh.seq, pkt: pkt})
-	if !dir.inFlight {
-		dir.inFlight = true
-		sh.queue.push(event{at: arrive, seq: sh.seq, kind: evLinkDeliver, ifc: dst})
-	}
-}
-
-// deliverBatch dispatches the head of this interface's pending-delivery
-// ring, then either chains straight into the next delivery (when it
-// precedes everything else queued on the shard — the fan-out storm
-// case, where the whole burst drains in one dispatch) or reschedules
-// one queue event carrying the next head's original (at, seq). The
-// chain respects sh.limit (window end / deadline) so the PDES barrier
-// and deadline semantics are untouched, and is disabled under event
-// budgets so RunBounded counts like the unbatched engine.
-func (i *Iface) deliverBatch(sh *shard) {
-	d := i.rxDir
-	for {
-		p := d.pend[d.head]
-		d.pend[d.head] = pending{}
-		d.head++
-		sh.now = p.at
-		sh.execSeq = p.seq
-		i.Node.Receive(p.pkt, i)
-		if d.head == len(d.pend) {
-			d.pend = d.pend[:0]
-			d.head = 0
-			d.inFlight = false
-			return
-		}
-		n := &d.pend[d.head]
-		if sh.chainOK && n.at < sh.limit {
-			if sh.queue.len() == 0 {
-				sh.chained++
-				continue
-			}
-			if top := sh.queue.min(); n.at < top.at || (n.at == top.at && n.seq < top.seq) {
-				sh.chained++
-				continue
-			}
-		}
-		sh.queue.push(event{at: n.at, seq: n.seq, kind: evLinkDeliver, ifc: i})
-		return
+	if done, ok := l.dir(from).serialize(sh, l.bandwidth, l.queueLimit, from, pkt); ok {
+		sh.atReceive(done+l.delay+extra, pkt, from.peer)
 	}
 }
 
@@ -382,16 +281,8 @@ type Segment struct {
 	delay      time.Duration
 	queueLimit int64
 
-	busyUntil    time.Duration
-	meter        *RateMeter
-	dropped      int64 // queue-overflow drops
-	faultDropped int64 // chaos-injected drops
-	ifaces       []*Iface
-
-	// Serialization-time memo (same exact-division contract as
-	// direction.lastSize/lastTx).
-	lastSize int64
-	lastTx   time.Duration
+	wire   wire // the one capacity every sender shares
+	ifaces []*Iface
 }
 
 var _ Medium = (*Segment)(nil)
@@ -404,7 +295,7 @@ func NewSegment(sim *Simulator, name string, cfg LinkConfig) *Segment {
 	cfg.fill()
 	seg := &Segment{
 		sim: sim, Name: name, bandwidth: cfg.Bandwidth, delay: cfg.Delay,
-		queueLimit: cfg.QueueLimit, meter: NewRateMeter(cfg.Window),
+		queueLimit: cfg.QueueLimit, wire: wire{meter: NewRateMeter(cfg.Window)},
 	}
 	sim.segs = append(sim.segs, seg)
 	return seg
@@ -424,18 +315,18 @@ func (s *Segment) Bandwidth() int64 { return s.bandwidth }
 
 // MeterFor implements Medium: segment load is shared, so every attached
 // interface observes the same meter.
-func (s *Segment) MeterFor(*Iface) *RateMeter { return s.meter }
+func (s *Segment) MeterFor(*Iface) *RateMeter { return s.wire.meter }
 
 // Dropped returns frames dropped due to backlog on the shared medium
 // (chaos-injected drops are counted separately; see FaultDropped).
-func (s *Segment) Dropped() int64 { return s.dropped }
+func (s *Segment) Dropped() int64 { return s.wire.dropped }
 
 // FaultDropped returns frames dropped by injected faults on the shared
 // medium.
-func (s *Segment) FaultDropped() int64 { return s.faultDropped }
+func (s *Segment) FaultDropped() int64 { return s.wire.faultDropped }
 
 // faultDrop implements Medium.
-func (s *Segment) faultDrop(*Iface) { s.faultDropped++ }
+func (s *Segment) faultDrop(*Iface) { s.wire.faultDropped++ }
 
 // Transmit implements Medium: consult the fault layer if one is
 // installed, then one shared serialization resource (approximating
@@ -456,38 +347,12 @@ func (s *Segment) Transmit(from *Iface, pkt *Packet) {
 }
 
 func (s *Segment) transmit(from *Iface, pkt *Packet, extra time.Duration) {
-	// All of a segment's attachments live on one island (segments are
-	// never boundaries), so the shared busyUntil/meter state is only
-	// touched by that island's shard.
 	sh := from.Node.sh
-	now := sh.now
-	backlogBits := int64(0)
-	if s.busyUntil > now {
-		backlogBits = int64(s.busyUntil-now) * s.bandwidth / int64(time.Second)
-	}
-	if backlogBits/8 > s.queueLimit {
-		s.dropped++
-		if sh.bus.Active() {
-			emitMedium(sh, obs.KindDrop, from, pkt, "queue")
-		}
+	done, ok := s.wire.serialize(sh, s.bandwidth, s.queueLimit, from, pkt)
+	if !ok {
 		return
 	}
-	start := now
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	size := int64(pkt.Size())
-	if size != s.lastSize {
-		s.lastSize = size
-		s.lastTx = time.Duration(size * 8 * int64(time.Second) / s.bandwidth)
-	}
-	s.busyUntil = start + s.lastTx
-	s.meter.Add(now, size)
-	if sh.bus.Active() {
-		emitMedium(sh, obs.KindEnqueue, from, pkt, "")
-	}
-
-	arrive := s.busyUntil + s.delay + extra
+	arrive := done + s.delay + extra
 	// Broadcast delivery shares one packet pointer among all receivers,
 	// so with more than one the packet can no longer be exclusively
 	// owned by any of them (see Packet ownership).

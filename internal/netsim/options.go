@@ -13,7 +13,6 @@ import (
 type config struct {
 	seed      int64
 	shards    int
-	wheel     bool
 	observers []obs.Subscriber
 }
 
@@ -46,15 +45,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWheel enables or disables the hierarchical timing wheel in front
-// of each shard's event heap (wheel.go). The default is on; either way
-// pop order — and therefore every deterministic experiment's output —
-// is identical (TestWheelOnOffSimulationIdentical). The knob exists so
-// tests and benchmarks can run the heap-only scheduler as the reference.
-func WithWheel(on bool) Option {
-	return func(c *config) { c.wheel = on }
-}
-
 // WithObserver subscribes an observer to the simulation's event bus at
 // construction. May be given multiple times; observers fire in
 // subscription order. With no observers the per-packet publish sites
@@ -65,7 +55,7 @@ func WithObserver(o obs.Subscriber) Option {
 
 // New returns a simulator configured by opts.
 func New(opts ...Option) *Simulator {
-	cfg := config{seed: 1, shards: 1, wheel: true}
+	cfg := config{seed: 1, shards: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -83,7 +73,7 @@ func New(opts ...Option) *Simulator {
 	s.shards = []*shard{{
 		id:    0,
 		sim:   s,
-		queue: timerQueue{wheelOn: cfg.wheel},
+		queue: timerQueue{wheelOn: true},
 		rng:   rand.New(rand.NewSource(cfg.seed)),
 		bus:   s.bus,
 	}}

@@ -59,9 +59,6 @@ import (
 // link at all (fully independent islands need no synchronization).
 const noHorizon = time.Duration(1) << 60
 
-// maxDuration is the no-deadline chaining limit (see shard.limit).
-const maxDuration = time.Duration(1<<63 - 1)
-
 // shard is one event loop: a slice of the topology with its own clock,
 // heap, sequence counter, and RNG. Shard 0 doubles as the legacy
 // single-threaded engine and the control-plane shard (Simulator.At and
@@ -75,17 +72,6 @@ type shard struct {
 	execSeq uint64 // seq of the event currently executing (obs merge key)
 	queue   timerQueue
 	rng     *rand.Rand
-
-	// limit bounds in-dispatch event chaining (batched link delivery):
-	// a drained delivery may run immediately only if its time is before
-	// limit — the window end on sharded runs, the deadline on legacy
-	// runs. chainOK disables chaining entirely when an event budget is
-	// active (budgets are counted between dispatches); chained counts
-	// the extra deliveries executed inside dispatches so event totals
-	// match the unbatched engine exactly.
-	limit   time.Duration
-	chainOK bool
-	chained int
 
 	// dirty lists nodes with buffered counter deltas awaiting a flush
 	// to the (atomic) metrics registry; single-writer, owned by this
@@ -181,8 +167,6 @@ func (sh *shard) dispatch(ev *event) {
 		ev.ifc.Node.Receive(ev.pkt, ev.ifc)
 	case evReceiveNow:
 		ev.node.receiveNow(ev.pkt, ev.ifc)
-	case evLinkDeliver:
-		ev.ifc.deliverBatch(sh)
 	}
 }
 
@@ -203,12 +187,6 @@ func (sh *shard) flushCounters() {
 // deadline, or maxEvents have run. The single-shard engine and every
 // existing experiment run through here.
 func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents int) int {
-	sh.chained = 0
-	sh.chainOK = maxEvents <= 0
-	sh.limit = maxDuration
-	if hasDeadline {
-		sh.limit = deadline + 1 // events AT the deadline still run
-	}
 	n := 0
 	if !hasDeadline && maxEvents <= 0 {
 		// The common case (Run()): no per-event bound checks at all.
@@ -218,7 +196,7 @@ func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents i
 			n++
 		}
 		sh.flushCounters()
-		return n + sh.chained
+		return n
 	}
 	for sh.queue.len() > 0 {
 		if maxEvents > 0 && n >= maxEvents {
@@ -236,23 +214,19 @@ func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents i
 		sh.now = deadline
 	}
 	sh.flushCounters()
-	return n + sh.chained
+	return n
 }
 
 // runWindow executes every event strictly before end (events scheduled
 // mid-window for times inside the window run in the same pass; only
 // cross-shard arrivals are barred, by the lookahead argument).
 func (sh *shard) runWindow(end time.Duration) {
-	sh.chained = 0
-	sh.chainOK = true
-	sh.limit = end
-	n := 0
+	sh.processed = 0
 	for sh.queue.len() > 0 && sh.queue.minAt() < end {
 		ev := sh.queue.pop()
 		sh.dispatch(&ev)
-		n++
+		sh.processed++
 	}
-	sh.processed = n + sh.chained
 	sh.flushCounters()
 }
 
@@ -401,30 +375,6 @@ func (s *Simulator) seal() {
 		}
 	}
 
-	// Batched deliveries staged before the first run re-expand into
-	// individual receive events (everything pre-seal lives on shard 0,
-	// so their stored seqs are shard-0 seqs and sort correctly), and
-	// the now-stale drain events are dropped during migration below.
-	for _, l := range s.links {
-		for di := range l.dirs {
-			d := &l.dirs[di]
-			if len(d.pend) == 0 {
-				continue
-			}
-			dst := l.b
-			if di == 1 {
-				dst = l.a
-			}
-			for _, p := range d.pend[d.head:] {
-				sh0.queue.push(event{at: p.at, seq: p.seq, kind: evReceive, pkt: p.pkt, ifc: dst})
-			}
-			for i := range d.pend {
-				d.pend[i] = pending{}
-			}
-			d.pend, d.head, d.inFlight = d.pend[:0], 0, false
-		}
-	}
-
 	// Migrate pre-seal events to their owner shards in (at, seq) order,
 	// renumbering per shard: relative order within a shard is preserved,
 	// which is all the heap's tie-break means.
@@ -432,9 +382,6 @@ func (s *Simulator) seal() {
 	sh0.queue = timerQueue{wheelOn: q.wheelOn}
 	for q.len() > 0 {
 		ev := q.pop()
-		if ev.kind == evLinkDeliver {
-			continue // re-expanded above
-		}
 		owner := sh0
 		switch {
 		case ev.node != nil:
@@ -457,6 +404,15 @@ func (s *Simulator) ShardCount() int {
 		return 1
 	}
 	return len(s.shards)
+}
+
+// CriticalPath reports the sharded runs so far in exact integers:
+// lookahead windows (barriers) executed, events processed in them, and
+// the critical path — the busiest shard's events, summed over windows —
+// so events/critical bounds the speed-up on any number of cores. All
+// zero on the single-threaded engine.
+func (s *Simulator) CriticalPath() (windows, events, critical int) {
+	return s.windows, s.windowEvents, s.critical
 }
 
 // runSharded is the coordinator loop: ingest mailboxes, pick the next
@@ -496,9 +452,14 @@ func (s *Simulator) runSharded(deadline time.Duration, hasDeadline bool, maxEven
 		par.ForEach(workers, len(s.shards), func(i int) {
 			s.shards[i].runWindow(wend)
 		})
+		busiest := 0
 		for _, sh := range s.shards {
 			total += sh.processed
+			s.windowEvents += sh.processed
+			busiest = max(busiest, sh.processed)
 		}
+		s.windows++
+		s.critical += busiest
 		s.flushObs()
 	}
 	// Align clocks exactly as the legacy loop does: to the deadline when

@@ -43,6 +43,8 @@ type Simulator struct {
 	shards  []*shard
 	mergeIx []int // flushObs scratch
 
+	windows, windowEvents, critical int // see CriticalPath
+
 	order  []*Node // creation order (island discovery, determinism)
 	links  []*Link
 	segs   []*Segment
@@ -143,10 +145,9 @@ func (s *Simulator) NodeByName(name string) *Node { return s.nameIx[name] }
 type evKind uint8
 
 const (
-	evFunc        evKind = iota // run fn
-	evReceive                   // ifc.Node.Receive(pkt, ifc)
-	evReceiveNow                // node.receiveNow(pkt, ifc) — post-CPU half
-	evLinkDeliver               // ifc.deliverBatch: next pending link delivery
+	evFunc       evKind = iota // run fn
+	evReceive                  // ifc.Node.Receive(pkt, ifc)
+	evReceiveNow               // node.receiveNow(pkt, ifc) — post-CPU half
 )
 
 // event is one scheduled occurrence, stored by value in the queue; seq

@@ -30,7 +30,7 @@
 // same-slot events are tie-broken by the heap's (at, seq) comparison,
 // and a strict `<` test means a heap/wheel tie always drains the slot
 // first; order is therefore bit-identical to the heap-only engine
-// (property-tested in wheel_test.go, plus the wheel on/off CI diff).
+// (property-tested in wheel_test.go).
 //
 // # Small queues
 //
@@ -65,8 +65,8 @@ const (
 
 // timerQueue is the per-shard event queue: a hierarchical timing wheel
 // hybridized with the 4-ary eventQueue heap. The zero value is a valid
-// empty queue with the wheel disabled; shards enable it via the
-// simulator's wheel flag (WithWheel).
+// empty queue with the wheel disabled — the heap-only reference the
+// wheel tests compare against; New enables the wheel on every shard.
 type timerQueue struct {
 	heap    eventQueue
 	wheelOn bool
@@ -148,15 +148,6 @@ func (q *timerQueue) minAt() time.Duration {
 		q.ensure()
 	}
 	return q.heap.ev[0].at
-}
-
-// min returns the earliest pending event (valid until the next queue
-// operation). The queue must be non-empty.
-func (q *timerQueue) min() *event {
-	if q.wcount > 0 {
-		q.ensure()
-	}
-	return &q.heap.ev[0]
 }
 
 // advance drains the globally earliest occupied slot: level 0 slots

@@ -73,8 +73,8 @@ func TestTimerWheelMatchesReferenceHeap(t *testing.T) {
 }
 
 // TestTimerWheelOnOffIdenticalPops runs one schedule through a wheeled
-// and an unwheeled queue and requires identical pop streams — the
-// WithWheel knob is a pure performance switch.
+// and an unwheeled queue and requires identical pop streams — the wheel
+// is a pure performance choice.
 func TestTimerWheelOnOffIdenticalPops(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
 	on := &timerQueue{wheelOn: true}
@@ -108,17 +108,19 @@ func TestTimerWheelOnOffIdenticalPops(t *testing.T) {
 
 // TestWheelOnOffSimulationIdentical is the end-to-end leg: a sharded
 // ring simulation must produce byte-identical event streams, metrics,
-// clocks, and deliveries with the wheel on and off (the same diff the
-// CI bench-smoke job performs on the experiment binary).
+// clocks, and deliveries with the wheel on and off. The heap-only
+// reference is selected on shard 0 before anything is scheduled; seal
+// copies the choice to the other shards.
 func TestWheelOnOffSimulationIdentical(t *testing.T) {
 	p := ringParams{islands: 4, hosts: 2, sends: 12, crossHop: 1}
 	run := func(wheel bool, shards int) ringRun {
 		var trace []byte
-		sim := New(WithSeed(5), WithShards(shards), WithWheel(wheel),
+		sim := New(WithSeed(5), WithShards(shards),
 			WithObserver(obs.Func(func(ev obs.Event) {
 				trace = append(trace, ev.String()...)
 				trace = append(trace, '\n')
 			})))
+		sim.shards[0].queue.wheelOn = wheel
 		counters := buildRing(sim, p)
 		n := sim.Run()
 		out := ringRun{
@@ -144,7 +146,7 @@ func TestWheelOnOffSimulationIdentical(t *testing.T) {
 func TestWheelShardedIngestionRace(t *testing.T) {
 	p := ringParams{islands: 6, hosts: 3, sends: 30, crossHop: 2}
 	var sink obs.CountingSink
-	sim := New(WithSeed(17), WithShards(4), WithWheel(true), WithObserver(&sink))
+	sim := New(WithSeed(17), WithShards(4), WithObserver(&sink))
 	buildRing(sim, p)
 	// Long-horizon timer fans spread across all three wheel levels so
 	// cascade drains happen while packets flow.
