@@ -1,12 +1,48 @@
 package httpd
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
+
+// TestResponsePageStaysZero pins what lets every response packet carry
+// a slice of one shared page: nothing on a packet's way writes payload
+// bytes — not the ASP gateway's rewrite of a whole figure-8 run, and not
+// fault injection, whose corrupted packet is a copy.
+func TestResponsePageStaysZero(t *testing.T) {
+	if _, err := RunPoint(Config{Variant: VariantASPGW}, 300, 2*time.Second, 500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.New(netsim.WithSeed(1))
+	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
+	server := netsim.NewNode(sim, "server", Server0Addr)
+	l := netsim.Connect(sim, client, server, netsim.LinkConfig{Bandwidth: 100_000_000})
+	client.SetDefaultRoute(l.Ifaces()[0])
+	server.SetDefaultRoute(l.Ifaces()[1])
+	NewServer(server, ServerConfig{})
+	var resp []*netsim.Packet
+	client.BindRaw(func(pkt *netsim.Packet) { resp = append(resp, pkt) })
+	client.Send(netsim.NewTCP(client.Addr, server.Addr, 10000, HTTPPort, 0, netsim.FlagSyn, encodeRequest(MTU+100)))
+	sim.Run()
+	if len(resp) != 2 || len(resp[0].Payload) != MTU || len(resp[1].Payload) != 100 {
+		t.Fatalf("want a full and a 100-byte response packet, got %d packets", len(resp))
+	}
+	if cap(resp[1].Payload) != 100 {
+		t.Errorf("a response payload has cap %d beyond its 100 bytes: an append would write the page", cap(resp[1].Payload))
+	}
+	bad := substrate.CorruptPayload(resp[0], 4242)
+	if bytes.Equal(bad.Payload, resp[0].Payload) {
+		t.Error("the corrupted copy equals the original")
+	}
+	if zeroPage != [MTU]byte{} {
+		t.Error("the shared response page is no longer all zero")
+	}
+}
 
 func TestTraceShape(t *testing.T) {
 	tr := NewTrace(DefaultTraceConfig())

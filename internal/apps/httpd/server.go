@@ -16,6 +16,12 @@ const HTTPPort = 80
 // MTU is the data-packet payload size responses are chunked into.
 const MTU = 1400
 
+// zeroPage is the body of every response packet: the simulated servers
+// send zeros, and a transmitted payload is immutable (the substrate's
+// rule; CorruptPayload goes through CloneMut), so every packet of every
+// server can carry a slice of the same page.
+var zeroPage [MTU]byte
+
 // Server simulates an Apache instance: a bounded worker pool with a
 // per-request service time (base CPU + per-byte cost), replaying the
 // queueing behavior that makes a single machine saturate.
@@ -125,7 +131,7 @@ func (s *Server) respond(req *netsim.Packet, size int) {
 		if sent >= size {
 			flags |= netsim.FlagFin
 		}
-		resp := netsim.NewTCP(s.Node.Addr, req.IP.Src, HTTPPort, req.TCP.SrcPort, seq, flags, make([]byte, chunk))
+		resp := netsim.NewTCP(s.Node.Addr, req.IP.Src, HTTPPort, req.TCP.SrcPort, seq, flags, zeroPage[:chunk:chunk])
 		seq++
 		s.Node.Send(resp.Own())
 	}

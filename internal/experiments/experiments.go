@@ -361,10 +361,12 @@ func runEngines(w io.Writer, opts Options) error {
 	fmt.Fprint(w, tbl2)
 	fmt.Fprintln(w, "shape check: interp >> bytecode > jit on both programs. The jit builds the")
 	fmt.Fprintln(w, "tuples its consumers only borrow (send packets, table keys, the result pair) in")
-	fmt.Fprintln(w, "per-instance scratch and runs int/bool unboxed; bytecode, the ablation, boxes.")
+	fmt.Fprintln(w, "per-instance scratch, runs int/bool unboxed and writes every other value once,")
+	fmt.Fprintln(w, "where its consumer wants it; bytecode, the ablation, boxes and returns values.")
 	fmt.Fprintln(w, "The paper's claim is jit vs native, first table: JIT output as fast as in-kernel")
-	fmt.Fprintln(w, "C; here a jit invocation is one allocation and 2-3x the hand-written handler")
-	fmt.Fprintln(w, "(docs/PERFORMANCE.md, \"The packet path\", has the residual profile).")
+	fmt.Fprintln(w, "C; here a jit invocation is one allocation and 1.2-2x the hand-written handler,")
+	fmt.Fprintln(w, "1.5x in the median (docs/PERFORMANCE.md, \"Destination passing\", has the runs")
+	fmt.Fprintln(w, "and the residual profile).")
 	return nil
 }
 

@@ -54,15 +54,16 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (value.Value, value.Value, error) {
+	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) error {
 		frame := m.frames[ci]
-		frame[0], frame[1], frame[2] = ps, ss, pkt
+		frame[0], frame[1], frame[2] = *ps, *ss, pkt
 		m.ctx = ctx
 		res, err := m.exec(c.bodies[ci], frame)
 		if err != nil {
-			return value.Unit, value.Unit, err
+			return err
 		}
-		return res.Vs[0], res.Vs[1], nil
+		*ps, *ss = res.Vs[0], res.Vs[1]
+		return nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }

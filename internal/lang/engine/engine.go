@@ -22,11 +22,16 @@ import (
 	"planp.dev/planp/internal/lang/value"
 )
 
-// InvokeFunc executes channel index ci on the given protocol state,
-// channel state, and decoded packet, returning the new states. A PLAN-P
-// exception that escapes the channel body is returned as an error of
-// type value.Exception.
-type InvokeFunc func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (value.Value, value.Value, error)
+// InvokeFunc executes channel index ci on the protocol state *ps, the
+// channel state *ss and the decoded packet, and on success stores the
+// new states through ps and ss. A PLAN-P exception that escapes the
+// channel body is returned as an error of type value.Exception, with
+// *ps and *ss untouched. The states travel by pointer because a Value is
+// twelve words and Instance is their home; the packet has no home to
+// point at (the address of Invoke's parameter would escape through this
+// indirect call and allocate), so it is passed once, by value. The
+// engine keeps neither pointer.
+type InvokeFunc func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) error
 
 // Compiled is a protocol prepared for execution by some engine. It is
 // immutable after Compile: any number of instances, on any number of
@@ -77,12 +82,7 @@ func (in *Instance) Invoke(ci int, ctx prims.Context, pkt value.Value) error {
 	if ci < 0 || ci >= len(in.Chans) {
 		return fmt.Errorf("planp/engine: channel index %d out of range", ci)
 	}
-	ps, ss, err := in.invoke(ci, ctx, in.Proto, in.Chans[ci], pkt)
-	if err != nil {
-		return err
-	}
-	in.Proto, in.Chans[ci] = ps, ss
-	return nil
+	return in.invoke(ci, ctx, &in.Proto, &in.Chans[ci], pkt)
 }
 
 // ZeroValue returns the canonical initial value of a PLAN-P type: the

@@ -75,7 +75,7 @@ func (g *exprGen) boolExpr(depth int) string {
 		}
 		return "false"
 	}
-	switch g.rng.Intn(5) {
+	switch g.rng.Intn(8) {
 	case 0:
 		ops := []string{"=", "<>", "<", "<=", ">", ">="}
 		return fmt.Sprintf("(%s %s %s)", g.intExpr(depth-1), ops[g.rng.Intn(6)], g.intExpr(depth-1))
@@ -85,6 +85,17 @@ func (g *exprGen) boolExpr(depth int) string {
 		return fmt.Sprintf("(%s orelse %s)", g.boolExpr(depth-1), g.boolExpr(depth-1))
 	case 3:
 		return fmt.Sprintf("(not %s)", g.boolExpr(depth-1))
+	case 4:
+		name := g.fresh()
+		g.scope = append(g.scope, name)
+		body := g.boolExpr(depth - 1)
+		g.scope = g.scope[:len(g.scope)-1]
+		return fmt.Sprintf("(let val %s : int = %s in %s end)", name, g.intExpr(depth-1), body)
+	case 5:
+		return fmt.Sprintf("(println(%s); %s)", g.intExpr(depth-1), g.boolExpr(depth-1))
+	case 6:
+		ops := []string{"=", "<>"}
+		return fmt.Sprintf("(%s %s %s)", g.boolExpr(depth-1), ops[g.rng.Intn(2)], g.boolExpr(depth-1))
 	default:
 		return fmt.Sprintf("(%s = %s)", g.strExpr(depth-1), g.strExpr(depth-1))
 	}
@@ -104,55 +115,26 @@ func (g *exprGen) strExpr(depth int) string {
 	}
 }
 
-// TestEnginesAgreeOnRandomPrograms is the differential test: 200 random
-// programs, one packet each, identical outcome (state or exception)
-// required across interp, bytecode, and jit.
-func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xC0FFEE))
-	for i := 0; i < 200; i++ {
-		g := &exprGen{rng: rng}
-		src := fmt.Sprintf(`
+// A shape is a program template whose holes exprGen fills, and the
+// payloads of the packets the program is then run on. One table serves
+// the deterministic tests below and FuzzEnginesAgree.
+type shape struct {
+	name     string
+	src      func(g *exprGen) string
+	payloads []string
+}
+
+var shapes = []shape{
+	{"random", func(g *exprGen) string {
+		return fmt.Sprintf(`
 channel network(ps : int, ss : int, p : ip*udp*blob) is
   (deliver(p); (%s, ss + 1))
 `, g.intExpr(4))
+	}, []string{"abcd"}},
 
-		type outcome struct {
-			errText string
-			proto   int64
-		}
-		results := map[string]outcome{}
-		compiled := langtest.CompileAll(t, src)
-		for name, c := range compiled {
-			ctx := langtest.NewCtx()
-			inst, err := c.NewInstance(ctx)
-			if err != nil {
-				t.Fatalf("program %d (%s): NewInstance: %v\n%s", i, name, err, src)
-			}
-			pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", 7, 9, []byte("abcd"))
-			var o outcome
-			if err := inst.Invoke(0, ctx, pkt); err != nil {
-				o.errText = err.Error()
-			} else {
-				o.proto = inst.Proto.AsInt()
-			}
-			results[name] = o
-		}
-		ref := results["interp"]
-		for name, o := range results {
-			if o != ref {
-				t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
-			}
-		}
-	}
-}
-
-// TestEnginesAgreeOnRandomTablePrograms exercises tables and packet
-// rewriting under randomness.
-func TestEnginesAgreeOnRandomTablePrograms(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xBEEF))
-	for i := 0; i < 60; i++ {
-		g := &exprGen{rng: rng}
-		src := fmt.Sprintf(`
+	// Tables and packet rewriting under randomness.
+	{"table", func(g *exprGen) string {
+		return fmt.Sprintf(`
 channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
 initstate mkTable(8) is
   let
@@ -164,36 +146,213 @@ initstate mkTable(8) is
      (ps + v, ss))
   end
 `, g.intExpr(3))
-		type outcome struct {
-			errs  int
-			proto int64
-			sent  int
+	}, []string{"xy", "xy", "xy", "xy", "xy"}},
+
+	// The rest are the JIT's destination-passing rules (package comment
+	// of internal/lang/jit), one program per hazard. Rule (a): a
+	// destination is its node's scratch, so it must not be something
+	// the node's operands still read.
+	{"a-let-in-let", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val a : int*int = let val b : int*int = (%s, ps) in (#2 b, #1 b) end
+    val c : int*int = let val d : int*int = a in (#1 d + 1, #2 a) end
+    val r : int = let val e : int = let val f : int = #1 c in f * 3 end in e + #2 c end`,
+			g.intExpr(2)), "#1 a * 100 + r", "ss + #2 c")
+	}, dpPayloads},
+	{"a-sibling-lets", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val t : (int*int)*(int*string) =
+      (let val x : int = %s in (x, x + 1) end,
+       let val y : string = %s in (strLen(y), y ^ y) end)`,
+			g.intExpr(2), g.strExpr(2)), "#1 (#1 t) + #1 (#2 t)", "#2 (#1 t) + strLen(#2 (#2 t))")
+	}, dpPayloads},
+	{"a-call-of-call", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val t : int*int = swap(swap((%s, ps)))
+    val s : string = twice(twice(%s))
+    val n : int = inc(inc(#1 t))`,
+			g.intExpr(2), g.strExpr(2)), "n + #2 t", "strLen(s)")
+	}, dpPayloads},
+	{"a-proj-of-computed", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val x : int = #2 swap((%s, ps))
+    val y : int*int = #1 (if even(x) then ((1, x), 2) else ((x, 3), 4))
+    val z : string = #2 (x, twice(%s))`,
+			g.intExpr(2), g.strExpr(1)), "x + #1 y", "#2 y + strLen(z)")
+	}, dpPayloads},
+	{"a-boxed-condition", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val h : int = %s
+    val r : string = if even(h) then %s else "odd"
+    val q : int*int = if try h / h > 0 handle false end then (1, ps) else (ps, 2)
+    val w : string = if #1 (even(ps), 3) then r ^ "a" else "b" ^ r
+    val flag : bool = even(#1 q)
+    val v : int*int = if flag then q else swap(q)`,
+			g.intExpr(2), g.strExpr(2)), "#1 v + strLen(w)", "#2 v")
+	}, dpPayloads},
+
+	// A bool is a word too: a bool-typed let or seq, and = / <> on
+	// compound bool operands, reach the int compiler with a not, a
+	// comparison or an andalso inside.
+	{"a-bool-words", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val h : int = %s
+    val nl : bool = let val k : int = h + 1 in not even(k) end
+    val cl : bool = let val n : int = h * 2 in n > 3 end
+    val al : bool = let val b : bool = even(h) in b andalso h < ps orelse not b end
+    val sq : bool = (println(h); not nl)
+    val sc : bool = (println(cl); h <= ps)
+    val e1 : bool = (h < ps) = (ps < 3)
+    val e2 : bool = nl <> (cl andalso sq)
+    val e3 : bool = (not al) = (if sc then e1 else not e1)
+    val w : int = if (let val m : int = h mod 7 in not (m = 0) end) then 1 else 2`,
+			g.intExpr(2)),
+			"(if nl then 1 else 0) + (if cl then 2 else 0) + (if al then 4 else 0) + (if sq then 8 else 0) + w * 100",
+			"(if sc then 1 else 0) + (if e1 then 2 else 0) + (if e2 then 4 else 0) + (if e3 then 8 else 0)")
+	}, dpPayloads},
+
+	// Rule (b): a node reads its word of the left operand before the
+	// right one is evaluated into the same place, left to right.
+	{"b-operand-order", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val h : int = %s
+    val s : string = %s
+    val cat : string = (s ^ itos(inc(h))) ^ (twice(s) ^ s)
+    val eq : bool = (inc(h), twice(s)) = (inc(ps), s ^ s)
+    val ne : bool = swap((h, 1)) <> swap((1, h))
+    val lt : bool = twice(s) < s ^ itos(h) orelse cat >= s
+    val e1 : int = try (raise "left") / (raise "right") handle 1 end
+    val e2 : int = (h mod (blobLen(#3 p) / 3)) / (1 / (blobLen(#3 p) / 2))`,
+			g.intExpr(2), g.strExpr(2)),
+			"strLen(cat) + e1 + e2", "(if eq then 1 else 0) + (if ne then 2 else 0) + (if lt then 4 else 0)")
+	}, dpPayloads},
+
+	// Rule (c): a raise leaves destinations half written; a handler
+	// overwrites them, and an invocation that fails commits no state.
+	{"c-raise-mid-write", func(g *exprGen) string {
+		return fmt.Sprintf(`
+fun add(a : int*int, b : int*int) : int*int = (#1 a + #1 b, #2 a + #2 b)
+
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  let
+    val h : int = %s
+    val r : int*int = add((1, 2), try (h, 1 / (blobLen(#3 p) - 1)) handle (7, 8) end)
+  in
+    try
+      (deliver(p); (#1 r + ps / ((blobLen(#3 p) - 2) * (blobLen(#3 p) - 3)), ss + #2 r))
+    handle
+      (deliver(p); (ps + 1, ss + 100 / (blobLen(#3 p) - 3)))
+    end
+  end
+`, g.intExpr(2))
+	}, dpPayloads},
+}
+
+var dpPayloads = []string{"a", "ab", "abc", "abcd"}
+
+// dpProgram wraps let bindings and the two result expressions in the
+// helper funs and channel every destination-passing shape shares.
+func dpProgram(binds, ps, ss string) string {
+	return fmt.Sprintf(`
+fun swap(t : int*int) : int*int = (#2 t, #1 t + 1)
+fun twice(s : string) : string = s ^ s
+fun inc(n : int) : int = n + 1
+fun even(n : int) : bool = n mod 2 = 0
+
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  let%s
+  in
+    (deliver(p); (%s, %s))
+  end
+`, binds, ps, ss)
+}
+
+// agree runs one program of sh on every engine, packet by packet, and
+// requires the same outcome from each: every invocation's error, the
+// states after it, and what was sent, delivered and printed. It reports
+// how many invocations succeeded.
+func agree(t *testing.T, sh shape, g *exprGen) (succeeded int) {
+	t.Helper()
+	src := sh.src(g)
+	results := map[string]string{}
+	for name, c := range langtest.CompileAll(t, src) {
+		ctx := langtest.NewCtx()
+		inst, err := c.NewInstance(ctx)
+		if err != nil {
+			t.Fatalf("%s (%s): NewInstance: %v\n%s", sh.name, name, err, src)
 		}
-		results := map[string]outcome{}
-		for name, c := range langtest.CompileAll(t, src) {
-			ctx := langtest.NewCtx()
-			inst, err := c.NewInstance(ctx)
-			if err != nil {
-				t.Fatalf("program %d (%s): %v", i, name, err)
+		var log strings.Builder
+		succeeded = 0
+		for j, payload := range sh.payloads {
+			pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", uint16(j), 9, []byte(payload))
+			if err := inst.Invoke(0, ctx, pkt); err != nil {
+				fmt.Fprintf(&log, "error %v; ", err)
+			} else {
+				succeeded++
 			}
-			var o outcome
-			for j := 0; j < 5; j++ {
-				pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", uint16(j), 9, []byte("xy"))
-				if err := inst.Invoke(0, ctx, pkt); err != nil {
-					o.errs++
-				}
-			}
-			o.proto = inst.Proto.AsInt()
-			o.sent = len(ctx.Sent)
-			results[name] = o
+			fmt.Fprintf(&log, "ps=%v ss=%v\n", inst.Proto, inst.Chans[0])
 		}
-		ref := results["interp"]
-		for name, o := range results {
-			if o != ref {
-				t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
-			}
+		for _, s := range ctx.Sent {
+			fmt.Fprintf(&log, "sent %s %v\n", s.Chan, s.Pkt)
+		}
+		fmt.Fprintf(&log, "delivered %v\nout %q\n", ctx.Delivered, ctx.Out.String())
+		results[name] = log.String()
+	}
+	for name, r := range results {
+		if r != results["interp"] {
+			t.Fatalf("%s: %s diverges from interp:\n%s\nvs\n%s\nsource:\n%s", sh.name, name, r, results["interp"], src)
 		}
 	}
+	return succeeded
+}
+
+// seeded is the generator FuzzEnginesAgree builds from its seed argument,
+// so a program of the tests below is one corpus entry (seed, shape).
+func seeded(seed int64) *exprGen { return &exprGen{rng: rand.New(rand.NewSource(seed))} }
+
+// TestEnginesAgreeOnRandomPrograms is the differential test: 200 random
+// programs (seeds 0xC0FFEE and up), one packet each, identical outcome
+// (state or exception) required across interp, bytecode, and jit.
+func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
+	for i := int64(0); i < 200; i++ {
+		agree(t, shapes[0], seeded(0xC0FFEE+i))
+	}
+}
+
+// TestEnginesAgreeOnRandomTablePrograms exercises tables and packet
+// rewriting under randomness (seeds 0xBEEF and up).
+func TestEnginesAgreeOnRandomTablePrograms(t *testing.T) {
+	for i := int64(0); i < 60; i++ {
+		agree(t, shapes[1], seeded(0xBEEF+i))
+	}
+}
+
+// TestDestinationPassing runs every destination-passing shape at a few
+// seeds: the interpreter returns fresh values everywhere, so agreeing
+// with it means no destination was read after its node reused it. Each
+// shape must also complete some invocation, or it tested nothing.
+func TestDestinationPassing(t *testing.T) {
+	for _, sh := range shapes[2:] {
+		succeeded := 0
+		for seed := int64(1); seed <= 8; seed++ {
+			succeeded += agree(t, sh, seeded(seed))
+		}
+		if succeeded == 0 {
+			t.Errorf("%s: every invocation raised", sh.name)
+		}
+	}
+}
+
+// FuzzEnginesAgree is the same generator under the native fuzzer: a seed
+// and a shape make a program, and the engines must agree on it. The
+// corpus in testdata/fuzz/FuzzEnginesAgree holds starting points, not the
+// tests' program sets: the first seed of each random test above (the
+// tests walk on from it, one seed per program) and seed 1 of every
+// destination-passing shape.
+func FuzzEnginesAgree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
+		agree(t, shapes[int(which)%len(shapes)], seeded(seed))
+	})
 }
 
 // TestDeepNesting guards stack/register handling at depth.

@@ -51,14 +51,15 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (psOut, ssOut value.Value, err error) {
+	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) (err error) {
 		defer engine.Recover(&err)
 		ch := &c.info.Channels[ci]
 		frame := make([]value.Value, ch.FrameSize)
-		frame[0], frame[1], frame[2] = ps, ss, pkt
+		frame[0], frame[1], frame[2] = *ps, *ss, pkt
 		inner := &evaluator{info: c.info, ctx: ctx, globals: ev.globals}
 		res := inner.eval(ch.Decl.Body, frame)
-		return res.Vs[0], res.Vs[1], nil
+		*ps, *ss = res.Vs[0], res.Vs[1]
+		return nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }

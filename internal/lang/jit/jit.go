@@ -24,6 +24,42 @@
 // scratch slice that NewInstance allocates, so reuse across packets (the
 // interpreter allocates afresh, compiled code does not) is per instance
 // and one artifact serves instances on any number of goroutines.
+//
+// # Destination passing
+//
+// A value.Value is twelve words, so compiled code never returns one: a
+// node is handed the address its consumer wants the result at (code's
+// dst) and writes it there once — a let initialiser into its frame
+// slot, a call argument into the callee's frame or the primitive's
+// argument buffer, a tuple element into the element array, a channel
+// body's result pair into the machine. Int- and bool-typed nodes return
+// their word instead (unbox.go). The rules every node and every caller
+// keep (TestDestinationPassing in internal/lang/engine has a program for
+// each):
+//
+//   - (a) *dst is dead on entry and the node's own until its final write:
+//     it may hold the node's intermediate results (a Seq's discarded
+//     heads, a projection's tuple, a send's packet). So a caller never
+//     passes a destination that the node's operands still read. Frame
+//     slots are never shared between bindings (the checker numbers them
+//     upward only), call sites own their callee frame and argument
+//     buffer (no recursion: a site is never active twice), and a tuple's
+//     element array is fresh or its site's, so every destination above
+//     qualifies.
+//   - (b) A node that combines sub-results reads the word it needs from
+//     the first before it evaluates the next into the same destination:
+//     l(m, frame, dst); a := dst.S; r(m, frame, dst) — operands still run
+//     left to right, which pins exception order across engines.
+//   - (c) A raise unwinds past half-written destinations. Nothing reads
+//     one: a handler overwrites its try's destination, and invoke stores
+//     the new states only after the body has returned.
+//   - (d) A sub-result's destination is never a Go local: in
+//     `var t value.Value; sub(m, frame, &t)` t escapes through the
+//     indirect call and is allocated per evaluation. A consumer of ONE
+//     word of a boxed sub-result points it at machine.tmp and reads the
+//     word at once, before anything else runs; that is why one tmp
+//     serves every such seam, nested ones included (NewInstance's vals
+//     and initstates too: TestNewInstanceAllocs).
 package jit
 
 import (
@@ -37,15 +73,18 @@ import (
 )
 
 // machine is one instance's execution context, threaded through
-// compiled code. scratch backs every range the compiler reserved.
+// compiled code. scratch backs every range the compiler reserved; tmp is
+// rule (d)'s one-word seam and the channel body's destination.
 type machine struct {
 	ctx     prims.Context
 	globals []value.Value
 	scratch []value.Value
+	tmp     value.Value
 }
 
-// code is a compiled expression: the specialization residue.
-type code func(m *machine, frame []value.Value) value.Value
+// code is a compiled expression: the specialization residue. It writes
+// the expression's value to *dst (see "Destination passing" above).
+type code func(m *machine, frame []value.Value, dst *value.Value)
 
 // compiled implements engine.Compiled.
 type compiled struct {
@@ -119,7 +158,8 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	}
 	top := func(g code, frame []value.Value) (v value.Value, err error) {
 		defer engine.Recover(&err)
-		return g(m, frame), nil
+		g(m, frame, &m.tmp)
+		return m.tmp, nil
 	}
 	// A val runs once, on a frame of its own. A channel's frame serves its
 	// initstate and then every invocation: reuse is safe because the
@@ -133,13 +173,14 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (psOut, ssOut value.Value, err error) {
+	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) (err error) {
 		defer engine.Recover(&err)
 		frame := c.frames[ci].of(m)
-		frame[0], frame[1], frame[2] = ps, ss, pkt
+		frame[0], frame[1], frame[2] = *ps, *ss, pkt
 		m.ctx = ctx
-		res := c.bodies[ci](m, frame)
-		return res.Vs[0], res.Vs[1], nil
+		c.bodies[ci](m, frame, &m.tmp)
+		*ps, *ss = m.tmp.Vs[0], m.tmp.Vs[1]
+		return nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }
@@ -200,115 +241,109 @@ func (cc *compiler) reserve(n int) span {
 // representation work.
 func (cc *compiler) compile(e ast.Expr) code {
 	if ic, ok := cc.tryCompileInt(e); ok {
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Int(ic(m, frame))
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			*dst = value.Int(ic(m, frame))
 		}
 	}
 	if bc, ok := cc.tryCompileBool(e); ok {
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(bc(m, frame))
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			*dst = value.Bool(bc(m, frame))
 		}
 	}
 	return cc.compileNode(e)
 }
 
-// compileNode is the generic (boxed) per-node compiler.
+// constant compiles a literal.
+func constant(v value.Value) code {
+	return func(_ *machine, _ []value.Value, dst *value.Value) { *dst = v }
+}
+
+// bind is one compiled let binding: init's destination is the slot.
+type bind struct {
+	slot int
+	init code
+}
+
+// compileBinds compiles a let's bindings in order, recording each
+// declared type for the body (and the later initialisers) to see.
+func (cc *compiler) compileBinds(e *ast.Let) []bind {
+	binds := make([]bind, len(e.Binds))
+	for i, b := range e.Binds {
+		binds[i] = bind{slot: b.Slot, init: cc.compile(b.Init)}
+		cc.setSlot(b.Slot, b.Type)
+	}
+	return binds
+}
+
+// compileNode is the generic (boxed) per-node compiler. Unary operators
+// and every binary operator but ^ have an int or bool result, so compile
+// never sends them here: their cases are compileInt's and compileBool's.
 func (cc *compiler) compileNode(e ast.Expr) code {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		v := value.Int(e.Value)
-		return func(*machine, []value.Value) value.Value { return v }
+		return constant(value.Int(e.Value))
 	case *ast.BoolLit:
-		v := value.Bool(e.Value)
-		return func(*machine, []value.Value) value.Value { return v }
+		return constant(value.Bool(e.Value))
 	case *ast.StringLit:
-		v := value.Str(e.Value)
-		return func(*machine, []value.Value) value.Value { return v }
+		return constant(value.Str(e.Value))
 	case *ast.CharLit:
-		v := value.Char(e.Value)
-		return func(*machine, []value.Value) value.Value { return v }
+		return constant(value.Char(e.Value))
 	case *ast.UnitLit:
-		return func(*machine, []value.Value) value.Value { return value.Unit }
+		return constant(value.Unit)
 	case *ast.HostLit:
-		v := value.HostV(value.Host(e.Addr))
-		return func(*machine, []value.Value) value.Value { return v }
+		return constant(value.HostV(value.Host(e.Addr)))
 
 	case *ast.Var:
 		if e.Slot >= 0 {
 			slot := e.Slot
-			return func(_ *machine, frame []value.Value) value.Value { return frame[slot] }
+			return func(_ *machine, frame []value.Value, dst *value.Value) { *dst = frame[slot] }
 		}
 		gi := e.Global
-		return func(m *machine, _ []value.Value) value.Value { return m.globals[gi] }
+		return func(m *machine, _ []value.Value, dst *value.Value) { *dst = m.globals[gi] }
 
 	case *ast.Proj:
-		tuple := cc.compile(e.Tuple)
 		idx := e.Index - 1
 		// Specialize the common #n-of-variable case to skip a call.
 		if v, ok := e.Tuple.(*ast.Var); ok && v.Slot >= 0 {
 			slot := v.Slot
-			return func(_ *machine, frame []value.Value) value.Value { return frame[slot].Vs[idx] }
+			return func(_ *machine, frame []value.Value, dst *value.Value) { *dst = frame[slot].Vs[idx] }
 		}
-		return func(m *machine, frame []value.Value) value.Value { return tuple(m, frame).Vs[idx] }
+		tuple := cc.compile(e.Tuple)
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			tuple(m, frame, dst)
+			*dst = dst.Vs[idx]
+		}
 
 	case *ast.Let:
-		type bind struct {
-			slot int
-			init code
-		}
-		binds := make([]bind, len(e.Binds))
-		for i, b := range e.Binds {
-			binds[i] = bind{slot: b.Slot, init: cc.compile(b.Init)}
-			cc.setSlot(b.Slot, b.Type)
-		}
+		binds := cc.compileBinds(e)
 		body := cc.compile(e.Body)
 		if len(binds) == 1 {
 			b := binds[0]
-			return func(m *machine, frame []value.Value) value.Value {
-				frame[b.slot] = b.init(m, frame)
-				return body(m, frame)
+			return func(m *machine, frame []value.Value, dst *value.Value) {
+				b.init(m, frame, &frame[b.slot])
+				body(m, frame, dst)
 			}
 		}
-		return func(m *machine, frame []value.Value) value.Value {
+		return func(m *machine, frame []value.Value, dst *value.Value) {
 			for _, b := range binds {
-				frame[b.slot] = b.init(m, frame)
+				b.init(m, frame, &frame[b.slot])
 			}
-			return body(m, frame)
+			body(m, frame, dst)
 		}
 
 	case *ast.If:
 		// Conditions are always bool; compile them unboxed so the test
 		// never materializes a value.Value (mirrors compileInt/Bool's If
 		// cases, which the boxed result type of this node can't reach).
-		// A bare #n-of-variable condition — a protocol flag test — is
-		// not "beneficial" by the general gate but profits here, where
-		// the alternative copies a Value just to test its I field.
-		bc, ok := cc.tryCompileBool(e.Cond)
-		if !ok {
-			if p, isProj := e.Cond.(*ast.Proj); isProj {
-				if v, isVar := p.Tuple.(*ast.Var); isVar && v.Slot >= 0 && ast.Equal(cc.typeOf(e.Cond), ast.BoolT) {
-					bc, ok = cc.compileBool(e.Cond), true
-				}
-			}
-		}
-		if ok {
-			thenC := cc.compile(e.Then)
-			elseC := cc.compile(e.Else)
-			return func(m *machine, frame []value.Value) value.Value {
-				if bc(m, frame) {
-					return thenC(m, frame)
-				}
-				return elseC(m, frame)
-			}
-		}
-		cond := cc.compile(e.Cond)
+		cond := cc.compileBool(e.Cond)
 		thenC := cc.compile(e.Then)
 		elseC := cc.compile(e.Else)
-		return func(m *machine, frame []value.Value) value.Value {
-			if cond(m, frame).I != 0 {
-				return thenC(m, frame)
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			if cond(m, frame) {
+				thenC(m, frame, dst)
+			} else {
+				elseC(m, frame, dst)
 			}
-			return elseC(m, frame)
 		}
 
 	case *ast.Seq:
@@ -320,16 +355,16 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 		head := codes[:len(codes)-1]
 		if len(head) == 1 {
 			h := head[0]
-			return func(m *machine, frame []value.Value) value.Value {
-				h(m, frame)
-				return last(m, frame)
+			return func(m *machine, frame []value.Value, dst *value.Value) {
+				h(m, frame, dst)
+				last(m, frame, dst)
 			}
 		}
-		return func(m *machine, frame []value.Value) value.Value {
+		return func(m *machine, frame []value.Value, dst *value.Value) {
 			for _, h := range head {
-				h(m, frame)
+				h(m, frame, dst)
 			}
-			return last(m, frame)
+			last(m, frame, dst)
 		}
 
 	case *ast.TupleExpr:
@@ -339,64 +374,56 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 		}
 		if cc.lent[e] {
 			site := cc.reserve(len(codes))
-			return func(m *machine, frame []value.Value) value.Value {
+			return func(m *machine, frame []value.Value, dst *value.Value) {
 				elems := site.of(m)
 				for i, sub := range codes {
-					elems[i] = sub(m, frame)
+					sub(m, frame, &elems[i])
 				}
-				return value.TupleV(elems...)
+				*dst = value.TupleV(elems...)
 			}
 		}
-		if len(codes) == 2 {
-			a, b := codes[0], codes[1]
-			return func(m *machine, frame []value.Value) value.Value {
-				x := a(m, frame)
-				y := b(m, frame)
-				return value.TupleV(x, y)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
+		return func(m *machine, frame []value.Value, dst *value.Value) {
 			elems := make([]value.Value, len(codes))
 			for i, sub := range codes {
-				elems[i] = sub(m, frame)
+				sub(m, frame, &elems[i])
 			}
-			return value.TupleV(elems...)
-		}
-
-	case *ast.Unary:
-		x := cc.compile(e.X)
-		if e.Op == "not" {
-			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(x(m, frame).I == 0)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Int(-x(m, frame).I)
+			*dst = value.TupleV(elems...)
 		}
 
 	case *ast.Binary:
-		return cc.compileBinary(e)
+		if e.Op != "^" {
+			panic(fmt.Sprintf("planp/jit: operator %s is not boxed", e.Op))
+		}
+		l := cc.compile(e.L)
+		r := cc.compile(e.R)
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			l(m, frame, dst)
+			a := dst.S
+			r(m, frame, dst)
+			*dst = value.Str(a + dst.S)
+		}
 
 	case *ast.Try:
 		body := cc.compile(e.Body)
 		handler := cc.compile(e.Handler)
-		return func(m *machine, frame []value.Value) (res value.Value) {
+		return func(m *machine, frame []value.Value, dst *value.Value) {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(value.Exception); ok {
-						res = handler(m, frame)
+						handler(m, frame, dst)
 						return
 					}
 					panic(r)
 				}
 			}()
-			return body(m, frame)
+			body(m, frame, dst)
 		}
 
 	case *ast.Raise:
 		msg := cc.compile(e.Msg)
-		return func(m *machine, frame []value.Value) value.Value {
-			panic(value.Exception{Msg: msg(m, frame).S})
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			msg(m, frame, dst)
+			panic(value.Exception{Msg: dst.S})
 		}
 
 	case *ast.Call:
@@ -404,132 +431,6 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 
 	default:
 		panic(fmt.Sprintf("planp/jit: unhandled expression %T", e))
-	}
-}
-
-// compileBinary specializes each operator — and for = / <> the operand
-// type — into a dedicated closure. This is the specialization the paper
-// highlights: the interpreter's per-evaluation operator dispatch becomes
-// a compile-time decision.
-func (cc *compiler) compileBinary(e *ast.Binary) code {
-	l := cc.compile(e.L)
-	r := cc.compile(e.R)
-	switch e.Op {
-	case "andalso":
-		return func(m *machine, frame []value.Value) value.Value {
-			if l(m, frame).I == 0 {
-				return value.Bool(false)
-			}
-			return r(m, frame)
-		}
-	case "orelse":
-		return func(m *machine, frame []value.Value) value.Value {
-			if l(m, frame).I != 0 {
-				return value.Bool(true)
-			}
-			return r(m, frame)
-		}
-	case "+":
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Int(l(m, frame).I + r(m, frame).I)
-		}
-	case "-":
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Int(l(m, frame).I - r(m, frame).I)
-		}
-	case "*":
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Int(l(m, frame).I * r(m, frame).I)
-		}
-	case "/":
-		return func(m *machine, frame []value.Value) value.Value {
-			// Operands evaluate left to right (the differential fuzz
-			// test pins exception order across engines).
-			n := l(m, frame).I
-			d := r(m, frame).I
-			if d == 0 {
-				value.Raise("division by zero")
-			}
-			return value.Int(n / d)
-		}
-	case "mod":
-		return func(m *machine, frame []value.Value) value.Value {
-			n := l(m, frame).I
-			d := r(m, frame).I
-			if d == 0 {
-				value.Raise("mod by zero")
-			}
-			return value.Int(n % d)
-		}
-	case "^":
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Str(l(m, frame).S + r(m, frame).S)
-		}
-	case "=", "<>":
-		neg := e.Op == "<>"
-		// Specialize on the statically known operand type.
-		switch t := e.OperandType.(type) {
-		case ast.Base:
-			switch t.Kind {
-			case ast.TInt, ast.TBool, ast.TChar, ast.THost:
-				return func(m *machine, frame []value.Value) value.Value {
-					return value.Bool((l(m, frame).I == r(m, frame).I) != neg)
-				}
-			case ast.TString:
-				return func(m *machine, frame []value.Value) value.Value {
-					return value.Bool((l(m, frame).S == r(m, frame).S) != neg)
-				}
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(value.Equal(l(m, frame), r(m, frame)) != neg)
-		}
-	case "<", "<=", ">", ">=":
-		return cc.compileOrd(e, l, r)
-	default:
-		panic(fmt.Sprintf("planp/jit: unhandled operator %s", e.Op))
-	}
-}
-
-func (cc *compiler) compileOrd(e *ast.Binary, l, r code) code {
-	isString := ast.Equal(e.OperandType, ast.StringT)
-	switch e.Op {
-	case "<":
-		if isString {
-			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S < r(m, frame).S)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(l(m, frame).I < r(m, frame).I)
-		}
-	case "<=":
-		if isString {
-			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S <= r(m, frame).S)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(l(m, frame).I <= r(m, frame).I)
-		}
-	case ">":
-		if isString {
-			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S > r(m, frame).S)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(l(m, frame).I > r(m, frame).I)
-		}
-	default:
-		if isString {
-			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S >= r(m, frame).S)
-			}
-		}
-		return func(m *machine, frame []value.Value) value.Value {
-			return value.Bool(l(m, frame).I >= r(m, frame).I)
-		}
 	}
 }
 
@@ -541,79 +442,86 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 		cc.lend(e.Args[1])
 		pkt := cc.compile(e.Args[1])
 		if e.Name == "OnRemote" {
-			return func(m *machine, frame []value.Value) value.Value {
-				m.ctx.OnRemote(name, pkt(m, frame))
-				return value.Unit
+			return func(m *machine, frame []value.Value, dst *value.Value) {
+				pkt(m, frame, dst)
+				m.ctx.OnRemote(name, *dst)
+				*dst = value.Unit
 			}
 		}
-		return func(m *machine, frame []value.Value) value.Value {
-			m.ctx.OnNeighbor(name, pkt(m, frame))
-			return value.Unit
+		return func(m *machine, frame []value.Value, dst *value.Value) {
+			pkt(m, frame, dst)
+			m.ctx.OnNeighbor(name, *dst)
+			*dst = value.Unit
 		}
-	}
-
-	if e.FunIndex < 0 {
-		for _, i := range prims.Get(e.PrimIndex).Borrows {
-			cc.lend(e.Args[i])
-		}
-	}
-	args := make([]code, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = cc.compile(a)
 	}
 
 	// User fun: the callee is already compiled (declaration order), and
 	// its frame is a per-call-site reservation — safe for the same reason
-	// as the argument buffers below (no recursion means a site is never
+	// as a primitive's argument buffer (no recursion means a site is never
 	// active twice).
 	if e.FunIndex >= 0 {
+		args := cc.compileArgs(e)
 		body := cc.funs[e.FunIndex]
 		site := cc.reserve(cc.info.Funs[e.FunIndex].FrameSize)
-		return func(m *machine, frame []value.Value) value.Value {
+		return func(m *machine, frame []value.Value, dst *value.Value) {
 			callee := site.of(m)
 			for i, a := range args {
-				callee[i] = a(m, frame)
+				a(m, frame, &callee[i])
 			}
-			return body(m, callee)
+			body(m, callee, dst)
 		}
 	}
 
-	// Primitive: the implementation pointer is captured at compile
-	// time; arity-specialized paths reuse a per-call-site argument
-	// buffer in the instance's scratch. Reuse is safe because the
-	// language has no recursion (a call site can never be active twice
-	// on one stack), primitives do not retain their argument slice, and
-	// an instance is single-goroutine.
-	fn := prims.Get(e.PrimIndex).Fn
-	if len(args) == 0 {
-		return func(m *machine, frame []value.Value) value.Value {
-			return fn(m.ctx, nil)
-		}
+	fn, args := cc.compilePrim(e)
+	return func(m *machine, frame []value.Value, dst *value.Value) { *dst = fn(m.ctx, args(m, frame)) }
+}
+
+func (cc *compiler) compileArgs(e *ast.Call) []code {
+	args := make([]code, len(e.Args))
+	for i, a := range e.Args {
+		args[i] = cc.compile(a)
 	}
-	site := cc.reserve(len(args))
-	switch len(args) {
+	return args
+}
+
+// compilePrim compiles a primitive call's arguments: args evaluates
+// them, each into its place in a per-call-site buffer in the instance's
+// scratch, and returns the buffer for fn — whose result the caller
+// stores, or reads one word of (compileInt, compileBool). The
+// implementation pointer is captured at compile time. Reusing the
+// buffer is safe because the language has no recursion (a call site can
+// never be active twice on one stack), primitives do not retain their
+// argument slice, and an instance is single-goroutine.
+func (cc *compiler) compilePrim(e *ast.Call) (fn func(prims.Context, []value.Value) value.Value, args func(m *machine, frame []value.Value) []value.Value) {
+	p := prims.Get(e.PrimIndex)
+	for _, i := range p.Borrows {
+		cc.lend(e.Args[i])
+	}
+	codes := cc.compileArgs(e)
+	site := cc.reserve(len(codes))
+	switch len(codes) {
 	case 1:
-		a0 := args[0]
-		return func(m *machine, frame []value.Value) value.Value {
+		a0 := codes[0]
+		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
-			buf[0] = a0(m, frame)
-			return fn(m.ctx, buf)
+			a0(m, frame, &buf[0])
+			return buf
 		}
 	case 2:
-		a0, a1 := args[0], args[1]
-		return func(m *machine, frame []value.Value) value.Value {
+		a0, a1 := codes[0], codes[1]
+		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
-			buf[0] = a0(m, frame)
-			buf[1] = a1(m, frame)
-			return fn(m.ctx, buf)
+			a0(m, frame, &buf[0])
+			a1(m, frame, &buf[1])
+			return buf
 		}
 	default:
-		return func(m *machine, frame []value.Value) value.Value {
+		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
-			for i, a := range args {
-				buf[i] = a(m, frame)
+			for i, a := range codes {
+				a(m, frame, &buf[i])
 			}
-			return fn(m.ctx, buf)
+			return buf
 		}
 	}
 }

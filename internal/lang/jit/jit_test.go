@@ -1,8 +1,10 @@
 package jit
 
 import (
+	"runtime"
 	"testing"
 
+	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/prims"
@@ -205,5 +207,34 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
 	}
 	if i1.Proto.AsInt() != 3 || i2.Proto.AsInt() != 1 {
 		t.Errorf("instance states %d/%d, want 3/1", i1.Proto.AsInt(), i2.Proto.AsInt())
+	}
+}
+
+// TestNewInstanceAllocs pins what a download of the gateway ASP costs:
+// fleet deploys pay it per node, and destination passing added one Value
+// to the machine (tmp). The figures are the parent commit's (by-value
+// closures: 7 objects, 6 104 B); the budget above them is 128 B and no
+// object. A temporary that is a Go local in NewInstance's top shows here
+// as one object per val and initstate: rule (d).
+func TestNewInstanceAllocs(t *testing.T) {
+	const parentObjects, parentBytes, runs = 7, 6104, 100
+	c := compileSrc(t, asp.HTTPGateway)
+	cx := &ctx{}
+	newInstance := func() {
+		if _, err := c.NewInstance(cx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(runs, newInstance); n > parentObjects {
+		t.Errorf("NewInstance allocates %.1f objects, want at most %d", n, parentObjects)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		newInstance()
+	}
+	runtime.ReadMemStats(&after)
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b > parentBytes+128 {
+		t.Errorf("NewInstance allocates %.0f B, want at most %d+128", b, parentBytes)
 	}
 }

@@ -13,6 +13,8 @@
 package jit
 
 import (
+	"strings"
+
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/value"
@@ -134,25 +136,13 @@ func (cc *compiler) typeOf(e ast.Expr) ast.Type {
 }
 
 // beneficial reports whether the unboxed path actually saves interior
-// boxing for this node kind (a bare atom gains nothing).
+// boxing for this node kind (a bare atom or a call gains nothing).
 func beneficial(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Binary:
+	switch e.(type) {
+	case *ast.Binary, *ast.Unary, *ast.If, *ast.Let, *ast.Seq:
 		return true
-	case *ast.Unary:
-		return true
-	case *ast.If:
-		return true
-	case *ast.Let:
-		return true
-	case *ast.Seq:
-		return true
-	case *ast.Call:
-		_ = e
-		return false
-	default:
-		return false
 	}
+	return false
 }
 
 // tryCompileInt compiles e unboxed when it is a compound int expression.
@@ -171,9 +161,12 @@ func (cc *compiler) tryCompileBool(e ast.Expr) (bcode, bool) {
 	return cc.compileBool(e), true
 }
 
-// compileInt compiles an int-typed expression to unboxed code. Any node
-// it does not specialize falls back to the boxed compiler with one
-// unwrap at the seam.
+// compileInt compiles an expression whose value is one word in
+// Value.I — an int, and for = / <> a char, host or bool operand; a bool
+// too where compileBool has no case of its own (a let, a seq) — to
+// unboxed code. The bool operators inside go back to compileBool
+// (boolWord); any other node it does not specialize falls back to the
+// boxed compiler with one read at the seam.
 func (cc *compiler) compileInt(e ast.Expr) icode {
 	switch e := e.(type) {
 	case *ast.IntLit:
@@ -194,11 +187,17 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 			return func(_ *machine, frame []value.Value) int64 { return frame[slot].Vs[idx].I }
 		}
 
-	case *ast.Unary: // "-"
+	case *ast.Unary:
+		if e.Op == "not" {
+			return cc.boolWord(e)
+		}
 		x := cc.compileInt(e.X)
 		return func(m *machine, frame []value.Value) int64 { return -x(m, frame) }
 
 	case *ast.Binary:
+		if ast.Equal(cc.typeOf(e), ast.BoolT) { // a comparison, andalso, orelse
+			return cc.boolWord(e)
+		}
 		l := cc.compileInt(e.L)
 		r := cc.compileInt(e.R)
 		switch e.Op {
@@ -210,6 +209,8 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 			return func(m *machine, frame []value.Value) int64 { return l(m, frame) * r(m, frame) }
 		case "/":
 			return func(m *machine, frame []value.Value) int64 {
+				// Operands evaluate left to right (the differential fuzz
+				// test pins exception order across engines).
 				n := l(m, frame)
 				d := r(m, frame)
 				if d == 0 {
@@ -240,19 +241,11 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 		}
 
 	case *ast.Let:
-		type bind struct {
-			slot int
-			init code
-		}
-		binds := make([]bind, len(e.Binds))
-		for i, b := range e.Binds {
-			binds[i] = bind{slot: b.Slot, init: cc.compile(b.Init)}
-			cc.setSlot(b.Slot, b.Type)
-		}
+		binds := cc.compileBinds(e)
 		body := cc.compileInt(e.Body)
 		return func(m *machine, frame []value.Value) int64 {
 			for _, b := range binds {
-				frame[b.slot] = b.init(m, frame)
+				b.init(m, frame, &frame[b.slot])
 			}
 			return body(m, frame)
 		}
@@ -265,16 +258,39 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 		last := cc.compileInt(e.Exprs[len(e.Exprs)-1])
 		return func(m *machine, frame []value.Value) int64 {
 			for _, h := range head {
-				h(m, frame)
+				h(m, frame, &m.tmp)
 			}
 			return last(m, frame)
 		}
+
+	case *ast.Call:
+		// A primitive's result is read where fn returns it: the one
+		// word, and nothing stored.
+		if e.PrimIndex >= 0 {
+			fn, args := cc.compilePrim(e)
+			return func(m *machine, frame []value.Value) int64 { return fn(m.ctx, args(m, frame)).I }
+		}
 	}
 
-	// Seam to the boxed world (calls, try/handle, raises, projections of
-	// computed tuples, ...).
+	// Seam to the boxed world (user calls, try/handle, raises,
+	// projections of computed tuples, ...): rule (d).
 	boxed := cc.compileNode(e)
-	return func(m *machine, frame []value.Value) int64 { return boxed(m, frame).I }
+	return func(m *machine, frame []value.Value) int64 {
+		boxed(m, frame, &m.tmp)
+		return m.tmp.I
+	}
+}
+
+// boolWord is compileInt for a node only compileBool has cases for (not,
+// andalso, orelse, the comparisons): the bool as value.Bool stores it.
+func (cc *compiler) boolWord(e ast.Expr) icode {
+	b := cc.compileBool(e)
+	return func(m *machine, frame []value.Value) int64 {
+		if b(m, frame) {
+			return 1
+		}
+		return 0
+	}
 }
 
 // compileBool compiles a bool-typed expression to unboxed code.
@@ -289,8 +305,6 @@ func (cc *compiler) compileBool(e ast.Expr) bcode {
 			slot := e.Slot
 			return func(_ *machine, frame []value.Value) bool { return frame[slot].I != 0 }
 		}
-		gi := e.Global
-		return func(m *machine, _ []value.Value) bool { return m.globals[gi].I != 0 }
 
 	case *ast.Proj:
 		// Mirrors compileInt's #n-of-variable fast path: bool tuple
@@ -314,34 +328,8 @@ func (cc *compiler) compileBool(e ast.Expr) bcode {
 			l := cc.compileBool(e.L)
 			r := cc.compileBool(e.R)
 			return func(m *machine, frame []value.Value) bool { return l(m, frame) || r(m, frame) }
-		case "<", "<=", ">", ">=":
-			if ast.Equal(e.OperandType, ast.IntT) || ast.Equal(e.OperandType, ast.CharT) {
-				l := cc.compileInt(e.L)
-				r := cc.compileInt(e.R)
-				switch e.Op {
-				case "<":
-					return func(m *machine, frame []value.Value) bool { return l(m, frame) < r(m, frame) }
-				case "<=":
-					return func(m *machine, frame []value.Value) bool { return l(m, frame) <= r(m, frame) }
-				case ">":
-					return func(m *machine, frame []value.Value) bool { return l(m, frame) > r(m, frame) }
-				default:
-					return func(m *machine, frame []value.Value) bool { return l(m, frame) >= r(m, frame) }
-				}
-			}
-		case "=", "<>":
-			if t, ok := e.OperandType.(ast.Base); ok {
-				switch t.Kind {
-				case ast.TInt, ast.TBool, ast.TChar, ast.THost:
-					l := cc.compileInt(e.L)
-					r := cc.compileInt(e.R)
-					neg := e.Op == "<>"
-					return func(m *machine, frame []value.Value) bool {
-						return (l(m, frame) == r(m, frame)) != neg
-					}
-				}
-			}
 		}
+		return cc.compileCompare(e)
 
 	case *ast.If:
 		cond := cc.compileBool(e.Cond)
@@ -355,6 +343,53 @@ func (cc *compiler) compileBool(e ast.Expr) bcode {
 		}
 	}
 
-	boxed := cc.compileNode(e)
-	return func(m *machine, frame []value.Value) bool { return boxed(m, frame).I != 0 }
+	// Everything else — a variable, a #n flag of protocol state, a
+	// primitive's verdict, a boxed node — is the word in Value.I.
+	word := cc.compileInt(e)
+	return func(m *machine, frame []value.Value) bool { return word(m, frame) != 0 }
+}
+
+// compileCompare specializes = <> < <= > >= on the statically known
+// operand type. One-word operands (int, bool, char, host) compare as
+// words; strings by strings.Compare against 0, as words again; any
+// other equality type through value.Equal. Every form reads what it
+// needs of the left operand before the right one runs: rule (b).
+func (cc *compiler) compileCompare(e *ast.Binary) bcode {
+	var l, r icode
+	switch t, _ := e.OperandType.(ast.Base); t.Kind {
+	case ast.TInt, ast.TBool, ast.TChar, ast.THost:
+		l, r = cc.compileInt(e.L), cc.compileInt(e.R)
+	case ast.TString:
+		ls, rs := cc.compile(e.L), cc.compile(e.R)
+		l = func(m *machine, frame []value.Value) int64 {
+			ls(m, frame, &m.tmp)
+			a := m.tmp.S
+			rs(m, frame, &m.tmp)
+			return int64(strings.Compare(a, m.tmp.S))
+		}
+		r = func(*machine, []value.Value) int64 { return 0 }
+	default: // = and <> only: the checker orders int, char and string
+		lv, rv := cc.compile(e.L), cc.compile(e.R)
+		neg := e.Op == "<>"
+		return func(m *machine, frame []value.Value) bool {
+			lv(m, frame, &m.tmp)
+			a := m.tmp
+			rv(m, frame, &m.tmp)
+			return value.Equal(a, m.tmp) != neg
+		}
+	}
+	switch e.Op {
+	case "=":
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) == r(m, frame) }
+	case "<>":
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) != r(m, frame) }
+	case "<":
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) < r(m, frame) }
+	case "<=":
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) <= r(m, frame) }
+	case ">":
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) > r(m, frame) }
+	default:
+		return func(m *machine, frame []value.Value) bool { return l(m, frame) >= r(m, frame) }
+	}
 }

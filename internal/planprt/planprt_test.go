@@ -188,6 +188,30 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
+// TestInvokeTimeIsSampled pins the contract of Stats.InvokeTime: every
+// invocation is counted, one in invokeSample is timed and weighted.
+func TestInvokeTimeIsSampled(t *testing.T) {
+	sim, client, gw, _, _ := topo(t)
+	rt, err := Download(gw, balancer, Config{Verify: VerifySingleNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(from, to int) Stats {
+		for i := from; i < to; i++ {
+			client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, uint32(i), netsim.FlagAck, nil))
+			sim.Run()
+		}
+		return rt.Stats()
+	}
+	if st := send(0, invokeSample-1); st.InvokeTime != 0 || st.Processed != invokeSample-1 {
+		t.Errorf("before the first sample: InvokeTime %v (want 0), Processed %d (want %d)", st.InvokeTime, st.Processed, invokeSample-1)
+	}
+	const total = 6400
+	if st := send(invokeSample-1, total); st.InvokeTime <= 0 || st.Processed != total {
+		t.Errorf("after %d invokes: InvokeTime %v (want > 0), Processed %d", total, st.InvokeTime, st.Processed)
+	}
+}
+
 func TestStickyConnections(t *testing.T) {
 	sim, client, gw, srvA, srvB := topo(t)
 	if _, err := Download(gw, balancer, Config{Verify: VerifySingleNode}); err != nil {

@@ -264,8 +264,18 @@ type Stats struct {
 	SentLocal  int64 // OnRemote to self (local delivery)
 	SentFlood  int64 // OnNeighbor transmissions
 	Delivered  int64 // deliver primitive
+	// InvokeTime estimates the time spent inside channel invocations:
+	// one invoke in invokeSample is timed and counted invokeSample
+	// times, so it reads 0 until that many have run. The sample is
+	// strictly periodic: on traffic whose cycle divides invokeSample it
+	// times the same kind of packet every time.
 	InvokeTime time.Duration
 }
+
+// invokeSample is how many invocations share one timing: two clock
+// reads cost 4–5 % of a gateway packet, and the counter they feed is
+// only ever read as a sum.
+const invokeSample = 64
 
 // runtimeCounters are the per-installation registry instruments,
 // resolved once at install time (no name lookups per packet).
@@ -311,7 +321,8 @@ type Runtime struct {
 	curIn  substrate.Iface
 	curDst substrate.Addr
 
-	ct runtimeCounters
+	invokes uint64 // channel invocations so far (which one to time)
+	ct      runtimeCounters
 }
 
 // Stats returns a snapshot of this installation's activity counters.
@@ -367,9 +378,16 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 			})
 		}
 		rt.curIn, rt.curDst = in, pkt.IP.Dst
-		start := time.Now()
+		rt.invokes++
+		timed := rt.invokes%invokeSample == 0
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
 		err := rt.inst.Invoke(ch.Index, rt, v)
-		rt.ct.invokeNs.Add(int64(time.Since(start)))
+		if timed {
+			rt.ct.invokeNs.Add(invokeSample * int64(time.Since(start)))
+		}
 		rt.curIn, rt.curDst = nil, 0
 		if err != nil {
 			// An unhandled exception drops the packet (the verifier
