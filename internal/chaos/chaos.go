@@ -36,6 +36,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -209,8 +210,8 @@ func (e *Engine) LookupLink(name string) (*Link, bool) {
 	return l, l != nil
 }
 
-// LinkNames returns the names of every wired link (sorted by map
-// iteration — callers sort if they care).
+// LinkNames returns the names of every wired link, sorted: they are
+// part of the error a daemon answers a bad timeline with.
 func (e *Engine) LinkNames() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -218,6 +219,7 @@ func (e *Engine) LinkNames() []string {
 	for name := range e.links {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -238,7 +240,7 @@ func (e *Engine) LookupNode(name string) (*NodeHandle, bool) {
 	return h, h != nil
 }
 
-// NodeNames returns the names of every adopted node.
+// NodeNames returns the names of every adopted node, sorted.
 func (e *Engine) NodeNames() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -246,6 +248,7 @@ func (e *Engine) NodeNames() []string {
 	for name := range e.nodes {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -201,6 +201,7 @@ func TestTimelineValidation(t *testing.T) {
 		{"skew-on-netsim", `{"steps":[{"op":"clockskew","node":"r","skew_ms":100}]}`, "clock skew"},
 		{"typoed-field", `{"steps":[{"op":"loss","link":"uplink","prob":0.5}]}`, "unknown field"},
 		{"no-steps", `{"steps":[]}`, "no steps"},
+		{"at-overflows", `{"steps":[{"at_ms":9223372036855,"op":"down","link":"uplink"}]}`, "does not fit a duration"},
 		{"negative-at", `{"steps":[{"at_ms":-5,"op":"down","link":"uplink"}]}`, "negative at_ms"},
 	}
 	for _, tc := range cases {

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -84,6 +85,10 @@ func ParseTimeline(b []byte) (*Timeline, error) {
 // Encode renders the timeline as JSON.
 func (tl *Timeline) Encode() ([]byte, error) { return json.MarshalIndent(tl, "", "  ") }
 
+// maxMS is the largest millisecond count a time.Duration holds; beyond
+// it at_ms wraps negative and a step meant for never fires at once.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Compile validates the timeline against this engine — every link and
 // node must be wired/adopted, directions require duplex wiring,
 // clockskew requires a backend that supports it — and returns the
@@ -92,6 +97,11 @@ func (tl *Timeline) Encode() ([]byte, error) { return json.MarshalIndent(tl, "",
 func (e *Engine) Compile(tl *Timeline) (*Scenario, error) {
 	sc := NewScenario()
 	for i, st := range tl.Steps {
+		for _, ms := range [...]int64{st.AtMS, st.DurMS, st.SkewMS} {
+			if ms > maxMS || ms < -maxMS {
+				return nil, fmt.Errorf("chaos: timeline %q step %d (%s): %d ms does not fit a duration", tl.Name, i, st.Op, ms)
+			}
+		}
 		a, err := e.compileStep(st)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: timeline %q step %d (%s at %dms): %w",

@@ -200,8 +200,6 @@ func (cs *ChaosServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	links := cs.eng.LinkNames()
 	nodes := cs.eng.NodeNames()
-	sort.Strings(links)
-	sort.Strings(nodes)
 
 	cs.mu.Lock()
 	staged := make([]string, 0, len(cs.staged))

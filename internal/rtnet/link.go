@@ -53,11 +53,12 @@ func (i *Iface) admit() string { return "" }
 
 // transmit enqueues pkt at the peer. Drop-tail: if this interface
 // already has queueCap packets waiting there, the packet is dropped.
+// Admission is the one Add, so concurrent senders cannot overshoot.
 func (i *Iface) transmit(pkt *substrate.Packet) string {
-	if i.queued.Load() >= queueCap {
+	if i.queued.Add(1) > queueCap {
+		i.queued.Add(-1)
 		return "queue"
 	}
-	i.queued.Add(1)
 	if !i.peer.enqueue(i.retain(pkt), i.rev, &i.queued) {
 		i.queued.Add(-1)
 		return "queue"

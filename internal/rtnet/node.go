@@ -6,6 +6,8 @@ package rtnet
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +59,18 @@ type inbound struct {
 // pathological fan-in.
 const inboxCap = 4096
 
+// tables is a node's configuration — interfaces, routes, application
+// bindings — as one immutable value. A published snapshot is never
+// written again, so whatever a reader took from it (a slice from
+// Interfaces, an interface from Route) stays as it was.
+type tables struct {
+	ifaces    []substrate.Iface
+	routes    map[substrate.Addr]substrate.Iface
+	defaultIf substrate.Iface
+	apps      map[appKey]substrate.AppFunc
+	rawApps   []substrate.AppFunc
+}
+
 // Node is a host or router.
 type Node struct {
 	net  *Net
@@ -68,15 +82,16 @@ type Node struct {
 	// Start.
 	Forwarding bool
 
-	mu        sync.RWMutex // guards the tables below
-	ifaces    []substrate.Iface
-	routes    map[substrate.Addr]substrate.Iface
-	defaultIf substrate.Iface
-	apps      map[appKey]substrate.AppFunc
-	rawApps   []substrate.AppFunc
+	// tables is the current configuration snapshot: per-packet readers
+	// load it and never lock; writers copy, modify and publish under mu
+	// (see update).
+	mu     sync.Mutex
+	tables atomic.Pointer[tables]
 
-	procMu sync.RWMutex
-	proc   substrate.Processor
+	// proc boxes the installed PLAN-P layer (nil: none). A box, not an
+	// atomic.Value: processors of different concrete types succeed each
+	// other over a node's life.
+	proc atomic.Pointer[substrate.Processor]
 
 	// down marks a crashed node (see Crash/Restart): all traffic
 	// through it is discarded until restart.
@@ -100,55 +115,87 @@ func NewNode(nw *Net, name string, addr substrate.Addr) *Node {
 	}
 	n := &Node{
 		net: nw, name: name, addr: addr,
-		routes: map[substrate.Addr]substrate.Iface{},
-		apps:   map[appKey]substrate.AppFunc{},
-		inbox:  make(chan inbound, inboxCap),
-		ct:     newNodeCounters(nw.reg, name),
+		inbox: make(chan inbound, inboxCap),
+		ct:    newNodeCounters(nw.reg, name),
 	}
+	n.tables.Store(&tables{routes: map[substrate.Addr]substrate.Iface{}, apps: map[appKey]substrate.AppFunc{}})
 	nw.byAddr[addr] = n
 	nw.byName[name] = n
 	nw.nodes = append(nw.nodes, n)
 	return n
 }
 
-// AddRoute installs a host route: traffic to dst leaves via ifc.
-func (n *Node) AddRoute(dst substrate.Addr, ifc substrate.Iface) {
+// update publishes a modified copy of the tables. mutate receives a
+// shallow copy of the current snapshot and must replace, never write
+// through, any slice or map it changes (maps.Clone — NewNode makes both
+// maps, a nil one would clone to nil — and slices.Clip before append).
+// Copy per mutation: topologies are tens of entries.
+func (n *Node) update(mutate func(t *tables)) {
 	n.mu.Lock()
-	n.routes[dst] = ifc
-	n.mu.Unlock()
+	defer n.mu.Unlock()
+	t := *n.tables.Load()
+	mutate(&t)
+	n.tables.Store(&t)
+}
+
+// AddRoute installs a host route: traffic to dst leaves via ifc. Safe
+// while traffic flows, as is every setter below.
+func (n *Node) AddRoute(dst substrate.Addr, ifc substrate.Iface) {
+	n.update(func(t *tables) {
+		t.routes = maps.Clone(t.routes)
+		t.routes[dst] = ifc
+	})
 }
 
 // SetDefaultRoute installs the default route.
 func (n *Node) SetDefaultRoute(ifc substrate.Iface) {
-	n.mu.Lock()
-	n.defaultIf = ifc
-	n.mu.Unlock()
+	n.update(func(t *tables) { t.defaultIf = ifc })
 }
 
 // addIface appends a link endpoint (called by the link constructors).
 func (n *Node) addIface(ifc substrate.Iface) {
-	n.mu.Lock()
-	n.ifaces = append(n.ifaces, ifc)
-	n.mu.Unlock()
+	n.update(func(t *tables) { t.ifaces = append(slices.Clip(t.ifaces), ifc) })
+}
+
+// bind delivers local traffic for k to fn.
+func (n *Node) bind(k appKey, fn substrate.AppFunc) {
+	n.update(func(t *tables) {
+		t.apps = maps.Clone(t.apps)
+		t.apps[k] = fn
+	})
 }
 
 // run is the node's processing goroutine: drain the inbox until the
 // network shuts down. All per-node state (processor, interpreter
 // instance, bindings) is only touched from here, which is what makes an
-// installed ASP single-threaded exactly as on the simulator.
+// installed ASP single-threaded exactly as on the simulator. The inbox
+// is tried first and selected on only when empty, so a burst costs a
+// channel receive per packet, not a two-channel select; quit is polled
+// each turn (a load while it is open) so that a sender who keeps the
+// inbox full cannot keep Close waiting.
 func (n *Node) run() {
 	defer n.net.wg.Done()
 	for {
 		select {
 		case <-n.net.quit:
 			return
-		case m := <-n.inbox:
-			n.receive(m.pkt, m.in)
-			if m.q != nil {
-				m.q.Add(-1)
-			}
-			n.net.inflight.Add(-1)
+		default:
 		}
+		var m inbound
+		select {
+		case m = <-n.inbox:
+		default:
+			select {
+			case <-n.net.quit:
+				return
+			case m = <-n.inbox:
+			}
+		}
+		n.receive(m.pkt, m.in)
+		if m.q != nil {
+			m.q.Add(-1)
+		}
+		n.net.inflight.Add(-1)
 	}
 }
 
@@ -189,10 +236,7 @@ func (n *Node) receive(pkt *substrate.Packet, in substrate.Iface) {
 	}
 	n.ct.rxPkts.Inc()
 	n.ct.rxBytes.Add(int64(pkt.Size()))
-	n.procMu.RLock()
-	proc := n.proc
-	n.procMu.RUnlock()
-	if proc != nil && proc.Process(pkt, in) {
+	if proc := n.proc.Load(); proc != nil && (*proc).Process(pkt, in) {
 		return
 	}
 	n.defaultProcess(pkt, in)
@@ -253,22 +297,20 @@ func (n *Node) deliverLocal(pkt *substrate.Packet) {
 	if n.net.bus.Active() {
 		n.emit(obs.KindDeliver, pkt, "")
 	}
-	n.mu.RLock()
+	t := n.tables.Load()
 	var fn substrate.AppFunc
 	switch {
 	case pkt.TCP != nil:
-		fn = n.apps[appKey{substrate.ProtoTCP, pkt.TCP.DstPort}]
+		fn = t.apps[appKey{substrate.ProtoTCP, pkt.TCP.DstPort}]
 	case pkt.UDP != nil:
-		fn = n.apps[appKey{substrate.ProtoUDP, pkt.UDP.DstPort}]
+		fn = t.apps[appKey{substrate.ProtoUDP, pkt.UDP.DstPort}]
 	}
-	raw := n.rawApps
-	n.mu.RUnlock()
 	if fn != nil {
 		fn(pkt)
 		return
 	}
-	if len(raw) > 0 {
-		for _, r := range raw {
+	if len(t.rawApps) > 0 {
+		for _, r := range t.rawApps {
 			r(pkt)
 		}
 		return
@@ -294,9 +336,7 @@ func (n *Node) emit(kind obs.Kind, pkt *substrate.Packet, detail string) {
 // BindRaw receives every packet delivered locally regardless of port
 // (after specific bindings).
 func (n *Node) BindRaw(fn substrate.AppFunc) {
-	n.mu.Lock()
-	n.rawApps = append(n.rawApps, fn)
-	n.mu.Unlock()
+	n.update(func(t *tables) { t.rawApps = append(slices.Clip(t.rawApps), fn) })
 }
 
 // ---------------------------------------------------------------------------
@@ -311,20 +351,15 @@ func (n *Node) Address() substrate.Addr { return n.addr }
 // Interfaces returns the node's attachment points (substrate.Node).
 // The returned slice must not be mutated; it is stable once the
 // topology is built.
-func (n *Node) Interfaces() []substrate.Iface {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.ifaces
-}
+func (n *Node) Interfaces() []substrate.Iface { return n.tables.Load().ifaces }
 
 // Route resolves the outgoing interface for dst, or nil (substrate.Node).
 func (n *Node) Route(dst substrate.Addr) substrate.Iface {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if ifc, ok := n.routes[dst]; ok {
+	t := n.tables.Load()
+	if ifc, ok := t.routes[dst]; ok {
 		return ifc
 	}
-	return n.defaultIf
+	return t.defaultIf
 }
 
 // Send originates pkt from this node (substrate.Node): local
@@ -368,36 +403,35 @@ func (n *Node) DeliverLocal(pkt *substrate.Packet) { n.deliverLocal(pkt) }
 // BindUDP delivers local UDP traffic for port to fn (substrate.Node).
 // fn runs on the node's goroutine.
 func (n *Node) BindUDP(port uint16, fn substrate.AppFunc) {
-	n.mu.Lock()
-	n.apps[appKey{substrate.ProtoUDP, port}] = fn
-	n.mu.Unlock()
+	n.bind(appKey{substrate.ProtoUDP, port}, fn)
 }
 
 // BindTCP delivers local TCP traffic for port to fn (substrate.Node).
 func (n *Node) BindTCP(port uint16, fn substrate.AppFunc) {
-	n.mu.Lock()
-	n.apps[appKey{substrate.ProtoTCP, port}] = fn
-	n.mu.Unlock()
+	n.bind(appKey{substrate.ProtoTCP, port}, fn)
 }
 
 // NextIPID returns a fresh IP identification value (substrate.Node).
 func (n *Node) NextIPID() uint32 { return n.ipID.Add(1) }
 
 // SetProcessor installs (or, with nil, removes) the PLAN-P layer
-// (substrate.Node). Safe while traffic flows: the run loop snapshots
-// the processor per packet.
+// (substrate.Node). Safe while traffic flows: the run loop loads the
+// processor per packet.
 func (n *Node) SetProcessor(p substrate.Processor) {
-	n.procMu.Lock()
-	n.proc = p
-	n.procMu.Unlock()
+	if p == nil {
+		n.proc.Store(nil)
+		return
+	}
+	n.proc.Store(&p)
 }
 
 // CurrentProcessor returns the installed PLAN-P layer, or nil
 // (substrate.Node).
 func (n *Node) CurrentProcessor() substrate.Processor {
-	n.procMu.RLock()
-	defer n.procMu.RUnlock()
-	return n.proc
+	if p := n.proc.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Env returns the owning network (substrate.Node).

@@ -6,6 +6,7 @@ package rtnet
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/substrate"
@@ -35,9 +36,10 @@ type port struct {
 	bw    int64  // nominal bandwidth, bits/s (reported, not enforced)
 	tr    transport
 
-	mu    sync.Mutex // guards meter (RateMeter is not internally synchronized) and fault
+	mu    sync.Mutex // guards meter (RateMeter is not internally synchronized)
 	meter *substrate.RateMeter
-	fault substrate.FaultFunc
+
+	fault atomic.Pointer[substrate.FaultFunc] // boxed fault layer, nil when none
 
 	drops      *obs.Counter
 	faultDrops *obs.Counter
@@ -55,9 +57,11 @@ func (p *port) setup(nw *Net, node *Node, peer string, bandwidthBps int64, tr tr
 // (substrate.FaultPort). Safe while traffic flows. A port is one
 // direction, so chaos wired here degrades only local-outbound traffic.
 func (p *port) SetFault(f substrate.FaultFunc) {
-	p.mu.Lock()
-	p.fault = f
-	p.mu.Unlock()
+	if f == nil {
+		p.fault.Store(nil)
+		return
+	}
+	p.fault.Store(&f)
 }
 
 // Send transmits pkt toward the peer node (substrate.Iface), applying
@@ -65,14 +69,12 @@ func (p *port) SetFault(f substrate.FaultFunc) {
 // rewrites a private copy, Dup extra clones go out alongside the
 // original, and Delay holds every copy back on a real timer.
 func (p *port) Send(pkt *substrate.Packet) {
-	p.mu.Lock()
-	f := p.fault
-	p.mu.Unlock()
+	f := p.fault.Load()
 	if f == nil {
 		p.transmit(pkt)
 		return
 	}
-	act := f(pkt)
+	act := (*f)(pkt)
 	if act.Drop {
 		p.drop(pkt, p.faultDrops, "fault")
 		return

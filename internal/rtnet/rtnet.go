@@ -17,6 +17,16 @@
 // goroutine. Unowned (shared) packets are cloned at the link boundary
 // so no two goroutines ever touch the same mutable packet.
 //
+// Configuration — a node's interfaces, routes and bindings, its
+// processor, a port's fault layer — changes at topology build, on a
+// download or when chaos is injected, and is read on every packet. So
+// the tables are one immutable snapshot and the two hooks boxed values,
+// each behind an atomic pointer: readers load and never lock; table
+// writers are serialized by a mutex and publish a modified copy, a hook
+// is set by one store. A packet may see two successive snapshots, one
+// in Route and the next in deliverLocal, exactly as it could between
+// two takes of a read lock.
+//
 // Links: a link endpoint is a port over a transport; a remote link is a
 // datagram port plus a session. The port (port.go) is the one
 // implementation of substrate.Iface and substrate.FaultPort — fault
@@ -179,9 +189,10 @@ func (n *Net) NodeByName(name string) *Node {
 	return n.byName[name]
 }
 
-// Start launches every node's processing goroutine. The topology
-// (nodes, links, routes, bindings, event subscribers) must be complete;
-// anything added afterwards races with live traffic.
+// Start launches every node's processing goroutine. Nodes, links and
+// event subscribers must be complete: a node added afterwards never
+// runs, a subscriber races with live traffic. Routes, bindings and the
+// two hooks may change at any time ("Configuration" above).
 func (n *Net) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -154,7 +154,7 @@ func (t *Topology) validate() error {
 		daemons[d.Name] = true
 	}
 	nodes := map[string]NodeSpec{}
-	addrs := map[string]string{}
+	addrs := map[substrate.Addr]string{} // by value: "010.0.0.1" is "10.0.0.1"
 	for _, n := range t.Nodes {
 		if n.Name == "" {
 			return fmt.Errorf("testbed: node needs a name")
@@ -165,13 +165,14 @@ func (t *Topology) validate() error {
 		if !daemons[n.Daemon] {
 			return fmt.Errorf("testbed: node %q names unknown daemon %q", n.Name, n.Daemon)
 		}
-		if _, err := substrate.ParseAddr(n.Addr); err != nil {
+		addr, err := substrate.ParseAddr(n.Addr)
+		if err != nil {
 			return fmt.Errorf("testbed: node %q: %w", n.Name, err)
 		}
-		if prev, dup := addrs[n.Addr]; dup {
-			return fmt.Errorf("testbed: nodes %q and %q share address %s", prev, n.Name, n.Addr)
+		if prev, dup := addrs[addr]; dup {
+			return fmt.Errorf("testbed: nodes %q and %q share address %s", prev, n.Name, addr)
 		}
-		addrs[n.Addr] = n.Name
+		addrs[addr] = n.Name
 		nodes[n.Name] = n
 	}
 	links := map[string]bool{}

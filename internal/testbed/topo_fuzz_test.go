@@ -1,0 +1,62 @@
+package testbed
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"planp.dev/planp/internal/substrate"
+)
+
+// FuzzParseTopology hammers the topology codec — a file every daemon of
+// a testbed is handed by whoever assembles it. The contract: never
+// panic; the same input gives the same error text; and what is accepted
+// is a value the daemons can build from — addresses distinct as
+// ADDRESSES (rtnet.NewNode panics on a duplicate), next hops computable
+// — that survives encode → parse unchanged.
+func FuzzParseTopology(f *testing.F) {
+	f.Add(demoJSON)
+	f.Add([]byte(validTopo))
+	for _, tc := range malformedTopos {
+		f.Add([]byte(tc.topo))
+	}
+	f.Add([]byte(withRoute("gw", "10.0.0.9", "s0"))) // valid: an extra route
+	f.Add([]byte(`{"daemons":[{"name":"d","control":"c"}],"nodes":[{"name":"n","addr":"1.2.3.4","daemon":"d"}],"links":null,"routes":[]}`))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		topo, err := ParseTopology(b)
+		if _, again := ParseTopology(b); fmt.Sprint(again) != fmt.Sprint(err) {
+			t.Fatalf("same input, different errors:\n%v\n%v", err, again)
+		}
+		if err != nil {
+			return
+		}
+		seen := map[substrate.Addr]string{}
+		for _, n := range topo.Nodes {
+			a, err := substrate.ParseAddr(n.Addr)
+			if err != nil {
+				t.Fatalf("accepted node %q with address %q: %v", n.Name, n.Addr, err)
+			}
+			if prev, dup := seen[a]; dup {
+				t.Fatalf("accepted nodes %q and %q at one address %s", prev, n.Name, a)
+			}
+			seen[a] = n.Name
+			topo.NextHops(n.Name)
+			if _, ok := topo.NodeURL(n.Name); !ok {
+				t.Fatalf("accepted node %q has no control URL", n.Name)
+			}
+		}
+		enc, err := json.Marshal(topo)
+		if err != nil {
+			t.Fatalf("accepted topology does not encode: %v", err)
+		}
+		back, err := ParseTopology(enc)
+		if err != nil {
+			t.Fatalf("accepted topology does not re-parse once encoded: %v\n%s", err, enc)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {
+			t.Fatalf("encode → parse changed the topology:\n%s\n%s", enc, again)
+		}
+	})
+}

@@ -45,31 +45,53 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+// mutateTopo returns validTopo with the first from replaced by to.
+func mutateTopo(from, to string) string {
+	s := strings.Replace(validTopo, from, to, 1)
+	if s == validTopo {
+		panic("topology mutation not applied: " + from)
+	}
+	return s
+}
+
+// withRoute returns validTopo plus one explicit route.
+func withRoute(node, dst, via string) string {
+	return mutateTopo(`"links": [`, `"routes": [{"node": "`+node+`", "dst": "`+dst+`", "via": "`+via+`"}], "links": [`)
+}
+
+// malformedTopos is one malformed topology per decode and validate
+// error, with what the error must mention: the table of
+// TestTopologyValidation and the seed corpus of FuzzParseTopology.
+var malformedTopos = []struct {
+	name, topo, want string
+}{
+	{"unknown-field", mutateTopo(`"name": "t"`, `"name": "t", "nmae": "x"`), "unknown field"},
+	{"trailing-data", validTopo + `{}`, "trailing data"},
+	{"no-daemons", `{"name":"t","daemons":[],"nodes":[],"links":[]}`, "no daemons"},
+	{"no-nodes", `{"name":"t","daemons":[{"name":"d","control":"c"}],"nodes":[],"links":[]}`, "no nodes"},
+	{"unnamed-daemon", mutateTopo(`"name": "d1", "control": "127.0.0.1:18001"`, `"name": "", "control": ""`), "needs name and control"},
+	{"dup-daemon", mutateTopo(`"name": "d2"`, `"name": "d1"`), "duplicate daemon"},
+	{"unnamed-node", mutateTopo(`"name": "gw"`, `"name": ""`), "node needs a name"},
+	{"dup-node", mutateTopo(`"name": "s0"`, `"name": "gw"`), "duplicate node"},
+	{"unknown-daemon", mutateTopo(`"daemon": "d2"`, `"daemon": "dX"`), "unknown daemon"},
+	{"bad-addr", mutateTopo(`"addr": "10.0.0.2"`, `"addr": "banana"`), "s0"},
+	{"dup-addr", mutateTopo(`"addr": "10.0.0.2"`, `"addr": "10.0.0.1"`), "share address"},
+	{"dup-addr-respelled", mutateTopo(`"addr": "10.0.0.2"`, `"addr": "010.0.0.1"`), "share address"},
+	{"unknown-link-node", mutateTopo(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "sX"`), "unknown node"},
+	{"self-link", mutateTopo(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "gw"`), "itself"},
+	{"dup-link-reversed", mutateTopo(`"a": "gw", "b": "s1"`, `"a": "s0", "b": "gw"`), "duplicate link"},
+	{"missing-udp", mutateTopo(`"a_udp": "127.0.0.1:18101", `, ``), "needs a_udp and b_udp"},
+	{"local-link-with-udp", mutateTopo(`"daemon": "d2"`, `"daemon": "d1"`), "daemon-local"},
+	{"route-on-unknown", withRoute("sX", "10.0.0.9", "gw"), "route on unknown node"},
+	{"route-via-unknown", withRoute("gw", "10.0.0.9", "sX"), "route via unknown node"},
+	{"route-bad-dst", withRoute("gw", "10.0.0", "s0"), "malformed address"},
+	{"route-not-adjacent", withRoute("s0", "10.0.0.9", "s1"), "not adjacent"},
+}
+
 // TestTopologyValidation: every malformed topology is a structured
 // parse-time error naming the offending element.
 func TestTopologyValidation(t *testing.T) {
-	mutate := func(from, to string) string {
-		s := strings.Replace(validTopo, from, to, 1)
-		if s == validTopo {
-			t.Fatalf("mutation %q not applied", from)
-		}
-		return s
-	}
-	cases := []struct {
-		name, topo, want string
-	}{
-		{"unknown-field", mutate(`"name": "t"`, `"name": "t", "nmae": "x"`), "unknown field"},
-		{"dup-daemon", mutate(`"name": "d2"`, `"name": "d1"`), "duplicate daemon"},
-		{"unknown-daemon", mutate(`"daemon": "d2"`, `"daemon": "dX"`), "unknown daemon"},
-		{"dup-node", mutate(`"name": "s0"`, `"name": "gw"`), "duplicate node"},
-		{"dup-addr", mutate(`"addr": "10.0.0.2"`, `"addr": "10.0.0.1"`), "share address"},
-		{"bad-addr", mutate(`"addr": "10.0.0.2"`, `"addr": "banana"`), "s0"},
-		{"unknown-link-node", mutate(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "sX"`), "unknown node"},
-		{"self-link", mutate(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "gw"`), "itself"},
-		{"missing-udp", mutate(`"a_udp": "127.0.0.1:18101", `, ``), "needs a_udp and b_udp"},
-		{"no-daemons", `{"name":"t","daemons":[],"nodes":[],"links":[]}`, "no daemons"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedTopos {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseTopology([]byte(tc.topo))
 			if err == nil {
