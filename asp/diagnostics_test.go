@@ -84,16 +84,16 @@ func TestTypecheckErrorAccessors(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("error is %T, want *typecheck.Error: %v", err, err)
 	}
-	if len(te.Diagnostics()) != 3 {
-		t.Fatalf("Diagnostics() = %d entries, want 3", len(te.Diagnostics()))
+	if len(te.Diagnostics()) != 4 {
+		t.Fatalf("Diagnostics() = %d entries, want 4", len(te.Diagnostics()))
 	}
 	if first := te.First(); first != te.Diagnostics()[0] {
 		t.Errorf("First() = %+v, want the first diagnostic", first)
 	}
 	// One rendered line per error, each carrying its position.
 	lines := strings.Split(err.Error(), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("rendered error has %d lines, want 3:\n%s", len(lines), err)
+	if len(lines) != 4 {
+		t.Fatalf("rendered error has %d lines, want 4:\n%s", len(lines), err)
 	}
 	for i, ln := range lines {
 		if !strings.Contains(ln, te.Diagnostics()[i].Pos.String()) {

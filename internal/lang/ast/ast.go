@@ -172,11 +172,32 @@ func IsEquality(t Type) bool {
 // Expr is a PLAN-P expression node. Pos is the position of its first
 // token; End is one column past its last token (the parser fills both,
 // and End falls back to Pos on hand-built nodes with no span).
+//
+// Type is the node's static type: typecheck.Check records it on every
+// node it accepts, and the back ends read it instead of re-deriving it.
+// It is nil before checking, and always on a ChanRef: the checker
+// resolves a send's channel name itself and never types it.
 type Expr interface {
 	Pos() token.Pos
 	End() token.Pos
+	Type() Type
+	SetType(Type)
 	expr()
 }
+
+// Node is what every expression node carries: its source span and its
+// static type. Embedding it is what makes a struct an Expr.
+type Node struct {
+	At    token.Pos
+	EndAt token.Pos
+	typ   Type
+}
+
+func (n *Node) Pos() token.Pos { return n.At }
+func (n *Node) End() token.Pos { return endOr(n.EndAt, n.At) }
+func (n *Node) Type() Type     { return n.typ }
+func (n *Node) SetType(t Type) { n.typ = t }
+func (*Node) expr()            {}
 
 // endOr returns end when the parser recorded one, else the start
 // position, so diagnostics on synthesized nodes still point somewhere.
@@ -189,51 +210,42 @@ func endOr(end, at token.Pos) token.Pos {
 
 // IntLit is an integer literal.
 type IntLit struct {
+	Node
 	Value int64
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // BoolLit is true or false.
 type BoolLit struct {
+	Node
 	Value bool
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // StringLit is a double-quoted string literal.
 type StringLit struct {
+	Node
 	Value string
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // CharLit is a character literal.
 type CharLit struct {
+	Node
 	Value byte
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // UnitLit is the value (), written as an empty parenthesis pair.
-type UnitLit struct {
-	At    token.Pos
-	EndAt token.Pos
-}
+type UnitLit struct{ Node }
 
 // HostLit is a dotted-quad IP address literal such as 131.254.60.81.
 type HostLit struct {
-	Addr  uint32 // big-endian packed IPv4 address
-	Text  string
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Addr uint32 // big-endian packed IPv4 address
+	Text string
 }
 
 // Var is an identifier reference.
 type Var struct {
-	Name  string
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Name string
 
 	// Slot is filled by the type checker: the resolved lexical slot in
 	// the flat frame layout, used by the compiled engines. -1 for
@@ -244,45 +256,36 @@ type Var struct {
 
 // Proj is tuple projection "#n e" (1-based, per ML convention).
 type Proj struct {
+	Node
 	Index int // 1-based
 	Tuple Expr
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // Call is a call to a primitive, a user fun, or a channel-valued argument
 // position (OnRemote's first argument is a channel name and is treated
-// specially by the checker).
+// specially by the checker; the send's resolved packet type is
+// Args[1].Type()).
 type Call struct {
-	Name  string
-	Args  []Expr
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Name string
+	Args []Expr
 
 	// Resolution, filled by the type checker.
 	PrimIndex int // >= 0 when calling a primitive
 	FunIndex  int // >= 0 when calling a user fun
-
-	// SendPacket is filled by the type checker on OnRemote/OnNeighbor
-	// calls: the resolved packet type of the send. Signature extraction
-	// (typecheck.Signature) and the verifier's duplication analysis read
-	// it instead of re-deriving the type.
-	SendPacket Type
 }
 
 // ChanRef is a channel name used as an argument to OnRemote/OnNeighbor.
 type ChanRef struct {
-	Name  string
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Name string
 }
 
 // Let is "let val x1 : t1 = e1 ... in body end".
 type Let struct {
+	Node
 	Binds []LetBind
 	Body  Expr
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // LetBind is one "val x : t = e" binding inside a let.
@@ -296,121 +299,94 @@ type LetBind struct {
 // If is "if cond then a else b". Both arms are mandatory (expressions,
 // not statements).
 type If struct {
-	Cond  Expr
-	Then  Expr
-	Else  Expr
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Cond Expr
+	Then Expr
+	Else Expr
 }
 
 // Seq is "(e1; e2; ...; en)" — evaluates all, yields the last.
 type Seq struct {
+	Node
 	Exprs []Expr
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // TupleExpr is "(e1, e2, ..., en)" with n >= 2.
 type TupleExpr struct {
+	Node
 	Elems []Expr
-	At    token.Pos
-	EndAt token.Pos
 }
 
 // Unary is "not e" or unary minus.
 type Unary struct {
-	Op    string // "not" | "-"
-	X     Expr
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Op string // "not" | "-"
+	X  Expr
 }
 
 // Binary is a binary operation. Op is the source operator: one of
-// = <> < <= > >= + - * / mod ^ andalso orelse.
+// = <> < <= > >= + - * / mod ^ andalso orelse. A comparison's operand
+// type, which picks the engines' comparison routine, is L.Type().
 type Binary struct {
-	Op    string
-	L, R  Expr
-	At    token.Pos
-	EndAt token.Pos
-
-	// OperandType is filled by the checker for = and <> so the engines
-	// can pick a comparison routine.
-	OperandType Type
+	Node
+	Op   string
+	L, R Expr
 }
 
 // Try is "try e handle h end": evaluates e; if any PLAN-P exception is
 // raised, evaluates h instead. Both must have the same type.
 type Try struct {
+	Node
 	Body    Expr
 	Handler Expr
-	At      token.Pos
-	EndAt   token.Pos
 }
 
 // Raise is "raise s": raises a PLAN-P exception carrying message s.
 // A raise expression has any type required by context.
 type Raise struct {
-	Msg   Expr // must be string
-	At    token.Pos
-	EndAt token.Pos
+	Node
+	Msg Expr // must be string
 }
 
-func (e *IntLit) Pos() token.Pos    { return e.At }
-func (e *BoolLit) Pos() token.Pos   { return e.At }
-func (e *StringLit) Pos() token.Pos { return e.At }
-func (e *CharLit) Pos() token.Pos   { return e.At }
-func (e *UnitLit) Pos() token.Pos   { return e.At }
-func (e *HostLit) Pos() token.Pos   { return e.At }
-func (e *Var) Pos() token.Pos       { return e.At }
-func (e *Proj) Pos() token.Pos      { return e.At }
-func (e *Call) Pos() token.Pos      { return e.At }
-func (e *ChanRef) Pos() token.Pos   { return e.At }
-func (e *Let) Pos() token.Pos       { return e.At }
-func (e *If) Pos() token.Pos        { return e.At }
-func (e *Seq) Pos() token.Pos       { return e.At }
-func (e *TupleExpr) Pos() token.Pos { return e.At }
-func (e *Unary) Pos() token.Pos     { return e.At }
-func (e *Binary) Pos() token.Pos    { return e.At }
-func (e *Try) Pos() token.Pos       { return e.At }
-func (e *Raise) Pos() token.Pos     { return e.At }
-
-func (e *IntLit) End() token.Pos    { return endOr(e.EndAt, e.At) }
-func (e *BoolLit) End() token.Pos   { return endOr(e.EndAt, e.At) }
-func (e *StringLit) End() token.Pos { return endOr(e.EndAt, e.At) }
-func (e *CharLit) End() token.Pos   { return endOr(e.EndAt, e.At) }
-func (e *UnitLit) End() token.Pos   { return endOr(e.EndAt, e.At) }
-func (e *HostLit) End() token.Pos   { return endOr(e.EndAt, e.At) }
-func (e *Var) End() token.Pos       { return endOr(e.EndAt, e.At) }
-func (e *Proj) End() token.Pos      { return endOr(e.EndAt, e.At) }
-func (e *Call) End() token.Pos      { return endOr(e.EndAt, e.At) }
-func (e *ChanRef) End() token.Pos   { return endOr(e.EndAt, e.At) }
-func (e *Let) End() token.Pos       { return endOr(e.EndAt, e.At) }
-func (e *If) End() token.Pos        { return endOr(e.EndAt, e.At) }
-func (e *Seq) End() token.Pos       { return endOr(e.EndAt, e.At) }
-func (e *TupleExpr) End() token.Pos { return endOr(e.EndAt, e.At) }
-func (e *Unary) End() token.Pos     { return endOr(e.EndAt, e.At) }
-func (e *Binary) End() token.Pos    { return endOr(e.EndAt, e.At) }
-func (e *Try) End() token.Pos       { return endOr(e.EndAt, e.At) }
-func (e *Raise) End() token.Pos     { return endOr(e.EndAt, e.At) }
-
-func (*IntLit) expr()    {}
-func (*BoolLit) expr()   {}
-func (*StringLit) expr() {}
-func (*CharLit) expr()   {}
-func (*UnitLit) expr()   {}
-func (*HostLit) expr()   {}
-func (*Var) expr()       {}
-func (*Proj) expr()      {}
-func (*Call) expr()      {}
-func (*ChanRef) expr()   {}
-func (*Let) expr()       {}
-func (*If) expr()        {}
-func (*Seq) expr()       {}
-func (*TupleExpr) expr() {}
-func (*Unary) expr()     {}
-func (*Binary) expr()    {}
-func (*Try) expr()       {}
-func (*Raise) expr()     {}
+// Walk visits e and then every expression below it, in source order.
+func Walk(e Expr, visit func(Expr)) {
+	visit(e)
+	switch e := e.(type) {
+	case *Proj:
+		Walk(e.Tuple, visit)
+	case *Call:
+		for _, a := range e.Args {
+			Walk(a, visit)
+		}
+	case *Let:
+		for _, b := range e.Binds {
+			Walk(b.Init, visit)
+		}
+		Walk(e.Body, visit)
+	case *If:
+		Walk(e.Cond, visit)
+		Walk(e.Then, visit)
+		Walk(e.Else, visit)
+	case *Seq:
+		for _, sub := range e.Exprs {
+			Walk(sub, visit)
+		}
+	case *TupleExpr:
+		for _, sub := range e.Elems {
+			Walk(sub, visit)
+		}
+	case *Unary:
+		Walk(e.X, visit)
+	case *Binary:
+		Walk(e.L, visit)
+		Walk(e.R, visit)
+	case *Try:
+		Walk(e.Body, visit)
+		Walk(e.Handler, visit)
+	case *Raise:
+		Walk(e.Msg, visit)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Declarations

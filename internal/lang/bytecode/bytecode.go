@@ -129,7 +129,7 @@ func (f *Fn) Disasm() string {
 }
 
 // typeEqOps selects the equality opcodes for a statically known operand
-// type (the checker's Binary.OperandType).
+// type (the left operand's Type()).
 func typeEqOps(t ast.Type) (eq, ne Op) {
 	if b, ok := t.(ast.Base); ok {
 		switch b.Kind {

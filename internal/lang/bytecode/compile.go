@@ -343,12 +343,12 @@ func (fc *fnCompiler) binary(e *ast.Binary) int {
 	var op Op
 	switch e.Op {
 	case "=":
-		op, _ = typeEqOps(e.OperandType)
+		op, _ = typeEqOps(e.L.Type())
 	case "<>":
-		_, op = typeEqOps(e.OperandType)
+		_, op = typeEqOps(e.L.Type())
 	case "<", "<=", ">", ">=":
 		table := ordOpsInt
-		if ast.Equal(e.OperandType, ast.StringT) {
+		if ast.Equal(e.L.Type(), ast.StringT) {
 			table = ordOpsStr
 		}
 		op = table[e.Op]

@@ -246,6 +246,20 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
   end
 `, g.intExpr(2))
 	}, dpPayloads},
+
+	// The type a node is compiled at is the checker's, and a raise has
+	// the type its context requires: an if, let or seq that ends in one
+	// is an int or a bool, and takes the unboxed compiler as such.
+	{"typed-raise-tail", func(g *exprGen) string {
+		return dpProgram(fmt.Sprintf(`
+    val h : int = %s
+    val a : int = try (if even(h) then raise "even" else h) + 1 handle 0 - 1 end
+    val b : bool = try let val k : int = h + ps in if k > 3 then raise "big" else even(k) end handle false end
+    val c : int = try (println(h); raise "seq") handle 7 end
+    val d : bool = try (if even(ps) then raise "ps" else h < ps) andalso b handle true end
+    val e : int*int = try if d then (raise "tuple", 1) else (h, 2) handle (9, 9) end`,
+			g.intExpr(2)), "a + c * 10 + #1 e * 100 + (if b then 1000 else 0)", "(if d then ss + 1 else ss)")
+	}, dpPayloads},
 }
 
 var dpPayloads = []string{"a", "ab", "abc", "abcd"}

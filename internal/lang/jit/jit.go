@@ -114,37 +114,24 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 	// checker enforces declaration order), so each slot is filled
 	// before any caller is compiled.
 	for i := range info.Funs {
-		f := &info.Funs[i]
-		cc.enterFrame(f.FrameSize, paramTypes(f.Decl.Params))
-		cc.funs[i] = cc.compile(f.Decl.Body)
+		cc.funs[i] = cc.compile(info.Funs[i].Decl.Body)
 	}
 	for _, g := range info.Globals {
-		cc.enterFrame(g.FrameSize, nil)
 		c.globalInit = append(c.globalInit, cc.compile(g.Decl.Init))
 	}
 	for i := range info.Channels {
 		ch := &info.Channels[i]
 		var init code
 		if ch.Decl.InitState != nil {
-			cc.enterFrame(ch.FrameSize, nil)
 			init = cc.compile(ch.Decl.InitState)
 		}
 		c.initStates = append(c.initStates, init)
-		cc.enterFrame(ch.FrameSize, paramTypes(ch.Decl.Params))
 		cc.lendTail(ch.Decl.Body)
 		c.bodies = append(c.bodies, cc.compile(ch.Decl.Body))
 		c.frames = append(c.frames, cc.reserve(ch.FrameSize))
 	}
 	c.scratch = cc.scratch
 	return c, nil
-}
-
-func paramTypes(params []ast.Param) []ast.Type {
-	out := make([]ast.Type, len(params))
-	for i, p := range params {
-		out[i] = p.Type
-	}
-	return out
 }
 
 func (c *compiled) EngineName() string    { return "jit" }
@@ -185,13 +172,10 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }
 
-// compiler holds compile-time state. slots tracks the static type of
-// each frame slot in the compilation context, which drives the unboxed
-// specialization layer (unbox.go).
+// compiler holds compile-time state.
 type compiler struct {
 	info    *typecheck.Info
 	funs    []code
-	slots   []ast.Type
 	scratch int // per-instance scratch reserved so far
 
 	// lent holds the tuple literals whose consumer only borrows them —
@@ -240,12 +224,17 @@ func (cc *compiler) reserve(n int) span {
 // part of the Tempo analogy — types known at compile time erase runtime
 // representation work.
 func (cc *compiler) compile(e ast.Expr) code {
-	if ic, ok := cc.tryCompileInt(e); ok {
+	if !beneficial(e) {
+		return cc.compileNode(e)
+	}
+	switch e.Type() {
+	case ast.IntT:
+		ic := cc.compileInt(e)
 		return func(m *machine, frame []value.Value, dst *value.Value) {
 			*dst = value.Int(ic(m, frame))
 		}
-	}
-	if bc, ok := cc.tryCompileBool(e); ok {
+	case ast.BoolT:
+		bc := cc.compileBool(e)
 		return func(m *machine, frame []value.Value, dst *value.Value) {
 			*dst = value.Bool(bc(m, frame))
 		}
@@ -264,13 +253,11 @@ type bind struct {
 	init code
 }
 
-// compileBinds compiles a let's bindings in order, recording each
-// declared type for the body (and the later initialisers) to see.
+// compileBinds compiles a let's bindings in order.
 func (cc *compiler) compileBinds(e *ast.Let) []bind {
 	binds := make([]bind, len(e.Binds))
 	for i, b := range e.Binds {
 		binds[i] = bind{slot: b.Slot, init: cc.compile(b.Init)}
-		cc.setSlot(b.Slot, b.Type)
 	}
 	return binds
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"planp.dev/planp/asp"
-	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
@@ -142,44 +141,6 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
 	}
 	if inst.Proto.AsInt() != 25 {
 		t.Errorf("state = %d, want 25", inst.Proto.AsInt())
-	}
-}
-
-func TestTypeReconstruction(t *testing.T) {
-	prog, err := parser.Parse(`
-val g : string = "hi"
-fun f(x : int) : bool = x > 0
-channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
-initstate mkTable(4) is
-  let
-    val a : int = 1 + 2
-    val b : bool = f(a)
-    val s : string = g ^ "x"
-    val tup : int*string = (a, s)
-  in
-    (deliver(p); (if b then #1 tup else 0, ss))
-  end
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := typecheck.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := info.Channels[0]
-	cc := &compiler{info: info}
-	cc.enterFrame(ch.FrameSize, paramTypes(ch.Decl.Params))
-
-	// Probe typeOf on representative subexpressions.
-	let := ch.Decl.Body.(*ast.Let)
-	if got := cc.typeOf(let); !ast.Equal(got, ast.Tuple{Elems: []ast.Type{ast.IntT, ast.Table{Elem: ast.IntT}}}) {
-		t.Errorf("typeOf(body) = %v", got)
-	}
-	for _, b := range let.Binds {
-		if got := cc.typeOf(b.Init); !ast.Equal(got, b.Type) {
-			t.Errorf("typeOf(%s init) = %v, want %v", b.Name, got, b.Type)
-		}
 	}
 }
 

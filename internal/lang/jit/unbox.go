@@ -6,17 +6,15 @@
 // same way, because the program's types are fully known at generation
 // time.
 //
-// The compiler reconstructs static types locally (the checker guarantees
-// the program is well typed, so reconstruction cannot fail where it
-// matters; anywhere the type comes back unknown we fall back to the
-// boxed path, which is always correct).
+// The types are the checker's: every node carries the one typecheck
+// recorded on it (ast.Expr.Type), so the choice between the unboxed and
+// the boxed path is made from the same facts the program was accepted on.
 package jit
 
 import (
 	"strings"
 
 	"planp.dev/planp/internal/lang/ast"
-	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/value"
 )
 
@@ -26,115 +24,6 @@ type (
 	bcode func(m *machine, frame []value.Value) bool
 )
 
-// enterFrame resets slot-type tracking for a new compilation context.
-func (cc *compiler) enterFrame(size int, params []ast.Type) {
-	cc.slots = make([]ast.Type, size)
-	copy(cc.slots, params)
-}
-
-// setSlot records a let binding's declared type.
-func (cc *compiler) setSlot(slot int, t ast.Type) {
-	if slot >= 0 && slot < len(cc.slots) {
-		cc.slots[slot] = t
-	}
-}
-
-// typeOf reconstructs e's static type; nil means "unknown, use the boxed
-// path".
-func (cc *compiler) typeOf(e ast.Expr) ast.Type {
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return ast.IntT
-	case *ast.BoolLit:
-		return ast.BoolT
-	case *ast.StringLit:
-		return ast.StringT
-	case *ast.CharLit:
-		return ast.CharT
-	case *ast.UnitLit:
-		return ast.UnitT
-	case *ast.HostLit:
-		return ast.HostT
-	case *ast.Var:
-		if e.Slot >= 0 {
-			if e.Slot < len(cc.slots) {
-				return cc.slots[e.Slot]
-			}
-			return nil
-		}
-		if e.Global >= 0 && e.Global < len(cc.info.Globals) {
-			return cc.info.Globals[e.Global].Decl.Type
-		}
-		return nil
-	case *ast.Proj:
-		if tup, ok := cc.typeOf(e.Tuple).(ast.Tuple); ok && e.Index-1 < len(tup.Elems) {
-			return tup.Elems[e.Index-1]
-		}
-		return nil
-	case *ast.Let:
-		// Binding types are declared; record them so the body sees them
-		// even when typeOf runs before compilation touches the Let.
-		for _, b := range e.Binds {
-			cc.setSlot(b.Slot, b.Type)
-		}
-		return cc.typeOf(e.Body)
-	case *ast.If:
-		return cc.typeOf(e.Then)
-	case *ast.Seq:
-		return cc.typeOf(e.Exprs[len(e.Exprs)-1])
-	case *ast.TupleExpr:
-		elems := make([]ast.Type, len(e.Elems))
-		for i, sub := range e.Elems {
-			elems[i] = cc.typeOf(sub)
-			if elems[i] == nil {
-				return nil
-			}
-		}
-		return ast.Tuple{Elems: elems}
-	case *ast.Unary:
-		if e.Op == "not" {
-			return ast.BoolT
-		}
-		return ast.IntT
-	case *ast.Binary:
-		switch e.Op {
-		case "+", "-", "*", "/", "mod":
-			return ast.IntT
-		case "^":
-			return ast.StringT
-		default:
-			return ast.BoolT
-		}
-	case *ast.Try:
-		return cc.typeOf(e.Body)
-	case *ast.Call:
-		if e.FunIndex >= 0 {
-			return cc.info.Funs[e.FunIndex].Decl.Ret
-		}
-		if e.PrimIndex >= 0 {
-			p := prims.Get(e.PrimIndex)
-			if p.TypeFn == nil {
-				return p.Ret
-			}
-			args := make([]ast.Type, len(e.Args))
-			for i, a := range e.Args {
-				args[i] = cc.typeOf(a)
-				if args[i] == nil {
-					return nil
-				}
-			}
-			ret, err := prims.TypeOf(e.PrimIndex, args, nil)
-			if err != nil {
-				return nil
-			}
-			return ret
-		}
-		return ast.UnitT // OnRemote / OnNeighbor
-	default:
-		return nil
-	}
-}
-
 // beneficial reports whether the unboxed path actually saves interior
 // boxing for this node kind (a bare atom or a call gains nothing).
 func beneficial(e ast.Expr) bool {
@@ -143,22 +32,6 @@ func beneficial(e ast.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// tryCompileInt compiles e unboxed when it is a compound int expression.
-func (cc *compiler) tryCompileInt(e ast.Expr) (icode, bool) {
-	if !beneficial(e) || !ast.Equal(cc.typeOf(e), ast.IntT) {
-		return nil, false
-	}
-	return cc.compileInt(e), true
-}
-
-// tryCompileBool mirrors tryCompileInt for booleans.
-func (cc *compiler) tryCompileBool(e ast.Expr) (bcode, bool) {
-	if !beneficial(e) || !ast.Equal(cc.typeOf(e), ast.BoolT) {
-		return nil, false
-	}
-	return cc.compileBool(e), true
 }
 
 // compileInt compiles an expression whose value is one word in
@@ -195,7 +68,7 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 		return func(m *machine, frame []value.Value) int64 { return -x(m, frame) }
 
 	case *ast.Binary:
-		if ast.Equal(cc.typeOf(e), ast.BoolT) { // a comparison, andalso, orelse
+		if ast.Equal(e.Type(), ast.BoolT) { // a comparison, andalso, orelse
 			return cc.boolWord(e)
 		}
 		l := cc.compileInt(e.L)
@@ -356,7 +229,7 @@ func (cc *compiler) compileBool(e ast.Expr) bcode {
 // needs of the left operand before the right one runs: rule (b).
 func (cc *compiler) compileCompare(e *ast.Binary) bcode {
 	var l, r icode
-	switch t, _ := e.OperandType.(ast.Base); t.Kind {
+	switch t, _ := e.L.Type().(ast.Base); t.Kind {
 	case ast.TInt, ast.TBool, ast.TChar, ast.THost:
 		l, r = cc.compileInt(e.L), cc.compileInt(e.R)
 	case ast.TString:

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/interp"
@@ -185,4 +186,49 @@ func FindChannel(t *testing.T, info *typecheck.Info, name string) int {
 		t.Fatalf("no channel named %s", name)
 	}
 	return chans[0].Index
+}
+
+// RequireTyped fails t unless the checker left prog the one typed tree
+// the back ends read: a static type on every expression but a ChanRef
+// (which never has one), the two operands of a comparison at one type,
+// and every let initialiser at its binding's declared type.
+func RequireTyped(t testing.TB, prog *ast.Program) {
+	t.Helper()
+	visit := func(e ast.Expr) {
+		if _, isRef := e.(*ast.ChanRef); isRef {
+			return
+		}
+		if e.Type() == nil {
+			t.Errorf("%s: %T carries no type", e.Pos(), e)
+			return
+		}
+		switch e := e.(type) {
+		case *ast.Binary:
+			switch e.Op {
+			case "=", "<>", "<", "<=", ">", ">=":
+				if !ast.Equal(e.L.Type(), e.R.Type()) {
+					t.Errorf("%s: %s compares %s with %s", e.Pos(), e.Op, e.L.Type(), e.R.Type())
+				}
+			}
+		case *ast.Let:
+			for _, b := range e.Binds {
+				if !ast.Equal(b.Init.Type(), b.Type) {
+					t.Errorf("%s: val %s : %s initialised at type %s", b.Init.Pos(), b.Name, b.Type, b.Init.Type())
+				}
+			}
+		}
+	}
+	for _, d := range prog.Decls {
+		switch d := d.(type) {
+		case *ast.ValDecl:
+			ast.Walk(d.Init, visit)
+		case *ast.FunDecl:
+			ast.Walk(d.Body, visit)
+		case *ast.ChannelDecl:
+			if d.InitState != nil {
+				ast.Walk(d.InitState, visit)
+			}
+			ast.Walk(d.Body, visit)
+		}
+	}
 }

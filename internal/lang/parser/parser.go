@@ -408,7 +408,7 @@ func (p *parser) parseBinary(level int) (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &ast.Binary{Op: op, L: left, R: right, At: left.Pos(), EndAt: right.End()}
+		left = &ast.Binary{Node: ast.Node{At: left.Pos(), EndAt: right.End()}, Op: op, L: left, R: right}
 	}
 }
 
@@ -421,7 +421,7 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{Op: "not", X: x, At: t.Pos, EndAt: x.End()}, nil
+		return &ast.Unary{Node: ast.Node{At: t.Pos, EndAt: x.End()}, Op: "not", X: x}, nil
 	case token.Minus:
 		p.next()
 		x, err := p.parseUnary()
@@ -430,16 +430,16 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 		}
 		// Fold -literal immediately for cleaner ASTs.
 		if lit, ok := x.(*ast.IntLit); ok {
-			return &ast.IntLit{Value: -lit.Value, At: t.Pos, EndAt: lit.End()}, nil
+			return &ast.IntLit{Node: ast.Node{At: t.Pos, EndAt: lit.End()}, Value: -lit.Value}, nil
 		}
-		return &ast.Unary{Op: "-", X: x, At: t.Pos, EndAt: x.End()}, nil
+		return &ast.Unary{Node: ast.Node{At: t.Pos, EndAt: x.End()}, Op: "-", X: x}, nil
 	case token.KwRaise:
 		p.next()
 		msg, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Raise{Msg: msg, At: t.Pos, EndAt: msg.End()}, nil
+		return &ast.Raise{Node: ast.Node{At: t.Pos, EndAt: msg.End()}, Msg: msg}, nil
 	}
 	return p.parseProj()
 }
@@ -461,7 +461,7 @@ func (p *parser) parseProj() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Proj{Index: idx, Tuple: tuple, At: t.Pos, EndAt: tuple.End()}, nil
+		return &ast.Proj{Node: ast.Node{At: t.Pos, EndAt: tuple.End()}, Index: idx, Tuple: tuple}, nil
 	}
 	return p.parseAtom()
 }
@@ -475,32 +475,32 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		if err != nil {
 			return nil, p.errorf(t.Pos, "integer literal %s out of range", t.Text)
 		}
-		return &ast.IntLit{Value: v, At: t.Pos, EndAt: t.End}, nil
+		return &ast.IntLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: v}, nil
 	case token.String:
 		p.next()
-		return &ast.StringLit{Value: t.Text, At: t.Pos, EndAt: t.End}, nil
+		return &ast.StringLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: t.Text}, nil
 	case token.Char:
 		p.next()
-		return &ast.CharLit{Value: t.Text[0], At: t.Pos, EndAt: t.End}, nil
+		return &ast.CharLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: t.Text[0]}, nil
 	case token.KwTrue:
 		p.next()
-		return &ast.BoolLit{Value: true, At: t.Pos, EndAt: t.End}, nil
+		return &ast.BoolLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: true}, nil
 	case token.KwFalse:
 		p.next()
-		return &ast.BoolLit{Value: false, At: t.Pos, EndAt: t.End}, nil
+		return &ast.BoolLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: false}, nil
 	case token.HostLit:
 		p.next()
 		addr, err := ParseHost(t.Text)
 		if err != nil {
 			return nil, p.errorf(t.Pos, "%v", err)
 		}
-		return &ast.HostLit{Addr: addr, Text: t.Text, At: t.Pos, EndAt: t.End}, nil
+		return &ast.HostLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Addr: addr, Text: t.Text}, nil
 	case token.Ident:
 		p.next()
 		if p.tok.Kind == token.LParen {
 			return p.parseCallArgs(t)
 		}
-		return &ast.Var{Name: t.Text, At: t.Pos, EndAt: t.End, Slot: -1, Global: -1}, nil
+		return &ast.Var{Node: ast.Node{At: t.Pos, EndAt: t.End}, Name: t.Text, Slot: -1, Global: -1}, nil
 	case token.KwLet:
 		return p.parseLet()
 	case token.KwIf:
@@ -516,7 +516,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 
 func (p *parser) parseCallArgs(name token.Token) (ast.Expr, error) {
 	p.next() // (
-	call := &ast.Call{Name: name.Text, At: name.Pos, PrimIndex: -1, FunIndex: -1}
+	call := &ast.Call{Node: ast.Node{At: name.Pos}, Name: name.Text, PrimIndex: -1, FunIndex: -1}
 	if p.tok.Kind == token.RParen {
 		call.EndAt = p.next().End
 		return call, nil
@@ -579,7 +579,7 @@ func (p *parser) parseLet() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ast.Let{Binds: binds, Body: body, At: at, EndAt: endTok.End}, nil
+	return &ast.Let{Node: ast.Node{At: at, EndAt: endTok.End}, Binds: binds, Body: body}, nil
 }
 
 func (p *parser) parseIf() (ast.Expr, error) {
@@ -602,7 +602,7 @@ func (p *parser) parseIf() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ast.If{Cond: cond, Then: thenE, Else: elseE, At: at, EndAt: elseE.End()}, nil
+	return &ast.If{Node: ast.Node{At: at, EndAt: elseE.End()}, Cond: cond, Then: thenE, Else: elseE}, nil
 }
 
 func (p *parser) parseTry() (ast.Expr, error) {
@@ -622,7 +622,7 @@ func (p *parser) parseTry() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ast.Try{Body: body, Handler: handler, At: at, EndAt: endTok.End}, nil
+	return &ast.Try{Node: ast.Node{At: at, EndAt: endTok.End}, Body: body, Handler: handler}, nil
 }
 
 // parseParen disambiguates between unit (), a parenthesized expression
@@ -630,7 +630,7 @@ func (p *parser) parseTry() (ast.Expr, error) {
 func (p *parser) parseParen() (ast.Expr, error) {
 	at := p.next().Pos // (
 	if p.tok.Kind == token.RParen {
-		return &ast.UnitLit{At: at, EndAt: p.next().End}, nil
+		return &ast.UnitLit{Node: ast.Node{At: at, EndAt: p.next().End}}, nil
 	}
 	first, err := p.parseExpr()
 	if err != nil {
@@ -654,7 +654,7 @@ func (p *parser) parseParen() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Seq{Exprs: exprs, At: at, EndAt: rp.End}, nil
+		return &ast.Seq{Node: ast.Node{At: at, EndAt: rp.End}, Exprs: exprs}, nil
 	case token.Comma:
 		elems := []ast.Expr{first}
 		for p.tok.Kind == token.Comma {
@@ -669,7 +669,7 @@ func (p *parser) parseParen() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.TupleExpr{Elems: elems, At: at, EndAt: rp.End}, nil
+		return &ast.TupleExpr{Node: ast.Node{At: at, EndAt: rp.End}, Elems: elems}, nil
 	default:
 		return nil, p.errorf(p.tok.Pos, "expected ')', ';' or ',' in parenthesized expression, got %s", p.tok)
 	}

@@ -27,7 +27,7 @@ func init() {
 			return nil, fmt.Errorf("cannot infer hash_table element type here; bind mkTable where a hash_table type is expected")
 		}
 		return tbl, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		n := a[0].AsInt()
 		if n < 0 {
 			value.Raise("mkTable: negative capacity %d", n)
@@ -50,7 +50,7 @@ func init() {
 			return nil, fmt.Errorf("tput: value type %s does not match table element type %s", args[2], tbl.Elem)
 		}
 		return ast.UnitT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		a[0].AsTable().Put(a[1], a[2])
 		return value.Unit
 	})
@@ -67,7 +67,7 @@ func init() {
 			return nil, fmt.Errorf("tget: key type %s is not an equality type", args[1])
 		}
 		return tbl.Elem, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		v, ok := a[0].AsTable().Get(a[1])
 		if !ok {
 			value.Raise("tget: key %s not found", a[1])
@@ -86,7 +86,7 @@ func init() {
 			return nil, fmt.Errorf("tmem: key type %s is not an equality type", args[1])
 		}
 		return ast.BoolT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		_, ok := a[0].AsTable().Get(a[1])
 		return value.Bool(ok)
 	})
@@ -102,7 +102,7 @@ func init() {
 			return nil, fmt.Errorf("tdel: key type %s is not an equality type", args[1])
 		}
 		return ast.UnitT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		a[0].AsTable().Delete(a[1])
 		return value.Unit
 	})
@@ -115,7 +115,7 @@ func init() {
 			return nil, fmt.Errorf("tsize: argument must be a hash_table, got %s", args[0])
 		}
 		return ast.IntT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTable().Len()))
 	})
 
@@ -129,7 +129,7 @@ func init() {
 			return nil, fmt.Errorf("cannot infer list element type here; bind listNew where a list type is expected")
 		}
 		return lst, nil
-	}, false, func(_ Context, _ []value.Value) value.Value {
+	}, func(_ Context, _ []value.Value) value.Value {
 		return value.ListV(nil)
 	})
 
@@ -145,7 +145,7 @@ func init() {
 			return nil, fmt.Errorf("cons: element type %s does not match list element type %s", args[0], lst.Elem)
 		}
 		return lst, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		old := a[1].Vs
 		elems := make([]value.Value, 0, len(old)+1)
 		elems = append(elems, a[0])
@@ -162,7 +162,7 @@ func init() {
 			return nil, fmt.Errorf("hd: argument must be a list, got %s", args[0])
 		}
 		return lst.Elem, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		if len(a[0].Vs) == 0 {
 			value.Raise("hd: empty list")
 		}
@@ -178,7 +178,7 @@ func init() {
 			return nil, fmt.Errorf("tl: argument must be a list, got %s", args[0])
 		}
 		return lst, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		if len(a[0].Vs) == 0 {
 			value.Raise("tl: empty list")
 		}
@@ -193,7 +193,7 @@ func init() {
 			return nil, fmt.Errorf("listLen: argument must be a list, got %s", args[0])
 		}
 		return ast.IntT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(len(a[0].Vs)))
 	})
 
@@ -209,7 +209,7 @@ func init() {
 			return nil, fmt.Errorf("listNth: index must be int, got %s", args[1])
 		}
 		return lst.Elem, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		i := a[1].AsInt()
 		if i < 0 || i >= int64(len(a[0].Vs)) {
 			value.Raise("listNth: index %d out of range (list has %d elements)", i, len(a[0].Vs))
@@ -225,7 +225,7 @@ func init() {
 			return nil, fmt.Errorf("isEmpty: argument must be a list, got %s", args[0])
 		}
 		return ast.BoolT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(len(a[0].Vs) == 0)
 	})
 
@@ -244,7 +244,7 @@ func init() {
 			return nil, fmt.Errorf("member: %s is not an equality type", args[0])
 		}
 		return ast.BoolT, nil
-	}, false, func(_ Context, a []value.Value) value.Value {
+	}, func(_ Context, a []value.Value) value.Value {
 		for _, e := range a[1].Vs {
 			if value.Equal(a[0], e) {
 				return value.Bool(true)
@@ -254,10 +254,10 @@ func init() {
 	})
 
 	// ---- Strings ----
-	mono("strLen", types(ast.StringT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("strLen", types(ast.StringT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(len(a[0].AsStr())))
 	})
-	mono("subStr", types(ast.StringT, ast.IntT, ast.IntT), ast.StringT, false, func(_ Context, a []value.Value) value.Value {
+	mono("subStr", types(ast.StringT, ast.IntT, ast.IntT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		s := a[0].AsStr()
 		from, n := a[1].AsInt(), a[2].AsInt()
 		if from < 0 || n < 0 || from+n > int64(len(s)) {
@@ -265,64 +265,64 @@ func init() {
 		}
 		return value.Str(s[from : from+n])
 	})
-	mono("charAt", types(ast.StringT, ast.IntT), ast.CharT, false, func(_ Context, a []value.Value) value.Value {
+	mono("charAt", types(ast.StringT, ast.IntT), ast.CharT, func(_ Context, a []value.Value) value.Value {
 		s, i := a[0].AsStr(), a[1].AsInt()
 		if i < 0 || i >= int64(len(s)) {
 			value.Raise("charAt: index %d out of range for string of length %d", i, len(s))
 		}
 		return value.Char(s[i])
 	})
-	mono("strFind", types(ast.StringT, ast.StringT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("strFind", types(ast.StringT, ast.StringT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(strings.Index(a[0].AsStr(), a[1].AsStr())))
 	})
-	mono("startsWith", types(ast.StringT, ast.StringT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("startsWith", types(ast.StringT, ast.StringT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(strings.HasPrefix(a[0].AsStr(), a[1].AsStr()))
 	})
-	mono("contains", types(ast.StringT, ast.StringT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("contains", types(ast.StringT, ast.StringT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(strings.Contains(a[0].AsStr(), a[1].AsStr()))
 	})
 
 	// ---- Scalar conversions ----
-	mono("itos", types(ast.IntT), ast.StringT, false, func(_ Context, a []value.Value) value.Value {
+	mono("itos", types(ast.IntT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		return value.Str(strconv.FormatInt(a[0].AsInt(), 10))
 	})
-	mono("stoi", types(ast.StringT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("stoi", types(ast.StringT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		n, err := strconv.ParseInt(strings.TrimSpace(a[0].AsStr()), 10, 64)
 		if err != nil {
 			value.Raise("stoi: %q is not an integer", a[0].AsStr())
 		}
 		return value.Int(n)
 	})
-	mono("ctoi", types(ast.CharT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ctoi", types(ast.CharT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsChar()))
 	})
 	// charPos is the paper's name (figure 4) for the char → int code
 	// conversion used to dispatch on command bytes.
-	mono("charPos", types(ast.CharT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("charPos", types(ast.CharT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsChar()))
 	})
-	mono("itoc", types(ast.IntT), ast.CharT, false, func(_ Context, a []value.Value) value.Value {
+	mono("itoc", types(ast.IntT), ast.CharT, func(_ Context, a []value.Value) value.Value {
 		n := a[0].AsInt()
 		if n < 0 || n > 255 {
 			value.Raise("itoc: %d out of char range", n)
 		}
 		return value.Char(byte(n))
 	})
-	mono("min", types(ast.IntT, ast.IntT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("min", types(ast.IntT, ast.IntT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		x, y := a[0].AsInt(), a[1].AsInt()
 		if x < y {
 			return value.Int(x)
 		}
 		return value.Int(y)
 	})
-	mono("max", types(ast.IntT, ast.IntT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("max", types(ast.IntT, ast.IntT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		x, y := a[0].AsInt(), a[1].AsInt()
 		if x > y {
 			return value.Int(x)
 		}
 		return value.Int(y)
 	})
-	mono("abs", types(ast.IntT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("abs", types(ast.IntT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		x := a[0].AsInt()
 		if x < 0 {
 			return value.Int(-x)
@@ -331,17 +331,17 @@ func init() {
 	})
 
 	// ---- Blobs ----
-	mono("blobLen", types(ast.BlobT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobLen", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(len(a[0].AsBlob())))
 	})
-	mono("blobByte", types(ast.BlobT, ast.IntT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobByte", types(ast.BlobT, ast.IntT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		b, i := a[0].AsBlob(), a[1].AsInt()
 		if i < 0 || i >= int64(len(b)) {
 			value.Raise("blobByte: index %d out of range for blob of %d bytes", i, len(b))
 		}
 		return value.Int(int64(b[i]))
 	})
-	mono("blobSub", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobSub", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		b := a[0].AsBlob()
 		from, n := a[1].AsInt(), a[2].AsInt()
 		if from < 0 || n < 0 || from+n > int64(len(b)) {
@@ -351,14 +351,14 @@ func init() {
 		copy(out, b[from:from+n])
 		return value.Blob(out)
 	})
-	mono("blobCat", types(ast.BlobT, ast.BlobT), ast.BlobT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobCat", types(ast.BlobT, ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		x, y := a[0].AsBlob(), a[1].AsBlob()
 		out := make([]byte, 0, len(x)+len(y))
 		out = append(out, x...)
 		out = append(out, y...)
 		return value.Blob(out)
 	})
-	mono("blobSetByte", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobSetByte", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		b, i, v := a[0].AsBlob(), a[1].AsInt(), a[2].AsInt()
 		if i < 0 || i >= int64(len(b)) {
 			value.Raise("blobSetByte: index %d out of range for blob of %d bytes", i, len(b))
@@ -371,7 +371,7 @@ func init() {
 		out[i] = byte(v)
 		return value.Blob(out)
 	})
-	mono("blobInt32", types(ast.BlobT, ast.IntT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobInt32", types(ast.BlobT, ast.IntT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		b, i := a[0].AsBlob(), a[1].AsInt()
 		if i < 0 || i+4 > int64(len(b)) {
 			value.Raise("blobInt32: offset %d out of range for blob of %d bytes", i, len(b))
@@ -379,7 +379,7 @@ func init() {
 		v := int64(b[i])<<24 | int64(b[i+1])<<16 | int64(b[i+2])<<8 | int64(b[i+3])
 		return value.Int(int64(int32(v)))
 	})
-	mono("blobPutInt32", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobPutInt32", types(ast.BlobT, ast.IntT, ast.IntT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		b, i, v := a[0].AsBlob(), a[1].AsInt(), a[2].AsInt()
 		if i < 0 || i+4 > int64(len(b)) {
 			value.Raise("blobPutInt32: offset %d out of range for blob of %d bytes", i, len(b))
@@ -390,10 +390,10 @@ func init() {
 		out[i], out[i+1], out[i+2], out[i+3] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
 		return value.Blob(out)
 	})
-	mono("blobFromString", types(ast.StringT), ast.BlobT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobFromString", types(ast.StringT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		return value.Blob([]byte(a[0].AsStr()))
 	})
-	mono("blobToString", types(ast.BlobT), ast.StringT, false, func(_ Context, a []value.Value) value.Value {
+	mono("blobToString", types(ast.BlobT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		return value.Str(string(a[0].AsBlob()))
 	})
 
@@ -409,11 +409,11 @@ func init() {
 			return ast.UnitT, nil
 		}
 	}
-	poly("print", printable("print"), true, func(ctx Context, a []value.Value) value.Value {
+	poly("print", printable("print"), func(ctx Context, a []value.Value) value.Value {
 		ctx.Print(a[0].String())
 		return value.Unit
 	})
-	poly("println", printable("println"), true, func(ctx Context, a []value.Value) value.Value {
+	poly("println", printable("println"), func(ctx Context, a []value.Value) value.Value {
 		ctx.Print(a[0].String() + "\n")
 		return value.Unit
 	})
@@ -422,7 +422,7 @@ func init() {
 			return nil, fmt.Errorf("deliver expects one packet argument")
 		}
 		return ast.UnitT, nil
-	}, true, func(ctx Context, a []value.Value) value.Value {
+	}, func(ctx Context, a []value.Value) value.Value {
 		ctx.Deliver(a[0])
 		return value.Unit
 	})

@@ -11,35 +11,35 @@ import (
 
 func init() {
 	// ---- IP header ----
-	mono("ipSrc", types(ast.IPT), ast.HostT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipSrc", types(ast.IPT), ast.HostT, func(_ Context, a []value.Value) value.Value {
 		return value.HostV(a[0].AsIP().Src)
 	})
-	mono("ipDst", types(ast.IPT), ast.HostT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipDst", types(ast.IPT), ast.HostT, func(_ Context, a []value.Value) value.Value {
 		return value.HostV(a[0].AsIP().Dst)
 	})
-	mono("ipProto", types(ast.IPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipProto", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsIP().Proto))
 	})
-	mono("ipTTL", types(ast.IPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipTTL", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsIP().TTL))
 	})
-	mono("ipLen", types(ast.IPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipLen", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsIP().Len))
 	})
-	mono("ipID", types(ast.IPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipID", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsIP().ID))
 	})
-	mono("ipSrcSet", types(ast.IPT, ast.HostT), ast.IPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipSrcSet", types(ast.IPT, ast.HostT), ast.IPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsIP()
 		h.Src = a[1].AsHost()
 		return value.IP(&h)
 	})
-	mono("ipDestSet", types(ast.IPT, ast.HostT), ast.IPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipDestSet", types(ast.IPT, ast.HostT), ast.IPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsIP()
 		h.Dst = a[1].AsHost()
 		return value.IP(&h)
 	})
-	mono("ipTTLSet", types(ast.IPT, ast.IntT), ast.IPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipTTLSet", types(ast.IPT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsIP()
 		ttl := a[1].AsInt()
 		if ttl < 0 || ttl > 255 {
@@ -48,7 +48,7 @@ func init() {
 		h.TTL = uint8(ttl)
 		return value.IP(&h)
 	})
-	mono("ipLenSet", types(ast.IPT, ast.IntT), ast.IPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("ipLenSet", types(ast.IPT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsIP()
 		n := a[1].AsInt()
 		if n < 0 {
@@ -57,7 +57,7 @@ func init() {
 		h.Len = int(n)
 		return value.IP(&h)
 	})
-	mono("mkIP", types(ast.HostT, ast.HostT, ast.IntT), ast.IPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("mkIP", types(ast.HostT, ast.HostT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
 		proto := a[2].AsInt()
 		if proto < 0 || proto > 255 {
 			value.Raise("mkIP: protocol %d out of range", proto)
@@ -66,65 +66,65 @@ func init() {
 	})
 
 	// ---- TCP header ----
-	mono("tcpSrc", types(ast.TCPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpSrc", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTCP().SrcPort))
 	})
-	mono("tcpDst", types(ast.TCPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpDst", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTCP().DstPort))
 	})
-	mono("tcpSeq", types(ast.TCPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpSeq", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTCP().Seq))
 	})
-	mono("tcpAck", types(ast.TCPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpAck", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTCP().Ack))
 	})
-	mono("tcpWindow", types(ast.TCPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpWindow", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsTCP().Window))
 	})
-	mono("tcpSynFlag", types(ast.TCPT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpSynFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(a[0].AsTCP().Flags&value.TCPSyn != 0)
 	})
-	mono("tcpAckFlag", types(ast.TCPT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpAckFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(a[0].AsTCP().Flags&value.TCPAck != 0)
 	})
-	mono("tcpFinFlag", types(ast.TCPT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpFinFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(a[0].AsTCP().Flags&value.TCPFin != 0)
 	})
-	mono("tcpRstFlag", types(ast.TCPT), ast.BoolT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpRstFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
 		return value.Bool(a[0].AsTCP().Flags&value.TCPRst != 0)
 	})
-	mono("tcpSrcSet", types(ast.TCPT, ast.IntT), ast.TCPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpSrcSet", types(ast.TCPT, ast.IntT), ast.TCPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsTCP()
 		h.SrcPort = checkPort("tcpSrcSet", a[1].AsInt())
 		return value.TCP(&h)
 	})
-	mono("tcpDstSet", types(ast.TCPT, ast.IntT), ast.TCPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("tcpDstSet", types(ast.TCPT, ast.IntT), ast.TCPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsTCP()
 		h.DstPort = checkPort("tcpDstSet", a[1].AsInt())
 		return value.TCP(&h)
 	})
 
 	// ---- UDP header ----
-	mono("udpSrc", types(ast.UDPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("udpSrc", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsUDP().SrcPort))
 	})
-	mono("udpDst", types(ast.UDPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("udpDst", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsUDP().DstPort))
 	})
-	mono("udpLen", types(ast.UDPT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("udpLen", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsUDP().Len))
 	})
-	mono("udpSrcSet", types(ast.UDPT, ast.IntT), ast.UDPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("udpSrcSet", types(ast.UDPT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsUDP()
 		h.SrcPort = checkPort("udpSrcSet", a[1].AsInt())
 		return value.UDP(&h)
 	})
-	mono("udpDstSet", types(ast.UDPT, ast.IntT), ast.UDPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("udpDstSet", types(ast.UDPT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
 		h := *a[0].AsUDP()
 		h.DstPort = checkPort("udpDstSet", a[1].AsInt())
 		return value.UDP(&h)
 	})
-	mono("mkUDP", types(ast.IntT, ast.IntT), ast.UDPT, false, func(_ Context, a []value.Value) value.Value {
+	mono("mkUDP", types(ast.IntT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
 		return value.UDP(&value.UDPHeader{
 			SrcPort: checkPort("mkUDP", a[0].AsInt()),
 			DstPort: checkPort("mkUDP", a[1].AsInt()),
@@ -132,38 +132,38 @@ func init() {
 	})
 
 	// ---- Host conversions ----
-	mono("hostToInt", types(ast.HostT), ast.IntT, false, func(_ Context, a []value.Value) value.Value {
+	mono("hostToInt", types(ast.HostT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsHost()))
 	})
-	mono("intToHost", types(ast.IntT), ast.HostT, false, func(_ Context, a []value.Value) value.Value {
+	mono("intToHost", types(ast.IntT), ast.HostT, func(_ Context, a []value.Value) value.Value {
 		n := a[0].AsInt()
 		if n < 0 || n > 0xFFFFFFFF {
 			value.Raise("intToHost: %d out of range", n)
 		}
 		return value.HostV(value.Host(n))
 	})
-	mono("hostToString", types(ast.HostT), ast.StringT, false, func(_ Context, a []value.Value) value.Value {
+	mono("hostToString", types(ast.HostT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		return value.Str(a[0].AsHost().String())
 	})
 
 	// ---- Network environment (effectful / runtime-dependent) ----
-	mono("thisHost", nil, ast.HostT, false, func(ctx Context, _ []value.Value) value.Value {
+	mono("thisHost", nil, ast.HostT, func(ctx Context, _ []value.Value) value.Value {
 		return value.HostV(ctx.ThisHost())
 	})
-	mono("time", nil, ast.IntT, false, func(ctx Context, _ []value.Value) value.Value {
+	mono("time", nil, ast.IntT, func(ctx Context, _ []value.Value) value.Value {
 		return value.Int(ctx.Now())
 	})
-	mono("rand", types(ast.IntT), ast.IntT, false, func(ctx Context, a []value.Value) value.Value {
+	mono("rand", types(ast.IntT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		n := a[0].AsInt()
 		if n <= 0 {
 			value.Raise("rand: bound must be positive, got %d", n)
 		}
 		return value.Int(ctx.Rand(n))
 	})
-	mono("linkLoadTo", types(ast.HostT), ast.IntT, false, func(ctx Context, a []value.Value) value.Value {
+	mono("linkLoadTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		return value.Int(ctx.LinkLoadTo(a[0].AsHost()))
 	})
-	mono("linkBandwidthTo", types(ast.HostT), ast.IntT, false, func(ctx Context, a []value.Value) value.Value {
+	mono("linkBandwidthTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		return value.Int(ctx.LinkBandwidthTo(a[0].AsHost()))
 	})
 }

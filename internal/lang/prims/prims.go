@@ -72,9 +72,6 @@ type Prim struct {
 	// value.Raise.
 	Fn func(ctx Context, args []value.Value) value.Value
 
-	// Effectful primitives may not be considered pure by analyses.
-	Effectful bool
-
 	// Borrows lists the argument positions the primitive reads during
 	// the call and never keeps: a compiler may pass a tuple built in
 	// memory it is about to reuse.
@@ -110,15 +107,6 @@ func Get(i int) *Prim { return &registry[i] }
 // Count returns the number of registered primitives.
 func Count() int { return len(registry) }
 
-// Names returns all primitive names (for documentation and tooling).
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, p := range registry {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // TypeOf computes the result type of calling primitive i with the given
 // argument types under the given expected type.
 func TypeOf(i int, args []ast.Type, expected ast.Type) (ast.Type, error) {
@@ -138,15 +126,14 @@ func TypeOf(i int, args []ast.Type, expected ast.Type) (ast.Type, error) {
 }
 
 // mono registers a primitive with a fixed signature.
-func mono(name string, params []ast.Type, ret ast.Type, effectful bool,
-	fn func(ctx Context, args []value.Value) value.Value) {
-	register(Prim{Name: name, Params: params, Ret: ret, Fn: fn, Effectful: effectful})
+func mono(name string, params []ast.Type, ret ast.Type, fn func(ctx Context, args []value.Value) value.Value) {
+	register(Prim{Name: name, Params: params, Ret: ret, Fn: fn})
 }
 
 // poly registers a primitive whose typing needs a TypeFn.
 func poly(name string, typeFn func(args []ast.Type, expected ast.Type) (ast.Type, error),
-	effectful bool, fn func(ctx Context, args []value.Value) value.Value) {
-	register(Prim{Name: name, TypeFn: typeFn, Fn: fn, Effectful: effectful})
+	fn func(ctx Context, args []value.Value) value.Value) {
+	register(Prim{Name: name, TypeFn: typeFn, Fn: fn})
 }
 
 // borrows records that the named primitives only borrow argument arg.

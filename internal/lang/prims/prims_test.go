@@ -57,9 +57,9 @@ func TestRegistryBasics(t *testing.T) {
 	if Lookup("nosuch") != -1 {
 		t.Error("Lookup on missing name")
 	}
-	names := Names()
 	seen := map[string]bool{}
-	for _, n := range names {
+	for i := 0; i < Count(); i++ {
+		n := Get(i).Name
 		if seen[n] {
 			t.Errorf("duplicate primitive %s", n)
 		}

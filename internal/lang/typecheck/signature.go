@@ -71,13 +71,13 @@ func (s *Signature) ChannelsNamed(name string) []ChannelSig {
 	return out
 }
 
-// ExtractSignature derives the channel-interface signature from checked
-// info. Check calls it automatically (Info.Sig); it is exported for
-// callers holding an Info built elsewhere.
-func ExtractSignature(info *Info) *Signature {
-	sig := &Signature{Channels: make([]ChannelSig, 0, len(info.Channels))}
-	if info.ProtoState != nil {
-		sig.ProtoState = info.ProtoState.String()
+// extractSignature derives the channel-interface signature (Info.Sig)
+// from a program Check has accepted: there is at least one channel, and
+// every send's packet carries its type.
+func extractSignature(info *Info) *Signature {
+	sig := &Signature{
+		ProtoState: info.ProtoState.String(),
+		Channels:   make([]ChannelSig, 0, len(info.Channels)),
 	}
 	for i := range info.Channels {
 		d := info.Channels[i].Decl
@@ -88,7 +88,7 @@ func ExtractSignature(info *Info) *Signature {
 			End:             d.HeaderEnd,
 			MaxSendsPerPath: maxSendsPerPath(d.Body),
 		}
-		walkExpr(d.Body, func(e ast.Expr) {
+		ast.Walk(d.Body, func(e ast.Expr) {
 			call, ok := e.(*ast.Call)
 			if !ok || !sendPrims[call.Name] {
 				return
@@ -97,13 +97,9 @@ func ExtractSignature(info *Info) *Signature {
 			if !ok {
 				return
 			}
-			var pkt string
-			if call.SendPacket != nil {
-				pkt = call.SendPacket.String()
-			}
 			cs.Sends = append(cs.Sends, SendSig{
 				Channel: cref.Name,
-				Packet:  pkt,
+				Packet:  call.Args[1].Type().String(),
 				Flood:   call.Name == "OnNeighbor",
 				Pos:     call.At,
 				End:     call.End(),
@@ -191,46 +187,6 @@ func (s *Signature) CompatibleWith(running *Signature) diag.List {
 		}
 	}
 	return diags
-}
-
-// walkExpr visits every node of an expression tree.
-func walkExpr(e ast.Expr, visit func(ast.Expr)) {
-	visit(e)
-	switch e := e.(type) {
-	case *ast.Proj:
-		walkExpr(e.Tuple, visit)
-	case *ast.Call:
-		for _, a := range e.Args {
-			walkExpr(a, visit)
-		}
-	case *ast.Let:
-		for _, b := range e.Binds {
-			walkExpr(b.Init, visit)
-		}
-		walkExpr(e.Body, visit)
-	case *ast.If:
-		walkExpr(e.Cond, visit)
-		walkExpr(e.Then, visit)
-		walkExpr(e.Else, visit)
-	case *ast.Seq:
-		for _, sub := range e.Exprs {
-			walkExpr(sub, visit)
-		}
-	case *ast.TupleExpr:
-		for _, sub := range e.Elems {
-			walkExpr(sub, visit)
-		}
-	case *ast.Unary:
-		walkExpr(e.X, visit)
-	case *ast.Binary:
-		walkExpr(e.L, visit)
-		walkExpr(e.R, visit)
-	case *ast.Try:
-		walkExpr(e.Body, visit)
-		walkExpr(e.Handler, visit)
-	case *ast.Raise:
-		walkExpr(e.Msg, visit)
-	}
 }
 
 // maxSendsPerPath computes the maximum number of OnRemote/OnNeighbor

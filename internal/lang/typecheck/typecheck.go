@@ -99,15 +99,6 @@ type Info struct {
 	byName map[string][]*Channel
 }
 
-// FunByName returns the checked function with the given name.
-func (in *Info) FunByName(name string) (*Fun, bool) {
-	i, ok := in.funIdx[name]
-	if !ok {
-		return nil, false
-	}
-	return &in.Funs[i], true
-}
-
 // ChannelsByName returns all checked channels sharing name, in
 // declaration order (overloaded channels, §2.3). The slice is the
 // Info's own: read it, do not modify it.
@@ -126,8 +117,16 @@ type checker struct {
 	// reports as much as possible.
 	diags diag.List
 
-	// Current declaration context.
-	scope     *scope
+	// Current declaration context. binds is the stack of local bindings
+	// in scope, innermost last, and inScope the index of each name's
+	// innermost one (a lookup is one probe however many names an
+	// uploaded program declares); endScope unwinds both to where a let
+	// began. A binding below floor is invisible: the floor sits above
+	// the channel's parameters while its initstate, which sees globals
+	// only, is checked. resetFrame keeps both for the next declaration.
+	binds     []binding
+	inScope   map[string]int
+	floor     int
 	nextSlot  int
 	frameMax  int
 	inChannel bool // OnRemote/OnNeighbor only legal inside channel bodies
@@ -146,18 +145,12 @@ func (c *checker) report(err error) {
 	c.diags = append(c.diags, diag.Diagnostic{Msg: err.Error()})
 }
 
-type scope struct {
-	parent *scope
-	names  map[string]binding
-}
-
 type binding struct {
+	name string
 	slot int
 	typ  ast.Type
+	prev int // index in binds of the binding this one shadows, or -1
 }
-
-func (c *checker) push() { c.scope = &scope{parent: c.scope, names: map[string]binding{}} }
-func (c *checker) pop()  { c.scope = c.scope.parent }
 
 func (c *checker) bind(name string, t ast.Type) int {
 	slot := c.nextSlot
@@ -165,17 +158,45 @@ func (c *checker) bind(name string, t ast.Type) int {
 	if c.nextSlot > c.frameMax {
 		c.frameMax = c.nextSlot
 	}
-	c.scope.names[name] = binding{slot: slot, typ: t}
+	prev, shadows := c.inScope[name]
+	if !shadows {
+		prev = -1
+	}
+	c.inScope[name] = len(c.binds)
+	c.binds = append(c.binds, binding{name: name, slot: slot, typ: t, prev: prev})
 	return slot
 }
 
 func (c *checker) lookup(name string) (binding, bool) {
-	for s := c.scope; s != nil; s = s.parent {
-		if b, ok := s.names[name]; ok {
-			return b, true
-		}
+	if i, ok := c.inScope[name]; ok && i >= c.floor {
+		return c.binds[i], true
 	}
 	return binding{}, false
+}
+
+// endScope takes the bindings made since mark (a len(c.binds)) out of
+// scope, uncovering what they shadowed.
+func (c *checker) endScope(mark int) {
+	for i := len(c.binds) - 1; i >= mark; i-- {
+		if b := c.binds[i]; b.prev < 0 {
+			delete(c.inScope, b.name)
+		} else {
+			c.inScope[b.name] = b.prev
+		}
+	}
+	c.binds = c.binds[:mark]
+}
+
+// bindParams starts a fun's or channel's frame with its parameters.
+func (c *checker) bindParams(kind string, d ast.Decl, params []ast.Param) error {
+	c.resetFrame()
+	for _, p := range params {
+		if _, dup := c.lookup(p.Name); dup {
+			return errf(d.DeclPos(), "%s %s: duplicate parameter %s", kind, d.DeclName(), p.Name)
+		}
+		c.bind(p.Name, p.Type)
+	}
+	return nil
 }
 
 func errf(pos token.Pos, format string, args ...any) error {
@@ -189,7 +210,8 @@ func errSpan(pos, end token.Pos, format string, args ...any) error {
 }
 
 // Check type-checks a parsed program and returns the resolution info.
-// The input AST is annotated in place (slots, indices, operand types).
+// The input AST is annotated in place: slots, call indices, and every
+// expression's static type (ast.Expr.Type).
 //
 // Checking runs in three staged passes:
 //
@@ -218,7 +240,7 @@ func Check(prog *ast.Program) (*Info, error) {
 		globalIdx: map[string]int{},
 		funIdx:    map[string]int{},
 	}
-	c := &checker{info: info, chanIdx: map[string][]int{}}
+	c := &checker{info: info, chanIdx: map[string][]int{}, inScope: map[string]int{}}
 
 	// Pass 1: declarations.
 	for _, d := range prog.Decls {
@@ -256,7 +278,7 @@ func Check(prog *ast.Program) (*Info, error) {
 		}
 		info.byName[name] = chans
 	}
-	info.Sig = ExtractSignature(info)
+	info.Sig = extractSignature(info)
 	return info, nil
 }
 
@@ -297,22 +319,10 @@ func (c *checker) checkFunDecl(d *ast.FunDecl) error {
 	if err := c.declared(d.Name, d.At); err != nil {
 		return err
 	}
-	if _, ok := c.chanIdx[d.Name]; ok {
-		return errf(d.At, "fun %s conflicts with a channel of the same name", d.Name)
-	}
-	c.resetFrame()
-	c.push()
-	seen := map[string]bool{}
-	for _, p := range d.Params {
-		if seen[p.Name] {
-			c.pop()
-			return errf(d.At, "fun %s: duplicate parameter %s", d.Name, p.Name)
-		}
-		seen[p.Name] = true
-		c.bind(p.Name, p.Type)
+	if err := c.bindParams("fun", d, d.Params); err != nil {
+		return err
 	}
 	got, err := c.checkExpr(d.Body, d.Ret)
-	c.pop()
 	if err == nil && !ast.Equal(got, d.Ret) {
 		err = errSpan(d.Body.Pos(), d.Body.End(), "fun %s declared to return %s but body has type %s", d.Name, d.Ret, got)
 	}
@@ -359,34 +369,23 @@ func (c *checker) checkChannelDecl(d *ast.ChannelDecl) error {
 	if _, ok := c.info.funIdx[d.Name]; ok {
 		return errf(d.At, "channel %s conflicts with a fun of the same name", d.Name)
 	}
-	c.resetFrame()
-	c.push()
-	seen := map[string]bool{}
-	for _, p := range d.Params {
-		if seen[p.Name] {
-			c.pop()
-			return errf(d.At, "channel %s: duplicate parameter %s", d.Name, p.Name)
-		}
-		seen[p.Name] = true
-		c.bind(p.Name, p.Type)
+	if err := c.bindParams("channel", d, d.Params); err != nil {
+		return err
 	}
 
 	// initstate is evaluated outside the channel frame, but it may use
 	// globals; it must produce the channel-state type.
 	if d.InitState != nil {
-		save := c.scope
-		c.scope = nil
+		c.floor = len(c.binds)
 		got, err := c.checkExpr(d.InitState, d.ChanState())
-		c.scope = save
+		c.floor = 0
 		if err != nil {
 			return err
 		}
 		if !ast.Equal(got, d.ChanState()) {
-			c.pop()
 			return errf(d.At, "channel %s: initstate has type %s, want channel state type %s", d.Name, got, d.ChanState())
 		}
 	} else if _, isTable := d.ChanState().(ast.Table); isTable {
-		c.pop()
 		return errf(d.At, "channel %s: hash_table channel state requires an initstate clause", d.Name)
 	}
 
@@ -394,7 +393,6 @@ func (c *checker) checkChannelDecl(d *ast.ChannelDecl) error {
 	c.inChannel = true
 	got, err := c.checkExpr(d.Body, want)
 	c.inChannel = false
-	c.pop()
 	if err != nil {
 		return err
 	}
@@ -412,7 +410,9 @@ func (c *checker) checkChannelDecl(d *ast.ChannelDecl) error {
 }
 
 func (c *checker) resetFrame() {
-	c.scope = nil
+	c.binds = c.binds[:0]
+	clear(c.inScope)
+	c.floor = 0
 	c.nextSlot = 0
 	c.frameMax = 0
 }
@@ -458,8 +458,17 @@ func ValidatePacketType(t ast.Type) error {
 // Expressions
 
 // checkExpr type-checks e, with expected as the (possibly nil) type
-// required by context, and returns e's type.
+// required by context, records e's type on the node and returns it. This
+// is the one place a type is written to the tree.
 func (c *checker) checkExpr(e ast.Expr, expected ast.Type) (ast.Type, error) {
+	t, err := c.infer(e, expected)
+	if err == nil {
+		e.SetType(t)
+	}
+	return t, err
+}
+
+func (c *checker) infer(e ast.Expr, expected ast.Type) (ast.Type, error) {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return ast.IntT, nil
@@ -506,8 +515,9 @@ func (c *checker) checkExpr(e ast.Expr, expected ast.Type) (ast.Type, error) {
 		return tup.Elems[e.Index-1], nil
 
 	case *ast.Let:
-		c.push()
-		defer c.pop()
+		// The names go out of scope after the body. (An error abandons
+		// the declaration, and the next one starts from resetFrame.)
+		mark := len(c.binds)
 		for i := range e.Binds {
 			b := &e.Binds[i]
 			got, err := c.checkExpr(b.Init, b.Type)
@@ -519,7 +529,9 @@ func (c *checker) checkExpr(e ast.Expr, expected ast.Type) (ast.Type, error) {
 			}
 			b.Slot = c.bind(b.Name, b.Type)
 		}
-		return c.checkExpr(e.Body, expected)
+		t, err := c.checkExpr(e.Body, expected)
+		c.endScope(mark)
+		return t, err
 
 	case *ast.If:
 		ct, err := c.checkExpr(e.Cond, ast.BoolT)
@@ -543,11 +555,10 @@ func (c *checker) checkExpr(e ast.Expr, expected ast.Type) (ast.Type, error) {
 		return tt, nil
 
 	case *ast.Seq:
-		for i, sub := range e.Exprs[:len(e.Exprs)-1] {
+		for _, sub := range e.Exprs[:len(e.Exprs)-1] {
 			if _, err := c.checkExpr(sub, nil); err != nil {
 				return nil, err
 			}
-			_ = i
 		}
 		return c.checkExpr(e.Exprs[len(e.Exprs)-1], expected)
 
@@ -690,7 +701,6 @@ func (c *checker) checkBinary(e *ast.Binary) (ast.Type, error) {
 		if !ast.Equal(lt, ast.IntT) && !ast.Equal(lt, ast.StringT) && !ast.Equal(lt, ast.CharT) {
 			return nil, errSpan(e.At, e.End(), "%s is not defined on %s", e.Op, lt)
 		}
-		e.OperandType = lt
 		return ast.BoolT, nil
 
 	case "=", "<>":
@@ -705,12 +715,12 @@ func (c *checker) checkBinary(e *ast.Binary) (ast.Type, error) {
 		if !ast.Equal(lt, rt) {
 			return nil, errSpan(e.At, e.End(), "%s compares operands of different types: %s vs %s", e.Op, lt, rt)
 		}
-		if !ast.IsEquality(lt) {
-			if _, isTable := lt.(ast.Table); isTable {
-				return nil, errSpan(e.At, e.End(), "hash tables cannot be compared with %s", e.Op)
-			}
+		if _, isTable := lt.(ast.Table); isTable {
+			return nil, errSpan(e.At, e.End(), "hash tables cannot be compared with %s", e.Op)
 		}
-		e.OperandType = lt
+		if !ast.IsEquality(lt) {
+			return nil, errSpan(e.At, e.End(), "%s contains a hash table and cannot be compared with %s", lt, e.Op)
+		}
 		return ast.BoolT, nil
 
 	default:
@@ -789,7 +799,7 @@ func (c *checker) checkSend(e *ast.Call) (ast.Type, error) {
 	v, ok := e.Args[0].(*ast.Var)
 	var cref *ast.ChanRef
 	if ok {
-		cref = &ast.ChanRef{Name: v.Name, At: v.At}
+		cref = &ast.ChanRef{Node: ast.Node{At: v.At}, Name: v.Name}
 	} else if r, isRef := e.Args[0].(*ast.ChanRef); isRef {
 		cref = r
 	} else {
@@ -816,8 +826,5 @@ func (c *checker) checkSend(e *ast.Call) (ast.Type, error) {
 		return nil, errSpan(e.At, e.End(), "%s: packet type %s matches no definition of channel %s", e.Name, pktT, cref.Name)
 	}
 	e.PrimIndex, e.FunIndex = -1, -1
-	// Annotate the send with its resolved packet type: signature
-	// extraction and the verifier read it instead of re-deriving.
-	e.SendPacket = pktT
 	return ast.UnitT, nil
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/typecheck"
 )
@@ -250,6 +252,30 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
     val y : int = let val x : string = "s" in strLen(x) end
   in (deliver(p); (x + y, ss)) end
 `)
+	// A let may shadow a parameter and a global, twice over in one
+	// binding list; each scope's end uncovers exactly what it covered.
+	mustCheck(t, `
+val g : int = 7
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  let
+    val a : int = let val ps : string = "s" val ps : bool = strLen(ps) > g val g : bool = ps in if g then 1 else 0 end
+  in (deliver(p); (ps + a + g, ss)) end
+`)
+	// A name does not outlive its let.
+	mustFail(t, wrap(`(let val x : int = 1 in x end) + x`), "undefined name x")
+	// An initstate sees globals and its own lets, not the parameters —
+	// which the body sees again afterwards, at their own types.
+	mustCheck(t, `
+val g : int = 7
+channel network(ps : int, ss : int, p : ip*udp*blob)
+initstate let val ps : int = g in ps + 1 end is
+  (deliver(p); (ps + blobLen(#3 p), ss))
+`)
+	mustFail(t, `
+channel network(ps : int, ss : int, p : ip*udp*blob)
+initstate ps is
+  (deliver(p); (ps, ss))
+`, "undefined name ps")
 }
 
 func TestEqualityOnBlobAndHeaders(t *testing.T) {
@@ -260,6 +286,18 @@ channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
 initstate mkTable(2) is
   (deliver(p); (if ss = ss then 1 else 0, ss))
 `, "compared")
+	// Nor is anything that contains one: the engines would answer false
+	// for x = x.
+	for _, cmp := range []string{
+		`(ss, 1) = (ss, 1)`,
+		`let val l : ((int) hash_table) list = listNew() in l <> l end`,
+	} {
+		mustFail(t, `
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(2) is
+  (deliver(p); (if `+cmp+` then 1 else 0, ss))
+`, "contains a hash table")
+	}
 }
 
 func TestChannelsByName(t *testing.T) {
@@ -276,9 +314,6 @@ channel aux(ps : int, ss : int, p : ip*udp*char*int) is (deliver(p); (ps, ss))
 	}
 	if got := len(info.ChannelsByName("nosuch")); got != 0 {
 		t.Errorf("nosuch channels = %d", got)
-	}
-	if _, ok := info.FunByName("nosuch"); ok {
-		t.Error("FunByName on missing name should report false")
 	}
 }
 
@@ -305,5 +340,52 @@ func TestValidatePacketType(t *testing.T) {
 		if err := typecheck.ValidatePacketType(b); err == nil {
 			t.Errorf("%s should be invalid", b)
 		}
+	}
+}
+
+// TestEveryExprTyped: Check leaves one typed tree. Every expression of
+// every in-tree ASP, and of a probe with a node of each kind the back
+// ends specialise on, carries its static type; the probe's are pinned.
+func TestEveryExprTyped(t *testing.T) {
+	for _, p := range asp.All() {
+		info := mustCheck(t, p.Source)
+		langtest.RequireTyped(t, info.Prog)
+	}
+
+	info := mustCheck(t, `
+val g : string = "hi"
+fun f(x : int) : bool = x > 0
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(4) is
+  let
+    val a : int = 1 + 2
+    val b : bool = f(a)
+    val s : string = g ^ "x"
+    val tup : int*string = (a, s)
+    val n : int = if b then raise "no" else tget(ss, a)
+  in
+    (OnRemote(network, p); (if b then #1 tup else 0, ss))
+  end
+`)
+	langtest.RequireTyped(t, info.Prog)
+	ch := info.Channels[0].Decl
+	if got := ch.InitState.Type(); !ast.Equal(got, ch.ChanState()) {
+		t.Errorf("initstate typed %v, want %v", got, ch.ChanState())
+	}
+	let := ch.Body.(*ast.Let)
+	if got, want := let.Type(), (ast.Tuple{Elems: []ast.Type{ast.IntT, ch.ChanState()}}); !ast.Equal(got, want) {
+		t.Errorf("body typed %v, want %v", got, want)
+	}
+	// A raise takes the type its context requires, so the if around it
+	// is an int and not "unknown".
+	if arm := let.Binds[4].Init.(*ast.If).Then; !ast.Equal(arm.Type(), ast.IntT) {
+		t.Errorf("raise arm typed %v, want int", arm.Type())
+	}
+	send := let.Body.(*ast.Seq).Exprs[0].(*ast.Call)
+	if got := send.Args[1].Type(); !ast.Equal(got, ch.PacketType()) {
+		t.Errorf("send packet typed %v, want %v", got, ch.PacketType())
+	}
+	if ref := send.Args[0].(*ast.ChanRef); ref.Type() != nil {
+		t.Errorf("ChanRef typed %v, want none", ref.Type())
 	}
 }

@@ -136,13 +136,14 @@ func keyOf(v Value) tableKey {
 // NewTable returns an empty table with a capacity hint (the paper's
 // mkTable(256) idiom). The hint sizes the map at the first Put: a table
 // nothing is stored in (most installs of a protocol see no traffic of
-// some channel) costs its header only.
+// some channel) costs its header only. It is only a hint, and the
+// number comes from downloaded program text, so it is clamped: no
+// program can reserve memory it never fills.
 func NewTable(capacity int) *Table {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Table{cap: capacity}
+	return &Table{cap: min(max(capacity, 1), maxTableHint)}
 }
+
+const maxTableHint = 1 << 12
 
 // Put stores v under key k, replacing any previous value.
 func (t *Table) Put(k Value, v Value) {

@@ -216,6 +216,10 @@ func TestTableOps(t *testing.T) {
 	if NewTable(-5).Len() != 0 {
 		t.Error("negative capacity should clamp")
 	}
+	// mkTable(n) is program text: n is a hint, never a reservation.
+	if huge := NewTable(1 << 40); huge.cap != maxTableHint {
+		t.Errorf("hint 1<<40 kept as %d, want %d", huge.cap, maxTableHint)
+	}
 }
 
 func TestTableIsReference(t *testing.T) {

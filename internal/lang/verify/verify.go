@@ -157,7 +157,7 @@ func localTermination(info *typecheck.Info) Check {
 	for i := range info.Funs {
 		f := &info.Funs[i]
 		bad := false
-		walk(f.Decl.Body, func(e ast.Expr) {
+		ast.Walk(f.Decl.Body, func(e ast.Expr) {
 			if call, ok := e.(*ast.Call); ok && call.FunIndex >= f.Index {
 				bad = true
 			}
@@ -169,46 +169,6 @@ func localTermination(info *typecheck.Info) Check {
 		}
 	}
 	return Check{Name: "local-termination", OK: true, Detail: "no recursion, no loops (by construction)"}
-}
-
-// walk visits every node of an expression tree.
-func walk(e ast.Expr, visit func(ast.Expr)) {
-	visit(e)
-	switch e := e.(type) {
-	case *ast.Proj:
-		walk(e.Tuple, visit)
-	case *ast.Call:
-		for _, a := range e.Args {
-			walk(a, visit)
-		}
-	case *ast.Let:
-		for _, b := range e.Binds {
-			walk(b.Init, visit)
-		}
-		walk(e.Body, visit)
-	case *ast.If:
-		walk(e.Cond, visit)
-		walk(e.Then, visit)
-		walk(e.Else, visit)
-	case *ast.Seq:
-		for _, sub := range e.Exprs {
-			walk(sub, visit)
-		}
-	case *ast.TupleExpr:
-		for _, sub := range e.Elems {
-			walk(sub, visit)
-		}
-	case *ast.Unary:
-		walk(e.X, visit)
-	case *ast.Binary:
-		walk(e.L, visit)
-		walk(e.R, visit)
-	case *ast.Try:
-		walk(e.Body, visit)
-		walk(e.Handler, visit)
-	case *ast.Raise:
-		walk(e.Msg, visit)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +371,7 @@ func guardStable(g guard, branch ast.Expr) bool {
 	collectVars(g.tbl, names)
 	collectVars(g.key, names)
 	stable := true
-	walk(branch, func(e ast.Expr) {
+	ast.Walk(branch, func(e ast.Expr) {
 		switch e := e.(type) {
 		case *ast.Call:
 			if e.Name == "tdel" {
@@ -429,7 +389,7 @@ func guardStable(g guard, branch ast.Expr) bool {
 }
 
 func collectVars(e ast.Expr, out map[string]bool) {
-	walk(e, func(e ast.Expr) {
+	ast.Walk(e, func(e ast.Expr) {
 		if v, ok := e.(*ast.Var); ok {
 			out[v.Name] = true
 		}
@@ -572,9 +532,6 @@ func allPathsSend(e ast.Expr) bool {
 // the analysis no longer re-walks channel bodies.
 func duplication(info *typecheck.Info) Check {
 	sig := info.Sig
-	if sig == nil {
-		sig = typecheck.ExtractSignature(info)
-	}
 	n := len(info.Channels)
 	// copies[i]: maximum sends on any execution path of channel i
 	// (saturated at 2). edges[i]: channel indices i can send to.
@@ -628,4 +585,3 @@ func duplication(info *typecheck.Info) Check {
 	}
 	return Check{Name: "duplication", OK: true, Detail: "packet duplication is linear"}
 }
-
