@@ -20,6 +20,7 @@ import (
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planpd"
+	"planp.dev/planp/internal/routetest"
 )
 
 // Two textually distinct forwarders: the incumbent and the candidate.
@@ -534,4 +535,10 @@ func TestAdaptHTTPAPI(t *testing.T) {
 	if got := r.active(t, "alpha"); got != "v2" {
 		t.Errorf("node runs %q after HTTP-started canary, want v2", got)
 	}
+}
+
+func TestRoutesRefuseOtherMethods(t *testing.T) {
+	routetest.RefusesOtherMethods(t, newRig(t, 1).ctl.Handler(), map[string][]string{
+		"/adapt": {"GET", "POST"},
+	})
 }

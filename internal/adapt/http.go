@@ -83,15 +83,9 @@ func (req *CanaryRequest) timeout(plan CanaryPlan) time.Duration {
 //	GET  /adapt   every run's status, oldest first
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/adapt", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, map[string]any{"runs": c.Runs()})
-		case http.MethodPost:
-			c.startRun(w, r)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
+	mux.HandleFunc("POST /adapt", c.startRun)
+	mux.HandleFunc("GET /adapt", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"runs": c.Runs()})
 	})
 	return mux
 }

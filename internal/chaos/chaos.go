@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -107,6 +108,10 @@ const (
 	DirRev = 1
 )
 
+// dirNames spell the directions in link references ("a-b:rev") and in
+// event details ("link-down:rev").
+var dirNames = [2]string{DirFwd: "fwd", DirRev: "rev"}
+
 // dirFaults is the fault state of one direction of a link.
 type dirFaults struct {
 	down    bool
@@ -117,25 +122,27 @@ type dirFaults struct {
 	jitter  time.Duration // uniform [0, jitter) extra latency — reorders
 }
 
-// Link is the engine's handle on one faultable link: a named set of
-// fault ports sharing the link's fault state. A link wired with Wire
-// is symmetric — both directions degrade together, which is what cable
-// damage and congested paths look like. A link wired with WireDuplex
-// keeps per-direction state: the whole-link methods below still apply
-// to both directions at once, and Fwd/Rev address one direction — the
-// asymmetric-fault grain (a path congested one way, a half-broken
-// transceiver, a cross-host link whose far half lives in another
-// process).
+// Link is the engine's handle on one faultable link, or on one
+// direction of it: every method below writes the directions the handle
+// addresses. A link wired with Wire is symmetric — both directions
+// degrade together, which is what cable damage and congested paths look
+// like. A link wired with WireDuplex keeps per-direction state: the
+// handle WireDuplex returns still addresses both directions at once, and
+// Fwd/Rev narrow it to one — the asymmetric-fault grain (a path
+// congested one way, a half-broken transceiver, a cross-host link whose
+// far half lives in another process). Events from a narrowed handle
+// carry a ":fwd"/":rev" suffix.
 type Link struct {
 	e      *Engine
 	name   string
 	duplex bool
-	ports  [2][]substrate.FaultPort
 
-	// Per-direction fault state, guarded by e.mu. Symmetric links use
-	// only state[DirFwd]; the whole-link setters write both so a link
-	// upgraded to duplex behaves identically.
-	state [2]dirFaults
+	// state is shared by every handle on the link and guarded by e.mu;
+	// this handle addresses state[lo:hi]. The ports of a symmetric link
+	// read only state[DirFwd]; its one handle writes both.
+	state  *[2]dirFaults
+	lo, hi int
+	suffix string // "" for the whole link, ":fwd" / ":rev" when narrowed
 }
 
 // Wire attaches the engine to a named link: every given port consults
@@ -143,20 +150,10 @@ type Link struct {
 // faults. Pass a duplex link's two directional interfaces; for
 // independent per-direction state use WireDuplex. Panics on a
 // duplicate name — scenarios address links by name, so collisions are
-// author errors.
+// author errors — and on a name containing ':', which is how a
+// reference names a direction.
 func (e *Engine) Wire(name string, ports ...substrate.FaultPort) *Link {
-	if len(ports) == 0 {
-		panic("chaos: Wire needs at least one port")
-	}
-	l := &Link{e: e, name: name}
-	l.ports[DirFwd] = ports
-	e.addLink(l)
-	for _, p := range ports {
-		p.SetFault(func(pkt *substrate.Packet) substrate.FaultAction {
-			return l.fault(DirFwd, pkt)
-		})
-	}
-	return l
+	return e.wire(name, false, ports, nil)
 }
 
 // WireDuplex attaches the engine to a named link with independent
@@ -165,50 +162,71 @@ func (e *Engine) Wire(name string, ports ...substrate.FaultPort) *Link {
 // one direction is locally owned — the cross-host case, where each
 // daemon wires its outbound half and the peer daemon wires the other.
 func (e *Engine) WireDuplex(name string, fwd, rev []substrate.FaultPort) *Link {
+	return e.wire(name, true, fwd, rev)
+}
+
+func (e *Engine) wire(name string, duplex bool, fwd, rev []substrate.FaultPort) *Link {
 	if len(fwd)+len(rev) == 0 {
-		panic("chaos: WireDuplex needs at least one port")
+		panic(fmt.Sprintf("chaos: link %q needs at least one port", name))
 	}
-	l := &Link{e: e, name: name, duplex: true}
-	l.ports[DirFwd], l.ports[DirRev] = fwd, rev
-	e.addLink(l)
-	for dir, ports := range l.ports {
-		dir := dir
-		for _, p := range ports {
-			p.SetFault(func(pkt *substrate.Packet) substrate.FaultAction {
-				return l.fault(dir, pkt)
-			})
+	if strings.Contains(name, ":") {
+		panic(fmt.Sprintf("chaos: link name %q contains ':'", name))
+	}
+	l := &Link{e: e, name: name, duplex: duplex, state: new([2]dirFaults), hi: len(dirNames)}
+	e.mu.Lock()
+	if e.links[name] != nil {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("chaos: link %q wired twice", name))
+	}
+	e.links[name] = l
+	e.mu.Unlock()
+	for dir, side := range [...][]substrate.FaultPort{DirFwd: fwd, DirRev: rev} {
+		for _, p := range side {
+			p.SetFault(func(*substrate.Packet) substrate.FaultAction { return l.fault(dir) })
 		}
 	}
 	return l
 }
 
-func (e *Engine) addLink(l *Link) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.links[l.name] != nil {
-		panic(fmt.Sprintf("chaos: link %q wired twice", l.name))
+// LookupLink resolves a link reference — "<name>" for the whole link,
+// "<name>:fwd" or "<name>:rev" for one direction of a duplex-wired one
+// — to its handle. It is the one validator of link references: the
+// timeline codec calls it when a timeline is staged, and every scenario
+// action calls it again (through link) when it fires.
+func (e *Engine) LookupLink(ref string) (*Link, error) {
+	name, dir, narrowed := strings.Cut(ref, ":")
+	if name == "" {
+		return nil, fmt.Errorf("missing link")
 	}
-	e.links[l.name] = l
-}
-
-// link resolves a wired link by name; scenarios that reference unknown
-// links fail fast.
-func (e *Engine) link(name string) *Link {
-	l, ok := e.LookupLink(name)
-	if !ok {
-		panic(fmt.Sprintf("chaos: no link wired as %q", name))
-	}
-	return l
-}
-
-// LookupLink resolves a wired link by name without panicking — the
-// control-plane (remote /chaos API) validation path.
-func (e *Engine) LookupLink(name string) (*Link, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	l := e.links[name]
-	return l, l != nil
+	e.mu.Unlock()
+	if l == nil {
+		return nil, fmt.Errorf("unknown link %q (wired: %v)", name, e.LinkNames())
+	}
+	if !narrowed {
+		return l, nil
+	}
+	for i, n := range dirNames {
+		if dir == n {
+			return l.narrow(i)
+		}
+	}
+	return nil, fmt.Errorf("direction %q of link %q (want \"fwd\" or \"rev\")", dir, name)
 }
+
+// must is the fail-fast half of the scenario contract: a scenario built
+// in Go that names a link nobody wired, or a direction of a symmetric
+// link, is an author error. (Timelines arrive from outside and get the
+// error instead — Compile.)
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("chaos: " + err.Error())
+	}
+	return v
+}
+
+func (e *Engine) link(ref string) *Link { return must(e.LookupLink(ref)) }
 
 // LinkNames returns the names of every wired link, sorted: they are
 // part of the error a daemon answers a bad timeline with.
@@ -223,22 +241,22 @@ func (e *Engine) LinkNames() []string {
 	return out
 }
 
-// node resolves an adopted node by name.
-func (e *Engine) node(name string) *NodeHandle {
-	h, ok := e.LookupNode(name)
-	if !ok {
-		panic(fmt.Sprintf("chaos: no node adopted as %q", name))
+// LookupNode resolves an adopted node by name — like LookupLink, both
+// the timeline codec's validator and the actions' run-time lookup.
+func (e *Engine) LookupNode(name string) (*NodeHandle, error) {
+	if name == "" {
+		return nil, fmt.Errorf("missing node")
 	}
-	return h
+	e.mu.Lock()
+	h := e.nodes[name]
+	e.mu.Unlock()
+	if h == nil {
+		return nil, fmt.Errorf("unknown node %q (adopted: %v)", name, e.NodeNames())
+	}
+	return h, nil
 }
 
-// LookupNode resolves an adopted node by name without panicking.
-func (e *Engine) LookupNode(name string) (*NodeHandle, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := e.nodes[name]
-	return h, h != nil
-}
+func (e *Engine) node(name string) *NodeHandle { return must(e.LookupNode(name)) }
 
 // NodeNames returns the names of every adopted node, sorted.
 func (e *Engine) NodeNames() []string {
@@ -254,7 +272,7 @@ func (e *Engine) NodeNames() []string {
 
 // fault is the substrate.FaultFunc every wired port runs: one verdict
 // per transmission, every random draw from the engine's seeded RNG.
-func (l *Link) fault(dir int, _ *substrate.Packet) substrate.FaultAction {
+func (l *Link) fault(dir int) substrate.FaultAction {
 	e := l.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -291,8 +309,9 @@ func (l *Link) fault(dir int, _ *substrate.Packet) substrate.FaultAction {
 	return act
 }
 
-// Name returns the link's scenario name.
-func (l *Link) Name() string { return l.name }
+// Name returns the handle's scenario reference: the link's name, plus
+// ":fwd"/":rev" when narrowed to one direction.
+func (l *Link) Name() string { return l.name + l.suffix }
 
 // Duplex reports whether the link was wired with per-direction state.
 func (l *Link) Duplex() bool { return l.duplex }
@@ -300,219 +319,96 @@ func (l *Link) Duplex() bool { return l.duplex }
 // Fwd returns the handle on the link's forward (a→b) direction.
 // Panics unless the link was wired with WireDuplex — a symmetric link
 // has no directions to address.
-func (l *Link) Fwd() *LinkDir { return l.dirHandle(DirFwd) }
+func (l *Link) Fwd() *Link { return must(l.narrow(DirFwd)) }
 
 // Rev returns the handle on the link's reverse (b→a) direction.
-func (l *Link) Rev() *LinkDir { return l.dirHandle(DirRev) }
+func (l *Link) Rev() *Link { return must(l.narrow(DirRev)) }
 
-func (l *Link) dirHandle(dir int) *LinkDir {
+func (l *Link) narrow(dir int) (*Link, error) {
 	if !l.duplex {
-		panic(fmt.Sprintf("chaos: link %q is symmetric (use WireDuplex for per-direction faults)", l.name))
+		return nil, fmt.Errorf("link %q is symmetric; per-direction faults need WireDuplex", l.name)
 	}
-	return &LinkDir{l: l, dir: dir}
+	d := *l
+	d.lo, d.hi, d.suffix = dir, dir+1, ":"+dirNames[dir]
+	return &d, nil
 }
 
-// eachDir applies fn to every direction's state under the engine lock.
-func (l *Link) eachDir(fn func(st *dirFaults)) {
-	l.e.mu.Lock()
-	fn(&l.state[DirFwd])
-	fn(&l.state[DirRev])
-	l.e.mu.Unlock()
-}
-
-// Down cuts the link — both directions: every transmission drops until
-// Up. Idempotent; only the transition emits KindFault and counts.
-func (l *Link) Down() {
-	var was bool
-	l.eachDir(func(st *dirFaults) { was = was || st.down; st.down = true })
-	if !was {
-		l.e.ct.linkDown.Inc()
-		l.e.emit(obs.KindFault, l.name, "link-down")
-	}
-}
-
-// Up restores a downed link (both directions). Idempotent.
-func (l *Link) Up() {
-	var was bool
-	l.eachDir(func(st *dirFaults) { was = was || st.down; st.down = false })
-	if was {
-		l.e.ct.linkUp.Inc()
-		l.e.emit(obs.KindHeal, l.name, "link-up")
-	}
-}
-
-// IsDown reports whether any direction of the link is cut.
-func (l *Link) IsDown() bool {
+// each applies fn to every addressed direction's state under the
+// engine lock.
+func (l *Link) each(fn func(st *dirFaults)) {
 	l.e.mu.Lock()
 	defer l.e.mu.Unlock()
-	return l.state[DirFwd].down || l.state[DirRev].down
+	for i := l.lo; i < l.hi; i++ {
+		fn(&l.state[i])
+	}
 }
 
-// SetLoss sets the per-packet drop probability (both directions).
+// set is every fault setter: write the addressed directions, publish.
+func (l *Link) set(kind obs.Kind, detail string, fn func(st *dirFaults)) {
+	l.each(fn)
+	l.e.emit(kind, l.name, detail+l.suffix)
+}
+
+// cut is Down and Up: idempotent, so only a call that changes some
+// addressed direction counts and publishes.
+func (l *Link) cut(down bool, ct *obs.Counter, kind obs.Kind, detail string) {
+	changed := false
+	l.each(func(st *dirFaults) {
+		changed = changed || st.down != down
+		st.down = down
+	})
+	if changed {
+		ct.Inc()
+		l.e.emit(kind, l.name, detail+l.suffix)
+	}
+}
+
+// Down cuts every addressed direction: each transmission drops until
+// Up. Narrowed to one direction it is the half-broken-link fault — the
+// opposite direction still carries traffic.
+func (l *Link) Down() { l.cut(true, l.e.ct.linkDown, obs.KindFault, "link-down") }
+
+// Up restores the addressed directions.
+func (l *Link) Up() { l.cut(false, l.e.ct.linkUp, obs.KindHeal, "link-up") }
+
+// IsDown reports whether any addressed direction is cut.
+func (l *Link) IsDown() (down bool) {
+	l.each(func(st *dirFaults) { down = down || st.down })
+	return down
+}
+
+// SetLoss sets the per-packet drop probability.
 func (l *Link) SetLoss(p float64) {
-	l.eachDir(func(st *dirFaults) { st.loss = p })
-	l.e.emit(obs.KindFault, l.name, fmt.Sprintf("loss=%.2f", p))
+	l.set(obs.KindFault, fmt.Sprintf("loss=%.2f", p), func(st *dirFaults) { st.loss = p })
 }
 
 // SetCorrupt sets the per-packet probability of flipping one payload
-// bit (both directions).
+// bit.
 func (l *Link) SetCorrupt(p float64) {
-	l.eachDir(func(st *dirFaults) { st.corrupt = p })
-	l.e.emit(obs.KindFault, l.name, fmt.Sprintf("corrupt=%.2f", p))
+	l.set(obs.KindFault, fmt.Sprintf("corrupt=%.2f", p), func(st *dirFaults) { st.corrupt = p })
 }
 
 // SetDup sets the per-packet probability of transmitting one extra
-// copy (both directions).
+// copy.
 func (l *Link) SetDup(p float64) {
-	l.eachDir(func(st *dirFaults) { st.dup = p })
-	l.e.emit(obs.KindFault, l.name, fmt.Sprintf("dup=%.2f", p))
+	l.set(obs.KindFault, fmt.Sprintf("dup=%.2f", p), func(st *dirFaults) { st.dup = p })
 }
 
-// SetDelay sets the fixed extra latency added to every packet (both
-// directions).
+// SetDelay sets the fixed extra latency added to every packet.
 func (l *Link) SetDelay(d time.Duration) {
-	l.eachDir(func(st *dirFaults) { st.delay = d })
-	l.e.emit(obs.KindFault, l.name, fmt.Sprintf("delay=%s", d))
+	l.set(obs.KindFault, fmt.Sprintf("delay=%s", d), func(st *dirFaults) { st.delay = d })
 }
 
 // SetJitter sets the bound of the uniform [0, d) extra latency drawn
-// per packet — the reordering primitive (both directions).
+// per packet — the reordering primitive.
 func (l *Link) SetJitter(d time.Duration) {
-	l.eachDir(func(st *dirFaults) { st.jitter = d })
-	l.e.emit(obs.KindFault, l.name, fmt.Sprintf("jitter=%s", d))
+	l.set(obs.KindFault, fmt.Sprintf("jitter=%s", d), func(st *dirFaults) { st.jitter = d })
 }
 
-// Clear resets every fault on the link (including down, in both
-// directions) and emits KindHeal.
+// Clear resets every fault (including down) on the addressed
+// directions and emits KindHeal.
 func (l *Link) Clear() {
-	l.eachDir(func(st *dirFaults) { *st = dirFaults{} })
-	l.e.emit(obs.KindHeal, l.name, "clear")
-}
-
-// LinkDir is the handle on one direction of a duplex-wired link — the
-// asymmetric-fault surface. It mirrors Link's fault setters, scoped to
-// its direction; events carry a ":fwd"/":rev" suffix.
-type LinkDir struct {
-	l   *Link
-	dir int
-}
-
-// Name returns the direction's scenario name ("<link>:fwd").
-func (d *LinkDir) Name() string { return d.l.name + ":" + d.label() }
-
-func (d *LinkDir) label() string {
-	if d.dir == DirFwd {
-		return "fwd"
-	}
-	return "rev"
-}
-
-func (d *LinkDir) set(fn func(st *dirFaults), kind obs.Kind, detail string) {
-	d.l.e.mu.Lock()
-	fn(&d.l.state[d.dir])
-	d.l.e.mu.Unlock()
-	d.l.e.emit(kind, d.l.name, detail+":"+d.label())
-}
-
-// Down cuts this direction only; the opposite direction still carries
-// traffic — the half-broken-link fault.
-func (d *LinkDir) Down() {
-	var was bool
-	d.l.e.mu.Lock()
-	st := &d.l.state[d.dir]
-	was, st.down = st.down, true
-	d.l.e.mu.Unlock()
-	if !was {
-		d.l.e.ct.linkDown.Inc()
-		d.l.e.emit(obs.KindFault, d.l.name, "link-down:"+d.label())
-	}
-}
-
-// Up restores this direction. Idempotent.
-func (d *LinkDir) Up() {
-	var was bool
-	d.l.e.mu.Lock()
-	st := &d.l.state[d.dir]
-	was, st.down = st.down, false
-	d.l.e.mu.Unlock()
-	if was {
-		d.l.e.ct.linkUp.Inc()
-		d.l.e.emit(obs.KindHeal, d.l.name, "link-up:"+d.label())
-	}
-}
-
-// IsDown reports whether this direction is cut.
-func (d *LinkDir) IsDown() bool {
-	d.l.e.mu.Lock()
-	defer d.l.e.mu.Unlock()
-	return d.l.state[d.dir].down
-}
-
-// SetLoss sets this direction's per-packet drop probability.
-func (d *LinkDir) SetLoss(p float64) {
-	d.set(func(st *dirFaults) { st.loss = p }, obs.KindFault, fmt.Sprintf("loss=%.2f", p))
-}
-
-// SetCorrupt sets this direction's per-packet bit-flip probability.
-func (d *LinkDir) SetCorrupt(p float64) {
-	d.set(func(st *dirFaults) { st.corrupt = p }, obs.KindFault, fmt.Sprintf("corrupt=%.2f", p))
-}
-
-// SetDup sets this direction's per-packet duplication probability.
-func (d *LinkDir) SetDup(p float64) {
-	d.set(func(st *dirFaults) { st.dup = p }, obs.KindFault, fmt.Sprintf("dup=%.2f", p))
-}
-
-// SetDelay sets this direction's fixed extra latency.
-func (d *LinkDir) SetDelay(dur time.Duration) {
-	d.set(func(st *dirFaults) { st.delay = dur }, obs.KindFault, fmt.Sprintf("delay=%s", dur))
-}
-
-// SetJitter sets this direction's reordering jitter bound.
-func (d *LinkDir) SetJitter(dur time.Duration) {
-	d.set(func(st *dirFaults) { st.jitter = dur }, obs.KindFault, fmt.Sprintf("jitter=%s", dur))
-}
-
-// Clear resets every fault on this direction.
-func (d *LinkDir) Clear() {
-	d.set(func(st *dirFaults) { *st = dirFaults{} }, obs.KindHeal, "clear")
-}
-
-// faultSurface is the setter surface shared by a whole link and one
-// direction of it — what scenario actions and the timeline codec
-// address.
-type faultSurface interface {
-	Down()
-	Up()
-	SetLoss(p float64)
-	SetCorrupt(p float64)
-	SetDup(p float64)
-	SetDelay(d time.Duration)
-	SetJitter(d time.Duration)
-	Clear()
-}
-
-var (
-	_ faultSurface = (*Link)(nil)
-	_ faultSurface = (*LinkDir)(nil)
-)
-
-// surface resolves a link (dir == "") or one direction of it (dir
-// "fwd"/"rev") to its fault surface. Panics on unknown links, unknown
-// directions, and directions of symmetric links — the fail-fast
-// scenario contract; the timeline codec validates first.
-func (e *Engine) surface(link, dir string) faultSurface {
-	l := e.link(link)
-	switch dir {
-	case "":
-		return l
-	case "fwd":
-		return l.Fwd()
-	case "rev":
-		return l.Rev()
-	default:
-		panic(fmt.Sprintf("chaos: link direction %q (want \"fwd\", \"rev\", or empty)", dir))
-	}
+	l.set(obs.KindHeal, "clear", func(st *dirFaults) { *st = dirFaults{} })
 }
 
 // PartitionLinks cuts the named set of links at once — the partition

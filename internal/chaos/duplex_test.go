@@ -7,6 +7,7 @@ import (
 
 	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -218,4 +219,97 @@ func TestTimelineValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWholeLinkDownAfterOneDirectionCounts: cutting the whole link when
+// one direction is already down still cuts the other, so it counts and
+// publishes; only a call that changes nothing is silent. Checked on the
+// handles and through a compiled timeline.
+func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
+	drive := map[string]func(bd *duplexBed){
+		"handles": func(bd *duplexBed) {
+			bd.uplink.Rev().Down()
+			bd.uplink.Down()
+			bd.uplink.Down()
+		},
+		"timeline": func(bd *duplexBed) {
+			tl, err := chaos.ParseTimeline([]byte(`{"steps": [
+				{"op": "down", "link": "uplink", "dir": "rev"},
+				{"op": "partition", "links": ["uplink"]},
+				{"op": "partition", "links": ["uplink"]}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := bd.eng.Compile(tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd.eng.Play(sc)
+			bd.sim.Run()
+		},
+	}
+	for name, fn := range drive {
+		t.Run(name, func(t *testing.T) {
+			bd := mkDuplexBed(t, 37)
+			var faults []string
+			bd.sim.Events().Subscribe(obs.Func(func(ev obs.Event) {
+				if ev.Kind == obs.KindFault {
+					faults = append(faults, ev.Node+"/"+ev.Detail)
+				}
+			}))
+			fn(bd)
+			if got := bd.sim.Metrics().Counter("chaos.link_down").Value(); got != 2 {
+				t.Errorf("chaos.link_down = %d, want 2 (rev cut, then fwd cut by the whole-link Down; the repeat is a no-op)", got)
+			}
+			if want := "uplink/link-down:rev uplink/link-down"; strings.Join(faults, " ") != want {
+				t.Errorf("fault events %q, want %q", faults, want)
+			}
+			if !bd.uplink.Fwd().IsDown() {
+				t.Errorf("forward direction still up after a whole-link Down")
+			}
+			bd.uplink.Up()
+			if got := bd.sim.Metrics().Counter("chaos.link_up").Value(); got != 1 {
+				t.Errorf("chaos.link_up = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestDirectionReferences: every constructor takes "<link>:fwd" /
+// "<link>:rev" where it takes a link, a timeline step's link+dir is the
+// same reference, and Wire keeps ':' out of link names so a reference
+// reads one way.
+func TestDirectionReferences(t *testing.T) {
+	bd := mkDuplexBed(t, 41)
+	bd.eng.Apply(chaos.Partition("uplink:rev"))
+	if bd.uplink.Fwd().IsDown() || !bd.uplink.Rev().IsDown() {
+		t.Fatalf(`Partition("uplink:rev") cut fwd=%v rev=%v, want only rev`, bd.uplink.Fwd().IsDown(), bd.uplink.Rev().IsDown())
+	}
+	bd.eng.Apply(chaos.Heal())
+
+	tl, err := chaos.ParseTimeline([]byte(`{"steps": [{"op": "flap", "link": "uplink", "dir": "fwd", "dur_ms": 20}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := bd.eng.Compile(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd.eng.Play(sc)
+	bd.sim.At(10*time.Millisecond, func() {
+		if !bd.uplink.Fwd().IsDown() || bd.uplink.Rev().IsDown() {
+			t.Errorf("mid-flap: fwd=%v rev=%v, want only fwd down", bd.uplink.Fwd().IsDown(), bd.uplink.Rev().IsDown())
+		}
+	})
+	bd.sim.Run()
+	if bd.uplink.IsDown() {
+		t.Errorf("link still down after the flap")
+	}
+
+	defer func() {
+		if r := recover(); r == nil {
+			t.Errorf("Wire accepted a link name containing ':'")
+		}
+	}()
+	bd.eng.Wire("up:link", bd.a.Ifaces()[0])
 }

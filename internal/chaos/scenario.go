@@ -32,24 +32,28 @@ type Action struct {
 // schedules use a Scenario).
 func (e *Engine) Apply(a Action) { a.run(e) }
 
-// Down cuts a link until Up.
-func Down(link string) Action {
-	return Action{Desc: "down " + link, run: func(e *Engine) { e.link(link).Down() }}
+// onLink is every single-link action: resolve the reference when the
+// action fires, then do one thing to the handle. A link argument below
+// is a reference in LookupLink's spelling — "uplink" for the whole
+// link, "uplink:fwd" or "uplink:rev" for one direction of a link wired
+// with WireDuplex (requests arrive, responses drown).
+func onLink(desc, link string, do func(l *Link)) Action {
+	return Action{Desc: desc, run: func(e *Engine) { do(e.link(link)) }}
 }
 
+// Down cuts a link until Up.
+func Down(link string) Action { return onLink("down "+link, link, (*Link).Down) }
+
 // Up restores a downed link.
-func Up(link string) Action {
-	return Action{Desc: "up " + link, run: func(e *Engine) { e.link(link).Up() }}
-}
+func Up(link string) Action { return onLink("up "+link, link, (*Link).Up) }
 
 // Flap cuts a link and schedules its restoration downFor later — one
 // flap; combine with Scenario.Every for periodic flapping.
 func Flap(link string, downFor time.Duration) Action {
-	return Action{Desc: fmt.Sprintf("flap %s for %s", link, downFor), run: func(e *Engine) {
-		l := e.link(link)
+	return onLink(fmt.Sprintf("flap %s for %s", link, downFor), link, func(l *Link) {
 		l.Down()
-		e.env.After(downFor, l.Up)
-	}}
+		l.e.env.After(downFor, l.Up)
+	})
 }
 
 // Partition cuts a set of links at once.
@@ -71,113 +75,32 @@ func Heal(links ...string) Action {
 
 // Loss sets a link's per-packet drop probability.
 func Loss(link string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("loss %s %.2f", link, p), run: func(e *Engine) {
-		e.link(link).SetLoss(p)
-	}}
+	return onLink(fmt.Sprintf("loss %s %.2f", link, p), link, func(l *Link) { l.SetLoss(p) })
 }
 
 // Corrupt sets a link's per-packet bit-flip probability.
 func Corrupt(link string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("corrupt %s %.2f", link, p), run: func(e *Engine) {
-		e.link(link).SetCorrupt(p)
-	}}
+	return onLink(fmt.Sprintf("corrupt %s %.2f", link, p), link, func(l *Link) { l.SetCorrupt(p) })
 }
 
 // Duplicate sets a link's per-packet duplication probability.
 func Duplicate(link string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("duplicate %s %.2f", link, p), run: func(e *Engine) {
-		e.link(link).SetDup(p)
-	}}
+	return onLink(fmt.Sprintf("duplicate %s %.2f", link, p), link, func(l *Link) { l.SetDup(p) })
 }
 
 // Delay adds fixed latency to every packet on a link.
 func Delay(link string, d time.Duration) Action {
-	return Action{Desc: fmt.Sprintf("delay %s %s", link, d), run: func(e *Engine) {
-		e.link(link).SetDelay(d)
-	}}
+	return onLink(fmt.Sprintf("delay %s %s", link, d), link, func(l *Link) { l.SetDelay(d) })
 }
 
 // Jitter adds uniform [0, d) latency per packet on a link — the
 // reordering primitive.
 func Jitter(link string, d time.Duration) Action {
-	return Action{Desc: fmt.Sprintf("jitter %s %s", link, d), run: func(e *Engine) {
-		e.link(link).SetJitter(d)
-	}}
+	return onLink(fmt.Sprintf("jitter %s %s", link, d), link, func(l *Link) { l.SetJitter(d) })
 }
 
 // Clear resets every fault on a link.
-func Clear(link string) Action {
-	return Action{Desc: "clear " + link, run: func(e *Engine) { e.link(link).Clear() }}
-}
-
-// ---------------------------------------------------------------------------
-// Per-direction actions (links wired with WireDuplex; dir is "fwd" or
-// "rev", "" for the whole link)
-
-func dirDesc(verb, link, dir string) string {
-	if dir == "" {
-		return verb + " " + link
-	}
-	return verb + " " + link + ":" + dir
-}
-
-// DownDir cuts one direction of a duplex link — the half-broken-link
-// fault; the opposite direction still carries traffic.
-func DownDir(link, dir string) Action {
-	return Action{Desc: dirDesc("down", link, dir), run: func(e *Engine) {
-		e.surface(link, dir).Down()
-	}}
-}
-
-// UpDir restores one direction of a duplex link.
-func UpDir(link, dir string) Action {
-	return Action{Desc: dirDesc("up", link, dir), run: func(e *Engine) {
-		e.surface(link, dir).Up()
-	}}
-}
-
-// LossDir sets one direction's per-packet drop probability — the
-// asymmetric-loss fault (requests arrive, responses drown).
-func LossDir(link, dir string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("%s %.2f", dirDesc("loss", link, dir), p), run: func(e *Engine) {
-		e.surface(link, dir).SetLoss(p)
-	}}
-}
-
-// CorruptDir sets one direction's per-packet bit-flip probability.
-func CorruptDir(link, dir string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("%s %.2f", dirDesc("corrupt", link, dir), p), run: func(e *Engine) {
-		e.surface(link, dir).SetCorrupt(p)
-	}}
-}
-
-// DuplicateDir sets one direction's per-packet duplication probability.
-func DuplicateDir(link, dir string, p float64) Action {
-	return Action{Desc: fmt.Sprintf("%s %.2f", dirDesc("duplicate", link, dir), p), run: func(e *Engine) {
-		e.surface(link, dir).SetDup(p)
-	}}
-}
-
-// DelayDir adds fixed latency to one direction of a duplex link.
-func DelayDir(link, dir string, d time.Duration) Action {
-	return Action{Desc: fmt.Sprintf("%s %s", dirDesc("delay", link, dir), d), run: func(e *Engine) {
-		e.surface(link, dir).SetDelay(d)
-	}}
-}
-
-// JitterDir adds reordering jitter to one direction of a duplex link.
-func JitterDir(link, dir string, d time.Duration) Action {
-	return Action{Desc: fmt.Sprintf("%s %s", dirDesc("jitter", link, dir), d), run: func(e *Engine) {
-		e.surface(link, dir).SetJitter(d)
-	}}
-}
-
-// ClearDir resets every fault on one direction of a duplex link.
-func ClearDir(link, dir string) Action {
-	return Action{Desc: dirDesc("clear", link, dir), run: func(e *Engine) {
-		e.surface(link, dir).Clear()
-	}}
-}
+func Clear(link string) Action { return onLink("clear "+link, link, (*Link).Clear) }
 
 // ClockSkew shifts a node's host clock by d (0 heals) — rtnet only;
 // see NodeHandle.SetClockSkew.

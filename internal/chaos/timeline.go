@@ -40,18 +40,19 @@ type Timeline struct {
 type TimelineStep struct {
 	// AtMS is the step's offset from timeline start, in milliseconds.
 	AtMS int64 `json:"at_ms"`
-	// Op selects the intervention: down, up, flap, clear, loss,
-	// corrupt, dup, delay, jitter (link ops, optionally directional);
+	// Op selects the intervention: down, up, clear, flap, loss,
+	// corrupt, dup, delay, jitter (the link ops — the keys of linkOps);
 	// partition, heal (link-set ops); crash, restart, clockskew
 	// (node ops).
 	Op string `json:"op"`
 	// Link names the target link (link ops).
 	Link string `json:"link,omitempty"`
 	// Dir scopes a link op to one direction of a duplex-wired link:
-	// "fwd", "rev", or empty for the whole link.
+	// "fwd", "rev", or empty for the whole link. Link "a-b" with Dir
+	// "rev" is the reference "a-b:rev" (see Engine.LookupLink).
 	Dir string `json:"dir,omitempty"`
-	// Links names the target set (partition/heal; heal with an empty
-	// set heals every wired link).
+	// Links names the target set, as references (partition/heal; heal
+	// with an empty set heals every wired link).
 	Links []string `json:"links,omitempty"`
 	// Node names the target node (crash/restart/clockskew).
 	Node string `json:"node,omitempty"`
@@ -115,117 +116,83 @@ func (e *Engine) Compile(tl *Timeline) (*Scenario, error) {
 	return sc, nil
 }
 
-// checkLink validates a link reference and its optional direction.
-func (e *Engine) checkLink(name, dir string) error {
-	if name == "" {
-		return fmt.Errorf("missing link")
-	}
-	l, ok := e.LookupLink(name)
-	if !ok {
-		return fmt.Errorf("unknown link %q (wired: %v)", name, e.LinkNames())
-	}
-	switch dir {
-	case "":
-	case "fwd", "rev":
-		if !l.Duplex() {
-			return fmt.Errorf("link %q is symmetric; per-direction faults need WireDuplex", name)
-		}
-	default:
-		return fmt.Errorf("direction %q (want \"fwd\", \"rev\", or empty)", dir)
+// dur is the step's duration operand.
+func (st TimelineStep) dur() time.Duration { return time.Duration(st.DurMS) * time.Millisecond }
+
+// linkOps is every op that addresses one link, or one direction of it:
+// the check of its operand (nil when it has none) and its constructor.
+var linkOps = map[string]struct {
+	check func(st TimelineStep) error
+	build func(link string, st TimelineStep) Action
+}{
+	"down":    {nil, func(l string, _ TimelineStep) Action { return Down(l) }},
+	"up":      {nil, func(l string, _ TimelineStep) Action { return Up(l) }},
+	"clear":   {nil, func(l string, _ TimelineStep) Action { return Clear(l) }},
+	"flap":    {checkFlap, func(l string, st TimelineStep) Action { return Flap(l, st.dur()) }},
+	"loss":    {checkProb, func(l string, st TimelineStep) Action { return Loss(l, st.P) }},
+	"corrupt": {checkProb, func(l string, st TimelineStep) Action { return Corrupt(l, st.P) }},
+	"dup":     {checkProb, func(l string, st TimelineStep) Action { return Duplicate(l, st.P) }},
+	"delay":   {checkLatency, func(l string, st TimelineStep) Action { return Delay(l, st.dur()) }},
+	"jitter":  {checkLatency, func(l string, st TimelineStep) Action { return Jitter(l, st.dur()) }},
+}
+
+func checkProb(st TimelineStep) error {
+	if st.P < 0 || st.P > 1 {
+		return fmt.Errorf("probability %v outside [0, 1]", st.P)
 	}
 	return nil
 }
 
-func (e *Engine) checkNode(name string) (*NodeHandle, error) {
-	if name == "" {
-		return nil, fmt.Errorf("missing node")
-	}
-	h, ok := e.LookupNode(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown node %q (adopted: %v)", name, e.NodeNames())
-	}
-	return h, nil
-}
-
-func checkProb(p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("probability %v outside [0, 1]", p)
+func checkFlap(st TimelineStep) error {
+	if st.DurMS <= 0 {
+		return fmt.Errorf("flap needs a positive dur_ms")
 	}
 	return nil
 }
 
+func checkLatency(st TimelineStep) error {
+	if st.DurMS < 0 {
+		return fmt.Errorf("negative dur_ms")
+	}
+	return nil
+}
+
+// compileStep validates one step with the lookups its action will run
+// when it fires — LookupLink on the same reference, LookupNode on the
+// same name — so a step that compiles cannot panic at play time.
 func (e *Engine) compileStep(st TimelineStep) (Action, error) {
 	var zero Action
-	dur := time.Duration(st.DurMS) * time.Millisecond
-	switch st.Op {
-	case "down", "up", "clear":
-		if err := e.checkLink(st.Link, st.Dir); err != nil {
-			return zero, err
-		}
-		switch st.Op {
-		case "down":
-			return DownDir(st.Link, st.Dir), nil
-		case "up":
-			return UpDir(st.Link, st.Dir), nil
-		default:
-			return ClearDir(st.Link, st.Dir), nil
-		}
-	case "flap":
+	if op, ok := linkOps[st.Op]; ok {
+		ref := st.Link
 		if st.Dir != "" {
-			return zero, fmt.Errorf("flap does not take a direction")
+			ref += ":" + st.Dir
 		}
-		if err := e.checkLink(st.Link, ""); err != nil {
+		if _, err := e.LookupLink(ref); err != nil {
 			return zero, err
 		}
-		if dur <= 0 {
-			return zero, fmt.Errorf("flap needs a positive dur_ms")
+		if op.check != nil {
+			if err := op.check(st); err != nil {
+				return zero, err
+			}
 		}
-		return Flap(st.Link, dur), nil
-	case "loss", "corrupt", "dup":
-		if err := e.checkLink(st.Link, st.Dir); err != nil {
-			return zero, err
+		return op.build(ref, st), nil
+	}
+	switch st.Op {
+	case "partition", "heal":
+		for _, ref := range st.Links {
+			if _, err := e.LookupLink(ref); err != nil {
+				return zero, err
+			}
 		}
-		if err := checkProb(st.P); err != nil {
-			return zero, err
+		if st.Op == "heal" {
+			return Heal(st.Links...), nil
 		}
-		switch st.Op {
-		case "loss":
-			return LossDir(st.Link, st.Dir, st.P), nil
-		case "corrupt":
-			return CorruptDir(st.Link, st.Dir, st.P), nil
-		default:
-			return DuplicateDir(st.Link, st.Dir, st.P), nil
-		}
-	case "delay", "jitter":
-		if err := e.checkLink(st.Link, st.Dir); err != nil {
-			return zero, err
-		}
-		if dur < 0 {
-			return zero, fmt.Errorf("negative dur_ms")
-		}
-		if st.Op == "delay" {
-			return DelayDir(st.Link, st.Dir, dur), nil
-		}
-		return JitterDir(st.Link, st.Dir, dur), nil
-	case "partition":
 		if len(st.Links) == 0 {
 			return zero, fmt.Errorf("partition needs links")
 		}
-		for _, name := range st.Links {
-			if err := e.checkLink(name, ""); err != nil {
-				return zero, err
-			}
-		}
 		return Partition(st.Links...), nil
-	case "heal":
-		for _, name := range st.Links {
-			if err := e.checkLink(name, ""); err != nil {
-				return zero, err
-			}
-		}
-		return Heal(st.Links...), nil
 	case "crash", "restart":
-		if _, err := e.checkNode(st.Node); err != nil {
+		if _, err := e.LookupNode(st.Node); err != nil {
 			return zero, err
 		}
 		if st.Op == "crash" {
@@ -233,7 +200,7 @@ func (e *Engine) compileStep(st TimelineStep) (Action, error) {
 		}
 		return Restart(st.Node), nil
 	case "clockskew":
-		h, err := e.checkNode(st.Node)
+		h, err := e.LookupNode(st.Node)
 		if err != nil {
 			return zero, err
 		}

@@ -290,16 +290,17 @@ func (d *Deployment) finish(st State, err error) {
 	d.mu.Unlock()
 }
 
+// fanOut bounds the worker pool a rollout phase fans out on.
+const fanOut = 4
+
 // Config configures a Controller. The zero value works: default
-// transport, default retry policy, fan-out 4.
+// transport, default retry policy.
 type Config struct {
 	// Client issues the control-plane requests; wrap its Transport in
 	// an Injector for fault testing. Defaults to http.DefaultClient.
 	Client *http.Client
 	// Retry is the per-request retry policy.
 	Retry RetryPolicy
-	// Concurrency bounds the fan-out worker pool (default 4).
-	Concurrency int
 	// Bus, when set, receives KindDeploy/KindRollback events. The
 	// controller serializes its publishes; subscribers see events from
 	// one goroutine at a time but interleaved across nodes.
@@ -322,7 +323,6 @@ type Config struct {
 type Controller struct {
 	client  *http.Client
 	retry   RetryPolicy
-	conc    int
 	bus     *obs.Bus
 	busMu   sync.Mutex
 	logf    func(string, ...any)
@@ -349,7 +349,6 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		client:  cfg.Client,
 		retry:   cfg.Retry.withDefaults(),
-		conc:    cfg.Concurrency,
 		bus:     cfg.Bus,
 		logf:    cfg.Logf,
 		start:   time.Now(),
@@ -358,9 +357,6 @@ func New(cfg Config) *Controller {
 	}
 	if c.client == nil {
 		c.client = http.DefaultClient
-	}
-	if c.conc <= 0 {
-		c.conc = 4
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -486,11 +482,7 @@ func (c *Controller) Deployments() []View {
 //	GET /deployments?id=N   one rollout
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/deployments", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /deployments", func(w http.ResponseWriter, r *http.Request) {
 		views := c.Deployments()
 		if idStr := r.URL.Query().Get("id"); idStr != "" {
 			for _, v := range views {
@@ -542,7 +534,7 @@ func (c *Controller) forEach(d *Deployment, fn func(nc *nodeClient) error) []err
 	nodes := append([]*Node(nil), d.nodes...)
 	d.mu.Unlock()
 	errs := make([]error, len(nodes))
-	par.ForEach(c.conc, len(nodes), func(i int) {
+	par.ForEach(fanOut, len(nodes), func(i int) {
 		errs[i] = fn(&nodeClient{c: c, d: d, n: nodes[i]})
 	})
 	return errs

@@ -13,6 +13,7 @@ import (
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planpd"
+	"planp.dev/planp/internal/routetest"
 )
 
 // forwarder is the minimal deployable protocol.
@@ -623,4 +624,10 @@ func TestFleetValidation(t *testing.T) {
 	if d.Version == "" {
 		t.Error("no version label auto-assigned")
 	}
+}
+
+func TestRoutesRefuseOtherMethods(t *testing.T) {
+	routetest.RefusesOtherMethods(t, New(Config{}).Handler(), map[string][]string{
+		"/deployments": {"GET"},
+	})
 }

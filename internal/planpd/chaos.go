@@ -14,7 +14,6 @@ package planpd
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -58,10 +57,10 @@ func NewChaosServer(eng *chaos.Engine) *ChaosServer {
 //	                    and each run's fired/total/stopped state
 func (cs *ChaosServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/chaos/stage", cs.handleStage)
-	mux.HandleFunc("/chaos/start", cs.handleStart)
-	mux.HandleFunc("/chaos/stop", cs.handleStop)
-	mux.HandleFunc("/chaos/status", cs.handleStatus)
+	mux.HandleFunc("POST /chaos/stage", cs.handleStage)
+	mux.HandleFunc("POST /chaos/start", cs.handleStart)
+	mux.HandleFunc("POST /chaos/stop", cs.handleStop)
+	mux.HandleFunc("GET /chaos/status", cs.handleStatus)
 	return mux
 }
 
@@ -70,13 +69,8 @@ func (cs *ChaosServer) Handler() http.Handler {
 // staging time is the contract: a timeline that stages is a timeline
 // that will not blow up mid-run.
 func (cs *ChaosServer) readTimeline(w http.ResponseWriter, r *http.Request) (*chaos.Timeline, *chaos.Scenario, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxTimeline+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return nil, nil, false
-	}
-	if len(body) > maxTimeline {
-		http.Error(w, "timeline too large", http.StatusRequestEntityTooLarge)
+	body, ok := ReadBody(w, r, maxTimeline)
+	if !ok {
 		return nil, nil, false
 	}
 	tl, err := chaos.ParseTimeline(body)
@@ -97,10 +91,6 @@ func (cs *ChaosServer) readTimeline(w http.ResponseWriter, r *http.Request) (*ch
 }
 
 func (cs *ChaosServer) handleStage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	tl, sc, ok := cs.readTimeline(w, r)
 	if !ok {
 		return
@@ -115,10 +105,6 @@ func (cs *ChaosServer) handleStage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var tl *chaos.Timeline
 	var sc *chaos.Scenario
 	if name := r.URL.Query().Get("name"); name != "" {
@@ -160,10 +146,6 @@ func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
 }
 
 func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("name")
 	cs.mu.Lock()
 	var stopped []string
@@ -193,11 +175,7 @@ func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (cs *ChaosServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (cs *ChaosServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	links := cs.eng.LinkNames()
 	nodes := cs.eng.NodeNames()
 

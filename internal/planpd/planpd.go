@@ -88,43 +88,45 @@ func NewServer(node substrate.Node, out io.Writer) *Server {
 //	GET    /healthz       liveness, installed protocol, active version
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/asp", s.handleASP)
-	mux.HandleFunc("/asp/stage", s.handleStage)
-	mux.HandleFunc("/asp/activate", s.handleActivate)
-	mux.HandleFunc("/asp/rollback", s.handleRollback)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealth)
+	mux.HandleFunc("POST /asp", s.install)
+	mux.HandleFunc("GET /asp", s.status)
+	mux.HandleFunc("DELETE /asp", s.uninstall)
+	mux.HandleFunc("POST /asp/stage", s.stage)
+	mux.HandleFunc("DELETE /asp/stage", s.abortStage)
+	mux.HandleFunc("POST /asp/activate", s.handleActivate)
+	mux.HandleFunc("POST /asp/rollback", s.handleRollback)
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
 
-func (s *Server) handleASP(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.install(w, r)
-	case http.MethodGet:
-		s.status(w)
-	case http.MethodDelete:
-		s.uninstall(w)
+// ReadBody reads a request body of at most limit bytes. On failure it
+// has already written the HTTP error: 413 for a body over the limit —
+// the one answer every upload route gives — and 400 for one that
+// cannot be read.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
+	switch {
+	case err != nil:
+		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
+	case len(body) > limit:
+		http.Error(w, fmt.Sprintf("body over %d bytes", limit), http.StatusRequestEntityTooLarge)
 	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return body, true
 	}
+	return nil, false
 }
 
 // readProtocol reads and bounds the uploaded source and decodes the
 // engine/verify query parameters. On failure it has already written the
 // HTTP error.
 func (s *Server) readProtocol(w http.ResponseWriter, r *http.Request) (src string, cfg planprt.Config, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxASPSource+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return "", cfg, false
-	}
-	if len(body) > maxASPSource {
-		http.Error(w, "protocol source too large", http.StatusRequestEntityTooLarge)
+	body, ok := ReadBody(w, r, maxASPSource)
+	if !ok {
 		return "", cfg, false
 	}
 	q := r.URL.Query()
-	cfg, err = planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
+	cfg, err := planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return "", cfg, false
@@ -172,7 +174,7 @@ func (s *Server) install(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) uninstall(w http.ResponseWriter) {
+func (s *Server) uninstall(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
@@ -192,7 +194,7 @@ func (s *Server) uninstall(w http.ResponseWriter) {
 // active, which is staged, and which would a rollback restore. The
 // fleet controller reconciles ambiguous activations (lost responses,
 // nodes dying mid-phase) against this.
-func (s *Server) status(w http.ResponseWriter) {
+func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := map[string]any{
@@ -230,11 +232,7 @@ func versionOf(in *installed) string {
 // chaos-injected skew, so a skewed host's distorted rate windows are
 // observable through this endpoint — the distributed-testbed failure
 // mode the clock-skew primitive exists to reproduce.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"node":    s.node.Hostname(),
 		"mono_ns": s.node.Env().Now().Nanoseconds(),
@@ -242,11 +240,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	version := versionOf(s.active)
 	var sig any

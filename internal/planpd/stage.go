@@ -20,23 +20,12 @@ import (
 	"planp.dev/planp/internal/planprt"
 )
 
-// handleStage implements phase 1 of a rollout.
+// stage and abortStage implement phase 1 of a rollout.
 //
 //	POST   /asp/stage?version=v   load the body (verify + compile) and
 //	                              hold it; replaces any prior stage
 //	DELETE /asp/stage[?version=v] abort: discard the staged version
 //	                              (scoped to v when given); idempotent
-func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.stage(w, r)
-	case http.MethodDelete:
-		s.abortStage(w, r)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) {
 	version := r.URL.Query().Get("version")
 	if version == "" {
@@ -86,10 +75,6 @@ func (s *Server) abortStage(w http.ResponseWriter, r *http.Request) {
 // rollback target. Re-activating the already-active version succeeds
 // without side effects (retry of a lost response).
 func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	version := r.URL.Query().Get("version")
 	if version == "" {
 		http.Error(w, "activate requires a ?version= label", http.StatusBadRequest)
@@ -156,10 +141,6 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 // a prior rollback already ran — the request succeeds without side
 // effects, which is what makes controller retries safe.
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	version := r.URL.Query().Get("version")
 	if version == "" {
 		http.Error(w, "rollback requires a ?version= label", http.StatusBadRequest)

@@ -287,7 +287,10 @@ func (d *Daemon) WaitLinksUp(timeout time.Duration) []string {
 //	/links            cross-daemon link states (handshake, liveness,
 //	                  last structured rejection)
 //	/healthz          daemon identity, owned nodes, link summary
-func (d *Daemon) Handler() http.Handler {
+func (d *Daemon) Handler() http.Handler { return d.mux() }
+
+// mux builds the control API; the demo adds its own route to it.
+func (d *Daemon) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	for name, node := range d.nodes {
 		prefix := "/node/" + name
@@ -296,10 +299,10 @@ func (d *Daemon) Handler() http.Handler {
 	mux.Handle("/deployments", d.Fleet.Handler())
 	mux.Handle("/adapt", d.Adapt.Handler())
 	mux.Handle("/chaos/", d.chs.Handler())
-	mux.HandleFunc("/deploy", d.handleDeploy)
-	mux.HandleFunc("/inject", d.handleInject)
-	mux.HandleFunc("/links", d.handleLinks)
-	mux.HandleFunc("/healthz", d.handleHealth)
+	mux.HandleFunc("POST /deploy", d.handleDeploy)
+	mux.HandleFunc("POST /inject", d.handleInject)
+	mux.HandleFunc("GET /links", d.handleLinks)
+	mux.HandleFunc("GET /healthz", d.handleHealth)
 	return mux
 }
 
@@ -310,10 +313,6 @@ func (d *Daemon) Handler() http.Handler {
 // link metrics, exercise chaos faults, and feed adaptation guards
 // without any application protocol.
 func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	from := d.nodes[q.Get("from")]
 	if from == nil {
@@ -345,10 +344,6 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	// Bare node names resolve through the topology to the owning
 	// daemon's /node mount — including nodes owned by other daemons.
 	targets, err := fleet.ParseTargets(r.URL.Query().Get("nodes"), d.Topo.NodeURL)
@@ -356,9 +351,8 @@ func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("topology %q: %v", d.Topo.Name, err), http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20+1))
-	if err != nil || len(body) > 1<<20 {
-		http.Error(w, "bad protocol source", http.StatusBadRequest)
+	body, ok := planpd.ReadBody(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	spec := fleet.Spec{
@@ -415,22 +409,14 @@ func (d *Daemon) linkStatuses() []LinkStatus {
 	return statuses
 }
 
-func (d *Daemon) handleLinks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (d *Daemon) handleLinks(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"daemon": d.Spec.Name,
 		"links":  d.linkStatuses(),
 	})
 }
 
-func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (d *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
 		"testbed": d.Topo.Name,

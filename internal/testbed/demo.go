@@ -97,13 +97,8 @@ func (m *Demo) Responses() (total, fromVirtual int64) {
 // Handler is the daemon's control API plus POST /demo/requests?n=N,
 // which fires N client requests and reports where they landed.
 func (m *Demo) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", m.Daemon.Handler())
-	mux.HandleFunc("/demo/requests", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux := m.Daemon.mux()
+	mux.HandleFunc("POST /demo/requests", func(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(r.URL.Query().Get("n"))
 		if err != nil || n <= 0 || n > 1<<16 {
 			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)

@@ -11,6 +11,7 @@ import (
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/apps/httpd"
+	"planp.dev/planp/internal/routetest"
 )
 
 // startDemo boots the built-in §3.2 topology and serves its full
@@ -247,5 +248,50 @@ func TestDemoDeployUnknownNode(t *testing.T) {
 	}
 	if len(demo.Fleet.Deployments()) != 0 {
 		t.Error("a rollout was recorded for an unresolvable target list")
+	}
+}
+
+// TestRoutesRefuseOtherMethods walks the daemon's whole control plane
+// as the demo serves it — its own routes, the demo's, and every mux it
+// mounts (per-node planpd, fleet history, adapt, chaos) through the
+// mount.
+func TestRoutesRefuseOtherMethods(t *testing.T) {
+	demo, err := NewDemo("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demo.Close()
+	routetest.RefusesOtherMethods(t, demo.Handler(), map[string][]string{
+		"/deploy":                 {"POST"},
+		"/inject":                 {"POST"},
+		"/links":                  {"GET"},
+		"/healthz":                {"GET"},
+		"/demo/requests":          {"POST"},
+		"/deployments":            {"GET"},
+		"/adapt":                  {"GET", "POST"},
+		"/chaos/stage":            {"POST"},
+		"/chaos/status":           {"GET"},
+		"/node/gateway/asp":       {"GET", "POST", "DELETE"},
+		"/node/server0/asp/stage": {"POST", "DELETE"},
+		"/node/server1/healthz":   {"GET"},
+	})
+}
+
+// TestDeployOversizedSource: /deploy answers an upload over its 1 MiB
+// bound like every other upload route — 413, nothing rolled out.
+func TestDeployOversizedSource(t *testing.T) {
+	demo, err := NewDemo("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demo.Close()
+	rec := httptest.NewRecorder()
+	demo.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+		"/deploy?nodes=gateway", strings.NewReader(strings.Repeat(" ", 1<<20+1))))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /deploy with 1 MiB + 1 byte: %d, want 413", rec.Code)
+	}
+	if len(demo.Fleet.Deployments()) != 0 {
+		t.Error("a rollout was recorded for an oversized upload")
 	}
 }

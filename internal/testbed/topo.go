@@ -136,6 +136,21 @@ func LoadTopology(path string) (*Topology, error) {
 	return ParseTopology(b)
 }
 
+// validName reports whether s is non-empty and made of ASCII letters,
+// digits and '_'. A name is spliced, unescaped, into the control API's
+// mux patterns ("/node/<name>/" — "{srv" there panics the daemon),
+// link names ("<a>-<b>"), rtnet port labels ("<local>:<peer>"), chaos
+// references ("<link>:rev") and fleet target lists ("a=url,b"); the
+// alphabet keeps every one of those separators out of it.
+func validName(s string) bool {
+	for _, c := range []byte(s) {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_') {
+			return false
+		}
+	}
+	return s != ""
+}
+
 func (t *Topology) validate() error {
 	if len(t.Daemons) == 0 {
 		return fmt.Errorf("testbed: topology %q has no daemons", t.Name)
@@ -148,6 +163,9 @@ func (t *Topology) validate() error {
 		if d.Name == "" || d.Control == "" {
 			return fmt.Errorf("testbed: daemon needs name and control endpoint (got %q, %q)", d.Name, d.Control)
 		}
+		if !validName(d.Name) {
+			return fmt.Errorf("testbed: daemon name %q: want letters, digits and '_' only", d.Name)
+		}
 		if daemons[d.Name] {
 			return fmt.Errorf("testbed: duplicate daemon %q", d.Name)
 		}
@@ -158,6 +176,9 @@ func (t *Topology) validate() error {
 	for _, n := range t.Nodes {
 		if n.Name == "" {
 			return fmt.Errorf("testbed: node needs a name")
+		}
+		if !validName(n.Name) {
+			return fmt.Errorf("testbed: node name %q: want letters, digits and '_' only", n.Name)
 		}
 		if _, dup := nodes[n.Name]; dup {
 			return fmt.Errorf("testbed: duplicate node %q", n.Name)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"planp.dev/planp/internal/substrate"
@@ -14,7 +15,15 @@ import (
 // panic; the same input gives the same error text; and what is accepted
 // is a value the daemons can build from — addresses distinct as
 // ADDRESSES (rtnet.NewNode panics on a duplicate), next hops computable
-// — that survives encode → parse unchanged.
+// — whose node and daemon names stay in the alphabet the control API's
+// mux patterns, link names and target lists splice them into, and that
+// survives encode → parse unchanged.
+// inNameAlphabet is the fuzz target's own statement of the name
+// alphabet, so it does not check validName against itself.
+func inNameAlphabet(s string) bool {
+	return s != "" && strings.Trim(s, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") == ""
+}
+
 func FuzzParseTopology(f *testing.F) {
 	f.Add(demoJSON)
 	f.Add([]byte(validTopo))
@@ -32,8 +41,16 @@ func FuzzParseTopology(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, d := range topo.Daemons {
+			if !inNameAlphabet(d.Name) {
+				t.Fatalf("accepted daemon name %q", d.Name)
+			}
+		}
 		seen := map[substrate.Addr]string{}
 		for _, n := range topo.Nodes {
+			if !inNameAlphabet(n.Name) {
+				t.Fatalf("accepted node name %q", n.Name)
+			}
 			a, err := substrate.ParseAddr(n.Addr)
 			if err != nil {
 				t.Fatalf("accepted node %q with address %q: %v", n.Name, n.Addr, err)

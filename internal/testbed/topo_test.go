@@ -72,6 +72,8 @@ var malformedTopos = []struct {
 	{"unnamed-daemon", mutateTopo(`"name": "d1", "control": "127.0.0.1:18001"`, `"name": "", "control": ""`), "needs name and control"},
 	{"dup-daemon", mutateTopo(`"name": "d2"`, `"name": "d1"`), "duplicate daemon"},
 	{"unnamed-node", mutateTopo(`"name": "gw"`, `"name": ""`), "node needs a name"},
+	{"wildcard-node-name", mutateTopo(`"name": "s0"`, `"name": "{srv"`), `node name "{srv"`},
+	{"separator-in-daemon-name", mutateTopo(`"name": "d2"`, `"name": "d:2"`), `daemon name "d:2"`},
 	{"dup-node", mutateTopo(`"name": "s0"`, `"name": "gw"`), "duplicate node"},
 	{"unknown-daemon", mutateTopo(`"daemon": "d2"`, `"daemon": "dX"`), "unknown daemon"},
 	{"bad-addr", mutateTopo(`"addr": "10.0.0.2"`, `"addr": "banana"`), "s0"},
