@@ -21,11 +21,14 @@
 //	    'http://127.0.0.1:8377/deploy?version=v1&nodes=gateway,server0'
 //	curl 'http://127.0.0.1:8377/deployments'
 //
-// The same rollout is available from the command line, against this or
-// any other planpd daemon:
+// The deploy, adapt and chaos verbs are HTTP clients of a running
+// daemon (-daemon, default http://127.0.0.1:8377): the rollout or canary
+// runs on that daemon's controllers, lands in its GET /deployments and
+// -history file, and the verb prints the outcome and sets the exit code:
 //
-//	planpd deploy -nodes gw=http://127.0.0.1:8377/node/gateway \
-//	    -src asp/audio_router.planp -version v1
+//	planpd deploy -nodes gateway,server0 -src asp/audio_router.planp -version v1
+//	planpd adapt -canary gateway -baseline server0,server1 -src ... -guard ...
+//	planpd chaos start -f timeline.json
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: the HTTP listener
 // drains, in-flight adaptation runs finish, then the node goroutines
@@ -45,6 +48,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -132,7 +136,7 @@ func serve(prog string, planes []plane) int {
 		}
 	}
 	for _, p := range planes {
-		if !p.d.Drain(shutCtx) {
+		if !p.d.Adapt.Drain(shutCtx) {
 			log.Printf("%s: daemon %s: adaptation runs cut short", prog, p.d.Spec.Name)
 		}
 		p.d.Close()
@@ -140,10 +144,14 @@ func serve(prog string, planes []plane) int {
 	return ret
 }
 
+// runDeploy asks -daemon's fleet controller for one two-phase rollout
+// (POST /deploy), so the record lands in that daemon's GET /deployments
+// and its -history file. Exit status: 0 every node active, 1 failed or
+// rolled back, 2 usage.
 func runDeploy(args []string) int {
 	fs := flag.NewFlagSet("planpd deploy", flag.ExitOnError)
-	nodesFlag := fs.String("nodes", "", "comma-separated targets: name=url, or bare node names resolved against -daemon")
-	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon base URL for bare node names")
+	nodesFlag := fs.String("nodes", "", "comma-separated targets: name=url, or bare node names the daemon resolves through its topology")
+	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon that runs the rollout")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
 	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
@@ -162,48 +170,69 @@ func runDeploy(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	targets, err := fleet.ParseTargets(*nodesFlag, nodeMount(*daemon))
+	// An empty version, engine or verify reads as unset on the daemon.
+	q := url.Values{"nodes": {*nodesFlag}, "src_name": {*srcPath},
+		"version": {*version}, "engine": {*engine}, "verify": {*verify}}
+	if *allowIncompat {
+		q.Set("allow_incompatible", "true")
+	}
+
+	var resp testbed.DeployResponse
+	status, err := call(*timeout, http.MethodPost, strings.TrimRight(*daemon, "/")+"/deploy?"+q.Encode(), src, &resp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "planpd deploy:", err)
 		return 1
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	ctl := fleet.New(fleet.Config{Logf: log.Printf})
-	d, deployErr := ctl.Deploy(ctx, fleet.Spec{
-		Version: *version, Source: string(src), Engine: *engine, Verify: *verify,
-		SourceName: *srcPath, AllowIncompatible: *allowIncompat,
-	}, targets)
-
-	if d != nil {
-		out, _ := json.MarshalIndent(d.View(), "", "  ")
-		fmt.Println(string(out))
+	if resp.Deployment != nil {
+		printJSON(resp.Deployment)
 	}
-	if deployErr != nil {
-		fmt.Fprintln(os.Stderr, deployErr)
+	if status != http.StatusOK {
+		fmt.Fprintln(os.Stderr, resp.Error)
 		// Rejections that carry source spans (the compatibility gate, a
 		// node's stage 422) are re-rendered with the offending source
 		// lines excerpted and underlined.
-		if ds := diag.Of(deployErr); len(ds) > 0 {
-			fmt.Fprint(os.Stderr, diag.Render(string(src), *srcPath, ds))
-		}
+		fmt.Fprint(os.Stderr, diag.Render(string(src), *srcPath, resp.Diagnostics))
 		return 1
 	}
 	return 0
 }
 
-// guardList collects repeatable -guard flags.
-type guardList []string
+// call performs one control-plane request under timeout and decodes the
+// JSON answer — of any status — into out. An answer that is not JSON (a
+// plain-text 400, a proxy's page) is the error.
+func call(timeout time.Duration, method, target string, body []byte, out any) (status int, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return 0, err
+	}
+	if json.Unmarshal(raw, out) != nil {
+		return 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+	}
+	return resp.StatusCode, nil
+}
 
-func (g *guardList) String() string     { return strings.Join(*g, ",") }
-func (g *guardList) Set(s string) error { *g = append(*g, s); return nil }
+func printJSON(v any) {
+	out, _ := json.MarshalIndent(v, "", "  ") // our own wire structs: cannot fail
+	fmt.Println(string(out))
+}
 
-// runAdapt drives one self-promoting canary from the command line: the
-// candidate is staged on the -canary cohort, guard metrics are watched
-// for -windows windows against the -baseline cohort, then the rollout
-// promotes fleet-wide or rolls back on its own. Exit status: 0
-// promoted, 1 rolled back or failed, 2 usage.
+// runAdapt drives one self-promoting canary on -daemon's adaptation
+// controller: POST /adapt starts the run — the candidate is staged on
+// the -canary cohort, guard metrics are watched for -windows windows
+// against the -baseline cohort, then the rollout promotes fleet-wide or
+// rolls back on its own — and GET /adapt is polled until it is done.
+// Exit status: 0 promoted, 1 rolled back or failed, 2 usage.
 //
 //	planpd adapt -canary gateway -baseline server0,server1 \
 //	    -src asp/http_gateway_leastconn.planp -verify single \
@@ -211,9 +240,9 @@ func (g *guardList) Set(s string) error { *g = append(*g, s); return nil }
 //	    -windows 3 -interval 2s
 func runAdapt(args []string) int {
 	fs := flag.NewFlagSet("planpd adapt", flag.ExitOnError)
-	canaryFlag := fs.String("canary", "", "comma-separated canary cohort: name=url, or bare node names resolved against -daemon")
+	canaryFlag := fs.String("canary", "", "comma-separated canary cohort: name=url, or bare node names mounted on -daemon")
 	baselineFlag := fs.String("baseline", "", "comma-separated baseline cohort (receives the promote rollout)")
-	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon base URL for bare node names")
+	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon that runs the canary")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
 	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
@@ -221,8 +250,9 @@ func runAdapt(args []string) int {
 	windows := fs.Int("windows", 3, "observation windows before promotion")
 	interval := fs.Duration("interval", 2*time.Second, "observation window length")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall run deadline")
-	var guards guardList
-	fs.Var(&guards, "guard", "guard metric, metric<=N | metric<=Rx+S (repeatable; {node} expands per node)")
+	var guards []string
+	fs.Func("guard", "guard metric, metric<=N | metric<=Rx+S (repeatable; {node} expands per node)",
+		func(g string) error { guards = append(guards, g); return nil })
 	fs.Parse(args)
 
 	if *srcPath == "" || *canaryFlag == "" {
@@ -234,52 +264,56 @@ func runAdapt(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	canary, err := fleet.ParseTargets(*canaryFlag, nodeMount(*daemon))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	req := adapt.CanaryRequest{
+		Version: *version, Source: string(src), SourceName: *srcPath,
+		Engine: *engine, Verify: *verify, Guards: guards,
+		Windows: *windows, IntervalMS: int(interval.Milliseconds()), TimeoutMS: int(timeout.Milliseconds()),
 	}
-	var baseline []fleet.Target
-	if *baselineFlag != "" {
-		if baseline, err = fleet.ParseTargets(*baselineFlag, nodeMount(*daemon)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+	req.Canary, err = fleet.ParseTargets(*canaryFlag, nodeMount(*daemon))
+	if err == nil && *baselineFlag != "" {
+		req.Baseline, err = fleet.ParseTargets(*baselineFlag, nodeMount(*daemon))
 	}
-	parsed, err := adapt.ParseGuards(guards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	ctl := adapt.New(adapt.Config{
-		Fleet: fleet.New(fleet.Config{Logf: log.Printf}),
-		Logf:  log.Printf,
-	})
-	out, runErr := ctl.Canary(ctx, adapt.CanaryPlan{
-		Spec: fleet.Spec{
-			Version: *version, Source: string(src),
-			Engine: *engine, Verify: *verify, SourceName: *srcPath,
-		},
-		Canary: canary, Baseline: baseline,
-		Guards: parsed, Windows: *windows, Interval: *interval,
-	})
-	if out != nil {
-		enc, _ := json.MarshalIndent(map[string]any{
-			"verdict": out.Verdict, "reason": out.Reason,
-		}, "", "  ")
-		fmt.Println(string(enc))
+	// The daemon bounds the run by -timeout and rolls back on expiry;
+	// each request here only has to be answered, and the verdict has to
+	// be there by -timeout plus that slack.
+	const answer = 10 * time.Second
+	deadline := time.Now().Add(*timeout + answer)
+	body, _ := json.Marshal(req) // strings, ints and Targets: cannot fail
+	var started adapt.Started
+	target := strings.TrimRight(*daemon, "/") + "/adapt"
+	status, err := call(answer, http.MethodPost, target, body, &started)
+	if err == nil && status != http.StatusAccepted {
+		err = fmt.Errorf("POST /adapt: HTTP %d", status)
 	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
-		return 1
+	for err == nil {
+		var list adapt.RunList
+		if _, err = call(answer, http.MethodGet, target, nil, &list); err != nil {
+			break
+		}
+		i := slices.IndexFunc(list.Runs, func(r adapt.RunView) bool { return r.ID == started.ID })
+		switch {
+		case i < 0:
+			// Runs live in the daemon's memory: it restarted under us.
+			err = fmt.Errorf("run %d is gone from %s", started.ID, target)
+		case list.Runs[i].Phase == "done":
+			printJSON(map[string]string{"verdict": list.Runs[i].Verdict, "reason": list.Runs[i].Reason})
+			if list.Runs[i].Verdict != adapt.VerdictPromoted {
+				return 1
+			}
+			return 0
+		case time.Now().After(deadline):
+			err = fmt.Errorf("run %d is still in phase %q past -timeout", started.ID, list.Runs[i].Phase)
+		default:
+			time.Sleep(250 * time.Millisecond)
+		}
 	}
-	if out.Verdict != adapt.VerdictPromoted {
-		return 1
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "planpd adapt:", err)
+	return 1
 }
 
 // runUp boots a distributed testbed from a topology file. By default
@@ -362,40 +396,22 @@ func runChaos(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	var body io.Reader
+	var body []byte
 	if *file != "" && (verb == "stage" || verb == "start") {
-		b, err := os.ReadFile(*file)
-		if err != nil {
+		if body, err = os.ReadFile(*file); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		body = bytes.NewReader(b)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, target, body)
+	var answer json.RawMessage
+	status, err := call(*timeout, method, target, body, &answer)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "planpd chaos %s: %v\n", verb, err)
 		return 1
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	// Responses are already JSON; re-indent for the terminal.
-	var pretty json.RawMessage
-	if json.Unmarshal(out, &pretty) == nil {
-		if enc, err := json.MarshalIndent(pretty, "", "  "); err == nil {
-			out = append(enc, '\n')
-		}
-	}
-	os.Stdout.Write(out)
-	if resp.StatusCode >= 300 {
-		fmt.Fprintf(os.Stderr, "planpd chaos %s: HTTP %d\n", verb, resp.StatusCode)
+	printJSON(answer)
+	if status >= 300 {
+		fmt.Fprintf(os.Stderr, "planpd chaos %s: HTTP %d\n", verb, status)
 		return 1
 	}
 	return 0

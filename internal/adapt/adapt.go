@@ -28,7 +28,6 @@ package adapt
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
 
@@ -36,31 +35,13 @@ import (
 	"planp.dev/planp/internal/obs"
 )
 
-// Config configures a Controller. Fleet is required; everything else
-// defaults sanely.
-type Config struct {
-	// Fleet executes every deploy/promote/rollback this controller
-	// decides on (and records them in its history).
-	Fleet *fleet.Controller
-	// Client polls GET /stats; wrap its Transport in a fleet.Injector
-	// for fault testing. Defaults to http.DefaultClient.
-	Client *http.Client
-	// Bus, when set, receives KindCanary/KindAdapt events.
-	Bus *obs.Bus
-	// Metrics, when set, receives the "adapt.*" counters.
-	Metrics *obs.Registry
-	// Logf, when set, receives one line per decision.
-	Logf func(format string, args ...any)
-}
-
-// Controller runs canary and policy loops against one fleet.
+// Controller runs canary and policy loops against one fleet. It acts
+// only through that fleet.Controller and reports through it too: the
+// polls go out on the fleet's HTTP client, decisions are logged to its
+// log, the "adapt.*" counters live in its registry, and events reach
+// the bus through its one serialized Publish.
 type Controller struct {
-	fleet  *fleet.Controller
-	client *http.Client
-	bus    *obs.Bus
-	busMu  sync.Mutex
-	logf   func(string, ...any)
-	start  time.Time
+	fleet *fleet.Controller
 
 	// Injected clocks: tests replace these to run the loops without
 	// real time passing.
@@ -75,92 +56,45 @@ type Controller struct {
 	runs   []*Run
 	nextID int
 
-	// Background-run bookkeeping for graceful shutdown: every detached
-	// HTTP-started run registers here so Drain can wait for (or cancel)
-	// it. Guarded by bgMu, not mu — Drain must not contend with the
-	// run-record lock.
-	bgMu      sync.Mutex
-	bgWG      sync.WaitGroup
-	bgCancels map[int]context.CancelFunc
-	bgNext    int
+	// Runs started over HTTP outlive their request: they live under bg,
+	// which Drain cancels once shutdown will wait no longer, and are
+	// counted in bgWG so Drain can wait for them to exit.
+	bg       context.Context
+	bgCancel context.CancelFunc
+	bgWG     sync.WaitGroup
 }
 
-// New returns a Controller driving cfg.Fleet.
-func New(cfg Config) *Controller {
-	c := &Controller{
-		fleet:   cfg.Fleet,
-		client:  cfg.Client,
-		bus:     cfg.Bus,
-		logf:    cfg.Logf,
-		start:   time.Now(),
-		now:     time.Now,
-		sleepFn: sleepCtx,
-		nextID:  1,
-	}
-	if c.fleet == nil {
-		panic("adapt: Config.Fleet is required")
-	}
-	if c.client == nil {
-		c.client = http.DefaultClient
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	c.ctCanaries = reg.Counter("adapt.canaries")
-	c.ctPromoted = reg.Counter("adapt.promoted")
-	c.ctRolledBack = reg.Counter("adapt.rolled_back")
-	c.ctFailed = reg.Counter("adapt.failed")
-	c.ctWindowsOK = reg.Counter("adapt.windows_ok")
-	c.ctWindowsViolation = reg.Counter("adapt.windows_violation")
-	c.ctSwitches = reg.Counter("adapt.switches")
-	c.ctHolds = reg.Counter("adapt.holds")
-	return c
-}
+// New returns a Controller driving fl, which executes every
+// deploy/promote/rollback the controller decides on and records them
+// in its history.
+func New(fl *fleet.Controller) *Controller {
+	reg := fl.Metrics()
+	bg, bgCancel := context.WithCancel(context.Background())
+	return &Controller{
+		fleet:    fl,
+		now:      time.Now,
+		sleepFn:  fleet.Sleep,
+		nextID:   1,
+		bg:       bg,
+		bgCancel: bgCancel,
 
-// sleepCtx is the default sleep: context-aware real time.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-// sleep routes through the controller's hook (tests replace it).
-func (c *Controller) sleep(ctx context.Context, d time.Duration) { c.sleepFn(ctx, d) }
-
-// trackBackground registers a detached run's cancel for Drain and
-// returns its deregistration. The HTTP handler wraps each background
-// canary in this so shutdown can account for it.
-func (c *Controller) trackBackground(cancel context.CancelFunc) (done func()) {
-	c.bgMu.Lock()
-	if c.bgCancels == nil {
-		c.bgCancels = map[int]context.CancelFunc{}
-	}
-	c.bgNext++
-	id := c.bgNext
-	c.bgCancels[id] = cancel
-	c.bgWG.Add(1)
-	c.bgMu.Unlock()
-	return func() {
-		c.bgMu.Lock()
-		delete(c.bgCancels, id)
-		c.bgMu.Unlock()
-		c.bgWG.Done()
+		ctCanaries:         reg.Counter("adapt.canaries"),
+		ctPromoted:         reg.Counter("adapt.promoted"),
+		ctRolledBack:       reg.Counter("adapt.rolled_back"),
+		ctFailed:           reg.Counter("adapt.failed"),
+		ctWindowsOK:        reg.Counter("adapt.windows_ok"),
+		ctWindowsViolation: reg.Counter("adapt.windows_violation"),
+		ctSwitches:         reg.Counter("adapt.switches"),
+		ctHolds:            reg.Counter("adapt.holds"),
 	}
 }
 
 // Drain waits for every background canary run to finish. When ctx
-// expires first, the remaining runs are canceled (their own rollback
-// paths run under their detached contexts) and Drain waits for them to
-// exit. It reports whether every run completed without being cut short
-// — the graceful-shutdown path: stop accepting requests, Drain, then
-// close the substrate.
+// expires first, the remaining runs are canceled (their rollbacks run
+// under contexts detached from the cancellation) and Drain waits for
+// them to exit. It reports whether every run completed without being
+// cut short — the graceful-shutdown path: stop accepting requests,
+// Drain, then close the substrate.
 func (c *Controller) Drain(ctx context.Context) bool {
 	done := make(chan struct{})
 	go func() {
@@ -172,24 +106,9 @@ func (c *Controller) Drain(ctx context.Context) bool {
 		return true
 	case <-ctx.Done():
 	}
-	c.bgMu.Lock()
-	for _, cancel := range c.bgCancels {
-		cancel()
-	}
-	c.bgMu.Unlock()
+	c.bgCancel()
 	<-done
 	return false
-}
-
-// publish serializes adaptation events onto the bus (obs.Bus is not
-// internally synchronized).
-func (c *Controller) publish(kind obs.Kind, node, detail string) {
-	if !c.bus.Active() {
-		return
-	}
-	c.busMu.Lock()
-	c.bus.Publish(obs.Event{Kind: kind, At: time.Since(c.start), Node: node, Detail: detail})
-	c.busMu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -229,54 +148,38 @@ func (r *Run) View() RunView {
 	return v
 }
 
-func (r *Run) setPhase(p string) {
+// update is the one writer of a run record: f edits it under the lock.
+func (r *Run) update(f func(v *RunView)) {
 	r.mu.Lock()
-	r.view.Phase = p
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	f(&r.view)
 }
 
-func (r *Run) setWindowsDone(n int) {
-	r.mu.Lock()
-	r.view.WindowsDone = n
-	r.mu.Unlock()
+// finish closes the record with the run's outcome.
+func (r *Run) finish(out *Outcome) {
+	r.update(func(v *RunView) {
+		v.Phase, v.Verdict, v.Reason = "done", out.Verdict, out.Reason
+		for _, viol := range out.Violations {
+			v.Violations = append(v.Violations, viol.String())
+		}
+		if out.Final != nil {
+			v.FinalDeployment = out.Final.View().ID
+		}
+	})
 }
 
-func (r *Run) setCanary(d *fleet.Deployment) {
-	if d == nil {
-		return
+// newRun registers a run record for plan, first resolving the plan's
+// defaults — the one place they are — so the record, the HTTP
+// handler's deadline and the loop all see the same numbers.
+func (c *Controller) newRun(plan *CanaryPlan) *Run {
+	if plan.Windows <= 0 {
+		plan.Windows = 3
 	}
-	r.mu.Lock()
-	r.view.CanaryDeployment = d.ID
-	// The fleet may have auto-assigned the version label.
-	r.view.Version = d.Version
-	r.mu.Unlock()
-}
-
-func (r *Run) setFinal(d *fleet.Deployment) {
-	if d == nil {
-		return
+	if plan.Interval <= 0 {
+		plan.Interval = 2 * time.Second
 	}
-	r.mu.Lock()
-	r.view.FinalDeployment = d.ID
-	r.mu.Unlock()
-}
-
-func (r *Run) setOutcome(out *Outcome) {
-	r.mu.Lock()
-	r.view.Verdict = out.Verdict
-	r.view.Reason = out.Reason
-	for _, v := range out.Violations {
-		r.view.Violations = append(r.view.Violations, v.String())
-	}
-	if out.Final != nil {
-		r.view.FinalDeployment = out.Final.ID
-	}
-	r.mu.Unlock()
-}
-
-func (c *Controller) newRun(version string, plan CanaryPlan) *Run {
 	r := &Run{view: RunView{
-		Version:      version,
+		Version:      plan.Spec.Version,
 		Canary:       targetNames(plan.Canary),
 		Phase:        "deploying",
 		WindowsTotal: plan.Windows,
@@ -288,8 +191,6 @@ func (c *Controller) newRun(version string, plan CanaryPlan) *Run {
 	c.mu.Unlock()
 	return r
 }
-
-func (c *Controller) finishRun(r *Run) { r.setPhase("done") }
 
 // Runs returns snapshots of every canary run, oldest first.
 func (c *Controller) Runs() []RunView {

@@ -68,22 +68,15 @@ type Outcome struct {
 // returned error is non-nil only for VerdictFailed — a rollback verdict
 // is the controller doing its job, not an error.
 func (c *Controller) Canary(ctx context.Context, plan CanaryPlan) (*Outcome, error) {
-	if plan.Windows <= 0 {
-		plan.Windows = 3
-	}
-	if plan.Interval <= 0 {
-		plan.Interval = 2 * time.Second
-	}
-	return c.canaryRun(ctx, plan, c.newRun(plan.Spec.Version, plan))
+	return c.canaryRun(ctx, plan, c.newRun(&plan))
 }
 
-// canaryRun drives one run against an already-registered run record
-// (plan defaults are resolved by the callers so the record is honest).
+// canaryRun drives one run against its record (newRun has resolved the
+// plan's defaults).
 func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (*Outcome, error) {
-	defer c.finishRun(run)
 	if len(plan.Canary) == 0 {
 		out := &Outcome{Verdict: VerdictFailed, Reason: "canary needs at least one canary target"}
-		run.setOutcome(out)
+		run.finish(out)
 		return nil, fmt.Errorf("adapt: %s", out.Reason)
 	}
 	spec := plan.Spec
@@ -95,41 +88,40 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 
 	// Stage + activate on the canary cohort. A failure here is already
 	// converged by fleet's own in-flight rollback.
-	run.setPhase("deploying")
 	c.ctCanaries.Inc()
 	canaryDep, err := c.fleet.Deploy(ctx, spec, plan.Canary)
-	run.setCanary(canaryDep)
+	if canaryDep != nil {
+		dv := canaryDep.View()    // the fleet may have auto-assigned the version label,
+		spec.Version = dv.Version // which the promote rollout must then carry too
+		run.update(func(v *RunView) { v.CanaryDeployment, v.Version = dv.ID, dv.Version })
+	}
 	if err != nil {
 		c.ctFailed.Inc()
 		out := &Outcome{Verdict: VerdictFailed, Reason: fmt.Sprintf("canary deploy failed: %v", err), Canary: canaryDep}
-		run.setOutcome(out)
+		run.finish(out)
 		return out, fmt.Errorf("adapt: %s", out.Reason)
 	}
-	for _, t := range plan.Canary {
-		c.publish(obs.KindCanary, t.Name, "active")
-	}
-	c.logf("adapt: canary %s active on %s; observing %d window(s) of %s",
+	c.announce(plan.Canary, "active")
+	c.fleet.Logf("adapt: canary %s active on %s; observing %d window(s) of %s",
 		spec.Version, targetNames(plan.Canary), plan.Windows, plan.Interval)
 
 	// Observe: consecutive windows of (canary, baseline) snapshots,
 	// judged by the pure guard evaluator. An unobservable canary node is
 	// itself a violation — a canary that cannot be watched cannot be
 	// promoted.
-	run.setPhase("observing")
+	run.update(func(v *RunView) { v.Phase = "observing" })
 	prevCanary, prevBase, err := c.snapshotCohorts(ctx, plan)
 	if err != nil {
 		return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canary unobservable: %v", err))
 	}
 	for w := 1; w <= plan.Windows; w++ {
-		c.sleep(ctx, plan.Interval)
+		c.sleepFn(ctx, plan.Interval)
 		if err := ctx.Err(); err != nil {
 			return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canceled during window %d: %v", w, err))
 		}
 		curCanary, curBase, err := c.snapshotCohorts(ctx, plan)
 		if err != nil {
-			for _, t := range plan.Canary {
-				c.publish(obs.KindCanary, t.Name, "unobservable")
-			}
+			c.announce(plan.Canary, "unobservable")
 			return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canary unobservable in window %d: %v", w, err))
 		}
 		canaryWin := pairWindows(prevCanary, curCanary)
@@ -139,9 +131,7 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 		viols := EvalGuards(plan.Guards, canaryWin, baseWin)
 		if len(viols) > 0 {
 			c.ctWindowsViolation.Inc()
-			for _, t := range plan.Canary {
-				c.publish(obs.KindCanary, t.Name, fmt.Sprintf("window:%d:violation", w))
-			}
+			c.announce(plan.Canary, fmt.Sprintf("window:%d:violation", w))
 			reasons := make([]string, len(viols))
 			for i, v := range viols {
 				reasons[i] = v.String()
@@ -150,11 +140,9 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 				fmt.Sprintf("guard violated in window %d/%d: %s", w, plan.Windows, strings.Join(reasons, "; ")))
 		}
 		c.ctWindowsOK.Inc()
-		run.setWindowsDone(w)
-		for _, t := range plan.Canary {
-			c.publish(obs.KindCanary, t.Name, fmt.Sprintf("window:%d:ok", w))
-		}
-		c.logf("adapt: canary %s window %d/%d ok", spec.Version, w, plan.Windows)
+		run.update(func(v *RunView) { v.WindowsDone = w })
+		c.announce(plan.Canary, fmt.Sprintf("window:%d:ok", w))
+		c.fleet.Logf("adapt: canary %s window %d/%d ok", spec.Version, w, plan.Windows)
 	}
 
 	// Promote: extend the candidate to the baseline cohort. The canary
@@ -164,31 +152,29 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 	reason := fmt.Sprintf("canary %s healthy for %d window(s) on %s", spec.Version, plan.Windows, targetNames(plan.Canary))
 	var finalDep *fleet.Deployment
 	if len(plan.Baseline) > 0 {
-		run.setPhase("promoting")
+		run.update(func(v *RunView) { v.Phase = "promoting" })
 		promote := spec
 		promote.Kind = "promote"
 		promote.Reason = reason
 		finalDep, err = c.fleet.Deploy(ctx, promote, plan.Baseline)
-		run.setFinal(finalDep)
 		if err != nil {
 			return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("promotion failed, revoking canary: %v", err))
 		}
 	}
 	c.ctPromoted.Inc()
-	for _, t := range plan.Canary {
-		c.publish(obs.KindCanary, t.Name, "promoted")
-	}
-	c.logf("adapt: canary %s promoted (%s)", spec.Version, reason)
+	c.announce(plan.Canary, "promoted")
+	c.fleet.Logf("adapt: canary %s promoted (%s)", spec.Version, reason)
 	out := &Outcome{Verdict: VerdictPromoted, Reason: reason, Canary: canaryDep, Final: finalDep}
-	run.setOutcome(out)
+	run.finish(out)
 	return out, nil
 }
 
 // revoke rolls the canary cohort back and closes the run with a
 // rolled-back (or, if even the rollback failed, failed) outcome.
 func (c *Controller) revoke(ctx context.Context, run *Run, canaryDep *fleet.Deployment, viols []Violation, reason string) (*Outcome, error) {
-	run.setPhase("rolling-back")
-	c.logf("adapt: canary %s: %s", canaryDep.Version, reason)
+	run.update(func(v *RunView) { v.Phase = "rolling-back" })
+	dep := canaryDep.View()
+	c.fleet.Logf("adapt: canary %s: %s", dep.Version, reason)
 	// The deadline that canceled the observation must not also doom the
 	// rollback; revocation gets its own context.
 	rbCtx := ctx
@@ -201,15 +187,15 @@ func (c *Controller) revoke(ctx context.Context, run *Run, canaryDep *fleet.Depl
 		c.ctFailed.Inc()
 		out.Verdict = VerdictFailed
 		out.Reason = fmt.Sprintf("%s; rollback did not converge: %v", reason, err)
-		run.setOutcome(out)
+		run.finish(out)
 		return out, fmt.Errorf("adapt: %s", out.Reason)
 	}
 	c.ctRolledBack.Inc()
-	for _, t := range cohortOf(canaryDep) {
-		c.publish(obs.KindCanary, t, "rolled-back")
+	for _, n := range dep.Nodes {
+		c.fleet.Publish(obs.KindCanary, n.Name, "rolled-back")
 	}
 	out.Verdict = VerdictRolledBack
-	run.setOutcome(out)
+	run.finish(out)
 	return out, nil
 }
 
@@ -217,24 +203,26 @@ func (c *Controller) revoke(ctx context.Context, run *Run, canaryDep *fleet.Depl
 // to the run (reported as the returned error); a baseline node that
 // cannot be polled merely drops out of the comparison mean.
 func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (canary, baseline map[string]Snapshot, err error) {
-	canary = make(map[string]Snapshot, len(plan.Canary))
-	for _, t := range plan.Canary {
-		s, err := FetchStats(ctx, c.client, t.URL)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", t.Name, err)
-		}
-		canary[t.Name] = s
+	if canary, err = c.snapshotAll(ctx, plan.Canary); err != nil {
+		return nil, nil, err
 	}
 	baseline = make(map[string]Snapshot, len(plan.Baseline))
 	for _, t := range plan.Baseline {
-		s, err := FetchStats(ctx, c.client, t.URL)
+		s, err := FetchStats(ctx, c.fleet.Client(), t.URL)
 		if err != nil {
-			c.logf("adapt: baseline %s unobservable, dropped from comparison: %v", t.Name, err)
+			c.fleet.Logf("adapt: baseline %s unobservable, dropped from comparison: %v", t.Name, err)
 			continue
 		}
 		baseline[t.Name] = s
 	}
 	return canary, baseline, nil
+}
+
+// announce publishes one canary event per node of the cohort.
+func (c *Controller) announce(cohort []fleet.Target, detail string) {
+	for _, t := range cohort {
+		c.fleet.Publish(obs.KindCanary, t.Name, detail)
+	}
 }
 
 func targetNames(ts []fleet.Target) string {
@@ -243,14 +231,4 @@ func targetNames(ts []fleet.Target) string {
 		names[i] = t.Name
 	}
 	return strings.Join(names, ",")
-}
-
-// cohortOf lists a deployment's node names from its public view.
-func cohortOf(d *fleet.Deployment) []string {
-	v := d.View()
-	names := make([]string, len(v.Nodes))
-	for i, n := range v.Nodes {
-		names[i] = n.Name
-	}
-	return names
 }

@@ -142,13 +142,14 @@ func newRig(t *testing.T, n int) *rig {
 		r.events.got[e.Kind.String()+":"+e.Detail]++
 		r.events.mu.Unlock()
 	}))
-	client := &http.Client{Transport: r.inj}
 	r.fleet = fleet.New(fleet.Config{
-		Client:  client,
+		Client:  &http.Client{Transport: r.inj},
+		Bus:     bus,
 		Metrics: r.reg,
+		Logf:    t.Logf,
 		Retry:   fleet.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
-	r.ctl = New(Config{Fleet: r.fleet, Client: client, Bus: bus, Metrics: r.reg, Logf: t.Logf})
+	r.ctl = New(r.fleet)
 	r.ctl.now = r.clock.Now
 	r.ctl.sleepFn = r.clock.Sleep
 	return r
@@ -269,6 +270,34 @@ func TestCanarySelfPromotes(t *testing.T) {
 	// No real time passed: observation advanced the injected clock only.
 	if got := r.clock.Now().Sub(time.Unix(1_000_000, 0)); got != 10*time.Second {
 		t.Errorf("injected clock advanced %v, want 10s (2 windows x 5s)", got)
+	}
+}
+
+// TestCanaryUnlabelledPromotesOneVersion: a canary started without a
+// version label gets one from the fleet, and the promote rollout
+// carries that same label — the fleet converges on one version, not on
+// a canary "v2" beside a baseline "v3".
+func TestCanaryUnlabelledPromotesOneVersion(t *testing.T) {
+	r := newRig(t, 3)
+	r.deployV1(t)
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		r.flatline(name, 2)
+	}
+	out, err := r.ctl.Canary(context.Background(), CanaryPlan{
+		Spec: fleet.Spec{Source: fwdV2}, Canary: r.targets[:1], Baseline: r.targets[1:],
+		Guards: []Guard{{Metric: "drops", Max: 5}}, Windows: 1, Interval: time.Second,
+	})
+	if err != nil {
+		t.Fatalf("canary: %v", err)
+	}
+	label := out.Canary.View().Version
+	if label == "" || !strings.Contains(out.Reason, "canary "+label+" healthy") {
+		t.Errorf("reason %q does not name the assigned label %q", out.Reason, label)
+	}
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		if got := r.active(t, name); got != label {
+			t.Errorf("node %s runs %q after promotion, want %q", name, got, label)
+		}
 	}
 }
 

@@ -7,7 +7,9 @@
 package adapt
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +57,7 @@ func ParseGuard(s string) (Guard, error) {
 	g := Guard{Metric: metric}
 	ratio, rest, relative := strings.Cut(bound, "x")
 	if !relative {
-		max, err := strconv.ParseFloat(bound, 64)
+		max, err := finite(bound)
 		if err != nil {
 			return Guard{}, fmt.Errorf("adapt: guard %q: bad bound: %w", s, err)
 		}
@@ -63,7 +65,7 @@ func ParseGuard(s string) (Guard, error) {
 		return g, nil
 	}
 	g.Relative = true
-	r, err := strconv.ParseFloat(ratio, 64)
+	r, err := finite(ratio)
 	if err != nil {
 		return Guard{}, fmt.Errorf("adapt: guard %q: bad ratio: %w", s, err)
 	}
@@ -73,13 +75,23 @@ func ParseGuard(s string) (Guard, error) {
 		if !ok {
 			return Guard{}, fmt.Errorf("adapt: guard %q: want Rx+S after ratio", s)
 		}
-		sl, err := strconv.ParseFloat(slack, 64)
+		sl, err := finite(slack)
 		if err != nil {
 			return Guard{}, fmt.Errorf("adapt: guard %q: bad slack: %w", s, err)
 		}
 		g.Slack = sl
 	}
 	return g, nil
+}
+
+// finite parses one number of a bound. NaN and ±Inf parse as floats but
+// make a guard that never (or always) trips, so they are refused.
+func finite(text string) (float64, error) {
+	v, err := strconv.ParseFloat(text, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return v, err
 }
 
 // ParseGuards decodes a list of guard strings.

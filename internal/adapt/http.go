@@ -9,11 +9,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"planp.dev/planp/internal/fleet"
+	"planp.dev/planp/internal/planpd"
 )
 
 // maxAdaptBody bounds a canary request (the embedded protocol source
@@ -25,9 +25,11 @@ const maxAdaptBody = 2 << 20
 type CanaryRequest struct {
 	Version string `json:"version"`
 	Source  string `json:"source"`
-	Engine  string `json:"engine,omitempty"`
-	Verify  string `json:"verify,omitempty"`
-	Reason  string `json:"reason,omitempty"`
+	// SourceName labels Source in diagnostics (POST /deploy's src_name).
+	SourceName string `json:"src_name,omitempty"`
+	Engine     string `json:"engine,omitempty"`
+	Verify     string `json:"verify,omitempty"`
+	Reason     string `json:"reason,omitempty"`
 
 	Canary   []fleet.Target `json:"canary"`
 	Baseline []fleet.Target `json:"baseline,omitempty"`
@@ -55,7 +57,7 @@ func (req *CanaryRequest) Plan() (CanaryPlan, error) {
 	}
 	return CanaryPlan{
 		Spec: fleet.Spec{
-			Version: req.Version, Source: req.Source,
+			Version: req.Version, Source: req.Source, SourceName: req.SourceName,
 			Engine: req.Engine, Verify: req.Verify, Reason: req.Reason,
 		},
 		Canary:   req.Canary,
@@ -66,13 +68,16 @@ func (req *CanaryRequest) Plan() (CanaryPlan, error) {
 	}, nil
 }
 
-// timeout returns the run's overall deadline.
-func (req *CanaryRequest) timeout(plan CanaryPlan) time.Duration {
-	if req.TimeoutMS > 0 {
-		return time.Duration(req.TimeoutMS) * time.Millisecond
+// Started answers POST /adapt; RunList answers GET /adapt.
+type (
+	Started struct {
+		ID      int  `json:"id"`
+		Started bool `json:"started"`
 	}
-	return time.Duration(plan.Windows)*plan.Interval + time.Minute
-}
+	RunList struct {
+		Runs []RunView `json:"runs"`
+	}
+)
 
 // Handler returns the adaptation API:
 //
@@ -85,19 +90,14 @@ func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /adapt", c.startRun)
 	mux.HandleFunc("GET /adapt", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"runs": c.Runs()})
+		planpd.WriteJSON(w, http.StatusOK, RunList{Runs: c.Runs()})
 	})
 	return mux
 }
 
 func (c *Controller) startRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxAdaptBody+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxAdaptBody {
-		http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
+	body, ok := planpd.ReadBody(w, r, maxAdaptBody)
+	if !ok {
 		return
 	}
 	var req CanaryRequest
@@ -110,53 +110,25 @@ func (c *Controller) startRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	// Canary validates and defaults the plan too, but the HTTP caller
-	// has already been answered by then; re-run the cheap defaulting
-	// here so the timeout and the accepted response are honest.
-	if plan.Windows <= 0 {
-		plan.Windows = 3
-	}
-	if plan.Interval <= 0 {
-		plan.Interval = 2 * time.Second
+	run := c.newRun(&plan)
+	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeout <= 0 {
+		timeout = time.Duration(plan.Windows)*plan.Interval + time.Minute
 	}
 
-	// The run outlives the request: it is detached from the request
-	// context and bounded by its own deadline instead.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), req.timeout(plan))
-	idc := make(chan int, 1)
-	untrack := c.trackBackground(cancel)
+	// The run outlives the request: it is bounded by its own deadline
+	// and by the controller's shutdown instead.
+	ctx, cancel := context.WithTimeout(c.bg, timeout)
+	c.bgWG.Add(1)
 	go func() {
-		defer untrack()
+		defer c.bgWG.Done()
 		defer cancel()
-		out, err := c.CanaryWithID(ctx, plan, idc)
+		out, err := c.canaryRun(ctx, plan, run)
 		if err != nil {
-			c.logf("adapt: run failed: %v", err)
+			c.fleet.Logf("adapt: run failed: %v", err)
 			return
 		}
-		c.logf("adapt: run finished: %s (%s)", out.Verdict, out.Reason)
+		c.fleet.Logf("adapt: run finished: %s (%s)", out.Verdict, out.Reason)
 	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": <-idc, "started": true})
-}
-
-// CanaryWithID is Canary, reporting the run's ID on idc as soon as the
-// run record exists (the HTTP handler answers with it while the run
-// continues in the background).
-func (c *Controller) CanaryWithID(ctx context.Context, plan CanaryPlan, idc chan<- int) (*Outcome, error) {
-	if plan.Windows <= 0 {
-		plan.Windows = 3
-	}
-	if plan.Interval <= 0 {
-		plan.Interval = 2 * time.Second
-	}
-	run := c.newRun(plan.Spec.Version, plan)
-	if idc != nil {
-		idc <- run.View().ID
-	}
-	return c.canaryRun(ctx, plan, run)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	planpd.WriteJSON(w, http.StatusAccepted, Started{ID: run.View().ID, Started: true})
 }

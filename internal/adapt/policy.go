@@ -189,7 +189,7 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 	}
 
 	for round := 1; plan.Rounds == 0 || round <= plan.Rounds; round++ {
-		c.sleep(ctx, plan.Interval)
+		c.sleepFn(ctx, plan.Interval)
 		if ctx.Err() != nil {
 			break
 		}
@@ -197,7 +197,7 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 		if err != nil {
 			// A blind round: keep the loop alive, but feed the selector
 			// "no opinion" so blindness never accumulates toward a switch.
-			c.logf("adapt: policy round %d: stats poll failed: %v", round, err)
+			c.fleet.Logf("adapt: policy round %d: stats poll failed: %v", round, err)
 			sel.Observe("", c.now())
 			report.Rounds = round
 			continue
@@ -210,12 +210,12 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 		switchTo := sel.Observe(pref, c.now())
 		if switchTo == "" {
 			c.ctHolds.Inc()
-			c.publish(obs.KindAdapt, "", "hold:"+sel.Current())
+			c.fleet.Publish(obs.KindAdapt, "", "hold:"+sel.Current())
 			continue
 		}
 		cand, ok := byName[switchTo]
 		if !ok {
-			c.logf("adapt: policy preferred unknown candidate %q; holding", switchTo)
+			c.fleet.Logf("adapt: policy preferred unknown candidate %q; holding", switchTo)
 			continue
 		}
 		from := sel.Current()
@@ -230,16 +230,15 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 		if deployErr != nil {
 			// The fleet converged back to the old variant; the selector
 			// still holds `from` and will re-demand the switch next round.
-			c.logf("adapt: policy switch %s->%s failed: %v", from, cand.Name, deployErr)
+			c.fleet.Logf("adapt: policy switch %s->%s failed: %v", from, cand.Name, deployErr)
 			continue
 		}
 		sel.Commit(cand.Name, c.now())
 		c.ctSwitches.Inc()
-		c.publish(obs.KindAdapt, "", fmt.Sprintf("switch:%s->%s", from, cand.Name))
-		c.logf("adapt: policy switched %s -> %s (deployment %d)", from, cand.Name, d.ID)
-		report.Switches = append(report.Switches, Switch{
-			Round: round, From: from, To: cand.Name, Deployment: d.ID,
-		})
+		c.fleet.Publish(obs.KindAdapt, "", fmt.Sprintf("switch:%s->%s", from, cand.Name))
+		id := d.View().ID
+		c.fleet.Logf("adapt: policy switched %s -> %s (deployment %d)", from, cand.Name, id)
+		report.Switches = append(report.Switches, Switch{Round: round, From: from, To: cand.Name, Deployment: id})
 	}
 	report.Final = sel.Current()
 	return report, nil
@@ -250,7 +249,7 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 func (c *Controller) snapshotAll(ctx context.Context, targets []fleet.Target) (map[string]Snapshot, error) {
 	out := make(map[string]Snapshot, len(targets))
 	for _, t := range targets {
-		s, err := FetchStats(ctx, c.client, t.URL)
+		s, err := FetchStats(ctx, c.fleet.Client(), t.URL)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.Name, err)
 		}

@@ -17,6 +17,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"planp.dev/planp/internal/planpd"
 )
 
 // maxStatsBody bounds a /stats response.
@@ -24,11 +26,7 @@ const maxStatsBody = 1 << 20
 
 // Snapshot is one node's counter registry at one instant, as served by
 // planpd's GET /stats.
-type Snapshot struct {
-	Node   string           `json:"node"`
-	MonoNS int64            `json:"mono_ns"`
-	Stats  map[string]int64 `json:"stats"`
-}
+type Snapshot = planpd.Stats
 
 // Window is two snapshots of the same node's registry, Before taken
 // earlier than After. The zero value is empty (all deltas and rates 0).

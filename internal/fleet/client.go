@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"planp.dev/planp/internal/lang/diag"
-	"planp.dev/planp/internal/lang/typecheck"
+	"planp.dev/planp/internal/planpd"
 )
 
 // maxErrBody bounds how much of an error response is kept for messages.
@@ -27,8 +27,6 @@ type httpResult struct {
 	status int
 	body   []byte
 }
-
-func (r *httpResult) ok() bool { return r.status >= 200 && r.status < 300 }
 
 // DiagError is a control-plane rejection whose response body carried
 // structured diagnostics (planpd's 422 bodies). It keeps the individual
@@ -49,34 +47,49 @@ func (e *DiagError) Error() string {
 func (e *DiagError) Diagnostics() diag.List { return e.Diags }
 
 func (r *httpResult) err(op string) error {
-	if r.ok() {
+	if r.status >= 200 && r.status < 300 {
 		return nil
 	}
-	// planpd rejections are JSON {"error": ..., "diagnostics": [...]};
-	// anything else (plain-text errors, proxies) degrades to the body.
-	var rej struct {
-		Error       string    `json:"error"`
-		Diagnostics diag.List `json:"diagnostics"`
-	}
+	// planpd rejections are a JSON planpd.Reject; anything else
+	// (plain-text errors, proxies) degrades to the body.
+	var rej planpd.Reject
 	if jsonErr := json.Unmarshal(r.body, &rej); jsonErr == nil && rej.Error != "" {
 		return &DiagError{Op: op, Status: r.status, Message: rej.Error, Diags: rej.Diagnostics}
 	}
 	return fmt.Errorf("%s: HTTP %d: %s", op, r.status, strings.TrimSpace(string(r.body)))
 }
 
-// nodeClient talks to one planpd node for one deployment.
+// nodeClient talks to one planpd node for one deployment: the Target,
+// and the index of its record in the deployment.
 type nodeClient struct {
 	c *Controller
 	d *Deployment
-	n *Node
+	i int
+	Target
 }
 
-// do performs method path?query against the node, retrying transport
-// errors and retryable statuses under the controller's policy. A
-// non-retryable HTTP status is a successful exchange (the caller
-// inspects it); exhausted retries return the last error.
-func (nc *nodeClient) do(ctx context.Context, method, path string, query url.Values, body []byte) (*httpResult, error) {
-	u := strings.TrimRight(nc.n.URL, "/") + path
+// update edits the node's record under the deployment's lock.
+func (nc *nodeClient) update(f func(n *NodeView)) {
+	nc.d.update(func(v *View) { f(&v.Nodes[nc.i]) })
+}
+
+// mark moves the node to st, recording err (when non-nil) as its last
+// error.
+func (nc *nodeClient) mark(st NodeStatus, err error) {
+	nc.update(func(n *NodeView) {
+		n.Status = st
+		if err != nil {
+			n.Error = err.Error()
+		}
+	})
+}
+
+// call performs method path?query against the node, retrying transport
+// errors and retryable statuses under the controller's policy;
+// exhausted retries return the last error. A non-retryable status ends
+// the exchange: 2xx is the answer, anything else an error naming op.
+func (nc *nodeClient) call(ctx context.Context, op, method, path string, query url.Values, body []byte) (*httpResult, error) {
+	u := strings.TrimRight(nc.URL, "/") + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
@@ -84,8 +97,8 @@ func (nc *nodeClient) do(ctx context.Context, method, path string, query url.Val
 	var lastErr error
 	for attempt := 1; attempt <= p.Attempts; attempt++ {
 		if attempt > 1 {
-			nc.c.countRetry()
-			nc.c.sleep(ctx, p.Delay(attempt-1, nc.c.rand()))
+			nc.c.ctRetries.Inc()
+			nc.c.sleepFn(ctx, p.Delay(attempt-1, nc.c.rand()))
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -101,7 +114,7 @@ func (nc *nodeClient) do(ctx context.Context, method, path string, query url.Val
 		if body != nil {
 			req.Header.Set("Content-Type", "text/plain")
 		}
-		nc.d.bumpAttempts(nc.n)
+		nc.update(func(n *NodeView) { n.Attempts++ })
 		resp, err := nc.c.client.Do(req)
 		if err != nil {
 			lastErr = err
@@ -113,35 +126,35 @@ func (nc *nodeClient) do(ctx context.Context, method, path string, query url.Val
 			lastErr = fmt.Errorf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(b)))
 			continue
 		}
-		return &httpResult{status: resp.StatusCode, body: b}, nil
+		res := &httpResult{status: resp.StatusCode, body: b}
+		return res, res.err(op)
 	}
 	return nil, fmt.Errorf("%s %s: giving up after %d attempts: %w", method, path, p.Attempts, lastErr)
 }
 
-// health probes GET /healthz and returns the node's active protocol
-// version (empty if none) plus that version's channel-interface
-// signature (nil when the node is bare or its daemon predates
-// signatures) — the input to the deploy-time compatibility gate.
-func (nc *nodeClient) health(ctx context.Context) (version string, sig *typecheck.Signature, err error) {
-	res, err := nc.do(ctx, http.MethodGet, "/healthz", nil, nil)
+// read is call for the routes whose answer the controller acts on: out
+// points at the planpd wire type the route answers with.
+func (nc *nodeClient) read(ctx context.Context, op, method, path string, query url.Values, out any) error {
+	res, err := nc.call(ctx, op, method, path, query, nil)
 	if err != nil {
-		return "", nil, err
+		return err
 	}
-	if err := res.err("healthz"); err != nil {
-		return "", nil, err
+	if err := json.Unmarshal(res.body, out); err != nil {
+		return fmt.Errorf("%s: decoding: %w", op, err)
 	}
-	var h struct {
-		OK        bool                 `json:"ok"`
-		Version   string               `json:"version"`
-		Signature *typecheck.Signature `json:"signature"`
+	return nil
+}
+
+// health probes GET /healthz: the node's active protocol version (empty
+// if none) plus that version's channel-interface signature (nil when
+// the node is bare or its daemon predates signatures) — the input to
+// the deploy-time compatibility gate.
+func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
+	err = nc.read(ctx, "healthz", http.MethodGet, "/healthz", nil, &h)
+	if err == nil && !h.OK {
+		err = fmt.Errorf("healthz: node reports not ok")
 	}
-	if err := json.Unmarshal(res.body, &h); err != nil {
-		return "", nil, fmt.Errorf("healthz: decoding: %w", err)
-	}
-	if !h.OK {
-		return "", nil, fmt.Errorf("healthz: node reports not ok")
-	}
-	return h.Version, h.Signature, nil
+	return h, err
 }
 
 // stage runs phase 1 on the node.
@@ -153,66 +166,32 @@ func (nc *nodeClient) stage(ctx context.Context, spec Spec) error {
 	if spec.Verify != "" {
 		q.Set("verify", spec.Verify)
 	}
-	res, err := nc.do(ctx, http.MethodPost, "/asp/stage", q, []byte(spec.Source))
-	if err != nil {
-		return err
-	}
-	return res.err("stage")
+	_, err := nc.call(ctx, "stage", http.MethodPost, "/asp/stage", q, []byte(spec.Source))
+	return err
 }
 
 // abortStage discards a staged version (idempotent).
 func (nc *nodeClient) abortStage(ctx context.Context, version string) error {
-	res, err := nc.do(ctx, http.MethodDelete, "/asp/stage", url.Values{"version": {version}}, nil)
-	if err != nil {
-		return err
-	}
-	return res.err("abort stage")
+	_, err := nc.call(ctx, "abort stage", http.MethodDelete, "/asp/stage", url.Values{"version": {version}}, nil)
+	return err
 }
 
 // activate runs phase 2 on the node.
 func (nc *nodeClient) activate(ctx context.Context, version string) error {
-	res, err := nc.do(ctx, http.MethodPost, "/asp/activate", url.Values{"version": {version}}, nil)
-	if err != nil {
-		return err
-	}
-	return res.err("activate")
+	_, err := nc.call(ctx, "activate", http.MethodPost, "/asp/activate", url.Values{"version": {version}}, nil)
+	return err
 }
 
-// rollback undoes an activation of version, returning the version the
-// node runs afterwards (possibly empty: a bare node).
-func (nc *nodeClient) rollback(ctx context.Context, version string) (restored string, err error) {
-	res, err := nc.do(ctx, http.MethodPost, "/asp/rollback", url.Values{"version": {version}}, nil)
-	if err != nil {
-		return "", err
-	}
-	if err := res.err("rollback"); err != nil {
-		return "", err
-	}
-	var body struct {
-		Active string `json:"active"`
-	}
-	if err := json.Unmarshal(res.body, &body); err != nil {
-		return "", fmt.Errorf("rollback: decoding: %w", err)
-	}
-	return body.Active, nil
+// rollback undoes an activation of version; the answer names the
+// version the node runs afterwards (possibly empty: a bare node).
+func (nc *nodeClient) rollback(ctx context.Context, version string) (rb planpd.RolledBack, err error) {
+	err = nc.read(ctx, "rollback", http.MethodPost, "/asp/rollback", url.Values{"version": {version}}, &rb)
+	return rb, err
 }
 
 // aspStatus reads GET /asp — the reconciliation source after an
 // ambiguous activation (lost response, node death mid-phase).
-func (nc *nodeClient) aspStatus(ctx context.Context) (active, staged string, err error) {
-	res, err := nc.do(ctx, http.MethodGet, "/asp", nil, nil)
-	if err != nil {
-		return "", "", err
-	}
-	if err := res.err("status"); err != nil {
-		return "", "", err
-	}
-	var body struct {
-		Active string `json:"active"`
-		Staged string `json:"staged"`
-	}
-	if err := json.Unmarshal(res.body, &body); err != nil {
-		return "", "", fmt.Errorf("status: decoding: %w", err)
-	}
-	return body.Active, body.Staged, nil
+func (nc *nodeClient) aspStatus(ctx context.Context) (st planpd.Status, err error) {
+	err = nc.read(ctx, "status", http.MethodGet, "/asp", nil, &st)
+	return st, err
 }

@@ -1,8 +1,7 @@
 // Package fleet is the deployment control plane: it installs one
-// compiled ASP across a set of planpd-managed nodes as a unit, the way
-// planprt.Deploy does across in-process nodes — all nodes end up on the
-// new protocol version, or every reachable node is returned to the
-// version it ran before.
+// compiled ASP across a set of planpd-managed nodes as a unit — all
+// nodes end up on the new protocol version, or every reachable node is
+// returned to the version it ran before.
 //
 // The paper's operators adapt a *running* network (§4: protocols are
 // downloaded into live routers); once more than one router is involved,
@@ -21,6 +20,9 @@
 //	                            failure rolls every activated node back
 //	                            to its previous version
 //
+// Undoing a failed phase runs under its own deadline, not the caller's:
+// a rollout cut short by its context still puts the fleet back.
+//
 // Fan-out is concurrent and bounded (internal/par), every request
 // retries with exponential backoff + jitter, ambiguous activations
 // (lost responses, nodes dying mid-phase) are reconciled against
@@ -31,6 +33,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -40,6 +43,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +51,7 @@ import (
 
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/par"
+	"planp.dev/planp/internal/planpd"
 	"planp.dev/planp/internal/planprt"
 )
 
@@ -151,58 +156,18 @@ type Spec struct {
 	Reason string
 }
 
-// Node is one target's record within a deployment. Fields are guarded
-// by the owning Deployment's mutex; read them through View.
-type Node struct {
-	Name        string
-	URL         string
-	Status      NodeStatus
-	PrevVersion string // active version observed at health time
-	Attempts    int    // HTTP attempts spent on this node
-	Error       string // last error, if any
-}
-
-// Deployment is one rollout's record: live while the rollout runs,
-// then retained in the controller history.
-type Deployment struct {
-	ID        int
-	Version   string
-	SourceSHA string
-	Engine    string
-	Verify    string
-	Kind      string
-	Reason    string
-
-	mu       sync.Mutex
-	state    State
-	err      string
-	nodes    []*Node
-	started  time.Time
-	finished time.Time
-
-	// compatOverride records that the compatibility gate found
-	// mismatches and AllowIncompatible forced the rollout through;
-	// compatWarnings holds the gate's findings either way.
-	compatOverride bool
-	compatWarnings []string
-
-	// sigDiff is what this version changes relative to what the peers
-	// ran at health-probe time (typecheck.Diff lines) — the operator's
-	// preview of an upgrade, recorded whether or not it shipped.
-	sigDiff []string
-}
-
-// NodeView is a consistent copy of one node record.
+// NodeView is one target's record within a deployment.
 type NodeView struct {
 	Name        string     `json:"name"`
 	URL         string     `json:"url"`
 	Status      NodeStatus `json:"status"`
-	PrevVersion string     `json:"prev_version,omitempty"`
-	Attempts    int        `json:"attempts"`
-	Error       string     `json:"error,omitempty"`
+	PrevVersion string     `json:"prev_version,omitempty"` // active version observed at health time
+	Attempts    int        `json:"attempts"`               // HTTP attempts spent on this node
+	Error       string     `json:"error,omitempty"`        // last error, if any
 }
 
-// View is a consistent copy of a deployment record.
+// View is a deployment record: what GET /deployments serves and what
+// the history file holds, one JSON line per finished rollout.
 type View struct {
 	ID        int        `json:"id"`
 	Version   string     `json:"version"`
@@ -221,30 +186,30 @@ type View struct {
 	CompatOverride bool     `json:"compat_override,omitempty"`
 	CompatWarnings []string `json:"compat_warnings,omitempty"`
 
-	// SigDiff is the channel-signature diff between this version and
-	// what the peers ran when the rollout started — what the upgrade
-	// changes, surfaced in GET /deployments before (and after) it ships.
+	// SigDiff is the channel-signature diff (typecheck.Diff lines)
+	// between this version and what the peers ran at health-probe time —
+	// the operator's preview of an upgrade, recorded whether or not it
+	// shipped.
 	SigDiff []string `json:"signature_diff,omitempty"`
 }
 
-// View snapshots the deployment under its lock.
+// Deployment is one rollout's record — a View under a mutex: written
+// while the rollout runs, then retained in the controller history. A
+// record loaded from the history file is a Deployment that finished in
+// an earlier process.
+type Deployment struct {
+	mu   sync.Mutex
+	view View
+}
+
+// View returns a consistent copy of the record.
 func (d *Deployment) View() View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	v := View{
-		ID: d.ID, Version: d.Version, State: d.state,
-		SourceSHA: d.SourceSHA, Engine: d.Engine, Verify: d.Verify, Error: d.err,
-		Kind: d.Kind, Reason: d.Reason,
-		CompatOverride: d.compatOverride,
-		CompatWarnings: append([]string(nil), d.compatWarnings...),
-		SigDiff:        append([]string(nil), d.sigDiff...),
-	}
-	for _, n := range d.nodes {
-		v.Nodes = append(v.Nodes, NodeView{
-			Name: n.Name, URL: n.URL, Status: n.Status,
-			PrevVersion: n.PrevVersion, Attempts: n.Attempts, Error: n.Error,
-		})
-	}
+	v := d.view
+	v.Nodes = slices.Clone(v.Nodes)
+	v.CompatWarnings = slices.Clone(v.CompatWarnings)
+	v.SigDiff = slices.Clone(v.SigDiff)
 	return v
 }
 
@@ -252,46 +217,26 @@ func (d *Deployment) View() View {
 func (d *Deployment) State() State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.state
+	return d.view.State
 }
 
-func (d *Deployment) setStatus(n *Node, st NodeStatus) {
+// update is the one writer of a record: f edits it under the lock.
+func (d *Deployment) update(f func(v *View)) {
 	d.mu.Lock()
-	n.Status = st
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	f(&d.view)
 }
 
-func (d *Deployment) setNodeError(n *Node, st NodeStatus, err error) {
+// targets lists the record's nodes; names and URLs never change.
+func (d *Deployment) targets() []Target {
 	d.mu.Lock()
-	n.Status = st
-	n.Error = err.Error()
-	d.mu.Unlock()
-}
-
-func (d *Deployment) setPrev(n *Node, version string) {
-	d.mu.Lock()
-	n.PrevVersion = version
-	d.mu.Unlock()
-}
-
-func (d *Deployment) bumpAttempts(n *Node) {
-	d.mu.Lock()
-	n.Attempts++
-	d.mu.Unlock()
-}
-
-func (d *Deployment) finish(st State, err error) {
-	d.mu.Lock()
-	d.state = st
-	if err != nil {
-		d.err = err.Error()
+	defer d.mu.Unlock()
+	ts := make([]Target, len(d.view.Nodes))
+	for i, n := range d.view.Nodes {
+		ts[i] = Target{Name: n.Name, URL: n.URL}
 	}
-	d.finished = time.Now()
-	d.mu.Unlock()
+	return ts
 }
-
-// fanOut bounds the worker pool a rollout phase fans out on.
-const fanOut = 4
 
 // Config configures a Controller. The zero value works: default
 // transport, default retry policy.
@@ -301,11 +246,12 @@ type Config struct {
 	Client *http.Client
 	// Retry is the per-request retry policy.
 	Retry RetryPolicy
-	// Bus, when set, receives KindDeploy/KindRollback events. The
-	// controller serializes its publishes; subscribers see events from
-	// one goroutine at a time but interleaved across nodes.
+	// Bus, when set, receives KindDeploy/KindRollback events (and the
+	// adaptation loop's KindCanary/KindAdapt). The controller
+	// serializes its publishes; subscribers see events from one
+	// goroutine at a time but interleaved across nodes.
 	Bus *obs.Bus
-	// Metrics, when set, receives the "fleet.*" counters.
+	// Metrics, when set, receives the "fleet.*" (and "adapt.*") counters.
 	Metrics *obs.Registry
 	// Seed fixes the jitter stream (default 1).
 	Seed int64
@@ -323,6 +269,7 @@ type Config struct {
 type Controller struct {
 	client  *http.Client
 	retry   RetryPolicy
+	metrics *obs.Registry
 	bus     *obs.Bus
 	busMu   sync.Mutex
 	logf    func(string, ...any)
@@ -336,24 +283,25 @@ type Controller struct {
 	ctRetries, ctNodeRollbacks                  *obs.Counter
 
 	mu          sync.Mutex
-	deployments []*Deployment
+	deployments []*Deployment // oldest first; earlier processes' records lead
 	nextID      int
 
 	historyPath string
-	history     []View     // records loaded from historyPath at startup
 	fileMu      sync.Mutex // serializes appends to historyPath
 }
 
 // New returns a Controller.
 func New(cfg Config) *Controller {
 	c := &Controller{
-		client:  cfg.Client,
-		retry:   cfg.Retry.withDefaults(),
-		bus:     cfg.Bus,
-		logf:    cfg.Logf,
-		start:   time.Now(),
-		sleepFn: sleep,
-		nextID:  1,
+		client:      cfg.Client,
+		retry:       cfg.Retry.withDefaults(),
+		metrics:     cfg.Metrics,
+		bus:         cfg.Bus,
+		logf:        cfg.Logf,
+		start:       time.Now(),
+		sleepFn:     Sleep,
+		nextID:      1,
+		historyPath: cfg.HistoryPath,
 	}
 	if c.client == nil {
 		c.client = http.DefaultClient
@@ -361,31 +309,52 @@ func New(cfg Config) *Controller {
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
+	if c.metrics == nil {
+		c.metrics = obs.NewRegistry()
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	c.rng = rand.New(rand.NewSource(seed))
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	c.ctDeploys = reg.Counter("fleet.deployments")
-	c.ctActive = reg.Counter("fleet.deployments_active")
-	c.ctRolledBack = reg.Counter("fleet.deployments_rolled_back")
-	c.ctFailed = reg.Counter("fleet.deployments_failed")
-	c.ctRetries = reg.Counter("fleet.http_retries")
-	c.ctNodeRollbacks = reg.Counter("fleet.node_rollbacks")
-	if cfg.HistoryPath != "" {
-		c.historyPath = cfg.HistoryPath
-		c.history = loadHistory(cfg.HistoryPath, c.logf)
-		for _, v := range c.history {
-			if v.ID >= c.nextID {
-				c.nextID = v.ID + 1
-			}
+	c.ctDeploys = c.metrics.Counter("fleet.deployments")
+	c.ctActive = c.metrics.Counter("fleet.deployments_active")
+	c.ctRolledBack = c.metrics.Counter("fleet.deployments_rolled_back")
+	c.ctFailed = c.metrics.Counter("fleet.deployments_failed")
+	c.ctRetries = c.metrics.Counter("fleet.http_retries")
+	c.ctNodeRollbacks = c.metrics.Counter("fleet.node_rollbacks")
+	if c.historyPath != "" {
+		for _, v := range loadHistory(c.historyPath, c.logf) {
+			c.deployments = append(c.deployments, &Deployment{view: v})
+			c.nextID = max(c.nextID, v.ID+1)
 		}
 	}
 	return c
+}
+
+// The adaptation loop (internal/adapt) acts through a Controller and
+// reports through the same plumbing: Client, Metrics, Logf and Publish
+// lend it the controller's HTTP client, registry, logger and its one
+// serialized path onto the bus.
+
+// Client returns the HTTP client control-plane requests go through.
+func (c *Controller) Client() *http.Client { return c.client }
+
+// Metrics returns the registry holding the "fleet.*" counters.
+func (c *Controller) Metrics() *obs.Registry { return c.metrics }
+
+// Logf writes one line to the controller's log.
+func (c *Controller) Logf(format string, args ...any) { c.logf(format, args...) }
+
+// Publish serializes an event onto the bus (obs.Bus is not internally
+// synchronized and fleet fan-out is concurrent).
+func (c *Controller) Publish(kind obs.Kind, node, detail string) {
+	if !c.bus.Active() {
+		return
+	}
+	c.busMu.Lock()
+	c.bus.Publish(obs.Event{Kind: kind, At: time.Since(c.start), Node: node, Detail: detail})
+	c.busMu.Unlock()
 }
 
 // loadHistory reads the append-only JSONL history. A missing file is an
@@ -401,13 +370,16 @@ func loadHistory(path string, logf func(string, ...any)) []View {
 		return nil
 	}
 	var out []View
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
 		var v View
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
+		err := json.Unmarshal(line, &v)
+		if err == nil && v.ID <= 0 {
+			err = errors.New("record has no positive id")
+		}
+		if err != nil {
 			logf("fleet: history %s: skipping corrupt record on line %d: %v", path, i+1, err)
 			continue
 		}
@@ -423,20 +395,17 @@ func (c *Controller) persist(d *Deployment) {
 	if c.historyPath == "" {
 		return
 	}
-	line, err := json.Marshal(d.View())
-	if err != nil {
-		c.logf("fleet: history %s: %v", c.historyPath, err)
-		return
-	}
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
-	f, err := os.OpenFile(c.historyPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		c.logf("fleet: history %s: %v", c.historyPath, err)
-		return
+	line, err := json.Marshal(d.View())
+	if err == nil {
+		var f *os.File
+		if f, err = os.OpenFile(c.historyPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
+			_, err = f.Write(append(line, '\n'))
+			f.Close()
+		}
 	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if err != nil {
 		c.logf("fleet: history %s: %v", c.historyPath, err)
 	}
 }
@@ -447,33 +416,23 @@ func (c *Controller) rand() float64 {
 	return c.rng.Float64()
 }
 
-func (c *Controller) countRetry() { c.ctRetries.Inc() }
-
-// publish serializes rollout events onto the bus (obs.Bus is not
-// internally synchronized and fleet fan-out is concurrent).
-func (c *Controller) publish(kind obs.Kind, node, detail string) {
-	if !c.bus.Active() {
-		return
-	}
-	c.busMu.Lock()
-	c.bus.Publish(obs.Event{Kind: kind, At: time.Since(c.start), Node: node, Detail: detail})
-	c.busMu.Unlock()
-}
-
 // Deployments returns snapshots of every rollout, oldest first —
 // records loaded from the history file (previous daemon lives) first,
 // then this process's rollouts.
 func (c *Controller) Deployments() []View {
 	c.mu.Lock()
-	hist := c.history
-	ds := append([]*Deployment(nil), c.deployments...)
+	ds := slices.Clone(c.deployments)
 	c.mu.Unlock()
-	views := make([]View, 0, len(hist)+len(ds))
-	views = append(views, hist...)
-	for _, d := range ds {
-		views = append(views, d.View())
+	views := make([]View, len(ds))
+	for i, d := range ds {
+		views[i] = d.View()
 	}
 	return views
+}
+
+// History answers GET /deployments.
+type History struct {
+	Deployments []View `json:"deployments"`
 }
 
 // Handler returns the controller's query API:
@@ -487,71 +446,86 @@ func (c *Controller) Handler() http.Handler {
 		if idStr := r.URL.Query().Get("id"); idStr != "" {
 			for _, v := range views {
 				if fmt.Sprint(v.ID) == idStr {
-					writeJSON(w, v)
+					planpd.WriteJSON(w, http.StatusOK, v)
 					return
 				}
 			}
 			http.Error(w, "no such deployment", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, map[string]any{"deployments": views})
+		planpd.WriteJSON(w, http.StatusOK, History{Deployments: views})
 	})
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 func (c *Controller) newDeployment(spec *Spec, targets []Target) *Deployment {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	id := c.nextID
 	c.nextID++
 	if spec.Version == "" {
 		spec.Version = fmt.Sprintf("v%d", id)
 	}
 	sum := sha256.Sum256([]byte(spec.Source))
-	d := &Deployment{
-		ID: id, Version: spec.Version,
+	d := &Deployment{view: View{
+		ID: id, Version: spec.Version, State: StatePending,
 		SourceSHA: hex.EncodeToString(sum[:]),
 		Engine:    spec.Engine, Verify: spec.Verify,
 		Kind: spec.Kind, Reason: spec.Reason,
-		state: StatePending, started: time.Now(),
-	}
-	for _, t := range targets {
-		d.nodes = append(d.nodes, &Node{Name: t.Name, URL: t.URL, Status: NodePending})
+		Nodes: make([]NodeView, len(targets)),
+	}}
+	for i, t := range targets {
+		d.view.Nodes[i] = NodeView{Name: t.Name, URL: t.URL, Status: NodePending}
 	}
 	c.deployments = append(c.deployments, d)
-	c.mu.Unlock()
 	return d
+}
+
+// finish closes the record in state st (err, when non-nil, is its
+// error text), appends it to the history file and returns err.
+func (c *Controller) finish(d *Deployment, st State, err error) error {
+	d.update(func(v *View) {
+		v.State = st
+		if err != nil {
+			v.Error = err.Error()
+		}
+	})
+	c.persist(d)
+	return err
+}
+
+func (c *Controller) fail(d *Deployment, err error) error {
+	c.ctFailed.Inc()
+	c.logf("fleet: deployment %d: failed: %v", d.view.ID, err)
+	return c.finish(d, StateFailed, err)
 }
 
 // forEach runs fn once per node on the bounded pool and returns the
 // per-node errors (nil entries for successes).
 func (c *Controller) forEach(d *Deployment, fn func(nc *nodeClient) error) []error {
-	d.mu.Lock()
-	nodes := append([]*Node(nil), d.nodes...)
-	d.mu.Unlock()
-	errs := make([]error, len(nodes))
-	par.ForEach(fanOut, len(nodes), func(i int) {
-		errs[i] = fn(&nodeClient{c: c, d: d, n: nodes[i]})
+	targets := d.targets()
+	errs := make([]error, len(targets))
+	par.ForEach(fanOut, len(targets), func(i int) {
+		errs[i] = fn(&nodeClient{c: c, d: d, i: i, Target: targets[i]})
 	})
 	return errs
 }
 
-// failedNames summarizes which nodes errored.
-func failedNames(d *Deployment, errs []error) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// namesWhere lists, sorted, the nodes of d that pick selects.
+func namesWhere(d *Deployment, pick func(i int, n NodeView) bool) string {
 	var names []string
-	for i, err := range errs {
-		if err != nil {
-			names = append(names, d.nodes[i].Name)
+	for i, n := range d.View().Nodes {
+		if pick(i, n) {
+			names = append(names, n.Name)
 		}
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
+}
+
+// failedNames summarizes which nodes errored.
+func failedNames(d *Deployment, errs []error) string {
+	return namesWhere(d, func(i int, _ NodeView) bool { return errs[i] != nil })
 }
 
 func firstErr(errs []error) error {
@@ -561,6 +535,22 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
+}
+
+// fanOut bounds the worker pool a rollout phase fans out on.
+const fanOut = 4
+
+// compensationTimeout bounds the calls that undo a failed rollout —
+// aborting stages, rolling activations back, and the GET /asp that
+// decides which of the two a node needs.
+const compensationTimeout = 30 * time.Second
+
+// compensation returns the context those calls run under. It outlives
+// the caller's: the deadline (or hung-up client) that stopped a rollout
+// half-way must not also stop the controller from putting the fleet
+// back, or the record would say RolledBack over nodes nothing reached.
+func compensation(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.WithoutCancel(ctx), compensationTimeout)
 }
 
 // Deploy rolls spec out to targets: health-probe, stage everywhere,
@@ -590,7 +580,8 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 
 	c.ctDeploys.Inc()
 	d := c.newDeployment(&spec, targets)
-	c.logf("fleet: deployment %d: version %s to %d node(s)", d.ID, spec.Version, len(targets))
+	id := d.view.ID
+	c.logf("fleet: deployment %d: version %s to %d node(s)", id, spec.Version, len(targets))
 
 	// Controller-side precheck: compile-without-activate locally so a
 	// program that cannot pass late checking — or was verified under
@@ -610,15 +601,15 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	peers := make(map[string]peerSig, len(targets))
 	var peersMu sync.Mutex
 	errs := c.forEach(d, func(nc *nodeClient) error {
-		v, sig, err := nc.health(ctx)
+		h, err := nc.health(ctx)
 		if err != nil {
-			d.setNodeError(nc.n, NodeFailed, err)
-			c.publish(obs.KindDeploy, nc.n.Name, "health:failed")
+			nc.mark(NodeFailed, err)
+			c.Publish(obs.KindDeploy, nc.Name, "health:failed")
 			return err
 		}
-		d.setPrev(nc.n, v)
+		nc.update(func(n *NodeView) { n.PrevVersion = h.Version })
 		peersMu.Lock()
-		peers[nc.n.Name] = peerSig{version: v, sig: sig}
+		peers[nc.Name] = peerSig{version: h.Version, sig: h.Signature}
 		peersMu.Unlock()
 		return nil
 	})
@@ -631,9 +622,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// so operators see the interface shift before it ships (and, in the
 	// history, what each past rollout shifted). Recorded even when the
 	// rollout is later rejected — the diff explains the rejection.
-	d.mu.Lock()
-	d.sigDiff = signatureDiff(prog.Signature(), peers)
-	d.mu.Unlock()
+	d.update(func(v *View) { v.SigDiff = signatureDiff(prog.Signature(), peers) })
 
 	// Compatibility gate: before anything is staged, check the new
 	// version's channel signature against what every peer currently
@@ -649,28 +638,17 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// everywhere; no node's packet processing has changed.
 	errs = c.forEach(d, func(nc *nodeClient) error {
 		if err := nc.stage(ctx, spec); err != nil {
-			d.setNodeError(nc.n, NodeFailed, err)
-			c.publish(obs.KindDeploy, nc.n.Name, "stage:failed")
+			nc.mark(NodeFailed, err)
+			c.Publish(obs.KindDeploy, nc.Name, "stage:failed")
 			return err
 		}
-		d.setStatus(nc.n, NodeStaged)
-		c.publish(obs.KindDeploy, nc.n.Name, "stage:ok")
+		nc.mark(NodeStaged, nil)
+		c.Publish(obs.KindDeploy, nc.Name, "stage:ok")
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
 		stageErr := fmt.Errorf("fleet: stage failed on [%s]: %w", failedNames(d, errs), err)
-		c.forEach(d, func(nc *nodeClient) error {
-			if nc.status() != NodeStaged {
-				return nil
-			}
-			if err := nc.abortStage(ctx, spec.Version); err != nil {
-				d.setNodeError(nc.n, NodeFailed, fmt.Errorf("aborting stage: %w", err))
-				return err
-			}
-			d.setStatus(nc.n, NodePending)
-			c.publish(obs.KindRollback, nc.n.Name, "stage-aborted")
-			return nil
-		})
+		c.converge(ctx, d, spec.Version, NodePending)
 		return d, c.fail(d, stageErr)
 	}
 
@@ -679,94 +657,88 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	errs = c.forEach(d, func(nc *nodeClient) error {
 		actErr := nc.activate(ctx, spec.Version)
 		if actErr == nil {
-			d.setStatus(nc.n, NodeActive)
-			c.publish(obs.KindDeploy, nc.n.Name, "activate:ok")
+			nc.mark(NodeActive, nil)
+			c.Publish(obs.KindDeploy, nc.Name, "activate:ok")
 			return nil
 		}
-		active, staged, stErr := nc.aspStatus(ctx)
-		switch {
-		case stErr == nil && active == spec.Version:
+		rctx, cancel := compensation(ctx)
+		defer cancel()
+		st, stErr := nc.aspStatus(rctx)
+		if stErr == nil && st.Active == spec.Version {
 			// The swap committed; only the response was lost.
-			d.setStatus(nc.n, NodeActive)
-			c.publish(obs.KindDeploy, nc.n.Name, "activate:ok-reconciled")
+			nc.mark(NodeActive, nil)
+			c.Publish(obs.KindDeploy, nc.Name, "activate:ok-reconciled")
 			return nil
-		case stErr == nil && staged == spec.Version:
-			// Still staged: the activation never committed.
-			d.setNodeError(nc.n, NodeStaged, actErr)
-			c.publish(obs.KindDeploy, nc.n.Name, "activate:failed")
-			return actErr
-		default:
-			// Unreachable or in an unexpected state: its convergence
-			// cannot be confirmed.
-			d.setNodeError(nc.n, NodeFailed, actErr)
-			c.publish(obs.KindDeploy, nc.n.Name, "activate:unknown")
-			return actErr
 		}
+		// Still staged: the activation never committed. Anything else —
+		// unreachable, an unexpected state — and the node's convergence
+		// cannot be confirmed.
+		status, detail := NodeFailed, "activate:unknown"
+		if stErr == nil && st.Staged == spec.Version {
+			status, detail = NodeStaged, "activate:failed"
+		}
+		nc.mark(status, actErr)
+		c.Publish(obs.KindDeploy, nc.Name, detail)
+		return actErr
 	})
 	if err := firstErr(errs); err != nil {
-		c.rollback(ctx, d, spec.Version)
+		c.converge(ctx, d, spec.Version, NodeRolledBack)
 		c.ctRolledBack.Inc()
-		rbErr := fmt.Errorf("fleet: activate failed on [%s], fleet rolled back to previous versions: %w",
-			failedNames(d, errs), err)
-		d.finish(StateRolledBack, rbErr)
-		c.persist(d)
-		c.logf("fleet: deployment %d: rolled back: %v", d.ID, rbErr)
-		return d, rbErr
+		outcome := "every node is back on its previous version"
+		if lost := namesWhere(d, func(_ int, n NodeView) bool { return n.Status == NodeFailed }); lost != "" {
+			outcome = fmt.Sprintf("[%s] could not be confirmed back on their previous version, every other node is", lost)
+		}
+		rbErr := fmt.Errorf("fleet: activate failed on [%s]; %s: %w", failedNames(d, errs), outcome, err)
+		c.logf("fleet: deployment %d: rolled back: %v", id, rbErr)
+		return d, c.finish(d, StateRolledBack, rbErr)
 	}
 
-	d.finish(StateActive, nil)
-	c.persist(d)
 	c.ctActive.Inc()
-	c.logf("fleet: deployment %d: version %s active on all %d node(s)", d.ID, spec.Version, len(targets))
-	return d, nil
+	c.logf("fleet: deployment %d: version %s active on all %d node(s)", id, spec.Version, len(targets))
+	return d, c.finish(d, StateActive, nil)
 }
 
-// rollback converges every reachable node back to its pre-rollout
-// version: activated nodes are rolled back, staged nodes aborted.
-func (c *Controller) rollback(ctx context.Context, d *Deployment, version string) {
+// converge returns every node the failed rollout of version staged or
+// activated to what it ran before, marking it done — NodePending after
+// a failed stage phase, NodeRolledBack after a failed activation — or
+// Failed when it cannot be reached.
+//
+// The undo calls follow what was attempted on the node. A node that
+// only staged gets its stage aborted and nothing else: its packet
+// processing never changed. Once phase 2 ran, every node was sent an
+// activate, and one cut off in flight can still land after the GET /asp
+// that judged it "still staged" — so the node gets both calls, whatever
+// its status says: aborting the stage first turns a late activation
+// into a 409, and the rollback then undoes one that landed before the
+// abort. A node that already ran version before this rollout is never
+// rolled back: activating it there was a no-op, and withdrawing it
+// would undo a rollout other than this one.
+func (c *Controller) converge(ctx context.Context, d *Deployment, version string, done NodeStatus) {
+	ctx, cancel := compensation(ctx)
+	defer cancel()
 	c.forEach(d, func(nc *nodeClient) error {
-		switch nc.status() {
-		case NodeActive:
-			restored, err := nc.rollback(ctx, version)
-			if err != nil {
-				d.setNodeError(nc.n, NodeFailed, fmt.Errorf("rollback: %w", err))
-				c.publish(obs.KindRollback, nc.n.Name, "failed")
-				return err
-			}
-			d.setStatus(nc.n, NodeRolledBack)
-			c.ctNodeRollbacks.Inc()
-			c.publish(obs.KindRollback, nc.n.Name, "restored:"+restored)
-			return nil
-		case NodeStaged:
-			if err := nc.abortStage(ctx, version); err != nil {
-				d.setNodeError(nc.n, NodeFailed, fmt.Errorf("aborting stage: %w", err))
-				c.publish(obs.KindRollback, nc.n.Name, "failed")
-				return err
-			}
-			// The node never activated the new version: aborting the
-			// stage leaves it converged on its previous version.
-			d.setStatus(nc.n, NodeRolledBack)
-			c.publish(obs.KindRollback, nc.n.Name, "stage-aborted")
-			return nil
-		default:
+		var n NodeView
+		nc.update(func(v *NodeView) { n = *v })
+		if n.Status != NodeStaged && n.Status != NodeActive {
 			return nil
 		}
+		err := nc.abortStage(ctx, version)
+		var rb planpd.RolledBack
+		if err == nil && done == NodeRolledBack && n.PrevVersion != version {
+			rb, err = nc.rollback(ctx, version)
+		}
+		if err != nil {
+			nc.mark(NodeFailed, fmt.Errorf("undoing %s: %w", version, err))
+			c.Publish(obs.KindRollback, nc.Name, "failed")
+			return err
+		}
+		nc.mark(done, nil)
+		if rb.RolledBack {
+			c.ctNodeRollbacks.Inc()
+			c.Publish(obs.KindRollback, nc.Name, "restored:"+rb.Active)
+		} else {
+			c.Publish(obs.KindRollback, nc.Name, "stage-aborted")
+		}
+		return nil
 	})
 }
-
-func (nc *nodeClient) status() NodeStatus {
-	nc.d.mu.Lock()
-	defer nc.d.mu.Unlock()
-	return nc.n.Status
-}
-
-func (c *Controller) fail(d *Deployment, err error) error {
-	d.finish(StateFailed, err)
-	c.persist(d)
-	c.ctFailed.Inc()
-	c.logf("fleet: deployment %d: failed: %v", d.ID, err)
-	return err
-}
-
-// sleep routes through the controller's hook (tests replace it).
-func (c *Controller) sleep(ctx context.Context, d time.Duration) { c.sleepFn(ctx, d) }

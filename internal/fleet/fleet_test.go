@@ -3,10 +3,12 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,6 +393,62 @@ func TestFleetKillMidActivate(t *testing.T) {
 	}
 }
 
+// cancelOnActivate is a RoundTripper that calls cancel as the nth
+// POST /asp/activate of version goes out — a rollout deadline (or the HTTP client
+// of POST /deploy hanging up) landing in the middle of phase 2.
+type cancelOnActivate struct {
+	base    http.RoundTripper
+	version string
+	n       int32
+	seen    atomic.Int32
+	cancel  context.CancelFunc
+}
+
+func (rt *cancelOnActivate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/asp/activate") &&
+		req.URL.Query().Get("version") == rt.version && rt.seen.Add(1) == rt.n {
+		rt.cancel()
+	}
+	return rt.base.RoundTrip(req)
+}
+
+// TestFleetDeadlineDuringActivateRollsBack: the caller's context ends
+// while the fleet is half-activated. The compensation must not die with
+// it: every node is returned to v1 with nothing left staged, and the
+// record that says RolledBack is true.
+func TestFleetDeadlineDuringActivateRollsBack(t *testing.T) {
+	tf := newTestFleet(t, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := New(Config{Client: &http.Client{Transport: &cancelOnActivate{base: tf.inj, version: "v2", n: 2, cancel: cancel}}})
+	c.sleepFn = tf.slept.sleep
+	if _, err := c.Deploy(context.Background(), Spec{Version: "v1", Source: forwarder}, tf.targets); err != nil {
+		t.Fatalf("baseline deploy: %v", err)
+	}
+
+	d, err := c.Deploy(ctx, Spec{Version: "v2", Source: forwarderV2}, tf.targets)
+	if err == nil {
+		t.Fatal("a rollout whose context ended mid-activate must return an error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error does not carry the cancellation: %v", err)
+	}
+	for _, tgt := range tf.targets {
+		if active, staged := tf.nodeState(t, tgt.Name); active != "v1" || staged != "" {
+			t.Errorf("node %s: active %q staged %q after the rollback, want v1 and nothing staged", tgt.Name, active, staged)
+		}
+	}
+	v := d.View()
+	if v.State != StateRolledBack {
+		t.Errorf("deployment state = %s, want RolledBack", v.State)
+	}
+	for _, n := range v.Nodes {
+		if n.Status != NodeRolledBack {
+			t.Errorf("node %s = %s (%s), want RolledBack", n.Name, n.Status, n.Error)
+		}
+	}
+}
+
 // TestFleetLostResponseReconciled: an activation whose response is lost
 // but which committed on the node is reconciled via GET /asp — the
 // rollout still succeeds, exercising the idempotent node state machine.
@@ -456,6 +514,56 @@ func TestFleetStageFailureAborts(t *testing.T) {
 		if staged != "" {
 			t.Errorf("node %s still holds staged %q after abort", tgt.Name, staged)
 		}
+	}
+}
+
+// TestFleetRedeployFailureKeepsRunningVersion: re-deploying the label a
+// node already runs (a fleet grown by one member) and failing — in
+// either phase, on the new member — must leave the nodes that ran it
+// running it. Undoing the failed rollout is not undoing the earlier one
+// that put v2 there.
+func TestFleetRedeployFailureKeepsRunningVersion(t *testing.T) {
+	for _, tc := range []struct {
+		phase, path string
+		state       State
+		done        NodeStatus
+	}{
+		{"stage", "/asp/stage", StateFailed, NodePending},
+		{"activate", "/asp/activate", StateRolledBack, NodeRolledBack},
+	} {
+		t.Run(tc.phase, func(t *testing.T) {
+			tf := newTestFleet(t, 4)
+			c := tf.controller(Config{})
+			ctx := context.Background()
+			for _, s := range []Spec{{Version: "v1", Source: forwarder}, {Version: "v2", Source: forwarderV2}} {
+				if _, err := c.Deploy(ctx, s, tf.targets[:3]); err != nil {
+					t.Fatalf("baseline deploy %s: %v", s.Version, err)
+				}
+			}
+			tf.inj.Inject(Fault{
+				Method: http.MethodPost, Host: tf.host("delta"), Path: tc.path,
+				Action: FaultStatus, Status: http.StatusServiceUnavailable,
+			})
+			d, err := c.Deploy(ctx, Spec{Version: "v2", Source: forwarderV2}, tf.targets)
+			if err == nil {
+				t.Fatalf("deploy with a failing %s must fail", tc.phase)
+			}
+			v := d.View()
+			if v.State != tc.state {
+				t.Errorf("deployment state = %s, want %s", v.State, tc.state)
+			}
+			for _, n := range v.Nodes[:3] {
+				if n.Status != tc.done {
+					t.Errorf("node %s = %s (%s), want %s", n.Name, n.Status, n.Error, tc.done)
+				}
+				if active, staged := tf.nodeState(t, n.Name); active != "v2" || staged != "" {
+					t.Errorf("node %s: active %q staged %q, want v2 still running and nothing staged", n.Name, active, staged)
+				}
+			}
+			if active, staged := tf.nodeState(t, "delta"); active != "" || staged != "" {
+				t.Errorf("delta: active %q staged %q, want bare", active, staged)
+			}
+		})
 	}
 }
 
@@ -621,7 +729,7 @@ func TestFleetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version == "" {
+	if d.View().Version == "" {
 		t.Error("no version label auto-assigned")
 	}
 }

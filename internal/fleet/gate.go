@@ -121,12 +121,12 @@ func (c *Controller) compatGate(d *Deployment, spec Spec, staged *typecheck.Sign
 	for _, name := range names {
 		p := peers[name]
 		if p.sig == nil {
-			c.publish(obs.KindDeploy, name, "compat:no-signature")
+			c.Publish(obs.KindDeploy, name, "compat:no-signature")
 			continue
 		}
 		diags := staged.CompatibleWith(p.sig)
 		if len(diags) == 0 {
-			c.publish(obs.KindDeploy, name, "compat:ok")
+			c.Publish(obs.KindDeploy, name, "compat:ok")
 			continue
 		}
 		badNodes = append(badNodes, name)
@@ -136,25 +136,20 @@ func (c *Controller) compatGate(d *Deployment, spec Spec, staged *typecheck.Sign
 			} else {
 				msgs = append(msgs, fmt.Sprintf("%s: %s [node %s runs %s]", label, dg.Msg, name, p.version))
 			}
-		}
-		for _, dg := range diags {
 			if !seenDiag[dg] {
 				seenDiag[dg] = true
 				all = append(all, dg)
 			}
 		}
-		c.publish(obs.KindDeploy, name, "compat:mismatch")
+		c.Publish(obs.KindDeploy, name, "compat:mismatch")
 	}
 	if len(badNodes) == 0 {
 		return nil
 	}
 	if spec.AllowIncompatible {
-		d.mu.Lock()
-		d.compatOverride = true
-		d.compatWarnings = msgs
-		d.mu.Unlock()
+		d.update(func(v *View) { v.CompatOverride, v.CompatWarnings = true, msgs })
 		c.logf("fleet: deployment %d: compatibility override: proceeding past %d mismatch(es) on [%s]",
-			d.ID, len(msgs), strings.Join(badNodes, ", "))
+			d.view.ID, len(msgs), strings.Join(badNodes, ", "))
 		return nil
 	}
 	return &CompatError{Version: spec.Version, Nodes: badNodes, Msgs: msgs, Diags: all}

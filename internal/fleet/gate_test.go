@@ -197,55 +197,6 @@ func TestFleetCompatOverride(t *testing.T) {
 	}
 }
 
-// TestFleetDeployTree: a multicast distribution tree deploys through the
-// same pipeline as a flat fleet — including the compatibility gate,
-// applied per recipient, so one stale leaf rejects the whole tree.
-func TestFleetDeployTree(t *testing.T) {
-	tf := newTestFleet(t, 3)
-	c := tf.controller(Config{})
-	root := &Tree{
-		Node: tf.targets[0],
-		Children: []*Tree{
-			{Node: tf.targets[1]},
-			{Node: tf.targets[2]},
-		},
-	}
-	if got := root.Edges(); len(got) != 2 || got[0] != "alpha->beta" || got[1] != "alpha->gamma" {
-		t.Fatalf("tree edges = %v, want [alpha->beta alpha->gamma]", got)
-	}
-
-	d, err := c.DeployTree(context.Background(), Spec{Version: "v1", Source: gatewayV1}, root)
-	if err != nil {
-		t.Fatalf("tree deploy: %v", err)
-	}
-	if got := d.State(); got != StateActive {
-		t.Fatalf("deployment state = %s, want Active", got)
-	}
-	for _, tgt := range root.Targets() {
-		if active, _ := tf.nodeState(t, tgt.Name); active != "v1" {
-			t.Errorf("tree member %s runs %q, want v1", tgt.Name, active)
-		}
-	}
-
-	// A breaking upgrade is gated per recipient: the leaves still send
-	// the variant the new root version drops.
-	_, err = c.DeployTree(context.Background(), Spec{
-		Version: "v2", Source: gatewayV2DropsVariant,
-	}, root)
-	var ce *CompatError
-	if !errors.As(err, &ce) {
-		t.Fatalf("breaking tree rollout: error is %T, want *CompatError: %v", err, err)
-	}
-
-	if _, err := c.DeployTree(context.Background(), Spec{Version: "v2", Source: gatewayV1}, nil); err == nil {
-		t.Error("nil tree root must be rejected")
-	}
-	dup := &Tree{Node: tf.targets[0], Children: []*Tree{{Node: tf.targets[0]}}}
-	if _, err := c.DeployTree(context.Background(), Spec{Version: "v2", Source: gatewayV1}, dup); err == nil {
-		t.Error("duplicate tree membership must be rejected")
-	}
-}
-
 // TestDiagErrorDecoding: a planpd 422 body with structured diagnostics
 // decodes into a DiagError that keeps the spans; a non-JSON rejection
 // degrades to the plain-text form.

@@ -50,8 +50,8 @@ func TestFleetHistoryPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ID != 3 {
-		t.Errorf("post-restart deployment ID = %d, want 3", d.ID)
+	if id := d.View().ID; id != 3 {
+		t.Errorf("post-restart deployment ID = %d, want 3", id)
 	}
 
 	// The query API serves history and live rollouts together.
@@ -111,8 +111,8 @@ func TestFleetHistoryTornRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ID != 2 {
-		t.Errorf("next ID after torn record = %d, want 2", d.ID)
+	if id := d.View().ID; id != 2 {
+		t.Errorf("next ID after torn record = %d, want 2", id)
 	}
 }
 

@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// Each retry waits backoffFactor times longer than the last, and every
+// delay is spread by ±backoffJitter of itself (uniformly in
+// [0.8d, 1.2d]) so a fleet's retries do not arrive in lockstep.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.2
+)
+
 // RetryPolicy controls per-request retries against one node.
 type RetryPolicy struct {
 	// Attempts is the total number of tries per request, including the
@@ -19,15 +27,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 1s).
 	MaxDelay time.Duration
-	// Multiplier is the per-retry growth factor (default 2).
-	Multiplier float64
-	// Jitter spreads each delay by ±Jitter fraction (default 0.2, i.e.
-	// a delay lands uniformly in [0.8d, 1.2d]). Zero disables jitter
-	// only when JitterSet is true — the zero policy gets the default.
-	Jitter float64
-	// JitterSet marks Jitter as explicitly configured, so a zero value
-	// means "no jitter" rather than "default".
-	JitterSet bool
 }
 
 // withDefaults fills zero fields.
@@ -41,12 +40,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 && !p.JitterSet {
-		p.Jitter = 0.2
-	}
 	return p
 }
 
@@ -55,20 +48,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // uniform draw from [0, 1) supplying the jitter.
 func (p RetryPolicy) Delay(retry int, rnd float64) time.Duration {
 	d := float64(p.BaseDelay)
-	for i := 1; i < retry; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			break
-		}
+	for i := 1; i < retry && d < float64(p.MaxDelay); i++ {
+		d *= backoffFactor
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	d *= 1 + p.Jitter*(2*rnd-1)
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	d = min(d, float64(p.MaxDelay))
+	return time.Duration(d * (1 + backoffJitter*(2*rnd-1)))
 }
 
 // retryableStatus reports whether an HTTP status is worth retrying:
@@ -78,9 +62,10 @@ func retryableStatus(code int) bool {
 	return code >= 500 || code == http.StatusTooManyRequests || code == http.StatusRequestTimeout
 }
 
-// sleep waits for d or until ctx is done. The controller's sleep hook
-// replaces it in tests so retry storms run without wall-clock cost.
-func sleep(ctx context.Context, d time.Duration) {
+// Sleep waits for d or until ctx is done. It is what the fleet and
+// adaptation controllers' sleep hooks default to; tests replace the
+// hooks so retry storms and observation windows cost no wall-clock time.
+func Sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}

@@ -12,8 +12,7 @@ import (
 func TestRetryDelaySchedule(t *testing.T) {
 	p := RetryPolicy{
 		Attempts: 5, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second,
-		Multiplier: 2, JitterSet: true, // Jitter 0: deterministic midpoints
-	}.withDefaults()
+	}.withDefaults() // a draw of 0.5 is the jitter band's midpoint
 	want := []time.Duration{
 		50 * time.Millisecond,  // retry 1
 		100 * time.Millisecond, // retry 2
@@ -33,7 +32,7 @@ func TestRetryDelaySchedule(t *testing.T) {
 // TestRetryDelayJitterBounds: jitter spreads each delay symmetrically
 // and never past the configured fraction.
 func TestRetryDelayJitterBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, Jitter: 0.2, JitterSet: true}.withDefaults()
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond}.withDefaults()
 	if got := p.Delay(1, 0); got != 80*time.Millisecond {
 		t.Errorf("rnd=0: %v, want 80ms (-20%%)", got)
 	}
@@ -50,14 +49,8 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 // TestRetryDefaults: the zero policy is fully usable.
 func TestRetryDefaults(t *testing.T) {
 	p := RetryPolicy{}.withDefaults()
-	if p.Attempts != 4 || p.BaseDelay != 50*time.Millisecond ||
-		p.MaxDelay != time.Second || p.Multiplier != 2 || p.Jitter != 0.2 {
+	if p.Attempts != 4 || p.BaseDelay != 50*time.Millisecond || p.MaxDelay != time.Second {
 		t.Errorf("unexpected defaults: %+v", p)
-	}
-	// An explicitly zero jitter survives defaulting.
-	pz := RetryPolicy{JitterSet: true}.withDefaults()
-	if pz.Jitter != 0 {
-		t.Errorf("JitterSet zero jitter was overridden to %v", pz.Jitter)
 	}
 }
 
@@ -89,9 +82,9 @@ func TestSleepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	sleep(ctx, time.Minute)
+	Sleep(ctx, time.Minute)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("sleep ignored cancellation (took %v)", elapsed)
 	}
-	sleep(ctx, 0) // no-op, must not panic
+	Sleep(ctx, 0) // no-op, must not panic
 }

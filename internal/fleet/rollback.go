@@ -28,44 +28,33 @@ func (c *Controller) RollbackDeployment(ctx context.Context, d *Deployment, reas
 	if d == nil {
 		return nil, fmt.Errorf("fleet: rollback of a nil deployment")
 	}
-	targets := make([]Target, 0, len(d.nodes))
-	d.mu.Lock()
-	version := d.Version
-	for _, n := range d.nodes {
-		targets = append(targets, Target{Name: n.Name, URL: n.URL})
-	}
-	d.mu.Unlock()
+	targets, version := d.targets(), d.view.Version
 	if len(targets) == 0 {
-		return nil, fmt.Errorf("fleet: deployment %d has no nodes to roll back", d.ID)
+		return nil, fmt.Errorf("fleet: deployment %d has no nodes to roll back", d.view.ID)
 	}
 
 	spec := Spec{Version: version, Kind: "rollback", Reason: reason}
 	rb := c.newDeployment(&spec, targets)
-	c.logf("fleet: rollback %d: revoking version %s from deployment %d (%s)", rb.ID, version, d.ID, reason)
+	c.logf("fleet: rollback %d: revoking version %s from deployment %d (%s)", rb.view.ID, version, d.view.ID, reason)
 
 	errs := c.forEach(rb, func(nc *nodeClient) error {
-		restored, err := nc.rollback(ctx, version)
+		res, err := nc.rollback(ctx, version)
 		if err != nil {
-			rb.setNodeError(nc.n, NodeFailed, fmt.Errorf("rollback: %w", err))
-			c.publish(obs.KindRollback, nc.n.Name, "failed")
+			nc.mark(NodeFailed, fmt.Errorf("rollback: %w", err))
+			c.Publish(obs.KindRollback, nc.Name, "failed")
 			return err
 		}
-		rb.setStatus(nc.n, NodeRolledBack)
-		rb.setPrev(nc.n, restored)
+		nc.update(func(n *NodeView) { n.Status, n.PrevVersion = NodeRolledBack, res.Active })
 		c.ctNodeRollbacks.Inc()
-		c.publish(obs.KindRollback, nc.n.Name, "restored:"+restored)
+		c.Publish(obs.KindRollback, nc.Name, "restored:"+res.Active)
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
-		rbErr := fmt.Errorf("fleet: rollback of version %s failed on [%s]: %w", version, failedNames(rb, errs), err)
-		rb.finish(StateFailed, rbErr)
-		c.persist(rb)
 		c.ctFailed.Inc()
-		return rb, rbErr
+		return rb, c.finish(rb, StateFailed,
+			fmt.Errorf("fleet: rollback of version %s failed on [%s]: %w", version, failedNames(rb, errs), err))
 	}
-	rb.finish(StateRolledBack, nil)
-	c.persist(rb)
 	c.ctRolledBack.Inc()
-	c.logf("fleet: rollback %d: version %s revoked on all %d node(s)", rb.ID, version, len(targets))
-	return rb, nil
+	c.logf("fleet: rollback %d: version %s revoked on all %d node(s)", rb.view.ID, version, len(targets))
+	return rb, c.finish(rb, StateRolledBack, nil)
 }

@@ -75,16 +75,16 @@ func (cs *ChaosServer) readTimeline(w http.ResponseWriter, r *http.Request) (*ch
 	}
 	tl, err := chaos.ParseTimeline(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, Reject{Error: err.Error()})
 		return nil, nil, false
 	}
 	if tl.Name == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "timeline needs a name"})
+		WriteJSON(w, http.StatusBadRequest, Reject{Error: "timeline needs a name"})
 		return nil, nil, false
 	}
 	sc, err := cs.eng.Compile(tl)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error()})
+		WriteJSON(w, http.StatusUnprocessableEntity, Reject{Error: err.Error()})
 		return nil, nil, false
 	}
 	return tl, sc, true
@@ -98,7 +98,7 @@ func (cs *ChaosServer) handleStage(w http.ResponseWriter, r *http.Request) {
 	cs.mu.Lock()
 	cs.staged[tl.Name] = tl
 	cs.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"staged": tl.Name,
 		"steps":  sc.Steps(),
 	})
@@ -112,14 +112,14 @@ func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
 		tl = cs.staged[name]
 		cs.mu.Unlock()
 		if tl == nil {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("no staged timeline %q", name)})
+			WriteJSON(w, http.StatusNotFound, Reject{Error: fmt.Sprintf("no staged timeline %q", name)})
 			return
 		}
 		// Recompile: the topology is fixed but a stage-then-start pair
 		// must behave identically to a one-shot start.
 		var err error
 		if sc, err = cs.eng.Compile(tl); err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error()})
+			WriteJSON(w, http.StatusUnprocessableEntity, Reject{Error: err.Error()})
 			return
 		}
 	} else {
@@ -132,14 +132,12 @@ func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
 	cs.mu.Lock()
 	if prev := cs.runs[tl.Name]; prev != nil && !prev.Done() {
 		cs.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": fmt.Sprintf("timeline %q is already running (stop it first)", tl.Name),
-		})
+		WriteJSON(w, http.StatusConflict, Reject{Error: fmt.Sprintf("timeline %q is already running (stop it first)", tl.Name)})
 		return
 	}
 	cs.runs[tl.Name] = cs.eng.PlayRun(sc)
 	cs.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"started": tl.Name,
 		"steps":   sc.Steps(),
 	})
@@ -159,7 +157,7 @@ func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
 		stopped = append(stopped, name)
 	} else {
 		cs.mu.Unlock()
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("no run %q", name)})
+		WriteJSON(w, http.StatusNotFound, Reject{Error: fmt.Sprintf("no run %q", name)})
 		return
 	}
 	cs.mu.Unlock()
@@ -169,7 +167,7 @@ func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
 	if cleared {
 		cs.eng.ClearAll()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"stopped": stopped,
 		"cleared": cleared,
 	})
@@ -197,7 +195,7 @@ func (cs *ChaosServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	cs.mu.Unlock()
 	sort.Strings(staged)
 
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"links":  links,
 		"nodes":  nodes,
 		"staged": staged,

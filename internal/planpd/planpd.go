@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"planp.dev/planp/internal/lang/diag"
+	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/planprt"
 	"planp.dev/planp/internal/substrate"
 )
@@ -41,8 +42,7 @@ const maxASPSource = 1 << 20
 // active (rt set), or retained as the rollback target.
 type installed struct {
 	version string
-	source  string
-	cfg     planprt.Config
+	engine  planprt.EngineKind
 	prog    *planprt.Program
 	rt      *planprt.Runtime
 }
@@ -117,60 +117,88 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) 
 	return nil, false
 }
 
-// readProtocol reads and bounds the uploaded source and decodes the
-// engine/verify query parameters. On failure it has already written the
-// HTTP error.
-func (s *Server) readProtocol(w http.ResponseWriter, r *http.Request) (src string, cfg planprt.Config, ok bool) {
+// WriteJSON answers with v as a JSON body under status — the one
+// encoder of every control-plane response, here and in the packages
+// that mount beside this server (fleet, adapt, testbed).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// load reads and bounds the uploaded source, decodes the
+// engine/verify/version query parameters and compiles without
+// activating (planprt.Load: parse, late-check, verify, codegen) — the
+// expensive, rejectable work, done before s.mu is taken. On failure it
+// has already written the HTTP error: a 422 Reject, headed by what,
+// when the protocol rather than the request framing is at fault.
+func (s *Server) load(w http.ResponseWriter, r *http.Request, what string) (*installed, bool) {
 	body, ok := ReadBody(w, r, maxASPSource)
 	if !ok {
-		return "", cfg, false
+		return nil, false
 	}
 	q := r.URL.Query()
 	cfg, err := planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return "", cfg, false
+		return nil, false
 	}
 	cfg.Output = s.out
-	return string(body), cfg, true
+	prog, err := planprt.Load(string(body), cfg)
+	if err != nil {
+		writeReject(w, fmt.Sprintf("%s rejected: %v", what, err), err)
+		return nil, false
+	}
+	return &installed{version: q.Get("version"), engine: cfg.Engine, prog: prog}, true
+}
+
+// swap makes to the version that intercepts packets, and is the one
+// place a runtime is uninstalled or installed: withdraw whatever runs,
+// install to (nil leaves the node bare), and if that fails reinstall
+// what was displaced, so a failed swap never strands a node that was
+// serving traffic. On success s.active is to; on failure it is the
+// displaced version again (or nil, should even that not reinstall).
+// The caller holds s.mu.
+func (s *Server) swap(to *installed) error {
+	old := s.active
+	if old != nil {
+		old.rt.Uninstall()
+		old.rt, s.active = nil, nil
+	}
+	if to == nil {
+		return nil
+	}
+	rt, err := planprt.Install(s.node, to.prog, s.out)
+	if err != nil {
+		if old != nil {
+			s.swap(old) // s.active is nil here: this only installs
+		}
+		return err
+	}
+	to.rt, s.active = rt, to
+	return nil
 }
 
 // install is the one-shot download path: load (compile without
 // activate) and activate in a single request. It refuses to replace a
 // running protocol — upgrades go through stage/activate.
 func (s *Server) install(w http.ResponseWriter, r *http.Request) {
-	src, cfg, ok := s.readProtocol(w, r)
+	in, ok := s.load(w, r, "download")
 	if !ok {
 		return
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.node.CurrentProcessor() != nil {
 		http.Error(w, "node already runs a protocol (DELETE /asp first, or stage/activate to upgrade)", http.StatusConflict)
 		return
 	}
-	prog, err := planprt.Load(src, cfg)
-	if err != nil {
-		// Parse/type/verify rejection: the protocol is at fault, not
-		// the request framing.
-		writeReject(w, http.StatusUnprocessableEntity, fmt.Sprintf("download rejected: %v", err), err)
+	if err := s.swap(in); err != nil {
+		writeReject(w, fmt.Sprintf("install rejected: %v", err), err)
 		return
 	}
-	rt, err := planprt.Install(s.node, prog, s.out)
-	if err != nil {
-		writeReject(w, http.StatusUnprocessableEntity, fmt.Sprintf("install rejected: %v", err), err)
-		return
-	}
-	s.active = &installed{
-		version: r.URL.Query().Get("version"),
-		source:  src, cfg: cfg, prog: prog, rt: rt,
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"installed": true,
-		"node":      s.node.Hostname(),
-		"engine":    string(cfg.Engine),
-		"version":   s.active.version,
+	WriteJSON(w, http.StatusOK, Installed{
+		Installed: true, Node: s.node.Hostname(), Engine: string(in.engine), Version: in.version,
 	})
 }
 
@@ -181,13 +209,8 @@ func (s *Server) uninstall(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "no protocol installed", http.StatusNotFound)
 		return
 	}
-	s.active.rt.Uninstall()
-	s.active.rt = nil
-	s.active = nil
-	writeJSON(w, http.StatusOK, map[string]any{
-		"installed": false,
-		"node":      s.node.Hostname(),
-	})
+	s.swap(nil)
+	WriteJSON(w, http.StatusOK, Withdrawn{Node: s.node.Hostname()})
 }
 
 // status reports the node's protocol state machine: which version is
@@ -197,20 +220,14 @@ func (s *Server) uninstall(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := map[string]any{
-		"node":   s.node.Hostname(),
-		"asp":    s.active != nil,
-		"active": versionOf(s.active),
-		"staged": versionOf(s.staged),
-		"prev":   versionOf(s.prev),
-	}
-	// The active version's channel-interface signature, for peers (the
-	// fleet compatibility gate) deciding whether a new version can
-	// coexist with what this node runs.
-	if s.active != nil {
-		resp["signature"] = s.active.prog.Signature()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, Status{
+		Node:      s.node.Hostname(),
+		ASP:       s.active != nil,
+		Active:    versionOf(s.active),
+		Staged:    versionOf(s.staged),
+		Prev:      versionOf(s.prev),
+		Signature: signatureOf(s.active),
+	})
 }
 
 func versionOf(in *installed) string {
@@ -218,6 +235,16 @@ func versionOf(in *installed) string {
 		return ""
 	}
 	return in.version
+}
+
+// signatureOf is the version's channel-interface signature, for peers
+// (the fleet compatibility gate) deciding whether a new version can
+// coexist with what this node runs.
+func signatureOf(in *installed) *typecheck.Signature {
+	if in == nil {
+		return nil
+	}
+	return in.prog.Signature()
 }
 
 // handleStats serves a registry snapshot stamped with a monotonic
@@ -233,53 +260,27 @@ func versionOf(in *installed) string {
 // observable through this endpoint — the distributed-testbed failure
 // mode the clock-skew primitive exists to reproduce.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"node":    s.node.Hostname(),
-		"mono_ns": s.node.Env().Now().Nanoseconds(),
-		"stats":   s.node.Env().Metrics().Snapshot(),
+	WriteJSON(w, http.StatusOK, Stats{
+		Node:   s.node.Hostname(),
+		MonoNS: s.node.Env().Now().Nanoseconds(),
+		Stats:  s.node.Env().Metrics().Snapshot(),
 	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	version := versionOf(s.active)
-	var sig any
-	if s.active != nil {
-		if sg := s.active.prog.Signature(); sg != nil {
-			sig = sg
-		}
-	}
+	active := s.active
 	s.mu.Unlock()
-	resp := map[string]any{
-		"ok":      true,
-		"node":    s.node.Hostname(),
-		"asp":     s.node.CurrentProcessor() != nil,
-		"version": version,
-	}
-	// The active version's channel-interface signature rides the health
-	// probe so the fleet's compatibility gate needs no extra round-trip.
-	if sig != nil {
-		resp["signature"] = sig
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, Health{
+		OK:        true,
+		Node:      s.node.Hostname(),
+		ASP:       s.node.CurrentProcessor() != nil,
+		Version:   versionOf(active),
+		Signature: signatureOf(active),
+	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeReject reports a rejected protocol as structured JSON: the
-// rendered error plus the individual span-carrying diagnostics, so the
-// deploy tooling can point at the offending source lines instead of
-// echoing one opaque string.
-//
-//	{"error": "stage rejected: ...", "diagnostics": [{"pos": {...}, "end": {...}, "msg": "..."}]}
-func writeReject(w http.ResponseWriter, status int, msg string, err error) {
-	body := map[string]any{"error": msg}
-	if ds := diag.Of(err); len(ds) > 0 {
-		body["diagnostics"] = ds
-	}
-	writeJSON(w, status, body)
+// writeReject reports a protocol the node refused as a 422 Reject.
+func writeReject(w http.ResponseWriter, msg string, err error) {
+	WriteJSON(w, http.StatusUnprocessableEntity, Reject{Error: msg, Diagnostics: diag.Of(err)})
 }

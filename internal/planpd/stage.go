@@ -16,8 +16,6 @@ package planpd
 import (
 	"fmt"
 	"net/http"
-
-	"planp.dev/planp/internal/planprt"
 )
 
 // stage and abortStage implement phase 1 of a rollout.
@@ -27,33 +25,22 @@ import (
 //	DELETE /asp/stage[?version=v] abort: discard the staged version
 //	                              (scoped to v when given); idempotent
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) {
-	version := r.URL.Query().Get("version")
-	if version == "" {
+	if r.URL.Query().Get("version") == "" {
 		http.Error(w, "stage requires a ?version= label", http.StatusBadRequest)
 		return
 	}
-	src, cfg, ok := s.readProtocol(w, r)
+	// Phase 1 is where failure costs nothing: the node's packet
+	// processing is untouched until activate.
+	in, ok := s.load(w, r, "stage")
 	if !ok {
 		return
 	}
-	// Compile-without-activate: the expensive, rejectable work happens
-	// here, in phase 1, where failure costs nothing — the node's packet
-	// processing is untouched until activate.
-	prog, err := planprt.Load(src, cfg)
-	if err != nil {
-		writeReject(w, http.StatusUnprocessableEntity, fmt.Sprintf("stage rejected: %v", err), err)
-		return
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.staged = &installed{version: version, source: src, cfg: cfg, prog: prog}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"staged":    true,
-		"version":   version,
-		"node":      s.node.Hostname(),
-		"engine":    string(cfg.Engine),
-		"signature": prog.Signature(),
+	s.staged = in
+	WriteJSON(w, http.StatusOK, Staged{
+		Staged: true, Version: in.version, Node: s.node.Hostname(),
+		Engine: string(in.engine), Signature: in.prog.Signature(),
 	})
 }
 
@@ -64,10 +51,7 @@ func (s *Server) abortStage(w http.ResponseWriter, r *http.Request) {
 	if s.staged != nil && (version == "" || s.staged.version == version) {
 		s.staged = nil
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"staged": s.staged != nil,
-		"node":   s.node.Hostname(),
-	})
+	WriteJSON(w, http.StatusOK, Staged{Staged: s.staged != nil, Node: s.node.Hostname()})
 }
 
 // handleActivate implements phase 2: POST /asp/activate?version=v swaps
@@ -83,11 +67,10 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	resp := Activated{Active: true, Version: version, Node: s.node.Hostname()}
 	if s.active != nil && s.active.version == version {
 		// Idempotent replay: this version already runs.
-		writeJSON(w, http.StatusOK, map[string]any{
-			"active": true, "version": version, "node": s.node.Hostname(),
-		})
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	if s.staged == nil || s.staged.version != version {
@@ -103,35 +86,16 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	old := s.active
-	if old != nil {
-		old.rt.Uninstall()
-		old.rt = nil
-	}
-	st := s.staged
-	rt, err := planprt.Install(s.node, st.prog, s.out)
-	if err != nil {
-		// Activation failed (e.g. the single-node install limit). Put
-		// the displaced version back so a failed activate never leaves
-		// the node bare; the staged version stays for a retry or abort.
-		if old != nil {
-			if oldRT, restoreErr := planprt.Install(s.node, old.prog, s.out); restoreErr == nil {
-				old.rt = oldRT
-				s.active = old
-			} else {
-				s.active = nil
-			}
-		}
+	if err := s.swap(s.staged); err != nil {
+		// E.g. the single-node install limit. The displaced version is
+		// back in place; the staged one stays for a retry or an abort.
 		http.Error(w, fmt.Sprintf("activate rejected: %v", err), http.StatusUnprocessableEntity)
 		return
 	}
-	st.rt = rt
-	s.active = st
-	s.staged = nil
-	s.prev = old
-	writeJSON(w, http.StatusOK, map[string]any{
-		"active": true, "version": version, "node": s.node.Hostname(),
-		"previous": versionOf(old),
-	})
+	s.staged, s.prev = nil, old
+	previous := versionOf(old)
+	resp.Previous = &previous
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRollback undoes an activation: POST /asp/rollback?version=v
@@ -149,31 +113,18 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active == nil || s.active.version != version {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"rolledback": false, "active": versionOf(s.active), "node": s.node.Hostname(),
-		})
-		return
-	}
-	s.active.rt.Uninstall()
-	s.active.rt = nil
-	s.active = nil
-	if s.prev != nil {
-		rt, err := planprt.Install(s.node, s.prev.prog, s.out)
-		if err != nil {
+	rolledBack := s.active != nil && s.active.version == version
+	if rolledBack {
+		if err := s.swap(s.prev); err != nil {
 			// The previous version no longer installs (it should — its
-			// install slot was just released). The node is left bare
-			// rather than running the rolled-back version.
+			// install slot was just released); version keeps running.
 			http.Error(w, fmt.Sprintf("rollback could not restore %q: %v", s.prev.version, err),
 				http.StatusInternalServerError)
-			s.prev = nil
 			return
 		}
-		s.prev.rt = rt
-		s.active = s.prev
 		s.prev = nil
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"rolledback": true, "active": versionOf(s.active), "node": s.node.Hostname(),
+	WriteJSON(w, http.StatusOK, RolledBack{
+		RolledBack: rolledBack, Active: versionOf(s.active), Node: s.node.Hostname(),
 	})
 }

@@ -172,6 +172,45 @@ func TestStageActivateCycle(t *testing.T) {
 	}
 }
 
+// TestRollbackThatCannotRestoreKeepsVersion: when the rollback target
+// will not reinstall (here: a single-node program that meanwhile runs
+// elsewhere), the node is not left bare — the version being rolled back
+// keeps running, the target is retained for a retry, and the controller
+// is told 500.
+func TestRollbackThatCannotRestoreKeepsVersion(t *testing.T) {
+	sim := netsim.New(netsim.WithSeed(1))
+	node := netsim.NewNode(sim, "n0", netsim.Addr(0x0A000001))
+	s := NewServer(node, io.Discard)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	for _, step := range []struct{ path, body string }{
+		{"/asp/stage?version=v1&verify=single", stageForwarder},
+		{"/asp/activate?version=v1", ""},
+		{"/asp/stage?version=v2", stageForwarderV2},
+		{"/asp/activate?version=v2", ""},
+	} {
+		if code, _ := call(t, http.MethodPost, srv.URL+step.path, step.body); code != http.StatusOK {
+			t.Fatalf("POST %s: %d", step.path, code)
+		}
+	}
+	// v1's one permitted installation is taken up by another node.
+	other := netsim.NewNode(sim, "n1", netsim.Addr(0x0A000002))
+	if _, err := planprt.Install(other, s.prev.prog, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	code, raw := rawCall(t, http.MethodPost, srv.URL+"/asp/rollback?version=v2", "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(raw), `could not restore "v1"`) {
+		t.Fatalf("rollback: %d %q, want 500 naming v1", code, raw)
+	}
+	if active, _, prev := aspState(t, srv.URL); active != "v2" || prev != "v1" {
+		t.Errorf("after the failed rollback: active %q prev %q, want v2 still running and v1 retained", active, prev)
+	}
+	if node.Processor == nil {
+		t.Error("the failed rollback left the node bare")
+	}
+}
+
 // TestStageAbort: DELETE /asp/stage discards the staged version,
 // scoped to ?version= when given, idempotently.
 func TestStageAbort(t *testing.T) {

@@ -128,14 +128,8 @@ type Program struct {
 	// (the paper's figure-3 measurement).
 	CodegenTime time.Duration
 
-	installs int
+	installs int // nodes running this program: Install counts, Runtime.Uninstall releases
 }
-
-// Installs reports how many nodes currently run this program: Install
-// increments it, Runtime.Uninstall releases it. Deployment rollback is
-// auditable through it — a Deploy that failed partway must leave the
-// count exactly where it found it.
-func (p *Program) Installs() int { return p.installs }
 
 // Signature returns the program's channel-interface signature, as
 // extracted by the typechecker. Because the signature lives on the
@@ -250,6 +244,15 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 	node.SetProcessor(rt)
 	p.installs++
 	return rt, nil
+}
+
+// Uninstall removes this runtime from its node, restoring standard
+// packet processing. Idempotent.
+func (rt *Runtime) Uninstall() {
+	if rt.node.CurrentProcessor() == substrate.Processor(rt) {
+		rt.node.SetProcessor(nil)
+		rt.prog.installs--
+	}
 }
 
 // Stats is a point-in-time snapshot of runtime activity on one node,

@@ -8,8 +8,6 @@
 package testbed
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,12 +77,6 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	spec, err := topo.Daemon(name)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Out == nil {
-		opts.Out = io.Discard
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
 	}
 
 	// Deterministic per-daemon seed: position in the shared file.
@@ -221,7 +213,7 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	}
 
 	d.Fleet = fleet.New(fleet.Config{Logf: opts.Logf, HistoryPath: opts.HistoryPath})
-	d.Adapt = adapt.New(adapt.Config{Fleet: d.Fleet, Logf: opts.Logf})
+	d.Adapt = adapt.New(d.Fleet)
 	d.chs = planpd.NewChaosServer(d.Chaos)
 	d.out = opts.Out
 	ok = true
@@ -246,13 +238,10 @@ func (d *Daemon) NodeNames() []string {
 // proceed as soon as the peer daemons come up.
 func (d *Daemon) Start() { d.Net.Start() }
 
-// Drain waits for this daemon's background adaptation runs (ctx bounds
-// the wait; expiry cancels the stragglers). Part of graceful shutdown:
-// stop accepting HTTP, Drain, then Close.
-func (d *Daemon) Drain(ctx context.Context) bool { return d.Adapt.Drain(ctx) }
-
 // Close shuts the daemon's substrate down. Remote links send BYE on
-// the way out, so peers log link-down immediately.
+// the way out, so peers log link-down immediately. Graceful shutdown is
+// stop accepting HTTP, d.Adapt.Drain (background canary runs finish or
+// are cut short and roll back), then Close.
 func (d *Daemon) Close() { d.Net.Close() }
 
 // WaitLinksUp blocks until every cross-daemon link endpoint reports
@@ -287,10 +276,11 @@ func (d *Daemon) WaitLinksUp(timeout time.Duration) []string {
 //	/links            cross-daemon link states (handshake, liveness,
 //	                  last structured rejection)
 //	/healthz          daemon identity, owned nodes, link summary
-func (d *Daemon) Handler() http.Handler { return d.mux() }
-
-// mux builds the control API; the demo adds its own route to it.
-func (d *Daemon) mux() *http.ServeMux {
+//
+// Call it once per daemon: each call builds a new mux over new per-node
+// servers, and a node's staged/active/prev versions live in its server.
+// The demo adds its own route to the mux.
+func (d *Daemon) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	for name, node := range d.nodes {
 		prefix := "/node/" + name
@@ -338,15 +328,25 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 		pkt := substrate.NewUDP(from.Address(), dst, discardPort, discardPort, []byte("probe"))
 		from.Send(pkt.Own())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	planpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"from": q.Get("from"), "to": to.Name, "sent": n,
 	})
+}
+
+// DeployResponse answers POST /deploy: the rollout's record, and when
+// it did not converge the error (409) — with its span diagnostics when
+// the compatibility gate or a node's stage rejected the program (422).
+type DeployResponse struct {
+	Error       string      `json:"error,omitempty"`
+	Diagnostics diag.List   `json:"diagnostics,omitempty"`
+	Deployment  *fleet.View `json:"deployment,omitempty"`
 }
 
 func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	// Bare node names resolve through the topology to the owning
 	// daemon's /node mount — including nodes owned by other daemons.
-	targets, err := fleet.ParseTargets(r.URL.Query().Get("nodes"), d.Topo.NodeURL)
+	q := r.URL.Query()
+	targets, err := fleet.ParseTargets(q.Get("nodes"), d.Topo.NodeURL)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("topology %q: %v", d.Topo.Name, err), http.StatusBadRequest)
 		return
@@ -355,29 +355,28 @@ func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec := fleet.Spec{
-		Version:           r.URL.Query().Get("version"),
+	dep, deployErr := d.Fleet.Deploy(r.Context(), fleet.Spec{
+		Version:           q.Get("version"),
 		Source:            string(body),
-		Engine:            r.URL.Query().Get("engine"),
-		Verify:            r.URL.Query().Get("verify"),
-		SourceName:        r.URL.Query().Get("src_name"),
-		AllowIncompatible: r.URL.Query().Get("allow_incompatible") == "true",
-	}
-	dep, deployErr := d.Fleet.Deploy(r.Context(), spec, targets)
+		Engine:            q.Get("engine"),
+		Verify:            q.Get("verify"),
+		SourceName:        q.Get("src_name"),
+		AllowIncompatible: q.Get("allow_incompatible") == "true",
+	}, targets)
 	status := http.StatusOK
-	resp := map[string]any{}
+	var resp DeployResponse
 	if deployErr != nil {
 		status = http.StatusConflict
-		resp["error"] = deployErr.Error()
-		if ds := diag.Of(deployErr); len(ds) > 0 {
+		resp.Error = deployErr.Error()
+		if resp.Diagnostics = diag.Of(deployErr); len(resp.Diagnostics) > 0 {
 			status = http.StatusUnprocessableEntity
-			resp["diagnostics"] = ds
 		}
 	}
 	if dep != nil {
-		resp["deployment"] = dep.View()
+		v := dep.View()
+		resp.Deployment = &v
 	}
-	writeJSON(w, status, resp)
+	planpd.WriteJSON(w, status, resp)
 }
 
 // LinkStatus is one cross-daemon link endpoint's state as /links
@@ -410,14 +409,14 @@ func (d *Daemon) linkStatuses() []LinkStatus {
 }
 
 func (d *Daemon) handleLinks(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	planpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"daemon": d.Spec.Name,
 		"links":  d.linkStatuses(),
 	})
 }
 
 func (d *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	planpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
 		"testbed": d.Topo.Name,
 		"daemon":  d.Spec.Name,
@@ -425,10 +424,4 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"nodes":   d.NodeNames(),
 		"links":   d.linkStatuses(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/apps/httpd"
+	"planp.dev/planp/internal/planpd"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -97,7 +98,7 @@ func (m *Demo) Responses() (total, fromVirtual int64) {
 // Handler is the daemon's control API plus POST /demo/requests?n=N,
 // which fires N client requests and reports where they landed.
 func (m *Demo) Handler() http.Handler {
-	mux := m.Daemon.mux()
+	mux := m.Daemon.Handler()
 	mux.HandleFunc("POST /demo/requests", func(w http.ResponseWriter, r *http.Request) {
 		n, err := strconv.Atoi(r.URL.Query().Get("n"))
 		if err != nil || n <= 0 || n > 1<<16 {
@@ -113,7 +114,7 @@ func (m *Demo) Handler() http.Handler {
 		settled := m.Net.Quiesce(10 * time.Second)
 		s0, s1 := m.Served()
 		total, fromVirtual := m.Responses()
-		writeJSON(w, http.StatusOK, map[string]any{
+		planpd.WriteJSON(w, http.StatusOK, map[string]any{
 			"sent": n, "settled": settled, "server0": s0, "server1": s1,
 			"responses": total, "from_virtual": fromVirtual,
 		})

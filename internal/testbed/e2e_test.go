@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -442,6 +443,29 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 	out, err = exec.Command(bin, "chaos", "status", "-daemon", base1).CombinedOutput()
 	if err != nil || !bytes.Contains(out, []byte(`"part"`)) {
 		t.Fatalf("planpd chaos status: %v\n%s", err, out)
+	}
+
+	// A rollout from the deploy CLI runs on d1's controller: it prints
+	// the record, and d1's history — not a private one — holds it.
+	srcPath := filepath.Join(t.TempDir(), "forwarder.planp")
+	if err := os.WriteFile(srcPath, []byte(forwarder), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(bin, "deploy", "-daemon", base1, "-nodes", "gw,s0,s1",
+		"-src", srcPath, "-version", "v4").CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte(`"state": "Active"`)) {
+		t.Fatalf("planpd deploy: %v\n%s", err, out)
+	}
+	hist, err := http.Get(base1 + "/deployments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history fleet.History
+	json.NewDecoder(hist.Body).Decode(&history)
+	hist.Body.Close()
+	if n := len(history.Deployments); n == 0 || history.Deployments[n-1].Version != "v4" ||
+		history.Deployments[n-1].State != fleet.StateActive {
+		t.Fatalf("d1's history does not end in the CLI's rollout: %+v", history.Deployments)
 	}
 
 	// Phase 7: graceful shutdown. SIGTERM d3: its links BYE their peers,
