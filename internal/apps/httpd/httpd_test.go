@@ -203,3 +203,51 @@ func TestResponsesCarryVirtualAddress(t *testing.T) {
 		t.Error("client saw a physical server address; the gateway must restore the virtual address")
 	}
 }
+
+// TestServerQueueIsFIFO pins the request queue across its O(1) pop: a
+// one-worker server answers queued requests in arrival order, QueueMax
+// is the deepest the waiting line got (not the slice behind it), the
+// slice does not grow with the requests served, and Fail empties it.
+func TestServerQueueIsFIFO(t *testing.T) {
+	sim := netsim.New(netsim.WithSeed(1))
+	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
+	server := netsim.NewNode(sim, "server", Server0Addr)
+	l := netsim.Connect(sim, client, server, netsim.LinkConfig{Bandwidth: 100_000_000})
+	client.SetDefaultRoute(l.Ifaces()[0])
+	server.SetDefaultRoute(l.Ifaces()[1])
+	s := NewServer(server, ServerConfig{Workers: 1, BaseCPU: time.Millisecond})
+	var order []uint16
+	client.BindRaw(func(pkt *netsim.Packet) { order = append(order, pkt.TCP.DstPort) })
+
+	const burst, rounds = 40, 5
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < burst; i++ {
+			client.Send(netsim.NewTCP(client.Addr, server.Addr, uint16(r*burst+i), HTTPPort, 0, netsim.FlagSyn, encodeRequest(100)))
+		}
+		sim.Run()
+	}
+	if len(order) != burst*rounds || s.Served != burst*rounds {
+		t.Fatalf("answered %d, served %d of %d", len(order), s.Served, burst*rounds)
+	}
+	for i, port := range order {
+		if int(port) != i {
+			t.Fatalf("response %d answers request %d: not first in, first out", i, port)
+		}
+	}
+	if s.QueueMax != burst-1 {
+		t.Errorf("QueueMax = %d, want %d (one request in service, the rest waiting)", s.QueueMax, burst-1)
+	}
+	if len(s.queue) != 0 || s.head != 0 || cap(s.queue) > 2*burst {
+		t.Errorf("after draining: %d queued, head %d, cap %d (burst %d)", len(s.queue), s.head, cap(s.queue), burst)
+	}
+
+	for i := 0; i < burst; i++ {
+		client.Send(netsim.NewTCP(client.Addr, server.Addr, 9000, HTTPPort, 0, netsim.FlagSyn, encodeRequest(100)))
+	}
+	sim.RunUntil(sim.Now() + 5*time.Millisecond)
+	s.Fail()
+	sim.Run()
+	if s.queue != nil || s.head != 0 || len(order) >= burst*(rounds+1) {
+		t.Errorf("after Fail: queue %d, head %d, %d responses", len(s.queue), s.head, len(order))
+	}
+}

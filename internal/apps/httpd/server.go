@@ -31,7 +31,8 @@ type Server struct {
 	BaseCPU time.Duration // fixed cost per request
 	PerByte time.Duration // additional cost per response byte
 
-	queue     []*netsim.Packet
+	queue     []*netsim.Packet // waiting requests are queue[head:]
+	head      int
 	busy      int
 	failed    bool
 	Served    int64
@@ -43,7 +44,7 @@ type Server struct {
 // already in service are lost too). Used by the failover experiment.
 func (s *Server) Fail() {
 	s.failed = true
-	s.queue = nil
+	s.queue, s.head = nil, 0
 }
 
 // ServerConfig holds tunables; zero values take defaults calibrated so
@@ -88,8 +89,8 @@ func (s *Server) onRequest(pkt *netsim.Packet) {
 		return
 	}
 	s.queue = append(s.queue, pkt)
-	if len(s.queue) > s.QueueMax {
-		s.QueueMax = len(s.queue)
+	if n := len(s.queue) - s.head; n > s.QueueMax {
+		s.QueueMax = n
 	}
 }
 
@@ -107,9 +108,16 @@ func (s *Server) serve(req *netsim.Packet) {
 			return // the response dies with the machine
 		}
 		s.respond(req, size)
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[:copy(s.queue, s.queue[1:])]
+		if s.head < len(s.queue) {
+			next := s.queue[s.head]
+			s.head++
+			// Past saturation the queue is thousands deep: the served
+			// prefix is closed up once it is half the slice, not per pop.
+			if 2*s.head >= len(s.queue) {
+				n := copy(s.queue, s.queue[s.head:])
+				clear(s.queue[n:])
+				s.queue, s.head = s.queue[:n], 0
+			}
 			s.serve(next)
 		}
 	})

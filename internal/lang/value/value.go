@@ -427,6 +427,13 @@ func writeFields(sb *strings.Builder, fields ...int64) {
 // list elements and blob bytes are copied (headers are immutable and
 // tables are reference values, so both stay shared). A Context that
 // keeps a packet value past the call that lent it must Clone it.
+//
+// Shared headers are safe to keep because every header a Context is
+// handed is immutable for good — with one exception that never reaches a
+// Clone: planprt.Runtime decodes the packet of an invocation into
+// headers it owns and overwrites at the next packet, and it is also the
+// Context of that invocation, which encodes what it is sent and forgets
+// it. No other Context ever sees a scratch-backed header.
 func Clone(v Value) Value {
 	switch v.Kind {
 	case KindBlob:

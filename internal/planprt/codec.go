@@ -47,13 +47,28 @@ type small struct {
 // starting with ip — matches nothing). A trailing blob aliases
 // pkt.Payload: transmitted payloads are immutable.
 func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
+	return decode(pkt, t, nil)
+}
+
+// scratch is caller-owned memory behind a decoded value: the headers,
+// and elems (empty, capacity at least the type's width) for the tuple.
+type scratch struct {
+	headers
+	elems []value.Value
+}
+
+// decode is Decode into mem, so the value is good until the caller
+// decodes into mem again. A nil mem is a fresh allocation.
+func decode(pkt *substrate.Packet, t ast.Type, mem *scratch) (value.Value, bool) {
 	tup, ok := t.(ast.Tuple)
 	if !ok || len(tup.Elems) == 0 || !ast.Equal(tup.Elems[0], ast.IPT) {
 		return value.Unit, false
 	}
 	var d *headers
 	var elems []value.Value
-	if n := len(tup.Elems); n <= smallElems {
+	if mem != nil {
+		d, elems = &mem.headers, mem.elems
+	} else if n := len(tup.Elems); n <= smallElems {
 		s := new(small)
 		d, elems = &s.headers, s.elems[:0]
 	} else {
@@ -177,7 +192,26 @@ type encoded struct {
 // cannot reach the other. Both sides are immutable — a blob because
 // every blob primitive returns a fresh one, a transmitted payload by the
 // copy-on-write rule — so the sharing is never observable.
-func Encode(v value.Value) (*substrate.Packet, error) {
+func Encode(v value.Value) (*substrate.Packet, error) { return encode(v, nil) }
+
+// header returns the transport header of an encoded packet: was, the
+// one the packet came in with, if it already reads w, else w in spare or
+// in a fresh header. A Clone shares *was, so it is never written.
+func header[H comparable](was, spare *H, w H) *H {
+	if was != nil && *was == w {
+		return was
+	}
+	if spare == nil {
+		spare = new(H)
+	}
+	*spare = w
+	return spare
+}
+
+// encode is Encode into pkt, an owned packet the caller gives up (nil: a
+// fresh one). Every field of pkt is overwritten. After an error pkt is
+// half-written and good for nothing.
+func encode(v value.Value, pkt *substrate.Packet) (*substrate.Packet, error) {
 	if v.Kind != value.KindTuple || len(v.Vs) == 0 {
 		return nil, fmt.Errorf("planprt: packet value must be a tuple, got %s", v.Kind)
 	}
@@ -185,31 +219,37 @@ func Encode(v value.Value) (*substrate.Packet, error) {
 		return nil, fmt.Errorf("planprt: packet tuple must start with an ip header, got %s", v.Vs[0].Kind)
 	}
 	iph := v.Vs[0].AsIP()
-	e := &encoded{pkt: substrate.Packet{IP: substrate.IPHeader{
+	var tcp *substrate.TCPHeader // spare headers: part of a fresh packet's allocation
+	var udp *substrate.UDPHeader
+	if pkt == nil {
+		e := new(encoded)
+		pkt, tcp, udp = &e.pkt, &e.tcp, &e.udp
+	}
+	wasTCP, wasUDP := pkt.TCP, pkt.UDP
+	*pkt = substrate.Packet{IP: substrate.IPHeader{
 		Src:   substrate.Addr(iph.Src),
 		Dst:   substrate.Addr(iph.Dst),
 		Proto: iph.Proto,
 		TTL:   iph.TTL,
 		ID:    iph.ID,
-	}}}
-	// The encoded packet is freshly built and referenced only by the
-	// caller, so downstream routers may forward it in place.
-	pkt := e.pkt.Own()
+	}}
+	// The packet is referenced only by the caller (freshly built, or
+	// owned when it came in), so downstream routers may forward it in
+	// place.
+	pkt.Own()
 
 	rest := v.Vs[1:]
 	if len(rest) > 0 && rest[0].Kind == value.KindTCP {
 		h := rest[0].AsTCP()
-		e.tcp = substrate.TCPHeader{
+		pkt.TCP = header(wasTCP, tcp, substrate.TCPHeader{
 			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
 			Flags: h.Flags, Window: h.Window,
-		}
-		pkt.TCP = &e.tcp
+		})
 		pkt.IP.Proto = substrate.ProtoTCP
 		rest = rest[1:]
 	} else if len(rest) > 0 && rest[0].Kind == value.KindUDP {
 		h := rest[0].AsUDP()
-		e.udp = substrate.UDPHeader{SrcPort: h.SrcPort, DstPort: h.DstPort}
-		pkt.UDP = &e.udp
+		pkt.UDP = header(wasUDP, udp, substrate.UDPHeader{SrcPort: h.SrcPort, DstPort: h.DstPort})
 		pkt.IP.Proto = substrate.ProtoUDP
 		rest = rest[1:]
 	}

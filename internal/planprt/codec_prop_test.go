@@ -162,7 +162,8 @@ func TestDecodeRefusesNonPacketTypes(t *testing.T) {
 }
 
 // FuzzDecode throws arbitrary packets at Decode under every fuzz type:
-// it must never panic, and anything it accepts must survive an
+// it must never panic, it must decide and decode the same into scratch
+// as into fresh memory, and anything it accepts must survive an
 // Encode/Decode round trip with headers and payload intact.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(0), uint16(80), uint16(1234), []byte{})
@@ -188,6 +189,12 @@ func FuzzDecode(f *testing.F) {
 		refusesNonPacketTypes(t, pkt)
 		for _, typ := range fuzzTypes {
 			v, ok := Decode(pkt, typ)
+			// Decoding into memory a runtime owns is the same function of
+			// the packet as decoding into fresh memory.
+			mem := &scratch{elems: make([]value.Value, 0, len(typ.Elems))}
+			if sv, sok := decode(pkt, typ, mem); sok != ok || !value.Equal(sv, v) {
+				t.Fatalf("%v: fresh decode (%s, %v), scratch decode (%s, %v)", typ, v, ok, sv, sok)
+			}
 			if !ok {
 				continue
 			}

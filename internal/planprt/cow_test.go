@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/netsim"
@@ -116,10 +117,27 @@ func TestEncodeAliasesOneBlobSafely(t *testing.T) {
 	}
 }
 
+// sink is a node whose sends go nowhere, so that what Runtime.Process
+// allocates is the runtime's own.
+type sink struct {
+	*netsim.Node
+	last *substrate.Packet
+}
+
+func (s *sink) TransmitFrom(pkt *substrate.Packet, _ substrate.Iface) bool {
+	s.last = pkt
+	return true
+}
+func (s *sink) DeliverLocal(pkt *substrate.Packet) { s.last = pkt }
+
 // TestPacketPathAllocs (one per package on the packet path; CI runs them
-// by name): decoding a packet is one allocation (elements and both
-// headers together), and so is encoding a pass-through TCP packet
-// (packet and transport header together, payload aliased).
+// by name). The exported codec: decoding a packet is one allocation
+// (elements and both headers together), and so is encoding a
+// pass-through TCP packet (packet and transport header together, payload
+// aliased). Runtime.Process pays neither on an owned packet: it decodes
+// into the runtime and sends in the packet it was given, so a gateway
+// request or response is the one header ipDestSet / ipSrcSet returns,
+// and a pass-through send or a five-element decode is nothing.
 func TestPacketPathAllocs(t *testing.T) {
 	in := substrate.NewTCP(1, 2, 3, 80, 0, substrate.FlagSyn, make([]byte, 512))
 	var v value.Value
@@ -132,5 +150,56 @@ func TestPacketPathAllocs(t *testing.T) {
 	}
 	if out == nil || len(out.Payload) != 512 {
 		t.Fatal("encode")
+	}
+
+	process := func(src string, proto substrate.Packet, wantDst string) float64 {
+		t.Helper()
+		node := &sink{Node: netsim.NewNode(netsim.New(), "gw", substrate.MustAddr("10.0.0.1"))}
+		prog, err := Load(src, Config{Verify: VerifyPrivileged})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := Install(node, prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := new(substrate.Packet)
+		n := testing.AllocsPerRun(200, func() {
+			*pkt = proto
+			if !rt.Process(pkt.Own(), nil) {
+				t.Fatal("no channel took the packet")
+			}
+		})
+		if st := rt.Stats(); st.Errors != 0 || st.Processed == 0 {
+			t.Fatalf("%d processed, %d exceptions", st.Processed, st.Errors)
+		}
+		if wantDst != "" && (node.last != pkt || pkt.IP.Dst != substrate.MustAddr(wantDst)) {
+			t.Fatalf("sent in the inbound packet: %v; to %s, want %s", node.last == pkt, pkt.IP.Dst, wantDst)
+		}
+		return n
+	}
+	client, virtual, server0 := substrate.MustAddr("10.0.1.1"), substrate.MustAddr("10.0.0.100"), substrate.MustAddr("10.0.0.81")
+	request := *substrate.NewTCP(client, virtual, 5000, 80, 0, substrate.FlagSyn, make([]byte, 512))
+	if n := process(asp.HTTPGateway, request, "10.0.0.81"); n > 1 {
+		t.Errorf("Process of a gateway request allocates %.1f/op, want <= 1 (the header ipDestSet returns)", n)
+	}
+	response := *substrate.NewTCP(server0, client, 80, 5000, 0, substrate.FlagAck, make([]byte, 1400))
+	if n := process(asp.HTTPGateway, response, "10.0.1.1"); n > 1 {
+		t.Errorf("Process of a gateway response allocates %.1f/op, want <= 1 (the header ipSrcSet returns)", n)
+	}
+	other := *substrate.NewTCP(client, server0, 5000, 22, 0, substrate.FlagAck, make([]byte, 64))
+	if n := process(asp.HTTPGateway, other, "10.0.0.81"); n != 0 {
+		t.Errorf("Process of a pass-through OnRemote(network, p) allocates %.1f/op, want 0", n)
+	}
+	// Wider than the codec's small packet (the MPEG reply's shape): the
+	// runtime's scratch is sized for it at Install. No send, because
+	// encoding a payload of several components builds a buffer.
+	const wide = `
+channel network(ps : int, ss : int, p : ip*udp*host*int*blob) is
+  (ps + #4 p + blobLen(#5 p), ss)
+`
+	mreply := *substrate.NewUDP(server0, client, 7000, 7000, make([]byte, 8+64))
+	if n := process(wide, mreply, ""); n != 0 {
+		t.Errorf("Process of a five-element decode allocates %.1f/op, want 0", n)
 	}
 }

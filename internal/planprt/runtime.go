@@ -21,8 +21,10 @@ package planprt
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
+	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/interp"
@@ -241,9 +243,33 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 		return nil, err
 	}
 	rt.inst = inst
+	keeps := holdsHeader(p.Info.ProtoState)
+	for _, ch := range p.Info.Channels {
+		keeps = keeps || holdsHeader(ch.Decl.ChanState())
+		tup, _ := ch.Decl.PacketType().(ast.Tuple)
+		rt.width = max(rt.width, len(tup.Elems))
+	}
+	if keeps {
+		rt.width = 0
+	}
 	node.SetProcessor(rt)
 	p.installs++
 	return rt, nil
+}
+
+// holdsHeader reports whether a value of type t can hold an ip, tcp or
+// udp header. A program none of whose states can has no place to keep a
+// decoded header past the invocation that received it.
+func holdsHeader(t ast.Type) bool {
+	switch t := t.(type) {
+	case ast.Tuple:
+		return slices.ContainsFunc(t.Elems, holdsHeader)
+	case ast.Table:
+		return holdsHeader(t.Elem)
+	case ast.List:
+		return holdsHeader(t.Elem)
+	}
+	return ast.Equal(t, ast.IPT) || ast.Equal(t, ast.TCPT) || ast.Equal(t, ast.UDPT)
 }
 
 // Uninstall removes this runtime from its node, restoring standard
@@ -324,6 +350,19 @@ type Runtime struct {
 	curIn  substrate.Iface
 	curDst substrate.Addr
 
+	// The two lending rules of a packet's trip (DESIGN.md). scratch backs
+	// the packet value of the invocation in progress, which holds it
+	// while busy. It is made at the first packet (most installs of a
+	// rollout never see one) for width elements, the program's widest
+	// packet type; width is 0 if a state of the program can hold a
+	// header, and then every decode allocates. reuse is the inbound
+	// packet if it came in owned, until the invocation's first OnRemote
+	// or Deliver sends it back out re-encoded.
+	scratch *scratch
+	width   int
+	busy    bool
+	reuse   *substrate.Packet
+
 	invokes uint64 // channel invocations so far (which one to time)
 	ct      runtimeCounters
 }
@@ -368,8 +407,15 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 	if name == "" {
 		name = "network"
 	}
+	outer, mem := rt.busy, rt.scratch
+	if outer || rt.width == 0 {
+		mem = nil // re-entered through a local app, or a header may be kept
+	} else if mem == nil {
+		mem = &scratch{elems: make([]value.Value, 0, rt.width)}
+		rt.scratch = mem
+	}
 	for _, ch := range rt.prog.Info.ChannelsByName(name) {
-		v, ok := Decode(pkt, ch.Decl.PacketType())
+		v, ok := decode(pkt, ch.Decl.PacketType(), mem)
 		if !ok {
 			continue
 		}
@@ -380,7 +426,10 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 				Size: pkt.Size(), Detail: ch.Decl.Name,
 			})
 		}
-		rt.curIn, rt.curDst = in, pkt.IP.Dst
+		rt.curIn, rt.curDst, rt.reuse, rt.busy = in, pkt.IP.Dst, nil, true
+		if pkt.Owned() {
+			rt.reuse = pkt
+		}
 		rt.invokes++
 		timed := rt.invokes%invokeSample == 0
 		var start time.Time
@@ -391,7 +440,7 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 		if timed {
 			rt.ct.invokeNs.Add(invokeSample * int64(time.Since(start)))
 		}
-		rt.curIn, rt.curDst = nil, 0
+		rt.curIn, rt.curDst, rt.reuse, rt.busy = nil, 0, nil, outer
 		if err != nil {
 			// An unhandled exception drops the packet (the verifier
 			// exists to prevent this for checked programs).
@@ -408,16 +457,26 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 // ---------------------------------------------------------------------------
 // prims.Context
 
+// encode builds the packet OnRemote or Deliver sends: in the inbound
+// packet if it was owned and this is the invocation's first such send
+// (nothing else refers to it, and the packet value does not: its headers
+// are copies and a payload is never written), in a fresh one otherwise.
+func (rt *Runtime) encode(prim string, pktVal value.Value) *substrate.Packet {
+	pkt, err := encode(pktVal, rt.reuse)
+	rt.reuse = nil
+	if err != nil {
+		value.Raise("%s: %v", prim, err)
+	}
+	return pkt
+}
+
 // OnRemote implements the send primitive: the packet is routed by its
 // (possibly rewritten) destination. Sends addressed to this node are
 // delivered locally — the IP rule that a packet addressed to yourself
 // does not hit the wire — which is also what makes self-forwarding
 // protocols terminate.
 func (rt *Runtime) OnRemote(chanName string, pktVal value.Value) {
-	pkt, err := Encode(pktVal)
-	if err != nil {
-		value.Raise("OnRemote: %v", err)
-	}
+	pkt := rt.encode("OnRemote", pktVal)
 	if chanName != "network" {
 		pkt.ChanTag = chanName
 	}
@@ -483,10 +542,7 @@ func (rt *Runtime) OnNeighbor(chanName string, pktVal value.Value) {
 
 // Deliver implements the deliver primitive.
 func (rt *Runtime) Deliver(pktVal value.Value) {
-	pkt, err := Encode(pktVal)
-	if err != nil {
-		value.Raise("deliver: %v", err)
-	}
+	pkt := rt.encode("deliver", pktVal)
 	rt.ct.delivered.Inc()
 	rt.node.DeliverLocal(pkt)
 }

@@ -186,20 +186,28 @@ func (p *Packet) String() string {
 	}
 }
 
-// NewUDP builds a UDP packet.
+// NewUDP builds a UDP packet, header and packet in one allocation.
 func NewUDP(src, dst Addr, srcPort, dstPort uint16, payload []byte) *Packet {
-	return &Packet{
-		IP:      IPHeader{Src: src, Dst: dst, Proto: ProtoUDP, TTL: 64},
-		UDP:     &UDPHeader{SrcPort: srcPort, DstPort: dstPort},
-		Payload: payload,
+	b := &struct {
+		pkt Packet
+		udp UDPHeader
+	}{
+		pkt: Packet{IP: IPHeader{Src: src, Dst: dst, Proto: ProtoUDP, TTL: 64}, Payload: payload},
+		udp: UDPHeader{SrcPort: srcPort, DstPort: dstPort},
 	}
+	b.pkt.UDP = &b.udp
+	return &b.pkt
 }
 
-// NewTCP builds a TCP packet.
+// NewTCP builds a TCP packet, header and packet in one allocation.
 func NewTCP(src, dst Addr, srcPort, dstPort uint16, seq uint32, flags uint8, payload []byte) *Packet {
-	return &Packet{
-		IP:      IPHeader{Src: src, Dst: dst, Proto: ProtoTCP, TTL: 64},
-		TCP:     &TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Flags: flags, Window: 65535},
-		Payload: payload,
+	b := &struct {
+		pkt Packet
+		tcp TCPHeader
+	}{
+		pkt: Packet{IP: IPHeader{Src: src, Dst: dst, Proto: ProtoTCP, TTL: 64}, Payload: payload},
+		tcp: TCPHeader{SrcPort: srcPort, DstPort: dstPort, Seq: seq, Flags: flags, Window: 65535},
 	}
+	b.pkt.TCP = &b.tcp
+	return &b.pkt
 }
