@@ -19,8 +19,9 @@ import (
 	"planp.dev/planp/internal/planpd"
 )
 
-// maxErrBody bounds how much of an error response is kept for messages.
-const maxErrBody = 1 << 16
+// maxBody bounds a node's answer: every planpd response body is JSON
+// or a one-line error far below it.
+const maxBody = 1 << 16
 
 // httpResult is one completed (possibly non-2xx) HTTP exchange.
 type httpResult struct {
@@ -120,8 +121,13 @@ func (nc *nodeClient) call(ctx context.Context, op, method, path string, query u
 			lastErr = err
 			continue
 		}
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrBody))
+		b, err := planpd.ReadSized(resp.Body, resp.ContentLength, maxBody)
 		resp.Body.Close()
+		if err != nil {
+			// An answer cut short is as good as lost.
+			lastErr = fmt.Errorf("%s %s: HTTP %d: reading the answer: %w", method, path, resp.StatusCode, err)
+			continue
+		}
 		if retryableStatus(resp.StatusCode) {
 			lastErr = fmt.Errorf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(b)))
 			continue

@@ -703,26 +703,29 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 // a failed stage phase, NodeRolledBack after a failed activation — or
 // Failed when it cannot be reached.
 //
-// The undo calls follow what was attempted on the node. A node that
-// only staged gets its stage aborted and nothing else: its packet
-// processing never changed. Once phase 2 ran, every node was sent an
-// activate, and one cut off in flight can still land after the GET /asp
-// that judged it "still staged" — so the node gets both calls, whatever
-// its status says: aborting the stage first turns a late activation
-// into a 409, and the rollback then undoes one that landed before the
-// abort. A node that already ran version before this rollout is never
-// rolled back: activating it there was a no-op, and withdrawing it
-// would undo a rollout other than this one.
+// The undo calls follow what was attempted on the node. Every node was
+// sent a stage, so every node is sent the idempotent abort, a Failed
+// one too: its stage may have applied with only the answer lost. A
+// Failed node gets nothing more and stays Failed, its error on record.
+// A node that only staged gets its stage aborted and nothing else: its
+// packet processing never changed. Once phase 2 ran, every node was
+// sent an activate, and one cut off in flight can still land after the
+// GET /asp that judged it "still staged" — so a Staged or Active node
+// gets both calls, whatever its status says: aborting the stage first
+// turns a late activation into a 409, and the rollback then undoes one
+// that landed before the abort. A node that already ran version before
+// this rollout is never rolled back: activating it there was a no-op,
+// and withdrawing it would undo a rollout other than this one.
 func (c *Controller) converge(ctx context.Context, d *Deployment, version string, done NodeStatus) {
 	ctx, cancel := compensation(ctx)
 	defer cancel()
 	c.forEach(d, func(nc *nodeClient) error {
 		var n NodeView
 		nc.update(func(v *NodeView) { n = *v })
-		if n.Status != NodeStaged && n.Status != NodeActive {
-			return nil
-		}
 		err := nc.abortStage(ctx, version)
+		if n.Status == NodeFailed {
+			return err
+		}
 		var rb planpd.RolledBack
 		if err == nil && done == NodeRolledBack && n.PrevVersion != version {
 			rb, err = nc.rollback(ctx, version)

@@ -517,6 +517,36 @@ func TestFleetStageFailureAborts(t *testing.T) {
 	}
 }
 
+// TestFleetLostStageResponseAborted: a node whose stage applied but
+// every answer to it was lost is marked Failed and fails the rollout;
+// it is still sent the abort, so no node keeps a stage of the version.
+func TestFleetLostStageResponseAborted(t *testing.T) {
+	tf := newTestFleet(t, 3)
+	c := tf.controller(Config{})
+	if _, err := c.Deploy(context.Background(), Spec{Version: "v1", Source: forwarder}, tf.targets); err != nil {
+		t.Fatal(err)
+	}
+	tf.inj.Inject(Fault{
+		Method: http.MethodPost, Host: tf.host("beta"), Path: "/asp/stage",
+		Action: FaultLoseResponse,
+	})
+	d, err := c.Deploy(context.Background(), Spec{Version: "v2", Source: forwarderV2}, tf.targets)
+	if err == nil {
+		t.Fatal("deploy whose stage answers are all lost must fail")
+	}
+	if got := d.State(); got != StateFailed {
+		t.Fatalf("deployment state = %s, want Failed", got)
+	}
+	if st := statuses(d.View()); st["beta"] != NodeFailed {
+		t.Errorf("beta = %s, want Failed", st["beta"])
+	}
+	for _, tgt := range tf.targets {
+		if active, staged := tf.nodeState(t, tgt.Name); active != "v1" || staged != "" {
+			t.Errorf("node %s: active %q staged %q, want v1 and nothing staged", tgt.Name, active, staged)
+		}
+	}
+}
+
 // TestFleetRedeployFailureKeepsRunningVersion: re-deploying the label a
 // node already runs (a fleet grown by one member) and failing — in
 // either phase, on the new member — must leave the nodes that ran it

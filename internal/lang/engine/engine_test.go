@@ -372,16 +372,18 @@ is
 
 // TestSentPacketsAreOnlyLent pins the prims.Context contract from the
 // recording side: a packet handed to OnRemote/OnNeighbor/deliver is
-// borrowed for the call (the JIT builds a send's tuple literal in
-// per-instance scratch and overwrites it the next time that send runs),
-// so what langtest.Ctx recorded for the first invocation must still read
-// the same after a second one — on every engine, and identically.
+// borrowed for the call, headers included (the JIT builds a send's tuple
+// literal in per-instance scratch, and a header a primitive returns
+// into it in per-instance scratch too, and overwrites both the next
+// time that send runs), so what langtest.Ctx recorded for the first
+// invocation must still read the same after a second one — on every
+// engine, and identically.
 func TestSentPacketsAreOnlyLent(t *testing.T) {
 	const src = `
 channel network(ps : int, ss : int, p : ip*udp*blob) is
-  (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p));
-   OnNeighbor(network, (#1 p, #2 p, blobCat(#3 p, #3 p)));
-   deliver((#1 p, #2 p, #3 p));
+  (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), udpDstSet(#2 p, udpSrc(#2 p)), #3 p));
+   OnNeighbor(network, (ipTTLSet(#1 p, blobLen(#3 p)), #2 p, blobCat(#3 p, #3 p)));
+   deliver((mkIP(ipDst(#1 p), ipSrc(#1 p), 17), mkUDP(udpDst(#2 p), udpSrc(#2 p)), #3 p));
    (ps + 1, ss))
 `
 	first := langtest.UDPPacket("10.0.0.1", "10.0.0.2", 7, 9, []byte("one"))

@@ -148,8 +148,9 @@ initstate mkTable(8) is
 `, g.intExpr(3))
 	}, []string{"xy", "xy", "xy", "xy", "xy"}},
 
-	// The rest are the JIT's destination-passing rules (package comment
-	// of internal/lang/jit), one program per hazard. Rule (a): a
+	// The rest are the JIT's rules for the memory it reuses (package
+	// comment of internal/lang/jit), one program per hazard: destination
+	// passing's (a) to (c), then lent headers. Rule (a): a
 	// destination is its node's scratch, so it must not be something
 	// the node's operands still read.
 	{"a-let-in-let", func(g *exprGen) string {
@@ -260,6 +261,30 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
     val e : int*int = try if d then (raise "tuple", 1) else (h, 2) handle (9, 9) end`,
 			g.intExpr(2)), "a + c * 10 + #1 e * 100 + (if b then 1000 else 0)", "(if d then ss + 1 else ss)")
 	}, dpPayloads},
+
+	// Lent headers: a header a setter returns straight into a send's
+	// tuple (here in a fun called three times per packet, the last
+	// raising on a negative k) or a table key is built in the JIT
+	// instance's memory and rewritten by the next run of its site.
+	{"lent-headers", func(g *exprGen) string {
+		return fmt.Sprintf(`
+fun hand(p : ip*udp*blob, port : int) : unit =
+  deliver((ipDestSet(#1 p, intToHost(port mod 256)), udpDstSet(#2 p, port), #3 p))
+
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(8) is
+  let
+    val k : int = %s
+  in
+    (tput(ss, (ipSrcSet(#1 p, intToHost(abs(k) mod 4)), udpSrcSet(#2 p, abs(k) mod 3)), ps);
+     hand(p, abs(k));
+     hand(p, abs(k) + 1);
+     try hand(p, k) handle () end;
+     OnRemote(network, (ipTTLSet(#1 p, abs(k) mod 300), mkUDP(abs(k), udpSrc(#2 p)), #3 p));
+     (ps + tget(ss, (ipSrcSet(#1 p, intToHost(abs(k) mod 4)), udpSrcSet(#2 p, abs(k) mod 3))), ss))
+  end
+`, g.intExpr(3))
+	}, dpPayloads},
 }
 
 var dpPayloads = []string{"a", "ab", "abc", "abcd"}
@@ -341,10 +366,11 @@ func TestEnginesAgreeOnRandomTablePrograms(t *testing.T) {
 	}
 }
 
-// TestDestinationPassing runs every destination-passing shape at a few
-// seeds: the interpreter returns fresh values everywhere, so agreeing
-// with it means no destination was read after its node reused it. Each
-// shape must also complete some invocation, or it tested nothing.
+// TestDestinationPassing runs every shape of the JIT's memory rules at a
+// few seeds: the interpreter returns fresh values everywhere, so agreeing
+// with it means no destination was read after its node reused it, and no
+// lent header after its site rewrote it. Each shape must also complete
+// some invocation, or it tested nothing.
 func TestDestinationPassing(t *testing.T) {
 	for _, sh := range shapes[2:] {
 		succeeded := 0
@@ -362,7 +388,7 @@ func TestDestinationPassing(t *testing.T) {
 // corpus in testdata/fuzz/FuzzEnginesAgree holds starting points, not the
 // tests' program sets: the first seed of each random test above (the
 // tests walk on from it, one seed per program) and seed 1 of every
-// destination-passing shape.
+// memory-rule shape.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
 		agree(t, shapes[int(which)%len(shapes)], seeded(seed))

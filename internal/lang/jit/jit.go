@@ -19,9 +19,9 @@
 // interpreter case, then mirror it here ("regenerate the specializer").
 //
 // The compiled artifact is immutable. Everything generated code writes —
-// channel frames, callee frames, primitive argument buffers — belongs to
-// the instance: the compiler only hands out [lo,hi) ranges of one
-// scratch slice that NewInstance allocates, so reuse across packets (the
+// frames, primitive argument buffers, lent headers — belongs to the
+// instance: the compiler only hands out [lo,hi) ranges of one scratch
+// slice that NewInstance allocates, so reuse across packets (the
 // interpreter allocates afresh, compiled code does not) is per instance
 // and one artifact serves instances on any number of goroutines.
 //
@@ -179,17 +179,19 @@ type compiler struct {
 	scratch int // per-instance scratch reserved so far
 
 	// lent holds the tuple literals whose consumer only borrows them —
-	// the packet argument of a send (prims.Context's contract), a table
-	// primitive's key, and a channel body's result pair, which invoke
-	// unpacks at once — so they are built in reserved scratch, not
-	// allocated.
+	// the packet argument of a send (prims.Context's contract) and a table
+	// primitive's key, mapped to true, and a channel body's result pair,
+	// which invoke unpacks at once, to false — so they are built in
+	// reserved scratch, not allocated. True lends the elements' headers
+	// too (compileElem): with no recursion a site cannot run again while
+	// its tuple is lent, but the states keep a result pair's elements.
 	lent map[*ast.TupleExpr]bool
 }
 
-// lend marks e, if it is a tuple literal, as borrowed by its consumer.
-func (cc *compiler) lend(e ast.Expr) {
+// lend records e in lent, if it is a tuple literal.
+func (cc *compiler) lend(e ast.Expr, borrowed bool) {
 	if t, ok := e.(*ast.TupleExpr); ok {
-		cc.lent[t] = true
+		cc.lent[t] = borrowed
 	}
 }
 
@@ -207,7 +209,7 @@ func (cc *compiler) lendTail(e ast.Expr) {
 		cc.lendTail(e.Body)
 		cc.lendTail(e.Handler)
 	default:
-		cc.lend(e)
+		cc.lend(e, false)
 	}
 }
 
@@ -218,20 +220,23 @@ func (cc *compiler) reserve(n int) span {
 	return s
 }
 
-// compile specializes one expression: int- and bool-typed compound
-// expressions take the unboxed fast path (boxing once at the boundary),
-// everything else the generic node compiler. This split is the deepest
-// part of the Tempo analogy — types known at compile time erase runtime
-// representation work.
+// compile specializes one expression: int-, bool- and host-typed
+// compound expressions and header reads take the unboxed fast path
+// (boxing once at the boundary), everything else the generic node
+// compiler. This split is the deepest part of the Tempo analogy — types
+// known at compile time erase runtime representation work.
 func (cc *compiler) compile(e ast.Expr) code {
 	if !beneficial(e) {
 		return cc.compileNode(e)
 	}
-	switch e.Type() {
-	case ast.IntT:
-		ic := cc.compileInt(e)
+	switch t := e.Type(); t {
+	case ast.IntT, ast.HostT:
+		ic, kind := cc.compileInt(e), value.KindInt
+		if t == ast.HostT {
+			kind = value.KindHost
+		}
 		return func(m *machine, frame []value.Value, dst *value.Value) {
-			*dst = value.Int(ic(m, frame))
+			*dst = value.Value{Kind: kind, I: ic(m, frame)}
 		}
 	case ast.BoolT:
 		bc := cc.compileBool(e)
@@ -355,11 +360,12 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 		}
 
 	case *ast.TupleExpr:
+		borrowed, lent := cc.lent[e]
 		codes := make([]code, len(e.Elems))
 		for i, sub := range e.Elems {
-			codes[i] = cc.compile(sub)
+			codes[i] = cc.compileElem(sub, borrowed)
 		}
-		if cc.lent[e] {
+		if lent {
 			site := cc.reserve(len(codes))
 			return func(m *machine, frame []value.Value, dst *value.Value) {
 				elems := site.of(m)
@@ -421,12 +427,23 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 	}
 }
 
+// compileElem compiles a tuple element. A header returned straight into a
+// borrowed tuple is built in one its site keeps in scratch: see lent.
+func (cc *compiler) compileElem(e ast.Expr, borrowed bool) code {
+	call, ok := e.(*ast.Call)
+	if !borrowed || !ok || call.PrimIndex < 0 || prims.Get(call.PrimIndex).Into == nil {
+		return cc.compile(e)
+	}
+	into, args, at := prims.Get(call.PrimIndex).Into, cc.compilePrim(call), cc.reserve(1).lo
+	return func(m *machine, frame []value.Value, dst *value.Value) { *dst = into(args(m, frame), &m.scratch[at]) }
+}
+
 func (cc *compiler) compileCall(e *ast.Call) code {
 	// Network sends.
 	if e.Name == "OnRemote" || e.Name == "OnNeighbor" {
 		cref := e.Args[0].(*ast.ChanRef)
 		name := cref.Name
-		cc.lend(e.Args[1])
+		cc.lend(e.Args[1], true)
 		pkt := cc.compile(e.Args[1])
 		if e.Name == "OnRemote" {
 			return func(m *machine, frame []value.Value, dst *value.Value) {
@@ -459,7 +476,7 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 		}
 	}
 
-	fn, args := cc.compilePrim(e)
+	fn, args := prims.Get(e.PrimIndex).Fn, cc.compilePrim(e)
 	return func(m *machine, frame []value.Value, dst *value.Value) { *dst = fn(m.ctx, args(m, frame)) }
 }
 
@@ -471,39 +488,37 @@ func (cc *compiler) compileArgs(e *ast.Call) []code {
 	return args
 }
 
-// compilePrim compiles a primitive call's arguments: args evaluates
-// them, each into its place in a per-call-site buffer in the instance's
-// scratch, and returns the buffer for fn — whose result the caller
-// stores, or reads one word of (compileInt, compileBool). The
-// implementation pointer is captured at compile time. Reusing the
-// buffer is safe because the language has no recursion (a call site can
-// never be active twice on one stack), primitives do not retain their
-// argument slice, and an instance is single-goroutine.
-func (cc *compiler) compilePrim(e *ast.Call) (fn func(prims.Context, []value.Value) value.Value, args func(m *machine, frame []value.Value) []value.Value) {
-	p := prims.Get(e.PrimIndex)
-	for _, i := range p.Borrows {
-		cc.lend(e.Args[i])
+// compilePrim compiles a primitive call's arguments: the result
+// evaluates them, each into its place in a per-call-site buffer in the
+// instance's scratch, and returns the buffer for the implementation the
+// caller captured at compile time. Reusing the buffer is safe because the
+// language has no recursion (a call site can never be active twice on one
+// stack), primitives do not retain their argument slice, and an instance
+// is single-goroutine.
+func (cc *compiler) compilePrim(e *ast.Call) func(m *machine, frame []value.Value) []value.Value {
+	for _, i := range prims.Get(e.PrimIndex).Borrows {
+		cc.lend(e.Args[i], true)
 	}
 	codes := cc.compileArgs(e)
 	site := cc.reserve(len(codes))
 	switch len(codes) {
 	case 1:
 		a0 := codes[0]
-		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
+		return func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
 			a0(m, frame, &buf[0])
 			return buf
 		}
 	case 2:
 		a0, a1 := codes[0], codes[1]
-		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
+		return func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
 			a0(m, frame, &buf[0])
 			a1(m, frame, &buf[1])
 			return buf
 		}
 	default:
-		return p.Fn, func(m *machine, frame []value.Value) []value.Value {
+		return func(m *machine, frame []value.Value) []value.Value {
 			buf := site.of(m)
 			for i, a := range codes {
 				a(m, frame, &buf[i])

@@ -172,13 +172,15 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
 }
 
 // TestNewInstanceAllocs pins what a download of the gateway ASP costs:
-// fleet deploys pay it per node, and destination passing added one Value
-// to the machine (tmp). The figures are the parent commit's (by-value
-// closures: 7 objects, 6 104 B); the budget above them is 128 B and no
-// object. A temporary that is a Go local in NewInstance's top shows here
-// as one object per val and initstate: rule (d).
+// fleet deploys pay it per node. 7 objects, 5 688 B: the eight header
+// reader sites reserve no argument buffer, and each of the two setter
+// sites lent to OnRemote one value of scratch for its header (46 values,
+// where a buffer per reader made 52 and 6 200 B). The headers themselves
+// are made when a site first runs, as most installs of a rollout never
+// see a packet. A temporary that is a Go local in NewInstance's top shows
+// here as one object per val and initstate: rule (d).
 func TestNewInstanceAllocs(t *testing.T) {
-	const parentObjects, parentBytes, runs = 7, 6104, 100
+	const objects, bytes, runs = 7, 5688, 100
 	c := compileSrc(t, asp.HTTPGateway)
 	cx := &ctx{}
 	newInstance := func() {
@@ -186,8 +188,8 @@ func TestNewInstanceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(runs, newInstance); n > parentObjects {
-		t.Errorf("NewInstance allocates %.1f objects, want at most %d", n, parentObjects)
+	if n := testing.AllocsPerRun(runs, newInstance); n > objects {
+		t.Errorf("NewInstance allocates %.1f objects, want at most %d", n, objects)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -195,7 +197,7 @@ func TestNewInstanceAllocs(t *testing.T) {
 		newInstance()
 	}
 	runtime.ReadMemStats(&after)
-	if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b > parentBytes+128 {
-		t.Errorf("NewInstance allocates %.0f B, want at most %d+128", b, parentBytes)
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b > bytes {
+		t.Errorf("NewInstance allocates %.0f B, want at most %d", b, bytes)
 	}
 }

@@ -1,10 +1,10 @@
-// Unboxed specialization: int- and bool-typed compound expressions
-// compile to closures over raw machine values (int64 / bool) instead of
-// boxed value.Value, with a single box at the boundary to the generic
-// layer. This is the type-driven half of the partial-evaluation analogy:
-// the paper's specializer erased the C interpreter's value tagging the
-// same way, because the program's types are fully known at generation
-// time.
+// Unboxed specialization: int-, bool- and host-typed compound
+// expressions and header reads compile to closures over raw machine
+// values (int64 / bool) instead of boxed value.Value, with a single box
+// at the boundary to the generic layer. This is the type-driven half of
+// the partial-evaluation analogy: the paper's specializer erased the C
+// interpreter's value tagging the same way, because the program's types
+// are fully known at generation time.
 //
 // The types are the checker's: every node carries the one typecheck
 // recorded on it (ast.Expr.Type), so the choice between the unboxed and
@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/value"
 )
 
@@ -27,16 +28,18 @@ type (
 // beneficial reports whether the unboxed path actually saves interior
 // boxing for this node kind (a bare atom or a call gains nothing).
 func beneficial(e ast.Expr) bool {
-	switch e.(type) {
+	switch e := e.(type) {
 	case *ast.Binary, *ast.Unary, *ast.If, *ast.Let, *ast.Seq:
 		return true
+	case *ast.Call: // a header reader: compileWord reads it in place
+		return e.PrimIndex >= 0 && prims.Get(e.PrimIndex).Word != nil
 	}
 	return false
 }
 
 // compileInt compiles an expression whose value is one word in
-// Value.I — an int, and for = / <> a char, host or bool operand; a bool
-// too where compileBool has no case of its own (a let, a seq) — to
+// Value.I — an int or a host, and for = / <> a char or bool operand; a
+// bool too where compileBool has no case of its own (a let, a seq) — to
 // unboxed code. The bool operators inside go back to compileBool
 // (boolWord); any other node it does not specialize falls back to the
 // boxed compiler with one read at the seam.
@@ -138,9 +141,12 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 
 	case *ast.Call:
 		// A primitive's result is read where fn returns it: the one
-		// word, and nothing stored.
+		// word, and nothing stored; a header reader's off its argument.
 		if e.PrimIndex >= 0 {
-			fn, args := cc.compilePrim(e)
+			if word := prims.Get(e.PrimIndex).Word; word != nil {
+				return cc.compileWord(word, e.Args[0])
+			}
+			fn, args := prims.Get(e.PrimIndex).Fn, cc.compilePrim(e)
 			return func(m *machine, frame []value.Value) int64 { return fn(m.ctx, args(m, frame)).I }
 		}
 	}
@@ -152,6 +158,24 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 		boxed(m, frame, &m.tmp)
 		return m.tmp.I
 	}
+}
+
+// compileWord compiles a header reader: word reads the header where it
+// lies, a frame slot or #n of one, or else in machine.tmp: rule (d).
+func (cc *compiler) compileWord(word func(*value.Value) int64, arg ast.Expr) icode {
+	switch a := arg.(type) {
+	case *ast.Var:
+		if slot := a.Slot; slot >= 0 {
+			return func(_ *machine, frame []value.Value) int64 { return word(&frame[slot]) }
+		}
+	case *ast.Proj:
+		if v, ok := a.Tuple.(*ast.Var); ok && v.Slot >= 0 {
+			slot, idx := v.Slot, a.Index-1
+			return func(_ *machine, frame []value.Value) int64 { return word(&frame[slot].Vs[idx]) }
+		}
+	}
+	h := cc.compile(arg)
+	return func(m *machine, frame []value.Value) int64 { h(m, frame, &m.tmp); return word(&m.tmp) }
 }
 
 // boolWord is compileInt for a node only compileBool has cases for (not,

@@ -1,134 +1,85 @@
 // Header-access primitives: the packet-inspection and rewriting layer of
-// PLAN-P. Headers are immutable values, so every *Set primitive returns a
-// fresh header; this mirrors the functional packet treatment in the
-// paper's listings (ipDestSet in figure 2).
+// PLAN-P. A *Set primitive returns a rewritten copy of its header, as in
+// the paper's listings (ipDestSet in figure 2). Each is declared once, by
+// read or build, and that body is every entry an engine calls.
 package prims
 
 import (
+	"math"
+
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 )
 
+// kinds boxes what a header primitive returns.
+var kinds = map[ast.Type]value.Kind{ast.IntT: value.KindInt, ast.HostT: value.KindHost, ast.BoolT: value.KindBool,
+	ast.IPT: value.KindIP, ast.TCPT: value.KindTCP, ast.UDPT: value.KindUDP}
+
+// read declares the reader name(h : t) : ret, the word field reads off h.
+func read[H any](name string, t, ret ast.Type, field func(*H) int64) {
+	kind, word := kinds[ret], func(v *value.Value) int64 { return field(v.Ref.(*H)) }
+	register(Prim{Name: name, Params: types(t), Ret: ret, Word: word,
+		Fn: func(_ Context, a []value.Value) value.Value { return value.Value{Kind: kind, I: word(&a[0])} }})
+}
+
+// build declares name(params) : ret, the header fill writes whole: Fn in
+// a fresh one, Into in the one mem holds, made the first time.
+func build[H any](name string, params []ast.Type, ret ast.Type, fill func(h *H, a []value.Value)) {
+	kind := kinds[ret]
+	in := func(a []value.Value, h *H) value.Value { fill(h, a); return value.Value{Kind: kind, Ref: h} }
+	register(Prim{Name: name, Params: params, Ret: ret,
+		Fn: func(_ Context, a []value.Value) value.Value { return in(a, new(H)) },
+		Into: func(a []value.Value, mem *value.Value) value.Value {
+			if mem.Ref == nil {
+				mem.Ref = new(H)
+			}
+			return in(a, mem.Ref.(*H))
+		}})
+}
+
+// set declares the setter name(h : t, x : arg) : t, h as put changes it.
+func set[H any](name string, t, arg ast.Type, put func(h *H, x int64)) {
+	build(name, types(t, arg), t, func(h *H, a []value.Value) { *h = *a[0].Ref.(*H); put(h, a[1].I) })
+}
+
 func init() {
 	// ---- IP header ----
-	mono("ipSrc", types(ast.IPT), ast.HostT, func(_ Context, a []value.Value) value.Value {
-		return value.HostV(a[0].AsIP().Src)
-	})
-	mono("ipDst", types(ast.IPT), ast.HostT, func(_ Context, a []value.Value) value.Value {
-		return value.HostV(a[0].AsIP().Dst)
-	})
-	mono("ipProto", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsIP().Proto))
-	})
-	mono("ipTTL", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsIP().TTL))
-	})
-	mono("ipLen", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsIP().Len))
-	})
-	mono("ipID", types(ast.IPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsIP().ID))
-	})
-	mono("ipSrcSet", types(ast.IPT, ast.HostT), ast.IPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsIP()
-		h.Src = a[1].AsHost()
-		return value.IP(&h)
-	})
-	mono("ipDestSet", types(ast.IPT, ast.HostT), ast.IPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsIP()
-		h.Dst = a[1].AsHost()
-		return value.IP(&h)
-	})
-	mono("ipTTLSet", types(ast.IPT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsIP()
-		ttl := a[1].AsInt()
-		if ttl < 0 || ttl > 255 {
-			value.Raise("ipTTLSet: TTL %d out of range", ttl)
-		}
-		h.TTL = uint8(ttl)
-		return value.IP(&h)
-	})
-	mono("ipLenSet", types(ast.IPT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsIP()
-		n := a[1].AsInt()
-		if n < 0 {
-			value.Raise("ipLenSet: negative length %d", n)
-		}
-		h.Len = int(n)
-		return value.IP(&h)
-	})
-	mono("mkIP", types(ast.HostT, ast.HostT, ast.IntT), ast.IPT, func(_ Context, a []value.Value) value.Value {
-		proto := a[2].AsInt()
-		if proto < 0 || proto > 255 {
-			value.Raise("mkIP: protocol %d out of range", proto)
-		}
-		return value.IP(&value.IPHeader{Src: a[0].AsHost(), Dst: a[1].AsHost(), Proto: uint8(proto), TTL: 64})
+	read("ipSrc", ast.IPT, ast.HostT, func(h *value.IPHeader) int64 { return int64(h.Src) })
+	read("ipDst", ast.IPT, ast.HostT, func(h *value.IPHeader) int64 { return int64(h.Dst) })
+	read("ipProto", ast.IPT, ast.IntT, func(h *value.IPHeader) int64 { return int64(h.Proto) })
+	read("ipTTL", ast.IPT, ast.IntT, func(h *value.IPHeader) int64 { return int64(h.TTL) })
+	read("ipLen", ast.IPT, ast.IntT, func(h *value.IPHeader) int64 { return int64(h.Len) })
+	read("ipID", ast.IPT, ast.IntT, func(h *value.IPHeader) int64 { return int64(h.ID) })
+	set("ipSrcSet", ast.IPT, ast.HostT, func(h *value.IPHeader, x int64) { h.Src = value.Host(x) })
+	set("ipDestSet", ast.IPT, ast.HostT, func(h *value.IPHeader, x int64) { h.Dst = value.Host(x) })
+	set("ipTTLSet", ast.IPT, ast.IntT, func(h *value.IPHeader, x int64) { h.TTL = uint8(inRange(x, 255, "ipTTLSet: TTL %d out of range")) })
+	set("ipLenSet", ast.IPT, ast.IntT, func(h *value.IPHeader, x int64) { h.Len = int(inRange(x, math.MaxInt, "ipLenSet: negative length %d")) })
+	build("mkIP", types(ast.HostT, ast.HostT, ast.IntT), ast.IPT, func(h *value.IPHeader, a []value.Value) {
+		proto := uint8(inRange(a[2].I, 255, "mkIP: protocol %d out of range"))
+		*h = value.IPHeader{Src: value.Host(a[0].I), Dst: value.Host(a[1].I), Proto: proto, TTL: 64}
 	})
 
 	// ---- TCP header ----
-	mono("tcpSrc", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsTCP().SrcPort))
-	})
-	mono("tcpDst", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsTCP().DstPort))
-	})
-	mono("tcpSeq", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsTCP().Seq))
-	})
-	mono("tcpAck", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsTCP().Ack))
-	})
-	mono("tcpWindow", types(ast.TCPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsTCP().Window))
-	})
-	mono("tcpSynFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
-		return value.Bool(a[0].AsTCP().Flags&value.TCPSyn != 0)
-	})
-	mono("tcpAckFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
-		return value.Bool(a[0].AsTCP().Flags&value.TCPAck != 0)
-	})
-	mono("tcpFinFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
-		return value.Bool(a[0].AsTCP().Flags&value.TCPFin != 0)
-	})
-	mono("tcpRstFlag", types(ast.TCPT), ast.BoolT, func(_ Context, a []value.Value) value.Value {
-		return value.Bool(a[0].AsTCP().Flags&value.TCPRst != 0)
-	})
-	mono("tcpSrcSet", types(ast.TCPT, ast.IntT), ast.TCPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsTCP()
-		h.SrcPort = checkPort("tcpSrcSet", a[1].AsInt())
-		return value.TCP(&h)
-	})
-	mono("tcpDstSet", types(ast.TCPT, ast.IntT), ast.TCPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsTCP()
-		h.DstPort = checkPort("tcpDstSet", a[1].AsInt())
-		return value.TCP(&h)
-	})
+	read("tcpSrc", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.SrcPort) })
+	read("tcpDst", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.DstPort) })
+	read("tcpSeq", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Seq) })
+	read("tcpAck", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Ack) })
+	read("tcpWindow", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Window) })
+	for i, name := range []string{"tcpSynFlag", "tcpAckFlag", "tcpFinFlag", "tcpRstFlag"} { // value.TCPSyn << i
+		read(name, ast.TCPT, ast.BoolT, func(h *value.TCPHeader) int64 { return int64(h.Flags >> i & 1) })
+	}
+	set("tcpSrcSet", ast.TCPT, ast.IntT, func(h *value.TCPHeader, x int64) { h.SrcPort = port(x, "tcpSrcSet: port %d out of range") })
+	set("tcpDstSet", ast.TCPT, ast.IntT, func(h *value.TCPHeader, x int64) { h.DstPort = port(x, "tcpDstSet: port %d out of range") })
 
 	// ---- UDP header ----
-	mono("udpSrc", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsUDP().SrcPort))
-	})
-	mono("udpDst", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsUDP().DstPort))
-	})
-	mono("udpLen", types(ast.UDPT), ast.IntT, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(a[0].AsUDP().Len))
-	})
-	mono("udpSrcSet", types(ast.UDPT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsUDP()
-		h.SrcPort = checkPort("udpSrcSet", a[1].AsInt())
-		return value.UDP(&h)
-	})
-	mono("udpDstSet", types(ast.UDPT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
-		h := *a[0].AsUDP()
-		h.DstPort = checkPort("udpDstSet", a[1].AsInt())
-		return value.UDP(&h)
-	})
-	mono("mkUDP", types(ast.IntT, ast.IntT), ast.UDPT, func(_ Context, a []value.Value) value.Value {
-		return value.UDP(&value.UDPHeader{
-			SrcPort: checkPort("mkUDP", a[0].AsInt()),
-			DstPort: checkPort("mkUDP", a[1].AsInt()),
-		})
+	read("udpSrc", ast.UDPT, ast.IntT, func(h *value.UDPHeader) int64 { return int64(h.SrcPort) })
+	read("udpDst", ast.UDPT, ast.IntT, func(h *value.UDPHeader) int64 { return int64(h.DstPort) })
+	read("udpLen", ast.UDPT, ast.IntT, func(h *value.UDPHeader) int64 { return int64(h.Len) })
+	set("udpSrcSet", ast.UDPT, ast.IntT, func(h *value.UDPHeader, x int64) { h.SrcPort = port(x, "udpSrcSet: port %d out of range") })
+	set("udpDstSet", ast.UDPT, ast.IntT, func(h *value.UDPHeader, x int64) { h.DstPort = port(x, "udpDstSet: port %d out of range") })
+	build("mkUDP", types(ast.IntT, ast.IntT), ast.UDPT, func(h *value.UDPHeader, a []value.Value) {
+		const msg = "mkUDP: port %d out of range"
+		*h = value.UDPHeader{SrcPort: port(a[0].I, msg), DstPort: port(a[1].I, msg)}
 	})
 
 	// ---- Host conversions ----
@@ -136,11 +87,7 @@ func init() {
 		return value.Int(int64(a[0].AsHost()))
 	})
 	mono("intToHost", types(ast.IntT), ast.HostT, func(_ Context, a []value.Value) value.Value {
-		n := a[0].AsInt()
-		if n < 0 || n > 0xFFFFFFFF {
-			value.Raise("intToHost: %d out of range", n)
-		}
-		return value.HostV(value.Host(n))
+		return value.HostV(value.Host(inRange(a[0].AsInt(), 0xFFFFFFFF, "intToHost: %d out of range")))
 	})
 	mono("hostToString", types(ast.HostT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		return value.Str(a[0].AsHost().String())
@@ -168,9 +115,13 @@ func init() {
 	})
 }
 
-func checkPort(prim string, p int64) uint16 {
-	if p < 0 || p > 65535 {
-		value.Raise("%s: port %d out of range", prim, p)
+// inRange returns x if it is in [0, hi] and raises msg, a format of x,
+// if not.
+func inRange(x, hi int64, msg string) int64 {
+	if x < 0 || x > hi {
+		value.Raise(msg, x)
 	}
-	return uint16(p)
+	return x
 }
+
+func port(x int64, msg string) uint16 { return uint16(inRange(x, 65535, msg)) }

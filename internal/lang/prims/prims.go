@@ -23,9 +23,9 @@ import (
 // lightweight fakes.
 //
 // A packet value passed to OnRemote, OnNeighbor or Deliver is borrowed
-// for the duration of the call: compiled code builds the tuple in
-// per-instance scratch and overwrites it on the next execution of the
-// send. An implementation that keeps the packet must value.Clone it.
+// for the call, headers too: compiled code builds the tuple, and a header
+// returned straight into it, in per-instance memory that the send's next
+// run overwrites. An implementation that keeps it must value.Clone it.
 type Context interface {
 	// OnRemote enqueues pkt for transmission, routed by the IP
 	// destination in its header tuple, to be processed by channel
@@ -71,6 +71,11 @@ type Prim struct {
 	// Fn executes the primitive. It may raise a PLAN-P exception via
 	// value.Raise.
 	Fn func(ctx Context, args []value.Value) value.Value
+
+	// Word, on a header reader, is Fn's result word read off h in place.
+	Word func(h *value.Value) int64
+	// Into, on a primitive returning a header, is Fn reusing *mem's (or making it).
+	Into func(args []value.Value, mem *value.Value) value.Value
 
 	// Borrows lists the argument positions the primitive reads during
 	// the call and never keeps: a compiler may pass a tuple built in

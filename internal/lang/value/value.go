@@ -3,10 +3,10 @@
 // engine.
 //
 // Values use a compact tagged struct rather than a Go interface so that
-// integers, booleans, characters, and hosts never allocate. Packet headers
-// are immutable: primitives such as ipDestSet return a fresh header, which
-// lets engines share header structs between packets without defensive
-// copies.
+// integers, booleans, characters, and hosts never allocate. To a program a
+// header is a value: ipDestSet and the other setters return a rewritten
+// copy. A header a state keeps is never written again; one lent with a
+// send's tuple is rewritten by the next run of its site (see Clone).
 package value
 
 import (
@@ -59,7 +59,7 @@ func (h Host) String() string {
 }
 
 // IPHeader mirrors the fields of an IP header that PLAN-P programs can
-// observe and rewrite. Values are immutable once constructed.
+// observe and rewrite (by copy: see the package comment).
 type IPHeader struct {
 	Src   Host
 	Dst   Host
@@ -423,17 +423,11 @@ func writeFields(sb *strings.Builder, fields ...int64) {
 	}
 }
 
-// Clone returns a copy of v that shares no slice with it: tuple and
-// list elements and blob bytes are copied (headers are immutable and
-// tables are reference values, so both stay shared). A Context that
-// keeps a packet value past the call that lent it must Clone it.
-//
-// Shared headers are safe to keep because every header a Context is
-// handed is immutable for good — with one exception that never reaches a
-// Clone: planprt.Runtime decodes the packet of an invocation into
-// headers it owns and overwrites at the next packet, and it is also the
-// Context of that invocation, which encodes what it is sent and forgets
-// it. No other Context ever sees a scratch-backed header.
+// Clone returns a copy of v that shares nothing with it but tables, which
+// are reference values. A Context that keeps a packet value past the call
+// that lent it must Clone it, headers included: the JIT builds a header
+// returned straight into a send's tuple in per-instance memory, and
+// planprt.Runtime decodes each packet into headers it owns.
 func Clone(v Value) Value {
 	switch v.Kind {
 	case KindBlob:
@@ -444,9 +438,17 @@ func Clone(v Value) Value {
 			elems[i] = Clone(e)
 		}
 		v.Vs = elems
+	case KindIP:
+		v.Ref = ptr(*v.AsIP())
+	case KindTCP:
+		v.Ref = ptr(*v.AsTCP())
+	case KindUDP:
+		v.Ref = ptr(*v.AsUDP())
 	}
 	return v
 }
+
+func ptr[H any](h H) *H { return &h }
 
 // String renders the value for diagnostics and the print/println
 // primitives, in an SML-flavoured notation.

@@ -22,6 +22,7 @@ package planpd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,18 +104,48 @@ func (s *Server) Handler() http.Handler {
 // ReadBody reads a request body of at most limit bytes. On failure it
 // has already written the HTTP error: 413 for a body over the limit —
 // the one answer every upload route gives — and 400 for one that
-// cannot be read.
+// cannot be read, such as one shorter than its Content-Length.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
+	body, err := ReadSized(r.Body, r.ContentLength, limit)
 	switch {
+	case errors.Is(err, errTooLarge):
+		http.Error(w, fmt.Sprintf("body over %d bytes", limit), http.StatusRequestEntityTooLarge)
 	case err != nil:
 		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
-	case len(body) > limit:
-		http.Error(w, fmt.Sprintf("body over %d bytes", limit), http.StatusRequestEntityTooLarge)
 	default:
 		return body, true
 	}
 	return nil, false
+}
+
+// errTooLarge is ReadSized's answer for a body over its limit.
+var errTooLarge = errors.New("body over the size limit")
+
+// ReadSized reads a whole HTTP body of at most limit bytes whose
+// Content-Length is size (-1 when unknown, as for a chunked body). A
+// known size is read into one buffer of exactly that length, where
+// io.ReadAll would grow one by doubling. A body over the limit, as
+// declared or as it runs, is errTooLarge; one that ends short of its
+// declared size is io.ErrUnexpectedEOF.
+func ReadSized(body io.Reader, size int64, limit int) ([]byte, error) {
+	if size > int64(limit) {
+		return nil, errTooLarge
+	}
+	if size < 0 {
+		b, err := io.ReadAll(io.LimitReader(body, int64(limit)+1))
+		if err == nil && len(b) > limit {
+			return nil, errTooLarge
+		}
+		return b, err
+	}
+	b := make([]byte, size)
+	if _, err := io.ReadFull(body, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return b, nil
 }
 
 // WriteJSON answers with v as a JSON body under status — the one
