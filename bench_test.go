@@ -530,8 +530,7 @@ func TestPacketFanoutZeroAllocs(t *testing.T) {
 // drain) plus a sentinel at exactly 2^37 ns — one full level-2
 // rotation. The sentinel makes each round's clock advance an amount
 // that is ≡ 0 modulo every level's rotation, so round k+1 maps onto
-// the SAME slot indices as round k and slot capacities warm once
-// instead of growing forever as the clock marches into fresh buckets.
+// the SAME slot indices as round k and every round does the same work.
 func timerLoadOffsets(n int, seed uint32) []time.Duration {
 	offsets := make([]time.Duration, n+1)
 	x := seed // xorshift32; fixed seed keeps runs comparable
@@ -555,7 +554,7 @@ func BenchmarkTimerWheel(b *testing.B) {
 	sim := netsim.New(netsim.WithSeed(1))
 	fn := func() {}
 	offsets := timerLoadOffsets(4096, 2463534242)
-	for _, d := range offsets { // grow queue/slot backing arrays once
+	for _, d := range offsets { // grow the heap and the slot pool once
 		sim.After(d, fn)
 	}
 	sim.Run()
@@ -569,15 +568,15 @@ func BenchmarkTimerWheel(b *testing.B) {
 	}
 }
 
-// TestTimerWheelZeroAllocs gates the steady-state wheel path: once slot
-// and heap backing arrays have grown, scheduling and draining a dense
+// TestTimerWheelZeroAllocs gates the steady-state wheel path: once the
+// slot pool and the heap have grown, scheduling and draining a dense
 // timer population must not allocate.
 func TestTimerWheelZeroAllocs(t *testing.T) {
 	sim := netsim.New(netsim.WithSeed(1))
 	fn := func() {}
 	offsets := timerLoadOffsets(512, 88172645)
-	// Three warm-up rounds: the first grows each touched slot's array
-	// (and places the first sentinel before the frontiers are moving
+	// Three warm-up rounds: the first grows the pool and the heap (and
+	// places the first sentinel before the frontiers are moving
 	// periodically), the rest run the now-periodic slot mapping to
 	// settle capacities.
 	for round := 0; round < 3; round++ {

@@ -165,6 +165,12 @@ func runDeploy(args []string) int {
 		fmt.Fprintln(os.Stderr, "planpd deploy: -src and -nodes are required")
 		return 2
 	}
+	// The daemon resolves bare names through its topology; the list's
+	// shape (no empty name or URL, no name twice) is checked here first.
+	if _, err := fleet.ParseTargets(*nodesFlag, nodeMount(*daemon)); err != nil {
+		fmt.Fprintln(os.Stderr, "planpd deploy: -nodes:", err)
+		return 2
+	}
 	src, err := os.ReadFile(*srcPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -274,8 +280,8 @@ func runAdapt(args []string) int {
 		req.Baseline, err = fleet.ParseTargets(*baselineFlag, nodeMount(*daemon))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		fmt.Fprintln(os.Stderr, "planpd adapt:", err)
+		return 2
 	}
 
 	// The daemon bounds the run by -timeout and rolls back on expiry;

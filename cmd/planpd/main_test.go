@@ -2,8 +2,45 @@ package main
 
 import (
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
+
+// TestMalformedTargetsSendNothing: a target list the daemon would refuse
+// — an empty name or URL, a name twice — is a usage error of the deploy
+// and adapt verbs, found before they send any request.
+func TestMalformedTargetsSendNothing(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write([]byte(`{}`))
+	}))
+	defer srv.Close()
+	src := filepath.Join(t.TempDir(), "p.planp")
+	if err := os.WriteFile(src, []byte("-- unused\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []string{"gw,gw", "=http://x", "a=", "gw, a=http://x, gw"} {
+		if code := runDeploy([]string{"-daemon", srv.URL, "-src", src, "-nodes", nodes}); code != 2 {
+			t.Errorf("deploy -nodes %q: exit %d, want 2", nodes, code)
+		}
+		if code := runAdapt([]string{"-daemon", srv.URL, "-src", src, "-canary", nodes}); code != 2 {
+			t.Errorf("adapt -canary %q: exit %d, want 2", nodes, code)
+		}
+		if code := runAdapt([]string{"-daemon", srv.URL, "-src", src, "-canary", "c", "-baseline", nodes}); code != 2 {
+			t.Errorf("adapt -baseline %q: exit %d, want 2", nodes, code)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("malformed lists sent %d requests", n)
+	}
+	if code := runDeploy([]string{"-daemon", srv.URL, "-src", src, "-nodes", "gw,a=http://x"}); code != 0 || hits.Load() != 1 {
+		t.Errorf("a well-formed list: exit %d after %d requests, want 0 after 1", code, hits.Load())
+	}
+}
 
 // TestChaosRequest: timeline names are operator text; whatever they
 // contain must arrive as one `name` parameter, not reshape the query.

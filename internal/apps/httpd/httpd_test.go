@@ -2,6 +2,8 @@ package httpd
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -45,42 +47,78 @@ func TestResponsePageStaysZero(t *testing.T) {
 }
 
 func TestTraceShape(t *testing.T) {
-	tr := NewTrace(DefaultTraceConfig())
-	if len(tr.Entries) != 80000 {
-		t.Fatalf("trace has %d accesses, want 80000", len(tr.Entries))
+	cfg := DefaultTraceConfig()
+	tr := NewTrace(cfg)
+	counts := map[int]int{}
+	var sum int64
+	for i := 0; i < cfg.Accesses; i++ {
+		e := tr.Next()
+		counts[e.Doc]++
+		sum += int64(e.Size)
 	}
-	mean := tr.MeanSize()
-	if mean < 3000 || mean > 12000 {
+	if mean := float64(sum) / float64(cfg.Accesses); mean < 3000 || mean > 12000 {
 		t.Errorf("mean size = %.0f, want a few KB", mean)
 	}
 	// Zipf: the most popular document must dominate.
-	counts := map[int]int{}
-	for _, e := range tr.Entries {
-		counts[e.Doc]++
-	}
-	max := 0
+	head := 0
 	for _, c := range counts {
-		if c > max {
-			max = c
+		head = max(head, c)
+	}
+	if head < cfg.Accesses/20 {
+		t.Errorf("most popular doc has %d accesses; expected a Zipf head", head)
+	}
+}
+
+// referenceTrace is the log a Trace replays, built the way the trace
+// was once built: sizes first, then every access drawn up front into a
+// table that Next walked and wrapped.
+func referenceTrace(cfg TraceConfig) []TraceEntry {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Documents-1))
+	sizes := make([]int, cfg.Documents)
+	var total float64
+	for i := range sizes {
+		s := math.Exp(rng.NormFloat64()*1.0 + 8.0)
+		if s < 256 {
+			s = 256
+		}
+		if s > 200_000 {
+			s = 200_000
+		}
+		sizes[i] = int(s)
+		total += s
+	}
+	scale := float64(cfg.MeanSize) * float64(cfg.Documents) / total
+	for i := range sizes {
+		sizes[i] = int(float64(sizes[i]) * scale)
+		if sizes[i] < 128 {
+			sizes[i] = 128
 		}
 	}
-	if max < len(tr.Entries)/20 {
-		t.Errorf("most popular doc has %d accesses; expected a Zipf head", max)
+	entries := make([]TraceEntry, cfg.Accesses)
+	for i := range entries {
+		doc := int(zipf.Uint64())
+		entries[i] = TraceEntry{Doc: doc, Size: sizes[doc]}
 	}
-	// Determinism.
-	tr2 := NewTrace(DefaultTraceConfig())
-	for i := range tr.Entries {
-		if tr.Entries[i] != tr2.Entries[i] {
-			t.Fatal("trace generation is not deterministic")
+	return entries
+}
+
+// TestTraceReplaysTable pins the generator to the table it replaced:
+// its first two passes over Accesses draws are the table twice, so every
+// figure that replays a trace reads the accesses it always read,
+// wrap-around included.
+func TestTraceReplaysTable(t *testing.T) {
+	for _, cfg := range []TraceConfig{
+		DefaultTraceConfig(),
+		{Accesses: 10, Documents: 5, ZipfS: 1.2, MeanSize: 2000, Seed: 9},
+	} {
+		ref := referenceTrace(cfg)
+		tr := NewTrace(cfg)
+		for i := 0; i < 2*cfg.Accesses; i++ {
+			if got, want := tr.Next(), ref[i%cfg.Accesses]; got != want {
+				t.Fatalf("%d accesses: draw %d is %+v, the table holds %+v", cfg.Accesses, i, got, want)
+			}
 		}
-	}
-	// Cycling.
-	first := tr.Next()
-	for i := 1; i < len(tr.Entries); i++ {
-		tr.Next()
-	}
-	if got := tr.Next(); got != first {
-		t.Error("trace does not cycle back to the start")
 	}
 }
 

@@ -16,10 +16,16 @@ type TraceEntry struct {
 	Size int // response bytes
 }
 
-// Trace is a reproducible synthetic access log.
+// Trace is a reproducible synthetic access log, drawn as it is read:
+// Next draws one access from the seeded generator. After Accesses draws
+// it re-seeds and redraws the sizes, so it cycles through the accesses
+// a table of Accesses entries would hold, without holding them.
 type Trace struct {
-	Entries []TraceEntry
-	next    int
+	cfg   TraceConfig
+	rng   *rand.Rand
+	zipf  *rand.Zipf
+	sizes []int // response bytes per document
+	drawn int   // accesses drawn since the generator was last seeded
 }
 
 // TraceConfig parameterizes trace synthesis.
@@ -39,52 +45,46 @@ func DefaultTraceConfig() TraceConfig {
 // NewTrace synthesizes a trace.
 func NewTrace(cfg TraceConfig) *Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Documents-1))
+	t := &Trace{cfg: cfg, rng: rng, sizes: make([]int, cfg.Documents),
+		zipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Documents-1))}
+	t.drawSizes()
+	return t
+}
 
-	// Per-document sizes: lognormal body with a floor, scaled to the
-	// requested mean.
-	sizes := make([]int, cfg.Documents)
+// drawSizes draws the per-document sizes from the generator's next
+// Documents normals: a lognormal body with a floor, scaled to the
+// requested mean.
+func (t *Trace) drawSizes() {
 	var total float64
-	for i := range sizes {
-		s := math.Exp(rng.NormFloat64()*1.0 + 8.0) // median ~3 KB, heavy tail
+	for i := range t.sizes {
+		s := math.Exp(t.rng.NormFloat64()*1.0 + 8.0) // median ~3 KB, heavy tail
 		if s < 256 {
 			s = 256
 		}
 		if s > 200_000 {
 			s = 200_000
 		}
-		sizes[i] = int(s)
+		t.sizes[i] = int(s)
 		total += s
 	}
-	scale := float64(cfg.MeanSize) * float64(cfg.Documents) / total
-	for i := range sizes {
-		sizes[i] = int(float64(sizes[i]) * scale)
-		if sizes[i] < 128 {
-			sizes[i] = 128
+	scale := float64(t.cfg.MeanSize) * float64(t.cfg.Documents) / total
+	for i := range t.sizes {
+		t.sizes[i] = int(float64(t.sizes[i]) * scale)
+		if t.sizes[i] < 128 {
+			t.sizes[i] = 128
 		}
 	}
-
-	t := &Trace{Entries: make([]TraceEntry, cfg.Accesses)}
-	for i := range t.Entries {
-		doc := int(zipf.Uint64())
-		t.Entries[i] = TraceEntry{Doc: doc, Size: sizes[doc]}
-	}
-	return t
 }
 
 // Next returns the next access, cycling when the trace is exhausted
 // (clients "continuously issue requests", §3.2).
 func (t *Trace) Next() TraceEntry {
-	e := t.Entries[t.next]
-	t.next = (t.next + 1) % len(t.Entries)
-	return e
-}
-
-// MeanSize returns the trace's observed mean response size.
-func (t *Trace) MeanSize() float64 {
-	var sum int64
-	for _, e := range t.Entries {
-		sum += int64(e.Size)
+	if t.drawn == t.cfg.Accesses {
+		t.rng.Seed(t.cfg.Seed)
+		t.drawSizes()
+		t.drawn = 0
 	}
-	return float64(sum) / float64(len(t.Entries))
+	t.drawn++
+	doc := int(t.zipf.Uint64())
+	return TraceEntry{Doc: doc, Size: t.sizes[doc]}
 }

@@ -99,6 +99,8 @@ type Target struct {
 // either name=url, passed through, or a bare node name, mapped to its
 // control URL by resolve — a daemon's /node/<name> mount for the CLIs,
 // a lookup across the whole testbed topology for a daemon's /deploy.
+// The list it returns is one Deploy accepts: a malformed list is the
+// caller's error here, not a failed rollout later.
 func ParseTargets(spec string, resolve func(name string) (url string, ok bool)) ([]Target, error) {
 	var targets []Target
 	for _, entry := range strings.Split(spec, ",") {
@@ -118,10 +120,29 @@ func ParseTargets(spec string, resolve func(name string) (url string, ok bool)) 
 		}
 		targets = append(targets, Target{Name: name, URL: url})
 	}
-	if len(targets) == 0 {
-		return nil, errors.New("no target nodes given")
+	if err := checkTargets(targets); err != nil {
+		return nil, err
 	}
 	return targets, nil
+}
+
+// checkTargets is what a rollout needs of its target list: at least one
+// target, each with a name and a URL, no name twice.
+func checkTargets(targets []Target) error {
+	if len(targets) == 0 {
+		return errors.New("no target nodes given")
+	}
+	seen := make(map[string]bool, len(targets))
+	for _, t := range targets {
+		if t.Name == "" || t.URL == "" {
+			return fmt.Errorf("target needs both name and URL (got %+v)", t)
+		}
+		if seen[t.Name] {
+			return fmt.Errorf("duplicate target name %q", t.Name)
+		}
+		seen[t.Name] = true
+	}
+	return nil
 }
 
 // Spec describes what to roll out. Engine and Verify use planpd's
@@ -559,18 +580,8 @@ func compensation(ctx context.Context) (context.Context, context.CancelFunc) {
 // non-nil error unless every node activated. Deploy is synchronous;
 // run it on its own goroutine to overlap rollouts.
 func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*Deployment, error) {
-	if len(targets) == 0 {
-		return nil, errors.New("fleet: deployment needs at least one target")
-	}
-	seen := map[string]bool{}
-	for _, t := range targets {
-		if t.Name == "" || t.URL == "" {
-			return nil, fmt.Errorf("fleet: target needs both name and URL (got %+v)", t)
-		}
-		if seen[t.Name] {
-			return nil, fmt.Errorf("fleet: duplicate target name %q", t.Name)
-		}
-		seen[t.Name] = true
+	if err := checkTargets(targets); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	// The controller-side precheck compiles under the Spec's engine/verify.
 	cfg, err := planprt.ParseConfig(spec.Engine, spec.Verify)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,6 +29,10 @@ func TestParseTargets(t *testing.T) {
 		{name: "URL without a name", spec: "http://10.0.0.2:8377", wantErr: "use name=url"},
 		{name: "empty list", spec: "", wantErr: "no target nodes given"},
 		{name: "only separators", spec: " , ,", wantErr: "no target nodes given"},
+		{name: "empty name", spec: "=http://x", wantErr: "needs both name and URL"},
+		{name: "empty URL", spec: "gw,a=", wantErr: "needs both name and URL"},
+		{name: "name twice", spec: "gw,gw", wantErr: `duplicate target name "gw"`},
+		{name: "name twice, once explicit", spec: "gw, gw=http://h/node/gw", wantErr: `duplicate target name "gw"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,4 +51,42 @@ func TestParseTargets(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseTargets feeds any text to ParseTargets as /deploy's nodes=
+// query and the CLIs' -nodes, -canary and -baseline flags. The contract:
+// it never panics, and it either refuses the text or returns a list
+// Deploy takes — so a malformed list is a 400 or a usage error, never a
+// rollout that fails (corpus in testdata/fuzz/FuzzParseTargets).
+func FuzzParseTargets(f *testing.F) {
+	for _, spec := range []string{"gw, s0,", "gw,x=http://h/node/x", "gw,gw", "=http://x", "a=", "blank", " , ,"} {
+		f.Add(spec)
+	}
+	// The resolver knows a few names, and maps one to an empty URL as a
+	// broken topology lookup would.
+	resolve := func(name string) (string, bool) {
+		switch name {
+		case "gw", "s0", "s1":
+			return "http://d1:8377/node/" + name, true
+		case "blank":
+			return "", true
+		}
+		return "", false
+	}
+	// Deploy checks its targets before anything else; an engine it does
+	// not know then stops it before it calls a node.
+	c := New(Config{})
+	f.Fuzz(func(t *testing.T, spec string) {
+		targets, err := ParseTargets(spec, resolve)
+		if err != nil {
+			if targets != nil {
+				t.Fatalf("ParseTargets(%q) returned %+v with error %v", spec, targets, err)
+			}
+			return
+		}
+		_, err = c.Deploy(context.Background(), Spec{Engine: "none"}, targets)
+		if err == nil || !strings.Contains(err.Error(), `unknown engine "none"`) {
+			t.Fatalf("ParseTargets(%q) = %+v, which Deploy refuses: %v", spec, targets, err)
+		}
+	})
 }

@@ -172,23 +172,28 @@ func TestCloneSharesNoSlice(t *testing.T) {
 
 // TestPacketPathAllocs (one per package on the packet path; CI runs them
 // by name) pins the table operations on a (host*int) connection key:
-// none builds a string.
+// none builds a string, and a warm word table — the gateway's (host)
+// hash_table — rebuilds its element without allocating, as a table of
+// Values returns its own.
 func TestPacketPathAllocs(t *testing.T) {
-	tbl := NewTable(256)
+	words, values := NewTable(256), NewTable(256)
 	k := TupleV(HostV(0x0A000101), Int(4001))
-	v := HostV(0x0A000051)
-	tbl.Put(k, v)
-	var got Value
+	v, tv := HostV(0x0A000051), TupleV(HostV(0x0A000051), Int(80))
+	words.Put(k, v)
+	values.Put(k, tv)
+	var got, gotT Value
 	for name, op := range map[string]func(){
-		"Get":          func() { got, _ = tbl.Get(k) },
-		"Put existing": func() { tbl.Put(k, v) },
-		"Delete":       func() { tbl.Delete(TupleV(HostV(1), Int(2))) },
+		"word Get":           func() { got, _ = words.Get(k) },
+		"word Put existing":  func() { words.Put(k, v) },
+		"word Delete":        func() { words.Delete(TupleV(HostV(1), Int(2))) },
+		"tuple Get":          func() { gotT, _ = values.Get(k) },
+		"tuple Put existing": func() { values.Put(k, tv) },
 	} {
 		if n := testing.AllocsPerRun(200, op); n != 0 {
 			t.Errorf("%s on a (host*int) key allocates %.1f/op, want 0", name, n)
 		}
 	}
-	if got.I != v.I {
-		t.Fatalf("Get = %s", got)
+	if !Equal(got, v) || !Equal(gotT, tv) || words.w == nil {
+		t.Fatalf("Get = %s and %s (word map %v)", got, gotT, words.w != nil)
 	}
 }

@@ -101,11 +101,18 @@ type UDPHeader struct {
 // state). A table keeps what it stores but never a key Value: callers
 // may pass a key built in memory they are about to reuse.
 //
+// The checker gives a table's elements one type, so the first Put picks
+// the store: a word (int, bool, char, host) goes in w as its 8-byte I,
+// the Kind kept once, where a whole Value is 96 bytes; anything else in
+// m. If Go code later stores another kind, the words move into m.
+//
 // Tables are not safe for concurrent use; the runtime serializes all
 // channel executions on a node.
 type Table struct {
-	m   map[tableKey]Value
-	cap int
+	m    map[tableKey]Value
+	w    map[tableKey]int64
+	cap  int32
+	kind Kind // the kind of w's elements
 }
 
 // tableKey is a key's identity in the map. A scalar (int, bool, char,
@@ -140,30 +147,51 @@ func keyOf(v Value) tableKey {
 // number comes from downloaded program text, so it is clamped: no
 // program can reserve memory it never fills.
 func NewTable(capacity int) *Table {
-	return &Table{cap: min(max(capacity, 1), maxTableHint)}
+	return &Table{cap: int32(min(max(capacity, 1), maxTableHint))}
 }
 
 const maxTableHint = 1 << 12
 
 // Put stores v under key k, replacing any previous value.
 func (t *Table) Put(k Value, v Value) {
+	if t.m == nil && t.w == nil && isWord(v.Kind) {
+		t.w, t.kind = make(map[tableKey]int64, t.cap), v.Kind
+	}
+	if t.w != nil && v.Kind == t.kind {
+		t.w[keyOf(k)] = v.I
+		return
+	}
 	if t.m == nil {
-		t.m = make(map[tableKey]Value, t.cap)
+		t.m = make(map[tableKey]Value, max(int(t.cap), len(t.w)+1))
+		for key, i := range t.w {
+			t.m[key] = Value{Kind: t.kind, I: i}
+		}
+		t.w = nil
 	}
 	t.m[keyOf(k)] = v
 }
 
 // Get returns the value stored under k and whether it was present.
 func (t *Table) Get(k Value) (Value, bool) {
+	if t.w != nil {
+		if i, ok := t.w[keyOf(k)]; ok {
+			return Value{Kind: t.kind, I: i}, true
+		}
+		return Value{}, false
+	}
 	v, ok := t.m[keyOf(k)]
 	return v, ok
 }
 
 // Delete removes k from the table (a no-op if absent).
-func (t *Table) Delete(k Value) { delete(t.m, keyOf(k)) }
+func (t *Table) Delete(k Value) {
+	key := keyOf(k)
+	delete(t.w, key)
+	delete(t.m, key)
+}
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return len(t.m) }
+func (t *Table) Len() int { return len(t.w) + len(t.m) }
 
 // Value is a PLAN-P runtime value.
 type Value struct {

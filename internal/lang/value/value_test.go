@@ -186,32 +186,50 @@ func randString(rng *rand.Rand) string {
 	return string(b)
 }
 
+// TestTableOps runs the same operations over a table of each word kind,
+// which stores 8-byte words, and over tables of strings and tuples,
+// which store Values.
 func TestTableOps(t *testing.T) {
-	tbl := NewTable(4)
 	k1 := TupleV(HostV(1), Int(80))
 	k2 := TupleV(HostV(2), Int(80))
-	if _, ok := tbl.Get(k1); ok {
-		t.Error("empty table lookup succeeded")
-	}
-	tbl.Put(k1, Str("a"))
-	tbl.Put(k2, Str("b"))
-	if v, ok := tbl.Get(k1); !ok || v.AsStr() != "a" {
-		t.Error("get after put")
-	}
-	tbl.Put(k1, Str("a2"))
-	if v, _ := tbl.Get(k1); v.AsStr() != "a2" {
-		t.Error("overwrite")
-	}
-	if tbl.Len() != 2 {
-		t.Errorf("len = %d", tbl.Len())
-	}
-	tbl.Delete(k1)
-	if _, ok := tbl.Get(k1); ok {
-		t.Error("delete did not remove")
-	}
-	tbl.Delete(k1) // idempotent
-	if tbl.Len() != 1 {
-		t.Errorf("len after delete = %d", tbl.Len())
+	for _, elems := range [][3]Value{
+		{Int(-1), Int(2), Int(1 << 40)},
+		{Bool(true), Bool(false), Bool(false)},
+		{Char('a'), Char('b'), Char('z')},
+		{HostV(0x0A000051), HostV(0x0A000052), HostV(0xFFFFFFFF)},
+		{Str("a"), Str("b"), Str("a2")},
+		{TupleV(Int(1), Str("x")), TupleV(Int(2), Blob([]byte("y"))), TupleV(Int(3), Str("z"))},
+	} {
+		a, b, a2 := elems[0], elems[1], elems[2]
+		t.Run(a.Kind.String(), func(t *testing.T) {
+			tbl := NewTable(4)
+			if v, ok := tbl.Get(k1); ok || v.Kind != 0 {
+				t.Errorf("empty table lookup = (%s, %v)", v, ok)
+			}
+			tbl.Put(k1, a)
+			tbl.Put(k2, b)
+			if words := isWord(a.Kind); (tbl.w != nil) != words || (tbl.m != nil) == words {
+				t.Errorf("%s elements: word map %v, value map %v", a.Kind, tbl.w != nil, tbl.m != nil)
+			}
+			if v, ok := tbl.Get(k1); !ok || !Equal(v, a) {
+				t.Errorf("get after put = (%s, %v), want %s", v, ok, a)
+			}
+			tbl.Put(k1, a2)
+			if v, _ := tbl.Get(k1); !Equal(v, a2) {
+				t.Errorf("overwrite: get = %s, want %s", v, a2)
+			}
+			if tbl.Len() != 2 {
+				t.Errorf("len = %d", tbl.Len())
+			}
+			tbl.Delete(k1)
+			if v, ok := tbl.Get(k1); ok || v.Kind != 0 {
+				t.Errorf("after delete: get = (%s, %v)", v, ok)
+			}
+			tbl.Delete(k1) // idempotent
+			if v, _ := tbl.Get(k2); tbl.Len() != 1 || !Equal(v, b) {
+				t.Errorf("after delete: len %d, get(k2) = %s", tbl.Len(), v)
+			}
+		})
 	}
 	if NewTable(-5).Len() != 0 {
 		t.Error("negative capacity should clamp")
@@ -219,6 +237,33 @@ func TestTableOps(t *testing.T) {
 	// mkTable(n) is program text: n is a hint, never a reservation.
 	if huge := NewTable(1 << 40); huge.cap != maxTableHint {
 		t.Errorf("hint 1<<40 kept as %d, want %d", huge.cap, maxTableHint)
+	}
+}
+
+// TestWordTableTakesOtherKinds: the checker gives a table one element
+// type, but Go code can store anything. A word table that receives a
+// value of another kind — a non-word, or a word of another kind — keeps
+// every entry it had and the new one, each read back at its own kind.
+func TestWordTableTakesOtherKinds(t *testing.T) {
+	for _, other := range []Value{Str("s"), Bool(true), TupleV(HostV(3), Int(4))} {
+		tbl := NewTable(2)
+		tbl.Put(Int(1), HostV(10))
+		tbl.Put(Int(2), HostV(20))
+		tbl.Delete(Int(2))
+		tbl.Put(Int(3), other)
+		tbl.Put(Int(4), HostV(40))
+		want := map[int64]Value{1: HostV(10), 3: other, 4: HostV(40)}
+		if tbl.Len() != len(want) || tbl.w != nil {
+			t.Errorf("after storing %s: len %d, word map %v", other, tbl.Len(), tbl.w != nil)
+		}
+		for k, w := range want {
+			if v, ok := tbl.Get(Int(k)); !ok || !Equal(v, w) {
+				t.Errorf("after storing %s: get(%d) = (%s, %v), want %s", other, k, v, ok, w)
+			}
+		}
+		if _, ok := tbl.Get(Int(2)); ok {
+			t.Errorf("after storing %s: the deleted key came back", other)
+		}
 	}
 }
 

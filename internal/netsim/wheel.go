@@ -19,6 +19,11 @@
 // or behind a level's drained frontier, overflow into the heap — the
 // heap is both the far-future store and the near-term staging area.
 //
+// A slot heads a list linked by index through the queue's one pool; a
+// drained slot's entries go on its free list, so the pool is as long as
+// the most events ever parked at once, not the sum of 768 slots' own
+// peaks. A slot's list is last in, first out; a slot drains whole.
+//
 // # Exact (at, seq) order
 //
 // The determinism contract requires pops in exactly the (at, seq)
@@ -71,15 +76,23 @@ type timerQueue struct {
 	heap    eventQueue
 	wheelOn bool
 
-	wcount int                          // events currently parked in wheel slots
-	cur    [wheelLevels]int64           // per-level frontier (absolute slot number)
+	wcount int                // events currently parked in wheel slots
+	cur    [wheelLevels]int64 // per-level frontier (absolute slot number)
 	occ    [wheelLevels][wheelWords]uint64
-	slots  [wheelLevels][wheelSlots][]event
+	slots  [wheelLevels][wheelSlots]int32 // 1 + pool index of the slot's first entry; 0 when empty
+	pool   []pooled
+	free   int32 // 1 + pool index of the first free entry; 0 when none
 
 	// wheelMin is the start time (ns) of the earliest occupied slot — a
 	// lower bound on every wheel event's at. Maintained on insert,
 	// recomputed after each drain; meaningless when wcount == 0.
 	wheelMin int64
+}
+
+// pooled is one entry of a slot's list, or of the free list.
+type pooled struct {
+	ev   event
+	next int32 // 1 + pool index of the list's next entry; 0 ends it
 }
 
 func (q *timerQueue) len() int { return q.heap.len() + q.wcount }
@@ -107,7 +120,14 @@ func (q *timerQueue) route(e event) {
 		}
 		if sl < q.cur[l]+wheelSlots {
 			idx := int(sl & wheelMask)
-			q.slots[l][idx] = append(q.slots[l][idx], e)
+			if q.free == 0 {
+				q.pool = append(q.pool, pooled{})
+				q.free = int32(len(q.pool))
+			}
+			n := q.free
+			q.free = q.pool[n-1].next
+			q.pool[n-1] = pooled{ev: e, next: q.slots[l][idx]}
+			q.slots[l][idx] = n
 			q.occ[l][idx>>6] |= 1 << uint(idx&63)
 			q.wcount++
 			start := sl << uint(wheelTickShift+l*wheelSlotBits)
@@ -170,10 +190,9 @@ func (q *timerQueue) advance() {
 	}
 
 	idx := int(bestSlot & wheelMask)
-	evs := q.slots[bestL][idx]
-	q.slots[bestL][idx] = evs[:0]
+	n := q.slots[bestL][idx]
+	q.slots[bestL][idx] = 0
 	q.occ[bestL][idx>>6] &^= 1 << uint(idx&63)
-	q.wcount -= len(evs)
 
 	// This slot was the global earliest, so every finer level is empty
 	// before its start: fast-forward their frontiers to it, then step
@@ -183,9 +202,12 @@ func (q *timerQueue) advance() {
 		q.cur[f] = bestSlot << uint((bestL-f)*wheelSlotBits)
 	}
 
-	for i := range evs {
-		e := evs[i]
-		evs[i] = event{} // release fn/pkt references for GC
+	for n != 0 {
+		// Free the entry before route, which may take it or grow the pool.
+		e, next := q.pool[n-1].ev, q.pool[n-1].next
+		q.pool[n-1] = pooled{next: q.free}
+		q.free, n = n, next
+		q.wcount--
 		if bestL == 0 {
 			q.heap.push(e)
 		} else {

@@ -106,6 +106,45 @@ func TestTimerWheelOnOffIdenticalPops(t *testing.T) {
 	}
 }
 
+// TestTimerWheelPoolReuse pins the slots' shared pool: however a burst
+// spreads over the slots, the pool grows to the most events the wheel
+// held at once, and the same burst again — shifted by an odd amount, so
+// it lands in other slots at every level — reuses it without allocating.
+func TestTimerWheelPoolReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	offsets := make([]time.Duration, 2000)
+	for i := range offsets {
+		offsets[i] = time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
+	}
+	q := &timerQueue{wheelOn: true}
+	var base time.Duration
+	seq, peak := uint64(0), 0
+	burst := func() {
+		for _, d := range offsets {
+			seq++
+			q.push(event{at: base + d, seq: seq})
+			peak = max(peak, q.wcount)
+		}
+		for q.len() > 0 {
+			if e := q.pop(); e.at < base {
+				t.Fatalf("popped at=%v before the burst's base %v", e.at, base)
+			}
+		}
+		base += time.Second + 12345*time.Nanosecond
+	}
+	burst()
+	if peak < len(offsets)/2 || len(q.pool) != peak {
+		t.Fatalf("after one burst: pool %d entries, %d events parked at most", len(q.pool), peak)
+	}
+	burst()
+	if n := testing.AllocsPerRun(10, burst); n != 0 {
+		t.Errorf("the same burst in other slots allocates %.1f/op, want 0", n)
+	}
+	if len(q.pool) != peak || q.wcount != 0 {
+		t.Errorf("after the bursts: pool %d entries, peak %d, %d still parked", len(q.pool), peak, q.wcount)
+	}
+}
+
 // TestWheelOnOffSimulationIdentical is the end-to-end leg: a sharded
 // ring simulation must produce byte-identical event streams, metrics,
 // clocks, and deliveries with the wheel on and off. The heap-only

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,21 @@ func TestDemoDeployUnknownNode(t *testing.T) {
 	}
 	if body := rec.Body.String(); !strings.Contains(body, `"nosuch"`) || !strings.Contains(body, `topology "demo"`) {
 		t.Errorf("rejection does not name the node and the topology: %q", body)
+	}
+	// So is a list no rollout could take: a 400 naming the fault, where it
+	// used to reach Deploy and come back a 409 Conflict.
+	for query, want := range map[string]string{
+		"gateway,gateway":       `duplicate target name "gateway"`,
+		"=http://x":             "needs both name and URL",
+		"gateway,server0=":      "needs both name and URL",
+		"server0,server0=http:": `duplicate target name "server0"`,
+	} {
+		rec := httptest.NewRecorder()
+		demo.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			"/deploy?nodes="+url.QueryEscape(query), strings.NewReader(asp.HTTPGateway)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("POST /deploy?nodes=%s: %d %q, want 400 naming %q", query, rec.Code, rec.Body.String(), want)
+		}
 	}
 	if len(demo.Fleet.Deployments()) != 0 {
 		t.Error("a rollout was recorded for an unresolvable target list")

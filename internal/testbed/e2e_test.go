@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -69,20 +70,21 @@ func freeTCPPorts(t *testing.T, n int) []string {
 // proc is one spawned daemon process. done closes when the process
 // exits, so both term and the cleanup can wait on it.
 type proc struct {
-	cmd  *exec.Cmd
-	err  error
-	done chan struct{}
+	cmd    *exec.Cmd
+	err    error
+	stderr bytes.Buffer // a copy of the daemon's stderr; read only once done is closed
+	done   chan struct{}
 }
 
 func spawn(t *testing.T, bin, topoPath, daemon string) *proc {
 	t.Helper()
 	cmd := exec.Command(bin, "up", "-topo", topoPath, "-daemon", daemon, "-probe", "50ms")
+	p := &proc{cmd: cmd, done: make(chan struct{})}
 	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = io.MultiWriter(os.Stderr, &p.stderr)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{cmd: cmd, done: make(chan struct{})}
 	go func() {
 		p.err = cmd.Wait()
 		close(p.done)
@@ -112,21 +114,46 @@ func (p *proc) term(t *testing.T) {
 	}
 }
 
-// waitHTTP polls a URL until it answers 200.
-func waitHTTP(t *testing.T, url string) {
+// up polls the daemon's base/healthz until it answers 200, and reports
+// true. It reports false if the daemon exited because an address it was
+// given is in use: freeTCPPorts and freeUDPPorts close what they
+// reserve, so a package testing in parallel can bind a port before the
+// daemon does. Each poll has a timeout, as whatever took a control port
+// may accept a connection and never answer it.
+func (p *proc) up(t *testing.T, base string) bool {
 	t.Helper()
+	client := &http.Client{Timeout: time.Second}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
+		select {
+		case <-p.done:
+			if strings.Contains(p.stderr.String(), "address already in use") {
+				return false
+			}
+			t.Fatalf("daemon at %s exited before it served: %v", base, p.err)
+		default:
+		}
+		resp, err := client.Get(base + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				return
+				return true
 			}
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("%s never came up", url)
+	t.Fatalf("%s never came up", base)
+	return false
+}
+
+// abandon kills a cluster that lost a port, so its attempt can be
+// retried on fresh ones; it reports false for runE2E to return.
+func abandon(procs ...*proc) bool {
+	for _, p := range procs {
+		p.cmd.Process.Kill()
+		<-p.done
+	}
+	return false
 }
 
 // linkStates fetches a daemon's /links as link-name -> state.
@@ -216,7 +243,18 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 		t.Skip("multi-process e2e")
 	}
 	bin := buildPlanpd(t)
+	for retries := 0; !runE2E(t, bin); retries++ {
+		if retries == 3 {
+			t.Fatal("a daemon lost a port before it bound it, on four sets of fresh ports")
+		}
+		t.Log("a daemon lost a port before it bound it; retrying on fresh ports")
+	}
+}
 
+// runE2E is one run of the scenario on freshly reserved ports. It
+// reports false, with its daemons killed, if a daemon found one of its
+// ports taken.
+func runE2E(t *testing.T, bin string) bool {
 	ctrl := freeTCPPorts(t, 3)
 	udp := freeUDPPorts(t, 4)
 	topoJSON := fmt.Sprintf(`{
@@ -248,14 +286,18 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 	// absent peer.
 	d1 := spawn(t, bin, topoPath, "d1")
 	d3 := spawn(t, bin, topoPath, "d3")
-	waitHTTP(t, base1+"/healthz")
-	waitHTTP(t, base3+"/healthz")
+	if !d1.up(t, base1) || !d3.up(t, base3) {
+		return abandon(d1, d3)
+	}
 	waitLinkState(t, base1, "gw-s1", "up")
 
 	// Phase 2: before d2 exists, impersonate it from its own UDP
 	// endpoint with a version-skewed HELLO. The daemon must answer with
 	// a structured REJECT (code 1 = version), not silence.
 	raw, err := net.ListenPacket("udp", udp[1])
+	if errors.Is(err, syscall.EADDRINUSE) {
+		return abandon(d1, d3)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +339,9 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 	// Phase 3: the real d2 arrives on the same endpoint; the full
 	// 3-daemon cluster converges.
 	d2 := spawn(t, bin, topoPath, "d2")
-	waitHTTP(t, base2+"/healthz")
+	if !d2.up(t, base2) {
+		return abandon(d1, d2, d3)
+	}
 	waitLinkState(t, base1, "gw-s0", "up")
 	waitLinkState(t, base2, "gw-s0", "up")
 
@@ -477,4 +521,5 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 
 	d2.term(t)
 	d1.term(t)
+	return true
 }
