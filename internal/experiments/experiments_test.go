@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,12 +35,20 @@ func find(t *testing.T, name string) Experiment {
 	return Experiment{}
 }
 
+// update rewrites the golden files from the sequential runs instead of
+// comparing against them:
+//
+//	go test ./internal/experiments -run TestParallelOutputMatchesSequential -update
+var update = flag.Bool("update", false, "rewrite testdata/<experiment>.golden from the sequential runs")
+
 // TestParallelOutputMatchesSequential is the driver-level acceptance
 // gate: for every deterministic experiment, a 4-worker run must be
-// byte-identical to the sequential run. (cmd/aspbench adds only the
-// per-experiment banner and the wall-clock footer around these bytes,
-// so this is `aspbench -exp all -parallel 4` vs `-parallel 1` modulo
-// the footer.)
+// byte-identical to the sequential run, and the sequential run to
+// testdata/<name>.golden. (cmd/aspbench adds only the per-experiment
+// banner and the wall-clock footer around these bytes, so this is
+// `aspbench -exp all -parallel 4` vs `-parallel 1` modulo the footer.)
+// A change that moves an output on purpose regenerates the files with
+// -update and explains the diff.
 func TestParallelOutputMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every deterministic experiment twice")
@@ -58,17 +70,31 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 			if seq.String() != par.String() {
 				t.Errorf("output differs between -parallel 1 and -parallel 4:\n%s", firstDiff(seq.String(), par.String()))
 			}
+			golden := filepath.Join("testdata", name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, seq.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.String() != string(want) {
+				t.Errorf("output differs from %s:\n%s", golden, firstDiff(string(want), seq.String()))
+			}
 		})
 	}
 }
 
 // firstDiff returns the first differing line pair for a readable
 // failure message.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return "line " + string(rune('0'+i%10)) + ":\n  seq: " + al[i] + "\n  par: " + bl[i]
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
 		}
 	}
 	return "length mismatch"
