@@ -11,6 +11,7 @@ import (
 	"planp.dev/planp/internal/netsim/loadgen"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Adaptation selects how the router treats audio traffic.
@@ -242,7 +243,7 @@ func RunFigure7(loadBps int64, dur time.Duration, opts Options) (*Figure7Row, er
 	}
 	if loadBps > 0 {
 		const payload = 1000
-		wire := int64(payload + netsim.IPHeaderLen + netsim.UDPHeaderLen)
+		wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
 		rate := float64(loadBps) / float64(wire*8)
 		p := &loadgen.Poisson{Node: tb.LoadGen, Rate: rate, Emit: func() {
 			tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, make([]byte, payload)).Own())

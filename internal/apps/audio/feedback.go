@@ -13,6 +13,7 @@ import (
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // FeedbackPort carries client loss reports back to the source.
@@ -224,7 +225,7 @@ type FeedbackLoadStep struct {
 // Start schedules the step until end.
 func (g *FeedbackLoadStep) Start(sim *netsim.Simulator, end time.Duration) {
 	const payload = 1000
-	wire := int64(payload + netsim.IPHeaderLen + netsim.UDPHeaderLen)
+	wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
 	interval := time.Duration(wire * 8 * int64(time.Second) / g.Bps)
 	for at := g.At; at < end; at += interval {
 		t := at

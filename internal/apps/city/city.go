@@ -151,15 +151,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("city: region %d gateway download: %w", r, err)
 		}
 
-		// Servers answer each request with one fixed-size response; the
-		// gateway ASP rewrites the source back to the virtual address.
+		// The §3.2 servers, answering each request on arrival; the gateway
+		// ASP rewrites the source back to the virtual address.
 		for _, srv := range reg.servers {
-			node := srv
-			body := make([]byte, 1200)
-			node.BindTCP(80, func(req *netsim.Packet) {
-				node.Send(netsim.NewTCP(node.Addr, req.IP.Src, 80, req.TCP.SrcPort,
-					req.TCP.Seq, netsim.FlagAck|netsim.FlagPsh, body).Own())
-			})
+			httpd.NewServer(srv, httpd.ServerConfig{})
 		}
 
 		// Access star: edge routers around the core, one aggregate client
@@ -212,8 +207,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Workload. Each client host offers ClientsPerEdge requests per
 	// second (its modeled clients at one request/s each), phase-staggered
-	// with prime offsets; every CrossEvery-th edge addresses the next
-	// region's virtual server. The region core multicasts one 160-byte
+	// with prime offsets, each asking for a one-packet 1 200-byte
+	// response; every CrossEvery-th edge addresses the next region's
+	// virtual server. The region core multicasts one 160-byte
 	// audio frame every 20ms (a G.711 packet) down the region's tree.
 	for r, reg := range regions {
 		period := time.Second / time.Duration(cfg.ClientsPerEdge)
@@ -229,8 +225,7 @@ func Run(cfg Config) (*Result, error) {
 			var tick func()
 			tick = func() {
 				rg.requests++
-				host.Send(netsim.NewTCP(host.Addr, dst, uint16(1024+i%60000), 80,
-					uint32(i), netsim.FlagSyn|netsim.FlagPsh, make([]byte, 64+(i%7)*8)).Own())
+				host.Send(httpd.NewRequest(host.Addr, dst, uint16(1024+i%60000), 1200, 64+(i%7)*8).Own())
 				i++
 				if env.Now()+period < cfg.Duration {
 					env.After(period, tick)

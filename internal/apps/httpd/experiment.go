@@ -39,19 +39,17 @@ func (v Variant) String() string {
 // Testbed is the §3.2 cluster: two client hosts on a client LAN, the
 // gateway machine routing to the server LAN, and two servers.
 type Testbed struct {
-	Sim      *netsim.Simulator
-	Clients  [2]*netsim.Node
-	Gateway  *netsim.Node
-	ServerA  *Server
-	ServerB  *Server
-	GwRT     *planprt.Runtime // set for VariantASPGW
-	NativeGW *NativeGateway   // set for VariantNativeGW
+	Sim     *netsim.Simulator
+	Clients [2]*netsim.Node
+	Gateway *netsim.Node
+	ServerA *Server
+	ServerB *Server
+	GwRT    *planprt.Runtime // set for VariantASPGW
 
 	// Interface handles for the chaos experiments (which inject faults
 	// on the server LAN and crash the gateway).
 	ClientLAN  *netsim.Segment
 	ServerLAN  *netsim.Segment
-	GwClientIf *netsim.Iface
 	GwServerIf *netsim.Iface
 	ServerAIf  *netsim.Iface
 	ServerBIf  *netsim.Iface
@@ -61,7 +59,7 @@ type Testbed struct {
 type Config struct {
 	Variant Variant
 	Engine  planprt.EngineKind // ASP gateway engine (default jit)
-	Server  ServerConfig
+	Server  ServerConfig       // the servers' service model (zero: Apache)
 	// ServerB overrides server B's configuration (heterogeneous
 	// clusters for the policy ablation); nil copies Server.
 	ServerB *ServerConfig
@@ -78,6 +76,9 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = planprt.EngineJIT
+	}
+	if cfg.Server == (ServerConfig{}) {
+		cfg.Server = Apache
 	}
 	sim := netsim.New(netsim.WithSeed(cfg.Seed))
 	c1 := netsim.NewNode(sim, "client1", netsim.MustAddr("10.0.1.1"))
@@ -118,7 +119,6 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		ServerB:    NewServer(sb, serverBCfg),
 		ClientLAN:  clientLAN,
 		ServerLAN:  serverLAN,
-		GwClientIf: gwClient,
 		GwServerIf: gwServer,
 		ServerAIf:  ia,
 		ServerBIf:  ib,
@@ -141,7 +141,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		tb.GwRT = rt
 	case VariantNativeGW:
 		gw.PerPacketCPU = GatewayCPU
-		tb.NativeGW = InstallNativeGateway(gw)
+		InstallNativeGateway(gw)
 	}
 	return tb, nil
 }
@@ -152,7 +152,6 @@ type Point struct {
 	OfferedRPS float64
 	ServedRPS  float64
 	MeanLat    time.Duration
-	GwDrops    int64
 }
 
 // RunPoint measures served throughput at one offered load.
@@ -164,20 +163,16 @@ func RunPoint(cfg Config, offeredRPS float64, dur, warmup time.Duration) (*Point
 	tr1 := NewTrace(TraceConfig{Accesses: 20000, Documents: 2000, ZipfS: 1.2, MeanSize: 6000, Seed: cfg.Seed})
 	tr2 := NewTrace(TraceConfig{Accesses: 20000, Documents: 2000, ZipfS: 1.2, MeanSize: 6000, Seed: cfg.Seed + 1})
 
-	var clients []*Client
+	targets := [2]netsim.Addr{VirtualAddr, VirtualAddr}
 	switch cfg.Variant {
 	case VariantDisjoint:
-		clients = append(clients,
-			NewClient(tb.Clients[0], Server0Addr, offeredRPS/2, tr1),
-			NewClient(tb.Clients[1], Server1Addr, offeredRPS/2, tr2))
+		targets = [2]netsim.Addr{Server0Addr, Server1Addr}
 	case VariantSingle:
-		clients = append(clients,
-			NewClient(tb.Clients[0], Server0Addr, offeredRPS/2, tr1),
-			NewClient(tb.Clients[1], Server0Addr, offeredRPS/2, tr2))
-	default:
-		clients = append(clients,
-			NewClient(tb.Clients[0], VirtualAddr, offeredRPS/2, tr1),
-			NewClient(tb.Clients[1], VirtualAddr, offeredRPS/2, tr2))
+		targets = [2]netsim.Addr{Server0Addr, Server0Addr}
+	}
+	clients := []*Client{
+		NewClient(tb.Clients[0], targets[0], offeredRPS/2, tr1),
+		NewClient(tb.Clients[1], targets[1], offeredRPS/2, tr2),
 	}
 	for _, c := range clients {
 		c.Start(dur, warmup)
@@ -196,7 +191,6 @@ func RunPoint(cfg Config, offeredRPS float64, dur, warmup time.Duration) (*Point
 		Variant:    cfg.Variant,
 		OfferedRPS: offeredRPS,
 		ServedRPS:  float64(completed) / (dur - warmup).Seconds(),
-		GwDrops:    tb.Gateway.Stats().DroppedPkts,
 	}
 	if latN > 0 {
 		p.MeanLat = lat / time.Duration(latN)

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"planp.dev/planp/asp"
-	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // AdminPort receives administrator reconfiguration datagrams (matches
@@ -18,14 +18,14 @@ const AdminPort = 9999
 // MarkServer sends the administrator datagram taking a server out of
 // ('D') or back into ('U') rotation. from may be any host that can
 // reach the gateway.
-func MarkServer(from *netsim.Node, gateway netsim.Addr, server netsim.Addr, down bool) {
+func MarkServer(from substrate.Node, gateway, server substrate.Addr, down bool) {
 	tag := byte('U')
 	if down {
 		tag = 'D'
 	}
 	payload := []byte{tag,
 		byte(server >> 24), byte(server >> 16), byte(server >> 8), byte(server)}
-	from.Send(netsim.NewUDP(from.Addr, gateway, AdminPort, AdminPort, payload).Own())
+	from.Send(substrate.NewUDP(from.Address(), gateway, AdminPort, AdminPort, payload).Own())
 }
 
 // FailoverResult summarizes the failover timeline.

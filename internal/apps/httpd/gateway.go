@@ -7,15 +7,14 @@ package httpd
 import (
 	"time"
 
-	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/substrate"
 )
 
 // Cluster addressing, shared with asp/http_gateway.planp.
 var (
-	VirtualAddr = netsim.MustAddr("10.0.0.100")
-	Server0Addr = netsim.MustAddr("10.0.0.81")
-	Server1Addr = netsim.MustAddr("10.0.0.109")
+	VirtualAddr = substrate.MustAddr("10.0.0.100")
+	Server0Addr = substrate.MustAddr("10.0.0.81")
+	Server1Addr = substrate.MustAddr("10.0.0.109")
 )
 
 // GatewayCPU is the gateway's per-packet processing cost with the
@@ -50,9 +49,6 @@ type NativeGateway struct {
 	node  substrate.Node
 	conns map[connKey]substrate.Addr
 	count int64
-
-	Requests  int64
-	Responses int64
 }
 
 var _ substrate.Processor = (*NativeGateway)(nil)
@@ -81,19 +77,17 @@ func (g *NativeGateway) Process(pkt *substrate.Packet, in substrate.Iface) bool 
 			}
 			g.conns[key] = srv
 		}
-		if pkt.TCP.Flags&netsim.FlagSyn != 0 {
+		if pkt.TCP.Flags&substrate.FlagSyn != 0 {
 			g.count++
 		}
 		out := pkt.Clone()
 		out.IP.Dst = srv
-		g.Requests++
 		g.forward(out, in)
 		return true
 
 	case pkt.TCP.SrcPort == HTTPPort && (pkt.IP.Src == Server0Addr || pkt.IP.Src == Server1Addr):
 		out := pkt.Clone()
 		out.IP.Src = VirtualAddr
-		g.Responses++
 		g.forward(out, in)
 		return true
 

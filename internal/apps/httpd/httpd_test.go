@@ -29,7 +29,7 @@ func TestResponsePageStaysZero(t *testing.T) {
 	NewServer(server, ServerConfig{})
 	var resp []*netsim.Packet
 	client.BindRaw(func(pkt *netsim.Packet) { resp = append(resp, pkt) })
-	client.Send(netsim.NewTCP(client.Addr, server.Addr, 10000, HTTPPort, 0, netsim.FlagSyn, encodeRequest(MTU+100)))
+	client.Send(NewRequest(client.Addr, server.Addr, 10000, MTU+100, 0))
 	sim.Run()
 	if len(resp) != 2 || len(resp[0].Payload) != MTU || len(resp[1].Payload) != 100 {
 		t.Fatalf("want a full and a 100-byte response packet, got %d packets", len(resp))
@@ -260,7 +260,7 @@ func TestServerQueueIsFIFO(t *testing.T) {
 	const burst, rounds = 40, 5
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < burst; i++ {
-			client.Send(netsim.NewTCP(client.Addr, server.Addr, uint16(r*burst+i), HTTPPort, 0, netsim.FlagSyn, encodeRequest(100)))
+			client.Send(NewRequest(client.Addr, server.Addr, uint16(r*burst+i), 100, 0))
 		}
 		sim.Run()
 	}
@@ -280,7 +280,7 @@ func TestServerQueueIsFIFO(t *testing.T) {
 	}
 
 	for i := 0; i < burst; i++ {
-		client.Send(netsim.NewTCP(client.Addr, server.Addr, 9000, HTTPPort, 0, netsim.FlagSyn, encodeRequest(100)))
+		client.Send(NewRequest(client.Addr, server.Addr, 9000, 100, 0))
 	}
 	sim.RunUntil(sim.Now() + 5*time.Millisecond)
 	s.Fail()

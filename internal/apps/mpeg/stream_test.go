@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 func TestGOPStructure(t *testing.T) {
@@ -91,7 +92,7 @@ func TestServerIgnoresMalformedControl(t *testing.T) {
 	node := netsim.NewNode(sim, "srv", netsim.MustAddr("10.0.0.1"))
 	s := NewServer(node)
 	// Short payload and non-TCP packets must not crash or register.
-	node.Receive(netsim.NewTCP(netsim.MustAddr("10.0.0.2"), node.Addr, 1, ServerPort, 0, 0, []byte{1}), nil)
+	node.Receive(substrate.NewTCP(netsim.MustAddr("10.0.0.2"), node.Addr, 1, ServerPort, 0, 0, []byte{1}), nil)
 	node.Receive(netsim.NewUDP(netsim.MustAddr("10.0.0.2"), node.Addr, 1, ServerPort, controlMsg(TagRequest, 1)), nil)
 	sim.Run()
 	if s.Connections != 0 {
@@ -118,7 +119,7 @@ func TestTeardownFromWrongClientIgnored(t *testing.T) {
 		t.Fatal("stream never started")
 	}
 	// c2 (not the viewer) sends a teardown for stream 1: must be ignored.
-	c2.Send(netsim.NewTCP(c2.Addr, srvNode.Addr, 5, ServerPort, 0, netsim.FlagPsh, controlMsg(TagTeardown, 1)))
+	c2.Send(substrate.NewTCP(c2.Addr, srvNode.Addr, 5, ServerPort, 0, substrate.FlagPsh, controlMsg(TagTeardown, 1)))
 	sim.RunUntil(4 * time.Second)
 	if cl.Frames <= framesAt2s {
 		t.Error("stream stopped after a teardown from the wrong client")

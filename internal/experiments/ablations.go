@@ -93,7 +93,8 @@ func runAblationPolicy(w io.Writer, opts Options) error {
 	rows := make([]policyRow, len(policies))
 	errs := make([]error, len(policies))
 	par.ForEach(opts.Parallel, len(policies), func(i int) {
-		slowB := httpd.ServerConfig{Workers: 4} // half the workers of server A
+		slowB := httpd.Apache
+		slowB.Workers = 4 // half the workers of server A
 		cfg := httpd.Config{
 			Variant:       httpd.VariantASPGW,
 			Engine:        opts.Engine,

@@ -30,6 +30,7 @@ import (
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/par"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, se
 // startPoissonLoad drives the audio testbed's load generator the same
 // way figure 7 does.
 func startPoissonLoad(tb *audio.Testbed, bps int64, payload int, dur time.Duration) {
-	wire := int64(payload + netsim.IPHeaderLen + netsim.UDPHeaderLen)
+	wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
 	p := &loadgen.Poisson{Node: tb.LoadGen, Rate: float64(bps) / float64(wire*8), Emit: func() {
 		tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, make([]byte, payload)).Own())
 	}}

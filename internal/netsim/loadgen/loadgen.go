@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Step is one phase of a load schedule.
@@ -44,7 +45,7 @@ func (g *Generator) Start(sim *netsim.Simulator, end time.Duration) {
 		if size <= 0 {
 			size = 1000
 		}
-		wire := size + netsim.IPHeaderLen + netsim.UDPHeaderLen
+		wire := size + substrate.IPHeaderLen + substrate.UDPHeaderLen
 		interval := time.Duration(int64(wire) * 8 * int64(time.Second) / step.Bps)
 		if interval <= 0 {
 			interval = time.Microsecond
@@ -98,14 +99,14 @@ func (p *Poisson) Start(sim *netsim.Simulator, start, end time.Duration) {
 				return
 			}
 			p.Emit()
-			gap := time.Duration(sim.Rand().ExpFloat64() / p.Rate * float64(time.Second))
+			gap := time.Duration(sim.ExpFloat64() / p.Rate * float64(time.Second))
 			if gap <= 0 {
 				gap = time.Microsecond
 			}
 			schedule(sim.Now() + gap)
 		})
 	}
-	first := start + time.Duration(sim.Rand().ExpFloat64()/p.Rate*float64(time.Second))
+	first := start + time.Duration(sim.ExpFloat64()/p.Rate*float64(time.Second))
 	schedule(first)
 }
 

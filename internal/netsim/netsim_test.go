@@ -288,7 +288,7 @@ func TestSplitHorizonPreventsReflection(t *testing.T) {
 }
 
 func TestAddrParsing(t *testing.T) {
-	a, err := ParseAddr("131.254.60.81")
+	a, err := substrate.ParseAddr("131.254.60.81")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestAddrParsing(t *testing.T) {
 		t.Errorf("round trip = %s", a)
 	}
 	for _, bad := range []string{"1.2.3", "256.1.1.1", "x.y.z.w", ""} {
-		if _, err := ParseAddr(bad); err == nil {
+		if _, err := substrate.ParseAddr(bad); err == nil {
 			t.Errorf("ParseAddr(%q) succeeded", bad)
 		}
 	}
@@ -309,7 +309,7 @@ func TestAddrParsing(t *testing.T) {
 }
 
 func TestPacketCloneCopyOnWrite(t *testing.T) {
-	p := NewTCP(MustAddr("1.1.1.1"), MustAddr("2.2.2.2"), 10, 80, 42, FlagSyn, []byte("abc"))
+	p := substrate.NewTCP(MustAddr("1.1.1.1"), MustAddr("2.2.2.2"), 10, 80, 42, substrate.FlagSyn, []byte("abc"))
 	q := p.Clone()
 	q.IP.Dst = MustAddr("3.3.3.3")
 	if p.IP.Dst != MustAddr("2.2.2.2") {
@@ -327,7 +327,7 @@ func TestPacketCloneCopyOnWrite(t *testing.T) {
 }
 
 func TestPacketCloneMutIsDeep(t *testing.T) {
-	p := NewTCP(MustAddr("1.1.1.1"), MustAddr("2.2.2.2"), 10, 80, 42, FlagSyn, []byte("abc"))
+	p := substrate.NewTCP(MustAddr("1.1.1.1"), MustAddr("2.2.2.2"), 10, 80, 42, substrate.FlagSyn, []byte("abc"))
 	q := p.CloneMut()
 	q.IP.Dst = MustAddr("3.3.3.3")
 	q.TCP.DstPort = 8080

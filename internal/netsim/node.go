@@ -589,8 +589,11 @@ func (e *nodeEnv) After(d time.Duration, fn func()) {
 	sh.at(sh.now+d, fn, e.n)
 }
 
-// Int63n draws from the owning shard's RNG stream.
+// Int63n, Float64 and ExpFloat64 draw from the owning shard's RNG
+// stream.
 func (e *nodeEnv) Int63n(v int64) int64 { return e.n.sh.rng.Int63n(v) }
+func (e *nodeEnv) Float64() float64     { return e.n.sh.rng.Float64() }
+func (e *nodeEnv) ExpFloat64() float64  { return e.n.sh.rng.ExpFloat64() }
 
 // Events returns the bus this node's publish sites go to: the global
 // bus in single-shard runs, the shard-local buffering bus on sharded

@@ -111,7 +111,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 		var times []time.Duration
 		b.BindUDP(9, func(*Packet) { times = append(times, sim.Now()) })
 		for i := 0; i < 30; i++ {
-			size := 100 + sim.Rand().Intn(900)
+			size := 100 + int(sim.Int63n(900))
 			sim.At(time.Duration(i)*3*time.Millisecond, func() {
 				a.Send(NewUDP(a.Addr, b.Addr, 1, 9, make([]byte, size)))
 			})

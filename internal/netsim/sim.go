@@ -18,7 +18,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"time"
 
 	"planp.dev/planp/internal/obs"
@@ -29,8 +28,8 @@ import (
 //
 // State lives on shards: shard 0 always exists and carries the legacy
 // clock, sequence counter, and seeded RNG, so a single-shard simulation
-// is bit-for-bit the pre-sharding engine. Simulator-level At/After/Now/
-// Rand address shard 0 — the control plane. Code running inside node
+// is bit-for-bit the pre-sharding engine. Simulator-level At/After/Now
+// and the RNG draws address shard 0 — the control plane. Code running inside node
 // events on a sharded simulation must use Node.Env() instead, so timers
 // and randomness land on the executing node's shard.
 type Simulator struct {
@@ -63,14 +62,12 @@ type Simulator struct {
 // agree.
 func (s *Simulator) Now() time.Duration { return s.shards[0].now }
 
-// Rand returns the control plane's deterministic RNG (the one RNG in
-// single-shard runs; node code on sharded simulations draws through
-// Node.Env().Int63n instead).
-func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rng }
-
-// Int63n returns a pseudo-random integer in [0, n) from the control
-// plane RNG (the substrate.Env randomness hook).
+// Int63n, Float64 and ExpFloat64 draw from the control plane's RNG
+// (substrate.Env): the one RNG in single-shard runs; node code on
+// sharded simulations draws through Node.Env() instead.
 func (s *Simulator) Int63n(n int64) int64 { return s.shards[0].rng.Int63n(n) }
+func (s *Simulator) Float64() float64     { return s.shards[0].rng.Float64() }
+func (s *Simulator) ExpFloat64() float64  { return s.shards[0].rng.ExpFloat64() }
 
 // Events returns the simulation's event bus. Subscribing is allowed at
 // any point; with no subscribers the per-packet publish sites are free.

@@ -4,10 +4,10 @@
 //
 // The packet model, addressing, and rate metering moved to
 // internal/substrate when the ASP runtime was decoupled from the
-// simulator; the aliases below keep netsim's historical names working
-// (simulation code overwhelmingly says netsim.Packet, netsim.Addr, ...)
-// and guarantee the types are IDENTICAL across backends, not parallel
-// copies.
+// simulator; the aliases below are the names netsim's own code and
+// bench/ still say (netsim.Packet, netsim.Addr, ...), and they make the
+// types IDENTICAL across backends, not parallel copies. Everything else
+// is named through package substrate.
 package netsim
 
 import (
@@ -18,12 +18,6 @@ import (
 type (
 	// Packet is one datagram.
 	Packet = substrate.Packet
-	// IPHeader is the network-layer header.
-	IPHeader = substrate.IPHeader
-	// TCPHeader is the (simplified) TCP transport header.
-	TCPHeader = substrate.TCPHeader
-	// UDPHeader is the UDP transport header.
-	UDPHeader = substrate.UDPHeader
 	// Addr is a packed big-endian IPv4-style address.
 	Addr = substrate.Addr
 	// Processor is the PLAN-P layer hook (see substrate.Processor for
@@ -40,16 +34,6 @@ const (
 	ProtoTCP = substrate.ProtoTCP
 	ProtoUDP = substrate.ProtoUDP
 
-	IPHeaderLen  = substrate.IPHeaderLen
-	TCPHeaderLen = substrate.TCPHeaderLen
-	UDPHeaderLen = substrate.UDPHeaderLen
-
-	FlagSyn = substrate.FlagSyn
-	FlagAck = substrate.FlagAck
-	FlagFin = substrate.FlagFin
-	FlagRst = substrate.FlagRst
-	FlagPsh = substrate.FlagPsh
-
 	// DefaultMeterWindow is the default load-measurement window.
 	DefaultMeterWindow = substrate.DefaultMeterWindow
 )
@@ -58,10 +42,6 @@ const (
 var (
 	// NewUDP builds a UDP packet.
 	NewUDP = substrate.NewUDP
-	// NewTCP builds a TCP packet.
-	NewTCP = substrate.NewTCP
-	// ParseAddr parses a dotted quad.
-	ParseAddr = substrate.ParseAddr
 	// MustAddr parses a dotted quad or panics.
 	MustAddr = substrate.MustAddr
 	// NewRateMeter returns a meter with the given window.

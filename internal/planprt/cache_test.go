@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // TestCacheSharesArtifactsAcrossLoads pins the one cache-hit path: every
@@ -118,7 +119,7 @@ func TestCachedRedownloadRebindsFreshCounters(t *testing.T) {
 		srvA.BindTCP(80, func(*netsim.Packet) {})
 		srvB.BindTCP(80, func(*netsim.Packet) {})
 		for i := 0; i < 6; i++ {
-			client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, netsim.FlagSyn, []byte("GET /")))
+			client.Send(substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, substrate.FlagSyn, []byte("GET /")))
 		}
 		sim.Run()
 		return rt.Stats().Processed, rt.Instance().Proto.AsInt()

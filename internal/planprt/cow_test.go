@@ -32,7 +32,7 @@ func TestGatewayRewriteDoesNotMutateSharedPayload(t *testing.T) {
 
 	var sent []*netsim.Packet
 	for i := 0; i < 8; i++ {
-		pkt := netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, netsim.FlagSyn, shared)
+		pkt := substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, substrate.FlagSyn, shared)
 		sent = append(sent, pkt)
 		client.Send(pkt)
 	}

@@ -200,7 +200,7 @@ func TestCloneBeforeProcessSurvivesRewrite(t *testing.T) {
 			virtual := netsim.MustAddr("10.0.0.99")
 			for i := 0; i < 6; i++ {
 				port := uint16(80 + i%2)
-				client.Send(netsim.NewTCP(client.Addr, virtual, uint16(5000+i), port, uint32(i), netsim.FlagSyn, []byte("GET /")).Own())
+				client.Send(substrate.NewTCP(client.Addr, virtual, uint16(5000+i), port, uint32(i), substrate.FlagSyn, []byte("GET /")).Own())
 				sim.Run()
 			}
 			if len(delivered) != 6 || len(shim.in) != 6 {
@@ -252,7 +252,7 @@ channel network(ps : int, ss : int, p : ip*tcp*blob) is
 			var atA, atB *netsim.Packet
 			srvA.BindTCP(80, func(p *netsim.Packet) { atA = p })
 			srvB.BindTCP(80, func(p *netsim.Packet) { atB = p })
-			client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, 0, netsim.FlagSyn, []byte("GET /")).Own())
+			client.Send(substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, 0, substrate.FlagSyn, []byte("GET /")).Own())
 			sim.Run()
 			if atA == nil || atB == nil {
 				t.Fatalf("delivered A=%v B=%v", atA != nil, atB != nil)
@@ -283,7 +283,7 @@ func TestDisownedInboundIsNeverWritten(t *testing.T) {
 			srvA.BindTCP(80, keep)
 			srvB.BindTCP(80, keep)
 			for i := 0; i < 4; i++ {
-				client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), uint16(80+i%2), 0, netsim.FlagSyn, []byte("GET /")).Own())
+				client.Send(substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), uint16(80+i%2), 0, substrate.FlagSyn, []byte("GET /")).Own())
 				sim.Run()
 			}
 			if len(delivered) != 4 || len(tapped) != 4 {

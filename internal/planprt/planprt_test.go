@@ -9,13 +9,14 @@ import (
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // ---------------------------------------------------------------------------
 // Codec
 
 func TestCodecRoundTripTCPBlob(t *testing.T) {
-	pkt := netsim.NewTCP(netsim.MustAddr("10.0.0.1"), netsim.MustAddr("10.0.0.2"), 4000, 80, 7, netsim.FlagSyn|netsim.FlagPsh, []byte("GET / HTTP/1.0"))
+	pkt := substrate.NewTCP(netsim.MustAddr("10.0.0.1"), netsim.MustAddr("10.0.0.2"), 4000, 80, 7, substrate.FlagSyn|substrate.FlagPsh, []byte("GET / HTTP/1.0"))
 	typ := ast.Tuple{Elems: []ast.Type{ast.IPT, ast.TCPT, ast.BlobT}}
 	v, ok := Decode(pkt, typ)
 	if !ok {
@@ -171,7 +172,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 			srvB.BindTCP(80, func(*netsim.Packet) { gotB++ })
 
 			for i := 0; i < 10; i++ {
-				pkt := netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, netsim.FlagSyn, []byte("GET /index.html"))
+				pkt := substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), uint16(5000+i), 80, 0, substrate.FlagSyn, []byte("GET /index.html"))
 				client.Send(pkt)
 			}
 			sim.Run()
@@ -198,7 +199,7 @@ func TestInvokeTimeIsSampled(t *testing.T) {
 	}
 	send := func(from, to int) Stats {
 		for i := from; i < to; i++ {
-			client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, uint32(i), netsim.FlagAck, nil))
+			client.Send(substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, uint32(i), substrate.FlagAck, nil))
 			sim.Run()
 		}
 		return rt.Stats()
@@ -222,7 +223,7 @@ func TestStickyConnections(t *testing.T) {
 	srvB.BindTCP(80, func(*netsim.Packet) { gotB++ })
 	// Five packets on ONE connection (same src port) must hit one server.
 	for i := 0; i < 5; i++ {
-		client.Send(netsim.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, uint32(i), netsim.FlagAck, []byte("segment")))
+		client.Send(substrate.NewTCP(client.Addr, netsim.MustAddr("10.0.0.99"), 5000, 80, uint32(i), substrate.FlagAck, []byte("segment")))
 	}
 	sim.Run()
 	if gotA != 5 || gotB != 0 {

@@ -3,6 +3,7 @@ package rtnet
 import (
 	"bytes"
 	"math/bits"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -180,20 +181,23 @@ func TestChannelSendAllocs(t *testing.T) {
 	}
 }
 
-// TestNewSeedsRNG: the seed given to New is the Env RNG's seed.
+// TestNewSeedsRNG: the seed given to New is the Env RNG's seed, and
+// every Env draw comes from that one stream.
 func TestNewSeedsRNG(t *testing.T) {
-	draw := func(seed int64) (out [8]int64) {
+	for _, seed := range []int64{7, 8} {
 		nw := New(seed)
-		defer nw.Close()
-		for k := range out {
-			out[k] = nw.Int63n(1 << 62)
+		ref := rand.New(rand.NewSource(seed))
+		for k := 0; k < 8; k++ {
+			if got, want := nw.Int63n(1<<62), ref.Int63n(1<<62); got != want {
+				t.Fatalf("seed %d draw %d: Int63n = %d, want %d", seed, k, got, want)
+			}
+			if got, want := nw.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 = %v, want %v", seed, k, got, want)
+			}
+			if got, want := nw.ExpFloat64(), ref.ExpFloat64(); got != want {
+				t.Fatalf("seed %d draw %d: ExpFloat64 = %v, want %v", seed, k, got, want)
+			}
 		}
-		return out
-	}
-	if a, b := draw(7), draw(7); a != b {
-		t.Fatalf("same seed, different streams: %v vs %v", a, b)
-	}
-	if a, b := draw(7), draw(8); a == b {
-		t.Fatalf("seeds 7 and 8 draw the same stream %v: New ignores its seed", a)
+		nw.Close()
 	}
 }

@@ -99,7 +99,7 @@ type Net struct {
 	inflight atomic.Int64
 }
 
-// New returns an empty network. The seed feeds the Env RNG (Int63n) —
+// New returns an empty network. The seed feeds the Env RNG draws —
 // unlike the simulator's, it does not make runs reproducible (goroutine
 // interleaving does not replay), it only makes the randomness source
 // explicit: daemons given different seeds draw different streams.
@@ -160,11 +160,25 @@ func (n *Net) After(d time.Duration, fn func()) {
 }
 
 // Int63n returns a pseudo-random integer in [0, v) (substrate.Env).
-// Safe for concurrent use.
+// Safe for concurrent use, as are Float64 and ExpFloat64.
 func (n *Net) Int63n(v int64) int64 {
 	n.rngMu.Lock()
 	defer n.rngMu.Unlock()
 	return n.rng.Int63n(v)
+}
+
+// Float64 draws from the same stream as Int63n (substrate.Env).
+func (n *Net) Float64() float64 {
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
+	return n.rng.Float64()
+}
+
+// ExpFloat64 draws from the same stream as Int63n (substrate.Env).
+func (n *Net) ExpFloat64() float64 {
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
+	return n.rng.ExpFloat64()
 }
 
 // Events returns the network's event bus (substrate.Env). Subscribe

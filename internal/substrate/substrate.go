@@ -30,7 +30,7 @@
 //
 //   - netsim promises bit-identical runs for a fixed seed and workload.
 //     Env.Now is virtual time; Env.After schedules on the simulation
-//     event queue; Env.Int63n draws from the simulation RNG. On sharded
+//     event queue; the Env draws come from the simulation RNG. On sharded
 //     simulations (netsim.WithShards) the Env a node hands out is
 //     shard-local: its clock, timers, and RNG stream belong to the
 //     event loop executing the node, which is what keeps multi-shard
@@ -38,10 +38,11 @@
 //     to the node it came from, never as a global clock.
 //   - rtnet promises race-cleanliness, not reproducibility. Env.Now is
 //     wall-clock time since the net started; Env.After uses real
-//     timers; Env.Int63n draws from a mutex-guarded RNG.
+//     timers; the Env draws come from a mutex-guarded RNG.
 //
-// Code meant to run on both (the runtime, ASP programs, conformance
-// tests) must therefore never compare exact timestamps across runs.
+// Code meant to run on both (the runtime, ASP programs, the apps,
+// conformance tests) must therefore never compare exact timestamps
+// across runs, and must guard state a binding and a timer both touch.
 package substrate
 
 import (
@@ -118,6 +119,8 @@ type Node interface {
 	BindUDP(port uint16, fn AppFunc)
 	// BindTCP delivers local TCP traffic for port to fn.
 	BindTCP(port uint16, fn AppFunc)
+	// BindRaw delivers to fn every local packet no port binding takes.
+	BindRaw(fn AppFunc)
 	// NextIPID returns a fresh IP identification value for originated
 	// packets.
 	NextIPID() uint32
@@ -144,6 +147,10 @@ type Env interface {
 	// Int63n returns a pseudo-random integer in [0, n) from the
 	// environment's seeded stream (the rand primitive). n must be > 0.
 	Int63n(n int64) int64
+	// Float64 returns a pseudo-random number in [0, 1), ExpFloat64 an
+	// exponentially distributed one with mean 1, from the same stream.
+	Float64() float64
+	ExpFloat64() float64
 	// Events returns the environment's event bus. Both backends emit
 	// the same typed events (obs.Kind*) at the same decision points.
 	Events() *obs.Bus

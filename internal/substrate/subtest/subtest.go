@@ -78,6 +78,7 @@ func lineWithRouter() []HostSpec {
 func Run(t *testing.T, mk func() Harness) {
 	t.Run("Delivery", func(t *testing.T) { testDelivery(t, mk()) })
 	t.Run("NoBindingDrop", func(t *testing.T) { testNoBindingDrop(t, mk()) })
+	t.Run("RawBinding", func(t *testing.T) { testRawBinding(t, mk()) })
 	t.Run("ForwardTTL", func(t *testing.T) { testForwardTTL(t, mk()) })
 	t.Run("ProcessorHook", func(t *testing.T) { testProcessorHook(t, mk()) })
 	t.Run("ProcessorFallthrough", func(t *testing.T) { testProcessorFallthrough(t, mk()) })
@@ -128,6 +129,34 @@ func testNoBindingDrop(t *testing.T, h Harness) {
 	snap := h.Env().Metrics().Snapshot()
 	if snap["node.cb.dropped_pkts"] != 1 {
 		t.Fatalf("node.cb.dropped_pkts = %d, want 1", snap["node.cb.dropped_pkts"])
+	}
+}
+
+// testRawBinding: a port binding takes its port's packets, and a raw
+// binding gets every other local packet, TCP and UDP alike.
+func testRawBinding(t *testing.T, h Harness) {
+	nodes := h.Build(t, twoHosts())
+	a, b := nodes[0], nodes[1]
+
+	var bound, raw atomic.Int32
+	b.BindUDP(7, func(*substrate.Packet) { bound.Add(1) })
+	b.BindRaw(func(*substrate.Packet) { raw.Add(1) })
+	h.Start()
+
+	a.Send(substrate.NewUDP(a.Address(), b.Address(), 1234, 7, nil).Own())
+	a.Send(substrate.NewUDP(a.Address(), b.Address(), 1234, 8, nil).Own())
+	a.Send(substrate.NewTCP(a.Address(), b.Address(), 1234, 80, 0, substrate.FlagSyn, nil).Own())
+	h.Settle(t)
+
+	if got := bound.Load(); got != 1 {
+		t.Fatalf("port binding got %d packets, want 1", got)
+	}
+	if got := raw.Load(); got != 2 {
+		t.Fatalf("raw binding got %d packets, want 2 (the unbound UDP port and the TCP port)", got)
+	}
+	if snap := h.Env().Metrics().Snapshot(); snap["node.cb.delivered_pkts"] != 3 || snap["node.cb.dropped_pkts"] != 0 {
+		t.Fatalf("node.cb delivered %d, dropped %d; want 3 and 0",
+			snap["node.cb.delivered_pkts"], snap["node.cb.dropped_pkts"])
 	}
 }
 
@@ -266,7 +295,8 @@ func testSplitHorizon(t *testing.T, h Harness) {
 }
 
 // testEnvClockTimerRand: Env time is monotone, After fires its
-// callback, and Int63n stays in range.
+// callback, and the draws stay in range: Int63n in [0, n), Float64 in
+// [0, 1), ExpFloat64 non-negative.
 func testEnvClockTimerRand(t *testing.T, h Harness) {
 	h.Build(t, twoHosts())
 	env := h.Env()
@@ -291,6 +321,12 @@ func testEnvClockTimerRand(t *testing.T, h Harness) {
 	for i := 0; i < 100; i++ {
 		if v := env.Int63n(10); v < 0 || v >= 10 {
 			t.Fatalf("Int63n(10) = %d out of range", v)
+		}
+		if v := env.Float64(); v < 0 || v >= 1 {
+			t.Fatalf("Float64() = %v out of [0, 1)", v)
+		}
+		if v := env.ExpFloat64(); v < 0 {
+			t.Fatalf("ExpFloat64() = %v is negative", v)
 		}
 	}
 }

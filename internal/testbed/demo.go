@@ -2,8 +2,8 @@
 // two servers) as a built-in topology. demo.json is an ordinary
 // topology file, so the network, routes, chaos wiring and control plane
 // all come from NewDaemon; what lives here is only the application
-// layer the topology language does not describe — the servers'
-// responders, the client's response counter, and the request driver.
+// layer the topology language does not describe — the two httpd
+// servers, the client's response counter, and the request driver.
 package testbed
 
 import (
@@ -28,7 +28,7 @@ var demoJSON []byte
 type Demo struct {
 	*Daemon
 
-	served      [2]atomic.Int64
+	servers     [2]*httpd.Server
 	responses   atomic.Int64
 	fromVirtual atomic.Int64
 }
@@ -48,20 +48,10 @@ func NewDemo(control string, opts Options) (*Demo, error) {
 		return nil, err
 	}
 	m := &Demo{Daemon: d}
-
-	// Backend servers: answer each request with a FIN-flagged response.
+	// Backend servers answer each request on arrival (no service time,
+	// so Net.Quiesce covers the whole exchange).
 	for i, name := range []string{"server0", "server1"} {
-		node := d.Node(name)
-		node.BindTCP(httpd.HTTPPort, func(req *substrate.Packet) {
-			if req.TCP == nil || req.TCP.Flags&substrate.FlagSyn == 0 {
-				return
-			}
-			m.served[i].Add(1)
-			resp := substrate.NewTCP(node.Address(), req.IP.Src,
-				httpd.HTTPPort, req.TCP.SrcPort, 0,
-				substrate.FlagAck|substrate.FlagFin, []byte("hello"))
-			node.Send(resp.Own())
-		})
+		m.servers[i] = httpd.NewServer(d.Node(name), httpd.ServerConfig{})
 	}
 	// Client: count responses; the gateway protocol must make them
 	// appear to come from the virtual server.
@@ -75,18 +65,17 @@ func NewDemo(control string, opts Options) (*Demo, error) {
 }
 
 // SendRequest originates one request from the client to the virtual
-// server. port identifies the connection — the gateway ASP balances
+// server, asking for a 5-byte body: the demo counts where requests land,
+// not bytes. port identifies the connection — the gateway ASP balances
 // per-connection, so distinct ports exercise the policy.
 func (m *Demo) SendRequest(port uint16) {
 	client := m.Node("client")
-	req := substrate.NewTCP(client.Address(), httpd.VirtualAddr,
-		port, httpd.HTTPPort, 0, substrate.FlagSyn, nil)
-	client.Send(req.Own())
+	client.Send(httpd.NewRequest(client.Address(), httpd.VirtualAddr, port, 5, 0).Own())
 }
 
 // Served returns how many requests each backend server answered.
 func (m *Demo) Served() (server0, server1 int64) {
-	return m.served[0].Load(), m.served[1].Load()
+	return m.servers[0].Count(), m.servers[1].Count()
 }
 
 // Responses returns (total responses at the client, responses whose

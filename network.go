@@ -9,6 +9,7 @@ import (
 
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/obs"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Re-exported simulator types. The simulator is deterministic: all
@@ -35,9 +36,9 @@ var (
 	// NewUDP builds a UDP packet.
 	NewUDP = netsim.NewUDP
 	// NewTCP builds a TCP packet.
-	NewTCP = netsim.NewTCP
+	NewTCP = substrate.NewTCP
 	// ParseAddr parses a dotted quad.
-	ParseAddr = netsim.ParseAddr
+	ParseAddr = substrate.ParseAddr
 	// MustAddr parses a dotted quad or panics.
 	MustAddr = netsim.MustAddr
 )
