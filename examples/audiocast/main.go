@@ -42,7 +42,7 @@ func main() {
 		},
 	}
 	gen.Start(tb.Sim, end)
-	tb.Source.Start(tb.Sim, end)
+	tb.Source.Start(end)
 
 	fmt.Println("time(s)  audio kb/s  quality")
 	for t := 2 * time.Second; t <= end; t += 2 * time.Second {

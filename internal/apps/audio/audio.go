@@ -1,19 +1,25 @@
 // Package audio implements the §3.1 experiment: an audio broadcasting
-// application (multicast PCM source + playout client), the figure-5
-// topology, the PLAN-P adaptation protocol downloads, and a native Go
-// baseline router for comparison.
+// application (PCM source + playout client), the figure-5 topology, the
+// PLAN-P adaptation protocol downloads, and a native Go baseline router
+// for comparison.
 //
 // The source broadcasts CD-style PCM at the paper's rates: 16-bit
 // stereo = 176 kb/s of audio payload, degrading to 88 kb/s (16-bit
 // mono) and 44 kb/s (8-bit mono).
+//
+// Source, Client and the feedback pair are written against
+// substrate.Node and node.Env() alone, so they run on either backend;
+// experiment.go assembles the netsim topology and owns what is topology
+// there: group membership, multicast routes and the taps that observe
+// packets before the client ASP.
 package audio
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"planp.dev/planp/internal/lang/prims"
-	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/substrate"
 )
@@ -28,40 +34,48 @@ const PacketInterval = 50 * time.Millisecond
 // interval: 176000 b/s * 0.05 s / (32 bits per stereo frame) = 275.
 const FramesPerPacket = 275
 
-// Source broadcasts a deterministic PCM signal to a multicast group.
+// Source sends a deterministic PCM signal to Dst, a multicast group or
+// one host. On rtnet its tick runs on timer goroutines and a feedback
+// report on the node's, so mu guards the fields below it.
 type Source struct {
-	Node  *netsim.Node
-	Group netsim.Addr
+	Node substrate.Node
+	Dst  substrate.Addr
 
+	mu sync.Mutex
+	// Quality is the format the source degrades to before sending
+	// (prims.AudioMono16 or AudioMono8; anything else sends 16-bit
+	// stereo). FeedbackSource steps it.
+	Quality int
 	// Sent counts packets emitted — the robustness experiments bound
 	// client-side receipt by Sent plus injected duplicates.
 	Sent int
 
-	seq     uint32
-	phase   float64
-	stopped bool
+	seq   uint32
+	phase float64
 }
 
 // Start schedules packet emission until end.
-func (s *Source) Start(sim *netsim.Simulator, end time.Duration) {
+func (s *Source) Start(end time.Duration) {
+	env := s.Node.Env()
 	var tick func()
 	tick = func() {
-		if s.stopped || sim.Now() >= end {
+		s.mu.Lock()
+		if env.Now() >= end {
+			s.mu.Unlock()
 			return
 		}
-		s.Node.Send(netsim.NewUDP(s.Node.Addr, s.Group, Port, Port, s.nextPayload()).Own())
+		payload := s.nextPayload()
 		s.Sent++
-		sim.After(PacketInterval, tick)
+		s.mu.Unlock()
+		s.Node.Send(substrate.NewUDP(s.Node.Address(), s.Dst, Port, Port, payload).Own())
+		env.After(PacketInterval, tick)
 	}
-	sim.After(PacketInterval, tick)
+	env.After(PacketInterval, tick)
 }
 
-// Stop halts emission.
-func (s *Source) Stop() { s.stopped = true }
-
-// nextPayload synthesizes one packet of 16-bit stereo PCM: a stereo
-// sine pair (different frequencies per channel so downmixing is
-// observable in tests).
+// nextPayload synthesizes one packet of 16-bit stereo PCM — a stereo
+// sine pair, different frequencies per channel so downmixing is
+// observable in tests — and degrades it to s.Quality; s.mu is held.
 func (s *Source) nextPayload() []byte {
 	s.seq++
 	buf := make([]byte, prims.AudioHeaderLen+FramesPerPacket*4)
@@ -75,16 +89,25 @@ func (s *Source) nextPayload() []byte {
 		buf[o], buf[o+1] = byte(uint16(l)>>8), byte(uint16(l))
 		buf[o+2], buf[o+3] = byte(uint16(r)>>8), byte(uint16(r))
 	}
+	switch s.Quality {
+	case prims.AudioMono16:
+		return prims.DegradeToMono16(buf)
+	case prims.AudioMono8:
+		return prims.DegradeToMono8(buf)
+	}
 	return buf
 }
 
-// Client is the unmodified audio application: it joins the group, plays
-// 16-bit stereo packets, and records playback gaps. Packets in any
-// other format are unplayable (the application was never taught about
-// degradation — that is the client ASP's job).
+// Client is the unmodified audio application: it plays 16-bit stereo
+// packets on Port and records playback gaps. Packets in any other
+// format are unplayable (the application was never taught about
+// degradation — that is the client ASP's job). On rtnet its binding
+// runs on the node's goroutine and a FeedbackClient's report on a
+// timer's, so mu guards the fields below it.
 type Client struct {
-	Node *netsim.Node
+	Node substrate.Node
 
+	mu sync.Mutex
 	// Gaps detects long stalls (no playable audio for several packet
 	// intervals).
 	Gaps       *obs.GapDetector
@@ -100,18 +123,20 @@ type Client struct {
 	expectSeq     uint32
 }
 
-// NewClient binds the client app on node and joins group.
-func NewClient(node *netsim.Node, group netsim.Addr) *Client {
+// NewClient binds the client app on node. Joining a multicast group is
+// the assembler's business, like routes.
+func NewClient(node substrate.Node) *Client {
 	c := &Client{
 		Node: node,
 		Gaps: obs.NewGapDetector(3 * PacketInterval),
 	}
-	node.JoinGroup(group)
 	node.BindUDP(Port, c.onPacket)
 	return c
 }
 
-func (c *Client) onPacket(pkt *netsim.Packet) {
+func (c *Client) onPacket(pkt *substrate.Packet) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	payload := pkt.Payload
 	if len(payload) < prims.AudioHeaderLen {
 		c.Unplayable++
@@ -132,44 +157,24 @@ func (c *Client) onPacket(pkt *netsim.Packet) {
 		c.Unplayable++
 		return
 	}
-	c.Gaps.Packet(c.Node.Sim().Now())
+	c.Gaps.Packet(c.Node.Env().Now())
 }
+
+// Received returns the packets delivered to the player, playable or not.
+func (c *Client) Received() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.received()
+}
+
+// received is Received with c.mu held.
+func (c *Client) received() int { return c.Gaps.Received() + c.Unplayable }
 
 // Finish flushes measurement state at the end of a run.
-func (c *Client) Finish(end time.Duration) { c.Gaps.Finish(end) }
-
-// WireSeriesName is the registry name of the figure-6 series MeterAudio
-// records (the on-wire audio data rate at the client).
-const WireSeriesName = "audio-wire-bps"
-
-// wireMeter accumulates audio payload bits per one-second window.
-type wireMeter struct {
-	series      *obs.Series
-	window      time.Duration
-	windowBits  int64
-	windowStart time.Duration
-}
-
-// MeterAudio installs a tap on node measuring the on-wire audio data
-// rate as packets arrive, BEFORE any client ASP restores them — the
-// y-axis of figure 6 (176/88/44 kb/s per quality level), windowed per
-// second. The series is registered in the simulation's metrics registry
-// under WireSeriesName, so any reader holding the registry sees it.
-func MeterAudio(node *netsim.Node) *obs.Series {
-	m := &wireMeter{series: node.Sim().Metrics().Series(WireSeriesName), window: time.Second}
-	node.Tap(func(pkt *netsim.Packet) {
-		if pkt.UDP == nil || pkt.UDP.DstPort != Port {
-			return
-		}
-		now := node.Sim().Now()
-		for now-m.windowStart >= m.window {
-			m.series.Add(m.windowStart+m.window, float64(m.windowBits)/m.window.Seconds())
-			m.windowStart += m.window
-			m.windowBits = 0
-		}
-		m.windowBits += int64(len(pkt.Payload)-prims.AudioHeaderLen) * 8
-	})
-	return m.series
+func (c *Client) Finish(end time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Gaps.Finish(end)
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ func TestSourceRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Source.Start(tb.Sim, 30*time.Second)
+	tb.Source.Start(30 * time.Second)
 	tb.Sim.RunUntil(30 * time.Second)
 	tb.Client.Finish(30 * time.Second)
 	// 16-bit stereo at 176 kb/s of audio data.
@@ -41,7 +41,7 @@ func TestASPAdaptsUnderLoad(t *testing.T) {
 	gen := &loadgen.Generator{Node: tb.LoadGen, Dst: tb.SinkAddr(), DstPort: 40000,
 		Steps: []loadgen.Step{{At: 0, Bps: F6LargeBps}}}
 	gen.Start(tb.Sim, 40*time.Second)
-	tb.Source.Start(tb.Sim, 40*time.Second)
+	tb.Source.Start(40 * time.Second)
 	tb.Sim.RunUntil(40 * time.Second)
 	tb.Client.Finish(40 * time.Second)
 
@@ -68,11 +68,11 @@ func TestWithoutClientASPDegradedPacketsUnplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Client.Node.Processor = nil // strip the client ASP
+	tb.Client.Node.SetProcessor(nil) // strip the client ASP
 	gen := &loadgen.Generator{Node: tb.LoadGen, Dst: tb.SinkAddr(), DstPort: 40000,
 		Steps: []loadgen.Step{{At: 0, Bps: F6LargeBps}}}
 	gen.Start(tb.Sim, 20*time.Second)
-	tb.Source.Start(tb.Sim, 20*time.Second)
+	tb.Source.Start(20 * time.Second)
 	tb.Sim.RunUntil(20 * time.Second)
 	if tb.Client.Unplayable == 0 {
 		t.Error("expected unplayable packets without the client ASP")
@@ -89,7 +89,7 @@ func TestNativeMatchesASP(t *testing.T) {
 		gen := &loadgen.Generator{Node: tb.LoadGen, Dst: tb.SinkAddr(), DstPort: 40000,
 			Steps: []loadgen.Step{{At: 0, Bps: F6SmallBps}}}
 		gen.Start(tb.Sim, 30*time.Second)
-		tb.Source.Start(tb.Sim, 30*time.Second)
+		tb.Source.Start(30 * time.Second)
 		tb.Sim.RunUntil(30 * time.Second)
 		rates[mode.String()] = tb.Wire.Mean(10*time.Second, 30*time.Second)
 	}
@@ -229,10 +229,11 @@ func TestAdaptationComposesAcrossRouters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	client := NewClient(cl, group)
+	cl.JoinGroup(group)
+	client := NewClient(cl)
 	wire := MeterAudio(cl)
-	s := &Source{Node: src, Group: group}
-	s.Start(sim, 30*time.Second)
+	s := &Source{Node: src, Dst: group}
+	s.Start(30 * time.Second)
 	sim.RunUntil(30 * time.Second)
 
 	// 176 kb/s audio on a 256 kb/s last hop is ~70% load: r2 degrades

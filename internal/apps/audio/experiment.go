@@ -1,5 +1,8 @@
-// The §3.1 experiments: the figure-5 topology, the figure-6 stepped-load
-// bandwidth trace, and the figure-7 silent-period comparison.
+// The §3.1 experiments on netsim: the figure-5 topology, the figure-6
+// stepped-load bandwidth trace, the figure-7 silent-period comparison,
+// and the adaptation-locus run. This file is the package's one netsim
+// assembler: group membership, multicast routes and the taps that watch
+// packets before the client ASP live here, not in the applications.
 package audio
 
 import (
@@ -7,6 +10,7 @@ import (
 	"time"
 
 	"planp.dev/planp/asp"
+	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/netsim/loadgen"
 	"planp.dev/planp/internal/obs"
@@ -40,14 +44,15 @@ func (a Adaptation) String() string {
 // a shared client segment carrying both the audio client and the load
 // generator.
 type Testbed struct {
-	Sim     *netsim.Simulator
-	Source  *Source
-	Router  *netsim.Node
-	Client  *Client
-	LoadGen *netsim.Node
-	Segment *netsim.Segment
-	Uplink  *netsim.Link // source -> router link (the chaos experiments cut this)
-	Group   netsim.Addr
+	Sim        *netsim.Simulator
+	Source     *Source
+	Router     *netsim.Node
+	Client     *Client
+	ClientNode *netsim.Node // the node Client is bound on
+	LoadGen    *netsim.Node
+	Segment    *netsim.Segment
+	Uplink     *netsim.Link // source -> router link (the chaos experiments cut this)
+	Group      netsim.Addr
 
 	RouterRT *planprt.Runtime // nil unless AdaptASP
 	ClientRT *planprt.Runtime
@@ -99,15 +104,17 @@ func NewTestbed(opts Options) (*Testbed, error) {
 
 	group := netsim.MustAddr("224.5.5.5")
 	router.AddMulticastRoute(group, rSeg)
+	client.JoinGroup(group)
 
 	tb := &Testbed{
-		Sim:     sim,
-		Source:  &Source{Node: src, Group: group},
-		Router:  router,
-		LoadGen: gen,
-		Segment: seg,
-		Uplink:  up,
-		Group:   group,
+		Sim:        sim,
+		Source:     &Source{Node: src, Dst: group},
+		Router:     router,
+		ClientNode: client,
+		LoadGen:    gen,
+		Segment:    seg,
+		Uplink:     up,
+		Group:      group,
 	}
 	tb.Wire = MeterAudio(client)
 	client.Tap(func(pkt *netsim.Packet) {
@@ -117,7 +124,7 @@ func NewTestbed(opts Options) (*Testbed, error) {
 			}
 		}
 	})
-	tb.Client = NewClient(client, group)
+	tb.Client = NewClient(client)
 
 	switch opts.Adaptation {
 	case AdaptASP:
@@ -143,6 +150,47 @@ func NewTestbed(opts Options) (*Testbed, error) {
 
 // SinkAddr is where background load is addressed.
 func (tb *Testbed) SinkAddr() netsim.Addr { return netsim.MustAddr("10.2.0.3") }
+
+// StartPoissonLoad offers bps of Poisson background traffic (1 000-byte
+// datagrams) from the load generator to the sink until end — figure 7's
+// load model.
+func (tb *Testbed) StartPoissonLoad(bps int64, end time.Duration) {
+	payload := make([]byte, 1000) // shared: transmitted payloads are immutable
+	wire := int64(len(payload) + substrate.IPHeaderLen + substrate.UDPHeaderLen)
+	p := &loadgen.Poisson{Node: tb.LoadGen, Rate: float64(bps) / float64(wire*8), Emit: func() {
+		tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, payload).Own())
+	}}
+	p.Start(tb.Sim, 0, end)
+}
+
+// WireSeriesName is the registry name of the figure-6 series MeterAudio
+// records (the on-wire audio data rate at the client).
+const WireSeriesName = "audio-wire-bps"
+
+// MeterAudio installs a tap on node measuring the on-wire audio data
+// rate as packets arrive, BEFORE any client ASP restores them — the
+// y-axis of figure 6 (176/88/44 kb/s per quality level), windowed per
+// second. The series is registered in the simulation's metrics registry
+// under WireSeriesName, so any reader holding the registry sees it.
+func MeterAudio(node *netsim.Node) *obs.Series {
+	const window = time.Second
+	series := node.Sim().Metrics().Series(WireSeriesName)
+	var bits int64 // audio payload bits in the open window
+	var windowStart time.Duration
+	node.Tap(func(pkt *netsim.Packet) {
+		if pkt.UDP == nil || pkt.UDP.DstPort != Port {
+			return
+		}
+		now := node.Sim().Now()
+		for now-windowStart >= window {
+			series.Add(windowStart+window, float64(bits)/window.Seconds())
+			windowStart += window
+			bits = 0
+		}
+		bits += int64(len(pkt.Payload)-prims.AudioHeaderLen) * 8
+	})
+	return series
+}
 
 // Figure6Result is the stepped-load run's outcome.
 type Figure6Result struct {
@@ -186,7 +234,7 @@ func (tb *Testbed) RunFigure6() *Figure6Result {
 		},
 	}
 	gen.Start(tb.Sim, F6End)
-	tb.Source.Start(tb.Sim, F6End)
+	tb.Source.Start(F6End)
 
 	// Snapshot the wire-format mix at the medium phase boundaries so
 	// the oscillation between 8- and 16-bit mono is observable.
@@ -241,16 +289,8 @@ func RunFigure7(loadBps int64, dur time.Duration, opts Options) (*Figure7Row, er
 	if err != nil {
 		return nil, err
 	}
-	if loadBps > 0 {
-		const payload = 1000
-		wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
-		rate := float64(loadBps) / float64(wire*8)
-		p := &loadgen.Poisson{Node: tb.LoadGen, Rate: rate, Emit: func() {
-			tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, make([]byte, payload)).Own())
-		}}
-		p.Start(tb.Sim, 0, dur)
-	}
-	tb.Source.Start(tb.Sim, dur)
+	tb.StartPoissonLoad(loadBps, dur)
+	tb.Source.Start(dur)
 	tb.Sim.RunUntil(dur)
 	tb.Client.Finish(dur)
 	return &Figure7Row{
@@ -259,8 +299,82 @@ func RunFigure7(loadBps int64, dur time.Duration, opts Options) (*Figure7Row, er
 		SilentPeriods: tb.Client.SilentPeriods,
 		LostPackets:   tb.Client.LostPackets,
 		Stalls:        tb.Client.Gaps.Gaps(),
-		Received:      tb.Client.Gaps.Received() + tb.Client.Unplayable,
+		Received:      tb.Client.Received(),
 		Unplayable:    tb.Client.Unplayable,
 		SegDrops:      tb.Segment.Dropped(),
 	}, nil
+}
+
+// LocusResult compares adaptation reaction for one mechanism.
+type LocusResult struct {
+	Mechanism string
+	// ReactionTime is the delay between the load step and the first
+	// degraded packet observed at the client.
+	ReactionTime time.Duration
+	// GapsDuringTransition counts playback gaps in the 30 s after the
+	// load step.
+	GapsDuringTransition int
+	// DropsDuringTransition counts segment drops in the same window.
+	DropsDuringTransition int64
+}
+
+// RunLocus measures reaction to a heavy load step at stepAt for either
+// the in-router ASP ("router") or end-to-end feedback ("feedback").
+// opts.Adaptation is chosen by the mechanism and ignored if set; the
+// remaining fields (Seed, Engine) pass through to the testbed.
+func RunLocus(mechanism string, opts Options) (*LocusResult, error) {
+	const (
+		stepAt = 30 * time.Second
+		end    = 60 * time.Second
+	)
+	opts.Adaptation = AdaptNone
+	if mechanism == "router" {
+		opts.Adaptation = AdaptASP
+	}
+	tb, err := NewTestbed(opts)
+	if err != nil {
+		return nil, err
+	}
+
+	// Observe the first non-stereo packet at the client after the step.
+	var firstDegraded time.Duration
+	tb.Sim.At(0, func() {
+		tb.ClientNode.Tap(func(pkt *netsim.Packet) {
+			if firstDegraded != 0 || pkt.UDP == nil || pkt.UDP.DstPort != Port {
+				return
+			}
+			if len(pkt.Payload) > 0 && pkt.Payload[0] != prims.AudioStereo16 && tb.Sim.Now() >= stepAt {
+				firstDegraded = tb.Sim.Now()
+			}
+		})
+	})
+
+	gen := &loadgen.Generator{Node: tb.LoadGen, Dst: tb.SinkAddr(), DstPort: 40000,
+		Steps: []loadgen.Step{{At: stepAt, Bps: 10_200_000}}}
+	gen.Start(tb.Sim, end)
+
+	var dropsAtStep int64
+	tb.Sim.At(stepAt, func() { dropsAtStep = tb.Segment.Dropped() })
+
+	if mechanism == "feedback" {
+		// The feedback architecture still needs the client-side
+		// restoration so the unmodified player accepts degraded
+		// packets; only the adaptation locus moves to the end points.
+		if _, err := planprt.Download(tb.ClientNode, asp.AudioClient, planprt.Config{}); err != nil {
+			return nil, err
+		}
+		NewFeedbackSource(tb.Source)
+		NewFeedbackClient(tb.Client, tb.Source.Node.Address(), end)
+	}
+	tb.Source.Start(end)
+	tb.Sim.RunUntil(end)
+	tb.Client.Finish(end)
+
+	res := &LocusResult{Mechanism: mechanism}
+	if firstDegraded > 0 {
+		res.ReactionTime = firstDegraded - stepAt
+	}
+	res.GapsDuringTransition = tb.Client.Gaps.Gaps()
+	res.DropsDuringTransition = tb.Segment.Dropped() - dropsAtStep
+	return res, nil
 }

@@ -9,10 +9,7 @@ package audio
 import (
 	"time"
 
-	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/prims"
-	"planp.dev/planp/internal/netsim"
-	"planp.dev/planp/internal/planprt"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -29,49 +26,33 @@ const (
 	lossUpgrade = 0 // perfectly clean interval: step quality up
 )
 
-// FeedbackSource wraps a Source with a quality knob driven by client
-// reports. The source degrades the payload before transmission.
+// FeedbackSource listens for client reports on the source's node and
+// steps its Source's Quality.
 type FeedbackSource struct {
 	*Source
-	Quality int // prims.AudioStereo16 / AudioMono16 / AudioMono8
 
+	// Downgrades and Upgrades count quality steps; Source.mu guards them.
 	Downgrades int
 	Upgrades   int
 }
 
-// NewFeedbackSource installs the feedback listener on the source node.
+// NewFeedbackSource starts src at full quality and binds the report
+// listener on its node.
 func NewFeedbackSource(src *Source) *FeedbackSource {
-	fs := &FeedbackSource{Source: src, Quality: prims.AudioStereo16}
+	fs := &FeedbackSource{Source: src}
+	src.Quality = prims.AudioStereo16
 	src.Node.BindUDP(FeedbackPort, fs.onReport)
 	return fs
 }
 
-// StartAdaptive emits packets at the current quality until end.
-func (fs *FeedbackSource) StartAdaptive(sim *netsim.Simulator, end time.Duration) {
-	var tick func()
-	tick = func() {
-		if fs.stopped || sim.Now() >= end {
-			return
-		}
-		payload := fs.nextPayload()
-		switch fs.Quality {
-		case prims.AudioMono16:
-			payload = prims.DegradeToMono16(payload)
-		case prims.AudioMono8:
-			payload = prims.DegradeToMono8(payload)
-		}
-		fs.Node.Send(netsim.NewUDP(fs.Node.Addr, fs.Group, Port, Port, payload).Own())
-		sim.After(PacketInterval, tick)
-	}
-	sim.After(PacketInterval, tick)
-}
-
 // onReport applies a client loss report.
-func (fs *FeedbackSource) onReport(pkt *netsim.Packet) {
+func (fs *FeedbackSource) onReport(pkt *substrate.Packet) {
 	if len(pkt.Payload) < 1 {
 		return
 	}
 	lossPct := int(pkt.Payload[0])
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	switch {
 	case lossPct > lossDegrade && fs.Quality < prims.AudioMono8:
 		fs.Quality++
@@ -82,155 +63,43 @@ func (fs *FeedbackSource) onReport(pkt *netsim.Packet) {
 	}
 }
 
-// FeedbackClient measures loss by sequence gaps and reports to the
-// source on a timer.
+// FeedbackClient reports its Client's loss to the source on a timer:
+// the share of packets lost among those expected since the last report.
 type FeedbackClient struct {
-	Node   *netsim.Node
-	Source netsim.Addr
+	Client *Client
+	Source substrate.Addr
 
-	expected uint32 // next expected sequence number
+	// received and lost are the Client's counts at the last report.
 	received int
 	lost     int
-	stopped  bool
 }
 
-// NewFeedbackClient taps audio traffic on the client node and starts
-// the reporting timer.
-func NewFeedbackClient(node *netsim.Node, source netsim.Addr, end time.Duration) *FeedbackClient {
-	fc := &FeedbackClient{Node: node, Source: source}
-	node.Tap(func(pkt *netsim.Packet) {
-		if pkt.UDP == nil || pkt.UDP.DstPort != Port || len(pkt.Payload) < prims.AudioHeaderLen {
-			return
-		}
-		seq := uint32(pkt.Payload[1])<<24 | uint32(pkt.Payload[2])<<16 | uint32(pkt.Payload[3])<<8 | uint32(pkt.Payload[4])
-		if fc.expected != 0 && seq > fc.expected {
-			fc.lost += int(seq - fc.expected)
-		}
-		fc.expected = seq + 1
-		fc.received++
-	})
-	sim := node.Sim()
+// NewFeedbackClient starts reporting c's loss to source until end.
+func NewFeedbackClient(c *Client, source substrate.Addr, end time.Duration) *FeedbackClient {
+	fc := &FeedbackClient{Client: c, Source: source}
+	env := c.Node.Env()
 	var report func()
 	report = func() {
-		if fc.stopped || sim.Now() >= end {
+		if env.Now() >= end {
 			return
 		}
 		fc.sendReport()
-		sim.After(FeedbackInterval, report)
+		env.After(FeedbackInterval, report)
 	}
-	sim.After(FeedbackInterval, report)
+	env.After(FeedbackInterval, report)
 	return fc
 }
 
 func (fc *FeedbackClient) sendReport() {
-	total := fc.received + fc.lost
+	c := fc.Client
+	c.mu.Lock()
+	received, lost := c.received(), c.LostPackets
+	c.mu.Unlock()
+	dReceived, dLost := received-fc.received, lost-fc.lost
+	fc.received, fc.lost = received, lost
 	pct := 0
-	if total > 0 {
-		pct = fc.lost * 100 / total
+	if total := dReceived + dLost; total > 0 {
+		pct = dLost * 100 / total
 	}
-	if pct > 255 {
-		pct = 255
-	}
-	fc.received, fc.lost = 0, 0
-	fc.Node.Send(netsim.NewUDP(fc.Node.Addr, fc.Source, FeedbackPort, FeedbackPort, []byte{byte(pct)}).Own())
-}
-
-// Stop halts reporting.
-func (fc *FeedbackClient) Stop() { fc.stopped = true }
-
-// LocusResult compares adaptation reaction for one mechanism.
-type LocusResult struct {
-	Mechanism string
-	// ReactionTime is the delay between the load step and the first
-	// degraded packet observed at the client.
-	ReactionTime time.Duration
-	// GapsDuringTransition counts playback gaps in the 30 s after the
-	// load step.
-	GapsDuringTransition int
-	// DropsDuringTransition counts segment drops in the same window.
-	DropsDuringTransition int64
-}
-
-// RunLocus measures reaction to a heavy load step at stepAt for either
-// the in-router ASP ("router") or end-to-end feedback ("feedback").
-// opts.Adaptation is chosen by the mechanism and ignored if set; the
-// remaining fields (Seed, Engine) pass through to the testbed.
-func RunLocus(mechanism string, opts Options) (*LocusResult, error) {
-	const (
-		stepAt = 30 * time.Second
-		end    = 60 * time.Second
-	)
-	opts.Adaptation = AdaptNone
-	if mechanism == "router" {
-		opts.Adaptation = AdaptASP
-	}
-	tb, err := NewTestbed(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Observe the first non-stereo packet at the client after the step.
-	var firstDegraded time.Duration
-	tb.Sim.At(0, func() {
-		tb.Client.Node.Tap(func(pkt *netsim.Packet) {
-			if firstDegraded != 0 || pkt.UDP == nil || pkt.UDP.DstPort != Port {
-				return
-			}
-			if len(pkt.Payload) > 0 && pkt.Payload[0] != prims.AudioStereo16 && tb.Sim.Now() >= stepAt {
-				firstDegraded = tb.Sim.Now()
-			}
-		})
-	})
-
-	gen := &FeedbackLoadStep{Node: tb.LoadGen, Dst: tb.SinkAddr(), At: stepAt, Bps: 10_200_000}
-	gen.Start(tb.Sim, end)
-
-	var dropsAtStep int64
-	tb.Sim.At(stepAt, func() { dropsAtStep = tb.Segment.Dropped() })
-
-	if mechanism == "feedback" {
-		// The feedback architecture still needs the client-side
-		// restoration so the unmodified player accepts degraded
-		// packets; only the adaptation locus moves to the end points.
-		if _, err := planprt.Download(tb.Client.Node, asp.AudioClient, planprt.Config{}); err != nil {
-			return nil, err
-		}
-		fsrc := NewFeedbackSource(tb.Source)
-		fsrc.StartAdaptive(tb.Sim, end)
-		NewFeedbackClient(tb.Client.Node, tb.Source.Node.Addr, end)
-	} else {
-		tb.Source.Start(tb.Sim, end)
-	}
-	tb.Sim.RunUntil(end)
-	tb.Client.Finish(end)
-
-	res := &LocusResult{Mechanism: mechanism}
-	if firstDegraded > 0 {
-		res.ReactionTime = firstDegraded - stepAt
-	}
-	res.GapsDuringTransition = tb.Client.Gaps.Gaps()
-	res.DropsDuringTransition = tb.Segment.Dropped() - dropsAtStep
-	return res, nil
-}
-
-// FeedbackLoadStep is a single-step CBR load generator (avoids pulling
-// loadgen into this package's public surface for one use).
-type FeedbackLoadStep struct {
-	Node *netsim.Node
-	Dst  netsim.Addr
-	At   time.Duration
-	Bps  int64
-}
-
-// Start schedules the step until end.
-func (g *FeedbackLoadStep) Start(sim *netsim.Simulator, end time.Duration) {
-	const payload = 1000
-	wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
-	interval := time.Duration(wire * 8 * int64(time.Second) / g.Bps)
-	for at := g.At; at < end; at += interval {
-		t := at
-		sim.At(t, func() {
-			g.Node.Send(netsim.NewUDP(g.Node.Addr, g.Dst, 40000, 40000, make([]byte, payload)).Own())
-		})
-	}
+	c.Node.Send(substrate.NewUDP(c.Node.Address(), fc.Source, FeedbackPort, FeedbackPort, []byte{byte(pct)}).Own())
 }

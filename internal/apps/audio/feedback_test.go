@@ -16,7 +16,7 @@ func TestFeedbackSourceAdjustsQuality(t *testing.T) {
 	src.SetDefaultRoute(l.Ifaces()[0])
 	peer.SetDefaultRoute(l.Ifaces()[1])
 
-	fs := NewFeedbackSource(&Source{Node: src, Group: netsim.MustAddr("224.1.1.1")})
+	fs := NewFeedbackSource(&Source{Node: src, Dst: netsim.MustAddr("224.1.1.1")})
 	if fs.Quality != prims.AudioStereo16 {
 		t.Fatal("initial quality should be full")
 	}
@@ -59,7 +59,7 @@ func TestFeedbackClientLossAccounting(t *testing.T) {
 	srcNode.BindUDP(FeedbackPort, func(p *netsim.Packet) {
 		reports = append(reports, p.Payload[0])
 	})
-	NewFeedbackClient(cl, srcNode.Addr, 10*time.Second)
+	NewFeedbackClient(NewClient(cl), srcNode.Addr, 10*time.Second)
 
 	// Inject audio packets with sequence gaps directly at the client:
 	// seqs 1,2,5,6 -> 2 lost out of 6 expected (33%).

@@ -27,7 +27,7 @@ func TestFigure6SeriesUnchangedByRegistryBackend(t *testing.T) {
 	var bits int64
 	var windowStart time.Duration
 	const window = time.Second
-	clientNode := tb.Client.Node
+	clientNode := tb.ClientNode
 	clientNode.Tap(func(pkt *netsim.Packet) {
 		if pkt.UDP == nil || pkt.UDP.DstPort != Port {
 			return
@@ -52,7 +52,7 @@ func TestFigure6SeriesUnchangedByRegistryBackend(t *testing.T) {
 		},
 	}
 	gen.Start(tb.Sim, end)
-	tb.Source.Start(tb.Sim, end)
+	tb.Source.Start(end)
 	tb.Sim.RunUntil(end)
 
 	got := tb.Wire.Render(2 * time.Second)

@@ -1,7 +1,6 @@
 package audio
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +10,121 @@ import (
 	"planp.dev/planp/internal/rtnet"
 	"planp.dev/planp/internal/substrate"
 )
+
+// formats reads c's per-format packet counts under its lock.
+func formats(c *Client) [4]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ByFormat
+}
+
+// waitReceived polls until the source has stopped (the clock is past
+// end) and c has received every packet s sent, failing after 10 s.
+func waitReceived(t *testing.T, nw *rtnet.Net, s *Source, c *Client, end time.Duration) (sent int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// Read the clock first: once it is past end no tick sends again,
+		// so the Sent read after it is final.
+		past := nw.Now() > end
+		s.mu.Lock()
+		sent = s.Sent
+		s.mu.Unlock()
+		got := c.Received()
+		if past && got == sent {
+			return sent
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d packets received", got, sent)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAudioOnRTNet runs the §3.1 application unchanged on the
+// real-time backend: Source ticks on timer goroutines, the audio router
+// and client ASPs process on their node goroutines, and Client counts
+// on the client's. On an uncongested line every packet sent is received
+// and playable.
+func TestAudioOnRTNet(t *testing.T) {
+	nw := rtnet.New(1)
+	defer nw.Close()
+	line, err := rtnet.Line(nw, []rtnet.LineHost{
+		{Name: "source", Addr: substrate.MustAddr("10.0.4.1")},
+		{Name: "router", Addr: substrate.MustAddr("10.0.4.2"), Forwarding: true},
+		{Name: "client", Addr: substrate.MustAddr("10.0.4.3")},
+	}, 100_000_000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, router, client := line[0], line[1], line[2]
+	c := NewClient(client)
+	nw.Start()
+
+	for _, d := range []struct {
+		node *rtnet.Node
+		src  string
+	}{{router, asp.AudioRouter}, {client, asp.AudioClient}} {
+		rt, err := planprt.Download(d.node, d.src, planprt.Config{})
+		if err != nil {
+			t.Fatalf("downloading onto %s: %v", d.node.Hostname(), err)
+		}
+		defer rt.Uninstall()
+	}
+
+	s := &Source{Node: source, Dst: client.Address()}
+	end := nw.Now() + 2*time.Second
+	s.Start(end)
+	sent := waitReceived(t, nw, s, c, end)
+	if sent == 0 {
+		t.Fatal("the source sent nothing")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.Unplayable != 0 || c.LostPackets != 0 {
+		t.Errorf("of %d packets: %d unplayable, %d lost", sent, c.Unplayable, c.LostPackets)
+	}
+}
+
+// TestFeedbackLoopOnRTNet closes the end-to-end feedback loop on the
+// real-time backend. The source starts at 16-bit mono; the client's
+// first report (clean, after FeedbackInterval) steps it up to stereo,
+// and the stereo packets that follow reach the client. The report timer
+// reads Client's counters while the client's goroutine writes them, and
+// the source's tick reads Quality while the report binding writes it,
+// so under -race this fails if Source or Client drops its mutex.
+func TestFeedbackLoopOnRTNet(t *testing.T) {
+	nw := rtnet.New(1)
+	defer nw.Close()
+	line, err := rtnet.Line(nw, []rtnet.LineHost{
+		{Name: "source", Addr: substrate.MustAddr("10.0.5.1")},
+		{Name: "client", Addr: substrate.MustAddr("10.0.5.2")},
+	}, 100_000_000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source, client := line[0], line[1]
+	fs := NewFeedbackSource(&Source{Node: source, Dst: client.Address()})
+	fs.Quality = prims.AudioMono16
+	c := NewClient(client)
+	nw.Start()
+
+	end := nw.Now() + FeedbackInterval + 500*time.Millisecond
+	fs.Start(end)
+	NewFeedbackClient(c, source.Address(), end)
+	waitReceived(t, nw, fs.Source, c, end)
+
+	fs.mu.Lock()
+	upgrades, quality := fs.Upgrades, fs.Quality
+	fs.mu.Unlock()
+	if upgrades != 1 || quality != prims.AudioStereo16 {
+		t.Fatalf("after a clean report: %d upgrades, quality %d; want 1, stereo", upgrades, quality)
+	}
+	f := formats(c)
+	if f[prims.AudioMono16] == 0 || f[prims.AudioStereo16] == 0 {
+		t.Errorf("client formats %v: want mono16 before the report and stereo after", f)
+	}
+}
 
 // TestAudioAdaptationOnRTNet is the §3.1 experiment ported to the
 // real-time backend as a wall-clock smoke test: the audio router ASP,
@@ -51,21 +165,8 @@ func TestAudioAdaptationOnRTNet(t *testing.T) {
 	router.AddRoute(clientA.Address(), toA)
 	clientA.SetDefaultRoute(fromA)
 
-	// Count delivered packets per audio format at each client.
-	var mu sync.Mutex
-	formats := map[string]map[byte]int{"A": {}, "B": {}}
-	count := func(client string) substrate.AppFunc {
-		return func(pkt *substrate.Packet) {
-			if len(pkt.Payload) < prims.AudioHeaderLen {
-				return
-			}
-			mu.Lock()
-			formats[client][pkt.Payload[0]]++
-			mu.Unlock()
-		}
-	}
-	clientA.BindUDP(Port, count("A"))
-	clientB.BindUDP(Port, count("B"))
+	// The unmodified player counts delivered packets per format.
+	appA, appB := NewClient(clientA), NewClient(clientB)
 
 	nw.Start()
 
@@ -95,9 +196,7 @@ func TestAudioAdaptationOnRTNet(t *testing.T) {
 		t.Fatal("network did not quiesce")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	a, b := formats["A"], formats["B"]
+	a, b := formats(appA), formats(appB)
 	totalA := a[prims.AudioStereo16] + a[prims.AudioMono16] + a[prims.AudioMono8]
 	totalB := b[prims.AudioStereo16] + b[prims.AudioMono16] + b[prims.AudioMono8]
 	t.Logf("clientA formats: stereo16=%d mono16=%d mono8=%d; clientB: stereo16=%d mono16=%d mono8=%d",

@@ -10,11 +10,12 @@ import (
 )
 
 // TestAppLayerIsBackendNeutral keeps the applications on the substrate
-// contract: in httpd and mpeg only the experiment assemblers may name a
-// backend, so the servers, clients and gateways run on either.
+// contract: in httpd, mpeg and audio only the experiment assemblers may
+// name a backend, so the servers, clients, gateways, sources and
+// feedback loops run on either.
 func TestAppLayerIsBackendNeutral(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{".", "../mpeg"} {
+	for _, dir := range []string{".", "../mpeg", "../audio"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)

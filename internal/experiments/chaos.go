@@ -25,12 +25,9 @@ import (
 	"planp.dev/planp/internal/apps/audio"
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/chaos"
-	"planp.dev/planp/internal/netsim"
-	"planp.dev/planp/internal/netsim/loadgen"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/par"
 	"planp.dev/planp/internal/planprt"
-	"planp.dev/planp/internal/substrate"
 )
 
 // ---------------------------------------------------------------------------
@@ -115,13 +112,11 @@ func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, se
 	sc.play(tb, eng, engine)
 
 	// Background load in the adaptation band, as in figure 7.
-	const payload = 1000
-	startPoissonLoad(tb, chaosAudioLoad, payload, chaosAudioDur)
-	tb.Source.Start(tb.Sim, chaosAudioDur)
+	tb.StartPoissonLoad(chaosAudioLoad, chaosAudioDur)
+	tb.Source.Start(chaosAudioDur)
 
-	recvNow := func() int { return tb.Client.Gaps.Received() + tb.Client.Unplayable }
 	tailStart := 0
-	tb.Sim.At(chaosAudioDur-10*time.Second, func() { tailStart = recvNow() })
+	tb.Sim.At(chaosAudioDur-10*time.Second, func() { tailStart = tb.Client.Received() })
 	tb.Sim.RunUntil(chaosAudioDur)
 	tb.Client.Finish(chaosAudioDur)
 
@@ -130,13 +125,13 @@ func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, se
 		scenario:   sc.name,
 		mode:       mode,
 		sent:       tb.Source.Sent,
-		received:   recvNow(),
+		received:   tb.Client.Received(),
 		lost:       tb.Client.LostPackets,
 		silent:     tb.Client.SilentPeriods,
 		segDrops:   tb.Segment.Dropped(),
 		faultDrops: reg.Counter("chaos.fault_drops").Value(),
 		dups:       reg.Counter("chaos.duplicated_pkts").Value(),
-		tail:       recvNow() - tailStart,
+		tail:       tb.Client.Received() - tailStart,
 	}
 	row.safety = "ok"
 	if int64(row.received) > int64(row.sent)+row.dups {
@@ -145,16 +140,6 @@ func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, se
 		row.safety = "VIOLATED: no audio after heal"
 	}
 	return row, nil
-}
-
-// startPoissonLoad drives the audio testbed's load generator the same
-// way figure 7 does.
-func startPoissonLoad(tb *audio.Testbed, bps int64, payload int, dur time.Duration) {
-	wire := int64(payload + substrate.IPHeaderLen + substrate.UDPHeaderLen)
-	p := &loadgen.Poisson{Node: tb.LoadGen, Rate: float64(bps) / float64(wire*8), Emit: func() {
-		tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, make([]byte, payload)).Own())
-	}}
-	p.Start(tb.Sim, 0, dur)
 }
 
 func runChaosAudio(w io.Writer, opts Options) error {

@@ -309,10 +309,6 @@ func runMPEG(w io.Writer, opts Options) error {
 // (wall-clock measurements).
 func runEngines(w io.Writer, opts Options) error {
 	opts.fill()
-	info, err := loadGatewayInfo()
-	if err != nil {
-		return err
-	}
 	pkt := langtest.TCPPacket("10.0.1.1", "10.0.0.100", 4001, 80, []byte("GET /index.html"))
 
 	tbl := &obs.Table{
@@ -324,7 +320,7 @@ func runEngines(w io.Writer, opts Options) error {
 	})
 	nativeNs := float64(native.NsPerOp())
 	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineBytecode, planprt.EngineJIT} {
-		r, err := benchEngine(eng, info, pkt)
+		r, err := benchProgram(eng, asp.HTTPGateway, pkt)
 		if err != nil {
 			return err
 		}
@@ -391,38 +387,6 @@ func benchProgram(eng planprt.EngineKind, src string, pkt value.Value) (testing.
 			}
 		}
 	}), nil
-}
-
-// loadGatewayInfo type-checks the HTTP gateway for the microbench.
-func loadGatewayInfo() (*typecheck.Info, error) {
-	prog, err := parser.Parse(asp.HTTPGateway)
-	if err != nil {
-		return nil, err
-	}
-	return typecheck.Check(prog)
-}
-
-// benchEngine measures one engine's invoke cost.
-func benchEngine(eng planprt.EngineKind, info *typecheck.Info, pkt value.Value) (testing.BenchmarkResult, error) {
-	p, err := planprt.Load(asp.HTTPGateway, planprt.Config{Engine: eng, Verify: planprt.VerifyPrivileged})
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	ctx := langtest.NewSink()
-	inst, err := p.Compiled.NewInstance(ctx)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	ci := p.Info.ChannelsByName("network")[0].Index
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := inst.Invoke(ci, ctx, pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return res, nil
 }
 
 // benchNative measures the hand-written Go equivalent of the gateway's

@@ -50,8 +50,10 @@ func (g *Generator) Start(sim *netsim.Simulator, end time.Duration) {
 		if interval <= 0 {
 			interval = time.Microsecond
 		}
+		// One zero payload serves the whole phase: transmitted payloads
+		// are immutable, and a rewriter copies with CloneMut.
+		payload := make([]byte, size)
 		for at := step.At; at < phaseEnd; at += interval {
-			payload := make([]byte, size)
 			t := at
 			sim.At(t, func() {
 				if g.stopped {
