@@ -21,7 +21,6 @@ import (
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/parser"
-	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/verify"
 	"planp.dev/planp/internal/planprt"
 )
@@ -70,14 +69,6 @@ func readSource(fs *flag.FlagSet) (string, error) {
 	return string(data), nil
 }
 
-func check(src string) (*typecheck.Info, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return typecheck.Check(prog)
-}
-
 func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	fs.Parse(args)
@@ -85,7 +76,7 @@ func runCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	info, err := check(src)
+	info, err := planp.Check(src)
 	if err != nil {
 		return err
 	}
@@ -110,7 +101,7 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	info, err := check(src)
+	info, err := planp.Check(src)
 	if err != nil {
 		return err
 	}
@@ -150,7 +141,7 @@ func runDisasm(args []string) error {
 	if err != nil {
 		return err
 	}
-	info, err := check(src)
+	info, err := planp.Check(src)
 	if err != nil {
 		return err
 	}

@@ -313,9 +313,6 @@ func (l *Link) fault(dir int) substrate.FaultAction {
 // ":fwd"/":rev" when narrowed to one direction.
 func (l *Link) Name() string { return l.name + l.suffix }
 
-// Duplex reports whether the link was wired with per-direction state.
-func (l *Link) Duplex() bool { return l.duplex }
-
 // Fwd returns the handle on the link's forward (a→b) direction.
 // Panics unless the link was wired with WireDuplex — a symmetric link
 // has no directions to address.

@@ -360,9 +360,8 @@ func runEngines(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "per-instance scratch, runs int/bool unboxed and writes every other value once,")
 	fmt.Fprintln(w, "where its consumer wants it; bytecode, the ablation, boxes and returns values.")
 	fmt.Fprintln(w, "The paper's claim is jit vs native, first table: JIT output as fast as in-kernel")
-	fmt.Fprintln(w, "C; here a jit invocation is one allocation and 1.2-2x the hand-written handler,")
-	fmt.Fprintln(w, "1.5x in the median (docs/PERFORMANCE.md, \"Destination passing\", has the runs")
-	fmt.Fprintln(w, "and the residual profile).")
+	fmt.Fprintln(w, "C; its jit and native-go rows measure that here (paired runs: docs/PERFORMANCE.md,")
+	fmt.Fprintln(w, "\"Header primitives declared once\").")
 	return nil
 }
 

@@ -207,7 +207,7 @@ type View struct {
 	CompatOverride bool     `json:"compat_override,omitempty"`
 	CompatWarnings []string `json:"compat_warnings,omitempty"`
 
-	// SigDiff is the channel-signature diff (typecheck.Diff lines)
+	// SigDiff is the channel-signature diff (typecheck.Comparison.Diff lines)
 	// between this version and what the peers ran at health-probe time —
 	// the operator's preview of an upgrade, recorded whether or not it
 	// shipped.
@@ -609,7 +609,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// Phase 0: health. Nothing is staged on a fleet with a dead member.
 	// The probe also collects each peer's active channel signature for
 	// the compatibility gate below.
-	peers := make(map[string]peerSig, len(targets))
+	peers := make([]peer, 0, len(targets))
 	var peersMu sync.Mutex
 	errs := c.forEach(d, func(nc *nodeClient) error {
 		h, err := nc.health(ctx)
@@ -620,7 +620,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 		}
 		nc.update(func(n *NodeView) { n.PrevVersion = h.Version })
 		peersMu.Lock()
-		peers[nc.Name] = peerSig{version: h.Version, sig: h.Signature}
+		peers = append(peers, peer{node: nc.Name, version: h.Version, sig: h.Signature})
 		peersMu.Unlock()
 		return nil
 	})
@@ -632,8 +632,10 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// against each running peer version, surfaced in GET /deployments
 	// so operators see the interface shift before it ships (and, in the
 	// history, what each past rollout shifted). Recorded even when the
-	// rollout is later rejected — the diff explains the rejection.
-	d.update(func(v *View) { v.SigDiff = signatureDiff(prog.Signature(), peers) })
+	// rollout is later rejected — the diff explains the rejection. The
+	// diff and the gate read the same comparisons.
+	comparePeers(prog.Signature(), peers)
+	d.update(func(v *View) { v.SigDiff = signatureDiff(peers) })
 
 	// Compatibility gate: before anything is staged, check the new
 	// version's channel signature against what every peer currently
@@ -641,7 +643,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// sends and the new program's channels disagree is rejected here —
 	// with diagnostics pointing into the staged source — unless the
 	// spec explicitly allows the break (recorded in the history).
-	if err := c.compatGate(d, spec, prog.Signature(), peers); err != nil {
+	if err := c.compatGate(d, spec, peers); err != nil {
 		return d, c.fail(d, err)
 	}
 

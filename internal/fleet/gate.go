@@ -21,6 +21,7 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -48,100 +49,124 @@ func (e *CompatError) Error() string {
 // Diagnostics implements diag.Provider.
 func (e *CompatError) Diagnostics() diag.List { return e.Diags }
 
-// peerSig is what the health probe learned about one target: the
-// version it runs and that version's channel-interface signature (nil
-// when the node is bare, or its daemon predates signatures).
-type peerSig struct {
-	version string
-	sig     *typecheck.Signature
+// peer is what the health probe learned about one target — the version
+// it runs and that version's channel-interface signature (nil when the
+// node is bare, or its daemon predates signatures) — and the staged
+// signature compared with it.
+type peer struct {
+	node, version string
+	sig           *typecheck.Signature
+	cmp           *typecheck.Comparison // nil for a bare peer
+}
+
+// comparePeers sorts peers by node name and compares the staged
+// signature with theirs: once per distinct (version, signature), shared
+// by the peers that run it. The recorded diff (signatureDiff) and the
+// gate (compatGate) read the same results.
+func comparePeers(staged *typecheck.Signature, peers []peer) {
+	sort.Slice(peers, func(i, j int) bool { return peers[i].node < peers[j].node })
+	for i := range peers {
+		p := &peers[i]
+		if p.sig == nil {
+			continue
+		}
+		for _, q := range peers[:i] {
+			if q.cmp != nil && q.version == p.version && reflect.DeepEqual(q.sig, p.sig) {
+				p.cmp = q.cmp
+				break
+			}
+		}
+		if p.cmp == nil {
+			cmp := typecheck.Compare(p.sig, staged)
+			p.cmp = &cmp
+		}
+	}
 }
 
 // signatureDiff renders what the staged signature changes relative to
-// what the peers run (typecheck.Diff), deduplicated across peers on the
-// same version: a homogeneous fleet yields one plain diff, a
-// mixed-version fleet prefixes each block with the version it compares
-// against. Bare peers (no signature) are skipped — there is no
-// interface to diff against.
-func signatureDiff(staged *typecheck.Signature, peers map[string]peerSig) []string {
-	if staged == nil {
-		return nil
+// what the peers run, one block per comparison: a homogeneous fleet
+// yields one plain diff, a mixed fleet prefixes each block with the
+// version it compares against. Each daemon numbers its own version
+// labels, so one label may cover different programs; its blocks then
+// also name the peers that run each. Bare peers (no signature) are
+// skipped — there is no interface to diff against.
+func signatureDiff(peers []peer) []string {
+	type block struct {
+		version     string
+		diff, nodes []string
 	}
-	// One representative signature per distinct running version.
-	byVersion := map[string]*typecheck.Signature{}
+	var blocks []*block
+	byCmp := map[*typecheck.Comparison]*block{}
+	perLabel := map[string]int{}
 	for _, p := range peers {
-		if p.sig != nil {
-			byVersion[p.version] = p.sig
+		if p.cmp == nil {
+			continue
 		}
+		b := byCmp[p.cmp]
+		if b == nil {
+			b = &block{version: p.version, diff: p.cmp.Diff}
+			byCmp[p.cmp] = b
+			blocks = append(blocks, b)
+			perLabel[p.version]++
+		}
+		b.nodes = append(b.nodes, p.node)
 	}
-	versions := make([]string, 0, len(byVersion))
-	for v := range byVersion {
-		versions = append(versions, v)
+	if len(blocks) == 1 {
+		return blocks[0].diff
 	}
-	sort.Strings(versions)
-
+	sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].version < blocks[j].version })
 	var out []string
-	for _, v := range versions {
-		lines := typecheck.Diff(byVersion[v], staged)
-		if len(versions) == 1 {
-			return lines
+	for _, b := range blocks {
+		label := b.version
+		if perLabel[b.version] > 1 {
+			label += " (" + strings.Join(b.nodes, ", ") + ")"
 		}
-		for _, line := range lines {
-			out = append(out, fmt.Sprintf("vs %s: %s", v, line))
+		for _, line := range b.diff {
+			out = append(out, fmt.Sprintf("vs %s: %s", label, line))
 		}
 	}
 	return out
 }
 
-// compatGate checks the staged signature against every peer's active
-// signature, as collected during the health phase. Peers without a
+// compatGate reads the staged signature's conflicts with every peer's
+// active signature, as compared after the health phase. Peers without a
 // signature have no interface to break and are skipped. On mismatch it
 // returns a *CompatError — unless spec.AllowIncompatible, in which case
 // the findings are recorded on the deployment (and its persisted
 // history record) and the rollout proceeds.
-func (c *Controller) compatGate(d *Deployment, spec Spec, staged *typecheck.Signature, peers map[string]peerSig) error {
-	if staged == nil {
-		return nil
-	}
+func (c *Controller) compatGate(d *Deployment, spec Spec, peers []peer) error {
 	label := spec.SourceName
 	if label == "" {
 		label = "staged:" + spec.Version
 	}
-	names := make([]string, 0, len(peers))
-	for name := range peers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var badNodes, msgs []string
 	var all diag.List
 	// Per-node messages keep every peer's evidence, but the span
 	// diagnostics dedup across peers: N nodes running the same stale
 	// version would otherwise underline the same source line N times.
 	seenDiag := map[diag.Diagnostic]bool{}
-	for _, name := range names {
-		p := peers[name]
-		if p.sig == nil {
-			c.Publish(obs.KindDeploy, name, "compat:no-signature")
+	for _, p := range peers {
+		if p.cmp == nil {
+			c.Publish(obs.KindDeploy, p.node, "compat:no-signature")
 			continue
 		}
-		diags := staged.CompatibleWith(p.sig)
-		if len(diags) == 0 {
-			c.Publish(obs.KindDeploy, name, "compat:ok")
+		if len(p.cmp.Conflicts) == 0 {
+			c.Publish(obs.KindDeploy, p.node, "compat:ok")
 			continue
 		}
-		badNodes = append(badNodes, name)
-		for _, dg := range diags {
+		badNodes = append(badNodes, p.node)
+		for _, dg := range p.cmp.Conflicts {
 			if dg.Pos.IsValid() {
-				msgs = append(msgs, fmt.Sprintf("%s:%s: %s [node %s runs %s]", label, dg.Pos, dg.Msg, name, p.version))
+				msgs = append(msgs, fmt.Sprintf("%s:%s: %s [node %s runs %s]", label, dg.Pos, dg.Msg, p.node, p.version))
 			} else {
-				msgs = append(msgs, fmt.Sprintf("%s: %s [node %s runs %s]", label, dg.Msg, name, p.version))
+				msgs = append(msgs, fmt.Sprintf("%s: %s [node %s runs %s]", label, dg.Msg, p.node, p.version))
 			}
 			if !seenDiag[dg] {
 				seenDiag[dg] = true
 				all = append(all, dg)
 			}
 		}
-		c.Publish(obs.KindDeploy, name, "compat:mismatch")
+		c.Publish(obs.KindDeploy, p.node, "compat:mismatch")
 	}
 	if len(badNodes) == 0 {
 		return nil

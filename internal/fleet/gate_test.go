@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,38 @@ func TestFleetCompatOverride(t *testing.T) {
 	}
 	if !rec.CompatOverride || len(rec.CompatWarnings) == 0 {
 		t.Errorf("persisted record lost the override evidence: %+v", rec)
+	}
+}
+
+// TestSigDiffSameLabelTwoPrograms: each daemon's controller numbers its
+// own version labels, so two peers can report the same label for
+// different programs. The recorded diff shows a block for each, named by
+// the peers that run it, and reads the same on every rollout.
+func TestSigDiffSameLabelTwoPrograms(t *testing.T) {
+	tf := newTestFleet(t, 2)
+	for i, src := range []string{gatewayV1, gatewayV1Base} {
+		c := tf.controller(Config{})
+		if _, err := c.Deploy(context.Background(), Spec{Version: "v1", Source: src}, tf.targets[i:i+1]); err != nil {
+			t.Fatalf("baseline deploy to %s: %v", tf.targets[i].Name, err)
+		}
+	}
+	want := []string{
+		"vs v1 (alpha): - receive gateway(ip*udp*char*blob)",
+		"vs v1 (alpha): - send gateway(ip*udp*char*blob)",
+		"vs v1 (beta): + receive network(ip*udp*char*blob)",
+	}
+	c := tf.controller(Config{})
+	for i := 0; i < 20; i++ {
+		// alpha's v1 still sends the variant v2 drops: the gate rejects
+		// before anything is staged, so every round sees the same peers.
+		d, err := c.Deploy(context.Background(), Spec{Version: "v2", Source: gatewayV2DropsVariant}, tf.targets)
+		var ce *CompatError
+		if !errors.As(err, &ce) || !slices.Equal(ce.Nodes, []string{"alpha"}) {
+			t.Fatalf("round %d: err = %v, want a CompatError on [alpha]", i, err)
+		}
+		if got := d.View().SigDiff; !slices.Equal(got, want) {
+			t.Fatalf("round %d: SigDiff = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"planp.dev/planp/internal/lang/langtest"
+	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
 )
 
@@ -285,6 +286,35 @@ initstate mkTable(8) is
   end
 `, g.intExpr(3))
 	}, dpPayloads},
+
+	// The path facts the checker derives for the verifier (agree holds
+	// every shape to them): a send in a raise message happens before the
+	// raise, and the handler then sends again. Half the seeds drop the
+	// packet on the handler's else branch, so only the other half hand it
+	// on from every invocation that returns. The payloads' lengths, 1 to
+	// 4, take each program down every path.
+	{"send-paths", func(g *exprGen) string {
+		k := g.intExpr(2)
+		els := "OnRemote(network, (ipTTLSet(#1 p, 7), #2 p, #3 p)); "
+		if g.rng.Intn(2) == 0 {
+			els = ""
+		}
+		return fmt.Sprintf(`
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  let
+    val k : int = %s
+    val n : int = blobLen(#3 p)
+  in
+    try
+      if n mod 2 = 0 then raise ((if n > 2 then OnRemote(network, p) else println(k)); "even")
+      else (deliver(p); (ps + k, ss))
+    handle
+      if n > 2 then (OnRemote(network, p); (ps, ss + 1))
+      else (%s(ps - 1, ss))
+    end
+  end
+`, k, els)
+	}, dpPayloads},
 }
 
 var dpPayloads = []string{"a", "ab", "abc", "abcd"}
@@ -324,10 +354,17 @@ func agree(t *testing.T, sh shape, g *exprGen) (succeeded int) {
 		succeeded = 0
 		for j, payload := range sh.payloads {
 			pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", uint16(j), 9, []byte(payload))
-			if err := inst.Invoke(0, ctx, pkt); err != nil {
+			sent, delivered := len(ctx.Sent), len(ctx.Delivered)
+			err := inst.Invoke(0, ctx, pkt)
+			if err != nil {
 				fmt.Fprintf(&log, "error %v; ", err)
 			} else {
 				succeeded++
+			}
+			if name == "interp" {
+				if msg := pathFactsBroken(c.Info(), ctx.Sent[sent:], len(ctx.Delivered) > delivered, err == nil); msg != "" {
+					t.Fatalf("%s: packet %d: %s\nsource:\n%s", sh.name, j, msg, src)
+				}
 			}
 			fmt.Fprintf(&log, "ps=%v ss=%v\n", inst.Proto, inst.Chans[0])
 		}
@@ -343,6 +380,30 @@ func agree(t *testing.T, sh shape, g *exprGen) (succeeded int) {
 		}
 	}
 	return succeeded
+}
+
+// pathFactsBroken holds one interpreted invocation of channel 0 to what
+// the checker's path walk claims about its body, and says how the
+// invocation contradicts it ("" if it does not): its transmissions
+// (OnRemote 1, OnNeighbor 2) never exceed MaxSendsPerPath while that is
+// below 2, and one that returns from a channel marked HandsOn has sent
+// or delivered.
+func pathFactsBroken(info *typecheck.Info, sent []langtest.Sent, delivered, returned bool) string {
+	tx := 0
+	for _, s := range sent {
+		if s.Neighbor {
+			tx += 2
+		} else {
+			tx++
+		}
+	}
+	if limit := info.Sig.Channels[0].MaxSendsPerPath; limit < 2 && tx > limit {
+		return fmt.Sprintf("%d transmissions on a path, MaxSendsPerPath %d", tx, limit)
+	}
+	if returned && info.Channels[0].HandsOn && len(sent) == 0 && !delivered {
+		return "returned without sending or delivering from a channel marked HandsOn"
+	}
+	return ""
 }
 
 // seeded is the generator FuzzEnginesAgree builds from its seed argument,
@@ -366,11 +427,12 @@ func TestEnginesAgreeOnRandomTablePrograms(t *testing.T) {
 	}
 }
 
-// TestDestinationPassing runs every shape of the JIT's memory rules at a
-// few seeds: the interpreter returns fresh values everywhere, so agreeing
-// with it means no destination was read after its node reused it, and no
-// lent header after its site rewrote it. Each shape must also complete
-// some invocation, or it tested nothing.
+// TestDestinationPassing runs every shape past the two random ones at a
+// few seeds: the JIT's memory rules, then send-paths. The interpreter
+// returns fresh values everywhere, so agreeing with it means no
+// destination was read after its node reused it, and no lent header
+// after its site rewrote it. Each shape must also complete some
+// invocation, or it tested nothing.
 func TestDestinationPassing(t *testing.T) {
 	for _, sh := range shapes[2:] {
 		succeeded := 0
@@ -388,7 +450,7 @@ func TestDestinationPassing(t *testing.T) {
 // corpus in testdata/fuzz/FuzzEnginesAgree holds starting points, not the
 // tests' program sets: the first seed of each random test above (the
 // tests walk on from it, one seed per program) and seed 1 of every
-// memory-rule shape.
+// other shape.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
 		agree(t, shapes[int(which)%len(shapes)], seeded(seed))

@@ -7,8 +7,9 @@
 // runtime caches it alongside the compiled program, planpd serves it
 // over HTTP, and the fleet controller compares a staged program's
 // signature against the signatures running on peer nodes before
-// allowing a rollout (PLAN-P channels are first-order, so send/receive
-// compatibility is a finite check over packet types).
+// allowing a rollout (Compare, sigdiff.go: PLAN-P channels are
+// first-order, so send/receive compatibility is a finite check over
+// packet types).
 //
 // Packet and state types are recorded as their canonical rendering
 // (ast.Type.String), which is injective over the PLAN-P type grammar;
@@ -17,10 +18,7 @@
 package typecheck
 
 import (
-	"fmt"
-
 	"planp.dev/planp/internal/lang/ast"
-	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/lang/token"
 )
 
@@ -41,8 +39,8 @@ type ChannelSig struct {
 	// Pos..End spans the channel header (the declared interface).
 	Pos token.Pos `json:"pos"`
 	End token.Pos `json:"end,omitzero"`
-	// MaxSendsPerPath is the maximum number of sends on any execution
-	// path of the body, saturated at 2 (OnNeighbor counts as 2). The
+	// MaxSendsPerPath is the most transmissions on one execution path
+	// of the body, saturated at 2 (pathFacts states the rules). The
 	// verifier's duplication analysis consumes it.
 	MaxSendsPerPath int       `json:"max_sends_per_path"`
 	Sends           []SendSig `json:"sends,omitempty"`
@@ -73,7 +71,8 @@ func (s *Signature) ChannelsNamed(name string) []ChannelSig {
 
 // extractSignature derives the channel-interface signature (Info.Sig)
 // from a program Check has accepted: there is at least one channel, and
-// every send's packet carries its type.
+// every send's packet carries its type. One walk of each channel body
+// (bodyWalk) gives its sends, its MaxSendsPerPath and Channel.HandsOn.
 func extractSignature(info *Info) *Signature {
 	sig := &Signature{
 		ProtoState: info.ProtoState.String(),
@@ -81,171 +80,107 @@ func extractSignature(info *Info) *Signature {
 	}
 	for i := range info.Channels {
 		d := info.Channels[i].Decl
-		cs := ChannelSig{
+		var w bodyWalk
+		facts := w.walk(d.Body)
+		info.Channels[i].HandsOn = facts.handsOn
+		sig.Channels = append(sig.Channels, ChannelSig{
 			Name:            d.Name,
 			Packet:          d.PacketType().String(),
 			Pos:             d.At,
 			End:             d.HeaderEnd,
-			MaxSendsPerPath: maxSendsPerPath(d.Body),
-		}
-		ast.Walk(d.Body, func(e ast.Expr) {
-			call, ok := e.(*ast.Call)
-			if !ok || !sendPrims[call.Name] {
-				return
-			}
-			cref, ok := call.Args[0].(*ast.ChanRef)
-			if !ok {
-				return
-			}
-			cs.Sends = append(cs.Sends, SendSig{
-				Channel: cref.Name,
-				Packet:  call.Args[1].Type().String(),
-				Flood:   call.Name == "OnNeighbor",
-				Pos:     call.At,
-				End:     call.End(),
-			})
+			MaxSendsPerPath: facts.sends,
+			Sends:           w.sends,
 		})
-		sig.Channels = append(sig.Channels, cs)
 	}
 	return sig
 }
 
-// CompatibleWith checks the staged signature s against the signature
-// running on a peer node, in both directions:
+// pathFacts are the two facts the verifier needs about the execution
+// paths of a channel body:
 //
-//   - every send the running peer performs must have a matching channel
-//     definition in the staged program (otherwise activating s would
-//     make the peer's in-flight packets undeliverable) — reported at
-//     the staged channel's header, or without a span if the staged
-//     program dropped the channel entirely;
+//   - sends is the most transmissions on one path: OnRemote counts 1,
+//     OnNeighbor 2 (it reaches every neighbor), saturated at 2. Parts
+//     evaluated one after another add up; an if adds its condition to
+//     the larger branch; a try adds body and handler, since the body may
+//     send before it raises; a raise counts the sends in its message.
+//     The duplication analysis reads it as ChannelSig.MaxSendsPerPath.
 //
-//   - every send the staged program performs must have a matching
-//     definition on the running peer (otherwise the new program emits
-//     packets the peer cannot dispatch) — reported at the send site.
-//
-// All diagnostics are anchored in the staged program's source. A nil
-// return means the two programs can coexist during a rollout.
-func (s *Signature) CompatibleWith(running *Signature) diag.List {
-	var diags diag.List
-	recvOf := func(sig *Signature) map[string]map[string]bool {
-		m := map[string]map[string]bool{}
-		for _, ch := range sig.Channels {
-			if m[ch.Name] == nil {
-				m[ch.Name] = map[string]bool{}
-			}
-			m[ch.Name][ch.Packet] = true
-		}
-		return m
-	}
-	stagedRecv, runningRecv := recvOf(s), recvOf(running)
-
-	// Anchor for dropped-variant reports: the first staged overload of
-	// the channel the peer still targets.
-	header := map[string]ChannelSig{}
-	for _, ch := range s.Channels {
-		if _, ok := header[ch.Name]; !ok {
-			header[ch.Name] = ch
-		}
-	}
-
-	seen := map[string]bool{}
-	for _, ch := range running.Channels {
-		for _, snd := range ch.Sends {
-			if stagedRecv[snd.Channel][snd.Packet] {
-				continue
-			}
-			key := "recv\x00" + snd.Channel + "\x00" + snd.Packet
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if hdr, ok := header[snd.Channel]; ok {
-				diags = append(diags, diag.Diagnostic{Pos: hdr.Pos, End: hdr.End,
-					Msg: fmt.Sprintf("channel %s: a running peer still sends packet %s (from channel %s), which no staged definition of %s receives",
-						snd.Channel, snd.Packet, ch.Name, snd.Channel)})
-			} else {
-				diags = append(diags, diag.Diagnostic{
-					Msg: fmt.Sprintf("staged program drops channel %s, but a running peer still sends %s to it (from channel %s)",
-						snd.Channel, snd.Packet, ch.Name)})
-			}
-		}
-	}
-
-	for _, ch := range s.Channels {
-		for _, snd := range ch.Sends {
-			if runningRecv[snd.Channel][snd.Packet] {
-				continue
-			}
-			key := "send\x00" + snd.Channel + "\x00" + snd.Packet
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			diags = append(diags, diag.Diagnostic{Pos: snd.Pos, End: snd.End,
-				Msg: fmt.Sprintf("channel %s: send of packet %s matches no definition of channel %s on the running peer",
-					ch.Name, snd.Packet, snd.Channel)})
-		}
-	}
-	return diags
+//   - handsOn is whether every path that completes hands the packet on:
+//     an OnRemote, OnNeighbor or deliver. A raise never completes, so it
+//     hands on vacuously (exception coverage is checked separately); an
+//     if needs its condition or both branches to, a try its body and its
+//     handler; the right operand of andalso/orelse may be skipped, so it
+//     does not count. The delivery analysis reads it as Channel.HandsOn.
+type pathFacts struct {
+	sends   int
+	handsOn bool
 }
 
-// maxSendsPerPath computes the maximum number of OnRemote/OnNeighbor
-// calls on any single execution path, saturating at 2. OnNeighbor counts
-// as 2 because it transmits to every neighbor.
-func maxSendsPerPath(e ast.Expr) int {
-	sat := func(n int) int {
-		if n > 2 {
-			return 2
-		}
-		return n
-	}
+// then is p followed by q on the same path.
+func (p pathFacts) then(q pathFacts) pathFacts {
+	return pathFacts{min(p.sends+q.sends, 2), p.handsOn || q.handsOn}
+}
+
+// bodyWalk is one walk of a channel body: it collects the body's sends
+// in source order while computing the pathFacts of each subexpression.
+type bodyWalk struct{ sends []SendSig }
+
+// walk returns e's pathFacts. It has a case for every compound node
+// ast.Walk visits, and visits them in ast.Walk's order.
+func (w *bodyWalk) walk(e ast.Expr) pathFacts {
+	var p pathFacts
 	switch e := e.(type) {
 	case *ast.Call:
-		n := 0
-		if e.Name == "OnRemote" {
-			n = 1
-		} else if e.Name == "OnNeighbor" {
-			n = 2
+		switch e.Name {
+		case "OnRemote", "OnNeighbor":
+			flood := e.Name == "OnNeighbor"
+			if cref, ok := e.Args[0].(*ast.ChanRef); ok {
+				w.sends = append(w.sends, SendSig{Channel: cref.Name, Packet: e.Args[1].Type().String(),
+					Flood: flood, Pos: e.At, End: e.End()})
+			}
+			p = pathFacts{1, true}
+			if flood {
+				p.sends = 2
+			}
+		case "deliver":
+			p.handsOn = true
 		}
 		for _, a := range e.Args {
-			n += maxSendsPerPath(a)
+			p = p.then(w.walk(a))
 		}
-		return sat(n)
 	case *ast.Proj:
-		return maxSendsPerPath(e.Tuple)
+		p = w.walk(e.Tuple)
 	case *ast.Let:
-		n := 0
 		for _, b := range e.Binds {
-			n += maxSendsPerPath(b.Init)
+			p = p.then(w.walk(b.Init))
 		}
-		return sat(n + maxSendsPerPath(e.Body))
+		p = p.then(w.walk(e.Body))
 	case *ast.If:
-		branch := maxSendsPerPath(e.Then)
-		if el := maxSendsPerPath(e.Else); el > branch {
-			branch = el
-		}
-		return sat(maxSendsPerPath(e.Cond) + branch)
+		p = w.walk(e.Cond)
+		a, b := w.walk(e.Then), w.walk(e.Else)
+		p = p.then(pathFacts{max(a.sends, b.sends), a.handsOn && b.handsOn})
 	case *ast.Seq:
-		n := 0
 		for _, sub := range e.Exprs {
-			n += maxSendsPerPath(sub)
+			p = p.then(w.walk(sub))
 		}
-		return sat(n)
 	case *ast.TupleExpr:
-		n := 0
 		for _, sub := range e.Elems {
-			n += maxSendsPerPath(sub)
+			p = p.then(w.walk(sub))
 		}
-		return sat(n)
 	case *ast.Unary:
-		return maxSendsPerPath(e.X)
+		p = w.walk(e.X)
 	case *ast.Binary:
-		return sat(maxSendsPerPath(e.L) + maxSendsPerPath(e.R))
+		p = w.walk(e.L)
+		r := w.walk(e.R)
+		if e.Op == "andalso" || e.Op == "orelse" {
+			r.handsOn = false
+		}
+		p = p.then(r)
 	case *ast.Try:
-		// Body sends may occur before the exception, then the handler
-		// sends again: worst case is their sum.
-		return sat(maxSendsPerPath(e.Body) + maxSendsPerPath(e.Handler))
-	default:
-		return 0
+		body, handler := w.walk(e.Body), w.walk(e.Handler)
+		p = pathFacts{min(body.sends+handler.sends, 2), body.handsOn && handler.handsOn}
+	case *ast.Raise:
+		p = pathFacts{w.walk(e.Msg).sends, true}
 	}
+	return p
 }

@@ -65,6 +65,10 @@ type Channel struct {
 	Decl      *ast.ChannelDecl
 	Index     int // position in Info.Channels
 	FrameSize int
+	// HandsOn reports that every path of the body that completes
+	// forwards or delivers the packet (pathFacts, signature.go). The
+	// verifier's delivery analysis consumes it.
+	HandsOn bool
 }
 
 // Global is a checked top-level val binding.

@@ -176,7 +176,8 @@ func localTermination(info *typecheck.Info) Check {
 
 // delivery checks the three conditions of §2.1: no cycling (from the
 // global-termination analysis), all exceptions handled, and a forward or
-// deliver on every execution path.
+// deliver on every execution path (typecheck.Channel.HandsOn, from the
+// same path walk that counts the duplication analysis's sends).
 func delivery(info *typecheck.Info, noCycle bool) Check {
 	if !noCycle {
 		return Check{Name: "delivery", OK: false, Detail: "program may cycle (see global-termination)"}
@@ -188,7 +189,7 @@ func delivery(info *typecheck.Info, noCycle bool) Check {
 				Detail: fmt.Sprintf("channel %s may terminate with an unhandled exception", ch.Decl.Name),
 				Pos:    ch.Decl.At, End: ch.Decl.HeaderEnd}
 		}
-		if !allPathsSend(ch.Decl.Body) {
+		if !ch.HandsOn {
 			return Check{Name: "delivery", OK: false,
 				Detail: fmt.Sprintf("channel %s drops the packet on some execution path (no OnRemote/OnNeighbor/deliver)", ch.Decl.Name),
 				Pos:    ch.Decl.At, End: ch.Decl.HeaderEnd}
@@ -460,66 +461,6 @@ func exprEqual(a, b ast.Expr) bool {
 	}
 }
 
-// allPathsSend reports whether every execution path through e performs
-// at least one OnRemote, OnNeighbor, or deliver.
-func allPathsSend(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Call:
-		if e.Name == "OnRemote" || e.Name == "OnNeighbor" || e.Name == "deliver" {
-			return true
-		}
-		for _, a := range e.Args {
-			if allPathsSend(a) {
-				return true
-			}
-		}
-		return false
-	case *ast.Raise:
-		// A raising path never completes; exception coverage is checked
-		// separately, so this path is vacuously delivering.
-		return true
-	case *ast.Try:
-		return allPathsSend(e.Body) && allPathsSend(e.Handler)
-	case *ast.Proj:
-		return allPathsSend(e.Tuple)
-	case *ast.Let:
-		for _, b := range e.Binds {
-			if allPathsSend(b.Init) {
-				return true
-			}
-		}
-		return allPathsSend(e.Body)
-	case *ast.If:
-		if allPathsSend(e.Cond) {
-			return true
-		}
-		return allPathsSend(e.Then) && allPathsSend(e.Else)
-	case *ast.Seq:
-		for _, sub := range e.Exprs {
-			if allPathsSend(sub) {
-				return true
-			}
-		}
-		return false
-	case *ast.TupleExpr:
-		for _, sub := range e.Elems {
-			if allPathsSend(sub) {
-				return true
-			}
-		}
-		return false
-	case *ast.Unary:
-		return allPathsSend(e.X)
-	case *ast.Binary:
-		if e.Op == "andalso" || e.Op == "orelse" {
-			return allPathsSend(e.L) // R may be skipped
-		}
-		return allPathsSend(e.L) || allPathsSend(e.R)
-	default:
-		return false
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Safe duplication
 
@@ -528,8 +469,8 @@ func allPathsSend(e ast.Expr) bool {
 // some execution path lies on a cycle of the channel send graph.
 //
 // Both inputs — per-channel send multiplicity and the send graph — come
-// from the channel-interface signature the typechecker extracted, so
-// the analysis no longer re-walks channel bodies.
+// from the channel-interface signature the typechecker extracted; the
+// analysis walks no channel body.
 func duplication(info *typecheck.Info) Check {
 	sig := info.Sig
 	n := len(info.Channels)

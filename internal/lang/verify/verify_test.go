@@ -184,6 +184,29 @@ is
 	}
 }
 
+// TestSendsInRaiseMessageCount: a raise's message is evaluated before
+// the raise, so its sends happen, and then the handler sends again. This
+// program forwards three copies of every packet back into its own
+// channel; the duplication analysis must count all three.
+func TestSendsInRaiseMessageCount(t *testing.T) {
+	r := run(t, `
+channel network(ps : unit, ss : unit, p : ip*udp*blob)
+is
+  try raise (OnRemote(network, p); OnRemote(network, p); "boom")
+  handle (OnRemote(network, p); (ps, ss))
+  end
+`)
+	if r.Duplication.OK {
+		t.Errorf("three sends on one path into its own channel must fail duplication:\n%s", r)
+	}
+	if !r.Delivery.OK {
+		t.Errorf("the handler forwards, so delivery holds:\n%s", r)
+	}
+	if r.Err() == nil {
+		t.Error("Err on a program that fails duplication = nil")
+	}
+}
+
 func TestFanOutWithoutCycleAccepted(t *testing.T) {
 	// Copying into a channel that only delivers is linear duplication.
 	r := run(t, `

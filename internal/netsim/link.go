@@ -172,7 +172,6 @@ type LinkConfig struct {
 	Bandwidth  int64         // bits/s; required
 	Delay      time.Duration // propagation delay (default 1ms)
 	QueueLimit int64         // bytes (default 64 KiB)
-	Window     time.Duration // meter window (default DefaultMeterWindow)
 
 	// ShardBoundary marks the link as a permissible cut point for
 	// sharded runs (New's WithShards): the topology is partitioned into
@@ -198,8 +197,8 @@ func Connect(sim *Simulator, a, b *Node, cfg LinkConfig) *Link {
 	sim.assertMutable()
 	cfg.fill()
 	l := &Link{bandwidth: cfg.Bandwidth, delay: cfg.Delay, queueLimit: cfg.QueueLimit, boundary: cfg.ShardBoundary}
-	l.dirs[0].meter = NewRateMeter(cfg.Window)
-	l.dirs[1].meter = NewRateMeter(cfg.Window)
+	l.dirs[0].meter = NewRateMeter(DefaultMeterWindow)
+	l.dirs[1].meter = NewRateMeter(DefaultMeterWindow)
 	l.a = &Iface{Node: a, Name: fmt.Sprintf("%s->%s", a.Name, b.Name), medium: l}
 	l.b = &Iface{Node: b, Name: fmt.Sprintf("%s->%s", b.Name, a.Name), medium: l}
 	l.a.peer, l.b.peer = l.b, l.a
@@ -295,7 +294,7 @@ func NewSegment(sim *Simulator, name string, cfg LinkConfig) *Segment {
 	cfg.fill()
 	seg := &Segment{
 		sim: sim, Name: name, bandwidth: cfg.Bandwidth, delay: cfg.Delay,
-		queueLimit: cfg.QueueLimit, wire: wire{meter: NewRateMeter(cfg.Window)},
+		queueLimit: cfg.QueueLimit, wire: wire{meter: NewRateMeter(DefaultMeterWindow)},
 	}
 	sim.segs = append(sim.segs, seg)
 	return seg

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/lang/engine"
+	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/verify"
 	"planp.dev/planp/internal/planprt"
@@ -116,14 +117,14 @@ func Compile(src string, opts ...Option) (*Protocol, error) {
 	return &Protocol{prog: p}, nil
 }
 
-// Check parses and type-checks source without compiling, returning the
-// resolution info (tooling entry point).
+// Check parses and type-checks source without verifying or compiling
+// it, returning the resolution info (tooling entry point).
 func Check(src string) (*typecheck.Info, error) {
-	p, err := planprt.Load(src, planprt.Config{Verify: planprt.VerifyPrivileged})
+	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return p.Info, nil
+	return typecheck.Check(prog)
 }
 
 // Report returns the safety-analysis results recorded at compile time.

@@ -8,6 +8,7 @@ import (
 
 	planp "planp.dev/planp"
 	"planp.dev/planp/asp"
+	"planp.dev/planp/internal/planprt"
 )
 
 const forwardCounter = `
@@ -81,6 +82,18 @@ func TestCheckEntryPoint(t *testing.T) {
 	}
 	if len(info.Channels) != 4 {
 		t.Errorf("channels = %d", len(info.Channels))
+	}
+}
+
+// TestCheckDoesNotCompile: Check stops after the type checker, so it
+// neither fills nor reads the compiled-program cache.
+func TestCheckDoesNotCompile(t *testing.T) {
+	hits, misses := planprt.CacheStats()
+	if _, err := planp.Check(forwardCounter); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := planprt.CacheStats(); h != hits || m != misses {
+		t.Errorf("cache (hits, misses) moved from (%d, %d) to (%d, %d) across Check", hits, misses, h, m)
 	}
 }
 
