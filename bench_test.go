@@ -239,39 +239,7 @@ func BenchmarkEngineJITCompute(b *testing.B) {
 // BenchmarkEngineNativeGateway is the hand-written Go handler: the
 // paper's "built-in C" comparison point for the per-packet numbers.
 func BenchmarkEngineNativeGateway(b *testing.B) {
-	pkt := gatewayPkt()
-	ctx := langtest.NewSink().Context()
-	conns := map[string]value.Host{}
-	count := int64(0)
-	serverA := langtest.MustHost("10.0.0.81")
-	serverB := langtest.MustHost("10.0.0.109")
-	virtual := langtest.MustHost("10.0.0.100")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iph := pkt.Vs[0].AsIP()
-		tcph := pkt.Vs[1].AsTCP()
-		if iph.Dst == virtual && tcph.DstPort == 80 {
-			key := value.EncodeKey(value.TupleV(value.HostV(iph.Src), value.Int(int64(tcph.SrcPort))))
-			srv, ok := conns[key]
-			if !ok {
-				if count%2 == 0 {
-					srv = serverA
-				} else {
-					srv = serverB
-				}
-				conns[key] = srv
-			}
-			if tcph.Flags&value.TCPSyn != 0 {
-				count++
-			}
-			h := *iph
-			h.Dst = srv
-			ctx.OnRemote("network", value.TupleV(value.IP(&h), pkt.Vs[1], pkt.Vs[2]))
-		} else {
-			ctx.OnRemote("network", pkt)
-		}
-	}
+	experiments.BenchNativeGateway(b, gatewayPkt())
 }
 
 // ---------------------------------------------------------------------------
@@ -347,8 +315,8 @@ func benchForwarding(b *testing.B, observe func(*netsim.Simulator)) {
 	c.BindUDP(9, func(*netsim.Packet) { got++ })
 	// A burst of packets is pipelined through the router per Run: the
 	// link serializes them back to back, so ns/op measures steady-state
-	// per-packet forwarding instead of per-Run turnaround (seal check,
-	// counter flush). The packets are hoisted out of the measured loop
+	// per-packet forwarding instead of per-Run turnaround (the seal
+	// check). The packets are hoisted out of the measured loop
 	// and re-owned each round (local delivery disowned them; the loop
 	// holds the only remaining references) — zero allocations per
 	// packet on the unobserved path, gated by

@@ -315,9 +315,7 @@ func runEngines(w io.Writer, opts Options) error {
 		Title:   "Per-packet channel invocation cost (load-balancer ASP)",
 		Headers: []string{"engine", "ns/op", "vs native", "allocs/op"},
 	}
-	native := testing.Benchmark(func(b *testing.B) {
-		benchNative(b, pkt)
-	})
+	native := testing.Benchmark(func(b *testing.B) { BenchNativeGateway(b, pkt) })
 	nativeNs := float64(native.NsPerOp())
 	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineBytecode, planprt.EngineJIT} {
 		r, err := benchProgram(eng, asp.HTTPGateway, pkt)
@@ -388,16 +386,19 @@ func benchProgram(eng planprt.EngineKind, src string, pkt value.Value) (testing.
 	}), nil
 }
 
-// benchNative measures the hand-written Go equivalent of the gateway's
-// per-packet work.
-func benchNative(b *testing.B, pkt value.Value) {
-	b.ReportAllocs()
+// BenchNativeGateway measures the hand-written Go equivalent of the
+// gateway's per-packet work: the paper's "built-in C" comparison point
+// for the per-packet numbers (the native-go row of -exp engines and
+// BenchmarkEngineNativeGateway).
+func BenchNativeGateway(b *testing.B, pkt value.Value) {
 	ctx := langtest.NewSink().Context()
 	conns := map[string]value.Host{}
 	count := int64(0)
 	serverA := langtest.MustHost("10.0.0.81")
 	serverB := langtest.MustHost("10.0.0.109")
 	virtual := langtest.MustHost("10.0.0.100")
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iph := pkt.Vs[0].AsIP()
 		tcph := pkt.Vs[1].AsTCP()

@@ -16,11 +16,7 @@ import (
 // the given interface on the executing shard's bus; callers guard with
 // bus.Active().
 func emitMedium(sh *shard, kind obs.Kind, from *Iface, pkt *Packet, detail string) {
-	sh.bus.Publish(obs.Event{
-		Kind: kind, At: sh.now, Node: from.Name,
-		Src: uint32(pkt.IP.Src), Dst: uint32(pkt.IP.Dst),
-		Size: pkt.Size(), Detail: detail,
-	})
+	sh.bus.Publish(substrate.PacketEvent(kind, sh.now, from.Name, pkt, detail))
 }
 
 // Medium is the transmission substrate an interface attaches to.
@@ -111,13 +107,6 @@ type wire struct {
 	meter        *RateMeter
 	dropped      int64 // queue-overflow drops
 	faultDropped int64 // chaos-injected drops (distinct by contract)
-
-	// lastSize/lastTx memoize the serialization-time division for
-	// back-to-back same-size packets (every streaming workload). The
-	// cached value is the exact division result, so timing is
-	// bit-identical.
-	lastSize int64
-	lastTx   time.Duration
 }
 
 // serialize queues pkt behind whatever is still waiting to finish
@@ -138,11 +127,7 @@ func (w *wire) serialize(sh *shard, bandwidth, queueLimit int64, from *Iface, pk
 		return 0, false
 	}
 	size := int64(pkt.Size())
-	if size != w.lastSize {
-		w.lastSize = size
-		w.lastTx = time.Duration(size * 8 * int64(time.Second) / bandwidth)
-	}
-	w.busyUntil = max(now, w.busyUntil) + w.lastTx
+	w.busyUntil = max(now, w.busyUntil) + time.Duration(size*8*int64(time.Second)/bandwidth)
 	w.meter.Add(now, size)
 	if sh.bus.Active() {
 		emitMedium(sh, obs.KindEnqueue, from, pkt, "")

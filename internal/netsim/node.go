@@ -34,29 +34,6 @@ type Stats struct {
 	DroppedPkts   int64 // TTL expiry, no route, no binding
 }
 
-// nodeCounters holds the node's registry-backed instruments, resolved
-// once at construction so the packet hot path never does a name lookup.
-type nodeCounters struct {
-	rxPkts, rxBytes *obs.Counter
-	txPkts, txBytes *obs.Counter
-	fwdPkts         *obs.Counter
-	dlvPkts         *obs.Counter
-	dropPkts        *obs.Counter
-}
-
-func newNodeCounters(reg *obs.Registry, name string) nodeCounters {
-	pre := "node." + name + "."
-	return nodeCounters{
-		rxPkts:   reg.Counter(pre + "received_pkts"),
-		rxBytes:  reg.Counter(pre + "received_bytes"),
-		txPkts:   reg.Counter(pre + "sent_pkts"),
-		txBytes:  reg.Counter(pre + "sent_bytes"),
-		fwdPkts:  reg.Counter(pre + "forwarded_pkts"),
-		dlvPkts:  reg.Counter(pre + "delivered_pkts"),
-		dropPkts: reg.Counter(pre + "dropped_pkts"),
-	}
-}
-
 // Node is a host or router.
 type Node struct {
 	Name string
@@ -94,27 +71,7 @@ type Node struct {
 	rawApps   []AppFunc // receive every locally delivered packet
 	taps      []AppFunc // observe every packet seen by the node
 
-	// Single-entry lookup caches for the per-packet map lookups: the
-	// unicast route, the multicast fan-out slice, and the local app
-	// binding. Streams hit the same destination back to back, so one
-	// entry removes the map hash from the steady-state forward path.
-	// Mutating the underlying tables invalidates the caches.
-	cacheDst   Addr
-	cacheIfc   *Iface
-	cacheMDst  Addr
-	cacheMOuts []*Iface
-	cacheApp   appKey
-	cacheAppFn AppFunc
-
-	ct nodeCounters
-
-	// pc buffers counter increments between registry flushes: the hot
-	// path does plain adds (this node is only ever touched by its
-	// owning shard) and flushCounters folds the deltas into the atomic
-	// registry instruments at run/window end. Stats() folds pc in, so
-	// reads are exact at any time from the owning goroutine.
-	pc     Stats
-	dirtyC bool
+	ct substrate.NodeCounters
 
 	ipID uint32
 }
@@ -137,7 +94,7 @@ func NewNode(sim *Simulator, name string, addr Addr) *Node {
 		mroutes: map[Addr][]*Iface{},
 		joined:  map[Addr]bool{},
 		apps:    map[appKey]AppFunc{},
-		ct:      newNodeCounters(sim.reg, name),
+		ct:      substrate.NewNodeCounters(sim.reg, name),
 	}
 	n.env.n = n
 	sim.order = append(sim.order, n)
@@ -149,60 +106,25 @@ func NewNode(sim *Simulator, name string, addr Addr) *Node {
 // Sim returns the owning simulator.
 func (n *Node) Sim() *Simulator { return n.sim }
 
-// Stats returns a snapshot of the node's traffic counters: the
-// registry values plus any deltas still buffered on the node (zero
-// outside a run — runs flush at their end).
+// Stats returns a snapshot of the node's traffic counters: their values
+// in the registry, which a node counts straight into, so the two agree
+// at every instant of a run.
 func (n *Node) Stats() Stats {
 	return Stats{
-		ReceivedPkts:  n.ct.rxPkts.Value() + n.pc.ReceivedPkts,
-		ReceivedBytes: n.ct.rxBytes.Value() + n.pc.ReceivedBytes,
-		SentPkts:      n.ct.txPkts.Value() + n.pc.SentPkts,
-		SentBytes:     n.ct.txBytes.Value() + n.pc.SentBytes,
-		ForwardedPkts: n.ct.fwdPkts.Value() + n.pc.ForwardedPkts,
-		DeliveredPkts: n.ct.dlvPkts.Value() + n.pc.DeliveredPkts,
-		DroppedPkts:   n.ct.dropPkts.Value() + n.pc.DroppedPkts,
+		ReceivedPkts:  n.ct.RxPkts.Value(),
+		ReceivedBytes: n.ct.RxBytes.Value(),
+		SentPkts:      n.ct.TxPkts.Value(),
+		SentBytes:     n.ct.TxBytes.Value(),
+		ForwardedPkts: n.ct.FwdPkts.Value(),
+		DeliveredPkts: n.ct.DlvPkts.Value(),
+		DroppedPkts:   n.ct.DropPkts.Value(),
 	}
-}
-
-// touch registers the node on its shard's dirty list the first time a
-// buffered counter moves between flushes.
-func (n *Node) touch() {
-	if !n.dirtyC {
-		n.dirtyC = true
-		n.sh.dirty = append(n.sh.dirty, n)
-	}
-}
-
-// flushCounters folds the buffered deltas into the registry's atomic
-// instruments (the metrics readers' race-free view).
-func (n *Node) flushCounters() {
-	p := &n.pc
-	if p.ReceivedPkts != 0 {
-		n.ct.rxPkts.Add(p.ReceivedPkts)
-		n.ct.rxBytes.Add(p.ReceivedBytes)
-	}
-	if p.SentPkts != 0 {
-		n.ct.txPkts.Add(p.SentPkts)
-		n.ct.txBytes.Add(p.SentBytes)
-	}
-	if p.ForwardedPkts != 0 {
-		n.ct.fwdPkts.Add(p.ForwardedPkts)
-	}
-	if p.DeliveredPkts != 0 {
-		n.ct.dlvPkts.Add(p.DeliveredPkts)
-	}
-	if p.DroppedPkts != 0 {
-		n.ct.dropPkts.Add(p.DroppedPkts)
-	}
-	*p = Stats{}
-	n.dirtyC = false
 }
 
 // drop counts a dropped packet and publishes the drop event with the
 // given reason (a static string: "ttl", "no-route", "no-binding").
 func (n *Node) drop(pkt *Packet, reason string) {
-	n.pc.DroppedPkts++
-	n.touch()
+	n.ct.DropPkts.Inc()
 	if n.sh.bus.Active() {
 		n.emit(KindDrop, pkt, reason)
 	}
@@ -213,11 +135,7 @@ func (n *Node) drop(pkt *Packet, reason string) {
 // with n.sh.bus.Active() so the Event is never built when nobody
 // listens.
 func (n *Node) emit(kind obs.Kind, pkt *Packet, detail string) {
-	n.sh.bus.Publish(obs.Event{
-		Kind: kind, At: n.sh.now, Node: n.Name,
-		Src: uint32(pkt.IP.Src), Dst: uint32(pkt.IP.Dst),
-		Size: pkt.Size(), Detail: detail,
-	})
+	n.sh.bus.Publish(substrate.PacketEvent(kind, n.sh.now, n.Name, pkt, detail))
 }
 
 // Event kind aliases so in-package call sites read naturally.
@@ -237,32 +155,15 @@ func (n *Node) addIface(i *Iface) {
 func (n *Node) Ifaces() []*Iface { return n.ifaces }
 
 // AddRoute installs a host route: traffic to dst leaves via ifc.
-func (n *Node) AddRoute(dst Addr, ifc *Iface) {
-	n.routes[dst] = ifc
-	n.cacheIfc = nil
-}
+func (n *Node) AddRoute(dst Addr, ifc *Iface) { n.routes[dst] = ifc }
 
 // SetDefaultRoute installs the default route.
-func (n *Node) SetDefaultRoute(ifc *Iface) {
-	n.defaultIf = ifc
-	n.cacheIfc = nil
-}
+func (n *Node) SetDefaultRoute(ifc *Iface) { n.defaultIf = ifc }
 
 // RouteTo resolves the outgoing interface for dst (nil if unroutable).
 // For multicast groups it returns the first multicast route, which is
 // the interface whose load the adaptation primitives measure.
 func (n *Node) RouteTo(dst Addr) *Iface {
-	if dst == n.cacheDst && n.cacheIfc != nil {
-		return n.cacheIfc
-	}
-	ifc := n.routeSlow(dst)
-	if ifc != nil {
-		n.cacheDst, n.cacheIfc = dst, ifc
-	}
-	return ifc
-}
-
-func (n *Node) routeSlow(dst Addr) *Iface {
 	if dst.IsMulticast() {
 		if m := n.mroutes[dst]; len(m) > 0 {
 			return m[0]
@@ -290,24 +191,16 @@ func (n *Node) TransmitFrom(pkt *Packet, in substrate.Iface) bool {
 // (routers on the multicast tree).
 func (n *Node) AddMulticastRoute(group Addr, ifc *Iface) {
 	n.mroutes[group] = append(n.mroutes[group], ifc)
-	n.cacheIfc = nil
-	n.cacheMOuts = nil
 }
 
 // JoinGroup subscribes the node to a multicast group for local delivery.
 func (n *Node) JoinGroup(group Addr) { n.joined[group] = true }
 
 // BindUDP delivers local UDP traffic for port to fn.
-func (n *Node) BindUDP(port uint16, fn AppFunc) {
-	n.apps[appKey{ProtoUDP, port}] = fn
-	n.cacheAppFn = nil
-}
+func (n *Node) BindUDP(port uint16, fn AppFunc) { n.apps[appKey{ProtoUDP, port}] = fn }
 
 // BindTCP delivers local TCP traffic for port to fn.
-func (n *Node) BindTCP(port uint16, fn AppFunc) {
-	n.apps[appKey{ProtoTCP, port}] = fn
-	n.cacheAppFn = nil
-}
+func (n *Node) BindTCP(port uint16, fn AppFunc) { n.apps[appKey{ProtoTCP, port}] = fn }
 
 // BindRaw receives every packet delivered locally regardless of port
 // (after specific bindings).
@@ -339,9 +232,8 @@ func (n *Node) Send(pkt *Packet) {
 	if pkt.IP.ID == 0 {
 		pkt.IP.ID = n.NextIPID()
 	}
-	n.pc.SentPkts++
-	n.pc.SentBytes += int64(pkt.Size())
-	n.touch()
+	n.ct.TxPkts.Inc()
+	n.ct.TxBytes.Add(int64(pkt.Size()))
 	if pkt.IP.Dst == n.Addr {
 		n.deliverLocal(pkt)
 		return
@@ -356,13 +248,7 @@ func (n *Node) Send(pkt *Packet) {
 // packet was sent anywhere.
 func (n *Node) transmit(pkt *Packet, in *Iface) bool {
 	if dst := pkt.IP.Dst; dst.IsMulticast() {
-		routes := n.cacheMOuts
-		if dst != n.cacheMDst || routes == nil {
-			routes = n.mroutes[dst]
-			if routes != nil {
-				n.cacheMDst, n.cacheMOuts = dst, routes
-			}
-		}
+		routes := n.mroutes[dst]
 		// Multicast fan-out shares one packet pointer across the outgoing
 		// media, so with more than one destination nobody downstream may
 		// reuse it in place.
@@ -447,9 +333,8 @@ func (n *Node) receiveNow(pkt *Packet, in *Iface) {
 		n.drop(pkt, "crashed")
 		return
 	}
-	n.pc.ReceivedPkts++
-	n.pc.ReceivedBytes += int64(pkt.Size())
-	n.touch()
+	n.ct.RxPkts.Inc()
+	n.ct.RxBytes.Add(int64(pkt.Size()))
 	if len(n.taps) > 0 {
 		// A tap may retain the packet, so it can no longer be reused in
 		// place by a downstream forward.
@@ -493,17 +378,16 @@ func (n *Node) deliverLocal(pkt *Packet) {
 	// Applications may retain delivered packets; the pointer leaves the
 	// delivery chain here.
 	pkt.Disown()
-	n.pc.DeliveredPkts++
-	n.touch()
+	n.ct.DlvPkts.Inc()
 	if n.sh.bus.Active() {
 		n.emit(KindDeliver, pkt, "")
 	}
 	var fn AppFunc
 	switch {
 	case pkt.TCP != nil:
-		fn = n.appLookup(appKey{ProtoTCP, pkt.TCP.DstPort})
+		fn = n.apps[appKey{ProtoTCP, pkt.TCP.DstPort}]
 	case pkt.UDP != nil:
-		fn = n.appLookup(appKey{ProtoUDP, pkt.UDP.DstPort})
+		fn = n.apps[appKey{ProtoUDP, pkt.UDP.DstPort}]
 	}
 	if fn != nil {
 		fn(pkt)
@@ -516,18 +400,6 @@ func (n *Node) deliverLocal(pkt *Packet) {
 		return
 	}
 	n.drop(pkt, "no-binding") // port unreachable
-}
-
-// appLookup resolves a local binding through the single-entry cache.
-func (n *Node) appLookup(k appKey) AppFunc {
-	if k == n.cacheApp && n.cacheAppFn != nil {
-		return n.cacheAppFn
-	}
-	fn := n.apps[k]
-	if fn != nil {
-		n.cacheApp, n.cacheAppFn = k, fn
-	}
-	return fn
 }
 
 // ---------------------------------------------------------------------------
@@ -619,8 +491,7 @@ func (n *Node) forward(pkt *Packet, in *Iface) {
 	}
 	fwd.IP.TTL--
 	if n.transmit(fwd, in) {
-		n.pc.ForwardedPkts++
-		n.touch()
+		n.ct.FwdPkts.Inc()
 		if n.sh.bus.Active() {
 			n.emit(KindForward, fwd, "")
 		}

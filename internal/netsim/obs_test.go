@@ -112,6 +112,33 @@ func TestNodeStatsFromRegistry(t *testing.T) {
 	}
 }
 
+// TestRegistryExactMidRun: a node counts straight into the registry, so
+// an event in the middle of a run reads there what Stats reads — the
+// registry is the single source Env.Metrics promises, at every instant.
+func TestRegistryExactMidRun(t *testing.T) {
+	sim := New(WithSeed(1))
+	a := NewNode(sim, "a", MustAddr("10.0.0.1"))
+	b := NewNode(sim, "b", MustAddr("10.0.0.2"))
+	l := Connect(sim, a, b, LinkConfig{Bandwidth: 10e6})
+	a.SetDefaultRoute(l.Ifaces()[0])
+	b.BindUDP(9, func(*Packet) {})
+	for i := 0; i < 5; i++ {
+		sim.At(time.Duration(i)*10*time.Millisecond, func() {
+			a.Send(NewUDP(a.Addr, b.Addr, 1000, 9, make([]byte, 100)).Own())
+		})
+	}
+	counter, snap, stats := int64(-1), int64(-1), int64(-1)
+	sim.At(100*time.Millisecond, func() {
+		counter = sim.Metrics().Counter("node.b.received_pkts").Value()
+		snap = sim.Metrics().Snapshot()["node.b.received_pkts"]
+		stats = b.Stats().ReceivedPkts
+	})
+	sim.RunUntil(time.Second)
+	if stats != 5 || counter != stats || snap != stats {
+		t.Fatalf("at 100 ms: Stats %d, registry counter %d, snapshot %d; want 5 each", stats, counter, snap)
+	}
+}
+
 func TestRunMaxBudget(t *testing.T) {
 	sim := New(WithSeed(1))
 	fired := 0

@@ -73,11 +73,6 @@ type shard struct {
 	queue   timerQueue
 	rng     *rand.Rand
 
-	// dirty lists nodes with buffered counter deltas awaiting a flush
-	// to the (atomic) metrics registry; single-writer, owned by this
-	// shard's goroutine, flushed at run/window end.
-	dirty []*Node
-
 	// bus is where this shard's publish sites go: the simulation's
 	// global bus with one shard (direct, zero overhead), a local
 	// buffering bus when sharded (merged at each horizon).
@@ -170,37 +165,14 @@ func (sh *shard) dispatch(ev *event) {
 	}
 }
 
-// flushCounters pushes every dirty node's buffered traffic counters
-// into the metrics registry. Called at run/window end by the shard's
-// own goroutine (each node belongs to exactly one shard, so buffered
-// deltas are single-writer).
-func (sh *shard) flushCounters() {
-	for i, n := range sh.dirty {
-		n.flushCounters()
-		sh.dirty[i] = nil
-	}
-	sh.dirty = sh.dirty[:0]
-}
-
-// runLegacy is the pre-sharding event loop, verbatim: process events in
-// (at, seq) order until the queue drains, the next event is past the
-// deadline, or maxEvents have run. The single-shard engine and every
-// existing experiment run through here.
+// runLegacy is the pre-sharding event loop: process events in (at, seq)
+// order until the queue drains, the next event is past the deadline, or
+// maxEvents have run. The single-shard engine and every existing
+// experiment run through here.
 func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents int) int {
 	n := 0
-	if !hasDeadline && maxEvents <= 0 {
-		// The common case (Run()): no per-event bound checks at all.
-		for sh.queue.len() > 0 {
-			ev := sh.queue.pop()
-			sh.dispatch(&ev)
-			n++
-		}
-		sh.flushCounters()
-		return n
-	}
 	for sh.queue.len() > 0 {
 		if maxEvents > 0 && n >= maxEvents {
-			sh.flushCounters()
 			return n
 		}
 		if hasDeadline && sh.queue.minAt() > deadline {
@@ -213,7 +185,6 @@ func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents i
 	if hasDeadline && sh.now < deadline {
 		sh.now = deadline
 	}
-	sh.flushCounters()
 	return n
 }
 
@@ -227,7 +198,6 @@ func (sh *shard) runWindow(end time.Duration) {
 		sh.dispatch(&ev)
 		sh.processed++
 	}
-	sh.flushCounters()
 }
 
 // ---------------------------------------------------------------------------
@@ -333,10 +303,6 @@ func (s *Simulator) seal() {
 	// the construction-time draws); the others derive their streams from
 	// the seed and shard id.
 	sh0 := s.shards[0]
-	// Counters buffered during construction (setup-time sends) flush
-	// now, while every node still lives on shard 0 — after this, each
-	// node's deltas accumulate on its owner shard's dirty list.
-	sh0.flushCounters()
 	for id := 1; id < k; id++ {
 		s.shards = append(s.shards, &shard{
 			id:    id,

@@ -182,6 +182,46 @@ func TestShardInvarianceRandomTopologies(t *testing.T) {
 			}
 			diffRuns(t, ref, got, fmt.Sprintf("seed %d shards=%d (topology %+v)", seed, n, p))
 		}
+		// Stopped with packets still crossing the ring, the registry holds
+		// exactly what the nodes' Stats sum to.
+		for _, n := range []int{1, 4} {
+			sim := New(WithSeed(seed), WithShards(n))
+			buildRing(sim, p)
+			sim.RunUntil(time.Millisecond)
+			registryMatchesStats(t, sim, fmt.Sprintf("seed %d shards=%d after RunUntil", seed, n))
+		}
+	}
+}
+
+// registryMatchesStats compares each node.*.<counter> total in the
+// registry with the same field summed over every node's Stats.
+func registryMatchesStats(t *testing.T, sim *Simulator, label string) {
+	t.Helper()
+	want := map[string]int64{}
+	for _, n := range sim.order {
+		s := n.Stats()
+		for name, v := range map[string]int64{
+			"received_pkts": s.ReceivedPkts, "received_bytes": s.ReceivedBytes,
+			"sent_pkts": s.SentPkts, "sent_bytes": s.SentBytes,
+			"forwarded_pkts": s.ForwardedPkts, "delivered_pkts": s.DeliveredPkts,
+			"dropped_pkts": s.DroppedPkts,
+		} {
+			want[name] += v
+		}
+	}
+	got := map[string]int64{}
+	for key, v := range sim.Metrics().Snapshot() {
+		if rest, ok := strings.CutPrefix(key, "node."); ok {
+			got[rest[strings.LastIndexByte(rest, '.')+1:]] += v
+		}
+	}
+	if want["received_pkts"] == 0 {
+		t.Fatalf("%s: no packet received yet", label)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: registry node.*.%s sums to %d, Stats to %d", label, name, got[name], w)
+		}
 	}
 }
 

@@ -36,13 +36,6 @@
 // and a strict `<` test means a heap/wheel tie always drains the slot
 // first; order is therefore bit-identical to the heap-only engine
 // (property-tested in wheel_test.go).
-//
-// # Small queues
-//
-// Below wheelMinLoad pending events the wheel is bypassed entirely —
-// push goes straight to the heap (a 64-event 4-ary heap is 3 levels
-// deep; slot bookkeeping costs more than it saves). The crossover is a
-// pure performance choice: routing decisions never affect pop order.
 package netsim
 
 import (
@@ -62,10 +55,6 @@ const (
 	wheelMask      = wheelSlots - 1
 	wheelLevels    = 3
 	wheelWords     = wheelSlots / 64 // occupancy bitmap words per level
-
-	// wheelMinLoad is the pending-event count below which push bypasses
-	// the wheel and uses the heap directly.
-	wheelMinLoad = 64
 )
 
 // timerQueue is the per-shard event queue: a hierarchical timing wheel
@@ -100,7 +89,7 @@ func (q *timerQueue) len() int { return q.heap.len() + q.wcount }
 // push schedules e. Routing (wheel slot vs heap) is invisible to pop
 // order; see the package comment's exactness argument.
 func (q *timerQueue) push(e event) {
-	if !q.wheelOn || q.heap.len()+q.wcount < wheelMinLoad {
+	if !q.wheelOn {
 		q.heap.push(e)
 		return
 	}

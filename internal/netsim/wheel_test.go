@@ -28,9 +28,9 @@ var wheelTestSpans = []time.Duration{
 // TestTimerWheelMatchesReferenceHeap is the determinism property test:
 // a wheel-enabled timerQueue and the container/heap reference must
 // produce identical (at, seq) pop sequences under randomized push/pop
-// schedules. Push-heavy phases keep the queue above wheelMinLoad so the
-// wheel (not the small-queue bypass) is what's being tested, and pops
-// advance the frontiers so later pushes land behind them.
+// schedules. Push-heavy phases keep hundreds of events parked across
+// the levels, and pops advance the frontiers so later pushes land
+// behind them.
 func TestTimerWheelMatchesReferenceHeap(t *testing.T) {
 	for trial, span := range wheelTestSpans {
 		rng := rand.New(rand.NewSource(int64(41 + trial)))
@@ -42,8 +42,7 @@ func TestTimerWheelMatchesReferenceHeap(t *testing.T) {
 			if q.len() != ref.Len() {
 				t.Fatalf("span %v: length diverged: %d vs %d", span, q.len(), ref.Len())
 			}
-			// 3:2 push:pop bias keeps the population near 1000, far
-			// above the bypass threshold.
+			// 3:2 push:pop bias grows the population toward 1000.
 			if q.len() == 0 || rng.Intn(5) < 3 {
 				at := time.Duration(rng.Int63n(int64(span)))
 				seq++

@@ -420,11 +420,7 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 			continue
 		}
 		if bus := rt.env.Events(); bus.Active() {
-			bus.Publish(obs.Event{
-				Kind: obs.KindASPInvoke, At: rt.env.Now(),
-				Node: rt.name, Src: uint32(pkt.IP.Src), Dst: uint32(pkt.IP.Dst),
-				Size: pkt.Size(), Detail: ch.Decl.Name,
-			})
+			bus.Publish(substrate.PacketEvent(obs.KindASPInvoke, rt.env.Now(), rt.name, pkt, ch.Decl.Name))
 		}
 		rt.curIn, rt.curDst, rt.reuse, rt.busy = in, pkt.IP.Dst, nil, true
 		if pkt.Owned() {

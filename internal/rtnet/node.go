@@ -22,29 +22,6 @@ type appKey struct {
 	port  uint16
 }
 
-// nodeCounters holds the node's registry-backed instruments under the
-// same "node.<name>.*" names netsim uses, resolved once at construction.
-type nodeCounters struct {
-	rxPkts, rxBytes *obs.Counter
-	txPkts, txBytes *obs.Counter
-	fwdPkts         *obs.Counter
-	dlvPkts         *obs.Counter
-	dropPkts        *obs.Counter
-}
-
-func newNodeCounters(reg *obs.Registry, name string) nodeCounters {
-	pre := "node." + name + "."
-	return nodeCounters{
-		rxPkts:   reg.Counter(pre + "received_pkts"),
-		rxBytes:  reg.Counter(pre + "received_bytes"),
-		txPkts:   reg.Counter(pre + "sent_pkts"),
-		txBytes:  reg.Counter(pre + "sent_bytes"),
-		fwdPkts:  reg.Counter(pre + "forwarded_pkts"),
-		dlvPkts:  reg.Counter(pre + "delivered_pkts"),
-		dropPkts: reg.Counter(pre + "dropped_pkts"),
-	}
-}
-
 // inbound is one packet awaiting processing on a node's inbox. q, when
 // non-nil, is the sending interface's queue-depth counter, decremented
 // when the packet leaves the inbox (drop-tail accounting).
@@ -99,7 +76,7 @@ type Node struct {
 
 	inbox chan inbound
 	ipID  atomic.Uint32
-	ct    nodeCounters
+	ct    substrate.NodeCounters
 }
 
 // NewNode registers a node with the network. Names and addresses must
@@ -116,7 +93,7 @@ func NewNode(nw *Net, name string, addr substrate.Addr) *Node {
 	n := &Node{
 		net: nw, name: name, addr: addr,
 		inbox: make(chan inbound, inboxCap),
-		ct:    newNodeCounters(nw.reg, name),
+		ct:    substrate.NewNodeCounters(nw.reg, name),
 	}
 	n.tables.Store(&tables{routes: map[substrate.Addr]substrate.Iface{}, apps: map[appKey]substrate.AppFunc{}})
 	nw.byAddr[addr] = n
@@ -234,8 +211,8 @@ func (n *Node) receive(pkt *substrate.Packet, in substrate.Iface) {
 		n.drop(pkt, "crashed")
 		return
 	}
-	n.ct.rxPkts.Inc()
-	n.ct.rxBytes.Add(int64(pkt.Size()))
+	n.ct.RxPkts.Inc()
+	n.ct.RxBytes.Add(int64(pkt.Size()))
 	if proc := n.proc.Load(); proc != nil && (*proc).Process(pkt, in) {
 		return
 	}
@@ -269,7 +246,7 @@ func (n *Node) forward(pkt *substrate.Packet, in substrate.Iface) {
 	}
 	fwd.IP.TTL--
 	if n.transmit(fwd, in) {
-		n.ct.fwdPkts.Inc()
+		n.ct.FwdPkts.Inc()
 		if n.net.bus.Active() {
 			n.emit(obs.KindForward, fwd, "")
 		}
@@ -293,7 +270,7 @@ func (n *Node) deliverLocal(pkt *substrate.Packet) {
 	// Applications may retain delivered packets; the pointer leaves the
 	// delivery chain here.
 	pkt.Disown()
-	n.ct.dlvPkts.Inc()
+	n.ct.DlvPkts.Inc()
 	if n.net.bus.Active() {
 		n.emit(obs.KindDeliver, pkt, "")
 	}
@@ -319,18 +296,14 @@ func (n *Node) deliverLocal(pkt *substrate.Packet) {
 }
 
 func (n *Node) drop(pkt *substrate.Packet, reason string) {
-	n.ct.dropPkts.Inc()
+	n.ct.DropPkts.Inc()
 	if n.net.bus.Active() {
 		n.emit(obs.KindDrop, pkt, reason)
 	}
 }
 
 func (n *Node) emit(kind obs.Kind, pkt *substrate.Packet, detail string) {
-	n.net.bus.Publish(obs.Event{
-		Kind: kind, At: n.net.Now(), Node: n.name,
-		Src: uint32(pkt.IP.Src), Dst: uint32(pkt.IP.Dst),
-		Size: pkt.Size(), Detail: detail,
-	})
+	n.net.bus.Publish(substrate.PacketEvent(kind, n.net.Now(), n.name, pkt, detail))
 }
 
 // BindRaw receives every packet delivered locally regardless of port
@@ -377,8 +350,8 @@ func (n *Node) Send(pkt *substrate.Packet) {
 	if pkt.IP.ID == 0 {
 		pkt.IP.ID = n.NextIPID()
 	}
-	n.ct.txPkts.Inc()
-	n.ct.txBytes.Add(int64(pkt.Size()))
+	n.ct.TxPkts.Inc()
+	n.ct.TxBytes.Add(int64(pkt.Size()))
 	if pkt.IP.Dst == n.addr {
 		n.deliverLocal(pkt)
 		return

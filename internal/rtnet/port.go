@@ -137,11 +137,7 @@ func (p *port) transmit(pkt *substrate.Packet) {
 func (p *port) drop(pkt *substrate.Packet, ct *obs.Counter, reason string) {
 	ct.Inc()
 	if bus := p.node.net.bus; bus.Active() {
-		ev := obs.Event{Kind: obs.KindDrop, At: p.node.net.Now(), Node: p.label, Detail: reason}
-		if pkt != nil {
-			ev.Src, ev.Dst, ev.Size = uint32(pkt.IP.Src), uint32(pkt.IP.Dst), pkt.Size()
-		}
-		bus.Publish(ev)
+		bus.Publish(substrate.PacketEvent(obs.KindDrop, p.node.net.Now(), p.label, pkt, reason))
 	}
 }
 

@@ -158,3 +158,40 @@ type Env interface {
 	// source node and runtime statistics are read from.
 	Metrics() *obs.Registry
 }
+
+// NodeCounters are a node's traffic counters in its Env's registry,
+// under "node.<name>.*" on every backend. They are resolved once at
+// construction so the packet path never does a name lookup.
+type NodeCounters struct {
+	RxPkts, RxBytes *obs.Counter
+	TxPkts, TxBytes *obs.Counter
+	FwdPkts         *obs.Counter
+	DlvPkts         *obs.Counter
+	DropPkts        *obs.Counter // TTL expiry, no route, no binding, crashed
+}
+
+// NewNodeCounters registers node name's counters in reg.
+func NewNodeCounters(reg *obs.Registry, name string) NodeCounters {
+	pre := "node." + name + "."
+	return NodeCounters{
+		RxPkts:   reg.Counter(pre + "received_pkts"),
+		RxBytes:  reg.Counter(pre + "received_bytes"),
+		TxPkts:   reg.Counter(pre + "sent_pkts"),
+		TxBytes:  reg.Counter(pre + "sent_bytes"),
+		FwdPkts:  reg.Counter(pre + "forwarded_pkts"),
+		DlvPkts:  reg.Counter(pre + "delivered_pkts"),
+		DropPkts: reg.Counter(pre + "dropped_pkts"),
+	}
+}
+
+// PacketEvent is the event every packet publish site sends: kind, at
+// time at, on node (a node or link name), carrying pkt's addresses and
+// size. A nil pkt (a datagram dropped before it parsed) leaves those
+// fields zero. Callers build it only when the bus is Active.
+func PacketEvent(kind obs.Kind, at time.Duration, node string, pkt *Packet, detail string) obs.Event {
+	ev := obs.Event{Kind: kind, At: at, Node: node, Detail: detail}
+	if pkt != nil {
+		ev.Src, ev.Dst, ev.Size = uint32(pkt.IP.Src), uint32(pkt.IP.Dst), pkt.Size()
+	}
+	return ev
+}

@@ -212,7 +212,9 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 		node.AddRoute(substrate.MustAddr(r.Dst), ifc)
 	}
 
-	d.Fleet = fleet.New(fleet.Config{Logf: opts.Logf, HistoryPath: opts.HistoryPath})
+	// The controllers count into the nodes' registry, so every node's
+	// GET /stats carries the fleet.* and adapt.* counters.
+	d.Fleet = fleet.New(fleet.Config{Logf: opts.Logf, HistoryPath: opts.HistoryPath, Metrics: nw.Metrics()})
 	d.Adapt = adapt.New(d.Fleet)
 	d.chs = planpd.NewChaosServer(d.Chaos)
 	d.out = opts.Out

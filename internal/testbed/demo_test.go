@@ -267,6 +267,34 @@ func TestDemoDeployUnknownNode(t *testing.T) {
 	}
 }
 
+// TestDaemonStatsCarryControllerCounters: the daemon's fleet and adapt
+// controllers count into the nodes' registry, so a node's GET /stats
+// shows the rollouts DEPLOYMENT.md promises there.
+func TestDaemonStatsCarryControllerCounters(t *testing.T) {
+	_, gateway := startDemo(t, Options{})
+	ctl := strings.TrimSuffix(gateway, "/node/gateway")
+	resp, err := http.Post(ctl+"/deploy?version=v1&verify=single&nodes=gateway="+url.QueryEscape(gateway),
+		"text/plain", strings.NewReader(asp.HTTPGateway))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /deploy: %d: %s", resp.StatusCode, body)
+	}
+	var stats struct {
+		Stats map[string]int64 `json:"stats"`
+	}
+	getJSONInto(t, gateway+"/stats", &stats)
+	if got := stats.Stats["fleet.deployments"]; got != 1 {
+		t.Errorf("fleet.deployments = %d, want 1", got)
+	}
+	if _, ok := stats.Stats["adapt.canaries"]; !ok {
+		t.Errorf("no adapt.canaries in the gateway's /stats: %v", stats.Stats)
+	}
+}
+
 // TestRoutesRefuseOtherMethods walks the daemon's whole control plane
 // as the demo serves it — its own routes, the demo's, and every mux it
 // mounts (per-node planpd, fleet history, adapt, chaos) through the
