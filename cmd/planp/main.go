@@ -194,7 +194,7 @@ func runDemo(args []string) error {
 	net.Wire(a, r, planp.LinkConfig{Bandwidth: 10_000_000})
 	net.Wire(r, b, planp.LinkConfig{Bandwidth: 10_000_000})
 	net.Wire(r, c, planp.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(a.Ifaces()[0])
+	a.SetDefaultRoute(a.Interfaces()[0])
 
 	rt, err := proto.DownloadTo(r, os.Stdout)
 	if err != nil {

@@ -53,7 +53,7 @@ func main() {
 	net.Wire(client, router, planp.LinkConfig{Bandwidth: 10_000_000})
 	net.Wire(router, oldSrv, planp.LinkConfig{Bandwidth: 100_000_000})
 	net.Wire(router, newSrv, planp.LinkConfig{Bandwidth: 100_000_000})
-	client.SetDefaultRoute(client.Ifaces()[0])
+	client.SetDefaultRoute(client.Interfaces()[0])
 
 	// Both servers run an application on port 8080.
 	oldSrv.BindTCP(8080, func(p *planp.Packet) {

@@ -197,7 +197,7 @@ func TestSegmentLoadVisibleToRouter(t *testing.T) {
 		Steps: []loadgen.Step{{At: 0, Bps: 5_000_000}}}
 	gen.Start(tb.Sim, 5*time.Second)
 	tb.Sim.RunUntil(5 * time.Second)
-	ifc := tb.Router.RouteTo(tb.Group)
+	ifc := tb.Router.Route(tb.Group)
 	if ifc == nil {
 		t.Fatal("router has no route to the multicast group")
 	}

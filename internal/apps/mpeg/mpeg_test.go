@@ -106,7 +106,7 @@ func TestFallbackWithoutMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Monitor.Processor = nil // monitor machine lost its program
+	tb.Monitor.SetProcessor(nil) // monitor machine lost its program
 	tb.Clients[0].Start()
 	tb.Sim.RunUntil(5 * time.Second)
 	if !tb.Clients[0].Connected {

@@ -311,5 +311,5 @@ func TestDirectionReferences(t *testing.T) {
 			t.Errorf("Wire accepted a link name containing ':'")
 		}
 	}()
-	bd.eng.Wire("up:link", bd.a.Ifaces()[0])
+	bd.eng.Wire("up:link", bd.a.Interfaces()[0].(*netsim.Iface))
 }

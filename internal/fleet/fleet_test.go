@@ -207,7 +207,7 @@ func TestFleetRolloutAllActive(t *testing.T) {
 		if active != "v1" || staged != "" {
 			t.Errorf("node %s runs %q (staged %q), want v1 active, nothing staged", tgt.Name, active, staged)
 		}
-		if tf.nodes[tgt.Name].Processor == nil {
+		if tf.nodes[tgt.Name].CurrentProcessor() == nil {
 			t.Errorf("node %s has no processor installed", tgt.Name)
 		}
 	}

@@ -187,8 +187,8 @@ func Connect(sim *Simulator, a, b *Node, cfg LinkConfig) *Link {
 	l.a = &Iface{Node: a, Name: fmt.Sprintf("%s->%s", a.Name, b.Name), medium: l}
 	l.b = &Iface{Node: b, Name: fmt.Sprintf("%s->%s", b.Name, a.Name), medium: l}
 	l.a.peer, l.b.peer = l.b, l.a
-	a.addIface(l.a)
-	b.addIface(l.b)
+	a.AddIface(l.a)
+	b.AddIface(l.b)
 	sim.links = append(sim.links, l)
 	return l
 }
@@ -227,7 +227,7 @@ func (l *Link) faultDrop(from *Iface) { l.dir(from).faultDropped++ }
 // propagate, deliver to the peer.
 func (l *Link) Transmit(from *Iface, pkt *Packet) {
 	if from.fault == nil {
-		l.transmit(from, pkt, 0)
+		l.send(from, pkt, 0)
 		return
 	}
 	pkt, dup, delay, ok := applyFault(l, from, pkt)
@@ -236,15 +236,15 @@ func (l *Link) Transmit(from *Iface, pkt *Packet) {
 	}
 	// Duplicates share the verdict (they are copies of one decision,
 	// not fresh transmissions) and queue behind the original.
-	l.transmit(from, pkt, delay)
+	l.send(from, pkt, delay)
 	for k := 0; k < dup; k++ {
-		l.transmit(from, pkt.Clone(), delay)
+		l.send(from, pkt.Clone(), delay)
 	}
 }
 
-// transmit is the faultless serialization path; extra is added to the
+// send is the faultless serialization path; extra is added to the
 // propagation delay (chaos-injected latency).
-func (l *Link) transmit(from *Iface, pkt *Packet, extra time.Duration) {
+func (l *Link) send(from *Iface, pkt *Packet, extra time.Duration) {
 	sh := from.Node.sh
 	if done, ok := l.dir(from).serialize(sh, l.bandwidth, l.queueLimit, from, pkt); ok {
 		sh.atReceive(done+l.delay+extra, pkt, from.peer)
@@ -290,7 +290,7 @@ func (s *Segment) Attach(n *Node) *Iface {
 	s.sim.assertMutable()
 	ifc := &Iface{Node: n, Name: fmt.Sprintf("%s@%s", n.Name, s.Name), medium: s}
 	s.ifaces = append(s.ifaces, ifc)
-	n.addIface(ifc)
+	n.AddIface(ifc)
 	return ifc
 }
 
@@ -317,20 +317,20 @@ func (s *Segment) faultDrop(*Iface) { s.wire.faultDropped++ }
 // CSMA/CD without collisions), then broadcast delivery.
 func (s *Segment) Transmit(from *Iface, pkt *Packet) {
 	if from.fault == nil {
-		s.transmit(from, pkt, 0)
+		s.send(from, pkt, 0)
 		return
 	}
 	pkt, dup, delay, ok := applyFault(s, from, pkt)
 	if !ok {
 		return
 	}
-	s.transmit(from, pkt, delay)
+	s.send(from, pkt, delay)
 	for k := 0; k < dup; k++ {
-		s.transmit(from, pkt.Clone(), delay)
+		s.send(from, pkt.Clone(), delay)
 	}
 }
 
-func (s *Segment) transmit(from *Iface, pkt *Packet, extra time.Duration) {
+func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) {
 	sh := from.Node.sh
 	done, ok := s.wire.serialize(sh, s.bandwidth, s.queueLimit, from, pkt)
 	if !ok {
@@ -369,7 +369,7 @@ func (i *Iface) wantsFrame(pkt *Packet) bool {
 	case dst == i.Node.Addr:
 		return true
 	case dst.IsMulticast():
-		return i.Node.joined[dst]
+		return i.Node.Joined(dst)
 	case dst == 0xFFFFFFFF:
 		return true
 	default:

@@ -244,10 +244,10 @@ func TestRateMeterUtilization(t *testing.T) {
 func TestProcessorIntercepts(t *testing.T) {
 	sim, a, r, b := mk(t)
 	var seen []*Packet
-	r.Processor = procFunc(func(pkt *Packet, in substrate.Iface) bool {
+	r.SetProcessor(procFunc(func(pkt *Packet, in substrate.Iface) bool {
 		seen = append(seen, pkt)
 		return pkt.UDP != nil && pkt.UDP.DstPort == 7 // swallow port 7
-	})
+	}))
 	got := 0
 	b.BindUDP(9, func(*Packet) { got++ })
 	b.BindUDP(7, func(*Packet) { got += 100 })

@@ -352,8 +352,8 @@ func TestCrossShardRace(t *testing.T) {
 	// deliver — concurrent Disown on a shared packet.
 	group := MustAddr("224.0.0.1")
 	core0 := sim.NodeByName("core0")
-	for _, ifc := range core0.Ifaces() {
-		if ifc.Peer() != nil && ifc.Peer().Node.Forwarding {
+	for _, s := range core0.Interfaces() {
+		if ifc := s.(*Iface); ifc.Peer() != nil && ifc.Peer().Node.Forwarding {
 			core0.AddMulticastRoute(group, ifc)
 		}
 	}

@@ -50,7 +50,7 @@ var (
 
 // Interface satisfaction: the simulator is a substrate environment and
 // its nodes are substrate nodes (compile-time checks; the methods live
-// in sim.go and node.go).
+// in sim.go, node.go and the embedded substrate.Stack).
 var (
 	_ substrate.Env       = (*Simulator)(nil)
 	_ substrate.Node      = (*Node)(nil)

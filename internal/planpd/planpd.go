@@ -210,6 +210,18 @@ func (s *Server) swap(to *installed) error {
 	return nil
 }
 
+// lock takes s.mu and reconciles s.active with the node: a crash
+// (substrate.Crasher) removes the node's processor behind the server's
+// back, and the version it ran is then no longer active. Its install
+// slot is released, so a redeploy reinstalls it; prev is kept. Every
+// handler that reads or changes s.active takes the lock this way.
+func (s *Server) lock() {
+	s.mu.Lock()
+	if s.active != nil && s.node.CurrentProcessor() != substrate.Processor(s.active.rt) {
+		s.swap(nil)
+	}
+}
+
 // install is the one-shot download path: load (compile without
 // activate) and activate in a single request. It refuses to replace a
 // running protocol — upgrades go through stage/activate.
@@ -218,7 +230,7 @@ func (s *Server) install(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if s.node.CurrentProcessor() != nil {
 		http.Error(w, "node already runs a protocol (DELETE /asp first, or stage/activate to upgrade)", http.StatusConflict)
@@ -234,7 +246,7 @@ func (s *Server) install(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) uninstall(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
 		http.Error(w, "no protocol installed", http.StatusNotFound)
@@ -249,7 +261,7 @@ func (s *Server) uninstall(w http.ResponseWriter, _ *http.Request) {
 // fleet controller reconciles ambiguous activations (lost responses,
 // nodes dying mid-phase) against this.
 func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	WriteJSON(w, http.StatusOK, Status{
 		Node:      s.node.Hostname(),
@@ -299,7 +311,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	active := s.active
 	s.mu.Unlock()
 	WriteJSON(w, http.StatusOK, Health{

@@ -8,9 +8,13 @@
 //
 //	           stage            activate              rollback(v)
 //	(bare) ───────────▶ Staged ───────────▶ Active ───────────▶ prev
-//	                      │ abort             ▲ │ stage(v')
-//	                      ▼                   └─┘  (upgrade cycle)
-//	                   (cleared)
+//	  ▲                   │ abort             ▲ │ stage(v')
+//	  │                   ▼                   └─┘  (upgrade cycle)
+//	  │                (cleared)                │
+//	  └──────────────── crash ──────────────────┘
+//
+// A crash clears the node's processor behind the server; Server.lock
+// notices and returns the node to bare, keeping prev.
 package planpd
 
 import (
@@ -65,7 +69,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	resp := Activated{Active: true, Version: version, Node: s.node.Hostname()}
 	if s.active != nil && s.active.version == version {
@@ -111,7 +115,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	rolledBack := s.active != nil && s.active.version == version
 	if rolledBack {

@@ -82,7 +82,7 @@ func TestStageRejectsBrokenProtocol(t *testing.T) {
 	if _, staged, _ := aspState(t, base); staged != "" {
 		t.Errorf("broken program ended up staged: %q", staged)
 	}
-	if node.Processor != nil {
+	if node.CurrentProcessor() != nil {
 		t.Error("broken program touched the packet path")
 	}
 	// So is an engine or verify policy planprt.ParseConfig does not know.
@@ -107,7 +107,7 @@ func TestStageActivateCycle(t *testing.T) {
 	if code != http.StatusOK || body["staged"] != true {
 		t.Fatalf("stage v1: %d %v", code, body)
 	}
-	if node.Processor != nil {
+	if node.CurrentProcessor() != nil {
 		t.Fatal("staging must not touch the packet path")
 	}
 
@@ -121,7 +121,7 @@ func TestStageActivateCycle(t *testing.T) {
 	if code != http.StatusOK || body["active"] != true {
 		t.Fatalf("activate v1: %d %v", code, body)
 	}
-	if node.Processor == nil {
+	if node.CurrentProcessor() == nil {
 		t.Fatal("activation did not install the processor")
 	}
 	active, staged, _ := aspState(t, base)
@@ -135,11 +135,11 @@ func TestStageActivateCycle(t *testing.T) {
 	}
 
 	// Upgrade: stage v2, activate v2. v1 becomes the rollback target.
-	proc1 := node.Processor
+	proc1 := node.CurrentProcessor()
 	if code, _ := call(t, http.MethodPost, base+"/asp/stage?version=v2", stageForwarderV2); code != http.StatusOK {
 		t.Fatalf("stage v2: %d", code)
 	}
-	if node.Processor != proc1 {
+	if node.CurrentProcessor() != proc1 {
 		t.Fatal("staging the upgrade disturbed the running version")
 	}
 	if code, _ := call(t, http.MethodPost, base+"/asp/activate?version=v2", ""); code != http.StatusOK {
@@ -149,7 +149,7 @@ func TestStageActivateCycle(t *testing.T) {
 	if active != "v2" || prev != "v1" {
 		t.Fatalf("after upgrade: active %q prev %q, want v2/v1", active, prev)
 	}
-	if node.Processor == proc1 || node.Processor == nil {
+	if node.CurrentProcessor() == proc1 || node.CurrentProcessor() == nil {
 		t.Fatal("upgrade did not swap the processor")
 	}
 
@@ -161,7 +161,7 @@ func TestStageActivateCycle(t *testing.T) {
 	if active, _, _ := aspState(t, base); active != "v1" {
 		t.Fatalf("after rollback: active %q, want v1", active)
 	}
-	if node.Processor == nil {
+	if node.CurrentProcessor() == nil {
 		t.Fatal("rollback left the node bare")
 	}
 
@@ -206,7 +206,7 @@ func TestRollbackThatCannotRestoreKeepsVersion(t *testing.T) {
 	if active, _, prev := aspState(t, srv.URL); active != "v2" || prev != "v1" {
 		t.Errorf("after the failed rollback: active %q prev %q, want v2 still running and v1 retained", active, prev)
 	}
-	if node.Processor == nil {
+	if node.CurrentProcessor() == nil {
 		t.Error("the failed rollback left the node bare")
 	}
 }
@@ -268,7 +268,7 @@ func TestActivateRefusesUnmanagedProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Uninstall()
-	occupied := node.Processor
+	occupied := node.CurrentProcessor()
 
 	if code, _ := call(t, http.MethodPost, base+"/asp/stage?version=v1", stageForwarderV2); code != http.StatusOK {
 		t.Fatal("staging next to an unmanaged protocol should work")
@@ -276,7 +276,7 @@ func TestActivateRefusesUnmanagedProtocol(t *testing.T) {
 	if code, _ := call(t, http.MethodPost, base+"/asp/activate?version=v1", ""); code != http.StatusConflict {
 		t.Fatalf("activate over unmanaged protocol: %d, want 409", code)
 	}
-	if node.Processor != occupied {
+	if node.CurrentProcessor() != occupied {
 		t.Fatal("activation disturbed the unmanaged protocol")
 	}
 }
@@ -294,5 +294,47 @@ func TestHealthzReportsActiveVersion(t *testing.T) {
 	_, body = call(t, http.MethodGet, base+"/healthz", "")
 	if body["version"] != "v7" {
 		t.Fatalf("healthz version = %v, want v7", body["version"])
+	}
+}
+
+// TestCrashReturnsNodeToBare: a chaos crash removes the node's
+// processor behind the server's back. The server must stop reporting
+// the version it ran, reinstall that version when the fleet redeploys
+// it, and still roll an upgrade back afterwards: the crashed version's
+// single-node install slot is released, not leaked.
+func TestCrashReturnsNodeToBare(t *testing.T) {
+	node, base := stageNode(t)
+	post := func(path, body string) map[string]any {
+		t.Helper()
+		code, resp := call(t, http.MethodPost, base+path, body)
+		if code != http.StatusOK {
+			t.Fatalf("POST %s: %d", path, code)
+		}
+		return resp
+	}
+	post("/asp/stage?version=v1&verify=single", stageForwarder)
+	post("/asp/activate?version=v1", "")
+	node.Crash()
+	node.Restart()
+
+	if _, body := call(t, http.MethodGet, base+"/asp", ""); body["active"] != "" || body["asp"] != false {
+		t.Errorf("GET /asp after a crash: active %v, asp %v; want no active version", body["active"], body["asp"])
+	}
+	if _, body := call(t, http.MethodGet, base+"/healthz", ""); body["version"] != "" || body["asp"] != false {
+		t.Errorf("GET /healthz after a crash: version %v, asp %v; want none", body["version"], body["asp"])
+	}
+
+	post("/asp/stage?version=v1&verify=single", stageForwarder)
+	post("/asp/activate?version=v1", "")
+	if node.CurrentProcessor() == nil {
+		t.Error("redeploying v1 after the crash left the node bare")
+	}
+	post("/asp/stage?version=v2", stageForwarderV2)
+	post("/asp/activate?version=v2", "")
+	if body := post("/asp/rollback?version=v2", ""); body["rolledback"] != true || body["active"] != "v1" {
+		t.Fatalf("rollback of v2: %v, want v1 restored", body)
+	}
+	if node.CurrentProcessor() == nil {
+		t.Error("the rollback left the node bare")
 	}
 }

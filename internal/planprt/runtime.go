@@ -273,11 +273,18 @@ func holdsHeader(t ast.Type) bool {
 }
 
 // Uninstall removes this runtime from its node, restoring standard
-// packet processing. Idempotent.
+// packet processing, and releases its install slot. Idempotent: the
+// slot is released once, and the node's processor is cleared only while
+// it is still this runtime — a crash or a later install may have
+// replaced it.
 func (rt *Runtime) Uninstall() {
+	if rt.released {
+		return
+	}
+	rt.released = true
+	rt.prog.installs--
 	if rt.node.CurrentProcessor() == substrate.Processor(rt) {
 		rt.node.SetProcessor(nil)
-		rt.prog.installs--
 	}
 }
 
@@ -343,6 +350,8 @@ type Runtime struct {
 	prog *Program
 	inst *engine.Instance
 	out  io.Writer
+
+	released bool // Uninstall has given back the install slot
 
 	// curIn is the interface the packet being processed arrived on and
 	// curDst its original destination (split-horizon for OnRemote

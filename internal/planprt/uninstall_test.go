@@ -23,7 +23,7 @@ func TestUninstallIdempotent(t *testing.T) {
 	}
 	rt.Uninstall()
 	rt.Uninstall()
-	if nodes[0].Processor != nil {
+	if nodes[0].CurrentProcessor() != nil {
 		t.Error("uninstall failed")
 	}
 	// Reinstalling a single-node program after uninstall works (the

@@ -28,7 +28,7 @@ type dgram struct {
 	in      substrate.Iface // the exported endpoint wrapping this one: what received packets arrive on
 	sess    *RemoteIface    // nil on the loopback pair: no handshake, always admitted
 	conn    *net.UDPConn    // local endpoint (reads arrive here)
-	peerUDP *net.UDPAddr    // where transmit writes
+	peerUDP *net.UDPAddr    // where carry writes
 
 	wmu sync.Mutex // guards buf across the serialize-and-write
 	buf []byte
@@ -41,7 +41,7 @@ func (d *dgram) open(nw *Net, node *Node, peer string, bandwidthBps int64, in su
 	d.setup(nw, node, peer, bandwidthBps, d)
 	d.in, d.conn, d.peerUDP = in, conn, peerUDP
 	d.codecRejects = nw.reg.Counter("rtnet.codec_rejected")
-	node.addIface(in)
+	node.AddIface(in)
 	nw.wg.Add(1)
 	go d.read(nw)
 }
@@ -58,11 +58,11 @@ func (d *dgram) admit() string {
 	return ""
 }
 
-// transmit serializes pkt into the scratch buffer and writes the
+// carry serializes pkt into the scratch buffer and writes the
 // datagram. This is the only socket write of a data frame, so a failed
 // write is a counted "socket" drop on every datagram link, delayed
 // copies included.
-func (d *dgram) transmit(pkt *substrate.Packet) string {
+func (d *dgram) carry(pkt *substrate.Packet) string {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	wire, err := substrate.AppendWire(append(d.buf[:0], frameData), pkt)
@@ -143,8 +143,8 @@ func NewUDPLink(nw *Net, a, b *Node, bandwidthBps int64) (*UDPIface, *UDPIface, 
 	nw.register(connA)
 	nw.register(connB)
 	ab, ba := &UDPIface{}, &UDPIface{}
-	ab.open(nw, a, b.name, bandwidthBps, ab, connA, connB.LocalAddr().(*net.UDPAddr))
-	ba.open(nw, b, a.name, bandwidthBps, ba, connB, connA.LocalAddr().(*net.UDPAddr))
+	ab.open(nw, a, b.Hostname(), bandwidthBps, ab, connA, connB.LocalAddr().(*net.UDPAddr))
+	ba.open(nw, b, a.Hostname(), bandwidthBps, ba, connB, connA.LocalAddr().(*net.UDPAddr))
 	return ab, ba, nil
 }
 

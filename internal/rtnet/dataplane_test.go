@@ -12,10 +12,12 @@ import (
 )
 
 // The per-packet path reads a node's configuration without a lock:
-// these tests hold the copy-on-write tables, the boxed processor and
-// fault pointers and the drain-first run loop to what the locks used to
-// give — no race, no lost packet, the last write wins, a snapshot never
-// changes under its reader — and to what they cost: nothing per hop.
+// these tests hold the Stack's published tables, the boxed processor
+// and fault pointers and the drain-first run loop to what the locks
+// used to give — no race, no lost packet, the last write wins — and to
+// what they cost: nothing per hop. That a published snapshot never
+// changes under its reader is tested on the Stack itself
+// (internal/substrate).
 
 // seenProc and passProc are processors of two concrete types: over a
 // node's life both are stored in the same pointer (an atomic.Value
@@ -143,47 +145,6 @@ func TestReconfigureUnderTraffic(t *testing.T) {
 	waitCounter(t, final.Load, 1)
 	if in := arrived.in.Load(); in == nil || *in != substrate.Iface(srB) {
 		t.Errorf("the packet after AddRoute(3, second link) arrived on another interface")
-	}
-}
-
-func TestTablesSnapshotIsImmutable(t *testing.T) {
-	nw := New(1)
-	t.Cleanup(nw.Close)
-	n := NewNode(nw, "n", 1)
-	var links []*Iface
-	for k := 0; k < 3; k++ { // three appends leave the slice with spare capacity
-		ab, _ := NewLink(nw, n, NewNode(nw, string(rune('a'+k)), substrate.Addr(2+k)), 10e6)
-		links = append(links, ab)
-	}
-	n.AddRoute(9, links[0])
-	n.BindUDP(7, func(*substrate.Packet) {})
-
-	snap := n.tables.Load()
-	ifs := n.Interfaces()
-	whole := append([]substrate.Iface(nil), ifs[:cap(ifs)]...)
-	via := n.Route(9)
-
-	late, _ := NewLink(nw, n, NewNode(nw, "late", 8), 10e6)
-	n.AddRoute(9, late)
-	n.AddRoute(10, late)
-	n.SetDefaultRoute(late)
-	n.BindUDP(8, func(*substrate.Packet) {})
-	n.BindRaw(func(*substrate.Packet) {})
-
-	if got := n.Interfaces(); len(got) != 4 || got[3] != substrate.Iface(late) || n.Route(9) != substrate.Iface(late) {
-		t.Fatalf("the new configuration was not published: %d interfaces, Route(9) = %v", len(got), n.Route(9))
-	}
-	for k, ifc := range ifs[:cap(ifs)] {
-		if ifc != whole[k] {
-			t.Errorf("Interfaces() taken earlier changed at [%d] (len %d, cap %d)", k, len(ifs), cap(ifs))
-		}
-	}
-	if len(ifs) != 3 || via != substrate.Iface(links[0]) {
-		t.Errorf("earlier reads changed: %d interfaces, Route(9) = %v", len(ifs), via)
-	}
-	if len(snap.ifaces) != 3 || len(snap.routes) != 1 || snap.routes[9] != substrate.Iface(links[0]) ||
-		snap.defaultIf != nil || len(snap.apps) != 1 || len(snap.rawApps) != 0 {
-		t.Errorf("a published snapshot was written to: %+v", snap)
 	}
 }
 

@@ -32,10 +32,10 @@ func NewLink(nw *Net, a, b *Node, bandwidthBps int64) (*Iface, *Iface) {
 	ab := &Iface{peer: b}
 	ba := &Iface{peer: a}
 	ab.rev, ba.rev = ba, ab
-	ab.setup(nw, a, b.name, bandwidthBps, ab)
-	ba.setup(nw, b, a.name, bandwidthBps, ba)
-	a.addIface(ab)
-	b.addIface(ba)
+	ab.setup(nw, a, b.Hostname(), bandwidthBps, ab)
+	ba.setup(nw, b, a.Hostname(), bandwidthBps, ba)
+	a.AddIface(ab)
+	b.AddIface(ba)
 	return ab, ba
 }
 
@@ -51,10 +51,10 @@ func (i *Iface) retain(pkt *substrate.Packet) *substrate.Packet {
 
 func (i *Iface) admit() string { return "" }
 
-// transmit enqueues pkt at the peer. Drop-tail: if this interface
+// carry enqueues pkt at the peer. Drop-tail: if this interface
 // already has queueCap packets waiting there, the packet is dropped.
 // Admission is the one Add, so concurrent senders cannot overshoot.
-func (i *Iface) transmit(pkt *substrate.Packet) string {
+func (i *Iface) carry(pkt *substrate.Packet) string {
 	if i.queued.Add(1) > queueCap {
 		i.queued.Add(-1)
 		return "queue"

@@ -23,9 +23,9 @@ type transport interface {
 	// the drop Detail when it does not. A refused packet is not metered:
 	// nothing went out.
 	admit() string
-	// transmit puts one copy of pkt on the medium and returns "" or the
+	// carry puts one copy of pkt on the medium and returns "" or the
 	// drop Detail. After a "" the packet belongs to the receiver.
-	transmit(pkt *substrate.Packet) string
+	carry(pkt *substrate.Packet) string
 }
 
 // port is one direction of a duplex link: substrate.Iface and
@@ -47,7 +47,7 @@ type port struct {
 
 // setup wires the port for node's link toward the node named peer.
 func (p *port) setup(nw *Net, node *Node, peer string, bandwidthBps int64, tr transport) {
-	p.node, p.label, p.bw, p.tr = node, node.name+":"+peer, bandwidthBps, tr
+	p.node, p.label, p.bw, p.tr = node, node.Hostname()+":"+peer, bandwidthBps, tr
 	p.meter = substrate.NewRateMeter(0)
 	p.drops = nw.reg.Counter("link." + p.label + ".dropped_pkts")
 	p.faultDrops = nw.reg.Counter("link." + p.label + ".fault_dropped_pkts")
@@ -71,7 +71,7 @@ func (p *port) SetFault(f substrate.FaultFunc) {
 func (p *port) Send(pkt *substrate.Packet) {
 	f := p.fault.Load()
 	if f == nil {
-		p.transmit(pkt)
+		p.sendOne(pkt)
 		return
 	}
 	act := (*f)(pkt)
@@ -99,23 +99,23 @@ func (p *port) Send(pkt *substrate.Packet) {
 		}
 	}
 	if act.Delay > 0 {
-		p.node.net.After(act.Delay, func() { p.transmitAll(dups, pkt) })
+		p.node.net.After(act.Delay, func() { p.sendAll(dups, pkt) })
 		return
 	}
-	p.transmitAll(dups, pkt)
+	p.sendAll(dups, pkt)
 }
 
-func (p *port) transmitAll(dups []*substrate.Packet, pkt *substrate.Packet) {
+func (p *port) sendAll(dups []*substrate.Packet, pkt *substrate.Packet) {
 	for _, d := range dups {
-		p.transmit(d)
+		p.sendOne(d)
 	}
-	p.transmit(pkt)
+	p.sendOne(pkt)
 }
 
-// transmit sends one copy: admission, meter, transport. This is the
+// sendOne sends one copy: admission, meter, transport. This is the
 // only place the meter is fed, so every transmitted copy — delayed,
 // duplicated or neither — counts pkt.Size() toward Load.
-func (p *port) transmit(pkt *substrate.Packet) {
+func (p *port) sendOne(pkt *substrate.Packet) {
 	reason := p.tr.admit()
 	if reason == "" {
 		sz := int64(pkt.Size())
@@ -123,7 +123,7 @@ func (p *port) transmit(pkt *substrate.Packet) {
 		p.mu.Lock()
 		p.meter.Add(now, sz)
 		p.mu.Unlock()
-		reason = p.tr.transmit(pkt)
+		reason = p.tr.carry(pkt)
 	}
 	if reason != "" {
 		p.drop(pkt, p.drops, reason)

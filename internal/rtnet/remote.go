@@ -192,8 +192,8 @@ func NewRemoteLink(nw *Net, local *Node, spec RemoteSpec) (*RemoteIface, error) 
 		return nil, fmt.Errorf("rtnet: remote link needs a LinkName of 1..255 bytes")
 	case spec.PeerNode == "" || len(spec.PeerNode) > 255:
 		return nil, fmt.Errorf("rtnet: remote link %s needs a PeerNode of 1..255 bytes", spec.LinkName)
-	case len(local.name) > 255:
-		return nil, fmt.Errorf("rtnet: node name %q too long for the link handshake", local.name)
+	case len(local.Hostname()) > 255:
+		return nil, fmt.Errorf("rtnet: node name %q too long for the link handshake", local.Hostname())
 	case spec.PeerAddr == 0:
 		return nil, fmt.Errorf("rtnet: remote link %s needs the peer's node address", spec.LinkName)
 	}
@@ -217,7 +217,7 @@ func NewRemoteLink(nw *Net, local *Node, spec RemoteSpec) (*RemoteIface, error) 
 		done:    make(chan struct{}),
 		state:   LinkConnecting,
 
-		upGauge:     reg.Gauge("link." + local.name + ":" + spec.PeerNode + ".up"),
+		upGauge:     reg.Gauge("link." + local.Hostname() + ":" + spec.PeerNode + ".up"),
 		rejectsSent: reg.Counter("rtnet.handshake_rejected"),
 		rejectsRecv: reg.Counter("rtnet.rejected_by_peer"),
 		reconnects:  reg.Counter("rtnet.reconnects"),
@@ -413,7 +413,7 @@ func (i *RemoteIface) writeFrame(frame []byte) {
 
 func (i *RemoteIface) sendHello(typ byte) {
 	i.writeFrame(appendPeerFrame(nil, typ, i.session,
-		i.node.name, i.node.addr, i.spec.LinkName, i.spec.BandwidthBps))
+		i.node.Hostname(), i.node.Address(), i.spec.LinkName, i.spec.BandwidthBps))
 }
 
 // maintain is the endpoint's liveness loop: HELLO while the link is
@@ -535,7 +535,7 @@ func (i *RemoteIface) validateHello(h remoteHello) *RejectError {
 	case h.version != RemoteProtoVersion:
 		return &RejectError{Code: RejectVersion, PeerVersion: h.version,
 			Msg: fmt.Sprintf("protocol version %d, this endpoint speaks %d", h.version, RemoteProtoVersion)}
-	case h.node == i.node.name:
+	case h.node == i.node.Hostname():
 		return &RejectError{Code: RejectIdentity, PeerVersion: h.version,
 			Msg: fmt.Sprintf("duplicate node identity %q (the peer claims this endpoint's own name)", h.node)}
 	case h.node != i.spec.PeerNode || h.addr != i.spec.PeerAddr:

@@ -17,15 +17,11 @@
 // goroutine. Unowned (shared) packets are cloned at the link boundary
 // so no two goroutines ever touch the same mutable packet.
 //
-// Configuration — a node's interfaces, routes and bindings, its
-// processor, a port's fault layer — changes at topology build, on a
-// download or when chaos is injected, and is read on every packet. So
-// the tables are one immutable snapshot and the two hooks boxed values,
-// each behind an atomic pointer: readers load and never lock; table
-// writers are serialized by a mutex and publish a modified copy, a hook
-// is set by one store. A packet may see two successive snapshots, one
-// in Route and the next in deliverLocal, exactly as it could between
-// two takes of a read lock.
+// A node's IP layer is substrate.Stack, the code netsim nodes run too:
+// its tables and processor are read on every packet without a lock and
+// may change at any time (see substrate/stack.go). A port's
+// fault layer is a boxed value behind an atomic pointer, set by one
+// store.
 //
 // Links: a link endpoint is a port over a transport; a remote link is a
 // datagram port plus a session. The port (port.go) is the one
@@ -48,9 +44,10 @@
 // OnEvent calls (obs counters are; plain slices are not). The metrics
 // registry is fully concurrent.
 //
-// Limitations relative to netsim: no shared segments, no multicast
-// trees, no modeled CPU cost — rtnet nodes are real concurrent hosts,
-// not simulation stand-ins, and multicast remains simulator-only.
+// Limitations relative to netsim: no shared segments and no modeled CPU
+// cost — rtnet nodes are real concurrent hosts, not simulation
+// stand-ins. Multicast routes, group membership and taps are the
+// Stack's, so they behave as on the simulator.
 package rtnet
 
 import (
@@ -205,8 +202,8 @@ func (n *Net) NodeByName(name string) *Node {
 
 // Start launches every node's processing goroutine. Nodes, links and
 // event subscribers must be complete: a node added afterwards never
-// runs, a subscriber races with live traffic. Routes, bindings and the
-// two hooks may change at any time ("Configuration" above).
+// runs, a subscriber races with live traffic. Routes, bindings, the
+// processor and the fault layers may change at any time.
 func (n *Net) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -85,7 +85,21 @@ func Run(t *testing.T, mk func() Harness) {
 	t.Run("SplitHorizon", func(t *testing.T) { testSplitHorizon(t, mk()) })
 	t.Run("EnvClockTimerRand", func(t *testing.T) { testEnvClockTimerRand(t, mk()) })
 	t.Run("MetricsAndEvents", func(t *testing.T) { testMetricsAndEvents(t, mk()) })
+	t.Run("Crash", func(t *testing.T) { testCrash(t, mk()) })
+	t.Run("SelfAndBroadcast", func(t *testing.T) { testSelfAndBroadcast(t, mk()) })
+	t.Run("Multicast", func(t *testing.T) { testMulticast(t, mk()) })
 }
+
+// multicaster is the multicast configuration every backend's node
+// carries (substrate.Stack's setters) outside the substrate.Node
+// contract, which the runtime does not need.
+type multicaster interface {
+	AddMulticastRoute(group substrate.Addr, ifc substrate.Iface)
+	JoinGroup(group substrate.Addr)
+}
+
+// counter returns the named registry value.
+func counter(h Harness, name string) int64 { return h.Env().Metrics().Snapshot()[name] }
 
 // testDelivery: a UDP packet sent host-to-host reaches the bound
 // application with its payload intact, and the delivery is counted
@@ -352,5 +366,118 @@ func testMetricsAndEvents(t *testing.T, h Harness) {
 	}
 	if got := sink.Count(obs.KindForward); got != 3 {
 		t.Fatalf("forward events = %d, want 3", got)
+	}
+}
+
+// testCrash: a crashed node drops what it receives and what it
+// originates, counted with Detail "crashed", and loses its processor;
+// Restart brings it back bare, with its routes and bindings.
+func testCrash(t *testing.T, h Harness) {
+	nodes := h.Build(t, twoHosts())
+	a, b := nodes[0], nodes[1]
+
+	var crashed, atA, atB atomic.Int32
+	h.Env().Events().Subscribe(obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.KindDrop && ev.Node == "cb" && ev.Detail == "crashed" {
+			crashed.Add(1)
+		}
+	}))
+	a.BindUDP(7, func(*substrate.Packet) { atA.Add(1) })
+	b.BindUDP(7, func(*substrate.Packet) { atB.Add(1) })
+	b.SetProcessor(procFunc(func(*substrate.Packet, substrate.Iface) bool { return false }))
+	h.Start()
+
+	b.(substrate.Crasher).Crash()
+	if b.CurrentProcessor() != nil {
+		t.Fatalf("the crash left the processor installed")
+	}
+	a.Send(substrate.NewUDP(a.Address(), b.Address(), 1234, 7, nil).Own())
+	b.Send(substrate.NewUDP(b.Address(), a.Address(), 1234, 7, nil).Own())
+	h.Settle(t)
+	if got, dropped := crashed.Load(), counter(h, "node.cb.dropped_pkts"); got != 2 || dropped != 2 {
+		t.Fatalf("crashed node: %d \"crashed\" drop events, node.cb.dropped_pkts = %d; want 2 and 2", got, dropped)
+	}
+	if atA.Load() != 0 || atB.Load() != 0 {
+		t.Fatalf("traffic to or from a crashed node was delivered (a %d, b %d)", atA.Load(), atB.Load())
+	}
+
+	b.(substrate.Crasher).Restart()
+	if b.CurrentProcessor() != nil {
+		t.Fatalf("Restart reinstalled a processor")
+	}
+	a.Send(substrate.NewUDP(a.Address(), b.Address(), 1234, 7, nil).Own())
+	b.Send(substrate.NewUDP(b.Address(), a.Address(), 1234, 7, nil).Own())
+	h.Settle(t)
+	if atA.Load() != 1 || atB.Load() != 1 {
+		t.Fatalf("after Restart a got %d, b got %d; want 1 each (routes and bindings survive)", atA.Load(), atB.Load())
+	}
+}
+
+// testSelfAndBroadcast: a packet a node sends to itself is delivered
+// without passing its processor (the PLAN-P layer sees network traffic
+// only); 255.255.255.255 is delivered where it lands and never
+// forwarded.
+func testSelfAndBroadcast(t *testing.T, h Harness) {
+	nodes := h.Build(t, lineWithRouter())
+	a, r, b := nodes[0], nodes[1], nodes[2]
+
+	var seen, self, bcast, beyond atomic.Int32
+	a.SetProcessor(procFunc(func(*substrate.Packet, substrate.Iface) bool {
+		seen.Add(1)
+		return false
+	}))
+	a.BindUDP(7, func(*substrate.Packet) { self.Add(1) })
+	r.BindUDP(7, func(*substrate.Packet) { bcast.Add(1) })
+	b.BindUDP(7, func(*substrate.Packet) { beyond.Add(1) })
+	h.Start()
+
+	a.Send(substrate.NewUDP(a.Address(), a.Address(), 1234, 7, nil).Own())
+	a.Send(substrate.NewUDP(a.Address(), 0xFFFFFFFF, 1234, 7, nil).Own())
+	h.Settle(t)
+	if self.Load() != 1 || seen.Load() != 0 {
+		t.Fatalf("self-addressed send: delivered %d, processor saw %d; want 1 and 0", self.Load(), seen.Load())
+	}
+	if fwd := counter(h, "node.cr.forwarded_pkts"); bcast.Load() != 1 || beyond.Load() != 0 || fwd != 0 {
+		t.Fatalf("broadcast: router delivered %d and forwarded %d, b delivered %d; want 1, 0, 0", bcast.Load(), fwd, beyond.Load())
+	}
+}
+
+// testMulticast: a router sends one copy of a group packet out each
+// multicast route, never back out the interface it came in on; a packet
+// fanned out to more than one route is disowned, since the copies share
+// it; a member that joined the group delivers it, another host does not.
+func testMulticast(t *testing.T, h Harness) {
+	nodes := h.Build(t, lineWithRouter())
+	a, r, b := nodes[0], nodes[1], nodes[2]
+
+	group := substrate.MustAddr("239.9.0.1")
+	r.(multicaster).AddMulticastRoute(group, r.Route(a.Address()))
+	r.(multicaster).AddMulticastRoute(group, r.Route(b.Address()))
+	b.(multicaster).JoinGroup(group)
+	var atA, atB atomic.Int32
+	a.BindUDP(7, func(*substrate.Packet) { atA.Add(1) })
+	b.BindUDP(7, func(*substrate.Packet) { atB.Add(1) })
+	h.Start()
+
+	a.Send(substrate.NewUDP(a.Address(), group, 1234, 7, nil).Own())
+	h.Settle(t)
+	if got := counter(h, "node.ca.received_pkts"); got != 0 {
+		t.Fatalf("the router sent the group packet back out its incoming interface")
+	}
+	if fwd := counter(h, "node.cr.forwarded_pkts"); atB.Load() != 1 || fwd != 1 {
+		t.Fatalf("group packet from a: router forwarded %d, member delivered %d; want 1 and 1", fwd, atB.Load())
+	}
+
+	pkt := substrate.NewUDP(r.Address(), group, 1234, 7, nil).Own()
+	r.Send(pkt)
+	if pkt.Owned() {
+		t.Errorf("a packet fanned out to two routes is still owned")
+	}
+	h.Settle(t)
+	if got := counter(h, "node.ca.received_pkts"); got != 1 || atB.Load() != 2 {
+		t.Fatalf("group packet from the router: a received %d, b delivered %d in all; want 1 and 2", got, atB.Load())
+	}
+	if atA.Load() != 0 {
+		t.Fatalf("a host that did not join the group delivered %d of its packets", atA.Load())
 	}
 }

@@ -229,10 +229,10 @@ func (n *Network) Wire(a, b *Node, cfg LinkConfig) *Link {
 	ifs := l.Ifaces()
 	a.AddRoute(b.Addr, ifs[0])
 	b.AddRoute(a.Addr, ifs[1])
-	if a.RouteTo(0) == nil {
+	if a.Route(0) == nil {
 		a.SetDefaultRoute(ifs[0])
 	}
-	if b.RouteTo(0) == nil {
+	if b.Route(0) == nil {
 		b.SetDefaultRoute(ifs[1])
 	}
 	return l
@@ -247,7 +247,7 @@ func (n *Network) NewSegment(name string, cfg LinkConfig) *Segment {
 // segment if it has none.
 func (n *Network) Attach(seg *Segment, node *Node) *Iface {
 	ifc := seg.Attach(node)
-	if node.RouteTo(0) == nil {
+	if node.Route(0) == nil {
 		node.SetDefaultRoute(ifc)
 	}
 	return ifc

@@ -104,7 +104,7 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 	server := net.NewHost("server", "10.0.2.1")
 	net.Wire(client, router, planp.LinkConfig{Bandwidth: 10_000_000})
 	net.Wire(router, server, planp.LinkConfig{Bandwidth: 10_000_000})
-	client.SetDefaultRoute(client.Ifaces()[0])
+	client.SetDefaultRoute(client.Interfaces()[0])
 
 	var out bytes.Buffer
 	proto, err := planp.Compile(`
@@ -222,7 +222,7 @@ func TestNetworkOptionsObservability(t *testing.T) {
 	b := net.NewHost("b", "10.0.2.1")
 	net.Wire(a, r, planp.LinkConfig{Bandwidth: 10_000_000})
 	net.Wire(r, b, planp.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(a.Ifaces()[0])
+	a.SetDefaultRoute(a.Interfaces()[0])
 	got := 0
 	b.BindUDP(7, func(*planp.Packet) { got++ })
 	a.Send(planp.NewUDP(a.Addr, b.Addr, 1000, 7, []byte("hi")))
