@@ -1,3 +1,14 @@
+// Abstract evaluation, and global termination on top of it.
+//
+// One abstract evaluator reads every body. It walks each channel body
+// once, and each fun body once per distinct vector of abstract
+// arguments: fun summaries are memoised, and funs call only earlier funs
+// and cannot send, so a call is a lookup whose result is what inlining
+// the body would compute. For every expression it learns three things
+// (a fact): where the hosts it produces came from (global termination),
+// whether it may raise an exception it does not handle (delivery), and
+// whether it may delete a hash-table entry (which voids tmem guards).
+//
 // Global termination: exhaustive exploration of an abstract transition
 // system, following §2.1's sketch (state space of order r·d^2d, with r
 // the number of sends and d the number of destinations available to the
@@ -15,9 +26,11 @@
 package verify
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
 )
@@ -39,16 +52,15 @@ type ahost struct {
 	lit  value.Host // valid when kind == ahLit
 }
 
+// String names a state's address: S0, D0, a literal, or ?.
 func (a ahost) String() string {
 	switch a.kind {
 	case ahPSrc:
-		return "src"
+		return "S0"
 	case ahPDst:
-		return "dst"
+		return "D0"
 	case ahLit:
 		return a.lit.String()
-	case ahThis:
-		return "this"
 	default:
 		return "?"
 	}
@@ -106,21 +118,41 @@ func joinVal(a, b aval) aval {
 	}
 }
 
+// appendKey appends an encoding of v that differs for any two values
+// that differ: the fun summaries' memo key.
+func (v aval) appendKey(b []byte) []byte {
+	b = append(b, v.kind)
+	switch v.kind {
+	case avHost:
+		b = v.host.appendKey(b)
+	case avIP:
+		b = v.ip.dst.appendKey(v.ip.src.appendKey(b))
+	case avTuple:
+		b = binary.AppendUvarint(b, uint64(len(v.elems)))
+		for _, e := range v.elems {
+			b = e.appendKey(b)
+		}
+	}
+	return b
+}
+
+func (a ahost) appendKey(b []byte) []byte {
+	return binary.BigEndian.AppendUint32(append(b, byte(a.kind)), uint32(a.lit))
+}
+
+func hostVal(h ahost) aval { return aval{kind: avHost, host: h} }
+
+func hostOf(v aval) ahost {
+	if v.kind == avHost {
+		return v.host
+	}
+	return unknownHost
+}
+
 // send records one abstract OnRemote/OnNeighbor site found in a channel.
 type send struct {
 	targetName string
 	ip         aIP // in terms of the incoming packet (pre-substitution)
-}
-
-// collectSends abstractly evaluates a channel body and returns its send
-// sites. Path-insensitive: sends on both branches of an if are both
-// reported (conservative).
-func collectSends(info *typecheck.Info, ch *typecheck.Channel) []send {
-	ae := &absEval{info: info, frame: make([]aval, ch.FrameSize)}
-	// Parameters: protocol state (other), channel state (other), packet.
-	ae.frame[2] = abstractPacket(ch.Decl.PacketType())
-	ae.eval(ch.Decl.Body)
-	return ae.sends
 }
 
 // abstractPacket builds the abstract value of an incoming packet: a
@@ -132,110 +164,191 @@ func abstractPacket(t ast.Type) aval {
 	}
 	elems := make([]aval, len(tup.Elems))
 	elems[0] = aval{kind: avIP, ip: aIP{src: ahost{kind: ahPSrc}, dst: ahost{kind: ahPDst}}}
-	for i := 1; i < len(elems); i++ {
-		elems[i] = aval{kind: avOther}
-	}
 	return aval{kind: avTuple, elems: elems}
 }
 
-type absEval struct {
-	info  *typecheck.Info
-	frame []aval
-	sends []send
+// ---------------------------------------------------------------------------
+// The evaluator
+
+// fact is what abstract evaluation learns about one expression.
+type fact struct {
+	val     aval
+	raises  bool // may raise an exception it does not handle
+	deletes bool // may delete a hash-table entry, directly or in a fun
+
+	// guard is 1 + the stack index of the outermost tmem guard that a
+	// tget in the expression relies on not to raise, or 0. That guard's
+	// if settles the reliance. Recording the outermost is enough: a
+	// deletion that voids an inner guard lies in the then-branch of every
+	// guard around it, so it voids those too.
+	guard int
 }
 
-// eval abstractly evaluates e, recording sends as a side effect.
-func (ae *absEval) eval(e ast.Expr) aval {
+// then is f followed by g: both effects, g's value.
+func (f fact) then(g fact) fact {
+	g.raises = g.raises || f.raises
+	g.deletes = g.deletes || f.deletes
+	if f.guard != 0 && (g.guard == 0 || f.guard < g.guard) {
+		g.guard = f.guard
+	}
+	return g
+}
+
+// guard records a membership fact established by an enclosing
+// "if tmem(tbl, key) then ..." test: tget(tbl, key) in the then-branch
+// cannot raise. This is the one flow-sensitive refinement the analysis
+// needs to accept the paper's own table idiom (figure 2's getSetS).
+type guard struct{ tbl, key ast.Expr }
+
+// channelFacts is what evaluating one channel body yields.
+type channelFacts struct {
+	sends  []send // every send site; both branches of an if are reported
+	raises bool
+}
+
+type evaluator struct {
+	info      *typecheck.Info
+	fun       int // the fun being summarised; len(info.Funs) in a channel
+	frame     []aval
+	guards    []guard // tmem facts of the enclosing then-branches, outermost first
+	args      []aval  // a stack of evaluated call arguments
+	sends     []send
+	memo      map[string]fact // fun summaries by fun index and abstract arguments
+	summaries []int           // per fun, the number in memo
+	key       []byte
+}
+
+// evalChannels evaluates every channel body once, sharing fun summaries.
+func evalChannels(info *typecheck.Info) []channelFacts {
+	ev := &evaluator{info: info, fun: len(info.Funs), summaries: make([]int, len(info.Funs))}
+	out := make([]channelFacts, len(info.Channels))
+	for i := range info.Channels {
+		ch := &info.Channels[i]
+		// Parameters: protocol state (other), channel state (other), packet.
+		ev.frame = make([]aval, ch.FrameSize)
+		ev.frame[2] = abstractPacket(ch.Decl.PacketType())
+		ev.sends = nil
+		out[i].raises = ev.eval(ch.Decl.Body).raises
+		out[i].sends = ev.sends
+	}
+	return out
+}
+
+func (ev *evaluator) eval(e ast.Expr) fact {
 	switch e := e.(type) {
 	case *ast.HostLit:
-		return aval{kind: avHost, host: ahost{kind: ahLit, lit: value.Host(e.Addr)}}
+		return fact{val: hostVal(ahost{kind: ahLit, lit: value.Host(e.Addr)})}
 
 	case *ast.Var:
 		if e.Slot >= 0 {
-			return ae.frame[e.Slot]
+			return fact{val: ev.frame[e.Slot]}
 		}
 		// Top-level host literals flow through globals.
-		g := ae.info.Globals[e.Global]
-		if hl, ok := g.Decl.Init.(*ast.HostLit); ok {
-			return aval{kind: avHost, host: ahost{kind: ahLit, lit: value.Host(hl.Addr)}}
+		if hl, ok := ev.info.Globals[e.Global].Decl.Init.(*ast.HostLit); ok {
+			return fact{val: hostVal(ahost{kind: ahLit, lit: value.Host(hl.Addr)})}
 		}
-		return aval{kind: avOther}
+		return fact{}
 
 	case *ast.Proj:
-		t := ae.eval(e.Tuple)
-		if t.kind == avTuple && e.Index-1 < len(t.elems) {
-			return t.elems[e.Index-1]
+		f := ev.eval(e.Tuple)
+		if f.val.kind == avTuple && e.Index-1 < len(f.val.elems) {
+			f.val = f.val.elems[e.Index-1]
+		} else {
+			f.val = aval{}
 		}
-		return aval{kind: avOther}
+		return f
 
 	case *ast.Let:
+		// Slots are unique within a declaration and written once, so the
+		// frame needs no copy or join at branches.
+		var f fact
 		for i := range e.Binds {
 			b := &e.Binds[i]
-			ae.frame[b.Slot] = ae.eval(b.Init)
+			init := ev.eval(b.Init)
+			ev.frame[b.Slot] = init.val
+			f = f.then(init)
 		}
-		return ae.eval(e.Body)
+		return f.then(ev.eval(e.Body))
 
 	case *ast.If:
-		ae.eval(e.Cond)
-		// Evaluate both branches on copies of the frame, then join.
-		save := make([]aval, len(ae.frame))
-		copy(save, ae.frame)
-		tv := ae.eval(e.Then)
-		thenFrame := ae.frame
-		ae.frame = save
-		ev := ae.eval(e.Else)
-		for i := range ae.frame {
-			ae.frame[i] = joinVal(thenFrame[i], ae.frame[i])
-		}
-		return joinVal(tv, ev)
+		return ev.evalIf(e)
 
 	case *ast.Seq:
-		var last aval
+		var f fact
 		for _, sub := range e.Exprs {
-			last = ae.eval(sub)
+			f = f.then(ev.eval(sub))
 		}
-		return last
+		return f
 
 	case *ast.TupleExpr:
+		var f fact
 		elems := make([]aval, len(e.Elems))
 		for i, sub := range e.Elems {
-			elems[i] = ae.eval(sub)
+			s := ev.eval(sub)
+			elems[i] = s.val
+			f = f.then(s)
 		}
-		return aval{kind: avTuple, elems: elems}
+		f.val = aval{kind: avTuple, elems: elems}
+		return f
 
 	case *ast.Unary:
-		ae.eval(e.X)
-		return aval{kind: avOther}
+		return ev.eval(e.X).then(fact{})
 
 	case *ast.Binary:
-		ae.eval(e.L)
-		ae.eval(e.R)
-		return aval{kind: avOther}
+		// Division raises unless the divisor is a non-zero literal.
+		lit, ok := e.R.(*ast.IntLit)
+		div := (e.Op == "/" || e.Op == "mod") && (!ok || lit.Value == 0)
+		return ev.eval(e.L).then(ev.eval(e.R)).then(fact{raises: div})
 
 	case *ast.Try:
-		bv := ae.eval(e.Body)
-		hv := ae.eval(e.Handler)
-		return joinVal(bv, hv)
+		// The body's exceptions are handled; the handler's are not.
+		body := ev.eval(e.Body)
+		h := ev.eval(e.Handler)
+		h.val = joinVal(body.val, h.val)
+		h.deletes = h.deletes || body.deletes
+		return h
 
 	case *ast.Raise:
-		ae.eval(e.Msg)
-		return aval{kind: avOther}
+		return ev.eval(e.Msg).then(fact{raises: true})
 
 	case *ast.Call:
-		return ae.evalCall(e)
+		return ev.evalCall(e)
 
 	default:
-		return aval{kind: avOther}
+		return fact{}
 	}
 }
 
-func (ae *absEval) evalCall(e *ast.Call) aval {
+// evalIf joins the branches. A tmem test in the condition guards the
+// then-branch's tgets on the same table and key unless something may
+// delete a table entry after the test: in the condition or anywhere in
+// the then-branch, directly or through a fun.
+func (ev *evaluator) evalIf(e *ast.If) fact {
+	cond := ev.eval(e.Cond)
+	g, guarded := tmemGuard(e.Cond)
+	if guarded {
+		ev.guards = append(ev.guards, g)
+	}
+	then := ev.eval(e.Then)
+	if guarded {
+		ev.guards = ev.guards[:len(ev.guards)-1]
+		if then.guard == len(ev.guards)+1 {
+			then.raises = then.raises || cond.deletes || then.deletes
+			then.guard = 0
+		}
+	}
+	els := ev.eval(e.Else)
+	branches := then.then(els)
+	branches.val = joinVal(then.val, els.val)
+	return cond.then(branches)
+}
+
+func (ev *evaluator) evalCall(e *ast.Call) fact {
 	// Sends: record the packet's abstract IP.
 	if e.Name == "OnRemote" || e.Name == "OnNeighbor" {
-		cref := e.Args[0].(*ast.ChanRef)
-		pv := ae.eval(e.Args[1])
+		f := ev.eval(e.Args[1])
 		ip := aIP{src: unknownHost, dst: unknownHost}
-		if pv.kind == avTuple && len(pv.elems) > 0 && pv.elems[0].kind == avIP {
+		if pv := f.val; pv.kind == avTuple && len(pv.elems) > 0 && pv.elems[0].kind == avIP {
 			ip = pv.elems[0].ip
 		}
 		if e.Name == "OnNeighbor" {
@@ -244,24 +357,87 @@ func (ae *absEval) evalCall(e *ast.Call) aval {
 			// rewrite to unknown so cycles through floods are caught.
 			ip.dst = unknownHost
 		}
-		ae.sends = append(ae.sends, send{targetName: cref.Name, ip: ip})
-		return aval{kind: avOther}
+		ev.sends = append(ev.sends, send{targetName: e.Args[0].(*ast.ChanRef).Name, ip: ip})
+		return f.then(fact{})
 	}
 
-	args := make([]aval, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = ae.eval(a)
+	var f fact
+	base := len(ev.args)
+	for _, a := range e.Args {
+		af := ev.eval(a)
+		ev.args = append(ev.args, af.val)
+		f = f.then(af)
 	}
+	args := ev.args[base:]
+	switch {
+	case e.FunIndex >= 0:
+		f = f.then(ev.call(e.FunIndex, args))
+	case e.Name == "tdel":
+		f.deletes = true
+	case e.Name == "tget":
+		g := ev.guarding(e)
+		f = f.then(fact{raises: g == 0, guard: g})
+	case prims.CanRaise(e.PrimIndex) && !safeArgs(ev.info, e):
+		f.raises = true
+	}
+	if e.FunIndex < 0 {
+		f.val = primVal(e.Name, args)
+	}
+	ev.args = ev.args[:base]
+	return f
+}
 
-	// Header-flow primitives.
-	switch e.Name {
+// maxSummaries bounds the argument vectors one fun is evaluated at.
+// Past it, calls read the fun at all-unknown arguments (aval{}, the
+// lattice's top): sound, and verification stays linear in program size
+// however many vectors the calls could generate.
+const maxSummaries = 16
+
+// call returns the summary of fun fi applied to args, evaluating its
+// body the first time it meets this argument vector. A fun that is not
+// summarised before the body being evaluated (only a later fun, which
+// the checker forbids) reads as unknown, raising and deleting: never as
+// recursion.
+func (ev *evaluator) call(fi int, args []aval) fact {
+	if fi >= ev.fun {
+		return fact{raises: true, deletes: true}
+	}
+	if ev.summaries[fi] >= maxSummaries {
+		args = nil
+	}
+	ev.key = binary.AppendUvarint(ev.key[:0], uint64(fi))
+	for _, a := range args {
+		ev.key = a.appendKey(ev.key)
+	}
+	if f, ok := ev.memo[string(ev.key)]; ok {
+		return f
+	}
+	key := string(ev.key)
+	fun := &ev.info.Funs[fi]
+	frame, guards, cur := ev.frame, ev.guards, ev.fun
+	ev.frame, ev.guards, ev.fun = make([]aval, fun.FrameSize), nil, fi
+	copy(ev.frame, args)
+	f := ev.eval(fun.Decl.Body)
+	ev.frame, ev.guards, ev.fun = frame, guards, cur
+	if ev.memo == nil {
+		ev.memo = map[string]fact{}
+	}
+	ev.memo[key] = f
+	ev.summaries[fi]++
+	return f
+}
+
+// primVal is a primitive's abstract result: header-flow primitives carry
+// hosts through, and every other result is unknown.
+func primVal(name string, args []aval) aval {
+	switch name {
 	case "ipSrc":
 		if args[0].kind == avIP {
-			return aval{kind: avHost, host: args[0].ip.src}
+			return hostVal(args[0].ip.src)
 		}
 	case "ipDst":
 		if args[0].kind == avIP {
-			return aval{kind: avHost, host: args[0].ip.dst}
+			return hostVal(args[0].ip.dst)
 		}
 	case "ipSrcSet":
 		if args[0].kind == avIP {
@@ -280,91 +456,187 @@ func (ae *absEval) evalCall(e *ast.Call) aval {
 	case "mkIP":
 		return aval{kind: avIP, ip: aIP{src: hostOf(args[0]), dst: hostOf(args[1])}}
 	case "thisHost":
-		return aval{kind: avHost, host: ahost{kind: ahThis}}
+		return hostVal(ahost{kind: ahThis})
 	}
-
-	// User funs: abstractly inline (non-recursive by construction).
-	if e.FunIndex >= 0 {
-		f := &ae.info.Funs[e.FunIndex]
-		inner := &absEval{info: ae.info, frame: make([]aval, f.FrameSize)}
-		copy(inner.frame, args)
-		res := inner.eval(f.Decl.Body)
-		// Funs cannot send (checker-enforced), so no send merging needed.
-		return res
-	}
-
-	// Any other primitive: result unknown; an ip-typed result would be
-	// fully unknown, which hostOf/ip handling already encode as avOther.
 	return aval{kind: avOther}
 }
 
-func hostOf(v aval) ahost {
-	if v.kind == avHost {
-		return v.host
+// guarding returns 1 + the stack index of the innermost tmem guard over
+// tget call e's table and key, or 0.
+func (ev *evaluator) guarding(e *ast.Call) int {
+	for i := len(ev.guards) - 1; i >= 0; i-- {
+		if g := ev.guards[i]; exprEqual(g.tbl, e.Args[0]) && exprEqual(g.key, e.Args[1]) {
+			return i + 1
+		}
 	}
-	return unknownHost
+	return 0
+}
+
+// safeArgs proves that a raising primitive's arguments keep it from
+// raising: a non-negative literal capacity, ports and bytes in range.
+func safeArgs(info *typecheck.Info, e *ast.Call) bool {
+	switch e.Name {
+	case "mkTable":
+		return inRange(info, e.Args[0], 0, 1<<62)
+	case "rand":
+		return inRange(info, e.Args[0], 1, 1<<62)
+	case "mkUDP":
+		return inRange(info, e.Args[0], 0, 65535) && inRange(info, e.Args[1], 0, 65535)
+	case "tcpSrcSet", "tcpDstSet", "udpSrcSet", "udpDstSet":
+		return inRange(info, e.Args[1], 0, 65535)
+	case "mkIP":
+		return inRange(info, e.Args[2], 0, 255)
+	case "ipTTLSet", "itoc":
+		return inRange(info, e.Args[len(e.Args)-1], 0, 255)
+	case "intToHost":
+		return inRange(info, e.Args[0], 0, 0xFFFFFFFF)
+	}
+	return false
+}
+
+// inRange proves, where syntactically possible, that an int expression
+// always evaluates within [lo, hi]: integer literals, top-level vals
+// bound to literals, and port accessors (whose results are 16-bit by
+// construction). This tiny range analysis is what lets the paper's
+// header-building idioms (mkUDP(queryPort, udpSrc(...))) pass the
+// guaranteed-delivery check without spurious try wrappers.
+func inRange(info *typecheck.Info, e ast.Expr, lo, hi int64) bool {
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return e.Value >= lo && e.Value <= hi
+	case *ast.Var:
+		if e.Global >= 0 && e.Global < len(info.Globals) {
+			if lit, ok := info.Globals[e.Global].Decl.Init.(*ast.IntLit); ok {
+				return lit.Value >= lo && lit.Value <= hi
+			}
+		}
+		return false
+	case *ast.Call:
+		switch e.Name {
+		case "tcpSrc", "tcpDst", "udpSrc", "udpDst":
+			return lo <= 0 && hi >= 65535
+		case "ipTTL", "blobByte", "ctoi", "charPos":
+			return lo <= 0 && hi >= 255
+		}
+		return false
+	default:
+		return false
+	}
+}
+
+// tmemGuard extracts the membership fact from an if condition: either a
+// bare tmem(tbl, key) call or the left conjunct of an andalso chain.
+func tmemGuard(cond ast.Expr) (guard, bool) {
+	switch cond := cond.(type) {
+	case *ast.Call:
+		if cond.Name == "tmem" && len(cond.Args) == 2 {
+			return guard{tbl: cond.Args[0], key: cond.Args[1]}, true
+		}
+	case *ast.Binary:
+		if cond.Op == "andalso" {
+			if g, ok := tmemGuard(cond.L); ok {
+				return g, true
+			}
+			return tmemGuard(cond.R)
+		}
+	}
+	return guard{}, false
+}
+
+// exprEqual is syntactic expression equality, used to match guarded
+// table/key expressions. Variables match by binding (slot or global,
+// unique within a declaration and written once), so a shadowing let
+// never matches. Structurally different expressions that denote the
+// same value compare unequal. It assumes that equal expressions denote
+// equal values, which a key that calls rand, reads a table or calls a
+// fun does not guarantee.
+func exprEqual(a, b ast.Expr) bool {
+	switch a := a.(type) {
+	case *ast.Var:
+		b, ok := b.(*ast.Var)
+		return ok && a.Slot == b.Slot && a.Global == b.Global
+	case *ast.IntLit:
+		b, ok := b.(*ast.IntLit)
+		return ok && a.Value == b.Value
+	case *ast.BoolLit:
+		b, ok := b.(*ast.BoolLit)
+		return ok && a.Value == b.Value
+	case *ast.StringLit:
+		b, ok := b.(*ast.StringLit)
+		return ok && a.Value == b.Value
+	case *ast.CharLit:
+		b, ok := b.(*ast.CharLit)
+		return ok && a.Value == b.Value
+	case *ast.HostLit:
+		b, ok := b.(*ast.HostLit)
+		return ok && a.Addr == b.Addr
+	case *ast.Proj:
+		b, ok := b.(*ast.Proj)
+		return ok && a.Index == b.Index && exprEqual(a.Tuple, b.Tuple)
+	case *ast.TupleExpr:
+		b, ok := b.(*ast.TupleExpr)
+		return ok && exprsEqual(a.Elems, b.Elems)
+	case *ast.Call:
+		b, ok := b.(*ast.Call)
+		return ok && a.Name == b.Name && exprsEqual(a.Args, b.Args)
+	case *ast.Unary:
+		b, ok := b.(*ast.Unary)
+		return ok && a.Op == b.Op && exprEqual(a.X, b.X)
+	case *ast.Binary:
+		b, ok := b.(*ast.Binary)
+		return ok && a.Op == b.Op && exprEqual(a.L, b.L) && exprEqual(a.R, b.R)
+	default:
+		return false
+	}
+}
+
+func exprsEqual(a, b []ast.Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !exprEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // State exploration
 
-// addrTok is a concrete abstract address in the explored state space.
-type addrTok struct {
-	kind ahKind // ahPSrc = original source, ahPDst = original destination, ahLit, ahUnknown
-	lit  value.Host
-}
-
-func (t addrTok) String() string {
-	switch t.kind {
-	case ahPSrc:
-		return "S0"
-	case ahPDst:
-		return "D0"
-	case ahLit:
-		return t.lit.String()
-	default:
-		return "?"
-	}
-}
-
-// state is one node of the abstract transition system.
+// state is one node of the abstract transition system. Its addresses
+// are ahosts resolved against the journey so far: S0 and D0 are the
+// original packet's, and ahThis never occurs.
 type state struct {
 	chanIdx  int
-	src, dst addrTok
+	src, dst ahost
 }
 
 // substitute resolves an abstract host (in terms of the incoming packet)
-// against the current state, returning the concrete addrTok and whether
-// the result is a local delivery (dst == this node) rather than a
-// transmission.
-func substitute(a ahost, st state) (addrTok, bool) {
+// against the current state, and reports whether the result is a local
+// delivery (dst == this node) rather than a transmission.
+func substitute(a ahost, st state) (ahost, bool) {
 	switch a.kind {
 	case ahPSrc:
 		return st.src, false
 	case ahPDst:
 		return st.dst, false
-	case ahLit:
-		return addrTok{kind: ahLit, lit: a.lit}, false
 	case ahThis:
 		// A destination equal to the sending node is delivered locally
 		// and never transmitted; as a source it is an address the
 		// exploration cannot name.
-		return addrTok{kind: ahUnknown}, true
+		return unknownHost, true
 	default:
-		return addrTok{kind: ahUnknown}, false
+		return a, false // a literal, or unknown
 	}
 }
 
-// exploreStates builds and explores the transition system. It returns
-// the number of states visited and, when a fatal cycle exists, a
-// human-readable description (empty string means proven cycle-free).
-func exploreStates(info *typecheck.Info) (int, string) {
-	// Per-channel abstract send sites.
-	sendsOf := make([][]send, len(info.Channels))
-	for i := range info.Channels {
-		sendsOf[i] = collectSends(info, &info.Channels[i])
-	}
-
+// exploreStates builds and explores the transition system from each
+// channel's abstract send sites. It returns the number of states visited
+// and, when a fatal cycle exists, a human-readable description (empty
+// string means proven cycle-free).
+func exploreStates(info *typecheck.Info, chans []channelFacts) (int, string) {
 	type edge struct {
 		to       int
 		changing bool
@@ -388,7 +660,7 @@ func exploreStates(info *typecheck.Info) (int, string) {
 	// source and destination are the opaque originals.
 	work := []int{}
 	for ci := range info.Channels {
-		work = append(work, intern(state{chanIdx: ci, src: addrTok{kind: ahPSrc}, dst: addrTok{kind: ahPDst}}))
+		work = append(work, intern(state{chanIdx: ci, src: ahost{kind: ahPSrc}, dst: ahost{kind: ahPDst}}))
 	}
 
 	for len(work) > 0 {
@@ -399,7 +671,7 @@ func exploreStates(info *typecheck.Info) (int, string) {
 			continue // already expanded
 		}
 		expanded := []edge{}
-		for _, s := range sendsOf[st.chanIdx] {
+		for _, s := range chans[st.chanIdx].sends {
 			dstTok, dstIsLocal := substitute(s.ip.dst, st)
 			if dstIsLocal {
 				continue // delivered to self, journey ends
@@ -419,75 +691,23 @@ func exploreStates(info *typecheck.Info) (int, string) {
 				}
 			}
 		}
-		if expanded == nil {
-			expanded = []edge{} // mark expanded
-		}
 		adj[si] = expanded
 	}
 
-	// Tarjan SCC; a changing edge inside an SCC (including self-loops)
-	// is a potential infinite journey.
-	n := len(states)
-	sccOf := make([]int, n)
-	for i := range sccOf {
-		sccOf[i] = -1
-	}
-	idx := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range idx {
-		idx[i] = -1
-	}
-	var stack []int
-	counter := 0
-	sccCount := 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		idx[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
+	// A changing edge inside a strongly connected component (including
+	// a self-loop) is a potential infinite journey.
+	comp := components(adj, func(e edge) int { return e.to })
+	for v := range adj {
 		for _, e := range adj[v] {
-			if idx[e.to] == -1 {
-				strongconnect(e.to)
-				if low[e.to] < low[v] {
-					low[v] = low[e.to]
-				}
-			} else if onStack[e.to] && idx[e.to] < low[v] {
-				low[v] = idx[e.to]
-			}
-		}
-		if low[v] == idx[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				sccOf[w] = sccCount
-				if w == v {
-					break
-				}
-			}
-			sccCount++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if idx[v] == -1 {
-			strongconnect(v)
-		}
-	}
-
-	for v := 0; v < n; v++ {
-		for _, e := range adj[v] {
-			if sccOf[v] != sccOf[e.to] || !e.changing {
+			if comp[v] != comp[e.to] || !e.changing {
 				continue
 			}
 			from, to := states[v], states[e.to]
-			return n, fmt.Sprintf(
+			return len(states), fmt.Sprintf(
 				"packet may cycle: channel %s (dst=%s) re-sends via channel %s with rewritten destination %s inside a loop",
 				info.Channels[from.chanIdx].Decl.Name, from.dst,
 				info.Channels[to.chanIdx].Decl.Name, to.dst)
 		}
 	}
-	return n, ""
+	return len(states), ""
 }

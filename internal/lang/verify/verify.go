@@ -11,7 +11,17 @@
 //     every execution path.
 //   - Safe (linear) duplication — packets are not duplicated
 //     exponentially: no channel that copies packets sits on a cycle of
-//     the channel send graph (a fix-point computation, as in the paper).
+//     the channel send graph.
+//
+// One abstract evaluator (abstract.go) reads the code for global
+// termination and delivery: where each send's addresses come from, and
+// whether a channel may raise an exception it does not handle. It walks
+// each channel body once and each fun body once per distinct abstract
+// argument vector (at most maxSummaries of them), so verification costs
+// time linear in declarations × distinct abstract arguments. Whether
+// every path hands the packet on and how many times one path can
+// transmit come from the type checker's path walk. Global termination
+// and duplication find cycles with one routine (components).
 //
 // All analyses are conservative: they may reject a correct protocol
 // (the paper gives mobile-host forwarding and multicast as examples)
@@ -24,7 +34,6 @@ import (
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/diag"
-	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/token"
 	"planp.dev/planp/internal/lang/typecheck"
 )
@@ -127,13 +136,14 @@ func Verify(info *typecheck.Info) *Result { return VerifyWith(info, Options{}) }
 
 // VerifyWith runs the analyses under explicit deployment options.
 func VerifyWith(info *typecheck.Info, opts Options) *Result {
+	chans := evalChannels(info)
 	r := &Result{}
 	r.LocalTermination = localTermination(info)
 	if opts.SingleNode {
 		r.GlobalTermination = Check{Name: "global-termination", OK: true,
 			Detail: "single-node deployment: each packet is processed by this program at most once"}
 	} else {
-		states, cycleDetail := exploreStates(info)
+		states, cycleDetail := exploreStates(info, chans)
 		if cycleDetail == "" {
 			r.GlobalTermination = Check{Name: "global-termination", OK: true,
 				Detail: fmt.Sprintf("no cycle in %d abstract states", states)}
@@ -141,7 +151,7 @@ func VerifyWith(info *typecheck.Info, opts Options) *Result {
 			r.GlobalTermination = Check{Name: "global-termination", OK: false, Detail: cycleDetail}
 		}
 	}
-	r.Delivery = delivery(info, r.GlobalTermination.OK)
+	r.Delivery = delivery(info, r.GlobalTermination.OK, chans)
 	r.Duplication = duplication(info)
 	return r
 }
@@ -175,16 +185,17 @@ func localTermination(info *typecheck.Info) Check {
 // Guaranteed delivery
 
 // delivery checks the three conditions of §2.1: no cycling (from the
-// global-termination analysis), all exceptions handled, and a forward or
-// deliver on every execution path (typecheck.Channel.HandsOn, from the
-// same path walk that counts the duplication analysis's sends).
-func delivery(info *typecheck.Info, noCycle bool) Check {
+// global-termination analysis), all exceptions handled (the abstract
+// evaluator's verdict on each channel body), and a forward or deliver on
+// every execution path (typecheck.Channel.HandsOn, from the same path
+// walk that counts the duplication analysis's sends).
+func delivery(info *typecheck.Info, noCycle bool, chans []channelFacts) Check {
 	if !noCycle {
 		return Check{Name: "delivery", OK: false, Detail: "program may cycle (see global-termination)"}
 	}
 	for i := range info.Channels {
 		ch := &info.Channels[i]
-		if mayRaise(info, ch.Decl.Body, nil) {
+		if chans[i].raises {
 			return Check{Name: "delivery", OK: false,
 				Detail: fmt.Sprintf("channel %s may terminate with an unhandled exception", ch.Decl.Name),
 				Pos:    ch.Decl.At, End: ch.Decl.HeaderEnd}
@@ -198,331 +209,87 @@ func delivery(info *typecheck.Info, noCycle bool) Check {
 	return Check{Name: "delivery", OK: true, Detail: "all exceptions handled, all paths forward or deliver"}
 }
 
-// guard records a membership fact established by an enclosing
-// "if tmem(tbl, key) then ..." test: tget(tbl, key) in the then-branch
-// cannot raise. This is the one flow-sensitive refinement the analysis
-// needs to accept the paper's own table idiom (figure 2's getSetS).
-type guard struct{ tbl, key ast.Expr }
-
-// mayRaise conservatively reports whether evaluating e can raise a
-// PLAN-P exception that is not handled within e, given membership facts
-// from enclosing tmem guards.
-func mayRaise(info *typecheck.Info, e ast.Expr, guards []guard) bool {
-	switch e := e.(type) {
-	case *ast.Raise:
-		return true
-	case *ast.Try:
-		// The body's exceptions are handled; the handler's are not.
-		return mayRaise(info, e.Handler, guards)
-	case *ast.Binary:
-		if e.Op == "/" || e.Op == "mod" {
-			// Division raises unless the divisor is a non-zero literal.
-			if lit, ok := e.R.(*ast.IntLit); !ok || lit.Value == 0 {
-				return true
-			}
-		}
-		return mayRaise(info, e.L, guards) || mayRaise(info, e.R, guards)
-	case *ast.Call:
-		for _, a := range e.Args {
-			if mayRaise(info, a, guards) {
-				return true
-			}
-		}
-		if e.PrimIndex >= 0 {
-			if !prims.CanRaise(e.PrimIndex) {
-				return false
-			}
-			switch e.Name {
-			case "mkTable":
-				// A non-negative literal capacity cannot raise.
-				if inRange(info, e.Args[0], 0, 1<<62) {
-					return false
-				}
-			case "rand":
-				if inRange(info, e.Args[0], 1, 1<<62) {
-					return false
-				}
-			case "tget":
-				for _, g := range guards {
-					if exprEqual(g.tbl, e.Args[0]) && exprEqual(g.key, e.Args[1]) {
-						return false
-					}
-				}
-			case "mkUDP":
-				if inRange(info, e.Args[0], 0, 65535) && inRange(info, e.Args[1], 0, 65535) {
-					return false
-				}
-			case "tcpSrcSet", "tcpDstSet", "udpSrcSet", "udpDstSet":
-				if inRange(info, e.Args[1], 0, 65535) {
-					return false
-				}
-			case "mkIP":
-				if inRange(info, e.Args[2], 0, 255) {
-					return false
-				}
-			case "ipTTLSet", "itoc":
-				if inRange(info, e.Args[len(e.Args)-1], 0, 255) {
-					return false
-				}
-			case "intToHost":
-				if inRange(info, e.Args[0], 0, 0xFFFFFFFF) {
-					return false
-				}
-			}
-			return true
-		}
-		if e.FunIndex >= 0 {
-			return mayRaise(info, info.Funs[e.FunIndex].Decl.Body, nil)
-		}
-		return false // OnRemote/OnNeighbor
-	case *ast.Proj:
-		return mayRaise(info, e.Tuple, guards)
-	case *ast.Let:
-		for _, b := range e.Binds {
-			if mayRaise(info, b.Init, guards) {
-				return true
-			}
-		}
-		return mayRaise(info, e.Body, guards)
-	case *ast.If:
-		if mayRaise(info, e.Cond, guards) {
-			return true
-		}
-		thenGuards := guards
-		if g, ok := tmemGuard(e.Cond); ok && guardStable(g, e.Then) {
-			thenGuards = append(append([]guard{}, guards...), g)
-		}
-		return mayRaise(info, e.Then, thenGuards) || mayRaise(info, e.Else, guards)
-	case *ast.Seq:
-		for _, sub := range e.Exprs {
-			if mayRaise(info, sub, guards) {
-				return true
-			}
-		}
-		return false
-	case *ast.TupleExpr:
-		for _, sub := range e.Elems {
-			if mayRaise(info, sub, guards) {
-				return true
-			}
-		}
-		return false
-	case *ast.Unary:
-		return mayRaise(info, e.X, guards)
-	default:
-		return false
-	}
-}
-
-// inRange proves, where syntactically possible, that an int expression
-// always evaluates within [lo, hi]: integer literals, top-level vals
-// bound to literals, and port accessors (whose results are 16-bit by
-// construction). This tiny range analysis is what lets the paper's
-// header-building idioms (mkUDP(queryPort, udpSrc(...))) pass the
-// guaranteed-delivery check without spurious try wrappers.
-func inRange(info *typecheck.Info, e ast.Expr, lo, hi int64) bool {
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return e.Value >= lo && e.Value <= hi
-	case *ast.Var:
-		if e.Global >= 0 && e.Global < len(info.Globals) {
-			if lit, ok := info.Globals[e.Global].Decl.Init.(*ast.IntLit); ok {
-				return lit.Value >= lo && lit.Value <= hi
-			}
-		}
-		return false
-	case *ast.Call:
-		switch e.Name {
-		case "tcpSrc", "tcpDst", "udpSrc", "udpDst":
-			return lo <= 0 && hi >= 65535
-		case "ipTTL", "blobByte", "ctoi", "charPos":
-			return lo <= 0 && hi >= 255
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-// tmemGuard extracts the membership fact from an if condition: either a
-// bare tmem(tbl, key) call or the left conjunct of an andalso chain.
-func tmemGuard(cond ast.Expr) (guard, bool) {
-	switch cond := cond.(type) {
-	case *ast.Call:
-		if cond.Name == "tmem" && len(cond.Args) == 2 {
-			return guard{tbl: cond.Args[0], key: cond.Args[1]}, true
-		}
-	case *ast.Binary:
-		if cond.Op == "andalso" {
-			if g, ok := tmemGuard(cond.L); ok {
-				return g, true
-			}
-			return tmemGuard(cond.R)
-		}
-	}
-	return guard{}, false
-}
-
-// guardStable reports whether the membership fact g remains valid
-// throughout branch: the branch must not delete table entries (tdel) and
-// must not shadow any variable mentioned by the guard expressions with a
-// let binding (which would make syntactic matching unsound).
-func guardStable(g guard, branch ast.Expr) bool {
-	names := map[string]bool{}
-	collectVars(g.tbl, names)
-	collectVars(g.key, names)
-	stable := true
-	ast.Walk(branch, func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.Call:
-			if e.Name == "tdel" {
-				stable = false
-			}
-		case *ast.Let:
-			for _, b := range e.Binds {
-				if names[b.Name] {
-					stable = false
-				}
-			}
-		}
-	})
-	return stable
-}
-
-func collectVars(e ast.Expr, out map[string]bool) {
-	ast.Walk(e, func(e ast.Expr) {
-		if v, ok := e.(*ast.Var); ok {
-			out[v.Name] = true
-		}
-	})
-}
-
-// exprEqual is syntactic expression equality, used to match guarded
-// table/key expressions. It is conservative: structurally different
-// expressions that denote the same value compare unequal. It is also
-// only sound for pure expressions, which table and key positions are
-// (the checker confines effects to send/print primitives, all of which
-// return unit and so cannot appear as a table or key argument usefully;
-// a false positive here would only arise from pathological code and
-// errs toward rejecting).
-func exprEqual(a, b ast.Expr) bool {
-	switch a := a.(type) {
-	case *ast.Var:
-		b, ok := b.(*ast.Var)
-		return ok && a.Name == b.Name
-	case *ast.IntLit:
-		b, ok := b.(*ast.IntLit)
-		return ok && a.Value == b.Value
-	case *ast.BoolLit:
-		b, ok := b.(*ast.BoolLit)
-		return ok && a.Value == b.Value
-	case *ast.StringLit:
-		b, ok := b.(*ast.StringLit)
-		return ok && a.Value == b.Value
-	case *ast.CharLit:
-		b, ok := b.(*ast.CharLit)
-		return ok && a.Value == b.Value
-	case *ast.HostLit:
-		b, ok := b.(*ast.HostLit)
-		return ok && a.Addr == b.Addr
-	case *ast.Proj:
-		b, ok := b.(*ast.Proj)
-		return ok && a.Index == b.Index && exprEqual(a.Tuple, b.Tuple)
-	case *ast.TupleExpr:
-		b, ok := b.(*ast.TupleExpr)
-		if !ok || len(a.Elems) != len(b.Elems) {
-			return false
-		}
-		for i := range a.Elems {
-			if !exprEqual(a.Elems[i], b.Elems[i]) {
-				return false
-			}
-		}
-		return true
-	case *ast.Call:
-		b, ok := b.(*ast.Call)
-		if !ok || a.Name != b.Name || len(a.Args) != len(b.Args) {
-			return false
-		}
-		for i := range a.Args {
-			if !exprEqual(a.Args[i], b.Args[i]) {
-				return false
-			}
-		}
-		return true
-	case *ast.Unary:
-		b, ok := b.(*ast.Unary)
-		return ok && a.Op == b.Op && exprEqual(a.X, b.X)
-	case *ast.Binary:
-		b, ok := b.(*ast.Binary)
-		return ok && a.Op == b.Op && exprEqual(a.L, b.L) && exprEqual(a.R, b.R)
-	default:
-		return false
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Safe duplication
 
-// duplication runs the fix-point analysis: a program can duplicate
-// packets exponentially iff a channel that emits more than one packet on
-// some execution path lies on a cycle of the channel send graph.
+// duplication checks that packet duplication is linear: a program can
+// duplicate packets exponentially iff a channel that emits more than one
+// packet on some execution path lies on a cycle of the channel send
+// graph. The paper computes the cycles as a fix-point; the strongly
+// connected components of the send graph are the same answer.
 //
 // Both inputs — per-channel send multiplicity and the send graph — come
 // from the channel-interface signature the typechecker extracted; the
 // analysis walks no channel body.
 func duplication(info *typecheck.Info) Check {
 	sig := info.Sig
-	n := len(info.Channels)
-	// copies[i]: maximum sends on any execution path of channel i
-	// (saturated at 2). edges[i]: channel indices i can send to.
-	copies := make([]int, n)
-	edges := make([][]int, n)
+	// edges[i]: channel indices i can send to.
+	edges := make([][]int, len(info.Channels))
 	for i, ch := range sig.Channels {
-		copies[i] = ch.MaxSendsPerPath
-		seen := map[int]bool{}
 		for _, snd := range ch.Sends {
 			for _, target := range info.ChannelsByName(snd.Channel) {
-				if !seen[target.Index] {
-					seen[target.Index] = true
-					edges[i] = append(edges[i], target.Index)
-				}
+				edges[i] = append(edges[i], target.Index)
 			}
 		}
 	}
-
-	// reaches[i][j]: transitive closure of the send graph (fix-point).
-	reaches := make([][]bool, n)
-	for i := range reaches {
-		reaches[i] = make([]bool, n)
+	comp := components(edges, func(j int) int { return j })
+	for i, ch := range sig.Channels {
+		if ch.MaxSendsPerPath < 2 {
+			continue
+		}
 		for _, j := range edges[i] {
-			reaches[i][j] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !reaches[i][j] {
-					continue
-				}
-				for k := 0; k < n; k++ {
-					if reaches[j][k] && !reaches[i][k] {
-						reaches[i][k] = true
-						changed = true
-					}
-				}
+			if comp[j] == comp[i] {
+				return Check{Name: "duplication", OK: false,
+					Detail: fmt.Sprintf("channel %s copies packets (%d+ sends on one path) and lies on a send cycle: duplication may be exponential",
+						info.Channels[i].Decl.Name, ch.MaxSendsPerPath),
+					Pos: info.Channels[i].Decl.At, End: info.Channels[i].Decl.HeaderEnd}
 			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		if copies[i] >= 2 && reaches[i][i] {
-			return Check{Name: "duplication", OK: false,
-				Detail: fmt.Sprintf("channel %s copies packets (%d+ sends on one path) and lies on a send cycle: duplication may be exponential",
-					info.Channels[i].Decl.Name, copies[i]),
-				Pos: info.Channels[i].Decl.At, End: info.Channels[i].Decl.HeaderEnd}
 		}
 	}
 	return Check{Name: "duplication", OK: true, Detail: "packet duplication is linear"}
+}
+
+// components labels the strongly connected components of a graph given
+// as adjacency lists (Tarjan's algorithm), so that an edge u→v lies on a
+// cycle iff comp[u] == comp[v]. Duplication runs it on the channel send
+// graph and global termination on the explored state space.
+func components[E any](adj [][]E, to func(E) int) []int {
+	n := len(adj)
+	comp := make([]int, n)  // 1 + component number; 0 while on the stack
+	index := make([]int, n) // 1 + visit order; 0 before the visit
+	low := make([]int, n)
+	var stack []int
+	visited, found := 0, 0
+	var visit func(v int)
+	visit = func(v int) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		for _, e := range adj[v] {
+			w := to(e)
+			if index[w] == 0 {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if comp[w] == 0 {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] == index[v] {
+			found++
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				comp[w] = found
+				if w == v {
+					break
+				}
+			}
+		}
+	}
+	for v := range adj {
+		if index[v] == 0 {
+			visit(v)
+		}
+	}
+	return comp
 }
