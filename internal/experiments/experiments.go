@@ -38,6 +38,7 @@ import (
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/par"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Options configures a driver run.
@@ -394,9 +395,9 @@ func BenchNativeGateway(b *testing.B, pkt value.Value) {
 	ctx := langtest.NewSink().Context()
 	conns := map[string]value.Host{}
 	count := int64(0)
-	serverA := langtest.MustHost("10.0.0.81")
-	serverB := langtest.MustHost("10.0.0.109")
-	virtual := langtest.MustHost("10.0.0.100")
+	serverA := substrate.MustAddr("10.0.0.81")
+	serverB := substrate.MustAddr("10.0.0.109")
+	virtual := substrate.MustAddr("10.0.0.100")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -413,7 +414,7 @@ func BenchNativeGateway(b *testing.B, pkt value.Value) {
 				}
 				conns[key] = srv
 			}
-			if tcph.Flags&value.TCPSyn != 0 {
+			if tcph.Flags&substrate.FlagSyn != 0 {
 				count++
 			}
 			h := *iph

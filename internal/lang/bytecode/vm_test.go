@@ -6,6 +6,7 @@ import (
 
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // vmCtx records effects for VM execution tests.
@@ -38,8 +39,8 @@ func runChannel(t *testing.T, src string) (value.Value, *vmCtx, error) {
 		t.Fatalf("NewInstance: %v", err)
 	}
 	pkt := value.TupleV(
-		value.IP(&value.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64, Len: 30}),
-		value.UDP(&value.UDPHeader{SrcPort: 5, DstPort: 9, Len: 10}),
+		value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64}, Len: 30}),
+		value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: 5, DstPort: 9}, Len: 10}),
 		value.Blob([]byte("hello")),
 	)
 	err = inst.Invoke(0, ctx, pkt)

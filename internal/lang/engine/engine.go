@@ -109,7 +109,9 @@ func ZeroValue(t ast.Type) (value.Value, error) {
 		case ast.TBlob:
 			return value.Blob(nil), nil
 		case ast.TIP:
-			return value.IP(&value.IPHeader{TTL: 64}), nil
+			h := new(value.IPHeader)
+			h.TTL = 64
+			return value.IP(h), nil
 		case ast.TTCP:
 			return value.TCP(&value.TCPHeader{}), nil
 		case ast.TUDP:

@@ -10,6 +10,7 @@ import (
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // gateway is a condensed version of the paper's figure-2 load-balancing
@@ -67,7 +68,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 				t.Fatalf("sent %d packets, want 1", len(ctx.Sent))
 			}
 			dst := ctx.Sent[0].Pkt.Vs[0].AsIP().Dst
-			if want := langtest.MustHost("10.0.0.2"); dst != want {
+			if want := substrate.MustAddr("10.0.0.2"); dst != want {
 				t.Errorf("first request routed to %s, want %s", dst, want)
 			}
 
@@ -77,7 +78,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 				t.Fatalf("invoke: %v", err)
 			}
 			dst2 := ctx.Sent[1].Pkt.Vs[0].AsIP().Dst
-			if want := langtest.MustHost("10.0.0.3"); dst2 != want {
+			if want := substrate.MustAddr("10.0.0.3"); dst2 != want {
 				t.Errorf("second request routed to %s, want %s", dst2, want)
 			}
 
@@ -87,7 +88,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 				t.Fatalf("invoke: %v", err)
 			}
 			dst3 := ctx.Sent[2].Pkt.Vs[0].AsIP().Dst
-			if want := langtest.MustHost("10.0.0.2"); dst3 != want {
+			if want := substrate.MustAddr("10.0.0.2"); dst3 != want {
 				t.Errorf("follow-up packet routed to %s, want %s (sticky connection)", dst3, want)
 			}
 
@@ -97,7 +98,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 				t.Fatalf("invoke: %v", err)
 			}
 			dst4 := ctx.Sent[3].Pkt.Vs[0].AsIP().Dst
-			if want := langtest.MustHost("10.0.0.100"); dst4 != want {
+			if want := substrate.MustAddr("10.0.0.100"); dst4 != want {
 				t.Errorf("ssh packet routed to %s, want %s (pass-through)", dst4, want)
 			}
 			if got := inst.Proto.AsInt(); got != 3 {
@@ -352,7 +353,7 @@ is
 			if len(chans) != 2 {
 				t.Fatalf("expected 2 overloaded channels, got %d", len(chans))
 			}
-			ip := &value.IPHeader{Src: langtest.MustHost("10.0.0.1"), Dst: langtest.MustHost("10.0.0.2"), Proto: 6, TTL: 64}
+			ip := &value.IPHeader{IPHeader: substrate.IPHeader{Src: substrate.MustAddr("10.0.0.1"), Dst: substrate.MustAddr("10.0.0.2"), Proto: 6, TTL: 64}}
 			tcp := &value.TCPHeader{SrcPort: 1, DstPort: 2}
 			pktInt := value.TupleV(value.IP(ip), value.TCP(tcp), value.Char('A'), value.Int(42))
 			if err := inst.Invoke(chans[0].Index, ctx, pktInt); err != nil {

@@ -6,6 +6,7 @@ import (
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // The JIT builds a header a primitive returns straight into a tuple that
@@ -49,7 +50,7 @@ channel network(ps : int, ss : int, p : ip*tcp*blob) is
 			t.Fatalf("%s: %d packets delivered, want 2", name, len(ctx.Delivered))
 		}
 		for i, want := range []string{"10.0.0.7", "10.0.0.8"} {
-			if h := ctx.Delivered[i].Vs[0].AsIP(); h.Dst != langtest.MustHost(want) || h.Src != langtest.MustHost("10.0.1.1") {
+			if h := ctx.Delivered[i].Vs[0].AsIP(); h.Dst != substrate.MustAddr(want) || h.Src != substrate.MustAddr("10.0.1.1") {
 				t.Errorf("%s: packet %d goes %s -> %s, want 10.0.1.1 -> %s", name, i, h.Src, h.Dst, want)
 			}
 		}
@@ -70,10 +71,10 @@ channel network(ps : ip, ss : ip, p : ip*udp*blob) is
 	}
 	run(t, src, pkts, func(name string, _ *langtest.Ctx, inst *engine.Instance) {
 		first, last := inst.Chans[0].AsIP(), inst.Proto.AsIP()
-		if first.Src != langtest.MustHost("10.0.1.1") || first.Dst != langtest.MustHost("10.0.0.9") {
+		if first.Src != substrate.MustAddr("10.0.1.1") || first.Dst != substrate.MustAddr("10.0.0.9") {
 			t.Errorf("%s: channel state %s, want the first packet's header rewritten to 10.0.0.9", name, inst.Chans[0])
 		}
-		if last.Src != langtest.MustHost("10.0.1.3") || last == first {
+		if last.Src != substrate.MustAddr("10.0.1.3") || last == first {
 			t.Errorf("%s: protocol state %s, want the last packet's header, a header of its own", name, inst.Proto)
 		}
 	})

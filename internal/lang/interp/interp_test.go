@@ -8,6 +8,7 @@ import (
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 type ctx struct {
@@ -47,8 +48,8 @@ func run(t *testing.T, src, payload string) (value.Value, *ctx, error) {
 		t.Fatal(err)
 	}
 	p := value.TupleV(
-		value.IP(&value.IPHeader{Src: 1, Dst: 2, Proto: 17, TTL: 64}),
-		value.UDP(&value.UDPHeader{SrcPort: 3, DstPort: 4}),
+		value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{Src: 1, Dst: 2, Proto: 17, TTL: 64}}),
+		value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: 3, DstPort: 4}}),
 		value.Blob([]byte(payload)),
 	)
 	err = inst.Invoke(0, cx, p)

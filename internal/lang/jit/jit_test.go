@@ -9,6 +9,7 @@ import (
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 type ctx struct{ sent int }
@@ -44,8 +45,8 @@ func compileSrc(t *testing.T, src string) *compiled {
 
 func pkt(payload string) value.Value {
 	return value.TupleV(
-		value.IP(&value.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64}),
-		value.UDP(&value.UDPHeader{SrcPort: 5, DstPort: 9}),
+		value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64}}),
+		value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: 5, DstPort: 9}}),
 		value.Blob([]byte(payload)),
 	)
 }

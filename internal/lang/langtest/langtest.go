@@ -18,6 +18,7 @@ import (
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Sent records one OnRemote/OnNeighbor effect.
@@ -45,16 +46,7 @@ var _ prims.Context = (*Ctx)(nil)
 
 // NewCtx returns a fake context for host 10.0.0.1.
 func NewCtx() *Ctx {
-	return &Ctx{Host: MustHost("10.0.0.1"), randState: 0x9E3779B97F4A7C15}
-}
-
-// MustHost parses a dotted quad or panics (test fixture).
-func MustHost(s string) value.Host {
-	h, err := parser.ParseHost(s)
-	if err != nil {
-		panic(err)
-	}
-	return value.Host(h)
+	return &Ctx{Host: substrate.MustAddr("10.0.0.1"), randState: 0x9E3779B97F4A7C15}
 }
 
 // OnRemote implements prims.Context. The packet is only lent for the
@@ -165,15 +157,15 @@ func CompileAll(t *testing.T, src string) map[string]engine.Compiled {
 
 // TCPPacket builds an ip*tcp*blob packet value.
 func TCPPacket(src, dst string, srcPort, dstPort uint16, payload []byte) value.Value {
-	ip := &value.IPHeader{Src: MustHost(src), Dst: MustHost(dst), Proto: 6, TTL: 64, Len: 40 + len(payload), ID: 1}
+	ip := &value.IPHeader{IPHeader: substrate.IPHeader{Src: substrate.MustAddr(src), Dst: substrate.MustAddr(dst), Proto: substrate.ProtoTCP, TTL: 64, ID: 1}, Len: 40 + len(payload)}
 	tcp := &value.TCPHeader{SrcPort: srcPort, DstPort: dstPort}
 	return value.TupleV(value.IP(ip), value.TCP(tcp), value.Blob(payload))
 }
 
 // UDPPacket builds an ip*udp*blob packet value.
 func UDPPacket(src, dst string, srcPort, dstPort uint16, payload []byte) value.Value {
-	ip := &value.IPHeader{Src: MustHost(src), Dst: MustHost(dst), Proto: 17, TTL: 64, Len: 28 + len(payload), ID: 1}
-	udp := &value.UDPHeader{SrcPort: srcPort, DstPort: dstPort, Len: 8 + len(payload)}
+	ip := &value.IPHeader{IPHeader: substrate.IPHeader{Src: substrate.MustAddr(src), Dst: substrate.MustAddr(dst), Proto: substrate.ProtoUDP, TTL: 64, ID: 1}, Len: 28 + len(payload)}
+	udp := &value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: srcPort, DstPort: dstPort}, Len: 8 + len(payload)}
 	return value.TupleV(value.IP(ip), value.UDP(udp), value.Blob(payload))
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/lang/token"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Error is a lexical error with its source position.
@@ -260,23 +261,18 @@ func (lx *Lexer) scanNumber(pos token.Pos) (token.Kind, string, error) {
 		}
 		return lx.src[start:lx.off]
 	}
+	start := lx.off
 	first := digits()
-	// A '.' directly followed by a digit begins a dotted quad.
+	// A '.' directly followed by a digit begins a dotted quad: one the
+	// substrate's addresses parse, as a topology file's are.
 	if lx.peek() == '.' && isDigit(lx.peek2()) {
-		parts := []string{first}
 		for lx.peek() == '.' && isDigit(lx.peek2()) {
 			lx.skip(1) // '.'
-			parts = append(parts, digits())
+			digits()
 		}
-		if len(parts) != 4 {
-			return 0, "", lx.errorf(pos, "malformed host literal: expected 4 octets, got %d", len(parts))
-		}
-		text := parts[0] + "." + parts[1] + "." + parts[2] + "." + parts[3]
-		for _, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil || n > 255 {
-				return 0, "", lx.errorf(pos, "malformed host literal %s: octet %q out of range", text, p)
-			}
+		text := lx.src[start:lx.off]
+		if _, err := substrate.ParseAddr(text); err != nil {
+			return 0, "", lx.errorf(pos, "malformed host literal: want four decimal octets 0-255")
 		}
 		return token.HostLit, text, nil
 	}

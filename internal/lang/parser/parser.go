@@ -11,12 +11,12 @@ package parser
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/lang/lexer"
 	"planp.dev/planp/internal/lang/token"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Error is a syntax error with position information.
@@ -490,11 +490,11 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		return &ast.BoolLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: false}, nil
 	case token.HostLit:
 		p.next()
-		addr, err := ParseHost(t.Text)
+		addr, err := substrate.ParseAddr(t.Text)
 		if err != nil {
 			return nil, p.errorf(t.Pos, "%v", err)
 		}
-		return &ast.HostLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Addr: addr, Text: t.Text}, nil
+		return &ast.HostLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Addr: uint32(addr), Text: t.Text}, nil
 	case token.Ident:
 		p.next()
 		if p.tok.Kind == token.LParen {
@@ -673,23 +673,4 @@ func (p *parser) parseParen() (ast.Expr, error) {
 	default:
 		return nil, p.errorf(p.tok.Pos, "expected ')', ';' or ',' in parenthesized expression, got %s", p.tok)
 	}
-}
-
-// ParseHost converts a dotted-quad string to a packed big-endian IPv4
-// address. It is exported because host literals also appear in scenario
-// configuration files.
-func ParseHost(s string) (uint32, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("malformed host %q", s)
-	}
-	var addr uint32
-	for _, part := range parts {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 || n > 255 {
-			return 0, fmt.Errorf("malformed host %q", s)
-		}
-		addr = addr<<8 | uint32(n)
-	}
-	return addr, nil
 }

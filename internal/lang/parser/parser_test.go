@@ -10,6 +10,7 @@ import (
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/substrate"
 )
 
 func parseOK(t *testing.T, src string) *ast.Program {
@@ -295,14 +296,19 @@ func TestParseExprTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestParseHost: a host literal is the substrate's dotted quad, so what
+// substrate.ParseAddr refuses in a topology file no program may write.
 func TestParseHost(t *testing.T) {
-	h, err := ParseHost("10.0.0.1")
-	if err != nil || h != 0x0A000001 {
-		t.Errorf("ParseHost = %x, %v", h, err)
+	e, err := ParseExpr("10.0.0.1")
+	if h, ok := e.(*ast.HostLit); err != nil || !ok || h.Addr != 0x0A000001 {
+		t.Errorf("ParseExpr(10.0.0.1) = %#v, %v", e, err)
 	}
-	for _, bad := range []string{"1.2.3", "a.b.c.d", "1.2.3.256", ""} {
-		if _, err := ParseHost(bad); err == nil {
-			t.Errorf("ParseHost(%q) should fail", bad)
+	for _, bad := range []string{"1.2.3", "1.2.3.256", "1.2.3.0004", "1.2.3.4.5"} {
+		if _, err := substrate.ParseAddr(bad); err == nil {
+			t.Errorf("substrate.ParseAddr(%q) should fail", bad)
+		}
+		if _, err := ParseExpr(bad); err == nil {
+			t.Errorf("ParseExpr(%q) should fail", bad)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // kinds boxes what a header primitive returns.
@@ -56,7 +57,7 @@ func init() {
 	set("ipLenSet", ast.IPT, ast.IntT, func(h *value.IPHeader, x int64) { h.Len = int(inRange(x, math.MaxInt, "ipLenSet: negative length %d")) })
 	build("mkIP", types(ast.HostT, ast.HostT, ast.IntT), ast.IPT, func(h *value.IPHeader, a []value.Value) {
 		proto := uint8(inRange(a[2].I, 255, "mkIP: protocol %d out of range"))
-		*h = value.IPHeader{Src: value.Host(a[0].I), Dst: value.Host(a[1].I), Proto: proto, TTL: 64}
+		*h = value.IPHeader{IPHeader: substrate.IPHeader{Src: value.Host(a[0].I), Dst: value.Host(a[1].I), Proto: proto, TTL: 64}}
 	})
 
 	// ---- TCP header ----
@@ -65,7 +66,7 @@ func init() {
 	read("tcpSeq", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Seq) })
 	read("tcpAck", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Ack) })
 	read("tcpWindow", ast.TCPT, ast.IntT, func(h *value.TCPHeader) int64 { return int64(h.Window) })
-	for i, name := range []string{"tcpSynFlag", "tcpAckFlag", "tcpFinFlag", "tcpRstFlag"} { // value.TCPSyn << i
+	for i, name := range []string{"tcpSynFlag", "tcpAckFlag", "tcpFinFlag", "tcpRstFlag"} { // substrate.FlagSyn << i
 		read(name, ast.TCPT, ast.BoolT, func(h *value.TCPHeader) int64 { return int64(h.Flags >> i & 1) })
 	}
 	set("tcpSrcSet", ast.TCPT, ast.IntT, func(h *value.TCPHeader, x int64) { h.SrcPort = port(x, "tcpSrcSet: port %d out of range") })
@@ -79,7 +80,7 @@ func init() {
 	set("udpDstSet", ast.UDPT, ast.IntT, func(h *value.UDPHeader, x int64) { h.DstPort = port(x, "udpDstSet: port %d out of range") })
 	build("mkUDP", types(ast.IntT, ast.IntT), ast.UDPT, func(h *value.UDPHeader, a []value.Value) {
 		const msg = "mkUDP: port %d out of range"
-		*h = value.UDPHeader{SrcPort: port(a[0].I, msg), DstPort: port(a[1].I, msg)}
+		*h = value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: port(a[0].I, msg), DstPort: port(a[1].I, msg)}}
 	})
 
 	// ---- Host conversions ----

@@ -6,6 +6,7 @@ import (
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
+	"planp.dev/planp/internal/substrate"
 )
 
 // nullCtx is a minimal context for pure primitives.
@@ -75,7 +76,7 @@ func TestRegistryBasics(t *testing.T) {
 }
 
 func TestHeaderAccessors(t *testing.T) {
-	ip := value.IP(&value.IPHeader{Src: 0x01020304, Dst: 0x05060708, Proto: 6, TTL: 64, Len: 100, ID: 9})
+	ip := value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{Src: 0x01020304, Dst: 0x05060708, Proto: 6, TTL: 64, ID: 9}, Len: 100})
 	if call(t, "ipSrc", ip).AsHost() != 0x01020304 {
 		t.Error("ipSrc")
 	}
@@ -97,7 +98,7 @@ func TestHeaderAccessors(t *testing.T) {
 	if call(t, "ipSrcSet", ip, value.HostV(1)).AsIP().Src != 1 {
 		t.Error("ipSrcSet")
 	}
-	tcp := value.TCP(&value.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 7, Ack: 8, Flags: value.TCPSyn | value.TCPFin, Window: 500})
+	tcp := value.TCP(&value.TCPHeader{SrcPort: 4000, DstPort: 80, Seq: 7, Ack: 8, Flags: substrate.FlagSyn | substrate.FlagFin, Window: 500})
 	if call(t, "tcpSrc", tcp).AsInt() != 4000 || call(t, "tcpDst", tcp).AsInt() != 80 {
 		t.Error("tcp ports")
 	}
@@ -111,7 +112,7 @@ func TestHeaderAccessors(t *testing.T) {
 		call(t, "tcpWindow", tcp).AsInt() != 500 {
 		t.Error("tcp scalars")
 	}
-	udp := value.UDP(&value.UDPHeader{SrcPort: 1, DstPort: 2, Len: 30})
+	udp := value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: 1, DstPort: 2}, Len: 30})
 	if call(t, "udpSrc", udp).AsInt() != 1 || call(t, "udpDst", udp).AsInt() != 2 ||
 		call(t, "udpLen", udp).AsInt() != 30 {
 		t.Error("udp accessors")

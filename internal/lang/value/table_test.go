@@ -3,6 +3,8 @@ package value
 import (
 	"math/rand"
 	"testing"
+
+	"planp.dev/planp/internal/substrate"
 )
 
 // TestHeaderKeysCoverEveryField is the regression test for table-key
@@ -22,12 +24,14 @@ func TestHeaderKeysCoverEveryField(t *testing.T) {
 	}
 
 	// One variant per field of each header; all pairwise distinct.
+	ip := func(h substrate.IPHeader) Value { return IP(&IPHeader{IPHeader: h}) }
+	udp := func(h substrate.UDPHeader) Value { return UDP(&UDPHeader{UDPHeader: h}) }
 	variants := []Value{
-		IP(&IPHeader{}), IP(&IPHeader{Src: 1}), IP(&IPHeader{Dst: 1}), IP(&IPHeader{Proto: 1}),
-		IP(&IPHeader{TTL: 1}), IP(&IPHeader{Len: 1}), IP(&IPHeader{ID: 1}),
+		IP(&IPHeader{}), ip(substrate.IPHeader{Src: 1}), ip(substrate.IPHeader{Dst: 1}), ip(substrate.IPHeader{Proto: 1}),
+		ip(substrate.IPHeader{TTL: 1}), IP(&IPHeader{Len: 1}), ip(substrate.IPHeader{ID: 1}),
 		TCP(&TCPHeader{}), TCP(&TCPHeader{SrcPort: 1}), TCP(&TCPHeader{DstPort: 1}), TCP(&TCPHeader{Seq: 1}),
 		TCP(&TCPHeader{Ack: 1}), TCP(&TCPHeader{Flags: 1}), TCP(&TCPHeader{Window: 1}),
-		UDP(&UDPHeader{}), UDP(&UDPHeader{SrcPort: 1}), UDP(&UDPHeader{DstPort: 1}), UDP(&UDPHeader{Len: 1}),
+		UDP(&UDPHeader{}), udp(substrate.UDPHeader{SrcPort: 1}), udp(substrate.UDPHeader{DstPort: 1}), UDP(&UDPHeader{Len: 1}),
 		TupleV(Int(1), Int(2)), ListV([]Value{Int(1), Int(2)}), // Equal tells a tuple from a list
 	}
 	for i, x := range variants {
@@ -83,11 +87,11 @@ func (s *keyStream) key(depth int) Value {
 	case 5:
 		return Blob(make([]byte, s.next()%3))
 	case 6:
-		return IP(&IPHeader{Src: Host(s.next() % 2), TTL: s.next() % 2, Len: int(s.next() % 2)})
+		return IP(&IPHeader{IPHeader: substrate.IPHeader{Src: Host(s.next() % 2), TTL: s.next() % 2}, Len: int(s.next() % 2)})
 	case 7:
 		return TCP(&TCPHeader{SrcPort: uint16(s.next() % 2), Ack: uint32(s.next() % 2), Window: uint16(s.next() % 2)})
 	case 8:
-		return UDP(&UDPHeader{DstPort: uint16(s.next() % 2), Len: int(s.next() % 2)})
+		return UDP(&UDPHeader{UDPHeader: substrate.UDPHeader{DstPort: uint16(s.next() % 2)}, Len: int(s.next() % 2)})
 	case 9:
 		elems := make([]Value, 1+s.next()%3)
 		for i := range elems {

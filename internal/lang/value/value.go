@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"planp.dev/planp/internal/substrate"
 )
 
 // Kind tags the dynamic type of a Value.
@@ -50,49 +52,33 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Host is a packed big-endian IPv4 address.
-type Host uint32
+// A program reads the packets the substrate carries (§2: existing packet
+// formats, unchanged), so its hosts and headers are the substrate's own
+// types. The language adds one word to two headers: the lengths ipLen and
+// udpLen read, which the substrate works out from the payload and the
+// runtime fills in when it decodes a packet.
 
-// String renders the host as a dotted quad.
-func (h Host) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(h>>24), byte(h>>16), byte(h>>8), byte(h))
-}
+// Host is the substrate's packed big-endian IPv4 address.
+type Host = substrate.Addr
 
-// IPHeader mirrors the fields of an IP header that PLAN-P programs can
-// observe and rewrite (by copy: see the package comment).
+// IPHeader is the substrate's IP header plus its total length.
 type IPHeader struct {
-	Src   Host
-	Dst   Host
-	Proto uint8 // 6 = TCP, 17 = UDP
-	TTL   uint8
-	Len   int // total length including payload, bytes
-	ID    uint32
+	substrate.IPHeader
+	Len int // total length including payload, bytes
 }
 
-// TCPHeader mirrors the TCP header fields visible to PLAN-P programs.
-type TCPHeader struct {
-	SrcPort uint16
-	DstPort uint16
-	Seq     uint32
-	Ack     uint32
-	Flags   uint8 // bit 0 SYN, bit 1 ACK, bit 2 FIN, bit 3 RST, bit 4 PSH
-	Window  uint16
-}
+// TCPHeader is the substrate's TCP header; its flag bits are
+// substrate.FlagSyn and the rest.
+type TCPHeader = substrate.TCPHeader
 
-// TCP header flag bits.
-const (
-	TCPSyn = 1 << iota
-	TCPAck
-	TCPFin
-	TCPRst
-	TCPPsh
-)
+// TCPSyn is substrate.FlagSyn under the name bench/planpbench's
+// hand-written gateway reads it by.
+const TCPSyn = substrate.FlagSyn
 
-// UDPHeader mirrors the UDP header fields visible to PLAN-P programs.
+// UDPHeader is the substrate's UDP header plus its length.
 type UDPHeader struct {
-	SrcPort uint16
-	DstPort uint16
-	Len     int
+	substrate.UDPHeader
+	Len int // header and payload, bytes
 }
 
 // Table is a mutable PLAN-P hash table over any equality value. Tables

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"planp.dev/planp/internal/substrate"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -58,9 +60,9 @@ func TestAccessorPanicsOnWrongKind(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	ip1 := IP(&IPHeader{Src: 1, Dst: 2, Proto: 6, TTL: 64, Len: 40})
-	ip2 := IP(&IPHeader{Src: 1, Dst: 2, Proto: 6, TTL: 64, Len: 40})
-	ip3 := IP(&IPHeader{Src: 1, Dst: 3, Proto: 6, TTL: 64, Len: 40})
+	ip1 := IP(&IPHeader{IPHeader: substrate.IPHeader{Src: 1, Dst: 2, Proto: 6, TTL: 64}, Len: 40})
+	ip2 := IP(&IPHeader{IPHeader: substrate.IPHeader{Src: 1, Dst: 2, Proto: 6, TTL: 64}, Len: 40})
+	ip3 := IP(&IPHeader{IPHeader: substrate.IPHeader{Src: 1, Dst: 3, Proto: 6, TTL: 64}, Len: 40})
 	cases := []struct {
 		a, b Value
 		want bool
@@ -79,7 +81,7 @@ func TestEqual(t *testing.T) {
 		{ip1, ip3, false},
 		{TCP(&TCPHeader{SrcPort: 1}), TCP(&TCPHeader{SrcPort: 1}), true},
 		{TCP(&TCPHeader{SrcPort: 1}), TCP(&TCPHeader{SrcPort: 2}), false},
-		{UDP(&UDPHeader{DstPort: 5}), UDP(&UDPHeader{DstPort: 5}), true},
+		{UDP(&UDPHeader{UDPHeader: substrate.UDPHeader{DstPort: 5}}), UDP(&UDPHeader{UDPHeader: substrate.UDPHeader{DstPort: 5}}), true},
 	}
 	for i, tc := range cases {
 		if got := Equal(tc.a, tc.b); got != tc.want {
@@ -298,7 +300,7 @@ func TestString(t *testing.T) {
 	if !strings.Contains(TableV(NewTable(1)).String(), "hash_table") {
 		t.Error("table rendering")
 	}
-	if !strings.Contains(IP(&IPHeader{Src: 1, Dst: 2}).String(), "->") {
+	if !strings.Contains(IP(&IPHeader{IPHeader: substrate.IPHeader{Src: 1, Dst: 2}}).String(), "->") {
 		t.Error("ip rendering")
 	}
 }

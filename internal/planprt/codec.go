@@ -82,14 +82,7 @@ func decode(pkt *substrate.Packet, t ast.Type, mem *scratch) (value.Value, bool)
 	case pkt.UDP != nil:
 		ipLen += substrate.UDPHeaderLen
 	}
-	d.ip = value.IPHeader{
-		Src:   value.Host(pkt.IP.Src),
-		Dst:   value.Host(pkt.IP.Dst),
-		Proto: pkt.IP.Proto,
-		TTL:   pkt.IP.TTL,
-		Len:   ipLen,
-		ID:    pkt.IP.ID,
-	}
+	d.ip = value.IPHeader{IPHeader: pkt.IP, Len: ipLen}
 	elems = append(elems, value.IP(&d.ip))
 
 	rest := tup.Elems[1:]
@@ -97,20 +90,14 @@ func decode(pkt *substrate.Packet, t ast.Type, mem *scratch) (value.Value, bool)
 		if pkt.TCP == nil {
 			return value.Unit, false
 		}
-		h := pkt.TCP
-		d.tcp = value.TCPHeader{
-			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
-			Flags: h.Flags, Window: h.Window,
-		}
+		d.tcp = *pkt.TCP
 		elems = append(elems, value.TCP(&d.tcp))
 		rest = rest[1:]
 	} else if len(rest) > 0 && ast.Equal(rest[0], ast.UDPT) {
 		if pkt.UDP == nil {
 			return value.Unit, false
 		}
-		d.udp = value.UDPHeader{
-			SrcPort: pkt.UDP.SrcPort, DstPort: pkt.UDP.DstPort, Len: substrate.UDPHeaderLen + len(pkt.Payload),
-		}
+		d.udp = value.UDPHeader{UDPHeader: *pkt.UDP, Len: substrate.UDPHeaderLen + len(pkt.Payload)}
 		elems = append(elems, value.UDP(&d.udp))
 		rest = rest[1:]
 	}
@@ -218,7 +205,6 @@ func encode(v value.Value, pkt *substrate.Packet) (*substrate.Packet, error) {
 	if v.Vs[0].Kind != value.KindIP {
 		return nil, fmt.Errorf("planprt: packet tuple must start with an ip header, got %s", v.Vs[0].Kind)
 	}
-	iph := v.Vs[0].AsIP()
 	var tcp *substrate.TCPHeader // spare headers: part of a fresh packet's allocation
 	var udp *substrate.UDPHeader
 	if pkt == nil {
@@ -226,13 +212,7 @@ func encode(v value.Value, pkt *substrate.Packet) (*substrate.Packet, error) {
 		pkt, tcp, udp = &e.pkt, &e.tcp, &e.udp
 	}
 	wasTCP, wasUDP := pkt.TCP, pkt.UDP
-	*pkt = substrate.Packet{IP: substrate.IPHeader{
-		Src:   substrate.Addr(iph.Src),
-		Dst:   substrate.Addr(iph.Dst),
-		Proto: iph.Proto,
-		TTL:   iph.TTL,
-		ID:    iph.ID,
-	}}
+	*pkt = substrate.Packet{IP: v.Vs[0].AsIP().IPHeader}
 	// The packet is referenced only by the caller (freshly built, or
 	// owned when it came in), so downstream routers may forward it in
 	// place.
@@ -240,16 +220,11 @@ func encode(v value.Value, pkt *substrate.Packet) (*substrate.Packet, error) {
 
 	rest := v.Vs[1:]
 	if len(rest) > 0 && rest[0].Kind == value.KindTCP {
-		h := rest[0].AsTCP()
-		pkt.TCP = header(wasTCP, tcp, substrate.TCPHeader{
-			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
-			Flags: h.Flags, Window: h.Window,
-		})
+		pkt.TCP = header(wasTCP, tcp, *rest[0].AsTCP())
 		pkt.IP.Proto = substrate.ProtoTCP
 		rest = rest[1:]
 	} else if len(rest) > 0 && rest[0].Kind == value.KindUDP {
-		h := rest[0].AsUDP()
-		pkt.UDP = header(wasUDP, udp, substrate.UDPHeader{SrcPort: h.SrcPort, DstPort: h.DstPort})
+		pkt.UDP = header(wasUDP, udp, rest[0].AsUDP().UDPHeader)
 		pkt.IP.Proto = substrate.ProtoUDP
 		rest = rest[1:]
 	}

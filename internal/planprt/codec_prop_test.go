@@ -34,13 +34,13 @@ func randTupleType(rng *rand.Rand) ast.Tuple {
 // randValue draws a random value of type t (t must come from
 // randTupleType).
 func randValue(rng *rand.Rand, t ast.Tuple) value.Value {
-	vs := []value.Value{value.IP(&value.IPHeader{
-		Src:   value.Host(rng.Uint32()),
-		Dst:   value.Host(rng.Uint32()),
+	vs := []value.Value{value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{
+		Src:   substrate.Addr(rng.Uint32()),
+		Dst:   substrate.Addr(rng.Uint32()),
 		Proto: uint8(rng.Intn(256)),
 		TTL:   uint8(1 + rng.Intn(255)),
 		ID:    rng.Uint32(),
-	})}
+	}})}
 	for _, et := range t.Elems[1:] {
 		base := et.(ast.Base)
 		switch base.Kind {
@@ -51,9 +51,9 @@ func randValue(rng *rand.Rand, t ast.Tuple) value.Value {
 				Flags: uint8(rng.Intn(256)), Window: uint16(rng.Uint32()),
 			}))
 		case ast.TUDP:
-			vs = append(vs, value.UDP(&value.UDPHeader{
+			vs = append(vs, value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{
 				SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()),
-			}))
+			}}))
 		case ast.TInt:
 			vs = append(vs, value.Int(int64(int32(rng.Uint32()))))
 		case ast.TBool:
@@ -61,7 +61,7 @@ func randValue(rng *rand.Rand, t ast.Tuple) value.Value {
 		case ast.TChar:
 			vs = append(vs, value.Char(byte(rng.Intn(256))))
 		case ast.THost:
-			vs = append(vs, value.HostV(value.Host(rng.Uint32())))
+			vs = append(vs, value.HostV(substrate.Addr(rng.Uint32())))
 		case ast.TString:
 			b := make([]byte, rng.Intn(40))
 			rng.Read(b)

@@ -87,8 +87,8 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 	typ := ast.Tuple{Elems: []ast.Type{ast.IPT, ast.UDPT, ast.CharT, ast.IntT, ast.BlobT}}
 	f := func(c byte, n int32, blob []byte) bool {
 		v := value.TupleV(
-			value.IP(&value.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64, ID: 9}),
-			value.UDP(&value.UDPHeader{SrcPort: 5, DstPort: 6}),
+			value.IP(&value.IPHeader{IPHeader: substrate.IPHeader{Src: 0x0A000001, Dst: 0x0A000002, Proto: 17, TTL: 64, ID: 9}}),
+			value.UDP(&value.UDPHeader{UDPHeader: substrate.UDPHeader{SrcPort: 5, DstPort: 6}}),
 			value.Char(c), value.Int(int64(n)), value.Blob(blob),
 		)
 		pkt, err := Encode(v)

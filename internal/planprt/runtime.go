@@ -556,7 +556,7 @@ func (rt *Runtime) Deliver(pktVal value.Value) {
 func (rt *Runtime) Print(s string) { io.WriteString(rt.out, s) }
 
 // ThisHost returns the node address.
-func (rt *Runtime) ThisHost() value.Host { return value.Host(rt.addr) }
+func (rt *Runtime) ThisHost() value.Host { return rt.addr }
 
 // Now returns substrate time (virtual on the simulator, wall-clock on
 // real-time backends) in milliseconds.
@@ -568,7 +568,7 @@ func (rt *Runtime) Rand(n int64) int64 { return rt.env.Int63n(n) }
 // LinkLoadTo reports the utilization of the interface a packet to dst
 // would leave through.
 func (rt *Runtime) LinkLoadTo(dst value.Host) int64 {
-	ifc := rt.node.Route(substrate.Addr(dst))
+	ifc := rt.node.Route(dst)
 	if ifc == nil {
 		return 0
 	}
@@ -577,7 +577,7 @@ func (rt *Runtime) LinkLoadTo(dst value.Host) int64 {
 
 // LinkBandwidthTo reports the capacity of the route to dst.
 func (rt *Runtime) LinkBandwidthTo(dst value.Host) int64 {
-	ifc := rt.node.Route(substrate.Addr(dst))
+	ifc := rt.node.Route(dst)
 	if ifc == nil {
 		return 0
 	}

@@ -1,8 +1,8 @@
 // Packet model: an IP-flavoured header with optional TCP/UDP transport
 // headers and a raw payload. PLAN-P operates on existing packet formats
-// unchanged (§2), so these mirror the fields the primitive library
-// exposes; internal/planprt converts between this wire form and the
-// language's header values. The model is substrate-neutral: simulator
+// unchanged (§2), so these are the header values a program reads and
+// rewrites: internal/lang/value adds only the lengths ipLen and udpLen
+// read, which internal/planprt fills in at decode. The model is substrate-neutral: simulator
 // media and real-time channel/socket links carry the same struct.
 package substrate
 
@@ -21,7 +21,7 @@ const (
 	UDPHeaderLen = 8
 )
 
-// TCP flag bits (mirrors value.TCPSyn etc. in the language layer).
+// TCP flag bits: what tcpSynFlag and the other PLAN-P flag readers test.
 const (
 	FlagSyn = 1 << iota
 	FlagAck
