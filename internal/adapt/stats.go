@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -69,8 +68,11 @@ func FetchStats(ctx context.Context, client *http.Client, baseURL string) (Snaps
 	if err != nil {
 		return Snapshot{}, err
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxStatsBody))
+	body, err := planpd.ReadSized(resp.Body, resp.ContentLength, maxStatsBody)
 	resp.Body.Close()
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("GET %s: HTTP %d: reading the answer: %w", u, resp.StatusCode, err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return Snapshot{}, fmt.Errorf("GET %s: HTTP %d: %s", u, resp.StatusCode, strings.TrimSpace(string(body)))
 	}

@@ -185,8 +185,6 @@ func (c *Client) Finish(end time.Duration) {
 // compares PLAN-P against. Thresholds mirror asp/audio_router.planp.
 type NativeAdapter struct {
 	node substrate.Node
-
-	Processed int64
 }
 
 // InstallNative installs the native adaptation on a router node.
@@ -204,12 +202,7 @@ func (a *NativeAdapter) Process(pkt *substrate.Packet, in substrate.Iface) bool 
 	if pkt.UDP.DstPort != Port {
 		// Forward other UDP traffic unchanged (same behavior as the
 		// ASP's else branch).
-		out := pkt.Clone()
-		if out.IP.TTL <= 1 {
-			return true
-		}
-		out.IP.TTL--
-		a.node.TransmitFrom(out, in)
+		a.node.Relay(pkt.Clone(), in)
 		return true
 	}
 	ifc := a.node.Route(pkt.IP.Dst)
@@ -224,12 +217,7 @@ func (a *NativeAdapter) Process(pkt *substrate.Packet, in substrate.Iface) bool 
 	case load > 50:
 		out.Payload = prims.DegradeToMono16(out.Payload)
 	}
-	if out.IP.TTL <= 1 {
-		return true
-	}
-	out.IP.TTL--
-	a.Processed++
-	a.node.TransmitFrom(out, in)
+	a.node.Relay(out, in)
 	return true
 }
 

@@ -157,7 +157,7 @@ func (tb *Testbed) SinkAddr() netsim.Addr { return netsim.MustAddr("10.2.0.3") }
 func (tb *Testbed) StartPoissonLoad(bps int64, end time.Duration) {
 	payload := make([]byte, 1000) // shared: transmitted payloads are immutable
 	wire := int64(len(payload) + substrate.IPHeaderLen + substrate.UDPHeaderLen)
-	p := &loadgen.Poisson{Node: tb.LoadGen, Rate: float64(bps) / float64(wire*8), Emit: func() {
+	p := &loadgen.Poisson{Rate: float64(bps) / float64(wire*8), Emit: func() {
 		tb.LoadGen.Send(netsim.NewUDP(tb.LoadGen.Addr, tb.SinkAddr(), 40000, 40000, payload).Own())
 	}}
 	p.Start(tb.Sim, 0, end)

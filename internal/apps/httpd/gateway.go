@@ -82,26 +82,17 @@ func (g *NativeGateway) Process(pkt *substrate.Packet, in substrate.Iface) bool 
 		}
 		out := pkt.Clone()
 		out.IP.Dst = srv
-		g.forward(out, in)
+		g.node.Relay(out, in)
 		return true
 
 	case pkt.TCP.SrcPort == HTTPPort && (pkt.IP.Src == Server0Addr || pkt.IP.Src == Server1Addr):
 		out := pkt.Clone()
 		out.IP.Src = VirtualAddr
-		g.forward(out, in)
+		g.node.Relay(out, in)
 		return true
 
 	default:
-		out := pkt.Clone()
-		g.forward(out, in)
+		g.node.Relay(pkt.Clone(), in)
 		return true
 	}
-}
-
-func (g *NativeGateway) forward(pkt *substrate.Packet, in substrate.Iface) {
-	if pkt.IP.TTL <= 1 {
-		return
-	}
-	pkt.IP.TTL--
-	g.node.TransmitFrom(pkt, in)
 }

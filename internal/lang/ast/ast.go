@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"planp.dev/planp/internal/lang/token"
+	"planp.dev/planp/internal/substrate"
 )
 
 // ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ type UnitLit struct{ Node }
 // HostLit is a dotted-quad IP address literal such as 131.254.60.81.
 type HostLit struct {
 	Node
-	Addr uint32 // big-endian packed IPv4 address
+	Addr substrate.Addr
 	Text string
 }
 

@@ -166,7 +166,7 @@ func (fc *fnCompiler) expr(e ast.Expr) int {
 	case *ast.UnitLit:
 		return fc.loadConst(value.Unit)
 	case *ast.HostLit:
-		return fc.loadConst(value.HostV(value.Host(e.Addr)))
+		return fc.loadConst(value.HostV(e.Addr))
 
 	case *ast.Var:
 		if e.Slot >= 0 {

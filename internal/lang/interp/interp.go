@@ -94,7 +94,7 @@ func (ev *evaluator) eval(e ast.Expr, frame []value.Value) value.Value {
 	case *ast.UnitLit:
 		return value.Unit
 	case *ast.HostLit:
-		return value.HostV(value.Host(e.Addr))
+		return value.HostV(e.Addr)
 
 	case *ast.Var:
 		if e.Slot >= 0 {

@@ -283,7 +283,7 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 	case *ast.UnitLit:
 		return constant(value.Unit)
 	case *ast.HostLit:
-		return constant(value.HostV(value.Host(e.Addr)))
+		return constant(value.HostV(e.Addr))
 
 	case *ast.Var:
 		if e.Slot >= 0 {

@@ -494,7 +494,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		if err != nil {
 			return nil, p.errorf(t.Pos, "%v", err)
 		}
-		return &ast.HostLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Addr: uint32(addr), Text: t.Text}, nil
+		return &ast.HostLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Addr: addr, Text: t.Text}, nil
 	case token.Ident:
 		p.next()
 		if p.tok.Kind == token.LParen {

@@ -237,7 +237,7 @@ func evalChannels(info *typecheck.Info) []channelFacts {
 func (ev *evaluator) eval(e ast.Expr) fact {
 	switch e := e.(type) {
 	case *ast.HostLit:
-		return fact{val: hostVal(ahost{kind: ahLit, lit: value.Host(e.Addr)})}
+		return fact{val: hostVal(ahost{kind: ahLit, lit: e.Addr})}
 
 	case *ast.Var:
 		if e.Slot >= 0 {
@@ -245,7 +245,7 @@ func (ev *evaluator) eval(e ast.Expr) fact {
 		}
 		// Top-level host literals flow through globals.
 		if hl, ok := ev.info.Globals[e.Global].Decl.Init.(*ast.HostLit); ok {
-			return fact{val: hostVal(ahost{kind: ahLit, lit: value.Host(hl.Addr)})}
+			return fact{val: hostVal(ahost{kind: ahLit, lit: hl.Addr})}
 		}
 		return fact{}
 

@@ -21,8 +21,9 @@ func emitMedium(sh *shard, kind obs.Kind, from *Iface, pkt *Packet, detail strin
 
 // Medium is the transmission substrate an interface attaches to.
 type Medium interface {
-	// Transmit sends pkt from the given interface.
-	Transmit(from *Iface, pkt *Packet)
+	// send serializes pkt from the given interface and delivers it;
+	// extra is added to the propagation delay (chaos-injected latency).
+	send(from *Iface, pkt *Packet, extra time.Duration)
 	// Bandwidth is the medium capacity in bits/s (per direction for
 	// links, shared for segments).
 	Bandwidth() int64
@@ -31,26 +32,6 @@ type Medium interface {
 	// faultDrop counts a chaos-injected drop in from's direction,
 	// distinct from queue-overflow drops.
 	faultDrop(from *Iface)
-}
-
-// applyFault runs the interface's fault layer for one transmission.
-// It returns the (possibly corrupted) packet to transmit, the number of
-// extra copies, the added delivery delay, and whether to transmit at
-// all. Shared by Link and Segment so the two media drop, corrupt, and
-// duplicate identically.
-func applyFault(m Medium, from *Iface, pkt *Packet) (*Packet, int, time.Duration, bool) {
-	act := from.fault(pkt)
-	if act.Drop {
-		m.faultDrop(from)
-		if sh := from.Node.sh; sh.bus.Active() {
-			emitMedium(sh, obs.KindDrop, from, pkt, "fault")
-		}
-		return nil, 0, 0, false
-	}
-	if act.Corrupt {
-		pkt = substrate.CorruptPayload(pkt, act.CorruptBit)
-	}
-	return pkt, act.Dup, act.Delay, true
 }
 
 // Iface attaches a node to a medium.
@@ -63,8 +44,8 @@ type Iface struct {
 	// (needed by capture ASPs such as the MPEG client, §3.3).
 	Promisc bool
 
-	// fault, when set, is consulted per transmission by the attached
-	// medium (internal/chaos installs it). nil is the fast path.
+	// fault, when set, is consulted per transmission by Send
+	// (internal/chaos installs it). nil is the fast path.
 	fault substrate.FaultFunc
 
 	// peer is the other endpoint for point-to-point links (nil on
@@ -90,8 +71,32 @@ func (i *Iface) Load() int64 {
 	return m.Utilization(i.Node.sh.now, i.medium.Bandwidth())
 }
 
-// Send transmits pkt out this interface.
-func (i *Iface) Send(pkt *Packet) { i.medium.Transmit(i, pkt) }
+// Send transmits pkt out this interface: consult the fault layer if one
+// is installed, then hand the packet to the medium. Both media therefore
+// drop, corrupt, duplicate and delay identically.
+func (i *Iface) Send(pkt *Packet) {
+	if i.fault == nil {
+		i.medium.send(i, pkt, 0)
+		return
+	}
+	act := i.fault(pkt)
+	if act.Drop {
+		i.medium.faultDrop(i)
+		if sh := i.Node.sh; sh.bus.Active() {
+			emitMedium(sh, obs.KindDrop, i, pkt, "fault")
+		}
+		return
+	}
+	if act.Corrupt {
+		pkt = substrate.CorruptPayload(pkt, act.CorruptBit)
+	}
+	// Duplicates share the verdict (they are copies of one decision,
+	// not fresh transmissions) and queue behind the original.
+	i.medium.send(i, pkt, act.Delay)
+	for k := 0; k < act.Dup; k++ {
+		i.medium.send(i, pkt.Clone(), act.Delay)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // The wire: one serialization resource
@@ -222,28 +227,8 @@ func (l *Link) FaultDropped(from *Iface) int64 { return l.dir(from).faultDropped
 // faultDrop implements Medium.
 func (l *Link) faultDrop(from *Iface) { l.dir(from).faultDropped++ }
 
-// Transmit implements Medium: consult the fault layer if one is
-// installed, then serialize (queueing behind earlier traffic),
+// send implements Medium: serialize (queueing behind earlier traffic),
 // propagate, deliver to the peer.
-func (l *Link) Transmit(from *Iface, pkt *Packet) {
-	if from.fault == nil {
-		l.send(from, pkt, 0)
-		return
-	}
-	pkt, dup, delay, ok := applyFault(l, from, pkt)
-	if !ok {
-		return
-	}
-	// Duplicates share the verdict (they are copies of one decision,
-	// not fresh transmissions) and queue behind the original.
-	l.send(from, pkt, delay)
-	for k := 0; k < dup; k++ {
-		l.send(from, pkt.Clone(), delay)
-	}
-}
-
-// send is the faultless serialization path; extra is added to the
-// propagation delay (chaos-injected latency).
 func (l *Link) send(from *Iface, pkt *Packet, extra time.Duration) {
 	sh := from.Node.sh
 	if done, ok := l.dir(from).serialize(sh, l.bandwidth, l.queueLimit, from, pkt); ok {
@@ -312,24 +297,8 @@ func (s *Segment) FaultDropped() int64 { return s.wire.faultDropped }
 // faultDrop implements Medium.
 func (s *Segment) faultDrop(*Iface) { s.wire.faultDropped++ }
 
-// Transmit implements Medium: consult the fault layer if one is
-// installed, then one shared serialization resource (approximating
-// CSMA/CD without collisions), then broadcast delivery.
-func (s *Segment) Transmit(from *Iface, pkt *Packet) {
-	if from.fault == nil {
-		s.send(from, pkt, 0)
-		return
-	}
-	pkt, dup, delay, ok := applyFault(s, from, pkt)
-	if !ok {
-		return
-	}
-	s.send(from, pkt, delay)
-	for k := 0; k < dup; k++ {
-		s.send(from, pkt.Clone(), delay)
-	}
-}
-
+// send implements Medium: one shared serialization resource
+// (approximating CSMA/CD without collisions), then broadcast delivery.
 func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) {
 	sh := from.Node.sh
 	done, ok := s.wire.serialize(sh, s.bandwidth, s.queueLimit, from, pkt)

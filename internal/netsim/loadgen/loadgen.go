@@ -74,12 +74,11 @@ func (g *Generator) Stop() { g.stopped = true }
 // Sent returns packets and bytes emitted so far.
 func (g *Generator) Sent() (pkts, bytes int64) { return g.sent, g.sentBytes }
 
-// Poisson emits packets with exponentially distributed inter-arrival
-// times at the given mean rate — the arrival model for the HTTP client
-// load sweep (figure 8's offered-load axis).
+// Poisson calls Emit at exponentially distributed intervals with the
+// given mean rate: the background load of the audio testbed
+// (audio.Testbed.StartPoissonLoad, figure 7).
 type Poisson struct {
-	Node *netsim.Node
-	Rate float64 // packets per second
+	Rate float64 // arrivals per second
 	Emit func()  // called per arrival
 
 	stopped bool

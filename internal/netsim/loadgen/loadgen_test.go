@@ -80,7 +80,7 @@ func TestGeneratorStop(t *testing.T) {
 func TestPoissonRate(t *testing.T) {
 	sim, _, _ := pair(t)
 	arrivals := 0
-	p := &Poisson{Node: nil, Rate: 500, Emit: func() { arrivals++ }}
+	p := &Poisson{Rate: 500, Emit: func() { arrivals++ }}
 	p.Start(sim, 0, 4*time.Second)
 	sim.Run()
 	// 500/s over 4s = 2000 expected; Poisson stddev ~45.

@@ -117,7 +117,7 @@ type Event struct {
 
 // AppendAddr appends a packed big-endian IPv4-style address to dst as a
 // dotted quad. Hand-rolled (no fmt) because address rendering sits on
-// the per-event String path and the simulator's Addr.String shares it.
+// the per-event String path; substrate.Addr.String shares it.
 func AppendAddr(dst []byte, a uint32) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
 		dst = appendOctet(dst, byte(a>>shift))
@@ -138,16 +138,11 @@ func appendOctet(dst []byte, o byte) []byte {
 	return append(dst, '0'+o%10)
 }
 
-// FormatAddr renders a packed address as a dotted quad.
-func FormatAddr(a uint32) string {
-	var buf [15]byte
-	return string(AppendAddr(buf[:0], a))
-}
-
 // String renders the event as one pcap-style text line (no newline).
 func (e Event) String() string {
+	var src, dst [15]byte
 	s := fmt.Sprintf("%10.6f %-13s %-10s %s->%s %dB",
-		e.At.Seconds(), e.Kind, e.Node, FormatAddr(e.Src), FormatAddr(e.Dst), e.Size)
+		e.At.Seconds(), e.Kind, e.Node, AppendAddr(src[:0], e.Src), AppendAddr(dst[:0], e.Dst), e.Size)
 	if e.Detail != "" {
 		s += " " + e.Detail
 	}

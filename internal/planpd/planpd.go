@@ -108,7 +108,7 @@ func (s *Server) Handler() http.Handler {
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) {
 	body, err := ReadSized(r.Body, r.ContentLength, limit)
 	switch {
-	case errors.Is(err, errTooLarge):
+	case errors.Is(err, ErrTooLarge):
 		http.Error(w, fmt.Sprintf("body over %d bytes", limit), http.StatusRequestEntityTooLarge)
 	case err != nil:
 		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
@@ -118,23 +118,23 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) 
 	return nil, false
 }
 
-// errTooLarge is ReadSized's answer for a body over its limit.
-var errTooLarge = errors.New("body over the size limit")
+// ErrTooLarge is ReadSized's answer for a body over its limit.
+var ErrTooLarge = errors.New("body over the size limit")
 
 // ReadSized reads a whole HTTP body of at most limit bytes whose
 // Content-Length is size (-1 when unknown, as for a chunked body). A
 // known size is read into one buffer of exactly that length, where
 // io.ReadAll would grow one by doubling. A body over the limit, as
-// declared or as it runs, is errTooLarge; one that ends short of its
+// declared or as it runs, is ErrTooLarge; one that ends short of its
 // declared size is io.ErrUnexpectedEOF.
 func ReadSized(body io.Reader, size int64, limit int) ([]byte, error) {
 	if size > int64(limit) {
-		return nil, errTooLarge
+		return nil, ErrTooLarge
 	}
 	if size < 0 {
 		b, err := io.ReadAll(io.LimitReader(body, int64(limit)+1))
 		if err == nil && len(b) > limit {
-			return nil, errTooLarge
+			return nil, ErrTooLarge
 		}
 		return b, err
 	}

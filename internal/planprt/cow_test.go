@@ -124,7 +124,7 @@ type sink struct {
 	last *substrate.Packet
 }
 
-func (s *sink) TransmitFrom(pkt *substrate.Packet, _ substrate.Iface) bool {
+func (s *sink) Relay(pkt *substrate.Packet, _ substrate.Iface) bool {
 	s.last = pkt
 	return true
 }

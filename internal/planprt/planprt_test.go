@@ -326,6 +326,36 @@ is
 	}
 }
 
+// TestOnRemoteThatCannotLeaveIsANodeDrop: an ASP router on one segment
+// passes a packet on unchanged, so split horizon leaves it no way out;
+// the send is a counted node drop, not a silent loss.
+func TestOnRemoteThatCannotLeaveIsANodeDrop(t *testing.T) {
+	sim := netsim.New(netsim.WithSeed(1))
+	seg := netsim.NewSegment(sim, "lan", netsim.LinkConfig{Bandwidth: 10_000_000})
+	host := netsim.NewNode(sim, "host", netsim.MustAddr("10.0.0.1"))
+	router := netsim.NewNode(sim, "router", netsim.MustAddr("10.0.0.254"))
+	router.Forwarding = true
+	host.SetDefaultRoute(seg.Attach(host))
+	router.SetDefaultRoute(seg.Attach(router))
+	src := `
+channel network(ps : unit, ss : unit, p : ip*udp*blob)
+is
+  (OnRemote(network, p); (ps, ss))
+`
+	rt, err := Download(router, src, Config{Verify: VerifyPrivileged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.Send(netsim.NewUDP(host.Addr, netsim.MustAddr("10.9.9.9"), 1, 9, []byte("x")))
+	sim.Run()
+	if st := rt.Stats(); st.Processed != 1 || st.SentRemote != 1 {
+		t.Fatalf("processed %d, sent_remote %d; want 1 and 1", st.Processed, st.SentRemote)
+	}
+	if got := sim.Metrics().Snapshot()["node.router.dropped_pkts"]; got != 1 {
+		t.Errorf("node.router.dropped_pkts = %d, want 1 (the send that could not leave)", got)
+	}
+}
+
 func TestChannelTagDispatch(t *testing.T) {
 	// A tagged send is processed by the named channel at the next hop.
 	sim := netsim.New(netsim.WithSeed(1))

@@ -296,9 +296,9 @@ type Stats struct {
 	Processed  int64 // packets handled by a channel
 	Unmatched  int64 // packets that matched no channel (default path)
 	Errors     int64 // channel invocations ending in an exception
-	SentRemote int64
+	SentRemote int64 // OnRemote to another host (one that cannot leave is also a node drop)
 	SentLocal  int64 // OnRemote to self (local delivery)
-	SentFlood  int64 // OnNeighbor transmissions
+	SentFlood  int64 // OnNeighbor copies sent
 	Delivered  int64 // deliver primitive
 	// InvokeTime estimates the time spent inside channel invocations:
 	// one invoke in invokeSample is timed and counted invokeSample
@@ -462,7 +462,7 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 // ---------------------------------------------------------------------------
 // prims.Context
 
-// encode builds the packet OnRemote or Deliver sends: in the inbound
+// encode builds the packet a send or Deliver hands on: in the inbound
 // packet if it was owned and this is the invocation's first such send
 // (nothing else refers to it, and the packet value does not: its headers
 // are copies and a payload is never written), in a fresh one otherwise.
@@ -475,74 +475,42 @@ func (rt *Runtime) encode(prim string, pktVal value.Value) *substrate.Packet {
 	return pkt
 }
 
-// OnRemote implements the send primitive: the packet is routed by its
-// (possibly rewritten) destination. Sends addressed to this node are
-// delivered locally — the IP rule that a packet addressed to yourself
-// does not hit the wire — which is also what makes self-forwarding
-// protocols terminate.
+// OnRemote implements the send primitive: the node relays the packet by
+// its (possibly rewritten) destination, so a send addressed to this node
+// is delivered locally — the IP rule that a packet addressed to yourself
+// does not hit the wire, which also makes self-forwarding protocols
+// terminate — and one that cannot leave is a counted node drop.
 func (rt *Runtime) OnRemote(chanName string, pktVal value.Value) {
 	pkt := rt.encode("OnRemote", pktVal)
 	if chanName != "network" {
 		pkt.ChanTag = chanName
 	}
-	if pkt.IP.Dst == rt.addr {
-		rt.ct.sentLocal.Inc()
-		rt.node.DeliverLocal(pkt)
-		return
-	}
-	if pkt.IP.TTL <= 1 {
-		return // resource backstop, mirrors IP
-	}
-	pkt.IP.TTL--
-	if pkt.IP.ID == 0 {
-		pkt.IP.ID = rt.node.NextIPID()
-	}
-	rt.ct.sentRemote.Inc()
 	// Split horizon applies to pass-through forwarding (unchanged
 	// destination): never re-transmit a packet onto the segment it
 	// arrived from. A program that REWROTE the destination started a
 	// new journey, which may legitimately leave the way it came (the
 	// MPEG monitor answering queries on its own segment, §3.3).
 	in := rt.curIn
-	if pkt.IP.Dst != rt.curDst {
+	switch pkt.IP.Dst {
+	case rt.addr:
+		rt.ct.sentLocal.Inc()
+	case rt.curDst:
+		rt.ct.sentRemote.Inc()
+	default:
+		rt.ct.sentRemote.Inc()
 		in = nil
 	}
-	rt.node.TransmitFrom(pkt, in)
+	rt.node.Relay(pkt, in)
 }
 
 // OnNeighbor implements link-local flooding: one copy out every
 // interface except the one the packet arrived on.
 func (rt *Runtime) OnNeighbor(chanName string, pktVal value.Value) {
-	pkt, err := Encode(pktVal)
-	if err != nil {
-		value.Raise("OnNeighbor: %v", err)
-	}
+	pkt := rt.encode("OnNeighbor", pktVal)
 	if chanName != "network" {
 		pkt.ChanTag = chanName
 	}
-	if pkt.IP.TTL <= 1 {
-		return
-	}
-	pkt.IP.TTL--
-	ifaces := rt.node.Interfaces()
-	outs := 0
-	for _, ifc := range ifaces {
-		if ifc != rt.curIn {
-			outs++
-		}
-	}
-	if outs > 1 {
-		// Flooding shares one packet pointer across media; it cannot be
-		// exclusively owned by any receiver.
-		pkt.Disown()
-	}
-	for _, ifc := range ifaces {
-		if ifc == rt.curIn {
-			continue
-		}
-		rt.ct.sentFlood.Inc()
-		ifc.Send(pkt)
-	}
+	rt.ct.sentFlood.Add(int64(rt.node.Flood(pkt, rt.curIn)))
 }
 
 // Deliver implements the deliver primitive.

@@ -52,10 +52,12 @@ func MustAddr(s string) Addr {
 	return a
 }
 
-// String renders the address as a dotted quad. The formatter is shared
-// with the observability layer (obs.FormatAddr), which renders the same
-// packed representation in event traces.
-func (a Addr) String() string { return obs.FormatAddr(uint32(a)) }
+// String renders the address as a dotted quad through obs.AppendAddr,
+// the formatter event traces use.
+func (a Addr) String() string {
+	var buf [15]byte
+	return string(obs.AppendAddr(buf[:0], uint32(a)))
+}
 
 // IsMulticast reports whether a is in the 224.0.0.0/4 group range.
 func (a Addr) IsMulticast() bool { return a>>28 == 0xE }

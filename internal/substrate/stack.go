@@ -204,7 +204,7 @@ func (s *Stack) Address() Addr { return s.addr }
 // Env returns the environment the node lives in (Node).
 func (s *Stack) Env() Env { return s.env }
 
-// Interfaces returns the node's attachment points (Node).
+// Interfaces returns the node's attachment points.
 func (s *Stack) Interfaces() []Iface { return s.load().ifaces }
 
 // Route resolves the outgoing interface for dst, or nil (Node). For a
@@ -221,9 +221,6 @@ func (s *Stack) Route(dst Addr) Iface {
 	}
 	return t.defaultIf
 }
-
-// NextIPID returns a fresh IP identification value (Node).
-func (s *Stack) NextIPID() uint32 { return s.ipID.Add(1) }
 
 // SetProcessor installs (or, with nil, removes) the PLAN-P layer
 // (Node). Safe while traffic flows: Receive loads it per packet.
@@ -272,7 +269,7 @@ func (s *Stack) Send(pkt *Packet) {
 		return
 	}
 	if pkt.IP.ID == 0 {
-		pkt.IP.ID = s.NextIPID()
+		pkt.IP.ID = s.ipID.Add(1)
 	}
 	s.ct.TxPkts.Inc()
 	s.ct.TxBytes.Add(int64(pkt.Size()))
@@ -280,7 +277,7 @@ func (s *Stack) Send(pkt *Packet) {
 		s.DeliverLocal(pkt)
 		return
 	}
-	if !s.TransmitFrom(pkt, nil) {
+	if s.transmit(pkt, nil) == 0 {
 		s.drop(pkt, "no-route")
 	}
 }
@@ -331,72 +328,104 @@ func (s *Stack) defaultProcess(pkt *Packet, in Iface) {
 	}
 }
 
+// forward relays a transit packet: in place when this delivery holds
+// its only live reference (the zero-allocation forward path), else in
+// a copy.
 func (s *Stack) forward(pkt *Packet, in Iface) {
-	if pkt.IP.TTL <= 1 {
-		s.drop(pkt, "ttl")
-		return
-	}
-	// An owned packet's only live reference is this delivery, so the hop
-	// copy is elided: decrement TTL in place and send the same packet on.
-	// This is the zero-allocation forward path.
-	fwd := pkt
 	if !pkt.Owned() {
-		fwd = pkt.Clone()
+		pkt = pkt.Clone()
 	}
-	fwd.IP.TTL--
-	if s.TransmitFrom(fwd, in) {
+	if s.Relay(pkt, in) {
 		s.ct.FwdPkts.Inc()
-		s.emit(obs.KindForward, fwd, "")
-	} else {
-		s.drop(fwd, "no-route")
+		s.emit(obs.KindForward, pkt, "")
 	}
 }
 
-// TransmitFrom routes pkt out of every interface it is due on except in
-// (split horizon: never back out the incoming interface) and reports
-// whether it was sent anywhere (Node). It is also the PLAN-P layer's
-// OnRemote transmission path: the program has already decided the
-// packet's fate, so no TTL handling happens here.
-func (s *Stack) TransmitFrom(pkt *Packet, in Iface) bool {
+// Relay sends pkt on from this node (Node), the one rule for a router's
+// forward and every processor's re-send: delivered locally if addressed
+// to this node, otherwise hop by its route. It reports whether the
+// packet was delivered or sent; counting a forward is the caller's.
+func (s *Stack) Relay(pkt *Packet, in Iface) bool {
+	if pkt.IP.Dst == s.addr {
+		s.DeliverLocal(pkt)
+		return true
+	}
+	return s.hop(pkt, in, false) > 0
+}
+
+// Flood sends one copy of pkt out of every interface but in, the
+// OnNeighbor fan-out, by hop, and returns the number of copies (Node).
+func (s *Stack) Flood(pkt *Packet, in Iface) int { return s.hop(pkt, in, true) }
+
+// hop is IP's rule for a packet leaving this node: one whose TTL would
+// expire is a "ttl" drop; any other loses one TTL, gets an IP ID if it
+// has none, and leaves by its route (flooding: by every interface), but
+// never back out in (split horizon; nil excludes nothing). It returns
+// the copies sent and counts a packet that sent none as a "no-route"
+// drop.
+func (s *Stack) hop(pkt *Packet, in Iface, flood bool) int {
+	if pkt.IP.TTL <= 1 {
+		s.drop(pkt, "ttl")
+		return 0
+	}
+	pkt.IP.TTL--
+	if pkt.IP.ID == 0 {
+		pkt.IP.ID = s.ipID.Add(1)
+	}
+	var n int
+	if flood {
+		n = sendEach(pkt, s.load().ifaces, in)
+	} else {
+		n = s.transmit(pkt, in)
+	}
+	if n == 0 {
+		s.drop(pkt, "no-route")
+	}
+	return n
+}
+
+// transmit routes pkt out of every interface it is due on except in and
+// returns how many copies left.
+func (s *Stack) transmit(pkt *Packet, in Iface) int {
 	dst := pkt.IP.Dst
 	if !dst.IsMulticast() {
 		ifc := s.Route(dst)
 		if ifc == nil || ifc == in {
-			return false
+			return 0
 		}
 		ifc.Send(pkt)
-		return true
+		return 1
 	}
 	t := s.load()
-	outs := t.mroutes[dst]
-	// Multicast fan-out shares one packet pointer across the outgoing
-	// media, so with more than one destination nobody downstream may
-	// reuse it in place.
-	if pkt.Owned() {
-		n := 0
-		for _, ifc := range outs {
-			if ifc != in {
-				n++
-			}
-		}
-		if n > 1 {
-			pkt.Disown()
+	n := sendEach(pkt, t.mroutes[dst], in)
+	// Hosts originating multicast without multicast routes use the
+	// default interface.
+	if n == 0 && in == nil && t.defaultIf != nil {
+		t.defaultIf.Send(pkt)
+		n = 1
+	}
+	return n
+}
+
+// sendEach sends pkt out of every interface in outs but in and returns
+// the count. The copies share one packet pointer across the outgoing
+// media, so with more than one nobody downstream may reuse it in place.
+func sendEach(pkt *Packet, outs []Iface, in Iface) int {
+	n := 0
+	for _, ifc := range outs {
+		if ifc != in {
+			n++
 		}
 	}
-	sent := false
+	if n > 1 {
+		pkt.Disown()
+	}
 	for _, ifc := range outs {
 		if ifc != in {
 			ifc.Send(pkt)
-			sent = true
 		}
 	}
-	// Hosts originating multicast without multicast routes use the
-	// default interface.
-	if !sent && in == nil && t.defaultIf != nil {
-		t.defaultIf.Send(pkt)
-		sent = true
-	}
-	return sent
+	return n
 }
 
 // DeliverLocal passes pkt up to local applications (Node); the PLAN-P

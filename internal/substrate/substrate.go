@@ -97,21 +97,22 @@ type Node interface {
 	Hostname() string
 	// Address returns the node's address.
 	Address() Addr
-	// Interfaces returns the node's attachment points. The slice is
-	// owned by the node; callers must not mutate it.
-	Interfaces() []Iface
 	// Route resolves the outgoing interface for dst (nil if
 	// unroutable).
 	Route(dst Addr) Iface
 	// Send originates pkt from this node: local destinations deliver
 	// directly, everything else routes out an interface.
 	Send(pkt *Packet)
-	// TransmitFrom routes pkt out of any interface except in,
-	// reporting whether it was sent. It is the PLAN-P layer's OnRemote
-	// transmission path: the program has already decided the packet's
-	// fate, so no TTL handling happens here. in == nil means no
-	// exclusion.
-	TransmitFrom(pkt *Packet, in Iface) bool
+	// Relay sends on a packet a processor has decided the fate of
+	// (OnRemote): delivered locally if addressed to this node, else
+	// TTL-checked and decremented, given an IP ID if it has none, and
+	// routed out of any interface but in (nil: no exclusion). It reports
+	// whether the packet was delivered or sent; one that cannot leave
+	// is a counted node drop, "ttl" or "no-route".
+	Relay(pkt *Packet, in Iface) bool
+	// Flood sends one copy of pkt out of every interface but in
+	// (OnNeighbor) by the same rule and returns the number of copies.
+	Flood(pkt *Packet, in Iface) int
 	// DeliverLocal passes pkt up to local application bindings (the
 	// deliver primitive).
 	DeliverLocal(pkt *Packet)
@@ -121,9 +122,6 @@ type Node interface {
 	BindTCP(port uint16, fn AppFunc)
 	// BindRaw delivers to fn every local packet no port binding takes.
 	BindRaw(fn AppFunc)
-	// NextIPID returns a fresh IP identification value for originated
-	// packets.
-	NextIPID() uint32
 	// SetProcessor installs (or, with nil, removes) the PLAN-P layer.
 	SetProcessor(p Processor)
 	// CurrentProcessor returns the installed PLAN-P layer, or nil.

@@ -83,6 +83,8 @@ func Run(t *testing.T, mk func() Harness) {
 	t.Run("ProcessorHook", func(t *testing.T) { testProcessorHook(t, mk()) })
 	t.Run("ProcessorFallthrough", func(t *testing.T) { testProcessorFallthrough(t, mk()) })
 	t.Run("SplitHorizon", func(t *testing.T) { testSplitHorizon(t, mk()) })
+	t.Run("RelayTTL", func(t *testing.T) { testRelayTTL(t, mk()) })
+	t.Run("Flood", func(t *testing.T) { testFlood(t, mk()) })
 	t.Run("EnvClockTimerRand", func(t *testing.T) { testEnvClockTimerRand(t, mk()) })
 	t.Run("MetricsAndEvents", func(t *testing.T) { testMetricsAndEvents(t, mk()) })
 	t.Run("Crash", func(t *testing.T) { testCrash(t, mk()) })
@@ -270,41 +272,91 @@ func testProcessorFallthrough(t *testing.T, h Harness) {
 	}
 }
 
-// testSplitHorizon: TransmitFrom never sends a packet back out the
-// interface it arrived on — the OnNeighbor/OnRemote suppression the
-// runtime relies on to avoid reflection loops.
-func testSplitHorizon(t *testing.T, h Harness) {
+// dropEvents counts the KindDrop events node publishes with detail.
+func dropEvents(h Harness, node, detail string) *atomic.Int32 {
+	var n atomic.Int32
+	h.Env().Events().Subscribe(obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.KindDrop && ev.Node == node && ev.Detail == detail {
+			n.Add(1)
+		}
+	}))
+	return &n
+}
+
+// relayAtB builds two hosts, has b relay whatever it receives, and
+// sends one packet at ttl from a to a destination b can only reach back
+// through a. It returns whether Relay sent the packet and how many drop
+// events b published with detail.
+func relayAtB(t *testing.T, h Harness, ttl uint8, detail string) (sent bool, drops int32) {
 	nodes := h.Build(t, twoHosts())
 	a, b := nodes[0], nodes[1]
-
-	// On b, the only route back toward anything is the incoming
-	// interface; TransmitFrom(pkt, in) must therefore refuse.
-	const (
-		unset = iota
-		sentFalse
-		sentTrue
-	)
-	var verdict atomic.Int32
+	dropped := dropEvents(h, "cb", detail)
+	var out atomic.Bool
 	b.SetProcessor(procFunc(func(pkt *substrate.Packet, in substrate.Iface) bool {
-		if b.TransmitFrom(pkt, in) {
-			verdict.Store(sentTrue)
-		} else {
-			verdict.Store(sentFalse)
-		}
+		out.Store(b.Relay(pkt.Clone(), in))
 		return true
 	}))
 	h.Start()
 
-	// Address the packet somewhere b can only reach back through a.
-	far := substrate.MustAddr("10.99.99.99")
-	a.Send(substrate.NewUDP(a.Address(), far, 1234, 7, nil).Own())
+	p := substrate.NewUDP(a.Address(), substrate.MustAddr("10.99.99.99"), 1234, 7, nil)
+	p.IP.TTL = ttl
+	a.Send(p.Own())
 	h.Settle(t)
+	if got := counter(h, "node.ca.received_pkts"); got != 0 {
+		t.Fatalf("Relay sent the packet back out its incoming interface")
+	}
+	if got := counter(h, "node.cb.dropped_pkts"); got != int64(dropped.Load()) {
+		t.Fatalf("node.cb.dropped_pkts = %d but %d %q drop events", got, dropped.Load(), detail)
+	}
+	return out.Load(), dropped.Load()
+}
 
-	switch verdict.Load() {
-	case unset:
-		t.Fatalf("processor never ran")
-	case sentTrue:
-		t.Fatalf("TransmitFrom sent the packet back out its incoming interface")
+// testSplitHorizon: Relay never sends a packet back out the interface
+// it arrived on — the OnRemote suppression the runtime relies on to
+// avoid reflection loops — and counts the packet that therefore cannot
+// leave as one "no-route" node drop, published.
+func testSplitHorizon(t *testing.T, h Harness) {
+	if sent, drops := relayAtB(t, h, 64, "no-route"); sent || drops != 1 {
+		t.Fatalf("Relay back out the arrival interface: sent %v, %d no-route drops; want false and 1", sent, drops)
+	}
+}
+
+// testRelayTTL: Relay of a packet whose TTL would expire is one "ttl"
+// node drop, published.
+func testRelayTTL(t *testing.T, h Harness) {
+	if sent, drops := relayAtB(t, h, 1, "ttl"); sent || drops != 1 {
+		t.Fatalf("Relay at TTL 1: sent %v, %d ttl drops; want false and 1", sent, drops)
+	}
+}
+
+// testFlood: Flood sends one copy out of each interface but the arrival
+// one, with the TTL decremented, and a packet whose TTL would expire is
+// one "ttl" node drop.
+func testFlood(t *testing.T, h Harness) {
+	nodes := h.Build(t, lineWithRouter())
+	a, r, b := nodes[0], nodes[1], nodes[2]
+	ttlDrops := dropEvents(h, "cr", "ttl")
+	var copies, ttl atomic.Int32
+	r.SetProcessor(procFunc(func(pkt *substrate.Packet, in substrate.Iface) bool {
+		copies.Add(int32(r.Flood(pkt.Clone(), in)))
+		return true
+	}))
+	b.BindUDP(7, func(pkt *substrate.Packet) { ttl.Store(int32(pkt.IP.TTL)) })
+	h.Start()
+
+	for _, hops := range []uint8{10, 1} {
+		p := substrate.NewUDP(a.Address(), b.Address(), 1234, 7, nil)
+		p.IP.TTL = hops
+		a.Send(p.Own())
+		h.Settle(t)
+	}
+	if copies.Load() != 1 || ttl.Load() != 9 || counter(h, "node.ca.received_pkts") != 0 {
+		t.Fatalf("Flood on the router: %d copies, b delivered TTL %d, a received %d; want 1, 9, 0",
+			copies.Load(), ttl.Load(), counter(h, "node.ca.received_pkts"))
+	}
+	if ttlDrops.Load() != 1 || counter(h, "node.cr.dropped_pkts") != 1 {
+		t.Fatalf("Flood at TTL 1: %d ttl drop events, node.cr.dropped_pkts = %d; want 1 and 1",
+			ttlDrops.Load(), counter(h, "node.cr.dropped_pkts"))
 	}
 }
 
@@ -376,12 +428,8 @@ func testCrash(t *testing.T, h Harness) {
 	nodes := h.Build(t, twoHosts())
 	a, b := nodes[0], nodes[1]
 
-	var crashed, atA, atB atomic.Int32
-	h.Env().Events().Subscribe(obs.Func(func(ev obs.Event) {
-		if ev.Kind == obs.KindDrop && ev.Node == "cb" && ev.Detail == "crashed" {
-			crashed.Add(1)
-		}
-	}))
+	crashed := dropEvents(h, "cb", "crashed")
+	var atA, atB atomic.Int32
 	a.BindUDP(7, func(*substrate.Packet) { atA.Add(1) })
 	b.BindUDP(7, func(*substrate.Packet) { atB.Add(1) })
 	b.SetProcessor(procFunc(func(*substrate.Packet, substrate.Iface) bool { return false }))
