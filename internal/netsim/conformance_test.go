@@ -27,7 +27,7 @@ func (h *simHarness) Build(t *testing.T, hosts []subtest.HostSpec) []substrate.N
 	left := make([]*netsim.Iface, len(ns))  // iface toward lower indices
 	right := make([]*netsim.Iface, len(ns)) // iface toward higher indices
 	for i := 0; i+1 < len(ns); i++ {
-		l := netsim.Connect(h.sim, ns[i], ns[i+1], netsim.LinkConfig{Bandwidth: 1_000_000_000})
+		l := netsim.Connect(h.sim, ns[i], ns[i+1], netsim.LinkConfig{Bandwidth: subtest.LinkBps})
 		ifs := l.Ifaces()
 		right[i], left[i+1] = ifs[0], ifs[1]
 	}

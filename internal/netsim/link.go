@@ -12,30 +12,23 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// emitMedium publishes an enqueue/drop event for a transmission from
-// the given interface on the executing shard's bus; callers guard with
-// bus.Active().
-func emitMedium(sh *shard, kind obs.Kind, from *Iface, pkt *Packet, detail string) {
-	sh.bus.Publish(substrate.PacketEvent(kind, sh.now, from.Name, pkt, detail))
-}
-
 // Medium is the transmission substrate an interface attaches to.
 type Medium interface {
-	// send serializes pkt from the given interface and delivers it;
-	// extra is added to the propagation delay (chaos-injected latency).
-	send(from *Iface, pkt *Packet, extra time.Duration)
+	// send serializes pkt from the given interface and delivers it, or
+	// returns the drop reason; extra is added to the propagation delay
+	// (chaos-injected latency).
+	send(from *Iface, pkt *Packet, extra time.Duration) string
 	// Bandwidth is the medium capacity in bits/s (per direction for
 	// links, shared for segments).
 	Bandwidth() int64
-	// MeterFor returns the meter measuring from's outgoing direction.
-	MeterFor(from *Iface) *RateMeter
-	// faultDrop counts a chaos-injected drop in from's direction,
-	// distinct from queue-overflow drops.
-	faultDrop(from *Iface)
+	// dir returns the wire carrying from's outgoing traffic.
+	dir(from *Iface) *wire
 }
 
-// Iface attaches a node to a medium.
+// Iface attaches a node to a medium: a substrate.Port whose medium is
+// this interface's direction of the link or segment.
 type Iface struct {
+	substrate.Port
 	Node   *Node
 	Name   string
 	medium Medium
@@ -44,18 +37,10 @@ type Iface struct {
 	// (needed by capture ASPs such as the MPEG client, §3.3).
 	Promisc bool
 
-	// fault, when set, is consulted per transmission by Send
-	// (internal/chaos installs it). nil is the fast path.
-	fault substrate.FaultFunc
-
 	// peer is the other endpoint for point-to-point links (nil on
 	// segments).
 	peer *Iface
 }
-
-// SetFault installs (or, with nil, removes) the interface's fault layer
-// (substrate.FaultPort).
-func (i *Iface) SetFault(f substrate.FaultFunc) { i.fault = f }
 
 // Peer returns the interface at the other end of a point-to-point link,
 // or nil for segment attachments.
@@ -67,35 +52,24 @@ func (i *Iface) Bandwidth() int64 { return i.medium.Bandwidth() }
 // Load returns the utilization percentage of this interface's outgoing
 // direction.
 func (i *Iface) Load() int64 {
-	m := i.medium.MeterFor(i)
-	return m.Utilization(i.Node.sh.now, i.medium.Bandwidth())
+	return i.medium.dir(i).meter.Utilization(i.Node.sh.now, i.medium.Bandwidth())
 }
 
-// Send transmits pkt out this interface: consult the fault layer if one
-// is installed, then hand the packet to the medium. Both media therefore
-// drop, corrupt, duplicate and delay identically.
-func (i *Iface) Send(pkt *Packet) {
-	if i.fault == nil {
-		i.medium.send(i, pkt, 0)
-		return
-	}
-	act := i.fault(pkt)
-	if act.Drop {
-		i.medium.faultDrop(i)
-		if sh := i.Node.sh; sh.bus.Active() {
-			emitMedium(sh, obs.KindDrop, i, pkt, "fault")
-		}
-		return
-	}
-	if act.Corrupt {
-		pkt = substrate.CorruptPayload(pkt, act.CorruptBit)
-	}
-	// Duplicates share the verdict (they are copies of one decision,
-	// not fresh transmissions) and queue behind the original.
-	i.medium.send(i, pkt, act.Delay)
-	for k := 0; k < act.Dup; k++ {
-		i.medium.send(i, pkt.Clone(), act.Delay)
-	}
+// Send transmits pkt out this interface (substrate.Iface) through the
+// port's fault layer.
+func (i *Iface) Send(pkt *Packet) { i.Transmit(i, pkt) }
+
+// Carry hands one copy to the medium, its arrival delayed by delay
+// (substrate.Medium).
+func (i *Iface) Carry(pkt *Packet, delay time.Duration) string {
+	return i.medium.send(i, pkt, delay)
+}
+
+// Wire reports the interface's events under its name on the owning
+// shard, and its losses in its wire (substrate.Medium).
+func (i *Iface) Wire() (string, substrate.Env, substrate.LinkCounters) {
+	w := i.medium.dir(i)
+	return i.Name, &i.Node.env, substrate.LinkCounters{DropPkts: &w.dropped, FaultDropPkts: &w.faultDropped}
 }
 
 // ---------------------------------------------------------------------------
@@ -103,40 +77,33 @@ func (i *Iface) Send(pkt *Packet) {
 
 // wire is the state of one serialization resource — one direction of a
 // Link, or the whole of a Segment — and the one place drop-tail
-// queueing, serialization time and load metering are computed. It is
-// only ever touched by the shard of the sending node (a direction has
-// one sender; a segment's attachments share an island), so sharded runs
-// mutate it without locks.
+// queueing, serialization time and load metering are computed, and
+// where the port's loss counters live. It is only ever touched by the
+// shard of the sending node (a direction has one sender; a segment's
+// attachments share an island), so sharded runs mutate it without
+// locks.
 type wire struct {
 	busyUntil    time.Duration
 	meter        *RateMeter
-	dropped      int64 // queue-overflow drops
-	faultDropped int64 // chaos-injected drops (distinct by contract)
+	dropped      obs.Counter // queue-overflow drops
+	faultDropped obs.Counter // chaos-injected drops (distinct by contract)
 }
 
 // serialize queues pkt behind whatever is still waiting to finish
-// serialization and returns the time its last bit leaves the sender; ok
-// is false when the backlog exceeds queueLimit bytes and the packet is
-// tail-dropped.
-func (w *wire) serialize(sh *shard, bandwidth, queueLimit int64, from *Iface, pkt *Packet) (done time.Duration, ok bool) {
-	now := sh.now
+// serialization at now and returns the time its last bit leaves the
+// sender; ok is false when the backlog exceeds queueLimit bytes and the
+// packet is tail-dropped.
+func (w *wire) serialize(now time.Duration, bandwidth, queueLimit int64, pkt *Packet) (done time.Duration, ok bool) {
 	backlogBits := int64(0)
 	if w.busyUntil > now {
 		backlogBits = int64(w.busyUntil-now) * bandwidth / int64(time.Second)
 	}
 	if backlogBits/8 > queueLimit {
-		w.dropped++
-		if sh.bus.Active() {
-			emitMedium(sh, obs.KindDrop, from, pkt, "queue")
-		}
 		return 0, false
 	}
 	size := int64(pkt.Size())
 	w.busyUntil = max(now, w.busyUntil) + time.Duration(size*8*int64(time.Second)/bandwidth)
 	w.meter.Add(now, size)
-	if sh.bus.Active() {
-		emitMedium(sh, obs.KindEnqueue, from, pkt, "")
-	}
 	return w.busyUntil, true
 }
 
@@ -204,7 +171,7 @@ func (l *Link) Bandwidth() int64 { return l.bandwidth }
 // Ifaces returns the link's two interfaces in Connect argument order.
 func (l *Link) Ifaces() [2]*Iface { return [2]*Iface{l.a, l.b} }
 
-// dir returns the wire carrying traffic out of from.
+// dir implements Medium.
 func (l *Link) dir(from *Iface) *wire {
 	if from == l.a {
 		return &l.dirs[0]
@@ -212,28 +179,25 @@ func (l *Link) dir(from *Iface) *wire {
 	return &l.dirs[1]
 }
 
-// MeterFor implements Medium.
-func (l *Link) MeterFor(from *Iface) *RateMeter { return l.dir(from).meter }
-
 // Dropped returns the packets dropped by queue overflow in the
 // direction out of from (chaos-injected drops are counted separately;
 // see FaultDropped).
-func (l *Link) Dropped(from *Iface) int64 { return l.dir(from).dropped }
+func (l *Link) Dropped(from *Iface) int64 { return l.dir(from).dropped.Value() }
 
 // FaultDropped returns the packets dropped by injected faults in the
 // direction out of from.
-func (l *Link) FaultDropped(from *Iface) int64 { return l.dir(from).faultDropped }
-
-// faultDrop implements Medium.
-func (l *Link) faultDrop(from *Iface) { l.dir(from).faultDropped++ }
+func (l *Link) FaultDropped(from *Iface) int64 { return l.dir(from).faultDropped.Value() }
 
 // send implements Medium: serialize (queueing behind earlier traffic),
 // propagate, deliver to the peer.
-func (l *Link) send(from *Iface, pkt *Packet, extra time.Duration) {
+func (l *Link) send(from *Iface, pkt *Packet, extra time.Duration) string {
 	sh := from.Node.sh
-	if done, ok := l.dir(from).serialize(sh, l.bandwidth, l.queueLimit, from, pkt); ok {
-		sh.atReceive(done+l.delay+extra, pkt, from.peer)
+	done, ok := l.dir(from).serialize(sh.now, l.bandwidth, l.queueLimit, pkt)
+	if !ok {
+		return "queue"
 	}
+	sh.atReceive(done+l.delay+extra, pkt, from.peer)
+	return ""
 }
 
 // ---------------------------------------------------------------------------
@@ -282,28 +246,25 @@ func (s *Segment) Attach(n *Node) *Iface {
 // Bandwidth implements Medium.
 func (s *Segment) Bandwidth() int64 { return s.bandwidth }
 
-// MeterFor implements Medium: segment load is shared, so every attached
-// interface observes the same meter.
-func (s *Segment) MeterFor(*Iface) *RateMeter { return s.wire.meter }
+// dir implements Medium: the capacity is shared, so every attached
+// interface observes the same meter and loss counters.
+func (s *Segment) dir(*Iface) *wire { return &s.wire }
 
 // Dropped returns frames dropped due to backlog on the shared medium
 // (chaos-injected drops are counted separately; see FaultDropped).
-func (s *Segment) Dropped() int64 { return s.wire.dropped }
+func (s *Segment) Dropped() int64 { return s.wire.dropped.Value() }
 
 // FaultDropped returns frames dropped by injected faults on the shared
 // medium.
-func (s *Segment) FaultDropped() int64 { return s.wire.faultDropped }
-
-// faultDrop implements Medium.
-func (s *Segment) faultDrop(*Iface) { s.wire.faultDropped++ }
+func (s *Segment) FaultDropped() int64 { return s.wire.faultDropped.Value() }
 
 // send implements Medium: one shared serialization resource
 // (approximating CSMA/CD without collisions), then broadcast delivery.
-func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) {
+func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) string {
 	sh := from.Node.sh
-	done, ok := s.wire.serialize(sh, s.bandwidth, s.queueLimit, from, pkt)
+	done, ok := s.wire.serialize(sh.now, s.bandwidth, s.queueLimit, pkt)
 	if !ok {
-		return
+		return "queue"
 	}
 	arrive := done + s.delay + extra
 	// Broadcast delivery shares one packet pointer among all receivers,
@@ -324,6 +285,7 @@ func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) {
 		}
 		sh.atReceive(arrive, pkt, ifc)
 	}
+	return ""
 }
 
 // wantsFrame is the NIC filter: promiscuous interfaces and forwarding

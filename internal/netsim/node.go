@@ -111,14 +111,6 @@ func (n *Node) receiveNow(pkt *Packet, in *Iface) {
 	n.Stack.Receive(pkt, ifc)
 }
 
-// Event kind aliases so in-package call sites read naturally.
-const (
-	KindEnqueue = obs.KindEnqueue
-	KindDrop    = obs.KindDrop
-	KindForward = obs.KindForward
-	KindDeliver = obs.KindDeliver
-)
-
 // nodeEnv is the per-node substrate.Env (Node.Env): a shard-local view
 // whose clock, timers, and RNG resolve to the node's owning shard at
 // call time. On single-shard simulations it behaves exactly like the

@@ -23,20 +23,12 @@ type (
 	// Processor is the PLAN-P layer hook (see substrate.Processor for
 	// the retention/mutation contract).
 	Processor = substrate.Processor
-	// AppFunc receives packets delivered to a local application binding.
-	AppFunc = substrate.AppFunc
 	// RateMeter measures windowed throughput.
 	RateMeter = substrate.RateMeter
 )
 
-// Shared constants.
-const (
-	ProtoTCP = substrate.ProtoTCP
-	ProtoUDP = substrate.ProtoUDP
-
-	// DefaultMeterWindow is the default load-measurement window.
-	DefaultMeterWindow = substrate.DefaultMeterWindow
-)
+// DefaultMeterWindow is the default load-measurement window.
+const DefaultMeterWindow = substrate.DefaultMeterWindow
 
 // Shared constructors.
 var (
@@ -54,7 +46,6 @@ var (
 var (
 	_ substrate.Env       = (*Simulator)(nil)
 	_ substrate.Node      = (*Node)(nil)
-	_ substrate.Iface     = (*Iface)(nil)
 	_ substrate.FaultPort = (*Iface)(nil)
 	_ substrate.Crasher   = (*Node)(nil)
 )

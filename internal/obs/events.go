@@ -32,12 +32,27 @@ type Kind uint8
 
 // Event kinds.
 const (
-	// KindEnqueue: a medium accepted a packet for serialization (it is
-	// now occupying link or segment capacity).
+	// KindEnqueue: a link's medium took one copy of a packet (it is now
+	// occupying link or segment capacity, or waiting out a fault
+	// delay). Node is the link endpoint's name.
 	KindEnqueue Kind = iota
-	// KindDrop: a packet was discarded — by a medium's drop-tail queue
-	// (Detail "queue") or by a node (Detail "ttl", "no-route",
-	// "no-binding").
+	// KindDrop: a packet was discarded. Detail is the reason, one of a
+	// closed set. A wire drop has the link endpoint as Node and counts
+	// in its link's loss counters:
+	//   - "queue": a drop-tail queue or a node's inbox was full;
+	//   - "fault": the fault layer dropped it (counted apart);
+	//   - "oversize": it does not fit one datagram;
+	//   - "socket": the datagram write failed;
+	//   - "link-down": a cross-host link is not up;
+	//   - "codec-reject": a received datagram did not parse (no packet
+	//     fields);
+	//   - "no-handshake": data arrived on a cross-host link before its
+	//     handshake (no packet fields).
+	// A node drop has the node as Node and counts in its dropped_pkts:
+	//   - "ttl": the TTL would expire;
+	//   - "no-route": no interface it may leave by;
+	//   - "no-binding": delivered locally with no application bound;
+	//   - "crashed": the node is down.
 	KindDrop
 	// KindForward: a router forwarded a packet (TTL decremented).
 	KindForward

@@ -25,7 +25,7 @@ func (h *rtHarness) Build(t *testing.T, hosts []subtest.HostSpec) []substrate.No
 	for i, hs := range hosts {
 		specs[i] = rtnet.LineHost{Name: hs.Name, Addr: hs.Addr, Forwarding: hs.Forwarding}
 	}
-	ns, err := rtnet.Line(h.nw, specs, 1_000_000_000, h.udp)
+	ns, err := rtnet.Line(h.nw, specs, subtest.LinkBps, h.udp)
 	if err != nil {
 		t.Fatal(err)
 	}

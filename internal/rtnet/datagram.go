@@ -1,4 +1,4 @@
-// Datagram links: a port whose transport is a UDP socket. Send marshals
+// Datagram links: an endpoint whose transport is a UDP socket. Send marshals
 // the packet with the substrate wire codec behind a one-byte frame type
 // and writes it to the peer's socket; a reader goroutine decodes what
 // arrives and enqueues it on the owning node. The loopback pair
@@ -22,9 +22,9 @@ import (
 // fragment).
 const maxDatagram = 65000
 
-// dgram is a port over a UDP socket.
+// dgram is an endpoint over a UDP socket.
 type dgram struct {
-	port
+	endpoint
 	in      substrate.Iface // the exported endpoint wrapping this one: what received packets arrive on
 	sess    *RemoteIface    // nil on the loopback pair: no handshake, always admitted
 	conn    *net.UDPConn    // local endpoint (reads arrive here)
@@ -51,18 +51,14 @@ func (d *dgram) open(nw *Net, node *Node, peer string, bandwidthBps int64, in su
 // a deep copy.
 func (d *dgram) retain(pkt *substrate.Packet) *substrate.Packet { return pkt.CloneMut() }
 
-func (d *dgram) admit() string {
-	if d.sess != nil {
-		return d.sess.admit()
-	}
-	return ""
-}
-
 // carry serializes pkt into the scratch buffer and writes the
-// datagram. This is the only socket write of a data frame, so a failed
-// write is a counted "socket" drop on every datagram link, delayed
-// copies included.
+// datagram, if the session (if any) admits data. This is the only
+// socket write of a data frame, so a failed write is a counted
+// "socket" drop on every datagram link, delayed copies included.
 func (d *dgram) carry(pkt *substrate.Packet) string {
+	if d.sess != nil && !d.sess.Up() {
+		return "link-down"
+	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	wire, err := substrate.AppendWire(append(d.buf[:0], frameData), pkt)
@@ -113,17 +109,17 @@ func (d *dgram) read(nw *Net) {
 			// Counted under its own metric so wire-format trouble is
 			// distinguishable from congestion drops.
 			d.codecRejects.Inc()
-			d.drop(nil, d.drops, "codec-reject")
+			substrate.Lost(d, nil, "codec-reject")
 		case d.sess != nil && !d.sess.handle(f, from):
 			// The session consumed or refused it.
 		case !d.node.enqueue(pkt, d.in, nil):
-			d.drop(pkt, d.drops, "queue")
+			substrate.Lost(d, pkt, "queue")
 		}
 	}
 }
 
-// UDPIface is one direction of a loopback-UDP duplex link: a port over
-// the datagram transport, with no session.
+// UDPIface is one direction of a loopback-UDP duplex link: an endpoint
+// over the datagram transport, with no session.
 type UDPIface struct{ dgram }
 
 // NewUDPLink connects a and b with a duplex link over a pair of
@@ -147,9 +143,3 @@ func NewUDPLink(nw *Net, a, b *Node, bandwidthBps int64) (*UDPIface, *UDPIface, 
 	ba.open(nw, b, a.Hostname(), bandwidthBps, ba, connB, connA.LocalAddr().(*net.UDPAddr))
 	return ab, ba, nil
 }
-
-// Interface satisfaction.
-var (
-	_ substrate.Iface     = (*UDPIface)(nil)
-	_ substrate.FaultPort = (*UDPIface)(nil)
-)

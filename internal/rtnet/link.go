@@ -1,4 +1,4 @@
-// In-process links: a duplex point-to-point link is a pair of ports
+// In-process links: a duplex point-to-point link is a pair of endpoints
 // whose transport hands the packet straight to the peer node's inbox.
 // The channel send is the ownership transfer — after it, the packet
 // belongs to the receiving node's goroutine.
@@ -15,10 +15,10 @@ import (
 // inbox before further sends drop.
 const queueCap = 512
 
-// Iface is one direction of an in-process duplex link: a port over the
-// channel transport.
+// Iface is one direction of an in-process duplex link: an endpoint over
+// the channel transport.
 type Iface struct {
-	port
+	endpoint
 	peer   *Node
 	rev    *Iface // reverse-direction endpoint (the "in" iface at peer)
 	queued atomic.Int32
@@ -49,25 +49,13 @@ func (i *Iface) retain(pkt *substrate.Packet) *substrate.Packet {
 	return pkt
 }
 
-func (i *Iface) admit() string { return "" }
-
 // carry enqueues pkt at the peer. Drop-tail: if this interface
 // already has queueCap packets waiting there, the packet is dropped.
 // Admission is the one Add, so concurrent senders cannot overshoot.
 func (i *Iface) carry(pkt *substrate.Packet) string {
-	if i.queued.Add(1) > queueCap {
-		i.queued.Add(-1)
-		return "queue"
+	if i.queued.Add(1) <= queueCap && i.peer.enqueue(i.retain(pkt), i.rev, &i.queued) {
+		return ""
 	}
-	if !i.peer.enqueue(i.retain(pkt), i.rev, &i.queued) {
-		i.queued.Add(-1)
-		return "queue"
-	}
-	return ""
+	i.queued.Add(-1)
+	return "queue"
 }
-
-// Interface satisfaction.
-var (
-	_ substrate.Iface     = (*Iface)(nil)
-	_ substrate.FaultPort = (*Iface)(nil)
-)

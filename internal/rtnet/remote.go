@@ -5,7 +5,7 @@
 // of its links; packets cross hosts as UDP datagrams carrying the
 // substrate wire codec, fronted by a handshake.
 //
-// A remote link is the datagram port of datagram.go plus a session:
+// A remote link is the datagram endpoint of datagram.go plus a session:
 // this file holds only what the session adds — the frame codec, the
 // handshake, liveness, the admission check, the goodbye.
 //
@@ -155,7 +155,7 @@ const (
 )
 
 // RemoteIface is the local endpoint of a cross-host link: the outbound
-// direction of the local node's attachment. It is a port over the
+// direction of the local node's attachment. It is an endpoint over the
 // datagram transport (substrate.Iface, substrate.FaultPort — chaos
 // degrades the outbound direction, the natural grain of a link whose
 // other half lives in another process) plus the session that decides
@@ -505,20 +505,11 @@ func (i *RemoteIface) handle(f remoteFrame, from *net.UDPAddr) bool {
 		}
 		i.mu.Unlock()
 		if !up {
-			i.drop(nil, i.drops, "no-handshake")
+			substrate.Lost(i, nil, "no-handshake")
 		}
 		return up
 	}
 	return false
-}
-
-// admit is the sending half of the same admission control: packets
-// offered while the link is not up are dropped and counted.
-func (i *RemoteIface) admit() string {
-	if !i.Up() {
-		return "link-down"
-	}
-	return ""
 }
 
 // touch records proof of life from the peer.
@@ -632,9 +623,3 @@ func (i *RemoteIface) Close() error {
 func udpAddrEqual(a, b *net.UDPAddr) bool {
 	return a.Port == b.Port && a.IP.Equal(b.IP)
 }
-
-// Interface satisfaction.
-var (
-	_ substrate.Iface     = (*RemoteIface)(nil)
-	_ substrate.FaultPort = (*RemoteIface)(nil)
-)

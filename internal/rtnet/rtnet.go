@@ -19,19 +19,18 @@
 //
 // A node's IP layer is substrate.Stack, the code netsim nodes run too:
 // its tables and processor are read on every packet without a lock and
-// may change at any time (see substrate/stack.go). A port's
-// fault layer is a boxed value behind an atomic pointer, set by one
-// store.
+// may change at any time (see substrate/stack.go). A link's fault
+// layer is a boxed value behind an atomic pointer in its
+// substrate.Port, set by one store.
 //
-// Links: a link endpoint is a port over a transport; a remote link is a
-// datagram port plus a session. The port (port.go) is the one
-// implementation of substrate.Iface and substrate.FaultPort — fault
-// verdict, rate meter, drop accounting — so send, load and drop mean
-// the same on every link. The transport moves one copy to the peer:
-// through a channel to a node in this process (NewLink, link.go), or as
-// a UDP datagram (datagram.go) to a loopback socket in this process
-// (NewUDPLink) or to another daemon (NewRemoteLink, remote.go, which
-// adds the handshake, liveness and admission on top).
+// Links: every link endpoint embeds substrate.Port, the fault verdict
+// and event publisher netsim interfaces run too. What is left here
+// (endpoint.go) is the medium under it: a meter, the loss counters, a
+// timer per delayed copy, and a transport to the peer: a channel to a
+// node in this process (NewLink, link.go), or a UDP datagram
+// (datagram.go) to a loopback socket (NewUDPLink) or to another daemon
+// (NewRemoteLink, remote.go, which adds handshake, liveness and
+// admission).
 //
 // Determinism contract: rtnet is race-clean but NOT reproducible —
 // timing, interleaving, and drop behavior vary run to run. Experiments

@@ -17,14 +17,16 @@ package substrate
 import "time"
 
 // FaultAction is one transmission's verdict from the fault layer. The
-// zero value means "transmit normally". Backends apply the fields in
-// this order: Drop wins outright; otherwise Corrupt rewrites the
-// payload, Dup extra copies are transmitted alongside the original, and
-// Delay is added to the delivery latency of every copy.
+// zero value means "transmit normally". Port.Transmit applies it, the
+// one rule on every backend: Drop wins outright; otherwise Corrupt
+// rewrites a private copy of the payload, Dup clones are taken before
+// the original leaves, the original is carried first and the
+// duplicates after it, and Delay is added to the delivery latency of
+// every copy.
 type FaultAction struct {
-	// Drop discards the packet. The backend counts it separately from
-	// queue-overflow drops and publishes obs.KindDrop with Detail
-	// "fault".
+	// Drop discards the packet. The port counts it apart from the
+	// medium's own losses (LinkCounters) and publishes obs.KindDrop with
+	// Detail "fault".
 	Drop bool
 	// Corrupt flips one payload bit (chosen by CorruptBit) before
 	// transmission. Packets with empty payloads pass unchanged —
@@ -50,9 +52,9 @@ type FaultAction struct {
 type FaultFunc func(pkt *Packet) FaultAction
 
 // FaultPort is an interface that supports fault injection at
-// transmission time. Both netsim interfaces (link and segment
-// attachments) and every rtnet link kind (one port type serves channel,
-// loopback-UDP and cross-host links) implement it.
+// transmission time. Every link endpoint embeds a Port, which
+// implements SetFault: netsim's link and segment attachments and
+// rtnet's channel, loopback-UDP and cross-host links.
 type FaultPort interface {
 	Iface
 	// SetFault installs f as the interface's fault layer (nil removes

@@ -182,6 +182,26 @@ func NewNodeCounters(reg *obs.Registry, name string) NodeCounters {
 	}
 }
 
+// LinkCounters are one link direction's losses: what its medium lost
+// (every wire drop reason but "fault", see obs.KindDrop) and what its
+// fault layer dropped, counted apart so that a robustness experiment
+// can tell a full queue from a cut link. rtnet registers them under
+// "link.<local>:<peer>.*"; netsim keeps them unnamed in its wires.
+type LinkCounters struct {
+	DropPkts      *obs.Counter
+	FaultDropPkts *obs.Counter
+}
+
+// NewLinkCounters registers the counters of the link direction label
+// ("<local>:<peer>") in reg.
+func NewLinkCounters(reg *obs.Registry, label string) LinkCounters {
+	pre := "link." + label + "."
+	return LinkCounters{
+		DropPkts:      reg.Counter(pre + "dropped_pkts"),
+		FaultDropPkts: reg.Counter(pre + "fault_dropped_pkts"),
+	}
+}
+
 // PacketEvent is the event every packet publish site sends: kind, at
 // time at, on node (a node or link name), carrying pkt's addresses and
 // size. A nil pkt (a datagram dropped before it parsed) leaves those

@@ -12,6 +12,9 @@
 package subtest
 
 import (
+	"bytes"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,11 +30,16 @@ type HostSpec struct {
 	Forwarding bool
 }
 
+// LinkBps is the nominal bandwidth of every link a Harness builds: slow
+// enough that the few packets LinkFault sends move Load by whole
+// percents.
+const LinkBps = 200_000
+
 // Harness adapts one backend to the suite. A fresh harness is built for
 // every subtest.
 type Harness interface {
 	// Build constructs the hosts, links consecutive pairs with a duplex
-	// link, and installs static routes so every host can reach every
+	// link of LinkBps, and installs static routes so every host can reach every
 	// other (traffic between non-adjacent hosts transits the middle).
 	// It returns the nodes in spec order.
 	Build(t *testing.T, hosts []HostSpec) []substrate.Node
@@ -90,6 +98,7 @@ func Run(t *testing.T, mk func() Harness) {
 	t.Run("Crash", func(t *testing.T) { testCrash(t, mk()) })
 	t.Run("SelfAndBroadcast", func(t *testing.T) { testSelfAndBroadcast(t, mk()) })
 	t.Run("Multicast", func(t *testing.T) { testMulticast(t, mk()) })
+	t.Run("LinkFault", func(t *testing.T) { testLinkFault(t, mk) })
 }
 
 // multicaster is the multicast configuration every backend's node
@@ -397,14 +406,22 @@ func testEnvClockTimerRand(t *testing.T, h Harness) {
 	}
 }
 
+// kindCounts tallies events by kind. Unlike obs.CountingSink it is safe
+// for the concurrent publishes of a wall-clock backend, where two
+// goroutines send the same kind.
+type kindCounts [obs.NumKinds]atomic.Int32
+
+func (c *kindCounts) OnEvent(ev obs.Event) { c[ev.Kind].Add(1) }
+
 // testMetricsAndEvents: packet-granular events reach a subscriber
-// attached before Start, with the standard kinds.
+// attached before Start, with the standard kinds: one enqueue per link
+// a packet crosses, one forward per router, one deliver.
 func testMetricsAndEvents(t *testing.T, h Harness) {
 	nodes := h.Build(t, lineWithRouter())
 	a, b := nodes[0], nodes[2]
 
-	sink := &obs.CountingSink{}
-	h.Env().Events().Subscribe(sink)
+	var counts kindCounts
+	h.Env().Events().Subscribe(&counts)
 	b.BindUDP(7, func(pkt *substrate.Packet) {})
 	h.Start()
 
@@ -413,11 +430,13 @@ func testMetricsAndEvents(t *testing.T, h Harness) {
 	}
 	h.Settle(t)
 
-	if got := sink.Count(obs.KindDeliver); got != 3 {
-		t.Fatalf("deliver events = %d, want 3", got)
-	}
-	if got := sink.Count(obs.KindForward); got != 3 {
-		t.Fatalf("forward events = %d, want 3", got)
+	for _, c := range []struct {
+		kind obs.Kind
+		want int32
+	}{{obs.KindEnqueue, 6}, {obs.KindForward, 3}, {obs.KindDeliver, 3}} {
+		if got := counts[c.kind].Load(); got != c.want {
+			t.Fatalf("%s events = %d, want %d", c.kind, got, c.want)
+		}
 	}
 }
 
@@ -527,5 +546,148 @@ func testMulticast(t *testing.T, h Harness) {
 	}
 	if atA.Load() != 0 {
 		t.Fatalf("a host that did not join the group delivered %d of its packets", atA.Load())
+	}
+}
+
+// testLinkFault: one fault verdict per row on a link's sending port, the
+// same rule on every backend and link kind. For each row the receiver
+// gets the copies the verdict makes, each delayed copy arrives no
+// sooner than the delay, corruption flips exactly one bit of a private
+// copy and the sender's packet keeps its payload. Each dropped send is
+// one "fault" drop event and fault count, with no medium loss; each
+// copy is one enqueue event and meters pkt.Size() toward Load.
+func testLinkFault(t *testing.T, mk func() Harness) {
+	const (
+		sends = 5
+		delay = 30 * time.Millisecond
+	)
+	rows := []struct {
+		name   string
+		act    substrate.FaultAction
+		copies int // per send
+	}{
+		{"drop", substrate.FaultAction{Drop: true}, 0},
+		{"dup2", substrate.FaultAction{Dup: 2}, 3},
+		{"delay", substrate.FaultAction{Delay: delay}, 1},
+		{"corrupt", substrate.FaultAction{Corrupt: true, CorruptBit: 11}, 1},
+		{"delay+dup", substrate.FaultAction{Delay: delay, Dup: 1}, 2},
+	}
+	payload := bytes.Repeat([]byte{0xA5}, 100)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			h := mk()
+			nodes := h.Build(t, twoHosts())
+			a, b := nodes[0], nodes[1]
+			env := h.Env()
+			out := a.Route(b.Address())
+
+			var (
+				mu       sync.Mutex
+				got      [][]byte
+				arrivals []time.Duration
+			)
+			b.BindUDP(7, func(pkt *substrate.Packet) {
+				at := env.Now()
+				mu.Lock()
+				got = append(got, append([]byte(nil), pkt.Payload...))
+				arrivals = append(arrivals, at)
+				mu.Unlock()
+			})
+			count := func() int { mu.Lock(); defer mu.Unlock(); return len(got) }
+			var enqueued, faultDrops, mediumDrops atomic.Int32
+			env.Events().Subscribe(obs.Func(func(ev obs.Event) {
+				switch {
+				case ev.Kind == obs.KindEnqueue:
+					enqueued.Add(1)
+				case ev.Kind == obs.KindDrop && ev.Detail == "fault":
+					faultDrops.Add(1)
+				case ev.Kind == obs.KindDrop:
+					mediumDrops.Add(1)
+				}
+			}))
+			out.(substrate.FaultPort).SetFault(func(*substrate.Packet) substrate.FaultAction { return row.act })
+			h.Start()
+
+			t0 := env.Now()
+			sent := make([]*substrate.Packet, sends)
+			for k := range sent {
+				sent[k] = substrate.NewUDP(a.Address(), b.Address(), 9, 7, append([]byte(nil), payload...))
+				out.Send(sent[k])
+			}
+			want := sends * row.copies
+			settleUntil(t, h, func() bool { return count() >= want })
+
+			// Load reads every copy's pkt.Size() once the meter's
+			// current bucket completes, until the first copy leaves the
+			// window.
+			window := substrate.DefaultMeterWindow
+			size := sent[0].Size()
+			wantLoad := int64(want*size) * 8 * int64(time.Second) / int64(window-window/10) * 100 / LinkBps
+			var load atomic.Int64
+			var polled atomic.Bool
+			var poll func(left int)
+			poll = func(left int) {
+				load.Store(out.Load())
+				if load.Load() == wantLoad || left == 0 {
+					polled.Store(true)
+					return
+				}
+				env.After(5*time.Millisecond, func() { poll(left - 1) })
+			}
+			env.After(5*time.Millisecond, func() { poll(100) })
+			settleUntil(t, h, polled.Load)
+			if load.Load() != wantLoad {
+				t.Errorf("Load() = %d after %d copies of %d bytes, want %d", load.Load(), want, size, wantLoad)
+			}
+			time.Sleep(2 * delay) // an extra copy would land by now
+			h.Settle(t)
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != want {
+				t.Fatalf("receiver saw %d packets, want %d", len(got), want)
+			}
+			for k, p := range got {
+				if at := arrivals[k] - t0; at < row.act.Delay {
+					t.Errorf("copy %d arrived %v after the send, before the %v delay", k, at, row.act.Delay)
+				}
+				flipped := 0
+				for j := range p {
+					flipped += bits.OnesCount8(p[j] ^ payload[j])
+				}
+				if len(p) != len(payload) || row.act.Corrupt != (flipped == 1) || flipped > 1 {
+					t.Errorf("copy %d: %d payload bits differ from what was sent (corrupt=%v)", k, flipped, row.act.Corrupt)
+				}
+			}
+			for _, pkt := range sent {
+				if !bytes.Equal(pkt.Payload, payload) {
+					t.Fatalf("the link wrote through the sender's payload")
+				}
+			}
+			wantFault := 0
+			if row.act.Drop {
+				wantFault = sends
+			}
+			_, _, ct := out.(substrate.Medium).Wire()
+			if n := ct.FaultDropPkts.Value(); n != int64(wantFault) || faultDrops.Load() != int32(wantFault) {
+				t.Errorf("%d fault drops counted, %d published; want %d", n, faultDrops.Load(), wantFault)
+			}
+			if n := ct.DropPkts.Value(); n != 0 || mediumDrops.Load() != 0 {
+				t.Errorf("%d medium drops counted, %d published; want 0: a fault verdict is never a medium loss", n, mediumDrops.Load())
+			}
+			if n := enqueued.Load(); n != int32(want) {
+				t.Errorf("%d enqueue events, want one per copy: %d", n, want)
+			}
+		})
+	}
+}
+
+// settleUntil settles h until done holds, for up to five seconds: on a
+// wall-clock backend, timers run outside what Settle waits for.
+func settleUntil(t *testing.T, h Harness, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Settle(t); !done() && time.Now().Before(deadline); h.Settle(t) {
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -46,7 +46,7 @@ const (
 	// serialization.
 	EventEnqueue = obs.KindEnqueue
 	// EventDrop: a packet was discarded; Event.Detail carries the
-	// reason ("queue", "ttl", "no-route", "no-binding").
+	// reason, one of the wire and node reasons obs.KindDrop lists.
 	EventDrop = obs.KindDrop
 	// EventForward: a router forwarded a packet.
 	EventForward = obs.KindForward
