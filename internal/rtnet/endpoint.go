@@ -61,25 +61,19 @@ func (e *endpoint) Wire() (string, substrate.Env, substrate.LinkCounters) {
 // (substrate.Medium). On a datagram link the caller may reuse pkt the
 // moment Send returns, so what waits out the delay is the endpoint's
 // own copy; a delayed copy the medium refuses when its timer fires is
-// Lost.
+// Lost. A copy the transport takes is metered, as a netsim wire meters
+// it: this is the only place the meter is fed, so every carried copy —
+// delayed, duplicated or neither — counts pkt.Size() toward Load.
 func (e *endpoint) Carry(pkt *substrate.Packet, delay time.Duration) string {
-	if delay <= 0 {
-		return e.carry(pkt)
+	if delay > 0 {
+		pkt = e.tr.retain(pkt)
+		e.node.net.After(delay, func() {
+			if reason := e.Carry(pkt, 0); reason != "" {
+				substrate.Lost(e, pkt, reason)
+			}
+		})
+		return ""
 	}
-	pkt = e.tr.retain(pkt)
-	e.node.net.After(delay, func() {
-		if reason := e.carry(pkt); reason != "" {
-			substrate.Lost(e, pkt, reason)
-		}
-	})
-	return ""
-}
-
-// carry sends one copy through the transport and meters it if the
-// transport took it, as a netsim wire does. This is the only place the
-// meter is fed, so every carried copy — delayed, duplicated or
-// neither — counts pkt.Size() toward Load.
-func (e *endpoint) carry(pkt *substrate.Packet) string {
 	size := int64(pkt.Size()) // read first: a carried copy is the peer's
 	reason := e.tr.carry(pkt)
 	if reason == "" {
