@@ -9,6 +9,7 @@ import (
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/netsim/loadgen"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 func TestSourceRate(t *testing.T) {
@@ -211,25 +212,31 @@ func TestAdaptationComposesAcrossRouters(t *testing.T) {
 	// Two ASP routers in series: a congested second hop can only
 	// degrade further, never upgrade (degradation idempotence).
 	sim := netsim.New(netsim.WithSeed(3))
-	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.1.0.1"))
-	r1 := netsim.NewNode(sim, "r1", netsim.MustAddr("10.1.0.254"))
-	r2 := netsim.NewNode(sim, "r2", netsim.MustAddr("10.2.0.254"))
-	cl := netsim.NewNode(sim, "cl", netsim.MustAddr("10.3.0.1"))
-	r1.Forwarding, r2.Forwarding = true, true
-	l0 := netsim.Connect(sim, src, r1, netsim.LinkConfig{Bandwidth: 100_000_000})
-	l1 := netsim.Connect(sim, r1, r2, netsim.LinkConfig{Bandwidth: 10_000_000})
-	l2 := netsim.Connect(sim, r2, cl, netsim.LinkConfig{Bandwidth: 256_000}) // slow last hop
-	src.SetDefaultRoute(l0.Ifaces()[0])
-	group := netsim.MustAddr("224.5.5.5")
-	r1.AddMulticastRoute(group, l1.Ifaces()[0])
-	r2.AddMulticastRoute(group, l2.Ifaces()[0])
+	b, err := netsim.Build(sim, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "src", Addr: substrate.MustAddr("10.1.0.1")},
+			{Name: "r1", Addr: substrate.MustAddr("10.1.0.254"), Forwarding: true},
+			{Name: "r2", Addr: substrate.MustAddr("10.2.0.254"), Forwarding: true},
+			{Name: "cl", Addr: substrate.MustAddr("10.3.0.1")},
+		},
+		Links: []substrate.LinkSpec{
+			{A: "src", B: "r1", Bandwidth: 100_000_000},
+			{A: "r1", B: "r2", Bandwidth: 10_000_000},
+			{A: "r2", B: "cl", Bandwidth: 256_000}, // slow last hop
+		},
+		Mroutes: []substrate.RouteSpec{{Node: "r1", Dst: group, Via: "r2"}, {Node: "r2", Dst: group, Via: "cl"}},
+		Joins:   []substrate.JoinSpec{{Node: "cl", Group: group}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, r1, r2, cl := b.Nodes[0], b.Nodes[1], b.Nodes[2], b.Nodes[3]
 
 	for _, n := range []*netsim.Node{r1, r2} {
 		if _, err := planprt.Download(n, asp.AudioRouter, planprt.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl.JoinGroup(group)
 	client := NewClient(cl)
 	wire := MeterAudio(cl)
 	s := &Source{Node: src, Dst: group}

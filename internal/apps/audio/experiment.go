@@ -1,7 +1,8 @@
 // The §3.1 experiments on netsim: the figure-5 topology, the figure-6
 // stepped-load bandwidth trace, the figure-7 silent-period comparison,
 // and the adaptation-locus run. This file is the package's one netsim
-// assembler: group membership, multicast routes and the taps that watch
+// assembler: the figure-5 network (group membership and multicast
+// routes included) is declared here as Figure5, and the taps that watch
 // packets before the client ASP live here, not in the applications.
 package audio
 
@@ -67,44 +68,51 @@ type Testbed struct {
 // in the paper).
 const SegmentBandwidth = 10_000_000
 
-// Engine used for ASP downloads in experiments; the benchmark harness
-// overrides it per run.
+// group is the multicast group the figure-5 source sends to.
+var group = substrate.MustAddr("224.5.5.5")
+
+// Figure5 is the figure-5 network: the source's uplink to the router,
+// and the client LAN the router shares with the client, the load
+// generator and its sink. The router sends the audio group and any
+// address it has no host route for onto the LAN, where the client has
+// joined the group.
+var Figure5 = substrate.Topology{
+	Nodes: []substrate.NodeSpec{
+		{Name: "source", Addr: substrate.MustAddr("10.1.0.1")},
+		{Name: "router", Addr: substrate.MustAddr("10.1.0.254"), Forwarding: true},
+		{Name: "client", Addr: substrate.MustAddr("10.2.0.1")},
+		{Name: "loadgen", Addr: substrate.MustAddr("10.2.0.2")},
+		{Name: "sink", Addr: substrate.MustAddr("10.2.0.3")},
+	},
+	Links: []substrate.LinkSpec{{A: "source", B: "router", Bandwidth: 100_000_000}},
+	Segments: []substrate.SegmentSpec{
+		{Name: "client-lan", Bandwidth: SegmentBandwidth, Members: []string{"router", "client", "loadgen", "sink"}},
+	},
+	Routes:  []substrate.RouteSpec{{Node: "router", Dst: 0, Via: "client-lan"}},
+	Mroutes: []substrate.RouteSpec{{Node: "router", Dst: group, Via: "client-lan"}},
+	Joins:   []substrate.JoinSpec{{Node: "client", Group: group}},
+}
+
+// Options configure a run: the router's adaptation, and the engine
+// ASP downloads use (the benchmark harness overrides it per run).
 type Options struct {
 	Adaptation Adaptation
 	Engine     planprt.EngineKind
 	Seed       int64
 }
 
-// NewTestbed builds the topology and installs the selected adaptation.
+// NewTestbed builds Figure5 on the simulator and installs the selected
+// adaptation.
 func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
 	sim := netsim.New(netsim.WithSeed(opts.Seed))
-	src := netsim.NewNode(sim, "source", netsim.MustAddr("10.1.0.1"))
-	router := netsim.NewNode(sim, "router", netsim.MustAddr("10.1.0.254"))
-	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.2.0.1"))
-	gen := netsim.NewNode(sim, "loadgen", netsim.MustAddr("10.2.0.2"))
-	sink := netsim.NewNode(sim, "sink", netsim.MustAddr("10.2.0.3"))
-	router.Forwarding = true
-
-	up := netsim.Connect(sim, src, router, netsim.LinkConfig{Bandwidth: 100_000_000})
-	seg := netsim.NewSegment(sim, "client-lan", netsim.LinkConfig{Bandwidth: SegmentBandwidth})
-	rSeg := seg.Attach(router)
-	cSeg := seg.Attach(client)
-	gSeg := seg.Attach(gen)
-	sSeg := seg.Attach(sink)
-
-	src.SetDefaultRoute(up.Ifaces()[0])
-	router.AddRoute(src.Addr, up.Ifaces()[1])
-	router.SetDefaultRoute(rSeg)
-	client.SetDefaultRoute(cSeg)
-	gen.SetDefaultRoute(gSeg)
-	sink.SetDefaultRoute(sSeg)
-
-	group := netsim.MustAddr("224.5.5.5")
-	router.AddMulticastRoute(group, rSeg)
-	client.JoinGroup(group)
+	b, err := netsim.Build(sim, &Figure5)
+	if err != nil {
+		return nil, err
+	}
+	src, router, client, gen := b.Nodes[0], b.Nodes[1], b.Nodes[2], b.Nodes[3]
 
 	tb := &Testbed{
 		Sim:        sim,
@@ -112,8 +120,8 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		Router:     router,
 		ClientNode: client,
 		LoadGen:    gen,
-		Segment:    seg,
-		Uplink:     up,
+		Segment:    b.Segments[0],
+		Uplink:     b.Links[0],
 		Group:      group,
 	}
 	tb.Wire = MeterAudio(client)
@@ -282,8 +290,8 @@ type Figure7Row struct {
 var Figure7Loads = []int64{0, 9_000_000, 9_700_000, 9_900_000, 10_100_000}
 
 // RunFigure7 runs one (load, adaptation) cell for the given duration
-// using Poisson background traffic. The adaptation under test, engine,
-// seed, and shard count all come from opts.
+// using Poisson background traffic. The adaptation under test, engine
+// and seed come from opts.
 func RunFigure7(loadBps int64, dur time.Duration, opts Options) (*Figure7Row, error) {
 	tb, err := NewTestbed(opts)
 	if err != nil {

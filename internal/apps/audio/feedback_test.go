@@ -6,15 +6,26 @@ import (
 
 	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
-func TestFeedbackSourceAdjustsQuality(t *testing.T) {
+// linked builds nodes a (10.0.0.1) and b (10.0.0.2) joined by a
+// 10 Mb/s link on the simulator.
+func linked(t *testing.T, a, b string) (*netsim.Simulator, *netsim.Node, *netsim.Node) {
+	t.Helper()
 	sim := netsim.New(netsim.WithSeed(1))
-	src := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.1"))
-	peer := netsim.NewNode(sim, "peer", netsim.MustAddr("10.0.0.2"))
-	l := netsim.Connect(sim, src, peer, netsim.LinkConfig{Bandwidth: 10_000_000})
-	src.SetDefaultRoute(l.Ifaces()[0])
-	peer.SetDefaultRoute(l.Ifaces()[1])
+	built, err := netsim.Build(sim, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{{Name: a, Addr: substrate.MustAddr("10.0.0.1")}, {Name: b, Addr: substrate.MustAddr("10.0.0.2")}},
+		Links: []substrate.LinkSpec{{A: a, B: b, Bandwidth: 10_000_000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, built.Nodes[0], built.Nodes[1]
+}
+
+func TestFeedbackSourceAdjustsQuality(t *testing.T) {
+	sim, src, peer := linked(t, "src", "peer")
 
 	fs := NewFeedbackSource(&Source{Node: src, Dst: netsim.MustAddr("224.1.1.1")})
 	if fs.Quality != prims.AudioStereo16 {
@@ -48,12 +59,7 @@ func TestFeedbackSourceAdjustsQuality(t *testing.T) {
 }
 
 func TestFeedbackClientLossAccounting(t *testing.T) {
-	sim := netsim.New(netsim.WithSeed(1))
-	cl := netsim.NewNode(sim, "cl", netsim.MustAddr("10.0.0.1"))
-	srcNode := netsim.NewNode(sim, "src", netsim.MustAddr("10.0.0.2"))
-	l := netsim.Connect(sim, cl, srcNode, netsim.LinkConfig{Bandwidth: 10_000_000})
-	cl.SetDefaultRoute(l.Ifaces()[0])
-	srcNode.SetDefaultRoute(l.Ifaces()[1])
+	sim, cl, srcNode := linked(t, "cl", "src")
 
 	var reports []byte
 	srcNode.BindUDP(FeedbackPort, func(p *netsim.Packet) {

@@ -42,22 +42,20 @@ func waitReceived(t *testing.T, nw *rtnet.Net, s *Source, c *Client, end time.Du
 }
 
 // TestAudioOnRTNet runs the §3.1 application unchanged on the
-// real-time backend: Source ticks on timer goroutines, the audio router
-// and client ASPs process on their node goroutines, and Client counts
-// on the client's. On an uncongested line every packet sent is received
-// and playable.
+// real-time backend, on figure 5's network: Source ticks on timer
+// goroutines and multicasts to the group, the audio router ASP on the
+// router's node goroutine forwards it onto the client LAN, a shared
+// segment that carries it to the client, which joined the group, and
+// Client counts on the client's goroutine after the client ASP. On an
+// uncongested LAN every packet sent is received and playable.
 func TestAudioOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
-	line, err := rtnet.Line(nw, []rtnet.LineHost{
-		{Name: "source", Addr: substrate.MustAddr("10.0.4.1")},
-		{Name: "router", Addr: substrate.MustAddr("10.0.4.2"), Forwarding: true},
-		{Name: "client", Addr: substrate.MustAddr("10.0.4.3")},
-	}, 100_000_000, false)
+	b, err := rtnet.Build(nw, &Figure5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	source, router, client := line[0], line[1], line[2]
+	router, client := b.Node("router"), b.Node("client")
 	c := NewClient(client)
 	nw.Start()
 
@@ -72,7 +70,7 @@ func TestAudioOnRTNet(t *testing.T) {
 		defer rt.Uninstall()
 	}
 
-	s := &Source{Node: source, Dst: client.Address()}
+	s := &Source{Node: b.Node("source"), Dst: group}
 	end := nw.Now() + 2*time.Second
 	s.Start(end)
 	sent := waitReceived(t, nw, s, c, end)
@@ -96,14 +94,17 @@ func TestAudioOnRTNet(t *testing.T) {
 func TestFeedbackLoopOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
-	line, err := rtnet.Line(nw, []rtnet.LineHost{
-		{Name: "source", Addr: substrate.MustAddr("10.0.5.1")},
-		{Name: "client", Addr: substrate.MustAddr("10.0.5.2")},
-	}, 100_000_000, false)
+	b, err := rtnet.Build(nw, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "source", Addr: substrate.MustAddr("10.0.5.1")},
+			{Name: "client", Addr: substrate.MustAddr("10.0.5.2")},
+		},
+		Links: []substrate.LinkSpec{{A: "source", B: "client", Bandwidth: 100_000_000}},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	source, client := line[0], line[1]
+	source, client := b.Nodes[0], b.Nodes[1]
 	fs := NewFeedbackSource(&Source{Node: source, Dst: client.Address()})
 	fs.Quality = prims.AudioMono16
 	c := NewClient(client)
@@ -133,8 +134,7 @@ func TestFeedbackLoopOnRTNet(t *testing.T) {
 // untouched on an uncongested one — the same adaptation the simulator
 // experiment measures, now against real clocks and real concurrency.
 //
-// Topology (built with the same line helper the substrate conformance
-// suite uses, plus one extra thin segment):
+// Topology:
 //
 //	source ──100 Mb/s── router ──100 Mb/s── clientB   (uncongested)
 //	                       │
@@ -143,27 +143,29 @@ func TestFeedbackLoopOnRTNet(t *testing.T) {
 //	                    clientA                        (congested)
 //
 // The source unicasts 16-bit stereo to both clients fast enough that
-// the thin segment's measured utilization crosses the ASP's 50%/80%
-// thresholds; the fat segment stays in single-digit utilization.
+// the thin link's measured utilization crosses the ASP's 50%/80%
+// thresholds; the fat one stays in single-digit utilization.
 func TestAudioAdaptationOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
 
-	line, err := rtnet.Line(nw, []rtnet.LineHost{
-		{Name: "source", Addr: substrate.MustAddr("10.0.3.1")},
-		{Name: "router", Addr: substrate.MustAddr("10.0.3.2"), Forwarding: true},
-		{Name: "clientB", Addr: substrate.MustAddr("10.0.3.3")},
-	}, 100_000_000, false)
+	built, err := rtnet.Build(nw, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "source", Addr: substrate.MustAddr("10.0.3.1")},
+			{Name: "router", Addr: substrate.MustAddr("10.0.3.2"), Forwarding: true},
+			{Name: "clientB", Addr: substrate.MustAddr("10.0.3.3")},
+			{Name: "clientA", Addr: substrate.MustAddr("10.0.3.4")},
+		},
+		Links: []substrate.LinkSpec{
+			{A: "source", B: "router", Bandwidth: 100_000_000},
+			{A: "router", B: "clientB", Bandwidth: 100_000_000},
+			{A: "router", B: "clientA", Bandwidth: 2_000_000},
+		},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	source, router, clientB := line[0], line[1], line[2]
-
-	// The congested branch: a thin link off the router.
-	clientA := rtnet.NewNode(nw, "clientA", substrate.MustAddr("10.0.3.4"))
-	toA, fromA := rtnet.NewLink(nw, router, clientA, 2_000_000)
-	router.AddRoute(clientA.Address(), toA)
-	clientA.SetDefaultRoute(fromA)
+	source, router, clientB, clientA := built.Nodes[0], built.Nodes[1], built.Nodes[2], built.Nodes[3]
 
 	// The unmodified player counts delivered packets per format.
 	appA, appB := NewClient(clientA), NewClient(clientB)

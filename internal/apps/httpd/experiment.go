@@ -9,6 +9,7 @@ import (
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Variant selects one of figure 8's four configurations.
@@ -55,6 +56,25 @@ type Testbed struct {
 	ServerBIf  *netsim.Iface
 }
 
+// Cluster is the §3.2 network: the two clients on the client LAN, the
+// gateway on both LANs, and the two servers on the server LAN. The
+// gateway sends traffic for the virtual address, which only its ASP
+// rewrites, toward the servers.
+var Cluster = substrate.Topology{
+	Nodes: []substrate.NodeSpec{
+		{Name: "client1", Addr: substrate.MustAddr("10.0.1.1")},
+		{Name: "client2", Addr: substrate.MustAddr("10.0.1.2")},
+		{Name: "gateway", Addr: substrate.MustAddr("10.0.0.1"), Forwarding: true},
+		{Name: "serverA", Addr: Server0Addr},
+		{Name: "serverB", Addr: Server1Addr},
+	},
+	Segments: []substrate.SegmentSpec{
+		{Name: "clients", Bandwidth: 100_000_000, Members: []string{"client1", "client2", "gateway"}},
+		{Name: "servers", Bandwidth: 100_000_000, Members: []string{"gateway", "serverA", "serverB"}},
+	},
+	Routes: []substrate.RouteSpec{{Node: "gateway", Dst: VirtualAddr, Via: "servers"}},
+}
+
 // Config parameterizes a run.
 type Config struct {
 	Variant Variant
@@ -69,7 +89,7 @@ type Config struct {
 	Seed          int64
 }
 
-// NewTestbed wires the cluster for a variant.
+// NewTestbed builds Cluster on the simulator and installs a variant.
 func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -81,31 +101,11 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		cfg.Server = Apache
 	}
 	sim := netsim.New(netsim.WithSeed(cfg.Seed))
-	c1 := netsim.NewNode(sim, "client1", netsim.MustAddr("10.0.1.1"))
-	c2 := netsim.NewNode(sim, "client2", netsim.MustAddr("10.0.1.2"))
-	gw := netsim.NewNode(sim, "gateway", netsim.MustAddr("10.0.0.1"))
-	sa := netsim.NewNode(sim, "serverA", Server0Addr)
-	sb := netsim.NewNode(sim, "serverB", Server1Addr)
-	gw.Forwarding = true
-
-	clientLAN := netsim.NewSegment(sim, "clients", netsim.LinkConfig{Bandwidth: 100_000_000})
-	serverLAN := netsim.NewSegment(sim, "servers", netsim.LinkConfig{Bandwidth: 100_000_000})
-	i1 := clientLAN.Attach(c1)
-	i2 := clientLAN.Attach(c2)
-	gwClient := clientLAN.Attach(gw)
-	gwServer := serverLAN.Attach(gw)
-	ia := serverLAN.Attach(sa)
-	ib := serverLAN.Attach(sb)
-
-	c1.SetDefaultRoute(i1)
-	c2.SetDefaultRoute(i2)
-	sa.SetDefaultRoute(ia)
-	sb.SetDefaultRoute(ib)
-	gw.AddRoute(c1.Addr, gwClient)
-	gw.AddRoute(c2.Addr, gwClient)
-	gw.AddRoute(Server0Addr, gwServer)
-	gw.AddRoute(Server1Addr, gwServer)
-	gw.AddRoute(VirtualAddr, gwServer) // unrewritten traffic heads clusterward
+	b, err := netsim.Build(sim, &Cluster)
+	if err != nil {
+		return nil, err
+	}
+	c1, c2, gw, sa, sb := b.Nodes[0], b.Nodes[1], b.Nodes[2], b.Nodes[3], b.Nodes[4]
 
 	serverBCfg := cfg.Server
 	if cfg.ServerB != nil {
@@ -117,11 +117,11 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		Gateway:    gw,
 		ServerA:    NewServer(sa, cfg.Server),
 		ServerB:    NewServer(sb, serverBCfg),
-		ClientLAN:  clientLAN,
-		ServerLAN:  serverLAN,
-		GwServerIf: gwServer,
-		ServerAIf:  ia,
-		ServerBIf:  ib,
+		ClientLAN:  b.Segments[0],
+		ServerLAN:  b.Segments[1],
+		GwServerIf: b.Iface("gateway", "servers"),
+		ServerAIf:  b.Iface("serverA", "servers"),
+		ServerBIf:  b.Iface("serverB", "servers"),
 	}
 
 	switch cfg.Variant {

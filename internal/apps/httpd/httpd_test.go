@@ -12,6 +12,20 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
+// clientServer builds a client linked to one server on the simulator.
+func clientServer(t *testing.T) (*netsim.Simulator, *netsim.Node, *netsim.Node) {
+	t.Helper()
+	sim := netsim.New(netsim.WithSeed(1))
+	b, err := netsim.Build(sim, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{{Name: "client", Addr: substrate.MustAddr("10.0.1.1")}, {Name: "server", Addr: Server0Addr}},
+		Links: []substrate.LinkSpec{{A: "client", B: "server", Bandwidth: 100_000_000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, b.Nodes[0], b.Nodes[1]
+}
+
 // TestResponsePageStaysZero pins what lets every response packet carry
 // a slice of one shared page: nothing on a packet's way writes payload
 // bytes — not the ASP gateway's rewrite of a whole figure-8 run, and not
@@ -20,12 +34,7 @@ func TestResponsePageStaysZero(t *testing.T) {
 	if _, err := RunPoint(Config{Variant: VariantASPGW}, 300, 2*time.Second, 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	sim := netsim.New(netsim.WithSeed(1))
-	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
-	server := netsim.NewNode(sim, "server", Server0Addr)
-	l := netsim.Connect(sim, client, server, netsim.LinkConfig{Bandwidth: 100_000_000})
-	client.SetDefaultRoute(l.Ifaces()[0])
-	server.SetDefaultRoute(l.Ifaces()[1])
+	sim, client, server := clientServer(t)
 	NewServer(server, ServerConfig{})
 	var resp []*netsim.Packet
 	client.BindRaw(func(pkt *netsim.Packet) { resp = append(resp, pkt) })
@@ -247,12 +256,7 @@ func TestResponsesCarryVirtualAddress(t *testing.T) {
 // is the deepest the waiting line got (not the slice behind it), the
 // slice does not grow with the requests served, and Fail empties it.
 func TestServerQueueIsFIFO(t *testing.T) {
-	sim := netsim.New(netsim.WithSeed(1))
-	client := netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
-	server := netsim.NewNode(sim, "server", Server0Addr)
-	l := netsim.Connect(sim, client, server, netsim.LinkConfig{Bandwidth: 100_000_000})
-	client.SetDefaultRoute(l.Ifaces()[0])
-	server.SetDefaultRoute(l.Ifaces()[1])
+	sim, client, server := clientServer(t)
 	s := NewServer(server, ServerConfig{Workers: 1, BaseCPU: time.Millisecond})
 	var order []uint16
 	client.BindRaw(func(pkt *netsim.Packet) { order = append(order, pkt.TCP.DstPort) })

@@ -1,6 +1,7 @@
 package httpd_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -9,10 +10,21 @@ import (
 	"testing"
 )
 
+// wiring names what assembles a network by hand: the route and group
+// setters (any receiver), and the backends' link, segment and attach
+// constructors. The applications declare their networks as a
+// substrate.Topology and build them with one Build call instead.
+var wiring = map[string]bool{
+	"AddRoute": true, "SetDefaultRoute": true, "AddMulticastRoute": true, "JoinGroup": true, "Attach": true,
+	"netsim.Connect": true, "netsim.NewSegment": true,
+	"rtnet.NewLink": true, "rtnet.NewUDPLink": true, "rtnet.NewRemoteLink": true, "rtnet.NewSegment": true, "rtnet.Line": true,
+}
+
 // TestAppLayerIsBackendNeutral keeps the applications on the substrate
 // contract: in httpd, mpeg and audio only the experiment assemblers may
 // name a backend, so the servers, clients, gateways, sources and
-// feedback loops run on either.
+// feedback loops run on either; and no file, tests included, wires a
+// network by hand.
 func TestAppLayerIsBackendNeutral(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, dir := range []string{".", "../mpeg", "../audio"} {
@@ -21,12 +33,30 @@ func TestAppLayerIsBackendNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range files {
-			if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == "experiment.go" {
-				continue
-			}
-			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			f, err := parser.ParseFile(fset, name, nil, 0)
 			if err != nil {
 				t.Fatalf("parsing %s: %v", name, err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				qualified := sel.Sel.Name
+				if pkg, ok := sel.X.(*ast.Ident); ok {
+					qualified = pkg.Name + "." + qualified
+				}
+				if wiring[sel.Sel.Name] || wiring[qualified] {
+					t.Errorf("%s calls %s: declare the network as a substrate.Topology and build it", fset.Position(call.Pos()), qualified)
+				}
+				return true
+			})
+			if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == "experiment.go" {
+				continue
 			}
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)

@@ -11,6 +11,7 @@ import (
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 // Testbed is the §3.3 network: a remote video server behind a router,
@@ -36,7 +37,36 @@ type Options struct {
 	Stagger time.Duration
 }
 
-// NewTestbed builds the topology and optionally deploys the ASPs.
+// Topology is the §3.3 network for a number of viewers: the video
+// server's uplink to the router, and the client LAN the router shares
+// with the monitor and the viewers, which send everything to the
+// router. With capture, the monitor and the viewers attach
+// promiscuously, for the monitor and capture ASPs.
+func Topology(viewers int, capture bool) *substrate.Topology {
+	t := &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "videoserver", Addr: substrate.MustAddr("10.9.0.1")},
+			{Name: "router", Addr: substrate.MustAddr("10.9.0.254"), Forwarding: true},
+			{Name: "monitor", Addr: substrate.MustAddr("10.8.0.2")},
+		},
+		Links:    []substrate.LinkSpec{{A: "videoserver", B: "router", Bandwidth: 100_000_000}},
+		Segments: []substrate.SegmentSpec{{Name: "client-lan", Bandwidth: 10_000_000, Members: []string{"router", "monitor"}}},
+		Routes:   []substrate.RouteSpec{{Node: "router", Dst: 0, Via: "client-lan"}},
+	}
+	lan := &t.Segments[0]
+	for i := 0; i < viewers; i++ {
+		name := fmt.Sprintf("viewer%d", i+1)
+		t.Nodes = append(t.Nodes, substrate.NodeSpec{Name: name, Addr: substrate.MustAddr(fmt.Sprintf("10.8.0.%d", 10+i))})
+		lan.Members = append(lan.Members, name)
+	}
+	if capture {
+		lan.Promisc = lan.Members[1:]
+	}
+	return t
+}
+
+// NewTestbed builds Topology on the simulator and optionally deploys
+// the ASPs.
 func NewTestbed(opts Options) (*Testbed, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -45,25 +75,14 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		opts.Stagger = time.Second
 	}
 	sim := netsim.New(netsim.WithSeed(opts.Seed))
-	srvNode := netsim.NewNode(sim, "videoserver", netsim.MustAddr("10.9.0.1"))
-	router := netsim.NewNode(sim, "router", netsim.MustAddr("10.9.0.254"))
-	router.Forwarding = true
-	monitor := netsim.NewNode(sim, "monitor", netsim.MustAddr("10.8.0.2"))
-
-	up := netsim.Connect(sim, srvNode, router, netsim.LinkConfig{Bandwidth: 100_000_000})
-	seg := netsim.NewSegment(sim, "client-lan", netsim.LinkConfig{Bandwidth: 10_000_000})
-	rSeg := seg.Attach(router)
-	mIf := seg.Attach(monitor)
-
-	srvNode.SetDefaultRoute(up.Ifaces()[0])
-	router.AddRoute(srvNode.Addr, up.Ifaces()[1])
-	router.SetDefaultRoute(rSeg)
-	monitor.SetDefaultRoute(mIf)
-
-	tb := &Testbed{Sim: sim, Server: NewServer(srvNode), Monitor: monitor, Segment: seg}
+	b, err := netsim.Build(sim, Topology(opts.Viewers, opts.UseASPs))
+	if err != nil {
+		return nil, err
+	}
+	srvNode, monitor := b.Nodes[0], b.Nodes[2]
+	tb := &Testbed{Sim: sim, Server: NewServer(srvNode), Monitor: monitor, Segment: b.Segments[0]}
 
 	if opts.UseASPs {
-		mIf.Promisc = true
 		rt, err := planprt.Download(monitor, asp.MPEGMonitor, planprt.Config{Engine: opts.Engine})
 		if err != nil {
 			return nil, fmt.Errorf("mpeg: monitor download: %w", err)
@@ -71,13 +90,9 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		tb.MonitorRT = rt
 	}
 
-	for i := 0; i < opts.Viewers; i++ {
-		node := netsim.NewNode(sim, fmt.Sprintf("viewer%d", i+1), netsim.MustAddr(fmt.Sprintf("10.8.0.%d", 10+i)))
-		ifc := seg.Attach(node)
-		node.SetDefaultRoute(ifc)
+	for _, node := range b.Nodes[3:] {
 		client := NewClient(node, srvNode.Addr, monitor.Addr, 1, opts.UseASPs)
 		if opts.UseASPs {
-			ifc.Promisc = true
 			rt, err := planprt.Download(node, asp.MPEGClient, planprt.Config{Engine: opts.Engine})
 			if err != nil {
 				return nil, fmt.Errorf("mpeg: client download: %w", err)

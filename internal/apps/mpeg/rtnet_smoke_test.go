@@ -4,60 +4,66 @@ import (
 	"testing"
 	"time"
 
+	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/apps/mpeg"
+	"planp.dev/planp/internal/planprt"
 	"planp.dev/planp/internal/rtnet"
-	"planp.dev/planp/internal/substrate"
 )
 
-// TestMPEGOnRTNet is the §3.3 wall-clock smoke test: the unmodified
-// point-to-point video server and a baseline (direct-connect) viewer
-// run on the real-time backend — request, setup, a burst of frames at
-// the real 40 ms frame interval, then teardown. The monitor/capture
-// ASPs stay simulator-only (rtnet links have no promiscuous shared
-// segment), so the viewer runs with UseMonitor off. Wall clocks make
+// TestMPEGOnRTNet is §3.3 on the real-time backend, on the network the
+// experiment simulates: the unmodified point-to-point video server
+// behind the router, and a shared client LAN where the monitor ASP and
+// two viewers' capture ASPs listen promiscuously. The first viewer asks
+// the monitor, hears nothing of the stream and connects; the second
+// learns from the monitor that the stream is on the LAN and captures
+// it. The server serves one connection, and both viewers decode frames
+// at the real 40 ms frame interval, I-frames included. Wall clocks make
 // exact frame counts timing-dependent; assertions are directional.
 func TestMPEGOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
-
-	srvNode := rtnet.NewNode(nw, "videoserver", substrate.MustAddr("10.9.0.1"))
-	router := rtnet.NewNode(nw, "router", substrate.MustAddr("10.9.0.254"))
-	viewer := rtnet.NewNode(nw, "viewer", substrate.MustAddr("10.8.0.10"))
-	router.Forwarding = true
-
-	sr, rs := rtnet.NewLink(nw, srvNode, router, 100_000_000)
-	rv, vr := rtnet.NewLink(nw, router, viewer, 10_000_000)
-	srvNode.SetDefaultRoute(sr)
-	router.AddRoute(srvNode.Address(), rs)
-	router.AddRoute(viewer.Address(), rv)
-	viewer.SetDefaultRoute(vr)
-
+	b, err := rtnet.Build(nw, mpeg.Topology(2, true), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvNode, monitor := b.Node("videoserver"), b.Node("monitor")
 	server := mpeg.NewServer(srvNode)
-	client := mpeg.NewClient(viewer, srvNode.Address(), 0, 1, false)
-
+	var viewers []*mpeg.Client
+	for _, name := range []string{"viewer1", "viewer2"} {
+		viewers = append(viewers, mpeg.NewClient(b.Node(name), srvNode.Address(), monitor.Address(), 1, true))
+	}
 	nw.Start()
 
-	client.Start()
-
-	// Half a second of real time is ~12 frame intervals; ask only for
-	// "several frames and at least one I-frame" (the GOP opens with I).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		frames, _, iframes := client.Stats()
-		if frames >= 5 && iframes >= 1 {
-			break
+	for _, d := range []struct{ node, src string }{
+		{"monitor", asp.MPEGMonitor}, {"viewer1", asp.MPEGClient}, {"viewer2", asp.MPEGClient},
+	} {
+		rt, err := planprt.Download(b.Node(d.node), d.src, planprt.Config{})
+		if err != nil {
+			t.Fatalf("downloading onto %s: %v", d.node, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frames=%d iframes=%d after %v, want >=5 with an I-frame", frames, iframes, 5*time.Second)
-		}
-		time.Sleep(20 * time.Millisecond)
+		defer rt.Uninstall()
 	}
-	if !client.HasSetup() {
-		t.Fatal("viewer never received the setup blob")
+
+	// Each viewer in turn, once the one before it plays: "several frames
+	// and at least one I-frame" (the GOP opens with I, and repeats
+	// every 12 frames).
+	for k, v := range viewers {
+		v.Start()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			frames, _, iframes := v.Stats()
+			if frames >= 5 && iframes >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("viewer%d: frames=%d iframes=%d after 10s, want >=5 with an I-frame", k+1, frames, iframes)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
 	conns, srvFrames, srvBytes := server.Stats()
 	if conns != 1 {
-		t.Fatalf("server connections = %d, want 1", conns)
+		t.Fatalf("server connections = %d with two viewers, want 1", conns)
 	}
 	if srvFrames == 0 || srvBytes == 0 {
 		t.Fatalf("server counters frames=%d bytes=%d, want both > 0", srvFrames, srvBytes)
@@ -65,7 +71,7 @@ func TestMPEGOnRTNet(t *testing.T) {
 
 	// Teardown stops the stream: after the FIN settles and any
 	// in-flight tick drains, the server's frame counter must freeze.
-	client.Teardown()
+	viewers[0].Teardown()
 	if !nw.Quiesce(5 * time.Second) {
 		t.Fatal("network did not quiesce after teardown")
 	}
@@ -77,14 +83,11 @@ func TestMPEGOnRTNet(t *testing.T) {
 		t.Fatalf("server kept streaming after teardown: %d -> %d frames", stopped, after)
 	}
 
-	// The viewer saw (a prefix of) what the server sent — nothing
-	// invented, and the server pushed at least as many frames as were
-	// decoded.
-	frames, bytes, _ := client.Stats()
-	if frames > after {
-		t.Fatalf("viewer decoded %d frames, server only sent %d", frames, after)
-	}
-	if bytes == 0 {
-		t.Fatal("viewer decoded zero bytes")
+	// Each viewer saw (a part of) what the server sent — nothing
+	// invented.
+	for k, v := range viewers {
+		if frames, bytes, _ := v.Stats(); frames > after || bytes == 0 {
+			t.Fatalf("viewer%d decoded %d frames (%d bytes), the server sent %d", k+1, frames, bytes, after)
+		}
 	}
 }

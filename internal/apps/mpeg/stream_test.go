@@ -102,14 +102,18 @@ func TestServerIgnoresMalformedControl(t *testing.T) {
 
 func TestTeardownFromWrongClientIgnored(t *testing.T) {
 	sim := netsim.New(netsim.WithSeed(1))
-	srvNode := netsim.NewNode(sim, "srv", netsim.MustAddr("10.0.0.1"))
-	c1 := netsim.NewNode(sim, "c1", netsim.MustAddr("10.0.0.2"))
-	c2 := netsim.NewNode(sim, "c2", netsim.MustAddr("10.0.0.3"))
-	seg := netsim.NewSegment(sim, "lan", netsim.LinkConfig{Bandwidth: 10_000_000})
-	for _, n := range []*netsim.Node{srvNode, c1, c2} {
-		ifc := seg.Attach(n)
-		n.SetDefaultRoute(ifc)
+	b, err := netsim.Build(sim, &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "srv", Addr: substrate.MustAddr("10.0.0.1")},
+			{Name: "c1", Addr: substrate.MustAddr("10.0.0.2")},
+			{Name: "c2", Addr: substrate.MustAddr("10.0.0.3")},
+		},
+		Segments: []substrate.SegmentSpec{{Name: "lan", Bandwidth: 10_000_000, Members: []string{"srv", "c1", "c2"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	srvNode, c1, c2 := b.Nodes[0], b.Nodes[1], b.Nodes[2]
 	s := NewServer(srvNode)
 	cl := NewClient(c1, srvNode.Addr, 0, 1, false)
 	cl.Start()

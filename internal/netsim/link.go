@@ -272,7 +272,7 @@ func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) string {
 	// owned by any of them (see Packet ownership).
 	receivers := 0
 	for _, ifc := range s.ifaces {
-		if ifc != from && ifc.wantsFrame(pkt) {
+		if ifc != from && ifc.Node.Accepts(pkt, ifc.Promisc) {
 			receivers++
 		}
 	}
@@ -280,30 +280,10 @@ func (s *Segment) send(from *Iface, pkt *Packet, extra time.Duration) string {
 		pkt.Disown()
 	}
 	for _, ifc := range s.ifaces {
-		if ifc == from || !ifc.wantsFrame(pkt) {
+		if ifc == from || !ifc.Node.Accepts(pkt, ifc.Promisc) {
 			continue
 		}
 		sh.atReceive(arrive, pkt, ifc)
 	}
 	return ""
-}
-
-// wantsFrame is the NIC filter: promiscuous interfaces and forwarding
-// nodes accept everything; hosts accept frames addressed to them,
-// multicast for joined groups, and broadcast.
-func (i *Iface) wantsFrame(pkt *Packet) bool {
-	if i.Promisc || i.Node.Forwarding {
-		return true
-	}
-	dst := pkt.IP.Dst
-	switch {
-	case dst == i.Node.Addr:
-		return true
-	case dst.IsMulticast():
-		return i.Node.Joined(dst)
-	case dst == 0xFFFFFFFF:
-		return true
-	default:
-		return false
-	}
 }

@@ -49,3 +49,46 @@ var (
 	_ substrate.FaultPort = (*Iface)(nil)
 	_ substrate.Crasher   = (*Node)(nil)
 )
+
+// Built is a topology Build made on the simulator.
+type Built struct {
+	*substrate.Built[*Node]
+	Links    []*Link    // in spec order
+	Segments []*Segment // in spec order
+}
+
+// Iface returns node's interface toward via, an adjacent node or a
+// segment the node is on; nil when there is none.
+func (b *Built) Iface(node, via string) *Iface {
+	ifc, _ := b.Built.Iface(node, via).(*Iface)
+	return ifc
+}
+
+// Build builds t on sim: substrate.Build with the simulator's
+// constructors.
+func Build(sim *Simulator, t *substrate.Topology) (*Built, error) {
+	b := &Built{Links: make([]*Link, 0, len(t.Links)), Segments: make([]*Segment, 0, len(t.Segments))}
+	var err error
+	b.Built, err = substrate.Build(t, substrate.Backend[*Node]{
+		Node: func(n substrate.NodeSpec) (*Node, bool) {
+			node := NewNode(sim, n.Name, n.Addr)
+			node.Forwarding = n.Forwarding
+			return node, true
+		},
+		Link: func(l substrate.LinkSpec, a, c *Node) (substrate.Iface, substrate.Iface, error) {
+			link := Connect(sim, a, c, LinkConfig{Bandwidth: l.Bandwidth})
+			b.Links = append(b.Links, link)
+			return link.a, link.b, nil
+		},
+		Segment: func(s substrate.SegmentSpec) func(*Node, bool) substrate.Iface {
+			seg := NewSegment(sim, s.Name, LinkConfig{Bandwidth: s.Bandwidth})
+			b.Segments = append(b.Segments, seg)
+			return func(n *Node, promisc bool) substrate.Iface {
+				ifc := seg.Attach(n)
+				ifc.Promisc = promisc
+				return ifc
+			}
+		},
+	})
+	return b, err
+}

@@ -12,25 +12,21 @@ import (
 // rtHarness adapts the real-time backend to the substrate conformance
 // suite. udp selects loopback-UDP links instead of in-process channels,
 // so the same behavioral suite also exercises the wire codec and real
-// kernel datagram delivery.
+// kernel datagram delivery; segments are in-process on both.
 type rtHarness struct {
 	nw  *rtnet.Net
 	udp bool
 }
 
-func (h *rtHarness) Build(t *testing.T, hosts []subtest.HostSpec) []substrate.Node {
+func (h *rtHarness) Build(t *testing.T, spec *substrate.Topology) []substrate.Node {
 	h.nw = rtnet.New(42)
 	t.Cleanup(h.nw.Close)
-	specs := make([]rtnet.LineHost, len(hosts))
-	for i, hs := range hosts {
-		specs[i] = rtnet.LineHost{Name: hs.Name, Addr: hs.Addr, Forwarding: hs.Forwarding}
-	}
-	ns, err := rtnet.Line(h.nw, specs, subtest.LinkBps, h.udp)
+	b, err := rtnet.Build(h.nw, spec, h.udp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]substrate.Node, len(ns))
-	for i, n := range ns {
+	out := make([]substrate.Node, len(b.Nodes))
+	for i, n := range b.Nodes {
 		out[i] = n
 	}
 	return out

@@ -177,6 +177,43 @@ func TestQueueCapUnderConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestSegmentQueueCapUnderConcurrentSenders: a segment has one
+// drop-tail bound across all its senders. Members sending at once, and
+// attaching while others send, to one receiver on a network that never
+// drains leave exactly queueCap frames in its inbox; every other frame
+// is one drop counted on the segment.
+func TestSegmentQueueCapUnderConcurrentSenders(t *testing.T) {
+	const senders, each = 8, 200
+	nw := New(1) // never started: nothing drains
+	t.Cleanup(nw.Close)
+	seg := NewSegment(nw, "lan", 10e6)
+	dst := NewNode(nw, "dst", 100)
+	seg.Attach(dst, false)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		src := substrate.Addr(s + 1)
+		out := seg.Attach(NewNode(nw, "src"+string(rune('a'+s)), src), false)
+		pkts := make([]*substrate.Packet, each)
+		for k := range pkts {
+			pkts[k] = substrate.NewUDP(src, 100, 9, 7, []byte("x")).Own()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, pkt := range pkts {
+				out.Send(pkt)
+			}
+		}()
+	}
+	wg.Wait()
+	if q, in := seg.queued.Load(), len(dst.inbox); q != queueCap || in != queueCap {
+		t.Errorf("queued = %d, inbox holds %d, want exactly queueCap = %d", q, in, queueCap)
+	}
+	if got := nw.Metrics().Snapshot()["link.lan.dropped_pkts"]; got != senders*each-queueCap {
+		t.Errorf("link.lan.dropped_pkts = %d, want %d", got, senders*each-queueCap)
+	}
+}
+
 // TestChanHopAllocs: what rt_gateway's alloc_b_op rests on below the
 // ASP. An owned packet crosses client — forwarding router — server
 // (two channel hops, a route lookup, a binding lookup, the run loop

@@ -1,8 +1,9 @@
 // Endpoints: what every rtnet link kind — channel, loopback-UDP,
-// cross-host — adds to substrate.Port. The port owns the fault verdict
-// and the enqueue and drop events; the endpoint is its medium: a rate
-// meter, the link's loss counters, a timer per delayed copy, and a
-// transport that moves one copy to the peer.
+// cross-host, segment attachment — adds to substrate.Port. The port
+// owns the fault verdict and the enqueue and drop events; the endpoint
+// is its medium: a rate meter and loss counters (a segment's
+// attachments share theirs), a timer per delayed copy, and a transport
+// that moves one copy to the peer.
 package rtnet
 
 import (
@@ -35,15 +36,22 @@ type endpoint struct {
 	bw    int64  // nominal bandwidth, bits/s (reported, not enforced)
 	tr    transport
 	ct    substrate.LinkCounters
-
-	mu    sync.Mutex // guards meter (RateMeter is not internally synchronized)
-	meter *substrate.RateMeter
+	m     *meter // the medium's: a link direction's own, a segment's shared
 }
+
+// meter is a medium's load meter behind its lock (RateMeter is not
+// internally synchronized).
+type meter struct {
+	mu sync.Mutex
+	substrate.RateMeter
+}
+
+func newMeter() *meter { return &meter{RateMeter: *substrate.NewRateMeter(0)} }
 
 // setup wires the endpoint for node's link toward the node named peer.
 func (e *endpoint) setup(nw *Net, node *Node, peer string, bandwidthBps int64, tr transport) {
 	e.node, e.label, e.bw, e.tr = node, node.Hostname()+":"+peer, bandwidthBps, tr
-	e.meter = substrate.NewRateMeter(0)
+	e.m = newMeter()
 	e.ct = substrate.NewLinkCounters(nw.reg, e.label)
 }
 
@@ -78,9 +86,9 @@ func (e *endpoint) Carry(pkt *substrate.Packet, delay time.Duration) string {
 	reason := e.tr.carry(pkt)
 	if reason == "" {
 		now := e.node.net.Now()
-		e.mu.Lock()
-		e.meter.Add(now, size)
-		e.mu.Unlock()
+		e.m.mu.Lock()
+		e.m.Add(now, size)
+		e.m.mu.Unlock()
 	}
 	return reason
 }
@@ -91,9 +99,9 @@ func (e *endpoint) Carry(pkt *substrate.Packet, delay time.Duration) string {
 // link of both backends.
 func (e *endpoint) Load() int64 {
 	now := e.node.net.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.meter.Utilization(now, e.bw)
+	e.m.mu.Lock()
+	defer e.m.mu.Unlock()
+	return e.m.Utilization(now, e.bw)
 }
 
 // Bandwidth returns the link's nominal capacity in bits per second

@@ -30,7 +30,9 @@
 // node in this process (NewLink, link.go), or a UDP datagram
 // (datagram.go) to a loopback socket (NewUDPLink) or to another daemon
 // (NewRemoteLink, remote.go, which adds handshake, liveness and
-// admission).
+// admission). A shared segment (segment.go) is one more endpoint kind,
+// whose transport fans a frame out to the other attachments. Build
+// (topo.go) assembles any substrate.Topology from these constructors.
 //
 // Determinism contract: rtnet is race-clean but NOT reproducible —
 // timing, interleaving, and drop behavior vary run to run. Experiments
@@ -43,10 +45,10 @@
 // OnEvent calls (obs counters are; plain slices are not). The metrics
 // registry is fully concurrent.
 //
-// Limitations relative to netsim: no shared segments and no modeled CPU
-// cost — rtnet nodes are real concurrent hosts, not simulation
-// stand-ins. Multicast routes, group membership and taps are the
-// Stack's, so they behave as on the simulator.
+// Limitations relative to netsim: no modeled CPU cost — rtnet nodes
+// are real concurrent hosts, not simulation stand-ins — and segments
+// are in-process only. Multicast routes, group membership and taps are
+// the Stack's, so they behave as on the simulator.
 package rtnet
 
 import (

@@ -1,8 +1,5 @@
-// Topology helpers: the line builder behind the substrate conformance
-// harness (internal/substrate/subtest describes topologies as host
-// specs; the rtnet adapter converts them here), reused by the audio
-// rtnet smoke test and the fleet rollout e2e so every multi-node rtnet
-// test wires routes the same way.
+// Topologies: substrate.Build with rtnet's constructors, and Line, the
+// spec of a line of hosts.
 package rtnet
 
 import (
@@ -11,54 +8,47 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// LineHost describes one host of a line topology. It mirrors
-// subtest.HostSpec field-for-field (rtnet cannot import subtest — the
-// conformance package links "testing" — so the adapter converts).
-type LineHost struct {
-	Name       string
-	Addr       substrate.Addr
-	Forwarding bool
+// Build builds t on nw: channel links, or loopback-UDP links when udp
+// is set, and in-process segments.
+func Build(nw *Net, t *substrate.Topology, udp bool) (*substrate.Built[*Node], error) {
+	return substrate.Build(t, substrate.Backend[*Node]{
+		Node: func(n substrate.NodeSpec) (*Node, bool) {
+			node := NewNode(nw, n.Name, n.Addr)
+			node.Forwarding = n.Forwarding
+			return node, true
+		},
+		Link: func(l substrate.LinkSpec, a, b *Node) (substrate.Iface, substrate.Iface, error) {
+			if !udp {
+				ab, ba := NewLink(nw, a, b, l.Bandwidth)
+				return ab, ba, nil
+			}
+			ab, ba, err := NewUDPLink(nw, a, b, l.Bandwidth)
+			if err != nil {
+				return nil, nil, fmt.Errorf("rtnet: link %s-%s: %w", l.A, l.B, err)
+			}
+			return ab, ba, nil
+		},
+		Segment: func(s substrate.SegmentSpec) func(*Node, bool) substrate.Iface {
+			seg := NewSegment(nw, s.Name, s.Bandwidth)
+			return func(n *Node, promisc bool) substrate.Iface { return seg.Attach(n, promisc) }
+		},
+	})
 }
 
-// Line builds a line topology on nw: consecutive hosts joined by duplex
+// LineHost describes one host of a line topology.
+type LineHost = substrate.NodeSpec
+
+// Line builds hosts on nw as a line: consecutive hosts joined by duplex
 // links of the given bandwidth (loopback-UDP sockets when udp is set),
-// with static routes installed so every host reaches every other
-// through the line. The two ends also get default routes pointing
-// inward. Returns the nodes in spec order.
+// routed by Build's rule. It returns the nodes in spec order.
 func Line(nw *Net, hosts []LineHost, bandwidthBps int64, udp bool) ([]*Node, error) {
-	ns := make([]*Node, len(hosts))
-	for i, h := range hosts {
-		ns[i] = NewNode(nw, h.Name, h.Addr)
-		ns[i].Forwarding = h.Forwarding
+	t := &substrate.Topology{Nodes: hosts}
+	for i := 1; i < len(hosts); i++ {
+		t.Links = append(t.Links, substrate.LinkSpec{A: hosts[i-1].Name, B: hosts[i].Name, Bandwidth: bandwidthBps})
 	}
-	left := make([]substrate.Iface, len(ns))
-	right := make([]substrate.Iface, len(ns))
-	for i := 0; i+1 < len(ns); i++ {
-		if udp {
-			ab, ba, err := NewUDPLink(nw, ns[i], ns[i+1], bandwidthBps)
-			if err != nil {
-				return nil, fmt.Errorf("rtnet: line link %s-%s: %w", hosts[i].Name, hosts[i+1].Name, err)
-			}
-			right[i], left[i+1] = ab, ba
-		} else {
-			ab, ba := NewLink(nw, ns[i], ns[i+1], bandwidthBps)
-			right[i], left[i+1] = ab, ba
-		}
+	b, err := Build(nw, t, udp)
+	if err != nil {
+		return nil, err
 	}
-	for i, n := range ns {
-		for j := range ns {
-			switch {
-			case j < i:
-				n.AddRoute(ns[j].Address(), left[i])
-			case j > i:
-				n.AddRoute(ns[j].Address(), right[i])
-			}
-		}
-		if i == 0 && len(ns) > 1 {
-			n.SetDefaultRoute(right[i])
-		} else if i == len(ns)-1 && len(ns) > 1 {
-			n.SetDefaultRoute(left[i])
-		}
-	}
-	return ns, nil
+	return b.Nodes, nil
 }

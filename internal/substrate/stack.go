@@ -172,6 +172,23 @@ func (s *Stack) JoinGroup(group Addr) {
 // Joined reports whether the node has joined group.
 func (s *Stack) Joined(group Addr) bool { return s.load().joined[group] }
 
+// Accepts is the NIC filter of a segment attachment, promiscuous or
+// not: a promiscuous attachment or a forwarding node takes every frame;
+// a host takes frames addressed to it, multicast for groups it joined,
+// and broadcast.
+func (s *Stack) Accepts(pkt *Packet, promisc bool) bool {
+	if promisc || s.Forwarding {
+		return true
+	}
+	switch dst := pkt.IP.Dst; {
+	case dst == s.addr, dst == 0xFFFFFFFF:
+		return true
+	case dst.IsMulticast():
+		return s.Joined(dst)
+	}
+	return false
+}
+
 // BindUDP delivers local UDP traffic for port to fn.
 func (s *Stack) BindUDP(port uint16, fn AppFunc) {
 	s.write(func(t *tables) { put(&t.apps, appKey{ProtoUDP, port}, fn) })

@@ -7,8 +7,9 @@
 // property instead of an aspiration.
 //
 // The suite is deliberately written against substrate.Node / Iface /
-// Env alone — if a test needs a backend-specific knob, the knob belongs
-// in HostSpec or the Harness, not in the test.
+// Env and the substrate.Topology each test declares alone — if a test
+// needs a backend-specific knob, the knob belongs in the Topology or the
+// Harness, not in the test.
 package subtest
 
 import (
@@ -23,26 +24,17 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// HostSpec describes one host in the line topology a Harness builds.
-type HostSpec struct {
-	Name       string
-	Addr       substrate.Addr
-	Forwarding bool
-}
-
-// LinkBps is the nominal bandwidth of every link a Harness builds: slow
-// enough that the few packets LinkFault sends move Load by whole
-// percents.
+// LinkBps is the nominal bandwidth of every link and segment the suite
+// declares: slow enough that the few packets LinkFault sends move Load
+// by whole percents.
 const LinkBps = 200_000
 
 // Harness adapts one backend to the suite. A fresh harness is built for
 // every subtest.
 type Harness interface {
-	// Build constructs the hosts, links consecutive pairs with a duplex
-	// link of LinkBps, and installs static routes so every host can reach every
-	// other (traffic between non-adjacent hosts transits the middle).
-	// It returns the nodes in spec order.
-	Build(t *testing.T, hosts []HostSpec) []substrate.Node
+	// Build builds spec on a fresh network (substrate.Build with the
+	// backend's constructors) and returns the nodes in spec order.
+	Build(t *testing.T, spec *substrate.Topology) []substrate.Node
 
 	// Start begins packet processing. Bindings, processors, and event
 	// subscribers registered before Start are visible to all traffic.
@@ -67,18 +59,29 @@ var (
 	addrA = substrate.MustAddr("10.9.0.1")
 	addrR = substrate.MustAddr("10.9.0.2")
 	addrB = substrate.MustAddr("10.9.0.3")
+	addrP = substrate.MustAddr("10.9.0.4")
+	addrX = substrate.MustAddr("10.9.0.5")
 )
 
-func twoHosts() []HostSpec {
-	return []HostSpec{{Name: "ca", Addr: addrA}, {Name: "cb", Addr: addrB}}
+// line declares hosts joined in order by links of LinkBps.
+func line(hosts ...substrate.NodeSpec) *substrate.Topology {
+	t := &substrate.Topology{Nodes: hosts}
+	for i := 1; i < len(hosts); i++ {
+		t.Links = append(t.Links, substrate.LinkSpec{A: hosts[i-1].Name, B: hosts[i].Name, Bandwidth: LinkBps})
+	}
+	return t
 }
 
-func lineWithRouter() []HostSpec {
-	return []HostSpec{
-		{Name: "ca", Addr: addrA},
-		{Name: "cr", Addr: addrR, Forwarding: true},
-		{Name: "cb", Addr: addrB},
-	}
+func twoHosts() *substrate.Topology {
+	return line(substrate.NodeSpec{Name: "ca", Addr: addrA}, substrate.NodeSpec{Name: "cb", Addr: addrB})
+}
+
+func lineWithRouter() *substrate.Topology {
+	return line(
+		substrate.NodeSpec{Name: "ca", Addr: addrA},
+		substrate.NodeSpec{Name: "cr", Addr: addrR, Forwarding: true},
+		substrate.NodeSpec{Name: "cb", Addr: addrB},
+	)
 }
 
 // Run executes the conformance suite, building a fresh harness from mk
@@ -99,14 +102,8 @@ func Run(t *testing.T, mk func() Harness) {
 	t.Run("SelfAndBroadcast", func(t *testing.T) { testSelfAndBroadcast(t, mk()) })
 	t.Run("Multicast", func(t *testing.T) { testMulticast(t, mk()) })
 	t.Run("LinkFault", func(t *testing.T) { testLinkFault(t, mk) })
-}
-
-// multicaster is the multicast configuration every backend's node
-// carries (substrate.Stack's setters) outside the substrate.Node
-// contract, which the runtime does not need.
-type multicaster interface {
-	AddMulticastRoute(group substrate.Addr, ifc substrate.Iface)
-	JoinGroup(group substrate.Addr)
+	t.Run("Segment", func(t *testing.T) { testSegment(t, mk()) })
+	t.Run("Promisc", func(t *testing.T) { testPromisc(t, mk()) })
 }
 
 // counter returns the named registry value.
@@ -514,13 +511,12 @@ func testSelfAndBroadcast(t *testing.T, h Harness) {
 // fanned out to more than one route is disowned, since the copies share
 // it; a member that joined the group delivers it, another host does not.
 func testMulticast(t *testing.T, h Harness) {
-	nodes := h.Build(t, lineWithRouter())
-	a, r, b := nodes[0], nodes[1], nodes[2]
-
 	group := substrate.MustAddr("239.9.0.1")
-	r.(multicaster).AddMulticastRoute(group, r.Route(a.Address()))
-	r.(multicaster).AddMulticastRoute(group, r.Route(b.Address()))
-	b.(multicaster).JoinGroup(group)
+	spec := lineWithRouter()
+	spec.Mroutes = []substrate.RouteSpec{{Node: "cr", Dst: group, Via: "ca"}, {Node: "cr", Dst: group, Via: "cb"}}
+	spec.Joins = []substrate.JoinSpec{{Node: "cb", Group: group}}
+	nodes := h.Build(t, spec)
+	a, r, b := nodes[0], nodes[1], nodes[2]
 	var atA, atB atomic.Int32
 	a.BindUDP(7, func(*substrate.Packet) { atA.Add(1) })
 	b.BindUDP(7, func(*substrate.Packet) { atB.Add(1) })
@@ -679,6 +675,122 @@ func testLinkFault(t *testing.T, mk func() Harness) {
 				t.Errorf("%d enqueue events, want one per copy: %d", n, want)
 			}
 		})
+	}
+}
+
+// segment declares one segment of LinkBps carrying a sender ca, the
+// host cb it addresses, a forwarding router cr, a promiscuous host cp
+// and a bystander cx.
+func segment() *substrate.Topology {
+	return &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "ca", Addr: addrA},
+			{Name: "cb", Addr: addrB},
+			{Name: "cr", Addr: addrR, Forwarding: true},
+			{Name: "cp", Addr: addrP},
+			{Name: "cx", Addr: addrX},
+		},
+		Segments: []substrate.SegmentSpec{{
+			Name: "lan", Bandwidth: LinkBps,
+			Members: []string{"ca", "cb", "cr", "cp", "cx"}, Promisc: []string{"cp"},
+		}},
+	}
+}
+
+// testSegment: a frame on a segment reaches the host it is addressed
+// to and every forwarding or promiscuous attachment, and no other host;
+// the one packet they share is disowned. Each send is one enqueue
+// event, and every attachment reads the segment's one Load.
+func testSegment(t *testing.T, h Harness) {
+	nodes := h.Build(t, segment())
+	a, b := nodes[0], nodes[1]
+	var counts kindCounts
+	h.Env().Events().Subscribe(&counts)
+	var delivered atomic.Int32
+	b.BindUDP(7, func(*substrate.Packet) { delivered.Add(1) })
+	h.Start()
+
+	const sends = 3
+	var size int
+	for k := 0; k < sends; k++ {
+		pkt := substrate.NewUDP(a.Address(), b.Address(), 1234, 7, make([]byte, 100)).Own()
+		size = pkt.Size()
+		a.Send(pkt)
+		if pkt.Owned() {
+			t.Errorf("a frame three attachments take is still owned")
+		}
+	}
+	h.Settle(t)
+	if delivered.Load() != sends {
+		t.Errorf("the addressed host delivered %d frames, want %d", delivered.Load(), sends)
+	}
+	for name, want := range map[string]int64{"ca": 0, "cb": sends, "cr": sends, "cp": sends, "cx": 0} {
+		if got := counter(h, "node."+name+".received_pkts"); got != want {
+			t.Errorf("node.%s.received_pkts = %d, want %d", name, got, want)
+		}
+	}
+	if got := counts[obs.KindEnqueue].Load(); got != sends {
+		t.Errorf("%d enqueue events, want one per send: %d", got, sends)
+	}
+
+	// Every attachment reads the one meter: the sends' bytes once its
+	// current bucket completes, until they leave the window.
+	window := substrate.DefaultMeterWindow
+	wantLoad := int64(sends*size) * 8 * int64(time.Second) / int64(window-window/10) * 100 / LinkBps
+	env := h.Env()
+	var loads [5]atomic.Int64
+	var polled atomic.Bool
+	var poll func(left int)
+	poll = func(left int) {
+		same := true
+		for k, n := range nodes {
+			loads[k].Store(n.Route(0).Load()) // each stub's one interface: the segment
+			same = same && loads[k].Load() == wantLoad
+		}
+		if same || left == 0 {
+			polled.Store(true)
+			return
+		}
+		env.After(5*time.Millisecond, func() { poll(left - 1) })
+	}
+	env.After(5*time.Millisecond, func() { poll(100) })
+	settleUntil(t, h, polled.Load)
+	for k, n := range nodes {
+		if got := loads[k].Load(); got != wantLoad {
+			t.Errorf("%s reads Load %d, want the segment's %d", n.Hostname(), got, wantLoad)
+		}
+	}
+}
+
+// testPromisc: a processor on a promiscuous attachment sees the frames
+// other hosts exchange and may deliver them locally, as the §3.3
+// capture ASPs do; on a host that is not promiscuous it sees none.
+func testPromisc(t *testing.T, h Harness) {
+	nodes := h.Build(t, segment())
+	a, b, p, x := nodes[0], nodes[1], nodes[3], nodes[4]
+	var seen, captured [2]atomic.Int32
+	for k, n := range []substrate.Node{p, x} {
+		n.SetProcessor(procFunc(func(pkt *substrate.Packet, in substrate.Iface) bool {
+			seen[k].Add(1)
+			n.DeliverLocal(pkt)
+			return true
+		}))
+		n.BindUDP(7, func(*substrate.Packet) { captured[k].Add(1) })
+	}
+	var delivered atomic.Int32
+	b.BindUDP(7, func(*substrate.Packet) { delivered.Add(1) })
+	h.Start()
+
+	a.Send(substrate.NewUDP(a.Address(), b.Address(), 1234, 7, nil).Own())
+	h.Settle(t)
+	if seen[0].Load() != 1 || captured[0].Load() != 1 {
+		t.Errorf("promiscuous host: processor saw %d, captured %d; want 1 and 1", seen[0].Load(), captured[0].Load())
+	}
+	if seen[1].Load() != 0 || captured[1].Load() != 0 {
+		t.Errorf("bystander: processor saw %d, captured %d; want 0 and 0", seen[1].Load(), captured[1].Load())
+	}
+	if delivered.Load() != 1 {
+		t.Errorf("the addressed host delivered %d, want 1", delivered.Load())
 	}
 }
 

@@ -100,116 +100,35 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 		}
 	}()
 
-	// Local nodes. Every node answers the discard port with a counter
-	// (`testbed.<node>.rx_pkts`), so /inject traffic is observable end
-	// to end through GET /stats without any protocol installed — the
-	// bare-network baseline an ASP download then changes.
-	for _, n := range topo.Nodes {
-		if n.Daemon != name {
-			continue
-		}
-		node := rtnet.NewNode(nw, n.Name, substrate.MustAddr(n.Addr))
-		node.Forwarding = n.Forwarding
-		rx := nw.Metrics().Counter("testbed." + n.Name + ".rx_pkts")
-		node.BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
-		d.nodes[n.Name] = node
-		d.Chaos.Adopt(node)
+	// The daemon builds its share of the shared file: its own nodes, a
+	// link wherever it owns an end, and the routes of its nodes by the
+	// builder's rule, so every daemon derives the same tables.
+	_, err = substrate.Build(topo.spec(), substrate.Backend[*rtnet.Node]{
+		Node: func(n substrate.NodeSpec) (*rtnet.Node, bool) {
+			if ns, _ := topo.NodeSpecOf(n.Name); ns.Daemon != name {
+				return nil, false
+			}
+			// Every node answers the discard port with a counter
+			// (`testbed.<node>.rx_pkts`), so /inject traffic is observable
+			// end to end through GET /stats without any protocol installed —
+			// the bare-network baseline an ASP download then changes.
+			node := rtnet.NewNode(nw, n.Name, n.Addr)
+			node.Forwarding = n.Forwarding
+			rx := nw.Metrics().Counter("testbed." + n.Name + ".rx_pkts")
+			node.BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
+			d.nodes[n.Name] = node
+			d.Chaos.Adopt(node)
+			return node, true
+		},
+		Link: func(sl substrate.LinkSpec, la, lb *rtnet.Node) (substrate.Iface, substrate.Iface, error) {
+			return d.link(topo.linkSpec(sl.A, sl.B), la, lb, opts)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(d.nodes) == 0 {
 		return nil, fmt.Errorf("testbed: daemon %q owns no nodes in topology %q", name, topo.Name)
-	}
-
-	// Links: in-process between two local nodes, a UDP endpoint when the
-	// far node belongs to another daemon. outIface[n][peer] retains node
-	// n's interface toward neighbor peer for route installation.
-	outIface := map[string]map[string]substrate.Iface{}
-	retain := func(node, peer string, ifc substrate.Iface) {
-		if outIface[node] == nil {
-			outIface[node] = map[string]substrate.Iface{}
-		}
-		outIface[node][peer] = ifc
-	}
-	for _, l := range topo.Links {
-		la, aLocal := d.nodes[l.A]
-		lb, bLocal := d.nodes[l.B]
-		switch {
-		case aLocal && bLocal:
-			var ab, ba substrate.FaultPort
-			if opts.UDP {
-				uab, uba, err := rtnet.NewUDPLink(nw, la, lb, l.Bandwidth())
-				if err != nil {
-					return nil, fmt.Errorf("testbed: link %q: %w", l.Name(), err)
-				}
-				ab, ba = uab, uba
-			} else {
-				ab, ba = rtnet.NewLink(nw, la, lb, l.Bandwidth())
-			}
-			retain(l.A, l.B, ab)
-			retain(l.B, l.A, ba)
-			d.Chaos.WireDuplex(l.Name(),
-				[]substrate.FaultPort{ab}, []substrate.FaultPort{ba})
-		case aLocal || bLocal:
-			// This daemon owns one end: open its socket, expect the peer
-			// daemon's node on the other. The link keeps its topology-wide
-			// name on both sides (the handshake enforces agreement), and
-			// the chaos wiring claims only the locally-owned direction —
-			// fwd is always the first-named node's outbound, so the two
-			// daemons' /chaos surfaces compose into one duplex link.
-			local, localName, peerName := la, l.A, l.B
-			listen, peer := l.AUDP, l.BUDP
-			if bLocal {
-				local, localName, peerName = lb, l.B, l.A
-				listen, peer = l.BUDP, l.AUDP
-			}
-			pn, _ := topo.NodeSpecOf(peerName)
-			ri, err := rtnet.NewRemoteLink(nw, local, rtnet.RemoteSpec{
-				LinkName:      l.Name(),
-				Listen:        listen,
-				Peer:          peer,
-				PeerNode:      peerName,
-				PeerAddr:      substrate.MustAddr(pn.Addr),
-				BandwidthBps:  l.Bandwidth(),
-				ProbeInterval: opts.ProbeInterval,
-			})
-			if err != nil {
-				return nil, err
-			}
-			d.remotes = append(d.remotes, ri)
-			retain(localName, peerName, ri)
-			if aLocal {
-				d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ri}, nil)
-			} else {
-				d.Chaos.WireDuplex(l.Name(), nil, []substrate.FaultPort{ri})
-			}
-		}
-	}
-
-	// Routes: shortest-path next hops derived from the shared link
-	// graph (identical on every daemon), explicit extras layered on
-	// top, and a default route for single-homed nodes so traffic to
-	// virtual addresses heads into the network.
-	for nodeName, node := range d.nodes {
-		hops := topo.NextHops(nodeName)
-		for dst, via := range hops {
-			ds, _ := topo.NodeSpecOf(dst)
-			node.AddRoute(substrate.MustAddr(ds.Addr), outIface[nodeName][via])
-		}
-		if len(outIface[nodeName]) == 1 {
-			for _, ifc := range outIface[nodeName] {
-				node.SetDefaultRoute(ifc)
-			}
-		}
-	}
-	for _, r := range topo.Routes {
-		node, local := d.nodes[r.Node]
-		if !local {
-			continue
-		}
-		ifc := outIface[r.Node][r.Via]
-		if ifc == nil {
-			return nil, fmt.Errorf("testbed: route on %q via %q: no local interface", r.Node, r.Via)
-		}
-		node.AddRoute(substrate.MustAddr(r.Dst), ifc)
 	}
 
 	// The controllers count into the nodes' registry, so every node's
@@ -220,6 +139,58 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	d.out = opts.Out
 	ok = true
 	return d, nil
+}
+
+// link opens the daemon's ends of l, whose local ends are la and lb
+// (nil: the node is another daemon's): an in-process or loopback-UDP
+// link between two local nodes, a cross-host link endpoint when the far
+// node is another daemon's. Each local direction is wired for chaos
+// under the link's topology-wide name.
+func (d *Daemon) link(l LinkSpec, la, lb *rtnet.Node, opts Options) (substrate.Iface, substrate.Iface, error) {
+	if la != nil && lb != nil {
+		var ab, ba substrate.FaultPort
+		if opts.UDP {
+			uab, uba, err := rtnet.NewUDPLink(d.Net, la, lb, l.Bandwidth())
+			if err != nil {
+				return nil, nil, fmt.Errorf("testbed: link %q: %w", l.Name(), err)
+			}
+			ab, ba = uab, uba
+		} else {
+			ab, ba = rtnet.NewLink(d.Net, la, lb, l.Bandwidth())
+		}
+		d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ab}, []substrate.FaultPort{ba})
+		return ab, ba, nil
+	}
+	// This daemon owns one end: open its socket, expect the peer
+	// daemon's node on the other. The link keeps its topology-wide name
+	// on both sides (the handshake enforces agreement), and the chaos
+	// wiring claims only the locally-owned direction — fwd is always the
+	// first-named node's outbound, so the two daemons' /chaos surfaces
+	// compose into one duplex link.
+	local, peerName, listen, peer := la, l.B, l.AUDP, l.BUDP
+	if lb != nil {
+		local, peerName, listen, peer = lb, l.A, l.BUDP, l.AUDP
+	}
+	pn, _ := d.Topo.NodeSpecOf(peerName)
+	ri, err := rtnet.NewRemoteLink(d.Net, local, rtnet.RemoteSpec{
+		LinkName:      l.Name(),
+		Listen:        listen,
+		Peer:          peer,
+		PeerNode:      peerName,
+		PeerAddr:      substrate.MustAddr(pn.Addr),
+		BandwidthBps:  l.Bandwidth(),
+		ProbeInterval: opts.ProbeInterval,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	d.remotes = append(d.remotes, ri)
+	if la != nil {
+		d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ri}, nil)
+		return ri, nil, nil
+	}
+	d.Chaos.WireDuplex(l.Name(), nil, []substrate.FaultPort{ri})
+	return nil, ri, nil
 }
 
 // Node returns a local node by name (nil when the node lives on

@@ -14,8 +14,9 @@
 //
 // Each daemon derives everything it needs from the one shared file and
 // its own name: which nodes to create, which link halves to open,
-// which routes to install (shortest-path next-hops over the declared
-// link graph, plus explicit extras), and how to address its peers. Run
+// which routes to install (substrate.Build's one rule: a default route
+// on a single-homed node, shortest-path host routes on a multi-homed
+// one, explicit extras on top), and how to address its peers. Run
 // all daemons in one process (`planpd up -topo f.json`) for a
 // single-machine stand-in, or one per host (`-daemon <name>`) for the
 // real thing — the file is identical in both.
@@ -42,8 +43,9 @@ type Topology struct {
 	// Links are the duplex links between nodes; cross-daemon links need
 	// UDP endpoints.
 	Links []LinkSpec `json:"links"`
-	// Routes are explicit extra routes layered over the derived
-	// shortest-path ones — virtual addresses, policy detours.
+	// Routes are explicit extra routes layered over the derived ones
+	// (substrate.Build's rule) — virtual addresses, policy detours, a
+	// multi-homed node's default route.
 	Routes []RouteSpec `json:"routes,omitempty"`
 }
 
@@ -87,7 +89,8 @@ type LinkSpec struct {
 }
 
 // RouteSpec is one explicit route: on Node, traffic to Dst leaves via
-// the link to neighbor Via.
+// the link to neighbor Via. A Dst of 0.0.0.0 is the node's default
+// route.
 type RouteSpec struct {
 	Node string `json:"node"`
 	Dst  string `json:"dst"`
@@ -171,8 +174,6 @@ func (t *Topology) validate() error {
 		}
 		daemons[d.Name] = true
 	}
-	nodes := map[string]NodeSpec{}
-	addrs := map[substrate.Addr]string{} // by value: "010.0.0.1" is "10.0.0.1"
 	for _, n := range t.Nodes {
 		if n.Name == "" {
 			return fmt.Errorf("testbed: node needs a name")
@@ -180,36 +181,25 @@ func (t *Topology) validate() error {
 		if !validName(n.Name) {
 			return fmt.Errorf("testbed: node name %q: want letters, digits and '_' only", n.Name)
 		}
-		if _, dup := nodes[n.Name]; dup {
-			return fmt.Errorf("testbed: duplicate node %q", n.Name)
-		}
 		if !daemons[n.Daemon] {
 			return fmt.Errorf("testbed: node %q names unknown daemon %q", n.Name, n.Daemon)
 		}
-		addr, err := substrate.ParseAddr(n.Addr)
-		if err != nil {
+		if _, err := substrate.ParseAddr(n.Addr); err != nil {
 			return fmt.Errorf("testbed: node %q: %w", n.Name, err)
 		}
-		if prev, dup := addrs[addr]; dup {
-			return fmt.Errorf("testbed: nodes %q and %q share address %s", prev, n.Name, addr)
-		}
-		addrs[addr] = n.Name
-		nodes[n.Name] = n
 	}
-	links := map[string]bool{}
+	for _, r := range t.Routes {
+		if _, err := substrate.ParseAddr(r.Dst); err != nil {
+			return fmt.Errorf("testbed: route on %q: %w", r.Node, err)
+		}
+	}
+	// Names, addresses, links and routes by the builder's rules.
+	if err := t.spec().Validate(); err != nil {
+		return fmt.Errorf("testbed: topology %q: %w", t.Name, err)
+	}
 	for _, l := range t.Links {
-		a, okA := nodes[l.A]
-		b, okB := nodes[l.B]
-		if !okA || !okB {
-			return fmt.Errorf("testbed: link %q references unknown node", l.Name())
-		}
-		if l.A == l.B {
-			return fmt.Errorf("testbed: link %q connects a node to itself", l.Name())
-		}
-		if links[l.Name()] || links[l.B+"-"+l.A] {
-			return fmt.Errorf("testbed: duplicate link %q", l.Name())
-		}
-		links[l.Name()] = true
+		a, _ := t.NodeSpecOf(l.A)
+		b, _ := t.NodeSpecOf(l.B)
 		cross := a.Daemon != b.Daemon
 		if cross && (l.AUDP == "" || l.BUDP == "") {
 			return fmt.Errorf("testbed: cross-daemon link %q needs a_udp and b_udp endpoints", l.Name())
@@ -218,21 +208,24 @@ func (t *Topology) validate() error {
 			return fmt.Errorf("testbed: link %q is daemon-local; drop its UDP endpoints", l.Name())
 		}
 	}
-	for _, r := range t.Routes {
-		if _, ok := nodes[r.Node]; !ok {
-			return fmt.Errorf("testbed: route on unknown node %q", r.Node)
-		}
-		if _, ok := nodes[r.Via]; !ok {
-			return fmt.Errorf("testbed: route via unknown node %q", r.Via)
-		}
-		if _, err := substrate.ParseAddr(r.Dst); err != nil {
-			return fmt.Errorf("testbed: route on %q: %w", r.Node, err)
-		}
-		if !t.adjacent(r.Node, r.Via) {
-			return fmt.Errorf("testbed: route on %q via %q: not adjacent", r.Node, r.Via)
-		}
-	}
 	return nil
+}
+
+// spec returns the network t declares, addresses parsed, bandwidths
+// defaulted: what every daemon builds its share of. The addresses must
+// parse (ParseTopology checked them).
+func (t *Topology) spec() *substrate.Topology {
+	spec := &substrate.Topology{}
+	for _, n := range t.Nodes {
+		spec.Nodes = append(spec.Nodes, substrate.NodeSpec{Name: n.Name, Addr: substrate.MustAddr(n.Addr), Forwarding: n.Forwarding})
+	}
+	for _, l := range t.Links {
+		spec.Links = append(spec.Links, substrate.LinkSpec{A: l.A, B: l.B, Bandwidth: l.Bandwidth()})
+	}
+	for _, r := range t.Routes {
+		spec.Routes = append(spec.Routes, substrate.RouteSpec{Node: r.Node, Dst: substrate.MustAddr(r.Dst), Via: r.Via})
+	}
+	return spec
 }
 
 // Daemon returns the named daemon spec, or an error listing the valid
@@ -287,58 +280,12 @@ func (t *Topology) NodeURL(node string) (string, bool) {
 	return "http://" + d.Control + "/node/" + node, true
 }
 
-// adjacent reports whether a and b share a link.
-func (t *Topology) adjacent(a, b string) bool {
+// linkSpec returns the link between a and b.
+func (t *Topology) linkSpec(a, b string) LinkSpec {
 	for _, l := range t.Links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return true
+		if l.A == a && l.B == b {
+			return l
 		}
 	}
-	return false
-}
-
-// neighbors returns each node's link-adjacent peers, sorted for
-// deterministic route derivation.
-func (t *Topology) neighbors() map[string][]string {
-	adj := map[string][]string{}
-	for _, l := range t.Links {
-		adj[l.A] = append(adj[l.A], l.B)
-		adj[l.B] = append(adj[l.B], l.A)
-	}
-	for _, peers := range adj {
-		sort.Strings(peers)
-	}
-	return adj
-}
-
-// NextHops computes node from's shortest-path next hop toward every
-// other reachable node (BFS over the link graph; ties break on sorted
-// neighbor order, so every daemon derives identical tables from the
-// shared file). The returned map is destination node → neighbor name.
-func (t *Topology) NextHops(from string) map[string]string {
-	adj := t.neighbors()
-	next := map[string]string{}
-	// BFS rooted at from; the first hop toward each discovered node is
-	// inherited from its BFS parent.
-	type item struct{ node, first string }
-	visited := map[string]bool{from: true}
-	var queue []item
-	for _, nb := range adj[from] {
-		visited[nb] = true
-		queue = append(queue, item{nb, nb})
-		next[nb] = nb
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range adj[cur.node] {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			next[nb] = cur.first
-			queue = append(queue, item{nb, cur.first})
-		}
-	}
-	return next
+	return LinkSpec{}
 }

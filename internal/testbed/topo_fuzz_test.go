@@ -31,6 +31,7 @@ func FuzzParseTopology(f *testing.F) {
 		f.Add([]byte(tc.topo))
 	}
 	f.Add([]byte(withRoute("gw", "10.0.0.9", "s0"))) // valid: an extra route
+	f.Add([]byte(withRoute("gw", "0.0.0.0", "s1")))  // valid: a default route
 	f.Add([]byte(`{"daemons":[{"name":"d","control":"c"}],"nodes":[{"name":"n","addr":"1.2.3.4","daemon":"d"}],"links":null,"routes":[]}`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -59,7 +60,9 @@ func FuzzParseTopology(f *testing.F) {
 				t.Fatalf("accepted nodes %q and %q at one address %s", prev, n.Name, a)
 			}
 			seen[a] = n.Name
-			topo.NextHops(n.Name)
+			if topo.spec().NextHops(n.Name) == nil {
+				t.Fatalf("accepted topology has no next hops from %q", n.Name)
+			}
 			if _, ok := topo.NodeURL(n.Name); !ok {
 				t.Fatalf("accepted node %q has no control URL", n.Name)
 			}

@@ -3,6 +3,9 @@ package testbed
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"planp.dev/planp/internal/substrate"
 )
 
 // validTopo is the reference 3-daemon topology used across the tests:
@@ -106,20 +109,38 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
-// TestNextHops: shortest-path derivation over a line topology routes
-// the far ends through the middle.
-func TestNextHops(t *testing.T) {
-	topo, err := ParseTopology([]byte(validTopo))
+// TestDefaultRouteLeavesViaNeighbor: a route to 0.0.0.0 is the node's
+// default route, so on a multi-homed node a packet to an address no
+// route covers leaves through the neighbor the route names.
+func TestDefaultRouteLeavesViaNeighbor(t *testing.T) {
+	topo, err := ParseTopology([]byte(`{
+  "name": "dflt",
+  "daemons": [{"name": "d1", "control": "127.0.0.1:18001"}],
+  "nodes": [
+    {"name": "gw", "addr": "10.0.0.1", "daemon": "d1", "forwarding": true},
+    {"name": "s0", "addr": "10.0.0.2", "daemon": "d1"},
+    {"name": "s1", "addr": "10.0.0.3", "daemon": "d1"}
+  ],
+  "links": [{"a": "gw", "b": "s0"}, {"a": "gw", "b": "s1"}],
+  "routes": [{"node": "gw", "dst": "0.0.0.0", "via": "s1"}]
+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Star around gw: the servers reach each other via gw.
-	hops := topo.NextHops("s0")
-	if hops["gw"] != "gw" || hops["s1"] != "gw" {
-		t.Fatalf("s0 next hops = %v", hops)
+	d, err := NewDaemon(topo, "d1", Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	hops = topo.NextHops("gw")
-	if hops["s0"] != "s0" || hops["s1"] != "s1" {
-		t.Fatalf("gw next hops = %v", hops)
+	defer d.Close()
+	d.Start()
+	gw := d.Node("gw")
+	gw.Send(substrate.NewUDP(gw.Address(), substrate.MustAddr("192.0.2.9"), 9, discardPort, nil).Own())
+	if !d.Net.Quiesce(5 * time.Second) {
+		t.Fatal("the testbed did not quiesce")
+	}
+	snap := d.Net.Metrics().Snapshot()
+	if snap["node.s1.received_pkts"] != 1 || snap["node.s0.received_pkts"] != 0 || snap["node.gw.dropped_pkts"] != 0 {
+		t.Fatalf("s1 received %d, s0 %d, gw dropped %d; want 1, 0, 0",
+			snap["node.s1.received_pkts"], snap["node.s0.received_pkts"], snap["node.gw.dropped_pkts"])
 	}
 }
