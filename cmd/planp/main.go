@@ -187,14 +187,23 @@ func runDemo(args []string) error {
 	}
 
 	net := planp.NewNetwork(planp.WithSeed(time.Now().UnixNano()%1000 + 1))
-	a := net.NewHost("a", "10.0.1.1")
-	r := net.NewRouter("r", "10.0.0.254")
-	b := net.NewHost("b", "10.0.2.1")
-	c := net.NewHost("c", "10.0.2.2")
-	net.Wire(a, r, planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Wire(r, b, planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Wire(r, c, planp.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(a.Interfaces()[0])
+	built, err := net.Build(&planp.Topology{
+		Nodes: []planp.NodeSpec{
+			{Name: "a", Addr: planp.MustAddr("10.0.1.1")},
+			{Name: "r", Addr: planp.MustAddr("10.0.0.254"), Forwarding: true},
+			{Name: "b", Addr: planp.MustAddr("10.0.2.1")},
+			{Name: "c", Addr: planp.MustAddr("10.0.2.2")},
+		},
+		Links: []planp.LinkSpec{
+			{A: "a", B: "r", Bandwidth: 10_000_000},
+			{A: "r", B: "b", Bandwidth: 10_000_000},
+			{A: "r", B: "c", Bandwidth: 10_000_000},
+		},
+	})
+	if err != nil {
+		return err
+	}
+	a, r, b, c := built.Nodes[0], built.Nodes[1], built.Nodes[2], built.Nodes[3]
 
 	rt, err := proto.DownloadTo(r, os.Stdout)
 	if err != nil {

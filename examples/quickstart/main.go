@@ -45,15 +45,26 @@ func main() {
 	fmt.Print(proto.Report())
 
 	// Topology: client -- router -- {old server, new server}.
+	// Build routes it: the hosts default to the router, which gets a
+	// host route to each of them.
 	net := planp.NewNetwork()
-	client := net.NewHost("client", "10.0.1.1")
-	router := net.NewRouter("router", "10.0.0.254")
-	oldSrv := net.NewHost("old-server", "10.0.2.1")
-	newSrv := net.NewHost("new-server", "10.0.2.2")
-	net.Wire(client, router, planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Wire(router, oldSrv, planp.LinkConfig{Bandwidth: 100_000_000})
-	net.Wire(router, newSrv, planp.LinkConfig{Bandwidth: 100_000_000})
-	client.SetDefaultRoute(client.Interfaces()[0])
+	built, err := net.Build(&planp.Topology{
+		Nodes: []planp.NodeSpec{
+			{Name: "client", Addr: planp.MustAddr("10.0.1.1")},
+			{Name: "router", Addr: planp.MustAddr("10.0.0.254"), Forwarding: true},
+			{Name: "old-server", Addr: planp.MustAddr("10.0.2.1")},
+			{Name: "new-server", Addr: planp.MustAddr("10.0.2.2")},
+		},
+		Links: []planp.LinkSpec{
+			{A: "client", B: "router", Bandwidth: 10_000_000},
+			{A: "router", B: "old-server", Bandwidth: 100_000_000},
+			{A: "router", B: "new-server", Bandwidth: 100_000_000},
+		},
+	})
+	if err != nil {
+		log.Fatalf("build: %v", err)
+	}
+	client, router, oldSrv, newSrv := built.Nodes[0], built.Nodes[1], built.Nodes[2], built.Nodes[3]
 
 	// Both servers run an application on port 8080.
 	oldSrv.BindTCP(8080, func(p *planp.Packet) {

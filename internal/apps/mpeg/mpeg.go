@@ -205,7 +205,7 @@ type Client struct {
 	// and control handlers run on the node's delivery goroutine while
 	// the fallback timer fires on a timer goroutine. Read the fields
 	// directly only after the simulation has stopped; concurrent
-	// readers must use Stats/HasSetup.
+	// readers must use Stats.
 	mu          sync.Mutex
 	Frames      int64
 	Bytes       int64
@@ -233,13 +233,6 @@ func (c *Client) Stats() (frames, bytes, iframes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.Frames, c.Bytes, c.IFrames
-}
-
-// HasSetup reports whether the decoder initialization blob arrived.
-func (c *Client) HasSetup() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Setup != nil
 }
 
 // Start begins playback: query the monitor (if enabled) or connect.

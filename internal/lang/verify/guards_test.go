@@ -159,3 +159,43 @@ initstate mkTable(4) is
 		t.Error("try should absorb the fun's exception")
 	}
 }
+
+// TestGuardNeedsPureKey: a tmem guard covers a tget only when its key
+// expression denotes the same value each time it is evaluated. A rand
+// key draws again, and a tsize key, read directly or through a fun,
+// moves when the guarded branch tputs, so each tget can raise NotFound.
+func TestGuardNeedsPureKey(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"rand", `
+channel network(ps : unit, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(4) is
+  if tmem(ss, rand(2)) then
+    (println(tget(ss, rand(2))); deliver(p); (ps, ss))
+  else
+    (deliver(p); (ps, ss))
+`},
+		{"tsize", `
+channel network(ps : unit, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(4) is
+  if tmem(ss, tsize(ss)) then
+    (tput(ss, udpDst(#2 p), 0); println(tget(ss, tsize(ss))); deliver(p); (ps, ss))
+  else
+    (deliver(p); (ps, ss))
+`},
+		{"fun", `
+fun size(t : (int) hash_table) : int = tsize(t)
+channel network(ps : unit, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(4) is
+  if tmem(ss, size(ss)) then
+    (tput(ss, udpDst(#2 p), 0); println(tget(ss, size(ss))); deliver(p); (ps, ss))
+  else
+    (deliver(p); (ps, ss))
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if deliveryOK(t, tc.src) {
+				t.Errorf("a guard on a %s key must not cover a tget on the same expression", tc.name)
+			}
+		})
+	}
+}

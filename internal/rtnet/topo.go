@@ -1,4 +1,4 @@
-// Topologies: substrate.Build with rtnet's constructors, and Line, the
+// Topologies: rtnet's constructors for substrate.Build, and Line, the
 // spec of a line of hosts.
 package rtnet
 
@@ -8,10 +8,10 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// Build builds t on nw: channel links, or loopback-UDP links when udp
-// is set, and in-process segments.
-func Build(nw *Net, t *substrate.Topology, udp bool) (*substrate.Built[*Node], error) {
-	return substrate.Build(t, substrate.Backend[*Node]{
+// Backend returns rtnet's constructors on nw: channel links, or
+// loopback-UDP links when udp is set, and in-process segments.
+func Backend(nw *Net, udp bool) substrate.Backend[*Node] {
+	return substrate.Backend[*Node]{
 		Node: func(n substrate.NodeSpec) (*Node, bool) {
 			node := NewNode(nw, n.Name, n.Addr)
 			node.Forwarding = n.Forwarding
@@ -32,7 +32,12 @@ func Build(nw *Net, t *substrate.Topology, udp bool) (*substrate.Built[*Node], e
 			seg := NewSegment(nw, s.Name, s.Bandwidth)
 			return func(n *Node, promisc bool) substrate.Iface { return seg.Attach(n, promisc) }
 		},
-	})
+	}
+}
+
+// Build builds t on nw through Backend(nw, udp).
+func Build(nw *Net, t *substrate.Topology, udp bool) (*substrate.Built[*Node], error) {
+	return substrate.Build(t, Backend(nw, udp))
 }
 
 // LineHost describes one host of a line topology.

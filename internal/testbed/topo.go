@@ -175,9 +175,6 @@ func (t *Topology) validate() error {
 		daemons[d.Name] = true
 	}
 	for _, n := range t.Nodes {
-		if n.Name == "" {
-			return fmt.Errorf("testbed: node needs a name")
-		}
 		if !validName(n.Name) {
 			return fmt.Errorf("testbed: node name %q: want letters, digits and '_' only", n.Name)
 		}

@@ -74,7 +74,7 @@ var malformedTopos = []struct {
 	{"no-nodes", `{"name":"t","daemons":[{"name":"d","control":"c"}],"nodes":[],"links":[]}`, "no nodes"},
 	{"unnamed-daemon", mutateTopo(`"name": "d1", "control": "127.0.0.1:18001"`, `"name": "", "control": ""`), "needs name and control"},
 	{"dup-daemon", mutateTopo(`"name": "d2"`, `"name": "d1"`), "duplicate daemon"},
-	{"unnamed-node", mutateTopo(`"name": "gw"`, `"name": ""`), "node needs a name"},
+	{"unnamed-node", mutateTopo(`"name": "gw"`, `"name": ""`), `node name ""`},
 	{"wildcard-node-name", mutateTopo(`"name": "s0"`, `"name": "{srv"`), `node name "{srv"`},
 	{"separator-in-daemon-name", mutateTopo(`"name": "d2"`, `"name": "d:2"`), `daemon name "d:2"`},
 	{"dup-node", mutateTopo(`"name": "s0"`, `"name": "gw"`), "duplicate node"},

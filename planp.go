@@ -16,18 +16,26 @@
 // portable tree-walking interpreter, a register bytecode VM, or the
 // closure-specializing JIT derived from the interpreter (§2.2).
 //
-// Quick start:
+// Quick start (the package's Example, compiled and run by go test):
 //
 //	net := planp.NewNetwork()
-//	a := net.NewHost("a", "10.0.0.1")
-//	b := net.NewHost("b", "10.0.0.2")
-//	net.Wire(a, b, planp.LinkConfig{Bandwidth: 10e6})
+//	built, _ := net.Build(&planp.Topology{
+//		Nodes: []planp.NodeSpec{
+//			{Name: "a", Addr: planp.MustAddr("10.0.0.1")},
+//			{Name: "b", Addr: planp.MustAddr("10.0.0.2")},
+//		},
+//		Links: []planp.LinkSpec{{A: "a", B: "b", Bandwidth: 10e6}},
+//	})
+//	a, b := built.Nodes[0], built.Nodes[1]
 //
 //	proto, _ := planp.Compile(src)
 //	proto.DownloadTo(b, os.Stdout)
 //
 //	a.Send(planp.NewUDP(a.Addr, b.Addr, 1000, 9, []byte("hi")))
 //	net.Run()
+//
+// A network is declared as a Topology, the specs every experiment in
+// this repository builds from; Network.Build says how it is routed.
 //
 // Every simulation carries an observability layer (docs/OBSERVABILITY.md):
 // subscribe to packet-level events with WithObserver or WithTraceWriter,

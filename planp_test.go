@@ -97,14 +97,46 @@ func TestCheckDoesNotCompile(t *testing.T) {
 	}
 }
 
+// build builds t on net, failing the test on an error.
+func build(t *testing.T, net *planp.Network, topo *planp.Topology) *planp.Built {
+	t.Helper()
+	b, err := net.Build(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// routerBetween declares client -- router -- server on 10 Mb/s links.
+func routerBetween(client, router, server string) *planp.Topology {
+	return &planp.Topology{
+		Nodes: []planp.NodeSpec{
+			{Name: client, Addr: planp.MustAddr("10.0.1.1")},
+			{Name: router, Addr: planp.MustAddr("10.0.0.254"), Forwarding: true},
+			{Name: server, Addr: planp.MustAddr("10.0.2.1")},
+		},
+		Links: []planp.LinkSpec{
+			{A: client, B: router, Bandwidth: 10_000_000},
+			{A: router, B: server, Bandwidth: 10_000_000},
+		},
+	}
+}
+
+// pair declares hosts a (10.0.0.1) and b (10.0.0.2) on one 10 Mb/s link.
+func pair() *planp.Topology {
+	return &planp.Topology{
+		Nodes: []planp.NodeSpec{
+			{Name: "a", Addr: planp.MustAddr("10.0.0.1")},
+			{Name: "b", Addr: planp.MustAddr("10.0.0.2")},
+		},
+		Links: []planp.LinkSpec{{A: "a", B: "b", Bandwidth: 10_000_000}},
+	}
+}
+
 func TestEndToEndThroughPublicAPI(t *testing.T) {
 	net := planp.NewNetwork(planp.WithSeed(9))
-	client := net.NewHost("client", "10.0.1.1")
-	router := net.NewRouter("router", "10.0.0.254")
-	server := net.NewHost("server", "10.0.2.1")
-	net.Wire(client, router, planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Wire(router, server, planp.LinkConfig{Bandwidth: 10_000_000})
-	client.SetDefaultRoute(client.Interfaces()[0])
+	b := build(t, net, routerBetween("client", "router", "server"))
+	client, router, server := b.Nodes[0], b.Nodes[1], b.Nodes[2]
 
 	var out bytes.Buffer
 	proto, err := planp.Compile(`
@@ -144,11 +176,14 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 
 func TestSegmentHelpers(t *testing.T) {
 	net := planp.NewNetwork()
-	a := net.NewHost("a", "10.0.0.1")
-	b := net.NewHost("b", "10.0.0.2")
-	seg := net.NewSegment("lan", planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Attach(seg, a)
-	net.Attach(seg, b)
+	built := build(t, net, &planp.Topology{
+		Nodes: []planp.NodeSpec{
+			{Name: "a", Addr: planp.MustAddr("10.0.0.1")},
+			{Name: "b", Addr: planp.MustAddr("10.0.0.2")},
+		},
+		Segments: []planp.SegmentSpec{{Name: "lan", Bandwidth: 10_000_000, Members: []string{"a", "b"}}},
+	})
+	a, b := built.Nodes[0], built.Nodes[1]
 	got := 0
 	b.BindUDP(5, func(*planp.Packet) { got++ })
 	a.Send(planp.NewUDP(a.Addr, b.Addr, 1, 5, nil))
@@ -178,8 +213,8 @@ func TestNetworkClock(t *testing.T) {
 
 func TestSingleNodeDownloadLimitThroughAPI(t *testing.T) {
 	net := planp.NewNetwork()
-	a := net.NewHost("a", "10.0.0.1")
-	b := net.NewHost("b", "10.0.0.2")
+	built := build(t, net, pair())
+	a, b := built.Nodes[0], built.Nodes[1]
 	proto, err := planp.Compile(asp.HTTPGateway, planp.WithVerification(planp.VerifySingleNode))
 	if err != nil {
 		t.Fatal(err)
@@ -217,12 +252,8 @@ func TestNetworkOptionsObservability(t *testing.T) {
 		planp.WithObserver(ring),
 		planp.WithTraceWriter(&trace),
 	)
-	a := net.NewHost("a", "10.0.1.1")
-	r := net.NewRouter("r", "10.0.0.254")
-	b := net.NewHost("b", "10.0.2.1")
-	net.Wire(a, r, planp.LinkConfig{Bandwidth: 10_000_000})
-	net.Wire(r, b, planp.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(a.Interfaces()[0])
+	built := build(t, net, routerBetween("a", "r", "b"))
+	a, b := built.Nodes[0], built.Nodes[2]
 	got := 0
 	b.BindUDP(7, func(*planp.Packet) { got++ })
 	a.Send(planp.NewUDP(a.Addr, b.Addr, 1000, 7, []byte("hi")))
@@ -256,9 +287,8 @@ func TestNetworkOptionsObservability(t *testing.T) {
 func TestNetworkWithSeed(t *testing.T) {
 	// Seeded networks deliver traffic like the default constructor.
 	run := func(net *planp.Network) int {
-		a := net.NewHost("a", "10.0.0.1")
-		b := net.NewHost("b", "10.0.0.2")
-		net.Wire(a, b, planp.LinkConfig{Bandwidth: 10_000_000})
+		built := build(t, net, pair())
+		a, b := built.Nodes[0], built.Nodes[1]
 		n := 0
 		b.BindUDP(5, func(*planp.Packet) { n++ })
 		a.Send(planp.NewUDP(a.Addr, b.Addr, 1, 5, nil))
@@ -301,5 +331,41 @@ func TestRunOptions(t *testing.T) {
 	// Unbounded drain of an empty queue still advances nothing.
 	if n := net.Run(); n != 0 {
 		t.Errorf("drain ran %d", n)
+	}
+}
+
+// TestBuiltRouterFollowsTheBuilderRule: a router built through the
+// façade gets a host route to each node it can reach and no default
+// route, so a packet for an address outside the topology is a no-route
+// drop at the router.
+func TestBuiltRouterFollowsTheBuilderRule(t *testing.T) {
+	var drops []planp.Event
+	net := planp.NewNetwork(planp.WithObserver(planp.ObserverFunc(func(ev planp.Event) {
+		if ev.Kind == planp.EventDrop {
+			drops = append(drops, ev)
+		}
+	})))
+	b := build(t, net, routerBetween("client", "router", "server"))
+	client, router, server := b.Nodes[0], b.Nodes[1], b.Nodes[2]
+
+	if got, want := router.Route(client.Addr), b.Iface("router", "client"); got != want {
+		t.Errorf("router's route to client = %v, want %v", got, want)
+	}
+	if got, want := router.Route(server.Addr), b.Iface("router", "server"); got != want {
+		t.Errorf("router's route to server = %v, want %v", got, want)
+	}
+	if ifc := router.Route(planp.MustAddr("10.9.9.9")); ifc != nil {
+		t.Errorf("router has a default route %v", ifc)
+	}
+
+	// From the server, so that a default route onto the router's first
+	// link would forward the packet to the client.
+	server.Send(planp.NewUDP(server.Addr, planp.MustAddr("10.9.9.9"), 1000, 7, []byte("lost")))
+	net.Run()
+	if len(drops) != 1 || drops[0].Node != "router" || drops[0].Detail != "no-route" {
+		t.Fatalf("drops = %v, want one no-route drop at router", drops)
+	}
+	if got := router.Stats().DroppedPkts; got != 1 {
+		t.Errorf("router DroppedPkts = %d, want 1", got)
 	}
 }
