@@ -398,6 +398,54 @@ func TestRaisesSetComplete(t *testing.T) {
 	}
 }
 
+// TestPureSetComplete classifies every registered primitive as pure or
+// stateful, so a primitive added later fails here until someone decides
+// whether two calls of it with equal arguments denote one value; the
+// verifier's tmem/tget matching trusts that answer.
+func TestPureSetComplete(t *testing.T) {
+	pure := []string{
+		"tput", "tdel", "listNew", "cons", "hd", "tl", "listLen", "listNth",
+		"isEmpty", "member",
+		"strLen", "subStr", "charAt", "strFind", "startsWith", "contains",
+		"itos", "stoi", "ctoi", "charPos", "itoc", "min", "max", "abs",
+		"blobLen", "blobByte", "blobSub", "blobCat", "blobSetByte",
+		"blobInt32", "blobPutInt32", "blobFromString", "blobToString",
+		"print", "println", "deliver",
+		"audioFormat", "audioSeq", "audioFrames", "audioToMono16",
+		"audioToMono8", "audioRestore",
+		"mpegType", "mpegStream", "mpegFrameType", "mpegSeq",
+		"ipSrc", "ipDst", "ipProto", "ipTTL", "ipLen", "ipID",
+		"ipSrcSet", "ipDestSet", "ipTTLSet", "ipLenSet", "mkIP",
+		"tcpSrc", "tcpDst", "tcpSeq", "tcpAck", "tcpWindow", "tcpSynFlag", "tcpAckFlag",
+		"tcpFinFlag", "tcpRstFlag", "tcpSrcSet", "tcpDstSet",
+		"udpSrc", "udpDst", "udpLen", "udpSrcSet", "udpDstSet", "mkUDP",
+		"hostToInt", "intToHost", "hostToString", "thisHost",
+	}
+	classified := map[string]bool{}
+	for _, name := range pure {
+		i := Lookup(name)
+		if i < 0 {
+			t.Errorf("pure list names unknown primitive %s", name)
+			continue
+		}
+		if !Pure(i) {
+			t.Errorf("%s is listed pure here and stateful in the stateful set", name)
+		}
+		classified[name] = true
+	}
+	for name := range stateful {
+		if Lookup(name) < 0 {
+			t.Errorf("stateful set names unknown primitive %s", name)
+		}
+		classified[name] = true
+	}
+	for i := 0; i < Count(); i++ {
+		if name := Get(i).Name; !classified[name] {
+			t.Errorf("%s is neither in the stateful set nor listed pure here", name)
+		}
+	}
+}
+
 func TestTypeOfMonomorphic(t *testing.T) {
 	i := Lookup("subStr")
 	ret, err := TypeOf(i, []ast.Type{ast.StringT, ast.IntT, ast.IntT}, nil)
