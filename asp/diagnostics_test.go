@@ -1,10 +1,12 @@
 package asp_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -174,5 +176,39 @@ func TestSignatureMPEGMonitor(t *testing.T) {
 	snd := query.Sends[0]
 	if snd.Channel != "mreply" || snd.Packet != "ip*udp*host*int*blob" || snd.Flood {
 		t.Errorf("query send = %+v, want OnRemote(mreply, ip*udp*host*int*blob)", snd)
+	}
+}
+
+// TestSignatureDigest: every in-tree program's signature survives the
+// JSON round trip the health probe puts it through — same value, same
+// digest — so a signature a controller decoded and one it extracted
+// itself are interchangeable; and programs with different interfaces
+// have different digests.
+func TestSignatureDigest(t *testing.T) {
+	if (*typecheck.Signature)(nil).Digest() != "" {
+		t.Error("a nil signature has a digest")
+	}
+	byDigest := map[string]*typecheck.Signature{}
+	for _, p := range asp.All() {
+		sig := check(t, p.Name, p.Source).Sig
+		d := sig.Digest()
+		if len(d) != 32 || strings.Trim(d, "0123456789abcdef") != "" {
+			t.Errorf("%s: digest %q is not 128 bits of hex", p.Name, d)
+		}
+		raw, err := json.Marshal(sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back *typecheck.Signature
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, sig) || back.Digest() != d {
+			t.Errorf("%s: signature changed in the JSON round trip", p.Name)
+		}
+		if other, ok := byDigest[d]; ok && !reflect.DeepEqual(other, sig) {
+			t.Errorf("%s shares digest %s with a different signature", p.Name, d)
+		}
+		byDigest[d] = sig
 	}
 }

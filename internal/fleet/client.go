@@ -6,7 +6,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -87,9 +86,11 @@ func (nc *nodeClient) mark(st NodeStatus, err error) {
 
 // call performs method path?query against the node, retrying transport
 // errors and retryable statuses under the controller's policy;
-// exhausted retries return the last error. A non-retryable status ends
-// the exchange: 2xx is the answer, anything else an error naming op.
-func (nc *nodeClient) call(ctx context.Context, op, method, path string, query url.Values, body []byte) (*httpResult, error) {
+// exhausted retries return the last error. A non-empty body is sent as
+// text/plain, read from the string itself on every attempt. A
+// non-retryable status ends the exchange: 2xx is the answer, anything
+// else an error naming op.
+func (nc *nodeClient) call(ctx context.Context, op, method, path string, query url.Values, body string) (*httpResult, error) {
 	u := strings.TrimRight(nc.URL, "/") + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -105,14 +106,14 @@ func (nc *nodeClient) call(ctx context.Context, op, method, path string, query u
 			return nil, err
 		}
 		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
+		if body != "" {
+			rd = strings.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u, rd)
 		if err != nil {
 			return nil, err
 		}
-		if body != nil {
+		if body != "" {
 			req.Header.Set("Content-Type", "text/plain")
 		}
 		nc.update(func(n *NodeView) { n.Attempts++ })
@@ -141,7 +142,7 @@ func (nc *nodeClient) call(ctx context.Context, op, method, path string, query u
 // read is call for the routes whose answer the controller acts on: out
 // points at the planpd wire type the route answers with.
 func (nc *nodeClient) read(ctx context.Context, op, method, path string, query url.Values, out any) error {
-	res, err := nc.call(ctx, op, method, path, query, nil)
+	res, err := nc.call(ctx, op, method, path, query, "")
 	if err != nil {
 		return err
 	}
@@ -155,8 +156,32 @@ func (nc *nodeClient) read(ctx context.Context, op, method, path string, query u
 // if none) plus that version's channel-interface signature (nil when
 // the node is bare or its daemon predates signatures) — the input to
 // the deploy-time compatibility gate.
+//
+// The probe names the signature the controller holds for this node by
+// digest. A node still running it answers with the digest alone and the
+// held signature stands in; a full answer refreshes what is held. A
+// digest-only answer naming a signature the controller does not hold is
+// asked again, once, without the digest.
 func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
-	err = nc.read(ctx, "healthz", http.MethodGet, "/healthz", nil, &h)
+	held := nc.c.heldSignature(nc.URL)
+	var q url.Values
+	if held.digest != "" {
+		q = url.Values{"signature": {held.digest}}
+	}
+	err = nc.read(ctx, "healthz", http.MethodGet, "/healthz", q, &h)
+	if err == nil && h.Signature == nil && h.SignatureDigest != "" && h.SignatureDigest != held.digest {
+		h = planpd.Health{}
+		err = nc.read(ctx, "healthz", http.MethodGet, "/healthz", nil, &h)
+	}
+	switch {
+	case err != nil || h.SignatureDigest == "":
+	case h.Signature != nil:
+		nc.c.holdSignature(nc.URL, h.SignatureDigest, h.Signature)
+	case h.SignatureDigest == held.digest:
+		h.Signature = held.sig
+	default:
+		err = fmt.Errorf("healthz: node names signature %s but sends none", h.SignatureDigest)
+	}
 	if err == nil && !h.OK {
 		err = fmt.Errorf("healthz: node reports not ok")
 	}
@@ -172,19 +197,19 @@ func (nc *nodeClient) stage(ctx context.Context, spec Spec) error {
 	if spec.Verify != "" {
 		q.Set("verify", spec.Verify)
 	}
-	_, err := nc.call(ctx, "stage", http.MethodPost, "/asp/stage", q, []byte(spec.Source))
+	_, err := nc.call(ctx, "stage", http.MethodPost, "/asp/stage", q, spec.Source)
 	return err
 }
 
 // abortStage discards a staged version (idempotent).
 func (nc *nodeClient) abortStage(ctx context.Context, version string) error {
-	_, err := nc.call(ctx, "abort stage", http.MethodDelete, "/asp/stage", url.Values{"version": {version}}, nil)
+	_, err := nc.call(ctx, "abort stage", http.MethodDelete, "/asp/stage", url.Values{"version": {version}}, "")
 	return err
 }
 
 // activate runs phase 2 on the node.
 func (nc *nodeClient) activate(ctx context.Context, version string) error {
-	_, err := nc.call(ctx, "activate", http.MethodPost, "/asp/activate", url.Values{"version": {version}}, nil)
+	_, err := nc.call(ctx, "activate", http.MethodPost, "/asp/activate", url.Values{"version": {version}}, "")
 	return err
 }
 

@@ -49,6 +49,7 @@ import (
 	"sync"
 	"time"
 
+	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/par"
 	"planp.dev/planp/internal/planpd"
@@ -307,6 +308,9 @@ type Controller struct {
 	deployments []*Deployment // oldest first; earlier processes' records lead
 	nextID      int
 
+	sigMu sync.Mutex
+	sigs  map[string]heldSig // by target URL: the signature its node was last seen to run
+
 	historyPath string
 	fileMu      sync.Mutex // serializes appends to historyPath
 }
@@ -323,6 +327,7 @@ func New(cfg Config) *Controller {
 		sleepFn:     Sleep,
 		nextID:      1,
 		historyPath: cfg.HistoryPath,
+		sigs:        map[string]heldSig{},
 	}
 	if c.client == nil {
 		c.client = http.DefaultClient
@@ -429,6 +434,26 @@ func (c *Controller) persist(d *Deployment) {
 	if err != nil {
 		c.logf("fleet: history %s: %v", c.historyPath, err)
 	}
+}
+
+// heldSig is a channel signature the controller holds for one node,
+// with its digest: what the health probe names, so that a node still
+// running it need not send it again.
+type heldSig struct {
+	digest string
+	sig    *typecheck.Signature
+}
+
+func (c *Controller) heldSignature(url string) heldSig {
+	c.sigMu.Lock()
+	defer c.sigMu.Unlock()
+	return c.sigs[url]
+}
+
+func (c *Controller) holdSignature(url, digest string, sig *typecheck.Signature) {
+	c.sigMu.Lock()
+	c.sigs[url] = heldSig{digest, sig}
+	c.sigMu.Unlock()
 }
 
 func (c *Controller) rand() float64 {
@@ -634,7 +659,8 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// history, what each past rollout shifted). Recorded even when the
 	// rollout is later rejected — the diff explains the rejection. The
 	// diff and the gate read the same comparisons.
-	comparePeers(prog.Signature(), peers)
+	staged := prog.Signature()
+	comparePeers(staged, peers)
 	d.update(func(v *View) { v.SigDiff = signatureDiff(peers) })
 
 	// Compatibility gate: before anything is staged, check the new
@@ -667,9 +693,13 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 
 	// Phase 2: activate everywhere. An activation whose response was
 	// lost is reconciled against GET /asp before being declared failed.
+	// A node that activated runs the precheck's signature, which the
+	// next health probe then names by digest.
+	digest := staged.Digest()
 	errs = c.forEach(d, func(nc *nodeClient) error {
 		actErr := nc.activate(ctx, spec.Version)
 		if actErr == nil {
+			c.holdSignature(nc.URL, digest, staged)
 			nc.mark(NodeActive, nil)
 			c.Publish(obs.KindDeploy, nc.Name, "activate:ok")
 			return nil
@@ -679,6 +709,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 		st, stErr := nc.aspStatus(rctx)
 		if stErr == nil && st.Active == spec.Version {
 			// The swap committed; only the response was lost.
+			c.holdSignature(nc.URL, digest, staged)
 			nc.mark(NodeActive, nil)
 			c.Publish(obs.KindDeploy, nc.Name, "activate:ok-reconciled")
 			return nil

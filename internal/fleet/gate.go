@@ -16,7 +16,8 @@
 //
 // The peers' signatures ride the phase-0 health probe (planpd serves
 // the active signature on /healthz), so the gate costs no extra
-// round-trip.
+// round-trip; a peer still running the signature the controller holds
+// for it answers with the signature's digest alone (client.go, health).
 package fleet
 
 import (

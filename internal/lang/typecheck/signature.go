@@ -18,6 +18,10 @@
 package typecheck
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/token"
 )
@@ -67,6 +71,23 @@ func (s *Signature) ChannelsNamed(name string) []ChannelSig {
 		}
 	}
 	return out
+}
+
+// Digest names the signature by its content: the hex SHA-256 of its
+// JSON encoding, truncated to 128 bits. Two signatures that serialize
+// alike share a digest, so a peer holding a signature can tell from the
+// digest alone that a node still runs it (planpd's GET /healthz
+// ?signature=). A nil signature has the empty digest.
+func (s *Signature) Digest() string {
+	if s == nil {
+		return ""
+	}
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic("typecheck: encoding a signature: " + err.Error()) // strings, ints and bools only
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:16])
 }
 
 // extractSignature derives the channel-interface signature (Info.Sig)

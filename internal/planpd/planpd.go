@@ -46,6 +46,17 @@ type installed struct {
 	engine  planprt.EngineKind
 	prog    *planprt.Program
 	rt      *planprt.Runtime
+	digest  string // the signature's digest, once a health probe asked; guarded by Server.mu
+}
+
+// signatureDigest is the version's signature digest, computed on the
+// first health probe that needs it rather than on the stage path. The
+// caller holds Server.mu.
+func (in *installed) signatureDigest() string {
+	if in.digest == "" {
+		in.digest = in.prog.Signature().Digest()
+	}
+	return in.digest
 }
 
 // Server is the control-plane HTTP API for one node.
@@ -87,6 +98,9 @@ func NewServer(node substrate.Node, out io.Writer) *Server {
 //	                      (ns on the node's substrate clock — carries
 //	                      chaos-injected skew), "stats": {name -> value}}
 //	GET    /healthz       liveness, installed protocol, active version
+//	                      and its signature with that signature's digest
+//	                      (query: signature=<digest> omits the signature
+//	                      when the digest names it)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /asp", s.install)
@@ -310,17 +324,22 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+// handleHealth answers the fleet's phase-0 probe. A prober that already
+// holds the active signature names it by digest (?signature=) and gets
+// only the digest back, so it decodes no signature it has.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	h := Health{OK: true, Node: s.node.Hostname()}
 	s.lock()
-	active := s.active
+	if s.active != nil {
+		h.Version = s.active.version
+		h.SignatureDigest = s.active.signatureDigest()
+		if h.SignatureDigest != r.URL.Query().Get("signature") {
+			h.Signature = s.active.prog.Signature()
+		}
+	}
 	s.mu.Unlock()
-	WriteJSON(w, http.StatusOK, Health{
-		OK:        true,
-		Node:      s.node.Hostname(),
-		ASP:       s.node.CurrentProcessor() != nil,
-		Version:   versionOf(active),
-		Signature: signatureOf(active),
-	})
+	h.ASP = s.node.CurrentProcessor() != nil
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // writeReject reports a protocol the node refused as a 422 Reject.

@@ -13,12 +13,16 @@ import (
 // Health answers GET /healthz. Signature is the active version's
 // channel interface (absent on a bare node): it rides the health probe
 // so the fleet's compatibility gate needs no extra round-trip.
+// SignatureDigest names it (typecheck.Signature.Digest); a probe that
+// sends ?signature=<digest> and names the active one gets the digest
+// without the signature it already holds.
 type Health struct {
-	OK        bool                 `json:"ok"`
-	Node      string               `json:"node"`
-	ASP       bool                 `json:"asp"`
-	Version   string               `json:"version"`
-	Signature *typecheck.Signature `json:"signature,omitempty"`
+	OK              bool                 `json:"ok"`
+	Node            string               `json:"node"`
+	ASP             bool                 `json:"asp"`
+	Version         string               `json:"version"`
+	Signature       *typecheck.Signature `json:"signature,omitempty"`
+	SignatureDigest string               `json:"signature_digest,omitempty"`
 }
 
 // Status answers GET /asp: the node's version state machine — what

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"planp.dev/planp/internal/planprt"
 )
 
 // TestWireContract drives one node bare → staged → active → upgraded →
@@ -12,12 +14,19 @@ import (
 // route's 200 and 422 body. The table was written from the output of
 // the map-literal handlers the named response structs replaced: a
 // mixed-version fleet (and bench/) speaks these names, so a change here
-// is a protocol change, not a refactor.
+// is a protocol change, not a refactor. An active node's /healthz also
+// names its signature by digest, and leaves the signature out for a
+// probe that names the same digest.
 func TestWireContract(t *testing.T) {
 	_, base := stageNode(t)
+	prog, err := planprt.Load(stageForwarder, planprt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, stale := prog.Signature().Digest(), "00000000000000000000000000000000"
 	const (
 		health    = "asp node ok version"
-		healthASP = "asp node ok signature version"
+		healthASP = "asp node ok signature signature_digest version"
 		status    = "active asp node prev staged"
 		statusASP = "active asp node prev signature staged"
 		stats     = "mono_ns node stats"
@@ -43,6 +52,8 @@ func TestWireContract(t *testing.T) {
 		{"activate", "POST", "/asp/activate?version=v1", "", 200, "active node previous version"},
 		{"activate replayed", "POST", "/asp/activate?version=v1", "", 200, "active node version"},
 		{"active", "GET", "/healthz", "", 200, healthASP},
+		{"active: probe names the signature", "GET", "/healthz?signature=" + current, "", 200, "asp node ok signature_digest version"},
+		{"active: probe names a stale signature", "GET", "/healthz?signature=" + stale, "", 200, healthASP},
 		{"active", "GET", "/asp", "", 200, statusASP},
 		{"active", "GET", "/stats", "", 200, stats},
 		{"active: one-shot install refused", "POST", "/asp", stageForwarderV2, 409, ""},

@@ -267,6 +267,10 @@ func TestBedRemoteChaosPartition(t *testing.T) {
 		t.Fatalf("start: HTTP %d %v", status, body)
 	}
 
+	// The at_ms: 0 step lands on a timer goroutine after /chaos/start
+	// answers; inject only once the link is down.
+	b.waitStat(t, "d1", "gw", "chaos.link_down", func(v float64) bool { return v >= 1 })
+
 	// The partition is data-plane only: injected packets die at the
 	// faulted interface while the handshake stays up.
 	before := b.stat(t, "d2", "s0", "testbed.s0.rx_pkts")
