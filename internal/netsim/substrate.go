@@ -70,10 +70,10 @@ func Build(sim *Simulator, t *substrate.Topology) (*Built, error) {
 	b := &Built{Links: make([]*Link, 0, len(t.Links)), Segments: make([]*Segment, 0, len(t.Segments))}
 	var err error
 	b.Built, err = substrate.Build(t, substrate.Backend[*Node]{
-		Node: func(n substrate.NodeSpec) (*Node, bool) {
+		Node: func(n substrate.NodeSpec) *Node {
 			node := NewNode(sim, n.Name, n.Addr)
 			node.Forwarding = n.Forwarding
-			return node, true
+			return node
 		},
 		Link: func(l substrate.LinkSpec, a, c *Node) (substrate.Iface, substrate.Iface, error) {
 			link := Connect(sim, a, c, LinkConfig{Bandwidth: l.Bandwidth})

@@ -12,10 +12,10 @@ import (
 // loopback-UDP links when udp is set, and in-process segments.
 func Backend(nw *Net, udp bool) substrate.Backend[*Node] {
 	return substrate.Backend[*Node]{
-		Node: func(n substrate.NodeSpec) (*Node, bool) {
+		Node: func(n substrate.NodeSpec) *Node {
 			node := NewNode(nw, n.Name, n.Addr)
 			node.Forwarding = n.Forwarding
-			return node, true
+			return node
 		},
 		Link: func(l substrate.LinkSpec, a, b *Node) (substrate.Iface, substrate.Iface, error) {
 			if !udp {

@@ -59,5 +59,18 @@ func (a Addr) String() string {
 	return string(obs.AppendAddr(buf[:0], uint32(a)))
 }
 
+// MarshalText renders the address as a dotted quad: an Addr is a
+// string in JSON.
+func (a Addr) MarshalText() ([]byte, error) { return obs.AppendAddr(nil, uint32(a)), nil }
+
+// UnmarshalText parses a dotted quad as strictly as ParseAddr.
+func (a *Addr) UnmarshalText(b []byte) error {
+	v, err := ParseAddr(string(b))
+	if err == nil {
+		*a = v
+	}
+	return err
+}
+
 // IsMulticast reports whether a is in the 224.0.0.0/4 group range.
 func (a Addr) IsMulticast() bool { return a>>28 == 0xE }

@@ -9,14 +9,21 @@
 //   - a stub, a node with one interface, gets only a default route out
 //     of it;
 //   - a multi-homed node gets a host route to every node it can reach,
-//     out of the interface its shortest path leaves by (NextHops, where
-//     a segment is one hop);
+//     out of the interface its shortest path leaves by: a segment is
+//     one hop, and ties break on the next hops' sorted names, so every
+//     network that builds a topology derives the same tables;
 //   - the explicit routes go on top; a route to 0.0.0.0 is the node's
 //     default route.
+//
+// A topology spans sites when its nodes name them: each site builds
+// its own nodes and its ends of the links (Backend.Site). The JSON form
+// is the testbed's file format; addresses are dotted quads.
 package substrate
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 )
@@ -24,53 +31,86 @@ import (
 // Topology declares a network. Node and segment names share one
 // namespace: a route's Via names either.
 type Topology struct {
-	Nodes    []NodeSpec
-	Links    []LinkSpec
-	Segments []SegmentSpec
+	Nodes    []NodeSpec    `json:"nodes"`
+	Links    []LinkSpec    `json:"links"`
+	Segments []SegmentSpec `json:"segments,omitempty"`
 	// Routes are explicit routes, installed over the derived ones.
-	Routes []RouteSpec
+	Routes []RouteSpec `json:"routes,omitempty"`
 	// Mroutes are multicast routes: on Node, traffic to the group Dst
 	// leaves via Via.
-	Mroutes []RouteSpec
+	Mroutes []RouteSpec `json:"mroutes,omitempty"`
 	// Joins subscribe nodes to multicast groups for local delivery.
-	Joins []JoinSpec
+	Joins []JoinSpec `json:"joins,omitempty"`
 }
 
 // NodeSpec is one host or router.
 type NodeSpec struct {
-	Name string
-	Addr Addr
+	Name string `json:"name"`
+	Addr Addr   `json:"addr"`
+	// Site names the site that hosts the node, a testbed daemon; empty
+	// on a network one site builds whole.
+	Site string `json:"daemon,omitempty"`
 	// Forwarding marks a router: packets addressed elsewhere are
 	// forwarded, and every frame on a segment reaches it.
-	Forwarding bool
+	Forwarding bool `json:"forwarding,omitempty"`
+}
+
+// UnmarshalJSON decodes a node strictly, refusing unknown fields, and
+// names the node when its address is malformed.
+func (n *NodeSpec) UnmarshalJSON(b []byte) error {
+	type plain NodeSpec
+	var v struct {
+		plain
+		Addr string `json:"addr"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	addr, err := ParseAddr(v.Addr)
+	if err != nil {
+		return fmt.Errorf("node %q: %w", v.Name, err)
+	}
+	*n = NodeSpec(v.plain)
+	n.Addr = addr
+	return nil
 }
 
 // LinkSpec is one duplex point-to-point link between nodes A and B.
 type LinkSpec struct {
-	A, B      string
-	Bandwidth int64 // bits/s per direction
+	A         string `json:"a"`
+	B         string `json:"b"`
+	Bandwidth int64  `json:"bandwidth_bps"` // bits/s per direction
+	// AUDP and BUDP are the UDP endpoints ("host:port") A's and B's ends
+	// listen on, for a link between two sites.
+	AUDP string `json:"a_udp,omitempty"`
+	BUDP string `json:"b_udp,omitempty"`
 }
+
+// Name returns the link's topology-wide name, "<a>-<b>".
+func (l LinkSpec) Name() string { return l.A + "-" + l.B }
 
 // SegmentSpec is one shared broadcast medium.
 type SegmentSpec struct {
-	Name      string
-	Bandwidth int64    // bits/s, shared by every sender
-	Members   []string // the attached nodes, in attach order
-	Promisc   []string // the members attached promiscuously
+	Name      string   `json:"name"`
+	Bandwidth int64    `json:"bandwidth_bps"`     // bits/s, shared by every sender
+	Members   []string `json:"members"`           // the attached nodes, in attach order
+	Promisc   []string `json:"promisc,omitempty"` // the members attached promiscuously
 }
 
 // RouteSpec is one route: on Node, traffic to Dst leaves via Via, an
 // adjacent node or a segment Node is on.
 type RouteSpec struct {
-	Node string
-	Dst  Addr
-	Via  string
+	Node string `json:"node"`
+	Dst  Addr   `json:"dst"`
+	Via  string `json:"via"`
 }
 
 // JoinSpec subscribes Node to Group.
 type JoinSpec struct {
-	Node  string
-	Group Addr
+	Node  string `json:"node"`
+	Group Addr   `json:"group"`
 }
 
 // Host is a node Build can configure: every backend's node, through
@@ -82,25 +122,28 @@ type Host interface {
 	JoinGroup(group Addr)
 }
 
-// Backend is what Build needs of a network: a constructor for each kind
-// of element.
+// Backend is what Build needs of a network: the site it builds and a
+// constructor for each kind of element.
 type Backend[N Host] struct {
-	// Node creates the node n declares, or reports false for a node
-	// another network hosts (a testbed daemon builds only its own).
-	Node func(n NodeSpec) (N, bool)
+	// Site selects the nodes the network hosts: those whose Site it is.
+	// Empty hosts every node.
+	Site string
+	// Node creates the node n declares.
+	Node func(n NodeSpec) N
 	// Link creates link l and returns a's end and b's. Build calls it
 	// when at least one end is hosted; an end that is not is the zero N
 	// and gets a nil Iface.
 	Link func(l LinkSpec, a, b N) (Iface, Iface, error)
 	// Segment creates segment s and returns what attaches a hosted
-	// member to it. nil: the backend has no segments.
+	// member to it. Build calls it when at least one member is hosted.
+	// nil: the backend has no segments.
 	Segment func(s SegmentSpec) (attach func(n N, promisc bool) Iface)
 }
 
 // Built is the network Build made.
 type Built[N Host] struct {
 	// Nodes are the nodes in spec order, the zero N where another
-	// network hosts the node.
+	// site hosts the node.
 	Nodes []N
 	g     *graph
 }
@@ -138,7 +181,9 @@ func Build[N Host](t *Topology, be Backend[N]) (*Built[N], error) {
 	b := &Built[N]{Nodes: make([]N, len(t.Nodes)), g: g}
 	hosted := make([]bool, len(t.Nodes))
 	for i, n := range t.Nodes {
-		b.Nodes[i], hosted[i] = be.Node(n)
+		if hosted[i] = be.Site == "" || be.Site == n.Site; hosted[i] {
+			b.Nodes[i] = be.Node(n)
+		}
 	}
 	for _, l := range t.Links {
 		i, _ := g.node(l.A)
@@ -153,6 +198,9 @@ func Build[N Host](t *Topology, be Backend[N]) (*Built[N], error) {
 		g.edge(i, l.B).ifc, g.edge(j, l.A).ifc = ab, ba
 	}
 	for s, seg := range t.Segments {
+		if !slices.ContainsFunc(g.members[s], func(i int) bool { return hosted[i] }) {
+			continue
+		}
 		attach := be.Segment(seg)
 		for _, i := range g.members[s] {
 			if hosted[i] {
@@ -202,29 +250,6 @@ func Build[N Host](t *Topology, be Backend[N]) (*Built[N], error) {
 func (t *Topology) Validate() error {
 	_, err := t.graph()
 	return err
-}
-
-// NextHops returns node from's shortest-path next hop toward every node
-// it can reach: destination name → the adjacent node or the segment the
-// path leaves by. A segment is one hop. Ties break on the next hops'
-// sorted names, so every network that builds t derives the same tables.
-// It returns nil when t does not validate or has no node from.
-func (t *Topology) NextHops(from string) map[string]string {
-	g, err := t.graph()
-	if err != nil {
-		return nil
-	}
-	i, ok := g.node(from)
-	if !ok {
-		return nil
-	}
-	next := map[string]string{}
-	for j, k := range g.hops(i) {
-		if k >= 0 {
-			next[t.Nodes[j].Name] = g.edges[i][k].via
-		}
-	}
-	return next
 }
 
 // graph is a validated Topology indexed for building and routing.
@@ -303,7 +328,7 @@ func (t *Topology) graph() (*graph, error) {
 		}
 	}
 	for _, l := range t.Links {
-		name := l.A + "-" + l.B
+		name := l.Name()
 		i, okA := g.node(l.A)
 		j, okB := g.node(l.B)
 		switch {

@@ -30,19 +30,18 @@ func (h *host) AddMulticastRoute(group Addr, ifc Iface) {
 func (h *host) JoinGroup(group Addr) { h.joined = append(h.joined, group) }
 
 // build builds t from hosts and ports named "a->b" on links and "n@seg"
-// (with a "*" when promiscuous) on segments, hosting the nodes hosted
-// accepts, and returns the hosts by name.
-func build(t *testing.T, spec *Topology, hosted func(name string) bool) map[string]*host {
+// (with a "*" when promiscuous) on segments, hosting the nodes placed on
+// site, and returns the hosts by name, with a nil entry for each segment
+// it created.
+func build(t *testing.T, spec *Topology, site string) map[string]*host {
 	t.Helper()
 	hosts := map[string]*host{}
 	_, err := Build(spec, Backend[*host]{
-		Node: func(n NodeSpec) (*host, bool) {
-			if !hosted(n.Name) {
-				return nil, false
-			}
+		Site: site,
+		Node: func(n NodeSpec) *host {
 			h := &host{name: n.Name, routes: map[Addr]string{}, mroutes: map[Addr][]string{}}
 			hosts[n.Name] = h
-			return h, true
+			return h
 		},
 		Link: func(l LinkSpec, a, b *host) (Iface, Iface, error) {
 			var ab, ba Iface
@@ -55,6 +54,7 @@ func build(t *testing.T, spec *Topology, hosted func(name string) bool) map[stri
 			return ab, ba, nil
 		},
 		Segment: func(s SegmentSpec) func(*host, bool) Iface {
+			hosts[s.Name] = nil
 			return func(n *host, promisc bool) Iface {
 				if promisc {
 					return port(n.name + "@" + s.Name + "*")
@@ -68,8 +68,6 @@ func build(t *testing.T, spec *Topology, hosted func(name string) bool) map[stri
 	}
 	return hosts
 }
-
-func all(string) bool { return true }
 
 var (
 	addrA  = MustAddr("10.0.0.1")
@@ -95,45 +93,13 @@ func routed() *Topology {
 	}
 }
 
-// TestNextHops: shortest-path derivation routes the far ends of a star
-// through its middle, counts a segment as one hop, and breaks ties on
-// the next hops' sorted names.
-func TestNextHops(t *testing.T) {
-	star := &Topology{
-		Nodes: []NodeSpec{{Name: "gw", Addr: 1}, {Name: "s0", Addr: 2}, {Name: "s1", Addr: 3}},
-		Links: []LinkSpec{{A: "gw", B: "s0", Bandwidth: 1}, {A: "gw", B: "s1", Bandwidth: 1}},
-	}
-	diamond := &Topology{
-		Nodes: []NodeSpec{{Name: "a", Addr: 1}, {Name: "c", Addr: 2}, {Name: "b", Addr: 3}, {Name: "d", Addr: 4}},
-		Links: []LinkSpec{
-			{A: "a", B: "c", Bandwidth: 1}, {A: "a", B: "b", Bandwidth: 1},
-			{A: "c", B: "d", Bandwidth: 1}, {A: "b", B: "d", Bandwidth: 1},
-		},
-	}
-	for _, c := range []struct {
-		topo *Topology
-		from string
-		want map[string]string
-	}{
-		{star, "s0", map[string]string{"gw": "gw", "s1": "gw"}},
-		{star, "gw", map[string]string{"s0": "s0", "s1": "s1"}},
-		{routed(), "a", map[string]string{"r": "r", "b": "r", "c": "r"}},
-		{routed(), "r", map[string]string{"a": "a", "b": "lan", "c": "lan"}},
-		{routed(), "b", map[string]string{"r": "lan", "c": "lan", "a": "lan"}},
-		{diamond, "a", map[string]string{"b": "b", "c": "c", "d": "b"}},
-	} {
-		if got := c.topo.NextHops(c.from); !maps.Equal(got, c.want) {
-			t.Errorf("NextHops(%q) = %v, want %v", c.from, got, c.want)
-		}
-	}
-}
-
 // TestBuildRouteRule: a stub gets only a default route, a multi-homed
-// node host routes over the shortest paths, a segment included, and the
-// explicit routes go on top of them, 0.0.0.0 as the default route.
+// node host routes over the shortest paths, a segment counted as one
+// hop, and the explicit routes go on top of them, 0.0.0.0 as the
+// default route.
 func TestBuildRouteRule(t *testing.T) {
 	spec := routed()
-	hosts := build(t, spec, all)
+	hosts := build(t, spec, "")
 	for _, stub := range []struct{ name, dflt string }{{"a", "a->r"}, {"b", "b@lan"}, {"c", "c@lan*"}} {
 		if h := hosts[stub.name]; len(h.routes) != 0 || h.dflt != stub.dflt {
 			t.Errorf("stub %s: host routes %v, default %q; want none and %q", stub.name, h.routes, h.dflt, stub.dflt)
@@ -152,7 +118,7 @@ func TestBuildRouteRule(t *testing.T) {
 	}
 	spec.Mroutes = []RouteSpec{{Node: "r", Dst: groupG, Via: "lan"}, {Node: "r", Dst: groupG, Via: "a"}}
 	spec.Joins = []JoinSpec{{Node: "b", Group: groupG}}
-	hosts = build(t, spec, all)
+	hosts = build(t, spec, "")
 	want = map[Addr]string{addrA: "r->a", addrB: "r->a", addrC: "r@lan", addrV: "r@lan"}
 	if r := hosts["r"]; !maps.Equal(r.routes, want) || r.dflt != "r->a" {
 		t.Errorf("router: host routes %v, default %q; want %v and r->a", r.routes, r.dflt, want)
@@ -165,23 +131,57 @@ func TestBuildRouteRule(t *testing.T) {
 	}
 }
 
-// TestBuildHostsItsShare: a network hosting some of the nodes creates
-// only those and their ends of the links, and routes them by the whole
-// topology's paths.
+// TestNextHops: the host routes Build installs send the far ends of a
+// star through its middle and break ties between equal paths on the next
+// hops' sorted names.
+func TestNextHops(t *testing.T) {
+	star := &Topology{
+		Nodes: []NodeSpec{{Name: "gw", Addr: 1}, {Name: "s0", Addr: 2}, {Name: "s1", Addr: 3}},
+		Links: []LinkSpec{{A: "gw", B: "s0", Bandwidth: 1}, {A: "gw", B: "s1", Bandwidth: 1}},
+	}
+	hosts := build(t, star, "")
+	if gw := hosts["gw"]; !maps.Equal(gw.routes, map[Addr]string{2: "gw->s0", 3: "gw->s1"}) {
+		t.Errorf("star hub: host routes %v", gw.routes)
+	}
+	// Two equal paths from a to d, and from d to a: the next hop named
+	// first wins, whatever the spec order.
+	diamond := &Topology{
+		Nodes: []NodeSpec{{Name: "a", Addr: 1}, {Name: "c", Addr: 2}, {Name: "b", Addr: 3}, {Name: "d", Addr: 4}},
+		Links: []LinkSpec{
+			{A: "a", B: "c", Bandwidth: 1}, {A: "a", B: "b", Bandwidth: 1},
+			{A: "c", B: "d", Bandwidth: 1}, {A: "b", B: "d", Bandwidth: 1},
+		},
+	}
+	hosts = build(t, diamond, "")
+	if a := hosts["a"]; !maps.Equal(a.routes, map[Addr]string{2: "a->c", 3: "a->b", 4: "a->b"}) {
+		t.Errorf("diamond a: host routes %v", a.routes)
+	}
+	if d := hosts["d"]; !maps.Equal(d.routes, map[Addr]string{1: "d->b", 2: "d->c", 3: "d->b"}) {
+		t.Errorf("diamond d: host routes %v", d.routes)
+	}
+}
+
+// TestBuildHostsItsShare: a network hosting one site creates only the
+// nodes placed there, their ends of the links and the segments they are
+// on, and routes them by the whole topology's paths.
 func TestBuildHostsItsShare(t *testing.T) {
 	spec := &Topology{
-		Nodes: []NodeSpec{{Name: "a", Addr: 1}, {Name: "r", Addr: 2}, {Name: "b", Addr: 3}, {Name: "x", Addr: 4}},
-		Links: []LinkSpec{{A: "a", B: "r", Bandwidth: 1}, {A: "r", B: "b", Bandwidth: 1}, {A: "b", B: "x", Bandwidth: 1}},
+		Nodes: []NodeSpec{
+			{Name: "a", Addr: 1, Site: "far"}, {Name: "r", Addr: 2, Site: "here"}, {Name: "b", Addr: 3, Site: "here"},
+			{Name: "x", Addr: 4, Site: "far"}, {Name: "y", Addr: 5, Site: "far"},
+		},
+		Links:    []LinkSpec{{A: "a", B: "r", Bandwidth: 1}, {A: "r", B: "b", Bandwidth: 1}, {A: "b", B: "x", Bandwidth: 1}},
+		Segments: []SegmentSpec{{Name: "lan", Bandwidth: 1, Members: []string{"x", "y"}}},
 	}
-	hosts := build(t, spec, func(name string) bool { return name != "a" && name != "x" })
+	hosts := build(t, spec, "here")
 	if len(hosts) != 2 {
-		t.Fatalf("hosted %d nodes, want r and b", len(hosts))
+		t.Fatalf("built %d nodes and segments, want nodes r and b", len(hosts))
 	}
-	want := map[Addr]string{1: "r->a", 3: "r->b", 4: "r->b"}
+	want := map[Addr]string{1: "r->a", 3: "r->b", 4: "r->b", 5: "r->b"}
 	if r := hosts["r"]; !maps.Equal(r.routes, want) {
 		t.Errorf("r routes %v, want %v", r.routes, want)
 	}
-	want = map[Addr]string{1: "b->r", 2: "b->r", 4: "b->x"}
+	want = map[Addr]string{1: "b->r", 2: "b->r", 4: "b->x", 5: "b->x"}
 	if b := hosts["b"]; !maps.Equal(b.routes, want) {
 		t.Errorf("b routes %v, want %v", b.routes, want)
 	}
@@ -222,7 +222,7 @@ func TestTopologyValidation(t *testing.T) {
 				t.Fatalf("Validate() = %v, want an error mentioning %q", err, c.want)
 			}
 			built := false
-			_, err := Build(spec, Backend[*host]{Node: func(NodeSpec) (*host, bool) { built = true; return nil, false }})
+			_, err := Build(spec, Backend[*host]{Node: func(NodeSpec) *host { built = true; return nil }})
 			if err == nil || built {
 				t.Fatalf("Build: error %v after building a node: %v; want an error first", err, built)
 			}

@@ -101,41 +101,38 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	}()
 
 	// The daemon builds its share of the shared file through rtnet's
-	// constructors: its own nodes, a link wherever it owns an end, and
-	// the routes of its nodes by the builder's rule, so every daemon
-	// derives the same tables.
+	// constructors: the nodes placed on it, a link wherever it owns an
+	// end, the segments its nodes are on, and the routes of its nodes by
+	// the builder's rule, so every daemon derives the same tables.
 	be := rtnet.Backend(nw, opts.UDP)
+	be.Site = name
 	newNode, newLink := be.Node, be.Link
-	be.Node = func(n substrate.NodeSpec) (*rtnet.Node, bool) {
-		if ns, _ := topo.NodeSpecOf(n.Name); ns.Daemon != name {
-			return nil, false
-		}
+	be.Node = func(n substrate.NodeSpec) *rtnet.Node {
 		// Every node answers the discard port with a counter
 		// (`testbed.<node>.rx_pkts`), so /inject traffic is observable
 		// end to end through GET /stats without any protocol installed —
 		// the bare-network baseline an ASP download then changes.
-		node, _ := newNode(n)
+		node := newNode(n)
 		rx := nw.Metrics().Counter("testbed." + n.Name + ".rx_pkts")
 		node.BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
 		d.nodes[n.Name] = node
 		d.Chaos.Adopt(node)
-		return node, true
+		return node
 	}
 	// Each local link direction is wired for chaos under the link's
 	// topology-wide name.
 	be.Link = func(l substrate.LinkSpec, la, lb *rtnet.Node) (substrate.Iface, substrate.Iface, error) {
-		ls := topo.linkSpec(l.A, l.B)
 		if la == nil || lb == nil {
-			return d.remoteLink(ls, la, lb, opts.ProbeInterval)
+			return d.remoteLink(l, la, lb, opts.ProbeInterval)
 		}
 		ab, ba, err := newLink(l, la, lb)
 		if err != nil {
 			return nil, nil, err
 		}
-		d.Chaos.WireDuplex(ls.Name(), []substrate.FaultPort{ab.(substrate.FaultPort)}, []substrate.FaultPort{ba.(substrate.FaultPort)})
+		d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ab.(substrate.FaultPort)}, []substrate.FaultPort{ba.(substrate.FaultPort)})
 		return ab, ba, nil
 	}
-	if _, err := substrate.Build(topo.spec(), be); err != nil {
+	if _, err := substrate.Build(&topo.Topology, be); err != nil {
 		return nil, err
 	}
 	if len(d.nodes) == 0 {
@@ -159,7 +156,7 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 // and the chaos wiring claims only the locally-owned direction — fwd
 // is always the first-named node's outbound, so the two daemons'
 // /chaos surfaces compose into one duplex link.
-func (d *Daemon) remoteLink(l LinkSpec, la, lb *rtnet.Node, probe time.Duration) (substrate.Iface, substrate.Iface, error) {
+func (d *Daemon) remoteLink(l substrate.LinkSpec, la, lb *rtnet.Node, probe time.Duration) (substrate.Iface, substrate.Iface, error) {
 	local, peerName, listen, peer := la, l.B, l.AUDP, l.BUDP
 	if lb != nil {
 		local, peerName, listen, peer = lb, l.A, l.BUDP, l.AUDP
@@ -170,8 +167,8 @@ func (d *Daemon) remoteLink(l LinkSpec, la, lb *rtnet.Node, probe time.Duration)
 		Listen:        listen,
 		Peer:          peer,
 		PeerNode:      peerName,
-		PeerAddr:      substrate.MustAddr(pn.Addr),
-		BandwidthBps:  l.Bandwidth(),
+		PeerAddr:      pn.Addr,
+		BandwidthBps:  l.Bandwidth,
 		ProbeInterval: probe,
 	})
 	if err != nil {
@@ -289,9 +286,8 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	dst := substrate.MustAddr(to.Addr)
 	for i := 0; i < n; i++ {
-		pkt := substrate.NewUDP(from.Address(), dst, discardPort, discardPort, []byte("probe"))
+		pkt := substrate.NewUDP(from.Address(), to.Addr, discardPort, discardPort, []byte("probe"))
 		from.Send(pkt.Own())
 	}
 	planpd.WriteJSON(w, http.StatusOK, map[string]any{

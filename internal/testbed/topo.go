@@ -4,13 +4,15 @@
 // every host runs a protocol-management daemon over its own live
 // nodes, and the network between them is real wire.
 //
-// A topology file (JSON) declares the daemons (one per host), the
-// nodes each daemon owns, and the links between nodes. Links whose two
-// endpoints live on the same daemon are ordinary in-process rtnet
-// links; links that cross daemons become addressed UDP links
-// (rtnet.NewRemoteLink) fronted by the versioned handshake, so a
-// mis-deployed or version-skewed host is a structured rejection at
-// link-establishment time, not a silent blackhole.
+// A topology file (JSON) is a substrate.Topology plus the daemons (one
+// per host): the nodes, each placed on its daemon, the links, the
+// shared segments, the explicit and multicast routes and the group
+// joins. Links whose two endpoints live on the same daemon are ordinary
+// in-process rtnet links; links that cross daemons become addressed
+// UDP links (rtnet.NewRemoteLink) fronted by the versioned handshake,
+// so a mis-deployed or version-skewed host is a structured rejection at
+// link-establishment time, not a silent blackhole. A segment is
+// in-process, so its members share a daemon.
 //
 // Each daemon derives everything it needs from the one shared file and
 // its own name: which nodes to create, which link halves to open,
@@ -32,21 +34,19 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// Topology is the parsed testbed description shared by every daemon.
+// Topology is the parsed testbed description shared by every daemon:
+// the network in substrate's spec, and the daemons that host it. Each
+// node names its daemon (NodeSpec.Site, JSON "daemon"); a link between
+// two daemons names the UDP endpoint of each end (LinkSpec.AUDP and
+// BUDP). A link's topology-wide name, "<a>-<b>", is also its
+// chaos-timeline name and, across daemons, its handshake-validated
+// identity.
 type Topology struct {
 	// Name labels the testbed in logs and health responses.
 	Name string `json:"name"`
 	// Daemons are the participating planpd processes, one per host.
 	Daemons []DaemonSpec `json:"daemons"`
-	// Nodes are the substrate nodes, each owned by exactly one daemon.
-	Nodes []NodeSpec `json:"nodes"`
-	// Links are the duplex links between nodes; cross-daemon links need
-	// UDP endpoints.
-	Links []LinkSpec `json:"links"`
-	// Routes are explicit extra routes layered over the derived ones
-	// (substrate.Build's rule) — virtual addresses, policy detours, a
-	// multi-homed node's default route.
-	Routes []RouteSpec `json:"routes,omitempty"`
+	substrate.Topology
 }
 
 // DaemonSpec is one planpd process.
@@ -59,58 +59,8 @@ type DaemonSpec struct {
 	Control string `json:"control"`
 }
 
-// NodeSpec is one substrate node.
-type NodeSpec struct {
-	// Name is the node's unique hostname.
-	Name string `json:"name"`
-	// Addr is the node's network address ("10.0.0.1").
-	Addr string `json:"addr"`
-	// Daemon names the owning daemon.
-	Daemon string `json:"daemon"`
-	// Forwarding marks a router (packets not addressed to the node are
-	// forwarded instead of dropped).
-	Forwarding bool `json:"forwarding,omitempty"`
-}
-
-// LinkSpec is one duplex link. The link's topology-wide name is
-// "<a>-<b>", which is also its chaos-timeline name and, for
-// cross-daemon links, its handshake-validated identity.
-type LinkSpec struct {
-	// A and B name the endpoints.
-	A string `json:"a"`
-	B string `json:"b"`
-	// BandwidthBps is the link capacity (default 100 Mbps). Both ends
-	// of a cross-daemon link validate agreement in the handshake.
-	BandwidthBps int64 `json:"bandwidth_bps,omitempty"`
-	// AUDP/BUDP are the link's UDP endpoints ("host:port"), one per
-	// side. Required iff the endpoints live on different daemons.
-	AUDP string `json:"a_udp,omitempty"`
-	BUDP string `json:"b_udp,omitempty"`
-}
-
-// RouteSpec is one explicit route: on Node, traffic to Dst leaves via
-// the link to neighbor Via. A Dst of 0.0.0.0 is the node's default
-// route.
-type RouteSpec struct {
-	Node string `json:"node"`
-	Dst  string `json:"dst"`
-	Via  string `json:"via"`
-}
-
-// DefaultBandwidth is a link's capacity when the topology does not
-// say.
+// DefaultBandwidth is a link's capacity when the topology does not say.
 const DefaultBandwidth int64 = 100_000_000
-
-// Name returns the link's topology-wide name ("a-b").
-func (l *LinkSpec) Name() string { return l.A + "-" + l.B }
-
-// Bandwidth returns the link's capacity, defaulted.
-func (l *LinkSpec) Bandwidth() int64 {
-	if l.BandwidthBps > 0 {
-		return l.BandwidthBps
-	}
-	return DefaultBandwidth
-}
 
 // ParseTopology decodes and validates a topology. Strict JSON: unknown
 // fields are errors.
@@ -123,6 +73,11 @@ func ParseTopology(b []byte) (*Topology, error) {
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("testbed: topology: trailing data after document")
+	}
+	for i := range topo.Links {
+		if topo.Links[i].Bandwidth == 0 {
+			topo.Links[i].Bandwidth = DefaultBandwidth
+		}
 	}
 	if err := topo.validate(); err != nil {
 		return nil, err
@@ -178,26 +133,21 @@ func (t *Topology) validate() error {
 		if !validName(n.Name) {
 			return fmt.Errorf("testbed: node name %q: want letters, digits and '_' only", n.Name)
 		}
-		if !daemons[n.Daemon] {
-			return fmt.Errorf("testbed: node %q names unknown daemon %q", n.Name, n.Daemon)
-		}
-		if _, err := substrate.ParseAddr(n.Addr); err != nil {
-			return fmt.Errorf("testbed: node %q: %w", n.Name, err)
+		if !daemons[n.Site] {
+			return fmt.Errorf("testbed: node %q names unknown daemon %q", n.Name, n.Site)
 		}
 	}
-	for _, r := range t.Routes {
-		if _, err := substrate.ParseAddr(r.Dst); err != nil {
-			return fmt.Errorf("testbed: route on %q: %w", r.Node, err)
+	for _, s := range t.Segments {
+		if !validName(s.Name) {
+			return fmt.Errorf("testbed: segment name %q: want letters, digits and '_' only", s.Name)
 		}
 	}
-	// Names, addresses, links and routes by the builder's rules.
-	if err := t.spec().Validate(); err != nil {
+	// Names, addresses, links, segments and routes by the builder's rules.
+	if err := t.Validate(); err != nil {
 		return fmt.Errorf("testbed: topology %q: %w", t.Name, err)
 	}
 	for _, l := range t.Links {
-		a, _ := t.NodeSpecOf(l.A)
-		b, _ := t.NodeSpecOf(l.B)
-		cross := a.Daemon != b.Daemon
+		cross := t.siteOf(l.A) != t.siteOf(l.B)
 		if cross && (l.AUDP == "" || l.BUDP == "") {
 			return fmt.Errorf("testbed: cross-daemon link %q needs a_udp and b_udp endpoints", l.Name())
 		}
@@ -205,24 +155,21 @@ func (t *Topology) validate() error {
 			return fmt.Errorf("testbed: link %q is daemon-local; drop its UDP endpoints", l.Name())
 		}
 	}
+	// rtnet segments are in-process: one daemon hosts all of one.
+	for _, s := range t.Segments {
+		for _, m := range s.Members {
+			if a, b := t.siteOf(s.Members[0]), t.siteOf(m); a != b {
+				return fmt.Errorf("testbed: segment %q spans daemons %q and %q", s.Name, a, b)
+			}
+		}
+	}
 	return nil
 }
 
-// spec returns the network t declares, addresses parsed, bandwidths
-// defaulted: what every daemon builds its share of. The addresses must
-// parse (ParseTopology checked them).
-func (t *Topology) spec() *substrate.Topology {
-	spec := &substrate.Topology{}
-	for _, n := range t.Nodes {
-		spec.Nodes = append(spec.Nodes, substrate.NodeSpec{Name: n.Name, Addr: substrate.MustAddr(n.Addr), Forwarding: n.Forwarding})
-	}
-	for _, l := range t.Links {
-		spec.Links = append(spec.Links, substrate.LinkSpec{A: l.A, B: l.B, Bandwidth: l.Bandwidth()})
-	}
-	for _, r := range t.Routes {
-		spec.Routes = append(spec.Routes, substrate.RouteSpec{Node: r.Node, Dst: substrate.MustAddr(r.Dst), Via: r.Via})
-	}
-	return spec
+// siteOf returns the daemon that hosts the named node.
+func (t *Topology) siteOf(node string) string {
+	n, _ := t.NodeSpecOf(node)
+	return n.Site
 }
 
 // Daemon returns the named daemon spec, or an error listing the valid
@@ -242,13 +189,13 @@ func (t *Topology) Daemon(name string) (DaemonSpec, error) {
 }
 
 // NodeSpecOf returns the named node's spec.
-func (t *Topology) NodeSpecOf(name string) (NodeSpec, bool) {
+func (t *Topology) NodeSpecOf(name string) (substrate.NodeSpec, bool) {
 	for _, n := range t.Nodes {
 		if n.Name == name {
 			return n, true
 		}
 	}
-	return NodeSpec{}, false
+	return substrate.NodeSpec{}, false
 }
 
 // DaemonOf returns the control endpoint of the daemon owning node —
@@ -260,7 +207,7 @@ func (t *Topology) DaemonOf(node string) (DaemonSpec, bool) {
 		return DaemonSpec{}, false
 	}
 	for _, d := range t.Daemons {
-		if d.Name == n.Daemon {
+		if d.Name == n.Site {
 			return d, true
 		}
 	}
@@ -275,14 +222,4 @@ func (t *Topology) NodeURL(node string) (string, bool) {
 		return "", false
 	}
 	return "http://" + d.Control + "/node/" + node, true
-}
-
-// linkSpec returns the link between a and b.
-func (t *Topology) linkSpec(a, b string) LinkSpec {
-	for _, l := range t.Links {
-		if l.A == a && l.B == b {
-			return l
-		}
-	}
-	return LinkSpec{}
 }

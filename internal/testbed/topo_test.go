@@ -40,7 +40,7 @@ func TestParseTopology(t *testing.T) {
 	if name := topo.Links[0].Name(); name != "gw-s0" {
 		t.Fatalf("link name = %q, want gw-s0", name)
 	}
-	if bw := topo.Links[0].Bandwidth(); bw != DefaultBandwidth {
+	if bw := topo.Links[0].Bandwidth; bw != DefaultBandwidth {
 		t.Fatalf("defaulted bandwidth = %d", bw)
 	}
 	if url, ok := topo.NodeURL("s1"); !ok || url != "http://127.0.0.1:18003/node/s1" {
@@ -91,6 +91,14 @@ var malformedTopos = []struct {
 	{"route-via-unknown", withRoute("gw", "10.0.0.9", "sX"), "route via unknown node"},
 	{"route-bad-dst", withRoute("gw", "10.0.0", "s0"), "malformed address"},
 	{"route-not-adjacent", withRoute("s0", "10.0.0.9", "s1"), "not adjacent"},
+	{"negative-bandwidth", mutateTopo(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "s0", "bandwidth_bps": -1`), `link "gw-s0" needs a bandwidth`},
+	{"segment-spans-daemons", withSegment("srv", "gw", "s0"), `segment "srv" spans daemons "d1" and "d2"`},
+	{"segment-name", withSegment("{srv", "gw"), `segment name "{srv"`},
+}
+
+// withSegment returns validTopo plus one segment of the given members.
+func withSegment(name string, members ...string) string {
+	return mutateTopo(`"links": [`, `"segments": [{"name": "`+name+`", "bandwidth_bps": 1000000, "members": ["`+strings.Join(members, `", "`)+`"]}], "links": [`)
 }
 
 // TestTopologyValidation: every malformed topology is a structured
@@ -142,5 +150,48 @@ func TestDefaultRouteLeavesViaNeighbor(t *testing.T) {
 	if snap["node.s1.received_pkts"] != 1 || snap["node.s0.received_pkts"] != 0 || snap["node.gw.dropped_pkts"] != 0 {
 		t.Fatalf("s1 received %d, s0 %d, gw dropped %d; want 1, 0, 0",
 			snap["node.s1.received_pkts"], snap["node.s0.received_pkts"], snap["node.gw.dropped_pkts"])
+	}
+}
+
+// groupTopo is figure 5's shape on one daemon: a source behind a
+// router whose segment carries two hosts, one of them joined to the
+// group the router forwards onto the segment.
+const groupTopo = `{
+  "name": "group",
+  "daemons": [{"name": "d1", "control": "127.0.0.1:18001"}],
+  "nodes": [
+    {"name": "src", "addr": "10.0.0.1", "daemon": "d1"},
+    {"name": "r", "addr": "10.0.0.2", "daemon": "d1", "forwarding": true},
+    {"name": "m0", "addr": "10.0.1.1", "daemon": "d1"},
+    {"name": "m1", "addr": "10.0.1.2", "daemon": "d1"}
+  ],
+  "links": [{"a": "src", "b": "r"}],
+  "segments": [{"name": "lan", "bandwidth_bps": 10000000, "members": ["r", "m0", "m1"]}],
+  "mroutes": [{"node": "r", "dst": "239.1.1.1", "via": "lan"}],
+  "joins": [{"node": "m0", "group": "239.1.1.1"}]
+}`
+
+// TestSegmentGroupOnOneDaemon: a testbed file declares a segment, a
+// multicast route and a join, and a packet to the group crosses the
+// router onto the segment and reaches the joined member only.
+func TestSegmentGroupOnOneDaemon(t *testing.T) {
+	topo, err := ParseTopology([]byte(groupTopo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(topo, "d1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Start()
+	src := d.Node("src")
+	src.Send(substrate.NewUDP(src.Address(), substrate.MustAddr("239.1.1.1"), 9, discardPort, nil).Own())
+	if !d.Net.Quiesce(5 * time.Second) {
+		t.Fatal("the testbed did not quiesce")
+	}
+	snap := d.Net.Metrics().Snapshot()
+	if snap["testbed.m0.rx_pkts"] != 1 || snap["testbed.m1.rx_pkts"] != 0 {
+		t.Fatalf("m0 received %v, m1 %v; want 1, 0", snap["testbed.m0.rx_pkts"], snap["testbed.m1.rx_pkts"])
 	}
 }
