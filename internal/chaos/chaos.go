@@ -18,11 +18,14 @@
 // interleave nondeterministically, so runs are statistically similar,
 // not identical — the backend's own contract.
 //
-// # Time
+// # Two forms
 //
-// Scenario timelines execute through substrate.Env.After: virtual time
-// on netsim (a 10-minute scenario replays in milliseconds), wall-clock
-// timers on rtnet.
+// A fault that applies now is a method on a handle: the *Link that
+// Wire, WireDuplex or LookupLink returns, the *NodeHandle that Adopt or
+// LookupNode returns. A fault on a schedule is a Timeline — plain data
+// that Compile binds to those handles and Play runs through
+// substrate.Env.After: virtual time on netsim (a 10-minute scenario
+// replays in milliseconds), wall-clock timers on rtnet.
 //
 // # Observability
 //
@@ -47,7 +50,7 @@ import (
 
 // Engine owns the fault state for one substrate environment: the seeded
 // RNG, the wired links, the adopted nodes, and the chaos.* counters.
-// All mutation goes through the engine's mutex, so scenario actions may
+// All mutation goes through the engine's mutex, so scenario steps may
 // fire from rtnet timer goroutines while node goroutines transmit.
 type Engine struct {
 	env substrate.Env
@@ -102,15 +105,15 @@ func (e *Engine) emit(kind obs.Kind, name, detail string) {
 // Links
 
 // Directions of a duplex link (WireDuplex). For a link named "a-b",
-// DirFwd is a→b and DirRev is b→a.
+// dirFwd is a→b and dirRev is b→a.
 const (
-	DirFwd = 0
-	DirRev = 1
+	dirFwd = 0
+	dirRev = 1
 )
 
 // dirNames spell the directions in link references ("a-b:rev") and in
 // event details ("link-down:rev").
-var dirNames = [2]string{DirFwd: "fwd", DirRev: "rev"}
+var dirNames = [2]string{dirFwd: "fwd", dirRev: "rev"}
 
 // dirFaults is the fault state of one direction of a link.
 type dirFaults struct {
@@ -128,10 +131,10 @@ type dirFaults struct {
 // degrade together, which is what cable damage and congested paths look
 // like. A link wired with WireDuplex keeps per-direction state: the
 // handle WireDuplex returns still addresses both directions at once, and
-// Fwd/Rev narrow it to one — the asymmetric-fault grain (a path
-// congested one way, a half-broken transceiver, a cross-host link whose
-// far half lives in another process). Events from a narrowed handle
-// carry a ":fwd"/":rev" suffix.
+// LookupLink("a-b:fwd") / ("a-b:rev") returns a handle narrowed to one —
+// the asymmetric-fault grain (a path congested one way, a half-broken
+// transceiver, a cross-host link whose far half lives in another
+// process). Events from a narrowed handle carry a ":fwd"/":rev" suffix.
 type Link struct {
 	e      *Engine
 	name   string
@@ -139,7 +142,7 @@ type Link struct {
 
 	// state is shared by every handle on the link and guarded by e.mu;
 	// this handle addresses state[lo:hi]. The ports of a symmetric link
-	// read only state[DirFwd]; its one handle writes both.
+	// read only state[dirFwd]; its one handle writes both.
 	state  *[2]dirFaults
 	lo, hi int
 	suffix string // "" for the whole link, ":fwd" / ":rev" when narrowed
@@ -180,7 +183,7 @@ func (e *Engine) wire(name string, duplex bool, fwd, rev []substrate.FaultPort) 
 	}
 	e.links[name] = l
 	e.mu.Unlock()
-	for dir, side := range [...][]substrate.FaultPort{DirFwd: fwd, DirRev: rev} {
+	for dir, side := range [...][]substrate.FaultPort{dirFwd: fwd, dirRev: rev} {
 		for _, p := range side {
 			p.SetFault(func(*substrate.Packet) substrate.FaultAction { return l.fault(dir) })
 		}
@@ -190,9 +193,9 @@ func (e *Engine) wire(name string, duplex bool, fwd, rev []substrate.FaultPort) 
 
 // LookupLink resolves a link reference — "<name>" for the whole link,
 // "<name>:fwd" or "<name>:rev" for one direction of a duplex-wired one
-// — to its handle. It is the one validator of link references: the
-// timeline codec calls it when a timeline is staged, and every scenario
-// action calls it again (through link) when it fires.
+// — to its handle. It is the one resolver of link references: Compile
+// calls it once per reference and binds the step to the handle it
+// returns.
 func (e *Engine) LookupLink(ref string) (*Link, error) {
 	name, dir, narrowed := strings.Cut(ref, ":")
 	if name == "" {
@@ -215,19 +218,6 @@ func (e *Engine) LookupLink(ref string) (*Link, error) {
 	return nil, fmt.Errorf("direction %q of link %q (want \"fwd\" or \"rev\")", dir, name)
 }
 
-// must is the fail-fast half of the scenario contract: a scenario built
-// in Go that names a link nobody wired, or a direction of a symmetric
-// link, is an author error. (Timelines arrive from outside and get the
-// error instead — Compile.)
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic("chaos: " + err.Error())
-	}
-	return v
-}
-
-func (e *Engine) link(ref string) *Link { return must(e.LookupLink(ref)) }
-
 // LinkNames returns the names of every wired link, sorted: they are
 // part of the error a daemon answers a bad timeline with.
 func (e *Engine) LinkNames() []string {
@@ -241,8 +231,8 @@ func (e *Engine) LinkNames() []string {
 	return out
 }
 
-// LookupNode resolves an adopted node by name — like LookupLink, both
-// the timeline codec's validator and the actions' run-time lookup.
+// LookupNode resolves an adopted node by name — LookupLink's
+// counterpart, which Compile calls once per node a step names.
 func (e *Engine) LookupNode(name string) (*NodeHandle, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing node")
@@ -255,8 +245,6 @@ func (e *Engine) LookupNode(name string) (*NodeHandle, error) {
 	}
 	return h, nil
 }
-
-func (e *Engine) node(name string) *NodeHandle { return must(e.LookupNode(name)) }
 
 // NodeNames returns the names of every adopted node, sorted.
 func (e *Engine) NodeNames() []string {
@@ -312,14 +300,6 @@ func (l *Link) fault(dir int) substrate.FaultAction {
 // Name returns the handle's scenario reference: the link's name, plus
 // ":fwd"/":rev" when narrowed to one direction.
 func (l *Link) Name() string { return l.name + l.suffix }
-
-// Fwd returns the handle on the link's forward (a→b) direction.
-// Panics unless the link was wired with WireDuplex — a symmetric link
-// has no directions to address.
-func (l *Link) Fwd() *Link { return must(l.narrow(DirFwd)) }
-
-// Rev returns the handle on the link's reverse (b→a) direction.
-func (l *Link) Rev() *Link { return must(l.narrow(DirRev)) }
 
 func (l *Link) narrow(dir int) (*Link, error) {
 	if !l.duplex {
@@ -408,35 +388,17 @@ func (l *Link) Clear() {
 	l.set(obs.KindHeal, "clear", func(st *dirFaults) { *st = dirFaults{} })
 }
 
-// PartitionLinks cuts the named set of links at once — the partition
-// primitive (a partition IS a set of downed links).
-func (e *Engine) PartitionLinks(names ...string) {
-	for _, name := range names {
-		e.link(name).Down()
-	}
-}
-
-// HealLinks restores the named links, or every wired link when called
-// with no names.
-func (e *Engine) HealLinks(names ...string) {
-	if len(names) == 0 {
-		names = e.LinkNames()
-	}
-	for _, name := range names {
-		e.link(name).Up()
-	}
-}
-
 // ClearAll resets every fault the engine has injected: all link state
 // (both directions), and clock skew on every adopted node that
 // supports it. Crashed nodes stay crashed — recovering a node is a
 // deliberate Restart, not a side effect of stopping a timeline.
 func (e *Engine) ClearAll() {
 	for _, name := range e.LinkNames() {
-		e.link(name).Clear()
+		l, _ := e.LookupLink(name) // a wired name always resolves
+		l.Clear()
 	}
 	for _, name := range e.NodeNames() {
-		if h := e.node(name); h.CanSkew() && h.sk.ClockSkew() != 0 {
+		if h, _ := e.LookupNode(name); h.CanSkew() && h.sk.ClockSkew() != 0 {
 			h.SetClockSkew(0)
 		}
 	}
@@ -500,8 +462,8 @@ func (h *NodeHandle) CanSkew() bool { return h.sk != nil }
 
 // SetClockSkew shifts the node's host clock by d — observations drift,
 // timers do not (see substrate.ClockSkewer). d = 0 heals. Panics on
-// backends without clock-skew support; scenarios targeting netsim must
-// not schedule skew, and the timeline codec rejects them up front.
+// backends without clock-skew support (see CanSkew); Compile refuses a
+// clockskew step for such a node up front.
 func (h *NodeHandle) SetClockSkew(d time.Duration) {
 	if h.sk == nil {
 		panic(fmt.Sprintf("chaos: node %q does not support clock skew (rtnet only)", h.name))

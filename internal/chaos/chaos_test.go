@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +14,11 @@ import (
 // bed is a minimal netsim chaos testbed: a — r — b over two links, a
 // chaos engine wired to both, a delivery counter at b.
 type bed struct {
-	sim       *netsim.Simulator
-	eng       *chaos.Engine
-	a, r, b   *netsim.Node
-	delivered *int
+	sim              *netsim.Simulator
+	eng              *chaos.Engine
+	uplink, downlink *chaos.Link
+	a, r, b          *netsim.Node
+	delivered        *int
 }
 
 func mkBed(t *testing.T, seed int64) *bed {
@@ -34,13 +36,23 @@ func mkBed(t *testing.T, seed int64) *bed {
 	b.SetDefaultRoute(lb.Ifaces()[1])
 
 	eng := chaos.New(sim, seed+1000)
-	eng.Wire("uplink", la.Ifaces()[0], la.Ifaces()[1])
-	eng.Wire("downlink", lb.Ifaces()[0], lb.Ifaces()[1])
+	uplink := eng.Wire("uplink", la.Ifaces()[0], la.Ifaces()[1])
+	downlink := eng.Wire("downlink", lb.Ifaces()[0], lb.Ifaces()[1])
 	eng.Adopt(r)
 
 	delivered := 0
 	b.BindUDP(9, func(*netsim.Packet) { delivered++ })
-	return &bed{sim: sim, eng: eng, a: a, r: r, b: b, delivered: &delivered}
+	return &bed{sim: sim, eng: eng, uplink: uplink, downlink: downlink, a: a, r: r, b: b, delivered: &delivered}
+}
+
+// play compiles the steps as one timeline against eng and plays it.
+func play(t *testing.T, eng *chaos.Engine, steps ...chaos.TimelineStep) *chaos.Run {
+	t.Helper()
+	sc, err := eng.Compile(&chaos.Timeline{Name: t.Name(), Steps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Play(sc)
 }
 
 // stream schedules n packets from a to b at the given spacing, starting
@@ -55,7 +67,7 @@ func (bd *bed) stream(n int, start, spacing time.Duration) {
 
 func TestLossDropsSomeNotAll(t *testing.T) {
 	bd := mkBed(t, 7)
-	bd.eng.Apply(chaos.Loss("uplink", 0.3))
+	bd.uplink.SetLoss(0.3)
 	bd.stream(200, 0, time.Millisecond)
 	bd.sim.Run()
 
@@ -71,9 +83,9 @@ func TestLossDropsSomeNotAll(t *testing.T) {
 func TestDeterminismSameSeed(t *testing.T) {
 	run := func(seed int64) (int, int64, int64) {
 		bd := mkBed(t, seed)
-		bd.eng.Apply(chaos.Loss("uplink", 0.2))
-		bd.eng.Apply(chaos.Jitter("downlink", 5*time.Millisecond))
-		bd.eng.Apply(chaos.Duplicate("downlink", 0.1))
+		bd.uplink.SetLoss(0.2)
+		bd.downlink.SetJitter(5 * time.Millisecond)
+		bd.downlink.SetDup(0.1)
 		bd.stream(500, 0, time.Millisecond)
 		bd.sim.Run()
 		reg := bd.sim.Metrics()
@@ -107,9 +119,9 @@ func TestScenarioPartitionAndHeal(t *testing.T) {
 
 	// 300ms of traffic; the partition window is [100ms, 200ms).
 	bd.stream(300, 0, time.Millisecond)
-	bd.eng.Play(chaos.NewScenario().
-		At(100*time.Millisecond, chaos.Partition("uplink", "downlink")).
-		At(200*time.Millisecond, chaos.Heal()))
+	play(t, bd.eng,
+		chaos.TimelineStep{AtMS: 100, Op: "partition", Links: []string{"uplink", "downlink"}},
+		chaos.TimelineStep{AtMS: 200, Op: "heal"})
 	bd.sim.Run()
 
 	// ~100 packets fell in the window (the uplink eats them first).
@@ -131,8 +143,11 @@ func TestScenarioPartitionAndHeal(t *testing.T) {
 func TestScenarioEveryFlap(t *testing.T) {
 	bd := mkBed(t, 13)
 	// Flap the uplink for 10ms every 50ms over 200ms: 4 flaps.
-	bd.eng.Play(chaos.NewScenario().
-		Every(50*time.Millisecond, 200*time.Millisecond, chaos.Flap("uplink", 10*time.Millisecond)))
+	var flaps []chaos.TimelineStep
+	for at := int64(50); at <= 200; at += 50 {
+		flaps = append(flaps, chaos.TimelineStep{AtMS: at, Op: "flap", Link: "uplink", DurMS: 10})
+	}
+	play(t, bd.eng, flaps...)
 	bd.stream(300, 0, time.Millisecond)
 	bd.sim.Run()
 
@@ -153,9 +168,9 @@ func TestCrashRestartOnTimeline(t *testing.T) {
 	bd := mkBed(t, 17)
 	bd.r.SetProcessor(passProc{})
 	bd.stream(300, 0, time.Millisecond)
-	bd.eng.Play(chaos.NewScenario().
-		At(100*time.Millisecond, chaos.Crash("r")).
-		At(200*time.Millisecond, chaos.Restart("r")))
+	play(t, bd.eng,
+		chaos.TimelineStep{AtMS: 100, Op: "crash", Node: "r"},
+		chaos.TimelineStep{AtMS: 200, Op: "restart", Node: "r"})
 	bd.sim.Run()
 
 	if bd.r.CurrentProcessor() != nil {
@@ -172,7 +187,7 @@ func TestCrashRestartOnTimeline(t *testing.T) {
 
 func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 	bd := mkBed(t, 19)
-	bd.eng.Apply(chaos.Corrupt("uplink", 1.0))
+	bd.uplink.SetCorrupt(1.0)
 	var got [][]byte
 	bd.b.BindUDP(7, func(p *netsim.Packet) { got = append(got, p.Payload) })
 	orig := []byte{0xAA, 0xBB, 0xCC, 0xDD}
@@ -197,14 +212,18 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 	}
 }
 
-func TestWireUnknownLinkPanics(t *testing.T) {
+// TestUnknownLinkIsRefused: a reference to a link nobody wired has no
+// handle and no compiled step; the error names the wired links.
+func TestUnknownLinkIsRefused(t *testing.T) {
 	bd := mkBed(t, 23)
-	defer func() {
-		if recover() == nil {
-			t.Error("addressing an unwired link did not panic")
-		}
-	}()
-	bd.eng.Apply(chaos.Down("no-such-link"))
+	if l, err := bd.eng.LookupLink("no-such-link"); l != nil || err == nil ||
+		!strings.Contains(err.Error(), "[downlink uplink]") {
+		t.Errorf("LookupLink(unwired) = %v, %v; want an error naming the wired links", l, err)
+	}
+	_, err := bd.eng.Compile(&chaos.Timeline{Steps: []chaos.TimelineStep{{Op: "down", Link: "no-such-link"}}})
+	if err == nil || !strings.Contains(err.Error(), "unknown link") {
+		t.Errorf("Compile(unwired link) = %v, want an unknown-link error", err)
+	}
 }
 
 // passProc is a pass-through processor standing in for a downloaded ASP
@@ -212,3 +231,29 @@ func TestWireUnknownLinkPanics(t *testing.T) {
 type passProc struct{}
 
 func (passProc) Process(*substrate.Packet, substrate.Iface) bool { return false }
+
+// TestPlayAppliesAtZeroBeforeReturning: a timeline's at_ms 0 steps are
+// in effect when Play returns — before the event loop runs — and count
+// as fired.
+func TestPlayAppliesAtZeroBeforeReturning(t *testing.T) {
+	bd := mkBed(t, 43)
+	run := play(t, bd.eng,
+		chaos.TimelineStep{Op: "down", Link: "uplink"},
+		chaos.TimelineStep{Op: "loss", Link: "downlink", P: 1},
+		chaos.TimelineStep{AtMS: 10, Op: "up", Link: "uplink"})
+	if !bd.uplink.IsDown() {
+		t.Errorf("at_ms 0 down not in effect when Play returned")
+	}
+	if got := bd.sim.Metrics().Counter("chaos.link_down").Value(); got != 1 {
+		t.Errorf("chaos.link_down = %d when Play returned, want 1", got)
+	}
+	if fired, total, _ := run.Status(); fired != 2 || total != 3 || run.Done() {
+		t.Errorf("run after Play: fired=%d total=%d done=%v, want 2/3 not done", fired, total, run.Done())
+	}
+	bd.stream(1, 0, 0) // at virtual time 0: the downed uplink drops it
+	bd.sim.Run()
+	if *bd.delivered != 0 || bd.uplink.IsDown() || !run.Done() {
+		t.Errorf("after the run: delivered=%d uplink down=%v done=%v, want 0, up, done",
+			*bd.delivered, bd.uplink.IsDown(), run.Done())
+	}
+}

@@ -15,8 +15,8 @@ import (
 // a→r, rev is r→a. Request/response traffic exercises both directions.
 type duplexBed struct {
 	*bed
-	uplink *chaos.Link
-	echoed *int
+	fwd, rev *chaos.Link // the uplink's two directions
+	echoed   *int
 }
 
 func mkDuplexBed(t *testing.T, seed int64) *duplexBed {
@@ -41,10 +41,20 @@ func mkDuplexBed(t *testing.T, seed int64) *duplexBed {
 	})
 	a.BindUDP(1000, func(*netsim.Packet) { echoed++ })
 	return &duplexBed{
-		bed:    &bed{sim: sim, eng: eng, a: a, r: r, delivered: &delivered},
-		uplink: uplink,
+		bed:    &bed{sim: sim, eng: eng, uplink: uplink, a: a, r: r, delivered: &delivered},
+		fwd:    lookup(t, eng, "uplink:fwd"),
+		rev:    lookup(t, eng, "uplink:rev"),
 		echoed: &echoed,
 	}
+}
+
+func lookup(t *testing.T, eng *chaos.Engine, ref string) *chaos.Link {
+	t.Helper()
+	l, err := eng.LookupLink(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func (bd *duplexBed) requests(n int) {
@@ -59,7 +69,7 @@ func (bd *duplexBed) requests(n int) {
 // arrives, no response comes back.
 func TestAsymmetricDownRev(t *testing.T) {
 	bd := mkDuplexBed(t, 11)
-	bd.uplink.Rev().Down()
+	bd.rev.Down()
 	bd.requests(50)
 	bd.sim.Run()
 	if *bd.delivered != 50 {
@@ -72,7 +82,7 @@ func TestAsymmetricDownRev(t *testing.T) {
 		t.Fatalf("link with one cut direction should report IsDown")
 	}
 
-	bd.uplink.Rev().Up()
+	bd.rev.Up()
 	bd.requests(10)
 	bd.sim.Run()
 	if *bd.echoed != 10 {
@@ -83,13 +93,13 @@ func TestAsymmetricDownRev(t *testing.T) {
 // TestAsymmetricLossFwd degrades only the request direction.
 func TestAsymmetricLossFwd(t *testing.T) {
 	bd := mkDuplexBed(t, 13)
-	bd.uplink.Fwd().SetLoss(1.0)
+	bd.fwd.SetLoss(1.0)
 	bd.requests(30)
 	bd.sim.Run()
 	if *bd.delivered != 0 {
 		t.Fatalf("requests delivered %d/30 through a fully lossy forward direction", *bd.delivered)
 	}
-	bd.uplink.Fwd().Clear()
+	bd.fwd.Clear()
 	bd.requests(30)
 	bd.sim.Run()
 	if *bd.delivered != 30 || *bd.echoed != 30 {
@@ -115,31 +125,29 @@ func TestSymmetricSettersCoverBothDirections(t *testing.T) {
 	}
 }
 
-// TestDirOnSymmetricLinkPanics: Fwd/Rev on a Wire'd (symmetric) link is
-// an author error and must fail fast.
+// TestDirOnSymmetricLinkPanics: one direction of a Wire'd (symmetric)
+// link is an author error and fails fast: LookupLink, the one way to a
+// narrowed handle, refuses it with an error that points at WireDuplex.
 func TestDirOnSymmetricLinkPanics(t *testing.T) {
 	bd := mkBed(t, 19)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("Fwd() on a symmetric link did not panic")
+	for _, ref := range []string{"uplink:fwd", "uplink:rev"} {
+		l, err := bd.eng.LookupLink(ref)
+		if l != nil || err == nil {
+			t.Fatalf("LookupLink(%q) on a symmetric link = %v, %v; want an error", ref, l, err)
 		}
-		if !strings.Contains(r.(string), "WireDuplex") {
-			t.Fatalf("panic %q does not point at WireDuplex", r)
+		if !strings.Contains(err.Error(), "WireDuplex") {
+			t.Fatalf("error %q does not point at WireDuplex", err)
 		}
-	}()
-	l, _ := bd.eng.LookupLink("uplink")
-	l.Fwd()
+	}
 }
 
 // TestPlayRunStop stops a playing scenario midway: fired steps stay
 // applied, pending steps are suppressed.
 func TestPlayRunStop(t *testing.T) {
 	bd := mkBed(t, 23)
-	sc := chaos.NewScenario().
-		At(10*time.Millisecond, chaos.Down("uplink")).
-		At(50*time.Millisecond, chaos.Up("uplink"))
-	run := bd.eng.PlayRun(sc)
+	run := play(t, bd.eng,
+		chaos.TimelineStep{AtMS: 10, Op: "down", Link: "uplink"},
+		chaos.TimelineStep{AtMS: 50, Op: "up", Link: "uplink"})
 
 	// A stopper on the timeline between the two steps — netsim virtual
 	// time, so ordering is exact.
@@ -228,7 +236,7 @@ func TestTimelineValidation(t *testing.T) {
 func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 	drive := map[string]func(bd *duplexBed){
 		"handles": func(bd *duplexBed) {
-			bd.uplink.Rev().Down()
+			bd.rev.Down()
 			bd.uplink.Down()
 			bd.uplink.Down()
 		},
@@ -264,7 +272,7 @@ func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 			if want := "uplink/link-down:rev uplink/link-down"; strings.Join(faults, " ") != want {
 				t.Errorf("fault events %q, want %q", faults, want)
 			}
-			if !bd.uplink.Fwd().IsDown() {
+			if !bd.fwd.IsDown() {
 				t.Errorf("forward direction still up after a whole-link Down")
 			}
 			bd.uplink.Up()
@@ -275,17 +283,17 @@ func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 	}
 }
 
-// TestDirectionReferences: every constructor takes "<link>:fwd" /
-// "<link>:rev" where it takes a link, a timeline step's link+dir is the
-// same reference, and Wire keeps ':' out of link names so a reference
-// reads one way.
+// TestDirectionReferences: a timeline takes "<link>:fwd" /
+// "<link>:rev" wherever it takes a link, a step's link+dir is the same
+// reference, and Wire keeps ':' out of link names so a reference reads
+// one way.
 func TestDirectionReferences(t *testing.T) {
 	bd := mkDuplexBed(t, 41)
-	bd.eng.Apply(chaos.Partition("uplink:rev"))
-	if bd.uplink.Fwd().IsDown() || !bd.uplink.Rev().IsDown() {
-		t.Fatalf(`Partition("uplink:rev") cut fwd=%v rev=%v, want only rev`, bd.uplink.Fwd().IsDown(), bd.uplink.Rev().IsDown())
+	play(t, bd.eng, chaos.TimelineStep{Op: "partition", Links: []string{"uplink:rev"}})
+	if bd.fwd.IsDown() || !bd.rev.IsDown() {
+		t.Fatalf(`partition ["uplink:rev"] cut fwd=%v rev=%v, want only rev`, bd.fwd.IsDown(), bd.rev.IsDown())
 	}
-	bd.eng.Apply(chaos.Heal())
+	play(t, bd.eng, chaos.TimelineStep{Op: "heal"})
 
 	tl, err := chaos.ParseTimeline([]byte(`{"steps": [{"op": "flap", "link": "uplink", "dir": "fwd", "dur_ms": 20}]}`))
 	if err != nil {
@@ -297,8 +305,8 @@ func TestDirectionReferences(t *testing.T) {
 	}
 	bd.eng.Play(sc)
 	bd.sim.At(10*time.Millisecond, func() {
-		if !bd.uplink.Fwd().IsDown() || bd.uplink.Rev().IsDown() {
-			t.Errorf("mid-flap: fwd=%v rev=%v, want only fwd down", bd.uplink.Fwd().IsDown(), bd.uplink.Rev().IsDown())
+		if !bd.fwd.IsDown() || bd.rev.IsDown() {
+			t.Errorf("mid-flap: fwd=%v rev=%v, want only fwd down", bd.fwd.IsDown(), bd.rev.IsDown())
 		}
 	})
 	bd.sim.Run()

@@ -57,7 +57,7 @@ func TestChaosOnRTNet(t *testing.T) {
 	}
 
 	// Phase 2: 50% loss — some but not all arrive.
-	eng.Apply(chaos.Loss("uplink", 0.5))
+	uplink.SetLoss(0.5)
 	send(200)
 	lossy := delivered.Load() - clean
 	if lossy == 0 || lossy == 200 {
@@ -69,7 +69,7 @@ func TestChaosOnRTNet(t *testing.T) {
 	}
 
 	// Phase 3: partition — nothing arrives.
-	eng.Apply(chaos.Clear("uplink"))
+	uplink.Clear()
 	uplink.Down()
 	before := delivered.Load()
 	send(50)
@@ -78,7 +78,7 @@ func TestChaosOnRTNet(t *testing.T) {
 	}
 
 	// Phase 4: heal — traffic resumes.
-	eng.HealLinks()
+	uplink.Up()
 	before = delivered.Load()
 	send(50)
 	if got := delivered.Load() - before; got != 50 {
@@ -106,9 +106,9 @@ func TestChaosScenarioWallClock(t *testing.T) {
 	eng.Wire("wire", ab, ba)
 	nw.Start()
 
-	eng.Play(chaos.NewScenario().
-		At(50*time.Millisecond, chaos.Down("wire")).
-		At(110*time.Millisecond, chaos.Up("wire")))
+	play(t, eng,
+		chaos.TimelineStep{AtMS: 50, Op: "down", Link: "wire"},
+		chaos.TimelineStep{AtMS: 110, Op: "up", Link: "wire"})
 
 	for i := 0; i < 200; i++ {
 		a.Send(substrate.NewUDP(a.Address(), b.Address(), 1, 9, []byte("x")).Own())

@@ -1,11 +1,12 @@
-// The timeline codec: a JSON representation of a Scenario, so fault
-// schedules can cross process boundaries — written by hand or by the
-// planpd chaos CLI, shipped to a daemon's /chaos control API, compiled
-// against that daemon's engine, and played there. A timeline is plain
-// data; Compile validates every reference (links, nodes, directions,
-// backend capabilities) against the target engine up front, so a bad
-// timeline is a structured error at staging time, never a panic on a
-// timer goroutine mid-experiment.
+// The timeline: the one form of a fault schedule. It is plain data —
+// written as a Go literal by the experiments, by hand or by the planpd
+// chaos CLI as JSON, shipped to a daemon's /chaos control API — that
+// Compile binds to one engine's handles and Play runs there. Compile
+// validates every reference (links, nodes, directions, backend
+// capabilities) against the target engine up front, so a bad timeline
+// is a structured error at staging time, never a panic on a timer
+// goroutine mid-experiment. A step at at_ms 0 applies the moment the
+// scenario is played.
 //
 //	{
 //	  "name": "partition-and-heal",
@@ -52,7 +53,7 @@ type TimelineStep struct {
 	// "rev" is the reference "a-b:rev" (see Engine.LookupLink).
 	Dir string `json:"dir,omitempty"`
 	// Links names the target set, as references (partition/heal; heal
-	// with an empty set heals every wired link).
+	// with an empty set brings every wired link back up).
 	Links []string `json:"links,omitempty"`
 	// Node names the target node (crash/restart/clockskew).
 	Node string `json:"node,omitempty"`
@@ -93,17 +94,18 @@ const maxMS = math.MaxInt64 / int64(time.Millisecond)
 // Compile validates the timeline against this engine — every link and
 // node must be wired/adopted, directions require duplex wiring,
 // clockskew requires a backend that supports it — and returns the
-// executable scenario. The first invalid step aborts with an error
-// naming it.
+// executable scenario, each step bound to the handles its references
+// resolve to. The first invalid step aborts with an error naming it. A
+// scenario that compiles cannot panic when it plays.
 func (e *Engine) Compile(tl *Timeline) (*Scenario, error) {
-	sc := NewScenario()
+	sc := &Scenario{steps: make([]step, 0, len(tl.Steps))}
 	for i, st := range tl.Steps {
 		for _, ms := range [...]int64{st.AtMS, st.DurMS, st.SkewMS} {
 			if ms > maxMS || ms < -maxMS {
 				return nil, fmt.Errorf("chaos: timeline %q step %d (%s): %d ms does not fit a duration", tl.Name, i, st.Op, ms)
 			}
 		}
-		a, err := e.compileStep(st)
+		apply, err := e.compileStep(st)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: timeline %q step %d (%s at %dms): %w",
 				tl.Name, i, st.Op, st.AtMS, err)
@@ -111,7 +113,7 @@ func (e *Engine) Compile(tl *Timeline) (*Scenario, error) {
 		if st.AtMS < 0 {
 			return nil, fmt.Errorf("chaos: timeline %q step %d (%s): negative at_ms", tl.Name, i, st.Op)
 		}
-		sc.At(time.Duration(st.AtMS)*time.Millisecond, a)
+		sc.steps = append(sc.steps, step{at: time.Duration(st.AtMS) * time.Millisecond, apply: apply})
 	}
 	return sc, nil
 }
@@ -120,20 +122,23 @@ func (e *Engine) Compile(tl *Timeline) (*Scenario, error) {
 func (st TimelineStep) dur() time.Duration { return time.Duration(st.DurMS) * time.Millisecond }
 
 // linkOps is every op that addresses one link, or one direction of it:
-// the check of its operand (nil when it has none) and its constructor.
+// the check of its operand (nil when it has none) and the step it binds
+// to the resolved handle.
 var linkOps = map[string]struct {
 	check func(st TimelineStep) error
-	build func(link string, st TimelineStep) Action
+	bind  func(l *Link, st TimelineStep) func()
 }{
-	"down":    {nil, func(l string, _ TimelineStep) Action { return Down(l) }},
-	"up":      {nil, func(l string, _ TimelineStep) Action { return Up(l) }},
-	"clear":   {nil, func(l string, _ TimelineStep) Action { return Clear(l) }},
-	"flap":    {checkFlap, func(l string, st TimelineStep) Action { return Flap(l, st.dur()) }},
-	"loss":    {checkProb, func(l string, st TimelineStep) Action { return Loss(l, st.P) }},
-	"corrupt": {checkProb, func(l string, st TimelineStep) Action { return Corrupt(l, st.P) }},
-	"dup":     {checkProb, func(l string, st TimelineStep) Action { return Duplicate(l, st.P) }},
-	"delay":   {checkLatency, func(l string, st TimelineStep) Action { return Delay(l, st.dur()) }},
-	"jitter":  {checkLatency, func(l string, st TimelineStep) Action { return Jitter(l, st.dur()) }},
+	"down":  {nil, func(l *Link, _ TimelineStep) func() { return l.Down }},
+	"up":    {nil, func(l *Link, _ TimelineStep) func() { return l.Up }},
+	"clear": {nil, func(l *Link, _ TimelineStep) func() { return l.Clear }},
+	"flap": {checkFlap, func(l *Link, st TimelineStep) func() {
+		return func() { l.Down(); l.e.env.After(st.dur(), l.Up) }
+	}},
+	"loss":    {checkProb, func(l *Link, st TimelineStep) func() { return func() { l.SetLoss(st.P) } }},
+	"corrupt": {checkProb, func(l *Link, st TimelineStep) func() { return func() { l.SetCorrupt(st.P) } }},
+	"dup":     {checkProb, func(l *Link, st TimelineStep) func() { return func() { l.SetDup(st.P) } }},
+	"delay":   {checkLatency, func(l *Link, st TimelineStep) func() { return func() { l.SetDelay(st.dur()) } }},
+	"jitter":  {checkLatency, func(l *Link, st TimelineStep) func() { return func() { l.SetJitter(st.dur()) } }},
 }
 
 func checkProb(st TimelineStep) error {
@@ -157,58 +162,67 @@ func checkLatency(st TimelineStep) error {
 	return nil
 }
 
-// compileStep validates one step with the lookups its action will run
-// when it fires — LookupLink on the same reference, LookupNode on the
-// same name — so a step that compiles cannot panic at play time.
-func (e *Engine) compileStep(st TimelineStep) (Action, error) {
-	var zero Action
+// compileStep resolves the references of one step — LookupLink per
+// link, LookupNode per node — checks its operands, and binds it to the
+// handles it found.
+func (e *Engine) compileStep(st TimelineStep) (func(), error) {
 	if op, ok := linkOps[st.Op]; ok {
 		ref := st.Link
 		if st.Dir != "" {
 			ref += ":" + st.Dir
 		}
-		if _, err := e.LookupLink(ref); err != nil {
-			return zero, err
+		l, err := e.LookupLink(ref)
+		if err != nil {
+			return nil, err
 		}
 		if op.check != nil {
 			if err := op.check(st); err != nil {
-				return zero, err
+				return nil, err
 			}
 		}
-		return op.build(ref, st), nil
+		return op.bind(l, st), nil
 	}
 	switch st.Op {
 	case "partition", "heal":
-		for _, ref := range st.Links {
-			if _, err := e.LookupLink(ref); err != nil {
-				return zero, err
-			}
-		}
+		refs, do := st.Links, (*Link).Down
 		if st.Op == "heal" {
-			return Heal(st.Links...), nil
+			do = (*Link).Up
+			if len(refs) == 0 {
+				refs = e.LinkNames()
+			}
+		} else if len(refs) == 0 {
+			return nil, fmt.Errorf("partition needs links")
 		}
-		if len(st.Links) == 0 {
-			return zero, fmt.Errorf("partition needs links")
+		links := make([]*Link, len(refs))
+		for i, ref := range refs {
+			l, err := e.LookupLink(ref)
+			if err != nil {
+				return nil, err
+			}
+			links[i] = l
 		}
-		return Partition(st.Links...), nil
-	case "crash", "restart":
-		if _, err := e.LookupNode(st.Node); err != nil {
-			return zero, err
-		}
-		if st.Op == "crash" {
-			return Crash(st.Node), nil
-		}
-		return Restart(st.Node), nil
-	case "clockskew":
+		return func() {
+			for _, l := range links {
+				do(l)
+			}
+		}, nil
+	case "crash", "restart", "clockskew":
 		h, err := e.LookupNode(st.Node)
 		if err != nil {
-			return zero, err
+			return nil, err
+		}
+		switch st.Op {
+		case "crash":
+			return h.Crash, nil
+		case "restart":
+			return h.Restart, nil
 		}
 		if !h.CanSkew() {
-			return zero, fmt.Errorf("node %q's backend does not support clock skew (rtnet only)", st.Node)
+			return nil, fmt.Errorf("node %q's backend does not support clock skew (rtnet only)", st.Node)
 		}
-		return ClockSkew(st.Node, time.Duration(st.SkewMS)*time.Millisecond), nil
+		skew := time.Duration(st.SkewMS) * time.Millisecond
+		return func() { h.SetClockSkew(skew) }, nil
 	default:
-		return zero, fmt.Errorf("unknown op %q", st.Op)
+		return nil, fmt.Errorf("unknown op %q", st.Op)
 	}
 }

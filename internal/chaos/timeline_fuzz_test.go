@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/rtnet"
 	"planp.dev/planp/internal/substrate"
 )
@@ -16,7 +17,10 @@ import (
 // that can crash and skew. The contract: never panic; the same input
 // gives the same error text, from the parser and from Compile; an
 // accepted timeline survives encode → parse unchanged; and a compiled
-// scenario plays every step at the offset its timeline wrote.
+// scenario plays every step at the offset its timeline wrote. The same
+// timeline is also compiled against a netsim engine wired under the
+// same names (whose nodes cannot skew), and what compiles there plays
+// with the simulator run dry: a compiled scenario does not panic.
 func FuzzParseTimeline(f *testing.F) {
 	for _, seed := range []string{
 		// docs/CHAOS.md, "Timelines over the wire".
@@ -82,11 +86,15 @@ func FuzzParseTimeline(f *testing.F) {
 			t.Fatalf("encode → parse changed the timeline:\n%s\n%s", enc, again)
 		}
 
+		simErr := playOnNetsim(tl)
 		sc, err := eng.Compile(tl)
 		if _, again := eng.Compile(tl); fmt.Sprint(again) != fmt.Sprint(err) {
 			t.Fatalf("same timeline, different compile errors:\n%v\n%v", err, again)
 		}
 		if err != nil {
+			if simErr == nil {
+				t.Fatalf("netsim compiled a timeline rtnet refuses: %v", err)
+			}
 			return
 		}
 		for i, st := range tl.Steps {
@@ -105,4 +113,26 @@ func FuzzParseTimeline(f *testing.F) {
 			}
 		}
 	})
+}
+
+// playOnNetsim compiles tl against a fresh netsim engine wired like the
+// fuzz target's rtnet one and, if that compiles, plays it and runs the
+// simulator until no event is left.
+func playOnNetsim(tl *Timeline) error {
+	sim := netsim.New(netsim.WithSeed(1))
+	gw := netsim.NewNode(sim, "gw", netsim.MustAddr("10.0.0.1"))
+	s0 := netsim.NewNode(sim, "s0", netsim.MustAddr("10.0.0.2"))
+	up := netsim.Connect(sim, gw, s0, netsim.LinkConfig{Bandwidth: 10e6})
+	duplex := netsim.Connect(sim, gw, s0, netsim.LinkConfig{Bandwidth: 10e6})
+	eng := New(sim, 1)
+	eng.Wire("uplink", up.Ifaces()[0], up.Ifaces()[1])
+	eng.WireDuplex("gw-s0", []substrate.FaultPort{duplex.Ifaces()[0]}, []substrate.FaultPort{duplex.Ifaces()[1]})
+	eng.Adopt(s0)
+	sc, err := eng.Compile(tl)
+	if err != nil {
+		return err
+	}
+	eng.Play(sc)
+	sim.Run()
+	return nil
 }

@@ -42,45 +42,45 @@ const chaosAudioDur = 60 * time.Second
 // once — with their drops counted separately (fault vs queue).
 const chaosAudioLoad = 9_900_000
 
-// audioScenario is one fault schedule for the audio testbed.
-type audioScenario struct {
-	name  string
-	heals bool // the network is whole again before the tail window
-	play  func(tb *audio.Testbed, eng *chaos.Engine, engine planprt.EngineKind)
+// chaosScenario is one fault schedule for a robustness testbed:
+// timeline steps on the testbed's links and nodes, and the instant the
+// driver re-downloads the crashed node's ASP (0: no crash, no redeploy).
+type chaosScenario struct {
+	name       string
+	heals      bool // the network is whole again before the tail window
+	steps      []chaos.TimelineStep
+	redeployAt time.Duration
 }
 
-func audioScenarios() []audioScenario {
-	return []audioScenario{
-		{"clean", true, func(*audio.Testbed, *chaos.Engine, planprt.EngineKind) {}},
-		{"loss 10% uplink", false, func(_ *audio.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Apply(chaos.Loss("uplink", 0.10))
+// play compiles the scenario against eng and starts it; steps at
+// offset 0 are in effect when it returns.
+func (sc chaosScenario) play(eng *chaos.Engine) error {
+	compiled, err := eng.Compile(&chaos.Timeline{Name: sc.name, Steps: sc.steps})
+	if err != nil {
+		return err
+	}
+	eng.Play(compiled)
+	return nil
+}
+
+func audioScenarios() []chaosScenario {
+	return []chaosScenario{
+		{name: "clean", heals: true},
+		{name: "loss 10% uplink", steps: []chaos.TimelineStep{{Op: "loss", Link: "uplink", P: 0.10}}},
+		{name: "dup 30% uplink", steps: []chaos.TimelineStep{{Op: "dup", Link: "uplink", P: 0.30}}},
+		{name: "flap 1s every 10s", heals: true, steps: []chaos.TimelineStep{
+			{AtMS: 10_000, Op: "flap", Link: "uplink", DurMS: 1000},
+			{AtMS: 20_000, Op: "flap", Link: "uplink", DurMS: 1000},
+			{AtMS: 30_000, Op: "flap", Link: "uplink", DurMS: 1000},
+			{AtMS: 40_000, Op: "flap", Link: "uplink", DurMS: 1000},
 		}},
-		{"dup 30% uplink", false, func(_ *audio.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Apply(chaos.Duplicate("uplink", 0.30))
+		{name: "partition 20-30s", heals: true, steps: []chaos.TimelineStep{
+			{AtMS: 20_000, Op: "down", Link: "uplink"},
+			{AtMS: 30_000, Op: "up", Link: "uplink"},
 		}},
-		{"flap 1s every 10s", true, func(_ *audio.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Play(chaos.NewScenario().
-				Every(10*time.Second, 40*time.Second, chaos.Flap("uplink", time.Second)))
-		}},
-		{"partition 20-30s", true, func(_ *audio.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Play(chaos.NewScenario().
-				At(20*time.Second, chaos.Down("uplink")).
-				At(30*time.Second, chaos.Up("uplink")))
-		}},
-		{"crash 20s, redeploy 25s", true, func(tb *audio.Testbed, eng *chaos.Engine, engine planprt.EngineKind) {
-			eng.Play(chaos.NewScenario().
-				At(20*time.Second, chaos.Crash("router")).
-				At(25*time.Second, chaos.Restart("router"),
-					chaos.Call("redeploy audio-router", func() {
-						if tb.RouterRT == nil {
-							return // no ASP was installed; restart restores plain forwarding
-						}
-						rt, err := planprt.Download(tb.Router, asp.AudioRouter, planprt.Config{Engine: engine})
-						if err != nil {
-							panic(fmt.Sprintf("chaos-audio: redeploy: %v", err))
-						}
-						tb.RouterRT = rt
-					})))
+		{name: "crash 20s, redeploy 25s", heals: true, redeployAt: 25 * time.Second, steps: []chaos.TimelineStep{
+			{AtMS: 20_000, Op: "crash", Node: "router"},
+			{AtMS: 25_000, Op: "restart", Node: "router"},
 		}},
 	}
 }
@@ -100,7 +100,7 @@ type chaosAudioRow struct {
 	safety     string
 }
 
-func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, seed int64) (*chaosAudioRow, error) {
+func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, opts Options, seed int64) (*chaosAudioRow, error) {
 	engine := opts.Engine
 	tb, err := audio.NewTestbed(audio.Options{Adaptation: mode, Engine: engine, Seed: seed})
 	if err != nil {
@@ -109,7 +109,23 @@ func runChaosAudioCell(sc audioScenario, mode audio.Adaptation, opts Options, se
 	eng := chaos.New(tb.Sim, seed*7919+13)
 	eng.Wire("uplink", tb.Uplink.Ifaces()[0], tb.Uplink.Ifaces()[1])
 	eng.Adopt(tb.Router)
-	sc.play(tb, eng, engine)
+	if err := sc.play(eng); err != nil {
+		return nil, err
+	}
+	if sc.redeployAt > 0 {
+		// After the restart on the same tick: the router is bare until
+		// the ASP is downloaded again.
+		tb.Sim.At(sc.redeployAt, func() {
+			if tb.RouterRT == nil {
+				return // no ASP was installed; restart restores plain forwarding
+			}
+			rt, err := planprt.Download(tb.Router, asp.AudioRouter, planprt.Config{Engine: engine})
+			if err != nil {
+				panic(fmt.Sprintf("chaos-audio: redeploy: %v", err))
+			}
+			tb.RouterRT = rt
+		})
+	}
 
 	// Background load in the adaptation band, as in figure 7.
 	tb.StartPoissonLoad(chaosAudioLoad, chaosAudioDur)
@@ -183,41 +199,19 @@ const (
 	chaosGwRate    = 100.0 // offered req/s per client
 )
 
-// gwScenario is one fault schedule for the gateway cluster.
-type gwScenario struct {
-	name  string
-	heals bool
-	play  func(tb *httpd.Testbed, eng *chaos.Engine, engine planprt.EngineKind)
-}
-
-func gwScenarios() []gwScenario {
-	return []gwScenario{
-		{"clean", true, func(*httpd.Testbed, *chaos.Engine, planprt.EngineKind) {}},
-		{"loss 20% server LAN", false, func(_ *httpd.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Apply(chaos.Loss("server-lan", 0.20))
+func gwScenarios() []chaosScenario {
+	fault, heal := chaosGwFaultAt.Milliseconds(), chaosGwHealAt.Milliseconds()
+	return []chaosScenario{
+		{name: "clean", heals: true},
+		{name: "loss 20% server LAN", steps: []chaos.TimelineStep{{Op: "loss", Link: "server-lan", P: 0.20}}},
+		{name: "dup 30% server LAN", steps: []chaos.TimelineStep{{Op: "dup", Link: "server-lan", P: 0.30}}},
+		{name: "partition 8-12s", heals: true, steps: []chaos.TimelineStep{
+			{AtMS: fault, Op: "down", Link: "server-lan"},
+			{AtMS: heal, Op: "up", Link: "server-lan"},
 		}},
-		{"dup 30% server LAN", false, func(_ *httpd.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Apply(chaos.Duplicate("server-lan", 0.30))
-		}},
-		{"partition 8-12s", true, func(_ *httpd.Testbed, eng *chaos.Engine, _ planprt.EngineKind) {
-			eng.Play(chaos.NewScenario().
-				At(chaosGwFaultAt, chaos.Down("server-lan")).
-				At(chaosGwHealAt, chaos.Up("server-lan")))
-		}},
-		{"crash 8s, redeploy 12s", true, func(tb *httpd.Testbed, eng *chaos.Engine, engine planprt.EngineKind) {
-			eng.Play(chaos.NewScenario().
-				At(chaosGwFaultAt, chaos.Crash("gateway")).
-				At(chaosGwHealAt, chaos.Restart("gateway"),
-					chaos.Call("redeploy http-gateway", func() {
-						rt, err := planprt.Download(tb.Gateway, asp.HTTPGateway, planprt.Config{
-							Engine: engine,
-							Verify: planprt.VerifySingleNode,
-						})
-						if err != nil {
-							panic(fmt.Sprintf("chaos-gateway: redeploy: %v", err))
-						}
-						tb.GwRT = rt
-					})))
+		{name: "crash 8s, redeploy 12s", heals: true, redeployAt: chaosGwHealAt, steps: []chaos.TimelineStep{
+			{AtMS: fault, Op: "crash", Node: "gateway"},
+			{AtMS: heal, Op: "restart", Node: "gateway"},
 		}},
 	}
 }
@@ -234,7 +228,7 @@ type chaosGwRow struct {
 	safety      string
 }
 
-func runChaosGatewayCell(sc gwScenario, opts Options, seed int64) (*chaosGwRow, error) {
+func runChaosGatewayCell(sc chaosScenario, opts Options, seed int64) (*chaosGwRow, error) {
 	engine := opts.Engine
 	tb, err := httpd.NewTestbed(httpd.Config{Variant: httpd.VariantASPGW, Engine: engine, Seed: seed})
 	if err != nil {
@@ -243,7 +237,21 @@ func runChaosGatewayCell(sc gwScenario, opts Options, seed int64) (*chaosGwRow, 
 	eng := chaos.New(tb.Sim, seed*7919+17)
 	eng.Wire("server-lan", tb.GwServerIf, tb.ServerAIf, tb.ServerBIf)
 	eng.Adopt(tb.Gateway)
-	sc.play(tb, eng, engine)
+	if err := sc.play(eng); err != nil {
+		return nil, err
+	}
+	if sc.redeployAt > 0 {
+		tb.Sim.At(sc.redeployAt, func() {
+			rt, err := planprt.Download(tb.Gateway, asp.HTTPGateway, planprt.Config{
+				Engine: engine,
+				Verify: planprt.VerifySingleNode,
+			})
+			if err != nil {
+				panic(fmt.Sprintf("chaos-gateway: redeploy: %v", err))
+			}
+			tb.GwRT = rt
+		})
+	}
 
 	tr1 := httpd.NewTrace(httpd.TraceConfig{Accesses: 20000, Documents: 2000, ZipfS: 1.2, MeanSize: 6000, Seed: seed})
 	tr2 := httpd.NewTrace(httpd.TraceConfig{Accesses: 20000, Documents: 2000, ZipfS: 1.2, MeanSize: 6000, Seed: seed + 1})

@@ -7,7 +7,8 @@
 // A timeline arrives as JSON (chaos.Timeline), is validated against
 // the daemon's actual topology at staging time (unknown links, bad
 // directions, and unsupported primitives are structured 422s, never
-// mid-run panics), and plays as a cancelable run. Stopping a run
+// mid-run panics); the compiled scenario is what the daemon holds, and
+// each start plays it again as a cancelable run. Stopping a run
 // suppresses its pending steps; `clear` additionally heals every fault
 // already injected.
 package planpd
@@ -29,7 +30,7 @@ type ChaosServer struct {
 	eng *chaos.Engine
 
 	mu     sync.Mutex
-	staged map[string]*chaos.Timeline
+	staged map[string]*chaos.Scenario
 	runs   map[string]*chaos.Run
 }
 
@@ -39,7 +40,7 @@ type ChaosServer struct {
 func NewChaosServer(eng *chaos.Engine) *ChaosServer {
 	return &ChaosServer{
 		eng:    eng,
-		staged: map[string]*chaos.Timeline{},
+		staged: map[string]*chaos.Scenario{},
 		runs:   map[string]*chaos.Run{},
 	}
 }
@@ -48,8 +49,9 @@ func NewChaosServer(eng *chaos.Engine) *ChaosServer {
 //
 //	POST /chaos/stage   validate the timeline JSON in the body against
 //	                    this daemon's topology and hold it for start
-//	POST /chaos/start   play a timeline: ?name= starts a staged one, a
-//	                    request body stages and starts in one shot
+//	POST /chaos/start   play a timeline: ?name= plays a staged one, a
+//	                    request body compiles and plays in one shot;
+//	                    at_ms 0 steps are applied before the answer
 //	POST /chaos/stop    stop a run (?name=, or every run when omitted),
 //	                    suppressing pending steps; ?clear=1 also heals
 //	                    every injected fault (links + clock skew)
@@ -68,77 +70,71 @@ func (cs *ChaosServer) Handler() http.Handler {
 // body, answering the HTTP error itself on failure. Compiling at
 // staging time is the contract: a timeline that stages is a timeline
 // that will not blow up mid-run.
-func (cs *ChaosServer) readTimeline(w http.ResponseWriter, r *http.Request) (*chaos.Timeline, *chaos.Scenario, bool) {
+func (cs *ChaosServer) readTimeline(w http.ResponseWriter, r *http.Request) (string, *chaos.Scenario, bool) {
 	body, ok := ReadBody(w, r, maxTimeline)
 	if !ok {
-		return nil, nil, false
+		return "", nil, false
 	}
 	tl, err := chaos.ParseTimeline(body)
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, Reject{Error: err.Error()})
-		return nil, nil, false
+		return "", nil, false
 	}
 	if tl.Name == "" {
 		WriteJSON(w, http.StatusBadRequest, Reject{Error: "timeline needs a name"})
-		return nil, nil, false
+		return "", nil, false
 	}
 	sc, err := cs.eng.Compile(tl)
 	if err != nil {
 		WriteJSON(w, http.StatusUnprocessableEntity, Reject{Error: err.Error()})
-		return nil, nil, false
+		return "", nil, false
 	}
-	return tl, sc, true
+	return tl.Name, sc, true
 }
 
 func (cs *ChaosServer) handleStage(w http.ResponseWriter, r *http.Request) {
-	tl, sc, ok := cs.readTimeline(w, r)
+	name, sc, ok := cs.readTimeline(w, r)
 	if !ok {
 		return
 	}
 	cs.mu.Lock()
-	cs.staged[tl.Name] = tl
+	cs.staged[name] = sc
 	cs.mu.Unlock()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"staged": tl.Name,
+		"staged": name,
 		"steps":  sc.Steps(),
 	})
 }
 
 func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
-	var tl *chaos.Timeline
+	name := r.URL.Query().Get("name")
 	var sc *chaos.Scenario
-	if name := r.URL.Query().Get("name"); name != "" {
+	if name != "" {
 		cs.mu.Lock()
-		tl = cs.staged[name]
+		sc = cs.staged[name]
 		cs.mu.Unlock()
-		if tl == nil {
+		if sc == nil {
 			WriteJSON(w, http.StatusNotFound, Reject{Error: fmt.Sprintf("no staged timeline %q", name)})
-			return
-		}
-		// Recompile: the topology is fixed but a stage-then-start pair
-		// must behave identically to a one-shot start.
-		var err error
-		if sc, err = cs.eng.Compile(tl); err != nil {
-			WriteJSON(w, http.StatusUnprocessableEntity, Reject{Error: err.Error()})
 			return
 		}
 	} else {
 		var ok bool
-		if tl, sc, ok = cs.readTimeline(w, r); !ok {
+		if name, sc, ok = cs.readTimeline(w, r); !ok {
 			return
 		}
 	}
 
 	cs.mu.Lock()
-	if prev := cs.runs[tl.Name]; prev != nil && !prev.Done() {
+	if prev := cs.runs[name]; prev != nil && !prev.Done() {
 		cs.mu.Unlock()
-		WriteJSON(w, http.StatusConflict, Reject{Error: fmt.Sprintf("timeline %q is already running (stop it first)", tl.Name)})
+		WriteJSON(w, http.StatusConflict, Reject{Error: fmt.Sprintf("timeline %q is already running (stop it first)", name)})
 		return
 	}
-	cs.runs[tl.Name] = cs.eng.PlayRun(sc)
+	// Steps at at_ms 0 are applied here, before the answer goes out.
+	cs.runs[name] = cs.eng.Play(sc)
 	cs.mu.Unlock()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"started": tl.Name,
+		"started": name,
 		"steps":   sc.Steps(),
 	})
 }

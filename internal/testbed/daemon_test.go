@@ -267,9 +267,10 @@ func TestBedRemoteChaosPartition(t *testing.T) {
 		t.Fatalf("start: HTTP %d %v", status, body)
 	}
 
-	// The at_ms: 0 step lands on a timer goroutine after /chaos/start
-	// answers; inject only once the link is down.
-	b.waitStat(t, "d1", "gw", "chaos.link_down", func(v float64) bool { return v >= 1 })
+	// The at_ms: 0 step is applied before /chaos/start answers.
+	if down := b.stat(t, "d1", "gw", "chaos.link_down"); down != 1 {
+		t.Fatalf("chaos.link_down = %v right after /chaos/start, want 1", down)
+	}
 
 	// The partition is data-plane only: injected packets die at the
 	// faulted interface while the handshake stays up.

@@ -13,6 +13,7 @@ import (
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/fleet"
+	"planp.dev/planp/internal/substrate"
 )
 
 // adaptRig is the live adaptation testbed: the §3.2 demo daemon — its
@@ -61,6 +62,16 @@ func (r *adaptRig) traffic() (stop func()) {
 		}
 	}()
 	return func() { cancel(); <-done }
+}
+
+// link resolves a chaos link reference on the demo daemon's engine.
+func (r *adaptRig) link(t *testing.T, ref string) *chaos.Link {
+	t.Helper()
+	l, err := r.eng.LookupLink(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func (r *adaptRig) deployPolicy(t *testing.T, name, version string) {
@@ -112,7 +123,7 @@ func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 	// candidate is the "random" policy — like the incumbent it keeps
 	// sending connections at server0, so the lossy link stays on the
 	// datapath the guard watches.
-	r.eng.Apply(chaos.Loss("gateway-server0", 0.9))
+	r.link(t, "gateway-server0").SetLoss(0.9)
 
 	random, _ := httpd.GatewayPolicyNamed("random")
 	guards, err := adapt.ParseGuards([]string{lossyLinkGuard})
@@ -173,12 +184,15 @@ func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 		return rr.Name
 	}
 
-	// Degrade, then heal mid-run on the chaos timeline.
-	r.eng.Apply(chaos.Loss("gateway-server0", 0.9))
-	healed := time.AfterFunc(2200*time.Millisecond, func() {
-		r.eng.Apply(chaos.Heal())
+	// Degrade, then heal mid-run: clear takes the loss off the link.
+	link := r.link(t, "gateway-server0")
+	link.SetLoss(0.9)
+	healed := make(chan struct{})
+	heal := time.AfterFunc(2200*time.Millisecond, func() {
+		link.Clear()
+		close(healed)
 	})
-	defer healed.Stop()
+	defer heal.Stop()
 
 	report, err := r.ctl.RunPolicy(context.Background(), adapt.PolicyPlan{
 		Candidates: candidates,
@@ -215,10 +229,24 @@ func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 		t.Errorf("adapt history records = %d, want 1", adaptRecords)
 	}
 
-	// After the heal, the switched gateway still serves: responses keep
-	// arriving from the virtual server.
+	// After the heal, the link drops nothing more to faults: probes
+	// from the gateway all reach server0 (leastconn steers requests
+	// away from it, so the probes are what crosses the link). And the
+	// switched gateway still serves: responses keep arriving from the
+	// virtual server.
+	<-healed
+	faultDrops := r.cluster.Net.Metrics().Counter("link.gateway:server0.fault_dropped_pkts")
+	rx := r.cluster.Net.Metrics().Counter("testbed.server0.rx_pkts")
+	dropsHealed, rxHealed := faultDrops.Value(), rx.Value()
+	gw, s0 := r.cluster.Node("gateway"), r.cluster.Node("server0")
+	for i := 0; i < 50; i++ {
+		gw.Send(substrate.NewUDP(gw.Address(), s0.Address(), discardPort, discardPort, []byte("probe")).Own())
+	}
 	before, _ := r.cluster.Responses()
 	time.Sleep(500 * time.Millisecond)
+	if dropped, got := faultDrops.Value()-dropsHealed, rx.Value()-rxHealed; dropped != 0 || got != 50 {
+		t.Errorf("after the heal gateway->server0 dropped %d packets to faults and delivered %d of 50 probes", dropped, got)
+	}
 	after, fromVirtual := r.cluster.Responses()
 	if after <= before {
 		t.Errorf("no responses after heal: %d -> %d", before, after)

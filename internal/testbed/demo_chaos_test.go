@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"planp.dev/planp/asp"
-	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/fleet"
 )
 
@@ -73,8 +72,12 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 	// Crash the live gateway; it restarts bare and its daemon restarts
 	// with it. The protocol is gone, so virtual-server traffic dies at
 	// server0 unanswered.
-	eng.Apply(chaos.Crash("gateway"))
-	eng.Apply(chaos.Restart("gateway"))
+	gw, err := eng.LookupNode("gateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Crash()
+	gw.Restart()
 	mu.Lock()
 	handler = cluster.Handler()
 	mu.Unlock()
