@@ -276,7 +276,9 @@ func (lx *Lexer) scanNumber(pos token.Pos) (token.Kind, string, error) {
 		}
 		return token.HostLit, text, nil
 	}
-	if _, err := strconv.ParseInt(first, 10, 64); err != nil {
+	// Up to 2^63: negated, that magnitude is math.MinInt64, and the
+	// parser's unary-minus fold is what tells whether it is negated.
+	if n, err := strconv.ParseUint(first, 10, 64); err != nil || n > 1<<63 {
 		return 0, "", lx.errorf(pos, "integer literal %s out of range", first)
 	}
 	return token.Int, first, nil

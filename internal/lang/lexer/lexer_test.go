@@ -220,6 +220,14 @@ func TestIntOverflow(t *testing.T) {
 	if _, err := Scan("99999999999999999999999999"); err == nil {
 		t.Error("huge integer literal should fail to scan")
 	}
+	// 2^63 scans: it is the magnitude of math.MinInt64, and the parser
+	// decides whether it is negated. One more does not.
+	if _, err := Scan("9223372036854775808"); err != nil {
+		t.Errorf("2^63 should scan: %v", err)
+	}
+	if _, err := Scan("9223372036854775809"); err == nil || err.Error() != "1:1: integer literal 9223372036854775809 out of range" {
+		t.Errorf("2^63+1 scans with %v", err)
+	}
 }
 
 func TestEOFIsSticky(t *testing.T) {

@@ -10,6 +10,8 @@ package parser
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 
 	"planp.dev/planp/internal/lang/ast"
@@ -42,7 +44,8 @@ type parser struct {
 	// for good. Tokens are read in source order, so once set it is the
 	// first error in the source and every failure reports it (first).
 	lexErr error
-	depth  int // of parseExpr calls in progress, see maxNesting
+	depth  int        // of parseExpr calls in progress, see maxNesting
+	stack  []ast.Expr // the elements of every list still open, see parseList
 }
 
 func newParser(src string) *parser {
@@ -54,21 +57,22 @@ func newParser(src string) *parser {
 // Parse scans and parses a complete PLAN-P program.
 func Parse(src string) (*ast.Program, error) {
 	p := newParser(src)
-	prog := &ast.Program{}
+	var buf [32]ast.Decl // as in parseParams
+	decls := buf[:0]
 	for p.tok.Kind != token.EOF {
 		d, err := p.parseDecl()
 		if err != nil {
 			return nil, p.first(err)
 		}
-		prog.Decls = append(prog.Decls, d)
+		decls = append(decls, d)
 	}
 	if p.lexErr != nil {
 		return nil, p.lexErr
 	}
-	if len(prog.Decls) == 0 {
+	if len(decls) == 0 {
 		return nil, &Error{Pos: token.Pos{Line: 1, Col: 1}, Msg: "empty program"}
 	}
-	return prog, nil
+	return &ast.Program{Decls: slices.Clone(decls)}, nil
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL-style
@@ -94,17 +98,17 @@ func (p *parser) first(err error) error {
 	return err
 }
 
-// next consumes the window's token and pulls the one after it; EOF stays.
-func (p *parser) next() token.Token {
-	t := p.tok
-	if t.Kind == token.EOF {
-		return t
+// next consumes the window's token and pulls the one after it; EOF
+// stays. A caller that needs the consumed token's position reads p.tok
+// first: the window moves one token per step, not two.
+func (p *parser) next() {
+	if p.tok.Kind == token.EOF {
+		return
 	}
 	var err error
 	if p.tok, err = p.lx.Next(); err != nil {
 		p.lexErr, p.tok = err, token.Token{Kind: token.EOF}
 	}
-	return t
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) error {
@@ -116,7 +120,8 @@ func (p *parser) expect(k token.Kind) (token.Token, error) {
 	if t.Kind != k {
 		return t, p.errorf(t.Pos, "expected %s, got %s", k, t)
 	}
-	return p.next(), nil
+	p.next()
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +142,8 @@ func (p *parser) parseDecl() (ast.Decl, error) {
 }
 
 func (p *parser) parseValDecl() (*ast.ValDecl, error) {
-	at := p.next().Pos // val
+	at := p.tok.Pos
+	p.next() // val
 	name, err := p.expect(token.Ident)
 	if err != nil {
 		return nil, err
@@ -160,7 +166,8 @@ func (p *parser) parseValDecl() (*ast.ValDecl, error) {
 }
 
 func (p *parser) parseFunDecl() (*ast.FunDecl, error) {
-	at := p.next().Pos // fun
+	at := p.tok.Pos
+	p.next() // fun
 	name, err := p.expect(token.Ident)
 	if err != nil {
 		return nil, err
@@ -187,7 +194,8 @@ func (p *parser) parseFunDecl() (*ast.FunDecl, error) {
 }
 
 func (p *parser) parseChannelDecl() (*ast.ChannelDecl, error) {
-	at := p.next().Pos // channel
+	at := p.tok.Pos
+	p.next() // channel
 	name, err := p.expect(token.Ident)
 	if err != nil {
 		return nil, err
@@ -224,11 +232,13 @@ func (p *parser) parseParams() ([]ast.Param, token.Pos, error) {
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, token.Pos{}, err
 	}
-	var params []ast.Param
 	if p.tok.Kind == token.RParen {
-		rp := p.next()
-		return params, rp.End, nil
+		end := p.tok.End
+		p.next()
+		return nil, end, nil
 	}
+	var buf [8]ast.Param // a list short enough for buf is allocated once
+	params := buf[:0]
 	for {
 		name, err := p.expect(token.Ident)
 		if err != nil {
@@ -251,7 +261,7 @@ func (p *parser) parseParams() ([]ast.Param, token.Pos, error) {
 	if err != nil {
 		return nil, token.Pos{}, err
 	}
-	return params, rp.End, nil
+	return slices.Clone(params), rp.End, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +276,8 @@ func (p *parser) parseType() (ast.Type, error) {
 	if p.tok.Kind != token.Star {
 		return first, nil
 	}
-	elems := []ast.Type{first}
+	var buf [8]ast.Type // as in parseParams
+	elems := append(buf[:0], first)
 	for p.tok.Kind == token.Star {
 		p.next()
 		t, err := p.parseTypeAtom()
@@ -275,7 +286,7 @@ func (p *parser) parseType() (ast.Type, error) {
 		}
 		elems = append(elems, t)
 	}
-	return ast.Tuple{Elems: elems}, nil
+	return ast.Tuple{Elems: slices.Clone(elems)}, nil
 }
 
 // parseTypeAtom parses a base type name or a parenthesized type, possibly
@@ -322,57 +333,17 @@ func (p *parser) parseTypeAtom() (ast.Type, error) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// Binary operator precedence levels, loosest first.
-var precLevels = [][]string{
-	{"orelse"},
-	{"andalso"},
-	{"=", "<>", "<", "<=", ">", ">="},
-	{"+", "-", "^"},
-	{"*", "/", "mod"},
-}
-
-// opFor maps the current token to a binary operator string at the given
-// precedence level, or "" if it does not participate.
-func opFor(t token.Token, level int) string {
-	var name string
-	switch t.Kind {
-	case token.KwOrelse:
-		name = "orelse"
-	case token.KwAndalso:
-		name = "andalso"
-	case token.Eq:
-		name = "="
-	case token.NotEq:
-		name = "<>"
-	case token.Less:
-		name = "<"
-	case token.LessEq:
-		name = "<="
-	case token.Greater:
-		name = ">"
-	case token.GreaterEq:
-		name = ">="
-	case token.Plus:
-		name = "+"
-	case token.Minus:
-		name = "-"
-	case token.Caret:
-		name = "^"
-	case token.Star:
-		name = "*"
-	case token.Slash:
-		name = "/"
-	case token.KwMod:
-		name = "mod"
-	default:
-		return ""
-	}
-	for _, op := range precLevels[level] {
-		if op == name {
-			return name
-		}
-	}
-	return ""
+// binOps gives each binary operator's token its name and binding
+// power, loosest first as in SML; every other token has power 0.
+var binOps = [...]struct {
+	name  string
+	power int
+}{
+	token.KwOrelse: {"orelse", 1}, token.KwAndalso: {"andalso", 2},
+	token.Eq: {"=", 3}, token.NotEq: {"<>", 3}, token.Less: {"<", 3},
+	token.LessEq: {"<=", 3}, token.Greater: {">", 3}, token.GreaterEq: {">=", 3},
+	token.Plus: {"+", 4}, token.Minus: {"-", 4}, token.Caret: {"^", 4},
+	token.Star: {"*", 5}, token.Slash: {"/", 5}, token.KwMod: {"mod", 5},
 }
 
 // maxNesting bounds how deep expressions nest. planpd takes a mebibyte
@@ -384,70 +355,70 @@ func (p *parser) parseExpr() (ast.Expr, error) {
 	if p.depth++; p.depth > maxNesting {
 		return nil, p.errorf(p.tok.Pos, "expression nested more than %d deep", maxNesting)
 	}
-	e, err := p.parseBinary(0)
+	e, err := p.parseBinary(1)
 	p.depth--
 	return e, err
 }
 
-func (p *parser) parseBinary(level int) (ast.Expr, error) {
-	if level >= len(precLevels) {
-		return p.parseUnary()
-	}
-	left, err := p.parseBinary(level + 1)
+// parseBinary climbs precedence: one operand, then each operator that
+// binds at least as tightly as min, its right side parsed one power
+// tighter, so that every level associates to the left.
+func (p *parser) parseBinary(min int) (ast.Expr, error) {
+	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.tok
-		op := opFor(t, level)
-		if op == "" {
-			return left, nil
-		}
+	for int(p.tok.Kind) < len(binOps) && binOps[p.tok.Kind].power >= min {
+		op := binOps[p.tok.Kind]
 		p.next()
-		right, err := p.parseBinary(level + 1)
+		right, err := p.parseBinary(op.power + 1)
 		if err != nil {
 			return nil, err
 		}
-		left = &ast.Binary{Node: ast.Node{At: left.Pos(), EndAt: right.End()}, Op: op, L: left, R: right}
+		left = &ast.Binary{Node: ast.Node{At: left.Pos(), EndAt: right.End()}, Op: op.name, L: left, R: right}
 	}
+	return left, nil
 }
 
 func (p *parser) parseUnary() (ast.Expr, error) {
-	t := p.tok
-	switch t.Kind {
+	at := p.tok.Pos
+	switch p.tok.Kind {
 	case token.KwNot:
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{Node: ast.Node{At: t.Pos, EndAt: x.End()}, Op: "not", X: x}, nil
+		return &ast.Unary{Node: ast.Node{At: at, EndAt: x.End()}, Op: "not", X: x}, nil
 	case token.Minus:
 		p.next()
+		if p.tok.Kind == token.Int {
+			return p.parseIntLit(at, true)
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		// Fold -literal immediately for cleaner ASTs.
+		// Fold -(5) and - -5 too, for cleaner ASTs.
 		if lit, ok := x.(*ast.IntLit); ok {
-			return &ast.IntLit{Node: ast.Node{At: t.Pos, EndAt: lit.End()}, Value: -lit.Value}, nil
+			return &ast.IntLit{Node: ast.Node{At: at, EndAt: lit.End()}, Value: -lit.Value}, nil
 		}
-		return &ast.Unary{Node: ast.Node{At: t.Pos, EndAt: x.End()}, Op: "-", X: x}, nil
+		return &ast.Unary{Node: ast.Node{At: at, EndAt: x.End()}, Op: "-", X: x}, nil
 	case token.KwRaise:
 		p.next()
 		msg, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Raise{Node: ast.Node{At: t.Pos, EndAt: msg.End()}, Msg: msg}, nil
+		return &ast.Raise{Node: ast.Node{At: at, EndAt: msg.End()}, Msg: msg}, nil
 	}
 	return p.parseProj()
 }
 
 // parseProj handles "#n atom" projection chains.
 func (p *parser) parseProj() (ast.Expr, error) {
-	t := p.tok
-	if t.Kind == token.Hash {
+	at := p.tok.Pos
+	if p.tok.Kind == token.Hash {
 		p.next()
 		idxTok, err := p.expect(token.Int)
 		if err != nil {
@@ -461,7 +432,7 @@ func (p *parser) parseProj() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Proj{Node: ast.Node{At: t.Pos, EndAt: tuple.End()}, Index: idx, Tuple: tuple}, nil
+		return &ast.Proj{Node: ast.Node{At: at, EndAt: tuple.End()}, Index: idx, Tuple: tuple}, nil
 	}
 	return p.parseAtom()
 }
@@ -470,12 +441,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 	t := p.tok
 	switch t.Kind {
 	case token.Int:
-		p.next()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errorf(t.Pos, "integer literal %s out of range", t.Text)
-		}
-		return &ast.IntLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: v}, nil
+		return p.parseIntLit(t.Pos, false)
 	case token.String:
 		p.next()
 		return &ast.StringLit{Node: ast.Node{At: t.Pos, EndAt: t.End}, Value: t.Text}, nil
@@ -514,35 +480,74 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 	}
 }
 
+// parseIntLit parses the integer literal in the window, negated when
+// a unary minus at pos precedes it: -2^63 is an int, 2^63 is not.
+func (p *parser) parseIntLit(at token.Pos, neg bool) (ast.Expr, error) {
+	t := p.tok
+	p.next()
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	v, err := strconv.ParseUint(t.Text, 10, 64)
+	if err != nil || v > limit {
+		return nil, p.errorf(t.Pos, "integer literal %s out of range", t.Text)
+	}
+	n := int64(v)
+	if neg {
+		n = -n // 2^63 wraps to itself, math.MinInt64
+	}
+	return &ast.IntLit{Node: ast.Node{At: at, EndAt: t.End}, Value: n}, nil
+}
+
 func (p *parser) parseCallArgs(name token.Token) (ast.Expr, error) {
 	p.next() // (
 	call := &ast.Call{Node: ast.Node{At: name.Pos}, Name: name.Text, PrimIndex: -1, FunIndex: -1}
 	if p.tok.Kind == token.RParen {
-		call.EndAt = p.next().End
+		call.EndAt = p.tok.End
+		p.next()
 		return call, nil
 	}
-	for {
-		arg, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		call.Args = append(call.Args, arg)
-		if p.tok.Kind != token.Comma {
-			break
-		}
-		p.next()
-	}
-	rp, err := p.expect(token.RParen)
+	first, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	call.EndAt = rp.End
+	call.Args, call.EndAt, err = p.parseList(first, token.Comma)
+	if err != nil {
+		return nil, err
+	}
 	return call, nil
 }
 
+// parseList parses the rest of "first {sep e} )" and returns the list
+// and the position one past its ')'. The elements wait on the parser's
+// stack, above those of every list still open around this one, and are
+// copied out once, at their length, when the list closes.
+func (p *parser) parseList(first ast.Expr, sep token.Kind) ([]ast.Expr, token.Pos, error) {
+	base := len(p.stack)
+	p.stack = append(p.stack, first)
+	for p.tok.Kind == sep {
+		p.next()
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, token.Pos{}, err
+		}
+		p.stack = append(p.stack, e)
+	}
+	rp, err := p.expect(token.RParen)
+	if err != nil {
+		return nil, token.Pos{}, err
+	}
+	list := slices.Clone(p.stack[base:])
+	p.stack = p.stack[:base]
+	return list, rp.End, nil
+}
+
 func (p *parser) parseLet() (ast.Expr, error) {
-	at := p.next().Pos // let
-	var binds []ast.LetBind
+	var buf [8]ast.LetBind // as in parseParams
+	binds := buf[:0]
+	at := p.tok.Pos
+	p.next() // let
 	for p.tok.Kind == token.KwVal {
 		p.next()
 		name, err := p.expect(token.Ident)
@@ -579,11 +584,12 @@ func (p *parser) parseLet() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ast.Let{Node: ast.Node{At: at, EndAt: endTok.End}, Binds: binds, Body: body}, nil
+	return &ast.Let{Node: ast.Node{At: at, EndAt: endTok.End}, Binds: slices.Clone(binds), Body: body}, nil
 }
 
 func (p *parser) parseIf() (ast.Expr, error) {
-	at := p.next().Pos // if
+	at := p.tok.Pos
+	p.next() // if
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -606,7 +612,8 @@ func (p *parser) parseIf() (ast.Expr, error) {
 }
 
 func (p *parser) parseTry() (ast.Expr, error) {
-	at := p.next().Pos // try
+	at := p.tok.Pos
+	p.next() // try
 	body, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -628,9 +635,12 @@ func (p *parser) parseTry() (ast.Expr, error) {
 // parseParen disambiguates between unit (), a parenthesized expression
 // (e), a sequence (e1; e2; ...), and a tuple (e1, e2, ...).
 func (p *parser) parseParen() (ast.Expr, error) {
-	at := p.next().Pos // (
+	at := p.tok.Pos
+	p.next() // (
 	if p.tok.Kind == token.RParen {
-		return &ast.UnitLit{Node: ast.Node{At: at, EndAt: p.next().End}}, nil
+		end := p.tok.End
+		p.next()
+		return &ast.UnitLit{Node: ast.Node{At: at, EndAt: end}}, nil
 	}
 	first, err := p.parseExpr()
 	if err != nil {
@@ -641,35 +651,17 @@ func (p *parser) parseParen() (ast.Expr, error) {
 		p.next()
 		return first, nil
 	case token.Semi:
-		exprs := []ast.Expr{first}
-		for p.tok.Kind == token.Semi {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			exprs = append(exprs, e)
-		}
-		rp, err := p.expect(token.RParen)
+		exprs, end, err := p.parseList(first, token.Semi)
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Seq{Node: ast.Node{At: at, EndAt: rp.End}, Exprs: exprs}, nil
+		return &ast.Seq{Node: ast.Node{At: at, EndAt: end}, Exprs: exprs}, nil
 	case token.Comma:
-		elems := []ast.Expr{first}
-		for p.tok.Kind == token.Comma {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-		}
-		rp, err := p.expect(token.RParen)
+		elems, end, err := p.parseList(first, token.Comma)
 		if err != nil {
 			return nil, err
 		}
-		return &ast.TupleExpr{Node: ast.Node{At: at, EndAt: rp.End}, Elems: elems}, nil
+		return &ast.TupleExpr{Node: ast.Node{At: at, EndAt: end}, Elems: elems}, nil
 	default:
 		return nil, p.errorf(p.tok.Pos, "expected ')', ';' or ',' in parenthesized expression, got %s", p.tok)
 	}
