@@ -19,7 +19,6 @@ package planp
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -595,7 +594,7 @@ func TestLinkBurstZeroAllocs(t *testing.T) {
 // BenchmarkAspbenchSweep runs a full experiment grid through the
 // parallel driver (the MPEG viewers x mode sweep — 8 independent
 // simulators per op), end to end, exactly as `aspbench -exp mpeg`
-// does. This is the driver-level number the -parallel flag moves.
+// does. This is the driver-level number GOMAXPROCS (-cpu) moves.
 func BenchmarkAspbenchSweep(b *testing.B) {
 	var sweep experiments.Experiment
 	for _, e := range experiments.All() {
@@ -606,14 +605,13 @@ func BenchmarkAspbenchSweep(b *testing.B) {
 	if sweep.Run == nil {
 		b.Fatal("mpeg experiment not registered")
 	}
-	opts := experiments.Options{Parallel: runtime.GOMAXPROCS(0)}
 	// Allocation count is reported so a driver- or substrate-level
 	// allocation regression shows in a by-hand pair even though a full
 	// sweep can't be zero-alloc.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sweep.Run(io.Discard, opts); err != nil {
+		if err := sweep.Run(io.Discard, experiments.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

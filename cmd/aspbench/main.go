@@ -13,8 +13,9 @@
 //	aspbench -exp engines   per-packet cost: interp vs bytecode vs jit vs native
 //	aspbench -exp all       everything above
 //
-// Grid experiments run their cells on -parallel worker goroutines
-// (default GOMAXPROCS); the output is byte-identical at any width.
+// Grid experiments run their cells on GOMAXPROCS worker goroutines
+// (GOMAXPROCS=1 runs them in sequence); the output is byte-identical at
+// any width.
 // -shards runs the scale experiment's city — the only topology that
 // declares shard boundaries — on up to that many parallel event loops;
 // no other experiment reads it, and the output is byte-identical at any
@@ -38,8 +39,7 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment to run (or 'all')")
 	engine := flag.String("engine", "jit", "ASP engine for the experiments")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for grid experiments (1 = sequential)")
-	shards := flag.Int("shards", 1, "parallel event loops for -exp scale, the only experiment that reads it (1 = single-threaded engine)")
+	shards := flag.Int("shards", 1, "parallel event loops for -exp scale, the only experiment that reads it (1 = one event loop)")
 	scaleFull := flag.Bool("scale-full", false, "run the scale experiment on the full metropolitan city (minutes of CPU)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -70,7 +70,6 @@ func main() {
 
 	opts := experiments.Options{
 		Engine:    planprt.EngineKind(*engine),
-		Parallel:  *parallel,
 		Shards:    *shards,
 		ScaleFull: *scaleFull,
 	}

@@ -4,6 +4,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"planp.dev/planp/asp"
@@ -21,7 +22,7 @@ func runAblationLocus(w io.Writer, opts Options) error {
 	mechs := []string{"router", "feedback"}
 	results := make([]*audio.LocusResult, len(mechs))
 	errs := make([]error, len(mechs))
-	par.ForEach(opts.Parallel, len(mechs), func(i int) {
+	par.ForEach(runtime.GOMAXPROCS(0), len(mechs), func(i int) {
 		results[i], errs[i] = audio.RunLocus(mechs[i], audio.Options{Seed: 5})
 	})
 	if err := firstErr(errs); err != nil {
@@ -92,7 +93,7 @@ func runAblationPolicy(w io.Writer, opts Options) error {
 	}
 	rows := make([]policyRow, len(policies))
 	errs := make([]error, len(policies))
-	par.ForEach(opts.Parallel, len(policies), func(i int) {
+	par.ForEach(runtime.GOMAXPROCS(0), len(policies), func(i int) {
 		slowB := httpd.Apache
 		slowB.Workers = 4 // half the workers of server A
 		cfg := httpd.Config{

@@ -7,7 +7,7 @@
 //
 // Every cell builds its own netsim Simulator and its own chaos Engine
 // with a seed derived from the grid coordinates, so the tables are
-// byte-identical across runs and across -parallel widths, like every
+// byte-identical across runs and across pool widths, like every
 // other deterministic experiment.
 //
 // Each row carries a "safety" verdict asserting the envelope the
@@ -19,6 +19,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"planp.dev/planp/asp"
@@ -164,7 +165,7 @@ func runChaosAudio(w io.Writer, opts Options) error {
 	modes := []audio.Adaptation{audio.AdaptNone, audio.AdaptASP}
 	rows := make([]*chaosAudioRow, len(scenarios)*len(modes))
 	errs := make([]error, len(rows))
-	par.Grid2(opts.Parallel, len(scenarios), len(modes), func(i, j int) {
+	par.Grid2(runtime.GOMAXPROCS(0), len(scenarios), len(modes), func(i, j int) {
 		k := i*len(modes) + j
 		rows[k], errs[k] = runChaosAudioCell(scenarios[i], modes[j], opts, int64(100+k))
 	})
@@ -289,7 +290,7 @@ func runChaosGateway(w io.Writer, opts Options) error {
 	scenarios := gwScenarios()
 	rows := make([]*chaosGwRow, len(scenarios))
 	errs := make([]error, len(rows))
-	par.ForEach(opts.Parallel, len(scenarios), func(i int) {
+	par.ForEach(runtime.GOMAXPROCS(0), len(scenarios), func(i int) {
 		rows[i], errs[i] = runChaosGatewayCell(scenarios[i], opts, int64(200+i))
 	})
 	if err := firstErr(errs); err != nil {

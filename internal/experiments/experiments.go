@@ -12,7 +12,9 @@
 // worker pool (internal/par). Determinism is preserved: per-cell seeds
 // are functions of the grid coordinates, results land in slots indexed
 // by cell, and table rows are assembled in index order after the pool
-// drains — Options.Parallel changes wall-clock time, never bytes.
+// drains. The pool is runtime.GOMAXPROCS(0) wide, so the machine sets
+// the width (GOMAXPROCS=1 runs every cell in sequence); it changes
+// wall-clock time, never bytes.
 //
 // The two experiments that MEASURE wall-clock time (fig3's
 // code-generation table, the engines microbenchmarks) stay sequential:
@@ -23,6 +25,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,9 +48,6 @@ import (
 type Options struct {
 	// Engine is the ASP engine the experiments run with (default JIT).
 	Engine planprt.EngineKind
-	// Parallel is the worker-pool width for grid experiments; <= 1 runs
-	// every cell sequentially on the calling goroutine.
-	Parallel int
 	// Shards is the number of parallel event loops the scale experiment
 	// runs its city on (default 1). It reaches no other experiment: only
 	// the city declares shard boundaries, and its output is
@@ -63,9 +63,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Engine == "" {
 		o.Engine = planprt.EngineJIT
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
 	}
 }
 
@@ -207,7 +204,7 @@ func runFig7(w io.Writer, opts Options) error {
 	modes := []audio.Adaptation{audio.AdaptNone, audio.AdaptASP}
 	rows := make([]*audio.Figure7Row, len(loads)*len(modes))
 	errs := make([]error, len(rows))
-	par.Grid2(opts.Parallel, len(loads), len(modes), func(i, j int) {
+	par.Grid2(runtime.GOMAXPROCS(0), len(loads), len(modes), func(i, j int) {
 		k := i*len(modes) + j
 		rows[k], errs[k] = audio.RunFigure7(loads[i], 60*time.Second, audio.Options{Adaptation: modes[j], Engine: opts.Engine, Seed: 11})
 	})
@@ -237,7 +234,7 @@ func runFig8(w io.Writer, opts Options) error {
 	sweep := httpd.DefaultSweep
 	pts := make([]*httpd.Point, len(variants)*len(sweep))
 	errs := make([]error, len(pts))
-	par.Grid2(opts.Parallel, len(variants), len(sweep), func(i, j int) {
+	par.Grid2(runtime.GOMAXPROCS(0), len(variants), len(sweep), func(i, j int) {
 		k := i*len(sweep) + j
 		pts[k], errs[k] = httpd.RunPoint(httpd.Config{Variant: variants[i], Engine: opts.Engine}, sweep[j], 12*time.Second, 3*time.Second)
 	})
@@ -256,7 +253,7 @@ func runFig8(w io.Writer, opts Options) error {
 
 	sat := make([]float64, len(variants))
 	satErrs := make([]error, len(variants))
-	par.ForEach(opts.Parallel, len(variants), func(i int) {
+	par.ForEach(runtime.GOMAXPROCS(0), len(variants), func(i int) {
 		sat[i], satErrs[i] = httpd.Saturation(httpd.Config{Variant: variants[i], Engine: opts.Engine}, 20*time.Second)
 	})
 	if err := firstErr(satErrs); err != nil {
@@ -275,7 +272,7 @@ func runMPEG(w io.Writer, opts Options) error {
 	aspModes := []bool{false, true}
 	results := make([]*mpeg.Result, len(viewerCounts)*len(aspModes))
 	errs := make([]error, len(results))
-	par.Grid2(opts.Parallel, len(viewerCounts), len(aspModes), func(i, j int) {
+	par.Grid2(runtime.GOMAXPROCS(0), len(viewerCounts), len(aspModes), func(i, j int) {
 		k := i*len(aspModes) + j
 		results[k], errs[k] = mpeg.Run(mpeg.Options{Viewers: viewerCounts[i], UseASPs: aspModes[j], Engine: opts.Engine}, 20*time.Second)
 	})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -42,17 +43,19 @@ func find(t *testing.T, name string) Experiment {
 var update = flag.Bool("update", false, "rewrite testdata/<experiment>.golden from the sequential runs")
 
 // TestParallelOutputMatchesSequential is the driver-level acceptance
-// gate: for every deterministic experiment, a 4-worker run must be
-// byte-identical to the sequential run, and the sequential run to
-// testdata/<name>.golden. (cmd/aspbench adds only the per-experiment
-// banner and the wall-clock footer around these bytes, so this is
-// `aspbench -exp all -parallel 4` vs `-parallel 1` modulo the footer.)
+// gate: for every deterministic experiment, a run at GOMAXPROCS 4 (a
+// 4-worker pool) must be byte-identical to the run at GOMAXPROCS 1 (every
+// cell in sequence), and the sequential run to testdata/<name>.golden.
+// (cmd/aspbench adds only the per-experiment banner and the wall-clock
+// footer around these bytes, so this is `GOMAXPROCS=4 aspbench -exp all`
+// vs `GOMAXPROCS=1` modulo the footer.)
 // A change that moves an output on purpose regenerates the files with
 // -update and explains the diff.
 func TestParallelOutputMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every deterministic experiment twice")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, name := range deterministic {
 		if raceEnabled && slow[name] {
 			continue
@@ -61,14 +64,16 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := find(t, name)
 			var seq, par bytes.Buffer
-			if err := e.Run(&seq, Options{Parallel: 1}); err != nil {
+			runtime.GOMAXPROCS(1)
+			if err := e.Run(&seq, Options{}); err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			if err := e.Run(&par, Options{Parallel: 4}); err != nil {
+			runtime.GOMAXPROCS(4)
+			if err := e.Run(&par, Options{}); err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
 			if seq.String() != par.String() {
-				t.Errorf("output differs between -parallel 1 and -parallel 4:\n%s", firstDiff(seq.String(), par.String()))
+				t.Errorf("output differs between GOMAXPROCS 1 and 4:\n%s", firstDiff(seq.String(), par.String()))
 			}
 			golden := filepath.Join("testdata", name+".golden")
 			if *update {

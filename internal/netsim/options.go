@@ -32,10 +32,9 @@ func WithSeed(seed int64) Option {
 // equal to the minimum cross-shard link delay (conservative parallel
 // discrete-event simulation). The effective shard count is capped at
 // the number of islands, so a topology that declares no boundaries
-// runs the single-threaded engine unchanged whatever n says — the
-// determinism contract (byte-identical output for a fixed seed at any
-// shard count) is never traded for parallelism. See shard.go for the
-// contract's fine print.
+// runs on one shard whatever n says — the determinism contract
+// (byte-identical output for a fixed seed at any shard count) is never
+// traded for parallelism. See shard.go for the contract's fine print.
 func WithShards(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -62,20 +61,23 @@ func New(opts ...Option) *Simulator {
 	s := &Simulator{
 		seed:       cfg.seed,
 		wantShards: cfg.shards,
+		horizon:    noHorizon,
 		nodes:      map[Addr]*Node{},
 		nameIx:     map[string]*Node{},
 		bus:        &obs.Bus{},
 		reg:        obs.NewRegistry(),
 	}
-	// Shard 0 always exists and carries the legacy clock, sequence
-	// numbers, and seeded RNG; with one shard its bus IS the global bus,
-	// so publish sites behave exactly as the pre-sharding engine did.
+	// Shard 0 always exists and carries the control-plane clock,
+	// sequence numbers, and seeded RNG; with one shard its bus IS the
+	// global bus and its one-slot outbox stays empty, so the run loop
+	// runs it as a single unbounded window.
 	s.shards = []*shard{{
 		id:    0,
 		sim:   s,
 		queue: timerQueue{wheelOn: true},
 		rng:   rand.New(rand.NewSource(cfg.seed)),
 		bus:   s.bus,
+		out:   make([][]xmsg, 1),
 	}}
 	for _, o := range cfg.observers {
 		s.bus.Subscribe(o)

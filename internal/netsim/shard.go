@@ -22,12 +22,13 @@
 //
 // # Determinism contract
 //
-// One shard IS the legacy engine: same heap, same sequence numbers,
-// same RNG stream, same publish sites — byte-identical to every run
-// before sharding existed. Topologies without boundary links (every
-// paper experiment) collapse to one island and take that path at any
-// WithShards(n); the engine refuses to cut where it cannot prove
-// determinism rather than racing and hoping.
+// One run loop serves every shard count. With one shard it runs a
+// single unbounded window per pass — same heap, same sequence numbers,
+// same RNG stream, same publish sites, and an exact event budget.
+// Topologies without boundary links (every paper experiment) collapse
+// to one island and take that case at any WithShards(n); the engine
+// refuses to cut where it cannot prove determinism rather than racing
+// and hoping.
 //
 // Across shard counts (1 vs N), output is byte-identical when
 //
@@ -46,6 +47,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -55,14 +57,14 @@ import (
 	"planp.dev/planp/internal/par"
 )
 
-// noHorizon is the window length used when shards share no boundary
-// link at all (fully independent islands need no synchronization).
+// noHorizon is the window length of a one-shard run and of shards that
+// share no boundary link at all (fully independent islands need no
+// synchronization).
 const noHorizon = time.Duration(1) << 60
 
 // shard is one event loop: a slice of the topology with its own clock,
-// heap, sequence counter, and RNG. Shard 0 doubles as the legacy
-// single-threaded engine and the control-plane shard (Simulator.At and
-// After schedule here).
+// heap, sequence counter, and RNG. Shard 0 always exists and is the
+// control-plane shard (Simulator.At and After schedule here).
 type shard struct {
 	id  int
 	sim *Simulator
@@ -165,64 +167,40 @@ func (sh *shard) dispatch(ev *event) {
 	}
 }
 
-// runLegacy is the pre-sharding event loop: process events in (at, seq)
-// order until the queue drains, the next event is past the deadline, or
-// maxEvents have run. The single-shard engine and every existing
-// experiment run through here.
-func (sh *shard) runLegacy(deadline time.Duration, hasDeadline bool, maxEvents int) int {
+// run executes every event at or before end, in (at, seq) order, and
+// stops early once budget events have run (budget <= 0: none). Events
+// scheduled mid-window for times inside it run in the same pass; only
+// cross-shard arrivals are barred, by the lookahead argument.
+func (sh *shard) run(end time.Duration, budget int) {
 	n := 0
-	for sh.queue.len() > 0 {
-		if maxEvents > 0 && n >= maxEvents {
-			return n
-		}
-		if hasDeadline && sh.queue.minAt() > deadline {
-			break
-		}
+	for sh.queue.len() > 0 && sh.queue.minAt() <= end && (budget <= 0 || n < budget) {
 		ev := sh.queue.pop()
 		sh.dispatch(&ev)
 		n++
 	}
-	if hasDeadline && sh.now < deadline {
-		sh.now = deadline
-	}
-	return n
-}
-
-// runWindow executes every event strictly before end (events scheduled
-// mid-window for times inside the window run in the same pass; only
-// cross-shard arrivals are barred, by the lookahead argument).
-func (sh *shard) runWindow(end time.Duration) {
-	sh.processed = 0
-	for sh.queue.len() > 0 && sh.queue.minAt() < end {
-		ev := sh.queue.pop()
-		sh.dispatch(&ev)
-		sh.processed++
-	}
+	sh.processed = n
 }
 
 // ---------------------------------------------------------------------------
-// Partitioning (seal) and the sharded run loop — coordinator side.
+// Partitioning (seal) and the run loop — coordinator side.
 
 // assertMutable panics on topology mutation after a sharded simulation
 // has started: islands, shard assignment, and the horizon are computed
-// once at seal. The single-shard engine keeps the legacy permissive
-// behavior.
+// once at seal. A one-shard simulation stays mutable.
 func (s *Simulator) assertMutable() {
-	if s.sealed && !s.single {
+	if s.sealed && len(s.shards) > 1 {
 		panic("netsim: topology is frozen once a sharded simulation has run")
 	}
 }
 
 // seal partitions the topology on the first run. With one requested
-// shard, no boundary links, or a single island it marks the simulation
-// single-threaded and changes nothing else.
+// shard, no boundary links, or a single island it changes nothing.
 func (s *Simulator) seal() {
 	if s.sealed {
 		return
 	}
 	s.sealed = true
 	if s.wantShards <= 1 || len(s.order) < 2 {
-		s.single = true
 		return
 	}
 
@@ -273,7 +251,6 @@ func (s *Simulator) seal() {
 		k = len(islands)
 	}
 	if k <= 1 {
-		s.single = true
 		return
 	}
 
@@ -327,9 +304,8 @@ func (s *Simulator) seal() {
 	}
 
 	// Lookahead: the minimum delay of a boundary link whose endpoints
-	// landed on different shards. Islands that ended up co-resident do
-	// not constrain the window.
-	s.horizon = noHorizon
+	// landed on different shards (New set it to noHorizon). Islands
+	// that ended up co-resident do not constrain the window.
 	for _, l := range s.links {
 		if l.boundary && l.a.Node.sh != l.b.Node.sh {
 			if l.delay <= 0 {
@@ -361,14 +337,10 @@ func (s *Simulator) seal() {
 	}
 }
 
-// ShardCount returns the effective shard count (sealing the topology if
-// it has not run yet): 1 whenever the engine collapsed to the legacy
-// single-threaded path.
+// ShardCount returns the effective shard count, sealing the topology
+// if it has not run yet.
 func (s *Simulator) ShardCount() int {
 	s.seal()
-	if s.single {
-		return 1
-	}
 	return len(s.shards)
 }
 
@@ -376,22 +348,25 @@ func (s *Simulator) ShardCount() int {
 // lookahead windows (barriers) executed, events processed in them, and
 // the critical path — the busiest shard's events, summed over windows —
 // so events/critical bounds the speed-up on any number of cores. All
-// zero on the single-threaded engine.
+// zero on one shard.
 func (s *Simulator) CriticalPath() (windows, events, critical int) {
 	return s.windows, s.windowEvents, s.critical
 }
 
-// runSharded is the coordinator loop: ingest mailboxes, pick the next
-// window, run every shard in parallel, merge observability, repeat.
-func (s *Simulator) runSharded(deadline time.Duration, hasDeadline bool, maxEvents int) int {
+// runLoop is the coordinator and the only run loop. Each pass drains
+// the mailboxes, finds the next event, stops on the budget, stops past
+// the deadline, runs one window on every shard, then repeats; on exit
+// the clocks align. One shard runs one unbounded window per pass with
+// the remaining budget, so its budget is exact; more shards run each
+// lookahead window in parallel and count the budget per window. A
+// budget stop never moves a clock, so the run can resume.
+func (s *Simulator) runLoop(deadline time.Duration, hasDeadline bool, maxEvents int) int {
+	s.seal()
 	// More workers than cores just adds scheduler churn to every
 	// barrier; on one core par.ForEach degrades to a plain loop, so the
 	// shards run cooperatively with no goroutines or channel handoffs
 	// at all (the single-core regression fix — windows are frequent).
-	workers := len(s.shards)
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
+	workers := min(len(s.shards), runtime.GOMAXPROCS(0))
 	total := 0
 	for {
 		s.drainMailboxes()
@@ -399,24 +374,28 @@ func (s *Simulator) runSharded(deadline time.Duration, hasDeadline bool, maxEven
 		if !any {
 			break
 		}
+		if maxEvents > 0 && total >= maxEvents {
+			return total
+		}
 		if hasDeadline && next > deadline {
 			break
 		}
-		if maxEvents > 0 && total >= maxEvents {
-			// Budget hit: like the legacy loop, do not advance clocks so
-			// the run can resume (budgets are window-granular here).
-			return total
+		end := next + s.horizon - 1
+		if end < next {
+			end = math.MaxInt64 // overflow clamp
 		}
-		wend := next + s.horizon
-		if wend < next {
-			wend = noHorizon // overflow clamp
+		if hasDeadline && end > deadline {
+			end = deadline // events AT the deadline still run
 		}
-		if hasDeadline && wend > deadline {
-			wend = deadline + 1 // events AT the deadline still run
+		if len(s.shards) == 1 {
+			sh := s.shards[0]
+			sh.run(end, maxEvents-total)
+			total += sh.processed
+			continue
 		}
 		s.syncShardObs()
 		par.ForEach(workers, len(s.shards), func(i int) {
-			s.shards[i].runWindow(wend)
+			s.shards[i].run(end, 0)
 		})
 		busiest := 0
 		for _, sh := range s.shards {
@@ -428,21 +407,17 @@ func (s *Simulator) runSharded(deadline time.Duration, hasDeadline bool, maxEven
 		s.critical += busiest
 		s.flushObs()
 	}
-	// Align clocks exactly as the legacy loop does: to the deadline when
-	// one was given, else to the latest event executed anywhere.
+	// Align clocks: to the deadline when one was given, else to the
+	// latest event executed anywhere.
 	target := time.Duration(0)
 	for _, sh := range s.shards {
-		if sh.now > target {
-			target = sh.now
-		}
+		target = max(target, sh.now)
 	}
-	if hasDeadline && target < deadline {
-		target = deadline
+	if hasDeadline {
+		target = max(target, deadline)
 	}
 	for _, sh := range s.shards {
-		if sh.now < target {
-			sh.now = target
-		}
+		sh.now = max(sh.now, target)
 	}
 	return total
 }

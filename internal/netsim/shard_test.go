@@ -391,3 +391,60 @@ func TestCrossShardRace(t *testing.T) {
 		t.Fatalf("race hammer ran %d events, observer saw %d — workload did not run", n, sink.Total())
 	}
 }
+
+// TestShardRunBoundedClock pins RunBounded's clock rule at every shard
+// count: a budget stop leaves every clock at the last event run, a
+// drained queue advances them to the deadline, an event exactly at the
+// deadline runs, and a later call resumes where the budget stopped.
+func TestShardRunBoundedClock(t *testing.T) {
+	type call struct {
+		deadline time.Duration
+		max      int
+		wantN    int
+		wantNow  time.Duration
+	}
+	ms := time.Millisecond
+	rows := []struct {
+		name    string
+		calls   []call
+		wantRan []time.Duration
+	}{
+		{"budget stop before a late event", []call{{5 * ms, 2, 2, 2 * ms}}, []time.Duration{ms, 2 * ms}},
+		{"drained before the deadline", []call{{20 * ms, 0, 3, 20 * ms}}, []time.Duration{ms, 2 * ms, 10 * ms}},
+		{"event at the deadline runs", []call{{10 * ms, 0, 3, 10 * ms}}, []time.Duration{ms, 2 * ms, 10 * ms}},
+		{"second call finishes", []call{{5 * ms, 2, 2, 2 * ms}, {20 * ms, 0, 1, 20 * ms}}, []time.Duration{ms, 2 * ms, 10 * ms}},
+	}
+	for _, shards := range []int{1, 2} {
+		for _, row := range rows {
+			label := fmt.Sprintf("shards=%d/%s", shards, row.name)
+			sim := New(WithShards(shards))
+			a := NewNode(sim, "a", 0x0a000001)
+			b := NewNode(sim, "b", 0x0a000002)
+			Connect(sim, a, b, LinkConfig{Bandwidth: 1e9, Delay: 5 * ms, ShardBoundary: true})
+			var ran []time.Duration
+			for _, at := range []time.Duration{ms, 2 * ms, 10 * ms} {
+				sim.At(at, func() { ran = append(ran, sim.Now()) })
+			}
+			if got := sim.ShardCount(); got != shards {
+				t.Fatalf("%s: ShardCount = %d", label, got)
+			}
+			for i, c := range row.calls {
+				if n := sim.RunBounded(c.deadline, c.max); n != c.wantN {
+					t.Errorf("%s: call %d ran %d events, want %d", label, i, n, c.wantN)
+				}
+				if now := sim.Now(); now != c.wantNow {
+					t.Errorf("%s: call %d left Now() at %v, want %v", label, i, now, c.wantNow)
+				}
+			}
+			if fmt.Sprint(ran) != fmt.Sprint(row.wantRan) {
+				t.Errorf("%s: events ran at %v, want %v", label, ran, row.wantRan)
+			}
+			last := row.calls[len(row.calls)-1]
+			if last.max == 0 {
+				if now := b.Env().Now(); now != last.deadline {
+					t.Errorf("%s: shard of b left at %v, want %v", label, now, last.deadline)
+				}
+			}
+		}
+	}
+}

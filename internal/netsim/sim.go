@@ -26,19 +26,18 @@ import (
 // Simulator owns virtual time and the event queue(s). The zero value is
 // not usable; call New.
 //
-// State lives on shards: shard 0 always exists and carries the legacy
-// clock, sequence counter, and seeded RNG, so a single-shard simulation
-// is bit-for-bit the pre-sharding engine. Simulator-level At/After/Now
-// and the RNG draws address shard 0 — the control plane. Code running inside node
-// events on a sharded simulation must use Node.Env() instead, so timers
-// and randomness land on the executing node's shard.
+// State lives on shards: shard 0 always exists and carries the
+// control-plane clock, sequence counter, and seeded RNG; a one-shard
+// simulation has no other. Simulator-level At/After/Now and the RNG
+// draws address shard 0. Code running inside node events on a sharded
+// simulation must use Node.Env() instead, so timers and randomness land
+// on the executing node's shard.
 type Simulator struct {
 	seed       int64
 	wantShards int
 
-	sealed  bool // topology partitioned (first run)
-	single  bool // collapsed to the legacy single-threaded engine
-	horizon time.Duration
+	sealed  bool          // topology partitioned (first run)
+	horizon time.Duration // lookahead window; noHorizon on one shard
 	shards  []*shard
 	mergeIx []int // flushObs scratch
 
@@ -59,7 +58,7 @@ type Simulator struct {
 
 // Now returns the current virtual time of the control plane (shard 0;
 // the one clock in single-shard runs). Between runs all shard clocks
-// agree.
+// agree, unless the last run stopped on its event budget.
 func (s *Simulator) Now() time.Duration { return s.shards[0].now }
 
 // Int63n, Float64 and ExpFloat64 draw from the control plane's RNG
@@ -91,16 +90,6 @@ func (s *Simulator) After(d time.Duration, fn func()) {
 	sh.at(sh.now+d, fn, nil)
 }
 
-// runLoop seals the topology on first use and dispatches to the legacy
-// single-threaded loop or the sharded coordinator.
-func (s *Simulator) runLoop(deadline time.Duration, hasDeadline bool, maxEvents int) int {
-	s.seal()
-	if s.single {
-		return s.shards[0].runLegacy(deadline, hasDeadline, maxEvents)
-	}
-	return s.runSharded(deadline, hasDeadline, maxEvents)
-}
-
 // RunUntil processes events in timestamp order until the queue is empty
 // or the next event is after deadline, then advances the clock to the
 // deadline. It returns the number of events processed.
@@ -109,10 +98,10 @@ func (s *Simulator) RunUntil(deadline time.Duration) int {
 }
 
 // RunBounded is RunUntil with an event budget: it additionally stops
-// after maxEvents events (the clock is NOT advanced to the deadline in
-// that case, so callers can resume). maxEvents <= 0 means unbounded.
-// On sharded runs the budget is enforced at horizon granularity: the
-// run stops at the first synchronization point where it is met.
+// once maxEvents events have run. maxEvents <= 0 means unbounded. The
+// budget is exact on one shard; on more it is counted per lookahead
+// window, so the run stops at the first window boundary where it is
+// met. A budget stop never moves a clock, so callers can resume.
 func (s *Simulator) RunBounded(deadline time.Duration, maxEvents int) int {
 	return s.runLoop(deadline, true, maxEvents)
 }

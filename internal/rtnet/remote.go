@@ -43,8 +43,8 @@
 // # Liveness
 //
 // While up, each endpoint PINGs every ProbeInterval and expects to
-// hear SOMETHING (pong, data, ping) within ProbeTimeout; silence marks
-// the link down ("down:probe-timeout") and falls back to HELLO
+// hear SOMETHING (pong, data, ping) within probeMisses intervals;
+// silence marks the link down ("down:probe-timeout") and falls back to HELLO
 // probing, which is also how the link heals. A gracefully shutting
 // down daemon sends BYE first, so its peers log "down:goodbye"
 // immediately instead of waiting out a probe timeout.
@@ -127,19 +127,18 @@ type RemoteSpec struct {
 	// BandwidthBps is the link's nominal capacity; both ends must
 	// configure the same value (the handshake enforces it).
 	BandwidthBps int64
-	// ProbeInterval is the liveness cadence (default 500ms);
-	// ProbeTimeout the silence that marks the link down (default 4×
-	// interval).
+	// ProbeInterval is the liveness cadence (default 500ms); silence
+	// for probeMisses intervals marks the link down.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 }
+
+// probeMisses is how many probe intervals of silence mark an up link
+// down.
+const probeMisses = 4
 
 func (s *RemoteSpec) defaults() {
 	if s.ProbeInterval <= 0 {
 		s.ProbeInterval = 500 * time.Millisecond
-	}
-	if s.ProbeTimeout <= 0 {
-		s.ProbeTimeout = 4 * s.ProbeInterval
 	}
 }
 
@@ -433,7 +432,7 @@ func (i *RemoteIface) maintain(nw *Net) {
 		}
 		i.mu.Lock()
 		state, lastHeard := i.state, i.lastHeard
-		if state == LinkUp && time.Since(lastHeard) > i.spec.ProbeTimeout {
+		if state == LinkUp && time.Since(lastHeard) > probeMisses*i.spec.ProbeInterval {
 			i.setStateLocked(LinkDown, "down:probe-timeout")
 			state = LinkDown
 		}
