@@ -36,13 +36,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -56,6 +54,7 @@ import (
 	"planp.dev/planp/internal/adapt"
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/lang/diag"
+	"planp.dev/planp/internal/planpd"
 	"planp.dev/planp/internal/testbed"
 )
 
@@ -183,50 +182,35 @@ func runDeploy(args []string) int {
 		q.Set("allow_incompatible", "true")
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
 	var resp testbed.DeployResponse
-	status, err := call(*timeout, http.MethodPost, strings.TrimRight(*daemon, "/")+"/deploy?"+q.Encode(), src, &resp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "planpd deploy:", err)
-		return 1
+	err = planpd.Exchange(ctx, http.DefaultClient, "POST /deploy", http.MethodPost,
+		strings.TrimRight(*daemon, "/")+"/deploy?"+q.Encode(), string(src), maxAnswer, &resp)
+	var rej *planpd.DiagError
+	if errors.As(err, &rej) {
+		// A rollout that did not converge answers with its record
+		// beside the error; a plain-text rejection carries none.
+		_ = json.Unmarshal(rej.Body, &resp)
 	}
 	if resp.Deployment != nil {
 		printJSON(resp.Deployment)
 	}
-	if status != http.StatusOK {
-		fmt.Fprintln(os.Stderr, resp.Error)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "planpd deploy:", err)
 		// Rejections that carry source spans (the compatibility gate, a
 		// node's stage 422) are re-rendered with the offending source
 		// lines excerpted and underlined.
-		fmt.Fprint(os.Stderr, diag.Render(string(src), *srcPath, resp.Diagnostics))
+		fmt.Fprint(os.Stderr, diag.Render(string(src), *srcPath, diag.Of(err)))
 		return 1
 	}
 	return 0
 }
 
-// call performs one control-plane request under timeout and decodes the
-// JSON answer — of any status — into out. An answer that is not JSON (a
-// plain-text 400, a proxy's page) is the error.
-func call(timeout time.Duration, method, target string, body []byte, out any) (status int, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return 0, err
-	}
-	if json.Unmarshal(raw, out) != nil {
-		return 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	return resp.StatusCode, nil
-}
+// maxAnswer bounds a daemon's answer to a verb: a deployment record
+// or a run list is far below it. An answer over it is refused whole
+// (planpd.ErrTooLarge), never cut short and misread.
+const maxAnswer = 4 << 20
 
 func printJSON(v any) {
 	out, _ := json.MarshalIndent(v, "", "  ") // our own wire structs: cannot fail
@@ -292,13 +276,15 @@ func runAdapt(args []string) int {
 	body, _ := json.Marshal(req) // strings, ints and Targets: cannot fail
 	var started adapt.Started
 	target := strings.TrimRight(*daemon, "/") + "/adapt"
-	status, err := call(answer, http.MethodPost, target, body, &started)
-	if err == nil && status != http.StatusAccepted {
-		err = fmt.Errorf("POST /adapt: HTTP %d", status)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), answer)
+	err = planpd.Exchange(ctx, http.DefaultClient, "POST /adapt", http.MethodPost, target, string(body), maxAnswer, &started)
+	cancel()
 	for err == nil {
 		var list adapt.RunList
-		if _, err = call(answer, http.MethodGet, target, nil, &list); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), answer)
+		err = planpd.Exchange(ctx, http.DefaultClient, "GET /adapt", http.MethodGet, target, "", maxAnswer, &list)
+		cancel()
+		if err != nil {
 			break
 		}
 		i := slices.IndexFunc(list.Runs, func(r adapt.RunView) bool { return r.ID == started.ID })
@@ -409,17 +395,14 @@ func runChaos(args []string) int {
 			return 1
 		}
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
 	var answer json.RawMessage
-	status, err := call(*timeout, method, target, body, &answer)
-	if err != nil {
+	if err := planpd.Exchange(ctx, http.DefaultClient, method+" /chaos/"+verb, method, target, string(body), maxAnswer, &answer); err != nil {
 		fmt.Fprintf(os.Stderr, "planpd chaos %s: %v\n", verb, err)
 		return 1
 	}
 	printJSON(answer)
-	if status >= 300 {
-		fmt.Fprintf(os.Stderr, "planpd chaos %s: HTTP %d\n", verb, status)
-		return 1
-	}
 	return 0
 }
 

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"planp.dev/planp/internal/planpd"
 )
 
 // TestMalformedTargetsSendNothing: a target list the daemon would refuse
@@ -77,4 +82,46 @@ func TestChaosRequest(t *testing.T) {
 				tc.verb, tc.name, tc.haveFile, tc.clear, method, target, err, tc.method, tc.target)
 		}
 	}
+}
+
+// TestCLIRefusesOversizedAnswer: a daemon's answer over the verbs'
+// 4 MiB bound is refused as too large, whether its length is declared
+// or it comes chunked — not cut at the bound and then reported as a
+// failed decode that echoes the first 4 MiB.
+func TestCLIRefusesOversizedAnswer(t *testing.T) {
+	body := `{"pad":"` + strings.Repeat("a", 5<<20) + `"}`
+	for _, declared := range []bool{true, false} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if declared {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			}
+			io.WriteString(w, body)
+		}))
+		code, stderr := captureStderr(t, func() int { return runChaos([]string{"status", "-daemon", srv.URL}) })
+		srv.Close()
+		if code != 1 || !strings.Contains(stderr, planpd.ErrTooLarge.Error()) || len(stderr) > 1<<10 {
+			t.Errorf("declared length %v: exit %d, %d bytes on stderr beginning %.80q; want exit 1 naming %q",
+				declared, code, len(stderr), stderr, planpd.ErrTooLarge)
+		}
+	}
+}
+
+// captureStderr runs f with os.Stderr sent to a file and returns f's
+// result and what it wrote there.
+func captureStderr(t *testing.T, f func() int) (int, string) {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	code := f()
+	os.Stderr = saved
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
 }

@@ -13,11 +13,13 @@ package adapt
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"time"
 
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/obs"
+	"planp.dev/planp/internal/planpd"
 )
 
 // Canary verdicts.
@@ -208,7 +210,9 @@ func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (cana
 	}
 	baseline = make(map[string]Snapshot, len(plan.Baseline))
 	for _, t := range plan.Baseline {
-		s, err := FetchStats(ctx, c.fleet.Client(), t.URL)
+		var s Snapshot
+		err := planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
+			strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
 		if err != nil {
 			c.fleet.Logf("adapt: baseline %s unobservable, dropped from comparison: %v", t.Name, err)
 			continue

@@ -9,11 +9,8 @@ package adapt
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -573,24 +570,4 @@ func TestRoutesRefuseOtherMethods(t *testing.T) {
 	routetest.RefusesOtherMethods(t, newRig(t, 1).ctl.Handler(), map[string][]string{
 		"/adapt": {"GET", "POST"},
 	})
-}
-
-// TestFetchStatsRefusesOversizedAnswer: a /stats answer over the bound
-// is refused as too large, declared or streamed, not cut short and then
-// misread as malformed JSON.
-func TestFetchStatsRefusesOversizedAnswer(t *testing.T) {
-	body := `{"node":"big","pad":"` + strings.Repeat("a", maxStatsBody) + `"}`
-	for _, declared := range []bool{true, false} {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if declared {
-				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-			}
-			io.WriteString(w, body)
-		}))
-		_, err := FetchStats(context.Background(), srv.Client(), srv.URL)
-		srv.Close()
-		if !errors.Is(err, planpd.ErrTooLarge) {
-			t.Errorf("declared length %v: FetchStats error = %v, want the over-limit error", declared, err)
-		}
-	}
 }

@@ -16,10 +16,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"time"
 
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/obs"
+	"planp.dev/planp/internal/planpd"
 )
 
 // Candidate is one deployable protocol variant the policy engine may
@@ -249,7 +252,9 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 func (c *Controller) snapshotAll(ctx context.Context, targets []fleet.Target) (map[string]Snapshot, error) {
 	out := make(map[string]Snapshot, len(targets))
 	for _, t := range targets {
-		s, err := FetchStats(ctx, c.fleet.Client(), t.URL)
+		var s Snapshot
+		err := planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
+			strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.Name, err)
 		}

@@ -10,17 +10,13 @@
 package adapt
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"strings"
 	"time"
 
 	"planp.dev/planp/internal/planpd"
 )
 
-// maxStatsBody bounds a /stats response.
+// maxStatsBody bounds a /stats answer, read through the one
+// control-plane client (planpd.Exchange).
 const maxStatsBody = 1 << 20
 
 // Snapshot is one node's counter registry at one instant, as served by
@@ -54,31 +50,4 @@ func (w Window) Rate(name string) float64 {
 		return 0
 	}
 	return float64(w.Delta(name)) / d.Seconds()
-}
-
-// FetchStats polls one planpd node's GET /stats. baseURL is the node's
-// control API base (a fleet.Target URL); "/stats" is appended.
-func FetchStats(ctx context.Context, client *http.Client, baseURL string) (Snapshot, error) {
-	u := strings.TrimRight(baseURL, "/") + "/stats"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	body, err := planpd.ReadSized(resp.Body, resp.ContentLength, maxStatsBody)
-	resp.Body.Close()
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("GET %s: HTTP %d: reading the answer: %w", u, resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Snapshot{}, fmt.Errorf("GET %s: HTTP %d: %s", u, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var s Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("GET %s: decoding: %w", u, err)
-	}
-	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -695,6 +696,61 @@ func TestFleetTransientFaultsRetried(t *testing.T) {
 		if delay <= 0 || delay > 1200*time.Millisecond {
 			t.Errorf("backoff delay %v outside (0, 1.2s]", delay)
 		}
+	}
+}
+
+// TestFleetRetryRules pins which failed exchanges the controller sends
+// again. An answer cut short of its Content-Length never arrived whole
+// and is retried. A 200 whose body does not decode is the node's final
+// word: it costs one attempt, not RetryPolicy.Attempts. A clean rollout
+// to one node is three attempts: health, stage, activate.
+func TestFleetRetryRules(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		healthz func(w http.ResponseWriter, n int32) bool // true: answered instead of the node
+		wantErr string
+		retries int64
+		tries   int
+	}{
+		{name: "200 that does not decode", wantErr: "healthz: decoding: ", retries: 0, tries: 1,
+			healthz: func(w http.ResponseWriter, _ int32) bool {
+				io.WriteString(w, `{"ok":"yes"}`)
+				return true
+			}},
+		{name: "answer cut short", retries: 1, tries: 4,
+			healthz: func(w http.ResponseWriter, n int32) bool {
+				if n > 1 {
+					return false
+				}
+				w.Header().Set("Content-Length", "64")
+				io.WriteString(w, `{"ok":tr`)
+				return true
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tf := newTestFleet(t, 1)
+			sw := tf.servers["alpha"]
+			var probes atomic.Int32
+			sw.mu.Lock()
+			node := sw.h
+			sw.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/healthz" || !tc.healthz(w, probes.Add(1)) {
+					node.ServeHTTP(w, r)
+				}
+			})
+			sw.mu.Unlock()
+			reg := obs.NewRegistry()
+			d, err := tf.controller(Config{Metrics: reg}).Deploy(context.Background(), Spec{Version: "v1", Source: forwarder}, tf.targets)
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("deploy error %v, want %q", err, tc.wantErr)
+			}
+			if got := d.View().Nodes[0].Attempts; got != tc.tries {
+				t.Errorf("attempts = %d, want %d", got, tc.tries)
+			}
+			if got := reg.Snapshot()["fleet.http_retries"]; got != tc.retries {
+				t.Errorf("fleet.http_retries = %d, want %d", got, tc.retries)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -227,36 +226,6 @@ func TestSigDiffSameLabelTwoPrograms(t *testing.T) {
 		if got := d.View().SigDiff; !slices.Equal(got, want) {
 			t.Fatalf("round %d: SigDiff = %q, want %q", i, got, want)
 		}
-	}
-}
-
-// TestDiagErrorDecoding: a planpd 422 body with structured diagnostics
-// decodes into a DiagError that keeps the spans; a non-JSON rejection
-// degrades to the plain-text form.
-func TestDiagErrorDecoding(t *testing.T) {
-	r := &httpResult{
-		status: http.StatusUnprocessableEntity,
-		body: []byte(`{"error":"stage rejected: type error",` +
-			`"diagnostics":[{"pos":{"line":3,"col":7},"end":{"line":3,"col":12},"msg":"boom"}]}`),
-	}
-	err := r.err("stage")
-	var de *DiagError
-	if !errors.As(err, &de) {
-		t.Fatalf("error is %T, want *DiagError: %v", err, err)
-	}
-	if de.Status != http.StatusUnprocessableEntity || de.Message != "stage rejected: type error" {
-		t.Errorf("decoded %+v", de)
-	}
-	ds := de.Diagnostics()
-	if len(ds) != 1 || ds[0].Pos.Line != 3 || ds[0].Pos.Col != 7 || ds[0].Msg != "boom" {
-		t.Errorf("diagnostics = %+v", ds)
-	}
-
-	plain := &httpResult{status: http.StatusBadGateway, body: []byte("upstream sad")}
-	if err := plain.err("stage"); errors.As(err, &de) {
-		t.Errorf("plain-text rejection decoded as DiagError: %v", err)
-	} else if !strings.Contains(err.Error(), "upstream sad") {
-		t.Errorf("plain-text body lost: %v", err)
 	}
 }
 

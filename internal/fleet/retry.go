@@ -6,8 +6,11 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"time"
+
+	"planp.dev/planp/internal/planpd"
 )
 
 // Each retry waits backoffFactor times longer than the last, and every
@@ -60,6 +63,16 @@ func (p RetryPolicy) Delay(retry int, rnd float64) time.Duration {
 // conflicts and 422 verification rejections) are permanent.
 func retryableStatus(code int) bool {
 	return code >= 500 || code == http.StatusTooManyRequests || code == http.StatusRequestTimeout
+}
+
+// retryable reports whether a failed exchange is worth another attempt:
+// the node's answer never arrived whole (planpd.ErrNoAnswer: the
+// transport failed, or the body was cut short or ran over the bound),
+// or it carries a retryable status. Any other rejection, and a 2xx that
+// does not decode, is the node's final word.
+func retryable(err error) bool {
+	var rej *planpd.DiagError
+	return errors.Is(err, planpd.ErrNoAnswer) || errors.As(err, &rej) && retryableStatus(rej.Status)
 }
 
 // Sleep waits for d or until ctx is done. It is what the fleet and
