@@ -179,23 +179,50 @@ func TestSignatureMPEGMonitor(t *testing.T) {
 	}
 }
 
+// pinnedDigests are the in-tree programs' signature digests. Persisted
+// deployment histories and the health probe's ?signature= compare them
+// across releases, so a change to how a signature is represented in
+// memory must leave every one as it is.
+var pinnedDigests = map[string]string{
+	"audio_client.planp":           "843dd2d99efa1f7c3da08e4eceb023d7",
+	"audio_router.planp":           "2eb77e044352c9719a3847a3bb5e44be",
+	"bench_compute.planp":          "29c4dcd3b0ef8085146581c7898e10d0",
+	"http_gateway.planp":           "05030ba6eba78120d70342c638cb3bf0",
+	"http_gateway_failover.planp":  "773d3af85d8bc689cd2e576d48d226c3",
+	"http_gateway_leastconn.planp": "d3b98559ae7f04cc81ee650b275052fc",
+	"http_gateway_random.planp":    "d74974850fd9133681965c96d80dca7d",
+	"mpeg_client.planp":            "28e69b7277f8afc8a81b1fa56f12501a",
+	"mpeg_monitor.planp":           "1f83f9079dad05c070163dc670dc81cc",
+}
+
 // TestSignatureDigest: every in-tree program's signature survives the
 // JSON round trip the health probe puts it through — same value, same
 // digest — so a signature a controller decoded and one it extracted
-// itself are interchangeable; and programs with different interfaces
-// have different digests.
+// itself are interchangeable; programs with different interfaces have
+// different digests; and each digest is the pinned one.
 func TestSignatureDigest(t *testing.T) {
 	if (*typecheck.Signature)(nil).Digest() != "" {
 		t.Error("a nil signature has a digest")
 	}
+	files, err := filepath.Glob("*.planp")
+	if err != nil || len(files) != len(pinnedDigests) {
+		t.Fatalf("%d in-tree programs (%v), %d pinned digests", len(files), err, len(pinnedDigests))
+	}
 	byDigest := map[string]*typecheck.Signature{}
-	for _, p := range asp.All() {
-		sig := check(t, p.Name, p.Source).Sig
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := check(t, path, string(raw)).Sig
 		d := sig.Digest()
 		if len(d) != 32 || strings.Trim(d, "0123456789abcdef") != "" {
-			t.Errorf("%s: digest %q is not 128 bits of hex", p.Name, d)
+			t.Errorf("%s: digest %q is not 128 bits of hex", path, d)
 		}
-		raw, err := json.Marshal(sig)
+		if want := pinnedDigests[path]; d != want {
+			t.Errorf("%s: digest %s, pinned %q", path, d, want)
+		}
+		raw, err = json.Marshal(sig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +231,10 @@ func TestSignatureDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(back, sig) || back.Digest() != d {
-			t.Errorf("%s: signature changed in the JSON round trip", p.Name)
+			t.Errorf("%s: signature changed in the JSON round trip", path)
 		}
 		if other, ok := byDigest[d]; ok && !reflect.DeepEqual(other, sig) {
-			t.Errorf("%s shares digest %s with a different signature", p.Name, d)
+			t.Errorf("%s shares digest %s with a different signature", path, d)
 		}
 		byDigest[d] = sig
 	}

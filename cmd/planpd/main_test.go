@@ -15,8 +15,9 @@ import (
 )
 
 // TestMalformedTargetsSendNothing: a target list the daemon would refuse
-// — an empty name or URL, a name twice — is a usage error of the deploy
-// and adapt verbs, found before they send any request.
+// — an empty name or URL, a name twice, a URL that does not parse — is
+// a usage error of the deploy and adapt verbs, found before they send
+// any request.
 func TestMalformedTargetsSendNothing(t *testing.T) {
 	var hits atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -28,7 +29,7 @@ func TestMalformedTargetsSendNothing(t *testing.T) {
 	if err := os.WriteFile(src, []byte("-- unused\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, nodes := range []string{"gw,gw", "=http://x", "a=", "gw, a=http://x, gw"} {
+	for _, nodes := range []string{"gw,gw", "=http://x", "a=", "gw, a=http://x, gw", "a=http://x y"} {
 		if code := runDeploy([]string{"-daemon", srv.URL, "-src", src, "-nodes", nodes}); code != 2 {
 			t.Errorf("deploy -nodes %q: exit %d, want 2", nodes, code)
 		}

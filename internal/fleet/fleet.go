@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"slices"
 	"sort"
@@ -101,30 +102,52 @@ type Target struct {
 // control URL by resolve — a daemon's /node/<name> mount for the CLIs,
 // a lookup across the whole testbed topology for a daemon's /deploy.
 // The list it returns is one Deploy accepts: a malformed list is the
-// caller's error here, not a failed rollout later.
+// caller's error here, not a failed rollout later. An explicit URL must
+// parse, with an http or https scheme and a host, or its first request
+// would fail only at the health probe; a list with a missing or
+// duplicate name is refused for that first.
 func ParseTargets(spec string, resolve func(name string) (url string, ok bool)) ([]Target, error) {
 	var targets []Target
+	var badURL error
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
-		name, url, explicit := strings.Cut(entry, "=")
+		name, addr, explicit := strings.Cut(entry, "=")
 		if !explicit {
 			if strings.Contains(entry, "://") {
 				return nil, fmt.Errorf("target %q: use name=url for explicit URLs", entry)
 			}
 			var ok bool
-			if url, ok = resolve(entry); !ok {
+			if addr, ok = resolve(entry); !ok {
 				return nil, fmt.Errorf("target %q: no such node", entry)
 			}
+		} else if addr != "" && badURL == nil {
+			badURL = checkURL(entry, addr)
 		}
-		targets = append(targets, Target{Name: name, URL: url})
+		targets = append(targets, Target{Name: name, URL: addr})
 	}
 	if err := checkTargets(targets); err != nil {
 		return nil, err
 	}
+	if badURL != nil {
+		return nil, badURL
+	}
 	return targets, nil
+}
+
+// checkURL refuses the explicit URL of a target list entry unless it
+// parses with an http or https scheme and a host.
+func checkURL(entry, addr string) error {
+	u, err := url.Parse(addr)
+	if err != nil {
+		return fmt.Errorf("target %q: %v", entry, err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
+		return fmt.Errorf("target %q: not an http or https URL with a host", entry)
+	}
+	return nil
 }
 
 // checkTargets is what a rollout needs of its target list: at least one

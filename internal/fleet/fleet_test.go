@@ -701,9 +701,10 @@ func TestFleetTransientFaultsRetried(t *testing.T) {
 
 // TestFleetRetryRules pins which failed exchanges the controller sends
 // again. An answer cut short of its Content-Length never arrived whole
-// and is retried. A 200 whose body does not decode is the node's final
-// word: it costs one attempt, not RetryPolicy.Attempts. A clean rollout
-// to one node is three attempts: health, stage, activate.
+// and is retried. A 200 whose body does not decode (a position past
+// int32 in its signature among them) is the node's final word: it
+// costs one attempt, not RetryPolicy.Attempts. A clean rollout to one
+// node is three attempts: health, stage, activate.
 func TestFleetRetryRules(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -715,6 +716,13 @@ func TestFleetRetryRules(t *testing.T) {
 		{name: "200 that does not decode", wantErr: "healthz: decoding: ", retries: 0, tries: 1,
 			healthz: func(w http.ResponseWriter, _ int32) bool {
 				io.WriteString(w, `{"ok":"yes"}`)
+				return true
+			}},
+		{name: "200 whose signature position overflows int32", wantErr: "healthz: decoding: json: cannot unmarshal number 2147483648", retries: 0, tries: 1,
+			healthz: func(w http.ResponseWriter, _ int32) bool {
+				io.WriteString(w, `{"ok":true,"node":"alpha","asp":true,"version":"v0","signature":`+
+					`{"proto_state":"int","channels":[{"name":"c","packet":"int",`+
+					`"pos":{"line":1,"col":2147483648},"max_sends_per_path":0}]}}`)
 				return true
 			}},
 		{name: "answer cut short", retries: 1, tries: 4,

@@ -31,6 +31,13 @@ func TestParseTargets(t *testing.T) {
 		{name: "only separators", spec: " , ,", wantErr: "no target nodes given"},
 		{name: "empty name", spec: "=http://x", wantErr: "needs both name and URL"},
 		{name: "empty URL", spec: "gw,a=", wantErr: "needs both name and URL"},
+		{name: "URL that does not parse", spec: "gw,a=http://x y", wantErr: `target "a=http://x y": parse "http://x y": invalid character`},
+		{name: "URL without a scheme", spec: "a=10.0.0.2:8377", wantErr: `target "a=10.0.0.2:8377": parse `},
+		{name: "URL with another scheme", spec: "a=ftp://h/node/a", wantErr: `target "a=ftp://h/node/a": not an http or https URL with a host`},
+		{name: "URL without a host", spec: "a=http:///node/a", wantErr: `target "a=http:///node/a": not an http or https URL with a host`},
+		{name: "path without a scheme", spec: "a=/node/a", wantErr: `target "a=/node/a": not an http or https URL with a host`},
+		{name: "https passes", spec: "a=https://h:8443/node/a",
+			want: []Target{{Name: "a", URL: "https://h:8443/node/a"}}},
 		{name: "name twice", spec: "gw,gw", wantErr: `duplicate target name "gw"`},
 		{name: "name twice, once explicit", spec: "gw, gw=http://h/node/gw", wantErr: `duplicate target name "gw"`},
 	}
@@ -59,7 +66,7 @@ func TestParseTargets(t *testing.T) {
 // Deploy takes — so a malformed list is a 400 or a usage error, never a
 // rollout that fails (corpus in testdata/fuzz/FuzzParseTargets).
 func FuzzParseTargets(f *testing.F) {
-	for _, spec := range []string{"gw, s0,", "gw,x=http://h/node/x", "gw,gw", "=http://x", "a=", "blank", " , ,"} {
+	for _, spec := range []string{"gw, s0,", "gw,x=http://h/node/x", "gw,gw", "=http://x", "a=", "blank", " , ,", "a=http://x y"} {
 		f.Add(spec)
 	}
 	// The resolver knows a few names, and maps one to an empty URL as a

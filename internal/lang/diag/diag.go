@@ -67,7 +67,8 @@ func Of(err error) List {
 //
 // name labels the source (a file name or version label); it may be
 // empty. Diagnostics whose positions fall outside src render without an
-// excerpt.
+// excerpt. The arithmetic is in int, so no column a peer sends (up to
+// math.MaxInt32) overflows it.
 func Render(src, name string, diags List) string {
 	lines := strings.Split(src, "\n")
 	var sb strings.Builder
@@ -77,20 +78,21 @@ func Render(src, name string, diags List) string {
 		} else {
 			fmt.Fprintf(&sb, "%s: %s\n", d.Pos, d.Msg)
 		}
-		if !d.Pos.IsValid() || d.Pos.Line > len(lines) {
+		if !d.Pos.IsValid() || int(d.Pos.Line) > len(lines) || d.Pos.Col < 1 {
 			continue
 		}
 		line := lines[d.Pos.Line-1]
 		fmt.Fprintf(&sb, "  %s\n", line)
+		col := int(d.Pos.Col) - 1
 		width := 1
 		if d.End.Line == d.Pos.Line && d.End.Col > d.Pos.Col {
-			width = d.End.Col - d.Pos.Col
+			width = int(d.End.Col) - int(d.Pos.Col)
 		}
-		if d.Pos.Col-1+width > len(line) {
-			width = max(1, len(line)-(d.Pos.Col-1))
+		if col+width > len(line) {
+			width = max(1, len(line)-col)
 		}
 		sb.WriteString("  ")
-		for i := 0; i < d.Pos.Col-1 && i < len(line); i++ {
+		for i := 0; i < col && i < len(line); i++ {
 			if line[i] == '\t' {
 				sb.WriteByte('\t')
 			} else {

@@ -59,7 +59,7 @@ func FuzzCheck(f *testing.F) {
 			if len(diags) == 0 {
 				t.Fatalf("error carries no diagnostic: %v", err)
 			}
-			lastLine := strings.Count(src, "\n") + 1
+			lastLine := int32(strings.Count(src, "\n") + 1)
 			for _, d := range diags {
 				if d.Pos.Line < 1 || d.Pos.Line > lastLine || d.Pos.Col < 1 ||
 					d.End.IsValid() && (d.End.Line < d.Pos.Line || d.End.Line > lastLine) {

@@ -11,6 +11,7 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -63,7 +64,14 @@ func Scan(src string) ([]token.Token, error) {
 	}
 }
 
-func (lx *Lexer) pos() token.Pos { return token.Pos{Line: lx.line, Col: lx.col} }
+// pos is the current position. The counters are ints and Pos fields
+// are int32s, so a line or column past math.MaxInt32 saturates there
+// instead of wrapping negative.
+func (lx *Lexer) pos() token.Pos {
+	return token.Pos{Line: sat32(lx.line), Col: sat32(lx.col)}
+}
+
+func sat32(n int) int32 { return int32(min(n, math.MaxInt32)) }
 
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -173,6 +174,39 @@ func TestPositions(t *testing.T) {
 	}
 	if toks[3].Pos.Line != 2 || toks[3].Pos.Col != 5 {
 		t.Errorf("3 at %v, want 2:5", toks[3].Pos)
+	}
+}
+
+// TestPositionsSaturate: Pos fields are int32s and the lexer's counters
+// ints; once they pass math.MaxInt32 a line or column saturates there
+// instead of wrapping negative. The counters start just
+// below the edge, so no 2 GiB input is built.
+func TestPositionsSaturate(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: the counters themselves end at MaxInt32")
+	}
+	lx := New("ab\ncd")
+	lx.line, lx.col = math.MaxInt32, math.MaxInt32-1
+	ab, err := lx.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := lx.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what      string
+		got, want token.Pos
+	}{
+		{"ab starts", ab.Pos, token.Pos{Line: math.MaxInt32, Col: math.MaxInt32 - 1}},
+		{"ab ends one column past MaxInt32", ab.End, token.Pos{Line: math.MaxInt32, Col: math.MaxInt32}},
+		{"cd starts one line past MaxInt32", cd.Pos, token.Pos{Line: math.MaxInt32, Col: 1}},
+		{"cd ends", cd.End, token.Pos{Line: math.MaxInt32, Col: 3}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: %+v, want %+v", tc.what, tc.got, tc.want)
+		}
 	}
 }
 

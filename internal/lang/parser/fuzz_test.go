@@ -32,7 +32,7 @@ func FuzzParse(f *testing.F) {
 			if len(diags) == 0 {
 				t.Fatalf("error carries no diagnostic: %v", err)
 			}
-			lastLine := strings.Count(src, "\n") + 1
+			lastLine := int32(strings.Count(src, "\n") + 1)
 			for _, d := range diags {
 				if d.Pos.Line < 1 || d.Pos.Line > lastLine || d.Pos.Col < 1 {
 					t.Fatalf("diagnostic outside the source (%d lines): %v", lastLine, d)

@@ -176,10 +176,12 @@ func Lookup(ident string) Kind {
 }
 
 // Pos is a position within a source file. Line and Col are 1-based;
-// a zero Pos means "unknown".
+// a zero Pos means "unknown". They are 32 bits each, so a Pos is 8
+// bytes: every tree node and token carries two of them, and no source
+// a daemon accepts (1 MiB at most) comes near 2^31 lines or columns.
 type Pos struct {
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int32 `json:"line"`
+	Col  int32 `json:"col"`
 }
 
 // IsValid reports whether p refers to an actual source location.

@@ -45,9 +45,14 @@ func TestDiagErrorDecoding(t *testing.T) {
 // answer over the bound is refused whole, declared or chunked; a body
 // short of its Content-Length never arrived; a non-2xx status is a
 // DiagError, with spans when it is a Reject and with its text when it
-// is not; a 2xx that does not decode is a decode error, not a rejection.
+// is not (or names a position this client cannot hold); a 2xx that does
+// not decode is a decode error, not a rejection.
 func TestExchangeContract(t *testing.T) {
 	const limit = 256
+	// Pos fields are int32s: a Reject naming line 2^31 is not
+	// one this client can decode, so it keeps the text alone.
+	const overflowReject = `{"error":"stage rejected",` +
+		`"diagnostics":[{"pos":{"line":2147483648,"col":1},"msg":"boom"}]}`
 	oversized := `{"node":"` + strings.Repeat("a", limit) + `"}`
 	asReject := func(t *testing.T, err error) *DiagError {
 		t.Helper()
@@ -95,6 +100,13 @@ func TestExchangeContract(t *testing.T) {
 				if de.Op != "probe" || de.Status != 422 || de.Message != "stage rejected: type error" ||
 					len(ds) != 1 || ds[0].Pos.Line != 3 || ds[0].End.Col != 12 || ds[0].Msg != "boom" {
 					t.Errorf("rejection %+v, diagnostics %+v", de, ds)
+				}
+			}},
+		{name: "422 Reject with a position past int32", status: http.StatusUnprocessableEntity, body: overflowReject + "\n",
+			check: func(t *testing.T, err error, _ Health) {
+				de := asReject(t, err)
+				if de.Status != 422 || de.Message != overflowReject || de.Diagnostics() != nil {
+					t.Errorf("rejection %+v, want the trimmed text and no diagnostics", de)
 				}
 			}},
 		{name: "plain-text 502", status: http.StatusBadGateway, body: "upstream sad\n",
