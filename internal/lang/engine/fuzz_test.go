@@ -288,6 +288,29 @@ initstate mkTable(8) is
 `, g.intExpr(3))
 	}, dpPayloads},
 
+	// A lent tuple lives in the JIT's stack until the call that borrows
+	// it returns, so a sibling argument evaluated after it (inc's frame)
+	// lies above it; and it is pushed before its elements are compiled,
+	// so a fun called in its last element (same's frame) lies above it
+	// too. Either done the other way round overwrites an element
+	// already written: the table key, or the sent packet's header.
+	{"a-lent-outlives-siblings", func(g *exprGen) string {
+		return fmt.Sprintf(`
+fun inc(n : int) : int = n + 1
+fun same(b : blob) : blob = b
+
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(8) is
+  let
+    val k : int = try %s handle 0 end
+  in
+    (tput(ss, (7, 8), inc(ps + 100));
+     OnRemote(network, (ipTTLSet(#1 p, abs(k) mod 300), #2 p, same(#3 p)));
+     (ps + (if tmem(ss, (7, 8)) then 1 else 1000), ss))
+  end
+`, g.intExpr(3))
+	}, dpPayloads},
+
 	// The path facts the checker derives for the verifier (agree holds
 	// every shape to them): a send in a raise message happens before the
 	// raise, and the handler then sends again. Half the seeds drop the

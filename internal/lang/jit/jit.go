@@ -19,11 +19,38 @@
 // interpreter case, then mirror it here ("regenerate the specializer").
 //
 // The compiled artifact is immutable. Everything generated code writes —
-// frames, primitive argument buffers, lent headers — belongs to the
-// instance: the compiler only hands out [lo,hi) ranges of one scratch
-// slice that NewInstance allocates, so reuse across packets (the
+// frames, primitive argument buffers, lent tuples and headers — belongs
+// to the instance: the compiler only hands out [lo,hi) ranges of one
+// scratch slice that NewInstance allocates, so reuse across packets (the
 // interpreter allocates afresh, compiled code does not) is per instance
 // and one artifact serves instances on any number of goroutines.
+//
+// # Scratch is a stack
+//
+// The compiler lays scratch out as a compiler lays out stack frames.
+// Each fun, val and channel body has a region of its own, above the
+// regions of the bodies compiled before it, so no two overlap: with no
+// recursion a body is never active twice, and a fun runs in its own
+// region while its caller's waits untouched. Within a region a
+// compile-time top rises and falls with the nesting of the code:
+//
+//   - a node pushes its own destination — a primitive's argument
+//     buffer, a callee's frame, a lent tuple's elements, a channel's
+//     frame — before it compiles its operands, so theirs lie above it;
+//   - a call (a primitive, a fun, a send) pops everything from its
+//     buffer or frame upward once it is compiled, so sibling
+//     statements, let bindings and the next call reuse the same values;
+//   - a borrowed tuple, and any header lent into it, belongs to the call
+//     that borrows it and is popped with that call's buffer, so it
+//     outlives the sibling arguments evaluated after it (a channel
+//     body's result pair pops itself: nothing in the body runs after
+//     it);
+//   - the header memory of a prims.Into site is reused across
+//     invocations, so it is kept for good: one value per site, after
+//     every region.
+//
+// An instance's scratch is thus what its deepest paths need, not one
+// slot per call site (TestScratchSizes).
 //
 // # Destination passing
 //
@@ -42,17 +69,20 @@
 //     heads, a projection's tuple, a send's packet). So a caller never
 //     passes a destination that the node's operands still read. Frame
 //     slots are never shared between bindings (the checker numbers them
-//     upward only), call sites own their callee frame and argument
-//     buffer (no recursion: a site is never active twice), and a tuple's
-//     element array is fresh or its site's, so every destination above
-//     qualifies.
+//     upward only); a buffer, frame or element array is pushed before
+//     the operands that write into it and popped after its consumer, so
+//     whatever an operand pushes lies above every destination it
+//     writes, and a borrowed tuple lies below the siblings that follow
+//     it; every other element array is fresh. So every destination
+//     above qualifies.
 //   - (b) A node that combines sub-results reads the word it needs from
 //     the first before it evaluates the next into the same destination:
 //     l(m, frame, dst); a := dst.S; r(m, frame, dst) — operands still run
 //     left to right, which pins exception order across engines.
 //   - (c) A raise unwinds past half-written destinations. Nothing reads
-//     one: a handler overwrites its try's destination, and invoke stores
-//     the new states only after the body has returned.
+//     one: a handler overwrites its try's destination and reuses the
+//     stack its body pushed, and invoke stores the new states only after
+//     the body has returned.
 //   - (d) A sub-result's destination is never a Go local: in
 //     `var t value.Value; sub(m, frame, &t)` t escapes through the
 //     indirect call and is allocated per evaluation. A consumer of ONE
@@ -114,13 +144,20 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 	// checker enforces declaration order), so each slot is filled
 	// before any caller is compiled.
 	for i := range info.Funs {
+		cc.region()
 		cc.funs[i] = cc.compile(info.Funs[i].Decl.Body)
 	}
 	for _, g := range info.Globals {
+		cc.region()
 		c.globalInit = append(c.globalInit, cc.compile(g.Decl.Init))
 	}
+	// A channel's region is its frame, then the stack its initstate and
+	// its body share: the initstate has returned before the body first
+	// runs.
 	for i := range info.Channels {
 		ch := &info.Channels[i]
+		cc.region()
+		c.frames = append(c.frames, cc.reserve(ch.FrameSize))
 		var init code
 		if ch.Decl.InitState != nil {
 			init = cc.compile(ch.Decl.InitState)
@@ -128,9 +165,8 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 		c.initStates = append(c.initStates, init)
 		cc.lendTail(ch.Decl.Body)
 		c.bodies = append(c.bodies, cc.compile(ch.Decl.Body))
-		c.frames = append(c.frames, cc.reserve(ch.FrameSize))
 	}
-	c.scratch = cc.scratch
+	c.scratch = cc.end + cc.kept
 	return c, nil
 }
 
@@ -174,16 +210,19 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 
 // compiler holds compile-time state.
 type compiler struct {
-	info    *typecheck.Info
-	funs    []code
-	scratch int // per-instance scratch reserved so far
+	info *typecheck.Info
+	funs []code
+
+	// top is the stack top of the body being compiled, end the end of
+	// every region so far, kept the values kept for good (keep).
+	top, end, kept int
 
 	// lent holds the tuple literals whose consumer only borrows them —
 	// the packet argument of a send (prims.Context's contract) and a table
 	// primitive's key, mapped to true, and a channel body's result pair,
-	// which invoke unpacks at once, to false — so they are built in
-	// reserved scratch, not allocated. True lends the elements' headers
-	// too (compileElem): with no recursion a site cannot run again while
+	// which invoke unpacks at once, to false — so they are built on the
+	// body's stack, not allocated. True lends the elements' headers too
+	// (compileElems): with no recursion a site cannot run again while
 	// its tuple is lent, but the states keep a result pair's elements.
 	lent map[*ast.TupleExpr]bool
 }
@@ -213,11 +252,24 @@ func (cc *compiler) lendTail(e ast.Expr) {
 	}
 }
 
-// reserve sets aside n values of every instance's scratch slice.
+// region starts the next body's stack above every region before it.
+func (cc *compiler) region() { cc.top = cc.end }
+
+// reserve pushes n values onto the stack of the body being compiled.
+// Its owner pops them (cc.top = mark) once it has compiled its operands.
 func (cc *compiler) reserve(n int) span {
-	s := span{cc.scratch, cc.scratch + n}
-	cc.scratch = s.hi
+	s := span{cc.top, cc.top + n}
+	cc.top = s.hi
+	cc.end = max(cc.end, s.hi)
 	return s
+}
+
+// keep sets aside one value for the life of the instance, outside every
+// stack, and returns its place counted back from the end of scratch (the
+// regions' extent is known only once every body is compiled).
+func (cc *compiler) keep() int {
+	cc.kept++
+	return cc.kept
 }
 
 // compile specializes one expression: int-, bool- and host-typed
@@ -361,12 +413,15 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 
 	case *ast.TupleExpr:
 		borrowed, lent := cc.lent[e]
-		codes := make([]code, len(e.Elems))
-		for i, sub := range e.Elems {
-			codes[i] = cc.compileElem(sub, borrowed)
-		}
 		if lent {
-			site := cc.reserve(len(codes))
+			// The borrower pops a borrowed tuple; a result pair is the
+			// body's last act, so nothing runs while it is read.
+			mark := cc.top
+			site := cc.reserve(len(e.Elems))
+			codes := cc.compileElems(e, borrowed)
+			if !borrowed {
+				cc.top = mark
+			}
 			return func(m *machine, frame []value.Value, dst *value.Value) {
 				elems := site.of(m)
 				for i, sub := range codes {
@@ -375,6 +430,7 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 				*dst = value.TupleV(elems...)
 			}
 		}
+		codes := cc.compileElems(e, false)
 		return func(m *machine, frame []value.Value, dst *value.Value) {
 			elems := make([]value.Value, len(codes))
 			for i, sub := range codes {
@@ -427,15 +483,22 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 	}
 }
 
-// compileElem compiles a tuple element. A header returned straight into a
-// borrowed tuple is built in one its site keeps in scratch: see lent.
-func (cc *compiler) compileElem(e ast.Expr, borrowed bool) code {
-	call, ok := e.(*ast.Call)
-	if !borrowed || !ok || call.PrimIndex < 0 || prims.Get(call.PrimIndex).Into == nil {
-		return cc.compile(e)
+// compileElems compiles a tuple's elements. A header returned straight
+// into a borrowed tuple is built in one its site keeps: see lent.
+func (cc *compiler) compileElems(e *ast.TupleExpr, borrowed bool) []code {
+	codes := make([]code, len(e.Elems))
+	for i, sub := range e.Elems {
+		call, ok := sub.(*ast.Call)
+		if !borrowed || !ok || call.PrimIndex < 0 || prims.Get(call.PrimIndex).Into == nil {
+			codes[i] = cc.compile(sub)
+			continue
+		}
+		into, args, at := prims.Get(call.PrimIndex).Into, cc.compilePrim(call), cc.keep()
+		codes[i] = func(m *machine, frame []value.Value, dst *value.Value) {
+			*dst = into(args(m, frame), &m.scratch[len(m.scratch)-at])
+		}
 	}
-	into, args, at := prims.Get(call.PrimIndex).Into, cc.compilePrim(call), cc.reserve(1).lo
-	return func(m *machine, frame []value.Value, dst *value.Value) { *dst = into(args(m, frame), &m.scratch[at]) }
+	return codes
 }
 
 func (cc *compiler) compileCall(e *ast.Call) code {
@@ -443,8 +506,10 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 	if e.Name == "OnRemote" || e.Name == "OnNeighbor" {
 		cref := e.Args[0].(*ast.ChanRef)
 		name := cref.Name
+		mark := cc.top
 		cc.lend(e.Args[1], true)
 		pkt := cc.compile(e.Args[1])
+		cc.top = mark
 		if e.Name == "OnRemote" {
 			return func(m *machine, frame []value.Value, dst *value.Value) {
 				pkt(m, frame, dst)
@@ -460,13 +525,14 @@ func (cc *compiler) compileCall(e *ast.Call) code {
 	}
 
 	// User fun: the callee is already compiled (declaration order), and
-	// its frame is a per-call-site reservation — safe for the same reason
-	// as a primitive's argument buffer (no recursion means a site is never
-	// active twice).
+	// its frame is pushed like a primitive's argument buffer, and safe for
+	// the same reasons.
 	if e.FunIndex >= 0 {
-		args := cc.compileArgs(e)
-		body := cc.funs[e.FunIndex]
+		mark := cc.top
 		site := cc.reserve(cc.info.Funs[e.FunIndex].FrameSize)
+		args := cc.compileArgs(e)
+		cc.top = mark
+		body := cc.funs[e.FunIndex]
 		return func(m *machine, frame []value.Value, dst *value.Value) {
 			callee := site.of(m)
 			for i, a := range args {
@@ -489,18 +555,22 @@ func (cc *compiler) compileArgs(e *ast.Call) []code {
 }
 
 // compilePrim compiles a primitive call's arguments: the result
-// evaluates them, each into its place in a per-call-site buffer in the
-// instance's scratch, and returns the buffer for the implementation the
-// caller captured at compile time. Reusing the buffer is safe because the
-// language has no recursion (a call site can never be active twice on one
-// stack), primitives do not retain their argument slice, and an instance
-// is single-goroutine.
+// evaluates them, each into its place in a buffer pushed on the body's
+// stack, and returns the buffer for the implementation the caller
+// captured at compile time. The buffer is pushed before the arguments
+// compile and popped after, so what they push lies above it and the
+// next call reuses it all. That is safe because the language has no
+// recursion (a body is never active twice, so neither is its region),
+// primitives do not retain their argument slice, and an instance is
+// single-goroutine.
 func (cc *compiler) compilePrim(e *ast.Call) func(m *machine, frame []value.Value) []value.Value {
 	for _, i := range prims.Get(e.PrimIndex).Borrows {
 		cc.lend(e.Args[i], true)
 	}
+	mark := cc.top
+	site := cc.reserve(len(e.Args))
 	codes := cc.compileArgs(e)
-	site := cc.reserve(len(codes))
+	cc.top = mark
 	switch len(codes) {
 	case 1:
 		a0 := codes[0]

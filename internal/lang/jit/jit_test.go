@@ -1,8 +1,11 @@
 package jit
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/lang/parser"
@@ -173,17 +176,18 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
 }
 
 // TestNewInstanceAllocs pins what a download of the gateway ASP costs:
-// fleet deploys pay it per node. 7 objects, 5 696 B: the eight header
-// reader sites reserve no argument buffer, and each of the two setter
-// sites lent to OnRemote one value of scratch for its header (46 values,
-// where a buffer per reader made 52 and 6 200 B). The headers themselves
-// are made when a site first runs, as most installs of a rollout never
-// see a packet. A temporary that is a Go local in NewInstance's top shows
+// fleet deploys pay it per node. 7 objects, 2 880 B, of which 1 920 are
+// the 20 values of scratch: each body's stack holds what its deepest
+// path needs, not one slot per call site, the eight header reader sites
+// reserve no argument buffer, and each of the two setter sites lent to
+// OnRemote keeps one value for its header. The headers themselves are
+// made when a site first runs, as most installs of a rollout never see
+// a packet. A temporary that is a Go local in NewInstance's top shows
 // here as one object per val and initstate: rule (d). The connection
 // table's header is 24 B, 8 more than one map: a table has a map for
 // words and one for Values, made at the first Put.
 func TestNewInstanceAllocs(t *testing.T) {
-	const objects, bytes, runs = 7, 5696, 100
+	const objects, bytes, runs = 7, 2880, 100
 	c := compileSrc(t, asp.HTTPGateway)
 	cx := &ctx{}
 	newInstance := func() {
@@ -202,5 +206,46 @@ func TestNewInstanceAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b > bytes {
 		t.Errorf("NewInstance allocates %.0f B, want at most %d", b, bytes)
+	}
+}
+
+// TestScratchSizes pins the values of scratch an instance of each
+// in-tree program allocates: each body's stack holds what its deepest
+// path needs, so a layout that stops reusing the stack, or pushes a
+// destination twice, shows here.
+func TestScratchSizes(t *testing.T) {
+	want := map[string]int{
+		"audio_client.planp":           8,
+		"audio_router.planp":           12,
+		"bench_compute.planp":          20,
+		"http_gateway.planp":           20,
+		"http_gateway_failover.planp":  25,
+		"http_gateway_leastconn.planp": 25,
+		"http_gateway_random.planp":    19,
+		"mpeg_client.planp":            11,
+		"mpeg_monitor.planp":           43,
+	}
+	files, err := filepath.Glob("../../../asp/*.planp")
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("%d in-tree programs (%v), %d pinned", len(files), err, len(want))
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		if got := compileSrc(t, string(src)).scratch; got != want[name] {
+			t.Errorf("%s: %d values of scratch, pinned %d", name, got, want[name])
+		}
+	}
+}
+
+// TestCompiledSize pins the artifact's header, allocated by every cold
+// load of the compile workload: the stack layout is compile-time state,
+// not a field of what Compile returns.
+func TestCompiledSize(t *testing.T) {
+	if n := unsafe.Sizeof(compiled{}); n != 112 {
+		t.Errorf("compiled is %d B, want 112", n)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"unsafe"
 
 	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/lang/typecheck"
@@ -189,7 +190,10 @@ func (s *Server) load(w http.ResponseWriter, r *http.Request, what string) (*ins
 		return nil, false
 	}
 	cfg.Output = s.out
-	prog, err := planprt.Load(string(body), cfg)
+	// The source is body itself, not a copy: ReadSized made the buffer
+	// for this request, nothing else holds it and nothing writes to it
+	// again, so it may back the string the compile cache keeps as a key.
+	prog, err := planprt.Load(unsafe.String(unsafe.SliceData(body), len(body)), cfg)
 	if err != nil {
 		writeReject(w, fmt.Sprintf("%s rejected: %v", what, err), err)
 		return nil, false

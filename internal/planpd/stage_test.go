@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -94,6 +95,34 @@ func TestStageRejectsBrokenProtocol(t *testing.T) {
 	// Stage without a version label is a client error.
 	if code, _ := call(t, http.MethodPost, base+"/asp/stage", stageForwarder); code != http.StatusBadRequest {
 		t.Errorf("unlabelled stage: %d, want 400", code)
+	}
+}
+
+// TestStageReadsSourceOnce: a staged upload is read into one buffer and
+// compiled from it, not from a copy. A 64 KiB source the lexer rejects
+// at its first byte allocates less than 1.5 times its length per
+// request; a copy of the source would make it twice.
+func TestStageReadsSourceOnce(t *testing.T) {
+	const size, runs = 64 << 10, 20
+	src := "$" + strings.Repeat(" ", size-1)
+	h := NewServer(netsim.NewNode(netsim.New(netsim.WithSeed(1)), "n0", netsim.Addr(0x0A000001)), io.Discard).Handler()
+	reqs := make([]*http.Request, runs)
+	recs := make([]*httptest.ResponseRecorder, runs)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/asp/stage?version=v1", strings.NewReader(src))
+		recs[i] = httptest.NewRecorder()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, req := range reqs {
+		h.ServeHTTP(recs[i], req)
+	}
+	runtime.ReadMemStats(&after)
+	if code := recs[0].Code; code != http.StatusUnprocessableEntity {
+		t.Fatalf("stage: %d, want 422: %s", code, recs[0].Body)
+	}
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b >= 1.5*size {
+		t.Errorf("a %d B upload allocates %.0f B, want under %.0f", size, b, 1.5*size)
 	}
 }
 
