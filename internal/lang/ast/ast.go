@@ -102,6 +102,29 @@ func (List) typ() {}
 
 func (t List) String() string { return "(" + t.Elem.String() + ") list" }
 
+// TypeVar is a variable 'a of a primitive's signature, alone or as a
+// table's or list's element, and never in source or on a checked tree.
+// A call binds it to one type in its Class.
+type TypeVar struct {
+	Name  string
+	Class Class
+}
+
+// Class is the set of types a TypeVar ranges over.
+type Class uint8
+
+// Type variable classes.
+const (
+	ClassAny       Class = iota
+	ClassEquality        // IsEquality
+	ClassPrintable       // anything but a hash table
+	ClassPacket          // a channel packet type (typecheck.ValidatePacketType)
+)
+
+func (TypeVar) typ() {}
+
+func (v TypeVar) String() string { return "'" + v.Name }
+
 // Convenience singletons for the base types.
 var (
 	IntT    = Base{Kind: TInt}

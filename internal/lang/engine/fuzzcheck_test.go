@@ -20,8 +20,9 @@ import (
 // arrives on POST /node/<n>/asp. For any text the parser accepts,
 // typecheck.Check must not panic, must say the same thing about it
 // every time and must place every diagnostic inside the text; and what
-// it accepts must be one typed tree (langtest.RequireTyped) that the
-// verifier and all three code generators take without panicking, with
+// it accepts must be one typed tree (langtest.RequireTyped: no node
+// untyped, none typed by a primitive signature's type variable) that
+// the verifier and all three code generators take without panicking, with
 // one NewInstance verdict between them. It starts from FuzzParse's
 // corpus (every in-tree ASP, the malformed programs); what it finds
 // goes in testdata/fuzz/FuzzCheck.

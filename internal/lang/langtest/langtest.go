@@ -182,8 +182,9 @@ func FindChannel(t *testing.T, info *typecheck.Info, name string) int {
 
 // RequireTyped fails t unless the checker left prog the one typed tree
 // the back ends read: a static type on every expression but a ChanRef
-// (which never has one), the two operands of a comparison at one type,
-// and every let initialiser at its binding's declared type.
+// (which never has one) and none mentioning a primitive signature's
+// type variable, the two operands of a comparison at one type, and
+// every let initialiser at its binding's declared type.
 func RequireTyped(t testing.TB, prog *ast.Program) {
 	t.Helper()
 	visit := func(e ast.Expr) {
@@ -193,6 +194,9 @@ func RequireTyped(t testing.TB, prog *ast.Program) {
 		if e.Type() == nil {
 			t.Errorf("%s: %T carries no type", e.Pos(), e)
 			return
+		}
+		if HasTypeVar(e.Type()) {
+			t.Errorf("%s: %T typed %s, a signature's type", e.Pos(), e, e.Type())
 		}
 		switch e := e.(type) {
 		case *ast.Binary:
@@ -224,3 +228,7 @@ func RequireTyped(t testing.TB, prog *ast.Program) {
 		}
 	}
 }
+
+// HasTypeVar reports whether t mentions an ast.TypeVar, the one type
+// whose name has a quote ('a).
+func HasTypeVar(t ast.Type) bool { return strings.Contains(t.String(), "'") }

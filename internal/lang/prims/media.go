@@ -152,45 +152,45 @@ func mpegHdr(prim string, b []byte) byte {
 
 func init() {
 	// ---- Audio ----
-	mono("audioFormat", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("audioFormat", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		f, _ := audioHdr("audioFormat", a[0].AsBlob())
 		return value.Int(int64(f))
 	})
-	mono("audioSeq", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("audioSeq", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		_, seq := audioHdr("audioSeq", a[0].AsBlob())
 		return value.Int(int64(seq))
 	})
-	mono("audioFrames", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("audioFrames", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		f, _ := audioHdr("audioFrames", a[0].AsBlob())
 		return value.Int(int64(AudioFrames(f, a[0].AsBlob())))
 	})
-	mono("audioToMono16", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
+	def("audioToMono16", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		return value.Blob(DegradeToMono16(a[0].AsBlob()))
 	})
-	mono("audioToMono8", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
+	def("audioToMono8", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		return value.Blob(DegradeToMono8(a[0].AsBlob()))
 	})
-	mono("audioRestore", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
+	def("audioRestore", types(ast.BlobT), ast.BlobT, func(_ Context, a []value.Value) value.Value {
 		return value.Blob(RestoreStereo16(a[0].AsBlob()))
 	})
 
 	// ---- MPEG ----
-	mono("mpegType", types(ast.BlobT), ast.CharT, func(_ Context, a []value.Value) value.Value {
+	def("mpegType", types(ast.BlobT), ast.CharT, func(_ Context, a []value.Value) value.Value {
 		return value.Char(mpegHdr("mpegType", a[0].AsBlob()))
 	})
-	mono("mpegStream", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("mpegStream", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		b := a[0].AsBlob()
 		mpegHdr("mpegStream", b)
 		return value.Int(int64(uint32(b[1])<<24 | uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])))
 	})
-	mono("mpegFrameType", types(ast.BlobT), ast.CharT, func(_ Context, a []value.Value) value.Value {
+	def("mpegFrameType", types(ast.BlobT), ast.CharT, func(_ Context, a []value.Value) value.Value {
 		b := a[0].AsBlob()
 		if mpegHdr("mpegFrameType", b) != MPEGData || len(b) < 10 {
 			value.Raise("mpegFrameType: not an MPEG data payload")
 		}
 		return value.Char(b[5])
 	})
-	mono("mpegSeq", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("mpegSeq", types(ast.BlobT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		b := a[0].AsBlob()
 		if mpegHdr("mpegSeq", b) != MPEGData || len(b) < 10 {
 			value.Raise("mpegSeq: not an MPEG data payload")

@@ -84,34 +84,34 @@ func init() {
 	})
 
 	// ---- Host conversions ----
-	mono("hostToInt", types(ast.HostT), ast.IntT, func(_ Context, a []value.Value) value.Value {
+	def("hostToInt", types(ast.HostT), ast.IntT, func(_ Context, a []value.Value) value.Value {
 		return value.Int(int64(a[0].AsHost()))
 	})
-	mono("intToHost", types(ast.IntT), ast.HostT, func(_ Context, a []value.Value) value.Value {
+	def("intToHost", types(ast.IntT), ast.HostT, func(_ Context, a []value.Value) value.Value {
 		return value.HostV(value.Host(inRange(a[0].AsInt(), 0xFFFFFFFF, "intToHost: %d out of range")))
 	})
-	mono("hostToString", types(ast.HostT), ast.StringT, func(_ Context, a []value.Value) value.Value {
+	def("hostToString", types(ast.HostT), ast.StringT, func(_ Context, a []value.Value) value.Value {
 		return value.Str(a[0].AsHost().String())
 	})
 
 	// ---- Network environment (effectful / runtime-dependent) ----
-	mono("thisHost", nil, ast.HostT, func(ctx Context, _ []value.Value) value.Value {
+	def("thisHost", nil, ast.HostT, func(ctx Context, _ []value.Value) value.Value {
 		return value.HostV(ctx.ThisHost())
 	})
-	mono("time", nil, ast.IntT, func(ctx Context, _ []value.Value) value.Value {
+	def("time", nil, ast.IntT, func(ctx Context, _ []value.Value) value.Value {
 		return value.Int(ctx.Now())
 	})
-	mono("rand", types(ast.IntT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
+	def("rand", types(ast.IntT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		n := a[0].AsInt()
 		if n <= 0 {
 			value.Raise("rand: bound must be positive, got %d", n)
 		}
 		return value.Int(ctx.Rand(n))
 	})
-	mono("linkLoadTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
+	def("linkLoadTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		return value.Int(ctx.LinkLoadTo(a[0].AsHost()))
 	})
-	mono("linkBandwidthTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
+	def("linkBandwidthTo", types(ast.HostT), ast.IntT, func(ctx Context, a []value.Value) value.Value {
 		return value.Int(ctx.LinkBandwidthTo(a[0].AsHost()))
 	})
 }

@@ -8,12 +8,13 @@
 // package init. The type checker resolves calls to registry indices;
 // engines invoke primitives through those indices, so adding a primitive
 // is exactly the two-step process the paper describes: one function for
-// the computation, one for the result type.
+// the computation, one signature for its typing. A signature is
+// parameter and result types; a polymorphic one (mkTable, tget, cons,
+// print, deliver, ...) writes ast.TypeVars where the type varies, and
+// the checker binds them at each call.
 package prims
 
 import (
-	"fmt"
-
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 )
@@ -57,16 +58,9 @@ type Context interface {
 type Prim struct {
 	Name string
 
-	// Params/Ret describe a monomorphic signature. For primitives whose
-	// type depends on arguments or on the expected type (mkTable, tget,
-	// print, ...), TypeFn is set instead and Params is nil.
+	// Params/Ret are the signature, type variables included.
 	Params []ast.Type
 	Ret    ast.Type
-
-	// TypeFn computes the result type from argument types and the
-	// expected type at the call site (nil when unconstrained). It
-	// returns an error for ill-typed calls.
-	TypeFn func(args []ast.Type, expected ast.Type) (ast.Type, error)
 
 	// Fn executes the primitive. It may raise a PLAN-P exception via
 	// value.Raise.
@@ -112,33 +106,9 @@ func Get(i int) *Prim { return &registry[i] }
 // Count returns the number of registered primitives.
 func Count() int { return len(registry) }
 
-// TypeOf computes the result type of calling primitive i with the given
-// argument types under the given expected type.
-func TypeOf(i int, args []ast.Type, expected ast.Type) (ast.Type, error) {
-	p := &registry[i]
-	if p.TypeFn != nil {
-		return p.TypeFn(args, expected)
-	}
-	if len(args) != len(p.Params) {
-		return nil, fmt.Errorf("%s expects %d argument(s), got %d", p.Name, len(p.Params), len(args))
-	}
-	for j, want := range p.Params {
-		if !ast.Equal(args[j], want) {
-			return nil, fmt.Errorf("%s argument %d: expected %s, got %s", p.Name, j+1, want, args[j])
-		}
-	}
-	return p.Ret, nil
-}
-
-// mono registers a primitive with a fixed signature.
-func mono(name string, params []ast.Type, ret ast.Type, fn func(ctx Context, args []value.Value) value.Value) {
+// def registers a primitive with its signature.
+func def(name string, params []ast.Type, ret ast.Type, fn func(ctx Context, args []value.Value) value.Value) {
 	register(Prim{Name: name, Params: params, Ret: ret, Fn: fn})
-}
-
-// poly registers a primitive whose typing needs a TypeFn.
-func poly(name string, typeFn func(args []ast.Type, expected ast.Type) (ast.Type, error),
-	fn func(ctx Context, args []value.Value) value.Value) {
-	register(Prim{Name: name, TypeFn: typeFn, Fn: fn})
 }
 
 // borrows records that the named primitives only borrow argument arg.

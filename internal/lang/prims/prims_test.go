@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/substrate"
 )
@@ -443,20 +442,6 @@ func TestPureSetComplete(t *testing.T) {
 		if name := Get(i).Name; !classified[name] {
 			t.Errorf("%s is neither in the stateful set nor listed pure here", name)
 		}
-	}
-}
-
-func TestTypeOfMonomorphic(t *testing.T) {
-	i := Lookup("subStr")
-	ret, err := TypeOf(i, []ast.Type{ast.StringT, ast.IntT, ast.IntT}, nil)
-	if err != nil || !ast.Equal(ret, ast.StringT) {
-		t.Errorf("subStr type: %v %v", ret, err)
-	}
-	if _, err := TypeOf(i, []ast.Type{ast.StringT}, nil); err == nil {
-		t.Error("arity error expected")
-	}
-	if _, err := TypeOf(i, []ast.Type{ast.IntT, ast.IntT, ast.IntT}, nil); err == nil {
-		t.Error("argument type error expected")
 	}
 }
 

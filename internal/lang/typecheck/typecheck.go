@@ -15,6 +15,7 @@
 package typecheck
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -56,8 +57,9 @@ func (e *Error) First() diag.Diagnostic {
 // Fun is a checked user function.
 type Fun struct {
 	Decl      *ast.FunDecl
-	Index     int // position in Info.Funs
-	FrameSize int // number of local slots (params + lets)
+	Index     int        // position in Info.Funs
+	FrameSize int        // number of local slots (params + lets)
+	params    []ast.Type // Decl's parameter types, which a call checks against
 }
 
 // Channel is a checked channel definition.
@@ -332,9 +334,13 @@ func (c *checker) checkFunDecl(d *ast.FunDecl) error {
 	}
 	// As with vals, a failed body does not unbind the fun: callers are
 	// checked against the declared signature.
+	params := make([]ast.Type, len(d.Params))
+	for i, p := range d.Params {
+		params[i] = p.Type
+	}
 	idx := len(c.info.Funs)
 	c.info.funIdx[d.Name] = idx
-	c.info.Funs = append(c.info.Funs, Fun{Decl: d, Index: idx, FrameSize: c.frameMax})
+	c.info.Funs = append(c.info.Funs, Fun{Decl: d, Index: idx, FrameSize: c.frameMax, params: params})
 	return err
 }
 
@@ -736,58 +742,163 @@ func (c *checker) checkBinary(e *ast.Binary) (ast.Type, error) {
 // by the checker and the engines.
 var sendPrims = map[string]bool{"OnRemote": true, "OnNeighbor": true}
 
+// checkCall checks a call to a fun or a primitive by one rule: arity,
+// then each argument against its parameter, then the result. A type
+// variable of a primitive's signature is bound by the first argument
+// that meets it, and an argument is checked expecting its parameter as
+// the bindings so far resolve it (cons(x, listNew()) types the list
+// from x); a result variable no argument binds takes the expected type.
 func (c *checker) checkCall(e *ast.Call, expected ast.Type) (ast.Type, error) {
 	if sendPrims[e.Name] {
 		return c.checkSend(e)
 	}
-
-	// User function?
-	if fi, ok := c.info.funIdx[e.Name]; ok {
-		f := c.info.Funs[fi]
-		if len(e.Args) != len(f.Decl.Params) {
-			return nil, errf(e.At, "%s expects %d argument(s), got %d", e.Name, len(f.Decl.Params), len(e.Args))
-		}
-		for i, arg := range e.Args {
-			want := f.Decl.Params[i].Type
-			got, err := c.checkExpr(arg, want)
-			if err != nil {
-				return nil, err
-			}
-			if !ast.Equal(got, want) {
-				return nil, errf(e.At, "%s argument %d: expected %s, got %s", e.Name, i+1, want, got)
-			}
-		}
-		e.FunIndex, e.PrimIndex = fi, -1
-		return f.Decl.Ret, nil
-	}
-
-	// Primitive?
-	pi := prims.Lookup(e.Name)
-	if pi < 0 {
-		if len(c.chanIdx[e.Name]) > 0 {
-			return nil, errf(e.At, "channel %s cannot be called directly; use OnRemote(%s, pkt)", e.Name, e.Name)
-		}
+	fi, pi := -1, prims.Lookup(e.Name)
+	var params []ast.Type
+	var ret ast.Type
+	if i, ok := c.info.funIdx[e.Name]; ok {
+		fi, params, ret = i, c.info.Funs[i].params, c.info.Funs[i].Decl.Ret
+	} else if pi >= 0 {
+		params, ret = prims.Get(pi).Params, prims.Get(pi).Ret
+	} else if len(c.chanIdx[e.Name]) > 0 {
+		return nil, errf(e.At, "channel %s cannot be called directly; use OnRemote(%s, pkt)", e.Name, e.Name)
+	} else {
 		return nil, errf(e.At, "undefined function %s", e.Name)
 	}
-	p := prims.Get(pi)
-	argTypes := make([]ast.Type, len(e.Args))
+	if len(e.Args) != len(params) {
+		return nil, errSpan(e.At, e.End(), "%s expects %d argument(s), got %d", e.Name, len(params), len(e.Args))
+	}
+	var vars typeVars
 	for i, arg := range e.Args {
-		var want ast.Type
-		if p.TypeFn == nil && i < len(p.Params) {
-			want = p.Params[i]
-		}
-		got, err := c.checkExpr(arg, want)
+		got, err := c.checkExpr(arg, vars.subst(params[i]))
 		if err != nil {
 			return nil, err
 		}
-		argTypes[i] = got
+		if err = vars.match(params[i], got, i+1, "type"); err != nil {
+			want := vars.subst(params[i])
+			if want == nil {
+				want = params[i]
+			}
+			var m mismatch
+			if errors.As(err, &m) {
+				err = fmt.Errorf("expected %s, got %s%s", want, got, m)
+			}
+			return nil, errSpan(e.At, e.End(), "%s argument %d: %v", e.Name, i+1, err)
+		}
 	}
-	ret, err := prims.TypeOf(pi, argTypes, expected)
-	if err != nil {
-		return nil, errf(e.At, "%v", err)
+	e.FunIndex, e.PrimIndex = fi, pi
+	if t := vars.subst(ret); t != nil {
+		return t, nil
 	}
-	e.PrimIndex, e.FunIndex = pi, -1
-	return ret, nil
+	if expected == nil || vars.match(ret, expected, 0, "") != nil {
+		return nil, errSpan(e.At, e.End(), "cannot infer %s's result type %s here; call %s where that type is expected", e.Name, ret, e.Name)
+	}
+	return expected, nil
+}
+
+// typeVars are the variables one call has bound: a signature has at
+// most two ('a and 'k), so they fit an array in the caller's frame.
+type typeVars struct {
+	n     int
+	bound [2]typeBinding
+}
+
+// typeBinding binds v to t, the type (or element type: what says) of
+// argument arg, from 1.
+type typeBinding struct {
+	v    ast.TypeVar
+	t    ast.Type
+	arg  int
+	what string
+}
+
+// mismatch is match's refusal of a type that does not fit the parameter,
+// with a note naming the binding it conflicts with, if it does.
+type mismatch string
+
+func (m mismatch) Error() string { return string(m) }
+
+// find returns v's binding, whose t is nil while v is unbound.
+func (vs *typeVars) find(v ast.TypeVar) typeBinding {
+	for _, b := range vs.bound[:vs.n] {
+		if b.v.Name == v.Name {
+			return b
+		}
+	}
+	return typeBinding{}
+}
+
+// subst returns t with its variables replaced by their bindings, or nil
+// while one is unbound. A variable stands alone or as an element type
+// (TestPrimitiveSignatures holds every signature to that).
+func (vs *typeVars) subst(t ast.Type) ast.Type {
+	switch t := t.(type) {
+	case ast.TypeVar:
+		return vs.find(t).t
+	case ast.Table:
+		if v, ok := t.Elem.(ast.TypeVar); ok {
+			if e := vs.find(v).t; e != nil {
+				return ast.Table{Elem: e}
+			}
+			return nil
+		}
+	case ast.List:
+		if v, ok := t.Elem.(ast.TypeVar); ok {
+			if e := vs.find(v).t; e != nil {
+				return ast.List{Elem: e}
+			}
+			return nil
+		}
+	}
+	return t
+}
+
+// match checks got, the type of argument arg, against param, binding a
+// variable the first time it meets one; what names param's place in
+// the argument. Its refusal is a mismatch, or why got is not in the
+// variable's class.
+func (vs *typeVars) match(param, got ast.Type, arg int, what string) error {
+	switch p := param.(type) {
+	case ast.TypeVar:
+		if b := vs.find(p); b.t != nil {
+			if ast.Equal(b.t, got) {
+				return nil
+			}
+			return mismatch(fmt.Sprintf(" (%s is the %s of argument %d)", p, b.what, b.arg))
+		}
+		if err := inClass(p.Class, got); err != nil {
+			return err
+		}
+		vs.bound[vs.n] = typeBinding{v: p, t: got, arg: arg, what: what}
+		vs.n++
+		return nil
+	case ast.Table:
+		if g, ok := got.(ast.Table); ok {
+			return vs.match(p.Elem, g.Elem, arg, "element type")
+		}
+	case ast.List:
+		if g, ok := got.(ast.List); ok {
+			return vs.match(p.Elem, g.Elem, arg, "element type")
+		}
+	default:
+		if ast.Equal(param, got) {
+			return nil
+		}
+	}
+	return mismatch("")
+}
+
+// inClass returns why t is not in class c, or nil.
+func inClass(c ast.Class, t ast.Type) error {
+	_, isTable := t.(ast.Table)
+	switch {
+	case c == ast.ClassEquality && !ast.IsEquality(t):
+		return fmt.Errorf("%s is not an equality type", t)
+	case c == ast.ClassPrintable && isTable:
+		return fmt.Errorf("%s is not printable", t)
+	case c == ast.ClassPacket:
+		return ValidatePacketType(t)
+	}
+	return nil
 }
 
 // checkSend validates OnRemote(chan, pkt) / OnNeighbor(chan, pkt): the

@@ -8,6 +8,7 @@ import (
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/parser"
+	"planp.dev/planp/internal/lang/prims"
 	"planp.dev/planp/internal/lang/typecheck"
 )
 
@@ -345,7 +346,8 @@ func TestValidatePacketType(t *testing.T) {
 
 // TestEveryExprTyped: Check leaves one typed tree. Every expression of
 // every in-tree ASP, and of a probe with a node of each kind the back
-// ends specialise on, carries its static type; the probe's are pinned.
+// ends specialise on, carries its static type, and none is a
+// signature's type variable; the probe's are pinned.
 func TestEveryExprTyped(t *testing.T) {
 	for _, p := range asp.All() {
 		info := mustCheck(t, p.Source)
@@ -363,6 +365,7 @@ initstate mkTable(4) is
     val s : string = g ^ "x"
     val tup : int*string = (a, s)
     val n : int = if b then raise "no" else tget(ss, a)
+    val h : int = hd(cons(n, listNew()))
   in
     (OnRemote(network, p); (if b then #1 tup else 0, ss))
   end
@@ -381,11 +384,177 @@ initstate mkTable(4) is
 	if arm := let.Binds[4].Init.(*ast.If).Then; !ast.Equal(arm.Type(), ast.IntT) {
 		t.Errorf("raise arm typed %v, want int", arm.Type())
 	}
+	// A polymorphic call is typed as it instantiates its signature, and
+	// listNew takes the list type cons's parameter expects once n binds
+	// 'a.
+	if cons := let.Binds[5].Init.(*ast.Call).Args[0].(*ast.Call); !ast.Equal(cons.Args[1].Type(), ast.List{Elem: ast.IntT}) {
+		t.Errorf("listNew typed %v, want (int) list", cons.Args[1].Type())
+	}
 	send := let.Body.(*ast.Seq).Exprs[0].(*ast.Call)
 	if got := send.Args[1].Type(); !ast.Equal(got, ch.PacketType()) {
 		t.Errorf("send packet typed %v, want %v", got, ch.PacketType())
 	}
 	if ref := send.Args[0].(*ast.ChanRef); ref.Type() != nil {
 		t.Errorf("ChanRef typed %v, want none", ref.Type())
+	}
+}
+
+// inLists embeds an expression into a channel whose state is an
+// (int) hash_table ss and that binds l : (int) list and
+// ts : ((int) hash_table) list; the expression's value is discarded.
+func inLists(expr string) string {
+	return `
+channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
+initstate mkTable(4) is
+  let
+    val l : (int) list = listNew()
+    val ts : ((int) hash_table) list = listNew()
+  in
+    (` + expr + `; deliver(p); (ps, ss))
+  end
+`
+}
+
+// TestPrimitiveSignatures: every primitive declares a signature, and a
+// call to one is checked by the rule a user fun's is: arity, then each
+// argument against its parameter, a type variable bound where an
+// argument first meets it and held to its class, then the result, with
+// a variable no argument binds taken from the context. Each polymorphic
+// primitive has one accepted call and one refusal per rule that can
+// refuse it; want is "" for an accepted call.
+func TestPrimitiveSignatures(t *testing.T) {
+	for i := range prims.Count() {
+		p := prims.Get(i)
+		if p.Ret == nil {
+			t.Errorf("%s declares no result type", p.Name)
+		}
+		// A variable stands alone or as an element type, the two places
+		// the checker substitutes it, and a signature has at most two,
+		// the room a call has for their bindings.
+		vars := map[string]bool{}
+		for _, ty := range append([]ast.Type{p.Ret}, p.Params...) {
+			switch c := ty.(type) {
+			case ast.Table:
+				ty = c.Elem
+			case ast.List:
+				ty = c.Elem
+			}
+			if v, isVar := ty.(ast.TypeVar); isVar {
+				vars[v.Name] = true
+			} else if langtest.HasTypeVar(ty) {
+				t.Errorf("%s: type variable nested deeper than an element type", p.Name)
+			}
+		}
+		if len(vars) > 2 {
+			t.Errorf("%s: %d type variables", p.Name, len(vars))
+		}
+	}
+
+	const (
+		arity = "argument(s), got"
+		infer = "cannot infer"
+		table = "expected ('a) hash_table, got"
+		list  = "expected ('a) list, got"
+		equal = "is not an equality type"
+	)
+	cases := []struct{ expr, want string }{
+		// A monomorphic signature.
+		{`subStr("abc", 0, 1)`, ""},
+		{`subStr("abc")`, "subStr expects 3 " + arity + " 1"},
+		{`subStr(1, 0, 1)`, "subStr argument 1: expected string, got int"},
+
+		{`let val t : (string) hash_table = mkTable(3) in t end`, ""},
+		{`let val t : (string) hash_table = mkTable() in t end`, "mkTable expects 1 " + arity + " 0"},
+		{`let val t : (string) hash_table = mkTable("3") in t end`, "mkTable argument 1: expected int, got string"},
+		{`mkTable(3)`, infer + " mkTable's result type ('a) hash_table"},
+		{`let val n : int = mkTable(3) in n end`, infer},
+
+		{`tput(ss, (1, "k"), 2)`, ""},
+		{`tput(ss, 1)`, arity},
+		{`tput(ss, 1, "x")`, "tput argument 3: expected int, got string ('a is the element type of argument 1)"},
+		{`tput(ss, ss, 1)`, "tput argument 2: (int) hash_table " + equal},
+		{`tput(ss, 1, raise "x")`, ""}, // the raise is typed from ss
+
+		{`tget(ss, 1) + 1`, ""},
+		{`tget(ss)`, arity},
+		{`tget(3, 4)`, "tget argument 1: " + table + " int"},
+		{`tget(ss, ts)`, "tget argument 2: ((int) hash_table) list " + equal},
+
+		{`if tmem(ss, "k") then 1 else 0`, ""},
+		{`tmem(ss, 1, 2)`, arity},
+		{`tmem(l, 1)`, "tmem argument 1: " + table + " (int) list"},
+		{`tmem(ss, (1, ss))`, equal},
+
+		{`tdel(ss, 1)`, ""},
+		{`tdel()`, arity},
+		{`tdel(1, 1)`, "tdel argument 1: " + table},
+		{`tdel(ss, ss)`, equal},
+
+		{`tsize(ss) + 1`, ""},
+		{`tsize(ss, 1)`, arity},
+		{`tsize(l)`, "tsize argument 1: " + table + " (int) list"},
+
+		{`let val m : (bool) list = listNew() in m end`, ""},
+		{`let val m : (bool) list = listNew(1) in m end`, "listNew expects 0 " + arity + " 1"},
+		{`listNew()`, infer + " listNew's result type ('a) list"},
+		{`let val n : int = listNew() in n end`, infer},
+
+		{`hd(cons(1, l)) + 1`, ""},
+		{`hd(cons(1, listNew())) + 1`, ""}, // the list is typed from 1
+		{`cons(1)`, arity},
+		{`cons("x", l)`, "cons argument 2: expected (string) list, got (int) list ('a is the type of argument 1)"},
+
+		{`hd(l) + 1`, ""},
+		{`hd(l, l)`, arity},
+		{`hd(ss)`, "hd argument 1: " + list + " (int) hash_table"},
+
+		{`hd(tl(l)) + 1`, ""},
+		{`tl()`, arity},
+		{`tl("x")`, "tl argument 1: " + list + " string"},
+
+		{`listLen(ts) + 1`, ""},
+		{`listLen()`, arity},
+		{`listLen(p)`, "listLen argument 1: " + list + " ip*udp*blob"},
+
+		{`listNth(l, 0) + 1`, ""},
+		{`listNth(l)`, arity},
+		{`listNth(l, "0")`, "listNth argument 2: expected int, got string"},
+		{`listNth(1, 0)`, "listNth argument 1: " + list + " int"},
+
+		{`if isEmpty(ts) then 1 else 0`, ""},
+		{`isEmpty()`, arity},
+		{`isEmpty(ss)`, "isEmpty argument 1: " + list + " (int) hash_table"},
+
+		{`if member(1, l) then 1 else 0`, ""},
+		{`member(1)`, arity},
+		{`member("x", l)`, "member argument 2: expected (string) list, got (int) list ('a is the type of argument 1)"},
+		{`member(ss, ts)`, "member argument 1: (int) hash_table " + equal},
+
+		{`print(l)`, ""},
+		{`print(ss, ss)`, arity},
+		{`print(ss)`, "print argument 1: (int) hash_table is not printable"},
+
+		{`println((ss, 1))`, ""}, // only a top-level table is refused
+		{`println()`, arity},
+		{`println(ss)`, "println argument 1: (int) hash_table is not printable"},
+
+		{`deliver((#1 p, #3 p))`, ""},
+		{`deliver(p, p)`, arity},
+		{`deliver(5)`, "deliver argument 1: packet type must be a tuple starting with ip, got int"},
+		{`deliver((#2 p, #3 p))`, "deliver argument 1: packet type must start with ip, got udp*blob"},
+		{`deliver((#1 p, ss))`, "deliver argument 1: (int) hash_table is not a decodable payload component"},
+	}
+	for _, tc := range cases {
+		info, err := check(t, inLists(tc.expr))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.expr, err)
+		case tc.want == "":
+			langtest.RequireTyped(t, info.Prog)
+		case err == nil:
+			t.Errorf("%s: accepted, want %q", tc.expr, tc.want)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: %v, want %q", tc.expr, err, tc.want)
+		}
 	}
 }

@@ -21,11 +21,14 @@
 package planpd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"unsafe"
 
@@ -165,25 +168,38 @@ func ReadSized(body io.Reader, size int64, limit int) ([]byte, error) {
 
 // WriteJSON answers with v as a JSON body under status — the one
 // encoder of every control-plane response, here and in the packages
-// that mount beside this server (fleet, adapt, testbed).
+// that mount beside this server (fleet, adapt, testbed). The body is
+// encoded first, into a pooled buffer, so the answer carries its
+// Content-Length and a reader (ReadSized) can allocate it at once.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := answers.Get().(*bytes.Buffer)
+	defer answers.Put(buf) // w.Write does not keep the bytes
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, "encoding the answer: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
+// answers holds WriteJSON's encode buffers.
+var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // load reads and bounds the uploaded source, decodes the
-// engine/verify/version query parameters and compiles without
-// activating (planprt.Load: parse, late-check, verify, codegen) — the
-// expensive, rejectable work, done before s.mu is taken. On failure it
-// has already written the HTTP error: a 422 Reject, headed by what,
-// when the protocol rather than the request framing is at fault.
-func (s *Server) load(w http.ResponseWriter, r *http.Request, what string) (*installed, bool) {
+// engine/verify/version parameters of q (the request's query, which the
+// caller has parsed) and compiles without activating (planprt.Load:
+// parse, late-check, verify, codegen) — the expensive, rejectable
+// work, done before s.mu is taken. On failure it has already written
+// the HTTP error: a 422 Reject, headed by what, when the protocol
+// rather than the request framing is at fault.
+func (s *Server) load(w http.ResponseWriter, r *http.Request, q url.Values, what string) (*installed, bool) {
 	body, ok := ReadBody(w, r, maxASPSource)
 	if !ok {
 		return nil, false
 	}
-	q := r.URL.Query()
 	cfg, err := planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -244,7 +260,7 @@ func (s *Server) lock() {
 // activate) and activate in a single request. It refuses to replace a
 // running protocol — upgrades go through stage/activate.
 func (s *Server) install(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.load(w, r, "download")
+	in, ok := s.load(w, r, r.URL.Query(), "download")
 	if !ok {
 		return
 	}

@@ -29,13 +29,14 @@ import (
 //	DELETE /asp/stage[?version=v] abort: discard the staged version
 //	                              (scoped to v when given); idempotent
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("version") == "" {
+	q := r.URL.Query()
+	if q.Get("version") == "" {
 		http.Error(w, "stage requires a ?version= label", http.StatusBadRequest)
 		return
 	}
 	// Phase 1 is where failure costs nothing: the node's packet
 	// processing is untouched until activate.
-	in, ok := s.load(w, r, "stage")
+	in, ok := s.load(w, r, q, "stage")
 	if !ok {
 		return
 	}

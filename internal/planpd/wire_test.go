@@ -1,11 +1,15 @@
 package planpd
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 
+	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/planprt"
 )
 
@@ -99,5 +103,32 @@ func TestWireContract(t *testing.T) {
 	// The values a fleet controller acts on, at the end of the walk.
 	if active, staged, prev := aspState(t, base); active != "v3" || staged != "" || prev != "" {
 		t.Errorf("end state: active=%q staged=%q prev=%q", active, staged, prev)
+	}
+}
+
+// TestWriteJSONCarriesLength: an answer carries its Content-Length, so
+// a reader that is handed it without net/http's server between (a
+// ResponseRecorder, as in the deploy benchmark's in-process transport)
+// allocates the body once; the bytes are json.Encoder's, newline and all.
+func TestWriteJSONCarriesLength(t *testing.T) {
+	_, err := planprt.Load(`channel network(ps : int, ss : unit, p : ip*udp*blob) is (deliver(p); (ps + true, ss))`, planprt.Config{})
+	if err == nil {
+		t.Fatal("an ill-typed program loads")
+	}
+	for _, tc := range []struct {
+		write func(http.ResponseWriter)
+		v     any
+	}{
+		{func(w http.ResponseWriter) { WriteJSON(w, http.StatusOK, Staged{Staged: true, Version: "v<1>"}) }, Staged{Staged: true, Version: "v<1>"}},
+		{func(w http.ResponseWriter) { writeReject(w, "stage rejected", err) }, Reject{Error: "stage rejected", Diagnostics: diag.Of(err)}},
+	} {
+		rec := httptest.NewRecorder()
+		tc.write(rec)
+		res := rec.Result()
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(tc.v)
+		if body := rec.Body.Bytes(); !bytes.Equal(body, want.Bytes()) || res.ContentLength != int64(len(body)) {
+			t.Errorf("HTTP %d: Content-Length %d, body %q (%d bytes); want body %q", res.StatusCode, res.ContentLength, body, len(body), want.Bytes())
+		}
 	}
 }

@@ -297,6 +297,22 @@ is
 	}
 }
 
+// TestLoadRefusesNonPacketDeliver: deliver takes a packet type, so a
+// program that delivers anything else is refused at load, even under
+// the privileged policy, and does not pass every analysis only to raise
+// in encode on every packet.
+func TestLoadRefusesNonPacketDeliver(t *testing.T) {
+	for _, arg := range []string{"5", "#3 p", "(#2 p, #3 p)"} {
+		src := `channel network(ps : int, ss : unit, p : ip*udp*blob) is (deliver(` + arg + `); (ps, ss))`
+		for _, engine := range []EngineKind{EngineInterp, EngineBytecode, EngineJIT} {
+			_, err := Load(src, Config{Engine: engine, Verify: VerifyPrivileged, NoCache: true})
+			if err == nil || !strings.Contains(err.Error(), "deliver argument 1") {
+				t.Errorf("%s: deliver(%s) loads: %v", engine, arg, err)
+			}
+		}
+	}
+}
+
 func TestOnRemoteToSelfDeliversLocally(t *testing.T) {
 	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
