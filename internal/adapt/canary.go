@@ -13,13 +13,11 @@ package adapt
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/obs"
-	"planp.dev/planp/internal/planpd"
 )
 
 // Canary verdicts.
@@ -210,9 +208,7 @@ func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (cana
 	}
 	baseline = make(map[string]Snapshot, len(plan.Baseline))
 	for _, t := range plan.Baseline {
-		var s Snapshot
-		err := planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
-			strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
+		s, err := c.poll(ctx, t)
 		if err != nil {
 			c.fleet.Logf("adapt: baseline %s unobservable, dropped from comparison: %v", t.Name, err)
 			continue

@@ -252,15 +252,20 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 func (c *Controller) snapshotAll(ctx context.Context, targets []fleet.Target) (map[string]Snapshot, error) {
 	out := make(map[string]Snapshot, len(targets))
 	for _, t := range targets {
-		var s Snapshot
-		err := planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
-			strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
+		s, err := c.poll(ctx, t)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.Name, err)
 		}
 		out[t.Name] = s
 	}
 	return out, nil
+}
+
+// poll reads one target's GET /stats through the control-plane client.
+func (c *Controller) poll(ctx context.Context, t fleet.Target) (s Snapshot, err error) {
+	err = planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
+		strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
+	return s, err
 }
 
 // pairWindows matches two snapshot rounds into per-node windows,

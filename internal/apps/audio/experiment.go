@@ -52,8 +52,10 @@ type Testbed struct {
 	ClientNode *netsim.Node // the node Client is bound on
 	LoadGen    *netsim.Node
 	Segment    *netsim.Segment
-	Uplink     *netsim.Link // source -> router link (the chaos experiments cut this)
 	Group      netsim.Addr
+	// Net is Figure5 as built; the chaos experiments wire their engine
+	// from it.
+	Net *netsim.Built
 
 	RouterRT *planprt.Runtime // nil unless AdaptASP
 	ClientRT *planprt.Runtime
@@ -121,8 +123,8 @@ func NewTestbed(opts Options) (*Testbed, error) {
 		ClientNode: client,
 		LoadGen:    gen,
 		Segment:    b.Segments[0],
-		Uplink:     b.Links[0],
 		Group:      group,
+		Net:        b,
 	}
 	tb.Wire = MeterAudio(client)
 	client.Tap(func(pkt *netsim.Packet) {

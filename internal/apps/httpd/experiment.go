@@ -47,13 +47,11 @@ type Testbed struct {
 	ServerB *Server
 	GwRT    *planprt.Runtime // set for VariantASPGW
 
-	// Interface handles for the chaos experiments (which inject faults
-	// on the server LAN and crash the gateway).
-	ClientLAN  *netsim.Segment
-	ServerLAN  *netsim.Segment
-	GwServerIf *netsim.Iface
-	ServerAIf  *netsim.Iface
-	ServerBIf  *netsim.Iface
+	ClientLAN *netsim.Segment
+	ServerLAN *netsim.Segment
+	// Net is Cluster as built; the chaos experiments wire their engine
+	// from it.
+	Net *netsim.Built
 }
 
 // Cluster is the §3.2 network: the two clients on the client LAN, the
@@ -112,16 +110,14 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 		serverBCfg = *cfg.ServerB
 	}
 	tb := &Testbed{
-		Sim:        sim,
-		Clients:    [2]*netsim.Node{c1, c2},
-		Gateway:    gw,
-		ServerA:    NewServer(sa, cfg.Server),
-		ServerB:    NewServer(sb, serverBCfg),
-		ClientLAN:  b.Segments[0],
-		ServerLAN:  b.Segments[1],
-		GwServerIf: b.Iface("gateway", "servers"),
-		ServerAIf:  b.Iface("serverA", "servers"),
-		ServerBIf:  b.Iface("serverB", "servers"),
+		Sim:       sim,
+		Clients:   [2]*netsim.Node{c1, c2},
+		Gateway:   gw,
+		ServerA:   NewServer(sa, cfg.Server),
+		ServerB:   NewServer(sb, serverBCfg),
+		ClientLAN: b.Segments[0],
+		ServerLAN: b.Segments[1],
+		Net:       b,
 	}
 
 	switch cfg.Variant {

@@ -18,14 +18,24 @@
 // interleave nondeterministically, so runs are statistically similar,
 // not identical — the backend's own contract.
 //
+// # Wiring
+//
+// An engine is born wired to a network substrate.Build made: New names
+// every element by the name its Topology already gives it. A link
+// "a-b" is duplex, its fwd direction a→b and its rev b→a, each wired
+// where that end is built; a segment is one medium under its own name;
+// every built node is adopted. A site that builds part of a topology
+// wires the part it built, so two daemons' engines compose into one
+// duplex link across them.
+//
 // # Two forms
 //
 // A fault that applies now is a method on a handle: the *Link that
-// Wire, WireDuplex or LookupLink returns, the *NodeHandle that Adopt or
-// LookupNode returns. A fault on a schedule is a Timeline — plain data
-// that Compile binds to those handles and Play runs through
-// substrate.Env.After: virtual time on netsim (a 10-minute scenario
-// replays in milliseconds), wall-clock timers on rtnet.
+// LookupLink returns, the *NodeHandle that LookupNode returns. A fault
+// on a schedule is a Timeline — plain data that Compile binds to those
+// handles and Play runs through substrate.Env.After: virtual time on
+// netsim (a 10-minute scenario replays in milliseconds), wall-clock
+// timers on rtnet.
 //
 // # Observability
 //
@@ -39,6 +49,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,15 +61,16 @@ import (
 
 // Engine owns the fault state for one substrate environment: the seeded
 // RNG, the wired links, the adopted nodes, and the chaos.* counters.
-// All mutation goes through the engine's mutex, so scenario steps may
-// fire from rtnet timer goroutines while node goroutines transmit.
+// The links and nodes are fixed by New; all fault state goes through
+// the engine's mutex, so scenario steps may fire from rtnet timer
+// goroutines while node goroutines transmit.
 type Engine struct {
-	env substrate.Env
-
-	mu    sync.Mutex
-	rng   *rand.Rand
+	env   substrate.Env
 	links map[string]*Link
 	nodes map[string]*NodeHandle
+
+	mu  sync.Mutex
+	rng *rand.Rand
 
 	ct counters
 }
@@ -70,11 +82,16 @@ type counters struct {
 	crashes, restarts, skews              *obs.Counter
 }
 
-// New returns an engine for env whose every random decision flows from
-// seed. Use a fresh engine (and a fresh seed) per experiment cell.
-func New(env substrate.Env, seed int64) *Engine {
+// New returns an engine wired to b, the network substrate.Build made
+// of t on env, whose every random decision flows from seed: each link
+// of t with an end in b, each segment with a member in b, each node b
+// built (see Wiring). Use a fresh engine (and a fresh seed) per
+// experiment cell. Panics on an element name a reference cannot spell
+// (one containing ':'), on two elements under one name, and on a built
+// interface or node that cannot take faults — author errors.
+func New[N substrate.Host](env substrate.Env, t *substrate.Topology, b *substrate.Built[N], seed int64) *Engine {
 	reg := env.Metrics()
-	return &Engine{
+	e := &Engine{
 		env:   env,
 		rng:   rand.New(rand.NewSource(seed)),
 		links: map[string]*Link{},
@@ -91,6 +108,24 @@ func New(env substrate.Env, seed int64) *Engine {
 			skews:      reg.Counter("chaos.clock_skews"),
 		},
 	}
+	for _, n := range t.Nodes {
+		if b.Hosted(n.Name) {
+			node := any(b.Node(n.Name))
+			sk, _ := node.(substrate.ClockSkewer) // optional: rtnet only
+			e.nodes[n.Name] = &NodeHandle{e: e, name: n.Name, cr: node.(substrate.Crasher), sk: sk}
+		}
+	}
+	for _, l := range t.Links {
+		e.wire(l.Name(), true, b.Iface(l.A, l.B), b.Iface(l.B, l.A))
+	}
+	for _, s := range t.Segments {
+		ports := make([]substrate.Iface, len(s.Members))
+		for i, m := range s.Members {
+			ports[i] = b.Iface(m, s.Name)
+		}
+		e.wire(s.Name, false, ports...)
+	}
+	return e
 }
 
 // emit publishes one chaos state-transition event. Called outside the
@@ -104,8 +139,8 @@ func (e *Engine) emit(kind obs.Kind, name, detail string) {
 // ---------------------------------------------------------------------------
 // Links
 
-// Directions of a duplex link (WireDuplex). For a link named "a-b",
-// dirFwd is a→b and dirRev is b→a.
+// Directions of a link. For a link named "a-b", dirFwd is a→b and
+// dirRev is b→a.
 const (
 	dirFwd = 0
 	dirRev = 1
@@ -125,75 +160,58 @@ type dirFaults struct {
 	jitter  time.Duration // uniform [0, jitter) extra latency — reorders
 }
 
-// Link is the engine's handle on one faultable link, or on one
-// direction of it: every method below writes the directions the handle
-// addresses. A link wired with Wire is symmetric — both directions
-// degrade together, which is what cable damage and congested paths look
-// like. A link wired with WireDuplex keeps per-direction state: the
-// handle WireDuplex returns still addresses both directions at once, and
-// LookupLink("a-b:fwd") / ("a-b:rev") returns a handle narrowed to one —
-// the asymmetric-fault grain (a path congested one way, a half-broken
-// transceiver, a cross-host link whose far half lives in another
-// process). Events from a narrowed handle carry a ":fwd"/":rev" suffix.
+// Link is the engine's handle on one faultable link or segment, or on
+// one direction of a link: every method below writes the directions the
+// handle addresses. A link keeps per-direction state: the whole-link
+// handle addresses both directions at once, and LookupLink("a-b:fwd") /
+// ("a-b:rev") returns a handle narrowed to one — the asymmetric-fault
+// grain (a path congested one way, a half-broken transceiver, a
+// cross-host link whose far half lives in another process). Events
+// from a narrowed handle carry a ":fwd"/":rev" suffix. A segment is
+// one medium, so every member's attachment shares one state and its
+// handle cannot be narrowed.
 type Link struct {
 	e      *Engine
 	name   string
-	duplex bool
+	duplex bool // a link; false for a segment
 
 	// state is shared by every handle on the link and guarded by e.mu;
-	// this handle addresses state[lo:hi]. The ports of a symmetric link
-	// read only state[dirFwd]; its one handle writes both.
+	// this handle addresses state[lo:hi]. A segment's ports read only
+	// state[dirFwd]; its one handle writes both.
 	state  *[2]dirFaults
 	lo, hi int
 	suffix string // "" for the whole link, ":fwd" / ":rev" when narrowed
 }
 
-// Wire attaches the engine to a named link: every given port consults
-// (and shares) the link's fault state on each transmission — symmetric
-// faults. Pass a duplex link's two directional interfaces; for
-// independent per-direction state use WireDuplex. Panics on a
-// duplicate name — scenarios address links by name, so collisions are
-// author errors — and on a name containing ':', which is how a
-// reference names a direction.
-func (e *Engine) Wire(name string, ports ...substrate.FaultPort) *Link {
-	return e.wire(name, false, ports, nil)
-}
-
-// WireDuplex attaches the engine to a named link with independent
-// per-direction fault state: fwd ports carry the a→b direction of a
-// link named "a-b", rev ports b→a. Either side may be empty when only
-// one direction is locally owned — the cross-host case, where each
-// daemon wires its outbound half and the peer daemon wires the other.
-func (e *Engine) WireDuplex(name string, fwd, rev []substrate.FaultPort) *Link {
-	return e.wire(name, true, fwd, rev)
-}
-
-func (e *Engine) wire(name string, duplex bool, fwd, rev []substrate.FaultPort) *Link {
-	if len(fwd)+len(rev) == 0 {
-		panic(fmt.Sprintf("chaos: link %q needs at least one port", name))
+// wire registers the element name and points its ports, the ones
+// built here (non-nil), at its fault state: a link's two ports at its
+// a→b and b→a directions, every port of a segment at the one state.
+func (e *Engine) wire(name string, duplex bool, ports ...substrate.Iface) {
+	if !slices.ContainsFunc(ports, func(p substrate.Iface) bool { return p != nil }) {
+		return
 	}
 	if strings.Contains(name, ":") {
 		panic(fmt.Sprintf("chaos: link name %q contains ':'", name))
 	}
-	l := &Link{e: e, name: name, duplex: duplex, state: new([2]dirFaults), hi: len(dirNames)}
-	e.mu.Lock()
 	if e.links[name] != nil {
-		e.mu.Unlock()
 		panic(fmt.Sprintf("chaos: link %q wired twice", name))
 	}
+	l := &Link{e: e, name: name, duplex: duplex, state: new([2]dirFaults), hi: len(dirNames)}
 	e.links[name] = l
-	e.mu.Unlock()
-	for dir, side := range [...][]substrate.FaultPort{dirFwd: fwd, dirRev: rev} {
-		for _, p := range side {
-			p.SetFault(func(*substrate.Packet) substrate.FaultAction { return l.fault(dir) })
+	for i, p := range ports {
+		dir := dirFwd
+		if duplex {
+			dir = i
+		}
+		if p != nil {
+			p.(substrate.FaultPort).SetFault(func(*substrate.Packet) substrate.FaultAction { return l.fault(dir) })
 		}
 	}
-	return l
 }
 
-// LookupLink resolves a link reference — "<name>" for the whole link,
-// "<name>:fwd" or "<name>:rev" for one direction of a duplex-wired one
-// — to its handle. It is the one resolver of link references: Compile
+// LookupLink resolves a link reference — "<name>" for a whole link or
+// segment, "<name>:fwd" or "<name>:rev" for one direction of a link —
+// to its handle. It is the one resolver of link references: Compile
 // calls it once per reference and binds the step to the handle it
 // returns.
 func (e *Engine) LookupLink(ref string) (*Link, error) {
@@ -201,9 +219,7 @@ func (e *Engine) LookupLink(ref string) (*Link, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing link")
 	}
-	e.mu.Lock()
 	l := e.links[name]
-	e.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("unknown link %q (wired: %v)", name, e.LinkNames())
 	}
@@ -218,18 +234,9 @@ func (e *Engine) LookupLink(ref string) (*Link, error) {
 	return nil, fmt.Errorf("direction %q of link %q (want \"fwd\" or \"rev\")", dir, name)
 }
 
-// LinkNames returns the names of every wired link, sorted: they are
-// part of the error a daemon answers a bad timeline with.
-func (e *Engine) LinkNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.links))
-	for name := range e.links {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// LinkNames returns the names of every wired link and segment, sorted:
+// they are part of the error a daemon answers a bad timeline with.
+func (e *Engine) LinkNames() []string { return sortedKeys(e.links) }
 
 // LookupNode resolves an adopted node by name — LookupLink's
 // counterpart, which Compile calls once per node a step names.
@@ -237,9 +244,7 @@ func (e *Engine) LookupNode(name string) (*NodeHandle, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing node")
 	}
-	e.mu.Lock()
 	h := e.nodes[name]
-	e.mu.Unlock()
 	if h == nil {
 		return nil, fmt.Errorf("unknown node %q (adopted: %v)", name, e.NodeNames())
 	}
@@ -247,12 +252,12 @@ func (e *Engine) LookupNode(name string) (*NodeHandle, error) {
 }
 
 // NodeNames returns the names of every adopted node, sorted.
-func (e *Engine) NodeNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.nodes))
-	for name := range e.nodes {
-		out = append(out, name)
+func (e *Engine) NodeNames() []string { return sortedKeys(e.nodes) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -303,7 +308,7 @@ func (l *Link) Name() string { return l.name + l.suffix }
 
 func (l *Link) narrow(dir int) (*Link, error) {
 	if !l.duplex {
-		return nil, fmt.Errorf("link %q is symmetric; per-direction faults need WireDuplex", l.name)
+		return nil, fmt.Errorf("segment %q is one symmetric medium; it has no direction %q", l.name, dirNames[dir])
 	}
 	d := *l
 	d.lo, d.hi, d.suffix = dir, dir+1, ":"+dirNames[dir]
@@ -394,11 +399,10 @@ func (l *Link) Clear() {
 // deliberate Restart, not a side effect of stopping a timeline.
 func (e *Engine) ClearAll() {
 	for _, name := range e.LinkNames() {
-		l, _ := e.LookupLink(name) // a wired name always resolves
-		l.Clear()
+		e.links[name].Clear()
 	}
 	for _, name := range e.NodeNames() {
-		if h, _ := e.LookupNode(name); h.CanSkew() && h.sk.ClockSkew() != 0 {
+		if h := e.nodes[name]; h.CanSkew() && h.sk.ClockSkew() != 0 {
 			h.SetClockSkew(0)
 		}
 	}
@@ -407,8 +411,9 @@ func (e *Engine) ClearAll() {
 // ---------------------------------------------------------------------------
 // Nodes
 
-// NodeHandle is the engine's handle on one crashable (and possibly
-// clock-skewable) node.
+// NodeHandle is the engine's handle on one built node: crashable
+// (substrate.Crasher, both backends) and, where the backend supports
+// it, clock-skewable.
 type NodeHandle struct {
 	e    *Engine
 	name string
@@ -416,27 +421,7 @@ type NodeHandle struct {
 	sk   substrate.ClockSkewer // nil when the backend can't skew
 }
 
-// Adopt registers a node for crash/restart (and, where the backend
-// supports it, clock-skew) scenarios. The node must implement
-// substrate.Crasher (both backends do); substrate.ClockSkewer is
-// optional (rtnet only). Panics on a duplicate name.
-func (e *Engine) Adopt(n substrate.Node) *NodeHandle {
-	cr, ok := n.(substrate.Crasher)
-	if !ok {
-		panic(fmt.Sprintf("chaos: node %q does not support crash/restart", n.Hostname()))
-	}
-	sk, _ := n.(substrate.ClockSkewer)
-	h := &NodeHandle{e: e, name: n.Hostname(), cr: cr, sk: sk}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.nodes[h.name] != nil {
-		panic(fmt.Sprintf("chaos: node %q adopted twice", h.name))
-	}
-	e.nodes[h.name] = h
-	return h
-}
-
-// Name returns the node's scenario name (its hostname).
+// Name returns the node's scenario name, its topology name.
 func (h *NodeHandle) Name() string { return h.name }
 
 // Crash takes the node down: traffic through it blackholes and its

@@ -11,8 +11,9 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// bed is a minimal netsim chaos testbed: a — r — b over two links, a
-// chaos engine wired to both, a delivery counter at b.
+// bed is a minimal netsim chaos testbed: a — r over the link "a-r"
+// (the uplink), r and b on the segment "lan" (the downlink), a chaos
+// engine wired to both, a delivery counter at b.
 type bed struct {
 	sim              *netsim.Simulator
 	eng              *chaos.Engine
@@ -21,28 +22,40 @@ type bed struct {
 	delivered        *int
 }
 
+// bedTopo is mkBed's network.
+var bedTopo = substrate.Topology{
+	Nodes: []substrate.NodeSpec{
+		{Name: "a", Addr: substrate.MustAddr("10.0.0.1")},
+		{Name: "r", Addr: substrate.MustAddr("10.0.0.254"), Forwarding: true},
+		{Name: "b", Addr: substrate.MustAddr("10.0.1.1")},
+	},
+	Links:    []substrate.LinkSpec{{A: "a", B: "r", Bandwidth: 10_000_000}},
+	Segments: []substrate.SegmentSpec{{Name: "lan", Bandwidth: 10_000_000, Members: []string{"r", "b"}}},
+}
+
 func mkBed(t *testing.T, seed int64) *bed {
 	t.Helper()
 	sim := netsim.New(netsim.WithSeed(seed))
-	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
-	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
-	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.1.1"))
-	r.Forwarding = true
-	la := netsim.Connect(sim, a, r, netsim.LinkConfig{Bandwidth: 10_000_000})
-	lb := netsim.Connect(sim, r, b, netsim.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(la.Ifaces()[0])
-	r.AddRoute(a.Addr, la.Ifaces()[1])
-	r.AddRoute(b.Addr, lb.Ifaces()[0])
-	b.SetDefaultRoute(lb.Ifaces()[1])
-
-	eng := chaos.New(sim, seed+1000)
-	uplink := eng.Wire("uplink", la.Ifaces()[0], la.Ifaces()[1])
-	downlink := eng.Wire("downlink", lb.Ifaces()[0], lb.Ifaces()[1])
-	eng.Adopt(r)
+	built, err := netsim.Build(sim, &bedTopo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := chaos.New(sim, &bedTopo, built.Built, seed+1000)
+	a, r, b := built.Nodes[0], built.Nodes[1], built.Nodes[2]
 
 	delivered := 0
 	b.BindUDP(9, func(*netsim.Packet) { delivered++ })
-	return &bed{sim: sim, eng: eng, uplink: uplink, downlink: downlink, a: a, r: r, b: b, delivered: &delivered}
+	return &bed{sim: sim, eng: eng, uplink: lookup(t, eng, "a-r"), downlink: lookup(t, eng, "lan"),
+		a: a, r: r, b: b, delivered: &delivered}
+}
+
+func lookup(t *testing.T, eng *chaos.Engine, ref string) *chaos.Link {
+	t.Helper()
+	l, err := eng.LookupLink(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // play compiles the steps as one timeline against eng and plays it.
@@ -120,7 +133,7 @@ func TestScenarioPartitionAndHeal(t *testing.T) {
 	// 300ms of traffic; the partition window is [100ms, 200ms).
 	bd.stream(300, 0, time.Millisecond)
 	play(t, bd.eng,
-		chaos.TimelineStep{AtMS: 100, Op: "partition", Links: []string{"uplink", "downlink"}},
+		chaos.TimelineStep{AtMS: 100, Op: "partition", Links: []string{"a-r", "lan"}},
 		chaos.TimelineStep{AtMS: 200, Op: "heal"})
 	bd.sim.Run()
 
@@ -145,7 +158,7 @@ func TestScenarioEveryFlap(t *testing.T) {
 	// Flap the uplink for 10ms every 50ms over 200ms: 4 flaps.
 	var flaps []chaos.TimelineStep
 	for at := int64(50); at <= 200; at += 50 {
-		flaps = append(flaps, chaos.TimelineStep{AtMS: at, Op: "flap", Link: "uplink", DurMS: 10})
+		flaps = append(flaps, chaos.TimelineStep{AtMS: at, Op: "flap", Link: "a-r", DurMS: 10})
 	}
 	play(t, bd.eng, flaps...)
 	bd.stream(300, 0, time.Millisecond)
@@ -213,11 +226,12 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 }
 
 // TestUnknownLinkIsRefused: a reference to a link nobody wired has no
-// handle and no compiled step; the error names the wired links.
+// handle and no compiled step; the error names the wired links and
+// segments.
 func TestUnknownLinkIsRefused(t *testing.T) {
 	bd := mkBed(t, 23)
 	if l, err := bd.eng.LookupLink("no-such-link"); l != nil || err == nil ||
-		!strings.Contains(err.Error(), "[downlink uplink]") {
+		!strings.Contains(err.Error(), "[a-r lan]") {
 		t.Errorf("LookupLink(unwired) = %v, %v; want an error naming the wired links", l, err)
 	}
 	_, err := bd.eng.Compile(&chaos.Timeline{Steps: []chaos.TimelineStep{{Op: "down", Link: "no-such-link"}}})
@@ -238,9 +252,9 @@ func (passProc) Process(*substrate.Packet, substrate.Iface) bool { return false 
 func TestPlayAppliesAtZeroBeforeReturning(t *testing.T) {
 	bd := mkBed(t, 43)
 	run := play(t, bd.eng,
-		chaos.TimelineStep{Op: "down", Link: "uplink"},
-		chaos.TimelineStep{Op: "loss", Link: "downlink", P: 1},
-		chaos.TimelineStep{AtMS: 10, Op: "up", Link: "uplink"})
+		chaos.TimelineStep{Op: "down", Link: "a-r"},
+		chaos.TimelineStep{Op: "loss", Link: "lan", P: 1},
+		chaos.TimelineStep{AtMS: 10, Op: "up", Link: "a-r"})
 	if !bd.uplink.IsDown() {
 		t.Errorf("at_ms 0 down not in effect when Play returned")
 	}

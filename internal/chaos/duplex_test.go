@@ -11,28 +11,32 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// duplexBed is a netsim bed with the uplink wired per-direction: fwd is
-// a→r, rev is r→a. Request/response traffic exercises both directions.
+// duplexBed is a netsim bed of one link, "a-r": fwd is a→r, rev is
+// r→a. Request/response traffic exercises both directions.
 type duplexBed struct {
 	*bed
-	fwd, rev *chaos.Link // the uplink's two directions
+	fwd, rev *chaos.Link // the link's two directions
 	echoed   *int
+}
+
+// duplexTopo is mkDuplexBed's network.
+var duplexTopo = substrate.Topology{
+	Nodes: []substrate.NodeSpec{
+		{Name: "a", Addr: substrate.MustAddr("10.0.0.1")},
+		{Name: "r", Addr: substrate.MustAddr("10.0.0.254")},
+	},
+	Links: []substrate.LinkSpec{{A: "a", B: "r", Bandwidth: 10_000_000}},
 }
 
 func mkDuplexBed(t *testing.T, seed int64) *duplexBed {
 	t.Helper()
 	sim := netsim.New(netsim.WithSeed(seed))
-	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
-	r := netsim.NewNode(sim, "r", netsim.MustAddr("10.0.0.254"))
-	la := netsim.Connect(sim, a, r, netsim.LinkConfig{Bandwidth: 10_000_000})
-	a.SetDefaultRoute(la.Ifaces()[0])
-	r.AddRoute(a.Addr, la.Ifaces()[1])
-
-	eng := chaos.New(sim, seed+1000)
-	uplink := eng.WireDuplex("uplink",
-		[]substrate.FaultPort{la.Ifaces()[0]}, // a→r
-		[]substrate.FaultPort{la.Ifaces()[1]}, // r→a
-	)
+	built, err := netsim.Build(sim, &duplexTopo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := chaos.New(sim, &duplexTopo, built.Built, seed+1000)
+	a, r := built.Nodes[0], built.Nodes[1]
 
 	delivered, echoed := 0, 0
 	r.BindUDP(9, func(pkt *netsim.Packet) {
@@ -41,20 +45,11 @@ func mkDuplexBed(t *testing.T, seed int64) *duplexBed {
 	})
 	a.BindUDP(1000, func(*netsim.Packet) { echoed++ })
 	return &duplexBed{
-		bed:    &bed{sim: sim, eng: eng, uplink: uplink, a: a, r: r, delivered: &delivered},
-		fwd:    lookup(t, eng, "uplink:fwd"),
-		rev:    lookup(t, eng, "uplink:rev"),
+		bed:    &bed{sim: sim, eng: eng, uplink: lookup(t, eng, "a-r"), a: a, r: r, delivered: &delivered},
+		fwd:    lookup(t, eng, "a-r:fwd"),
+		rev:    lookup(t, eng, "a-r:rev"),
 		echoed: &echoed,
 	}
-}
-
-func lookup(t *testing.T, eng *chaos.Engine, ref string) *chaos.Link {
-	t.Helper()
-	l, err := eng.LookupLink(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
 }
 
 func (bd *duplexBed) requests(n int) {
@@ -108,7 +103,7 @@ func TestAsymmetricLossFwd(t *testing.T) {
 }
 
 // TestSymmetricSettersCoverBothDirections asserts whole-link setters on
-// a duplex-wired link degrade both directions at once.
+// a link degrade both directions at once.
 func TestSymmetricSettersCoverBothDirections(t *testing.T) {
 	bd := mkDuplexBed(t, 17)
 	bd.uplink.Down()
@@ -125,18 +120,19 @@ func TestSymmetricSettersCoverBothDirections(t *testing.T) {
 	}
 }
 
-// TestDirOnSymmetricLinkPanics: one direction of a Wire'd (symmetric)
-// link is an author error and fails fast: LookupLink, the one way to a
-// narrowed handle, refuses it with an error that points at WireDuplex.
+// TestDirOnSymmetricLinkPanics: a segment is one symmetric medium, so
+// one direction of it is an author error and fails fast: LookupLink,
+// the one way to a narrowed handle, refuses ":fwd" and ":rev" on it
+// with an error that names the segment.
 func TestDirOnSymmetricLinkPanics(t *testing.T) {
 	bd := mkBed(t, 19)
-	for _, ref := range []string{"uplink:fwd", "uplink:rev"} {
+	for _, ref := range []string{"lan:fwd", "lan:rev"} {
 		l, err := bd.eng.LookupLink(ref)
 		if l != nil || err == nil {
-			t.Fatalf("LookupLink(%q) on a symmetric link = %v, %v; want an error", ref, l, err)
+			t.Fatalf("LookupLink(%q) on a segment = %v, %v; want an error", ref, l, err)
 		}
-		if !strings.Contains(err.Error(), "WireDuplex") {
-			t.Fatalf("error %q does not point at WireDuplex", err)
+		if !strings.Contains(err.Error(), `segment "lan"`) {
+			t.Fatalf("error %q does not name the segment", err)
 		}
 	}
 }
@@ -146,8 +142,8 @@ func TestDirOnSymmetricLinkPanics(t *testing.T) {
 func TestPlayRunStop(t *testing.T) {
 	bd := mkBed(t, 23)
 	run := play(t, bd.eng,
-		chaos.TimelineStep{AtMS: 10, Op: "down", Link: "uplink"},
-		chaos.TimelineStep{AtMS: 50, Op: "up", Link: "uplink"})
+		chaos.TimelineStep{AtMS: 10, Op: "down", Link: "a-r"},
+		chaos.TimelineStep{AtMS: 50, Op: "up", Link: "a-r"})
 
 	// A stopper on the timeline between the two steps — netsim virtual
 	// time, so ordering is exact.
@@ -174,7 +170,7 @@ func TestTimelineCompileAndPlay(t *testing.T) {
 	tl, err := chaos.ParseTimeline([]byte(`{
 		"name": "cut-then-heal",
 		"steps": [
-			{"at_ms": 10, "op": "partition", "links": ["uplink", "downlink"]},
+			{"at_ms": 10, "op": "partition", "links": ["a-r", "lan"]},
 			{"at_ms": 50, "op": "heal"}
 		]
 	}`))
@@ -201,17 +197,17 @@ func TestTimelineValidation(t *testing.T) {
 	cases := []struct {
 		name, json, wantErr string
 	}{
-		{"unknown-op", `{"steps":[{"op":"explode","link":"uplink"}]}`, "unknown op"},
+		{"unknown-op", `{"steps":[{"op":"explode","link":"a-r"}]}`, "unknown op"},
 		{"unknown-link", `{"steps":[{"op":"down","link":"nope"}]}`, "unknown link"},
 		{"unknown-node", `{"steps":[{"op":"crash","node":"nope"}]}`, "unknown node"},
-		{"bad-prob", `{"steps":[{"op":"loss","link":"uplink","p":1.5}]}`, "probability"},
-		{"bad-dir", `{"steps":[{"op":"down","link":"uplink","dir":"sideways"}]}`, "direction"},
-		{"dir-on-symmetric", `{"steps":[{"op":"down","link":"uplink","dir":"fwd"}]}`, "symmetric"},
+		{"bad-prob", `{"steps":[{"op":"loss","link":"a-r","p":1.5}]}`, "probability"},
+		{"bad-dir", `{"steps":[{"op":"down","link":"a-r","dir":"sideways"}]}`, "direction"},
+		{"dir-on-symmetric", `{"steps":[{"op":"down","link":"lan","dir":"fwd"}]}`, "symmetric"},
 		{"skew-on-netsim", `{"steps":[{"op":"clockskew","node":"r","skew_ms":100}]}`, "clock skew"},
-		{"typoed-field", `{"steps":[{"op":"loss","link":"uplink","prob":0.5}]}`, "unknown field"},
+		{"typoed-field", `{"steps":[{"op":"loss","link":"a-r","prob":0.5}]}`, "unknown field"},
 		{"no-steps", `{"steps":[]}`, "no steps"},
-		{"at-overflows", `{"steps":[{"at_ms":9223372036855,"op":"down","link":"uplink"}]}`, "does not fit a duration"},
-		{"negative-at", `{"steps":[{"at_ms":-5,"op":"down","link":"uplink"}]}`, "negative at_ms"},
+		{"at-overflows", `{"steps":[{"at_ms":9223372036855,"op":"down","link":"a-r"}]}`, "does not fit a duration"},
+		{"negative-at", `{"steps":[{"at_ms":-5,"op":"down","link":"a-r"}]}`, "negative at_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,9 +238,9 @@ func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 		},
 		"timeline": func(bd *duplexBed) {
 			tl, err := chaos.ParseTimeline([]byte(`{"steps": [
-				{"op": "down", "link": "uplink", "dir": "rev"},
-				{"op": "partition", "links": ["uplink"]},
-				{"op": "partition", "links": ["uplink"]}]}`))
+				{"op": "down", "link": "a-r", "dir": "rev"},
+				{"op": "partition", "links": ["a-r"]},
+				{"op": "partition", "links": ["a-r"]}]}`))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +265,7 @@ func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 			if got := bd.sim.Metrics().Counter("chaos.link_down").Value(); got != 2 {
 				t.Errorf("chaos.link_down = %d, want 2 (rev cut, then fwd cut by the whole-link Down; the repeat is a no-op)", got)
 			}
-			if want := "uplink/link-down:rev uplink/link-down"; strings.Join(faults, " ") != want {
+			if want := "a-r/link-down:rev a-r/link-down"; strings.Join(faults, " ") != want {
 				t.Errorf("fault events %q, want %q", faults, want)
 			}
 			if !bd.fwd.IsDown() {
@@ -285,17 +281,17 @@ func TestWholeLinkDownAfterOneDirectionCounts(t *testing.T) {
 
 // TestDirectionReferences: a timeline takes "<link>:fwd" /
 // "<link>:rev" wherever it takes a link, a step's link+dir is the same
-// reference, and Wire keeps ':' out of link names so a reference reads
+// reference, and New keeps ':' out of link names so a reference reads
 // one way.
 func TestDirectionReferences(t *testing.T) {
 	bd := mkDuplexBed(t, 41)
-	play(t, bd.eng, chaos.TimelineStep{Op: "partition", Links: []string{"uplink:rev"}})
+	play(t, bd.eng, chaos.TimelineStep{Op: "partition", Links: []string{"a-r:rev"}})
 	if bd.fwd.IsDown() || !bd.rev.IsDown() {
-		t.Fatalf(`partition ["uplink:rev"] cut fwd=%v rev=%v, want only rev`, bd.fwd.IsDown(), bd.rev.IsDown())
+		t.Fatalf(`partition ["a-r:rev"] cut fwd=%v rev=%v, want only rev`, bd.fwd.IsDown(), bd.rev.IsDown())
 	}
 	play(t, bd.eng, chaos.TimelineStep{Op: "heal"})
 
-	tl, err := chaos.ParseTimeline([]byte(`{"steps": [{"op": "flap", "link": "uplink", "dir": "fwd", "dur_ms": 20}]}`))
+	tl, err := chaos.ParseTimeline([]byte(`{"steps": [{"op": "flap", "link": "a-r", "dir": "fwd", "dur_ms": 20}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +310,17 @@ func TestDirectionReferences(t *testing.T) {
 		t.Errorf("link still down after the flap")
 	}
 
+	colon := substrate.Topology{Nodes: duplexTopo.Nodes, Segments: []substrate.SegmentSpec{
+		{Name: "up:link", Bandwidth: 10_000_000, Members: []string{"a", "r"}}}}
+	sim := netsim.New()
+	built, err := netsim.Build(sim, &colon)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if r := recover(); r == nil {
-			t.Errorf("Wire accepted a link name containing ':'")
+			t.Errorf("New accepted a segment name containing ':'")
 		}
 	}()
-	bd.eng.Wire("up:link", bd.a.Interfaces()[0].(*netsim.Iface))
+	chaos.New(sim, &colon, built.Built, 1)
 }

@@ -19,23 +19,28 @@ func TestChaosOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
 
-	a := rtnet.NewNode(nw, "a", substrate.MustAddr("10.1.0.1"))
-	r := rtnet.NewNode(nw, "r", substrate.MustAddr("10.1.0.254"))
-	b := rtnet.NewNode(nw, "b", substrate.MustAddr("10.1.1.1"))
-	r.Forwarding = true
-	ar, ra := rtnet.NewLink(nw, a, r, 100_000_000)
-	rb, br := rtnet.NewLink(nw, r, b, 100_000_000)
-	a.SetDefaultRoute(ar)
-	r.AddRoute(a.Address(), ra)
-	r.AddRoute(b.Address(), rb)
-	b.SetDefaultRoute(br)
+	topo := &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "a", Addr: substrate.MustAddr("10.1.0.1")},
+			{Name: "r", Addr: substrate.MustAddr("10.1.0.254"), Forwarding: true},
+			{Name: "b", Addr: substrate.MustAddr("10.1.1.1")},
+		},
+		Links: []substrate.LinkSpec{
+			{A: "a", B: "r", Bandwidth: 100_000_000},
+			{A: "r", B: "b", Bandwidth: 100_000_000},
+		},
+	}
+	built, err := rtnet.Build(nw, topo, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := built.Node("a"), built.Node("b")
 
 	var delivered atomic.Int64
 	b.BindUDP(9, func(*substrate.Packet) { delivered.Add(1) })
 
-	eng := chaos.New(nw, 99)
-	uplink := eng.Wire("uplink", ar, ra)
-	eng.Wire("downlink", rb, br)
+	eng := chaos.New(nw, topo, built, 99)
+	uplink := lookup(t, eng, "a-r")
 
 	nw.Start()
 
@@ -93,22 +98,28 @@ func TestChaosScenarioWallClock(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
 
-	a := rtnet.NewNode(nw, "a", substrate.MustAddr("10.2.0.1"))
-	b := rtnet.NewNode(nw, "b", substrate.MustAddr("10.2.0.2"))
-	ab, ba := rtnet.NewLink(nw, a, b, 100_000_000)
-	a.SetDefaultRoute(ab)
-	b.SetDefaultRoute(ba)
+	topo := &substrate.Topology{
+		Nodes: []substrate.NodeSpec{
+			{Name: "a", Addr: substrate.MustAddr("10.2.0.1")},
+			{Name: "b", Addr: substrate.MustAddr("10.2.0.2")},
+		},
+		Links: []substrate.LinkSpec{{A: "a", B: "b", Bandwidth: 100_000_000}},
+	}
+	built, err := rtnet.Build(nw, topo, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := built.Node("a"), built.Node("b")
 
 	var delivered atomic.Int64
 	b.BindUDP(9, func(*substrate.Packet) { delivered.Add(1) })
 
-	eng := chaos.New(nw, 7)
-	eng.Wire("wire", ab, ba)
+	eng := chaos.New(nw, topo, built, 7)
 	nw.Start()
 
 	play(t, eng,
-		chaos.TimelineStep{AtMS: 50, Op: "down", Link: "wire"},
-		chaos.TimelineStep{AtMS: 110, Op: "up", Link: "wire"})
+		chaos.TimelineStep{AtMS: 50, Op: "down", Link: "a-b"},
+		chaos.TimelineStep{AtMS: 110, Op: "up", Link: "a-b"})
 
 	for i := 0; i < 200; i++ {
 		a.Send(substrate.NewUDP(a.Address(), b.Address(), 1, 9, []byte("x")).Own())
@@ -135,9 +146,15 @@ func TestChaosScenarioWallClock(t *testing.T) {
 func TestClockSkewOnRTNet(t *testing.T) {
 	nw := rtnet.New(1)
 	defer nw.Close()
-	n := rtnet.NewNode(nw, "host", substrate.MustAddr("10.2.0.1"))
-	eng := chaos.New(nw, 7)
-	h := eng.Adopt(n)
+	topo := &substrate.Topology{Nodes: []substrate.NodeSpec{{Name: "host", Addr: substrate.MustAddr("10.2.0.1")}}}
+	built, err := rtnet.Build(nw, topo, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := chaos.New(nw, topo, built, 7).LookupNode("host")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !h.CanSkew() {
 		t.Fatalf("rtnet nodes must support clock skew")
 	}

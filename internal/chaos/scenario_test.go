@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/substrate"
 )
 
 // TestRunCountsAStepOnceApplied: a step counts as fired, and the run as
@@ -12,7 +13,11 @@ import (
 // stopped while the step is being applied.
 func TestRunCountsAStepOnceApplied(t *testing.T) {
 	sim := netsim.New(netsim.WithSeed(1))
-	eng := New(sim, 1)
+	b, err := netsim.Build(sim, &substrate.Topology{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(sim, &substrate.Topology{}, b.Built, 1)
 	entered, release := make(chan struct{}), make(chan struct{})
 	run := eng.Play(&Scenario{steps: []step{{at: time.Millisecond, apply: func() {
 		close(entered)

@@ -46,10 +46,10 @@ type TimelineStep struct {
 	// partition, heal (link-set ops); crash, restart, clockskew
 	// (node ops).
 	Op string `json:"op"`
-	// Link names the target link (link ops).
+	// Link names the target link or segment (link ops).
 	Link string `json:"link,omitempty"`
-	// Dir scopes a link op to one direction of a duplex-wired link:
-	// "fwd", "rev", or empty for the whole link. Link "a-b" with Dir
+	// Dir scopes a link op to one direction of a link (a segment has
+	// none): "fwd", "rev", or empty for the whole link. Link "a-b" with Dir
 	// "rev" is the reference "a-b:rev" (see Engine.LookupLink).
 	Dir string `json:"dir,omitempty"`
 	// Links names the target set, as references (partition/heal; heal
@@ -92,7 +92,7 @@ func (tl *Timeline) Encode() ([]byte, error) { return json.MarshalIndent(tl, "",
 const maxMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Compile validates the timeline against this engine — every link and
-// node must be wired/adopted, directions require duplex wiring,
+// node must be wired/adopted, directions name a link's, not a segment's,
 // clockskew requires a backend that supports it — and returns the
 // executable scenario, each step bound to the handles its references
 // resolve to. The first invalid step aborts with an error naming it. A

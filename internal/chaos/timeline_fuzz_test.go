@@ -13,14 +13,15 @@ import (
 
 // FuzzParseTimeline hammers the timeline codec with what a daemon's
 // POST /chaos/stage reads off the network, then compiles what parses
-// against an engine with a symmetric link, a duplex link and a node
-// that can crash and skew. The contract: never panic; the same input
-// gives the same error text, from the parser and from Compile; an
-// accepted timeline survives encode → parse unchanged; and a compiled
-// scenario plays every step at the offset its timeline wrote. The same
-// timeline is also compiled against a netsim engine wired under the
-// same names (whose nodes cannot skew), and what compiles there plays
-// with the simulator run dry: a compiled scenario does not panic.
+// against an engine wired to fuzzBed — a segment, a link with two
+// directions, and nodes that can crash and skew. The contract: never
+// panic; the same input gives the same error text, from the parser and
+// from Compile; an accepted timeline survives encode → parse
+// unchanged; and a compiled scenario plays every step at the offset its
+// timeline wrote. The same timeline is also compiled against an engine
+// wired to fuzzBed built on netsim (whose nodes cannot skew), and what
+// compiles there plays with the simulator run dry: a compiled scenario
+// does not panic.
 func FuzzParseTimeline(f *testing.F) {
 	for _, seed := range []string{
 		// docs/CHAOS.md, "Timelines over the wire".
@@ -58,13 +59,11 @@ func FuzzParseTimeline(f *testing.F) {
 
 	nw := rtnet.New(1) // never started: Compile only looks names up
 	f.Cleanup(nw.Close)
-	gw, s0 := rtnet.NewNode(nw, "gw", 1), rtnet.NewNode(nw, "s0", 2)
-	up, down := rtnet.NewLink(nw, gw, s0, 10e6)
-	fwd, rev := rtnet.NewLink(nw, gw, s0, 10e6)
-	eng := New(nw, 1)
-	eng.Wire("uplink", up, down)
-	eng.WireDuplex("gw-s0", []substrate.FaultPort{fwd}, []substrate.FaultPort{rev})
-	eng.Adopt(s0)
+	b, err := rtnet.Build(nw, &fuzzBed, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng := New(nw, &fuzzBed, b, 1)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tl, err := ParseTimeline(b)
@@ -115,19 +114,26 @@ func FuzzParseTimeline(f *testing.F) {
 	})
 }
 
-// playOnNetsim compiles tl against a fresh netsim engine wired like the
-// fuzz target's rtnet one and, if that compiles, plays it and runs the
+// fuzzBed is the one topology both backends build for FuzzParseTimeline:
+// gw and s0 joined by the link "gw-s0" and the segment "uplink".
+var fuzzBed = substrate.Topology{
+	Nodes: []substrate.NodeSpec{{Name: "gw", Addr: 1}, {Name: "s0", Addr: 2}},
+	Links: []substrate.LinkSpec{{A: "gw", B: "s0", Bandwidth: 10e6}},
+	Segments: []substrate.SegmentSpec{
+		{Name: "uplink", Bandwidth: 10e6, Members: []string{"gw", "s0"}},
+	},
+}
+
+// playOnNetsim compiles tl against an engine wired to fuzzBed built on
+// a fresh simulator and, if that compiles, plays it and runs the
 // simulator until no event is left.
 func playOnNetsim(tl *Timeline) error {
 	sim := netsim.New(netsim.WithSeed(1))
-	gw := netsim.NewNode(sim, "gw", netsim.MustAddr("10.0.0.1"))
-	s0 := netsim.NewNode(sim, "s0", netsim.MustAddr("10.0.0.2"))
-	up := netsim.Connect(sim, gw, s0, netsim.LinkConfig{Bandwidth: 10e6})
-	duplex := netsim.Connect(sim, gw, s0, netsim.LinkConfig{Bandwidth: 10e6})
-	eng := New(sim, 1)
-	eng.Wire("uplink", up.Ifaces()[0], up.Ifaces()[1])
-	eng.WireDuplex("gw-s0", []substrate.FaultPort{duplex.Ifaces()[0]}, []substrate.FaultPort{duplex.Ifaces()[1]})
-	eng.Adopt(s0)
+	b, err := netsim.Build(sim, &fuzzBed)
+	if err != nil {
+		return err
+	}
+	eng := New(sim, &fuzzBed, b.Built, 1)
 	sc, err := eng.Compile(tl)
 	if err != nil {
 		return err

@@ -67,17 +67,17 @@ func (sc chaosScenario) play(eng *chaos.Engine) error {
 func audioScenarios() []chaosScenario {
 	return []chaosScenario{
 		{name: "clean", heals: true},
-		{name: "loss 10% uplink", steps: []chaos.TimelineStep{{Op: "loss", Link: "uplink", P: 0.10}}},
-		{name: "dup 30% uplink", steps: []chaos.TimelineStep{{Op: "dup", Link: "uplink", P: 0.30}}},
+		{name: "loss 10% uplink", steps: []chaos.TimelineStep{{Op: "loss", Link: "source-router", P: 0.10}}},
+		{name: "dup 30% uplink", steps: []chaos.TimelineStep{{Op: "dup", Link: "source-router", P: 0.30}}},
 		{name: "flap 1s every 10s", heals: true, steps: []chaos.TimelineStep{
-			{AtMS: 10_000, Op: "flap", Link: "uplink", DurMS: 1000},
-			{AtMS: 20_000, Op: "flap", Link: "uplink", DurMS: 1000},
-			{AtMS: 30_000, Op: "flap", Link: "uplink", DurMS: 1000},
-			{AtMS: 40_000, Op: "flap", Link: "uplink", DurMS: 1000},
+			{AtMS: 10_000, Op: "flap", Link: "source-router", DurMS: 1000},
+			{AtMS: 20_000, Op: "flap", Link: "source-router", DurMS: 1000},
+			{AtMS: 30_000, Op: "flap", Link: "source-router", DurMS: 1000},
+			{AtMS: 40_000, Op: "flap", Link: "source-router", DurMS: 1000},
 		}},
 		{name: "partition 20-30s", heals: true, steps: []chaos.TimelineStep{
-			{AtMS: 20_000, Op: "down", Link: "uplink"},
-			{AtMS: 30_000, Op: "up", Link: "uplink"},
+			{AtMS: 20_000, Op: "down", Link: "source-router"},
+			{AtMS: 30_000, Op: "up", Link: "source-router"},
 		}},
 		{name: "crash 20s, redeploy 25s", heals: true, redeployAt: 25 * time.Second, steps: []chaos.TimelineStep{
 			{AtMS: 20_000, Op: "crash", Node: "router"},
@@ -107,9 +107,7 @@ func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, opts Options, se
 	if err != nil {
 		return nil, err
 	}
-	eng := chaos.New(tb.Sim, seed*7919+13)
-	eng.Wire("uplink", tb.Uplink.Ifaces()[0], tb.Uplink.Ifaces()[1])
-	eng.Adopt(tb.Router)
+	eng := chaos.New(tb.Sim, &audio.Figure5, tb.Net.Built, seed*7919+13)
 	if err := sc.play(eng); err != nil {
 		return nil, err
 	}
@@ -204,11 +202,11 @@ func gwScenarios() []chaosScenario {
 	fault, heal := chaosGwFaultAt.Milliseconds(), chaosGwHealAt.Milliseconds()
 	return []chaosScenario{
 		{name: "clean", heals: true},
-		{name: "loss 20% server LAN", steps: []chaos.TimelineStep{{Op: "loss", Link: "server-lan", P: 0.20}}},
-		{name: "dup 30% server LAN", steps: []chaos.TimelineStep{{Op: "dup", Link: "server-lan", P: 0.30}}},
+		{name: "loss 20% server LAN", steps: []chaos.TimelineStep{{Op: "loss", Link: "servers", P: 0.20}}},
+		{name: "dup 30% server LAN", steps: []chaos.TimelineStep{{Op: "dup", Link: "servers", P: 0.30}}},
 		{name: "partition 8-12s", heals: true, steps: []chaos.TimelineStep{
-			{AtMS: fault, Op: "down", Link: "server-lan"},
-			{AtMS: heal, Op: "up", Link: "server-lan"},
+			{AtMS: fault, Op: "down", Link: "servers"},
+			{AtMS: heal, Op: "up", Link: "servers"},
 		}},
 		{name: "crash 8s, redeploy 12s", heals: true, redeployAt: chaosGwHealAt, steps: []chaos.TimelineStep{
 			{AtMS: fault, Op: "crash", Node: "gateway"},
@@ -235,9 +233,7 @@ func runChaosGatewayCell(sc chaosScenario, opts Options, seed int64) (*chaosGwRo
 	if err != nil {
 		return nil, err
 	}
-	eng := chaos.New(tb.Sim, seed*7919+17)
-	eng.Wire("server-lan", tb.GwServerIf, tb.ServerAIf, tb.ServerBIf)
-	eng.Adopt(tb.Gateway)
+	eng := chaos.New(tb.Sim, &httpd.Cluster, tb.Net.Built, seed*7919+17)
 	if err := sc.play(eng); err != nil {
 		return nil, err
 	}

@@ -85,7 +85,9 @@ func (nc *nodeClient) call(ctx context.Context, op, method, path string, query u
 // digest. A node still running it answers with the digest alone and the
 // held signature stands in; a full answer refreshes what is held. A
 // digest-only answer naming a signature the controller does not hold is
-// asked again, once, without the digest.
+// asked again, once, without the digest. A full answer whose digest is
+// not its signature's contradicts itself; it fails the probe and is not
+// held, so it cannot stand in for what later digest-only answers name.
 func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
 	held := nc.c.heldSignature(nc.URL)
 	var q url.Values
@@ -99,6 +101,8 @@ func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
 	}
 	switch {
 	case err != nil || h.SignatureDigest == "":
+	case h.Signature != nil && h.Signature.Digest() != h.SignatureDigest:
+		err = fmt.Errorf("healthz: node %s names signature %s but sends %s", nc.Name, h.SignatureDigest, h.Signature.Digest())
 	case h.Signature != nil:
 		nc.c.holdSignature(nc.URL, h.SignatureDigest, h.Signature)
 	case h.SignatureDigest == held.digest:

@@ -33,7 +33,8 @@ type probe struct {
 // node a daemon from before digests (it ignores ?signature= and sends
 // no signature_digest); unknown answers the next that many probes with
 // a digest the controller cannot hold and no signature (-1: every
-// probe).
+// probe); forged keeps a full answer's signature under a digest that is
+// not its own.
 type healthTap struct {
 	h http.Handler
 
@@ -41,6 +42,7 @@ type healthTap struct {
 	probes   []probe
 	predates bool
 	unknown  int
+	forged   bool
 }
 
 func (ht *healthTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -67,6 +69,8 @@ func (ht *healthTap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case ht.unknown != 0:
 		ht.unknown--
 		delete(body, "signature")
+		body["signature_digest"] = json.RawMessage(`"ffffffffffffffffffffffffffffffff"`)
+	case ht.forged && body["signature"] != nil:
 		body["signature_digest"] = json.RawMessage(`"ffffffffffffffffffffffffffffffff"`)
 	}
 	_, p.signature = body["signature"]
@@ -213,6 +217,38 @@ func TestFleetUnknownDigestReaskedOnce(t *testing.T) {
 	}
 	if ps := ht.take(); len(ps) != 2 || ps[1].named != "" {
 		t.Errorf("probes = %+v, want exactly one re-ask, naming nothing", ps)
+	}
+}
+
+// TestFleetRefusesSelfContradictingHealth: a full health answer whose
+// digest is not its signature's fails the probe with an error naming
+// the node, and nothing is held for it: the next probe names no digest,
+// so a later digest-only answer cannot stand in for the forged pair.
+func TestFleetRefusesSelfContradictingHealth(t *testing.T) {
+	tf := newTestFleet(t, 1)
+	ht := tf.tap("alpha")
+	ctx := context.Background()
+	if _, err := tf.controller(Config{}).Deploy(ctx, Spec{Version: "v1", Source: gatewayV1}, tf.targets); err != nil {
+		t.Fatalf("baseline deploy: %v", err)
+	}
+	ht.set(func(ht *healthTap) { ht.forged = true })
+	ht.take()
+
+	c := tf.controller(Config{}) // holds nothing: its first probe gets a full answer
+	_, err := c.Deploy(ctx, Spec{Version: "v2", Source: gatewayV1}, tf.targets)
+	if err == nil || !strings.Contains(err.Error(), "node alpha") || !strings.Contains(err.Error(), "ffffffffffffffffffffffffffffffff") {
+		t.Fatalf("err = %v, want a health failure naming alpha and the forged digest", err)
+	}
+	if ps := ht.take(); len(ps) != 1 || ps[0].named != "" || !ps[0].signature {
+		t.Fatalf("probes = %+v, want one full answer to a probe naming nothing", ps)
+	}
+
+	ht.set(func(ht *healthTap) { ht.forged = false })
+	if _, err := c.Deploy(ctx, Spec{Version: "v2", Source: gatewayV1}, tf.targets); err != nil {
+		t.Fatalf("deploy after an honest answer: %v", err)
+	}
+	if ps := ht.take(); len(ps) != 1 || ps[0].named != "" {
+		t.Errorf("probes = %+v, want one probe naming no digest: the forged one was not held", ps)
 	}
 }
 

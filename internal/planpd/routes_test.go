@@ -14,6 +14,7 @@ import (
 	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/routetest"
+	"planp.dev/planp/internal/substrate"
 )
 
 func TestServerRoutesRefuseOtherMethods(t *testing.T) {
@@ -30,7 +31,12 @@ func TestServerRoutesRefuseOtherMethods(t *testing.T) {
 }
 
 func TestChaosRoutesRefuseOtherMethods(t *testing.T) {
-	eng := chaos.New(netsim.New(netsim.WithSeed(1)), 1)
+	sim := netsim.New(netsim.WithSeed(1))
+	b, err := netsim.Build(sim, &substrate.Topology{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := chaos.New(sim, &substrate.Topology{}, b.Built, 1)
 	routetest.RefusesOtherMethods(t, NewChaosServer(eng).Handler(), map[string][]string{
 		"/chaos/stage":  {"POST"},
 		"/chaos/start":  {"POST"},

@@ -144,8 +144,16 @@ type Backend[N Host] struct {
 type Built[N Host] struct {
 	// Nodes are the nodes in spec order, the zero N where another
 	// site hosts the node.
-	Nodes []N
-	g     *graph
+	Nodes  []N
+	hosted []bool // per node in spec order: this site built it
+	g      *graph
+}
+
+// Hosted reports whether the named node was built here, not on another
+// site.
+func (b *Built[N]) Hosted(name string) bool {
+	i, ok := b.g.node(name)
+	return ok && b.hosted[i]
 }
 
 // Node returns the named node, or the zero N.
@@ -178,8 +186,8 @@ func Build[N Host](t *Topology, be Backend[N]) (*Built[N], error) {
 	if len(t.Segments) > 0 && be.Segment == nil {
 		return nil, fmt.Errorf("substrate: segment %q: the backend has no segments", t.Segments[0].Name)
 	}
-	b := &Built[N]{Nodes: make([]N, len(t.Nodes)), g: g}
 	hosted := make([]bool, len(t.Nodes))
+	b := &Built[N]{Nodes: make([]N, len(t.Nodes)), hosted: hosted, g: g}
 	for i, n := range t.Nodes {
 		if hosted[i] = be.Site == "" || be.Site == n.Site; hosted[i] {
 			b.Nodes[i] = be.Node(n)

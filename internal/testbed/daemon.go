@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,18 +55,18 @@ type Daemon struct {
 
 	// Net is the daemon's local real-time substrate.
 	Net *rtnet.Net
-	// Chaos is the daemon's fault engine: every local link direction is
-	// wired under its topology-wide name, every local node adopted.
+	// Chaos is the daemon's fault engine, wired to its share of the
+	// topology: every local link direction under its topology-wide
+	// name, every local segment, every local node.
 	Chaos *chaos.Engine
 	// Fleet and Adapt are this daemon's rollout and adaptation
 	// controllers; their targets may live on any daemon in the testbed.
 	Fleet *fleet.Controller
 	Adapt *adapt.Controller
 
-	nodes   map[string]*rtnet.Node
-	remotes []*rtnet.RemoteIface
-	chs     *planpd.ChaosServer
-	out     io.Writer
+	built *substrate.Built[*rtnet.Node] // the daemon's share of Topo
+	chs   *planpd.ChaosServer
+	out   io.Writer
 }
 
 // NewDaemon assembles daemon name's share of topo: local nodes,
@@ -80,19 +81,10 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	}
 
 	// Deterministic per-daemon seed: position in the shared file.
-	seed := int64(1)
-	for i, d := range topo.Daemons {
-		if d.Name == name {
-			seed = int64(i + 1)
-		}
-	}
+	seed := int64(slices.IndexFunc(topo.Daemons, func(d DaemonSpec) bool { return d.Name == name }) + 1)
 
 	nw := rtnet.New(seed)
-	d := &Daemon{
-		Topo: topo, Spec: spec, Net: nw,
-		Chaos: chaos.New(nw, seed*7919+3),
-		nodes: map[string]*rtnet.Node{},
-	}
+	d := &Daemon{Topo: topo, Spec: spec, Net: nw}
 	ok := false
 	defer func() {
 		if !ok {
@@ -106,38 +98,29 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 	// the builder's rule, so every daemon derives the same tables.
 	be := rtnet.Backend(nw, opts.UDP)
 	be.Site = name
-	newNode, newLink := be.Node, be.Link
-	be.Node = func(n substrate.NodeSpec) *rtnet.Node {
-		// Every node answers the discard port with a counter
-		// (`testbed.<node>.rx_pkts`), so /inject traffic is observable
-		// end to end through GET /stats without any protocol installed —
-		// the bare-network baseline an ASP download then changes.
-		node := newNode(n)
-		rx := nw.Metrics().Counter("testbed." + n.Name + ".rx_pkts")
-		node.BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
-		d.nodes[n.Name] = node
-		d.Chaos.Adopt(node)
-		return node
-	}
-	// Each local link direction is wired for chaos under the link's
-	// topology-wide name.
+	newLink := be.Link
 	be.Link = func(l substrate.LinkSpec, la, lb *rtnet.Node) (substrate.Iface, substrate.Iface, error) {
 		if la == nil || lb == nil {
 			return d.remoteLink(l, la, lb, opts.ProbeInterval)
 		}
-		ab, ba, err := newLink(l, la, lb)
-		if err != nil {
-			return nil, nil, err
-		}
-		d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ab.(substrate.FaultPort)}, []substrate.FaultPort{ba.(substrate.FaultPort)})
-		return ab, ba, nil
+		return newLink(l, la, lb)
 	}
-	if _, err := substrate.Build(&topo.Topology, be); err != nil {
+	if d.built, err = substrate.Build(&topo.Topology, be); err != nil {
 		return nil, err
 	}
-	if len(d.nodes) == 0 {
+	names := d.NodeNames()
+	if len(names) == 0 {
 		return nil, fmt.Errorf("testbed: daemon %q owns no nodes in topology %q", name, topo.Name)
 	}
+	// Every node answers the discard port with a counter
+	// (`testbed.<node>.rx_pkts`), so /inject traffic is observable end
+	// to end through GET /stats without any protocol installed — the
+	// bare-network baseline an ASP download then changes.
+	for _, n := range names {
+		rx := nw.Metrics().Counter("testbed." + n + ".rx_pkts")
+		d.Node(n).BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
+	}
+	d.Chaos = chaos.New(nw, &topo.Topology, d.built, seed*7919+3)
 
 	// The controllers count into the nodes' registry, so every node's
 	// GET /stats carries the fleet.* and adapt.* counters.
@@ -153,7 +136,7 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 // local node is la or lb (the other is nil): its socket, expecting the
 // peer daemon's node on the other end. The link keeps its
 // topology-wide name on both sides (the handshake enforces agreement),
-// and the chaos wiring claims only the locally-owned direction — fwd
+// so the chaos engine wires the locally-owned direction under it — fwd
 // is always the first-named node's outbound, so the two daemons'
 // /chaos surfaces compose into one duplex link.
 func (d *Daemon) remoteLink(l substrate.LinkSpec, la, lb *rtnet.Node, probe time.Duration) (substrate.Iface, substrate.Iface, error) {
@@ -174,24 +157,37 @@ func (d *Daemon) remoteLink(l substrate.LinkSpec, la, lb *rtnet.Node, probe time
 	if err != nil {
 		return nil, nil, err
 	}
-	d.remotes = append(d.remotes, ri)
 	if la != nil {
-		d.Chaos.WireDuplex(l.Name(), []substrate.FaultPort{ri}, nil)
 		return ri, nil, nil
 	}
-	d.Chaos.WireDuplex(l.Name(), nil, []substrate.FaultPort{ri})
 	return nil, ri, nil
+}
+
+// remotes returns the daemon's ends of its cross-daemon links, in
+// topology order.
+func (d *Daemon) remotes() []*rtnet.RemoteIface {
+	var out []*rtnet.RemoteIface
+	for _, l := range d.Topo.Links {
+		for _, ifc := range [...]substrate.Iface{d.built.Iface(l.A, l.B), d.built.Iface(l.B, l.A)} {
+			if ri, ok := ifc.(*rtnet.RemoteIface); ok {
+				out = append(out, ri)
+			}
+		}
+	}
+	return out
 }
 
 // Node returns a local node by name (nil when the node lives on
 // another daemon).
-func (d *Daemon) Node(name string) *rtnet.Node { return d.nodes[name] }
+func (d *Daemon) Node(name string) *rtnet.Node { return d.built.Node(name) }
 
 // NodeNames returns the names of the daemon's local nodes, sorted.
 func (d *Daemon) NodeNames() []string {
-	names := make([]string, 0, len(d.nodes))
-	for name := range d.nodes {
-		names = append(names, name)
+	var names []string
+	for _, n := range d.Topo.Nodes {
+		if d.built.Hosted(n.Name) {
+			names = append(names, n.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -213,7 +209,7 @@ func (d *Daemon) WaitLinksUp(timeout time.Duration) []string {
 	deadline := time.Now().Add(timeout)
 	for {
 		var down []string
-		for _, ri := range d.remotes {
+		for _, ri := range d.remotes() {
 			if !ri.Up() {
 				down = append(down, ri.LinkName())
 			}
@@ -245,9 +241,9 @@ func (d *Daemon) WaitLinksUp(timeout time.Duration) []string {
 // The demo adds its own route to the mux.
 func (d *Daemon) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
-	for name, node := range d.nodes {
+	for _, name := range d.NodeNames() {
 		prefix := "/node/" + name
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, planpd.NewServer(node, d.out).Handler()))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, planpd.NewServer(d.Node(name), d.out).Handler()))
 	}
 	mux.Handle("/deployments", d.Fleet.Handler())
 	mux.Handle("/adapt", d.Adapt.Handler())
@@ -267,7 +263,7 @@ func (d *Daemon) Handler() *http.ServeMux {
 // without any application protocol.
 func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from := d.nodes[q.Get("from")]
+	from := d.Node(q.Get("from"))
 	if from == nil {
 		http.Error(w, fmt.Sprintf("no local node %q", q.Get("from")), http.StatusBadRequest)
 		return
@@ -354,8 +350,9 @@ type LinkStatus struct {
 }
 
 func (d *Daemon) linkStatuses() []LinkStatus {
-	statuses := make([]LinkStatus, 0, len(d.remotes))
-	for _, ri := range d.remotes {
+	remotes := d.remotes()
+	statuses := make([]LinkStatus, 0, len(remotes))
+	for _, ri := range remotes {
 		label := ri.Label()
 		node, _, _ := strings.Cut(label, ":")
 		statuses = append(statuses, LinkStatus{

@@ -95,7 +95,7 @@ func (m *Demo) Handler() http.Handler {
 			return
 		}
 		for i := 0; i < n; i++ {
-			m.SendRequest(uint16(10000 + i))
+			m.SendRequest(uint16(10000 + i%55536)) // ports 10000–65535
 		}
 		// Real-time backend: the burst is still in flight when the sends
 		// return. Settle before reading the counters so the response

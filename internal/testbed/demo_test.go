@@ -7,12 +7,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/routetest"
+	"planp.dev/planp/internal/substrate"
 )
 
 // startDemo boots the built-in §3.2 topology and serves its full
@@ -226,6 +228,33 @@ func TestDemoTopology(t *testing.T) {
 	}
 	if got := gw.Route(httpd.VirtualAddr); got != via0 {
 		t.Errorf("gateway routes the virtual address via %v, want server0's interface %v", got, via0)
+	}
+}
+
+// TestDemoRequestPortsStayInRange: POST /demo/requests at its largest
+// n sends from source ports 10000–65535 only, reusing them in turn, so
+// the gateway's tap sees requests and none from a port below 10000.
+func TestDemoRequestPortsStayInRange(t *testing.T) {
+	demo, gateway := startDemo(t, Options{})
+	var seen, low atomic.Int64
+	demo.Node("gateway").Tap(func(p *substrate.Packet) {
+		if p.TCP != nil && p.IP.Dst == httpd.VirtualAddr {
+			seen.Add(1)
+			if p.TCP.SrcPort < 10000 {
+				low.Add(1)
+			}
+		}
+	})
+	resp, err := http.Post(strings.TrimSuffix(gateway, "/node/gateway")+"/demo/requests?n=65536", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /demo/requests: HTTP %d", resp.StatusCode)
+	}
+	if seen.Load() == 0 || low.Load() != 0 {
+		t.Fatalf("gateway saw %d requests, %d from a port below 10000; want some, none", seen.Load(), low.Load())
 	}
 }
 
