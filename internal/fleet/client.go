@@ -46,16 +46,18 @@ func (nc *nodeClient) mark(st NodeStatus, err error) {
 
 // call performs method path?query against the node through the one
 // control-plane client, sending body (when non-empty) and decoding a
-// 2xx answer into out (when non-nil). An answer that never arrived
+// 2xx answer into out (when non-nil). query is already encoded, in
+// url.Values.Encode's key order, and empty for none. An answer that never arrived
 // whole, and a retryable status, are retried under the controller's
 // policy; exhausted retries return the last error. Any other rejection
 // (a *planpd.DiagError naming op) and a 2xx that does not decode end
 // the exchange.
-func (nc *nodeClient) call(ctx context.Context, op, method, path string, query url.Values, body string, out any) error {
-	u := strings.TrimRight(nc.URL, "/") + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
+func (nc *nodeClient) call(ctx context.Context, op, method, path, query, body string, out any) error {
+	sep := ""
+	if query != "" {
+		sep = "?"
 	}
+	u := strings.TrimRight(nc.URL, "/") + path + sep + query
 	p := nc.c.retry
 	var lastErr error
 	for attempt := 1; attempt <= p.Attempts; attempt++ {
@@ -90,14 +92,14 @@ func (nc *nodeClient) call(ctx context.Context, op, method, path string, query u
 // held, so it cannot stand in for what later digest-only answers name.
 func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
 	held := nc.c.heldSignature(nc.URL)
-	var q url.Values
+	q := ""
 	if held.digest != "" {
-		q = url.Values{"signature": {held.digest}}
+		q = "signature=" + url.QueryEscape(held.digest)
 	}
 	err = nc.call(ctx, "healthz", http.MethodGet, "/healthz", q, "", &h)
 	if err == nil && h.Signature == nil && h.SignatureDigest != "" && h.SignatureDigest != held.digest {
 		h = planpd.Health{}
-		err = nc.call(ctx, "healthz", http.MethodGet, "/healthz", nil, "", &h)
+		err = nc.call(ctx, "healthz", http.MethodGet, "/healthz", "", "", &h)
 	}
 	switch {
 	case err != nil || h.SignatureDigest == "":
@@ -116,38 +118,42 @@ func (nc *nodeClient) health(ctx context.Context) (h planpd.Health, err error) {
 	return h, err
 }
 
-// stage runs phase 1 on the node.
+// versionQuery is the query naming version.
+func versionQuery(version string) string { return "version=" + url.QueryEscape(version) }
+
+// stage runs phase 1 on the node. The query lists engine and verify,
+// when set, ahead of version, as url.Values.Encode sorts them.
 func (nc *nodeClient) stage(ctx context.Context, spec Spec) error {
-	q := url.Values{"version": {spec.Version}}
-	if spec.Engine != "" {
-		q.Set("engine", spec.Engine)
-	}
+	q := versionQuery(spec.Version)
 	if spec.Verify != "" {
-		q.Set("verify", spec.Verify)
+		q = "verify=" + url.QueryEscape(spec.Verify) + "&" + q
+	}
+	if spec.Engine != "" {
+		q = "engine=" + url.QueryEscape(spec.Engine) + "&" + q
 	}
 	return nc.call(ctx, "stage", http.MethodPost, "/asp/stage", q, spec.Source, nil)
 }
 
 // abortStage discards a staged version (idempotent).
 func (nc *nodeClient) abortStage(ctx context.Context, version string) error {
-	return nc.call(ctx, "abort stage", http.MethodDelete, "/asp/stage", url.Values{"version": {version}}, "", nil)
+	return nc.call(ctx, "abort stage", http.MethodDelete, "/asp/stage", versionQuery(version), "", nil)
 }
 
 // activate runs phase 2 on the node.
 func (nc *nodeClient) activate(ctx context.Context, version string) error {
-	return nc.call(ctx, "activate", http.MethodPost, "/asp/activate", url.Values{"version": {version}}, "", nil)
+	return nc.call(ctx, "activate", http.MethodPost, "/asp/activate", versionQuery(version), "", nil)
 }
 
 // rollback undoes an activation of version; the answer names the
 // version the node runs afterwards (possibly empty: a bare node).
 func (nc *nodeClient) rollback(ctx context.Context, version string) (rb planpd.RolledBack, err error) {
-	err = nc.call(ctx, "rollback", http.MethodPost, "/asp/rollback", url.Values{"version": {version}}, "", &rb)
+	err = nc.call(ctx, "rollback", http.MethodPost, "/asp/rollback", versionQuery(version), "", &rb)
 	return rb, err
 }
 
 // aspStatus reads GET /asp — the reconciliation source after an
 // ambiguous activation (lost response, node death mid-phase).
 func (nc *nodeClient) aspStatus(ctx context.Context) (st planpd.Status, err error) {
-	err = nc.call(ctx, "status", http.MethodGet, "/asp", nil, "", &st)
+	err = nc.call(ctx, "status", http.MethodGet, "/asp", "", "", &st)
 	return st, err
 }

@@ -49,6 +49,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/obs"
@@ -512,7 +513,7 @@ func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /deployments", func(w http.ResponseWriter, r *http.Request) {
 		views := c.Deployments()
-		if idStr := r.URL.Query().Get("id"); idStr != "" {
+		if idStr := planpd.QueryValue(r.URL.RawQuery, "id"); idStr != "" {
 			for _, v := range views {
 				if fmt.Sprint(v.ID) == idStr {
 					planpd.WriteJSON(w, http.StatusOK, v)
@@ -535,7 +536,8 @@ func (c *Controller) newDeployment(spec *Spec, targets []Target) *Deployment {
 	if spec.Version == "" {
 		spec.Version = fmt.Sprintf("v%d", id)
 	}
-	sum := sha256.Sum256([]byte(spec.Source))
+	// Hashed where it lies: sha256 only reads the bytes.
+	sum := sha256.Sum256(unsafe.Slice(unsafe.StringData(spec.Source), len(spec.Source)))
 	d := &Deployment{view: View{
 		ID: id, Version: spec.Version, State: StatePending,
 		SourceSHA: hex.EncodeToString(sum[:]),
@@ -718,7 +720,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	// lost is reconciled against GET /asp before being declared failed.
 	// A node that activated runs the precheck's signature, which the
 	// next health probe then names by digest.
-	digest := staged.Digest()
+	digest := prog.SigDigest()
 	errs = c.forEach(d, func(nc *nodeClient) error {
 		actErr := nc.activate(ctx, spec.Version)
 		if actErr == nil {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/diag"
@@ -96,6 +97,10 @@ type Info struct {
 	// the artifact the runtime caches and the fleet compatibility gate
 	// exchanges between nodes.
 	Sig *Signature
+	// sigDigest is Sig.Digest(), encoded and hashed by the first
+	// SigDigest call; every compile-cache hit shares the Info, so each
+	// compiled program is digested once.
+	sigDigest atomic.Pointer[string]
 
 	globalIdx map[string]int
 	funIdx    map[string]int
@@ -103,6 +108,17 @@ type Info struct {
 	// definitions, in declaration order, as pointers into Channels;
 	// packet dispatch reads it per packet.
 	byName map[string][]*Channel
+}
+
+// SigDigest is Sig.Digest(), computed once per Info. Any number of
+// goroutines may call it; racing first callers compute the same string.
+func (in *Info) SigDigest() string {
+	if d := in.sigDigest.Load(); d != nil {
+		return *d
+	}
+	d := in.Sig.Digest()
+	in.sigDigest.Store(&d)
+	return d
 }
 
 // ChannelsByName returns all checked channels sharing name, in

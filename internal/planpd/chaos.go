@@ -107,7 +107,7 @@ func (cs *ChaosServer) handleStage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := QueryValue(r.URL.RawQuery, "name")
 	var sc *chaos.Scenario
 	if name != "" {
 		cs.mu.Lock()
@@ -140,7 +140,7 @@ func (cs *ChaosServer) handleStart(w http.ResponseWriter, r *http.Request) {
 }
 
 func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := QueryValue(r.URL.RawQuery, "name")
 	cs.mu.Lock()
 	var stopped []string
 	if name == "" {
@@ -159,7 +159,7 @@ func (cs *ChaosServer) handleStop(w http.ResponseWriter, r *http.Request) {
 	cs.mu.Unlock()
 	sort.Strings(stopped)
 
-	cleared := r.URL.Query().Get("clear") == "1"
+	cleared := QueryValue(r.URL.RawQuery, "clear") == "1"
 	if cleared {
 		cs.eng.ClearAll()
 	}

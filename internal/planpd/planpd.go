@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -50,17 +51,6 @@ type installed struct {
 	engine  planprt.EngineKind
 	prog    *planprt.Program
 	rt      *planprt.Runtime
-	digest  string // the signature's digest, once a health probe asked; guarded by Server.mu
-}
-
-// signatureDigest is the version's signature digest, computed on the
-// first health probe that needs it rather than on the stage path. The
-// caller holds Server.mu.
-func (in *installed) signatureDigest() string {
-	if in.digest == "" {
-		in.digest = in.prog.Signature().Digest()
-	}
-	return in.digest
 }
 
 // Server is the control-plane HTTP API for one node.
@@ -188,19 +178,43 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // answers holds WriteJSON's encode buffers.
 var answers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// QueryValue is url.ParseQuery(raw).Get(key) without the map: the
+// first value of key among the pairs ParseQuery keeps, which skips a
+// pair holding ';' or one whose key or value does not unescape. Only a
+// key or value with something to unescape allocates. Every handler of
+// the control plane reads its query this way, from r.URL.RawQuery.
+func QueryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // load reads and bounds the uploaded source, decodes the
-// engine/verify/version parameters of q (the request's query, which the
-// caller has parsed) and compiles without activating (planprt.Load:
-// parse, late-check, verify, codegen) — the expensive, rejectable
-// work, done before s.mu is taken. On failure it has already written
-// the HTTP error: a 422 Reject, headed by what, when the protocol
-// rather than the request framing is at fault.
-func (s *Server) load(w http.ResponseWriter, r *http.Request, q url.Values, what string) (*installed, bool) {
+// engine/verify/version parameters of the request's query and
+// compiles without activating (planprt.Load: parse, late-check,
+// verify, codegen) — the expensive, rejectable work, done before s.mu
+// is taken. On failure it has already written the HTTP error: a 422
+// Reject, headed by what, when the protocol rather than the request
+// framing is at fault.
+func (s *Server) load(w http.ResponseWriter, r *http.Request, what string) (*installed, bool) {
 	body, ok := ReadBody(w, r, maxASPSource)
 	if !ok {
 		return nil, false
 	}
-	cfg, err := planprt.ParseConfig(q.Get("engine"), q.Get("verify"))
+	q := r.URL.RawQuery
+	cfg, err := planprt.ParseConfig(QueryValue(q, "engine"), QueryValue(q, "verify"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
@@ -214,7 +228,7 @@ func (s *Server) load(w http.ResponseWriter, r *http.Request, q url.Values, what
 		writeReject(w, fmt.Sprintf("%s rejected: %v", what, err), err)
 		return nil, false
 	}
-	return &installed{version: q.Get("version"), engine: cfg.Engine, prog: prog}, true
+	return &installed{version: QueryValue(q, "version"), engine: cfg.Engine, prog: prog}, true
 }
 
 // swap makes to the version that intercepts packets, and is the one
@@ -260,7 +274,7 @@ func (s *Server) lock() {
 // activate) and activate in a single request. It refuses to replace a
 // running protocol — upgrades go through stage/activate.
 func (s *Server) install(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.load(w, r, r.URL.Query(), "download")
+	in, ok := s.load(w, r, "download")
 	if !ok {
 		return
 	}
@@ -352,8 +366,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.lock()
 	if s.active != nil {
 		h.Version = s.active.version
-		h.SignatureDigest = s.active.signatureDigest()
-		if h.SignatureDigest != r.URL.Query().Get("signature") {
+		h.SignatureDigest = s.active.prog.SigDigest()
+		if h.SignatureDigest != QueryValue(r.URL.RawQuery, "signature") {
 			h.Signature = s.active.prog.Signature()
 		}
 	}

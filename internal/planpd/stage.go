@@ -29,14 +29,13 @@ import (
 //	DELETE /asp/stage[?version=v] abort: discard the staged version
 //	                              (scoped to v when given); idempotent
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("version") == "" {
+	if QueryValue(r.URL.RawQuery, "version") == "" {
 		http.Error(w, "stage requires a ?version= label", http.StatusBadRequest)
 		return
 	}
 	// Phase 1 is where failure costs nothing: the node's packet
 	// processing is untouched until activate.
-	in, ok := s.load(w, r, q, "stage")
+	in, ok := s.load(w, r, "stage")
 	if !ok {
 		return
 	}
@@ -50,7 +49,7 @@ func (s *Server) stage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) abortStage(w http.ResponseWriter, r *http.Request) {
-	version := r.URL.Query().Get("version")
+	version := QueryValue(r.URL.RawQuery, "version")
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.staged != nil && (version == "" || s.staged.version == version) {
@@ -64,7 +63,7 @@ func (s *Server) abortStage(w http.ResponseWriter, r *http.Request) {
 // rollback target. Re-activating the already-active version succeeds
 // without side effects (retry of a lost response).
 func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
-	version := r.URL.Query().Get("version")
+	version := QueryValue(r.URL.RawQuery, "version")
 	if version == "" {
 		http.Error(w, "activate requires a ?version= label", http.StatusBadRequest)
 		return
@@ -110,7 +109,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 // a prior rollback already ran — the request succeeds without side
 // effects, which is what makes controller retries safe.
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	version := r.URL.Query().Get("version")
+	version := QueryValue(r.URL.RawQuery, "version")
 	if version == "" {
 		http.Error(w, "rollback requires a ?version= label", http.StatusBadRequest)
 		return

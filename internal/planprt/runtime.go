@@ -139,6 +139,11 @@ type Program struct {
 // here costs nothing beyond the compile that already happened.
 func (p *Program) Signature() *typecheck.Signature { return p.Info.Sig }
 
+// SigDigest is the signature's digest (typecheck.Signature.Digest),
+// computed once per compiled program: every cache hit shares it with
+// the load that compiled the source.
+func (p *Program) SigDigest() string { return p.Info.SigDigest() }
+
 // compileWith returns the engine's compile function.
 func compileWith(kind EngineKind) (func(*typecheck.Info) (engine.Compiled, error), error) {
 	switch kind {

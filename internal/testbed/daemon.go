@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"planp.dev/planp/internal/adapt"
 	"planp.dev/planp/internal/chaos"
@@ -262,19 +263,21 @@ func (d *Daemon) Handler() *http.ServeMux {
 // link metrics, exercise chaos faults, and feed adaptation guards
 // without any application protocol.
 func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	from := d.Node(q.Get("from"))
+	q := r.URL.RawQuery
+	fromName := planpd.QueryValue(q, "from")
+	from := d.Node(fromName)
 	if from == nil {
-		http.Error(w, fmt.Sprintf("no local node %q", q.Get("from")), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("no local node %q", fromName), http.StatusBadRequest)
 		return
 	}
-	to, ok := d.Topo.NodeSpecOf(q.Get("to"))
+	toName := planpd.QueryValue(q, "to")
+	to, ok := d.Topo.NodeSpecOf(toName)
 	if !ok {
-		http.Error(w, fmt.Sprintf("no node %q in topology", q.Get("to")), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("no node %q in topology", toName), http.StatusBadRequest)
 		return
 	}
 	n := 1
-	if s := q.Get("n"); s != "" {
+	if s := planpd.QueryValue(q, "n"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v <= 0 || v > 1<<16 {
 			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
@@ -287,7 +290,7 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 		from.Send(pkt.Own())
 	}
 	planpd.WriteJSON(w, http.StatusOK, map[string]any{
-		"from": q.Get("from"), "to": to.Name, "sent": n,
+		"from": fromName, "to": to.Name, "sent": n,
 	})
 }
 
@@ -303,8 +306,8 @@ type DeployResponse struct {
 func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	// Bare node names resolve through the topology to the owning
 	// daemon's /node mount — including nodes owned by other daemons.
-	q := r.URL.Query()
-	targets, err := fleet.ParseTargets(q.Get("nodes"), d.Topo.NodeURL)
+	q := r.URL.RawQuery
+	targets, err := fleet.ParseTargets(planpd.QueryValue(q, "nodes"), d.Topo.NodeURL)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("topology %q: %v", d.Topo.Name, err), http.StatusBadRequest)
 		return
@@ -313,13 +316,16 @@ func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// The source is body itself, not a copy: ReadBody made the buffer
+	// for this request and nothing writes to it again (as planpd's own
+	// upload path reads its body).
 	dep, deployErr := d.Fleet.Deploy(r.Context(), fleet.Spec{
-		Version:           q.Get("version"),
-		Source:            string(body),
-		Engine:            q.Get("engine"),
-		Verify:            q.Get("verify"),
-		SourceName:        q.Get("src_name"),
-		AllowIncompatible: q.Get("allow_incompatible") == "true",
+		Version:           planpd.QueryValue(q, "version"),
+		Source:            unsafe.String(unsafe.SliceData(body), len(body)),
+		Engine:            planpd.QueryValue(q, "engine"),
+		Verify:            planpd.QueryValue(q, "verify"),
+		SourceName:        planpd.QueryValue(q, "src_name"),
+		AllowIncompatible: planpd.QueryValue(q, "allow_incompatible") == "true",
 	}, targets)
 	status := http.StatusOK
 	var resp DeployResponse

@@ -10,6 +10,7 @@ import (
 	_ "embed"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -84,16 +85,33 @@ func (m *Demo) Responses() (total, fromVirtual int64) {
 	return m.responses.Load(), m.fromVirtual.Load()
 }
 
+// linkDrops sums the daemon's link.*.dropped_pkts: packets a link's
+// queue refused (fault drops count apart, in fault_dropped_pkts).
+func (m *Demo) linkDrops() int64 {
+	var n int64
+	for name, v := range m.Net.Metrics().Snapshot() {
+		if strings.HasPrefix(name, "link.") && strings.HasSuffix(name, ".dropped_pkts") {
+			n += v
+		}
+	}
+	return n
+}
+
 // Handler is the daemon's control API plus POST /demo/requests?n=N,
-// which fires N client requests and reports where they landed.
+// which fires N client requests and reports where requests landed
+// (totals since start) and how many packets the links dropped during
+// this burst ("dropped"): the client fires faster than the gateway
+// drains, so past the client link's 512-packet queue a large burst is
+// mostly dropped.
 func (m *Demo) Handler() http.Handler {
 	mux := m.Daemon.Handler()
 	mux.HandleFunc("POST /demo/requests", func(w http.ResponseWriter, r *http.Request) {
-		n, err := strconv.Atoi(r.URL.Query().Get("n"))
+		n, err := strconv.Atoi(planpd.QueryValue(r.URL.RawQuery, "n"))
 		if err != nil || n <= 0 || n > 1<<16 {
 			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
 			return
 		}
+		drops := m.linkDrops()
 		for i := 0; i < n; i++ {
 			m.SendRequest(uint16(10000 + i%55536)) // ports 10000–65535
 		}
@@ -105,7 +123,7 @@ func (m *Demo) Handler() http.Handler {
 		total, fromVirtual := m.Responses()
 		planpd.WriteJSON(w, http.StatusOK, map[string]any{
 			"sent": n, "settled": settled, "server0": s0, "server1": s1,
-			"responses": total, "from_virtual": fromVirtual,
+			"responses": total, "from_virtual": fromVirtual, "dropped": m.linkDrops() - drops,
 		})
 	})
 	return mux

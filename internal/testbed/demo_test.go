@@ -258,6 +258,38 @@ func TestDemoRequestPortsStayInRange(t *testing.T) {
 	}
 }
 
+// TestDemoBurstCountsDrops: POST /demo/requests at its largest n
+// accounts for every request. The client fires faster than the gateway
+// drains, so the links drop most of the burst, and the answer's
+// "dropped" (the burst's change in link.*.dropped_pkts) counts them.
+// A request dropped on its way to a server is one drop; so is a
+// response dropped on its way back, after its server counted the
+// request. So every request reaches the client as a response or is
+// dropped, and server0 + server1 + dropped exceeds n by exactly the
+// responses lost on the way back, server0 + server1 - responses.
+func TestDemoBurstCountsDrops(t *testing.T) {
+	_, gateway := startDemo(t, Options{})
+	resp, err := http.Post(gateway+"/asp?verify=single", "text/plain", strings.NewReader(asp.HTTPGateway))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /asp: HTTP %d", resp.StatusCode)
+	}
+	const n = 1 << 16
+	status, got := postJSON(t, strings.TrimSuffix(gateway, "/node/gateway")+"/demo/requests?n=65536", "")
+	if status != http.StatusOK || got["settled"] != true {
+		t.Fatalf("POST /demo/requests: HTTP %d %v", status, got)
+	}
+	s0, s1, dropped := got["server0"].(float64), got["server1"].(float64), got["dropped"].(float64)
+	responses := got["responses"].(float64)
+	if dropped == 0 || s0+s1+dropped-n != s0+s1-responses || responses > s0+s1 {
+		t.Fatalf("server0 %v + server1 %v + dropped %v - %d != server0 + server1 - responses %v (or none dropped): %v",
+			s0, s1, dropped, n, responses, got)
+	}
+}
+
 // TestDemoDeployUnknownNode: a bare node name the topology does not
 // have is refused up front, naming the topology — not turned into a
 // target URL that 404s mid-rollout.
