@@ -54,6 +54,7 @@ import (
 	"planp.dev/planp/internal/adapt"
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/lang/diag"
+	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planpd"
 	"planp.dev/planp/internal/testbed"
 )
@@ -82,7 +83,7 @@ func runServe(args []string) int {
 	fs.Parse(args)
 
 	demo, err := testbed.NewDemo(*listen, testbed.Options{
-		Out: os.Stdout, Logf: log.Printf, HistoryPath: *history, UDP: *udp,
+		Out: os.Stdout, Events: obs.NewTextLog(os.Stderr), HistoryPath: *history, UDP: *udp,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -345,7 +346,7 @@ func runUp(args []string) int {
 
 	var planes []plane
 	for _, name := range names {
-		opts := testbed.Options{Out: os.Stdout, Logf: log.Printf, ProbeInterval: *probe}
+		opts := testbed.Options{Out: os.Stdout, Events: obs.NewTextLog(os.Stderr), ProbeInterval: *probe}
 		if *history != "" {
 			opts.HistoryPath = *history + "." + name
 		}

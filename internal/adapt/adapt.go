@@ -21,9 +21,9 @@
 // every decision function is pure with an injected clock, so verdicts
 // are reproducible from the snapshots that produced them and the whole
 // controller unit-tests without sleeping. Every action lands in the
-// fleet history (kinds "canary", "promote", "rollback", "adapt") and on
-// the obs bus (KindCanary/KindAdapt), so GET /deployments tells the
-// complete adaptation story after the fact. See docs/ADAPTATION.md.
+// fleet history (kinds "canary", "promote", "rollback", "adapt"), and
+// each decision is one obs event (KindCanary/KindAdapt) with its reason,
+// so the adaptation story can be told after the fact. See ADAPTATION.md.
 package adapt
 
 import (
@@ -37,9 +37,9 @@ import (
 
 // Controller runs canary and policy loops against one fleet. It acts
 // only through that fleet.Controller and reports through it too: the
-// polls go out on the fleet's HTTP client, decisions are logged to its
-// log, the "adapt.*" counters live in its registry, and events reach
-// the bus through its one serialized Publish.
+// polls go out on the fleet's HTTP client, the "adapt.*" counters live
+// in its registry, and decisions reach the bus through its one
+// serialized Publish.
 type Controller struct {
 	fleet *fleet.Controller
 
@@ -155,18 +155,8 @@ func (r *Run) update(f func(v *RunView)) {
 	f(&r.view)
 }
 
-// finish closes the record with the run's outcome.
-func (r *Run) finish(out *Outcome) {
-	r.update(func(v *RunView) {
-		v.Phase, v.Verdict, v.Reason = "done", out.Verdict, out.Reason
-		for _, viol := range out.Violations {
-			v.Violations = append(v.Violations, viol.String())
-		}
-		if out.Final != nil {
-			v.FinalDeployment = out.Final.View().ID
-		}
-	})
-}
+// ref names the run in its events' Detail ("a<id>").
+func (r *Run) ref() fleet.Ref { return fleet.Ref{Tag: 'a', ID: r.view.ID} }
 
 // newRun registers a run record for plan, first resolving the plan's
 // defaults — the one place they are — so the record, the HTTP

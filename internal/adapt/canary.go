@@ -7,12 +7,13 @@
 // rollbacks are ordinary fleet history records (kinds "canary",
 // "promote", "rollback"), each window's judgment is a pure EvalGuards
 // call over snapshots, and the final Outcome carries the violations
-// that decided it.
+// that decided it — published once, as the run's verdict event.
 package adapt
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -75,9 +76,8 @@ func (c *Controller) Canary(ctx context.Context, plan CanaryPlan) (*Outcome, err
 // plan's defaults).
 func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (*Outcome, error) {
 	if len(plan.Canary) == 0 {
-		out := &Outcome{Verdict: VerdictFailed, Reason: "canary needs at least one canary target"}
-		run.finish(out)
-		return nil, fmt.Errorf("adapt: %s", out.Reason)
+		_, err := c.finish(run, &Outcome{Verdict: VerdictFailed, Reason: "canary needs at least one canary target"})
+		return nil, err
 	}
 	spec := plan.Spec
 	spec.Kind = "canary"
@@ -97,20 +97,16 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 	}
 	if err != nil {
 		c.ctFailed.Inc()
-		out := &Outcome{Verdict: VerdictFailed, Reason: fmt.Sprintf("canary deploy failed: %v", err), Canary: canaryDep}
-		run.finish(out)
-		return out, fmt.Errorf("adapt: %s", out.Reason)
+		return c.finish(run, &Outcome{Verdict: VerdictFailed, Reason: fmt.Sprintf("canary deploy failed: %v", err), Canary: canaryDep})
 	}
-	c.announce(plan.Canary, "active")
-	c.fleet.Logf("adapt: canary %s active on %s; observing %d window(s) of %s",
-		spec.Version, targetNames(plan.Canary), plan.Windows, plan.Interval)
+	c.announce(run, plan.Canary, "active: version ", spec.Version, " (", spec.Reason, ")")
 
 	// Observe: consecutive windows of (canary, baseline) snapshots,
 	// judged by the pure guard evaluator. An unobservable canary node is
 	// itself a violation — a canary that cannot be watched cannot be
 	// promoted.
 	run.update(func(v *RunView) { v.Phase = "observing" })
-	prevCanary, prevBase, err := c.snapshotCohorts(ctx, plan)
+	prevCanary, prevBase, err := c.snapshotCohorts(ctx, run, plan)
 	if err != nil {
 		return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canary unobservable: %v", err))
 	}
@@ -119,9 +115,9 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 		if err := ctx.Err(); err != nil {
 			return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canceled during window %d: %v", w, err))
 		}
-		curCanary, curBase, err := c.snapshotCohorts(ctx, plan)
+		curCanary, curBase, err := c.snapshotCohorts(ctx, run, plan)
 		if err != nil {
-			c.announce(plan.Canary, "unobservable")
+			c.announce(run, plan.Canary, "unobservable")
 			return c.revoke(ctx, run, canaryDep, nil, fmt.Sprintf("canary unobservable in window %d: %v", w, err))
 		}
 		canaryWin := pairWindows(prevCanary, curCanary)
@@ -131,7 +127,7 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 		viols := EvalGuards(plan.Guards, canaryWin, baseWin)
 		if len(viols) > 0 {
 			c.ctWindowsViolation.Inc()
-			c.announce(plan.Canary, fmt.Sprintf("window:%d:violation", w))
+			c.announce(run, plan.Canary, "window:", strconv.Itoa(w), ":violation")
 			reasons := make([]string, len(viols))
 			for i, v := range viols {
 				reasons[i] = v.String()
@@ -141,8 +137,7 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 		}
 		c.ctWindowsOK.Inc()
 		run.update(func(v *RunView) { v.WindowsDone = w })
-		c.announce(plan.Canary, fmt.Sprintf("window:%d:ok", w))
-		c.fleet.Logf("adapt: canary %s window %d/%d ok", spec.Version, w, plan.Windows)
+		c.announce(run, plan.Canary, "window:", strconv.Itoa(w), ":ok")
 	}
 
 	// Promote: extend the candidate to the baseline cohort. The canary
@@ -162,19 +157,13 @@ func (c *Controller) canaryRun(ctx context.Context, plan CanaryPlan, run *Run) (
 		}
 	}
 	c.ctPromoted.Inc()
-	c.announce(plan.Canary, "promoted")
-	c.fleet.Logf("adapt: canary %s promoted (%s)", spec.Version, reason)
-	out := &Outcome{Verdict: VerdictPromoted, Reason: reason, Canary: canaryDep, Final: finalDep}
-	run.finish(out)
-	return out, nil
+	return c.finish(run, &Outcome{Verdict: VerdictPromoted, Reason: reason, Canary: canaryDep, Final: finalDep})
 }
 
 // revoke rolls the canary cohort back and closes the run with a
 // rolled-back (or, if even the rollback failed, failed) outcome.
 func (c *Controller) revoke(ctx context.Context, run *Run, canaryDep *fleet.Deployment, viols []Violation, reason string) (*Outcome, error) {
 	run.update(func(v *RunView) { v.Phase = "rolling-back" })
-	dep := canaryDep.View()
-	c.fleet.Logf("adapt: canary %s: %s", dep.Version, reason)
 	// The deadline that canceled the observation must not also doom the
 	// rollback; revocation gets its own context.
 	rbCtx := ctx
@@ -182,27 +171,40 @@ func (c *Controller) revoke(ctx context.Context, run *Run, canaryDep *fleet.Depl
 		rbCtx = context.WithoutCancel(ctx)
 	}
 	rb, err := c.fleet.RollbackDeployment(rbCtx, canaryDep, reason)
-	out := &Outcome{Reason: reason, Violations: viols, Canary: canaryDep, Final: rb}
+	out := &Outcome{Verdict: VerdictRolledBack, Reason: reason, Violations: viols, Canary: canaryDep, Final: rb}
 	if err != nil {
 		c.ctFailed.Inc()
 		out.Verdict = VerdictFailed
 		out.Reason = fmt.Sprintf("%s; rollback did not converge: %v", reason, err)
-		run.finish(out)
+	} else {
+		c.ctRolledBack.Inc()
+	}
+	return c.finish(run, out)
+}
+
+// finish closes the run's record, publishes its verdict and returns it,
+// with an error for VerdictFailed.
+func (c *Controller) finish(r *Run, out *Outcome) (*Outcome, error) {
+	r.update(func(v *RunView) {
+		v.Phase, v.Verdict, v.Reason = "done", out.Verdict, out.Reason
+		for _, viol := range out.Violations {
+			v.Violations = append(v.Violations, viol.String())
+		}
+		if out.Final != nil {
+			v.FinalDeployment = out.Final.View().ID
+		}
+	})
+	c.fleet.Publish(obs.KindCanary, "", r.ref(), out.Verdict, ": ", out.Reason)
+	if out.Verdict == VerdictFailed {
 		return out, fmt.Errorf("adapt: %s", out.Reason)
 	}
-	c.ctRolledBack.Inc()
-	for _, n := range dep.Nodes {
-		c.fleet.Publish(obs.KindCanary, n.Name, "rolled-back")
-	}
-	out.Verdict = VerdictRolledBack
-	run.finish(out)
 	return out, nil
 }
 
 // snapshotCohorts polls both cohorts' stats. Canary failures are fatal
 // to the run (reported as the returned error); a baseline node that
 // cannot be polled merely drops out of the comparison mean.
-func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (canary, baseline map[string]Snapshot, err error) {
+func (c *Controller) snapshotCohorts(ctx context.Context, run *Run, plan CanaryPlan) (canary, baseline map[string]Snapshot, err error) {
 	if canary, err = c.snapshotAll(ctx, plan.Canary); err != nil {
 		return nil, nil, err
 	}
@@ -210,7 +212,7 @@ func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (cana
 	for _, t := range plan.Baseline {
 		s, err := c.poll(ctx, t)
 		if err != nil {
-			c.fleet.Logf("adapt: baseline %s unobservable, dropped from comparison: %v", t.Name, err)
+			c.fleet.Publish(obs.KindCanary, t.Name, run.ref(), "baseline-unobservable: ", err.Error())
 			continue
 		}
 		baseline[t.Name] = s
@@ -219,9 +221,9 @@ func (c *Controller) snapshotCohorts(ctx context.Context, plan CanaryPlan) (cana
 }
 
 // announce publishes one canary event per node of the cohort.
-func (c *Controller) announce(cohort []fleet.Target, detail string) {
+func (c *Controller) announce(run *Run, cohort []fleet.Target, parts ...string) {
 	for _, t := range cohort {
-		c.fleet.Publish(obs.KindCanary, t.Name, detail)
+		c.fleet.Publish(obs.KindCanary, t.Name, run.ref(), parts...)
 	}
 }
 

@@ -90,7 +90,8 @@ type rig struct {
 	scripts map[string]*statsScript
 	inj     *fleet.Injector
 	reg     *obs.Registry
-	events  *eventLog
+	events  *eventLog // kind:step counts
+	ring    *obs.Ring // every event, for the decision records
 	fleet   *fleet.Controller
 	ctl     *Controller
 	clock   *fakeClock
@@ -99,6 +100,16 @@ type rig struct {
 type eventLog struct {
 	mu  sync.Mutex
 	got map[string]int
+}
+
+// step strips a decision's Detail to its step: without the record
+// prefix ("d3 ", "a1 ") and without the ": <reason>" tail.
+func step(detail string) string {
+	if ref, rest, ok := strings.Cut(detail, " "); ok && len(ref) > 1 && strings.Trim(ref[1:], "0123456789") == "" {
+		detail = rest
+	}
+	s, _, _ := strings.Cut(detail, ": ")
+	return s
 }
 
 func (l *eventLog) count(key string) int {
@@ -116,6 +127,7 @@ func newRig(t *testing.T, n int) *rig {
 		inj:     fleet.NewInjector(nil),
 		reg:     obs.NewRegistry(),
 		events:  &eventLog{got: map[string]int{}},
+		ring:    obs.NewRing(512),
 		clock:   &fakeClock{t: time.Unix(1_000_000, 0)},
 	}
 	names := []string{"alpha", "beta", "gamma", "delta"}
@@ -139,14 +151,14 @@ func newRig(t *testing.T, n int) *rig {
 	bus := &obs.Bus{}
 	bus.Subscribe(obs.Func(func(e obs.Event) {
 		r.events.mu.Lock()
-		r.events.got[e.Kind.String()+":"+e.Detail]++
+		r.events.got[e.Kind.String()+":"+step(e.Detail)]++
 		r.events.mu.Unlock()
 	}))
+	bus.Subscribe(r.ring)
 	r.fleet = fleet.New(fleet.Config{
 		Client:  &http.Client{Transport: r.inj},
 		Bus:     bus,
 		Metrics: r.reg,
-		Logf:    t.Logf,
 		Retry:   fleet.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	r.ctl = New(r.fleet)

@@ -123,12 +123,7 @@ func (c *Controller) startRun(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer c.bgWG.Done()
 		defer cancel()
-		out, err := c.canaryRun(ctx, plan, run)
-		if err != nil {
-			c.fleet.Logf("adapt: run failed: %v", err)
-			return
-		}
-		c.fleet.Logf("adapt: run finished: %s (%s)", out.Verdict, out.Reason)
+		c.canaryRun(ctx, plan, run) // the run's verdict is its own event
 	}()
 	planpd.WriteJSON(w, http.StatusAccepted, Started{ID: run.View().ID, Started: true})
 }

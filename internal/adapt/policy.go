@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -200,7 +201,7 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 		if err != nil {
 			// A blind round: keep the loop alive, but feed the selector
 			// "no opinion" so blindness never accumulates toward a switch.
-			c.fleet.Logf("adapt: policy round %d: stats poll failed: %v", round, err)
+			c.fleet.Publish(obs.KindAdapt, "", fleet.Ref{}, "blind: round ", strconv.Itoa(round), ": stats poll failed: ", err.Error())
 			sel.Observe("", c.now())
 			report.Rounds = round
 			continue
@@ -213,12 +214,12 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 		switchTo := sel.Observe(pref, c.now())
 		if switchTo == "" {
 			c.ctHolds.Inc()
-			c.fleet.Publish(obs.KindAdapt, "", "hold:"+sel.Current())
+			c.fleet.Publish(obs.KindAdapt, "", fleet.Ref{}, "hold:", sel.Current())
 			continue
 		}
 		cand, ok := byName[switchTo]
 		if !ok {
-			c.fleet.Logf("adapt: policy preferred unknown candidate %q; holding", switchTo)
+			c.fleet.Publish(obs.KindAdapt, "", fleet.Ref{}, "unknown-candidate: ", switchTo)
 			continue
 		}
 		from := sel.Current()
@@ -229,19 +230,17 @@ func (c *Controller) RunPolicy(ctx context.Context, plan PolicyPlan) (*PolicyRep
 			Kind:   "adapt",
 			Reason: fmt.Sprintf("policy preferred %s over %s for %d consecutive window(s)", cand.Name, from, streak),
 		}
-		d, deployErr := c.fleet.Deploy(ctx, spec, plan.Targets)
-		if deployErr != nil {
+		d, err := c.fleet.Deploy(ctx, spec, plan.Targets)
+		if err != nil {
 			// The fleet converged back to the old variant; the selector
 			// still holds `from` and will re-demand the switch next round.
-			c.fleet.Logf("adapt: policy switch %s->%s failed: %v", from, cand.Name, deployErr)
+			c.fleet.Publish(obs.KindAdapt, "", d.Ref(), "switch-failed:", from, "->", cand.Name, ": ", err.Error())
 			continue
 		}
+		c.fleet.Publish(obs.KindAdapt, "", d.Ref(), "switch:", from, "->", cand.Name, ": ", spec.Reason)
 		sel.Commit(cand.Name, c.now())
 		c.ctSwitches.Inc()
-		c.fleet.Publish(obs.KindAdapt, "", fmt.Sprintf("switch:%s->%s", from, cand.Name))
-		id := d.View().ID
-		c.fleet.Logf("adapt: policy switched %s -> %s (deployment %d)", from, cand.Name, id)
-		report.Switches = append(report.Switches, Switch{Round: round, From: from, To: cand.Name, Deployment: id})
+		report.Switches = append(report.Switches, Switch{Round: round, From: from, To: cand.Name, Deployment: d.View().ID})
 	}
 	report.Final = sel.Current()
 	return report, nil

@@ -28,8 +28,8 @@
 // (lost responses, nodes dying mid-phase) are reconciled against
 // GET /asp, and the whole history is queryable via GET /deployments.
 // Failure paths are deterministically testable through the pluggable
-// fault-injecting RoundTripper (fault.go). Rollout progress is
-// published as obs events (KindDeploy/KindRollback) and metrics.
+// fault-injecting RoundTripper (fault.go). Each decision is published
+// once, as an obs event (KindDeploy/KindRollback), and counted.
 package fleet
 
 import (
@@ -46,6 +46,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -292,17 +293,15 @@ type Config struct {
 	Client *http.Client
 	// Retry is the per-request retry policy.
 	Retry RetryPolicy
-	// Bus, when set, receives KindDeploy/KindRollback events (and the
-	// adaptation loop's KindCanary/KindAdapt). The controller
-	// serializes its publishes; subscribers see events from one
-	// goroutine at a time but interleaved across nodes.
+	// Bus, when set, receives every decision as a KindDeploy/KindRollback
+	// event (and the adaptation loop's KindCanary/KindAdapt), serialized
+	// but interleaved across nodes. New publishes the history's notes,
+	// so subscribe first.
 	Bus *obs.Bus
 	// Metrics, when set, receives the "fleet.*" (and "adapt.*") counters.
 	Metrics *obs.Registry
 	// Seed fixes the jitter stream (default 1).
 	Seed int64
-	// Logf, when set, receives one line per rollout step.
-	Logf func(format string, args ...any)
 	// HistoryPath, when set, persists every finished rollout as one
 	// JSON line appended to this file and loads prior records on New —
 	// the deployment history survives daemon restarts and crashes, and
@@ -318,7 +317,6 @@ type Controller struct {
 	metrics *obs.Registry
 	bus     *obs.Bus
 	busMu   sync.Mutex
-	logf    func(string, ...any)
 	start   time.Time
 	sleepFn func(context.Context, time.Duration)
 
@@ -346,7 +344,6 @@ func New(cfg Config) *Controller {
 		retry:       cfg.Retry.withDefaults(),
 		metrics:     cfg.Metrics,
 		bus:         cfg.Bus,
-		logf:        cfg.Logf,
 		start:       time.Now(),
 		sleepFn:     Sleep,
 		nextID:      1,
@@ -355,9 +352,6 @@ func New(cfg Config) *Controller {
 	}
 	if c.client == nil {
 		c.client = http.DefaultClient
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
 	}
 	if c.metrics == nil {
 		c.metrics = obs.NewRegistry()
@@ -374,18 +368,15 @@ func New(cfg Config) *Controller {
 	c.ctRetries = c.metrics.Counter("fleet.http_retries")
 	c.ctNodeRollbacks = c.metrics.Counter("fleet.node_rollbacks")
 	if c.historyPath != "" {
-		for _, v := range loadHistory(c.historyPath, c.logf) {
-			c.deployments = append(c.deployments, &Deployment{view: v})
-			c.nextID = max(c.nextID, v.ID+1)
-		}
+		c.loadHistory()
 	}
 	return c
 }
 
 // The adaptation loop (internal/adapt) acts through a Controller and
-// reports through the same plumbing: Client, Metrics, Logf and Publish
-// lend it the controller's HTTP client, registry, logger and its one
-// serialized path onto the bus.
+// reports through the same plumbing: Client, Metrics and Publish lend
+// it the controller's HTTP client, registry and its one serialized
+// path onto the bus.
 
 // Client returns the HTTP client control-plane requests go through.
 func (c *Controller) Client() *http.Client { return c.client }
@@ -393,33 +384,47 @@ func (c *Controller) Client() *http.Client { return c.client }
 // Metrics returns the registry holding the "fleet.*" counters.
 func (c *Controller) Metrics() *obs.Registry { return c.metrics }
 
-// Logf writes one line to the controller's log.
-func (c *Controller) Logf(format string, args ...any) { c.logf(format, args...) }
+// Ref names a decision's record: Tag 'd' and a fleet deployment's ID
+// (rollback records too), or 'a' and an adaptation run's; zero for none.
+type Ref struct {
+	Tag byte
+	ID  int
+}
 
-// Publish serializes an event onto the bus (obs.Bus is not internally
-// synchronized and fleet fan-out is concurrent).
-func (c *Controller) Publish(kind obs.Kind, node, detail string) {
+// Ref names the deployment's record (none for a nil deployment).
+func (d *Deployment) Ref() Ref {
+	if d == nil {
+		return Ref{}
+	}
+	return Ref{'d', d.view.ID}
+}
+
+// Publish serializes one decision onto the bus (fleet fan-out is
+// concurrent). Its Detail is ref ("d3 ") and the parts, which spell
+// "<step>" or "<step>: <reason>" (see obs.KindDeploy), joined only when
+// someone listens.
+func (c *Controller) Publish(kind obs.Kind, node string, ref Ref, parts ...string) {
 	if !c.bus.Active() {
 		return
+	}
+	detail := strings.Join(parts, "")
+	if ref.Tag != 0 {
+		detail = string(ref.Tag) + strconv.Itoa(ref.ID) + " " + detail
 	}
 	c.busMu.Lock()
 	c.bus.Publish(obs.Event{Kind: kind, At: time.Since(c.start), Node: node, Detail: detail})
 	c.busMu.Unlock()
 }
 
-// loadHistory reads the append-only JSONL history. A missing file is an
-// empty history; a torn final line (the daemon died mid-append) or any
-// other corrupt record is skipped with a log line rather than poisoning
-// the records around it.
-func loadHistory(path string, logf func(string, ...any)) []View {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			logf("fleet: history %s: %v", path, err)
-		}
-		return nil
+// loadHistory reads the append-only JSONL history into the controller.
+// A missing file is an empty history; a torn final line (the daemon
+// died mid-append) or any other corrupt record is skipped with a
+// "history" event rather than poisoning the records around it.
+func (c *Controller) loadHistory() {
+	data, err := os.ReadFile(c.historyPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		c.Publish(obs.KindDeploy, "", Ref{}, "history: ", err.Error())
 	}
-	var out []View
 	for i, line := range bytes.Split(data, []byte("\n")) {
 		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
@@ -430,16 +435,16 @@ func loadHistory(path string, logf func(string, ...any)) []View {
 			err = errors.New("record has no positive id")
 		}
 		if err != nil {
-			logf("fleet: history %s: skipping corrupt record on line %d: %v", path, i+1, err)
+			c.Publish(obs.KindDeploy, "", Ref{}, "history: ", c.historyPath, ": skipping corrupt record on line ", strconv.Itoa(i+1), ": ", err.Error())
 			continue
 		}
-		out = append(out, v)
+		c.deployments = append(c.deployments, &Deployment{view: v})
+		c.nextID = max(c.nextID, v.ID+1)
 	}
-	return out
 }
 
 // persist appends the finished deployment to the history file. Failures
-// are logged, not fatal: losing one history record must not fail a
+// are published, not fatal: losing one history record must not fail a
 // rollout that already converged.
 func (c *Controller) persist(d *Deployment) {
 	if c.historyPath == "" {
@@ -447,16 +452,14 @@ func (c *Controller) persist(d *Deployment) {
 	}
 	c.fileMu.Lock()
 	defer c.fileMu.Unlock()
-	line, err := json.Marshal(d.View())
+	line, _ := json.Marshal(d.View()) // strings, ints and slices: cannot fail
+	f, err := os.OpenFile(c.historyPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err == nil {
-		var f *os.File
-		if f, err = os.OpenFile(c.historyPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-			_, err = f.Write(append(line, '\n'))
-			f.Close()
-		}
+		_, err = f.Write(append(line, '\n'))
+		f.Close()
 	}
 	if err != nil {
-		c.logf("fleet: history %s: %v", c.historyPath, err)
+		c.Publish(obs.KindDeploy, "", d.Ref(), "history: ", err.Error())
 	}
 }
 
@@ -567,7 +570,7 @@ func (c *Controller) finish(d *Deployment, st State, err error) error {
 
 func (c *Controller) fail(d *Deployment, err error) error {
 	c.ctFailed.Inc()
-	c.logf("fleet: deployment %d: failed: %v", d.view.ID, err)
+	c.Publish(obs.KindDeploy, "", d.Ref(), "failed: ", err.Error())
 	return c.finish(d, StateFailed, err)
 }
 
@@ -641,8 +644,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 
 	c.ctDeploys.Inc()
 	d := c.newDeployment(&spec, targets)
-	id := d.view.ID
-	c.logf("fleet: deployment %d: version %s to %d node(s)", id, spec.Version, len(targets))
+	c.Publish(obs.KindDeploy, "", d.Ref(), "start: version ", spec.Version, " to ", strconv.Itoa(len(targets)), " node(s)")
 
 	// Controller-side precheck: compile-without-activate locally so a
 	// program that cannot pass late checking — or was verified under
@@ -665,7 +667,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 		h, err := nc.health(ctx)
 		if err != nil {
 			nc.mark(NodeFailed, err)
-			c.Publish(obs.KindDeploy, nc.Name, "health:failed")
+			c.Publish(obs.KindDeploy, nc.Name, d.Ref(), "health:failed")
 			return err
 		}
 		nc.update(func(n *NodeView) { n.PrevVersion = h.Version })
@@ -703,11 +705,11 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 	errs = c.forEach(d, func(nc *nodeClient) error {
 		if err := nc.stage(ctx, spec); err != nil {
 			nc.mark(NodeFailed, err)
-			c.Publish(obs.KindDeploy, nc.Name, "stage:failed")
+			c.Publish(obs.KindDeploy, nc.Name, d.Ref(), "stage:failed")
 			return err
 		}
 		nc.mark(NodeStaged, nil)
-		c.Publish(obs.KindDeploy, nc.Name, "stage:ok")
+		c.Publish(obs.KindDeploy, nc.Name, d.Ref(), "stage:ok")
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
@@ -726,7 +728,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 		if actErr == nil {
 			c.holdSignature(nc.URL, digest, staged)
 			nc.mark(NodeActive, nil)
-			c.Publish(obs.KindDeploy, nc.Name, "activate:ok")
+			c.Publish(obs.KindDeploy, nc.Name, d.Ref(), "activate:ok")
 			return nil
 		}
 		rctx, cancel := compensation(ctx)
@@ -736,7 +738,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 			// The swap committed; only the response was lost.
 			c.holdSignature(nc.URL, digest, staged)
 			nc.mark(NodeActive, nil)
-			c.Publish(obs.KindDeploy, nc.Name, "activate:ok-reconciled")
+			c.Publish(obs.KindDeploy, nc.Name, d.Ref(), "activate:ok-reconciled")
 			return nil
 		}
 		// Still staged: the activation never committed. Anything else —
@@ -747,7 +749,7 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 			status, detail = NodeStaged, "activate:failed"
 		}
 		nc.mark(status, actErr)
-		c.Publish(obs.KindDeploy, nc.Name, detail)
+		c.Publish(obs.KindDeploy, nc.Name, d.Ref(), detail)
 		return actErr
 	})
 	if err := firstErr(errs); err != nil {
@@ -758,12 +760,12 @@ func (c *Controller) Deploy(ctx context.Context, spec Spec, targets []Target) (*
 			outcome = fmt.Sprintf("[%s] could not be confirmed back on their previous version, every other node is", lost)
 		}
 		rbErr := fmt.Errorf("fleet: activate failed on [%s]; %s: %w", failedNames(d, errs), outcome, err)
-		c.logf("fleet: deployment %d: rolled back: %v", id, rbErr)
+		c.Publish(obs.KindRollback, "", d.Ref(), "rolled-back: ", rbErr.Error())
 		return d, c.finish(d, StateRolledBack, rbErr)
 	}
 
 	c.ctActive.Inc()
-	c.logf("fleet: deployment %d: version %s active on all %d node(s)", id, spec.Version, len(targets))
+	c.Publish(obs.KindDeploy, "", d.Ref(), "active: version ", spec.Version, " on all ", strconv.Itoa(len(targets)), " node(s)")
 	return d, c.finish(d, StateActive, nil)
 }
 
@@ -801,15 +803,15 @@ func (c *Controller) converge(ctx context.Context, d *Deployment, version string
 		}
 		if err != nil {
 			nc.mark(NodeFailed, fmt.Errorf("undoing %s: %w", version, err))
-			c.Publish(obs.KindRollback, nc.Name, "failed")
+			c.Publish(obs.KindRollback, nc.Name, d.Ref(), "failed")
 			return err
 		}
 		nc.mark(done, nil)
 		if rb.RolledBack {
 			c.ctNodeRollbacks.Inc()
-			c.Publish(obs.KindRollback, nc.Name, "restored:"+rb.Active)
+			c.Publish(obs.KindRollback, nc.Name, d.Ref(), "restored:", rb.Active)
 		} else {
-			c.Publish(obs.KindRollback, nc.Name, "stage-aborted")
+			c.Publish(obs.KindRollback, nc.Name, d.Ref(), "stage-aborted")
 		}
 		return nil
 	})

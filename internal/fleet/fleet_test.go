@@ -767,13 +767,7 @@ func TestFleetRetryRules(t *testing.T) {
 func TestFleetEvents(t *testing.T) {
 	tf := newTestFleet(t, 2)
 	bus := &obs.Bus{}
-	var mu sync.Mutex
-	got := map[string]int{}
-	bus.Subscribe(obs.Func(func(e obs.Event) {
-		mu.Lock()
-		got[e.Kind.String()+":"+e.Detail]++
-		mu.Unlock()
-	}))
+	events := newEventCounter(bus)
 	c := tf.controller(Config{Bus: bus})
 	if _, err := c.Deploy(context.Background(), Spec{Version: "v1", Source: forwarder}, tf.targets); err != nil {
 		t.Fatal(err)
@@ -785,16 +779,14 @@ func TestFleetEvents(t *testing.T) {
 	if _, err := c.Deploy(context.Background(), Spec{Version: "v2", Source: forwarderV2}, tf.targets); err == nil {
 		t.Fatal("want failure")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got["deploy:stage:ok"] != 4 {
-		t.Errorf("deploy:stage:ok = %d, want 4 (2 nodes x 2 rollouts)", got["deploy:stage:ok"])
+	if n := events.count("deploy:stage:ok"); n != 4 {
+		t.Errorf("deploy:stage:ok = %d, want 4 (2 nodes x 2 rollouts)", n)
 	}
-	if got["deploy:activate:failed"] != 1 {
-		t.Errorf("deploy:activate:failed = %d, want 1", got["deploy:activate:failed"])
+	if n := events.count("deploy:activate:failed"); n != 1 {
+		t.Errorf("deploy:activate:failed = %d, want 1", n)
 	}
-	if got["rollback:restored:v1"] != 1 {
-		t.Errorf("rollback:restored:v1 = %d, want 1", got["rollback:restored:v1"])
+	if n := events.count("rollback:restored:v1"); n != 1 {
+		t.Errorf("rollback:restored:v1 = %d, want 1", n)
 	}
 }
 

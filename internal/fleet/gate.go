@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 
 	"planp.dev/planp/internal/lang/diag"
@@ -148,11 +149,11 @@ func (c *Controller) compatGate(d *Deployment, spec Spec, peers []peer) error {
 	seenDiag := map[diag.Diagnostic]bool{}
 	for _, p := range peers {
 		if p.cmp == nil {
-			c.Publish(obs.KindDeploy, p.node, "compat:no-signature")
+			c.Publish(obs.KindDeploy, p.node, d.Ref(), "compat:no-signature")
 			continue
 		}
 		if len(p.cmp.Conflicts) == 0 {
-			c.Publish(obs.KindDeploy, p.node, "compat:ok")
+			c.Publish(obs.KindDeploy, p.node, d.Ref(), "compat:ok")
 			continue
 		}
 		badNodes = append(badNodes, p.node)
@@ -167,15 +168,17 @@ func (c *Controller) compatGate(d *Deployment, spec Spec, peers []peer) error {
 				all = append(all, dg)
 			}
 		}
-		c.Publish(obs.KindDeploy, p.node, "compat:mismatch")
+		c.Publish(obs.KindDeploy, p.node, d.Ref(), "compat:mismatch")
 	}
 	if len(badNodes) == 0 {
 		return nil
 	}
 	if spec.AllowIncompatible {
 		d.update(func(v *View) { v.CompatOverride, v.CompatWarnings = true, msgs })
-		c.logf("fleet: deployment %d: compatibility override: proceeding past %d mismatch(es) on [%s]",
-			d.view.ID, len(msgs), strings.Join(badNodes, ", "))
+		if c.bus.Active() {
+			c.Publish(obs.KindDeploy, "", d.Ref(), "compat:override: proceeding past ", strconv.Itoa(len(msgs)),
+				" mismatch(es) on [", strings.Join(badNodes, ", "), "]")
+		}
 		return nil
 	}
 	return &CompatError{Version: spec.Version, Nodes: badNodes, Msgs: msgs, Diags: all}

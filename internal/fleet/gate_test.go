@@ -229,17 +229,28 @@ func TestSigDiffSameLabelTwoPrograms(t *testing.T) {
 	}
 }
 
-// eventCounter tallies bus events by kind:detail.
+// eventCounter tallies bus events by kind:step, the step being the
+// Detail without its record prefix and reason.
 type eventCounter struct {
 	mu  sync.Mutex
 	got map[string]int
+}
+
+// step strips a decision's Detail to its step: without the record
+// prefix ("d3 ", "a1 ") and without the ": <reason>" tail.
+func step(detail string) string {
+	if ref, rest, ok := strings.Cut(detail, " "); ok && len(ref) > 1 && strings.Trim(ref[1:], "0123456789") == "" {
+		detail = rest
+	}
+	s, _, _ := strings.Cut(detail, ": ")
+	return s
 }
 
 func newEventCounter(bus *obs.Bus) *eventCounter {
 	ec := &eventCounter{got: map[string]int{}}
 	bus.Subscribe(obs.Func(func(e obs.Event) {
 		ec.mu.Lock()
-		ec.got[e.Kind.String()+":"+e.Detail]++
+		ec.got[e.Kind.String()+":"+step(e.Detail)]++
 		ec.mu.Unlock()
 	}))
 	return ec

@@ -14,6 +14,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"planp.dev/planp/internal/obs"
 )
@@ -35,26 +36,24 @@ func (c *Controller) RollbackDeployment(ctx context.Context, d *Deployment, reas
 
 	spec := Spec{Version: version, Kind: "rollback", Reason: reason}
 	rb := c.newDeployment(&spec, targets)
-	c.logf("fleet: rollback %d: revoking version %s from deployment %d (%s)", rb.view.ID, version, d.view.ID, reason)
+	c.Publish(obs.KindRollback, "", rb.Ref(), "revoke: version ", version, " of deployment ", strconv.Itoa(d.view.ID), ": ", reason)
 
 	errs := c.forEach(rb, func(nc *nodeClient) error {
 		res, err := nc.rollback(ctx, version)
 		if err != nil {
 			nc.mark(NodeFailed, fmt.Errorf("rollback: %w", err))
-			c.Publish(obs.KindRollback, nc.Name, "failed")
+			c.Publish(obs.KindRollback, nc.Name, rb.Ref(), "failed")
 			return err
 		}
 		nc.update(func(n *NodeView) { n.Status, n.PrevVersion = NodeRolledBack, res.Active })
 		c.ctNodeRollbacks.Inc()
-		c.Publish(obs.KindRollback, nc.Name, "restored:"+res.Active)
+		c.Publish(obs.KindRollback, nc.Name, rb.Ref(), "restored:", res.Active)
 		return nil
 	})
 	if err := firstErr(errs); err != nil {
-		c.ctFailed.Inc()
-		return rb, c.finish(rb, StateFailed,
-			fmt.Errorf("fleet: rollback of version %s failed on [%s]: %w", version, failedNames(rb, errs), err))
+		return rb, c.fail(rb, fmt.Errorf("fleet: rollback of version %s failed on [%s]: %w", version, failedNames(rb, errs), err))
 	}
 	c.ctRolledBack.Inc()
-	c.logf("fleet: rollback %d: version %s revoked on all %d node(s)", rb.view.ID, version, len(targets))
+	c.Publish(obs.KindRollback, "", rb.Ref(), "revoked: version ", version, " on all ", strconv.Itoa(len(targets)), " node(s)")
 	return rb, c.finish(rb, StateRolledBack, nil)
 }

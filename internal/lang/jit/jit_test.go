@@ -223,7 +223,7 @@ func TestScratchSizes(t *testing.T) {
 		"http_gateway_leastconn.planp": 25,
 		"http_gateway_random.planp":    19,
 		"mpeg_client.planp":            11,
-		"mpeg_monitor.planp":           43,
+		"mpeg_monitor.planp":           40,
 	}
 	files, err := filepath.Glob("../../../asp/*.planp")
 	if err != nil || len(files) != len(want) {

@@ -64,13 +64,17 @@ const (
 	// KindVerifyReject: a protocol download was refused by late
 	// checking or the single-node deployment limit.
 	KindVerifyReject
-	// KindDeploy: a fleet rollout step completed on a node (Node is the
-	// fleet target name; Detail is "<phase>:<outcome>", e.g.
-	// "stage:ok", "activate:failed").
+	// KindDeploy, KindRollback, KindCanary, KindAdapt: control-plane
+	// decisions, no packet. Detail is "<ref> <step>[: <reason>]", ref the
+	// record ("d<id>" a fleet deployment, "a<id>" an adaptation run; no
+	// ref, nor its space, for none); Node the target a step ran on, empty
+	// for the whole record.
+	//
+	// KindDeploy: a node's "<phase>:<outcome>" ("d3 stage:ok"), or the
+	// record's "start", "compat:override", "active", "failed", "history".
 	KindDeploy
-	// KindRollback: a fleet rollout reverted a node to the previously
-	// active protocol version (Detail is the restored version, or the
-	// abort reason for staged-only nodes).
+	// KindRollback: a node's "restored:<version>", "stage-aborted",
+	// "failed"; the record's "rolled-back", "revoke", "revoked".
 	KindRollback
 	// KindFault: the chaos engine degraded the network (Node is the
 	// link or node name; Detail says how: "link-down", "crash",
@@ -79,14 +83,12 @@ const (
 	// KindHeal: the chaos engine restored what a KindFault degraded
 	// (Detail "link-up", "restart", "clear").
 	KindHeal
-	// KindCanary: the adaptation controller moved a canary rollout
-	// through its lifecycle (Node is the deployment's version label;
-	// Detail is "active", "window:<n>:ok", "window:<n>:violation",
-	// "promoted", "rolled-back", "unobservable").
+	// KindCanary: a node's "active", "window:<n>:ok|violation",
+	// "unobservable", "baseline-unobservable"; the run's verdict,
+	// "promoted", "rolled-back" or "failed".
 	KindCanary
-	// KindAdapt: the adaptation policy engine made a protocol-selection
-	// decision (Detail is "switch:<from>-><to>" on a redeploy, or
-	// "hold:<candidate>" when hysteresis/cooldown suppressed one).
+	// KindAdapt: "d<id> switch:<from>-><to>" or "switch-failed:…"; with no
+	// record "hold:<candidate>", "unknown-candidate", "blind".
 	KindAdapt
 	// KindLink: a cross-host rtnet link changed state (Node is the
 	// "<local>:<peer>" link name; Detail is "up", "up:reconnect",
@@ -155,6 +157,9 @@ func appendOctet(dst []byte, o byte) []byte {
 
 // String renders the event as one pcap-style text line (no newline).
 func (e Event) String() string {
+	if k := e.Kind; k == KindDeploy || k == KindRollback || k == KindCanary || k == KindAdapt {
+		return fmt.Sprintf("%10.6f %-13s %-10s %s", e.At.Seconds(), k, e.Node, e.Detail)
+	}
 	var src, dst [15]byte
 	s := fmt.Sprintf("%10.6f %-13s %-10s %s->%s %dB",
 		e.At.Seconds(), e.Kind, e.Node, AppendAddr(src[:0], e.Src), AppendAddr(dst[:0], e.Dst), e.Size)
@@ -165,9 +170,8 @@ func (e Event) String() string {
 }
 
 // Subscriber consumes events. OnEvent is called synchronously from the
-// publishing site, in subscription order, under the simulator's
-// single-threaded event loop — implementations need no locking of their
-// own unless they are shared across simulations.
+// publishing site, in subscription order (concurrently only where the
+// publishers are; see Bus).
 type Subscriber interface {
 	OnEvent(Event)
 }
@@ -186,8 +190,10 @@ func (f Func) OnEvent(ev Event) { f(ev) }
 //		bus.Publish(obs.Event{...})
 //	}
 //
-// Bus is not safe for concurrent use; it belongs to a single
-// simulation's event loop.
+// Bus has no lock: subscribers attach before the first publish, which
+// only reads their list. Publishers serialize on netsim (its event
+// loop) and in fleet.Controller (a mutex); rtnet's node goroutines do
+// not, so its subscribers must take concurrent OnEvent calls.
 type Bus struct {
 	subs []Subscriber
 }

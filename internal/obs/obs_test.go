@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // recorder notes which subscriber saw which event, for ordering tests.
@@ -139,6 +140,28 @@ func TestTextLogFormat(t *testing.T) {
 	want := "  1.500000 drop          r1         10.0.1.1->10.0.2.1 64B queue\n"
 	if sb.String() != want {
 		t.Errorf("log line %q, want %q", sb.String(), want)
+	}
+}
+
+// TestTextLogDecision: a control-plane decision carries no packet, so
+// its line has no address or size columns.
+func TestTextLogDecision(t *testing.T) {
+	var sb strings.Builder
+	l := NewTextLog(&sb)
+	l.OnEvent(Event{Kind: KindDeploy, At: 2 * time.Second, Node: "gw0", Detail: "d3 stage:ok"})
+	l.OnEvent(Event{Kind: KindRollback, At: 2 * time.Second, Detail: "d3 rolled-back: boom"})
+	want := "  2.000000 deploy        gw0        d3 stage:ok\n" +
+		"  2.000000 rollback                 d3 rolled-back: boom\n"
+	if sb.String() != want {
+		t.Errorf("log lines %q, want %q", sb.String(), want)
+	}
+}
+
+// TestEventSize: an Event stays 64 bytes; every packet event copies one,
+// so a decision's record and reason ride in Detail, not in new fields.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 64 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 64", n)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/lang/diag"
+	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planpd"
 	"planp.dev/planp/internal/rtnet"
 	"planp.dev/planp/internal/substrate"
@@ -36,8 +37,8 @@ const discardPort = 7
 type Options struct {
 	// Out receives installed protocols' print output (nil discards).
 	Out io.Writer
-	// Logf receives the fleet/adapt controllers' decision log.
-	Logf func(format string, args ...any)
+	// Events receives the fleet/adapt controllers' decisions (their bus, not the network's).
+	Events obs.Subscriber
 	// HistoryPath persists this daemon's deployment history.
 	HistoryPath string
 	// ProbeInterval overrides the cross-host links' liveness cadence
@@ -125,7 +126,11 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 
 	// The controllers count into the nodes' registry, so every node's
 	// GET /stats carries the fleet.* and adapt.* counters.
-	d.Fleet = fleet.New(fleet.Config{Logf: opts.Logf, HistoryPath: opts.HistoryPath, Metrics: nw.Metrics()})
+	bus := &obs.Bus{}
+	if opts.Events != nil {
+		bus.Subscribe(opts.Events)
+	}
+	d.Fleet = fleet.New(fleet.Config{Bus: bus, HistoryPath: opts.HistoryPath, Metrics: nw.Metrics()})
 	d.Adapt = adapt.New(d.Fleet)
 	d.chs = planpd.NewChaosServer(d.Chaos)
 	d.out = opts.Out

@@ -91,7 +91,7 @@ func newBed(t *testing.T) *bed {
 	b := &bed{topo: topo, daemons: map[string]*Daemon{}, base: map[string]string{}}
 	for name, ln := range lns {
 		d, err := NewDaemon(topo, name, Options{
-			Logf:          t.Logf,
+			Events:        testLog(t),
 			ProbeInterval: 25 * time.Millisecond,
 		})
 		if err != nil {
@@ -436,7 +436,7 @@ func TestBedReconnectKeepsHistory(t *testing.T) {
 	var d3 *Daemon
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		d3, err = NewDaemon(b.topo, "d3", Options{Logf: t.Logf, ProbeInterval: 25 * time.Millisecond})
+		d3, err = NewDaemon(b.topo, "d3", Options{Events: testLog(t), ProbeInterval: 25 * time.Millisecond})
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

@@ -98,11 +98,10 @@ func (m *Demo) linkDrops() int64 {
 }
 
 // Handler is the daemon's control API plus POST /demo/requests?n=N,
-// which fires N client requests and reports where requests landed
-// (totals since start) and how many packets the links dropped during
-// this burst ("dropped"): the client fires faster than the gateway
-// drains, so past the client link's 512-packet queue a large burst is
-// mostly dropped.
+// which fires N client requests and reports the burst's own counts:
+// where they landed, the responses, and the packets the links dropped
+// (the client outpaces the gateway, so past the client link's
+// 512-packet queue a large burst is mostly dropped).
 func (m *Demo) Handler() http.Handler {
 	mux := m.Daemon.Handler()
 	mux.HandleFunc("POST /demo/requests", func(w http.ResponseWriter, r *http.Request) {
@@ -111,6 +110,8 @@ func (m *Demo) Handler() http.Handler {
 			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
 			return
 		}
+		s0, s1 := m.Served()
+		total, fromVirtual := m.Responses()
 		drops := m.linkDrops()
 		for i := 0; i < n; i++ {
 			m.SendRequest(uint16(10000 + i%55536)) // ports 10000–65535
@@ -119,11 +120,11 @@ func (m *Demo) Handler() http.Handler {
 		// return. Settle before reading the counters so the response
 		// reflects this burst, not the previous one.
 		settled := m.Net.Quiesce(10 * time.Second)
-		s0, s1 := m.Served()
-		total, fromVirtual := m.Responses()
+		e0, e1 := m.Served()
+		eTotal, eVirtual := m.Responses()
 		planpd.WriteJSON(w, http.StatusOK, map[string]any{
-			"sent": n, "settled": settled, "server0": s0, "server1": s1,
-			"responses": total, "from_virtual": fromVirtual, "dropped": m.linkDrops() - drops,
+			"sent": n, "settled": settled, "server0": e0 - s0, "server1": e1 - s1,
+			"responses": eTotal - total, "from_virtual": eVirtual - fromVirtual, "dropped": m.linkDrops() - drops,
 		})
 	})
 	return mux

@@ -30,7 +30,7 @@ type adaptRig struct {
 
 func newAdaptRig(t *testing.T) *adaptRig {
 	t.Helper()
-	cluster, gateway := startDemo(t, Options{Logf: t.Logf})
+	cluster, gateway := startDemo(t, Options{Events: testLog(t)})
 	return &adaptRig{
 		cluster: cluster,
 		eng:     cluster.Chaos,

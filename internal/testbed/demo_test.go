@@ -1,21 +1,48 @@
 package testbed
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"planp.dev/planp/asp"
 	"planp.dev/planp/internal/apps/httpd"
+	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/routetest"
 	"planp.dev/planp/internal/substrate"
 )
+
+// testLog logs the controllers' decisions to the test's output.
+func testLog(t *testing.T) obs.Subscriber {
+	return obs.Func(func(e obs.Event) { t.Log(e.String()) })
+}
+
+// lockedBuffer is a bytes.Buffer the test goroutine may read while a
+// controller writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // startDemo boots the built-in §3.2 topology and serves its full
 // control plane over real HTTP. gateway is the gateway node's mount
@@ -287,6 +314,51 @@ func TestDemoBurstCountsDrops(t *testing.T) {
 	if dropped == 0 || s0+s1+dropped-n != s0+s1-responses || responses > s0+s1 {
 		t.Fatalf("server0 %v + server1 %v + dropped %v - %d != server0 + server1 - responses %v (or none dropped): %v",
 			s0, s1, dropped, n, responses, got)
+	}
+}
+
+// TestDemoBurstCountsPerBurst: every count POST /demo/requests answers
+// is the burst's own, so a second burst on the same daemon again
+// answers server0 + server1 == n, and from_virtual == n.
+func TestDemoBurstCountsPerBurst(t *testing.T) {
+	_, gateway := startDemo(t, Options{})
+	if status, got := postJSON(t, gateway+"/asp?verify=single", asp.HTTPGateway); status != http.StatusOK {
+		t.Fatalf("POST /asp: HTTP %d %v", status, got)
+	}
+	const n = 200
+	for burst := 1; burst <= 2; burst++ {
+		status, got := postJSON(t, strings.TrimSuffix(gateway, "/node/gateway")+"/demo/requests?n=200", "")
+		if status != http.StatusOK || got["settled"] != true || got["dropped"] != 0.0 {
+			t.Fatalf("burst %d: HTTP %d %v", burst, status, got)
+		}
+		s0, s1 := got["server0"].(float64), got["server1"].(float64)
+		if s0+s1 != n || got["responses"] != float64(n) || got["from_virtual"] != float64(n) {
+			t.Fatalf("burst %d: server0 %v + server1 %v, responses %v, from_virtual %v; want each burst's own %d",
+				burst, s0, s1, got["responses"], got["from_virtual"], n)
+		}
+	}
+}
+
+// TestDemoDeployDecisionLog: a TextLog subscribed through
+// Options.Events prints a deployment's decisions as it makes them: a
+// rollout through POST /deploy prints its start line, then its
+// "active … on all" line, each naming the deployment's record.
+func TestDemoDeployDecisionLog(t *testing.T) {
+	var log lockedBuffer
+	_, gateway := startDemo(t, Options{Events: obs.NewTextLog(&log)})
+	status, got := postJSON(t, strings.TrimSuffix(gateway, "/node/gateway")+
+		"/deploy?version=v1&verify=single&nodes="+url.QueryEscape("gateway="+gateway), asp.HTTPGateway)
+	if status != http.StatusOK {
+		t.Fatalf("POST /deploy: HTTP %d %v", status, got)
+	}
+	text := log.String()
+	start := strings.Index(text, " deploy                   d1 start: version v1 to 1 node(s)\n")
+	active := strings.Index(text, " deploy                   d1 active: version v1 on all 1 node(s)\n")
+	if start < 0 || active < start {
+		t.Fatalf("decision log lacks the start line, then the active line, of d1:\n%s", text)
+	}
+	if !strings.Contains(text[start:active], " deploy        gateway    d1 activate:ok\n") {
+		t.Errorf("decision log lacks the gateway's activation between them:\n%s", text)
 	}
 }
 

@@ -206,12 +206,8 @@ func (t *Topology) DaemonOf(node string) (DaemonSpec, bool) {
 	if !ok {
 		return DaemonSpec{}, false
 	}
-	for _, d := range t.Daemons {
-		if d.Name == n.Site {
-			return d, true
-		}
-	}
-	return DaemonSpec{}, false
+	d, err := t.Daemon(n.Site)
+	return d, err == nil
 }
 
 // NodeURL returns the cluster-wide control URL for a node's planpd
