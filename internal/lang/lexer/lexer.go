@@ -53,8 +53,8 @@ func Scan(src string) ([]token.Token, error) {
 	lx := New(src)
 	var toks []token.Token
 	for {
-		t, err := lx.Next()
-		if err != nil {
+		var t token.Token
+		if err := lx.Next(&t); err != nil {
 			return nil, err
 		}
 		toks = append(toks, t)
@@ -161,19 +161,21 @@ func isIdentStart(c byte) bool {
 
 func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '\'' }
 
-// Next returns the next token, with its End span set to one column past
-// its last character: the scanner stops exactly one byte past each
-// token, so the position after scanning IS the token's end.
-func (lx *Lexer) Next() (token.Token, error) {
+// Next writes the next token into t, in place (the parser's window),
+// with its End span set to one column past its last character: the
+// scanner stops exactly one byte past each token, so the position after
+// scanning IS the token's end. On an error t is left as it was.
+func (lx *Lexer) Next(t *token.Token) error {
 	if err := lx.skipSpace(); err != nil {
-		return token.Token{}, err
+		return err
 	}
 	pos := lx.pos()
 	kind, text, err := lx.scan(pos)
 	if err != nil {
-		return token.Token{}, err
+		return err
 	}
-	return token.Token{Kind: kind, Text: text, Pos: pos, End: lx.pos()}, nil
+	*t = token.Token{Kind: kind, Text: text, Pos: pos, End: lx.pos()}
+	return nil
 }
 
 // scan consumes the token that starts at pos, the current offset.

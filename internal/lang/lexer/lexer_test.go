@@ -187,12 +187,11 @@ func TestPositionsSaturate(t *testing.T) {
 	}
 	lx := New("ab\ncd")
 	lx.line, lx.col = math.MaxInt32, math.MaxInt32-1
-	ab, err := lx.Next()
-	if err != nil {
+	var ab, cd token.Token
+	if err := lx.Next(&ab); err != nil {
 		t.Fatal(err)
 	}
-	cd, err := lx.Next()
-	if err != nil {
+	if err := lx.Next(&cd); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -230,10 +229,11 @@ func TestUnexpectedCharacter(t *testing.T) {
 	// The whole character is consumed: a caller that reads on does not
 	// meet its continuation bytes as further errors.
 	lx := New("é x")
-	if _, err := lx.Next(); err == nil {
+	var tok token.Token
+	if err := lx.Next(&tok); err == nil {
 		t.Fatal("é should not scan")
 	}
-	if tok, err := lx.Next(); err != nil || tok.Kind != token.Ident || tok.Pos.Col != 4 {
+	if err := lx.Next(&tok); err != nil || tok.Kind != token.Ident || tok.Pos.Col != 4 {
 		t.Errorf("after the bad character: %v at %v, %v; want identifier x at column 4", tok, tok.Pos, err)
 	}
 }
@@ -266,11 +266,12 @@ func TestIntOverflow(t *testing.T) {
 
 func TestEOFIsSticky(t *testing.T) {
 	lx := New("x")
-	if tok, _ := lx.Next(); tok.Kind != token.Ident {
+	var tok token.Token
+	if lx.Next(&tok); tok.Kind != token.Ident {
 		t.Fatalf("first token %v", tok)
 	}
 	for i := 0; i < 3; i++ {
-		tok, err := lx.Next()
+		err := lx.Next(&tok)
 		if err != nil || tok.Kind != token.EOF {
 			t.Fatalf("EOF not sticky: %v %v", tok, err)
 		}

@@ -105,8 +105,7 @@ func (p *parser) next() {
 	if p.tok.Kind == token.EOF {
 		return
 	}
-	var err error
-	if p.tok, err = p.lx.Next(); err != nil {
+	if err := p.lx.Next(&p.tok); err != nil {
 		p.lexErr, p.tok = err, token.Token{Kind: token.EOF}
 	}
 }

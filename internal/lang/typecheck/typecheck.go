@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"planp.dev/planp/internal/lang/ast"
@@ -102,8 +103,6 @@ type Info struct {
 	// compiled program is digested once.
 	sigDigest atomic.Pointer[string]
 
-	globalIdx map[string]int
-	funIdx    map[string]int
 	// byName maps a channel name to its (possibly overloaded)
 	// definitions, in declaration order, as pointers into Channels;
 	// packet dispatch reads it per packet.
@@ -126,13 +125,16 @@ func (in *Info) SigDigest() string {
 // Info's own: read it, do not modify it.
 func (in *Info) ChannelsByName(name string) []*Channel { return in.byName[name] }
 
-// checker carries the state of one Check run.
+// checker carries the state of one Check run. Its tables die with the
+// run, so a finished checker goes back to checkers (release) and the
+// next run reuses them; nothing the run returns points into them.
 type checker struct {
 	info *Info
 
-	// chanIdx maps a channel name to the indices in info.Channels of its
-	// definitions (indices, not pointers: Channels grows during pass 1).
-	chanIdx map[string][]int
+	// globalIdx and funIdx map a top-level val's or fun's name to its
+	// index in info.Globals or info.Funs.
+	globalIdx map[string]int
+	funIdx    map[string]int
 
 	// diags accumulates every independent error across the staged
 	// passes; checking continues past a failed declaration so one run
@@ -152,6 +154,39 @@ type checker struct {
 	nextSlot  int
 	frameMax  int
 	inChannel bool // OnRemote/OnNeighbor only legal inside channel bodies
+}
+
+// checkers holds the checkers of finished runs.
+var checkers sync.Pool
+
+// maxPooled bounds the entries a pooled checker's tables may have held:
+// a checker that grew past it on a program far larger than any in-tree
+// ASP is dropped, not pooled, since clearing a map costs its capacity
+// and every later run would pay for the one huge upload.
+const maxPooled = 1 << 10
+
+// newChecker returns a pooled checker, or a new one, for info.
+func newChecker(info *Info) *checker {
+	c, _ := checkers.Get().(*checker)
+	if c == nil {
+		c = &checker{globalIdx: map[string]int{}, funIdx: map[string]int{}, inScope: map[string]int{}}
+	}
+	c.info = info
+	return c
+}
+
+// release pools c with nothing of its run left in it. A name is in
+// inScope only while a binding holds it, so cap(binds) bounds inScope.
+func (c *checker) release() {
+	if len(c.globalIdx) > maxPooled || len(c.funIdx) > maxPooled || cap(c.binds) > maxPooled {
+		return
+	}
+	clear(c.globalIdx)
+	clear(c.funIdx)
+	clear(c.inScope)
+	clear(c.binds[:cap(c.binds)])
+	*c = checker{globalIdx: c.globalIdx, funIdx: c.funIdx, inScope: c.inScope, binds: c.binds[:0]}
+	checkers.Put(c)
 }
 
 // report records a declaration-level failure and lets checking continue
@@ -257,12 +292,28 @@ func errSpan(pos, end token.Pos, format string, args ...any) error {
 // On failure the returned error is an *Error carrying every diagnostic
 // found, in source order.
 func Check(prog *ast.Program) (*Info, error) {
-	info := &Info{
-		Prog:      prog,
-		globalIdx: map[string]int{},
-		funIdx:    map[string]int{},
+	// The tables are sized from the declarations, so they grow in place
+	// and a pointer into Channels (byName's) stays valid.
+	var vals, funs, chans int
+	for _, d := range prog.Decls {
+		switch d.(type) {
+		case *ast.ValDecl:
+			vals++
+		case *ast.FunDecl:
+			funs++
+		case *ast.ChannelDecl:
+			chans++
+		}
 	}
-	c := &checker{info: info, chanIdx: map[string][]int{}, inScope: map[string]int{}}
+	info := &Info{
+		Prog:     prog,
+		Globals:  make([]Global, 0, vals),
+		Funs:     make([]Fun, 0, funs),
+		Channels: make([]Channel, 0, chans),
+		byName:   make(map[string][]*Channel, chans),
+	}
+	c := newChecker(info)
+	defer c.release()
 
 	// Pass 1: declarations.
 	for _, d := range prog.Decls {
@@ -292,29 +343,21 @@ func Check(prog *ast.Program) (*Info, error) {
 	if len(c.diags) > 0 {
 		return nil, &Error{Diags: c.diags}
 	}
-	info.byName = make(map[string][]*Channel, len(c.chanIdx))
-	for name, idxs := range c.chanIdx {
-		chans := make([]*Channel, len(idxs))
-		for i, ix := range idxs {
-			chans[i] = &info.Channels[ix]
-		}
-		info.byName[name] = chans
-	}
 	info.Sig = extractSignature(info)
 	return info, nil
 }
 
 func (c *checker) declared(name string, pos token.Pos) error {
-	if _, ok := c.info.globalIdx[name]; ok {
+	if _, ok := c.globalIdx[name]; ok {
 		return errf(pos, "%s redeclares a top-level val", name)
 	}
-	if _, ok := c.info.funIdx[name]; ok {
+	if _, ok := c.funIdx[name]; ok {
 		return errf(pos, "%s redeclares a fun", name)
 	}
 	if prims.Lookup(name) >= 0 {
 		return errf(pos, "%s shadows a primitive", name)
 	}
-	if len(c.chanIdx[name]) > 0 {
+	if len(c.info.byName[name]) > 0 {
 		return errf(pos, "%s conflicts with a channel of the same name", name)
 	}
 	return nil
@@ -332,7 +375,7 @@ func (c *checker) checkValDecl(d *ast.ValDecl) error {
 	// Register the name even when the initializer failed: the declared
 	// type is still trustworthy, and keeping the binding suppresses
 	// cascading "undefined name" errors in later declarations.
-	c.info.globalIdx[d.Name] = len(c.info.Globals)
+	c.globalIdx[d.Name] = len(c.info.Globals)
 	c.info.Globals = append(c.info.Globals, Global{Decl: d, Index: len(c.info.Globals), FrameSize: c.frameMax})
 	return err
 }
@@ -355,7 +398,7 @@ func (c *checker) checkFunDecl(d *ast.FunDecl) error {
 		params[i] = p.Type
 	}
 	idx := len(c.info.Funs)
-	c.info.funIdx[d.Name] = idx
+	c.funIdx[d.Name] = idx
 	c.info.Funs = append(c.info.Funs, Fun{Decl: d, Index: idx, FrameSize: c.frameMax, params: params})
 	return err
 }
@@ -372,8 +415,8 @@ func (c *checker) registerChannel(d *ast.ChannelDecl) error {
 	}
 	// Overloads of the same channel name must have distinct packet types
 	// (otherwise dispatch is ambiguous).
-	for _, prev := range c.chanIdx[d.Name] {
-		if ast.Equal(c.info.Channels[prev].Decl.PacketType(), pktType) {
+	for _, prev := range c.info.byName[d.Name] {
+		if ast.Equal(prev.Decl.PacketType(), pktType) {
 			return errSpan(d.At, d.HeaderEnd, "channel %s redefined with the same packet type %s", d.Name, pktType)
 		}
 	}
@@ -386,13 +429,13 @@ func (c *checker) registerChannel(d *ast.ChannelDecl) error {
 			d.Name, d.ProtoState(), c.info.ProtoState)
 	}
 	idx := len(c.info.Channels)
-	c.chanIdx[d.Name] = append(c.chanIdx[d.Name], idx)
 	c.info.Channels = append(c.info.Channels, Channel{Decl: d, Index: idx})
+	c.info.byName[d.Name] = append(c.info.byName[d.Name], &c.info.Channels[idx])
 	return nil
 }
 
 func (c *checker) checkChannelDecl(d *ast.ChannelDecl) error {
-	if _, ok := c.info.funIdx[d.Name]; ok {
+	if _, ok := c.funIdx[d.Name]; ok {
 		return errf(d.At, "channel %s conflicts with a fun of the same name", d.Name)
 	}
 	if err := c.bindParams("channel", d, d.Params); err != nil {
@@ -426,9 +469,9 @@ func (c *checker) checkChannelDecl(d *ast.ChannelDecl) error {
 		return errSpan(d.At, d.HeaderEnd, "channel %s: body has type %s, want %s (new protocol state, new channel state)", d.Name, got, want)
 	}
 	// Fill in the frame size on the entry registered in pass 1.
-	for i := range c.info.Channels {
-		if c.info.Channels[i].Decl == d {
-			c.info.Channels[i].FrameSize = c.frameMax
+	for _, ch := range c.info.byName[d.Name] {
+		if ch.Decl == d {
+			ch.FrameSize = c.frameMax
 			break
 		}
 	}
@@ -514,14 +557,14 @@ func (c *checker) infer(e ast.Expr, expected ast.Type) (ast.Type, error) {
 			e.Slot, e.Global = b.slot, -1
 			return b.typ, nil
 		}
-		if gi, ok := c.info.globalIdx[e.Name]; ok {
+		if gi, ok := c.globalIdx[e.Name]; ok {
 			e.Slot, e.Global = -1, gi
 			return c.info.Globals[gi].Decl.Type, nil
 		}
-		if _, ok := c.info.funIdx[e.Name]; ok {
+		if _, ok := c.funIdx[e.Name]; ok {
 			return nil, errf(e.At, "%s is a fun; funs are not first-class values", e.Name)
 		}
-		if len(c.chanIdx[e.Name]) > 0 {
+		if len(c.info.byName[e.Name]) > 0 {
 			return nil, errf(e.At, "%s is a channel; channels may only appear as the first argument of OnRemote/OnNeighbor", e.Name)
 		}
 		return nil, errSpan(e.At, e.End(), "undefined name %s", e.Name)
@@ -771,11 +814,11 @@ func (c *checker) checkCall(e *ast.Call, expected ast.Type) (ast.Type, error) {
 	fi, pi := -1, prims.Lookup(e.Name)
 	var params []ast.Type
 	var ret ast.Type
-	if i, ok := c.info.funIdx[e.Name]; ok {
+	if i, ok := c.funIdx[e.Name]; ok {
 		fi, params, ret = i, c.info.Funs[i].params, c.info.Funs[i].Decl.Ret
 	} else if pi >= 0 {
 		params, ret = prims.Get(pi).Params, prims.Get(pi).Ret
-	} else if len(c.chanIdx[e.Name]) > 0 {
+	} else if len(c.info.byName[e.Name]) > 0 {
 		return nil, errf(e.At, "channel %s cannot be called directly; use OnRemote(%s, pkt)", e.Name, e.Name)
 	} else {
 		return nil, errf(e.At, "undefined function %s", e.Name)
@@ -936,19 +979,19 @@ func (c *checker) checkSend(e *ast.Call) (ast.Type, error) {
 	} else {
 		return nil, errf(e.At, "%s: first argument must be a channel name", e.Name)
 	}
-	cands := c.chanIdx[cref.Name]
+	cands := c.info.byName[cref.Name]
 	if len(cands) == 0 {
 		return nil, errf(e.At, "%s: %s is not a declared channel", e.Name, cref.Name)
 	}
 	e.Args[0] = cref
 
-	pktT, err := c.checkExpr(e.Args[1], c.info.Channels[cands[0]].Decl.PacketType())
+	pktT, err := c.checkExpr(e.Args[1], cands[0].Decl.PacketType())
 	if err != nil {
 		return nil, err
 	}
 	matched := false
-	for _, ci := range cands {
-		if ast.Equal(pktT, c.info.Channels[ci].Decl.PacketType()) {
+	for _, ch := range cands {
+		if ast.Equal(pktT, ch.Decl.PacketType()) {
 			matched = true
 			break
 		}

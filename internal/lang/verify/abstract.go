@@ -26,7 +26,6 @@
 package verify
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"planp.dev/planp/internal/lang/ast"
@@ -95,7 +94,7 @@ func joinHost(a, b ahost) ahost {
 	return unknownHost
 }
 
-func joinVal(a, b aval) aval {
+func (ev *evaluator) joinVal(a, b aval) aval {
 	if a.kind != b.kind {
 		return aval{kind: avOther}
 	}
@@ -108,9 +107,9 @@ func joinVal(a, b aval) aval {
 		if len(a.elems) != len(b.elems) {
 			return aval{kind: avOther}
 		}
-		elems := make([]aval, len(a.elems))
+		elems := ev.alloc(len(a.elems))
 		for i := range elems {
-			elems[i] = joinVal(a.elems[i], b.elems[i])
+			elems[i] = ev.joinVal(a.elems[i], b.elems[i])
 		}
 		return aval{kind: avTuple, elems: elems}
 	default:
@@ -118,26 +117,33 @@ func joinVal(a, b aval) aval {
 	}
 }
 
-// appendKey appends an encoding of v that differs for any two values
-// that differ: the fun summaries' memo key.
-func (v aval) appendKey(b []byte) []byte {
-	b = append(b, v.kind)
+// equal reports whether v and w are the same abstract value: the fun
+// summaries' memo key.
+func (v aval) equal(w aval) bool {
+	if v.kind != w.kind {
+		return false
+	}
 	switch v.kind {
 	case avHost:
-		b = v.host.appendKey(b)
+		return v.host == w.host
 	case avIP:
-		b = v.ip.dst.appendKey(v.ip.src.appendKey(b))
+		return v.ip == w.ip
 	case avTuple:
-		b = binary.AppendUvarint(b, uint64(len(v.elems)))
-		for _, e := range v.elems {
-			b = e.appendKey(b)
-		}
+		return avalsEqual(v.elems, w.elems)
 	}
-	return b
+	return true
 }
 
-func (a ahost) appendKey(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(append(b, byte(a.kind)), uint32(a.lit))
+func avalsEqual(a, b []aval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func hostVal(h ahost) aval { return aval{kind: avHost, host: h} }
@@ -157,12 +163,12 @@ type send struct {
 
 // abstractPacket builds the abstract value of an incoming packet: a
 // tuple whose ip component carries the S0/D0 markers.
-func abstractPacket(t ast.Type) aval {
+func (ev *evaluator) abstractPacket(t ast.Type) aval {
 	tup, ok := t.(ast.Tuple)
 	if !ok {
 		return aval{kind: avOther}
 	}
-	elems := make([]aval, len(tup.Elems))
+	elems := ev.alloc(len(tup.Elems))
 	elems[0] = aval{kind: avIP, ip: aIP{src: ahost{kind: ahPSrc}, dst: ahost{kind: ahPDst}}}
 	return aval{kind: avTuple, elems: elems}
 }
@@ -206,32 +212,57 @@ type channelFacts struct {
 	raises bool
 }
 
+// evaluator is the abstract evaluator's state, all of which dies with
+// the run: it lives in a pooled workspace (verify.go).
 type evaluator struct {
 	info      *typecheck.Info
-	fun       int // the fun being summarised; len(info.Funs) in a channel
-	frame     []aval
+	fun       int     // the fun being summarised; len(info.Funs) in a channel
+	frame     []aval  // the body's slots, in avals
 	guards    []guard // tmem facts of the enclosing then-branches, outermost first
+	guardBase int     // the first of guards the body being evaluated sees
 	args      []aval  // a stack of evaluated call arguments
-	sends     []send
-	memo      map[string]fact // fun summaries by fun index and abstract arguments
-	summaries []int           // per fun, the number in memo
-	key       []byte
+	sends     []send  // every channel's send sites, channel after channel
+	chans     []channelFacts
+	memo      []summary
+	latest    []int // per fun, 1 + the index in memo of its latest summary, or 0
+	summaries []int // per fun, its number of summaries
+
+	// avals is the run's arena: frames, tuple elements and memoised
+	// arguments are cut from it and never freed before the run ends, so
+	// no value's elements are overwritten while something holds them.
+	avals []aval
+}
+
+// summary is a fun evaluated at one vector of abstract arguments.
+type summary struct {
+	args []aval
+	f    fact
+	prev int // index in memo of the same fun's previous summary, or -1
+}
+
+// alloc returns n zeroed values from the arena.
+func (ev *evaluator) alloc(n int) []aval {
+	lo := len(ev.avals)
+	ev.avals = append(ev.avals, make([]aval, n)...)
+	return ev.avals[lo:len(ev.avals):len(ev.avals)]
 }
 
 // evalChannels evaluates every channel body once, sharing fun summaries.
-func evalChannels(info *typecheck.Info) []channelFacts {
-	ev := &evaluator{info: info, fun: len(info.Funs), summaries: make([]int, len(info.Funs))}
-	out := make([]channelFacts, len(info.Channels))
+func (ev *evaluator) evalChannels(info *typecheck.Info) []channelFacts {
+	ev.info, ev.fun = info, len(info.Funs)
+	ev.latest = append(ev.latest[:0], make([]int, len(info.Funs))...)
+	ev.summaries = append(ev.summaries[:0], make([]int, len(info.Funs))...)
+	ev.chans = append(ev.chans[:0], make([]channelFacts, len(info.Channels))...)
 	for i := range info.Channels {
 		ch := &info.Channels[i]
 		// Parameters: protocol state (other), channel state (other), packet.
-		ev.frame = make([]aval, ch.FrameSize)
-		ev.frame[2] = abstractPacket(ch.Decl.PacketType())
-		ev.sends = nil
-		out[i].raises = ev.eval(ch.Decl.Body).raises
-		out[i].sends = ev.sends
+		ev.frame = ev.alloc(ch.FrameSize)
+		ev.frame[2] = ev.abstractPacket(ch.Decl.PacketType())
+		lo := len(ev.sends)
+		ev.chans[i].raises = ev.eval(ch.Decl.Body).raises
+		ev.chans[i].sends = ev.sends[lo:]
 	}
-	return out
+	return ev.chans
 }
 
 func (ev *evaluator) eval(e ast.Expr) fact {
@@ -282,7 +313,7 @@ func (ev *evaluator) eval(e ast.Expr) fact {
 
 	case *ast.TupleExpr:
 		var f fact
-		elems := make([]aval, len(e.Elems))
+		elems := ev.alloc(len(e.Elems))
 		for i, sub := range e.Elems {
 			s := ev.eval(sub)
 			elems[i] = s.val
@@ -304,7 +335,7 @@ func (ev *evaluator) eval(e ast.Expr) fact {
 		// The body's exceptions are handled; the handler's are not.
 		body := ev.eval(e.Body)
 		h := ev.eval(e.Handler)
-		h.val = joinVal(body.val, h.val)
+		h.val = ev.joinVal(body.val, h.val)
 		h.deletes = h.deletes || body.deletes
 		return h
 
@@ -339,7 +370,7 @@ func (ev *evaluator) evalIf(e *ast.If) fact {
 	}
 	els := ev.eval(e.Else)
 	branches := then.then(els)
-	branches.val = joinVal(then.val, els.val)
+	branches.val = ev.joinVal(then.val, els.val)
 	return cond.then(branches)
 }
 
@@ -405,24 +436,21 @@ func (ev *evaluator) call(fi int, args []aval) fact {
 	if ev.summaries[fi] >= maxSummaries {
 		args = nil
 	}
-	ev.key = binary.AppendUvarint(ev.key[:0], uint64(fi))
-	for _, a := range args {
-		ev.key = a.appendKey(ev.key)
+	for i := ev.latest[fi] - 1; i >= 0; i = ev.memo[i].prev {
+		if avalsEqual(ev.memo[i].args, args) {
+			return ev.memo[i].f
+		}
 	}
-	if f, ok := ev.memo[string(ev.key)]; ok {
-		return f
-	}
-	key := string(ev.key)
 	fun := &ev.info.Funs[fi]
-	frame, guards, cur := ev.frame, ev.guards, ev.fun
-	ev.frame, ev.guards, ev.fun = make([]aval, fun.FrameSize), nil, fi
+	frame, guardBase, cur := ev.frame, ev.guardBase, ev.fun
+	ev.frame, ev.guardBase, ev.fun = ev.alloc(fun.FrameSize), len(ev.guards), fi
 	copy(ev.frame, args)
 	f := ev.eval(fun.Decl.Body)
-	ev.frame, ev.guards, ev.fun = frame, guards, cur
-	if ev.memo == nil {
-		ev.memo = map[string]fact{}
-	}
-	ev.memo[key] = f
+	ev.frame, ev.guardBase, ev.fun = frame, guardBase, cur
+	kept := ev.alloc(len(args))
+	copy(kept, args)
+	ev.memo = append(ev.memo, summary{args: kept, f: f, prev: ev.latest[fi] - 1})
+	ev.latest[fi] = len(ev.memo)
 	ev.summaries[fi]++
 	return f
 }
@@ -464,7 +492,7 @@ func primVal(name string, args []aval) aval {
 // guarding returns 1 + the stack index of the innermost tmem guard over
 // tget call e's table and key, or 0.
 func (ev *evaluator) guarding(e *ast.Call) int {
-	for i := len(ev.guards) - 1; i >= 0; i-- {
+	for i := len(ev.guards) - 1; i >= ev.guardBase; i-- {
 		if g := ev.guards[i]; exprEqual(g.tbl, e.Args[0]) && exprEqual(g.key, e.Args[1]) {
 			return i + 1
 		}
@@ -636,41 +664,27 @@ func substitute(a ahost, st state) (ahost, bool) {
 // channel's abstract send sites. It returns the number of states visited
 // and, when a fatal cycle exists, a human-readable description (empty
 // string means proven cycle-free).
-func exploreStates(info *typecheck.Info, chans []channelFacts) (int, string) {
-	type edge struct {
-		to       int
-		changing bool
-	}
-	states := []state{}
-	index := map[state]int{}
-	adj := [][]edge{}
-
-	intern := func(st state) int {
-		if i, ok := index[st]; ok {
-			return i
-		}
-		i := len(states)
-		index[st] = i
-		states = append(states, st)
-		adj = append(adj, nil)
-		return i
-	}
+func (ws *workspace) exploreStates(info *typecheck.Info, chans []channelFacts) (int, string) {
+	g := &ws.graph
+	g.reset()
+	ws.states, ws.work = ws.states[:0], ws.work[:0]
 
 	// Initial states: every channel can receive a fresh packet whose
 	// source and destination are the opaque originals.
-	work := []int{}
 	for ci := range info.Channels {
-		work = append(work, intern(state{chanIdx: ci, src: ahost{kind: ahPSrc}, dst: ahost{kind: ahPDst}}))
+		ws.work = append(ws.work, ws.intern(state{chanIdx: ci, src: ahost{kind: ahPSrc}, dst: ahost{kind: ahPDst}}))
 	}
 
-	for len(work) > 0 {
-		si := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := states[si]
-		if adj[si] != nil {
+	for len(ws.work) > 0 {
+		si := ws.work[len(ws.work)-1]
+		ws.work = ws.work[:len(ws.work)-1]
+		st := ws.states[si]
+		if g.out[si].lo >= 0 {
 			continue // already expanded
 		}
-		expanded := []edge{}
+		// A state's edges are appended together: no other state is
+		// expanded meanwhile.
+		lo := len(g.edges)
 		for _, s := range chans[st.chanIdx].sends {
 			dstTok, dstIsLocal := substitute(s.ip.dst, st)
 			if dstIsLocal {
@@ -684,30 +698,42 @@ func exploreStates(info *typecheck.Info, chans []channelFacts) (int, string) {
 				(dstTok == st.dst && dstTok.kind != ahUnknown)
 			for _, target := range info.ChannelsByName(s.targetName) {
 				next := state{chanIdx: target.Index, src: srcTok, dst: dstTok}
-				ni := intern(next)
-				expanded = append(expanded, edge{to: ni, changing: !progress})
-				if adj[ni] == nil {
-					work = append(work, ni)
+				ni := ws.intern(next)
+				g.edges = append(g.edges, edge{to: ni, changing: !progress})
+				if g.out[ni].lo < 0 {
+					ws.work = append(ws.work, ni)
 				}
 			}
 		}
-		adj[si] = expanded
+		g.out[si] = span{lo, len(g.edges)}
 	}
 
 	// A changing edge inside a strongly connected component (including
 	// a self-loop) is a potential infinite journey.
-	comp := components(adj, func(e edge) int { return e.to })
-	for v := range adj {
-		for _, e := range adj[v] {
+	comp := ws.components(g)
+	for v, out := range g.out {
+		for _, e := range g.edges[out.lo:out.hi] {
 			if comp[v] != comp[e.to] || !e.changing {
 				continue
 			}
-			from, to := states[v], states[e.to]
-			return len(states), fmt.Sprintf(
+			from, to := ws.states[v], ws.states[e.to]
+			return len(ws.states), fmt.Sprintf(
 				"packet may cycle: channel %s (dst=%s) re-sends via channel %s with rewritten destination %s inside a loop",
 				info.Channels[from.chanIdx].Decl.Name, from.dst,
 				info.Channels[to.chanIdx].Decl.Name, to.dst)
 		}
 	}
-	return len(states), ""
+	return len(ws.states), ""
+}
+
+// intern returns st's index, adding it unexpanded if it is new.
+func (ws *workspace) intern(st state) int {
+	if i, ok := ws.index[st]; ok {
+		return i
+	}
+	i := len(ws.states)
+	ws.index[st] = i
+	ws.states = append(ws.states, st)
+	ws.graph.out = append(ws.graph.out, span{lo: -1})
+	return i
 }

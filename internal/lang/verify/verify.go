@@ -31,6 +31,7 @@ package verify
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/diag"
@@ -136,14 +137,16 @@ func Verify(info *typecheck.Info) *Result { return VerifyWith(info, Options{}) }
 
 // VerifyWith runs the analyses under explicit deployment options.
 func VerifyWith(info *typecheck.Info, opts Options) *Result {
-	chans := evalChannels(info)
+	ws := newWorkspace()
+	defer ws.release()
+	chans := ws.evalChannels(info)
 	r := &Result{}
 	r.LocalTermination = localTermination(info)
 	if opts.SingleNode {
 		r.GlobalTermination = Check{Name: "global-termination", OK: true,
 			Detail: "single-node deployment: each packet is processed by this program at most once"}
 	} else {
-		states, cycleDetail := exploreStates(info, chans)
+		states, cycleDetail := ws.exploreStates(info, chans)
 		if cycleDetail == "" {
 			r.GlobalTermination = Check{Name: "global-termination", OK: true,
 				Detail: fmt.Sprintf("no cycle in %d abstract states", states)}
@@ -152,8 +155,59 @@ func VerifyWith(info *typecheck.Info, opts Options) *Result {
 		}
 	}
 	r.Delivery = delivery(info, r.GlobalTermination.OK, chans)
-	r.Duplication = duplication(info)
+	r.Duplication = ws.duplication(info)
 	return r
+}
+
+// workspace is everything one VerifyWith run builds and drops: the
+// evaluator's frames, stacks, memo and arena, the channels' send lists,
+// the state graph and Tarjan's arrays. A finished run pools it
+// (release); nothing a Result holds points into it.
+type workspace struct {
+	evaluator
+	states []state
+	index  map[state]int
+	work   []int
+	graph  graph
+	tarjan tarjan
+}
+
+// workspaces holds the workspaces of finished runs.
+var workspaces sync.Pool
+
+// maxPooled bounds the entries a pooled workspace's slices and map may
+// have held: one that grew past it on a program far larger than any
+// in-tree ASP is dropped, not pooled, since clearing a map costs its
+// capacity and every later run would pay for the one huge upload.
+const maxPooled = 1 << 10
+
+func newWorkspace() *workspace {
+	if ws, _ := workspaces.Get().(*workspace); ws != nil {
+		return ws
+	}
+	return &workspace{index: map[state]int{}}
+}
+
+// release pools ws with nothing of its run left in it: the slices that
+// hold pointers into the tree are cleared to their capacity, and the
+// others are overwritten before they are read.
+func (ws *workspace) release() {
+	ev := &ws.evaluator
+	if max(cap(ev.avals), cap(ev.guards), cap(ev.args), cap(ev.sends), cap(ev.chans), cap(ev.memo),
+		cap(ev.latest), len(ws.index), cap(ws.states), cap(ws.work), cap(ws.graph.out), cap(ws.graph.edges),
+		cap(ws.tarjan.comp), cap(ws.tarjan.stack)) > maxPooled {
+		return
+	}
+	clear(ev.avals[:cap(ev.avals)])
+	clear(ev.guards[:cap(ev.guards)])
+	clear(ev.args[:cap(ev.args)])
+	clear(ev.sends[:cap(ev.sends)])
+	clear(ev.chans[:cap(ev.chans)])
+	clear(ev.memo[:cap(ev.memo)])
+	*ev = evaluator{avals: ev.avals[:0], guards: ev.guards[:0], args: ev.args[:0], sends: ev.sends[:0],
+		chans: ev.chans[:0], memo: ev.memo[:0], latest: ev.latest[:0], summaries: ev.summaries[:0]}
+	clear(ws.index)
+	workspaces.Put(ws)
 }
 
 // ---------------------------------------------------------------------------
@@ -221,24 +275,27 @@ func delivery(info *typecheck.Info, noCycle bool, chans []channelFacts) Check {
 // Both inputs — per-channel send multiplicity and the send graph — come
 // from the channel-interface signature the typechecker extracted; the
 // analysis walks no channel body.
-func duplication(info *typecheck.Info) Check {
+func (ws *workspace) duplication(info *typecheck.Info) Check {
 	sig := info.Sig
-	// edges[i]: channel indices i can send to.
-	edges := make([][]int, len(info.Channels))
-	for i, ch := range sig.Channels {
+	// The edges out of channel i go to the channels it can send to.
+	g := &ws.graph
+	g.reset()
+	for _, ch := range sig.Channels {
+		lo := len(g.edges)
 		for _, snd := range ch.Sends {
 			for _, target := range info.ChannelsByName(snd.Channel) {
-				edges[i] = append(edges[i], target.Index)
+				g.edges = append(g.edges, edge{to: target.Index})
 			}
 		}
+		g.out = append(g.out, span{lo, len(g.edges)})
 	}
-	comp := components(edges, func(j int) int { return j })
+	comp := ws.components(g)
 	for i, ch := range sig.Channels {
 		if ch.MaxSendsPerPath < 2 {
 			continue
 		}
-		for _, j := range edges[i] {
-			if comp[j] == comp[i] {
+		for _, e := range g.edges[g.out[i].lo:g.out[i].hi] {
+			if comp[e.to] == comp[i] {
 				return Check{Name: "duplication", OK: false,
 					Detail: fmt.Sprintf("channel %s copies packets (%d+ sends on one path) and lies on a send cycle: duplication may be exponential",
 						info.Channels[i].Decl.Name, ch.MaxSendsPerPath),
@@ -249,47 +306,79 @@ func duplication(info *typecheck.Info) Check {
 	return Check{Name: "duplication", OK: true, Detail: "packet duplication is linear"}
 }
 
-// components labels the strongly connected components of a graph given
-// as adjacency lists (Tarjan's algorithm), so that an edge u→v lies on a
-// cycle iff comp[u] == comp[v]. Duplication runs it on the channel send
-// graph and global termination on the explored state space.
-func components[E any](adj [][]E, to func(E) int) []int {
-	n := len(adj)
-	comp := make([]int, n)  // 1 + component number; 0 while on the stack
-	index := make([]int, n) // 1 + visit order; 0 before the visit
-	low := make([]int, n)
-	var stack []int
-	visited, found := 0, 0
-	var visit func(v int)
-	visit = func(v int) {
-		visited++
-		index[v], low[v] = visited, visited
-		stack = append(stack, v)
-		for _, e := range adj[v] {
-			w := to(e)
-			if index[w] == 0 {
-				visit(w)
-				low[v] = min(low[v], low[w])
-			} else if comp[w] == 0 {
-				low[v] = min(low[v], index[w])
-			}
+// graph is a directed graph in one flat edge list: the edges out of
+// vertex v are edges[out[v].lo:out[v].hi].
+type graph struct {
+	out   []span
+	edges []edge
+}
+
+// span locates a vertex's edges; lo < 0 marks a state not yet expanded.
+type span struct{ lo, hi int }
+
+// edge is a send-graph edge or a transition between abstract states,
+// which changing marks when it rewrites the destination without
+// progress.
+type edge struct {
+	to       int
+	changing bool
+}
+
+func (g *graph) reset() { g.out, g.edges = g.out[:0], g.edges[:0] }
+
+// tarjan holds the arrays of Tarjan's algorithm across runs.
+type tarjan struct {
+	comp  []int // 1 + component number; 0 while on the stack
+	index []int // 1 + visit order; 0 before the visit
+	low   []int
+	stack []int
+
+	visited, found int
+}
+
+// components labels the strongly connected components of g (Tarjan's
+// algorithm), so that an edge u→v lies on a cycle iff comp[u] ==
+// comp[v]. Duplication runs it on the channel send graph and global
+// termination on the explored state space. The labels are the
+// workspace's, valid until its next run.
+func (ws *workspace) components(g *graph) []int {
+	t := &ws.tarjan
+	n := len(g.out)
+	t.comp = append(t.comp[:0], make([]int, n)...)
+	t.index = append(t.index[:0], make([]int, n)...)
+	t.low = append(t.low[:0], make([]int, n)...)
+	t.stack = t.stack[:0]
+	t.visited, t.found = 0, 0
+	for v := range g.out {
+		if t.index[v] == 0 {
+			t.visit(g, v)
 		}
-		if low[v] == index[v] {
-			found++
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				comp[w] = found
-				if w == v {
-					break
-				}
+	}
+	return t.comp
+}
+
+func (t *tarjan) visit(g *graph, v int) {
+	t.visited++
+	t.index[v], t.low[v] = t.visited, t.visited
+	t.stack = append(t.stack, v)
+	for _, e := range g.edges[g.out[v].lo:g.out[v].hi] {
+		w := e.to
+		if t.index[w] == 0 {
+			t.visit(g, w)
+			t.low[v] = min(t.low[v], t.low[w])
+		} else if t.comp[w] == 0 {
+			t.low[v] = min(t.low[v], t.index[w])
+		}
+	}
+	if t.low[v] == t.index[v] {
+		t.found++
+		for {
+			w := t.stack[len(t.stack)-1]
+			t.stack = t.stack[:len(t.stack)-1]
+			t.comp[w] = t.found
+			if w == v {
+				break
 			}
 		}
 	}
-	for v := range adj {
-		if index[v] == 0 {
-			visit(v)
-		}
-	}
-	return comp
 }

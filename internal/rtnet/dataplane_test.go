@@ -1,6 +1,7 @@
 package rtnet
 
 import (
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"sync"
@@ -211,6 +212,85 @@ func TestSegmentQueueCapUnderConcurrentSenders(t *testing.T) {
 	}
 	if got := nw.Metrics().Snapshot()["link.lan.dropped_pkts"]; got != senders*each-queueCap {
 		t.Errorf("link.lan.dropped_pkts = %d, want %d", got, senders*each-queueCap)
+	}
+}
+
+// echoProc answers each frame from `from` at once onto its segment
+// attachment, with the same payload, to `to`.
+type echoProc struct {
+	out            *SegIface
+	self, from, to substrate.Addr
+}
+
+func (p *echoProc) Process(pkt *substrate.Packet, _ substrate.Iface) bool {
+	if pkt.IP.Src == p.from {
+		p.out.Send(substrate.NewUDP(p.self, p.to, 7, 8, pkt.Payload).Own())
+	}
+	return true
+}
+
+// orderProc records, for each sequence number, whether the sender's
+// frame had arrived when the echo's answer did, and signals each answer.
+type orderProc struct {
+	sender   substrate.Addr
+	seen     []bool
+	late     atomic.Int64 // answers that arrived before their frame
+	answered chan struct{}
+}
+
+func (p *orderProc) Process(pkt *substrate.Packet, _ substrate.Iface) bool {
+	k := binary.BigEndian.Uint32(pkt.Payload)
+	if pkt.IP.Src == p.sender {
+		p.seen[k] = true
+	} else {
+		if !p.seen[k] {
+			p.late.Add(1)
+		}
+		p.answered <- struct{}{}
+	}
+	return true
+}
+
+// TestSegmentOneFrameOrder: a segment carries one frame at a time, so
+// every member sees its frames in one order. A sender S, an echo E that
+// answers each of S's frames at once onto the segment, and a
+// promiscuous observer O attached after E: O must see each of S's
+// frames before E's answer to it, although E has the frame first. The
+// answers go to an address no member has, so only O takes them, and
+// the window keeps every inbox far from full.
+func TestSegmentOneFrameOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const frames, window = 20000, 16
+	nw := New(1)
+	t.Cleanup(nw.Close)
+	seg := NewSegment(nw, "lan", 10e6)
+	s, e, o := NewNode(nw, "s", 1), NewNode(nw, "e", 2), NewNode(nw, "o", 3)
+	out := seg.Attach(s, false)
+	e.SetProcessor(&echoProc{out: seg.Attach(e, false), self: 2, from: 1, to: 9})
+	obs := &orderProc{sender: 1, seen: make([]bool, frames), answered: make(chan struct{}, window)}
+	seg.Attach(o, true)
+	o.SetProcessor(obs)
+	nw.Start()
+
+	wait := func() {
+		select {
+		case <-obs.answered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the echo's answers stopped arriving at the observer")
+		}
+	}
+	for k := 0; k < frames; k++ {
+		if k >= window {
+			wait()
+		}
+		payload := binary.BigEndian.AppendUint32(nil, uint32(k))
+		out.Send(substrate.NewUDP(1, 2, 8, 7, payload).Own())
+	}
+	for k := 0; k < window; k++ {
+		wait()
+	}
+	if late := obs.late.Load(); late > 0 {
+		t.Errorf("the observer saw %d of %d answers before the frame they answer", late, frames)
 	}
 }
 

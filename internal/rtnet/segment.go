@@ -5,7 +5,9 @@
 // endpoint like a link's, so the port's fault verdict and events are
 // the same; what the segment's attachments share is the medium: one
 // drop-tail bound, one meter and one pair of loss counters, so every
-// attachment reads the same Load, as on netsim.
+// attachment reads the same Load, as on netsim. The medium also carries
+// one frame at a time, so every attachment sees the segment's frames in
+// one order.
 package rtnet
 
 import (
@@ -17,21 +19,25 @@ import (
 
 // Segment is a shared in-process medium of a nominal bandwidth.
 type Segment struct {
-	name    string
-	bw      int64
-	ct      substrate.LinkCounters // under "link.<name>.*"
-	m       *meter
-	queued  atomic.Int32 // copies waiting in members' inboxes: the one drop-tail bound
-	mu      sync.Mutex   // serializes Attach
-	members atomic.Pointer[[]*SegIface]
+	name   string
+	bw     int64
+	ct     substrate.LinkCounters // under "link.<name>.*"
+	m      *meter
+	queued atomic.Int32 // copies waiting in members' inboxes: the one drop-tail bound
+
+	// mu serializes Attach and each frame's fan-out, from reading the
+	// member list to the last enqueue: a member that answers a frame at
+	// once cannot put the answer on the segment before a later member
+	// has the frame, as on netsim and a shared Ethernet. enqueue never
+	// blocks, so a sender holds mu only briefly.
+	mu      sync.Mutex
+	members []*SegIface
 }
 
 // NewSegment creates a segment of the given nominal bandwidth (bits per
 // second, reported by Load and Bandwidth, not enforced as a rate limit).
 func NewSegment(nw *Net, name string, bandwidthBps int64) *Segment {
-	s := &Segment{name: name, bw: bandwidthBps, m: newMeter(), ct: substrate.NewLinkCounters(nw.reg, name)}
-	s.members.Store(&[]*SegIface{})
-	return s
+	return &Segment{name: name, bw: bandwidthBps, m: newMeter(), ct: substrate.NewLinkCounters(nw.reg, name)}
 }
 
 // SegIface is one node's attachment to a Segment: an endpoint whose
@@ -44,13 +50,12 @@ type SegIface struct {
 
 // Attach connects n to the segment and returns its attachment; a
 // promiscuous one takes every frame (capture ASPs, §3.3). Safe while
-// traffic flows: senders read the member list through one atomic load.
+// traffic flows: the new member sees the frames carried after it.
 func (s *Segment) Attach(n *Node, promisc bool) *SegIface {
 	a := &SegIface{seg: s, promisc: promisc}
 	a.endpoint = endpoint{node: n, label: n.Hostname() + ":" + s.name, bw: s.bw, tr: a, ct: s.ct, m: s.m}
 	s.mu.Lock()
-	members := append(append([]*SegIface(nil), *s.members.Load()...), a)
-	s.members.Store(&members)
+	s.members = append(s.members, a)
 	s.mu.Unlock()
 	n.AddIface(a)
 	return a
@@ -68,29 +73,41 @@ func (a *SegIface) retain(pkt *substrate.Packet) *substrate.Packet {
 // carry offers one frame to every other member whose filter takes it.
 // Drop-tail admits the frame's copies together or not at all; copies
 // shared by more than one receiver are disowned, as netsim's segment
-// does, and a copy a full inbox refuses is Lost on its own.
+// does, and a copy a full inbox refuses is Lost on its own, once the
+// segment is free again (Lost publishes to the bus's subscribers).
 func (a *SegIface) carry(pkt *substrate.Packet) string {
+	pkt, lost, reason := a.fanOut(pkt)
+	for ; lost > 0; lost-- {
+		substrate.Lost(a, pkt, "queue")
+	}
+	return reason
+}
+
+// fanOut is carry's work under the segment's lock. It returns the frame
+// as handed over and how many copies full inboxes refused.
+func (a *SegIface) fanOut(pkt *substrate.Packet) (*substrate.Packet, int, string) {
 	s := a.seg
-	members := *s.members.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, m := range members {
+	for _, m := range s.members {
 		if m != a && m.node.Accepts(pkt, m.promisc) {
 			n++
 		}
 	}
 	if n == 0 {
-		return ""
+		return pkt, 0, ""
 	}
 	if s.queued.Add(int32(n)) > queueCap {
 		s.queued.Add(-int32(n))
-		return "queue"
+		return pkt, 0, "queue"
 	}
 	pkt = a.retain(pkt)
 	if n > 1 {
 		pkt.Disown()
 	}
-	sent := 0
-	for _, m := range members {
+	sent, lost := 0, 0
+	for _, m := range s.members {
 		// Once the last copy is handed over, pkt may be its receiver's.
 		if sent == n || m == a || !m.node.Accepts(pkt, m.promisc) {
 			continue
@@ -98,11 +115,11 @@ func (a *SegIface) carry(pkt *substrate.Packet) string {
 		sent++
 		if !m.node.enqueue(pkt, m, &s.queued) {
 			s.queued.Add(-1)
-			substrate.Lost(a, pkt, "queue")
+			lost++
 		}
 	}
 	s.queued.Add(int32(sent - n)) // a member joined or left a group meanwhile
-	return ""
+	return pkt, lost, ""
 }
 
 var _ substrate.FaultPort = (*SegIface)(nil)
