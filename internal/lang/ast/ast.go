@@ -76,15 +76,37 @@ type Tuple struct{ Elems []Type }
 func (Tuple) typ() {}
 
 func (t Tuple) String() string {
-	parts := make([]string, len(t.Elems))
-	for i, e := range t.Elems {
+	var b strings.Builder
+	b.Grow(t.renderLen())
+	t.renderTo(&b)
+	return b.String()
+}
+
+func (t Tuple) renderLen() int {
+	n := max(len(t.Elems)-1, 0) // the '*'s
+	for _, e := range t.Elems {
 		if _, ok := e.(Tuple); ok {
-			parts[i] = "(" + e.String() + ")"
+			n += len("()")
+		}
+		n += typeLen(e)
+	}
+	return n
+}
+
+// renderTo joins the elements by '*', a tuple element in parentheses.
+func (t Tuple) renderTo(b *strings.Builder) {
+	for i, e := range t.Elems {
+		if i > 0 {
+			b.WriteByte('*')
+		}
+		if _, ok := e.(Tuple); ok {
+			b.WriteByte('(')
+			writeType(b, e)
+			b.WriteByte(')')
 		} else {
-			parts[i] = e.String()
+			writeType(b, e)
 		}
 	}
-	return strings.Join(parts, "*")
 }
 
 // Table is a hash table type "(elem) hash_table". Keys are any equality
@@ -93,14 +115,40 @@ type Table struct{ Elem Type }
 
 func (Table) typ() {}
 
-func (t Table) String() string { return "(" + t.Elem.String() + ") hash_table" }
+func (t Table) String() string {
+	var b strings.Builder
+	b.Grow(t.renderLen())
+	t.renderTo(&b)
+	return b.String()
+}
+
+func (t Table) renderLen() int { return len("() hash_table") + typeLen(t.Elem) }
+
+func (t Table) renderTo(b *strings.Builder) {
+	b.WriteByte('(')
+	writeType(b, t.Elem)
+	b.WriteString(") hash_table")
+}
 
 // List is a homogeneous list type "(elem) list".
 type List struct{ Elem Type }
 
 func (List) typ() {}
 
-func (t List) String() string { return "(" + t.Elem.String() + ") list" }
+func (t List) String() string {
+	var b strings.Builder
+	b.Grow(t.renderLen())
+	t.renderTo(&b)
+	return b.String()
+}
+
+func (t List) renderLen() int { return len("() list") + typeLen(t.Elem) }
+
+func (t List) renderTo(b *strings.Builder) {
+	b.WriteByte('(')
+	writeType(b, t.Elem)
+	b.WriteString(") list")
+}
 
 // TypeVar is a variable 'a of a primitive's signature, alone or as a
 // table's or list's element, and never in source or on a checked tree.
@@ -124,6 +172,35 @@ const (
 func (TypeVar) typ() {}
 
 func (v TypeVar) String() string { return "'" + v.Name }
+
+// typeLen is the length of t's rendering. A compound type's String
+// writes its rendering into one string of exactly that length
+// (renderLen, then renderTo) and builds no element's rendering apart.
+func typeLen(t Type) int {
+	switch t := t.(type) {
+	case Tuple:
+		return t.renderLen()
+	case Table:
+		return t.renderLen()
+	case List:
+		return t.renderLen()
+	}
+	return len(t.String())
+}
+
+// writeType writes t's rendering to b.
+func writeType(b *strings.Builder, t Type) {
+	switch t := t.(type) {
+	case Tuple:
+		t.renderTo(b)
+	case Table:
+		t.renderTo(b)
+	case List:
+		t.renderTo(b)
+	default:
+		b.WriteString(t.String())
+	}
+}
 
 // Convenience singletons for the base types.
 var (

@@ -15,10 +15,20 @@ func TestTypeStrings(t *testing.T) {
 		"((int) list) hash_table": Table{Elem: List{Elem: IntT}},
 		"int*(bool*char)*string":  Tuple{Elems: []Type{IntT, Tuple{Elems: []Type{BoolT, CharT}}, StringT}},
 		"((int) hash_table) list": List{Elem: Table{Elem: IntT}},
+		"('a) list":               List{Elem: TypeVar{Name: "a"}},
+		"(int*(bool*char)) hash_table*unit": Tuple{Elems: []Type{
+			Table{Elem: Tuple{Elems: []Type{IntT, Tuple{Elems: []Type{BoolT, CharT}}}}}, UnitT}},
 	}
 	for want, typ := range cases {
 		if got := typ.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if _, ok := typ.(Base); ok || strings.Contains(want, "'") {
+			continue
+		}
+		// A compound type renders into one string, not one per element.
+		if n := testing.AllocsPerRun(10, func() { _ = typ.String() }); n != 1 {
+			t.Errorf("%s: String allocates %.0f times, want 1", want, n)
 		}
 	}
 }

@@ -36,9 +36,9 @@ func TestPoolDropsOversized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, _ := checkers.Get().(*checker); c != nil; c, _ = checkers.Get().(*checker) {
-		if cap(c.binds) > maxPooled || len(c.globalIdx)+len(c.funIdx)+len(c.inScope) > 0 {
-			t.Fatalf("pooled checker holds %d bindings' room and %d+%d+%d names; the bound is %d and a pooled one is empty",
-				cap(c.binds), len(c.globalIdx), len(c.funIdx), len(c.inScope), maxPooled)
+		if cap(c.binds) > maxPooled || cap(c.sends) > maxPooled || len(c.globalIdx)+len(c.funIdx)+len(c.inScope)+len(c.sends) > 0 {
+			t.Fatalf("pooled checker holds %d bindings' and %d sends' room and %d+%d+%d names and %d sends; the bound is %d and a pooled one is empty",
+				cap(c.binds), cap(c.sends), len(c.globalIdx), len(c.funIdx), len(c.inScope), len(c.sends), maxPooled)
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 
 	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/token"
@@ -94,23 +95,31 @@ func (s *Signature) Digest() string {
 // from a program Check has accepted: there is at least one channel, and
 // every send's packet carries its type. One walk of each channel body
 // (bodyWalk) gives its sends, its MaxSendsPerPath and Channel.HandsOn.
-func extractSignature(info *Info) *Signature {
+// The walk collects sends in the checker's scratch, so each channel's
+// list is made once, at its length.
+func (c *checker) extractSignature() *Signature {
+	info := c.info
 	sig := &Signature{
 		ProtoState: info.ProtoState.String(),
 		Channels:   make([]ChannelSig, 0, len(info.Channels)),
 	}
 	for i := range info.Channels {
 		d := info.Channels[i].Decl
-		var w bodyWalk
+		w := bodyWalk{sends: c.sends[:0]}
 		facts := w.walk(d.Body)
+		c.sends = w.sends
 		info.Channels[i].HandsOn = facts.handsOn
+		var sends []SendSig
+		if len(w.sends) > 0 {
+			sends = slices.Clone(w.sends)
+		}
 		sig.Channels = append(sig.Channels, ChannelSig{
 			Name:            d.Name,
 			Packet:          d.PacketType().String(),
 			Pos:             d.At,
 			End:             d.HeaderEnd,
 			MaxSendsPerPath: facts.sends,
-			Sends:           w.sends,
+			Sends:           sends,
 		})
 	}
 	return sig

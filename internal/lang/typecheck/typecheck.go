@@ -154,6 +154,10 @@ type checker struct {
 	nextSlot  int
 	frameMax  int
 	inChannel bool // OnRemote/OnNeighbor only legal inside channel bodies
+
+	// sends collects a channel body's sends before extractSignature copies
+	// them out at their length.
+	sends []SendSig
 }
 
 // checkers holds the checkers of finished runs.
@@ -178,14 +182,15 @@ func newChecker(info *Info) *checker {
 // release pools c with nothing of its run left in it. A name is in
 // inScope only while a binding holds it, so cap(binds) bounds inScope.
 func (c *checker) release() {
-	if len(c.globalIdx) > maxPooled || len(c.funIdx) > maxPooled || cap(c.binds) > maxPooled {
+	if len(c.globalIdx) > maxPooled || len(c.funIdx) > maxPooled || cap(c.binds) > maxPooled || cap(c.sends) > maxPooled {
 		return
 	}
 	clear(c.globalIdx)
 	clear(c.funIdx)
 	clear(c.inScope)
 	clear(c.binds[:cap(c.binds)])
-	*c = checker{globalIdx: c.globalIdx, funIdx: c.funIdx, inScope: c.inScope, binds: c.binds[:0]}
+	clear(c.sends[:cap(c.sends)])
+	*c = checker{globalIdx: c.globalIdx, funIdx: c.funIdx, inScope: c.inScope, binds: c.binds[:0], sends: c.sends[:0]}
 	checkers.Put(c)
 }
 
@@ -343,7 +348,7 @@ func Check(prog *ast.Program) (*Info, error) {
 	if len(c.diags) > 0 {
 		return nil, &Error{Diags: c.diags}
 	}
-	info.Sig = extractSignature(info)
+	info.Sig = c.extractSignature()
 	return info, nil
 }
 

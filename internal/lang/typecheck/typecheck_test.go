@@ -399,6 +399,18 @@ initstate mkTable(4) is
 	}
 }
 
+// TestSignatureSendsExact: each channel's send list is made once at its
+// length, so the signature keeps no room it never fills.
+func TestSignatureSendsExact(t *testing.T) {
+	for _, p := range asp.All() {
+		for _, ch := range mustCheck(t, p.Source).Sig.Channels {
+			if len(ch.Sends) != cap(ch.Sends) {
+				t.Errorf("%s: channel %s holds %d sends in room for %d", p.Name, ch.Name, len(ch.Sends), cap(ch.Sends))
+			}
+		}
+	}
+}
+
 // inLists embeds an expression into a channel whose state is an
 // (int) hash_table ss and that binds l : (int) list and
 // ts : ((int) hash_table) list; the expression's value is discarded.

@@ -24,18 +24,34 @@
 // the most events ever parked at once, not the sum of 768 slots' own
 // peaks. A slot's list is last in, first out; a slot drains whole.
 //
+// Each level remembers its earliest occupied slot (first), so finding
+// the next slot to drain compares three words instead of scanning
+// three bitmaps, and only the level whose slot was just emptied is
+// rescanned. The simulator schedules mostly a few ticks ahead and
+// finds most level-0 slots holding one event; such a lone earliest
+// event is served straight from its slot, without a trip through the
+// heap. So the wheel pays per event, not per slot.
+//
 // # Exact (at, seq) order
 //
 // The determinism contract requires pops in exactly the (at, seq)
-// order the pure heap produces. The wheel never orders events itself:
-// before any pop or peek, ensure() drains the earliest occupied slot
-// into the heap until the heap's top is strictly earlier than the
-// earliest possible wheel event (wheelMin, the earliest occupied
-// slot's start time — a lower bound). Draining moves whole slots, so
-// same-slot events are tie-broken by the heap's (at, seq) comparison,
-// and a strict `<` test means a heap/wheel tie always drains the slot
-// first; order is therefore bit-identical to the heap-only engine
-// (property-tested in wheel_test.go).
+// order the pure heap produces. The wheel never orders two events
+// itself: before any pop or peek, ensure() drains the earliest
+// occupied slot into the heap until the heap's top is strictly earlier
+// than the earliest occupied slot's start (a lower bound on every
+// wheel event). Draining moves whole slots, so same-slot events are
+// tie-broken by the heap's (at, seq) comparison, and a strict `<` test
+// means a heap/wheel tie always drains the slot first. The one event
+// that skips the heap is alone in the earliest slot while the heap is
+// empty, so nothing is left to order it against; a cross-level tie
+// counts the coarser slot as earlier, so it is drained first. Order is
+// therefore bit-identical to the heap-only engine (property-tested in
+// wheel_test.go).
+//
+// Frontiers only move forward, and a level's frontier never passes one
+// of its occupied slots, so every occupied slot lies within one
+// rotation of its level's frontier: a slot index names exactly one
+// absolute slot, and first is exact, not merely a bound.
 package netsim
 
 import (
@@ -67,15 +83,11 @@ type timerQueue struct {
 
 	wcount int                // events currently parked in wheel slots
 	cur    [wheelLevels]int64 // per-level frontier (absolute slot number)
+	first  [wheelLevels]int64 // 1 + absolute slot number of the level's earliest occupied slot; 0 when empty
 	occ    [wheelLevels][wheelWords]uint64
 	slots  [wheelLevels][wheelSlots]int32 // 1 + pool index of the slot's first entry; 0 when empty
 	pool   []pooled
 	free   int32 // 1 + pool index of the first free entry; 0 when none
-
-	// wheelMin is the start time (ns) of the earliest occupied slot — a
-	// lower bound on every wheel event's at. Maintained on insert,
-	// recomputed after each drain; meaningless when wcount == 0.
-	wheelMin int64
 }
 
 // pooled is one entry of a slot's list, or of the free list.
@@ -114,14 +126,14 @@ func (q *timerQueue) route(e event) {
 				q.free = int32(len(q.pool))
 			}
 			n := q.free
-			q.free = q.pool[n-1].next
-			q.pool[n-1] = pooled{ev: e, next: q.slots[l][idx]}
+			p := &q.pool[n-1]
+			q.free = p.next
+			p.ev, p.next = e, q.slots[l][idx]
 			q.slots[l][idx] = n
 			q.occ[l][idx>>6] |= 1 << uint(idx&63)
 			q.wcount++
-			start := sl << uint(wheelTickShift+l*wheelSlotBits)
-			if q.wcount == 1 || start < q.wheelMin {
-				q.wheelMin = start
+			if f := q.first[l]; f == 0 || sl < f-1 {
+				q.first[l] = sl + 1
 			}
 			return
 		}
@@ -130,96 +142,132 @@ func (q *timerQueue) route(e event) {
 	q.heap.push(e)
 }
 
-// ensure establishes the invariant pop and minAt rely on: the heap top
-// is the global minimum. It drains earliest slots until the heap's top
-// is strictly before every event still parked in the wheel.
-func (q *timerQueue) ensure() {
-	for q.wcount > 0 {
-		if q.heap.len() > 0 && int64(q.heap.ev[0].at) < q.wheelMin {
-			return
-		}
-		q.advance()
-	}
-}
-
 // pop removes and returns the earliest event in exact (at, seq) order.
 func (q *timerQueue) pop() event {
 	if q.wcount > 0 {
-		q.ensure()
+		if n := q.ensure(); n != 0 {
+			// The lone event: served from its slot, the slot freed.
+			q.detach(0)
+			p := &q.pool[n-1]
+			e := p.ev
+			*p = pooled{next: q.free}
+			q.free = n
+			q.wcount--
+			return e
+		}
 	}
-	return q.heap.pop()
+	e := q.heap.pop()
+	if q.wcount == 0 && q.wheelOn {
+		// An empty wheel has no slot to drain, so nothing else would move
+		// its frontiers: bring them up to the clock, or once the clock
+		// outran level 2's horizon every later event would overflow to
+		// the heap.
+		for l := range q.cur {
+			q.cur[l] = max(q.cur[l], int64(e.at)>>uint(wheelTickShift+l*wheelSlotBits))
+		}
+	}
+	return e
 }
 
 // minAt returns the earliest pending event time. The queue must be
 // non-empty.
 func (q *timerQueue) minAt() time.Duration {
 	if q.wcount > 0 {
-		q.ensure()
+		if n := q.ensure(); n != 0 {
+			return q.pool[n-1].ev.at
+		}
 	}
 	return q.heap.ev[0].at
 }
 
-// advance drains the globally earliest occupied slot: level 0 slots
-// empty into the heap (which resolves intra-slot (at, seq) order),
-// coarser slots cascade their events down through route. Frontiers
-// move forward so every drained slot index is free for reuse one full
-// rotation later.
-func (q *timerQueue) advance() {
-	bestL := -1
-	var bestSlot, bestStart int64
-	for l := 0; l < wheelLevels; l++ {
-		sl, ok := q.firstOcc(l)
-		if !ok {
-			continue
+// ensure finds the earliest event. It drains earliest slots until the
+// heap's top is strictly before every event still parked in the wheel,
+// and then returns 0: the heap's top is the earliest. Or it stops at a
+// lone event — the heap empty, and the earliest slot a level-0 slot
+// holding only that event — and returns its pool entry (1 + index),
+// which the caller reads or takes in place. Level 0 is the earliest
+// only when its slot starts strictly before every coarser level's
+// first slot; slots nest, so that slot, the lone event's at included,
+// lies wholly before them.
+func (q *timerQueue) ensure() int32 {
+	for q.wcount > 0 {
+		l, start := q.earliest()
+		if q.heap.len() > 0 {
+			if int64(q.heap.ev[0].at) < start {
+				return 0
+			}
+		} else if l == 0 {
+			if n := q.slots[0][(q.first[0]-1)&wheelMask]; q.pool[n-1].next == 0 {
+				return n
+			}
 		}
-		start := sl << uint(wheelTickShift+l*wheelSlotBits)
-		if bestL < 0 || start < bestStart {
-			bestL, bestSlot, bestStart = l, sl, start
+		q.advance(l)
+	}
+	return 0
+}
+
+// earliest returns the level whose first occupied slot starts soonest,
+// the coarser level on a tie, and that slot's start time (ns). The
+// wheel must be non-empty.
+func (q *timerQueue) earliest() (int, int64) {
+	best, bestStart := 0, int64(math.MaxInt64)
+	for l := wheelLevels - 1; l >= 0; l-- {
+		if f := q.first[l]; f != 0 {
+			if start := (f - 1) << uint(wheelTickShift+l*wheelSlotBits); start < bestStart {
+				best, bestStart = l, start
+			}
 		}
 	}
+	return best, bestStart
+}
 
-	idx := int(bestSlot & wheelMask)
-	n := q.slots[bestL][idx]
-	q.slots[bestL][idx] = 0
-	q.occ[bestL][idx>>6] &^= 1 << uint(idx&63)
-
-	// This slot was the global earliest, so every finer level is empty
-	// before its start: fast-forward their frontiers to it, then step
-	// this level past the drained slot.
-	q.cur[bestL] = bestSlot + 1
-	for f := 0; f < bestL; f++ {
-		q.cur[f] = bestSlot << uint((bestL-f)*wheelSlotBits)
-	}
-
+// advance drains level l's first slot, the globally earliest: level 0
+// slots empty into the heap (which resolves intra-slot (at, seq)
+// order), coarser slots cascade their events down through route.
+func (q *timerQueue) advance(l int) {
+	n := q.detach(l)
 	for n != 0 {
 		// Free the entry before route, which may take it or grow the pool.
-		e, next := q.pool[n-1].ev, q.pool[n-1].next
-		q.pool[n-1] = pooled{next: q.free}
+		p := &q.pool[n-1]
+		e, next := p.ev, p.next
+		*p = pooled{next: q.free}
 		q.free, n = n, next
 		q.wcount--
-		if bestL == 0 {
+		if l == 0 {
 			q.heap.push(e)
 		} else {
 			q.route(e)
 		}
 	}
-
-	// Recompute the lower bound for the remaining wheel population.
-	q.wheelMin = math.MaxInt64
-	for l := 0; l < wheelLevels; l++ {
-		if sl, ok := q.firstOcc(l); ok {
-			if start := sl << uint(wheelTickShift+l*wheelSlotBits); start < q.wheelMin {
-				q.wheelMin = start
-			}
-		}
-	}
 }
 
-// firstOcc returns the absolute slot number of the first occupied slot
-// at level l, scanning the occupancy bitmap circularly from the
-// frontier. All occupied slots live within one rotation of cur[l], so
-// bit position p maps to exactly one absolute slot.
-func (q *timerQueue) firstOcc(l int) (int64, bool) {
+// detach empties level l's first slot, the globally earliest, and
+// returns its list. Level l's frontier steps past the slot, so its
+// index is free for reuse one full rotation later. Every finer level's
+// first slot starts after this one (ties go to the coarser level), so
+// their frontiers may fast-forward to its start; they never move back.
+// Only level l's first is rescanned: finer levels keep theirs, which
+// the cascade lowers through route.
+func (q *timerQueue) detach(l int) int32 {
+	sl := q.first[l] - 1
+	idx := int(sl & wheelMask)
+	n := q.slots[l][idx]
+	q.slots[l][idx] = 0
+	q.occ[l][idx>>6] &^= 1 << uint(idx&63)
+	q.cur[l] = sl + 1
+	for f := 0; f < l; f++ {
+		q.cur[f] = max(q.cur[f], sl<<uint((l-f)*wheelSlotBits))
+	}
+	q.first[l] = q.firstOcc(l)
+	return n
+}
+
+// firstOcc returns 1 + the absolute slot number of the first occupied
+// slot at level l, or 0 when the level is empty, scanning the
+// occupancy bitmap circularly from the frontier. All occupied slots
+// live within one rotation of cur[l], so bit position p maps to
+// exactly one absolute slot.
+func (q *timerQueue) firstOcc(l int) int64 {
 	base := q.cur[l]
 	idx := int(base & wheelMask)
 	occ := &q.occ[l]
@@ -229,7 +277,7 @@ func (q *timerQueue) firstOcc(l int) (int64, bool) {
 	for {
 		if word != 0 {
 			p := w<<6 + bits.TrailingZeros64(word)
-			return base + int64(p-idx), true
+			return base + int64(p-idx) + 1
 		}
 		w++
 		if w >= wheelWords {
@@ -245,8 +293,8 @@ func (q *timerQueue) firstOcc(l int) (int64, bool) {
 		}
 		if word != 0 {
 			p := w<<6 + bits.TrailingZeros64(word)
-			return base + int64(wheelSlots-idx+p), true
+			return base + int64(wheelSlots-idx+p) + 1
 		}
 	}
-	return 0, false
+	return 0
 }

@@ -71,6 +71,154 @@ func TestTimerWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// TestTimerWheelClockedMatchesReferenceHeap drives the queue the way
+// the simulator does: every push is at now + d, now being the last
+// popped event's time. Most delays are one to three level-0 ticks, so
+// most pops find the heap empty and a lone event in the earliest slot.
+// Some land exactly on a level-1 slot start, from now and from past the
+// level-0 horizon, so a lone level-0 event ties a level-1 slot's start;
+// the rest reach past the level-0 and level-1 horizons. Every minAt and
+// pop must agree with the container/heap reference.
+func TestTimerWheelClockedMatchesReferenceHeap(t *testing.T) {
+	const (
+		tick = time.Duration(1) << wheelTickShift
+		l1   = tick << wheelSlotBits // a level-1 slot: level 0's horizon
+		l2   = l1 << wheelSlotBits   // a level-2 slot: level 1's horizon
+	)
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(int64(101 + trial)))
+		q := &timerQueue{wheelOn: true}
+		ref := &refHeap{}
+		var now time.Duration
+		seq := uint64(0)
+		pops, lone, ties := 0, 0, 0
+		pop := func() {
+			// A tie that matters: the heap is empty and level 0's first
+			// slot holds one event, starting where level 1's does.
+			if f0, f1 := q.first[0], q.first[1]; q.heap.len() == 0 && f0 != 0 && f1 != 0 &&
+				q.pool[q.slots[0][(f0-1)&wheelMask]-1].next == 0 &&
+				(f0-1)<<wheelTickShift == (f1-1)<<(wheelTickShift+wheelSlotBits) {
+				ties++
+			}
+			if got, want := q.minAt(), (*ref)[0].at; got != want {
+				t.Fatalf("trial %d pop %d: minAt %v, reference %v", trial, pops, got, want)
+			}
+			if q.heap.len() == 0 {
+				lone++
+			}
+			got := q.pop()
+			want := heap.Pop(ref).(*refEvent)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("trial %d pop %d: (at=%v seq=%d), reference (at=%v seq=%d)",
+					trial, pops, got.at, got.seq, want.at, want.seq)
+			}
+			now = got.at
+			pops++
+		}
+		for op := 0; op < 20000; op++ {
+			if q.len() != ref.Len() {
+				t.Fatalf("trial %d: length diverged: %d vs %d", trial, q.len(), ref.Len())
+			}
+			if q.len() > 0 && rng.Intn(5) < 3 {
+				pop()
+				continue
+			}
+			var at time.Duration
+			switch r := rng.Intn(100); {
+			case r < 70: // one to three ticks
+				at = now + tick + time.Duration(rng.Int63n(int64(2*tick)))
+			case r < 80: // the next level-1 slot start, usually inside level 0
+				at = (now/l1 + 1) * l1
+			case r < 88: // a level-1 slot start past the level-0 horizon
+				at = ((now+l1)/l1 + 1) * l1
+			case r < 96: // past the level-0 horizon
+				at = now + l1 + time.Duration(rng.Int63n(int64(4*l1)))
+			default: // past the level-1 horizon
+				at = now + l2 + time.Duration(rng.Int63n(int64(2*l2)))
+			}
+			seq++
+			q.push(event{at: at, seq: seq})
+			heap.Push(ref, &refEvent{at: at, seq: seq})
+		}
+		for q.len() > 0 {
+			pop()
+		}
+		t.Logf("trial %d: %d of %d pops lone, %d ties", trial, lone, pops, ties)
+		if lone < pops/3 || ties == 0 {
+			t.Errorf("trial %d: %d of %d pops lone, %d cross-level ties: the schedule misses its cases",
+				trial, lone, pops, ties)
+		}
+	}
+}
+
+// TestTimerWheelFrontiersNeverMoveBack pins the invariant that makes
+// each level's first slot exact: draining a coarser slot fast-forwards
+// the finer frontiers to its start, never back. Level 0 runs ahead
+// while level 1's frontier stays at 0, so an event past level 0's
+// horizon lands in level 2's slot 1, which starts behind level 0's
+// frontier. Draining it must leave level 0's frontier where it is; had
+// it moved back, an event near the top of level 0's window would alias
+// to a slot a rotation earlier and be served before an earlier event.
+func TestTimerWheelFrontiersNeverMoveBack(t *testing.T) {
+	const tick = time.Duration(1) << wheelTickShift
+	q := &timerQueue{wheelOn: true}
+	ref := &refHeap{}
+	seq := uint64(0)
+	push := func(slot int64) {
+		seq++
+		at := time.Duration(slot) * tick
+		q.push(event{at: at, seq: seq})
+		heap.Push(ref, &refEvent{at: at, seq: seq})
+	}
+	peek := func() {
+		if got, want := q.minAt(), (*ref)[0].at; got != want {
+			t.Fatalf("minAt slot %d, reference slot %d", got/tick, want/tick)
+		}
+	}
+	pop := func() {
+		peek()
+		got := q.pop()
+		want := heap.Pop(ref).(*refEvent)
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("pop (slot %d seq %d), reference (slot %d seq %d)",
+				got.at/tick, got.seq, want.at/tick, want.seq)
+		}
+	}
+	// Step level 0 a window at a time, one lone event per step, to
+	// slot 65835: level 2's slot 1 starts at level-0 slot 65536.
+	for slot := int64(wheelMask); slot < 65835; slot += wheelMask {
+		push(slot)
+		pop()
+	}
+	push(65835)
+	pop()
+	push(66086) // A: level 0, near the top of its window
+	push(66310) // E: past level 0's horizon and level 1's: level 2, slot 1
+	peek()      // drains E's slot down to level 1; A is next
+	push(65700) // C: behind the clock
+	pop()
+	push(65900) // D: before A, in another level-0 slot
+	for q.len() > 0 {
+		pop()
+	}
+}
+
+// TestTimerWheelFollowsClockAcrossIdleGap pins the frontiers' catch-up:
+// a clock that jumps past level 2's horizon while the wheel is empty
+// must not leave every later event overflowing to the heap.
+func TestTimerWheelFollowsClockAcrossIdleGap(t *testing.T) {
+	q := &timerQueue{wheelOn: true}
+	q.push(event{at: 200 * time.Second, seq: 1}) // past level 2's horizon
+	if q.wcount != 0 {
+		t.Fatalf("an event past the horizon is parked in the wheel")
+	}
+	q.pop()
+	q.push(event{at: 200*time.Second + time.Millisecond, seq: 2})
+	if q.wcount != 1 {
+		t.Fatalf("an event 1 ms after the clock went to the heap: the frontiers stayed behind")
+	}
+}
+
 // TestTimerWheelOnOffIdenticalPops runs one schedule through a wheeled
 // and an unwheeled queue and requires identical pop streams — the wheel
 // is a pure performance choice.

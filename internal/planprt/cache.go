@@ -16,6 +16,12 @@
 // creates its own engine instance and rebinds fresh per-node
 // "asp.<node>.*" counters — caching is invisible to protocol state.
 //
+// The cache is bounded, so a daemon fed distinct sources over its control
+// plane cannot grow it without limit: past cacheMaxEntries entries or
+// cacheMaxBytes of source text, the oldest entry goes first. Both bounds
+// sit far above any working set in the tree (a fleet deploy round of the
+// benchmark leaves 124 entries, about 270 KB).
+//
 // The cache is guarded by a mutex because the parallel experiment
 // driver loads programs from several goroutines at once.
 package planprt
@@ -54,9 +60,16 @@ func (e *cacheEntry) program(src string, policy VerifyPolicy) *Program {
 	}
 }
 
+const (
+	cacheMaxEntries = 1024
+	cacheMaxBytes   = 16 << 20 // source bytes: sixteen uploads at planpd's 1 MiB limit
+)
+
 var progCache = struct {
 	sync.Mutex
 	m      map[cacheKey]*cacheEntry
+	order  []cacheKey // keys of m, oldest first
+	bytes  int        // source bytes of the keys in m
 	hits   int64
 	misses int64
 }{m: make(map[cacheKey]*cacheEntry)}
@@ -72,15 +85,26 @@ func cacheGet(key cacheKey) *cacheEntry {
 	return e
 }
 
-// cachePut memoizes a successful pipeline result. Concurrent loaders may
-// race to compile the same source; the first stored entry wins so later
-// hits all observe one artifact set.
+// cachePut memoizes a successful pipeline result, evicting the oldest
+// entries past the bounds. Concurrent loaders may race to compile the
+// same source; the first stored entry wins so later hits all observe one
+// artifact set.
 func cachePut(key cacheKey, e *cacheEntry) {
 	progCache.Lock()
 	defer progCache.Unlock()
 	progCache.misses++
-	if _, ok := progCache.m[key]; !ok {
-		progCache.m[key] = e
+	if _, ok := progCache.m[key]; ok {
+		return
+	}
+	progCache.m[key] = e
+	progCache.order = append(progCache.order, key)
+	progCache.bytes += len(key.src)
+	for len(progCache.order) > cacheMaxEntries || progCache.bytes > cacheMaxBytes {
+		old := progCache.order[0]
+		progCache.order[0] = cacheKey{} // let the source go
+		progCache.order = progCache.order[1:]
+		delete(progCache.m, old)
+		progCache.bytes -= len(old.src)
 	}
 }
 
@@ -98,5 +122,6 @@ func ResetCache() {
 	progCache.Lock()
 	defer progCache.Unlock()
 	progCache.m = make(map[cacheKey]*cacheEntry)
+	progCache.order, progCache.bytes = nil, 0
 	progCache.hits, progCache.misses = 0, 0
 }

@@ -1,7 +1,9 @@
 package planprt
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,6 +75,66 @@ func TestCacheNoCacheBypasses(t *testing.T) {
 	}
 	if hits, misses := CacheStats(); hits != 0 || misses != 0 {
 		t.Errorf("cache stats = (%d hits, %d misses), want (0, 0) with NoCache", hits, misses)
+	}
+}
+
+// TestCacheBounded pins the cache's bounds: loading more distinct
+// sources than either bound allows leaves the cache at the bound, the
+// oldest entries gone and one loaded in between still a hit.
+func TestCacheBounded(t *testing.T) {
+	defer ResetCache()
+	cfg := Config{Engine: EngineJIT, Verify: VerifySingleNode}
+	load := func(src string) {
+		t.Helper()
+		if _, err := Load(src, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hitsOf := func(src string) int64 {
+		t.Helper()
+		before, _ := CacheStats()
+		load(src)
+		after, _ := CacheStats()
+		return after - before
+	}
+	size := func() (int, int) {
+		progCache.Lock()
+		defer progCache.Unlock()
+		if len(progCache.m) != len(progCache.order) {
+			t.Fatalf("%d entries but %d keys in eviction order", len(progCache.m), len(progCache.order))
+		}
+		return len(progCache.m), progCache.bytes
+	}
+
+	ResetCache()
+	distinct := func(i int) string { return fmt.Sprintf("%s\n-- source %d\n", balancer, i) }
+	const k = 10
+	for i := 0; i < cacheMaxEntries+k; i++ {
+		load(distinct(i))
+	}
+	if n, _ := size(); n != cacheMaxEntries {
+		t.Errorf("%d distinct loads left %d entries, want the bound %d", cacheMaxEntries+k, n, cacheMaxEntries)
+	}
+	if hitsOf(distinct(cacheMaxEntries)) != 1 {
+		t.Error("a source loaded in between missed")
+	}
+	if hitsOf(distinct(0)) != 0 {
+		t.Error("the oldest source still hit")
+	}
+
+	ResetCache()
+	pad := strings.Repeat("-- padding to a large upload\n", (1<<20)/29)
+	big := func(i int) string { return fmt.Sprintf("%s%s-- source %d\n", balancer, pad, i) }
+	for i := 0; i < cacheMaxBytes>>20+k; i++ {
+		load(big(i))
+	}
+	n, bytes := size()
+	if bytes > cacheMaxBytes || n >= cacheMaxBytes>>20 {
+		t.Errorf("%d loads of 1 MiB each left %d entries, %d source bytes, over the bound %d",
+			cacheMaxBytes>>20+k, n, bytes, cacheMaxBytes)
+	}
+	if hitsOf(big(cacheMaxBytes>>20+k-2)) != 1 {
+		t.Error("a large source loaded in between missed")
 	}
 }
 
