@@ -60,10 +60,6 @@ func BenchmarkCodegenHTTPGateway(b *testing.B) { benchCodegen(b, asp.HTTPGateway
 func BenchmarkCodegenMPEGMonitor(b *testing.B) { benchCodegen(b, asp.MPEGMonitor, planprt.EngineJIT) }
 func BenchmarkCodegenMPEGClient(b *testing.B)  { benchCodegen(b, asp.MPEGClient, planprt.EngineJIT) }
 
-func BenchmarkCodegenMPEGMonitorBytecode(b *testing.B) {
-	benchCodegen(b, asp.MPEGMonitor, planprt.EngineBytecode)
-}
-
 // ---------------------------------------------------------------------------
 // Figure 6: audio adaptation under stepped load
 
@@ -88,11 +84,11 @@ func BenchmarkFigure6AudioAdaptation(b *testing.B) {
 
 func BenchmarkFigure7SilentPeriods(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		with, err := audio.RunFigure7(10_100_000, 60*time.Second, audio.Options{Adaptation: audio.AdaptASP, Engine: planprt.EngineJIT, Seed: 11})
+		with, err := audio.RunFigure7(10_100_000, 60*time.Second, audio.Options{Adaptation: audio.AdaptASP, Seed: 11})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := audio.RunFigure7(10_100_000, 60*time.Second, audio.Options{Adaptation: audio.AdaptNone, Engine: planprt.EngineJIT, Seed: 11})
+		without, err := audio.RunFigure7(10_100_000, 60*time.Second, audio.Options{Adaptation: audio.AdaptNone, Seed: 11})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,18 +214,12 @@ func computePkt() value.Value {
 func BenchmarkEngineInterpGateway(b *testing.B) {
 	benchInvoke(b, planprt.EngineInterp, asp.HTTPGateway, gatewayPkt())
 }
-func BenchmarkEngineBytecodeGateway(b *testing.B) {
-	benchInvoke(b, planprt.EngineBytecode, asp.HTTPGateway, gatewayPkt())
-}
 func BenchmarkEngineJITGateway(b *testing.B) {
 	benchInvoke(b, planprt.EngineJIT, asp.HTTPGateway, gatewayPkt())
 }
 
 func BenchmarkEngineInterpCompute(b *testing.B) {
 	benchInvoke(b, planprt.EngineInterp, asp.BenchCompute, computePkt())
-}
-func BenchmarkEngineBytecodeCompute(b *testing.B) {
-	benchInvoke(b, planprt.EngineBytecode, asp.BenchCompute, computePkt())
 }
 func BenchmarkEngineJITCompute(b *testing.B) {
 	benchInvoke(b, planprt.EngineJIT, asp.BenchCompute, computePkt())

@@ -10,8 +10,11 @@
 //	aspbench -exp fig7      silent periods with/without adaptation
 //	aspbench -exp fig8      HTTP throughput vs offered load (4 configs)
 //	aspbench -exp mpeg      server load vs number of viewers
-//	aspbench -exp engines   per-packet cost: interp vs bytecode vs jit vs native
+//	aspbench -exp engines   per-packet cost: interp vs jit vs native
 //	aspbench -exp all       everything above
+//
+// Every experiment runs its ASPs on the JIT, the paper's production
+// engine; -exp engines measures the interpreter against it.
 //
 // Grid experiments run their cells on GOMAXPROCS worker goroutines
 // (GOMAXPROCS=1 runs them in sequence); the output is byte-identical at
@@ -33,12 +36,10 @@ import (
 	"time"
 
 	"planp.dev/planp/internal/experiments"
-	"planp.dev/planp/internal/planprt"
 )
 
 func main() {
 	exp := flag.String("exp", "", "experiment to run (or 'all')")
-	engine := flag.String("engine", "jit", "ASP engine for the experiments")
 	shards := flag.Int("shards", 1, "parallel event loops for -exp scale, the only experiment that reads it (1 = one event loop)")
 	scaleFull := flag.Bool("scale-full", false, "run the scale experiment on the full metropolitan city (minutes of CPU)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -69,7 +70,6 @@ func main() {
 	}
 
 	opts := experiments.Options{
-		Engine:    planprt.EngineKind(*engine),
 		Shards:    *shards,
 		ScaleFull: *scaleFull,
 	}

@@ -1,14 +1,16 @@
 // Command planp is the PLAN-P protocol tool: parse, type-check, verify,
-// compile, disassemble, and smoke-run ASP source files.
+// compile, and smoke-run ASP source files.
 //
 // Usage:
 //
 //	planp check   file.planp            parse + type-check, print channel signatures
 //	planp verify  [-single] file.planp  run the §2.1 safety analyses
 //	planp compile [-engine E] file.planp  compile and report code-generation time
-//	planp disasm  file.planp            dump register bytecode
 //	planp fmt     file.planp            pretty-print the program
 //	planp run     [-engine E] file.planp  run the protocol on a demo topology
+//
+// -engine takes the control plane's vocabulary (planprt.ParseConfig):
+// jit (the default) or interp.
 package main
 
 import (
@@ -19,14 +21,13 @@ import (
 
 	planp "planp.dev/planp"
 	"planp.dev/planp/internal/lang/ast"
-	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/verify"
 	"planp.dev/planp/internal/planprt"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: planp {check|verify|compile|disasm|fmt|run} [flags] file.planp")
+	fmt.Fprintln(os.Stderr, "usage: planp {check|verify|compile|fmt|run} [flags] file.planp")
 	os.Exit(2)
 }
 
@@ -43,8 +44,6 @@ func main() {
 		err = runVerify(args)
 	case "compile":
 		err = runCompile(args)
-	case "disasm":
-		err = runDisasm(args)
 	case "fmt":
 		err = runFmt(args)
 	case "run":
@@ -115,41 +114,23 @@ func runVerify(args []string) error {
 
 func runCompile(args []string) error {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
-	eng := fs.String("engine", "jit", "engine: interp, bytecode, or jit")
+	eng := fs.String("engine", "jit", "engine: jit or interp")
 	fs.Parse(args)
+	cfg, err := planprt.ParseConfig(*eng, "privileged")
+	if err != nil {
+		return err
+	}
 	src, err := readSource(fs)
 	if err != nil {
 		return err
 	}
-	p, err := planprt.Load(src, planprt.Config{
-		Engine: planprt.EngineKind(*eng),
-		Verify: planprt.VerifyPrivileged,
-	})
+	p, err := planprt.Load(src, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("engine: %s\n", p.Compiled.EngineName())
 	fmt.Printf("code generation time: %v\n", p.CodegenTime)
 	fmt.Printf("late checking:\n%s", p.Verify)
-	return nil
-}
-
-func runDisasm(args []string) error {
-	fs := flag.NewFlagSet("disasm", flag.ExitOnError)
-	fs.Parse(args)
-	src, err := readSource(fs)
-	if err != nil {
-		return err
-	}
-	info, err := planp.Check(src)
-	if err != nil {
-		return err
-	}
-	compiled, err := bytecode.Compile(info)
-	if err != nil {
-		return err
-	}
-	fmt.Print(compiled.(interface{ DisasmAll() string }).DisasmAll())
 	return nil
 }
 
@@ -172,16 +153,20 @@ func runFmt(args []string) error {
 // TCP and UDP traffic, printing what the protocol does.
 func runDemo(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	eng := fs.String("engine", "jit", "engine: interp, bytecode, or jit")
+	eng := fs.String("engine", "jit", "engine: jit or interp")
 	packets := fs.Int("packets", 10, "packets to inject")
 	fs.Parse(args)
+	cfg, err := planprt.ParseConfig(*eng, "privileged")
+	if err != nil {
+		return err
+	}
 	src, err := readSource(fs)
 	if err != nil {
 		return err
 	}
 	proto, err := planp.Compile(src,
-		planp.WithEngine(planp.Engine(*eng)),
-		planp.WithVerification(planp.VerifyPrivileged))
+		planp.WithEngine(cfg.Engine),
+		planp.WithVerification(cfg.Verify))
 	if err != nil {
 		return err
 	}

@@ -56,6 +56,7 @@ import (
 	"planp.dev/planp/internal/lang/diag"
 	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/planpd"
+	"planp.dev/planp/internal/planprt"
 	"planp.dev/planp/internal/testbed"
 )
 
@@ -154,7 +155,7 @@ func runDeploy(args []string) int {
 	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon that runs the rollout")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
-	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
+	engine := fs.String("engine", "", "execution engine: jit, interp")
 	verify := fs.String("verify", "", "verification policy: network, single, privileged")
 	timeout := fs.Duration("timeout", 30*time.Second, "overall rollout deadline")
 	allowIncompat := fs.Bool("allow-incompatible", false,
@@ -163,6 +164,10 @@ func runDeploy(args []string) int {
 
 	if *srcPath == "" || *nodesFlag == "" {
 		fmt.Fprintln(os.Stderr, "planpd deploy: -src and -nodes are required")
+		return 2
+	}
+	if _, err := planprt.ParseConfig(*engine, *verify); err != nil {
+		fmt.Fprintln(os.Stderr, "planpd deploy:", err)
 		return 2
 	}
 	// The daemon resolves bare names through its topology; the list's
@@ -236,7 +241,7 @@ func runAdapt(args []string) int {
 	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon that runs the canary")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
-	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
+	engine := fs.String("engine", "", "execution engine: jit, interp")
 	verify := fs.String("verify", "", "verification policy: network, single, privileged")
 	windows := fs.Int("windows", 3, "observation windows before promotion")
 	interval := fs.Duration("interval", 2*time.Second, "observation window length")
@@ -248,6 +253,10 @@ func runAdapt(args []string) int {
 
 	if *srcPath == "" || *canaryFlag == "" {
 		fmt.Fprintln(os.Stderr, "planpd adapt: -src and -canary are required")
+		return 2
+	}
+	if _, err := planprt.ParseConfig(*engine, *verify); err != nil {
+		fmt.Fprintln(os.Stderr, "planpd adapt:", err)
 		return 2
 	}
 	src, err := os.ReadFile(*srcPath)

@@ -509,15 +509,24 @@ func TestAdaptHTTPAPI(t *testing.T) {
 	api := httptest.NewServer(r.ctl.Handler())
 	defer api.Close()
 
-	// Malformed guard: rejected up front, no run started.
-	resp, err := http.Post(api.URL+"/adapt", "application/json",
-		strings.NewReader(`{"source":"x","canary":[{"Name":"alpha","URL":"u"}],"guards":["nonsense"]}`))
-	if err != nil {
-		t.Fatal(err)
+	// A malformed guard, or an engine planprt.ParseConfig does not know
+	// (the register VM is not one of its engines): rejected up front, no
+	// run started.
+	for _, bad := range []string{
+		`{"source":"x","canary":[{"Name":"alpha","URL":"u"}],"guards":["nonsense"]}`,
+		`{"source":"x","engine":"bytecode","canary":[{"Name":"alpha","URL":"u"}],"guards":["drops<=5"]}`,
+	} {
+		resp, err := http.Post(api.URL+"/adapt", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: got %d, want 422", bad, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad guard: got %d, want 422", resp.StatusCode)
+	if runs := r.ctl.Runs(); len(runs) != 0 {
+		t.Fatalf("rejected requests started %d runs", len(runs))
 	}
 
 	body, _ := json.Marshal(CanaryRequest{
@@ -527,7 +536,7 @@ func TestAdaptHTTPAPI(t *testing.T) {
 		Windows:    1,
 		IntervalMS: 10,
 	})
-	resp, err = http.Post(api.URL+"/adapt", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(api.URL+"/adapt", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}

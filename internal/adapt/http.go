@@ -14,6 +14,7 @@ import (
 
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/planpd"
+	"planp.dev/planp/internal/planprt"
 )
 
 // maxAdaptBody bounds a canary request (the embedded protocol source
@@ -50,6 +51,9 @@ func (req *CanaryRequest) Plan() (CanaryPlan, error) {
 	}
 	if len(req.Canary) == 0 {
 		return CanaryPlan{}, errors.New("adapt: request needs at least one canary target")
+	}
+	if _, err := planprt.ParseConfig(req.Engine, req.Verify); err != nil {
+		return CanaryPlan{}, fmt.Errorf("adapt: %w", err)
 	}
 	guards, err := ParseGuards(req.Guards)
 	if err != nil {

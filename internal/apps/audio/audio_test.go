@@ -141,11 +141,11 @@ func TestFigure7AdaptationReducesGaps(t *testing.T) {
 		t.Skip("long virtual run")
 	}
 	const load = 10_100_000 // over capacity
-	with, err := RunFigure7(load, 60*time.Second, Options{Adaptation: AdaptASP, Engine: planprt.EngineJIT, Seed: 7})
+	with, err := RunFigure7(load, 60*time.Second, Options{Adaptation: AdaptASP, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunFigure7(load, 60*time.Second, Options{Adaptation: AdaptNone, Engine: planprt.EngineJIT, Seed: 7})
+	without, err := RunFigure7(load, 60*time.Second, Options{Adaptation: AdaptNone, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,10 @@ var Figure5 = substrate.Topology{
 	Joins:   []substrate.JoinSpec{{Node: "client", Group: group}},
 }
 
-// Options configure a run: the router's adaptation, and the engine
-// ASP downloads use (the benchmark harness overrides it per run).
+// Options configure a run: the router's adaptation and the seed. ASP
+// downloads run on the default engine, the JIT.
 type Options struct {
 	Adaptation Adaptation
-	Engine     planprt.EngineKind
 	Seed       int64
 }
 
@@ -138,18 +137,18 @@ func NewTestbed(opts Options) (*Testbed, error) {
 
 	switch opts.Adaptation {
 	case AdaptASP:
-		rrt, err := planprt.Download(router, asp.AudioRouter, planprt.Config{Engine: opts.Engine})
+		rrt, err := planprt.Download(router, asp.AudioRouter, planprt.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("audio: router download: %w", err)
 		}
-		crt, err := planprt.Download(client, asp.AudioClient, planprt.Config{Engine: opts.Engine})
+		crt, err := planprt.Download(client, asp.AudioClient, planprt.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("audio: client download: %w", err)
 		}
 		tb.RouterRT, tb.ClientRT = rrt, crt
 	case AdaptNative:
 		InstallNative(router)
-		crt, err := planprt.Download(client, asp.AudioClient, planprt.Config{Engine: opts.Engine})
+		crt, err := planprt.Download(client, asp.AudioClient, planprt.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("audio: client download: %w", err)
 		}
@@ -330,8 +329,8 @@ type LocusResult struct {
 
 // RunLocus measures reaction to a heavy load step at stepAt for either
 // the in-router ASP ("router") or end-to-end feedback ("feedback").
-// opts.Adaptation is chosen by the mechanism and ignored if set; the
-// remaining fields (Seed, Engine) pass through to the testbed.
+// opts.Adaptation is chosen by the mechanism and ignored if set;
+// opts.Seed passes through to the testbed.
 func RunLocus(mechanism string, opts Options) (*LocusResult, error) {
 	const (
 		stepAt = 30 * time.Second

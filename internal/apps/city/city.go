@@ -36,7 +36,6 @@ type Config struct {
 	ClientsPerEdge int           // modeled clients aggregated behind each edge
 	Duration       time.Duration // virtual time to simulate
 	Shards         int           // requested event-loop shards (capped at Regions)
-	Engine         planprt.EngineKind
 	Seed           int64
 
 	// CrossEvery makes every Nth edge address its requests to the NEXT
@@ -51,9 +50,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Engine == "" {
-		c.Engine = planprt.EngineJIT
 	}
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -143,11 +139,8 @@ func Run(cfg Config) (*Result, error) {
 			"10.0.0.81", (base | 81).String(),
 			"10.0.0.109", (base | 109).String(),
 		).Replace(asp.HTTPGateway)
-		reg.gw.PerPacketCPU = httpd.EngineCPUFactor(string(cfg.Engine))
-		if _, err := planprt.Download(reg.gw, src, planprt.Config{
-			Engine: cfg.Engine,
-			Verify: planprt.VerifySingleNode,
-		}); err != nil {
+		reg.gw.PerPacketCPU = httpd.GatewayCPU
+		if _, err := planprt.Download(reg.gw, src, planprt.Config{Verify: planprt.VerifySingleNode}); err != nil {
 			return nil, fmt.Errorf("city: region %d gateway download: %w", r, err)
 		}
 

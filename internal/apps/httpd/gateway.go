@@ -24,15 +24,13 @@ var (
 const GatewayCPU = 272 * time.Microsecond
 
 // EngineCPUFactor scales GatewayCPU for the engine ablation: the
-// interpreter pays AST-walking dispatch on every packet, the bytecode VM
-// an instruction loop. Ratios follow the measured per-packet engine
-// microbenchmarks (see bench_test.go).
+// interpreter pays AST-walking dispatch on every packet. The ratio
+// follows the measured per-packet engine microbenchmarks (see
+// bench_test.go).
 func EngineCPUFactor(engine string) time.Duration {
 	switch engine {
 	case "interp":
 		return 8 * GatewayCPU
-	case "bytecode":
-		return 3 * GatewayCPU
 	default: // jit, native
 		return GatewayCPU
 	}

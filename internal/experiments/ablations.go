@@ -18,7 +18,6 @@ import (
 // feedback: §3.1's argument that router-local measurement reacts
 // immediately while feedback waits for a distributed computation.
 func runAblationLocus(w io.Writer, opts Options) error {
-	opts.fill()
 	mechs := []string{"router", "feedback"}
 	results := make([]*audio.LocusResult, len(mechs))
 	errs := make([]error, len(mechs))
@@ -51,8 +50,7 @@ func runAblationLocus(w io.Writer, opts Options) error {
 // crash followed by administrator removal, with service continuing on
 // the survivor.
 func runFailover(w io.Writer, opts Options) error {
-	opts.fill()
-	res, err := httpd.RunFailover(httpd.Config{Engine: opts.Engine, Seed: 3})
+	res, err := httpd.RunFailover(httpd.Config{Seed: 3})
 	if err != nil {
 		return err
 	}
@@ -75,7 +73,6 @@ func runFailover(w io.Writer, opts Options) error {
 // a heterogeneous cluster (server B at half capacity): §5's proposal
 // that strategies are evaluated by editing the ASP.
 func runAblationPolicy(w io.Writer, opts Options) error {
-	opts.fill()
 	policies := []struct {
 		name string
 		src  string
@@ -98,7 +95,6 @@ func runAblationPolicy(w io.Writer, opts Options) error {
 		slowB.Workers = 4 // half the workers of server A
 		cfg := httpd.Config{
 			Variant:       httpd.VariantASPGW,
-			Engine:        opts.Engine,
 			ServerB:       &slowB,
 			GatewaySource: policies[i].src,
 		}

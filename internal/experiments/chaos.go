@@ -101,9 +101,8 @@ type chaosAudioRow struct {
 	safety     string
 }
 
-func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, opts Options, seed int64) (*chaosAudioRow, error) {
-	engine := opts.Engine
-	tb, err := audio.NewTestbed(audio.Options{Adaptation: mode, Engine: engine, Seed: seed})
+func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, seed int64) (*chaosAudioRow, error) {
+	tb, err := audio.NewTestbed(audio.Options{Adaptation: mode, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +117,7 @@ func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, opts Options, se
 			if tb.RouterRT == nil {
 				return // no ASP was installed; restart restores plain forwarding
 			}
-			rt, err := planprt.Download(tb.Router, asp.AudioRouter, planprt.Config{Engine: engine})
+			rt, err := planprt.Download(tb.Router, asp.AudioRouter, planprt.Config{})
 			if err != nil {
 				panic(fmt.Sprintf("chaos-audio: redeploy: %v", err))
 			}
@@ -158,14 +157,13 @@ func runChaosAudioCell(sc chaosScenario, mode audio.Adaptation, opts Options, se
 }
 
 func runChaosAudio(w io.Writer, opts Options) error {
-	opts.fill()
 	scenarios := audioScenarios()
 	modes := []audio.Adaptation{audio.AdaptNone, audio.AdaptASP}
 	rows := make([]*chaosAudioRow, len(scenarios)*len(modes))
 	errs := make([]error, len(rows))
 	par.Grid2(runtime.GOMAXPROCS(0), len(scenarios), len(modes), func(i, j int) {
 		k := i*len(modes) + j
-		rows[k], errs[k] = runChaosAudioCell(scenarios[i], modes[j], opts, int64(100+k))
+		rows[k], errs[k] = runChaosAudioCell(scenarios[i], modes[j], int64(100+k))
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -227,9 +225,8 @@ type chaosGwRow struct {
 	safety      string
 }
 
-func runChaosGatewayCell(sc chaosScenario, opts Options, seed int64) (*chaosGwRow, error) {
-	engine := opts.Engine
-	tb, err := httpd.NewTestbed(httpd.Config{Variant: httpd.VariantASPGW, Engine: engine, Seed: seed})
+func runChaosGatewayCell(sc chaosScenario, seed int64) (*chaosGwRow, error) {
+	tb, err := httpd.NewTestbed(httpd.Config{Variant: httpd.VariantASPGW, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -239,10 +236,7 @@ func runChaosGatewayCell(sc chaosScenario, opts Options, seed int64) (*chaosGwRo
 	}
 	if sc.redeployAt > 0 {
 		tb.Sim.At(sc.redeployAt, func() {
-			rt, err := planprt.Download(tb.Gateway, asp.HTTPGateway, planprt.Config{
-				Engine: engine,
-				Verify: planprt.VerifySingleNode,
-			})
+			rt, err := planprt.Download(tb.Gateway, asp.HTTPGateway, planprt.Config{Verify: planprt.VerifySingleNode})
 			if err != nil {
 				panic(fmt.Sprintf("chaos-gateway: redeploy: %v", err))
 			}
@@ -282,12 +276,11 @@ func runChaosGatewayCell(sc chaosScenario, opts Options, seed int64) (*chaosGwRo
 }
 
 func runChaosGateway(w io.Writer, opts Options) error {
-	opts.fill()
 	scenarios := gwScenarios()
 	rows := make([]*chaosGwRow, len(scenarios))
 	errs := make([]error, len(rows))
 	par.ForEach(runtime.GOMAXPROCS(0), len(scenarios), func(i int) {
-		rows[i], errs[i] = runChaosGatewayCell(scenarios[i], opts, int64(200+i))
+		rows[i], errs[i] = runChaosGatewayCell(scenarios[i], int64(200+i))
 	})
 	if err := firstErr(errs); err != nil {
 		return err

@@ -46,8 +46,6 @@ import (
 
 // Options configures a driver run.
 type Options struct {
-	// Engine is the ASP engine the experiments run with (default JIT).
-	Engine planprt.EngineKind
 	// Shards is the number of parallel event loops the scale experiment
 	// runs its city on (default 1). It reaches no other experiment: only
 	// the city declares shard boundaries, and its output is
@@ -58,12 +56,6 @@ type Options struct {
 	// to the full metropolitan deployment (10k+ routers, ~1M modeled
 	// clients). Minutes of CPU; off by default.
 	ScaleFull bool
-}
-
-func (o *Options) fill() {
-	if o.Engine == "" {
-		o.Engine = planprt.EngineJIT
-	}
 }
 
 // Experiment is one runnable table/figure driver.
@@ -82,7 +74,7 @@ func All() []Experiment {
 		{"fig7", "silent periods with/without adaptation (paper figure 7)", runFig7},
 		{"fig8", "HTTP cluster throughput vs offered load (paper figure 8)", runFig8},
 		{"mpeg", "server load vs viewers for the MPEG experiment (§3.3)", runMPEG},
-		{"engines", "per-packet engine cost: interp/bytecode/jit/native (§2.4)", runEngines},
+		{"engines", "per-packet engine cost: interp/jit/native (§2.4)", runEngines},
 		{"ablation-locus", "in-router vs end-to-end feedback adaptation (§3.1 claim)", runAblationLocus},
 		{"ablation-policy", "load-balancing policies: modulo/random/least-conn (§5)", runAblationPolicy},
 		{"failover", "gateway fault tolerance: server crash + admin removal (§5)", runFailover},
@@ -125,16 +117,15 @@ var paperFig3 = map[string]struct {
 	"mpeg-client":  {53, 6.1},
 }
 
-// runFig3 measures code-generation time per program per engine. The
+// runFig3 measures the JIT's code-generation time per program. The
 // paper's absolute numbers are 1998 hardware with Tempo's template
 // assembly; what must hold is the ordering (more lines, more time) and
 // that generation is far below any per-download budget. Sequential and
 // uncached by design: it times the compiler.
 func runFig3(w io.Writer, opts Options) error {
-	opts.fill()
 	tbl := &obs.Table{
 		Title:   "Figure 3: code generation time",
-		Headers: []string{"program", "lines", "paper-lines", "paper-ms", "jit-us", "bytecode-us", "check-us"},
+		Headers: []string{"program", "lines", "paper-lines", "paper-ms", "jit-us", "check-us"},
 	}
 	for _, p := range asp.All() {
 		prog, err := parser.Parse(p.Source)
@@ -147,11 +138,11 @@ func runFig3(w io.Writer, opts Options) error {
 		}
 		checkTime := time.Since(checkStart)
 
-		median := func(engine planprt.EngineKind) time.Duration {
+		median := func() time.Duration {
 			const reps = 51
 			times := make([]time.Duration, 0, reps)
 			for i := 0; i < reps; i++ {
-				pl, err := planprt.Load(p.Source, planprt.Config{Engine: engine, Verify: planprt.VerifyPrivileged, NoCache: true})
+				pl, err := planprt.Load(p.Source, planprt.Config{Verify: planprt.VerifyPrivileged, NoCache: true})
 				if err != nil {
 					panic(err)
 				}
@@ -166,8 +157,7 @@ func runFig3(w io.Writer, opts Options) error {
 		}
 		ref := paperFig3[p.Name]
 		tbl.AddRow(p.Name, lineCount(p.Source), ref.lines, ref.ms,
-			float64(median(planprt.EngineJIT).Nanoseconds())/1000,
-			float64(median(planprt.EngineBytecode).Nanoseconds())/1000,
+			float64(median().Nanoseconds())/1000,
 			float64(checkTime.Nanoseconds())/1000)
 	}
 	fmt.Fprint(w, tbl)
@@ -177,8 +167,7 @@ func runFig3(w io.Writer, opts Options) error {
 }
 
 func runFig6(w io.Writer, opts Options) error {
-	opts.fill()
-	tb, err := audio.NewTestbed(audio.Options{Adaptation: audio.AdaptASP, Engine: opts.Engine})
+	tb, err := audio.NewTestbed(audio.Options{Adaptation: audio.AdaptASP})
 	if err != nil {
 		return err
 	}
@@ -199,14 +188,13 @@ func runFig6(w io.Writer, opts Options) error {
 }
 
 func runFig7(w io.Writer, opts Options) error {
-	opts.fill()
 	loads := audio.Figure7Loads
 	modes := []audio.Adaptation{audio.AdaptNone, audio.AdaptASP}
 	rows := make([]*audio.Figure7Row, len(loads)*len(modes))
 	errs := make([]error, len(rows))
 	par.Grid2(runtime.GOMAXPROCS(0), len(loads), len(modes), func(i, j int) {
 		k := i*len(modes) + j
-		rows[k], errs[k] = audio.RunFigure7(loads[i], 60*time.Second, audio.Options{Adaptation: modes[j], Engine: opts.Engine, Seed: 11})
+		rows[k], errs[k] = audio.RunFigure7(loads[i], 60*time.Second, audio.Options{Adaptation: modes[j], Seed: 11})
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -229,14 +217,13 @@ func runFig7(w io.Writer, opts Options) error {
 }
 
 func runFig8(w io.Writer, opts Options) error {
-	opts.fill()
 	variants := []httpd.Variant{httpd.VariantSingle, httpd.VariantNativeGW, httpd.VariantASPGW, httpd.VariantDisjoint}
 	sweep := httpd.DefaultSweep
 	pts := make([]*httpd.Point, len(variants)*len(sweep))
 	errs := make([]error, len(pts))
 	par.Grid2(runtime.GOMAXPROCS(0), len(variants), len(sweep), func(i, j int) {
 		k := i*len(sweep) + j
-		pts[k], errs[k] = httpd.RunPoint(httpd.Config{Variant: variants[i], Engine: opts.Engine}, sweep[j], 12*time.Second, 3*time.Second)
+		pts[k], errs[k] = httpd.RunPoint(httpd.Config{Variant: variants[i]}, sweep[j], 12*time.Second, 3*time.Second)
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -254,7 +241,7 @@ func runFig8(w io.Writer, opts Options) error {
 	sat := make([]float64, len(variants))
 	satErrs := make([]error, len(variants))
 	par.ForEach(runtime.GOMAXPROCS(0), len(variants), func(i int) {
-		sat[i], satErrs[i] = httpd.Saturation(httpd.Config{Variant: variants[i], Engine: opts.Engine}, 20*time.Second)
+		sat[i], satErrs[i] = httpd.Saturation(httpd.Config{Variant: variants[i]}, 20*time.Second)
 	})
 	if err := firstErr(satErrs); err != nil {
 		return err
@@ -267,14 +254,13 @@ func runFig8(w io.Writer, opts Options) error {
 }
 
 func runMPEG(w io.Writer, opts Options) error {
-	opts.fill()
 	viewerCounts := []int{1, 2, 4, 8}
 	aspModes := []bool{false, true}
 	results := make([]*mpeg.Result, len(viewerCounts)*len(aspModes))
 	errs := make([]error, len(results))
 	par.Grid2(runtime.GOMAXPROCS(0), len(viewerCounts), len(aspModes), func(i, j int) {
 		k := i*len(aspModes) + j
-		results[k], errs[k] = mpeg.Run(mpeg.Options{Viewers: viewerCounts[i], UseASPs: aspModes[j], Engine: opts.Engine}, 20*time.Second)
+		results[k], errs[k] = mpeg.Run(mpeg.Options{Viewers: viewerCounts[i], UseASPs: aspModes[j]}, 20*time.Second)
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -306,7 +292,6 @@ func runMPEG(w io.Writer, opts Options) error {
 // claim: the JIT removes interpretation overhead. Sequential by design
 // (wall-clock measurements).
 func runEngines(w io.Writer, opts Options) error {
-	opts.fill()
 	pkt := langtest.TCPPacket("10.0.1.1", "10.0.0.100", 4001, 80, []byte("GET /index.html"))
 
 	tbl := &obs.Table{
@@ -315,7 +300,7 @@ func runEngines(w io.Writer, opts Options) error {
 	}
 	native := testing.Benchmark(func(b *testing.B) { BenchNativeGateway(b, pkt) })
 	nativeNs := float64(native.NsPerOp())
-	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineBytecode, planprt.EngineJIT} {
+	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineJIT} {
 		r, err := benchProgram(eng, asp.HTTPGateway, pkt)
 		if err != nil {
 			return err
@@ -339,22 +324,22 @@ func runEngines(w io.Writer, opts Options) error {
 		r   testing.BenchmarkResult
 	}
 	var rows []res
-	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineBytecode, planprt.EngineJIT} {
+	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineJIT} {
 		r, err := benchProgram(eng, asp.BenchCompute, pktU)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, res{string(eng), r})
 	}
-	jitNs := float64(rows[2].r.NsPerOp())
+	jitNs := float64(rows[1].r.NsPerOp())
 	for _, row := range rows {
 		tbl2.AddRow(row.eng, row.r.NsPerOp(), float64(row.r.NsPerOp())/jitNs, row.r.AllocsPerOp())
 	}
 	fmt.Fprint(w, tbl2)
-	fmt.Fprintln(w, "shape check: interp >> bytecode > jit on both programs. The jit builds the")
-	fmt.Fprintln(w, "tuples its consumers only borrow (send packets, table keys, the result pair) in")
-	fmt.Fprintln(w, "per-instance scratch, runs int/bool unboxed and writes every other value once,")
-	fmt.Fprintln(w, "where its consumer wants it; bytecode, the ablation, boxes and returns values.")
+	fmt.Fprintln(w, "shape check: interp >> jit on both programs. The jit builds the tuples its")
+	fmt.Fprintln(w, "consumers only borrow (send packets, table keys, the result pair) in per-instance")
+	fmt.Fprintln(w, "scratch, runs int/bool unboxed and writes every other value once, where its")
+	fmt.Fprintln(w, "consumer wants it.")
 	fmt.Fprintln(w, "The paper's claim is jit vs native, first table: JIT output as fast as in-kernel")
 	fmt.Fprintln(w, "C; its jit and native-go rows measure that here (paired runs: docs/PERFORMANCE.md,")
 	fmt.Fprintln(w, "\"Header primitives declared once\").")

@@ -19,7 +19,6 @@ import (
 // job diffs this output between -shards 1 and -shards 4, and
 // `planpbench -workload sim_city` owns the throughput number.
 func runScale(w io.Writer, opts Options) error {
-	opts.fill()
 	cfg := city.CI
 	label := "CI-sized"
 	if opts.ScaleFull {
@@ -27,7 +26,6 @@ func runScale(w io.Writer, opts Options) error {
 		label = "full metropolitan"
 	}
 	cfg.Shards = opts.Shards
-	cfg.Engine = opts.Engine
 	res, err := city.Run(cfg)
 	if err != nil {
 		return err

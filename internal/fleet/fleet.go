@@ -172,8 +172,8 @@ func checkTargets(targets []Target) error {
 }
 
 // Spec describes what to roll out. Engine and Verify use planpd's
-// query vocabulary ("jit"/"bytecode"/"interp", "network"/"single"/
-// "privileged"); empty means the daemon default. An empty Version gets
+// query vocabulary, planprt.ParseConfig ("jit"/"interp",
+// "network"/"single"/"privileged"); empty means the daemon default. An empty Version gets
 // an auto-assigned "v<id>" label.
 type Spec struct {
 	Version string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -802,13 +803,22 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := c.Deploy(context.Background(), Spec{Source: forwarder}, dup); err == nil {
 		t.Error("duplicate target names must fail")
 	}
-	if _, err := c.Deploy(context.Background(),
-		Spec{Source: forwarder, Engine: "quantum"}, tf.targets); err == nil ||
-		!strings.Contains(err.Error(), `fleet: unknown engine "quantum"`) {
-		t.Errorf("unknown engine: err %v, want fleet: unknown engine \"quantum\"", err)
+	// An engine planprt.ParseConfig does not know — the register VM is
+	// not one of its engines — is refused before any node is called.
+	tap := &queryTap{}
+	offline := New(Config{Client: &http.Client{Transport: tap}})
+	for _, engine := range []string{"quantum", "bytecode"} {
+		want := fmt.Sprintf("fleet: unknown engine %q", engine)
+		if _, err := offline.Deploy(context.Background(),
+			Spec{Source: forwarder, Engine: engine}, tf.targets); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("engine %q: err %v, want %s", engine, err, want)
+		}
 	}
-	if len(c.Deployments()) != 0 {
-		t.Errorf("validation failures left %d records", len(c.Deployments()))
+	if len(tap.sent) != 0 {
+		t.Errorf("refused engines called nodes: %q", tap.sent)
+	}
+	if n := len(c.Deployments()) + len(offline.Deployments()); n != 0 {
+		t.Errorf("validation failures left %d records", n)
 	}
 	// An empty version gets an auto-assigned label.
 	d, err := c.Deploy(context.Background(), Spec{Source: forwarder}, tf.targets)

@@ -6,6 +6,13 @@
 // interpreter). The paper contrasts its Tempo JIT with bytecode systems
 // such as HiPEC's interpreter (§4); this engine makes that comparison
 // measurable inside one codebase.
+//
+// No user-facing switch reaches it: the control plane's engine
+// vocabulary (planprt.ParseConfig) names only the paper's interp and
+// jit. Its only non-test callers are bench/planpbench's
+// lang.codegen_bytecode_us and engine.invoke_ns.bytecode rungs and the
+// compile workload's engine cross-check; the package goes with those
+// rungs in the next change to the benchmark.
 package bytecode
 
 import (
@@ -106,26 +113,6 @@ type Fn struct {
 	Consts    []value.Value
 	ChanNames []string // channel names referenced by OpSend
 	NumRegs   int
-}
-
-// Disasm renders the function's code for debugging and the planp CLI's
-// -disasm mode.
-func (f *Fn) Disasm() string {
-	out := fmt.Sprintf("%s: %d registers, %d consts\n", f.Name, f.NumRegs, len(f.Consts))
-	for i, in := range f.Code {
-		out += fmt.Sprintf("  %3d  %-9s a=%-3d b=%-3d c=%-3d", i, in.Op, in.A, in.B, in.C)
-		if in.Aux != 0 {
-			out += fmt.Sprintf(" aux=%d", in.Aux)
-		}
-		if in.Op == OpConst && in.B < len(f.Consts) {
-			out += fmt.Sprintf("   ; %s", f.Consts[in.B])
-		}
-		if in.Op == OpSend && in.A < len(f.ChanNames) {
-			out += fmt.Sprintf("   ; %s", f.ChanNames[in.A])
-		}
-		out += "\n"
-	}
-	return out
 }
 
 // typeEqOps selects the equality opcodes for a statically known operand

@@ -48,19 +48,6 @@ channel network(ps : int, ss : int, p : ip*udp*blob) is
 	}
 }
 
-func TestDisasm(t *testing.T) {
-	c := compileSrc(t, `
-channel network(ps : int, ss : int, p : ip*udp*blob) is
-  (OnRemote(network, p); (ps + 1, ss))
-`)
-	out := c.DisasmAll()
-	for _, want := range []string{"channel network#0", "send", "add", "tuple", "return", "; network"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("disasm missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestOpcodeNames(t *testing.T) {
 	if OpAdd.String() != "add" || OpCallPrim.String() != "callprim" {
 		t.Error("opcode names")

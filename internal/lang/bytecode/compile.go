@@ -79,24 +79,6 @@ func Compile(info *typecheck.Info) (engine.Compiled, error) {
 func (c *compiled) EngineName() string    { return "bytecode" }
 func (c *compiled) Info() *typecheck.Info { return c.info }
 
-// DisasmAll renders every code object (for cmd/planp -disasm).
-func (c *compiled) DisasmAll() string {
-	var out string
-	for _, f := range c.funs {
-		out += f.Disasm()
-	}
-	for _, f := range c.globals {
-		out += f.Disasm()
-	}
-	for i, f := range c.initStates {
-		if f != nil {
-			out += f.Disasm()
-		}
-		out += c.bodies[i].Disasm()
-	}
-	return out
-}
-
 // fnCompiler compiles one expression tree into one Fn.
 type fnCompiler struct {
 	fn      *Fn

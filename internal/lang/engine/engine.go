@@ -1,9 +1,8 @@
 // Package engine defines the common execution interface implemented by
-// the three PLAN-P execution engines — the portable tree-walking
-// interpreter (internal/lang/interp), the register bytecode VM
-// (internal/lang/bytecode), and the closure-specializing JIT
-// (internal/lang/jit) — and the shared state model for downloaded
-// protocols.
+// the PLAN-P execution engines — the portable tree-walking interpreter
+// (internal/lang/interp) and the closure-specializing JIT
+// (internal/lang/jit), plus the benchmark's register-VM ablation — and
+// the shared state model for downloaded protocols.
 //
 // The paper's run-time system pairs a portable interpreter with a JIT
 // generated from it by partial evaluation (§2.2); keeping all engines
@@ -40,7 +39,8 @@ type InvokeFunc func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.V
 // artifact. Whatever generated code mutates lives in the Instance; each
 // instance is single-goroutine.
 type Compiled interface {
-	// EngineName identifies the engine ("interp", "bytecode", "jit").
+	// EngineName identifies the engine ("interp", "jit", or the
+	// ablation's name).
 	EngineName() string
 	// Info returns the checked program this was compiled from.
 	Info() *typecheck.Info

@@ -76,7 +76,7 @@ func NewServer(node substrate.Node, out io.Writer) *Server {
 // Handler returns the control API:
 //
 //	POST   /asp           install the PLAN-P source in the request body
-//	                      (query: engine=interp|bytecode|jit,
+//	                      (query: engine=interp|jit,
 //	                              verify=network|single|privileged,
 //	                              version=<label>)
 //	GET    /asp           protocol status (active/staged/prev versions)

@@ -86,10 +86,16 @@ func TestStageRejectsBrokenProtocol(t *testing.T) {
 	if node.CurrentProcessor() != nil {
 		t.Error("broken program touched the packet path")
 	}
-	// So is an engine or verify policy planprt.ParseConfig does not know.
-	for _, q := range []string{"engine=llvm", "verify=trusted"} {
-		if code, _ := call(t, http.MethodPost, base+"/asp/stage?version=v1&"+q, stageForwarder); code != http.StatusBadRequest {
-			t.Errorf("stage with %s: %d, want 400", q, code)
+	// So is an engine or verify policy planprt.ParseConfig does not know,
+	// staged or installed; the register VM is not one of its engines.
+	for _, q := range []string{"engine=llvm", "verify=trusted", "engine=bytecode"} {
+		for _, route := range []string{"/asp/stage", "/asp"} {
+			if code, _ := call(t, http.MethodPost, base+route+"?version=v1&"+q, stageForwarder); code != http.StatusBadRequest {
+				t.Errorf("POST %s with %s: %d, want 400", route, q, code)
+			}
+		}
+		if active, staged, _ := aspState(t, base); active != "" || staged != "" || node.CurrentProcessor() != nil {
+			t.Errorf("refused %s left active %q, staged %q", q, active, staged)
 		}
 	}
 	// Stage without a version label is a client error.

@@ -434,7 +434,9 @@ func TestUnmatchedFallsThrough(t *testing.T) {
 }
 
 // TestParseConfig pins the one engine/verify vocabulary the planpd
-// request parser and the fleet Spec precheck both read.
+// request parser, the fleet Spec precheck and the CLIs' -engine flags
+// all read. It names the paper's two engines; the register VM is not
+// in it.
 func TestParseConfig(t *testing.T) {
 	cases := []struct {
 		engine, verify string
@@ -443,9 +445,10 @@ func TestParseConfig(t *testing.T) {
 	}{
 		{"", "", Config{Engine: EngineJIT, Verify: VerifyNetwork}, ""},
 		{"jit", "network", Config{Engine: EngineJIT, Verify: VerifyNetwork}, ""},
-		{"bytecode", "single", Config{Engine: EngineBytecode, Verify: VerifySingleNode}, ""},
+		{"interp", "single", Config{Engine: EngineInterp, Verify: VerifySingleNode}, ""},
 		{"interp", "privileged", Config{Engine: EngineInterp, Verify: VerifyPrivileged}, ""},
 		{"llvm", "", Config{}, `engine "llvm"`},
+		{"bytecode", "single", Config{}, `engine "bytecode"`},
 		{"JIT", "", Config{}, `engine "JIT"`},
 		{"", "trusted", Config{}, `verify policy "trusted"`},
 		{"quantum", "trusted", Config{}, `engine "quantum"`},

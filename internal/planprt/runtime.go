@@ -41,11 +41,20 @@ import (
 // EngineKind selects an execution engine.
 type EngineKind string
 
-// Engine kinds.
+// Engine kinds: the paper's two engines (§2.2), the portable
+// interpreter and the JIT derived from it, plus the register VM.
 const (
-	EngineInterp   EngineKind = "interp"
+	EngineInterp EngineKind = "interp"
+	EngineJIT    EngineKind = "jit"
+
+	// EngineBytecode selects the register VM (internal/lang/bytecode),
+	// an ablation this repository adds to the paper. No control-plane
+	// vocabulary names it (ParseConfig refuses "bytecode"); its only
+	// non-test callers are bench/planpbench's lang.codegen_bytecode_us
+	// and engine.invoke_ns.bytecode rungs and the compile workload's
+	// engine cross-check. The package goes with those rungs in the
+	// next change to the benchmark.
 	EngineBytecode EngineKind = "bytecode"
-	EngineJIT      EngineKind = "jit"
 )
 
 // VerifyPolicy controls late checking at download time.
@@ -79,17 +88,15 @@ type Config struct {
 }
 
 // ParseConfig maps the control plane's engine/verify vocabulary — the
-// planpd query parameters and the fleet Spec fields — onto a Config:
-// engine ""|"jit"|"bytecode"|"interp", verify ""|"network"|"single"|
-// "privileged"; empty means the default. The error names the unknown
-// value.
+// planpd query parameters, the fleet Spec fields and the CLIs' -engine
+// flags — onto a Config: engine ""|"jit"|"interp", verify ""|"network"|
+// "single"|"privileged"; empty means the default. The error names the
+// unknown value.
 func ParseConfig(engine, verify string) (Config, error) {
 	var cfg Config
 	switch engine {
 	case "", "jit":
 		cfg.Engine = EngineJIT
-	case "bytecode":
-		cfg.Engine = EngineBytecode
 	case "interp":
 		cfg.Engine = EngineInterp
 	default:

@@ -12,9 +12,9 @@
 //
 // The pipeline mirrors the paper's runtime: source text is parsed and
 // type-checked, the safety analyses of §2.1 run at download time (late
-// checking), and the program is compiled by one of three engines — the
-// portable tree-walking interpreter, a register bytecode VM, or the
-// closure-specializing JIT derived from the interpreter (§2.2).
+// checking), and the program is compiled by one of the paper's two
+// engines — the portable tree-walking interpreter, or the
+// closure-specializing JIT derived from it (§2.2).
 //
 // Quick start (the package's Example, compiled and run by go test):
 //
@@ -61,9 +61,6 @@ const (
 	// Interp is the portable reference interpreter: slowest, simplest,
 	// the engine new language features are debugged in.
 	Interp = planprt.EngineInterp
-	// Bytecode compiles to a register VM: no AST walk, but still an
-	// instruction-dispatch loop.
-	Bytecode = planprt.EngineBytecode
 	// JIT is the closure-specializing compiler derived from the
 	// interpreter — the production engine, competitive with native Go
 	// handlers (the paper's headline result).
@@ -94,7 +91,8 @@ type Report = verify.Result
 // Option configures Compile.
 type Option func(*planprt.Config)
 
-// WithEngine selects the execution engine (default JIT).
+// WithEngine selects the execution engine (default JIT). Compile
+// refuses any engine but Interp and JIT.
 func WithEngine(e Engine) Option {
 	return func(c *planprt.Config) { c.Engine = e }
 }
@@ -117,6 +115,9 @@ func Compile(src string, opts ...Option) (*Protocol, error) {
 	var cfg planprt.Config
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if _, err := planprt.ParseConfig(string(cfg.Engine), ""); err != nil {
+		return nil, err
 	}
 	p, err := planprt.Load(src, cfg)
 	if err != nil {
