@@ -300,7 +300,8 @@ func runAdapt(args []string) int {
 		i := slices.IndexFunc(list.Runs, func(r adapt.RunView) bool { return r.ID == started.ID })
 		switch {
 		case i < 0:
-			// Runs live in the daemon's memory: it restarted under us.
+			// Runs live in the daemon's memory: it restarted under us,
+			// or the run finished and aged out of its bounded list.
 			err = fmt.Errorf("run %d is gone from %s", started.ID, target)
 		case list.Runs[i].Phase == "done":
 			printJSON(map[string]string{"verdict": list.Runs[i].Verdict, "reason": list.Runs[i].Reason})

@@ -6,28 +6,23 @@
 // never touching a node except via the same two-phase deploys an
 // operator would issue.
 //
-// Two loops share the machinery:
+// The loop is the self-promoting canary (canary.go): stage a candidate
+// on a cohort, watch operator-declared guard metrics for a few windows
+// against the baseline cohort, then promote fleet-wide or roll back.
+// POST /adapt (http.go) and `planpd adapt` start one.
 //
-//   - Canary (canary.go): stage a candidate on a cohort, watch
-//     operator-declared guard metrics for a few windows against the
-//     baseline cohort, then self-promote fleet-wide or roll back.
-//   - RunPolicy (policy.go): continuously select among registered
-//     protocol variants (the §3.2 gateway round-robin / least-conn /
-//     failover family) from metric trends, redeploying when the choice
-//     changes — debounced by hysteresis and cooldown so the fleet
-//     never flaps.
-//
-// Every decision input is a Window (two mono_ns-stamped snapshots) and
-// every decision function is pure with an injected clock, so verdicts
-// are reproducible from the snapshots that produced them and the whole
-// controller unit-tests without sleeping. Every action lands in the
-// fleet history (kinds "canary", "promote", "rollback", "adapt"), and
-// each decision is one obs event (KindCanary/KindAdapt) with its reason,
-// so the adaptation story can be told after the fact. See ADAPTATION.md.
+// Every decision input is a Window (two mono_ns-stamped snapshots),
+// every decision function is pure and the loop's sleep is injected, so
+// verdicts are reproducible from the snapshots that produced them and
+// the whole controller unit-tests without sleeping. Every action lands
+// in the fleet history (kinds "canary", "promote", "rollback"), and
+// each decision is one obs event (KindCanary) with its reason, so the
+// adaptation story can be told after the fact. See ADAPTATION.md.
 package adapt
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,22 +30,19 @@ import (
 	"planp.dev/planp/internal/obs"
 )
 
-// Controller runs canary and policy loops against one fleet. It acts
-// only through that fleet.Controller and reports through it too: the
-// polls go out on the fleet's HTTP client, the "adapt.*" counters live
-// in its registry, and decisions reach the bus through its one
-// serialized Publish.
+// Controller runs canary loops against one fleet. It acts only through
+// that fleet.Controller and reports through it too: the polls go out on
+// the fleet's HTTP client, the "adapt.*" counters live in its registry,
+// and decisions reach the bus through its one serialized Publish.
 type Controller struct {
 	fleet *fleet.Controller
 
-	// Injected clocks: tests replace these to run the loops without
-	// real time passing.
-	now     func() time.Time
+	// Injected clock: tests replace it to run the loop without real
+	// time passing.
 	sleepFn func(context.Context, time.Duration)
 
 	ctCanaries, ctPromoted, ctRolledBack, ctFailed *obs.Counter
 	ctWindowsOK, ctWindowsViolation                *obs.Counter
-	ctSwitches, ctHolds                            *obs.Counter
 
 	mu     sync.Mutex
 	runs   []*Run
@@ -72,7 +64,6 @@ func New(fl *fleet.Controller) *Controller {
 	bg, bgCancel := context.WithCancel(context.Background())
 	return &Controller{
 		fleet:    fl,
-		now:      time.Now,
 		sleepFn:  fleet.Sleep,
 		nextID:   1,
 		bg:       bg,
@@ -84,8 +75,6 @@ func New(fl *fleet.Controller) *Controller {
 		ctFailed:           reg.Counter("adapt.failed"),
 		ctWindowsOK:        reg.Counter("adapt.windows_ok"),
 		ctWindowsViolation: reg.Counter("adapt.windows_violation"),
-		ctSwitches:         reg.Counter("adapt.switches"),
-		ctHolds:            reg.Counter("adapt.holds"),
 	}
 }
 
@@ -113,6 +102,12 @@ func (c *Controller) Drain(ctx context.Context) bool {
 
 // ---------------------------------------------------------------------------
 // Run records: what GET /adapt reports.
+
+// maxRuns bounds the run records a Controller keeps. Anyone who can
+// reach POST /adapt can start a run, so past the bound the oldest
+// finished run gives way; a run in progress is never dropped, because
+// `planpd adapt` stops polling once its run is no longer listed.
+const maxRuns = 64
 
 // RunView is a consistent snapshot of one canary run.
 type RunView struct {
@@ -155,6 +150,13 @@ func (r *Run) update(f func(v *RunView)) {
 	f(&r.view)
 }
 
+// finished reports whether the run has reached its verdict.
+func (r *Run) finished() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.view.Phase == "done"
+}
+
 // ref names the run in its events' Detail ("a<id>").
 func (r *Run) ref() fleet.Ref { return fleet.Ref{Tag: 'a', ID: r.view.ID} }
 
@@ -178,11 +180,26 @@ func (c *Controller) newRun(plan *CanaryPlan) *Run {
 	r.view.ID = c.nextID
 	c.nextID++
 	c.runs = append(c.runs, r)
+	c.trimRuns()
 	c.mu.Unlock()
 	return r
 }
 
-// Runs returns snapshots of every canary run, oldest first.
+// trimRuns drops the oldest finished runs past maxRuns; c.mu is held.
+// It runs when a run starts and when one finishes, so the list is over
+// the bound only while more than maxRuns runs are in progress.
+func (c *Controller) trimRuns() {
+	for len(c.runs) > maxRuns {
+		i := slices.IndexFunc(c.runs, (*Run).finished)
+		if i < 0 {
+			return
+		}
+		c.runs = slices.Delete(c.runs, i, i+1)
+	}
+}
+
+// Runs returns snapshots of the kept canary runs (see maxRuns), oldest
+// first.
 func (c *Controller) Runs() []RunView {
 	c.mu.Lock()
 	runs := append([]*Run(nil), c.runs...)

@@ -1,13 +1,14 @@
-// Pure-function tests: windows, guards, and the selector state machine.
-// Nothing here sleeps, polls, or deploys — every verdict is a function
-// of snapshots and explicit clocks, which is the package's core design
-// claim.
+// Pure-function tests: windows, guards and the run list. Nothing here
+// sleeps, polls, or deploys — every verdict is a function of
+// snapshots, which is the package's core design claim.
 package adapt
 
 import (
 	"reflect"
 	"testing"
 	"time"
+
+	"planp.dev/planp/internal/fleet"
 )
 
 // snapAt builds a single-counter snapshot at mono offset.
@@ -161,85 +162,47 @@ func TestEvalGuardsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSelectorHysteresis(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	s := NewSelector("rr", 3, 0)
-	// Two windows of dissent, one agreement, two more dissent: the
-	// streak restarts, so no switch until three in a row.
-	for i, step := range []struct {
-		pref string
-		want string
-	}{
-		{"lc", ""}, {"lc", ""}, {"rr", ""}, {"lc", ""}, {"lc", ""}, {"lc", "lc"},
-	} {
-		got := s.Observe(step.pref, t0.Add(time.Duration(i)*time.Second))
-		if got != step.want {
-			t.Fatalf("step %d: Observe(%q) = %q, want %q", i, step.pref, got, step.want)
+// TestRunListBounded: past maxRuns the oldest finished run gives way,
+// so the list keeps the bound and the newest IDs, while a run still in
+// progress survives however old it is. Runs that were all in progress
+// at once shrink back to the bound as they finish.
+func TestRunListBounded(t *testing.T) {
+	c := New(fleet.New(fleet.Config{}))
+	unfinished := c.newRun(&CanaryPlan{}) // ID 1
+	const extra = 5
+	for i := 0; i < maxRuns+extra; i++ {
+		c.newRun(&CanaryPlan{}).update(func(v *RunView) { v.Phase = "done" })
+	}
+	runs := c.Runs()
+	if len(runs) != maxRuns {
+		t.Fatalf("%d runs kept, want %d", len(runs), maxRuns)
+	}
+	if runs[0].ID != unfinished.View().ID || runs[0].Phase != "deploying" {
+		t.Errorf("oldest kept run = %+v, want the unfinished run 1", runs[0])
+	}
+	// The finished runs kept are the newest, oldest first: IDs up to
+	// 1+maxRuns+extra.
+	first := 1 + maxRuns + extra - (maxRuns - 2)
+	for i, v := range runs[1:] {
+		if v.ID != first+i {
+			t.Fatalf("kept run %d has ID %d, want %d", i+1, v.ID, first+i)
 		}
 	}
-	// Observe proposes, Commit disposes: current is unchanged until the
-	// caller commits (a failed redeploy keeps demanding the switch).
-	if s.Current() != "rr" {
-		t.Fatalf("Current = %q before commit, want rr", s.Current())
-	}
-	if got := s.Observe("lc", t0.Add(10*time.Second)); got != "lc" {
-		t.Fatalf("uncommitted switch not re-demanded: got %q", got)
-	}
-	s.Commit("lc", t0.Add(11*time.Second))
-	if s.Current() != "lc" {
-		t.Fatalf("Current = %q after commit, want lc", s.Current())
-	}
-	// Preference for the new current is a hold.
-	if got := s.Observe("lc", t0.Add(12*time.Second)); got != "" {
-		t.Fatalf("agreement proposed a switch: %q", got)
-	}
-}
 
-func TestSelectorCooldown(t *testing.T) {
-	t0 := time.Unix(2000, 0)
-	s := NewSelector("rr", 1, 10*time.Second)
-	if got := s.Observe("lc", t0); got != "lc" {
-		t.Fatalf("first dissent with hysteresis 1 must switch, got %q", got)
+	c = New(fleet.New(fleet.Config{}))
+	var open []*Run
+	for i := 0; i < maxRuns+extra; i++ {
+		open = append(open, c.newRun(&CanaryPlan{}))
 	}
-	s.Commit("lc", t0)
-	// Dissent during cooldown accumulates but cannot commit...
-	if got := s.Observe("rr", t0.Add(3*time.Second)); got != "" {
-		t.Fatalf("switch inside cooldown: %q", got)
+	if n := len(c.Runs()); n != maxRuns+extra {
+		t.Fatalf("%d runs in progress listed, want all %d", n, maxRuns+extra)
 	}
-	if got := s.Observe("rr", t0.Add(6*time.Second)); got != "" {
-		t.Fatalf("switch inside cooldown: %q", got)
+	for _, r := range open {
+		c.finish(r, &Outcome{Verdict: VerdictRolledBack})
 	}
-	// ...and fires on the first eligible observation after it expires.
-	if got := s.Observe("rr", t0.Add(10*time.Second)); got != "rr" {
-		t.Fatalf("switch after cooldown = %q, want rr", got)
-	}
-}
-
-// TestSelectorReproducible: an identical observation sequence replays to
-// the identical switch sequence — time enters only via the explicit
-// argument.
-func TestSelectorReproducible(t *testing.T) {
-	prefs := []string{"lc", "lc", "rr", "lc", "lc", "lc", "lc", "rr", "rr", "rr", "rr", "rr"}
-	run := func() []string {
-		t0 := time.Unix(3000, 0)
-		s := NewSelector("rr", 2, 4*time.Second)
-		var switches []string
-		for i, p := range prefs {
-			now := t0.Add(time.Duration(i) * time.Second)
-			if to := s.Observe(p, now); to != "" {
-				s.Commit(to, now)
-				switches = append(switches, to)
-			}
-		}
-		return switches
-	}
-	first := run()
-	if len(first) == 0 {
-		t.Fatal("sequence produced no switches; test is vacuous")
-	}
-	for i := 0; i < 20; i++ {
-		if again := run(); !reflect.DeepEqual(first, again) {
-			t.Fatalf("replay %d: %v vs %v", i, first, again)
-		}
+	if runs = c.Runs(); len(runs) != maxRuns {
+		t.Errorf("after every run finished: %d runs kept, want %d", len(runs), maxRuns)
+	} else if runs[0].ID != extra+1 {
+		t.Errorf("after every run finished the oldest kept is run %d, want %d", runs[0].ID, extra+1)
 	}
 }

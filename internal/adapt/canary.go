@@ -13,12 +13,14 @@ package adapt
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/obs"
+	"planp.dev/planp/internal/planpd"
 )
 
 // Canary verdicts.
@@ -194,6 +196,9 @@ func (c *Controller) finish(r *Run, out *Outcome) (*Outcome, error) {
 			v.FinalDeployment = out.Final.View().ID
 		}
 	})
+	c.mu.Lock()
+	c.trimRuns()
+	c.mu.Unlock()
 	c.fleet.Publish(obs.KindCanary, "", r.ref(), out.Verdict, ": ", out.Reason)
 	if out.Verdict == VerdictFailed {
 		return out, fmt.Errorf("adapt: %s", out.Reason)
@@ -218,6 +223,41 @@ func (c *Controller) snapshotCohorts(ctx context.Context, run *Run, plan CanaryP
 		baseline[t.Name] = s
 	}
 	return canary, baseline, nil
+}
+
+// snapshotAll polls every stats target once; any failure fails the
+// window (partial windows would silently bias cohort means).
+func (c *Controller) snapshotAll(ctx context.Context, targets []fleet.Target) (map[string]Snapshot, error) {
+	out := make(map[string]Snapshot, len(targets))
+	for _, t := range targets {
+		s, err := c.poll(ctx, t)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", t.Name, err)
+		}
+		out[t.Name] = s
+	}
+	return out, nil
+}
+
+// poll reads one target's GET /stats through the control-plane client.
+func (c *Controller) poll(ctx context.Context, t fleet.Target) (s Snapshot, err error) {
+	err = planpd.Exchange(ctx, c.fleet.Client(), "stats", http.MethodGet,
+		strings.TrimRight(t.URL, "/")+"/stats", "", maxStatsBody, &s)
+	return s, err
+}
+
+// pairWindows matches two snapshot rounds into per-node windows,
+// dropping nodes missing from either round.
+func pairWindows(prev, cur map[string]Snapshot) map[string]Window {
+	windows := make(map[string]Window, len(cur))
+	for name, after := range cur {
+		before, ok := prev[name]
+		if !ok {
+			continue
+		}
+		windows[name] = Window{Before: before, After: after}
+	}
+	return windows
 }
 
 // announce publishes one canary event per node of the cohort.

@@ -1,7 +1,7 @@
 // Canary integration tests: real planpd servers over netsim nodes, the
 // fleet controller doing real two-phase rollouts over real HTTP, and a
 // scripted /stats feed plus the fault-injecting RoundTripper making
-// every failure deterministic. The adaptation controller's clocks are
+// every failure deterministic. The adaptation controller's sleep is
 // injected, so whole canary lifecycles run in microseconds of wall
 // time.
 package adapt
@@ -62,8 +62,8 @@ func (s *statsScript) serve(w http.ResponseWriter) bool {
 	return true
 }
 
-// fakeClock drives the controller's now/sleep hooks: sleeping advances
-// the clock instead of waiting.
+// fakeClock drives the controller's sleep hook: sleeping advances the
+// clock instead of waiting.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -162,7 +162,6 @@ func newRig(t *testing.T, n int) *rig {
 		Retry:   fleet.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	r.ctl = New(r.fleet)
-	r.ctl.now = r.clock.Now
 	r.ctl.sleepFn = r.clock.Sleep
 	return r
 }

@@ -89,7 +89,7 @@ type (
 //	              immediately with {"id": N, "started": true} — the run
 //	              proceeds in the background and lands in the fleet
 //	              history either way
-//	GET  /adapt   every run's status, oldest first
+//	GET  /adapt   the kept runs' status (see maxRuns), oldest first
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /adapt", c.startRun)

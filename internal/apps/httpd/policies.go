@@ -1,9 +1,9 @@
 // The gateway's load-balancing policy catalogue: the §3.2 ASP variants
 // that differ only in how pickServer chooses a physical server. The
 // paper's §5 point is that swapping the policy means re-downloading one
-// ASP and nothing else; the adaptation controller (internal/adapt)
-// closes that loop by registering these as candidates and switching
-// among them from observed metric trends.
+// ASP and nothing else: any entry rolls out through fleet.Deploy, or as
+// a self-promoting canary through the adaptation controller
+// (internal/adapt) that rolls it back when its guards trip.
 package httpd
 
 import "planp.dev/planp/asp"
@@ -11,13 +11,11 @@ import "planp.dev/planp/asp"
 // GatewayPolicy is one deployable load-balancing variant of the §3.2
 // cluster gateway.
 type GatewayPolicy struct {
-	// Name is the stable policy key candidates and deployment version
-	// labels derive from.
+	// Name is the stable policy key (GatewayPolicyNamed looks it up).
 	Name string
 	// Source is the PLAN-P program implementing the policy.
 	Source string
-	// Description says when an operator (or the adaptation policy
-	// engine) would prefer this variant.
+	// Description says when an operator would prefer this variant.
 	Description string
 }
 

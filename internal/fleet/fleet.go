@@ -194,12 +194,11 @@ type Spec struct {
 	// Kind classifies the rollout in the deployment history: "" for a
 	// plain operator deploy, or one of the adaptation controller's
 	// decision kinds — "canary" (staged on a canary cohort), "promote"
-	// (canary verdict extended fleet-wide), "adapt" (the policy engine
-	// switched protocol variants). Rollback records written by
+	// (canary verdict extended fleet-wide). Rollback records written by
 	// RollbackDeployment carry kind "rollback".
 	Kind string
-	// Reason is a free-form explanation recorded alongside Kind — which
-	// guard promoted the canary, which metric trend switched variants.
+	// Reason is a free-form explanation recorded alongside Kind — how
+	// the canary was staged, which guard it passed or violated.
 	Reason string
 }
 
@@ -294,9 +293,9 @@ type Config struct {
 	// Retry is the per-request retry policy.
 	Retry RetryPolicy
 	// Bus, when set, receives every decision as a KindDeploy/KindRollback
-	// event (and the adaptation loop's KindCanary/KindAdapt), serialized
-	// but interleaved across nodes. New publishes the history's notes,
-	// so subscribe first.
+	// event (and the adaptation loop's KindCanary), serialized but
+	// interleaved across nodes. New publishes the history's notes, so
+	// subscribe first.
 	Bus *obs.Bus
 	// Metrics, when set, receives the "fleet.*" (and "adapt.*") counters.
 	Metrics *obs.Registry

@@ -64,11 +64,11 @@ const (
 	// KindVerifyReject: a protocol download was refused by late
 	// checking or the single-node deployment limit.
 	KindVerifyReject
-	// KindDeploy, KindRollback, KindCanary, KindAdapt: control-plane
-	// decisions, no packet. Detail is "<ref> <step>[: <reason>]", ref the
-	// record ("d<id>" a fleet deployment, "a<id>" an adaptation run; no
-	// ref, nor its space, for none); Node the target a step ran on, empty
-	// for the whole record.
+	// KindDeploy, KindRollback, KindCanary: control-plane decisions, no
+	// packet. Detail is "<ref> <step>[: <reason>]", ref the record
+	// ("d<id>" a fleet deployment, "a<id>" a canary run; no ref, nor its
+	// space, for none); Node the target a step ran on, empty for the
+	// whole record.
 	//
 	// KindDeploy: a node's "<phase>:<outcome>" ("d3 stage:ok"), or the
 	// record's "start", "compat:override", "active", "failed", "history".
@@ -87,9 +87,6 @@ const (
 	// "unobservable", "baseline-unobservable"; the run's verdict,
 	// "promoted", "rolled-back" or "failed".
 	KindCanary
-	// KindAdapt: "d<id> switch:<from>-><to>" or "switch-failed:…"; with no
-	// record "hold:<candidate>", "unknown-candidate", "blind".
-	KindAdapt
 	// KindLink: a cross-host rtnet link changed state (Node is the
 	// "<local>:<peer>" link name; Detail is "up", "up:reconnect",
 	// "down:<reason>" — goodbye, probe-timeout — or
@@ -104,7 +101,7 @@ const NumKinds = int(numKinds)
 
 var kindNames = [numKinds]string{
 	"enqueue", "drop", "forward", "deliver", "asp-invoke", "verify-reject",
-	"deploy", "rollback", "fault", "heal", "canary", "adapt", "link",
+	"deploy", "rollback", "fault", "heal", "canary", "link",
 }
 
 // String names the kind.
@@ -157,7 +154,7 @@ func appendOctet(dst []byte, o byte) []byte {
 
 // String renders the event as one pcap-style text line (no newline).
 func (e Event) String() string {
-	if k := e.Kind; k == KindDeploy || k == KindRollback || k == KindCanary || k == KindAdapt {
+	if k := e.Kind; k == KindDeploy || k == KindRollback || k == KindCanary {
 		return fmt.Sprintf("%10.6f %-13s %-10s %s", e.At.Seconds(), k, e.Node, e.Detail)
 	}
 	var src, dst [15]byte

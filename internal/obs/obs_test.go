@@ -171,7 +171,7 @@ func TestEventKindString(t *testing.T) {
 		KindDeliver: "deliver", KindASPInvoke: "asp-invoke", KindVerifyReject: "verify-reject",
 		KindDeploy: "deploy", KindRollback: "rollback",
 		KindFault: "fault", KindHeal: "heal",
-		KindCanary: "canary", KindAdapt: "adapt", KindLink: "link",
+		KindCanary: "canary", KindLink: "link",
 	}
 	if len(names) != NumKinds {
 		t.Fatalf("test covers %d kinds, NumKinds = %d", len(names), NumKinds)

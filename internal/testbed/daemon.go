@@ -302,6 +302,8 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 // DeployResponse answers POST /deploy: the rollout's record, and when
 // it did not converge the error (409) — with its span diagnostics when
 // the compatibility gate or a node's stage rejected the program (422).
+// A request Deploy refuses before any record exists (an unknown engine
+// or verification policy) is a 400, as a node's own /asp answers it.
 type DeployResponse struct {
 	Error       string      `json:"error,omitempty"`
 	Diagnostics diag.List   `json:"diagnostics,omitempty"`
@@ -335,10 +337,15 @@ func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	var resp DeployResponse
 	if deployErr != nil {
-		status = http.StatusConflict
 		resp.Error = deployErr.Error()
-		if resp.Diagnostics = diag.Of(deployErr); len(resp.Diagnostics) > 0 {
+		resp.Diagnostics = diag.Of(deployErr)
+		switch {
+		case len(resp.Diagnostics) > 0:
 			status = http.StatusUnprocessableEntity
+		case dep == nil: // refused before any record existed
+			status = http.StatusBadRequest
+		default:
+			status = http.StatusConflict
 		}
 	}
 	if dep != nil {

@@ -41,8 +41,8 @@ func newAdaptRig(t *testing.T) *adaptRig {
 }
 
 // traffic streams client requests at the virtual server until the
-// returned stop function is called — the load the guard metrics and
-// policy decisions observe.
+// returned stop function is called — the load the guard metrics
+// observe.
 func (r *adaptRig) traffic() (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -113,6 +113,9 @@ const lossyLinkGuard = "link.gateway:server0.fault_dropped_pkts<=0.5"
 // network. Chaos puts loss on the gateway→server0 link while the canary
 // is under observation; the guard sees the fault-drop rate climb and
 // the controller rolls the canary back to the incumbent on its own.
+// Then the network heals: clearing the link takes the loss off it, and
+// the gateway, swapped to the canary and back, still serves as the
+// virtual server.
 func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 	r := newAdaptRig(t)
 	r.deployPolicy(t, "roundrobin", "v1")
@@ -123,7 +126,8 @@ func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 	// candidate is the "random" policy — like the incumbent it keeps
 	// sending connections at server0, so the lossy link stays on the
 	// datapath the guard watches.
-	r.link(t, "gateway-server0").SetLoss(0.9)
+	link := r.link(t, "gateway-server0")
+	link.SetLoss(0.9)
 
 	random, _ := httpd.GatewayPolicyNamed("random")
 	guards, err := adapt.ParseGuards([]string{lossyLinkGuard})
@@ -156,85 +160,12 @@ func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 	if last.Kind != "rollback" || !strings.Contains(last.Reason, "guard violated") {
 		t.Errorf("last history record = kind %q reason %q, want the guard rollback", last.Kind, last.Reason)
 	}
-}
 
-// TestAdaptPolicyChaosSwitchE2E is the closed-loop demo: injected link
-// faults shift the observed load, the policy engine switches the live
-// gateway from round-robin to least-connections (exactly once — the
-// cooldown holds through the recovery), and the cluster keeps serving
-// after the network heals.
-func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
-	r := newAdaptRig(t)
-	r.deployPolicy(t, "roundrobin", "roundrobin-v0")
-	stop := r.traffic()
-	defer stop()
-
-	rr, _ := httpd.GatewayPolicyNamed("roundrobin")
-	lc, _ := httpd.GatewayPolicyNamed("leastconn")
-	candidates := []adapt.Candidate{
-		{Name: rr.Name, Source: rr.Source, Verify: "single"},
-		{Name: lc.Name, Source: lc.Source, Verify: "single"},
-	}
-	// Trend: while the gateway→server0 link is dropping to faults,
-	// prefer the variant that steers around sick servers.
-	decide := func(windows map[string]adapt.Window) string {
-		if windows["gateway"].Rate("link.gateway:server0.fault_dropped_pkts") > 0.5 {
-			return lc.Name
-		}
-		return rr.Name
-	}
-
-	// Degrade, then heal mid-run: clear takes the loss off the link.
-	link := r.link(t, "gateway-server0")
-	link.SetLoss(0.9)
-	healed := make(chan struct{})
-	heal := time.AfterFunc(2200*time.Millisecond, func() {
-		link.Clear()
-		close(healed)
-	})
-	defer heal.Stop()
-
-	report, err := r.ctl.RunPolicy(context.Background(), adapt.PolicyPlan{
-		Candidates: candidates,
-		Decide:     decide,
-		Current:    rr.Name,
-		Targets:    r.targets,
-		Interval:   300 * time.Millisecond,
-		Rounds:     12,
-		Hysteresis: 2,
-		Cooldown:   time.Minute, // hold steady through the healed tail
-	})
-	if err != nil {
-		t.Fatalf("RunPolicy: %v", err)
-	}
-	if len(report.Switches) != 1 {
-		t.Fatalf("switches = %+v, want exactly one (degrade -> leastconn, then hold)", report.Switches)
-	}
-	if report.Switches[0].From != rr.Name || report.Switches[0].To != lc.Name {
-		t.Errorf("switch = %+v, want roundrobin->leastconn", report.Switches[0])
-	}
-	if got := r.activeVersion(t); !strings.HasPrefix(got, "leastconn-") {
-		t.Errorf("gateway runs %q, want a leastconn-* version", got)
-	}
-	var adaptRecords int
-	for _, v := range r.fc.Deployments() {
-		if v.Kind == "adapt" && v.State == fleet.StateActive {
-			adaptRecords++
-			if !strings.Contains(v.Reason, "preferred leastconn over roundrobin") {
-				t.Errorf("adapt record reason %q does not explain the decision", v.Reason)
-			}
-		}
-	}
-	if adaptRecords != 1 {
-		t.Errorf("adapt history records = %d, want 1", adaptRecords)
-	}
-
-	// After the heal, the link drops nothing more to faults: probes
-	// from the gateway all reach server0 (leastconn steers requests
-	// away from it, so the probes are what crosses the link). And the
-	// switched gateway still serves: responses keep arriving from the
-	// virtual server.
-	<-healed
+	// Heal: after the clear the link drops nothing more to faults, so
+	// probes from the gateway all reach server0 (the probes go to its
+	// discard port, which the requests do not). And the gateway still
+	// serves: responses keep arriving from the virtual server.
+	link.Clear()
 	faultDrops := r.cluster.Net.Metrics().Counter("link.gateway:server0.fault_dropped_pkts")
 	rx := r.cluster.Net.Metrics().Counter("testbed.server0.rx_pkts")
 	dropsHealed, rxHealed := faultDrops.Value(), rx.Value()
@@ -242,7 +173,7 @@ func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		gw.Send(substrate.NewUDP(gw.Address(), s0.Address(), discardPort, discardPort, []byte("probe")).Own())
 	}
-	before, _ := r.cluster.Responses()
+	before, beforeVirtual := r.cluster.Responses()
 	time.Sleep(500 * time.Millisecond)
 	if dropped, got := faultDrops.Value()-dropsHealed, rx.Value()-rxHealed; dropped != 0 || got != 50 {
 		t.Errorf("after the heal gateway->server0 dropped %d packets to faults and delivered %d of 50 probes", dropped, got)
@@ -251,7 +182,7 @@ func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 	if after <= before {
 		t.Errorf("no responses after heal: %d -> %d", before, after)
 	}
-	if fromVirtual == 0 {
-		t.Error("no responses masqueraded as the virtual server")
+	if fromVirtual <= beforeVirtual {
+		t.Error("no responses masqueraded as the virtual server after heal")
 	}
 }

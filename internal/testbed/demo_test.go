@@ -364,7 +364,8 @@ func TestDemoDeployDecisionLog(t *testing.T) {
 
 // TestDemoDeployUnknownNode: a bare node name the topology does not
 // have is refused up front, naming the topology — not turned into a
-// target URL that 404s mid-rollout.
+// target URL that 404s mid-rollout — and so is every other request no
+// rollout could take.
 func TestDemoDeployUnknownNode(t *testing.T) {
 	demo, err := NewDemo("", Options{})
 	if err != nil {
@@ -397,6 +398,32 @@ func TestDemoDeployUnknownNode(t *testing.T) {
 	}
 	if len(demo.Fleet.Deployments()) != 0 {
 		t.Error("a rollout was recorded for an unresolvable target list")
+	}
+	// A request Deploy refuses before it records anything is a 400 as
+	// well, not a 409 Conflict a client would retry as a rollout race.
+	// The target counts every request that reaches it: none may.
+	var calls atomic.Int32
+	node := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { calls.Add(1) }))
+	defer node.Close()
+	for query, want := range map[string]string{
+		"engine=bytecode": `unknown engine "bytecode"`,
+		"engine=nosuch":   `unknown engine "nosuch"`,
+		"verify=bogus":    `unknown verify policy "bogus"`,
+	} {
+		rec := httptest.NewRecorder()
+		demo.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+			"/deploy?"+query+"&nodes="+url.QueryEscape("gateway="+node.URL), strings.NewReader(asp.HTTPGateway)))
+		var resp DeployResponse
+		err := json.Unmarshal(rec.Body.Bytes(), &resp)
+		if rec.Code != http.StatusBadRequest || err != nil || !strings.Contains(resp.Error, want) {
+			t.Errorf("POST /deploy?%s: %d %q, want 400 naming %q", query, rec.Code, rec.Body.String(), want)
+		}
+		if n := len(demo.Fleet.Deployments()); n != 0 {
+			t.Errorf("POST /deploy?%s recorded %d rollout(s), want none", query, n)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("POST /deploy?%s called the node %d time(s), want none", query, n)
+		}
 	}
 }
 
