@@ -103,10 +103,11 @@ func (c *Controller) Drain(ctx context.Context) bool {
 // ---------------------------------------------------------------------------
 // Run records: what GET /adapt reports.
 
-// maxRuns bounds the run records a Controller keeps. Anyone who can
-// reach POST /adapt can start a run, so past the bound the oldest
-// finished run gives way; a run in progress is never dropped, because
-// `planpd adapt` stops polling once its run is no longer listed.
+// maxRuns bounds the run records a Controller keeps, and the runs
+// POST /adapt lets be in progress at once. Anyone who can reach POST
+// /adapt can start a run, so past the bound the oldest finished run
+// gives way; a run in progress is never dropped, because `planpd adapt`
+// stops polling once its run is no longer listed.
 const maxRuns = 64
 
 // RunView is a consistent snapshot of one canary run.
@@ -163,7 +164,11 @@ func (r *Run) ref() fleet.Ref { return fleet.Ref{Tag: 'a', ID: r.view.ID} }
 // newRun registers a run record for plan, first resolving the plan's
 // defaults — the one place they are — so the record, the HTTP
 // handler's deadline and the loop all see the same numbers.
-func (c *Controller) newRun(plan *CanaryPlan) *Run {
+func (c *Controller) newRun(plan *CanaryPlan) *Run { return c.addRun(plan, false) }
+
+// addRun is newRun; a capped run is refused — nil, nothing registered —
+// while maxRuns runs are in progress.
+func (c *Controller) addRun(plan *CanaryPlan, capped bool) *Run {
 	if plan.Windows <= 0 {
 		plan.Windows = 3
 	}
@@ -177,12 +182,27 @@ func (c *Controller) newRun(plan *CanaryPlan) *Run {
 		WindowsTotal: plan.Windows,
 	}}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if capped && c.inProgress() >= maxRuns {
+		return nil
+	}
 	r.view.ID = c.nextID
 	c.nextID++
 	c.runs = append(c.runs, r)
 	c.trimRuns()
-	c.mu.Unlock()
 	return r
+}
+
+// inProgress counts the runs not yet finished; c.mu is held. trimRuns
+// never drops one, so all of them are in c.runs.
+func (c *Controller) inProgress() int {
+	n := 0
+	for _, r := range c.runs {
+		if !r.finished() {
+			n++
+		}
+	}
+	return n
 }
 
 // trimRuns drops the oldest finished runs past maxRuns; c.mu is held.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -583,6 +584,78 @@ func TestAdaptHTTPAPI(t *testing.T) {
 	}
 	if got := r.active(t, "alpha"); got != "v2" {
 		t.Errorf("node runs %q after HTTP-started canary, want v2", got)
+	}
+}
+
+// TestAdaptCapsRunsInProgress: while maxRuns runs are in progress,
+// POST /adapt answers 503 and starts nothing — no record, no node
+// request; once one run finishes, a POST is accepted again. The node
+// holds every request until the test releases it, and a released one
+// is refused, which fails that run.
+func TestAdaptCapsRunsInProgress(t *testing.T) {
+	var mu sync.Mutex
+	requests := 0
+	arrived, release := make(chan struct{}, 2*maxRuns), make(chan struct{})
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		requests++
+		mu.Unlock()
+		arrived <- struct{}{}
+		select {
+		case <-release:
+		case <-req.Context().Done():
+		}
+		http.Error(w, "refused", http.StatusUnprocessableEntity)
+	}))
+	defer node.Close()
+	ctl := New(fleet.New(fleet.Config{}))
+	api := httptest.NewServer(ctl.Handler())
+	defer api.Close()
+	defer ctl.Drain(context.Background())
+	defer close(release) // first: every held request answers, every run ends
+
+	body, _ := json.Marshal(CanaryRequest{
+		Version: "v2", Source: fwdV1,
+		Canary: []fleet.Target{{Name: "alpha", URL: node.URL}},
+		Guards: []string{"drops<=5"},
+	})
+	post := func() int {
+		t.Helper()
+		resp, err := http.Post(api.URL+"/adapt", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < maxRuns; i++ {
+		if code := post(); code != http.StatusAccepted {
+			t.Fatalf("POST %d: %d, want 202", i+1, code)
+		}
+	}
+	for i := 0; i < maxRuns; i++ {
+		<-arrived // every run holds its first node request
+	}
+	if code := post(); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST %d with %d runs in progress: %d, want 503", maxRuns+1, maxRuns, code)
+	}
+	mu.Lock()
+	n := requests
+	mu.Unlock()
+	if runs := ctl.Runs(); n != maxRuns || len(runs) != maxRuns {
+		t.Fatalf("after the refused POST: %d node requests, %d runs; want %d of each", n, len(runs), maxRuns)
+	}
+
+	release <- struct{}{} // one run's health probe is refused: that run fails
+	deadline := time.Now().Add(10 * time.Second)
+	for !slices.ContainsFunc(ctl.Runs(), func(v RunView) bool { return v.Phase == "done" }) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released run never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code := post(); code != http.StatusAccepted {
+		t.Fatalf("POST after a run finished: %d, want 202", code)
 	}
 }
 

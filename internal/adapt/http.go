@@ -88,7 +88,8 @@ type (
 //	POST /adapt   start a canary run (CanaryRequest body); responds
 //	              immediately with {"id": N, "started": true} — the run
 //	              proceeds in the background and lands in the fleet
-//	              history either way
+//	              history either way; 503 while maxRuns runs are in
+//	              progress
 //	GET  /adapt   the kept runs' status (see maxRuns), oldest first
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -114,7 +115,11 @@ func (c *Controller) startRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	run := c.newRun(&plan)
+	run := c.addRun(&plan, true)
+	if run == nil {
+		http.Error(w, fmt.Sprintf("adapt: %d runs in progress; try again once one finishes", maxRuns), http.StatusServiceUnavailable)
+		return
+	}
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = time.Duration(plan.Windows)*plan.Interval + time.Minute

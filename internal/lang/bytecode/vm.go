@@ -54,18 +54,25 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) error {
-		frame := m.frames[ci]
-		frame[0], frame[1], frame[2] = *ps, *ss, pkt
-		m.ctx = ctx
-		res, err := m.exec(c.bodies[ci], frame)
-		if err != nil {
-			return err
-		}
-		*ps, *ss = res.Vs[0], res.Vs[1]
-		return nil
+	return engine.NewInstance(m, proto, chans), nil
+}
+
+func (m *vm) Compiled() engine.Compiled { return m.c }
+
+// Packet is register 2 of channel ci's register file, where its body
+// reads p.
+func (m *vm) Packet(ci int) *value.Value { return &m.frames[ci][2] }
+
+func (m *vm) Invoke(ci int, ctx prims.Context, ps, ss *value.Value) error {
+	frame := m.frames[ci]
+	frame[0], frame[1] = *ps, *ss
+	m.ctx = ctx
+	res, err := m.exec(m.c.bodies[ci], frame)
+	if err != nil {
+		return err
 	}
-	return engine.NewInstance(c, proto, chans, invoke), nil
+	*ps, *ss = res.Vs[0], res.Vs[1]
+	return nil
 }
 
 // exec runs fn to completion, converting an unhandled PLAN-P exception

@@ -21,16 +21,25 @@ import (
 	"planp.dev/planp/internal/lang/value"
 )
 
-// InvokeFunc executes channel index ci on the protocol state *ps, the
-// channel state *ss and the decoded packet, and on success stores the
-// new states through ps and ss. A PLAN-P exception that escapes the
-// channel body is returned as an error of type value.Exception, with
-// *ps and *ss untouched. The states travel by pointer because a Value is
-// twelve words and Instance is their home; the packet has no home to
-// point at (the address of Invoke's parameter would escape through this
-// indirect call and allocate), so it is passed once, by value. The
-// engine keeps neither pointer.
-type InvokeFunc func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) error
+// Machine is what an engine runs an instance's channels on: the
+// compiled program and the per-instance memory its code writes.
+type Machine interface {
+	// Compiled returns the program the machine runs.
+	Compiled() Compiled
+	// Packet returns channel ci's packet slot, the packet value the
+	// channel's next invocation reads (the JIT's is the channel frame's
+	// slot 2). The caller stores the decoded packet there once, and the
+	// machine reads it in place.
+	Packet(ci int) *value.Value
+	// Invoke executes channel ci on the protocol state *ps, the channel
+	// state *ss and the packet in its slot, and on success stores the
+	// new states through ps and ss. A PLAN-P exception that escapes the
+	// channel body is returned as an error of type value.Exception,
+	// with *ps and *ss untouched. Nothing travels by value: a Value is
+	// twelve words, and each has a home — the states in the Instance,
+	// the packet in its slot. The machine keeps neither state pointer.
+	Invoke(ci int, ctx prims.Context, ps, ss *value.Value) error
+}
 
 // Compiled is a protocol prepared for execution by some engine. It is
 // immutable after Compile: any number of instances, on any number of
@@ -51,12 +60,11 @@ type Compiled interface {
 }
 
 // Instance is a downloaded protocol's mutable state: the shared protocol
-// state plus one channel state per channel definition. Instances are not
-// safe for concurrent use; the runtime serializes packet processing per
-// node.
+// state plus one channel state per channel definition, and the machine
+// that runs the channels. Instances are not safe for concurrent use; the
+// runtime serializes packet processing per node.
 type Instance struct {
-	compiled Compiled
-	invoke   InvokeFunc
+	m Machine
 
 	// Proto is the protocol state shared by all channels (§2).
 	Proto value.Value
@@ -66,23 +74,35 @@ type Instance struct {
 }
 
 // NewInstance assembles an instance; used by engine implementations.
-func NewInstance(c Compiled, proto value.Value, chans []value.Value, invoke InvokeFunc) *Instance {
-	return &Instance{compiled: c, invoke: invoke, Proto: proto, Chans: chans}
+func NewInstance(m Machine, proto value.Value, chans []value.Value) *Instance {
+	return &Instance{m: m, Proto: proto, Chans: chans}
 }
 
 // Compiled returns the program this instance was created from.
-func (in *Instance) Compiled() Compiled { return in.compiled }
+func (in *Instance) Compiled() Compiled { return in.m.Compiled() }
 
-// Invoke runs channel ci on pkt. On success the protocol and channel
-// states are replaced by the channel's result; on an unhandled PLAN-P
-// exception the states are left unchanged and the error is returned
-// (matching the paper's model where the verifier, not the runtime,
-// guards against state corruption).
+// Packet returns channel ci's packet slot (Machine.Packet); ci must be a
+// channel index.
+func (in *Instance) Packet(ci int) *value.Value { return in.m.Packet(ci) }
+
+// Run runs channel ci on the packet in its slot: on success the
+// protocol and channel states are replaced by the channel's result; on
+// an unhandled PLAN-P exception the states are left unchanged and the
+// error is returned (matching the paper's model where the verifier, not
+// the runtime, guards against state corruption). ci must be a channel
+// index.
+func (in *Instance) Run(ci int, ctx prims.Context) error {
+	return in.m.Invoke(ci, ctx, &in.Proto, &in.Chans[ci])
+}
+
+// Invoke runs channel ci on pkt: it stores pkt in the channel's packet
+// slot and runs the channel there (Run).
 func (in *Instance) Invoke(ci int, ctx prims.Context, pkt value.Value) error {
 	if ci < 0 || ci >= len(in.Chans) {
 		return fmt.Errorf("planp/engine: channel index %d out of range", ci)
 	}
-	return in.invoke(ci, ctx, &in.Proto, &in.Chans[ci], pkt)
+	*in.Packet(ci) = pkt
+	return in.Run(ci, ctx)
 }
 
 // ZeroValue returns the canonical initial value of a PLAN-P type: the

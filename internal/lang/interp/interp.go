@@ -51,17 +51,30 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) (err error) {
-		defer engine.Recover(&err)
-		ch := &c.info.Channels[ci]
-		frame := make([]value.Value, ch.FrameSize)
-		frame[0], frame[1], frame[2] = *ps, *ss, pkt
-		inner := &evaluator{info: c.info, ctx: ctx, globals: ev.globals}
-		res := inner.eval(ch.Decl.Body, frame)
-		*ps, *ss = res.Vs[0], res.Vs[1]
-		return nil
-	}
-	return engine.NewInstance(c, proto, chans, invoke), nil
+	return engine.NewInstance(&machine{c: c, globals: ev.globals}, proto, chans), nil
+}
+
+// machine is an instance's engine.Machine. Every invocation evaluates
+// on a fresh frame, which it copies the packet into, so one packet slot
+// serves every channel.
+type machine struct {
+	c       *compiled
+	globals []value.Value
+	pkt     value.Value
+}
+
+func (m *machine) Compiled() engine.Compiled { return m.c }
+func (m *machine) Packet(int) *value.Value   { return &m.pkt }
+
+func (m *machine) Invoke(ci int, ctx prims.Context, ps, ss *value.Value) (err error) {
+	defer engine.Recover(&err)
+	ch := &m.c.info.Channels[ci]
+	frame := make([]value.Value, ch.FrameSize)
+	frame[0], frame[1], frame[2] = *ps, *ss, m.pkt
+	ev := &evaluator{info: m.c.info, ctx: ctx, globals: m.globals}
+	res := ev.eval(ch.Decl.Body, frame)
+	*ps, *ss = res.Vs[0], res.Vs[1]
+	return nil
 }
 
 // evaluator evaluates expressions for one instance.

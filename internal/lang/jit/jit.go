@@ -60,9 +60,11 @@
 // slot, a call argument into the callee's frame or the primitive's
 // argument buffer, a tuple element into the element array, a channel
 // body's result pair into the machine. Int- and bool-typed nodes return
-// their word instead (unbox.go). The rules every node and every caller
-// keep (TestDestinationPassing in internal/lang/engine has a program for
-// each):
+// their word instead (unbox.go). The same holds at the edge: the
+// runtime writes a matched packet once, into the channel frame's slot 2
+// (engine.Machine's Packet), and the body reads it there. The rules
+// every node and every caller keep (TestDestinationPassing in
+// internal/lang/engine has a program for each):
 //
 //   - (a) *dst is dead on entry and the node's own until its final write:
 //     it may hold the node's intermediate results (a Seq's discarded
@@ -103,9 +105,11 @@ import (
 )
 
 // machine is one instance's execution context, threaded through
-// compiled code. scratch backs every range the compiler reserved; tmp is
-// rule (d)'s one-word seam and the channel body's destination.
+// compiled code, and its engine.Machine. scratch backs every range the
+// compiler reserved; tmp is rule (d)'s one-word seam and the channel
+// body's destination.
 type machine struct {
+	c       *compiled
 	ctx     prims.Context
 	globals []value.Value
 	scratch []value.Value
@@ -175,6 +179,7 @@ func (c *compiled) Info() *typecheck.Info { return c.info }
 
 func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	m := &machine{
+		c:       c,
 		ctx:     ctx,
 		globals: make([]value.Value, len(c.globalInit)),
 		scratch: make([]value.Value, c.scratch),
@@ -196,16 +201,26 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	invoke := func(ci int, ctx prims.Context, ps, ss *value.Value, pkt value.Value) (err error) {
-		defer engine.Recover(&err)
-		frame := c.frames[ci].of(m)
-		frame[0], frame[1], frame[2] = *ps, *ss, pkt
-		m.ctx = ctx
-		c.bodies[ci](m, frame, &m.tmp)
-		*ps, *ss = m.tmp.Vs[0], m.tmp.Vs[1]
-		return nil
-	}
-	return engine.NewInstance(c, proto, chans, invoke), nil
+	return engine.NewInstance(m, proto, chans), nil
+}
+
+func (m *machine) Compiled() engine.Compiled { return m.c }
+
+// Packet is slot 2 of channel ci's frame, where its body reads p.
+func (m *machine) Packet(ci int) *value.Value { return &m.scratch[m.c.frames[ci].lo+2] }
+
+func (m *machine) Invoke(ci int, ctx prims.Context, ps, ss *value.Value) (err error) {
+	defer engine.Recover(&err)
+	frame := m.c.frames[ci].of(m)
+	// One statement per state: the pair form copies the second state to
+	// a temporary first, as the first store might alias it. None does.
+	frame[0] = *ps
+	frame[1] = *ss
+	m.ctx = ctx
+	m.c.bodies[ci](m, frame, &m.tmp)
+	*ps = m.tmp.Vs[0]
+	*ss = m.tmp.Vs[1]
+	return nil
 }
 
 // compiler holds compile-time state.

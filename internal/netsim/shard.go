@@ -173,8 +173,11 @@ func (sh *shard) dispatch(ev *event) {
 // cross-shard arrivals are barred, by the lookahead argument.
 func (sh *shard) run(end time.Duration, budget int) {
 	n := 0
-	for sh.queue.len() > 0 && sh.queue.minAt() <= end && (budget <= 0 || n < budget) {
-		ev := sh.queue.pop()
+	for budget <= 0 || n < budget {
+		ev, ok := sh.queue.popBy(end)
+		if !ok {
+			break
+		}
 		sh.dispatch(&ev)
 		n++
 	}

@@ -143,18 +143,33 @@ func (q *timerQueue) route(e event) {
 }
 
 // pop removes and returns the earliest event in exact (at, seq) order.
+// The queue must be non-empty.
 func (q *timerQueue) pop() event {
+	e, _ := q.popBy(math.MaxInt64)
+	return e
+}
+
+// popBy removes and returns the earliest event in exact (at, seq) order
+// if it is due by end; otherwise it reports false and the queue keeps
+// every event. One ensure serves the test and the take.
+func (q *timerQueue) popBy(end time.Duration) (event, bool) {
 	if q.wcount > 0 {
 		if n := q.ensure(); n != 0 {
 			// The lone event: served from its slot, the slot freed.
-			q.detach(0)
 			p := &q.pool[n-1]
+			if p.ev.at > end {
+				return event{}, false
+			}
+			q.detach(0)
 			e := p.ev
 			*p = pooled{next: q.free}
 			q.free = n
 			q.wcount--
-			return e
+			return e, true
 		}
+	}
+	if q.heap.len() == 0 || q.heap.ev[0].at > end {
+		return event{}, false
 	}
 	e := q.heap.pop()
 	if q.wcount == 0 && q.wheelOn {
@@ -166,7 +181,7 @@ func (q *timerQueue) pop() event {
 			q.cur[l] = max(q.cur[l], int64(e.at)>>uint(wheelTickShift+l*wheelSlotBits))
 		}
 	}
-	return e
+	return e, true
 }
 
 // minAt returns the earliest pending event time. The queue must be

@@ -8,6 +8,7 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -358,5 +359,101 @@ func TestWheelShardedIngestionRace(t *testing.T) {
 	}
 	if n == 0 || sink.Total() == 0 {
 		t.Fatalf("hammer ran %d events, observer saw %d — workload did not run", n, sink.Total())
+	}
+}
+
+// TestTimerWheelPopByDeadline drives popBy the way shard.run does, on a
+// clocked schedule, against the container/heap reference: a deadline
+// before the earliest event takes nothing and leaves the queue as it
+// was, one at or after it takes exactly the reference's next event.
+// Deadlines fall before, at and between events, with the earliest
+// event both a lone one served from its slot and the heap's top. Then
+// shard.run's budget: it stops after budget events, the rest kept.
+func TestTimerWheelPopByDeadline(t *testing.T) {
+	const tick = time.Duration(1) << wheelTickShift
+	rng := rand.New(rand.NewSource(58))
+	q := &timerQueue{wheelOn: true}
+	ref := &refHeap{}
+	var now time.Duration
+	seq := uint64(0)
+	// taken and refused count popBy's answers by where the earliest event
+	// was: [0] a lone event in its slot, [1] the heap's top.
+	var taken, refused [2]int
+	for op := 0; op < 20000; op++ {
+		if q.len() != ref.Len() {
+			t.Fatalf("op %d: length diverged: %d vs %d", op, q.len(), ref.Len())
+		}
+		if q.len() == 0 || rng.Intn(5) < 2 {
+			at := now + time.Duration(rng.Int63n(int64(4*tick)))
+			if rng.Intn(10) == 0 {
+				at = now + time.Duration(rng.Int63n(int64(300*time.Millisecond)))
+			}
+			seq++
+			q.push(event{at: at, seq: seq})
+			heap.Push(ref, &refEvent{at: at, seq: seq})
+			continue
+		}
+		next := (*ref)[0].at
+		var end time.Duration
+		switch rng.Intn(4) {
+		case 0: // before
+			end = next - 1 - time.Duration(rng.Int63n(int64(tick)))
+		case 1: // at
+			end = next
+		default: // between it and, most often, the events after it
+			end = next + time.Duration(rng.Int63n(int64(2*tick)))
+		}
+		// ensure is idempotent: called here, it finds what popBy's will.
+		where := 1
+		if q.wcount > 0 && q.ensure() != 0 {
+			where = 0
+		}
+		n := q.len()
+		got, ok := q.popBy(end)
+		if next > end {
+			if ok || q.len() != n {
+				t.Fatalf("op %d: popBy(%v) with the earliest event at %v took (at=%v seq=%d) ok=%v, length %d -> %d",
+					op, end, next, got.at, got.seq, ok, n, q.len())
+			}
+			refused[where]++
+			continue
+		}
+		want := heap.Pop(ref).(*refEvent)
+		if !ok || got.at != want.at || got.seq != want.seq {
+			t.Fatalf("op %d: popBy(%v) = (at=%v seq=%d) ok=%v, reference (at=%v seq=%d)",
+				op, end, got.at, got.seq, ok, want.at, want.seq)
+		}
+		now = got.at
+		taken[where]++
+	}
+	for w, name := range []string{"lone event", "heap top"} {
+		if taken[w] == 0 || refused[w] == 0 {
+			t.Errorf("%s: %d taken, %d refused; the schedule misses a case", name, taken[w], refused[w])
+		}
+	}
+	if _, ok := (&timerQueue{wheelOn: true}).popBy(math.MaxInt64); ok {
+		t.Error("popBy on an empty queue took an event")
+	}
+
+	// shard.run: every event due by end runs, in order, up to budget.
+	sh := &shard{queue: timerQueue{wheelOn: true}}
+	var ran []uint64
+	for i := uint64(1); i <= 10; i++ {
+		sh.queue.push(event{at: time.Duration(i) * tick, seq: i, kind: evFunc, fn: func() { ran = append(ran, i) }})
+	}
+	for _, step := range []struct {
+		end    time.Duration
+		budget int
+		want   int // events run so far
+	}{{5 * tick, 3, 3}, {5 * tick, 0, 5}, {5 * tick, 0, 5}, {20 * tick, 2, 7}, {20 * tick, 0, 10}} {
+		sh.run(step.end, step.budget)
+		if len(ran) != step.want || sh.queue.len() != 10-step.want {
+			t.Fatalf("run(%v, %d): %d events run, %d left; want %d run", step.end, step.budget, len(ran), sh.queue.len(), step.want)
+		}
+	}
+	for i, s := range ran {
+		if s != uint64(i+1) {
+			t.Fatalf("events ran in order %v", ran)
+		}
 	}
 }

@@ -15,30 +15,149 @@
 //
 // A packet matches only if the payload is consumed exactly (strict
 // decoding), so overloads with different scalar shapes are disjoint.
+//
+// A channel's packet type is fixed when the program is downloaded, so
+// it is compiled once into a decode plan, as a message parser is
+// generated once from its declared format: the plan is the tuple laid
+// out for that type, its header elements pointing at the plan's own
+// header structs and each payload element's Kind set. Decoding a packet
+// then writes only the header structs and each payload element's word
+// (I, S or B). A Runtime keeps one plan per channel and decodes each
+// packet over the last one (runtime.go); Decode is a plan on fresh
+// memory.
 package planprt
 
 import (
 	"fmt"
 
 	"planp.dev/planp/internal/lang/ast"
+	"planp.dev/planp/internal/lang/typecheck"
 	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/substrate"
 )
 
-// headers backs the header values of one decoded packet; small is the
-// single allocation behind the usual packet types of up to three
-// components (ip*tcp*blob, ip*udp*blob): headers and tuple elements.
-type headers struct {
-	ip  value.IPHeader
-	tcp value.TCPHeader
-	udp value.UDPHeader
+// plan is a packet type laid out for decoding, and the memory a packet
+// decodes into. tuple is the decoded value; its Vs are nil when the
+// type is not a packet type (not a tuple starting with ip, or a blob
+// that is not last), and then the plan matches nothing.
+type plan struct {
+	ip        value.IPHeader
+	tcp       value.TCPHeader
+	udp       value.UDPHeader
+	transport value.Kind // KindTCP or KindUDP when the type declares one, else 0
+	tuple     value.Value
 }
 
-const smallElems = 3
+// smallPlan is the one allocation behind a fresh plan of up to three
+// components, the usual packet types (ip*tcp*blob, ip*udp*blob).
+type smallPlan struct {
+	plan
+	elems [3]value.Value
+}
 
-type small struct {
-	headers
-	elems [smallElems]value.Value
+// newPlan returns a plan's memory with n elements, all of kind zero.
+func newPlan(n int) (*plan, []value.Value) {
+	if n <= len(smallPlan{}.elems) {
+		s := new(smallPlan)
+		return &s.plan, s.elems[:n:n]
+	}
+	return new(plan), make([]value.Value, n)
+}
+
+// layout lays packet type t out in p on elems (len: t's components),
+// and reports whether t is a packet type.
+func (p *plan) layout(t ast.Type, elems []value.Value) bool {
+	tup, _ := t.(ast.Tuple)
+	if len(tup.Elems) == 0 || !ast.Equal(tup.Elems[0], ast.IPT) {
+		return false
+	}
+	rest := tup.Elems[1:]
+	if len(rest) > 0 && ast.Equal(rest[0], ast.TCPT) {
+		p.transport, rest = value.KindTCP, rest[1:]
+	} else if len(rest) > 0 && ast.Equal(rest[0], ast.UDPT) {
+		p.transport, rest = value.KindUDP, rest[1:]
+	}
+	pay := elems[len(elems)-len(rest):]
+	for i, et := range rest {
+		k := payloadKind(et)
+		if k == 0 || k == value.KindBlob && i != len(rest)-1 {
+			return false
+		}
+		pay[i].Kind = k
+	}
+	p.bind(elems)
+	return true
+}
+
+// payloadKind returns the kind of a payload component of type t, or 0
+// if no payload component has that type.
+func payloadKind(t ast.Type) value.Kind {
+	base, _ := t.(ast.Base)
+	switch base.Kind {
+	case ast.TChar:
+		return value.KindChar
+	case ast.TBool:
+		return value.KindBool
+	case ast.TInt:
+		return value.KindInt
+	case ast.THost:
+		return value.KindHost
+	case ast.TString:
+		return value.KindString
+	case ast.TBlob:
+		return value.KindBlob
+	}
+	return 0
+}
+
+// fresh returns q's plan on fresh memory, read from q, not from the
+// type.
+func (q *plan) fresh() *plan {
+	p, elems := newPlan(len(q.tuple.Vs))
+	if len(elems) > 0 {
+		p.transport = q.transport
+		for i := range elems {
+			elems[i].Kind = q.tuple.Vs[i].Kind
+		}
+		p.bind(elems)
+	}
+	return p
+}
+
+// layoutPlans lays out one plan per channel, indexed like chans, on one
+// element array.
+func layoutPlans(chans []typecheck.Channel) []plan {
+	n := 0
+	for i := range chans {
+		n += components(chans[i].Decl.PacketType())
+	}
+	plans, elems := make([]plan, len(chans)), make([]value.Value, n)
+	for i := range chans {
+		t := chans[i].Decl.PacketType()
+		w := components(t)
+		plans[i].layout(t, elems[:w:w])
+		elems = elems[w:]
+	}
+	return plans
+}
+
+// components is the number of components of packet type t.
+func components(t ast.Type) int {
+	tup, _ := t.(ast.Tuple)
+	return len(tup.Elems)
+}
+
+// bind points the header elements at p's header structs and makes
+// elems p's tuple.
+func (p *plan) bind(elems []value.Value) {
+	elems[0] = value.IP(&p.ip)
+	switch p.transport {
+	case value.KindTCP:
+		elems[1] = value.TCP(&p.tcp)
+	case value.KindUDP:
+		elems[1] = value.UDP(&p.udp)
+	}
+	p.tuple = value.TupleV(elems...)
 }
 
 // Decode attempts to decode pkt as a value of packet type t. The boolean
@@ -47,34 +166,20 @@ type small struct {
 // starting with ip — matches nothing). A trailing blob aliases
 // pkt.Payload: transmitted payloads are immutable.
 func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
-	return decode(pkt, t, nil)
-}
-
-// scratch is caller-owned memory behind a decoded value: the headers,
-// and elems (empty, capacity at least the type's width) for the tuple.
-type scratch struct {
-	headers
-	elems []value.Value
-}
-
-// decode is Decode into mem, so the value is good until the caller
-// decodes into mem again. A nil mem is a fresh allocation.
-func decode(pkt *substrate.Packet, t ast.Type, mem *scratch) (value.Value, bool) {
-	tup, ok := t.(ast.Tuple)
-	if !ok || len(tup.Elems) == 0 || !ast.Equal(tup.Elems[0], ast.IPT) {
+	p, elems := newPlan(components(t))
+	if !p.layout(t, elems) || !p.decode(pkt) {
 		return value.Unit, false
 	}
-	var d *headers
-	var elems []value.Value
-	if mem != nil {
-		d, elems = &mem.headers, mem.elems
-	} else if n := len(tup.Elems); n <= smallElems {
-		s := new(small)
-		d, elems = &s.headers, s.elems[:0]
-	} else {
-		d, elems = new(headers), make([]value.Value, 0, n)
-	}
+	return p.tuple, true
+}
 
+// decode decodes pkt into p and reports whether it matches. p.tuple is
+// the packet until p decodes again; after a mismatch it is garbage.
+func (p *plan) decode(pkt *substrate.Packet) bool {
+	elems := p.tuple.Vs
+	if elems == nil {
+		return false
+	}
 	ipLen := substrate.IPHeaderLen + len(pkt.Payload)
 	switch {
 	case pkt.TCP != nil:
@@ -82,83 +187,65 @@ func decode(pkt *substrate.Packet, t ast.Type, mem *scratch) (value.Value, bool)
 	case pkt.UDP != nil:
 		ipLen += substrate.UDPHeaderLen
 	}
-	d.ip = value.IPHeader{IPHeader: pkt.IP, Len: ipLen}
-	elems = append(elems, value.IP(&d.ip))
-
-	rest := tup.Elems[1:]
-	if len(rest) > 0 && ast.Equal(rest[0], ast.TCPT) {
+	p.ip = value.IPHeader{IPHeader: pkt.IP, Len: ipLen}
+	pay := elems[1:]
+	switch p.transport {
+	case value.KindTCP:
 		if pkt.TCP == nil {
-			return value.Unit, false
+			return false
 		}
-		d.tcp = *pkt.TCP
-		elems = append(elems, value.TCP(&d.tcp))
-		rest = rest[1:]
-	} else if len(rest) > 0 && ast.Equal(rest[0], ast.UDPT) {
+		p.tcp, pay = *pkt.TCP, pay[1:]
+	case value.KindUDP:
 		if pkt.UDP == nil {
-			return value.Unit, false
+			return false
 		}
-		d.udp = value.UDPHeader{UDPHeader: *pkt.UDP, Len: substrate.UDPHeaderLen + len(pkt.Payload)}
-		elems = append(elems, value.UDP(&d.udp))
-		rest = rest[1:]
+		p.udp = value.UDPHeader{UDPHeader: *pkt.UDP, Len: substrate.UDPHeaderLen + len(pkt.Payload)}
+		pay = pay[1:]
 	}
 
 	buf := pkt.Payload
-	for i, et := range rest {
-		base, ok := et.(ast.Base)
-		if !ok {
-			return value.Unit, false
-		}
-		switch base.Kind {
-		case ast.TBlob:
-			if i != len(rest)-1 {
-				return value.Unit, false
-			}
-			elems = append(elems, value.Blob(buf))
-			buf = nil
-		case ast.TChar:
+	for i := range pay {
+		e := &pay[i]
+		switch e.Kind {
+		case value.KindBlob: // last, by the plan
+			e.B, buf = buf, nil
+		case value.KindChar:
 			if len(buf) < 1 {
-				return value.Unit, false
+				return false
 			}
-			elems = append(elems, value.Char(buf[0]))
-			buf = buf[1:]
-		case ast.TBool:
+			e.I, buf = int64(buf[0]), buf[1:]
+		case value.KindBool:
 			if len(buf) < 1 || buf[0] > 1 {
-				return value.Unit, false
+				return false
 			}
-			elems = append(elems, value.Bool(buf[0] == 1))
-			buf = buf[1:]
-		case ast.TInt:
+			e.I, buf = int64(buf[0]), buf[1:]
+		case value.KindInt:
 			if len(buf) < 4 {
-				return value.Unit, false
+				return false
 			}
-			v := int32(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3]))
-			elems = append(elems, value.Int(int64(v)))
-			buf = buf[4:]
-		case ast.THost:
+			e.I, buf = int64(int32(be32(buf))), buf[4:]
+		case value.KindHost:
 			if len(buf) < 4 {
-				return value.Unit, false
+				return false
 			}
-			h := value.Host(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3]))
-			elems = append(elems, value.HostV(h))
-			buf = buf[4:]
-		case ast.TString:
+			e.I, buf = int64(be32(buf)), buf[4:]
+		case value.KindString:
 			if len(buf) < 2 {
-				return value.Unit, false
+				return false
 			}
 			n := int(buf[0])<<8 | int(buf[1])
 			if len(buf) < 2+n {
-				return value.Unit, false
+				return false
 			}
-			elems = append(elems, value.Str(string(buf[2:2+n])))
-			buf = buf[2+n:]
-		default:
-			return value.Unit, false
+			e.S, buf = string(buf[2:2+n]), buf[2+n:]
 		}
 	}
-	if len(buf) != 0 {
-		return value.Unit, false // strict: payload must be consumed
-	}
-	return value.TupleV(elems...), true
+	return len(buf) == 0 // strict: payload must be consumed
+}
+
+// be32 reads a big-endian 32-bit word.
+func be32(b []byte) uint32 {
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
 // encoded is the one allocation behind an encoded packet: the packet and

@@ -162,10 +162,19 @@ func TestDecodeRefusesNonPacketTypes(t *testing.T) {
 }
 
 // FuzzDecode throws arbitrary packets at Decode under every fuzz type:
-// it must never panic, it must decide and decode the same into scratch
-// as into fresh memory, and anything it accepts must survive an
+// it must never panic, a plan that every input decodes over (a
+// Runtime's kept memory) must decide and decode each one as Decode does
+// on fresh memory, and anything it accepts must survive an
 // Encode/Decode round trip with headers and payload intact.
 func FuzzDecode(f *testing.F) {
+	kept := make([]*plan, len(fuzzTypes))
+	for i, typ := range fuzzTypes {
+		p, elems := newPlan(len(typ.Elems))
+		if !p.layout(typ, elems) {
+			f.Fatalf("%v does not lay out", typ)
+		}
+		kept[i] = p
+	}
 	f.Add(uint8(0), uint16(80), uint16(1234), []byte{})
 	f.Add(uint8(1), uint16(80), uint16(1234), []byte{0, 0, 0, 42, 1, 'x', 10, 0, 0, 1, 0, 1, 'y'})
 	f.Add(uint8(2), uint16(53), uint16(9), []byte{0, 3, 'a', 'b', 'c'})
@@ -187,13 +196,12 @@ func FuzzDecode(f *testing.F) {
 		pkt.Payload = payload
 
 		refusesNonPacketTypes(t, pkt)
-		for _, typ := range fuzzTypes {
+		for i, typ := range fuzzTypes {
 			v, ok := Decode(pkt, typ)
-			// Decoding into memory a runtime owns is the same function of
-			// the packet as decoding into fresh memory.
-			mem := &scratch{elems: make([]value.Value, 0, len(typ.Elems))}
-			if sv, sok := decode(pkt, typ, mem); sok != ok || !value.Equal(sv, v) {
-				t.Fatalf("%v: fresh decode (%s, %v), scratch decode (%s, %v)", typ, v, ok, sv, sok)
+			// Decoding over the last input is the same function of the
+			// packet as decoding into fresh memory.
+			if kok := kept[i].decode(pkt); kok != ok || ok && !value.Equal(kept[i].tuple, v) {
+				t.Fatalf("%v: fresh decode (%s, %v), kept plan (%s, %v)", typ, v, ok, kept[i].tuple, kok)
 			}
 			if !ok {
 				continue

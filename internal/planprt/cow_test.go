@@ -135,10 +135,10 @@ func (s *sink) DeliverLocal(pkt *substrate.Packet) { s.last = pkt }
 // (elements and both headers together), and so is encoding a
 // pass-through TCP packet (packet and transport header together, payload
 // aliased). Runtime.Process pays neither on an owned packet: it decodes
-// into the runtime and sends in the packet it was given, and the JIT
-// builds the header ipDestSet / ipSrcSet returns into the send in the
-// instance, so a gateway request or response, a pass-through send and a
-// five-element decode allocate nothing.
+// into the channel's kept plan and sends in the packet it was given,
+// and the JIT builds the header ipDestSet / ipSrcSet returns into the
+// send in the instance, so a gateway request or response, a
+// pass-through send and a five-element decode allocate nothing.
 func TestPacketPathAllocs(t *testing.T) {
 	in := substrate.NewTCP(1, 2, 3, 80, 0, substrate.FlagSyn, make([]byte, 512))
 	var v value.Value
@@ -192,8 +192,8 @@ func TestPacketPathAllocs(t *testing.T) {
 	if n := process(asp.HTTPGateway, other, "10.0.0.81"); n != 0 {
 		t.Errorf("Process of a pass-through OnRemote(network, p) allocates %.1f/op, want 0", n)
 	}
-	// Wider than the codec's small packet (the MPEG reply's shape): the
-	// runtime's scratch is sized for it at Install. No send, because
+	// Wider than the codec's small plan (the MPEG reply's shape): the
+	// runtime lays out each channel's plan at its width. No send, because
 	// encoding a payload of several components builds a buffer.
 	const wide = `
 channel network(ps : int, ss : int, p : ip*udp*host*int*blob) is

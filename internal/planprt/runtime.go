@@ -258,8 +258,7 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 	keeps := holdsHeader(p.Info.ProtoState)
 	for _, ch := range p.Info.Channels {
 		keeps = keeps || holdsHeader(ch.Decl.ChanState())
-		tup, _ := ch.Decl.PacketType().(ast.Tuple)
-		rt.width = max(rt.width, len(tup.Elems))
+		rt.width = max(rt.width, components(ch.Decl.PacketType()))
 	}
 	if keeps {
 		rt.width = 0
@@ -363,26 +362,28 @@ type Runtime struct {
 	inst *engine.Instance
 	out  io.Writer
 
-	released bool // Uninstall has given back the install slot
-
 	// curIn is the interface the packet being processed arrived on and
 	// curDst its original destination (split-horizon for OnRemote
-	// pass-through forwarding).
+	// pass-through forwarding); busy is set while an invocation runs.
 	curIn  substrate.Iface
 	curDst substrate.Addr
+	busy   bool
 
-	// The two lending rules of a packet's trip (DESIGN.md). scratch backs
-	// the packet value of the invocation in progress, which holds it
-	// while busy. It is made at the first packet (most installs of a
-	// rollout never see one) for width elements, the program's widest
-	// packet type; width is 0 if a state of the program can hold a
-	// header, and then every decode allocates. reuse is the inbound
-	// packet if it came in owned, until the invocation's first OnRemote
-	// or Deliver sends it back out re-encoded.
-	scratch *scratch
-	width   int
-	busy    bool
-	reuse   *substrate.Packet
+	released bool // Uninstall has given back the install slot
+
+	// The two lending rules of a packet's trip (DESIGN.md). plans holds
+	// one decode plan per channel, laid out at the first packet (most
+	// installs of a rollout never see one): each is the memory its
+	// channel's packets decode into, and backs the packet value of the
+	// channel's invocation in progress, which holds it while busy. width
+	// is the program's widest packet type, or 0 if a state of the
+	// program can hold a header, and then every packet decodes into a
+	// fresh copy of its plan. reuse is the inbound packet if it came in
+	// owned, until the invocation's first OnRemote or Deliver sends it
+	// back out re-encoded.
+	plans []plan
+	width int
+	reuse *substrate.Packet
 
 	invokes uint64 // channel invocations so far (which one to time)
 	ct      runtimeCounters
@@ -428,18 +429,19 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 	if name == "" {
 		name = "network"
 	}
-	outer, mem := rt.busy, rt.scratch
-	if outer || rt.width == 0 {
-		mem = nil // re-entered through a local app, or a header may be kept
-	} else if mem == nil {
-		mem = &scratch{elems: make([]value.Value, 0, rt.width)}
-		rt.scratch = mem
+	outer := rt.busy
+	if rt.plans == nil {
+		rt.plans = layoutPlans(rt.prog.Info.Channels)
 	}
 	for _, ch := range rt.prog.Info.ChannelsByName(name) {
-		v, ok := decode(pkt, ch.Decl.PacketType(), mem)
-		if !ok {
+		p := &rt.plans[ch.Index]
+		if outer || rt.width == 0 {
+			p = p.fresh() // re-entered through a local app, or a header may be kept
+		}
+		if !p.decode(pkt) {
 			continue
 		}
+		*rt.inst.Packet(ch.Index) = p.tuple
 		if bus := rt.env.Events(); bus.Active() {
 			bus.Publish(substrate.PacketEvent(obs.KindASPInvoke, rt.env.Now(), rt.name, pkt, ch.Decl.Name))
 		}
@@ -453,7 +455,7 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 		if timed {
 			start = time.Now()
 		}
-		err := rt.inst.Invoke(ch.Index, rt, v)
+		err := rt.inst.Run(ch.Index, rt)
 		if timed {
 			rt.ct.invokeNs.Add(invokeSample * int64(time.Since(start)))
 		}
