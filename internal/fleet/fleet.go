@@ -26,7 +26,8 @@
 // Fan-out is concurrent and bounded (internal/par), every request
 // retries with exponential backoff + jitter, ambiguous activations
 // (lost responses, nodes dying mid-phase) are reconciled against
-// GET /asp, and the whole history is queryable via GET /deployments.
+// GET /asp, and the history, its newest maxDeployments records, is
+// queryable via GET /deployments.
 // Failure paths are deterministically testable through the pluggable
 // fault-injecting RoundTripper (fault.go). Each decision is published
 // once, as an obs event (KindDeploy/KindRollback), and counted.
@@ -309,7 +310,12 @@ type Config struct {
 	HistoryPath string
 }
 
-// Controller orchestrates rollouts and retains their history.
+// maxDeployments bounds the records a Controller keeps, and the history
+// file it loads: past it, the oldest finished records go first.
+const maxDeployments = 1024
+
+// Controller orchestrates rollouts and retains their history, the
+// newest maxDeployments records of it.
 type Controller struct {
 	client  *http.Client
 	retry   RetryPolicy
@@ -328,6 +334,10 @@ type Controller struct {
 	mu          sync.Mutex
 	deployments []*Deployment // oldest first; earlier processes' records lead
 	nextID      int
+	// dropped is the highest ID of a record dropped for the bound. Loaded
+	// records are in the order their rollouts finished, not ID order, so
+	// a record below it may still be kept.
+	dropped int
 
 	sigMu sync.Mutex
 	sigs  map[string]heldSig // by target URL: the signature its node was last seen to run
@@ -418,12 +428,15 @@ func (c *Controller) Publish(kind obs.Kind, node string, ref Ref, parts ...strin
 // loadHistory reads the append-only JSONL history into the controller.
 // A missing file is an empty history; a torn final line (the daemon
 // died mid-append) or any other corrupt record is skipped with a
-// "history" event rather than poisoning the records around it.
+// "history" event rather than poisoning the records around it. A file
+// of more than maxDeployments records keeps its last ones: it is
+// rewritten with only those, through a temporary file renamed over it.
 func (c *Controller) loadHistory() {
 	data, err := os.ReadFile(c.historyPath)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		c.Publish(obs.KindDeploy, "", Ref{}, "history: ", err.Error())
 	}
+	var lines [][]byte // each record's line, so that a rewrite keeps its bytes
 	for i, line := range bytes.Split(data, []byte("\n")) {
 		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
@@ -439,7 +452,44 @@ func (c *Controller) loadHistory() {
 		}
 		c.deployments = append(c.deployments, &Deployment{view: v})
 		c.nextID = max(c.nextID, v.ID+1)
+		lines = append(lines, line)
 	}
+	n := len(lines) - maxDeployments
+	if n <= 0 {
+		return
+	}
+	for _, d := range c.deployments[:n] {
+		c.dropped = max(c.dropped, d.view.ID)
+	}
+	c.deployments = slices.Delete(c.deployments, 0, n)
+	if err := replaceFile(c.historyPath, append(bytes.Join(lines[n:], []byte("\n")), '\n')); err != nil {
+		c.Publish(obs.KindDeploy, "", Ref{}, "history: ", err.Error())
+	}
+}
+
+// replaceFile makes data the contents of path: written and synced to a
+// temporary file beside it, then renamed over it, so that a crash
+// leaves the old contents or the new ones.
+func replaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // persist appends the finished deployment to the history file. Failures
@@ -488,7 +538,7 @@ func (c *Controller) rand() float64 {
 	return c.rng.Float64()
 }
 
-// Deployments returns snapshots of every rollout, oldest first —
+// Deployments returns snapshots of the kept rollouts, oldest first —
 // records loaded from the history file (previous daemon lives) first,
 // then this process's rollouts.
 func (c *Controller) Deployments() []View {
@@ -509,25 +559,42 @@ type History struct {
 
 // Handler returns the controller's query API:
 //
-//	GET /deployments        all rollouts, oldest first
-//	GET /deployments?id=N   one rollout
+//	GET /deployments        the kept rollouts, oldest first
+//	GET /deployments?id=N   one rollout; 404 "expired" if N is older
+//	                        than every kept one
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /deployments", func(w http.ResponseWriter, r *http.Request) {
-		views := c.Deployments()
-		if idStr := planpd.QueryValue(r.URL.RawQuery, "id"); idStr != "" {
-			for _, v := range views {
-				if fmt.Sprint(v.ID) == idStr {
-					planpd.WriteJSON(w, http.StatusOK, v)
-					return
-				}
-			}
-			http.Error(w, "no such deployment", http.StatusNotFound)
+		idStr := planpd.QueryValue(r.URL.RawQuery, "id")
+		if idStr == "" {
+			planpd.WriteJSON(w, http.StatusOK, History{Deployments: c.Deployments()})
 			return
 		}
-		planpd.WriteJSON(w, http.StatusOK, History{Deployments: views})
+		id, _ := strconv.Atoi(idStr)
+		switch d, expired := c.lookup(id); {
+		case d != nil:
+			planpd.WriteJSON(w, http.StatusOK, d.View())
+		case expired:
+			http.Error(w, "expired", http.StatusNotFound)
+		default:
+			http.Error(w, "no such deployment", http.StatusNotFound)
+		}
 	})
 	return mux
+}
+
+// lookup returns the kept record of ID id, or nil and whether a record
+// of that ID may have been dropped for the bound: id is at or below the
+// highest dropped ID.
+func (c *Controller) lookup(id int) (d *Deployment, expired bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range c.deployments {
+		if d.view.ID == id { // IDs are set before a record is kept
+			return d, false
+		}
+	}
+	return nil, id > 0 && id <= c.dropped
 }
 
 func (c *Controller) newDeployment(spec *Spec, targets []Target) *Deployment {
@@ -551,6 +618,14 @@ func (c *Controller) newDeployment(spec *Spec, targets []Target) *Deployment {
 		d.view.Nodes[i] = NodeView{Name: t.Name, URL: t.URL, Status: NodePending}
 	}
 	c.deployments = append(c.deployments, d)
+	// Past the bound the oldest records go, from the front only, up to
+	// one whose rollout still runs: each record is dropped once, so a
+	// Deploy pays O(1) amortized.
+	for len(c.deployments) > maxDeployments && c.deployments[0].State() != StatePending {
+		c.dropped = max(c.dropped, c.deployments[0].view.ID)
+		c.deployments[0] = nil
+		c.deployments = c.deployments[1:]
+	}
 	return d
 }
 

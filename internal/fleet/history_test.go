@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -161,5 +165,117 @@ func TestFleetRestartMidActivate(t *testing.T) {
 	active, staged := tf.nodeState(t, "beta")
 	if active != "" || staged != "" {
 		t.Errorf("restarted node state = active %q staged %q, want empty", active, staged)
+	}
+}
+
+// TestFleetHistoryBounded: a controller keeps the newest maxDeployments
+// records. Over a history of maxDeployments finished records, k more
+// rollouts leave exactly the bound, with the newest IDs; a reload
+// compacts the file to the same records; and GET /deployments?id=N tells
+// a dropped record ("expired") from one that never was.
+func TestFleetHistoryBounded(t *testing.T) {
+	const k = 3
+	tf := newTestFleet(t, 1)
+	path := filepath.Join(t.TempDir(), "deployments.jsonl")
+	var history bytes.Buffer
+	enc := json.NewEncoder(&history)
+	for id := 1; id <= maxDeployments; id++ {
+		enc.Encode(View{ID: id, Version: "old", State: StateActive})
+	}
+	if err := os.WriteFile(path, history.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c1 := tf.controller(Config{HistoryPath: path})
+	for i := 0; i < k; i++ {
+		if _, err := c1.Deploy(context.Background(), Spec{Source: forwarder}, tf.targets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantIDs := func(who string, views []View) {
+		t.Helper()
+		if len(views) != maxDeployments {
+			t.Fatalf("%s keeps %d records, want %d", who, len(views), maxDeployments)
+		}
+		for i, v := range views {
+			if v.ID != k+1+i {
+				t.Fatalf("%s: record %d has ID %d, want %d", who, i, v.ID, k+1+i)
+			}
+		}
+	}
+	wantIDs("the controller", c1.Deployments())
+
+	c2 := tf.controller(Config{HistoryPath: path})
+	wantIDs("a reload", c2.Deployments())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file []View
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var v View
+		if err := json.Unmarshal(line, &v); err != nil {
+			t.Fatal(err)
+		}
+		file = append(file, v)
+	}
+	wantIDs("the compacted file", file)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("the compaction left its temporary file: %v", err)
+	}
+
+	api := httptest.NewServer(c2.Handler())
+	defer api.Close()
+	for id, want := range map[string]string{"1": "expired", "3": "expired", "4": "", strconv.Itoa(maxDeployments + k + 1): "no such deployment"} {
+		resp, err := http.Get(api.URL + "/deployments?id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := strings.TrimSpace(string(body)); want == "" && resp.StatusCode != http.StatusOK ||
+			want != "" && (resp.StatusCode != http.StatusNotFound || got != want) {
+			t.Errorf("GET /deployments?id=%s: %d %q, want %q", id, resp.StatusCode, got, want)
+		}
+	}
+}
+
+// TestFleetHistoryExpiryAfterReload: rollouts overlap, so the history
+// file is in finish order, not ID order. A reload keeps the file's last
+// records and answers "expired" for every ID it dropped, also one above
+// the first kept ID.
+func TestFleetHistoryExpiryAfterReload(t *testing.T) {
+	const n = maxDeployments + 2
+	tf := newTestFleet(t, 1)
+	path := filepath.Join(t.TempDir(), "deployments.jsonl")
+	var history bytes.Buffer
+	enc := json.NewEncoder(&history)
+	for _, id := range []int{2, 3, 1} { // rollout 1 finished after 2 and 3
+		enc.Encode(View{ID: id, Version: "old", State: StateActive})
+	}
+	for id := 4; id <= n; id++ {
+		enc.Encode(View{ID: id, Version: "old", State: StateActive})
+	}
+	if err := os.WriteFile(path, history.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := tf.controller(Config{HistoryPath: path})
+	if views := c.Deployments(); len(views) != maxDeployments || views[0].ID != 1 || views[1].ID != 4 {
+		t.Fatalf("a reload keeps %d records, the first two %+v; want %d, IDs 1 and 4", len(views), views[:2], maxDeployments)
+	}
+	api := httptest.NewServer(c.Handler())
+	defer api.Close()
+	for id, want := range map[string]string{"1": "", "2": "expired", "3": "expired", "4": "", strconv.Itoa(n + 1): "no such deployment"} {
+		resp, err := http.Get(api.URL + "/deployments?id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := strings.TrimSpace(string(body)); want == "" && resp.StatusCode != http.StatusOK ||
+			want != "" && (resp.StatusCode != http.StatusNotFound || got != want) {
+			t.Errorf("GET /deployments?id=%s: %d %q, want %q", id, resp.StatusCode, got, want)
+		}
 	}
 }

@@ -110,17 +110,11 @@ func payloadKind(t ast.Type) value.Kind {
 	return 0
 }
 
-// fresh returns q's plan on fresh memory, read from q, not from the
-// type.
-func (q *plan) fresh() *plan {
-	p, elems := newPlan(len(q.tuple.Vs))
-	if len(elems) > 0 {
-		p.transport = q.transport
-		for i := range elems {
-			elems[i].Kind = q.tuple.Vs[i].Kind
-		}
-		p.bind(elems)
-	}
+// freshPlan lays packet type t out on fresh memory. If t is not a
+// packet type, the plan matches nothing.
+func freshPlan(t ast.Type) *plan {
+	p, elems := newPlan(components(t))
+	p.layout(t, elems)
 	return p
 }
 
@@ -166,8 +160,8 @@ func (p *plan) bind(elems []value.Value) {
 // starting with ip — matches nothing). A trailing blob aliases
 // pkt.Payload: transmitted payloads are immutable.
 func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
-	p, elems := newPlan(components(t))
-	if !p.layout(t, elems) || !p.decode(pkt) {
+	p := freshPlan(t)
+	if !p.decode(pkt) {
 		return value.Unit, false
 	}
 	return p.tuple, true

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"planp.dev/planp/asp"
-	"planp.dev/planp/internal/lang/ast"
 	"planp.dev/planp/internal/lang/value"
 	"planp.dev/planp/internal/netsim"
+	"planp.dev/planp/internal/obs"
 	"planp.dev/planp/internal/substrate"
 )
 
@@ -60,8 +60,7 @@ func (c *cloneFirst) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 // TestHeaderKeepingProgramDecodesFresh: a program with a state that can
 // hold a header takes the allocating decode, so the header of the FIRST
 // packet it kept still reads that packet's fields after later ones; the
-// in-tree ASPs keep none and decode into the runtime, which is sized for
-// their widest channel.
+// in-tree ASPs keep none and decode into the runtime's plans.
 func TestHeaderKeepingProgramDecodesFresh(t *testing.T) {
 	const keepsIP = `
 channel network(ps : int, ss : ip, p : ip*udp*blob) is
@@ -88,7 +87,7 @@ initstate mkTable(8) is
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rt.width != 0 {
+				if !rt.keepsHeaders {
 					t.Fatal("a program that can keep a header decodes into the runtime")
 				}
 				for i := 0; i < 3; i++ {
@@ -114,20 +113,17 @@ initstate mkTable(8) is
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ch := range prog.Info.Channels {
-			if n := len(ch.Decl.PacketType().(ast.Tuple).Elems); rt.width < n {
-				t.Errorf("%s: channel %s is %d wide, the runtime's scratch %d (0: every decode allocates)", p.Name, ch.Decl.Name, n, rt.width)
-			}
+		if rt.keepsHeaders {
+			t.Errorf("%s: a state can hold a header, so every decode allocates", p.Name)
 		}
 	}
 }
 
 // TestReentrantProcessLeavesOuterPacketAlone: deliver hands the packet
 // to a local app, and an app may feed the node another packet before it
-// returns. The inner invocation must not decode over the outer one's p.
-// (The inner packet goes to another channel: the compiled engines keep
-// one frame per channel, so re-entering the SAME channel overwrites the
-// outer frame whatever the runtime does — at the parent commit too.)
+// returns. The inner packet, here for another channel, waits until the
+// outer invocation returns, so it cannot decode over the outer one's p.
+// (TestSameChannelReentryWaitsItsTurn feeds the running channel.)
 func TestReentrantProcessLeavesOuterPacketAlone(t *testing.T) {
 	const src = `
 channel network(ps : int, ss : int, p : ip*udp*blob) is
@@ -161,6 +157,177 @@ channel side(ps : int, ss : int, p : ip*udp*blob) is
 			}
 			if len(atB) != 1 || atB[0].ip.Src != netsim.MustAddr("10.9.9.9") || atB[0].payload != "inner" {
 				t.Errorf("the inner packet arrived as %+v", atB)
+			}
+		})
+	}
+}
+
+// TestSameChannelReentryWaitsItsTurn: a packet fed to the node from a
+// deliver, for the channel that is running, is held until that
+// invocation returns, so the outer packet's send after deliver is its
+// own packet, and the inner packet is processed once, after it. (Were it
+// run nested, the compiled engines' one frame per channel would give the
+// outer invocation the inner packet's p.)
+func TestSameChannelReentryWaitsItsTurn(t *testing.T) {
+	const src = `
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  (if ps = 0 then deliver(p) else (); OnRemote(network, p); (ps + 1, ss))
+`
+	for _, eng := range engines {
+		t.Run(string(eng), func(t *testing.T) {
+			sim, client, gw, srvA, srvB := topo(t)
+			rt, err := Download(gw, src, Config{Engine: eng, Verify: VerifyPrivileged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := netsim.NewUDP(netsim.MustAddr("10.9.9.9"), srvB.Addr, 77, 10, []byte("inner")).Own()
+			gw.BindUDP(9, func(*netsim.Packet) { gw.Receive(inner, nil) })
+			var atA, atB []wire
+			srvA.BindUDP(9, func(p *netsim.Packet) { atA = append(atA, snapshot(p)) })
+			srvB.BindUDP(10, func(p *netsim.Packet) { atB = append(atB, snapshot(p)) })
+
+			client.Send(netsim.NewUDP(client.Addr, srvA.Addr, 5, 9, []byte("outer")).Own())
+			sim.Run()
+
+			if st := rt.Stats(); st.Processed != 2 || st.Errors != 0 || rt.busy || len(rt.held) != 0 {
+				t.Fatalf("processed %d, errors %d, still busy %v, %d held", st.Processed, st.Errors, rt.busy, len(rt.held))
+			}
+			if len(atA) != 1 || atA[0].ip.Src != client.Addr || atA[0].payload != "outer" {
+				t.Errorf("srvA got %+v, want the outer packet once", atA)
+			}
+			if len(atB) != 1 || atB[0].ip.Src != netsim.MustAddr("10.9.9.9") || atB[0].payload != "inner" {
+				t.Errorf("srvB got %+v, want the inner packet once", atB)
+			}
+		})
+	}
+}
+
+// TestSplitHorizonSurvivesReentry: a pass-through packet that arrived on
+// the client interface, and whose route leads back out of it, is a
+// no-route drop, whether or not its deliver fed the node a packet first:
+// the outer invocation keeps its split horizon.
+func TestSplitHorizonSurvivesReentry(t *testing.T) {
+	const src = `
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  (deliver(p); OnRemote(network, p); (ps + 1, ss))
+
+channel side(ps : int, ss : int, p : ip*udp*blob) is
+  (OnRemote(network, p); (ps + 1, ss))
+`
+	for _, eng := range engines {
+		t.Run(string(eng), func(t *testing.T) {
+			sim, client, gw, _, srvB := topo(t)
+			behind := netsim.MustAddr("10.0.1.2") // a host on the client's side
+			gw.AddRoute(behind, gw.Route(client.Addr))
+			rt, err := Download(gw, src, Config{Engine: eng, Verify: VerifyPrivileged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := netsim.NewUDP(netsim.MustAddr("10.9.9.9"), srvB.Addr, 77, 10, []byte("inner")).Own()
+			inner.ChanTag = "side"
+			gw.BindUDP(9, func(*netsim.Packet) { gw.Receive(inner, nil) })
+			echoes, atB, noRoute := 0, 0, 0
+			client.Tap(func(*netsim.Packet) { echoes++ })
+			srvB.BindUDP(10, func(*netsim.Packet) { atB++ })
+			sim.Events().Subscribe(obs.Func(func(ev obs.Event) {
+				if ev.Kind == obs.KindDrop && ev.Node == "gw" && ev.Detail == "no-route" {
+					noRoute++
+				}
+			}))
+
+			client.Send(netsim.NewUDP(client.Addr, behind, 5, 9, []byte("outer")).Own())
+			sim.Run()
+
+			if st := rt.Stats(); st.Processed != 2 || st.Errors != 0 {
+				t.Fatalf("processed %d, errors %d", st.Processed, st.Errors)
+			}
+			if echoes != 0 || noRoute != 1 {
+				t.Errorf("%d packet(s) sent back to the client, %d no-route drop(s); want 0 and 1", echoes, noRoute)
+			}
+			if atB != 1 {
+				t.Errorf("srvB got %d inner packets, want 1", atB)
+			}
+		})
+	}
+}
+
+// TestHeldUnmatchedPacketGetsStandardProcessing: a packet held during an
+// invocation that matches no channel is forwarded by the node's standard
+// processing once the invocation returns, and counted unmatched.
+func TestHeldUnmatchedPacketGetsStandardProcessing(t *testing.T) {
+	const src = `
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  (deliver(p); OnRemote(network, p); (ps + 1, ss))
+`
+	for _, eng := range engines {
+		t.Run(string(eng), func(t *testing.T) {
+			sim, client, gw, srvA, srvB := topo(t)
+			rt, err := Download(gw, src, Config{Engine: eng, Verify: VerifyPrivileged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := substrate.NewTCP(netsim.MustAddr("10.9.9.9"), srvB.Addr, 77, 80, 0, substrate.FlagSyn, []byte("inner")).Own()
+			ttl := inner.IP.TTL
+			gw.BindUDP(9, func(*netsim.Packet) { gw.Receive(inner, nil) })
+			var atA, atB []wire
+			srvA.BindUDP(9, func(p *netsim.Packet) { atA = append(atA, snapshot(p)) })
+			srvB.BindTCP(80, func(p *netsim.Packet) { atB = append(atB, snapshot(p)) })
+
+			client.Send(netsim.NewUDP(client.Addr, srvA.Addr, 5, 9, []byte("outer")).Own())
+			sim.Run()
+
+			if st := rt.Stats(); st.Processed != 1 || st.Unmatched != 1 || st.Errors != 0 {
+				t.Fatalf("processed %d, unmatched %d, errors %d; want 1, 1, 0", st.Processed, st.Unmatched, st.Errors)
+			}
+			if len(atA) != 1 || atA[0].payload != "outer" {
+				t.Errorf("srvA got %+v, want the outer packet once", atA)
+			}
+			if len(atB) != 1 || atB[0].payload != "inner" || atB[0].ip.TTL != ttl-1 {
+				t.Errorf("srvB got %+v, want the inner packet forwarded once", atB)
+			}
+		})
+	}
+}
+
+// TestHeldPacketsDrainOnce: a held packet for the node itself that no
+// channel takes is delivered by standard processing, and the app it wakes
+// feeds the node another packet. That packet waits behind the drain, so
+// the drain runs once: the app runs once, and srvB gets the fed packet
+// once.
+func TestHeldPacketsDrainOnce(t *testing.T) {
+	const src = `
+channel network(ps : int, ss : int, p : ip*udp*blob) is
+  (deliver(p); OnRemote(network, p); (ps + 1, ss))
+`
+	for _, eng := range engines {
+		t.Run(string(eng), func(t *testing.T) {
+			sim, client, gw, srvA, srvB := topo(t)
+			rt, err := Download(gw, src, Config{Engine: eng, Verify: VerifyPrivileged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			toGw := substrate.NewTCP(netsim.MustAddr("10.9.9.9"), gw.Addr, 77, 80, 0, substrate.FlagSyn, []byte("to-gw")).Own()
+			toB := substrate.NewTCP(netsim.MustAddr("10.9.9.9"), srvB.Addr, 78, 80, 0, substrate.FlagSyn, []byte("to-b")).Own()
+			gw.BindUDP(9, func(*netsim.Packet) { gw.Receive(toGw, nil) })
+			runs := 0
+			gw.BindTCP(80, func(*netsim.Packet) {
+				if runs++; runs == 1 { // a second run would show a second drain
+					gw.Receive(toB, nil)
+				}
+			})
+			atA, atB := 0, 0
+			srvA.BindUDP(9, func(*netsim.Packet) { atA++ })
+			srvB.BindTCP(80, func(*netsim.Packet) { atB++ })
+
+			client.Send(netsim.NewUDP(client.Addr, srvA.Addr, 5, 9, []byte("outer")).Own())
+			sim.Run()
+
+			if st := rt.Stats(); st.Processed != 1 || st.Unmatched != 2 || st.Errors != 0 || len(rt.held) != 0 {
+				t.Fatalf("processed %d, unmatched %d, errors %d, %d held; want 1, 2, 0, 0",
+					st.Processed, st.Unmatched, st.Errors, len(rt.held))
+			}
+			if runs != 1 || atA != 1 || atB != 1 {
+				t.Errorf("gw's TCP app ran %d time(s), srvA got %d, srvB got %d; want 1 each", runs, atA, atB)
 			}
 		})
 	}

@@ -53,7 +53,7 @@ channel network(ps : int, ss : int*string*blob, p : ip*udp*int*string*blob) is
 	for _, eng := range engines {
 		t.Run(string(eng), func(t *testing.T) {
 			rt := install(t, src, eng)
-			if rt.width == 0 {
+			if rt.keepsHeaders {
 				t.Fatal("a program that keeps no header decodes fresh")
 			}
 			for k := 0; k < 3; k++ {
@@ -125,8 +125,8 @@ channel network(ps : int, ss : host*int*char*char, p : ip*udp*int*char*char) is
 
 // TestReentrantFailedDecodeLeavesOuterPacketAlone: a packet fed to the
 // node while an invocation runs may fail late at the running channel
-// before another overload takes it. It is decoded into fresh memory, so
-// the running invocation's p still reads its own packet afterwards.
+// before another overload takes it. It is held until that invocation
+// returns, so the running invocation's p still reads its own packet.
 func TestReentrantFailedDecodeLeavesOuterPacketAlone(t *testing.T) {
 	const src = `
 channel network(ps : int, ss : int, p : ip*udp*int*char) is

@@ -247,7 +247,7 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 	if output == nil {
 		output = io.Discard
 	}
-	rt := &Runtime{node: node, env: env, name: node.Hostname(), addr: node.Address(),
+	rt := &Runtime{node: node, env: env, addr: node.Address(),
 		prog: p, out: output,
 		ct: newRuntimeCounters(env.Metrics(), node.Hostname())}
 	inst, err := p.Compiled.NewInstance(rt)
@@ -255,14 +255,8 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 		return nil, err
 	}
 	rt.inst = inst
-	keeps := holdsHeader(p.Info.ProtoState)
-	for _, ch := range p.Info.Channels {
-		keeps = keeps || holdsHeader(ch.Decl.ChanState())
-		rt.width = max(rt.width, components(ch.Decl.PacketType()))
-	}
-	if keeps {
-		rt.width = 0
-	}
+	rt.keepsHeaders = holdsHeader(p.Info.ProtoState) || slices.ContainsFunc(p.Info.Channels,
+		func(ch typecheck.Channel) bool { return holdsHeader(ch.Decl.ChanState()) })
 	node.SetProcessor(rt)
 	p.installs++
 	return rt, nil
@@ -352,11 +346,14 @@ func newRuntimeCounters(reg *obs.Registry, node string) runtimeCounters {
 }
 
 // Runtime is one installed protocol on one node. It implements both the
-// substrate's Processor hook and the language's primitive context.
+// substrate's Processor hook and the language's primitive context. It
+// runs one invocation at a time (see Process), so no invocation sees its
+// context, frame or plan replaced under it, and no engine is re-entered.
+// Its fields pack into 224 bytes, the size class each download
+// allocates: reordering them can cost every install 32 more.
 type Runtime struct {
 	node substrate.Node
 	env  substrate.Env  // node.Env(), resolved once at install time
-	name string         // node.Hostname(), ditto (event hot path)
 	addr substrate.Addr // node.Address(), ditto (OnRemote self-check)
 	prog *Program
 	inst *engine.Instance
@@ -364,25 +361,26 @@ type Runtime struct {
 
 	// curIn is the interface the packet being processed arrived on and
 	// curDst its original destination (split-horizon for OnRemote
-	// pass-through forwarding); busy is set while an invocation runs.
-	curIn  substrate.Iface
-	curDst substrate.Addr
-	busy   bool
-
+	// pass-through forwarding); busy is set while an invocation runs,
+	// and held keeps the packets that arrived meanwhile.
+	curIn    substrate.Iface
+	curDst   substrate.Addr
+	busy     bool
 	released bool // Uninstall has given back the install slot
+	// keepsHeaders is set if a state of the program can hold a header,
+	// and then every packet decodes into a plan on fresh memory.
+	keepsHeaders bool
+	held         []heldPacket
 
 	// The two lending rules of a packet's trip (DESIGN.md). plans holds
 	// one decode plan per channel, laid out at the first packet (most
 	// installs of a rollout never see one): each is the memory its
 	// channel's packets decode into, and backs the packet value of the
-	// channel's invocation in progress, which holds it while busy. width
-	// is the program's widest packet type, or 0 if a state of the
-	// program can hold a header, and then every packet decodes into a
-	// fresh copy of its plan. reuse is the inbound packet if it came in
-	// owned, until the invocation's first OnRemote or Deliver sends it
-	// back out re-encoded.
+	// channel's invocation in progress, which holds it while busy.
+	// reuse is the inbound packet if it came in owned, until the
+	// invocation's first OnRemote or Deliver sends it back out
+	// re-encoded.
 	plans []plan
-	width int
 	reuse *substrate.Packet
 
 	invokes uint64 // channel invocations so far (which one to time)
@@ -421,29 +419,57 @@ func (rt *Runtime) Program() *Program { return rt.prog }
 // Instance exposes the protocol state (tests and monitoring tools).
 func (rt *Runtime) Instance() *engine.Instance { return rt.inst }
 
-// Process implements netsim.Processor: dispatch the packet to the first
-// matching channel. Untagged packets go to "network" channels; tagged
-// packets to channels with the tag's name (§2).
+// heldPacket is a packet that reached Process while an invocation ran.
+type heldPacket struct {
+	pkt *substrate.Packet
+	in  substrate.Iface
+}
+
+// Process implements substrate.Processor: dispatch the packet to the
+// first matching channel. Untagged packets go to "network" channels;
+// tagged packets to channels with the tag's name (§2). A packet that
+// arrives mid-invocation (deliver woke an app that fed the node) is
+// held, then processed in arrival order, or given Standard processing.
+// So is one that arrives while the held ones drain (Standard woke an
+// app), so that only one drain runs, and it runs each packet once.
 func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
+	if rt.busy || len(rt.held) > 0 {
+		rt.held = append(rt.held, heldPacket{pkt, in})
+		return true
+	}
+	taken := rt.process(pkt, in)
+	for i := 0; i < len(rt.held); i++ { // a held packet's processing may hold more
+		if h := rt.held[i]; !rt.process(h.pkt, h.in) {
+			rt.node.Standard(h.pkt, h.in)
+		}
+	}
+	if len(rt.held) > 0 {
+		clear(rt.held)
+		rt.held = rt.held[:0]
+	}
+	return taken
+}
+
+// process runs pkt's channel, if one matches, with the runtime idle.
+func (rt *Runtime) process(pkt *substrate.Packet, in substrate.Iface) bool {
 	name := pkt.ChanTag
 	if name == "" {
 		name = "network"
 	}
-	outer := rt.busy
 	if rt.plans == nil {
 		rt.plans = layoutPlans(rt.prog.Info.Channels)
 	}
 	for _, ch := range rt.prog.Info.ChannelsByName(name) {
 		p := &rt.plans[ch.Index]
-		if outer || rt.width == 0 {
-			p = p.fresh() // re-entered through a local app, or a header may be kept
+		if rt.keepsHeaders {
+			p = freshPlan(ch.Decl.PacketType())
 		}
 		if !p.decode(pkt) {
 			continue
 		}
 		*rt.inst.Packet(ch.Index) = p.tuple
 		if bus := rt.env.Events(); bus.Active() {
-			bus.Publish(substrate.PacketEvent(obs.KindASPInvoke, rt.env.Now(), rt.name, pkt, ch.Decl.Name))
+			bus.Publish(substrate.PacketEvent(obs.KindASPInvoke, rt.env.Now(), rt.node.Hostname(), pkt, ch.Decl.Name))
 		}
 		rt.curIn, rt.curDst, rt.reuse, rt.busy = in, pkt.IP.Dst, nil, true
 		if pkt.Owned() {
@@ -459,7 +485,7 @@ func (rt *Runtime) Process(pkt *substrate.Packet, in substrate.Iface) bool {
 		if timed {
 			rt.ct.invokeNs.Add(invokeSample * int64(time.Since(start)))
 		}
-		rt.curIn, rt.curDst, rt.reuse, rt.busy = nil, 0, nil, outer
+		rt.curIn, rt.curDst, rt.reuse, rt.busy = nil, 0, nil, false
 		if err != nil {
 			// An unhandled exception drops the packet (the verifier
 			// exists to prevent this for checked programs).

@@ -321,12 +321,12 @@ func (s *Stack) Receive(pkt *Packet, in Iface) {
 	if p := s.proc.Load(); p != nil && (*p).Process(pkt, in) {
 		return
 	}
-	s.defaultProcess(pkt, in)
+	s.Standard(pkt, in)
 }
 
-// defaultProcess is standard IP behavior: deliver locally, forward if a
-// router, drop otherwise. Broadcast is delivered and never forwarded.
-func (s *Stack) defaultProcess(pkt *Packet, in Iface) {
+// Standard is standard IP behavior (Node): deliver locally, forward if
+// a router, drop otherwise. Broadcast is delivered and never forwarded.
+func (s *Stack) Standard(pkt *Packet, in Iface) {
 	dst := pkt.IP.Dst
 	switch {
 	case dst == s.addr || dst == 0xFFFFFFFF:

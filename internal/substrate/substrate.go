@@ -61,7 +61,10 @@ import (
 // and must not retain pkt beyond the call unless it returns true: on
 // false the substrate may reuse the packet in place for the next
 // forwarding hop. Retaining the payload slice is always safe — payload
-// bytes are immutable once transmitted.
+// bytes are immutable once transmitted. A processor that returns true
+// may hold pkt and decide its fate later (the ASP runtime holds a
+// packet that arrives while one of its invocations runs); handing it
+// to Node.Standard then gives it the processing false would have.
 //
 // On concurrent backends Process is invoked from the owning node's
 // goroutine only, so a processor needs no internal locking unless it
@@ -116,6 +119,9 @@ type Node interface {
 	// DeliverLocal passes pkt up to local application bindings (the
 	// deliver primitive).
 	DeliverLocal(pkt *Packet)
+	// Standard gives pkt, received on in, the node's standard IP
+	// processing: what follows a Process that returns false.
+	Standard(pkt *Packet, in Iface)
 	// BindUDP delivers local UDP traffic for port to fn.
 	BindUDP(port uint16, fn AppFunc)
 	// BindTCP delivers local TCP traffic for port to fn.
